@@ -6,7 +6,8 @@ equal-length group of codewords into a flat bit array in one shot, and
 the reader offers both a sliding 16-bit window and random-access window
 gathers (:func:`build_bit_window` / :func:`gather_window16`) so
 table-driven Huffman decoding runs in batched rounds instead of one
-Python step per symbol.
+Python step per symbol.  Header fields (fixed-width words, Elias-gamma
+runs) are packed and unpacked whole, never bit by bit.
 """
 
 from __future__ import annotations
@@ -20,7 +21,22 @@ __all__ = [
     "bits_to_bytes",
     "build_bit_window",
     "gather_window16",
+    "gamma_bit_lengths",
 ]
+
+_POW2 = np.uint64(1) << np.arange(64, dtype=np.uint64)
+
+
+def gamma_bit_lengths(values: np.ndarray) -> np.ndarray:
+    """Elias-gamma code width, ``2 * bit_length - 1``, of each value >= 1."""
+    values = np.asarray(values)
+    if values.size and values.min() < 1:
+        raise ValueError("Elias gamma encodes integers >= 1")
+    # bit_length(v) is the number of powers of two not above v
+    bit_lengths = np.searchsorted(
+        _POW2, values.astype(np.uint64), side="right"
+    )
+    return 2 * bit_lengths - 1
 
 
 def pack_codes(codes: np.ndarray, lengths: np.ndarray) -> tuple[bytes, int]:
@@ -124,11 +140,8 @@ class BitWriter:
             return
         if value < 0 or (nbits < 64 and value >> nbits):
             raise ValueError(f"value {value} does not fit in {nbits} bits")
-        arr = np.array(
-            [(value >> (nbits - 1 - i)) & 1 for i in range(nbits)],
-            dtype=np.uint8,
-        )
-        self._bits.append(arr)
+        word = np.array([value], dtype=">u8").view(np.uint8)
+        self._bits.append(np.unpackbits(word)[64 - nbits :])
         self._nbits += nbits
 
     def write_gamma(self, value: int) -> None:
@@ -145,6 +158,28 @@ class BitWriter:
         if k:
             self.write(0, k)
         self.write(value, k + 1)
+
+    def write_gamma_array(self, values: np.ndarray) -> None:
+        """Append every entry of *values* (each >= 1) in Elias-gamma code.
+
+        Same bits as one :meth:`write_gamma` per entry: the gamma code of
+        ``v`` is ``v`` right-aligned in a ``2k + 1``-bit field, so each
+        bit plane of the values scatters into place in one store.
+        """
+        values = np.asarray(values)
+        if values.size == 0:
+            return
+        widths = gamma_bit_lengths(values)
+        values = values.astype(np.uint64)
+        ends = np.cumsum(widths)
+        bits = np.zeros(int(ends[-1]), dtype=np.uint8)
+        for plane in range((int(widths.max()) + 1) // 2):
+            live = np.flatnonzero(widths > 2 * plane)
+            bits[ends[live] - 1 - plane] = (
+                values[live] >> np.uint64(plane)
+            ) & np.uint64(1)
+        self._bits.append(bits)
+        self._nbits += bits.size
 
     def write_array(self, values: np.ndarray, nbits: int) -> None:
         """Append every entry of *values* using *nbits* bits each."""
@@ -207,10 +242,9 @@ class BitReader:
             raise EOFError("bitstream exhausted")
         chunk = self._bits[self.pos : self.pos + nbits]
         self.pos += nbits
-        value = 0
-        for bit in chunk:
-            value = (value << 1) | int(bit)
-        return value
+        # packbits pads the final byte on the right; shift the pad out
+        packed = np.packbits(chunk).tobytes()
+        return int.from_bytes(packed, "big") >> (-nbits % 8)
 
     def read_gamma(self) -> int:
         """Read one Elias-gamma value (inverse of ``write_gamma``)."""

@@ -6,8 +6,8 @@ lossless stage mops up residual redundancy (see §III-B of the paper).
 
 The implementation is written for NumPy throughput:
 
-* the tree is built once per stream with ``heapq`` over the histogram
-  (alphabet-sized, not data-sized);
+* the tree is built once per stream by a stable sort of the histogram
+  and a two-queue merge (alphabet-sized, not data-sized);
 * codes are *canonical*, so only the code lengths ship in the header;
 * encoding maps symbols through lookup tables and packs all codewords in
   one vectorized pass (:func:`repro.compressor.bitstream.pack_codes`);
@@ -15,16 +15,18 @@ The implementation is written for NumPy throughput:
   K-th symbol), so decoding runs in batched rounds: one NumPy gather over
   the 16-bit window advances every sync block by one symbol, touching
   Python ``K`` times total instead of once per symbol;
+* streams without a sync table (fewer than ``_SYNC_MIN_STREAM``
+  symbols, or serialized by older versions) recover the symbol starts
+  by pointer doubling over ``jump[p] = p + len_table[window16[p]]``,
+  one fixed-size window of bit positions at a time, then gather every
+  symbol of the window in one shot;
 * codes longer than 16 bits take a per-bit canonical walk, which is rare
-  because long codes correspond to near-zero-probability symbols;
-* streams serialized by older versions (no sync table) still decode via
-  the scalar table walk.
+  because long codes correspond to near-zero-probability symbols.
 """
 
 from __future__ import annotations
 
 import hashlib
-import heapq
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -35,6 +37,7 @@ from repro.compressor.bitstream import (
     BitReader,
     BitWriter,
     build_bit_window,
+    gamma_bit_lengths,
     gather_window16,
     pack_codes,
 )
@@ -55,7 +58,8 @@ _MAX_CODE_LEN = 57
 _SYNC_FLAG = 0x80000000
 
 #: Streams shorter than this serialize without a sync table: the table
-#: would cost more than the scalar decode of a tiny stream saves.
+#: would cost more than it saves on a stream one pointer-doubling pass
+#: already decodes.
 _SYNC_MIN_STREAM = 4096
 
 #: Target number of sync blocks; the decode rounds run one gather per
@@ -65,6 +69,13 @@ _SYNC_TARGET_BLOCKS = 4096
 #: Floor on symbols per sync block, bounding table overhead to
 #: 32 / _SYNC_MIN_INTERVAL bits per symbol.
 _SYNC_MIN_INTERVAL = 256
+
+#: Bit positions chained per pointer-doubling pass of the sync-free
+#: decode: the jump tables stay this size however long the stream is.
+_WALK_WINDOW_BITS = 1 << 15
+
+#: Floor of the walk window while long-code escapes keep cutting it short.
+_WALK_MIN_WINDOW_BITS = 256
 
 
 class _DecodeTableLRU:
@@ -120,16 +131,19 @@ _DECODE_TABLE_CACHE = _DecodeTableLRU()
 def huffman_code_lengths(counts: np.ndarray) -> np.ndarray:
     """Return optimal prefix-code lengths for symbol *counts*.
 
-    Standard Huffman construction over ``(count, index)`` heap entries.
-    Symbols with zero count get length 0 (they never occur).  A singleton
-    alphabet gets length 1.
+    Standard Huffman construction.  Of equal counts a leaf merges
+    before an internal node, leaves in index order and internal nodes
+    in creation order; leaves stably sorted by count and internal nodes
+    in a FIFO (merged counts never decrease) present their heads in
+    exactly that order, so no heap is needed.  Symbols with zero count
+    get length 0 (they never occur).  A singleton alphabet gets length 1.
     """
     counts = np.asarray(counts, dtype=np.int64)
     if counts.ndim != 1 or counts.size == 0:
         raise ValueError("counts must be a non-empty 1-D array")
-    if np.any(counts < 0):
+    if counts.min() < 0:
         raise ValueError("counts must be non-negative")
-    present = np.flatnonzero(counts > 0)
+    present = np.flatnonzero(counts)
     lengths = np.zeros(counts.size, dtype=np.int64)
     if present.size == 0:
         raise ValueError("at least one symbol must have a positive count")
@@ -137,55 +151,127 @@ def huffman_code_lengths(counts: np.ndarray) -> np.ndarray:
         lengths[present[0]] = 1
         return lengths
 
-    # Heap items: (count, tiebreak, node). Leaves are ints, internal nodes
-    # are [left, right] lists; depths are assigned by a final traversal.
-    heap: list[tuple[int, int, object]] = [
-        (int(counts[i]), int(i), int(i)) for i in present
-    ]
-    heapq.heapify(heap)
-    tiebreak = counts.size
-    while len(heap) > 1:
-        c1, _, n1 = heapq.heappop(heap)
-        c2, _, n2 = heapq.heappop(heap)
-        heapq.heappush(heap, (c1 + c2, tiebreak, [n1, n2]))
-        tiebreak += 1
-    root = heap[0][2]
-
-    stack: list[tuple[object, int]] = [(root, 0)]
-    while stack:
-        node, depth = stack.pop()
-        if isinstance(node, int):
-            lengths[node] = max(depth, 1)
+    leaves = present[np.argsort(counts[present], kind="stable")]
+    leaf_w = counts[leaves].tolist()
+    n = len(leaf_w)
+    sentinel = sum(leaf_w) + 1  # above every real weight
+    leaf_w.append(sentinel)
+    node_w = [sentinel] * n  # internal node k is created by merge k
+    # both queues are consumed front to back, so the parent of the i-th
+    # leaf / internal node is the i-th entry appended here
+    leaf_parent: list[int] = []
+    node_parent: list[int] = []
+    li = ni = 0
+    leaf, node = leaf_w[0], sentinel  # the queue heads
+    # the two picks of a merge are written out: an inner loop over them
+    # costs a third of the speed at byte-sized alphabets
+    for k in range(n - 1):
+        if leaf <= node:
+            merged = leaf
+            li += 1
+            leaf = leaf_w[li]
+            leaf_parent.append(k)
         else:
-            left, right = node
-            stack.append((left, depth + 1))
-            stack.append((right, depth + 1))
-    if int(lengths.max()) > _MAX_CODE_LEN:
+            merged = node
+            ni += 1
+            node = node_w[ni]
+            node_parent.append(k)
+        if leaf <= node:
+            merged += leaf
+            li += 1
+            leaf = leaf_w[li]
+            leaf_parent.append(k)
+        else:
+            merged += node
+            ni += 1
+            node = node_w[ni]
+            node_parent.append(k)
+        node_w[k] = merged
+        if ni == k:  # the head of the node queue is the node just made
+            node = merged
+
+    depth = [0] * (n - 1)  # the root is node n - 2
+    for k in range(n - 3, -1, -1):
+        depth[k] = depth[node_parent[k]] + 1
+    leaf_depth = [depth[k] + 1 for k in leaf_parent]
+    if max(leaf_depth) > _MAX_CODE_LEN:
         raise ValueError("Huffman code length exceeds the supported maximum")
+    lengths[leaves] = leaf_depth
     return lengths
+
+
+def _histogram(stream: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct values of a non-empty ``int64`` stream, and counts.
+
+    A counting pass beats the sort inside ``np.unique`` whenever the
+    value span is modest (quantization codes, byte tokens).
+    """
+    lo = int(stream.min())
+    span = int(stream.max()) - lo + 1
+    if span > max(256, 4 * stream.size):
+        return np.unique(stream, return_counts=True)
+    counts = np.bincount(stream - lo, minlength=span)
+    present = np.flatnonzero(counts)
+    return present + lo, counts[present]
 
 
 def _canonical_codes(lengths: np.ndarray) -> np.ndarray:
     """Assign canonical codewords from code lengths.
 
     Symbols are ranked by ``(length, symbol-index)``; codewords count up
-    within each length, shifting left at every length increase.  Length-0
-    symbols (absent from the stream) receive code 0 and must never be
-    encoded.
+    within each length, shifting left at every length increase — so the
+    codeword of rank *r* is the Kraft sum of the ranks before it, scaled
+    to its own length.  Length-0 symbols (absent from the stream)
+    receive code 0 and must never be encoded.
     """
     lengths = np.asarray(lengths, dtype=np.int64)
     codes = np.zeros(lengths.size, dtype=np.uint64)
-    order = np.lexsort((np.arange(lengths.size), lengths))
-    order = order[lengths[order] > 0]
-    code = 0
-    prev_len = 0
-    for idx in order:
-        ln = int(lengths[idx])
-        code <<= ln - prev_len
-        codes[idx] = code
-        code += 1
-        prev_len = ln
+    order = np.argsort(lengths, kind="stable")
+    ranked = lengths[order].astype(np.uint64)
+    coded = np.searchsorted(ranked, 1)
+    if coded == ranked.size:
+        return codes
+    order, ranked = order[coded:], ranked[coded:]
+    pad = ranked[-1] - ranked
+    before = np.zeros(order.size, dtype=np.uint64)
+    np.cumsum(np.uint64(1) << pad[:-1], out=before[1:])
+    if (before[1:] < before[:-1]).any():
+        # only lengths no encoder emits (a corrupt header) oversubscribe
+        # the code space this far
+        raise ValueError("corrupt Huffman code lengths")
+    codes[order] = before >> pad
     return codes
+
+
+def _chain_starts(lens: np.ndarray, limit: int) -> np.ndarray:
+    """Offsets of the symbols that start inside one window of positions.
+
+    ``lens[p]`` is the code length the primary table resolves at offset
+    *p* of the window, 0 for a long-code escape.  A symbol starts at
+    offset 0 and each next one ``lens`` bits on, so the starts are the
+    orbit of 0 under ``jump[p] = p + lens[p]``; pointer doubling
+    (``jump <- jump[jump]``) finds it in ``O(log n)`` gathers instead
+    of one Python step per symbol.  The orbit stops after *limit*
+    symbols, on leaving the window, or *at* the first escape — the
+    caller tells the last two apart by ``lens`` at the final start.
+    """
+    m = lens.size
+    limit = min(limit, m)
+    # offset m is the absorbing exit for escapes and window overruns
+    jump = np.arange(m + 1, dtype=np.int64)
+    jump[:m] += lens
+    jump[:m][lens == 0] = m
+    np.minimum(jump, m, out=jump)
+    starts = np.empty(limit, dtype=np.int64)
+    starts[0] = 0
+    have = 1
+    while have < limit and starts[have - 1] < m:
+        take = min(have, limit - have)
+        starts[have : have + take] = jump[starts[:take]]
+        have += take
+        if have < limit:
+            jump = jump[jump]
+    return starts[: np.searchsorted(starts[:have], m)]
 
 
 @dataclass
@@ -203,9 +289,14 @@ class HuffmanCode:
     @classmethod
     def from_stream(cls, stream: np.ndarray) -> "HuffmanCode":
         """Build the optimal code for the given integer stream."""
-        symbols, counts = np.unique(
-            np.asarray(stream, dtype=np.int64).ravel(), return_counts=True
+        return cls._from_sorted_histogram(
+            *_histogram(np.asarray(stream, dtype=np.int64).ravel())
         )
+
+    @classmethod
+    def _from_sorted_histogram(
+        cls, symbols: np.ndarray, counts: np.ndarray
+    ) -> "HuffmanCode":
         lengths = huffman_code_lengths(counts)
         return cls(symbols, lengths, _canonical_codes(lengths))
 
@@ -221,9 +312,7 @@ class HuffmanCode:
         keep = counts > 0
         symbols, counts = symbols[keep], counts[keep]
         order = np.argsort(symbols)
-        symbols, counts = symbols[order], counts[order]
-        lengths = huffman_code_lengths(counts)
-        return cls(symbols, lengths, _canonical_codes(lengths))
+        return cls._from_sorted_histogram(symbols[order], counts[order])
 
     def expected_bits_per_symbol(self, probabilities: np.ndarray) -> float:
         """Average code length under the given symbol probabilities."""
@@ -259,8 +348,8 @@ class HuffmanEncoder:
 
     Format 2 (flagged by the top bit of the header-length word) appends
     the bit offset of every ``sync_interval``-th symbol, enabling the
-    batched round-based decode; format-1 blobs decode via the scalar
-    table walk.
+    batched round-based decode; format-1 blobs (short streams, older
+    writers) decode via the pointer-doubling walk.
     """
 
     def encode(
@@ -285,32 +374,36 @@ class HuffmanEncoder:
             code, stream.size, payload, total_bits, plan.interval, plan.sync
         )
 
-    def plan(self, stream: np.ndarray) -> "HuffmanEncodePlan | None":
+    def plan(
+        self, stream: np.ndarray, budget: int | None = None
+    ) -> "HuffmanEncodePlan | None":
         """Build everything :meth:`encode` needs except the packed bits.
 
         Returns ``None`` for an empty stream.  The plan carries the exact
         serialized size (``container_bytes``), so escape decisions can be
         made — and the stream then encoded — with one code construction.
+
+        A caller that would discard any plan of *budget* bytes or more
+        passes it: when the entropy floor on the serialized size
+        (:meth:`_container_bytes_floor`) already reaches the budget the
+        answer is ``None`` too, and no code is built.
         """
         stream = np.asarray(stream, dtype=np.int64).ravel()
         if stream.size == 0:
             return None
-        code = HuffmanCode.from_stream(stream)
+        symbols, counts = _histogram(stream)
+        if (
+            budget is not None
+            and self._container_bytes_floor(symbols, counts) >= budget
+        ):
+            return None
+        code = HuffmanCode._from_sorted_histogram(symbols, counts)
         dense = self._dense_indices(code.symbols, stream)
         lengths = code.lengths[dense]
         total_bits = int(lengths.sum())
         interval, sync = self._sync_offsets(lengths)
-        gamma_bits = sum(
-            2 * int(d).bit_length() - 1 for d in np.diff(code.symbols)
-        )
-        header_bits = (
-            32  # n_symbols
-            + 64  # first symbol, zigzag
-            + gamma_bits
-            + 6 * code.symbols.size
-            + 64  # n_data
-            + 64  # total_bits
-            + (64 if interval else 0)  # sync interval + count
+        header_bits = self._header_bits(code.symbols) + (
+            64 if interval else 0  # sync interval + count
         )
         container_bytes = (
             4
@@ -340,8 +433,8 @@ class HuffmanEncoder:
                 code, n_data, payload, total_bits, interval, sync
             )
         else:
-            # sync-free (legacy format) streams, and corrupt intervals
-            # that would make the round loop unbounded: scalar walk
+            # sync-free (short or legacy-format) streams, and corrupt
+            # intervals that would make the round loop unbounded
             dense = self._decode_payload(code, n_data, payload, total_bits)
         return code.symbols[dense]
 
@@ -371,6 +464,39 @@ class HuffmanEncoder:
         return plan.container_bytes
 
     # -- encoding ----------------------------------------------------------
+
+    @staticmethod
+    def _header_bits(symbols: np.ndarray) -> int:
+        """Exact bit size of the serialized header of a sync-free stream."""
+        return (
+            32  # n_symbols
+            + 64  # first symbol, zigzag
+            + int(gamma_bit_lengths(np.diff(symbols)).sum())
+            + 6 * symbols.size
+            + 64  # n_data
+            + 64  # total_bits
+        )
+
+    @classmethod
+    def _container_bytes_floor(
+        cls, symbols: np.ndarray, counts: np.ndarray
+    ) -> int:
+        """A floor on the ``container_bytes`` of any plan for a histogram.
+
+        No prefix code spends fewer payload bits than the Shannon
+        entropy ``n * H`` of the histogram, and the header size is exact
+        (the sync table, which only adds bytes, is left out).  Float
+        error is shaved off the entropy term, so the floor never exceeds
+        the exact size.
+        """
+        entropy_bits = float(
+            np.sum(counts * np.log2(counts.sum() / counts)) * (1 - 1e-9)
+        )
+        return (
+            4
+            + (cls._header_bits(symbols) + 7) // 8
+            + int(entropy_bits) // 8
+        )
 
     @staticmethod
     def _dense_indices(symbols: np.ndarray, stream: np.ndarray) -> np.ndarray:
@@ -431,8 +557,7 @@ class HuffmanEncoder:
         # for quantization codes, ~2 bits per symbol instead of 64.
         first = int(code.symbols[0])
         writer.write((first << 1 ^ first >> 63) & (2**64 - 1), 64)
-        for delta in np.diff(code.symbols):
-            writer.write_gamma(int(delta))
+        writer.write_gamma_array(np.diff(code.symbols))
         writer.write_array(code.lengths.astype(np.uint64), 6)
         writer.write(n_data, 64)
         writer.write(total_bits, 64)
@@ -503,25 +628,49 @@ class HuffmanEncoder:
     def _decode_payload(
         self, code: HuffmanCode, n_data: int, payload: bytes, total_bits: int
     ) -> np.ndarray:
-        reader = BitReader(payload, nbits=total_bits)
-        window = reader.window16()
-        sym_table, len_table = self._primary_tables(code)
-        long_codes = self._long_code_index(code)
+        """Sync-free decode: pointer doubling over windows of bit positions.
 
+        Every bit position of a window resolves through the primary
+        tables at once; chaining ``jump[p] = p + len_table[window16[p]]``
+        from the cursor recovers the symbol starts
+        (:func:`_chain_starts`), and one gather yields their symbols.
+        A code longer than 16 bits ends the chain: the canonical walk
+        resolves that one symbol and the next window starts behind it
+        (shrunk while escapes keep coming, so a stream dense in long
+        codes does not pay a full window per symbol).
+        """
+        sym_table, len_table = self._primary_tables(code)
+        window = build_bit_window(payload)
+        long_codes: dict | None = None  # lazy long-code index
         out = np.empty(n_data, dtype=np.int64)
+        span = _WALK_WINDOW_BITS
+        done = 0
         pos = 0
-        for i in range(n_data):
-            if pos >= window.size:
+        while done < n_data:
+            if pos > total_bits:
                 raise ValueError("Huffman payload truncated")
-            prefix = int(window[pos])
-            ln = int(len_table[prefix])
-            if ln:
-                out[i] = sym_table[prefix]
-                pos += ln
+            # positions up to total_bits inclusive: the end position
+            # reads zero padding, as in the round-based decoder
+            positions = np.arange(
+                pos, min(pos + span, total_bits + 1), dtype=np.int64
+            )
+            prefix = gather_window16(window, positions)
+            lens = len_table[prefix]
+            starts = _chain_starts(lens, n_data - done)
+            out[done : done + starts.size] = sym_table[prefix[starts]]
+            done += starts.size
+            last = int(starts[-1])
+            step = int(lens[last])
+            if step:
+                span = min(2 * span, _WALK_WINDOW_BITS)
             else:
-                dense, ln = self._decode_long(window, pos, long_codes)
-                out[i] = dense
-                pos += ln
+                if long_codes is None:
+                    long_codes = self._long_code_index(code)
+                out[done - 1], step = self._decode_long_bytes(
+                    window, pos + last, total_bits, long_codes
+                )
+                span = max(span // 4, _WALK_MIN_WINDOW_BITS)
+            pos += last + step
         if pos > total_bits:
             raise ValueError("Huffman payload truncated")
         return out
@@ -648,25 +797,6 @@ class HuffmanEncoder:
                 index[(ln, int(code.codes[dense]))] = dense
         return index
 
-    def _decode_long(
-        self,
-        window: np.ndarray,
-        pos: int,
-        long_codes: dict[tuple[int, int], int],
-    ) -> tuple[int, int]:
-        """Per-bit canonical walk for codes longer than 16 bits."""
-        value = int(window[pos])
-        ln = _PRIMARY_BITS
-        while ln < _MAX_CODE_LEN:
-            ln += 1
-            nxt = pos + ln - 1
-            bit = int(window[nxt]) >> (_PRIMARY_BITS - 1) if nxt < window.size else 0
-            value = (value << 1) | bit
-            hit = long_codes.get((ln, value))
-            if hit is not None:
-                return hit, ln
-        raise ValueError("invalid Huffman payload: no code matched")
-
     @staticmethod
     def _decode_long_bytes(
         window: np.ndarray,
@@ -674,12 +804,11 @@ class HuffmanEncoder:
         total_bits: int,
         long_codes: dict[tuple[int, int], int],
     ) -> tuple[int, int]:
-        """Canonical walk for codes > 16 bits over the byte-window index.
+        """Per-bit canonical walk for codes longer than 16 bits.
 
-        Same walk as :meth:`_decode_long` but reads bits from the
-        :func:`repro.compressor.bitstream.build_bit_window` index the
-        batched decoder already holds, so the escape path never builds
-        the per-bit sliding window.
+        Reads bits from the
+        :func:`repro.compressor.bitstream.build_bit_window` index both
+        decoders already hold; bits at or past *total_bits* read as zero.
         """
         word = int(window[pos >> 3])
         value = (word >> (8 - (pos & 7))) & 0xFFFF

@@ -22,6 +22,8 @@ stored instead.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from repro.compressor.encoders.huffman import HuffmanEncoder
@@ -80,16 +82,20 @@ class LosslessBackend:
         alone; when it already matches or exceeds the input
         (incompressible token streams), skip the expensive bit-packing —
         the caller emits the raw escape either way, so the container
-        bytes are identical to always packing.
+        bytes are identical to always packing.  On small inputs, where
+        the Huffman header alone rivals the data, the planner's entropy
+        floor (the provable form of the paper's Eq. 4 estimate) usually
+        settles the same question before any code is built.
         """
         if self._lz is not None:
             tokens = np.frombuffer(self._lz.encode(data), dtype=np.uint8)
         else:
             symbols = np.frombuffer(data, dtype=np.uint8).astype(np.int64)
             tokens, _ = self._rle.encode(symbols, zero_symbol=0)
-        plan = self._huffman.plan(tokens)
-        coded_bytes = 8 if plan is None else plan.container_bytes
-        if coded_bytes >= len(data):
+        plan = self._huffman.plan(tokens, budget=len(data))
+        # no plan: the floor reached the budget — or there are no tokens,
+        # which only empty data produces, and any header loses to that
+        if plan is None or plan.container_bytes >= len(data):
             return None
         return self._huffman.encode(tokens, plan=plan)
 
@@ -107,6 +113,12 @@ class LosslessBackend:
 LOSSLESS_BACKENDS = ("zstd_like", "gzip_like", "rle")
 
 
+@functools.lru_cache(maxsize=None)
 def get_lossless_backend(name: str) -> LosslessBackend:
-    """Factory for a named backend."""
+    """The shared backend for *name*.
+
+    Backends hold no per-call state, so every tile encode and decode of
+    the process reuses one instance per name (unknown names raise and
+    are not cached).
+    """
     return LosslessBackend(name)

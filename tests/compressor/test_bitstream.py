@@ -9,6 +9,7 @@ from repro.compressor.bitstream import (
     BitReader,
     BitWriter,
     bits_to_bytes,
+    gamma_bit_lengths,
     pack_codes,
 )
 
@@ -108,6 +109,69 @@ class TestBitWriterReader:
         np.testing.assert_array_equal(
             r.read_array(len(values), 16), values
         )
+
+
+class TestWholeFieldsMatchBitLoops:
+    """Fields are packed whole; the per-bit loops they replaced are the
+    oracle."""
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_write_and_read_equal_the_per_bit_loops(self, seed):
+        rng = np.random.default_rng(seed)
+        fields = []
+        for _ in range(int(rng.integers(1, 12))):
+            nbits = int(rng.choice([0, 1, 7, 8, 9, 32, 63, 64]))
+            fields.append(
+                (int.from_bytes(rng.bytes(8), "big") >> (64 - nbits), nbits)
+            )
+        writer = BitWriter()
+        bits = []
+        for value, nbits in fields:
+            writer.write(value, nbits)
+            bits += [(value >> (nbits - 1 - i)) & 1 for i in range(nbits)]
+        assert writer.nbits == len(bits)
+        assert writer.getvalue() == bits_to_bytes(np.array(bits, np.uint8))
+        reader = BitReader(writer.getvalue(), nbits=writer.nbits)
+        assert [reader.read(nbits) for _, nbits in fields] == [
+            value for value, _ in fields
+        ]
+        assert reader.pos == len(bits)
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_gamma_array_equals_one_write_gamma_per_value(self, seed):
+        rng = np.random.default_rng(seed)
+        values = [
+            int(rng.choice([1, 1, 2, 3, 1 << int(rng.integers(0, 63))]))
+            + int(rng.integers(0, 2))
+            for _ in range(int(rng.integers(1, 60)))
+        ]
+        one_by_one, whole = BitWriter(), BitWriter()
+        one_by_one.write(5, 3)
+        whole.write(5, 3)
+        for value in values:
+            one_by_one.write_gamma(value)
+        whole.write_gamma_array(np.array(values, dtype=np.int64))
+        assert whole.nbits == one_by_one.nbits
+        assert whole.getvalue() == one_by_one.getvalue()
+        assert gamma_bit_lengths(np.array(values)).tolist() == [
+            2 * value.bit_length() - 1 for value in values
+        ]
+        reader = BitReader(whole.getvalue(), nbits=whole.nbits)
+        assert reader.read(3) == 5
+        assert reader.read_gamma_array(len(values)).tolist() == values
+
+    def test_gamma_array_widest_value_and_empty(self):
+        writer = BitWriter()
+        writer.write_gamma_array(np.zeros(0, dtype=np.int64))
+        assert writer.nbits == 0
+        writer.write_gamma_array(np.array([2**64 - 1], dtype=np.uint64))
+        assert writer.nbits == 127
+
+    def test_gamma_array_rejects_values_below_one(self):
+        with pytest.raises(ValueError):
+            BitWriter().write_gamma_array(np.array([3, 0, 2]))
+        with pytest.raises(ValueError):
+            gamma_bit_lengths(np.array([-4]))
 
 
 class TestWindow16:

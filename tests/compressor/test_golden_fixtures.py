@@ -11,12 +11,15 @@ into a released format.  ``tests/data/make_tiled_fixtures.py``
 documents the regeneration policy (format-version bumps only).
 """
 
+import hashlib
+import importlib.util
 import os
 
 import numpy as np
 import pytest
 
 from repro.compressor import (
+    CompressionConfig,
     SZCompressor,
     TemporalCompressor,
     TiledCompressor,
@@ -204,3 +207,66 @@ def test_golden_v6_requires_its_reference():
     # the plain tiled front-end must refuse v6 rather than mis-decode
     with pytest.raises(ValueError):
         TiledCompressor().decompress(blob)
+
+
+# -- byte identity of what the current revision *writes* ------------------------
+
+#: name -> (sha256 of the generator's input array, sha256 of the
+#: container the codec wrote for it when the pins were taken).  The
+#: stored fixtures above pin decoding; these pin encoding — a change to
+#: the entropy path that alters one output byte shows up here.
+REENCODED_SHA256 = {
+    "pr2_v4_tiled_zstd": (
+        "86d9e97268afe6a5d10049d5d327957b56db4c624350ff3b8828bb7d7fe6ca6c",
+        "58205adb417a3afdcd13625642a301dc99cb49228b0266a61f5c8cc1626f50eb",
+    ),
+    "pr8_v5_clustered": (
+        "3ddb4e5940d7ef981a42cd0ee737e5f2ec9f1435c849f4c9fd2ac0832ea4f5dc",
+        "91cd96fa885dcd447e05f0cd9a1a19b2a3a45ad358b33daf20624cd4c9453852",
+    ),
+    "pr9_v6_temporal": (
+        "8723621414aee059102e6f789097ca7aade905c5b15814ef8b5a8204af195b68",
+        "fd93eaf5dd7406cd73db8396497f61bfee9dde83b3245235b4d31644e7671691",
+    ),
+}
+
+#: a 9-tile container of 32x32 tiles — the small-stream entropy path
+#: (no sync table, raw lossless escapes) — over a stored input array
+SMALL_TILE_SHA256 = (
+    "d0dd625d6c18c570343dc81729663ed7045dea911d6b9025610f776e66a49c05"
+)
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_reencoding_fixture_inputs_reproduces_pinned_bytes():
+    spec = importlib.util.spec_from_file_location(
+        "make_tiled_fixtures",
+        os.path.join(DATA_DIR, "make_tiled_fixtures.py"),
+    )
+    generator = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generator)
+    compared = 0
+    for name, data, blob, _, _ in generator.build():
+        input_sha, blob_sha = REENCODED_SHA256[name]
+        if _sha256(np.ascontiguousarray(data).tobytes()) != input_sha:
+            # the generators lean on FFT/libm: another NumPy build may
+            # synthesise a last-bit-different input, which pins nothing
+            continue
+        assert _sha256(blob) == blob_sha, name
+        compared += 1
+    if not compared:
+        pytest.skip("fixture inputs differ on this NumPy build")
+
+
+def test_small_tile_container_bytes_are_pinned():
+    field = np.load(os.path.join(DATA_DIR, "pr3_v5_adaptive_expected.npy"))
+    config = CompressionConfig(error_bound=0.05, tile_shape=(32, 32))
+    tc = TiledCompressor()
+    blob = tc.compress(field, config).blob
+    with TiledReader(blob) as reader:
+        assert len(reader.tiles) == 9
+    assert _sha256(blob) == SMALL_TILE_SHA256
+    assert np.max(np.abs(tc.decompress(blob) - field)) <= 0.05

@@ -1,16 +1,155 @@
-"""Unit + property tests for the Huffman codec."""
+"""Unit + property tests for the Huffman codec.
+
+The vectorised kernels are checked against the loops they replaced,
+kept here as oracles: the heap construction of the code lengths and
+the one-symbol-per-iteration walk of a sync-free payload.  Randomised
+cases expand from integer seeds (as in ``tests/proptest.py``), so a
+failure names the seed that reproduces it.
+"""
+
+import heapq
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.compressor.bitstream import BitReader, pack_codes
+from repro.compressor.encoders import huffman as huffman_module
 from repro.compressor.encoders.huffman import (
     HuffmanCode,
     HuffmanEncoder,
+    _canonical_codes,
     huffman_code_lengths,
 )
 from repro.utils.stats import entropy_bits, normalized_histogram
+
+
+# -- oracles: the scalar loops the vectorised kernels replaced ------------------
+
+
+def heap_code_lengths(counts: np.ndarray) -> np.ndarray:
+    """The heap-of-tuples Huffman construction, tie-breaks and all."""
+    counts = np.asarray(counts, dtype=np.int64)
+    present = np.flatnonzero(counts > 0)
+    lengths = np.zeros(counts.size, dtype=np.int64)
+    if present.size == 1:
+        lengths[present[0]] = 1
+        return lengths
+    heap = [(int(counts[i]), int(i), int(i)) for i in present]
+    heapq.heapify(heap)
+    tiebreak = counts.size
+    while len(heap) > 1:
+        c1, _, n1 = heapq.heappop(heap)
+        c2, _, n2 = heapq.heappop(heap)
+        heapq.heappush(heap, (c1 + c2, tiebreak, [n1, n2]))
+        tiebreak += 1
+    stack = [(heap[0][2], 0)]
+    while stack:
+        node, depth = stack.pop()
+        if isinstance(node, int):
+            lengths[node] = max(depth, 1)
+        else:
+            stack.append((node[0], depth + 1))
+            stack.append((node[1], depth + 1))
+    return lengths
+
+
+def loop_canonical_codes(lengths: np.ndarray) -> np.ndarray:
+    """Canonical codewords counted up one symbol at a time."""
+    codes = np.zeros(len(lengths), dtype=np.uint64)
+    order = np.lexsort((np.arange(len(lengths)), lengths))
+    code = prev_len = 0
+    for idx in order[np.asarray(lengths)[order] > 0]:
+        code <<= int(lengths[idx]) - prev_len
+        codes[idx] = code
+        code += 1
+        prev_len = int(lengths[idx])
+    return codes
+
+
+def scalar_walk(
+    enc: HuffmanEncoder,
+    code: HuffmanCode,
+    n_data: int,
+    payload: bytes,
+    total_bits: int,
+) -> np.ndarray:
+    """One Python iteration per symbol over the sliding 16-bit window."""
+    window = BitReader(payload, nbits=total_bits).window16()
+    sym_table, len_table = enc._primary_tables(code)
+    long_codes = enc._long_code_index(code)
+    out = np.empty(n_data, dtype=np.int64)
+    pos = 0
+    for i in range(n_data):
+        if pos >= window.size:
+            raise ValueError("Huffman payload truncated")
+        prefix = int(window[pos])
+        ln = int(len_table[prefix])
+        if ln:
+            out[i] = sym_table[prefix]
+        else:
+            value = prefix
+            ln = 16
+            while True:
+                if ln == 57:
+                    raise ValueError("no code matched")
+                ln += 1
+                nxt = pos + ln - 1
+                bit = int(window[nxt]) >> 15 if nxt < window.size else 0
+                value = (value << 1) | bit
+                if (ln, value) in long_codes:
+                    out[i] = long_codes[(ln, value)]
+                    break
+        pos += ln
+    if pos > total_bits:
+        raise ValueError("Huffman payload truncated")
+    return out
+
+
+def reference_decode(enc: HuffmanEncoder, blob: bytes) -> np.ndarray:
+    """``HuffmanEncoder.decode`` with the scalar walk for sync-free streams."""
+    code, n_data, payload, total_bits, interval, _ = enc._deserialize(blob)
+    if n_data == 0:
+        return np.zeros(0, dtype=np.int64)
+    if 8 * len(payload) < total_bits or n_data > total_bits:
+        raise ValueError("corrupt Huffman container")
+    if interval and n_data > interval:
+        return enc.decode(blob)  # sync-table path, not under test here
+    return code.symbols[scalar_walk(enc, code, n_data, payload, total_bits)]
+
+
+def sync_free_blob(
+    enc: HuffmanEncoder, code: HuffmanCode, dense: np.ndarray
+) -> bytes:
+    """Serialize *dense* indices under *code* with no sync table."""
+    payload, total_bits = pack_codes(code.codes[dense], code.lengths[dense])
+    return enc._serialize(code, dense.size, payload, total_bits)
+
+
+def staircase_code(rng: np.random.Generator, longest: int) -> HuffmanCode:
+    """A complete code with lengths 1, 2, ..., longest - 1, longest - 1."""
+    lengths = np.r_[np.arange(1, longest), longest - 1].astype(np.int64)
+    rng.shuffle(lengths)
+    symbols = np.sort(rng.choice(10_000, lengths.size, replace=False)) - 5000
+    return HuffmanCode(symbols, lengths, _canonical_codes(lengths))
+
+
+def draw_small_stream(seed: int) -> np.ndarray:
+    """1..4095 symbols: the streams that serialize without a sync table."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.choice([1, 2, 3, int(rng.integers(1, 4096)), 4095]))
+    kind = seed % 5
+    if kind == 0:
+        return rng.integers(-5, 6, n)
+    if kind == 1:  # zero-dominated, like quantization codes
+        return (rng.geometric(0.6, n) - 1) * rng.choice([-1, 1], n)
+    if kind == 2:
+        return np.zeros(n, dtype=np.int64)
+    if kind == 3:  # sparse alphabet: searchsorted / np.unique branches
+        return rng.integers(0, 300, n) * 100_003
+    return rng.integers(0, 2, n) * 7  # two symbols
 
 
 class TestCodeLengths:
@@ -56,6 +195,77 @@ class TestCodeLengths:
         avg = float(np.sum(p * lengths))
         h = entropy_bits(p)
         assert h - 1e-9 <= avg <= h + 1.0 + 1e-9
+
+
+def draw_histogram(seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    kind = seed % 8
+    n = int(rng.integers(2, 300))
+    if kind == 0:  # tie-heavy
+        counts = rng.integers(1, 4, n)
+    elif kind == 1:  # powers of two: every merge ties with a leaf
+        counts = 2 ** rng.integers(0, 12, n)
+    elif kind == 2:
+        counts = np.array([int(rng.integers(1, 1000))])  # singleton
+    elif kind == 3:
+        counts = rng.integers(1, 1000, 2)  # two symbols
+    elif kind == 4:  # byte-token sized and beyond
+        counts = rng.integers(1, 10_000, int(rng.integers(256, 700)))
+    elif kind == 5:
+        counts = np.ones(n, dtype=np.int64)
+    elif kind == 6:  # Fibonacci-like skew: deep trees
+        counts = np.cumsum(np.r_[1, 1, rng.integers(1, 3, min(n, 40))])
+        counts = np.maximum.accumulate(counts) ** 2
+    else:
+        counts = rng.geometric(0.05, n)
+    counts = np.asarray(counts, dtype=np.int64)
+    if seed % 3 == 0 and counts.size > 2:  # absent symbols in between
+        counts[rng.random(counts.size) < 0.3] = 0
+        if not counts.any():
+            counts[0] = 1
+    rng.shuffle(counts)
+    return counts
+
+
+class TestCodeLengthsMatchHeapOracle:
+    @pytest.mark.parametrize("seed", range(96))
+    def test_lengths_equal_the_heap_construction(self, seed):
+        counts = draw_histogram(seed)
+        np.testing.assert_array_equal(
+            huffman_code_lengths(counts), heap_code_lengths(counts)
+        )
+
+    def test_deepest_supported_tree_and_the_one_beyond(self):
+        fib = [1, 1]
+        while len(fib) < 59:
+            fib.append(fib[-1] + fib[-2])
+        np.testing.assert_array_equal(
+            huffman_code_lengths(np.array(fib[:58])),
+            heap_code_lengths(np.array(fib[:58])),
+        )
+        with pytest.raises(ValueError):
+            huffman_code_lengths(np.array(fib))
+
+    @pytest.mark.parametrize("seed", range(48))
+    def test_canonical_codes_equal_the_counting_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        if seed % 2:
+            lengths = huffman_code_lengths(draw_histogram(seed))
+        else:  # what a corrupt header can hold: any 6-bit lengths
+            lengths = rng.integers(0, 64, int(rng.integers(1, 40)))
+        try:
+            expected = loop_canonical_codes(lengths)
+        except OverflowError:
+            with pytest.raises(ValueError):
+                _canonical_codes(lengths)
+        else:
+            np.testing.assert_array_equal(
+                _canonical_codes(lengths), expected
+            )
+
+    def test_oversubscribed_lengths_raise_value_error(self):
+        with pytest.raises(ValueError):
+            _canonical_codes(np.array([1] * 5 + [63]))
 
 
 class TestHuffmanCodePrefixProperty:
@@ -168,3 +378,148 @@ class TestEncodedSize:
         enc = HuffmanEncoder()
         bits_per_symbol = enc.encoded_size_bits(stream) / stream.size
         assert h <= bits_per_symbol <= h + 1.0
+
+
+class TestSizeFloor:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_floor_never_exceeds_the_exact_size(self, seed):
+        rng = np.random.default_rng(seed)
+        if seed % 4 == 0:  # long enough for a sync table
+            stream = rng.integers(0, int(rng.integers(1, 300)), 6000)
+        else:
+            stream = draw_small_stream(seed)
+        enc = HuffmanEncoder()
+        plan = enc.plan(stream)
+        floor = enc._container_bytes_floor(
+            *np.unique(stream, return_counts=True)
+        )
+        assert floor <= plan.container_bytes
+        assert len(enc.encode(stream, plan=plan)) == plan.container_bytes
+        # the budget only ever withholds plans it proves too large
+        assert enc.plan(stream, budget=floor) is None
+        assert enc.plan(stream, budget=floor + 1) is not None
+
+    def test_floor_is_within_a_byte_for_dyadic_histograms(self):
+        # counts 4,2,1,1: entropy == Huffman cost, so only the payload's
+        # rounding (down in the floor, up in the container) separates them
+        stream = np.repeat([0, 1, 2, 3], [512, 256, 128, 128])
+        enc = HuffmanEncoder()
+        floor = enc._container_bytes_floor(
+            *np.unique(stream, return_counts=True)
+        )
+        assert 0 <= enc.plan(stream).container_bytes - floor <= 1
+
+
+class TestSyncFreeWalk:
+    """The pointer-doubling decode against the scalar walk it replaced."""
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_walk_equals_scalar_walk(self, seed):
+        stream = draw_small_stream(seed)
+        enc = HuffmanEncoder()
+        blob = enc.encode(stream)
+        code, n_data, payload, total_bits, interval, _ = enc._deserialize(
+            blob
+        )
+        assert interval == 0 and n_data == stream.size
+        np.testing.assert_array_equal(
+            enc._decode_payload(code, n_data, payload, total_bits),
+            scalar_walk(enc, code, n_data, payload, total_bits),
+        )
+        np.testing.assert_array_equal(enc.decode(blob), stream)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_long_codes_take_the_canonical_walk(self, seed):
+        rng = np.random.default_rng(seed)
+        code = staircase_code(rng, int(rng.integers(18, 45)))
+        n = int(rng.choice([1, 2, int(rng.integers(1, 4096))]))
+        long_ones = np.flatnonzero(code.lengths > 16)
+        if seed % 4 == 0:  # every symbol escapes
+            dense = rng.choice(long_ones, n)
+        else:  # escapes at a seeded rate among short codes
+            p = 2.0 ** -np.minimum(code.lengths, 10).astype(float)
+            dense = rng.choice(code.lengths.size, n, p=p / p.sum())
+            dense[rng.random(n) < rng.choice([0.0, 0.01, 0.3])] = (
+                long_ones[0]
+            )
+        enc = HuffmanEncoder()
+        blob = sync_free_blob(enc, code, dense)
+        np.testing.assert_array_equal(
+            enc.decode(blob), code.symbols[dense]
+        )
+        np.testing.assert_array_equal(
+            reference_decode(enc, blob), code.symbols[dense]
+        )
+
+    def test_walk_crosses_window_boundaries(self, monkeypatch):
+        # windows far smaller than the stream: every hand-over between
+        # windows (and the shrink/regrow around escapes) is exercised
+        monkeypatch.setattr(huffman_module, "_WALK_WINDOW_BITS", 64)
+        monkeypatch.setattr(huffman_module, "_WALK_MIN_WINDOW_BITS", 8)
+        rng = np.random.default_rng(3)
+        code = staircase_code(rng, 24)
+        p = 2.0 ** -np.minimum(code.lengths, 12).astype(float)
+        dense = rng.choice(code.lengths.size, 3000, p=p / p.sum())
+        enc = HuffmanEncoder()
+        np.testing.assert_array_equal(
+            enc.decode(sync_free_blob(enc, code, dense)),
+            code.symbols[dense],
+        )
+
+    @pytest.mark.parametrize("seed", range(120))
+    def test_corrupt_small_blobs_agree_with_scalar_verdict(self, seed):
+        """Bit flips and truncations: right bytes or ValueError, and the
+        same verdict as the scalar walk — nothing else ever escapes."""
+        rng = np.random.default_rng(1000 + seed)
+        enc = HuffmanEncoder()
+        if seed % 3 == 0:
+            code = staircase_code(rng, int(rng.integers(17, 30)))
+            p = 2.0 ** -np.minimum(code.lengths, 12).astype(float)
+            dense = rng.choice(
+                code.lengths.size, int(rng.integers(1, 2000)), p=p / p.sum()
+            )
+            blob = sync_free_blob(enc, code, dense)
+        else:
+            blob = enc.encode(draw_small_stream(seed))
+        for _ in range(12):
+            damaged = bytearray(blob)
+            mode = int(rng.integers(0, 3))
+            if mode == 0:
+                damaged = damaged[: int(rng.integers(0, len(damaged)))]
+            else:
+                for _ in range(1 if mode == 1 else 4):
+                    at = int(rng.integers(0, len(damaged)))
+                    damaged[at] ^= 1 << int(rng.integers(0, 8))
+            damaged = bytes(damaged)
+            try:
+                expected = reference_decode(enc, damaged)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    enc.decode(damaged)
+            else:
+                np.testing.assert_array_equal(enc.decode(damaged), expected)
+
+    def test_multi_megabit_sync_free_blob_decodes_in_bounded_memory(self):
+        """A legacy format-1 stream of any length walks fixed-size
+        windows: beyond the output (and its symbol mapping) the decode
+        holds a few bytes per payload byte, never tables per bit."""
+        rng = np.random.default_rng(11)
+        stream = rng.geometric(0.5, 1_000_000) - 1
+        enc = HuffmanEncoder()
+        plan = enc.plan(stream)
+        payload, total_bits = pack_codes(
+            plan.code.codes[plan.dense], plan.lengths
+        )
+        assert total_bits > 1_500_000
+        blob = enc._serialize(plan.code, stream.size, payload, total_bits)
+        del plan, payload
+        tracemalloc.start()
+        try:
+            decoded = enc.decode(blob)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(decoded, stream)
+        # 16 MB of output and mapped symbols; one int64 table entry per
+        # bit position alone would add another 16 MB
+        assert peak < 2 * decoded.nbytes + (4 << 20)

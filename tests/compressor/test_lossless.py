@@ -1,12 +1,17 @@
 """Unit tests for the lossless backends (zstd_like / gzip_like / rle)."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.compressor.encoders.huffman import HuffmanEncoder
 from repro.compressor.encoders.lossless import (
     LOSSLESS_BACKENDS,
+    LosslessBackend,
     get_lossless_backend,
 )
 
@@ -67,3 +72,110 @@ class TestBackendOrdering:
         zstd = get_lossless_backend("zstd_like").compress(data)
         rle = get_lossless_backend("rle").compress(data)
         assert len(zstd) <= len(rle)
+
+
+def draw_payload(seed: int) -> bytes:
+    """Inputs on both sides of the raw escape, small ones above all."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.choice([0, 1, 9, 40, 200, 700, 3000]))
+    kind = seed % 5
+    if kind == 0:  # incompressible
+        return rng.bytes(n)
+    if kind == 1:  # a Huffman-coded tile: few distinct bytes, no repeats
+        return rng.integers(0, 12, n, dtype=np.uint8).tobytes()
+    if kind == 2:
+        return bytes(n)
+    if kind == 3:
+        return (b"abcdefgh" * (n // 8 + 1))[:n]
+    skewed = rng.geometric(0.4, n) - 1
+    return np.minimum(skewed, 255).astype(np.uint8).tobytes()
+
+
+class TestEntropyGate:
+    """The planner's entropy floor may only skip work, never change bytes."""
+
+    @pytest.mark.parametrize("name", LOSSLESS_BACKENDS)
+    def test_output_is_identical_with_the_gate_disabled(
+        self, name, monkeypatch
+    ):
+        backend = LosslessBackend(name)
+        payloads = [draw_payload(seed) for seed in range(60)]
+        gated = [backend.compress(data) for data in payloads]
+        assert {out[0] for out in gated} == {0, 1}  # both outcomes occur
+        # a floor of zero never reaches a budget: every plan is built
+        monkeypatch.setattr(
+            HuffmanEncoder,
+            "_container_bytes_floor",
+            classmethod(lambda cls, symbols, counts: 0),
+        )
+        assert [backend.compress(data) for data in payloads] == gated
+        for data, out in zip(payloads, gated):
+            assert backend.decompress(out) == data
+
+    @pytest.mark.parametrize("name", LOSSLESS_BACKENDS)
+    def test_gate_fires_only_where_the_exact_plan_escapes(self, name):
+        backend = LosslessBackend(name)
+        fired = 0
+        for seed in range(60):
+            data = draw_payload(seed)
+            if backend._lz is not None:
+                tokens = np.frombuffer(
+                    backend._lz.encode(data), dtype=np.uint8
+                )
+            else:
+                symbols = np.frombuffer(data, dtype=np.uint8)
+                tokens, _ = backend._rle.encode(
+                    symbols.astype(np.int64), zero_symbol=0
+                )
+            exact = backend._huffman.plan(tokens)
+            if tokens.size and (
+                backend._huffman.plan(tokens, budget=len(data)) is None
+            ):
+                fired += 1
+                assert exact.container_bytes >= len(data)
+                assert backend.compress(data)[0] == 0
+        assert fired  # small inputs: the header alone settles it
+
+
+class TestSharedBackends:
+    def test_one_instance_per_name(self):
+        for name in LOSSLESS_BACKENDS:
+            assert get_lossless_backend(name) is get_lossless_backend(name)
+            assert get_lossless_backend(name).name == name
+
+    def test_unknown_names_keep_raising(self):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                get_lossless_backend("zstd")
+
+    def test_shared_instance_is_safe_under_concurrent_use(self):
+        payloads = [draw_payload(seed) for seed in range(20)]
+        expected = [
+            LosslessBackend("zstd_like").compress(data) for data in payloads
+        ]
+        failures: list = []
+
+        def work():
+            try:
+                for _ in range(5):
+                    backend = get_lossless_backend("zstd_like")
+                    for data, out in zip(payloads, expected):
+                        if backend.compress(data) != out:
+                            failures.append("compress")
+                        if backend.decompress(out) != data:
+                            failures.append("decompress")
+            except Exception as exc:  # surfaced through the assert below
+                failures.append(repr(exc))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not failures

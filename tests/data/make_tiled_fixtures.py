@@ -71,7 +71,13 @@ def write(name: str, blob: bytes, expected: np.ndarray) -> None:
     print(f"{name}: {len(blob)} bytes, expected {expected.shape}")
 
 
-def main() -> None:
+def build():
+    """Yield ``(name, input, blob, expected, reference)`` per fixture.
+
+    ``reference`` is the decoded keyframe a temporal fixture needs,
+    ``None`` otherwise.  The golden tests re-run this to pin the bytes
+    the current revision writes for each fixture's input and config.
+    """
     tc = TiledCompressor()
 
     # v4: edge tiles (prime-ish shape), chunked tile payloads, zstd
@@ -80,7 +86,9 @@ def main() -> None:
         error_bound=1e-3, tile_shape=(8, 8), chunk_size=128
     )
     result = tc.compress(data, config)
-    write("pr2_v4_tiled_zstd", result.blob, tc.decompress(result.blob))
+    yield "pr2_v4_tiled_zstd", data, result.blob, tc.decompress(
+        result.blob
+    ), None
 
     # v5: adaptive per-tile configs on a heterogeneous field.
     # FROZEN — minted before the planner_stats header field existed;
@@ -91,7 +99,9 @@ def main() -> None:
             error_bound=1.0, tile_shape=(32, 32), adaptive=True
         )
         result = tc.compress(field, config)
-        write("pr3_v5_adaptive", result.blob, tc.decompress(result.blob))
+        yield "pr3_v5_adaptive", field, result.blob, tc.decompress(
+            result.blob
+        ), None
 
     # v5 + clustered planner: fit reuse across tile clusters with the
     # drift-refit guard active, planner_stats recorded in the header
@@ -103,7 +113,9 @@ def main() -> None:
         fit_clusters=4,
     )
     result = tc.compress(field, config)
-    write("pr8_v5_clustered", result.blob, tc.decompress(result.blob))
+    yield "pr8_v5_clustered", field, result.blob, tc.decompress(
+        result.blob
+    ), None
 
     # v6: temporal delta against the decoded keyframe.  The next
     # snapshot drifts smoothly except one corner that is replaced with
@@ -120,15 +132,19 @@ def main() -> None:
     temporal = TemporalCompressor()
     keyframe = temporal.compress_snapshot(kf, config)
     ref = temporal.decompress(keyframe.blob)
-    np.save(os.path.join(DATA_DIR, "pr9_v6_temporal_ref.npy"), ref)
     delta = temporal.compress_snapshot(
         nxt, config, reference=ref, ref_id="pr9@v0", snapshot_index=1
     )
-    write(
-        "pr9_v6_temporal",
-        delta.blob,
-        temporal.decompress(delta.blob, reference=ref),
-    )
+    yield "pr9_v6_temporal", nxt, delta.blob, temporal.decompress(
+        delta.blob, reference=ref
+    ), ref
+
+
+def main() -> None:
+    for name, _, blob, expected, reference in build():
+        if reference is not None:
+            np.save(os.path.join(DATA_DIR, f"{name}_ref.npy"), reference)
+        write(name, blob, expected)
 
 
 if __name__ == "__main__":
