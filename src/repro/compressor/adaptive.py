@@ -587,7 +587,7 @@ class AdaptivePlanner:
             # (or per-refit-tile) bitrate rows
             cluster_bits = np.stack(
                 [
-                    _bitrate_row(rep_models[c]["lorenzo"], grid)
+                    rep_models[c]["lorenzo"].bitrate_curve(grid)
                     for c in range(len(clusters))
                 ]
             )
@@ -595,7 +595,7 @@ class AdaptivePlanner:
             for row, i in enumerate(modeled):
                 own = own_models.get(i)
                 if own is not None:
-                    bitrates[row] = _bitrate_row(own["lorenzo"], grid)
+                    bitrates[row] = own["lorenzo"].bitrate_curve(grid)
                 else:
                     bitrates[row] = cluster_bits[tile_cluster[i]]
             optimizer = PartitionOptimizer.from_tables(
@@ -780,8 +780,7 @@ class AdaptivePlanner:
         best = None
         for predictor in candidates:
             model = models[predictor]
-            est = model.estimate(error_bound)
-            hist = model.histogram(error_bound)
+            est, hist = model._estimate_with_histogram(error_bound)
             score = (
                 est.huffman_bitrate
                 + model.side_overhead_bits
@@ -800,13 +799,6 @@ class AdaptivePlanner:
         while radius < min(cap, RADIUS_MARGIN * max(1, max_code)):
             radius *= 2
         return min(radius, cap) if cap >= 2 else cap
-
-
-def _bitrate_row(model: RatioQualityModel, grid: np.ndarray) -> np.ndarray:
-    """The model's total-bitrate estimates over the bound grid."""
-    return np.array(
-        [model.estimate(float(eb)).bitrate for eb in grid]
-    )
 
 
 def _cluster_tiles(

@@ -47,6 +47,20 @@ def _sweep_indices(
     return index_vectors, targets
 
 
+def _open_mesh(vectors: list[np.ndarray]) -> tuple[np.ndarray, ...]:
+    """``np.ix_`` for non-empty integer index vectors.
+
+    Ten sweeps per 32x32 tile make the per-call type checks of
+    ``np.ix_`` a measurable share of a small tile's encode and of the
+    model's sampling pass.
+    """
+    ndim = len(vectors)
+    return tuple(
+        v.reshape((1,) * k + (-1,) + (1,) * (ndim - k - 1))
+        for k, v in enumerate(vectors)
+    )
+
+
 class InterpolationPredictor(Predictor):
     """SZ3-style multi-level linear interpolation."""
 
@@ -95,7 +109,7 @@ class InterpolationPredictor(Predictor):
                 )
                 if targets.size == 0 or any(v.size == 0 for v in vectors):
                     continue
-                grid = np.ix_(*vectors)
+                grid = _open_mesh(vectors)
                 pred = self._predict(recon, vectors, axis, targets, half)
                 true = data[grid]
                 err = true - pred
@@ -154,8 +168,8 @@ class InterpolationPredictor(Predictor):
         left_vec[axis] = targets - half
         right_ok = targets + half < n
         right_vec[axis] = np.where(right_ok, targets + half, targets - half)
-        left = recon[np.ix_(*left_vec)]
-        right = recon[np.ix_(*right_vec)]
+        left = recon[_open_mesh(left_vec)]
+        right = recon[_open_mesh(right_vec)]
         weight_shape = [1] * recon.ndim
         weight_shape[axis] = targets.size
         ok = right_ok.reshape(weight_shape)
@@ -193,7 +207,7 @@ class InterpolationPredictor(Predictor):
                 vectors, targets = _sweep_indices(shape, axis, stride, half)
                 if targets.size == 0 or any(v.size == 0 for v in vectors):
                     continue
-                grid = np.ix_(*vectors)
+                grid = _open_mesh(vectors)
                 pred = self._predict(recon, vectors, axis, targets, half)
                 block_size = int(np.prod([v.size for v in vectors]))
                 codes = output.codes[offset : offset + block_size].reshape(
@@ -245,7 +259,7 @@ class InterpolationPredictor(Predictor):
                 )
                 if targets.size == 0 or any(v.size == 0 for v in vectors):
                     continue
-                grid = np.ix_(*vectors)
+                grid = _open_mesh(vectors)
                 pred = self._predict(data, vectors, axis, targets, half)
                 out.append((level, axis, data[grid] - pred))
         return out

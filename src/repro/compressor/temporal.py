@@ -413,8 +413,7 @@ class TemporalCompressor:
                     seed=self._seed,
                 )
                 .fit(residual)
-                .estimate(abs_eb)
-                .bitrate
+                .bitrate(abs_eb)
             )
             spatial_rate = (
                 RatioQualityModel(
@@ -425,8 +424,7 @@ class TemporalCompressor:
                     seed=self._seed,
                 )
                 .fit(tile)
-                .estimate(abs_eb)
-                .bitrate
+                .bitrate(abs_eb)
             )
         except (ValueError, ZeroDivisionError, FloatingPointError):
             return None

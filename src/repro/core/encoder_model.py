@@ -29,9 +29,11 @@ from scipy.interpolate import PchipInterpolator
 
 from repro.core.histogram import (
     QuantizedHistogram,
+    bound_chunks,
     build_code_histogram,
     central_bin_variance,
-    histogram_from_codes,
+    histograms_from_codes,
+    replay_lattice_codes,
 )
 
 __all__ = [
@@ -229,17 +231,17 @@ class HuffmanAnchorModel:
         errors: np.ndarray,
         radius: int = 32768,
         predictor: str | None = None,
-        codes_fn=None,
+        stencils: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> None:
-        """``codes_fn(error_bound) -> int codes`` optionally replaces the
-        ``rint(err / 2eb)`` approximation with exact replayed codes (the
-        dual-quant Lorenzo stencil path)."""
+        """``stencils = (values, signs)`` (the dual-quant Lorenzo stencil
+        sample) optionally replaces the ``rint(err / 2eb)``
+        approximation with exact replayed codes."""
         self.errors = np.asarray(errors, dtype=np.float64).ravel()
         if self.errors.size == 0:
             raise ValueError("need sampled errors")
         self.radius = radius
         self.predictor = predictor
-        self.codes_fn = codes_fn
+        self.stencils = stencils
         self._anchors: tuple[np.ndarray, np.ndarray] | None = None
         self._h_bits = differential_entropy_bits(self.errors)
 
@@ -262,16 +264,39 @@ class HuffmanAnchorModel:
 
     def histogram(self, error_bound: float) -> QuantizedHistogram:
         """Corrected code histogram at *error_bound*."""
-        if self.codes_fn is not None:
-            return histogram_from_codes(
-                self.codes_fn(error_bound),
-                error_bound,
-                self.radius,
-                central_var=central_bin_variance(self.errors, error_bound),
+        return self.histograms([error_bound])[0]
+
+    def histograms(
+        self, error_bounds, central_var: bool = True
+    ) -> list[QuantizedHistogram]:
+        """Code histograms over a grid of bounds.
+
+        With a stencil sample every bound of a chunk is replayed and
+        counted in one vectorized pass; ``central_var=False`` leaves that
+        quality-side field unevaluated (NaN) for rate-only callers.
+        """
+        bounds = [float(eb) for eb in error_bounds]
+        if self.stencils is None:
+            return [
+                build_code_histogram(
+                    self.errors, eb, self.radius, self.predictor
+                )
+                for eb in bounds
+            ]
+        values, signs = self.stencils
+        out: list[QuantizedHistogram] = []
+        for chunk in bound_chunks(bounds, values.size):
+            out.extend(
+                histograms_from_codes(
+                    replay_lattice_codes(values, signs, chunk),
+                    chunk,
+                    self.radius,
+                    [central_bin_variance(self.errors, eb) for eb in chunk]
+                    if central_var
+                    else None,
+                )
             )
-        return build_code_histogram(
-            self.errors, error_bound, self.radius, self.predictor
-        )
+        return out
 
     # -- anchors ------------------------------------------------------------
 

@@ -23,7 +23,11 @@ __all__ = [
     "QuantizedHistogram",
     "build_code_histogram",
     "histogram_from_codes",
+    "histograms_from_codes",
+    "replay_lattice_codes",
+    "bound_chunks",
     "central_bin_variance",
+    "CURVE_BATCH_POINTS",
     "BIN_TRANSFER_C2",
     "BIN_TRANSFER_THRESHOLD",
 ]
@@ -32,6 +36,12 @@ __all__ = [
 BIN_TRANSFER_C2 = {"lorenzo": 0.2, "interpolation": 0.1, "regression": 0.0}
 #: theta2 of Eq. 9: apply the correction when p0 exceeds this.
 BIN_TRANSFER_THRESHOLD = 0.8
+
+#: Point budget of one batched replay over a grid of error bounds: the
+#: bound axis is cut so ``bounds x stencil values`` stays below it, which
+#: keeps the float64 lattice temporaries near 1 MB however large the
+#: sample is (a sample beyond the budget is replayed one bound at a time).
+CURVE_BATCH_POINTS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -107,6 +117,83 @@ def _apply_bin_transfer(
     return dense
 
 
+def bound_chunks(bounds, points_per_bound: int):
+    """Cut a sequence of bounds into runs whose batched replay, at
+    *points_per_bound* values each, fits :data:`CURVE_BATCH_POINTS`."""
+    step = max(1, CURVE_BATCH_POINTS // max(1, points_per_bound))
+    for pos in range(0, len(bounds), step):
+        yield bounds[pos : pos + step]
+
+
+def replay_lattice_codes(
+    stencils: np.ndarray, signs: np.ndarray, error_bounds
+) -> np.ndarray:
+    """Exact dual-quantization codes of sampled stencils, per bound.
+
+    *stencils* is ``(..., 2^d)`` (see ``LorenzoPredictor.sample_stencils``)
+    and the result ``(len(error_bounds), ...)``: the codes the compressor
+    emits at those points under each bound.  Lattice indices are whole
+    numbers, so the signed sum is exact in any order.
+    """
+    widths = 2.0 * np.asarray(error_bounds, dtype=np.float64)
+    lattice = stencils / widths.reshape((-1,) + (1,) * stencils.ndim)
+    np.rint(lattice, out=lattice)
+    # Clamp far beyond any quantizer radius: keeps the cast to int64
+    # exact at absurdly small bounds, where these points are outliers
+    # regardless.
+    np.clip(lattice, -1e15, 1e15, out=lattice)
+    return (lattice @ signs).astype(np.int64)
+
+
+def histograms_from_codes(
+    codes: np.ndarray,
+    error_bounds,
+    radius: int = 32768,
+    central_vars=None,
+) -> list[QuantizedHistogram]:
+    """One histogram per row of *codes*, all rows counted from one sort.
+
+    Row ``g`` holds the quantization codes at ``error_bounds[g]``.
+    Overflow handling matches :func:`build_code_histogram`.
+    ``central_vars`` gives each histogram's ``central_var``; without it
+    the field is NaN — the bit-rate side never reads it.
+    """
+    codes = np.asarray(codes, dtype=np.int64)
+    n_bounds, n = codes.shape
+    if n == 0:
+        raise ValueError("cannot build a histogram from no codes")
+    if any(eb <= 0 for eb in error_bounds):
+        raise ValueError("error_bound must be positive")
+    overflow = np.abs(codes) > radius
+    outliers = overflow.sum(axis=1).tolist()
+    ordered = np.where(overflow, 0, codes)
+    ordered.sort(axis=1)
+    zeros = (ordered == 0).sum(axis=1).tolist()
+    # a symbol run starts where the sorted value changes or a row begins
+    flat = ordered.ravel()
+    first = np.empty(flat.size, dtype=bool)
+    np.not_equal(flat[1:], flat[:-1], out=first[1:])
+    first[::n] = True
+    starts = np.flatnonzero(first)
+    symbols = flat[starts]
+    probs = np.diff(starts, append=flat.size) / n
+    edges = np.searchsorted(starts, np.arange(n_bounds + 1) * n).tolist()
+    return [
+        QuantizedHistogram(
+            error_bound=float(error_bounds[g]),
+            symbols=symbols[edges[g] : edges[g + 1]],
+            probs=probs[edges[g] : edges[g + 1]],
+            p0=zeros[g] / n,
+            central_var=(
+                float("nan") if central_vars is None else central_vars[g]
+            ),
+            outlier_fraction=outliers[g] / n,
+            n_samples=n,
+        )
+        for g in range(n_bounds)
+    ]
+
+
 def histogram_from_codes(
     codes: np.ndarray,
     error_bound: float,
@@ -117,34 +204,12 @@ def histogram_from_codes(
 
     Used by the dual-quant Lorenzo path, which replays the *exact*
     lattice codes from sampled stencils instead of approximating them
-    by ``rint(err / 2eb)``.  Overflow handling matches
-    :func:`build_code_histogram`.
+    by ``rint(err / 2eb)``.
     """
-    codes = np.asarray(codes, dtype=np.int64).ravel()
-    if codes.size == 0:
-        raise ValueError("cannot build a histogram from no codes")
-    if error_bound <= 0:
-        raise ValueError("error_bound must be positive")
-    overflow = np.abs(codes) > radius
-    outlier_fraction = float(np.count_nonzero(overflow) / codes.size)
-    codes = np.where(overflow, 0, codes)
-    symbols, counts = np.unique(codes, return_counts=True)
-    probs = counts / counts.sum()
-    zero_at = np.searchsorted(symbols, 0)
-    p0 = (
-        float(probs[zero_at])
-        if zero_at < symbols.size and symbols[zero_at] == 0
-        else 0.0
-    )
-    return QuantizedHistogram(
-        error_bound=float(error_bound),
-        symbols=symbols,
-        probs=probs,
-        p0=p0,
-        central_var=central_var,
-        outlier_fraction=outlier_fraction,
-        n_samples=int(codes.size),
-    )
+    codes = np.asarray(codes, dtype=np.int64).reshape(1, -1)
+    return histograms_from_codes(
+        codes, [error_bound], radius, [central_var]
+    )[0]
 
 
 def build_code_histogram(

@@ -16,6 +16,7 @@ target bit-rate, ratio, or PSNR.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,7 +28,11 @@ from repro.core.encoder_model import (
 from repro.compressor.config import ErrorBoundMode
 from repro.compressor.transform import log_transform
 from repro.core.error_distribution import ErrorDistributionModel
-from repro.core.histogram import QuantizedHistogram
+from repro.core.histogram import (
+    QuantizedHistogram,
+    bound_chunks,
+    replay_lattice_codes,
+)
 from repro.core.quality import (
     error_variance_for_psnr,
     psnr_model,
@@ -92,29 +97,13 @@ class RQEstimate:
         )
 
 
-class _LatticeCodesFn:
-    """Replay dual-quantization lattice codes from sampled stencils.
+class _Rate(NamedTuple):
+    """Bit-rate side of an estimate at one bound."""
 
-    A picklable callable (fitted models travel to and from executor
-    worker processes) capturing the sampled stencil values and the
-    Lorenzo sign pattern; calling it reproduces the exact quantization
-    codes the compressor would emit at any bound.
-    """
-
-    __slots__ = ("stencils", "signs")
-
-    def __init__(self, stencils: np.ndarray, signs: np.ndarray) -> None:
-        self.stencils = stencils
-        self.signs = signs
-
-    def __call__(self, error_bound: float) -> np.ndarray:
-        width = 2.0 * error_bound
-        lattice = np.rint(self.stencils / width)
-        # Clamp far beyond any quantizer radius: keeps the cast to
-        # int64 exact at absurdly small bounds, where these points are
-        # outliers regardless.
-        np.clip(lattice, -1e15, 1e15, out=lattice)
-        return (lattice @ self.signs).astype(np.int64)
+    histogram: QuantizedHistogram
+    huffman_bitrate: float
+    lossless_ratio: float
+    bitrate: float
 
 
 class RatioQualityModel:
@@ -166,11 +155,26 @@ class RatioQualityModel:
         self._huffman: HuffmanAnchorModel | None = None
         self._overhead_bits: float = 0.0
         self._residual_grid: tuple[np.ndarray, np.ndarray] | None = None
+        #: fitted-domain array the residual table is still owed from
+        self._residual_source: np.ndarray | None = None
+
+    def __getstate__(self) -> dict:
+        """A pickle carries the residual table, never the fitted array."""
+        self._residual_table()
+        return self.__dict__
 
     # -- fitting ------------------------------------------------------------
 
     def fit(self, data: np.ndarray) -> "RatioQualityModel":
-        """Run the one-time sampling pass over *data*."""
+        """Run the one-time sampling pass over *data*.
+
+        The Lorenzo quality table (:meth:`_fit_residual_curve`, 48 O(N)
+        passes) is built from *data* when a quality field is first
+        asked for, or when the model is pickled; rate-only queries
+        (:meth:`bitrate`, :meth:`bitrate_curve`) never pay for it.
+        Until then the model refers to *data*, which must not be
+        modified in between.
+        """
         data = np.asarray(data)
         if self.mode is ErrorBoundMode.REL:
             work = data
@@ -197,24 +201,25 @@ class RatioQualityModel:
         histogram_predictor = (
             self.predictor if self.predictor != "lorenzo" else None
         )
-        codes_fn = None
+        stencils = None
         if (
             self.sample.stencil_values is not None
             and self.sample.stencil_signs is not None
         ):
-            codes_fn = _LatticeCodesFn(
-                self.sample.stencil_values, self.sample.stencil_signs
+            stencils = (
+                self.sample.stencil_values,
+                self.sample.stencil_signs,
             )
 
         self._huffman = HuffmanAnchorModel(
             self.sample.errors,
             self.radius,
             histogram_predictor,
-            codes_fn=codes_fn,
+            stencils=stencils,
         )
         self._overhead_bits = self._side_overhead_bits(self.sample.shape)
-        if self.predictor == "lorenzo":
-            self._fit_residual_curve(work)
+        self._residual_grid = None
+        self._residual_source = work if self.predictor == "lorenzo" else None
         return self
 
     def _fit_residual_curve(self, data: np.ndarray) -> None:
@@ -236,12 +241,23 @@ class RatioQualityModel:
             self._residual_grid = None
             return
         grid = np.geomspace(vrange * 1e-9, vrange * 4.0, 48)
-        variances = np.empty_like(grid)
-        for i, eb in enumerate(grid):
-            width = 2.0 * eb
-            residual = flat - width * np.rint(flat / width)
-            variances[i] = float(np.mean(residual**2))
-        self._residual_grid = (np.log(grid), variances)
+        variances = []
+        for chunk in bound_chunks(grid, flat.size):
+            widths = 2.0 * chunk[:, None]
+            residual = flat / widths
+            np.rint(residual, out=residual)
+            residual *= widths
+            np.subtract(flat, residual, out=residual)
+            np.square(residual, out=residual)
+            variances.append(np.mean(residual, axis=1))
+        self._residual_grid = (np.log(grid), np.concatenate(variances))
+
+    def _residual_table(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """The residual table, built on first use (then *data* is let go)."""
+        if self._residual_source is not None:
+            self._fit_residual_curve(self._residual_source)
+            self._residual_source = None
+        return self._residual_grid
 
     def _require_fit(self) -> SampleResult:
         if self.sample is None or self._huffman is None:
@@ -305,31 +321,29 @@ class RatioQualityModel:
             return 32.0 * (len(shape) + 1) * blocks / n
         return 0.0
 
-    def _mean_zero_run(self, error_bound: float) -> float | None:
-        """Measured mean zero-run length from the replayed sample rows.
+    def _mean_zero_runs(self, abs_bounds: list[float]) -> list[float | None]:
+        """Measured mean zero-run length per bound, from the replayed rows.
 
-        Returns None when no row replay is available (non-Lorenzo
-        predictors fall back to Eq. 7's independence assumption).
+        Zeros over run starts, counted for a whole chunk of bounds in
+        one boolean pass.  ``None`` where no row replay is available
+        (non-Lorenzo predictors fall back to Eq. 7's independence
+        assumption) or no zero occurs.
         """
         sample = self._require_fit()
-        if (
-            sample.row_stencils is None
-            or sample.stencil_signs is None
-        ):
-            return None
-        width = 2.0 * error_bound
-        lattice = np.rint(sample.row_stencils / width)
-        np.clip(lattice, -1e15, 1e15, out=lattice)
-        codes = (lattice @ sample.stencil_signs).astype(np.int64)
-        from repro.compressor.encoders.rle import zero_run_lengths
-
-        runs = [
-            zero_run_lengths(row) for row in codes
-        ]
-        lengths = np.concatenate(runs) if runs else np.zeros(0)
-        if lengths.size == 0:
-            return None
-        return float(lengths.mean())
+        rows, signs = sample.row_stencils, sample.stencil_signs
+        if rows is None or signs is None:
+            return [None] * len(abs_bounds)
+        out: list[float | None] = []
+        for chunk in bound_chunks(abs_bounds, rows.size):
+            zero = replay_lattice_codes(rows, signs, chunk) == 0
+            zeros = zero.sum(axis=(1, 2))
+            starts = zero[:, :, 0].sum(axis=1)
+            starts += (zero[:, :, 1:] & ~zero[:, :, :-1]).sum(axis=(1, 2))
+            out.extend(
+                z / n if n else None
+                for z, n in zip(zeros.tolist(), starts.tolist())
+            )
+        return out
 
     # -- forward estimates ------------------------------------------------------
 
@@ -349,10 +363,12 @@ class RatioQualityModel:
         The distribution lives in the fitted domain (log domain for
         PW_REL mode).
         """
-        abs_eb = self._to_abs(error_bound)
-        hist = self.histogram(error_bound)
+        return self._distribution(self.histogram(error_bound))
+
+    @staticmethod
+    def _distribution(hist: QuantizedHistogram) -> ErrorDistributionModel:
         return ErrorDistributionModel(
-            error_bound=abs_eb,
+            error_bound=hist.error_bound,
             p0=hist.p0,
             central_var=hist.central_var,
         )
@@ -375,15 +391,24 @@ class RatioQualityModel:
 
         ``refined=False`` gives the uniform-only Eq. 10 baseline.
         """
+        return self._error_variance(self._to_abs(error_bound), refined)
+
+    def _error_variance(
+        self,
+        abs_eb: float,
+        refined: bool,
+        hist: QuantizedHistogram | None = None,
+    ) -> float:
+        """:meth:`error_variance` in the fitted domain.
+
+        *hist* is the histogram at *abs_eb* when the caller already
+        holds it; it is only built here if the mixture model needs it.
+        """
         sample = self._require_fit()
-        abs_eb = self._to_abs(error_bound)
-        if not refined:
-            return self.error_distribution(error_bound).variance(
-                refined=False
-            )
-        if self.predictor == "lorenzo":
-            if self._residual_grid is not None:
-                log_grid, variances = self._residual_grid
+        if refined and self.predictor == "lorenzo":
+            table = self._residual_table()
+            if table is not None:
+                log_grid, variances = table
                 return float(
                     np.interp(np.log(abs_eb), log_grid, variances)
                 )
@@ -396,56 +421,96 @@ class RatioQualityModel:
                 return float(
                     (1.0 - sample.sparsity) * np.mean(residual**2)
                 )
-        return self.error_distribution(error_bound).variance(refined=True)
+        if hist is None:
+            assert self._huffman is not None
+            hist = self._huffman.histogram(abs_eb)
+        return self._distribution(hist).variance(refined=refined)
 
-    def estimate(
-        self, error_bound: float, refined_distribution: bool = True
-    ) -> RQEstimate:
-        """Full ratio + quality estimate at *error_bound*."""
+    def _rates(
+        self, abs_bounds: list[float], central_var: bool = False
+    ) -> list[_Rate]:
+        """The bit-rate side of the estimate at each fitted-domain bound.
+
+        Histograms and zero-run statistics are evaluated for the whole
+        grid at once; what remains per bound is scalar arithmetic, in
+        one place for the scalar and the batched queries alike.
+        """
         sample = self._require_fit()
         assert self._huffman is not None
-        abs_eb = self._to_abs(error_bound)
-        hist = self._huffman.histogram(abs_eb)
-        cont = self._huffman.continuous_bitrate(abs_eb)
-        mean_run = self._mean_zero_run(abs_eb)
-        if self.use_lossless:
+        hists = self._huffman.histograms(abs_bounds, central_var)
+        runs = (
+            self._mean_zero_runs(abs_bounds)
+            if self.use_lossless
+            else [None] * len(abs_bounds)
+        )
+        rates = []
+        for abs_eb, hist, mean_run in zip(abs_bounds, hists, runs):
             bitrate, b_huff, rle = combined_bitrate(
                 hist,
                 self.rle_c1,
-                continuous_bitrate=cont,
+                continuous_bitrate=self._huffman.continuous_bitrate(abs_eb),
                 mean_run=mean_run,
             )
-        else:
-            b_huff = combined_bitrate(
-                hist, self.rle_c1, continuous_bitrate=cont
-            )[1]
-            rle = 1.0
-            bitrate = b_huff
-        container_bits = (
-            8.0 * CONTAINER_HEADER_BYTES
-            + HUFFMAN_TABLE_BITS_PER_SYMBOL * hist.n_bins
-        ) / sample.n_total
-        if self.mode is ErrorBoundMode.PW_REL:
-            # the log transform ships one sign bit and one zero-mask bit
-            # per point as side payload
-            container_bits += 2.0
-        bitrate_total = (
-            bitrate
-            + self._overhead_bits
-            + hist.outlier_fraction * OUTLIER_BITS
-            + container_bits
+            if not self.use_lossless:
+                bitrate, rle = b_huff, 1.0
+            container_bits = (
+                8.0 * CONTAINER_HEADER_BYTES
+                + HUFFMAN_TABLE_BITS_PER_SYMBOL * hist.n_bins
+            ) / sample.n_total
+            if self.mode is ErrorBoundMode.PW_REL:
+                # the log transform ships one sign bit and one zero-mask
+                # bit per point as side payload
+                container_bits += 2.0
+            rates.append(
+                _Rate(
+                    hist,
+                    b_huff,
+                    rle,
+                    bitrate
+                    + self._overhead_bits
+                    + hist.outlier_fraction * OUTLIER_BITS
+                    + container_bits,
+                )
+            )
+        return rates
+
+    def bitrate(self, error_bound: float) -> float:
+        """``estimate(error_bound).bitrate`` without the quality side."""
+        return self._rates([self._to_abs(error_bound)])[0].bitrate
+
+    def bitrate_curve(self, error_bounds) -> np.ndarray:
+        """``[estimate(eb).bitrate for eb in error_bounds]``, batched.
+
+        Equal bit for bit to the scalar loop; a Lorenzo model replays
+        its stencil sample against all bounds of a chunk at once (other
+        predictors evaluate bound by bound).
+        """
+        return np.array(
+            [
+                rate.bitrate
+                for rate in self._rates(
+                    [self._to_abs(float(eb)) for eb in error_bounds]
+                )
+            ],
+            dtype=np.float64,
         )
-        variance = self.error_variance(
-            error_bound, refined=refined_distribution
+
+    def _quality(
+        self, error_bound: float, rate: _Rate, refined_distribution: bool
+    ) -> RQEstimate:
+        """*rate* (evaluated at *error_bound*) plus the quality side."""
+        sample = self._require_fit()
+        variance = self._error_variance(
+            rate.histogram.error_bound, refined_distribution, rate.histogram
         )
         vrange = sample.value_range
         return RQEstimate(
             error_bound=float(error_bound),
-            huffman_bitrate=b_huff,
-            lossless_ratio=rle,
-            bitrate=bitrate_total,
-            ratio=sample.dtype_bits / bitrate_total,
-            p0=hist.p0,
+            huffman_bitrate=rate.huffman_bitrate,
+            lossless_ratio=rate.lossless_ratio,
+            bitrate=rate.bitrate,
+            ratio=sample.dtype_bits / rate.bitrate,
+            p0=rate.histogram.p0,
             error_variance=variance,
             psnr=psnr_model(vrange, variance) if vrange > 0 else float("inf"),
             ssim=ssim_model(sample.data_variance, variance, vrange)
@@ -453,13 +518,35 @@ class RatioQualityModel:
             else 1.0,
         )
 
+    def _estimate_with_histogram(
+        self, error_bound: float, refined_distribution: bool = True
+    ) -> tuple[RQEstimate, QuantizedHistogram]:
+        """One scalar evaluation: the estimate and the histogram behind it."""
+        rate = self._rates([self._to_abs(error_bound)], central_var=True)[0]
+        return (
+            self._quality(error_bound, rate, refined_distribution),
+            rate.histogram,
+        )
+
+    def estimate(
+        self, error_bound: float, refined_distribution: bool = True
+    ) -> RQEstimate:
+        """Full ratio + quality estimate at *error_bound*."""
+        return self._estimate_with_histogram(
+            error_bound, refined_distribution
+        )[0]
+
     def estimate_curve(
         self, error_bounds, refined_distribution: bool = True
     ) -> list[RQEstimate]:
         """Estimates over an error-bound sweep (the rate-distortion curve)."""
+        bounds = [float(eb) for eb in error_bounds]
+        rates = self._rates(
+            [self._to_abs(eb) for eb in bounds], central_var=True
+        )
         return [
-            self.estimate(float(eb), refined_distribution)
-            for eb in np.asarray(error_bounds, dtype=np.float64)
+            self._quality(eb, rate, refined_distribution)
+            for eb, rate in zip(bounds, rates)
         ]
 
     # -- inverse queries ------------------------------------------------------
@@ -487,20 +574,20 @@ class RatioQualityModel:
     def _bisect_bitrate(self, target: float, seed_eb: float) -> float:
         lo, hi = seed_eb, seed_eb
         for _ in range(60):
-            if self.estimate(lo).bitrate < target:
+            if self.bitrate(lo) < target:
                 lo /= 2.0
             else:
                 break
         for _ in range(60):
-            if self.estimate(hi).bitrate > target:
+            if self.bitrate(hi) > target:
                 hi *= 2.0
             else:
                 break
-        if self.estimate(hi).bitrate > target:
+        if self.bitrate(hi) > target:
             return hi  # saturated: cannot reach so low a rate
         for _ in range(50):
             mid = np.sqrt(lo * hi)
-            if self.estimate(mid).bitrate > target:
+            if self.bitrate(mid) > target:
                 lo = mid
             else:
                 hi = mid

@@ -134,10 +134,9 @@ class PartitionOptimizer:
         self.bitrates = np.zeros((len(self.models), grid_points))
         self.mses = np.zeros((len(self.models), grid_points))
         for i, model in enumerate(self.models):
-            for j, eb in enumerate(self.grid):
-                est = model.estimate(float(eb))
-                self.bitrates[i, j] = est.bitrate
-                self.mses[i, j] = est.error_variance
+            curve = model.estimate_curve(self.grid)
+            self.bitrates[i] = [est.bitrate for est in curve]
+            self.mses[i] = [est.error_variance for est in curve]
 
     # -- Lagrangian machinery ------------------------------------------------
 

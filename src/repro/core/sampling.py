@@ -143,17 +143,24 @@ def sample_prediction_errors(
         rate = min(1.0, MIN_SAMPLES / data.size)
     rng = np.random.default_rng(seed)
     pred = make_predictor(predictor, **predictor_kwargs)
-    errors = pred.sample_errors(data, rate, rng)
     stencil_signs = stencil_values = row_stencils = None
     if predictor == "lorenzo" and getattr(pred, "order", 1) == 1:
+        # One gather serves both: the order-1 prediction error is the
+        # signed sum of the stencil columns, accumulated in mask order
+        # (the order ``sample_errors`` adds the neighbours in).
         stencil_signs, stencil_values = pred.sample_stencils(
-            data, rate, np.random.default_rng(seed)
+            data, rate, rng
         )
+        errors = stencil_values[:, 0].copy()
+        for mask in range(1, stencil_signs.size):
+            errors += stencil_signs[mask] * stencil_values[:, mask]
         row_len = data.shape[-1]
         n_rows = max(8, int(round(data.size * rate / max(row_len, 1))))
         _, row_stencils = pred.sample_row_stencils(
             data, n_rows, np.random.default_rng(seed)
         )
+    else:
+        errors = pred.sample_errors(data, rate, rng)
     work = data.astype(np.float64, copy=False)
     flat = work.ravel()
     nonzero = np.flatnonzero(flat)

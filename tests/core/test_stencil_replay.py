@@ -143,7 +143,6 @@ class TestModelUsesReplay:
         data = smooth_field((32, 32))
         model = RatioQualityModel().fit(data)
         vrange = float(data.max() - data.min())
-        small = model._mean_zero_run(vrange * 1e-3)
-        large = model._mean_zero_run(vrange * 0.2)
+        small, large = model._mean_zero_runs([vrange * 1e-3, vrange * 0.2])
         assert small is not None and large is not None
         assert large >= small
