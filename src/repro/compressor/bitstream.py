@@ -4,9 +4,10 @@
 extracts them.  Both are vectorized with NumPy: the writer scatters each
 equal-length group of codewords into a flat bit array in one shot, and
 the reader offers both a sliding 16-bit window and random-access window
-gathers (:func:`build_bit_window` / :func:`gather_window16`) so
-table-driven Huffman decoding runs in batched rounds instead of one
-Python step per symbol.  Header fields (fixed-width words, Elias-gamma
+gathers (:func:`build_bit_window` / :func:`gather_window16`, and
+:func:`slice_window16` when the positions are a range) so table-driven
+Huffman decoding resolves many bit positions per NumPy call instead of
+one Python step per symbol.  Header fields (fixed-width words, Elias-gamma
 runs) are packed and unpacked whole, never bit by bit.
 """
 
@@ -21,6 +22,7 @@ __all__ = [
     "bits_to_bytes",
     "build_bit_window",
     "gather_window16",
+    "slice_window16",
     "gamma_bit_lengths",
 ]
 
@@ -114,6 +116,23 @@ def gather_window16(window: np.ndarray, positions: np.ndarray) -> np.ndarray:
     word = window[positions >> 3]
     shift = (8 - (positions & 7)).astype(np.uint32)
     return (word >> shift) & np.uint32(0xFFFF)
+
+
+#: ``8 - (p & 7)`` for the eight bit positions *p* that share a byte
+_IN_BYTE_SHIFTS = np.arange(8, 0, -1, dtype=np.uint32)
+
+
+def slice_window16(window: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """:func:`gather_window16` over the contiguous positions ``[lo, hi)``.
+
+    A range of positions reads a *slice* of the window index, each word
+    under the eight in-byte shifts — no index array, no fancy gather.
+    """
+    if hi <= lo:
+        return np.zeros(0, dtype=np.uint32)
+    words = window[lo >> 3 : (hi + 7) >> 3]
+    out = (words[:, None] >> _IN_BYTE_SHIFTS) & np.uint32(0xFFFF)
+    return out.ravel()[lo & 7 : (lo & 7) + hi - lo]
 
 
 def bits_to_bytes(bits: np.ndarray) -> bytes:

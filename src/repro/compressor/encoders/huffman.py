@@ -11,15 +11,20 @@ The implementation is written for NumPy throughput:
 * codes are *canonical*, so only the code lengths ship in the header;
 * encoding maps symbols through lookup tables and packs all codewords in
   one vectorized pass (:func:`repro.compressor.bitstream.pack_codes`);
-* the serialized stream embeds a *sync table* (the bit offset of every
-  K-th symbol), so decoding runs in batched rounds: one NumPy gather over
-  the 16-bit window advances every sync block by one symbol, touching
-  Python ``K`` times total instead of once per symbol;
-* streams without a sync table (fewer than ``_SYNC_MIN_STREAM``
-  symbols, or serialized by older versions) recover the symbol starts
-  by pointer doubling over ``jump[p] = p + len_table[window16[p]]``,
-  one fixed-size window of bit positions at a time, then gather every
-  symbol of the window in one shot;
+* a stream of ``_SYNC_MIN_STREAM`` symbols or more embeds a *sync
+  table* (the bit offset of every K-th symbol): an index that makes the
+  sync blocks independent, and an integrity check every decode kernel
+  holds the payload to;
+* the decoder picks its kernel by cost, from what the blob says of
+  itself: long sync-table streams (payload above
+  ``_SYNC_WALK_MAX_BITS``) run *batched rounds* — one gather over the
+  16-bit window advances every sync block by one symbol, ``K`` Python
+  rounds in all, which pays only once the blocks are many; shorter ones
+  resolve every bit position of a window through the tables at once and
+  chain ``jump[p] = p + len_table[window16[p]]`` by pointer doubling
+  from all the sync marks of the window; streams without a table
+  (short, or serialized by older versions) chain from the cursor alone,
+  one fixed-size window at a time;
 * codes longer than 16 bits take a per-bit canonical walk, which is rare
   because long codes correspond to near-zero-probability symbols.
 """
@@ -40,6 +45,7 @@ from repro.compressor.bitstream import (
     gamma_bit_lengths,
     gather_window16,
     pack_codes,
+    slice_window16,
 )
 
 __all__ = [
@@ -51,6 +57,9 @@ __all__ = [
 
 _PRIMARY_BITS = 16
 _MAX_CODE_LEN = 57
+
+#: The sync table of a stream serialized without one.
+_NO_SYNC = np.zeros(0, dtype=np.uint32)
 
 #: Top bit of the big-endian header-length word marks the sync-table
 #: serialization (format 2).  Legacy blobs always have it clear because
@@ -77,18 +86,28 @@ _WALK_WINDOW_BITS = 1 << 15
 #: Floor of the walk window while long-code escapes keep cutting it short.
 _WALK_MIN_WINDOW_BITS = 256
 
+#: Longest sync-table payload the window walk takes.  The batched
+#: kernel runs one Python round per symbol of a sync block (``interval``
+#: rounds of ~10 us, however few blocks a round advances), the walk
+#: costs by the payload bit: below this many bits the walk is cheaper
+#: (measured crossover table in README "Mid-size tiles").
+_SYNC_WALK_MAX_BITS = 6 * _WALK_WINDOW_BITS
+
 
 class _DecodeTableLRU:
     """Thread-safe LRU of primary decode tables, keyed by code content.
 
     Decoding is concurrent (threaded region decodes, the serving
     layer), so lookups/insertions take a lock; the tables themselves
-    are immutable once published.  Capacity bounds worst-case memory
-    at ``capacity * ~0.6 MiB``.
+    are immutable once published.  The bound is on the bytes held, not
+    the entries: 32 tables of the widest kind (``int64`` symbols,
+    ~0.6 MiB each) or ~100 of the ``uint16`` kind every real alphabet
+    gets, so a dataset cycling through a few dozen distinct codes
+    stays resident.
     """
 
-    def __init__(self, capacity: int = 32) -> None:
-        self._capacity = capacity
+    def __init__(self, max_bytes: int = 32 * 9 * (1 << _PRIMARY_BITS)) -> None:
+        self._max_bytes = max_bytes
         self._lock = threading.Lock()
         self._entries: OrderedDict[bytes, tuple] = OrderedDict()
         self.hits = 0
@@ -108,8 +127,22 @@ class _DecodeTableLRU:
         with self._lock:
             self._entries[key] = value
             self._entries.move_to_end(key)
-            while len(self._entries) > self._capacity:
+            # a put follows a table build, so summing ~100 sizes is free
+            while self._held() > self._max_bytes:
                 self._entries.popitem(last=False)
+
+    def _held(self) -> int:
+        return sum(
+            table.nbytes
+            for entry in self._entries.values()
+            for table in entry
+        )
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of table data currently cached."""
+        with self._lock:
+            return self._held()
 
     def clear(self) -> None:
         with self._lock:
@@ -243,6 +276,40 @@ def _canonical_codes(lengths: np.ndarray) -> np.ndarray:
     return codes
 
 
+def _jump_map(lens: np.ndarray) -> np.ndarray:
+    """``jump[p] = p + lens[p]`` over one window of ``lens.size`` offsets.
+
+    Offset ``lens.size`` is the absorbing exit for long-code escapes
+    (``lens[p] == 0``) and for symbols that run past the window.
+    """
+    m = lens.size
+    jump = np.arange(m + 1, dtype=np.int64)
+    jump[:m] += lens
+    jump[:m][lens == 0] = m
+    np.minimum(jump, m, out=jump)
+    return jump
+
+
+def _block_orbits(
+    jump: np.ndarray, seeds: np.ndarray, count: int
+) -> np.ndarray:
+    """Row *i*: the first *count* points of the orbit of ``seeds[i]``.
+
+    Pointer doubling as in :func:`_chain_starts`, every seed at once:
+    ``log2(count)`` squarings of *jump* however many seeds there are.
+    """
+    orbits = np.empty((seeds.size, count), dtype=np.int64)
+    orbits[:, 0] = seeds
+    have = 1
+    while have < count:
+        take = min(have, count - have)
+        orbits[:, have : have + take] = jump[orbits[:, :take]]
+        have += take
+        if have < count:
+            jump = jump[jump]
+    return orbits
+
+
 def _chain_starts(lens: np.ndarray, limit: int) -> np.ndarray:
     """Offsets of the symbols that start inside one window of positions.
 
@@ -257,11 +324,7 @@ def _chain_starts(lens: np.ndarray, limit: int) -> np.ndarray:
     """
     m = lens.size
     limit = min(limit, m)
-    # offset m is the absorbing exit for escapes and window overruns
-    jump = np.arange(m + 1, dtype=np.int64)
-    jump[:m] += lens
-    jump[:m][lens == 0] = m
-    np.minimum(jump, m, out=jump)
+    jump = _jump_map(lens)
     starts = np.empty(limit, dtype=np.int64)
     starts[0] = 0
     have = 1
@@ -347,9 +410,10 @@ class HuffmanEncoder:
         [sync offsets: u32 LE each][payload bits]
 
     Format 2 (flagged by the top bit of the header-length word) appends
-    the bit offset of every ``sync_interval``-th symbol, enabling the
-    batched round-based decode; format-1 blobs (short streams, older
-    writers) decode via the pointer-doubling walk.
+    the bit offset of every ``sync_interval``-th symbol.  The format
+    does not pick the decode kernel — :meth:`decode` does, by payload
+    size — but whichever runs verifies the table against the payload;
+    format-1 blobs (short streams, older writers) have none to verify.
     """
 
     def encode(
@@ -421,6 +485,8 @@ class HuffmanEncoder:
             self._deserialize(blob)
         )
         if n_data == 0:
+            if sync.size:
+                raise ValueError("corrupt Huffman sync table")
             return np.zeros(0, dtype=np.int64)
         if 8 * len(payload) < total_bits:
             raise ValueError("Huffman payload truncated")
@@ -428,14 +494,18 @@ class HuffmanEncoder:
             # every symbol costs at least one bit; a larger count means a
             # corrupt header (and would over-allocate the output)
             raise ValueError("corrupt Huffman header")
-        if interval and n_data > interval:
+        if interval and n_data > interval and total_bits > _SYNC_WALK_MAX_BITS:
             dense = self._decode_payload_batched(
                 code, n_data, payload, total_bits, interval, sync
             )
         else:
-            # sync-free (short or legacy-format) streams, and corrupt
-            # intervals that would make the round loop unbounded
-            dense = self._decode_payload(code, n_data, payload, total_bits)
+            # sync-free streams of any size, and sync-table ones too
+            # short to fill the batched rounds; the rule also bounds
+            # those rounds by the payload size, whatever interval a
+            # corrupt header names
+            dense = self._decode_payload(
+                code, n_data, payload, total_bits, interval, sync
+            )
         return code.symbols[dense]
 
     def encoded_size_bits(self, stream: np.ndarray) -> int:
@@ -590,13 +660,12 @@ class HuffmanEncoder:
             if 6 * n_symbols > 8 * header_len:
                 # the code-length section alone would not fit the header
                 raise ValueError("corrupt Huffman header")
-            empty_sync = np.zeros(0, dtype=np.uint32)
             if n_symbols == 0:
                 return HuffmanCode(
                     np.zeros(0, dtype=np.int64),
                     np.zeros(0, dtype=np.int64),
                     np.zeros(0, dtype=np.uint64),
-                ), 0, b"", 0, 0, empty_sync
+                ), 0, b"", 0, 0, _NO_SYNC
             zz_first = header.read(64)
             first = (zz_first >> 1) ^ -(zz_first & 1)
             deltas = header.read_gamma_array(n_symbols - 1)
@@ -608,7 +677,7 @@ class HuffmanEncoder:
             n_data = header.read(64)
             total_bits = header.read(64)
             interval = 0
-            sync = empty_sync
+            sync = _NO_SYNC
             pos = 4 + header_len
             if has_sync:
                 interval = header.read(32)
@@ -625,10 +694,36 @@ class HuffmanEncoder:
 
     # -- decoding ----------------------------------------------------------
 
-    def _decode_payload(
-        self, code: HuffmanCode, n_data: int, payload: bytes, total_bits: int
+    @staticmethod
+    def _block_starts(
+        n_data: int, total_bits: int, interval: int, sync: np.ndarray
     ) -> np.ndarray:
-        """Sync-free decode: pointer doubling over windows of bit positions.
+        """Validated bit offsets of symbols ``0, interval, 2*interval, ...``.
+
+        The sync table must hold exactly the marks its interval implies,
+        strictly increasing inside ``(0, total_bits)`` — it is an
+        integrity check as much as an index, so every decode kernel
+        starts here.  Sync-free streams (``interval == 0``) have the one
+        block starting at 0.
+        """
+        if sync.size != ((n_data - 1) // interval if interval else 0):
+            raise ValueError("corrupt Huffman sync table")
+        starts = np.zeros(sync.size + 1, dtype=np.int64)
+        starts[1:] = sync
+        if np.any(starts[1:] <= starts[:-1]) or int(starts[-1]) >= total_bits:
+            raise ValueError("corrupt Huffman sync table")
+        return starts
+
+    def _decode_payload(
+        self,
+        code: HuffmanCode,
+        n_data: int,
+        payload: bytes,
+        total_bits: int,
+        interval: int = 0,
+        sync: np.ndarray = _NO_SYNC,
+    ) -> np.ndarray:
+        """Window-walk decode: pointer doubling over windows of bit positions.
 
         Every bit position of a window resolves through the primary
         tables at once; chaining ``jump[p] = p + len_table[window16[p]]``
@@ -638,11 +733,28 @@ class HuffmanEncoder:
         resolves that one symbol and the next window starts behind it
         (shrunk while escapes keep coming, so a stream dense in long
         codes does not pay a full window per symbol).
+
+        A stream with a sync table (``interval > 0``) is held to it as
+        the batched kernel holds it: the table is validated, every
+        symbol ``k * interval`` must start on its mark, and the last
+        symbol must end on ``total_bits`` — so the two kernels accept
+        the same blobs and return the same arrays.  Its marks also let
+        the chains of all blocks run at once
+        (:meth:`_decode_from_marks`); the walk from the cursor is then
+        only the fallback for streams with long codes.
         """
+        marks = self._block_starts(n_data, total_bits, interval, sync)
         sym_table, len_table = self._primary_tables(code)
         window = build_bit_window(payload)
+        if marks.size > 1:
+            out = self._decode_from_marks(
+                sym_table, len_table, window, n_data, total_bits, interval,
+                marks,
+            )
+            if out is not None:
+                return out
         long_codes: dict | None = None  # lazy long-code index
-        out = np.empty(n_data, dtype=np.int64)
+        out = np.empty(n_data, dtype=sym_table.dtype)
         span = _WALK_WINDOW_BITS
         done = 0
         pos = 0
@@ -651,12 +763,18 @@ class HuffmanEncoder:
                 raise ValueError("Huffman payload truncated")
             # positions up to total_bits inclusive: the end position
             # reads zero padding, as in the round-based decoder
-            positions = np.arange(
-                pos, min(pos + span, total_bits + 1), dtype=np.int64
-            )
-            prefix = gather_window16(window, positions)
+            prefix = slice_window16(
+                window, pos, min(pos + span, total_bits + 1)
+            ).astype(np.intp)  # a table gather converts any other index
             lens = len_table[prefix]
             starts = _chain_starts(lens, n_data - done)
+            if interval:
+                on_mark = starts[-done % interval :: interval]
+                block = -(-done // interval)
+                if not np.array_equal(
+                    on_mark + pos, marks[block : block + on_mark.size]
+                ):
+                    raise ValueError("corrupt Huffman payload")
             out[done : done + starts.size] = sym_table[prefix[starts]]
             done += starts.size
             last = int(starts[-1])
@@ -673,6 +791,54 @@ class HuffmanEncoder:
             pos += last + step
         if pos > total_bits:
             raise ValueError("Huffman payload truncated")
+        if interval and pos != total_bits:
+            raise ValueError("corrupt Huffman payload")
+        return out
+
+    @staticmethod
+    def _decode_from_marks(
+        sym_table: np.ndarray,
+        len_table: np.ndarray,
+        window: np.ndarray,
+        n_data: int,
+        total_bits: int,
+        interval: int,
+        marks: np.ndarray,
+    ) -> np.ndarray | None:
+        """Decode block-parallel from the sync marks, a window at a time.
+
+        With every block start known the doubling runs all blocks of a
+        window at once and needs ``log2(interval)`` squarings of the
+        jump map, not ``log2`` of the symbols the window holds.  Each
+        block must run exactly onto the next mark, the last onto
+        ``total_bits`` — the batched kernel's acceptance test.  ``None``
+        when one does not: a long-code escape or corruption, and the
+        walk from the cursor resolves the one and reports the other.
+        """
+        edges = np.append(marks, total_bits)
+        out = np.empty(n_data, dtype=sym_table.dtype)
+        i = 0
+        while i < marks.size:
+            # the whole blocks one walk window holds, at least one
+            lo = int(edges[i])
+            j = int(np.searchsorted(edges, lo + _WALK_WINDOW_BITS, "right"))
+            j = max(j - 1, i + 1)
+            prefix = slice_window16(window, lo, int(edges[j]) + 1).astype(
+                np.intp
+            )
+            jump = _jump_map(len_table[prefix])
+            starts = _block_orbits(jump, edges[i:j] - lo, interval)
+            starts = starts.ravel()[: n_data - i * interval]
+            # the last symbol of each block; the final block is short
+            last = np.minimum(np.arange(1, j - i + 1) * interval, starts.size)
+            if not np.array_equal(
+                jump[starts[last - 1]], edges[i + 1 : j + 1] - lo
+            ):
+                return None
+            out[i * interval : i * interval + starts.size] = sym_table[
+                prefix[starts]
+            ]
+            i = j
         return out
 
     def _decode_payload_batched(
@@ -691,21 +857,14 @@ class HuffmanEncoder:
         advances all cursors at once; block boundaries come from the
         serialized sync table, so blocks are mutually independent.
         """
-        expected_sync = (n_data - 1) // interval
-        if sync.size != expected_sync:
-            raise ValueError("corrupt Huffman sync table")
-        starts = np.concatenate(
-            [np.zeros(1, dtype=np.int64), sync.astype(np.int64)]
-        )
-        if np.any(starts[1:] <= starts[:-1]) or int(starts[-1]) >= total_bits:
-            raise ValueError("corrupt Huffman sync table")
+        starts = self._block_starts(n_data, total_bits, interval, sync)
         n_blocks = starts.size
         rem = n_data - (n_blocks - 1) * interval
         sym_table, len_table = self._primary_tables(code)
         window = build_bit_window(payload)
         limit = np.int64(total_bits)
 
-        out = np.empty(n_data, dtype=np.int64)
+        out = np.empty(n_data, dtype=sym_table.dtype)
         cur = starts.copy()
         base = np.arange(n_blocks, dtype=np.int64) * interval
         slow: dict | None = None  # lazy long-code index
@@ -759,8 +918,7 @@ class HuffmanEncoder:
         so any two streams sharing an alphabet — e.g. the many
         near-constant tiles of an adaptive (v5) container that land on
         the same TOC config palette entry and emit the same tiny code —
-        build the half-megabyte LUT once per reader process instead of
-        once per tile.
+        build the LUT once per reader process instead of once per tile.
         """
         key = hashlib.blake2b(
             code.symbols.tobytes() + b"|" + code.lengths.tobytes(),
@@ -769,7 +927,11 @@ class HuffmanEncoder:
         cached = _DECODE_TABLE_CACHE.get(key)
         if cached is not None:
             return cached
-        sym_table = np.zeros(1 << _PRIMARY_BITS, dtype=np.int64)
+        # the narrowest symbol entries that hold the alphabet: building
+        # the table costs mostly the pages it touches
+        sym_table = np.zeros(
+            1 << _PRIMARY_BITS, dtype=np.min_scalar_type(code.lengths.size)
+        )
         len_table = np.zeros(1 << _PRIMARY_BITS, dtype=np.uint8)
         for dense in range(code.lengths.size):
             ln = int(code.lengths[dense])

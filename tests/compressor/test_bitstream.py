@@ -9,8 +9,11 @@ from repro.compressor.bitstream import (
     BitReader,
     BitWriter,
     bits_to_bytes,
+    build_bit_window,
     gamma_bit_lengths,
+    gather_window16,
     pack_codes,
+    slice_window16,
 )
 
 
@@ -186,6 +189,32 @@ class TestWindow16:
     def test_window_length(self):
         r = BitReader(b"\x00\x00")
         assert r.window16().size == 17  # nbits + 1
+
+
+class TestRandomAccessWindow:
+    def test_gather_reads_sixteen_bits_at_any_offset(self):
+        payload = bytes([0b10110010, 0b01011100, 0b11100001, 0b00000110])
+        bits = "".join(f"{byte:08b}" for byte in payload) + "0" * 16
+        window = build_bit_window(payload)
+        positions = np.arange(8 * len(payload) + 1)
+        assert gather_window16(window, positions).tolist() == [
+            int(bits[p : p + 16], 2) for p in positions
+        ]
+
+    def test_a_slice_equals_the_gather_over_the_same_range(self):
+        """Every alignment of both ends mod 8, the zero padding at and
+        past the last payload bit, and the empty range."""
+        payload = np.random.default_rng(4).bytes(5)
+        window = build_bit_window(payload)
+        end = 8 * len(payload) + 1  # the end position is readable
+        for lo in range(end):
+            for hi in range(lo, end + 1):
+                got = slice_window16(window, lo, hi)
+                expected = gather_window16(window, np.arange(lo, hi))
+                assert got.dtype == expected.dtype
+                assert got.tolist() == expected.tolist()
+        assert slice_window16(window, 7, 3).size == 0
+        assert slice_window16(build_bit_window(b""), 0, 1).tolist() == [0]
 
 
 class TestBitsToBytes:

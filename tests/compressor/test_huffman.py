@@ -523,3 +523,407 @@ class TestSyncFreeWalk:
         # 16 MB of output and mapped symbols; one int64 table entry per
         # bit position alone would add another 16 MB
         assert peak < 2 * decoded.nbytes + (4 << 20)
+
+
+# -- format-2 (sync-table) streams: one verdict whichever kernel runs ---------
+
+
+def sync_blob(
+    enc: HuffmanEncoder, code: HuffmanCode, dense: np.ndarray, interval: int
+) -> bytes:
+    """Serialize *dense* under *code* with a sync mark every *interval*."""
+    lengths = code.lengths[dense]
+    payload, total_bits = pack_codes(code.codes[dense], lengths)
+    marked = np.arange(interval, dense.size, interval)
+    sync = np.cumsum(lengths)[marked - 1].astype(np.uint32)
+    return enc._serialize(
+        code, dense.size, payload, total_bits, interval, sync
+    )
+
+
+_ROUTE_KINDS = ("runs", "laplace", "uniform", "escapes")
+_ROUTE_BASE: dict = {}
+
+
+def route_base(kind: str) -> tuple[HuffmanCode, np.ndarray]:
+    """A code and 2**18 dense indices under it: ~2, ~5.5 and ~13 bits per
+    symbol, and a skewed code whose rare symbols take the > 16-bit walk."""
+    if kind not in _ROUTE_BASE:
+        rng = np.random.default_rng(_ROUTE_KINDS.index(kind))
+        n = 1 << 18
+        if kind == "escapes":
+            code = staircase_code(rng, 24)
+            p = 2.0 ** -np.minimum(code.lengths, 12).astype(float)
+            dense = rng.choice(code.lengths.size, n, p=p / p.sum())
+        else:
+            if kind == "runs":  # constant runs of zero-dominated values
+                values = (rng.geometric(0.6, n) - 1) * rng.choice([-1, 1], n)
+                stream = np.repeat(values, rng.geometric(0.3, n))[:n]
+            elif kind == "laplace":
+                stream = np.rint(rng.laplace(0, 8, n)).astype(np.int64)
+            else:
+                stream = rng.integers(0, 8192, n)
+            code = HuffmanCode.from_stream(stream)
+            dense = HuffmanEncoder._dense_indices(code.symbols, stream)
+        _ROUTE_BASE[kind] = (code, dense)
+    return _ROUTE_BASE[kind]
+
+
+def crossover_symbols(code: HuffmanCode, dense: np.ndarray) -> int:
+    """The longest prefix of *dense* the walk still takes."""
+    ends = np.cumsum(code.lengths[dense])
+    return int(
+        np.searchsorted(ends, huffman_module._SYNC_WALK_MAX_BITS, "right")
+    )
+
+
+def kernel_verdicts(enc: HuffmanEncoder, blob: bytes) -> list:
+    """What ``decode`` and each kernel make of *blob*: the decoded
+    symbols or ``"rejected"`` — anything but ``ValueError`` propagates."""
+
+    def verdict(run):
+        try:
+            return run()
+        except ValueError:
+            return "rejected"
+
+    verdicts = [verdict(lambda: enc.decode(blob))]
+    try:
+        code, n_data, payload, total_bits, interval, sync = (
+            enc._deserialize(blob)
+        )
+    except ValueError:
+        return verdicts
+    if not 0 < n_data <= total_bits <= 8 * len(payload):
+        return verdicts  # decode() turns these away before any kernel
+    parts = (code, n_data, payload, total_bits, interval, sync)
+    kernels = [enc._decode_payload]
+    if n_data > interval > 0:  # else the rounds are not bounded by the data
+        kernels.append(enc._decode_payload_batched)
+    for kernel in kernels:
+        dense = verdict(lambda: kernel(*parts))
+        verdicts.append(
+            dense if isinstance(dense, str) else code.symbols[dense]
+        )
+    return verdicts
+
+
+def assert_one_verdict(verdicts: list) -> None:
+    first = verdicts[0]
+    for other in verdicts[1:]:
+        if isinstance(first, str) or isinstance(other, str):
+            assert isinstance(first, str) and isinstance(other, str)
+        else:
+            np.testing.assert_array_equal(other, first)
+
+
+class TestSyncTableIsChecked:
+    """A sync table is verified on every route, not only the batched one."""
+
+    def setup_method(self):
+        rng = np.random.default_rng(5)
+        self.enc = HuffmanEncoder()
+        self.stream = np.rint(rng.laplace(0, 8, 8192)).astype(np.int64)
+        self.plan = self.enc.plan(self.stream)
+
+    def serialize(self, n, interval, sync):
+        code, dense = self.plan.code, self.plan.dense[:n]
+        payload, total_bits = pack_codes(
+            code.codes[dense], code.lengths[dense]
+        )
+        return self.enc._serialize(
+            code, n, payload, total_bits, interval, np.asarray(sync, "<u4")
+        )
+
+    def test_oversized_table_on_a_one_block_stream_is_rejected(self):
+        good = self.serialize(100, 256, [])
+        np.testing.assert_array_equal(
+            self.enc.decode(good), self.stream[:100]
+        )
+        for sync in ([5], [5, 9], list(range(1, 40))):
+            with pytest.raises(ValueError, match="sync table"):
+                self.enc.decode(self.serialize(100, 256, sync))
+
+    def test_table_on_an_empty_stream_is_rejected(self):
+        with pytest.raises(ValueError, match="sync table"):
+            self.enc.decode(self.serialize(0, 256, [5]))
+
+    def test_truncated_and_padded_tables_are_rejected(self):
+        sync = self.plan.sync
+        np.testing.assert_array_equal(
+            self.enc.decode(self.serialize(8192, 256, sync)), self.stream
+        )
+        for bad in (sync[:-1], sync[1:], np.r_[sync, sync[-1] + 1]):
+            with pytest.raises(ValueError, match="sync table"):
+                self.enc.decode(self.serialize(8192, 256, bad))
+
+    def test_absurd_interval_neither_hangs_nor_passes_a_table(self):
+        # one block, whatever its claimed interval: the walk takes it
+        blob = self.serialize(8192, 2**31, [])
+        np.testing.assert_array_equal(self.enc.decode(blob), self.stream)
+        with pytest.raises(ValueError, match="sync table"):
+            self.enc.decode(self.serialize(8192, 2**31, [77]))
+
+    @pytest.mark.parametrize("kind", ("laplace", "escapes"))
+    def test_last_block_must_end_on_total_bits(self, kind):
+        # no mark follows the last block: only the end of the payload
+        # holds it, for the walk as for the batched rounds
+        code, dense = route_base(kind)
+        lengths = code.lengths[dense[:5000]]
+        n = 4500 + int(np.flatnonzero(np.cumsum(lengths)[4500:] % 8 == 1)[0])
+        dense = dense[: n + 1]
+        payload, total_bits = pack_codes(
+            code.codes[dense], code.lengths[dense]
+        )
+        sync = np.cumsum(code.lengths[dense])[255:-1:256].astype("<u4")
+        for claimed in (total_bits, total_bits + 1, total_bits + 7):
+            blob = self.enc._serialize(
+                code, dense.size, payload, claimed, 256, sync
+            )
+            verdicts = kernel_verdicts(self.enc, blob)
+            assert len(verdicts) == 3
+            assert_one_verdict(verdicts)
+            assert isinstance(verdicts[0], str) == (claimed != total_bits)
+
+    def test_a_mark_off_its_symbol_is_rejected_by_the_walk(self):
+        sync = self.plan.sync.copy()
+        sync[7] += 1
+        with pytest.raises(ValueError):
+            self.enc.decode(self.serialize(8192, 256, sync))
+
+
+class TestKernelRoutes:
+    """Every route to the symbols of a format-2 stream agrees."""
+
+    SIZES = (257, 4095, 4096, 4097, 8192, 16384, -1, 0, 1, 1 << 18)
+
+    @pytest.mark.parametrize("kind", _ROUTE_KINDS)
+    @pytest.mark.parametrize("size", SIZES)
+    def test_all_routes_return_the_same_array(self, kind, size):
+        code, dense = route_base(kind)
+        if size <= 1:  # around the longest stream the walk still takes
+            size += crossover_symbols(code, dense)
+        dense = dense[:size]
+        enc = HuffmanEncoder()
+        blob = sync_blob(enc, code, dense, 256)
+        parts = enc._deserialize(blob)
+        assert parts[1] == size and parts[4] == 256
+        assert parts[5].size == (size - 1) // 256
+        np.testing.assert_array_equal(
+            enc.decode(blob), code.symbols[dense]
+        )
+        for route in (
+            enc._decode_payload(*parts),
+            enc._decode_payload(*parts[:4]),
+            enc._decode_payload_batched(*parts),
+        ):
+            np.testing.assert_array_equal(route, dense)
+
+    @pytest.mark.parametrize("kind", _ROUTE_KINDS)
+    def test_the_walk_takes_streams_up_to_the_crossover(
+        self, kind, monkeypatch
+    ):
+        code, dense = route_base(kind)
+        n = crossover_symbols(code, dense)
+        enc = HuffmanEncoder()
+        at, past = (
+            sync_blob(enc, code, dense[:size], 256) for size in (n, n + 1)
+        )
+        assert enc._deserialize(at)[3] <= huffman_module._SYNC_WALK_MAX_BITS
+        assert enc._deserialize(past)[3] > huffman_module._SYNC_WALK_MAX_BITS
+
+        def unexpected(*args, **kwargs):
+            raise AssertionError("wrong kernel for this stream")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                HuffmanEncoder, "_decode_payload_batched", unexpected
+            )
+            enc.decode(at)
+            with pytest.raises(AssertionError):
+                enc.decode(past)
+        monkeypatch.setattr(HuffmanEncoder, "_decode_payload", unexpected)
+        enc.decode(past)
+
+    @pytest.mark.parametrize("interval", (1, 2, 7, 256, 5000))
+    def test_any_interval_a_writer_could_pick(self, interval):
+        code, dense = route_base("laplace")
+        dense = dense[:9001]
+        enc = HuffmanEncoder()
+        assert_one_verdict(
+            [code.symbols[dense]]
+            + kernel_verdicts(enc, sync_blob(enc, code, dense, interval))
+        )
+
+
+class TestNoDecodeCliff:
+    """Work is sized to the stream — counted, not timed: a return to
+    dispatch by format flag fails here deterministically."""
+
+    @pytest.mark.parametrize("kind", ("runs", "laplace"))
+    @pytest.mark.parametrize("n", (4096, 8192, 16384))
+    def test_mid_size_streams_never_pay_the_batched_rounds(
+        self, kind, n, monkeypatch
+    ):
+        code, dense = route_base(kind)
+        enc = HuffmanEncoder()
+        blob = enc.encode(code.symbols[dense[:n]])
+        _, _, _, total_bits, interval, sync = enc._deserialize(blob)
+        assert interval == 256 and sync.size == n // 256 - 1
+        calls = []
+
+        def counted(name):
+            kernel = getattr(huffman_module, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return kernel(*args, **kwargs)
+
+            monkeypatch.setattr(huffman_module, name, wrapper)
+
+        def unexpected(*args, **kwargs):
+            raise AssertionError("not on the mid-size route")
+
+        counted("_chain_starts")
+        counted("_block_orbits")
+        monkeypatch.setattr(
+            HuffmanEncoder, "_decode_payload_batched", unexpected
+        )
+        # positions are a range on this route: no fancy-index gather
+        monkeypatch.setattr(huffman_module, "gather_window16", unexpected)
+        np.testing.assert_array_equal(
+            enc.decode(blob), code.symbols[dense[:n]]
+        )
+        windows = -(-(total_bits + 1) // huffman_module._WALK_WINDOW_BITS)
+        assert 1 <= len(calls) <= windows + 1
+
+    def test_large_streams_keep_the_batched_rounds(self, monkeypatch):
+        code, dense = route_base("laplace")
+        enc = HuffmanEncoder()
+        stream = code.symbols[dense[: 1 << 18]]
+        blob = enc.encode(stream)
+        assert enc._deserialize(blob)[3] > 1 << 20
+
+        def unexpected(*args, **kwargs):
+            raise AssertionError("not on the large-stream route")
+
+        monkeypatch.setattr(HuffmanEncoder, "_decode_payload", unexpected)
+        np.testing.assert_array_equal(enc.decode(blob), stream)
+
+
+class TestCorruptSyncStreams:
+    """Detection does not depend on the kernel: for damaged format-2
+    blobs ``decode``, the walk and the batched rounds all reject, or all
+    return the same symbols — and nothing but ``ValueError`` escapes."""
+
+    @staticmethod
+    def draw_blob(rng: np.random.Generator, seed: int) -> bytes:
+        enc = HuffmanEncoder()
+        if seed % 3 == 0:  # as the encoder writes them
+            kind = _ROUTE_KINDS[seed // 3 % 3]
+            code, dense = route_base(kind)
+            at = int(rng.integers(0, 200_000))
+            n = int(rng.integers(4096, 9000))
+            return enc.encode(code.symbols[dense[at : at + n]])
+        if seed % 3 == 1:  # long codes among the blocks
+            code = staircase_code(rng, int(rng.integers(17, 30)))
+            p = 2.0 ** -np.minimum(code.lengths, 12).astype(float)
+            dense = rng.choice(
+                code.lengths.size, int(rng.integers(40, 3000)), p=p / p.sum()
+            )
+        else:
+            code, dense = route_base(_ROUTE_KINDS[seed % 4])
+            at = int(rng.integers(0, 200_000))
+            dense = dense[at : at + int(rng.integers(40, 3000))]
+        return sync_blob(enc, code, dense, int(rng.choice([8, 32, 64])))
+
+    @staticmethod
+    def damage(rng: np.random.Generator, blob: bytes, n_sync: int) -> bytes:
+        out = bytearray(blob)
+        table = 4 + (int.from_bytes(blob[:4], "big") & 0x7FFFFFFF)
+        payload = table + 4 * n_sync
+        mode = int(rng.integers(0, 9))
+        if mode == 0:
+            return bytes(out[: int(rng.integers(0, len(out)))])
+        if mode <= 3:  # bit flips: header, sync table, payload
+            lo, hi = [(0, table), (table, payload), (payload, len(out))][
+                mode - 1
+            ]
+            for _ in range(int(rng.choice([1, 4]))):
+                at = int(rng.integers(lo, max(hi, lo + 1)))
+                out[min(at, len(out) - 1)] ^= 1 << int(rng.integers(0, 8))
+            return bytes(out)
+        sync = np.frombuffer(blob[table:payload], dtype="<u4").copy()
+        if sync.size < 2:
+            out[-1] ^= 1
+            return bytes(out)
+        i, j = rng.choice(sync.size, 2, replace=False)
+        if mode == 4:
+            sync[i], sync[j] = sync[j], sync[i]
+        elif mode == 5:
+            sync[i] = sync[j]
+        elif mode == 6:
+            sync[i] = int(sync[i]) + int(rng.choice([-1, 1]))
+        elif mode == 7:  # past total_bits
+            sync[-1] = 8 * (len(blob) - payload) + int(rng.integers(0, 99))
+        else:  # a table one mark short, the payload moved up
+            sync = sync[:-1]
+        return bytes(out[:table]) + sync.tobytes() + bytes(out[payload:])
+
+    @pytest.mark.parametrize("seed", range(120))
+    def test_every_kernel_reaches_the_same_verdict(self, seed):
+        rng = np.random.default_rng(2000 + seed)
+        blob = self.draw_blob(rng, seed)
+        enc = HuffmanEncoder()
+        intact = kernel_verdicts(enc, blob)
+        assert len(intact) == 3 and not isinstance(intact[0], str)
+        assert_one_verdict(intact)
+        n_sync = enc._deserialize(blob)[5].size
+        for _ in range(12):
+            assert_one_verdict(
+                kernel_verdicts(enc, self.damage(rng, blob, n_sync))
+            )
+
+
+class TestDecodeTableCache:
+    def test_forty_codes_stay_resident_within_the_bound(self, monkeypatch):
+        cache = huffman_module._DecodeTableLRU()
+        monkeypatch.setattr(huffman_module, "_DECODE_TABLE_CACHE", cache)
+        enc = HuffmanEncoder()
+        rng = np.random.default_rng(9)
+        streams = [
+            rng.integers(-k - 2, k + 3, 600) * (k + 1) for k in range(40)
+        ]
+        blobs = [enc.encode(stream) for stream in streams]
+        peak = 0
+        for _ in range(2):
+            for blob, stream in zip(blobs, streams):
+                np.testing.assert_array_equal(enc.decode(blob), stream)
+                peak = max(peak, cache.nbytes)
+        assert (cache.misses, cache.hits) == (40, 40)
+        assert len(cache) == 40 and peak <= cache._max_bytes
+        for sym_table, len_table in cache._entries.values():
+            assert sym_table.dtype.kind == "u" and sym_table.itemsize <= 2
+            assert not sym_table.flags.writeable
+            assert not len_table.flags.writeable
+
+    def test_eviction_is_by_bytes_held(self):
+        table = np.zeros(1 << 16, dtype=np.uint16)
+        cache = huffman_module._DecodeTableLRU(max_bytes=5 * table.nbytes)
+        for key in range(9):
+            cache.put(bytes([key]), (table, table[: 1 << 15]))
+            assert cache.nbytes <= 5 * table.nbytes
+        assert len(cache) == 3 and cache.get(bytes([8])) is not None
+        assert cache.get(bytes([0])) is None
+        cache.put(bytes([8]), (table,))  # replaced, not counted twice
+        assert cache.nbytes == 4 * table.nbytes
+
+    def test_wide_alphabets_get_wider_entries(self):
+        enc = HuffmanEncoder()
+        for n_symbols, dtype in ((200, np.uint8), (300, np.uint16)):
+            stream = np.arange(n_symbols).repeat(2)
+            code = HuffmanCode.from_stream(stream)
+            assert enc._primary_tables(code)[0].dtype == dtype
+            np.testing.assert_array_equal(
+                enc.decode(enc.encode(stream)), stream
+            )
