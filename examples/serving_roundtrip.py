@@ -2,10 +2,13 @@
 
 Launches the HTTP server as a subprocess over a temporary store (the
 way a deployment would run it), uploads a synthetic field for
-server-side tiled compression, reads a hyperslab back twice (cold,
-then warm from the decoded-tile cache), checks the error bound and the
-cache counters, and prints the dataset's container stat.  Exits
-non-zero on any failure — CI runs this as the serving smoke job.
+server-side tiled compression, reads a hyperslab back twice (both
+served from the decoded tiles the put wrote through to the cache),
+checks the error bound and the cache counters, prints the dataset's
+container stat, then appends a 3-version snapshot chain and checks from
+the server's cache stats that the delta puts and the read-after-writes
+decoded nothing.  Exits non-zero on any failure — CI runs this as the
+serving smoke job.
 
 Usage::
 
@@ -67,18 +70,20 @@ def main() -> int:
         )
         assert entry["n_tiles"] == 16
 
+        # the put wrote its decoded tiles through to the cache, so
+        # even the first read decodes nothing
         roi = client.read_region("demo", "32:96,32:96")
-        cold = dict(client.last_read_stats)
+        first = dict(client.last_read_stats)
         assert roi.shape == (64, 64)
         assert np.max(np.abs(roi - field[32:96, 32:96])) <= EB * (
             1 + 1e-5
         )
-        roi_warm = client.read_region("demo", "32:96,32:96")
-        warm = dict(client.last_read_stats)
-        assert np.array_equal(roi, roi_warm)
-        assert cold["cache_misses"] > 0, cold
-        assert warm["cache_hits"] == warm["tiles_touched"], warm
-        print(f"read: cold {cold} -> warm {warm}")
+        roi_again = client.read_region("demo", "32:96,32:96")
+        again = dict(client.last_read_stats)
+        assert np.array_equal(roi, roi_again)
+        assert first["cache_misses"] == 0, first
+        assert again["cache_hits"] == again["tiles_touched"], again
+        print(f"read: first {first} -> again {again}")
 
         stat = client.stat("demo")
         assert stat["container"]["container_version"] == 4
@@ -92,6 +97,24 @@ def main() -> int:
         cache = client.cache_stats()
         assert cache["hits"] > 0
         print(f"cache: {cache}")
+
+        # a snapshot chain: keyframe, delta, delta.  Each delta put
+        # reads the previous version as its reference, each read comes
+        # right after its write — all from seeded tiles, zero misses
+        misses = cache["misses"]
+        for version in range(3):
+            step = field + np.float32(0.01 * version)
+            record = client.put_snapshot(
+                "chain", step, eb=EB, tile=(32, 32), keyframe_interval=4
+            )
+            assert record["version"] == version
+            assert record["keyframe"] is (version == 0)
+            back = client.read_region("chain", "0:128,0:128", version=version)
+            assert client.last_read_stats["cache_misses"] == 0
+            assert np.max(np.abs(back - step)) <= EB * (1 + 1e-5)
+        cache = client.cache_stats()
+        assert cache["misses"] == misses, (misses, cache)
+        print(f"chain: 3 versions, {cache['misses'] - misses} new misses")
         print("serving round-trip OK")
         return 0
     finally:

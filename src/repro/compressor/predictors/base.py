@@ -42,6 +42,12 @@ class PredictorOutput:
         (interpolation anchors, regression coefficients).
     meta:
         Small JSON-serializable dict with predictor parameters.
+    reconstruction:
+        What :meth:`Predictor.reconstruct` will return for this output
+        (``float64``, input shape), when the caller asked
+        :meth:`Predictor.decompose` for it; ``None`` otherwise.  The
+        predict-quantize loop already holds these values, so surfacing
+        them saves the consumer a decode.
     """
 
     codes: np.ndarray
@@ -49,6 +55,7 @@ class PredictorOutput:
     outlier_values: np.ndarray
     side_payload: bytes = b""
     meta: dict = field(default_factory=dict)
+    reconstruction: np.ndarray | None = None
 
     @property
     def n_outliers(self) -> int:
@@ -64,9 +71,17 @@ class Predictor(abc.ABC):
 
     @abc.abstractmethod
     def decompose(
-        self, data: np.ndarray, error_bound: float, radius: int
+        self,
+        data: np.ndarray,
+        error_bound: float,
+        radius: int,
+        reconstruct: bool = False,
     ) -> PredictorOutput:
-        """Quantize *data* under an absolute *error_bound*."""
+        """Quantize *data* under an absolute *error_bound*.
+
+        With ``reconstruct`` the output also carries the decoder's
+        reconstruction (``PredictorOutput.reconstruction``).
+        """
 
     @abc.abstractmethod
     def reconstruct(
@@ -101,10 +116,13 @@ class Predictor(abc.ABC):
         return errors[idx]
 
     @staticmethod
-    def _validate(data: np.ndarray) -> np.ndarray:
-        """Common input checks; returns a float64 C-contiguous view."""
+    def _validate(data: np.ndarray, stacked: bool = False) -> np.ndarray:
+        """Common input checks; returns a float64 C-contiguous view.
+
+        ``stacked`` marks a leading batch axis over same-shaped arrays.
+        """
         data = np.ascontiguousarray(data, dtype=np.float64)
-        if data.ndim not in (1, 2, 3, 4):
+        if data.ndim - int(stacked) not in (1, 2, 3, 4):
             raise ValueError("only 1-D..4-D arrays are supported")
         if data.size == 0:
             raise ValueError("cannot compress an empty array")

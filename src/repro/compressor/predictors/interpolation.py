@@ -82,7 +82,11 @@ class InterpolationPredictor(Predictor):
     # -- compression ---------------------------------------------------------
 
     def decompose(
-        self, data: np.ndarray, error_bound: float, radius: int
+        self,
+        data: np.ndarray,
+        error_bound: float,
+        radius: int,
+        reconstruct: bool = False,
     ) -> PredictorOutput:
         data = self._validate(data)
         if error_bound <= 0:
@@ -113,7 +117,9 @@ class InterpolationPredictor(Predictor):
                 pred = self._predict(recon, vectors, axis, targets, half)
                 true = data[grid]
                 err = true - pred
-                codes_f = np.rint(err / bin_width)
+                # + 0.0 clears -0.0: the decoder multiplies integer
+                # codes, and ``recon`` must hold exactly its values
+                codes_f = np.rint(err / bin_width) + 0.0
                 value = pred + codes_f * bin_width
                 bad = (np.abs(codes_f) > radius) | (
                     np.abs(true - value) > error_bound
@@ -151,6 +157,7 @@ class InterpolationPredictor(Predictor):
             outlier_values=values,
             side_payload=anchors.astype(np.float64).tobytes(),
             meta={"levels": levels, "anchor_shape": list(anchors.shape)},
+            reconstruction=recon if reconstruct else None,
         )
 
     def _predict(

@@ -72,7 +72,11 @@ class LorenzoPredictor(Predictor):
         self.order = order
 
     def decompose(
-        self, data: np.ndarray, error_bound: float, radius: int
+        self,
+        data: np.ndarray,
+        error_bound: float,
+        radius: int,
+        reconstruct: bool = False,
     ) -> PredictorOutput:
         data = self._validate(data)
         if error_bound <= 0:
@@ -97,6 +101,13 @@ class LorenzoPredictor(Predictor):
             outlier_positions=positions.astype(np.int64),
             outlier_values=outlier_codes,
             meta={"order": self.order},
+            # the decoder's own expression, from the integer lattice
+            # (``lattice_f`` may hold -0.0 where the decoder has 0.0)
+            reconstruction=(
+                lattice.astype(np.float64) * bin_width
+                if reconstruct
+                else None
+            ),
         )
 
     def reconstruct(
@@ -116,8 +127,47 @@ class LorenzoPredictor(Predictor):
         data = self._validate(data)
         return _forward_difference(data, self.order)
 
+    def _gather_stencils(
+        self, stack: np.ndarray, flat_idx: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Stencil neighbourhoods of the points *flat_idx*, per member.
+
+        *stack* is ``(k, *shape)``; *flat_idx* are C-order positions
+        into one member.  Returns ``(signs, values)`` with ``values`` of
+        shape ``(k, len(flat_idx), 2^d)``: column ``mask`` holds the
+        neighbour one step back along every axis set in ``mask``, and
+        ``0.0`` where that leaves the array (the virtual zero border).
+        One index table serves every member, so the whole stack is read
+        by a single gather.
+        """
+        shape = stack.shape[1:]
+        ndim = len(shape)
+        coords = np.unravel_index(flat_idx, shape)
+        steps = [int(np.prod(shape[axis + 1 :])) for axis in range(ndim)]
+        signs = np.empty(1 << ndim, dtype=np.float64)
+        index = np.empty((flat_idx.size, 1 << ndim), dtype=np.intp)
+        valid = np.ones(index.shape, dtype=bool)
+        for mask in range(1 << ndim):
+            signs[mask] = -1.0 if bin(mask).count("1") % 2 == 1 else 1.0
+            back = 0
+            for axis in range(ndim):
+                if mask >> axis & 1:
+                    back += steps[axis]
+                    valid[:, mask] &= coords[axis] >= 1
+            index[:, mask] = flat_idx - back
+        index[~valid] = 0
+        # np.take, unlike ``flat[:, index]``, returns C order: each
+        # member's slice is contiguous for the replay that follows
+        values = np.take(stack.reshape(stack.shape[0], -1), index, axis=1)
+        values[:, ~valid] = 0.0
+        return signs, values
+
     def sample_stencils(
-        self, data: np.ndarray, rate: float, rng: np.random.Generator
+        self,
+        data: np.ndarray,
+        rate: float,
+        rng: np.random.Generator,
+        stacked: bool = False,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Sample raw stencil values for exact dual-quant code replay.
 
@@ -127,30 +177,22 @@ class LorenzoPredictor(Predictor):
         ``sum_m signs[m] * rint(values[:, m] / (2*eb))`` — the exact
         lattice stencil, including the virtual zero border.  Order 1
         only (order 2 falls back to the error-based approximation).
+
+        With ``stacked`` *data* is ``(k, *shape)`` — *k* same-shaped
+        arrays sampled at the same points, from one draw and one gather
+        — and ``values`` gains a leading ``k`` axis; member *i* equals
+        what the call on ``data[i]`` alone returns from an equal *rng*.
         """
-        data = self._validate(data)
+        stack = self._validate(data, stacked)
+        if not stacked:
+            stack = stack[None]
         if self.order != 1:
             raise ValueError("stencil sampling supports order 1 only")
-        n = data.size
+        n = stack[0].size
         n_samples = max(1, min(n, int(round(n * rate))))
         flat_idx = rng.choice(n, size=n_samples, replace=False)
-        coords = np.unravel_index(flat_idx, data.shape)
-        ndim = data.ndim
-        signs = np.empty(1 << ndim, dtype=np.float64)
-        values = np.empty((n_samples, 1 << ndim), dtype=np.float64)
-        for mask in range(1 << ndim):
-            signs[mask] = -1.0 if bin(mask).count("1") % 2 == 1 else 1.0
-            shifted = []
-            valid = np.ones(n_samples, dtype=bool)
-            for axis in range(ndim):
-                c = coords[axis]
-                if mask >> axis & 1:
-                    c = c - 1
-                    valid &= c >= 0
-                shifted.append(c)
-            clipped = tuple(np.maximum(c, 0) for c in shifted)
-            values[:, mask] = np.where(valid, data[clipped], 0.0)
-        return signs, values
+        signs, values = self._gather_stencils(stack, flat_idx)
+        return signs, values if stacked else values[0]
 
     def sample_row_stencils(
         self,
@@ -158,6 +200,7 @@ class LorenzoPredictor(Predictor):
         n_rows: int,
         rng: np.random.Generator,
         n_segments: int = 4,
+        stacked: bool = False,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Sample stencils along contiguous flattened-order segments.
 
@@ -168,17 +211,19 @@ class LorenzoPredictor(Predictor):
         them yields *zero-run statistics* at any error bound, replacing
         the independence assumption of Eq. 7 for spatially clustered
         (sparse) data; runs routinely span many rows, so per-segment
-        contiguity matters.  Order 1 only.
+        contiguity matters.  Order 1 only.  ``stacked`` as in
+        :meth:`sample_stencils`.
         """
-        data = self._validate(data)
+        stack = self._validate(data, stacked)
+        if not stacked:
+            stack = stack[None]
         if self.order != 1:
             raise ValueError("row sampling supports order 1 only")
         if n_rows < 1:
             raise ValueError("need at least one row")
-        ndim = data.ndim
-        row_len = data.shape[-1]
-        lead_shape = data.shape[:-1]
-        n_lead = int(np.prod(lead_shape)) if lead_shape else 1
+        shape = stack.shape[1:]
+        row_len = shape[-1]
+        n_lead = int(np.prod(shape[:-1]))
         n_segments = max(1, min(n_segments, n_lead))
         rows_per = max(1, min(n_rows // n_segments, n_lead))
         starts = rng.choice(
@@ -186,43 +231,18 @@ class LorenzoPredictor(Predictor):
             size=n_segments,
             replace=n_lead - rows_per + 1 < n_segments,
         )
-        picks = np.concatenate(
-            [np.arange(s, s + rows_per) for s in starts]
+        # each segment is rows_per whole rows: one contiguous stretch
+        # of the flattened array, so zero runs can span row boundaries
+        # as they do in the real code stream
+        flat_idx = (
+            starts[:, None] * row_len
+            + np.arange(rows_per * row_len)[None, :]
+        ).ravel()
+        signs, values = self._gather_stencils(stack, flat_idx)
+        values = values.reshape(
+            stack.shape[0], n_segments, rows_per * row_len, signs.size
         )
-        lead_coords = (
-            np.unravel_index(picks, lead_shape) if lead_shape else ()
-        )
-
-        signs = np.empty(1 << ndim, dtype=np.float64)
-        values = np.empty(
-            (picks.size, row_len, 1 << ndim), dtype=np.float64
-        )
-        ks = np.arange(row_len)
-        for mask in range(1 << ndim):
-            signs[mask] = -1.0 if bin(mask).count("1") % 2 == 1 else 1.0
-            valid_lead = np.ones(picks.size, dtype=bool)
-            coords = []
-            for axis in range(ndim - 1):
-                c = lead_coords[axis]
-                if mask >> axis & 1:
-                    c = c - 1
-                    valid_lead &= c >= 0
-                coords.append(np.maximum(c, 0))
-            k = ks.copy()
-            if mask >> (ndim - 1) & 1:
-                k = k - 1
-            k_valid = k >= 0
-            k = np.maximum(k, 0)
-            index = tuple(c[:, None] for c in coords) + (k[None, :],)
-            gathered = data[index] if ndim > 1 else data[k][None, :]
-            valid = valid_lead[:, None] & k_valid[None, :]
-            values[:, :, mask] = np.where(valid, gathered, 0.0)
-        # group each segment's rows into one contiguous pseudo-row so
-        # zero runs can span row boundaries, as they do in the real
-        # flattened code stream
-        return signs, values.reshape(
-            n_segments, rows_per * row_len, 1 << ndim
-        )
+        return signs, values if stacked else values[0]
 
     def sample_errors(
         self, data: np.ndarray, rate: float, rng: np.random.Generator
@@ -274,7 +294,11 @@ class ClassicLorenzoPredictor(Predictor):
     name = "lorenzo_classic"
 
     def decompose(
-        self, data: np.ndarray, error_bound: float, radius: int
+        self,
+        data: np.ndarray,
+        error_bound: float,
+        radius: int,
+        reconstruct: bool = False,
     ) -> PredictorOutput:
         data = self._validate(data)
         bin_width = 2.0 * error_bound
@@ -312,6 +336,7 @@ class ClassicLorenzoPredictor(Predictor):
             outlier_positions=np.array(outlier_positions, dtype=np.int64),
             outlier_values=np.array(outlier_values, dtype=np.float64),
             meta={"order": 1},
+            reconstruction=recon if reconstruct else None,
         )
 
     def reconstruct(

@@ -156,12 +156,17 @@ class RegressionPredictor(Predictor):
     # -- compression -------------------------------------------------------------
 
     def decompose(
-        self, data: np.ndarray, error_bound: float, radius: int
+        self,
+        data: np.ndarray,
+        error_bound: float,
+        radius: int,
+        reconstruct: bool = False,
     ) -> PredictorOutput:
         data = self._validate(data)
         if error_bound <= 0:
             raise ValueError("error_bound must be positive")
         bin_width = 2.0 * error_bound
+        recon = np.empty_like(data) if reconstruct else None
 
         code_blocks: list[np.ndarray] = []
         outlier_positions: list[np.ndarray] = []
@@ -174,11 +179,17 @@ class RegressionPredictor(Predictor):
             coeffs, preds = self._fit_block_group(blocks)
             coeff_chunks.append(coeffs.ravel())
             err = blocks - preds
-            codes_f = np.rint(err / bin_width)
+            # + 0.0 clears -0.0: the decoder multiplies integer codes,
+            # and ``value`` must be exactly what it computes
+            codes_f = np.rint(err / bin_width) + 0.0
             value = preds + codes_f * bin_width
             bad = (np.abs(codes_f) > radius) | (
                 np.abs(blocks - value) > error_bound
             )
+            if recon is not None:
+                recon[slices] = self._from_blocks(
+                    np.where(bad, blocks, value), region.shape, block_shape
+                )
             codes_f = np.where(bad, 0.0, codes_f)
             flat_codes = codes_f.astype(np.int64).ravel()
             code_blocks.append(flat_codes)
@@ -206,6 +217,7 @@ class RegressionPredictor(Predictor):
             outlier_values=values,
             side_payload=coeff_payload.tobytes(),
             meta={"block": self.block},
+            reconstruction=recon,
         )
 
     # -- decompression -------------------------------------------------------------

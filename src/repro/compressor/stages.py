@@ -107,9 +107,19 @@ class PredictionStage(abc.ABC):
 
     @abc.abstractmethod
     def decompose(
-        self, work: np.ndarray, config: CompressionConfig, abs_eb: float
+        self,
+        work: np.ndarray,
+        config: CompressionConfig,
+        abs_eb: float,
+        reconstruct: bool = False,
     ) -> PredictorOutput:
-        """Predict + quantize *work* under the absolute bound."""
+        """Predict + quantize *work* under the absolute bound.
+
+        With ``reconstruct`` the output should also carry what
+        :meth:`reconstruct` will return for it
+        (``PredictorOutput.reconstruction``); a stage that cannot
+        surface it leaves the field ``None``.
+        """
 
     @abc.abstractmethod
     def reconstruct(
@@ -135,10 +145,16 @@ class PredictorStage(PredictionStage):
         return make_predictor("regression", block=config.regression_block)
 
     def decompose(
-        self, work: np.ndarray, config: CompressionConfig, abs_eb: float
+        self,
+        work: np.ndarray,
+        config: CompressionConfig,
+        abs_eb: float,
+        reconstruct: bool = False,
     ) -> PredictorOutput:
         predictor = self.make_predictor(config)
-        return predictor.decompose(work, abs_eb, config.quant_radius)
+        return predictor.decompose(
+            work, abs_eb, config.quant_radius, reconstruct
+        )
 
     def reconstruct(
         self,

@@ -88,6 +88,9 @@ class CompressionResult:
     p0: float
     n_outliers: int
     times: StageTimes = field(default_factory=StageTimes)
+    #: what ``decompress(blob)`` returns, when ``compress`` was asked to
+    #: surface it and the prediction stage could; ``None`` otherwise
+    reconstruction: np.ndarray | None = None
 
     @property
     def compressed_bytes(self) -> int:
@@ -155,9 +158,19 @@ class SZCompressor:
     # -- public API ------------------------------------------------------------
 
     def compress(
-        self, data: np.ndarray, config: CompressionConfig
+        self,
+        data: np.ndarray,
+        config: CompressionConfig,
+        reconstruct: bool = False,
     ) -> CompressionResult:
-        """Compress *data* under *config*; returns blob plus measurements."""
+        """Compress *data* under *config*; returns blob plus measurements.
+
+        With ``reconstruct`` the result also carries
+        ``result.reconstruction`` — bit for bit what
+        ``decompress(result.blob)`` returns, taken from the
+        predict-quantize stage instead of a decode (``None`` when the
+        prediction stage cannot surface it).
+        """
         data = np.asarray(data)
         original_bytes = data.nbytes
         times = StageTimes()
@@ -166,7 +179,9 @@ class SZCompressor:
         core = data.reshape(1) if data.ndim == 0 else data
 
         if data.size == 0:
-            return self._trivial_result(data, config, times)
+            return self._trivial_result(
+                data, config, times, reconstruct=reconstruct
+            )
 
         with Timer() as t:
             work, transform_meta, signs_payload = self._transform.forward(
@@ -179,11 +194,17 @@ class SZCompressor:
             # REL bound on a constant field: the value range is zero, so
             # the bound demands exact reconstruction — store the value.
             return self._trivial_result(
-                data, config, times, constant=float(core.flat[0])
+                data,
+                config,
+                times,
+                constant=float(core.flat[0]),
+                reconstruct=reconstruct,
             )
 
         with Timer() as t:
-            output = self._prediction.decompose(work, config, abs_eb)
+            output = self._prediction.decompose(
+                work, config, abs_eb, reconstruct
+            )
         times.add("predict_quantize", t.elapsed)
 
         encoded = self._entropy.encode(output.codes, config, times)
@@ -205,6 +226,18 @@ class SZCompressor:
             )
         times.add("serialize", t.elapsed)
 
+        reconstruction = None
+        if output.reconstruction is not None:
+            # the tail of decompress(), on the encoder's own values
+            reconstruction = (
+                self._transform.inverse(
+                    output.reconstruction,
+                    {"transform": transform_meta, "shape": list(data.shape)},
+                    signs_payload,
+                )
+                .reshape(data.shape)
+                .astype(data.dtype)
+            )
         return CompressionResult(
             blob=blob,
             n_points=int(data.size),
@@ -213,6 +246,7 @@ class SZCompressor:
             p0=p0,
             n_outliers=output.n_outliers,
             times=times,
+            reconstruction=reconstruction,
         )
 
     def decompress(
@@ -287,6 +321,7 @@ class SZCompressor:
         config: CompressionConfig,
         times: StageTimes,
         constant: float | None = None,
+        reconstruct: bool = False,
     ) -> CompressionResult:
         """Container for degenerate inputs (empty or constant-under-REL)."""
         output = PredictorOutput(
@@ -315,6 +350,15 @@ class SZCompressor:
             p0=1.0,
             n_outliers=0,
             times=times,
+            reconstruction=(
+                np.full(
+                    data.shape,
+                    0 if constant is None else constant,
+                    dtype=data.dtype,
+                )
+                if reconstruct
+                else None
+            ),
         )
 
     # -- container assembly ----------------------------------------------------

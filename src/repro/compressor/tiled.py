@@ -90,6 +90,10 @@ class TiledResult:
     times: StageTimes = field(default_factory=StageTimes)
     #: the per-tile assignment, for adaptive (v5) runs only
     plan: AdaptivePlan | None = None
+    #: the decoded array — what ``decompress`` returns for the
+    #: container — when ``compress`` was asked to surface it and every
+    #: tile's codec could; ``None`` otherwise
+    reconstruction: np.ndarray | None = None
 
     @property
     def n_tiles(self) -> int:
@@ -203,6 +207,7 @@ class TiledCompressor:
         config: CompressionConfig,
         out: str | os.PathLike | BinaryIO | None = None,
         dataset: str | None = None,
+        reconstruct: bool = False,
     ) -> TiledResult:
         """Tile-compress *data* into a v4 container.
 
@@ -221,6 +226,12 @@ class TiledCompressor:
         ``config.plan_cache``): successive snapshots of the same
         dataset reuse the previous plan when their tile statistics
         have not drifted.
+
+        With ``reconstruct`` the result also carries the decoded array
+        (``result.reconstruction``): each tile task writes what its
+        predict-quantize stage reconstructed into the output region a
+        decode task would fill, so no tile is decoded to obtain it.
+        It holds the whole array in memory, unlike the encode itself.
         """
         if not hasattr(data, "ndim"):
             data = np.asarray(data)
@@ -311,11 +322,14 @@ class TiledCompressor:
             self._executor_for(config),
             getattr(self._codec, "entropy_releases_gil", False),
         )
+        reconstruction = (
+            np.empty(data.shape, dtype=data.dtype) if reconstruct else None
+        )
         sink, close_sink = self._open_sink(out)
         try:
             writer = TiledWriter(sink, header, version=version)
             with Timer() as t:
-                self._encode_tiles(
+                surfaced = self._encode_tiles(
                     data,
                     tile_config,
                     tile_shape,
@@ -323,6 +337,7 @@ class TiledCompressor:
                     times,
                     per_tile,
                     executor,
+                    reconstruction,
                 )
             times.add("encode_tiles", t.elapsed)
             total = writer.finish()
@@ -340,6 +355,7 @@ class TiledCompressor:
             blob=blob,
             times=times,
             plan=plan,
+            reconstruction=reconstruction if surfaced else None,
         )
 
     def _encode_tiles(
@@ -351,7 +367,8 @@ class TiledCompressor:
         times: StageTimes,
         per_tile: list[tuple[CompressionConfig, dict]] | None = None,
         executor: CodecExecutor | None = None,
-    ) -> None:
+        reconstruction: np.ndarray | None = None,
+    ) -> bool:
         """Encode tiles batch-by-batch; at most ``workers`` tiles live.
 
         ``per_tile`` (adaptive runs) supplies each tile's own config
@@ -360,23 +377,32 @@ class TiledCompressor:
         arena under the process backend, which workers view without
         copying), so peak memory stays at one batch of raw tiles plus
         their compressed payloads.
+
+        A *reconstruction* array is filled with the decoded tiles, each
+        task writing its own into an output buffer laid out like the
+        input arena; returns whether every tile was surfaced.
         """
         executor = executor or resolve_executor(None, self._workers)
         itemsize = data.dtype.itemsize
         ship_codec = self._codec if self._custom_codec else None
+        surfaced = reconstruction is not None
         for batch in _batched(
             enumerate(iter_tiles(data.shape, tile_shape)),
             max(executor.workers, 1),
         ):
-            arena, offsets = carve_buffer(
-                executor,
-                [
-                    itemsize * int(np.prod([b - a for a, b in zip(start, stop)]))
-                    for _, (start, stop) in batch
-                ],
+            sizes = [
+                itemsize * int(np.prod([b - a for a, b in zip(start, stop)]))
+                for _, (start, stop) in batch
+            ]
+            arena, offsets = carve_buffer(executor, sizes)
+            decoded = (
+                carve_buffer(executor, sizes, kind="output")[0]
+                if surfaced
+                else None
             )
             try:
                 items = []
+                views = []
                 for (index, (start, stop)), offset in zip(batch, offsets):
                     shape = tuple(b - a for a, b in zip(start, stop))
                     nbytes = int(np.prod(shape)) * itemsize
@@ -389,6 +415,7 @@ class TiledCompressor:
                         .reshape(shape)
                     )
                     view[...] = data[slc]
+                    views.append((slc, slice(offset, offset + nbytes), shape))
                     cfg = (
                         per_tile[index][0]
                         if per_tile is not None
@@ -397,14 +424,24 @@ class TiledCompressor:
                     items.append(
                         (offset, shape, data.dtype.str, cfg, ship_codec)
                     )
-                payloads = executor.run_batch(
-                    _compress_tile_task, items, input=arena
+                results = executor.run_batch(
+                    _compress_tile_task, items, input=arena, output=decoded
                 )
+                surfaced = surfaced and all(done for _, done in results)
+                if surfaced:
+                    for slc, extent, shape in views:
+                        reconstruction[slc] = (
+                            decoded.array[extent]
+                            .view(data.dtype)
+                            .reshape(shape)
+                        )
             finally:
                 arena.release()
+                if decoded is not None:
+                    decoded.release()
             with Timer() as t:
-                for (index, (start, stop)), payload in zip(
-                    batch, payloads
+                for (index, (start, stop)), (payload, _) in zip(
+                    batch, results
                 ):
                     writer.add_tile(
                         start,
@@ -417,6 +454,7 @@ class TiledCompressor:
                         ),
                     )
             times.add("io", t.elapsed)
+        return surfaced
 
     @staticmethod
     def _resolve_tile_shape(
@@ -652,14 +690,22 @@ def _compress_tile_task(item, inp, out):
     stock pipeline — the worker's own rebuilt
     :class:`~repro.compressor.sz.SZCompressor` encodes the tile — and
     the caller's codec object on the serial/thread backends, where no
-    pickling happens.  Returns only the compressed blob.
+    pickling happens.  Returns ``(blob, surfaced)``: given an output
+    region, the tile's reconstruction is written at the same offset of
+    it (where :func:`_decode_tile_task` would put the decode), and
+    ``surfaced`` says whether the codec had one to write.
     """
     offset, shape, dtype_str, config, codec = item
     dtype = np.dtype(dtype_str)
     nbytes = int(np.prod(shape)) * dtype.itemsize
     tile = inp[offset : offset + nbytes].view(dtype).reshape(shape)
     codec = codec if codec is not None else worker_state().codec
-    return codec.compress(tile, config).blob
+    result = codec.compress(tile, config, reconstruct=out is not None)
+    surfaced = result.reconstruction is not None
+    if surfaced:
+        view = out[offset : offset + nbytes].view(dtype).reshape(shape)
+        view[...] = result.reconstruction
+    return result.blob, surfaced
 
 
 def _decode_tile_task(item, inp, out):

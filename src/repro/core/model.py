@@ -42,7 +42,7 @@ from repro.core.sampling import (
     DEFAULT_SAMPLE_RATE,
     SampleResult,
     iter_tile_batches,
-    sample_prediction_errors,
+    sample_prediction_errors_stack,
 )
 
 __all__ = [
@@ -175,23 +175,57 @@ class RatioQualityModel:
         Until then the model refers to *data*, which must not be
         modified in between.
         """
-        data = np.asarray(data)
-        if self.mode is ErrorBoundMode.REL:
-            work = data
-            flat = data.astype(np.float64, copy=False)
-            self._rel_scale = float(flat.max() - flat.min())
-        elif self.mode is ErrorBoundMode.PW_REL:
-            log_data, _, _ = log_transform(data)
+        self._fit_stack([self], np.asarray(data)[None])
+        return self
+
+    @classmethod
+    def fit_stack(
+        cls, stack: np.ndarray, **parameters
+    ) -> list["RatioQualityModel"]:
+        """One fitted model per member of ``(k, *shape)`` *stack*.
+
+        Member *i* is ``cls(**parameters).fit(stack[i])`` to the last
+        bit, but the whole stack shares one sampling pass
+        (:func:`~repro.core.sampling.sample_prediction_errors_stack`).
+        The models refer to *stack* like :meth:`fit` refers to its
+        array.
+        """
+        stack = np.asarray(stack)
+        models = [cls(**parameters) for _ in range(len(stack))]
+        if models:
+            cls._fit_stack(models, stack)
+        return models
+
+    @staticmethod
+    def _fit_stack(
+        models: list["RatioQualityModel"], stack: np.ndarray
+    ) -> None:
+        """Fit equally parameterized *models*, one per member of *stack*."""
+        lead = models[0]
+        if lead.mode is ErrorBoundMode.REL:
+            for model, member in zip(models, stack):
+                flat = member.astype(np.float64, copy=False)
+                model._rel_scale = float(flat.max() - flat.min())
+        elif lead.mode is ErrorBoundMode.PW_REL:
             # preserve the original storage width for ratio accounting
-            work = log_data.astype(data.dtype, copy=False)
-        else:
-            work = data
-        self.sample = sample_prediction_errors(
-            work,
-            predictor=self.predictor,
-            rate=self.sample_rate,
-            seed=self.seed,
+            stack = np.stack(
+                [
+                    log_transform(member)[0].astype(stack.dtype, copy=False)
+                    for member in stack
+                ]
+            )
+        samples = sample_prediction_errors_stack(
+            stack,
+            predictor=lead.predictor,
+            rate=lead.sample_rate,
+            seed=lead.seed,
         )
+        for model, sample, work in zip(models, samples, stack):
+            model._adopt(sample, work)
+
+    def _adopt(self, sample: SampleResult, work: np.ndarray) -> None:
+        """Take *sample*, drawn from the fitted-domain array *work*."""
+        self.sample = sample
         # The Eq. 9 bin-transfer correction models prediction from
         # *reconstructed* values.  Our production Lorenzo is the
         # dual-quantization formulation whose codes can be *replayed
@@ -203,24 +237,20 @@ class RatioQualityModel:
         )
         stencils = None
         if (
-            self.sample.stencil_values is not None
-            and self.sample.stencil_signs is not None
+            sample.stencil_values is not None
+            and sample.stencil_signs is not None
         ):
-            stencils = (
-                self.sample.stencil_values,
-                self.sample.stencil_signs,
-            )
+            stencils = (sample.stencil_values, sample.stencil_signs)
 
         self._huffman = HuffmanAnchorModel(
-            self.sample.errors,
+            sample.errors,
             self.radius,
             histogram_predictor,
             stencils=stencils,
         )
-        self._overhead_bits = self._side_overhead_bits(self.sample.shape)
+        self._overhead_bits = self._side_overhead_bits(sample.shape)
         self._residual_grid = None
         self._residual_source = work if self.predictor == "lorenzo" else None
-        return self
 
     def _fit_residual_curve(self, data: np.ndarray) -> None:
         """Exact value-residual variance curve for dual-quant Lorenzo.

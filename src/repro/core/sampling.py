@@ -27,6 +27,7 @@ __all__ = [
     "SampleResult",
     "TileStatsBatch",
     "sample_prediction_errors",
+    "sample_prediction_errors_stack",
     "batch_tile_stats",
     "iter_tile_batches",
     "DEFAULT_SAMPLE_RATE",
@@ -132,60 +133,114 @@ def sample_prediction_errors(
     """One sampling pass over *data* for the given predictor.
 
     Returns a :class:`SampleResult`; raise on empty input or a rate
-    outside (0, 1].
+    outside (0, 1].  The batch of one of
+    :func:`sample_prediction_errors_stack`.
     """
-    data = np.asarray(data)
-    if data.size == 0:
+    return sample_prediction_errors_stack(
+        np.asarray(data)[None], predictor, rate, seed, **predictor_kwargs
+    )[0]
+
+
+def sample_prediction_errors_stack(
+    stack: np.ndarray,
+    predictor: str = "lorenzo",
+    rate: float = DEFAULT_SAMPLE_RATE,
+    seed: int | None = 0,
+    **predictor_kwargs,
+) -> list[SampleResult]:
+    """One sampling pass over ``(k, *shape)`` same-shaped arrays.
+
+    Member *i* of the result is what the pass over ``stack[i]`` alone
+    returns: equal shapes draw equal sample points from an equal seed,
+    so order-1 Lorenzo makes one index draw, one point-stencil gather
+    and one row-stencil gather for the whole stack (other predictors
+    sample member by member).
+    """
+    stack = np.asarray(stack)
+    size = int(np.prod(stack.shape[1:]))
+    if size == 0:
         raise ValueError("cannot sample an empty array")
     if not 0 < rate <= 1:
         raise ValueError("rate must be within (0, 1]")
-    if data.size * rate < MIN_SAMPLES:
-        rate = min(1.0, MIN_SAMPLES / data.size)
-    rng = np.random.default_rng(seed)
+    if size * rate < MIN_SAMPLES:
+        rate = min(1.0, MIN_SAMPLES / size)
+    if len(stack) == 0:
+        return []
     pred = make_predictor(predictor, **predictor_kwargs)
-    stencil_signs = stencil_values = row_stencils = None
+    work = stack.astype(np.float64, copy=False)
+    flat = work.reshape(len(stack), -1)
+    rng = np.random.default_rng(seed)
+    stencil_signs = None
+    stencil_values = row_stencils = [None] * len(stack)
     if predictor == "lorenzo" and getattr(pred, "order", 1) == 1:
         # One gather serves both: the order-1 prediction error is the
         # signed sum of the stencil columns, accumulated in mask order
         # (the order ``sample_errors`` adds the neighbours in).
         stencil_signs, stencil_values = pred.sample_stencils(
-            data, rate, rng
+            work, rate, rng, stacked=True
         )
-        errors = stencil_values[:, 0].copy()
+        errors = stencil_values[:, :, 0].copy()
         for mask in range(1, stencil_signs.size):
-            errors += stencil_signs[mask] * stencil_values[:, mask]
-        row_len = data.shape[-1]
-        n_rows = max(8, int(round(data.size * rate / max(row_len, 1))))
+            errors += stencil_signs[mask] * stencil_values[:, :, mask]
+        row_len = stack.shape[-1]
+        n_rows = max(8, int(round(size * rate / max(row_len, 1))))
         _, row_stencils = pred.sample_row_stencils(
-            data, n_rows, np.random.default_rng(seed)
+            work, n_rows, np.random.default_rng(seed), stacked=True
         )
+        # every member's value draw starts from this generator state; a
+        # zero-free member draws from all positions, so those share one
+        state = rng.bit_generator.state
+        shared = flat[:, _value_positions(np.arange(size), size, rate, rng)]
+        values = []
+        for k, row in enumerate(flat):
+            nonzero = np.flatnonzero(row)
+            if nonzero.size == size:
+                values.append(shared[k])
+            elif nonzero.size:
+                rng.bit_generator.state = state
+                values.append(
+                    row[_value_positions(nonzero, size, rate, rng)]
+                )
+            else:
+                values.append(np.zeros(1, dtype=np.float64))
     else:
-        errors = pred.sample_errors(data, rate, rng)
-    work = data.astype(np.float64, copy=False)
-    flat = work.ravel()
-    nonzero = np.flatnonzero(flat)
-    if nonzero.size:
-        n_values = max(1, min(nonzero.size, int(round(flat.size * rate))))
-        value_idx = rng.choice(nonzero, size=n_values, replace=False)
-        values = flat[value_idx].copy()
-    else:
-        values = np.zeros(1, dtype=np.float64)
-    return SampleResult(
-        errors=np.asarray(errors, dtype=np.float64),
-        rate=rate,
-        predictor=predictor,
-        n_total=int(data.size),
-        shape=tuple(data.shape),
-        value_range=float(work.max() - work.min()),
-        data_variance=float(work.var()),
-        data_mean=float(work.mean()),
-        sparsity=float(np.count_nonzero(work == 0) / work.size),
-        dtype_bits=int(data.dtype.itemsize * 8),
-        values=values,
-        stencil_values=stencil_values,
-        stencil_signs=stencil_signs,
-        row_stencils=row_stencils,
-    )
+        errors, values = [], []
+        for member, row in zip(work, flat):
+            rng = np.random.default_rng(seed)
+            errors.append(pred.sample_errors(member, rate, rng))
+            nonzero = np.flatnonzero(row)
+            values.append(
+                row[_value_positions(nonzero, size, rate, rng)]
+                if nonzero.size
+                else np.zeros(1, dtype=np.float64)
+            )
+    return [
+        SampleResult(
+            errors=np.asarray(errors[k], dtype=np.float64),
+            rate=rate,
+            predictor=predictor,
+            n_total=size,
+            shape=tuple(stack.shape[1:]),
+            value_range=float(member.max() - member.min()),
+            data_variance=float(member.var()),
+            data_mean=float(member.mean()),
+            sparsity=float(np.count_nonzero(member == 0) / size),
+            dtype_bits=int(stack.dtype.itemsize * 8),
+            values=values[k],
+            stencil_values=stencil_values[k],
+            stencil_signs=stencil_signs,
+            row_stencils=row_stencils[k],
+        )
+        for k, member in enumerate(work)
+    ]
+
+
+def _value_positions(
+    nonzero: np.ndarray, size: int, rate: float, rng: np.random.Generator
+) -> np.ndarray:
+    """Uniform draw of non-zero positions for ``SampleResult.values``."""
+    n_values = max(1, min(nonzero.size, int(round(size * rate))))
+    return rng.choice(nonzero, size=n_values, replace=False)
 
 
 # -- vectorized per-tile statistics (adaptive planner fast path) ---------------

@@ -29,6 +29,15 @@ the same cache*, so chain walks — and time-range reads over a chain —
 share every decoded reference tile.  Concurrent misses on the same
 tile are coalesced: one decode, many consumers.
 
+Writes seed that cache.  An encode already holds what a decoder will
+reconstruct, so every put asks its compressor to surface it and, once
+the version is committed (file fsynced and renamed, manifest rewritten,
+still under the store lock), inserts the decoded tiles under the keys a
+read of that version computes: the read-after-write and the next delta
+put's reference are hits.  A put whose snapshot is larger than the
+whole cache budget, or whose codec cannot surface a reconstruction,
+seeds nothing and reads decode as before.
+
 Everything is thread-safe: the manifest and reader table are guarded
 by an RLock, long-lived :class:`TiledReader` instances serialize their
 seek+read pairs internally, and the per-tile codec is stateless — so
@@ -253,7 +262,9 @@ class ArrayStore:
         """
         tmp = self._manifest_path() + ".tmp"
         with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(self._manifest, fh, indent=2, sort_keys=True)
+            # dumps, not dump: only the one-shot call reaches the C
+            # encoder (dump and any indent iterate in pure Python)
+            fh.write(json.dumps(self._manifest, sort_keys=True))
             fh.write("\n")
             fh.flush()
             os.fsync(fh.fileno())
@@ -271,7 +282,7 @@ class ArrayStore:
         """
         tmp = self._intent_path() + ".tmp"
         with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(record, fh, sort_keys=True)
+            fh.write(json.dumps(record, sort_keys=True))
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, self._intent_path())
@@ -325,6 +336,20 @@ class ArrayStore:
         instead of raising — so a client whose first attempt committed
         but whose response was lost can safely retry.
         """
+        return self._create(
+            name, data, config, overwrite, put_token, self._keyframe_interval
+        )
+
+    def _create(
+        self,
+        name: str,
+        data: np.ndarray,
+        config: CompressionConfig,
+        overwrite: bool,
+        put_token: str | None,
+        keyframe_interval: int,
+    ) -> dict:
+        """:meth:`create`, recording the chain's *keyframe_interval*."""
         self._check_name(name)
         data = np.asarray(data)
         with self._lock:
@@ -352,7 +377,13 @@ class ArrayStore:
         try:
             # the dataset name keys the cross-snapshot plan cache:
             # overwriting puts of the same name reuse the prior plan
-            result = compressor.compress(data, config, out=tmp, dataset=name)
+            result = compressor.compress(
+                data,
+                config,
+                out=tmp,
+                dataset=name,
+                reconstruct=self._write_through(data),
+            )
         except BaseException:
             if os.path.exists(tmp):
                 os.remove(tmp)
@@ -369,19 +400,7 @@ class ArrayStore:
                         "(pass overwrite to replace)"
                     )
                 self.delete(name)
-            self._write_intent(
-                {
-                    "op": "put",
-                    "name": name,
-                    "version": 0,
-                    "file": os.path.basename(path),
-                }
-            )
-            self._commit_version_file(tmp, path)
-            generation = self._bump_generation(name)
-            created = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
             entry = {
-                "generation": generation,
                 "file": os.path.basename(path),
                 "shape": [int(n) for n in data.shape],
                 "dtype": data.dtype.str,
@@ -390,7 +409,6 @@ class ArrayStore:
                 "raw_bytes": int(result.original_bytes),
                 "compressed_bytes": int(result.compressed_bytes),
                 "ratio": round(result.ratio, 6),
-                "created": created,
                 "config": {
                     "predictor": config.predictor,
                     "mode": config.mode.value,
@@ -398,30 +416,103 @@ class ArrayStore:
                     "lossless": config.lossless,
                     "adaptive": bool(config.adaptive),
                 },
-                "keyframe_interval": self._keyframe_interval,
                 "put_token": put_token,
-                "latest_version": 0,
-                "snapshots": [
-                    {
-                        "version": 0,
-                        "file": os.path.basename(path),
-                        "put_token": put_token,
-                        "keyframe": True,
-                        "ref_version": None,
-                        "raw_bytes": int(result.original_bytes),
-                        "compressed_bytes": int(
-                            result.compressed_bytes
-                        ),
-                        "temporal_tiles": 0,
-                        "spatial_tiles": result.n_tiles,
-                        "created": created,
-                    }
-                ],
             }
-            self._manifest["datasets"][name] = entry
-            self._persist()
-            self._clear_intent()
+            self._commit(
+                name, 0, tmp, path, result, put_token, keyframe_interval, entry
+            )
             return dict(entry, name=name)
+
+    def _commit(
+        self,
+        name: str,
+        version: int,
+        tmp: str,
+        path: str,
+        result,
+        put_token: str | None,
+        keyframe_interval: int,
+        new_entry: dict | None = None,
+    ) -> dict:
+        """Make the encoded *version* at *tmp* durable, then visible.
+
+        The one commit sequence of every put (caller holds the lock):
+        intent record, fsync + rename of the version file, one manifest
+        rewrite, intent cleared.  *new_entry* starts a dataset (version
+        0, next generation); without it the version is appended to the
+        existing chain.  Returns the snapshot's manifest record.
+
+        Only then — the version committed, still under the lock — are
+        the decoded tiles the encode surfaced (``result.reconstruction``)
+        written through to the tile cache under the keys a read of this
+        version computes, so the read-after-write and the next delta
+        put's reference are hits.  A version that did not commit is
+        never seeded; a later delete or overwrite bumps the generation
+        and orphans the keys.
+        """
+        self._write_intent(
+            {
+                "op": "put",
+                "name": name,
+                "version": version,
+                "file": os.path.basename(path),
+            }
+        )
+        self._commit_version_file(tmp, path)
+        stats = getattr(result, "stats", None)
+        keyframe = bool(getattr(result, "keyframe", True))
+        record = {
+            "version": version,
+            "file": os.path.basename(path),
+            "put_token": put_token,
+            "keyframe": keyframe,
+            "ref_version": None if keyframe else version - 1,
+            "raw_bytes": int(result.original_bytes),
+            "compressed_bytes": int(result.compressed_bytes),
+            "temporal_tiles": stats.temporal_tiles if stats is not None else 0,
+            "spatial_tiles": (
+                stats.spatial_tiles if stats is not None else result.n_tiles
+            ),
+            "created": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
+        }
+        if new_entry is not None:
+            entry = new_entry
+            entry["generation"] = self._bump_generation(name)
+            entry["created"] = record["created"]
+            entry["snapshots"] = [record]
+            self._manifest["datasets"][name] = entry
+        else:
+            entry = self._entry(name)
+            snapshots = entry.setdefault("snapshots", self._snapshots(entry))
+            snapshots.append(record)
+            entry["total_compressed_bytes"] = sum(
+                int(s.get("compressed_bytes", 0)) for s in snapshots
+            )
+        entry["latest_version"] = version
+        entry["keyframe_interval"] = keyframe_interval
+        self._persist()
+        self._clear_intent()
+        if result.reconstruction is not None:
+            generation = int(entry.get("generation", 0))
+            for tile in result.tiles:
+                extent = tuple(
+                    slice(a, b) for a, b in zip(tile.start, tile.stop)
+                )
+                # a copy, not a view: an entry must own exactly the
+                # bytes the cache accounts for, not pin the snapshot
+                self.cache.put(
+                    (name, generation, version, tile.offset),
+                    result.reconstruction[extent].copy(),
+                )
+        return record
+
+    def _write_through(self, data: np.ndarray) -> bool:
+        """Whether a put of *data* should surface its decoded tiles.
+
+        Not when the snapshot is larger than the whole cache: seeding
+        it would only flush what readers are using.
+        """
+        return data.nbytes <= self.cache.stats().byte_budget
 
     def _duplicate_create(
         self, name: str, put_token: str | None
@@ -555,19 +646,15 @@ class ArrayStore:
                     int(t) for t in entry["tile_shape"]
                 )
         if not exists:
-            info = self.create(
+            entry = self._create(
                 name,
                 data,
                 replace(config, temporal=False),
-                put_token=put_token,
+                False,
+                put_token,
+                interval,
             )
-            with self._lock:
-                entry = self._entry(name)
-                entry["keyframe_interval"] = interval
-                self._persist()
-            return dict(
-                self._snapshots(entry)[0], name=name, version=0
-            )
+            return dict(self._snapshots(entry)[0], name=name, version=0)
 
         keyframe = version % interval == 0
         snapshot_config = replace(
@@ -602,6 +689,7 @@ class ArrayStore:
                 ref_id=f"{name}@v{version - 1}" if not keyframe else None,
                 snapshot_index=version,
                 out=tmp,
+                reconstruct=self._write_through(data),
             )
         except BaseException:
             if os.path.exists(tmp):
@@ -618,47 +706,9 @@ class ArrayStore:
                     f"concurrent append to dataset {name!r} "
                     f"(expected latest version {version - 1})"
                 )
-            self._write_intent(
-                {
-                    "op": "put",
-                    "name": name,
-                    "version": version,
-                    "file": os.path.basename(path),
-                }
+            record = self._commit(
+                name, version, tmp, path, result, put_token, interval
             )
-            self._commit_version_file(tmp, path)
-            stats = result.stats
-            record = {
-                "version": version,
-                "file": os.path.basename(path),
-                "put_token": put_token,
-                "keyframe": bool(result.keyframe),
-                "ref_version": None if result.keyframe else version - 1,
-                "raw_bytes": int(result.original_bytes),
-                "compressed_bytes": int(result.compressed_bytes),
-                "temporal_tiles": (
-                    stats.temporal_tiles if stats is not None else 0
-                ),
-                "spatial_tiles": (
-                    stats.spatial_tiles
-                    if stats is not None
-                    else result.n_tiles
-                ),
-                "created": time.strftime(
-                    "%Y-%m-%dT%H:%M:%S", time.gmtime()
-                ),
-            }
-            snapshots = entry.setdefault(
-                "snapshots", self._snapshots(entry)
-            )
-            snapshots.append(record)
-            entry["latest_version"] = version
-            entry["keyframe_interval"] = interval
-            entry["total_compressed_bytes"] = sum(
-                int(s.get("compressed_bytes", 0)) for s in snapshots
-            )
-            self._persist()
-            self._clear_intent()
             return dict(record, name=name)
 
     @staticmethod

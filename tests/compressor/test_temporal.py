@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
+import os
 
 import numpy as np
 import pytest
@@ -15,6 +17,8 @@ from repro.compressor import (
 )
 from repro.compressor.container import TiledReader
 from repro.compressor.inspect import describe_container
+from repro.compressor.temporal import TemporalStats
+from repro.core.model import RatioQualityModel
 from tests.conftest import assert_error_bounded, smooth_field
 
 EB = 1e-3
@@ -279,3 +283,143 @@ def test_scratch_vs_delta_byte_advantage():
         total += result.compressed_bytes
         reference = tc.decompress(result.blob, reference=reference)
     assert total < scratch
+
+
+# -- the batched temporal/spatial choice ----------------------------------------
+
+DATA_DIR = os.path.join(os.path.dirname(__file__), "..", "data")
+
+#: sha256 of ``compress_snapshot(expected, config, reference=ref)`` over
+#: the stored ``pr9_v6_temporal`` arrays, taken with the per-tile choice
+#: (two single-array fits per tile) that the batched one replaced
+PER_TILE_CHOICE_SHA256 = {
+    # the fixture's own config: 40 / 16 leaves edge tiles (3 groups)
+    "fixture_config": (
+        dict(tile_shape=(16, 16)),
+        "fd93eaf5dd7406cd73db8396497f61bfee9dde83b3245235b4d31644e7671691",
+    ),
+    # non-divisible both ways: four shape groups, two below the
+    # model's minimum tile size (8 measured decisions among 20 tiles)
+    "odd_grid": (
+        dict(tile_shape=(12, 9)),
+        "b028d7f04a068555b42f5d4edf59b88db1951b73e258762c9f2642f3fac55da1",
+    ),
+    # non-Lorenzo spatial candidates: two sampling passes per group
+    "interpolation": (
+        dict(tile_shape=(16, 16), predictor="interpolation"),
+        "5108bf92207f7c83c82f006160ef16a8e4908f22a143f47cfe0b10bc326640ab",
+    ),
+    "regression_f4": (
+        dict(tile_shape=(16, 16), predictor="regression"),
+        "304cd01d10a5f00aab44b8f2773249d87e39886a6430fc8866d6ddb7fdd2f957",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PER_TILE_CHOICE_SHA256))
+def test_batched_choice_writes_the_per_tile_choice_bytes(name):
+    overrides, pinned = PER_TILE_CHOICE_SHA256[name]
+    dtype = "f4" if name.endswith("f4") else "f8"
+    ref = np.load(os.path.join(DATA_DIR, "pr9_v6_temporal_ref.npy"))
+    snap = np.load(os.path.join(DATA_DIR, "pr9_v6_temporal_expected.npy"))
+    result = TemporalCompressor().compress_snapshot(
+        snap.astype(dtype),
+        config(**overrides),
+        reference=ref.astype(dtype),
+        ref_id="pr9@v0",
+        snapshot_index=1,
+    )
+    assert hashlib.sha256(result.blob).hexdigest() == pinned
+
+
+def _per_tile_verdict(tc, tile, residual, tile_cfg, abs_eb):
+    """The choice as two single-array fits make it (the old loop)."""
+    rates = []
+    for predictor, array in (("lorenzo", residual), (tile_cfg.predictor, tile)):
+        try:
+            rates.append(
+                RatioQualityModel(
+                    predictor=predictor,
+                    sample_rate=tc._sample_rate,
+                    radius=tile_cfg.quant_radius,
+                    use_lossless=tile_cfg.lossless is not None,
+                    seed=tc._seed,
+                )
+                .fit(array)
+                .bitrate(abs_eb)
+            )
+        except (ValueError, ZeroDivisionError, FloatingPointError):
+            return None, rates
+    if not all(np.isfinite(rate) for rate in rates):
+        return None, rates
+    return bool(rates[0] <= rates[1]), rates
+
+
+@pytest.mark.parametrize("predictor", ["lorenzo", "interpolation"])
+def test_batched_rates_equal_per_tile_rates(predictor):
+    rng = np.random.default_rng(31)
+    tiles = np.stack(
+        [smooth_field((16, 24), seed=s).astype(np.float64) for s in range(6)]
+    )
+    tiles[2] *= rng.random((16, 24)) < 0.3  # zero-containing tile
+    residuals = 0.01 * rng.standard_normal(tiles.shape)
+    residuals[4, :3] = 0.0  # zero-containing residual
+    tiles, residuals = tiles.astype("f4"), residuals.astype("f4")
+    tc = TemporalCompressor()
+    tile_cfg = config(tile_shape=None, predictor=predictor)
+
+    batched = tc._model_rates(residuals, "lorenzo", tile_cfg, EB)
+    batched_spatial = tc._model_rates(tiles, predictor, tile_cfg, EB)
+    verdicts = tc._choose(tiles, residuals, tile_cfg, EB, TemporalStats())
+    for k in range(len(tiles)):
+        verdict, (temporal_rate, spatial_rate) = _per_tile_verdict(
+            tc, tiles[k], residuals[k], tile_cfg, EB
+        )
+        assert batched[k] == temporal_rate
+        assert batched_spatial[k] == spatial_rate
+        assert verdicts[k] is verdict
+
+
+def test_a_failed_fit_falls_back_for_that_tile_only(monkeypatch):
+    """One degenerate member costs only itself the model's verdict."""
+    snaps = chain(2, shape=(32, 48))
+    poisoned = 123.456  # marks the tile whose fit must fail
+    snaps[1][0, 0] = poisoned
+    real = RatioQualityModel._fit_stack
+
+    def failing(models, stack):
+        if np.any(stack == np.float64(poisoned)):
+            raise ValueError("degenerate sample")
+        return real(models, stack)
+
+    monkeypatch.setattr(
+        RatioQualityModel, "_fit_stack", staticmethod(failing)
+    )
+    tc = TemporalCompressor()
+    cfg = config(error_bound=1e-4)
+    ref = tc.decompress(tc.compress_snapshot(snaps[0], cfg).blob)
+    result = tc.compress_snapshot(snaps[1], cfg, reference=ref)
+    assert result.stats.tiles == 6
+    assert result.stats.measured_decisions == 1
+    assert result.stats.model_decisions == 5
+    assert_error_bounded(
+        snaps[1], tc.decompress(result.blob, reference=ref), 1e-4
+    )
+
+
+def test_small_edge_groups_measure_while_full_tiles_model():
+    """< _MIN_MODEL_TILE is decided per shape group, not per snapshot."""
+    snaps = chain(2, shape=(35, 37))
+    tc = TemporalCompressor()
+    cfg = config(tile_shape=(16, 16), error_bound=1e-5)
+    ref = tc.decompress(tc.compress_snapshot(snaps[0], cfg).blob)
+    result = tc.compress_snapshot(snaps[1], cfg, reference=ref)
+    stats = result.stats
+    # 16x16 (4 tiles), 16x5 / 3x16 (2 each, 80 / 48 points), 3x5 (1)
+    assert stats.tiles == 9
+    assert stats.trivial_tiles == 0
+    assert stats.measured_decisions == 3  # the 3x16 pair and the 3x5
+    assert stats.model_decisions == 6
+    assert_error_bounded(
+        snaps[1], tc.decompress(result.blob, reference=ref), 1e-5
+    )

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.metrics import psnr, ssim_global
-from repro.compressor import CompressionConfig, SZCompressor
+from repro.compressor import CompressionConfig, ErrorBoundMode, SZCompressor
 from repro.core.accuracy import estimation_accuracy
 from repro.core.model import RatioQualityModel
 from tests.conftest import smooth_field
@@ -161,3 +161,29 @@ class TestOverheadAccounting:
     def test_lorenzo_no_overhead(self, data):
         model = RatioQualityModel(predictor="lorenzo").fit(data)
         assert model._overhead_bits == 0.0
+
+
+class TestFitStack:
+    """``fit_stack`` members answer like their own single fits, with ==."""
+
+    @pytest.mark.parametrize("predictor", PREDICTORS)
+    @pytest.mark.parametrize("mode", list(ErrorBoundMode))
+    def test_member_estimates_equal_single_fits(self, predictor, mode):
+        base = smooth_field((20, 20, 12), seed=8).astype(np.float64) + 3.0
+        stack = np.stack([base, base[::-1] * 1.5, base**2]).astype("f4")
+        parameters = dict(
+            predictor=predictor, mode=mode, sample_rate=0.05, seed=2
+        )
+        models = RatioQualityModel.fit_stack(stack, **parameters)
+        bounds = [1e-3, 1e-2]
+        for member, model in zip(stack, models):
+            single = RatioQualityModel(**parameters).fit(member)
+            for eb in bounds:
+                assert model.bitrate(eb) == single.bitrate(eb)
+                assert model.estimate(eb) == single.estimate(eb)
+            np.testing.assert_array_equal(
+                model.bitrate_curve(bounds), single.bitrate_curve(bounds)
+            )
+
+    def test_empty_stack(self):
+        assert RatioQualityModel.fit_stack(np.zeros((0, 8, 8))) == []

@@ -20,7 +20,10 @@ the invariants every case must satisfy:
   holds on *every* snapshot (keyframe or delta), full decode and
   region decode of a v6 container are byte-identical, keyframes decode
   standalone while deltas demand their reference, and the keyframe
-  cadence bounds the number of containers any version needs.
+  cadence bounds the number of containers any version needs;
+* on every path — flat, tiled, adaptive, temporal — the reconstruction
+  an encode surfaces on request is byte-for-byte the decode of what it
+  wrote, and asking for it changes no written byte.
 
 Failures re-raise with the seed and the full case description, so
 
@@ -255,15 +258,25 @@ def _assert_bound(
     )
 
 
+def _assert_surfaced(surfaced: np.ndarray | None, recon: np.ndarray) -> None:
+    """The encode's own reconstruction is exactly the decode."""
+    assert surfaced is not None, "stock stages always surface"
+    assert surfaced.dtype == recon.dtype and surfaced.shape == recon.shape
+    assert surfaced.tobytes() == recon.tobytes(), (
+        "surfaced reconstruction differs from the decode"
+    )
+
+
 def _check_tiled(case: Case, flat_recon: np.ndarray) -> None:
     """Tiled round-trip + region-decode invariants."""
     rng = np.random.default_rng(case.seed + 1)
     data, config = case.data, case.config
     tc = TiledCompressor(workers=case.workers)
-    result = tc.compress(data, config)
+    result = tc.compress(data, config, reconstruct=True)
 
     recon = tc.decompress(result.blob)
     assert recon.shape == data.shape and recon.dtype == data.dtype
+    _assert_surfaced(result.reconstruction, recon)
     if config.adaptive and result.plan is not None:
         # every tile honours its own allocated absolute bound
         for choice in result.plan.choices:
@@ -387,6 +400,7 @@ def _check_temporal(case: Case) -> None:
             reference=None if keyframe else previous,
             ref_id=None if keyframe else f"v{index - 1}",
             snapshot_index=index,
+            reconstruct=True,
         )
         if keyframe:
             # the cadence bounds chain depth: keyframes decode
@@ -397,6 +411,7 @@ def _check_temporal(case: Case) -> None:
         recon = tc.decompress(result.blob, reference=reference)
         assert recon.shape == snap.shape and recon.dtype == snap.dtype
         _assert_bound(snap, recon, config, config.error_bound)
+        _assert_surfaced(result.reconstruction, recon)
 
         full_region = tuple(slice(0, n) for n in snap.shape)
         np.testing.assert_array_equal(
@@ -454,6 +469,9 @@ def check_case(case: Case) -> None:
     recon = sz.decompress(result.blob)
     assert recon.shape == data.shape and recon.dtype == data.dtype
     _assert_bound(data, recon, flat_config, error_bound)
+    surfaced = sz.compress(data, flat_config, reconstruct=True)
+    assert surfaced.blob == result.blob
+    _assert_surfaced(surfaced.reconstruction, recon)
 
     if case.psnr_target is not None and data.size:
         from repro.analysis.metrics import psnr

@@ -74,8 +74,9 @@ class TestEndpoints:
         assert full.shape == field.shape
 
     def test_warm_read_hits_cache(self, served, field):
-        client, _ = served
+        client, store = served
         client.put("press", field, eb=EB, tile=(16, 16))
+        store.cache.clear()  # drop the tiles the put wrote through
         client.read_region("press", "0:16,0:16")
         assert client.last_read_stats["cache_misses"] == 1
         client.read_region("press", "0:16,0:16")
@@ -302,6 +303,7 @@ class TestConcurrentClients:
         cache hit counters > 0."""
         client, store = served
         client.put("press", field, eb=EB, tile=(16, 16))
+        store.cache.clear()  # drop the tiles the put wrote through
 
         regions = [
             "0:16,0:16",
@@ -347,6 +349,7 @@ class TestConcurrentClients:
     def test_concurrent_cold_misses_coalesce(self, served, field):
         client, store = served
         client.put("press", field, eb=EB, tile=(48, 48))  # one tile
+        store.cache.clear()  # drop the tile the put wrote through
 
         def worker(_):
             return ArrayClient(client.base_url).read_region(

@@ -38,6 +38,7 @@ def test_read_region_matches_across_backends(tmp_path, backend):
             data,
             CompressionConfig(error_bound=1e-2, tile_shape=(16, 16)),
         )
+        store.cache.clear()  # drop the tiles the put wrote through
         result = store.read_region(
             "field", (slice(8, 40), slice(10, 60))
         )
@@ -79,6 +80,7 @@ def test_concurrent_cold_reads_coalesce_and_agree(tmp_path):
             data,
             CompressionConfig(error_bound=1e-2, tile_shape=(16, 16)),
         )
+        store.cache.clear()  # drop the tiles the put wrote through
         region = (slice(0, 64), slice(0, 64))
         results: list = []
         errors: list = []
