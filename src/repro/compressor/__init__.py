@@ -38,11 +38,7 @@ from repro.compressor.executor import (
 from repro.compressor.plan_cache import PlannerCache
 from repro.compressor.quantizer import LinearQuantizer, QuantizedBlock
 from repro.compressor.sz import CompressionResult, SZCompressor, StageSizes
-from repro.compressor.temporal import (
-    TemporalCompressor,
-    TemporalResult,
-    TemporalStats,
-)
+from repro.compressor.temporal import TemporalCompressor, TemporalStats
 from repro.compressor.tiled import TiledCompressor, TiledResult
 
 __all__ = [
@@ -57,7 +53,6 @@ __all__ = [
     "TiledCompressor",
     "TiledResult",
     "TemporalCompressor",
-    "TemporalResult",
     "TemporalStats",
     "AdaptivePlanner",
     "AdaptivePlan",

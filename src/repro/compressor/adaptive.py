@@ -225,20 +225,11 @@ class AdaptivePlan:
     ) -> CompressionConfig:
         """The concrete per-tile config for ``choices[index]``."""
         choice = self.choices[index]
-        return replace(
-            base,
+        return base.per_tile(
             predictor=choice.predictor,
             mode=ErrorBoundMode.ABS,
             error_bound=choice.error_bound,
             quant_radius=choice.quant_radius,
-            tile_shape=None,
-            adaptive=False,
-            # per-tile configs run inside executor tasks, which must
-            # never recursively resolve another executor (or re-enter
-            # the planner through its planning hints)
-            parallel_backend=None,
-            fit_clusters=None,
-            plan_cache=None,
         )
 
     # -- cache serialization ----------------------------------------------

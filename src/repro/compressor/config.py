@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -65,8 +65,6 @@ class CompressionConfig:
         Order of the Lorenzo predictor (1 or 2).
     regression_block:
         Block edge length for the regression predictor (paper: 6).
-    interp_direction:
-        Axis ordering for the interpolation predictor sweeps.
     chunk_size:
         When set, the quantization-code stream is split into blocks of
         this many symbols, each independently Huffman + lossless coded
@@ -126,7 +124,6 @@ class CompressionConfig:
     lossless: str | None = "zstd_like"
     lorenzo_levels: int = 1
     regression_block: int = 6
-    interp_direction: tuple[int, ...] = field(default=())
     chunk_size: int | None = None
     tile_shape: tuple[int, ...] | None = None
     adaptive: bool = False
@@ -219,6 +216,26 @@ class CompressionConfig:
         # implies x' / x in [1/(1+eb), 1+eb], i.e. the point-wise relative
         # error is within eb on the upper side and eb/(1+eb) on the lower.
         return float(np.log1p(self.error_bound))
+
+    def per_tile(self, **pinned) -> "CompressionConfig":
+        """This config as the flat codec encoding one tile sees it.
+
+        Per-tile configs execute *inside* executor tasks: the tiling
+        fields are stripped AND the parallel and planning hints, or
+        every worker would recursively spin up its own executor for
+        the tile's inner (chunked) encode, or re-enter the planner.
+        *pinned* fields (a resolved bound, a tile's planned choice)
+        replace the caller's.
+        """
+        return replace(
+            self,
+            tile_shape=None,
+            adaptive=False,
+            parallel_backend=None,
+            fit_clusters=None,
+            plan_cache=None,
+            **pinned,
+        )
 
     def with_error_bound(self, error_bound: float) -> "CompressionConfig":
         """Return a copy with a different bound (used by optimizers)."""

@@ -93,6 +93,8 @@ __all__ = [
     "write_flat",
     "read_flat",
     "container_version",
+    "peek_version",
+    "read_blob",
     "is_tiled_version",
     "write_chunked_codes",
     "read_chunked_codes",
@@ -474,11 +476,6 @@ class TiledWriter:
         """Records of the tiles appended so far."""
         return list(self._tiles)
 
-    @property
-    def bytes_written(self) -> int:
-        """Container bytes written so far (before the TOC)."""
-        return self._pos - self._start
-
     def finish(self) -> int:
         """Write the trailing TOC; returns the total container size."""
         if self._finished:
@@ -565,6 +562,31 @@ class _ByteSource:
     def close(self) -> None:
         if self._owns:
             self._fh.close()
+
+
+def peek_version(source: bytes | str | os.PathLike | BinaryIO) -> int:
+    """Version byte of the RQSZ container at *source*, flat or tiled.
+
+    The one magic/version sniffer: readers dispatch on it before they
+    parse anything else.  Reads five bytes, whatever the container's
+    size; raises :class:`ContainerFormatError` when they are not an
+    RQSZ magic and version.
+    """
+    src = _ByteSource(source)
+    try:
+        probe = min(src.size(), len(MAGIC) + _VERSION_BYTES)
+        return container_version(src.read_at(0, probe))
+    finally:
+        src.close()
+
+
+def read_blob(source: bytes | str | os.PathLike | BinaryIO) -> bytes:
+    """Every byte of *source* — what the flat (v2/v3) readers parse."""
+    src = _ByteSource(source)
+    try:
+        return src.read_at(0, src.size())
+    finally:
+        src.close()
 
 
 class TiledReader:

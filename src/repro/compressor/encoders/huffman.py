@@ -377,13 +377,6 @@ class HuffmanCode:
         order = np.argsort(symbols)
         return cls._from_sorted_histogram(symbols[order], counts[order])
 
-    def expected_bits_per_symbol(self, probabilities: np.ndarray) -> float:
-        """Average code length under the given symbol probabilities."""
-        p = np.asarray(probabilities, dtype=np.float64)
-        if p.shape != self.lengths.shape:
-            raise ValueError("probability vector must match the alphabet")
-        return float(np.sum(p * self.lengths))
-
 
 @dataclass(frozen=True)
 class HuffmanEncodePlan:
@@ -520,18 +513,6 @@ class HuffmanEncoder:
         code = HuffmanCode.from_stream(stream)
         dense = self._dense_indices(code.symbols, stream)
         return int(code.lengths[dense].sum())
-
-    def encoded_container_bytes(self, stream: np.ndarray) -> int:
-        """Exact byte size of ``encode(stream)`` without packing anything.
-
-        Every serialized field has a size computable from the code
-        lengths alone, so escape decisions (store raw vs coded) can skip
-        the bit-packing entirely when coding cannot win.
-        """
-        plan = self.plan(stream)
-        if plan is None:
-            return 8  # header-length word + 32-bit zero alphabet
-        return plan.container_bytes
 
     # -- encoding ----------------------------------------------------------
 

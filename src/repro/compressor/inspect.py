@@ -37,30 +37,12 @@ def describe_container(
     ``ValueError``) for anything that is not a well-formed container,
     including checksum mismatches.
     """
-    if isinstance(source, (str, os.PathLike)):
-        # tiled containers are described from header + TOC alone, so
-        # hand the path to TiledReader's random-access reads instead
-        # of slurping a potentially huge file
-        with open(source, "rb") as fh:
-            head = fh.read(len(container.MAGIC) + 1)
-        if container.is_tiled_version(_version_of(head)):
-            return _describe_tiled(source, verify)
-        with open(source, "rb") as fh:
-            return _describe_flat(fh.read())
-    blob = (
-        bytes(source)
-        if isinstance(source, (bytes, bytearray, memoryview))
-        else source.read()
-    )
-    if container.is_tiled_version(_version_of(blob)):
-        return _describe_tiled(blob, verify)
-    return _describe_flat(blob)
-
-
-def _version_of(head: bytes) -> int:
-    if len(head) <= len(container.MAGIC):
-        raise ValueError("not an RQSZ container")
-    return container.container_version(head)
+    # tiled containers are described from header + TOC alone, so a
+    # path goes to TiledReader's random-access reads instead of
+    # slurping a potentially huge file
+    if container.is_tiled_version(container.peek_version(source)):
+        return _describe_tiled(source, verify)
+    return _describe_flat(container.read_blob(source))
 
 
 def _describe_flat(blob: bytes) -> dict:
@@ -73,7 +55,7 @@ def _describe_flat(blob: bytes) -> dict:
 
 
 def _describe_tiled(
-    source: bytes | str | os.PathLike, verify: bool = False
+    source: bytes | str | os.PathLike | BinaryIO, verify: bool = False
 ) -> dict:
     with TiledReader(source) as reader:
         header = dict(reader.header)

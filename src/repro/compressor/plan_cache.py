@@ -121,7 +121,6 @@ def planner_config_hash(config, planner) -> str:
         "lossless": config.lossless,
         "lorenzo_levels": int(config.lorenzo_levels),
         "regression_block": int(config.regression_block),
-        "interp_direction": list(config.interp_direction),
         "chunk_size": config.chunk_size,
         "fit_clusters": config.fit_clusters,
         "planner_predictors": list(planner.predictors),

@@ -257,7 +257,7 @@ class SZCompressor:
         ``workers`` overrides the constructor's parallelism for chunked
         (v3) containers.
         """
-        header, sections = self._disassemble(blob)
+        header, sections = container.read_flat(blob)
         version = header["container_version"]
         shape = tuple(header["shape"])
         dtype = np.dtype(header["dtype"])
@@ -298,20 +298,6 @@ class SZCompressor:
         """Compress then decompress; returns ``(result, reconstruction)``."""
         result = self.compress(data, config)
         return result, self.decompress(result.blob)
-
-    # -- compatibility shims ---------------------------------------------------
-
-    def _decode_chunked(
-        self, payload: bytes, config: CompressionConfig, workers: int | None
-    ) -> np.ndarray:
-        """Decode a v3 chunked codes section back to one code stream."""
-        return self._entropy.decode(
-            payload, config, chunked=True, workers=workers
-        )
-
-    @staticmethod
-    def _make_predictor(config: CompressionConfig):
-        return PredictorStage.make_predictor(config)
 
     # -- trivial containers ----------------------------------------------------
 
@@ -419,15 +405,6 @@ class SZCompressor:
             signs=len(signs_payload),
         )
         return blob, sizes
-
-    @staticmethod
-    def _disassemble(blob: bytes) -> tuple[dict, list[bytes]]:
-        """Split a flat container into its parsed header and raw sections.
-
-        The container version is reported as ``container_version`` in the
-        returned header dict.
-        """
-        return container.read_flat(blob)
 
     @staticmethod
     def _config_from_header(header: dict) -> CompressionConfig:

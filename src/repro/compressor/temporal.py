@@ -7,7 +7,10 @@ than spatial prediction alone — but not everywhere: advection fronts,
 re-meshing or chaotic regions can make the temporal residual *worse*
 than the tile's own spatial structure.
 
-:class:`TemporalCompressor` therefore works per tile:
+:class:`TemporalCompressor` is that policy and nothing else — the
+tile loop, the container writer and every decode belong to
+:class:`repro.compressor.tiled.TiledCompressor`, which it feeds one job
+per tile.  It works per tile:
 
 * the **temporal** candidate encodes ``tile_t − decoded(tile_{t−1})``
   under the snapshot's absolute bound;
@@ -29,38 +32,38 @@ frame, plus a ``tile_modes`` map in the TOC (1 = temporal residual,
 0 = spatial) and header fields ``ref_snapshot`` / ``snapshot_index`` /
 ``temporal_stats`` so tooling (``repro inspect --json``) can show how
 the stream was encoded.  Keyframes — snapshots with no reference — are
-plain v4 containers and anchor random access: a chain of deltas decodes
-by walking back to the nearest keyframe.
+plain v4 (adaptive: v5) containers and anchor random access: a chain of
+deltas decodes by walking back to the nearest keyframe.
 """
 
 from __future__ import annotations
 
-import io
 import os
-from dataclasses import dataclass, field, replace
-from typing import BinaryIO, Sequence
+from dataclasses import dataclass, replace
+from typing import BinaryIO, Iterator, Sequence
 
 import numpy as np
 
 from repro.compressor import container
+from repro.compressor.adaptive import AdaptivePlanner
 from repro.compressor.config import CompressionConfig, ErrorBoundMode
-from repro.compressor.container import TiledReader, TiledWriter, TileRecord
+from repro.compressor.executor import resolve_executor
+from repro.compressor.plan_cache import PlannerCache
 from repro.compressor.sz import SZCompressor
-from repro.compressor.tiled import TiledCompressor, TiledResult
-from repro.compressor.tiled_geometry import (
-    copy_overlap,
-    intersect_extent,
-    iter_tiles,
-    normalize_region,
+from repro.compressor.tiled import (
+    TiledCompressor,
+    TiledResult,
+    TileJob,
+    combine,
 )
+from repro.compressor.tiled_geometry import extent_slices, iter_tiles
 from repro.core.model import RatioQualityModel
 from repro.core.sampling import iter_tile_batches
 from repro.utils.stats import value_range
-from repro.utils.timer import StageTimes, Timer
+from repro.utils.timer import StageTimes
 
 __all__ = [
     "TemporalCompressor",
-    "TemporalResult",
     "TemporalStats",
 ]
 
@@ -112,50 +115,18 @@ class TemporalStats:
         }
 
 
-@dataclass
-class TemporalResult:
-    """Outcome of one snapshot compression (keyframe or delta)."""
-
-    n_points: int
-    original_bytes: int
-    compressed_bytes: int
-    tile_shape: tuple[int, ...]
-    tiles: list[TileRecord]
-    keyframe: bool
-    blob: bytes | None = None
-    times: StageTimes = field(default_factory=StageTimes)
-    #: id of the reference snapshot (``None`` for keyframes)
-    ref_snapshot: str | None = None
-    #: choice counters (``None`` for keyframes)
-    stats: TemporalStats | None = None
-    #: the decoded snapshot — what ``decompress(blob, reference)``
-    #: returns — when ``compress_snapshot`` was asked to surface it and
-    #: every tile's codec could; ``None`` otherwise
-    reconstruction: np.ndarray | None = None
-
-    @property
-    def n_tiles(self) -> int:
-        return len(self.tiles)
-
-    @property
-    def ratio(self) -> float:
-        return self.original_bytes / self.compressed_bytes
-
-    @property
-    def bit_rate(self) -> float:
-        if self.n_points == 0:
-            return 0.0
-        return 8.0 * self.compressed_bytes / self.n_points
-
-
 class TemporalCompressor:
-    """Snapshot-stream front-end: temporal deltas over the tiled codec.
+    """Snapshot-stream front-end: the temporal/spatial policy.
 
-    ``workers`` / ``backend`` configure the tiled compressor used for
-    keyframes and for full spatial fallbacks; per-tile delta encoding
-    itself is sequential.  The temporal/spatial choice costs less than
-    the encodes it steers: tiles are grouped by shape and every group
-    is sampled once for both candidates of all its tiles
+    Encoding, framing and every decode belong to the tiled compressor
+    this one drives (:attr:`tiled`, built from ``workers`` /
+    ``backend`` / ``codec`` and the ``planner`` / ``plan_cache`` that
+    adaptive keyframes plan with); what lives here is what is temporal:
+    the snapshot's absolute bound, the per-tile choice between residual
+    and samples, and its counters.  Delta tiles encode on the calling
+    thread.  The temporal/spatial choice costs less than the encodes it
+    steers: tiles are grouped by shape and every group is sampled once
+    for both candidates of all its tiles
     (:meth:`RatioQualityModel.fit_stack`), then each tile's two rates
     are read off that pass.  ``sample_rate`` / ``seed`` parameterize
     those fits; note that :data:`repro.core.sampling.MIN_SAMPLES`
@@ -170,10 +141,17 @@ class TemporalCompressor:
         backend: str | None = None,
         sample_rate: float = 0.05,
         seed: int | None = 0,
+        planner: AdaptivePlanner | None = None,
+        plan_cache: PlannerCache | str | os.PathLike | None = None,
     ) -> None:
-        self._codec = codec or SZCompressor()
-        self._tiled = TiledCompressor(
-            workers=workers, codec=codec, backend=backend
+        #: the tiled compressor keyframes are written by, deltas are
+        #: framed by and everything is decoded by
+        self.tiled = TiledCompressor(
+            workers=workers,
+            codec=codec,
+            planner=planner,
+            backend=backend,
+            plan_cache=plan_cache,
         )
         self._sample_rate = float(sample_rate)
         self._seed = seed
@@ -189,16 +167,18 @@ class TemporalCompressor:
         snapshot_index: int = 0,
         out: str | os.PathLike | BinaryIO | None = None,
         reconstruct: bool = False,
-    ) -> TemporalResult:
+    ) -> TiledResult:
         """Compress one snapshot of a stream.
 
         With ``reference=None`` the snapshot is a **keyframe**: it
         delegates to the tiled compressor (v4 container) and decodes
-        standalone.  With a reference — the *decoded* previous snapshot
-        — each tile encodes either the temporal residual against the
-        reference or its own samples, whichever the rate-quality model
-        prices cheaper at the bound, and the result is a v6 container
-        whose header records ``ref_id`` / ``snapshot_index``.
+        standalone.  With a reference — the *decoded* previous
+        snapshot — each tile encodes either the temporal residual
+        against the reference or its own samples, whichever the
+        rate-quality model prices cheaper at the bound, and the result
+        is a v6 container whose header records ``ref_id`` /
+        ``snapshot_index`` (``result.keyframe`` is false and
+        ``result.stats`` counts the choices).
 
         ``config.mode`` must be ``ABS`` or ``REL`` (enforced by
         :class:`CompressionConfig` when ``temporal=True``); ``REL``
@@ -216,203 +196,104 @@ class TemporalCompressor:
             raise ValueError(
                 "temporal delta mode supports ABS and REL bounds only"
             )
-        spatial_config = replace(config, temporal=False)
-        if reference is None:
-            return self._keyframe(data, spatial_config, out, reconstruct)
-        reference = np.asarray(reference)
-        if reference.shape != data.shape:
-            raise ValueError(
-                f"reference shape {reference.shape} does not match "
-                f"snapshot shape {data.shape}"
+        config = replace(config, temporal=False)
+        abs_eb = 0.0
+        if reference is not None:
+            reference = np.asarray(reference)
+            if reference.shape != data.shape:
+                raise ValueError(
+                    f"reference shape {reference.shape} does not match "
+                    f"snapshot shape {data.shape}"
+                )
+            abs_eb = (
+                float(config.error_bound)
+                if config.mode is ErrorBoundMode.ABS
+                else float(config.error_bound) * value_range(data)
             )
-        abs_eb = (
-            float(config.error_bound)
-            if config.mode is ErrorBoundMode.ABS
-            else float(config.error_bound) * value_range(data)
-        )
         if data.size == 0 or abs_eb <= 0:
-            # empty or constant-range REL snapshots are stored exactly
-            # by the spatial path; a delta buys nothing
-            return self._keyframe(data, spatial_config, out, reconstruct)
-        return self._delta(
+            # no reference; or an empty or constant-range REL snapshot,
+            # which the spatial path stores exactly: a delta buys nothing
+            return self.tiled.compress(
+                data, config, out=out, reconstruct=reconstruct
+            )
+
+        tile_shape = self.tiled._resolve_tile_shape(data.shape, config)
+        extents = list(iter_tiles(data.shape, tile_shape))
+        stats = TemporalStats(tiles=len(extents))
+
+        def header_extra(temporal_flags: list[bool]) -> dict:
+            stats.temporal_tiles = sum(temporal_flags)
+            stats.spatial_tiles = stats.tiles - stats.temporal_tiles
+            return {
+                "temporal": True,
+                "ref_snapshot": ref_id,
+                "snapshot_index": int(snapshot_index),
+                "abs_eb": abs_eb,
+                "temporal_stats": stats.to_json(),
+            }
+
+        delta = self.tiled._encode_tiles(
             data,
-            spatial_config,
-            reference,
-            abs_eb,
-            ref_id,
-            snapshot_index,
+            config,
+            tile_shape,
+            self._delta_jobs(data, reference, extents, config, abs_eb, stats),
+            container.VERSION_TEMPORAL,
+            header_extra,
             out,
             reconstruct,
+            resolve_executor("serial", 1),
+            StageTimes(),
         )
+        return replace(delta, keyframe=False, ref_snapshot=ref_id, stats=stats)
 
-    def _keyframe(
+    def _delta_jobs(
         self,
         data: np.ndarray,
-        config: CompressionConfig,
-        out: str | os.PathLike | BinaryIO | None,
-        reconstruct: bool,
-    ) -> TemporalResult:
-        result: TiledResult = self._tiled.compress(
-            data, config, out=out, reconstruct=reconstruct
-        )
-        return TemporalResult(
-            n_points=result.n_points,
-            original_bytes=result.original_bytes,
-            compressed_bytes=result.compressed_bytes,
-            tile_shape=result.tile_shape,
-            tiles=result.tiles,
-            keyframe=True,
-            blob=result.blob,
-            times=result.times,
-            reconstruction=result.reconstruction,
-        )
-
-    def _delta(
-        self,
-        data: np.ndarray,
-        config: CompressionConfig,
         reference: np.ndarray,
+        extents: list,
+        config: CompressionConfig,
         abs_eb: float,
-        ref_id: str | None,
-        snapshot_index: int,
-        out: str | os.PathLike | BinaryIO | None,
-        reconstruct: bool,
-    ) -> TemporalResult:
-        tile_shape = TiledCompressor._resolve_tile_shape(
-            data.shape, config
-        )
-        times = StageTimes()
-        # per-tile configs run the flat codec directly: strip the tiled
-        # fields and pin the resolved absolute bound
-        tile_cfg = replace(
-            config,
-            tile_shape=None,
-            adaptive=False,
-            parallel_backend=None,
-            fit_clusters=None,
-            plan_cache=None,
-            mode=ErrorBoundMode.ABS,
-            error_bound=abs_eb,
-        )
+        stats: TemporalStats,
+    ) -> Iterator[TileJob]:
+        """One encode job per tile: the candidates the choice left open.
+
+        Jobs come a shape group at a time, not in TOC order (the encode
+        loop restores it); the residual candidate, where there is one,
+        comes first, so it keeps a measured tie.
+        """
+        # per-tile configs run the flat codec directly, under the
+        # resolved absolute bound
+        tile_cfg = config.per_tile(mode=ErrorBoundMode.ABS, error_bound=abs_eb)
         # residuals are structureless noise around zero; the Lorenzo
         # predictor is the cheap robust choice for them regardless of
         # which spatial predictor the stream is configured with
         residual_cfg = replace(tile_cfg, predictor="lorenzo")
-
-        extents = list(iter_tiles(data.shape, tile_shape))
-        stats = TemporalStats(tiles=len(extents))
-        # per tile: (payload, decoded tile or None, is_temporal)
-        encoded: list[tuple[bytes, np.ndarray | None, bool]] = [
-            None
-        ] * len(extents)
-
-        def encode(array, cfg, ref_tile=None):
-            result = self._codec.compress(array, cfg, reconstruct=reconstruct)
-            tile = result.reconstruction
-            if tile is not None and ref_tile is not None:
-                tile = self.combine(tile, ref_tile)
-            return result.blob, tile, ref_tile is not None
-
-        with Timer() as t:
-            if np.issubdtype(data.dtype, np.floating):
-                # same-shaped tiles share one model pass (edge tiles of
-                # a non-divisible grid form their own groups)
-                for (indices, tiles), (_, refs) in zip(
-                    iter_tile_batches(data, extents, _MODEL_BATCH_POINTS),
-                    iter_tile_batches(
-                        reference, extents, _MODEL_BATCH_POINTS
-                    ),
-                ):
-                    # float residuals round at worst by an ULP, absorbed
-                    # by the decoder-side slack every float codec carries
-                    residuals = (tiles - refs).astype(data.dtype)
-                    tiles = tiles.astype(data.dtype)
-                    verdicts = self._choose(
-                        tiles, residuals, tile_cfg, abs_eb, stats
-                    )
-                    for k, index in enumerate(indices):
-                        candidates = []
-                        if verdicts[k] is not False:
-                            candidates.append(
-                                encode(residuals[k], residual_cfg, refs[k])
-                            )
-                        if verdicts[k] is not True:
-                            candidates.append(encode(tiles[k], tile_cfg))
-                        # a measured decision keeps the smaller payload
-                        # (the temporal one on a tie)
-                        encoded[index] = min(
-                            candidates, key=lambda c: len(c[0])
-                        )
-            else:
-                # integer residuals can overflow the dtype, so those
-                # tiles decline the temporal candidate: spatial
-                # encoding is always safe
-                for index, (start, stop) in enumerate(extents):
-                    slc = tuple(slice(a, b) for a, b in zip(start, stop))
-                    encoded[index] = encode(
-                        np.ascontiguousarray(data[slc]), tile_cfg
-                    )
-        stats.temporal_tiles = sum(temporal for _, _, temporal in encoded)
-        stats.spatial_tiles = stats.tiles - stats.temporal_tiles
-        times.add("encode_tiles", t.elapsed)
-
-        header = {
-            "shape": list(data.shape),
-            "dtype": data.dtype.str,
-            "tile_shape": list(tile_shape),
-            "predictor": config.predictor,
-            "mode": config.mode.value,
-            "error_bound": config.error_bound,
-            "lossless": config.lossless,
-            "chunk_size": config.chunk_size,
-            "quant_radius": config.quant_radius,
-            "temporal": True,
-            "ref_snapshot": ref_id,
-            "snapshot_index": int(snapshot_index),
-            "abs_eb": abs_eb,
-            "temporal_stats": stats.to_json(),
-        }
-
-        sink, close_sink = TiledCompressor._open_sink(out)
-        try:
-            writer = TiledWriter(
-                sink, header, version=container.VERSION_TEMPORAL
-            )
-            with Timer() as t:
-                for (start, stop), (payload, _, temporal) in zip(
-                    extents, encoded
-                ):
-                    writer.add_tile(
-                        start, stop, payload, temporal=temporal
-                    )
-            times.add("io", t.elapsed)
-            total = writer.finish()
-        finally:
-            if close_sink:
-                sink.close()
-
-        reconstruction = None
-        if reconstruct and all(tile is not None for _, tile, _ in encoded):
-            reconstruction = np.empty(data.shape, dtype=data.dtype)
-            for (start, stop), (_, tile, _) in zip(extents, encoded):
-                reconstruction[
-                    tuple(slice(a, b) for a, b in zip(start, stop))
-                ] = tile
-
-        blob = sink.getvalue() if isinstance(sink, io.BytesIO) else None
-        return TemporalResult(
-            n_points=int(data.size),
-            original_bytes=int(data.nbytes),
-            compressed_bytes=total,
-            tile_shape=tile_shape,
-            tiles=writer.tiles,
-            keyframe=False,
-            blob=blob,
-            times=times,
-            ref_snapshot=ref_id,
-            stats=stats,
-            reconstruction=reconstruction,
-        )
+        if not np.issubdtype(data.dtype, np.floating):
+            # integer residuals can overflow the dtype, so those tiles
+            # decline the temporal candidate: spatial encoding is
+            # always safe
+            for index, (start, stop) in enumerate(extents):
+                samples = data[extent_slices(start, stop)]
+                yield TileJob(index, start, stop, [(samples, tile_cfg, None)])
+            return
+        # same-shaped tiles share one model pass (edge tiles of a
+        # non-divisible grid form their own groups)
+        for (indices, tiles), (_, refs) in zip(
+            iter_tile_batches(data, extents, _MODEL_BATCH_POINTS),
+            iter_tile_batches(reference, extents, _MODEL_BATCH_POINTS),
+        ):
+            # float residuals round at worst by an ULP, absorbed by the
+            # decoder-side slack every float codec carries
+            residuals = (tiles - refs).astype(data.dtype)
+            tiles = tiles.astype(data.dtype)
+            verdicts = self._choose(tiles, residuals, tile_cfg, abs_eb, stats)
+            for k, index in enumerate(indices):
+                candidates = []
+                if verdicts[k] is not False:
+                    candidates.append((residuals[k], residual_cfg, refs[k]))
+                if verdicts[k] is not True:
+                    candidates.append((tiles[k], tile_cfg, None))
+                yield TileJob(index, *extents[index], candidates)
 
     def _choose(
         self,
@@ -521,12 +402,9 @@ class TemporalCompressor:
         delta snapshots require ``reference`` — the *decoded* snapshot
         the container's ``ref_snapshot`` header names.
         """
-        if not self._is_temporal(source):
-            return self._tiled.decompress(source, workers=workers)
-        with TiledReader(source) as reader:
-            shape = tuple(reader.header["shape"])
-            region = tuple(slice(0, n) for n in shape)
-            return self._decode_tiles(reader, region, reference)
+        return self.tiled.decompress(
+            source, workers=workers, reference=reference
+        )
 
     def decompress_region(
         self,
@@ -540,84 +418,10 @@ class TemporalCompressor:
         For v6 delta snapshots ``reference`` must cover the full
         snapshot shape (only the region's tiles of it are read).
         """
-        if not self._is_temporal(source):
-            return self._tiled.decompress_region(
-                source, region, workers=workers
-            )
-        with TiledReader(source) as reader:
-            shape = tuple(reader.header["shape"])
-            return self._decode_tiles(
-                reader, normalize_region(region, shape), reference
-            )
-
-    @staticmethod
-    def combine(
-        residual: np.ndarray, ref_tile: np.ndarray
-    ) -> np.ndarray:
-        """Reconstruct a tile from its decoded residual + reference tile.
-
-        Pure elementwise float64 addition cast back to the tile dtype —
-        deterministic across executor backends, so chain decodes stay
-        byte-identical however the payloads were decoded.
-        """
-        return (
-            residual.astype(np.float64) + ref_tile.astype(np.float64)
-        ).astype(residual.dtype)
-
-    def _decode_tiles(
-        self,
-        reader: TiledReader,
-        region: tuple[slice, ...],
-        reference: np.ndarray | None,
-    ) -> np.ndarray:
-        dtype = np.dtype(reader.header["dtype"])
-        shape = tuple(reader.header["shape"])
-        needs_ref = any(record.temporal for record in reader.tiles)
-        if needs_ref and reference is None:
-            raise ValueError(
-                "temporal (v6) snapshot needs its decoded reference "
-                f"snapshot {reader.header.get('ref_snapshot')!r}"
-            )
-        if reference is not None and tuple(reference.shape) != shape:
-            raise ValueError(
-                f"reference shape {tuple(reference.shape)} does not "
-                f"match snapshot shape {shape}"
-            )
-        out_shape = tuple(r.stop - r.start for r in region)
-        out = np.zeros(out_shape, dtype=dtype)
-        for record in reader.tiles:
-            overlap = intersect_extent(record.start, record.stop, region)
-            if overlap is None:
-                continue
-            tile = self._codec.decompress(reader.read_tile(record))
-            if record.temporal:
-                slc = tuple(
-                    slice(a, b)
-                    for a, b in zip(record.start, record.stop)
-                )
-                tile = self.combine(
-                    tile, np.ascontiguousarray(reference[slc])
-                )
-            copy_overlap(out, region, tile, record.start, overlap)
-        return out
-
-    @staticmethod
-    def _is_temporal(
-        source: bytes | str | os.PathLike | BinaryIO,
-    ) -> bool:
-        """True when *source* is a v6 container (cheap header sniff)."""
-        probe = len(container.MAGIC) + 1
-        if isinstance(source, (bytes, bytearray, memoryview)):
-            head = bytes(source[:probe])
-        elif isinstance(source, (str, os.PathLike)):
-            with open(source, "rb") as fh:
-                head = fh.read(probe)
-        else:
-            pos = source.tell()
-            head = source.read(probe)
-            source.seek(pos)
-        return (
-            len(head) == probe
-            and head[: len(container.MAGIC)] == container.MAGIC
-            and head[len(container.MAGIC)] == container.VERSION_TEMPORAL
+        return self.tiled.decompress_region(
+            source, region, workers=workers, reference=reference
         )
+
+    #: a tile from its decoded residual + reference tile, as every
+    #: reader reconstructs it
+    combine = staticmethod(combine)

@@ -22,6 +22,14 @@ AdaptivePlanner`), encodes every tile under its own selected
 records each tile's parameters; see :mod:`repro.compressor.adaptive`
 for the planning pipeline and its bound semantics.
 
+This module is the only one that knows how a tiled container's tiles
+are encoded, written, decoded and assembled.  Every writer — uniform,
+adaptive, and the temporal (v6) policy of
+:mod:`repro.compressor.temporal` — hands :class:`TileJob` s to one loop
+(:meth:`TiledCompressor._encode_tiles`); every reader — this class,
+the serving store, the chunked storage layer — turns a tile payload
+into samples through :func:`decode_tile`.
+
 Error-bound semantics of the uniform path match the flat pipeline
 exactly:
 
@@ -35,10 +43,12 @@ exactly:
 from __future__ import annotations
 
 import io
+import itertools
+import math
 import os
 import threading
 from dataclasses import dataclass, field, replace
-from typing import BinaryIO, Iterable, Iterator, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -46,7 +56,12 @@ from repro.compressor import container
 from repro.compressor.adaptive import AdaptivePlan, AdaptivePlanner
 from repro.compressor.plan_cache import PlannerCache
 from repro.compressor.config import CompressionConfig, ErrorBoundMode
-from repro.compressor.container import TiledReader, TiledWriter, TileRecord
+from repro.compressor.container import (
+    ContainerFormatError,
+    TiledReader,
+    TiledWriter,
+    TileRecord,
+)
 from repro.compressor.executor import (
     CodecExecutor,
     carve_buffer,
@@ -57,7 +72,9 @@ from repro.compressor.stages import gil_capped_encode_executor
 from repro.compressor.sz import SZCompressor
 from repro.compressor.tiled_geometry import (
     copy_overlap,
+    extent_slices,
     intersect_extent,
+    intersecting_tiles,
     iter_tiles,
     normalize_region,
     tile_grid,
@@ -67,6 +84,10 @@ from repro.utils.timer import StageTimes, Timer
 __all__ = [
     "TiledCompressor",
     "TiledResult",
+    "TileJob",
+    "decode_tile",
+    "decode_tile_task",
+    "combine",
     "iter_tiles",
     "tile_grid",
     "normalize_region",
@@ -79,7 +100,7 @@ __all__ = [
 
 @dataclass
 class TiledResult:
-    """Outcome of one tiled compression run."""
+    """Outcome of one tiled compression run (array or chain snapshot)."""
 
     n_points: int
     original_bytes: int
@@ -91,9 +112,17 @@ class TiledResult:
     #: the per-tile assignment, for adaptive (v5) runs only
     plan: AdaptivePlan | None = None
     #: the decoded array — what ``decompress`` returns for the
-    #: container — when ``compress`` was asked to surface it and every
+    #: container — when the compress was asked to surface it and every
     #: tile's codec could; ``None`` otherwise
     reconstruction: np.ndarray | None = None
+    #: ``False`` for a temporal delta snapshot (v6), which decodes only
+    #: against its reference; ``True`` for everything standalone
+    keyframe: bool = True
+    #: id of the reference snapshot (deltas only)
+    ref_snapshot: str | None = None
+    #: the temporal/spatial choice counters (deltas only), a
+    #: :class:`repro.compressor.temporal.TemporalStats`
+    stats: object | None = None
 
     @property
     def n_tiles(self) -> int:
@@ -111,6 +140,64 @@ class TiledResult:
         if self.n_points == 0:
             return 0.0
         return 8.0 * self.compressed_bytes / self.n_points
+
+
+# -- the per-tile contract -----------------------------------------------------
+
+
+class TileJob(NamedTuple):
+    """One tile of the encode loop: where it goes, what may fill it."""
+
+    #: position in ``iter_tiles`` order, the order the TOC keeps
+    index: int
+    start: tuple[int, ...]
+    stop: tuple[int, ...]
+    #: candidate encodings ``(samples, per-tile config, reference tile)``
+    #: — a reference tile marks *samples* as the residual against it.
+    #: The smallest payload is kept, the first on a tie
+    candidates: list[tuple[np.ndarray, CompressionConfig, np.ndarray | None]]
+    #: the tile's TOC ``config`` record (adaptive containers)
+    toc_config: dict | None = None
+
+
+def combine(residual: np.ndarray, ref_tile: np.ndarray) -> np.ndarray:
+    """Reconstruct a tile from its decoded residual + reference tile.
+
+    Pure elementwise float64 addition cast back to the tile dtype —
+    deterministic across executor backends, so chain decodes stay
+    byte-identical however the payloads were decoded.
+    """
+    return (
+        residual.astype(np.float64) + ref_tile.astype(np.float64)
+    ).astype(residual.dtype)
+
+
+def decode_tile(
+    payload: bytes,
+    shape: Sequence[int],
+    dtype: np.dtype,
+    codec: SZCompressor | None = None,
+    ref_tile: np.ndarray | None = None,
+) -> np.ndarray:
+    """The tile a TOC record of *shape* and *dtype* names, from *payload*.
+
+    The one way a tile payload becomes samples, for every reader: the
+    flat *codec* (default: this process's stock one) decodes it, the
+    result must be exactly what the record describes — a payload that
+    decodes to anything else raises :class:`ContainerFormatError`
+    instead of being cropped or broadcast into place, which no payload
+    checksum can catch — and a temporal tile (*ref_tile* given) is the
+    decoded residual combined with its reference tile.
+    """
+    codec = codec if codec is not None else worker_state().codec
+    tile = codec.decompress(payload)
+    if tuple(tile.shape) != tuple(shape) or tile.dtype != dtype:
+        raise ContainerFormatError(
+            f"corrupt tiled container: tile decodes to {tile.dtype} "
+            f"{tuple(tile.shape)}, TOC records {np.dtype(dtype)} "
+            f"{tuple(shape)}"
+        )
+    return tile if ref_tile is None else combine(tile, ref_tile)
 
 
 # -- the tiled compressor ------------------------------------------------------
@@ -244,7 +331,6 @@ class TiledCompressor:
         times = StageTimes()
 
         plan: AdaptivePlan | None = None
-        per_tile: list[tuple[CompressionConfig, dict]] | None = None
         version = container.VERSION_TILED
         if config.adaptive and data.size > 0:
             cache = self._plan_cache
@@ -263,20 +349,9 @@ class TiledCompressor:
                 )
             times.add("plan", t.elapsed)
         if plan is not None:
-            # per-tile configs travel into executor tasks: strip the
-            # tiling fields AND the parallel hint, or every worker
-            # would recursively spin up its own executor for the
-            # tile's inner (chunked) encode
-            base = replace(
-                config,
-                tile_shape=None,
-                adaptive=False,
-                parallel_backend=None,
-                fit_clusters=None,
-                plan_cache=None,
-            )
+            # each tile's own config plus its TOC record
             per_tile = [
-                (plan.config_for(base, i), choice.to_json())
+                (plan.config_for(config, i), choice.to_json())
                 for i, choice in enumerate(plan.choices)
             ]
             header_extra = {
@@ -297,164 +372,204 @@ class TiledCompressor:
                 # on the runtime PlanStats object)
                 header_extra["planner_stats"] = plan.stats.to_json()
             version = container.VERSION_ADAPTIVE
-            tile_config = base
         else:
             with Timer() as t:
                 tile_config, header_extra = self._resolve_tile_config(
                     data, config, tile_shape
                 )
             times.add("scan", t.elapsed)
+            per_tile = itertools.repeat((tile_config, None))
 
-        header = {
-            "shape": list(data.shape),
-            "dtype": data.dtype.str,
-            "tile_shape": list(tile_shape),
-            "predictor": config.predictor,
-            "mode": config.mode.value,
-            "error_bound": config.error_bound,
-            "lossless": config.lossless,
-            "chunk_size": config.chunk_size,
-            "quant_radius": config.quant_radius,
-            **header_extra,
-        }
-
+        jobs = (
+            TileJob(
+                index,
+                start,
+                stop,
+                [(data[extent_slices(start, stop)], own_config, None)],
+                toc_config,
+            )
+            for index, ((start, stop), (own_config, toc_config)) in enumerate(
+                zip(iter_tiles(data.shape, tile_shape), per_tile)
+            )
+        )
         executor = gil_capped_encode_executor(
             self._executor_for(config),
             getattr(self._codec, "entropy_releases_gil", False),
         )
+        encoded = self._encode_tiles(
+            data,
+            config,
+            tile_shape,
+            jobs,
+            version,
+            header_extra,
+            out,
+            reconstruct,
+            executor,
+            times,
+        )
+        return replace(encoded, plan=plan)
+
+    def _encode_tiles(
+        self,
+        data: np.ndarray,
+        config: CompressionConfig,
+        tile_shape: tuple[int, ...],
+        jobs: Iterable[TileJob],
+        version: int,
+        header_extra: dict | Callable[[list[bool]], dict],
+        out: str | os.PathLike | BinaryIO | None,
+        reconstruct: bool,
+        executor: CodecExecutor,
+        times: StageTimes,
+    ) -> TiledResult:
+        """The one tile loop: encode *jobs*, write the *version* container.
+
+        Every tiled container — uniform, adaptive, temporal — is framed
+        here: the header is *config*'s global settings plus
+        *header_extra*, each job becomes one TOC tile (``temporal``
+        where the kept candidate was a residual), and with
+        *reconstruct* the decoded array is assembled from what the
+        encodes surfaced.  Tiles stream to the sink as they are
+        encoded, so peak memory stays at one batch — unless
+        *header_extra* is a callable: a header that records how the
+        encodes turned out (it is given every tile's temporal flag, in
+        TOC order) cannot be written before the last of them.
+        """
         reconstruction = (
             np.empty(data.shape, dtype=data.dtype) if reconstruct else None
         )
-        sink, close_sink = self._open_sink(out)
-        try:
-            writer = TiledWriter(sink, header, version=version)
-            with Timer() as t:
-                surfaced = self._encode_tiles(
-                    data,
-                    tile_config,
-                    tile_shape,
-                    writer,
-                    times,
-                    per_tile,
-                    executor,
-                    reconstruction,
+        surfaced = True
+        with Timer() as t:
+            encoded = self._encode_jobs(
+                jobs, data.dtype, executor, reconstruction
+            )
+            if callable(header_extra):
+                encoded = list(encoded)
+                header_extra = header_extra(
+                    [temporal for _, _, temporal, _ in encoded]
                 )
-            times.add("encode_tiles", t.elapsed)
-            total = writer.finish()
-        finally:
+            header = {
+                "shape": list(data.shape),
+                "dtype": data.dtype.str,
+                "tile_shape": list(tile_shape),
+                "predictor": config.predictor,
+                "mode": config.mode.value,
+                "error_bound": config.error_bound,
+                "lossless": config.lossless,
+                "chunk_size": config.chunk_size,
+                "quant_radius": config.quant_radius,
+                **header_extra,
+            }
+            close_sink = isinstance(out, (str, os.PathLike))
             if close_sink:
-                sink.close()
+                sink = open(out, "wb")
+            else:
+                sink = io.BytesIO() if out is None else out
+            try:
+                writer = TiledWriter(sink, header, version=version)
+                for job, payload, temporal, tile_surfaced in encoded:
+                    surfaced = surfaced and tile_surfaced
+                    with Timer() as io_timer:
+                        writer.add_tile(
+                            job.start,
+                            job.stop,
+                            payload,
+                            config=job.toc_config,
+                            temporal=temporal,
+                        )
+                    times.add("io", io_timer.elapsed)
+                total = writer.finish()
+            finally:
+                if close_sink:
+                    sink.close()
+        times.add("encode_tiles", t.elapsed)
 
-        blob = sink.getvalue() if isinstance(sink, io.BytesIO) else None
         return TiledResult(
             n_points=int(data.size),
             original_bytes=int(data.nbytes),
             compressed_bytes=total,
             tile_shape=tile_shape,
             tiles=writer.tiles,
-            blob=blob,
+            blob=sink.getvalue() if isinstance(sink, io.BytesIO) else None,
             times=times,
-            plan=plan,
             reconstruction=reconstruction if surfaced else None,
         )
 
-    def _encode_tiles(
+    def _encode_jobs(
         self,
-        data: np.ndarray,
-        tile_config: CompressionConfig,
-        tile_shape: tuple[int, ...],
-        writer: TiledWriter,
-        times: StageTimes,
-        per_tile: list[tuple[CompressionConfig, dict]] | None = None,
-        executor: CodecExecutor | None = None,
-        reconstruction: np.ndarray | None = None,
-    ) -> bool:
-        """Encode tiles batch-by-batch; at most ``workers`` tiles live.
+        jobs: Iterable[TileJob],
+        dtype: np.dtype,
+        executor: CodecExecutor,
+        reconstruction: np.ndarray | None,
+    ) -> Iterator[tuple[TileJob, bytes, bool, bool]]:
+        """Encode *jobs* batch-by-batch; at most ``workers`` jobs live.
 
-        ``per_tile`` (adaptive runs) supplies each tile's own config
-        plus the TOC ``config`` dict, in ``iter_tiles`` order.  Each
-        batch is staged into one executor input buffer (a shared-memory
-        arena under the process backend, which workers view without
-        copying), so peak memory stays at one batch of raw tiles plus
-        their compressed payloads.
+        Yields ``(job, payload, temporal, surfaced)`` in TOC order,
+        whatever order the jobs arrive in.  Each batch is staged into
+        one executor input buffer (a shared-memory arena under the
+        process backend, which workers view without copying), every
+        candidate in a slot of its own, so peak memory stays at one
+        batch of raw tiles plus their compressed payloads.
 
         A *reconstruction* array is filled with the decoded tiles, each
         task writing its own into an output buffer laid out like the
-        input arena; returns whether every tile was surfaced.
+        input arena (a residual meets its reference tile here, through
+        the :func:`combine` the readers use); ``surfaced`` says whether
+        the tile's codec had one to write.
         """
-        executor = executor or resolve_executor(None, self._workers)
-        itemsize = data.dtype.itemsize
         ship_codec = self._codec if self._custom_codec else None
-        surfaced = reconstruction is not None
-        for batch in _batched(
-            enumerate(iter_tiles(data.shape, tile_shape)),
-            max(executor.workers, 1),
-        ):
+        # encoded tiles whose predecessors in TOC order are still to come
+        waiting: dict[int, tuple[TileJob, bytes, bool, bool]] = {}
+        emitted = 0
+        for batch in _batched(jobs, max(executor.workers, 1)):
+            slots = [slot for job in batch for slot in job.candidates]
             sizes = [
-                itemsize * int(np.prod([b - a for a, b in zip(start, stop)]))
-                for _, (start, stop) in batch
+                dtype.itemsize * math.prod(samples.shape)
+                for samples, _, _ in slots
             ]
             arena, offsets = carve_buffer(executor, sizes)
             decoded = (
                 carve_buffer(executor, sizes, kind="output")[0]
-                if surfaced
+                if reconstruction is not None
                 else None
             )
             try:
                 items = []
-                views = []
-                for (index, (start, stop)), offset in zip(batch, offsets):
-                    shape = tuple(b - a for a, b in zip(start, stop))
-                    nbytes = int(np.prod(shape)) * itemsize
-                    slc = tuple(
-                        slice(a, b) for a, b in zip(start, stop)
-                    )
-                    view = (
-                        arena.array[offset : offset + nbytes]
-                        .view(data.dtype)
-                        .reshape(shape)
-                    )
-                    view[...] = data[slc]
-                    views.append((slc, slice(offset, offset + nbytes), shape))
-                    cfg = (
-                        per_tile[index][0]
-                        if per_tile is not None
-                        else tile_config
-                    )
+                for (samples, cfg, _), offset in zip(slots, offsets):
+                    _slot(arena.array, offset, samples.shape, dtype)[...] = samples
                     items.append(
-                        (offset, shape, data.dtype.str, cfg, ship_codec)
+                        (offset, samples.shape, dtype.str, cfg, ship_codec)
                     )
                 results = executor.run_batch(
                     _compress_tile_task, items, input=arena, output=decoded
                 )
-                surfaced = surfaced and all(done for _, done in results)
-                if surfaced:
-                    for slc, extent, shape in views:
-                        reconstruction[slc] = (
-                            decoded.array[extent]
-                            .view(data.dtype)
-                            .reshape(shape)
+                first = 0
+                for job in batch:
+                    # a job's candidates sit side by side; min keeps the
+                    # first of equally small payloads
+                    own = range(first, first + len(job.candidates))
+                    first = own.stop
+                    slot = min(own, key=lambda slot: len(results[slot][0]))
+                    payload, surfaced = results[slot]
+                    samples, _, ref_tile = slots[slot]
+                    if surfaced:
+                        tile = _slot(
+                            decoded.array, offsets[slot], samples.shape, dtype
                         )
+                        reconstruction[extent_slices(job.start, job.stop)] = (
+                            tile if ref_tile is None else combine(tile, ref_tile)
+                        )
+                    waiting[job.index] = (
+                        job, payload, ref_tile is not None, surfaced
+                    )
             finally:
                 arena.release()
                 if decoded is not None:
                     decoded.release()
-            with Timer() as t:
-                for (index, (start, stop)), (payload, _) in zip(
-                    batch, results
-                ):
-                    writer.add_tile(
-                        start,
-                        stop,
-                        payload,
-                        config=(
-                            per_tile[index][1]
-                            if per_tile is not None
-                            else None
-                        ),
-                    )
-            times.add("io", t.elapsed)
-        return surfaced
+            while emitted in waiting:
+                yield waiting.pop(emitted)
+                emitted += 1
 
     @staticmethod
     def _resolve_tile_shape(
@@ -476,27 +591,15 @@ class TiledCompressor:
         config: CompressionConfig,
         tile_shape: tuple[int, ...],
     ) -> tuple[CompressionConfig, dict]:
-        """Per-tile config with data-independent bound, plus header extras.
-
-        The parallel hint is stripped along with the tiling fields:
-        per-tile configs execute *inside* executor tasks, which must
-        never recursively resolve another executor.
-        """
-        base = replace(
-            config,
-            tile_shape=None,
-            adaptive=False,
-            parallel_backend=None,
-            fit_clusters=None,
-            plan_cache=None,
-        )
+        """Per-tile config with data-independent bound, plus header extras."""
+        base = config.per_tile()
         if config.mode is not ErrorBoundMode.REL or data.size == 0:
             return base, {}
         # REL: one streaming pass over the tiles resolves the global
         # value range without materializing the array.
         lo, hi = np.inf, -np.inf
         for start, stop in iter_tiles(data.shape, tile_shape):
-            tile = data[tuple(slice(a, b) for a, b in zip(start, stop))]
+            tile = data[extent_slices(start, stop)]
             lo = min(lo, float(np.min(tile)))
             hi = max(hi, float(np.max(tile)))
         abs_eb = config.error_bound * (hi - lo)
@@ -509,58 +612,65 @@ class TiledCompressor:
             {"value_range": [lo, hi]},
         )
 
-    @staticmethod
-    def _open_sink(
-        out: str | os.PathLike | BinaryIO | None,
-    ) -> tuple[BinaryIO, bool]:
-        if out is None:
-            return io.BytesIO(), False
-        if isinstance(out, (str, os.PathLike)):
-            return open(out, "wb"), True
-        return out, False
-
     # -- decompression ---------------------------------------------------------
 
     def decompress(
         self,
         source: bytes | str | os.PathLike | BinaryIO,
         workers: int | None = None,
+        reference: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Decode a full array from a v4 container (or flat v2/v3 blob)."""
-        flat = self._as_flat_blob(source)
-        if flat is not None:
-            return self._codec.decompress(flat, workers=workers)
-        with TiledReader(source) as reader:
-            self._reject_temporal(reader)
-            shape = tuple(reader.header["shape"])
-            region = tuple(slice(0, n) for n in shape)
-            return self._decode_tiles(reader, region, workers)
+        """Decode a full array from any RQSZ container (v2–v6).
+
+        A v6 delta snapshot needs ``reference`` — the *decoded*
+        snapshot its ``ref_snapshot`` header names; everything else
+        decodes standalone and ignores it.
+        """
+        return self._decode(source, None, workers, reference)
 
     def decompress_region(
         self,
         source: bytes | str | os.PathLike | BinaryIO,
         region: Sequence[slice | int] | slice | int,
         workers: int | None = None,
+        reference: np.ndarray | None = None,
     ) -> np.ndarray:
         """Decode only the hyperslab *region*.
 
         Only the tiles intersecting the region are read from the source
         and decoded (see ``last_tiles_decoded``).  The result has the
         region's shape; an empty intersection yields an empty array.
-        Flat v2/v3 blobs are supported via a full decode + slice.
+        Flat v2/v3 blobs are supported via a full decode + slice.  For
+        a v6 delta snapshot ``reference`` must cover the full snapshot
+        shape (only the region's tiles of it are read).
         """
-        flat = self._as_flat_blob(source)
-        if flat is not None:
-            data = self._codec.decompress(flat, workers=workers)
+        return self._decode(source, region, workers, reference)
+
+    def _decode(
+        self,
+        source: bytes | str | os.PathLike | BinaryIO,
+        region: Sequence[slice | int] | slice | int | None,
+        workers: int | None,
+        reference: np.ndarray | None,
+    ) -> np.ndarray:
+        """*region* (``None``: everything) of the container at *source*."""
+        if not container.is_tiled_version(container.peek_version(source)):
+            data = self._codec.decompress(
+                container.read_blob(source), workers=workers
+            )
+            if region is None:
+                return data
             self._count_decoded(1)
             return np.ascontiguousarray(
                 data[normalize_region(region, data.shape)]
             )
         with TiledReader(source) as reader:
-            self._reject_temporal(reader)
             shape = tuple(reader.header["shape"])
             return self._decode_tiles(
-                reader, normalize_region(region, shape), workers
+                reader,
+                normalize_region(() if region is None else region, shape),
+                workers,
+                reference,
             )
 
     def _decode_tiles(
@@ -568,6 +678,7 @@ class TiledCompressor:
         reader: TiledReader,
         region: tuple[slice, ...],
         workers: int | None,
+        reference: np.ndarray | None,
     ) -> np.ndarray:
         """Decode the tiles intersecting *region* on the executor.
 
@@ -576,109 +687,76 @@ class TiledCompressor:
         into a preallocated output buffer — a shared-memory region
         under the process backend, so decoded samples are never
         pickled — and the parent assembles the hyperslab from the
-        buffer views.
+        buffer views.  Temporal tiles travel with the matching tile of
+        *reference*.
         """
         dtype = np.dtype(reader.header["dtype"])
-        out_shape = tuple(r.stop - r.start for r in region)
-        out = np.zeros(out_shape, dtype=dtype)
-        hits = [
-            (record, overlap)
-            for record in reader.tiles
-            for overlap in [
-                intersect_extent(record.start, record.stop, region)
-            ]
-            if overlap is not None
-        ]
+        shape = tuple(reader.header["shape"])
+        if any(record.temporal for record in reader.tiles):
+            if reference is None:
+                raise ValueError(
+                    "temporal (v6) snapshot needs its decoded reference "
+                    f"snapshot {reader.header.get('ref_snapshot')!r}: "
+                    "pass reference=, as TemporalCompressor.decompress "
+                    "documents"
+                )
+            if tuple(reference.shape) != shape:
+                raise ValueError(
+                    f"reference shape {tuple(reference.shape)} does not "
+                    f"match snapshot shape {shape}"
+                )
+
+        def ref_tile(record: TileRecord) -> np.ndarray | None:
+            if not record.temporal:
+                return None
+            return np.ascontiguousarray(
+                reference[extent_slices(record.start, record.stop)]
+            )
+
+        out = np.zeros(tuple(r.stop - r.start for r in region), dtype=dtype)
+        hits = intersecting_tiles(reader.tiles, region)
         executor = self._executor_for(None, workers)
 
         if executor.workers <= 1 or len(hits) <= 1:
             for record, overlap in hits:
-                tile = self._codec.decompress(reader.read_tile(record))
-                copy_overlap(out, region, tile, record.start, overlap)
-            self._count_decoded(len(hits))
-            return out
-
-        ship_codec = self._codec if self._custom_codec else None
-        buffer, offsets = carve_buffer(
-            executor,
-            [
-                int(np.prod(record.shape)) * dtype.itemsize
-                for record, _ in hits
-            ],
-            kind="output",
-        )
-        try:
-            items = [
-                (
+                tile = decode_tile(
                     reader.read_tile(record),
-                    offset,
                     record.shape,
-                    dtype.str,
-                    ship_codec,
-                )
-                for (record, _), offset in zip(hits, offsets)
-            ]
-            executor.run_batch(_decode_tile_task, items, output=buffer)
-            for (record, overlap), offset in zip(hits, offsets):
-                nbytes = int(np.prod(record.shape)) * dtype.itemsize
-                tile = (
-                    buffer.array[offset : offset + nbytes]
-                    .view(dtype)
-                    .reshape(record.shape)
+                    dtype,
+                    self._codec,
+                    ref_tile(record),
                 )
                 copy_overlap(out, region, tile, record.start, overlap)
-        finally:
-            buffer.release()
-
+        else:
+            ship_codec = self._codec if self._custom_codec else None
+            buffer, offsets = carve_buffer(
+                executor,
+                [
+                    math.prod(record.shape) * dtype.itemsize
+                    for record, _ in hits
+                ],
+                kind="output",
+            )
+            try:
+                items = [
+                    (
+                        reader.read_tile(record),
+                        offset,
+                        record.shape,
+                        dtype.str,
+                        ship_codec,
+                        ref_tile(record),
+                    )
+                    for (record, _), offset in zip(hits, offsets)
+                ]
+                executor.run_batch(decode_tile_task, items, output=buffer)
+                for (record, overlap), offset in zip(hits, offsets):
+                    tile = _slot(buffer.array, offset, record.shape, dtype)
+                    copy_overlap(out, region, tile, record.start, overlap)
+            finally:
+                buffer.release()
         self._count_decoded(len(hits))
         return out
-
-    @staticmethod
-    def _reject_temporal(reader: TiledReader) -> None:
-        """Refuse v6 snapshots whose tiles need a decoded reference."""
-        if reader.version == container.VERSION_TEMPORAL and any(
-            record.temporal for record in reader.tiles
-        ):
-            raise ValueError(
-                "temporal (v6) snapshot needs its decoded reference "
-                "snapshot; use TemporalCompressor.decompress(source, "
-                "reference=...)"
-            )
-
-    @staticmethod
-    def _as_flat_blob(
-        source: bytes | str | os.PathLike | BinaryIO,
-    ) -> bytes | None:
-        """Return the full blob when *source* is a flat v2/v3 container."""
-        if isinstance(source, (bytes, bytearray, memoryview)):
-            blob = bytes(source)
-            if not container.is_tiled_version(
-                container.container_version(blob)
-            ):
-                return blob
-            return None
-        if isinstance(source, (str, os.PathLike)):
-            with open(source, "rb") as fh:
-                head = fh.read(len(container.MAGIC) + 1)
-                if (
-                    len(head) > len(container.MAGIC)
-                    and head[: len(container.MAGIC)] == container.MAGIC
-                    and not container.is_tiled_version(
-                        head[len(container.MAGIC)]
-                    )
-                ):
-                    return head + fh.read()
-            return None
-        pos = source.tell()
-        head = source.read(len(container.MAGIC) + 1)
-        source.seek(pos)
-        if (
-            len(head) > len(container.MAGIC)
-            and head[: len(container.MAGIC)] == container.MAGIC
-            and not container.is_tiled_version(head[len(container.MAGIC)])
-        ):
-            return source.read()
-        return None
 
 
 def _compress_tile_task(item, inp, out):
@@ -692,42 +770,44 @@ def _compress_tile_task(item, inp, out):
     the caller's codec object on the serial/thread backends, where no
     pickling happens.  Returns ``(blob, surfaced)``: given an output
     region, the tile's reconstruction is written at the same offset of
-    it (where :func:`_decode_tile_task` would put the decode), and
+    it (where :func:`decode_tile_task` would put the decode), and
     ``surfaced`` says whether the codec had one to write.
     """
     offset, shape, dtype_str, config, codec = item
     dtype = np.dtype(dtype_str)
-    nbytes = int(np.prod(shape)) * dtype.itemsize
-    tile = inp[offset : offset + nbytes].view(dtype).reshape(shape)
     codec = codec if codec is not None else worker_state().codec
-    result = codec.compress(tile, config, reconstruct=out is not None)
+    result = codec.compress(
+        _slot(inp, offset, shape, dtype), config, reconstruct=out is not None
+    )
     surfaced = result.reconstruction is not None
     if surfaced:
-        view = out[offset : offset + nbytes].view(dtype).reshape(shape)
-        view[...] = result.reconstruction
+        _slot(out, offset, shape, dtype)[...] = result.reconstruction
     return result.blob, surfaced
 
 
-def _decode_tile_task(item, inp, out):
-    """Executor task: decode one tile into the shared output buffer.
+def decode_tile_task(item, inp, out):
+    """Executor task: :func:`decode_tile` into the shared output buffer.
 
-    ``item`` is ``(blob, offset, shape, dtype_str, codec)``; the
-    decoded samples are written at ``offset`` of the preallocated
-    output region, so nothing array-sized is pickled back.
+    ``item`` is ``(payload, offset, shape, dtype_str, codec,
+    ref_tile)``, the last two ``None`` for the worker's stock codec and
+    a spatial tile; the decoded samples are written at ``offset`` of
+    the preallocated output region, so nothing array-sized is pickled
+    back.
     """
-    blob, offset, shape, dtype_str, codec = item
-    codec = codec if codec is not None else worker_state().codec
-    tile = codec.decompress(blob)
-    if tuple(tile.shape) != tuple(shape):
-        raise ValueError(
-            f"corrupt tiled container: tile decodes to shape "
-            f"{tuple(tile.shape)}, TOC records {tuple(shape)}"
-        )
+    payload, offset, shape, dtype_str, codec, ref_tile = item
     dtype = np.dtype(dtype_str)
-    nbytes = int(np.prod(shape)) * dtype.itemsize
-    view = out[offset : offset + nbytes].view(dtype).reshape(shape)
-    view[...] = tile
+    _slot(out, offset, shape, dtype)[...] = decode_tile(
+        payload, shape, dtype, codec, ref_tile
+    )
     return None
+
+
+def _slot(
+    buffer: np.ndarray, offset: int, shape: Sequence[int], dtype: np.dtype
+) -> np.ndarray:
+    """The *shape* array of *dtype* that starts *offset* bytes into *buffer*."""
+    nbytes = math.prod(shape) * dtype.itemsize
+    return buffer[offset : offset + nbytes].view(dtype).reshape(shape)
 
 
 def _batched(iterable: Iterable, size: int) -> Iterator[list]:

@@ -17,6 +17,8 @@ __all__ = [
     "iter_tiles",
     "normalize_region",
     "intersect_extent",
+    "intersecting_tiles",
+    "extent_slices",
     "copy_overlap",
     "parse_region_text",
     "format_region",
@@ -55,6 +57,13 @@ def iter_tiles(
                 for i, t, n in zip(idx, tile_shape, shape)
             ),
         )
+
+
+def extent_slices(
+    start: Sequence[int], stop: Sequence[int]
+) -> tuple[slice, ...]:
+    """The index expression selecting the extent ``start``..``stop``."""
+    return tuple(slice(a, b) for a, b in zip(start, stop))
 
 
 def normalize_region(
@@ -219,3 +228,19 @@ def intersect_extent(
             return None
         overlap.append(slice(lo, hi))
     return tuple(overlap)
+
+
+def intersecting_tiles(records, region: Sequence[slice]) -> list[tuple]:
+    """``(record, overlap)`` for every tile record that meets *region*.
+
+    *records* carry ``start``/``stop`` extents (a container's TOC
+    records) and keep their order; ``overlap`` is what
+    :func:`intersect_extent` returns for the record.  What every
+    region-assembling reader decodes, and nothing else.
+    """
+    return [
+        (record, overlap)
+        for record in records
+        for overlap in [intersect_extent(record.start, record.stop, region)]
+        if overlap is not None
+    ]

@@ -23,6 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro.compressor import (
+    AdaptivePlanner,
     CompressionConfig,
     ErrorBoundMode,
     SZCompressor,
@@ -103,28 +104,24 @@ class CodecFactory:
         ``parallel_backend``/``workers`` pick the execution backend
         tiles (and the planner's per-tile fits) fan out on.
         """
-        from repro.compressor.adaptive import AdaptivePlanner
-
-        return TiledCompressor(
-            workers=self.workers,
-            backend=self.parallel_backend,
-            planner=AdaptivePlanner(
-                sample_rate=self.sample_rate, seed=self.seed
-            ),
-            plan_cache=self.plan_cache,
-        )
+        return self.temporal_compressor().tiled
 
     def temporal_compressor(self) -> TemporalCompressor:
         """The snapshot-stream delta compressor (v6 container).
 
         The factory's sampling settings drive the per-tile
-        temporal-vs-spatial rate-model comparison.
+        temporal-vs-spatial rate-model comparison, and the planner and
+        plan cache of the tiled compressor its keyframes go through.
         """
         return TemporalCompressor(
             workers=self.workers,
             backend=self.parallel_backend,
             sample_rate=self.sample_rate,
             seed=self.seed,
+            planner=AdaptivePlanner(
+                sample_rate=self.sample_rate, seed=self.seed
+            ),
+            plan_cache=self.plan_cache,
         )
 
     def array_store(self, root, cache=None) -> "ArrayStore":

@@ -59,17 +59,17 @@ import numpy as np
 
 from repro.compressor import (
     CompressionConfig,
-    SZCompressor,
     TemporalCompressor,
-    TiledCompressor,
+    TiledResult,
 )
 from repro.compressor.container import TiledReader, TileRecord
 from repro.compressor.executor import resolve_executor
 from repro.compressor.inspect import describe_container
-from repro.compressor.tiled import _decode_tile_task
+from repro.compressor.tiled import decode_tile, decode_tile_task
 from repro.compressor.tiled_geometry import (
     copy_overlap,
-    intersect_extent,
+    extent_slices,
+    intersecting_tiles,
     normalize_region,
 )
 from repro.service.cache import TileLRUCache
@@ -157,8 +157,9 @@ class ArrayStore:
         (``None``/1 keeps reads sequential, the historical behavior).
     factory:
         Optional :class:`repro.factory.CodecFactory` supplying the
-        tiled compressor, so adaptive puts sample at the same
-        rate/seed as the rest of the caller's pipeline.
+        compressor of every put, so adaptive keyframes — of any
+        version — sample at the same rate/seed, and share the plan
+        cache, of the rest of the caller's pipeline.
     parallel_backend:
         Execution backend for the codec hot paths (``"serial"``,
         ``"thread"``, ``"process"``).  With the process backend,
@@ -200,7 +201,6 @@ class ArrayStore:
         # have not drifted.  A factory carries its own plan_cache
         # setting; this parameter covers the factory-less default path.
         self._plan_cache = plan_cache
-        self._codec = SZCompressor()
         self._fanout_lock = threading.Lock()
         self._fanout: "ThreadPoolExecutor | None" = None
         self._lock = threading.RLock()
@@ -232,9 +232,6 @@ class ArrayStore:
 
     def _intent_path(self) -> str:
         return os.path.join(self.root, INTENT_NAME)
-
-    def _container_path(self, name: str) -> str:
-        return os.path.join(self.root, f"{name}.rqsz")
 
     def _crash(self, point: str) -> None:
         """Pass a named crash point (no-op without a fault injector)."""
@@ -336,92 +333,207 @@ class ArrayStore:
         instead of raising — so a client whose first attempt committed
         but whose response was lost can safely retry.
         """
-        return self._create(
-            name, data, config, overwrite, put_token, self._keyframe_interval
+        entry, _, flags = self._put(
+            name, data, config, put_token, None, overwrite=overwrite
         )
+        return dict(entry, name=name, **flags)
 
-    def _create(
+    def put_snapshot(
         self,
         name: str,
         data: np.ndarray,
         config: CompressionConfig,
-        overwrite: bool,
-        put_token: str | None,
-        keyframe_interval: int,
+        keyframe_interval: int | None = None,
+        put_token: str | None = None,
     ) -> dict:
-        """:meth:`create`, recording the chain's *keyframe_interval*."""
+        """Append one snapshot version to dataset *name*'s chain.
+
+        A missing dataset is created (version 0, always a keyframe).
+        Every ``keyframe_interval``-th version is a standalone
+        keyframe; the versions in between are temporal deltas encoded
+        against the *decoded* previous version (fetched through the
+        tile cache), with the per-tile temporal/spatial choice driven
+        by the rate-quality model.  Appends never rewrite or invalidate
+        existing versions, so concurrent reads of the chain — at any
+        version — race-freely overlap a put.
+
+        The chain's shape, dtype and tile grid are fixed by version 0;
+        mismatching snapshots are rejected.  Returns the snapshot's
+        manifest record (plus ``name`` and ``version``).
+
+        ``put_token`` makes appends retry-safe: when the chain's
+        latest snapshot already carries the same token, this append
+        was a retry of an operation that committed but whose response
+        was lost — the recorded snapshot is returned (marked
+        ``duplicate``) instead of appending the payload twice.
+        """
+        _, record, flags = self._put(
+            name, data, config, put_token, keyframe_interval, append=True
+        )
+        return dict(record, name=name, **flags)
+
+    def _put(
+        self,
+        name: str,
+        data: np.ndarray,
+        config: CompressionConfig,
+        put_token: str | None,
+        keyframe_interval: int | None,
+        append: bool = False,
+        overwrite: bool = False,
+    ) -> tuple[dict, dict, dict]:
+        """The one write path: version *data* into dataset *name*.
+
+        *append* extends an existing chain (and starts a missing one);
+        without it the put starts a dataset, replacing one only with
+        *overwrite*.  Resolves the version, tile grid and keyframe
+        cadence under the lock, encodes outside it, re-checks under the
+        lock and commits.  Returns the dataset entry, the snapshot
+        record and the flags (``duplicate``) to report with them.
+        """
         self._check_name(name)
         data = np.asarray(data)
         with self._lock:
-            if name in self._manifest["datasets"] and not overwrite:
-                duplicate = self._duplicate_create(name, put_token)
-                if duplicate is not None:
-                    return duplicate
-                raise ValueError(
-                    f"dataset {name!r} already exists "
-                    "(pass overwrite to replace)"
-                )
-        # compress outside the lock so concurrent region reads of other
-        # datasets are never stalled behind a long encode
-        path = self._container_path(name)
+            chain = self._manifest["datasets"].get(name)
+            if chain is not None and not overwrite:
+                if self._holds_put(chain, put_token, append):
+                    record = self._snapshots(chain)[-1]
+                    return chain, record, {"duplicate": True}
+                if not append:
+                    raise ValueError(
+                        f"dataset {name!r} already exists "
+                        "(pass overwrite to replace)"
+                    )
+                if list(data.shape) != list(chain["shape"]):
+                    raise ValueError(
+                        f"snapshot shape {tuple(data.shape)} does not "
+                        f"match chain shape {tuple(chain['shape'])}"
+                    )
+                if data.dtype.str != chain["dtype"]:
+                    raise ValueError(
+                        f"snapshot dtype {data.dtype.str!r} does not "
+                        f"match chain dtype {chain['dtype']!r}"
+                    )
+            if chain is None or not append:
+                chain, version = {}, 0
+            else:
+                version = int(chain.get("latest_version", 0)) + 1
+            interval = int(
+                keyframe_interval
+                or chain.get("keyframe_interval", self._keyframe_interval)
+            )
+            if interval < 1:
+                raise ValueError("keyframe_interval must be at least 1")
+            # the chain's tile grid is fixed at version 0 so every
+            # version's tiles line up for reference reuse
+            tile_shape = chain.get("tile_shape", config.tile_shape)
+        keyframe = version % interval == 0
+        snapshot_config = replace(
+            config,
+            temporal=not keyframe,
+            tile_shape=tile_shape,
+            # deltas encode per tile under a resolved absolute bound;
+            # adaptive planning only applies to keyframes
+            adaptive=config.adaptive and keyframe,
+        )
+        # encode outside the lock, so concurrent reads — of this chain
+        # at any version, and of other datasets — are never stalled
+        # behind a long encode
+        path = os.path.join(self.root, self._snapshot_file(name, version))
         tmp = f"{path}.tmp-{threading.get_ident()}"
         compressor = (
-            self._factory.tiled_compressor()
+            self._factory.temporal_compressor()
             if self._factory is not None
-            else TiledCompressor(
+            else TemporalCompressor(
                 workers=self._workers,
                 backend=self._backend,
                 plan_cache=self._plan_cache,
             )
         )
+        # surface the decoded tiles for the cache — unless the snapshot
+        # is larger than the whole cache: seeding it would only flush
+        # what readers are using
+        seed_cache = data.nbytes <= self.cache.stats().byte_budget
         try:
-            # the dataset name keys the cross-snapshot plan cache:
-            # overwriting puts of the same name reuse the prior plan
-            result = compressor.compress(
-                data,
-                config,
-                out=tmp,
-                dataset=name,
-                reconstruct=self._write_through(data),
-            )
+            if keyframe:
+                # a plain tiled container, planned (when adaptive) under
+                # the dataset name that keys the cross-snapshot plan
+                # cache: keyframes of every version, and overwriting
+                # puts, reuse the prior plan
+                result = compressor.tiled.compress(
+                    data,
+                    snapshot_config,
+                    out=tmp,
+                    dataset=name,
+                    reconstruct=seed_cache,
+                )
+            else:
+                result = compressor.compress_snapshot(
+                    data,
+                    snapshot_config,
+                    # the decoded previous version, through the shared
+                    # tile cache
+                    reference=self.read_full(name, version=version - 1),
+                    ref_id=f"{name}@v{version - 1}",
+                    snapshot_index=version,
+                    out=tmp,
+                    reconstruct=seed_cache,
+                )
         except BaseException:
             if os.path.exists(tmp):
                 os.remove(tmp)
             raise
         with self._lock:
-            if name in self._manifest["datasets"]:
-                if not overwrite:
-                    os.remove(tmp)
-                    duplicate = self._duplicate_create(name, put_token)
-                    if duplicate is not None:
-                        return duplicate
+            entry = self._manifest["datasets"].get(name)
+            latest = (
+                -1 if entry is None else int(entry.get("latest_version", 0))
+            )
+            if latest != version - 1 and not overwrite:
+                os.remove(tmp)
+                if self._holds_put(entry, put_token, append):
+                    record = self._snapshots(entry)[-1]
+                    return entry, record, {"duplicate": True}
+                if version == 0:
                     raise ValueError(
                         f"dataset {name!r} already exists "
                         "(pass overwrite to replace)"
                     )
-                self.delete(name)
-            entry = {
-                "file": os.path.basename(path),
-                "shape": [int(n) for n in data.shape],
-                "dtype": data.dtype.str,
-                "tile_shape": [int(t) for t in result.tile_shape],
-                "n_tiles": result.n_tiles,
-                "raw_bytes": int(result.original_bytes),
-                "compressed_bytes": int(result.compressed_bytes),
-                "ratio": round(result.ratio, 6),
-                "config": {
-                    "predictor": config.predictor,
-                    "mode": config.mode.value,
-                    "error_bound": config.error_bound,
-                    "lossless": config.lossless,
-                    "adaptive": bool(config.adaptive),
-                },
-                "put_token": put_token,
-            }
-            self._commit(
-                name, 0, tmp, path, result, put_token, keyframe_interval, entry
+                raise ValueError(
+                    f"concurrent append to dataset {name!r} "
+                    f"(expected latest version {version - 1})"
+                )
+            if version == 0:
+                if entry is not None:
+                    self.delete(name)
+                entry = {
+                    "file": os.path.basename(path),
+                    "shape": [int(n) for n in data.shape],
+                    "dtype": data.dtype.str,
+                    "tile_shape": [int(t) for t in result.tile_shape],
+                    "n_tiles": result.n_tiles,
+                    "raw_bytes": int(result.original_bytes),
+                    "compressed_bytes": int(result.compressed_bytes),
+                    "ratio": round(result.ratio, 6),
+                    "config": {
+                        "predictor": config.predictor,
+                        "mode": config.mode.value,
+                        "error_bound": config.error_bound,
+                        "lossless": config.lossless,
+                        "adaptive": bool(config.adaptive),
+                    },
+                    "put_token": put_token,
+                }
+            record = self._commit(
+                name,
+                version,
+                tmp,
+                path,
+                result,
+                put_token,
+                interval,
+                entry if version == 0 else None,
             )
-            return dict(entry, name=name)
+            return entry, record, {}
 
     def _commit(
         self,
@@ -429,7 +541,7 @@ class ArrayStore:
         version: int,
         tmp: str,
         path: str,
-        result,
+        result: TiledResult,
         put_token: str | None,
         keyframe_interval: int,
         new_entry: dict | None = None,
@@ -459,14 +571,13 @@ class ArrayStore:
             }
         )
         self._commit_version_file(tmp, path)
-        stats = getattr(result, "stats", None)
-        keyframe = bool(getattr(result, "keyframe", True))
+        stats = result.stats
         record = {
             "version": version,
             "file": os.path.basename(path),
             "put_token": put_token,
-            "keyframe": keyframe,
-            "ref_version": None if keyframe else version - 1,
+            "keyframe": result.keyframe,
+            "ref_version": None if result.keyframe else version - 1,
             "raw_bytes": int(result.original_bytes),
             "compressed_bytes": int(result.compressed_bytes),
             "temporal_tiles": stats.temporal_tiles if stats is not None else 0,
@@ -495,9 +606,7 @@ class ArrayStore:
         if result.reconstruction is not None:
             generation = int(entry.get("generation", 0))
             for tile in result.tiles:
-                extent = tuple(
-                    slice(a, b) for a, b in zip(tile.start, tile.stop)
-                )
+                extent = extent_slices(tile.start, tile.stop)
                 # a copy, not a view: an entry must own exactly the
                 # bytes the cache accounts for, not pin the snapshot
                 self.cache.put(
@@ -506,24 +615,19 @@ class ArrayStore:
                 )
         return record
 
-    def _write_through(self, data: np.ndarray) -> bool:
-        """Whether a put of *data* should surface its decoded tiles.
+    @staticmethod
+    def _holds_put(
+        entry: dict | None, put_token: str | None, append: bool
+    ) -> bool:
+        """Whether *entry* already holds the put that *put_token* names.
 
-        Not when the snapshot is larger than the whole cache: seeding
-        it would only flush what readers are using.
+        An append is a retry when the chain's latest snapshot carries
+        the token, a create when the dataset was created with it.
         """
-        return data.nbytes <= self.cache.stats().byte_budget
-
-    def _duplicate_create(
-        self, name: str, put_token: str | None
-    ) -> dict | None:
-        """Existing entry iff it was created with the same put token."""
-        if put_token is None:
-            return None
-        entry = self._manifest["datasets"][name]
-        if entry.get("put_token") != put_token:
-            return None
-        return dict(entry, name=name, duplicate=True)
+        if entry is None or put_token is None:
+            return False
+        held = ArrayStore._snapshots(entry)[-1] if append else entry
+        return held.get("put_token") == put_token
 
     def _bump_generation(self, name: str) -> int:
         """Next generation for *name*; survives deletes (caller locks).
@@ -576,152 +680,6 @@ class ArrayStore:
             if snap.get("keyframe", True):
                 break
         return depth
-
-    def put_snapshot(
-        self,
-        name: str,
-        data: np.ndarray,
-        config: CompressionConfig,
-        keyframe_interval: int | None = None,
-        put_token: str | None = None,
-    ) -> dict:
-        """Append one snapshot version to dataset *name*'s chain.
-
-        A missing dataset is created (version 0, always a keyframe).
-        Every ``keyframe_interval``-th version is a standalone
-        keyframe; the versions in between are temporal deltas encoded
-        against the *decoded* previous version (fetched through the
-        tile cache), with the per-tile temporal/spatial choice driven
-        by the rate-quality model.  Appends never rewrite or invalidate
-        existing versions, so concurrent reads of the chain — at any
-        version — race-freely overlap a put.
-
-        The chain's shape, dtype and tile grid are fixed by version 0;
-        mismatching snapshots are rejected.  Returns the snapshot's
-        manifest record (plus ``name`` and ``version``).
-
-        ``put_token`` makes appends retry-safe: when the chain's
-        latest snapshot already carries the same token, this append
-        was a retry of an operation that committed but whose response
-        was lost — the recorded snapshot is returned (marked
-        ``duplicate``) instead of appending the payload twice.
-        """
-        self._check_name(name)
-        data = np.asarray(data)
-        with self._lock:
-            exists = name in self._manifest["datasets"]
-            if not exists:
-                interval = int(
-                    keyframe_interval or self._keyframe_interval
-                )
-                if interval < 1:
-                    raise ValueError(
-                        "keyframe_interval must be at least 1"
-                    )
-            else:
-                entry = self._entry(name)
-                duplicate = self._duplicate_snapshot(entry, put_token)
-                if duplicate is not None:
-                    return dict(duplicate, name=name)
-                interval = int(
-                    keyframe_interval
-                    or entry.get(
-                        "keyframe_interval", self._keyframe_interval
-                    )
-                )
-                if list(data.shape) != list(entry["shape"]):
-                    raise ValueError(
-                        f"snapshot shape {tuple(data.shape)} does not "
-                        f"match chain shape {tuple(entry['shape'])}"
-                    )
-                if data.dtype.str != entry["dtype"]:
-                    raise ValueError(
-                        f"snapshot dtype {data.dtype.str!r} does not "
-                        f"match chain dtype {entry['dtype']!r}"
-                    )
-                version = int(entry.get("latest_version", 0)) + 1
-                # the chain's tile grid is fixed at version 0 so every
-                # version's tiles line up for reference reuse
-                tile_shape = tuple(
-                    int(t) for t in entry["tile_shape"]
-                )
-        if not exists:
-            entry = self._create(
-                name,
-                data,
-                replace(config, temporal=False),
-                False,
-                put_token,
-                interval,
-            )
-            return dict(self._snapshots(entry)[0], name=name, version=0)
-
-        keyframe = version % interval == 0
-        snapshot_config = replace(
-            config,
-            temporal=not keyframe,
-            tile_shape=tile_shape,
-            # deltas encode per tile under a resolved absolute bound;
-            # adaptive planning only applies to keyframes
-            adaptive=config.adaptive and keyframe,
-        )
-        # encode outside the lock (reads stay live); the reference is
-        # the decoded previous version, through the shared tile cache
-        path = os.path.join(
-            self.root, self._snapshot_file(name, version)
-        )
-        tmp = f"{path}.tmp-{threading.get_ident()}"
-        compressor = (
-            self._factory.temporal_compressor()
-            if self._factory is not None
-            else TemporalCompressor(
-                workers=self._workers, backend=self._backend
-            )
-        )
-        reference = None
-        if not keyframe:
-            reference = self.read_full(name, version=version - 1)
-        try:
-            result = compressor.compress_snapshot(
-                data,
-                snapshot_config,
-                reference=reference,
-                ref_id=f"{name}@v{version - 1}" if not keyframe else None,
-                snapshot_index=version,
-                out=tmp,
-                reconstruct=self._write_through(data),
-            )
-        except BaseException:
-            if os.path.exists(tmp):
-                os.remove(tmp)
-            raise
-        with self._lock:
-            entry = self._entry(name)
-            if int(entry.get("latest_version", 0)) != version - 1:
-                os.remove(tmp)
-                duplicate = self._duplicate_snapshot(entry, put_token)
-                if duplicate is not None:
-                    return dict(duplicate, name=name)
-                raise ValueError(
-                    f"concurrent append to dataset {name!r} "
-                    f"(expected latest version {version - 1})"
-                )
-            record = self._commit(
-                name, version, tmp, path, result, put_token, interval
-            )
-            return dict(record, name=name)
-
-    @staticmethod
-    def _duplicate_snapshot(
-        entry: dict, put_token: str | None
-    ) -> dict | None:
-        """Latest snapshot record iff it carries the same put token."""
-        if put_token is None:
-            return None
-        latest = ArrayStore._snapshots(entry)[-1]
-        if latest.get("put_token") != put_token:
-            return None
-        return dict(latest, duplicate=True)
 
     def versions(self, name: str) -> list[dict]:
         """Chain topology of dataset *name*, oldest first."""
@@ -876,13 +834,13 @@ class ArrayStore:
         setup is microseconds against a multi-millisecond decode.
         """
         if executor.name != "process":
-            return self._codec.decompress(blob)
+            return decode_tile(blob, shape, dtype)
         nbytes = int(np.prod(shape)) * dtype.itemsize
         buffer = executor.output_buffer(nbytes)
         try:
             executor.run_batch(
-                _decode_tile_task,
-                [(blob, 0, tuple(shape), dtype.str, None)],
+                decode_tile_task,
+                [(blob, 0, tuple(shape), dtype.str, None, None)],
                 output=buffer,
             )
             return buffer.array.view(dtype).reshape(shape).copy()
@@ -1025,14 +983,7 @@ class ArrayStore:
                 name, generation, resolved, rec, executor, dtype
             )
 
-        needed = [
-            (record, overlap)
-            for record in reader.tiles
-            for overlap in [
-                intersect_extent(record.start, record.stop, slices)
-            ]
-            if overlap is not None
-        ]
+        needed = intersecting_tiles(reader.tiles, slices)
         if executor.workers > 1 and len(needed) > 1:
             pool = self._fanout_pool(executor.workers)
             fetched = list(
@@ -1093,11 +1044,7 @@ class ArrayStore:
         self, name: str, version: int | None = None
     ) -> np.ndarray:
         """Decode a whole snapshot (through the tile cache)."""
-        reader, _, resolved, _ = self._reader(name, version)
-        shape = tuple(reader.header["shape"])
-        return self.read_region(
-            name, tuple(slice(0, n) for n in shape), version=resolved
-        ).data
+        return self.read_region(name, (), version=version).data
 
     def flush(self) -> None:
         """Durably rewrite the manifest (graceful-shutdown hook)."""

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -35,12 +35,14 @@ import numpy as np
 from repro.compressor import CompressionConfig, SZCompressor
 from repro.compressor.adaptive import AdaptivePlan, AdaptivePlanner
 from repro.compressor.plan_cache import PlannerCache
-from repro.compressor.tiled import (
+from repro.compressor.tiled import decode_tile
+from repro.compressor.tiled_geometry import (
+    copy_overlap,
+    extent_slices,
     intersect_extent,
     iter_tiles,
     normalize_region,
 )
-from repro.compressor.tiled_geometry import copy_overlap
 
 __all__ = ["H5LikeFile", "DatasetInfo"]
 
@@ -172,7 +174,6 @@ class H5LikeFile:
             raise ValueError("invalid chunk shape")
 
         plan: AdaptivePlan | None = None
-        base = config
         if config is not None and config.adaptive and data.size > 0:
             # None = nothing to plan (constant field under REL): fall
             # back to the uniform filter, which stores it exactly
@@ -183,19 +184,17 @@ class H5LikeFile:
                 cache=self._plan_cache,
                 dataset=name,
             )
-            if plan is not None:
-                base = replace(config, tile_shape=None, adaptive=False)
 
         chunk_records: list[dict] = []
         total = 0
         for index, (start, stop) in enumerate(
             iter_tiles(data.shape, chunk_shape)
         ):
-            slc = tuple(slice(a, b) for a, b in zip(start, stop))
+            slc = extent_slices(start, stop)
             chunk = np.ascontiguousarray(data[slc])
             if config is not None:
                 chunk_config = (
-                    plan.config_for(base, index) if plan is not None else config
+                    plan.config_for(config, index) if plan is not None else config
                 )
                 payload = self._sz.compress(chunk, chunk_config).blob
                 kind = "sz"
@@ -281,23 +280,7 @@ class H5LikeFile:
 
     def read_dataset(self, name: str) -> np.ndarray:
         """Read (and transparently decompress) a dataset."""
-        entry = self._entry(name)
-        dtype = np.dtype(entry["dtype"])
-        out = np.zeros(tuple(entry["shape"]), dtype=dtype)
-        for record in entry["chunks"]:
-            self._fh.seek(record["offset"])
-            payload = self._fh.read(record["size"])
-            slc = tuple(
-                slice(a, b)
-                for a, b in zip(record["start"], record["stop"])
-            )
-            if record["kind"] == "sz":
-                chunk = self._sz.decompress(payload)
-            else:
-                shape = tuple(b - a for a, b in zip(record["start"], record["stop"]))
-                chunk = np.frombuffer(payload, dtype=dtype).reshape(shape)
-            out[slc] = chunk
-        return out
+        return self.read_region(name, ())
 
     def read_region(
         self, name: str, region: Sequence[slice | int] | slice | int
@@ -325,12 +308,12 @@ class H5LikeFile:
                 continue
             self._fh.seek(record["offset"])
             payload = self._fh.read(record["size"])
+            chunk_shape = tuple(
+                b - a for a, b in zip(record["start"], record["stop"])
+            )
             if record["kind"] == "sz":
-                chunk = self._sz.decompress(payload)
+                chunk = decode_tile(payload, chunk_shape, dtype, self._sz)
             else:
-                chunk_shape = tuple(
-                    b - a for a, b in zip(record["start"], record["stop"])
-                )
                 chunk = np.frombuffer(payload, dtype=dtype).reshape(
                     chunk_shape
                 )

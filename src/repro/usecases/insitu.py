@@ -174,15 +174,13 @@ class SnapshotPipeline:
         self.sample_rate = self.factory.sample_rate
         self.seed = self.factory.seed
         self._sz = self.factory.compressor()
+        # tiled, adaptive and temporal streams write tiled containers:
+        # a temporal factory's compressor takes the reference as well
         self._tiled = (
-            self.factory.tiled_compressor()
-            if self.factory.tile_shape is not None
-            and not self.factory.temporal
-            else None
-        )
-        self._temporal = (
             self.factory.temporal_compressor()
             if self.factory.temporal
+            else self.factory.tiled_compressor()
+            if self.factory.tile_shape is not None
             else None
         )
         #: decoded previous snapshot — the temporal reference
@@ -202,12 +200,18 @@ class SnapshotPipeline:
         config = self.factory.config(eb)
         keyframe = True
         temporal_tiles = spatial_tiles = 0
-        if self._temporal is not None:
+        if self._tiled is None:
+            result = self._sz.compress(snapshot, config, reconstruct=True)
+        elif not self.factory.temporal:
+            result = self._tiled.compress(
+                snapshot, config, dataset="insitu-stream", reconstruct=True
+            )
+        else:
             interval = max(1, self.factory.keyframe_interval)
             reference = (
                 self._last_recon if index % interval != 0 else None
             )
-            result = self._temporal.compress_snapshot(
+            result = self._tiled.compress_snapshot(
                 snapshot,
                 config,
                 reference=reference,
@@ -221,12 +225,6 @@ class SnapshotPipeline:
             if result.stats is not None:
                 temporal_tiles = result.stats.temporal_tiles
                 spatial_tiles = result.stats.spatial_tiles
-        elif self._tiled is not None:
-            result = self._tiled.compress(
-                snapshot, config, dataset="insitu-stream", reconstruct=True
-            )
-        else:
-            result = self._sz.compress(snapshot, config, reconstruct=True)
         times.merge(result.times)
         # the encode surfaces what a decode of the blob returns (the
         # factory's stock stages always can), so measuring the achieved

@@ -7,7 +7,6 @@ from repro.compressor import (
     AdaptivePlanner,
     CompressionConfig,
     ErrorBoundMode,
-    SZCompressor,
     TiledCompressor,
 )
 from repro.compressor import container
@@ -196,9 +195,7 @@ class TestV5Container:
                 assert record.config == choice.to_json()
                 # the tile payload's own header carries the same choice,
                 # so decode needs no global config
-                header, _ = SZCompressor._disassemble(
-                    reader.read_tile(record)
-                )
+                header, _ = container.read_flat(reader.read_tile(record))
                 assert header["predictor"] == choice.predictor
                 assert header["error_bound"] == pytest.approx(
                     choice.error_bound

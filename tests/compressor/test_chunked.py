@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from repro.compressor import CompressionConfig, ErrorBoundMode, SZCompressor
+from repro.compressor.container import read_flat
+from repro.compressor.stages import HuffmanEntropyStage
 from tests.conftest import assert_error_bounded, smooth_field
 
 DATA_DIR = os.path.join(os.path.dirname(os.path.dirname(__file__)), "data")
@@ -117,7 +119,7 @@ class TestHeaderRoundtrip:
         data = smooth_field((40, 40))
         cfg = CompressionConfig(error_bound=1e-3, chunk_size=500)
         result = sz.compress(data, cfg)
-        header, _ = sz._disassemble(result.blob)
+        header, _ = read_flat(result.blob)
         assert header["chunk_size"] == 500
         assert header["container_version"] == 3
         assert sz._config_from_header(header) == cfg
@@ -156,7 +158,7 @@ class TestBackwardCompat:
 
     def test_seed_header_missing_chunk_size(self, sz):
         with open(os.path.join(DATA_DIR, "seed_v2_zstd.rqsz"), "rb") as fh:
-            header, _ = sz._disassemble(fh.read())
+            header, _ = read_flat(fh.read())
         assert "chunk_size" not in header
         assert sz._config_from_header(header).chunk_size is None
 
@@ -173,13 +175,13 @@ class TestCorruptedBlobs:
         data = smooth_field((5000,))
         cfg = CompressionConfig(error_bound=1e-3, chunk_size=1000)
         blob = sz.compress(data, cfg).blob
-        header, sections = sz._disassemble(blob)
+        header, sections = read_flat(blob)
         codes = bytearray(sections[0])
         # inflate the first chunk's recorded length
         codes[4:12] = (2**40).to_bytes(8, "little")
         with pytest.raises(ValueError):
-            sz._decode_chunked(
-                bytes(codes), sz._config_from_header(header), None
+            HuffmanEntropyStage().decode(
+                bytes(codes), sz._config_from_header(header), chunked=True
             )
 
     def test_truncated_container_rejected(self, sz):

@@ -171,6 +171,24 @@ class TestTiledFormat:
             == container.VERSION_TILED
         )
 
+    def test_peek_version_sniffs_every_source_kind(self, tmp_path):
+        sink = io.BytesIO()
+        self._write(sink)
+        tiled = sink.getvalue()
+        flat = SZCompressor().compress(
+            smooth_field((64,)), CompressionConfig(error_bound=1e-3)
+        ).blob
+        for blob, version in ((tiled, 4), (flat, 2)):
+            path = tmp_path / f"v{version}.rqsz"
+            path.write_bytes(blob)
+            with open(path, "rb") as fh:
+                for source in (blob, bytearray(blob), str(path), path, fh):
+                    assert container.peek_version(source) == version
+                    assert container.read_blob(source) == blob
+        for junk in (b"", b"RQSZ", b"NOPE\x04" + bytes(32)):
+            with pytest.raises(container.ContainerFormatError):
+                container.peek_version(junk)
+
     def _write_adaptive(self, sink):
         header = {"shape": [4, 4], "dtype": "<f4", "adaptive": True}
         cfg_a = {"predictor": "lorenzo", "error_bound": 0.5,

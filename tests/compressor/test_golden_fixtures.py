@@ -13,6 +13,7 @@ documents the regeneration policy (format-version bumps only).
 
 import hashlib
 import importlib.util
+import json
 import os
 
 import numpy as np
@@ -25,6 +26,9 @@ from repro.compressor import (
     TiledCompressor,
 )
 from repro.compressor.container import TiledReader
+from repro.compressor.tiled_geometry import extent_slices
+from repro.service.store import ArrayStore
+from tests.conftest import adopt_container
 
 DATA_DIR = os.path.join(os.path.dirname(os.path.dirname(__file__)), "data")
 
@@ -207,6 +211,67 @@ def test_golden_v6_requires_its_reference():
     # the plain tiled front-end must refuse v6 rather than mis-decode
     with pytest.raises(ValueError):
         TiledCompressor().decompress(blob)
+
+
+def _store_serving(
+    root, blob: bytes, ref: np.ndarray | None, backend: str
+) -> ArrayStore:
+    """A store whose dataset ``gold`` is *blob*, read at its latest version.
+
+    A v6 blob becomes version 1 of a chain whose version 0 decodes to
+    exactly *ref*: the stand-in keyframe only lends its tile grid, its
+    decoded tiles are seeded into the cache as the fixture's reference.
+    """
+    if ref is None:
+        adopt_container(root, "gold", blob)
+        return ArrayStore(root, workers=2, parallel_backend=backend)
+    keyframe = TiledCompressor().compress(
+        ref, CompressionConfig(error_bound=1e-3, tile_shape=(16, 16))
+    )
+    adopt_container(root, "gold", keyframe.blob)
+    with open(os.path.join(root, "gold@v1.rqsz"), "wb") as fh:
+        fh.write(blob)
+    manifest_path = os.path.join(root, "store.json")
+    with open(manifest_path) as fh:
+        manifest = json.load(fh)
+    manifest["datasets"]["gold"].update(
+        latest_version=1,
+        snapshots=[
+            dict(version=0, file="gold.rqsz", keyframe=True, ref_version=None),
+            dict(version=1, file="gold@v1.rqsz", keyframe=False, ref_version=0),
+        ],
+    )
+    with open(manifest_path, "w") as fh:
+        json.dump(manifest, fh)
+    store = ArrayStore(root, workers=2, parallel_backend=backend)
+    for tile in keyframe.tiles:
+        store.cache.put(
+            ("gold", 0, 0, tile.offset),
+            ref[extent_slices(tile.start, tile.stop)].copy(),
+        )
+    return store
+
+
+@pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+@pytest.mark.parametrize(
+    "name", GOLDEN_BLOBS + GOLDEN_TILED_BLOBS + ["pr9_v6_temporal"]
+)
+def test_one_reader_decodes_every_golden_blob_on_every_backend(
+    name, backend, tmp_path
+):
+    """v2-v6 through the tiled reader, its temporal front and the store."""
+    blob, expected = _load(name)
+    ref = _load_temporal()[2] if blob[4] == 6 else None
+    for front in (TiledCompressor, TemporalCompressor):
+        recon = front(workers=2, backend=backend).decompress(
+            blob, reference=ref
+        )
+        assert recon.dtype == expected.dtype
+        np.testing.assert_array_equal(recon, expected)
+    if blob[4] < 4:
+        return  # the store serves tiled containers only
+    with _store_serving(str(tmp_path), blob, ref, backend) as store:
+        np.testing.assert_array_equal(store.read_full("gold"), expected)
 
 
 # -- byte identity of what the current revision *writes* ------------------------

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.compressor import CompressionConfig, SZCompressor
+from repro.compressor.container import read_flat
 from tests.conftest import assert_error_bounded, smooth_field
 
 
@@ -43,7 +44,7 @@ class TestOrder2Lorenzo:
             predictor="lorenzo", lorenzo_levels=2, error_bound=1e-2
         )
         result = sz.compress(data, cfg)
-        header, _ = sz._disassemble(result.blob)
+        header, _ = read_flat(result.blob)
         assert header["lorenzo_levels"] == 2
         assert header["predictor_meta"]["order"] == 2
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from repro.compressor import CompressionConfig, ErrorBoundMode, SZCompressor
+from repro.compressor.container import read_flat
 from tests.conftest import assert_error_bounded, smooth_field
 
 PREDICTORS = ["lorenzo", "interpolation", "regression"]
@@ -156,7 +157,7 @@ class TestContainerFormat:
             lossless="rle",
         )
         result = sz.compress(data, cfg)
-        header, _ = sz._disassemble(result.blob)
+        header, _ = read_flat(result.blob)
         restored = sz._config_from_header(header)
         assert restored == cfg
 

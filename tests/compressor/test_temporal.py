@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import io
 import os
+import types
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from repro.compressor import (
 from repro.compressor.container import TiledReader
 from repro.compressor.inspect import describe_container
 from repro.compressor.temporal import TemporalStats
+from repro.compressor.tiled_geometry import iter_tiles
 from repro.core.model import RatioQualityModel
 from tests.conftest import assert_error_bounded, smooth_field
 
@@ -423,3 +425,76 @@ def test_small_edge_groups_measure_while_full_tiles_model():
     assert_error_bounded(
         snaps[1], tc.decompress(result.blob, reference=ref), 1e-5
     )
+    # shape groups are modelled out of order; the TOC keeps iter_tiles'
+    assert [(t.start, t.stop) for t in result.tiles] == list(
+        iter_tiles((35, 37), (16, 16))
+    )
+
+
+class _SizedCodec:
+    """A per-tile codec whose payload sizes the test dictates."""
+
+    def __init__(self, residual_bytes, spatial_bytes):
+        self.sizes = {"lorenzo": residual_bytes, "interpolation": spatial_bytes}
+
+    def compress(self, tile, cfg, reconstruct=False):
+        # a stream configured with another predictor encodes only its
+        # residuals with Lorenzo
+        blob = cfg.predictor[:1].encode() * self.sizes[cfg.predictor]
+        return types.SimpleNamespace(blob=blob, reconstruction=None)
+
+
+@pytest.mark.parametrize(
+    "residual_bytes, spatial_bytes, kept",
+    [(7, 9, b"l" * 7), (9, 7, b"i" * 7), (8, 8, b"l" * 8)],
+    ids=["residual-smaller", "samples-smaller", "tie-keeps-residual"],
+)
+@pytest.mark.parametrize("measured_because", ["tiny-tile", "failed-fit"])
+def test_a_measured_decision_keeps_the_smaller_payload(
+    monkeypatch, measured_because, residual_bytes, spatial_bytes, kept
+):
+    if measured_because == "tiny-tile":
+        tile_shape = (4, 4)  # 16 points < _MIN_MODEL_TILE
+    else:
+        tile_shape = (16, 16)
+
+        def failing(models, stack):
+            raise ValueError("degenerate sample")
+
+        monkeypatch.setattr(
+            RatioQualityModel, "_fit_stack", staticmethod(failing)
+        )
+    snaps = chain(2, shape=(16, 16), drift=0.5)  # no trivial residuals
+    tc = TemporalCompressor(codec=_SizedCodec(residual_bytes, spatial_bytes))
+    result = tc.compress_snapshot(
+        snaps[1],
+        config(tile_shape=tile_shape, predictor="interpolation"),
+        reference=snaps[0],
+    )
+    assert result.stats.measured_decisions == result.stats.tiles
+    with TiledReader(result.blob) as reader:
+        for record in reader.tiles:
+            assert reader.read_tile(record) == kept
+            assert record.temporal is kept.startswith(b"l")
+
+
+@pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+def test_delta_decodes_fan_out_and_are_counted(backend):
+    """v6 decodes run on the tiled reader: workers apply, tiles count."""
+    snaps = chain(2)
+    serial = TemporalCompressor()
+    ref = serial.decompress(serial.compress_snapshot(snaps[0], config()).blob)
+    blob = serial.compress_snapshot(snaps[1], config(), reference=ref).blob
+    expected = serial.decompress(blob, reference=ref)
+    assert serial.tiled.last_tiles_decoded == 9
+    tc = TemporalCompressor(backend=backend)
+    np.testing.assert_array_equal(
+        tc.decompress(blob, reference=ref, workers=2), expected
+    )
+    region = (slice(7, 31), slice(10, 38))
+    np.testing.assert_array_equal(
+        tc.decompress_region(blob, region, reference=ref, workers=2),
+        expected[region],
+    )
+    assert tc.tiled.last_tiles_decoded == 6
+    assert tc.tiled.tiles_decoded == 9 + 6

@@ -149,14 +149,12 @@ class TestRoundtrip:
         assert_error_bounded(data, recon, eb_rel * vrange)
         # every tile must carry the bound derived from the GLOBAL range,
         # not from its own (much smaller) local range
-        from repro.compressor.container import TiledReader
+        from repro.compressor.container import TiledReader, read_flat
 
         with TiledReader(result.blob) as reader:
             assert reader.header["value_range"] == [0.0, 100.0]
             for record in reader.tiles:
-                header, _ = SZCompressor._disassemble(
-                    reader.read_tile(record)
-                )
+                header, _ = read_flat(reader.read_tile(record))
                 assert header["abs_eb"] == pytest.approx(eb_rel * vrange)
 
     def test_rel_mode_constant_field_exact(self):

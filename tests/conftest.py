@@ -61,3 +61,30 @@ def assert_error_bounded(
         f"error bound violated: max err {max_err:.3e} > "
         f"eb {error_bound:.3e} (+ulp {ulp:.3e})"
     )
+
+
+def adopt_container(root, name: str, blob: bytes) -> None:
+    """Make *blob* dataset *name* of the store directory *root*.
+
+    Writes the container file and a minimal (pre-chain style) manifest
+    entry, so an :class:`repro.service.store.ArrayStore` opened on
+    *root* serves a container it did not encode — a golden fixture, or
+    one crafted to be wrong.
+    """
+    import json
+    import os
+
+    from repro.compressor.container import TiledReader
+
+    os.makedirs(root, exist_ok=True)
+    with open(os.path.join(root, f"{name}.rqsz"), "wb") as fh:
+        fh.write(blob)
+    with TiledReader(blob) as reader:
+        entry = {
+            "file": f"{name}.rqsz",
+            "shape": reader.header["shape"],
+            "dtype": reader.header["dtype"],
+            "tile_shape": reader.header["tile_shape"],
+        }
+    with open(os.path.join(root, "store.json"), "w") as fh:
+        json.dump({"datasets": {name: entry}}, fh)

@@ -174,8 +174,13 @@ class TestClientRetries:
             client.put("press", field, eb=EB, tile=(12, 12))
             # exhaust every dispatch slot, then watch a retrying read
             # wait out the busy window and succeed once slots free up
+            # (the put's handler frees its own slot just *after* the
+            # response this thread already has: wait for it)
+            deadline = time.monotonic() + 2.0
             for _ in range(4):
-                assert server.try_acquire_slot()
+                while not server.try_acquire_slot():
+                    assert time.monotonic() < deadline
+                    time.sleep(0.005)
 
             def _free_later():
                 time.sleep(0.15)

@@ -524,3 +524,114 @@ class TestSnapshotAppendRaces:
         assert_error_bounded(
             snaps[1], store.read_full("wave", version=1), EB
         )
+
+
+class TestOneWritePath:
+    """create and put_snapshot are one path: same compressor, same cleanup."""
+
+    @pytest.fixture
+    def planned(self, monkeypatch):
+        """Every ``AdaptivePlanner.plan`` call: settings in, plan out."""
+        from repro.compressor import AdaptivePlanner
+
+        calls = []
+        real = AdaptivePlanner.plan
+
+        def spy(planner, data, config, tile_shape, **kwargs):
+            plan = real(planner, data, config, tile_shape, **kwargs)
+            calls.append(
+                dict(
+                    sample_rate=planner.sample_rate,
+                    seed=planner.seed,
+                    dataset=kwargs.get("dataset"),
+                    cache=kwargs.get("cache"),
+                    outcome=plan.stats.cache,
+                )
+            )
+            return plan
+
+        monkeypatch.setattr(AdaptivePlanner, "plan", spy)
+        return calls
+
+    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("factory", [True, False], ids=["factory", "bare"])
+    def test_every_keyframe_plans_like_version_zero(
+        self, tmp_path, field, planned, factory, backend
+    ):
+        """Keyframes of later versions keep the planner's sampling
+        settings, the plan cache and the dataset name that keys it."""
+        from repro.compressor import PlannerCache
+        from repro.factory import CodecFactory
+
+        plans = PlannerCache()
+        if factory:
+            made = CodecFactory(
+                adaptive=True,
+                tile_shape=(16, 16),
+                sample_rate=0.2,
+                seed=7,
+                workers=2,
+                parallel_backend=backend,
+                keyframe_interval=2,
+            )
+            store, config = made.array_store(tmp_path / "s"), made.config(EB)
+            expected = dict(sample_rate=0.2, seed=7, cache=None)
+        else:
+            store = ArrayStore(
+                tmp_path / "s",
+                workers=2,
+                parallel_backend=backend,
+                plan_cache=plans,
+                keyframe_interval=2,
+            )
+            config = _config(adaptive=True)
+            expected = dict(sample_rate=0.05, seed=0, cache=plans)
+        with store:
+            for version in range(5):  # a statistically unchanged stream
+                record = store.put_snapshot("wave", field, config)
+                assert record["keyframe"] is (version % 2 == 0)
+        assert len(planned) == 3  # v0, v2, v4: deltas are never planned
+        for call in planned:
+            assert call["dataset"] == "wave"
+            assert call["cache"] is expected["cache"]
+            assert call["sample_rate"] == expected["sample_rate"]
+            assert call["seed"] == expected["seed"]
+        if not factory:
+            assert [call["outcome"] for call in planned] == [
+                "miss", "hit", "hit"
+            ]
+
+    @pytest.mark.parametrize(
+        "put", ["create", "overwrite", "first", "delta", "keyframe"]
+    )
+    def test_failed_encode_leaves_nothing_behind(
+        self, store, field, monkeypatch, put
+    ):
+        """Temp file removed, nothing committed, nothing seeded."""
+        from repro.compressor.container import TiledWriter
+
+        config = _config()
+        if put not in ("create", "first"):
+            store.put_snapshot("wave", field, config, keyframe_interval=2)
+        if put == "keyframe":
+            store.put_snapshot("wave", field, config)
+        before = (
+            sorted(os.listdir(store.root)),
+            store.list_datasets(),
+            store.cache.stats().entries,
+        )
+
+        def failing(writer):
+            raise RuntimeError("disk full")
+
+        monkeypatch.setattr(TiledWriter, "finish", failing)
+        with pytest.raises(RuntimeError, match="disk full"):
+            if put in ("create", "overwrite"):
+                store.create("wave", field * 2, config, overwrite=True)
+            else:
+                store.put_snapshot("wave", field * 2, config)
+        assert before == (
+            sorted(os.listdir(store.root)),
+            store.list_datasets(),
+            store.cache.stats().entries,
+        )
