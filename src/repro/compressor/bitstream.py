@@ -1,14 +1,21 @@
 """Bit-level I/O used by the entropy coders.
 
-``BitWriter`` packs variable-length codes into bytes; ``BitReader``
-extracts them.  Both are vectorized with NumPy: the writer scatters each
-equal-length group of codewords into a flat bit array in one shot, and
-the reader offers both a sliding 16-bit window and random-access window
-gathers (:func:`build_bit_window` / :func:`gather_window16`, and
-:func:`slice_window16` when the positions are a range) so table-driven
-Huffman decoding resolves many bit positions per NumPy call instead of
-one Python step per symbol.  Header fields (fixed-width words, Elias-gamma
-runs) are packed and unpacked whole, never bit by bit.
+:func:`pack_codes` and ``BitWriter`` pack variable-length codes into
+bytes; ``BitReader`` extracts them.  All are vectorized with NumPy.
+:func:`pack_codes`, the encode kernel, assembles the stream in 64-bit
+words, never one byte per bit: neighbouring codewords are folded into
+fields of at most 57 bits, every field is shifted to its place in the
+word its first bit falls in (shift counts always below 64), the fields
+sharing a word are OR-reduced in one ``reduceat``, a field that
+straddles leaves its tail in the next word, and the pass runs over
+blocks of 65536 symbols so its temporaries do not grow with the
+stream.  The reader offers both a sliding 16-bit window and
+random-access window gathers (:func:`build_bit_window` /
+:func:`gather_window16`, and :func:`slice_window16` when the positions
+are a range) so table-driven Huffman decoding resolves many bit
+positions per NumPy call instead of one Python step per symbol.  Header
+fields (fixed-width words, Elias-gamma runs) are packed and unpacked
+whole, never bit by bit.
 """
 
 from __future__ import annotations
@@ -41,16 +48,50 @@ def gamma_bit_lengths(values: np.ndarray) -> np.ndarray:
     return 2 * bit_lengths - 1
 
 
+#: longest codeword :func:`pack_codes` accepts (the Huffman coder's own
+#: limit), and so the longest field a fold may build: it spans at most
+#: two 64-bit words wherever it starts
+_MAX_CODE_BITS = 57
+
+#: symbols per :func:`pack_codes` block: the temporaries of one block
+#: (~0.5 MB each) stay cache-sized however long the stream is
+_PACK_BLOCK = 1 << 16
+
+_U64 = np.uint64
+
+
 def pack_codes(codes: np.ndarray, lengths: np.ndarray) -> tuple[bytes, int]:
     """Concatenate variable-length big-endian codewords into bytes.
+
+    The stream is assembled in 64-bit words, a block of
+    ``_PACK_BLOCK`` symbols at a time:
+
+    * **fold** — while twice the longest codeword still fits
+      ``_MAX_CODE_BITS``, neighbours merge into one field
+      ``(c0 << l1 | c1, l0 + l1)``, halving what the position pass sees;
+    * **shift** — a field starting at bit ``start`` lands in word
+      ``start >> 6`` at offset ``start & 63``.  Its head is
+      ``(code << (64 - length)) >> offset``: both shifts stay inside
+      ``[0, 63]`` because ``1 <= length <= 57`` (a NumPy shift by 64 or
+      more is undefined), and whatever the second shift drops is the
+      tail that belongs to the next word;
+    * **reduce** — starts are monotone, so the fields that share a word
+      are a contiguous run and one ``bitwise_or.reduceat`` builds every
+      word of the block; only the last field of a run can straddle, so
+      its tail is OR-ed into the following word.  Blocks meet in a
+      shared boundary word, which is why they OR into the output
+      instead of assigning.
 
     Parameters
     ----------
     codes:
         ``uint64`` array; entry *i* holds the codeword value, MSB-first
-        within its ``lengths[i]`` low bits.
+        within its ``lengths[i]`` low bits.  A code with bits above its
+        length is rejected.
     lengths:
-        ``uint8``/int array of bit lengths (1..57).
+        Integer array of the same shape with bit lengths in 0..57;
+        zero-length entries contribute nothing.  Both arrays are
+        ravelled.
 
     Returns
     -------
@@ -64,34 +105,79 @@ def pack_codes(codes: np.ndarray, lengths: np.ndarray) -> tuple[bytes, int]:
         raise ValueError("codes and lengths must have the same shape")
     if codes.size == 0:
         return b"", 0
-    max_len = int(lengths.max())
-    if max_len > 57:
-        raise ValueError(f"codeword length {max_len} exceeds 57 bits")
-    ends = np.cumsum(lengths)
-    total_bits = int(ends[-1])
-    starts = ends - lengths
+    codes, lengths = codes.ravel(), lengths.ravel()
+    min_len, max_len = int(lengths.min()), int(lengths.max())
+    if min_len < 0:
+        raise ValueError(f"codeword length {min_len} is negative")
+    if max_len > _MAX_CODE_BITS:
+        raise ValueError(
+            f"codeword length {max_len} exceeds {_MAX_CODE_BITS} bits"
+        )
+    total_bits = int(lengths.sum())
+    if total_bits == 0:
+        if codes.any():
+            raise ValueError("some codes do not fit in their lengths")
+        return b"", 0
+    lengths = lengths.view(np.uint64)  # validated non-negative
+    folds = 0
+    while max_len << (folds + 1) <= _MAX_CODE_BITS:
+        folds += 1
 
-    # Scatter per code-length group: every group expands to a dense
-    # (n_group, length) bit matrix with no masking, then lands at its
-    # final bit positions in one fancy-index store.  Alphabets have at
-    # most 57 distinct lengths, so the Python loop is tiny.
-    flat = np.zeros(total_bits, dtype=np.uint8)
-    present = np.flatnonzero(np.bincount(lengths, minlength=58))
-    for ln in present:
-        ln = int(ln)
-        if ln == 0:
-            continue
-        idx = np.flatnonzero(lengths == ln)
-        shifts = np.arange(ln - 1, -1, -1, dtype=np.uint64)
-        offsets = np.arange(ln, dtype=np.int64)
-        # Chunk the scatter to bound peak index memory to ~32 MB.
-        chunk = max(1, (1 << 22) // ln)
-        for lo in range(0, idx.size, chunk):
-            sel = idx[lo : lo + chunk]
-            bits = (codes[sel, None] >> shifts[None, :]) & np.uint64(1)
-            pos = starts[sel, None] + offsets[None, :]
-            flat[pos.ravel()] = bits.ravel().astype(np.uint8)
-    return bits_to_bytes(flat), total_bits
+    # one spare word: a block's tail slot exists even when nothing spills
+    words = np.zeros((total_bits + 63) // 64 + 1, dtype=np.uint64)
+    bit = 0
+    for lo in range(0, codes.size, _PACK_BLOCK):
+        c = codes[lo : lo + _PACK_BLOCK]
+        ln = lengths[lo : lo + _PACK_BLOCK]
+        if (c >> ln).any():
+            raise ValueError("some codes do not fit in their lengths")
+        if min_len == 0:
+            keep = ln != 0
+            c, ln = c[keep], ln[keep]
+            if c.size == 0:
+                continue
+        for _ in range(folds):
+            c, ln = _fold_pairs(c, ln)
+        ends = np.cumsum(ln)
+        ends += _U64(bit & 63)
+        starts = ends - ln
+        word = starts >> _U64(6)
+        offset = starts & _U64(63)
+        aligned = c << (_U64(64) - ln)  # each field at the top of a word
+        # fields sharing a word are a run; every word of the block has one
+        breaks = np.flatnonzero(word[1:] != word[:-1])
+        firsts = np.concatenate(([0], breaks + 1))
+        lasts = np.append(breaks, c.size - 1)
+        block = np.zeros(firsts.size + 1, dtype=np.uint64)
+        np.bitwise_or.reduceat(aligned >> offset, firsts, out=block[:-1])
+        # Only the last field of a run can reach into the next word; what
+        # it leaves there is ``aligned << (64 - offset)``, taken in two
+        # steps so that offset 0 (nothing left over) is not a shift by 64.
+        block[1:] |= (aligned[lasts] << (_U64(63) - offset[lasts])) << _U64(1)
+        first_word = bit >> 6
+        words[first_word : first_word + block.size] |= block
+        bit += int(ends[-1]) - (bit & 63)
+    payload = words.astype(">u8").view(np.uint8)[: (total_bits + 7) // 8]
+    return payload.tobytes(), total_bits
+
+
+def _fold_pairs(
+    codes: np.ndarray, lengths: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Merge neighbouring codewords: ``(c0 << l1 | c1, l0 + l1)``.
+
+    An odd trailing codeword is carried over as it is.
+    """
+    pairs = codes.size // 2
+    even = 2 * pairs
+    folded = np.empty(codes.size - pairs, dtype=np.uint64)
+    widths = np.empty_like(folded)
+    np.left_shift(codes[0:even:2], lengths[1:even:2], out=folded[:pairs])
+    folded[:pairs] |= codes[1:even:2]
+    np.add(lengths[0:even:2], lengths[1:even:2], out=widths[:pairs])
+    if codes.size & 1:
+        folded[-1], widths[-1] = codes[-1], lengths[-1]
+    return folded, widths
 
 
 def build_bit_window(payload: bytes) -> np.ndarray:
@@ -157,7 +243,7 @@ class BitWriter:
             raise ValueError("nbits must be within [0, 64]")
         if nbits == 0:
             return
-        if value < 0 or (nbits < 64 and value >> nbits):
+        if value < 0 or value >> nbits:
             raise ValueError(f"value {value} does not fit in {nbits} bits")
         word = np.array([value], dtype=">u8").view(np.uint8)
         self._bits.append(np.unpackbits(word)[64 - nbits :])

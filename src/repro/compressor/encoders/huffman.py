@@ -9,8 +9,10 @@ The implementation is written for NumPy throughput:
 * the tree is built once per stream by a stable sort of the histogram
   and a two-queue merge (alphabet-sized, not data-sized);
 * codes are *canonical*, so only the code lengths ship in the header;
-* encoding maps symbols through lookup tables and packs all codewords in
-  one vectorized pass (:func:`repro.compressor.bitstream.pack_codes`);
+* encoding maps symbols through lookup tables and assembles the
+  codewords in 64-bit words — neighbours folded into fields of up to 57
+  bits, shifted into place, OR-reduced per word, a block of symbols at
+  a time (:func:`repro.compressor.bitstream.pack_codes`);
 * a stream of ``_SYNC_MIN_STREAM`` symbols or more embeds a *sync
   table* (the bit offset of every K-th symbol): an index that makes the
   sync blocks independent, and an integrity check every decode kernel

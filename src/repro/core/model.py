@@ -650,22 +650,27 @@ class RatioQualityModel:
         # Past the value range the lattice has fully collapsed and the
         # predicted PSNR is flat, so the search never needs to go higher.
         eb_cap = max(self._from_abs(sample.value_range), seed_eb)
+        vrange = sample.value_range
+
+        def psnr(eb: float) -> float:
+            # the quality side of :meth:`estimate` alone: a PSNR search
+            # reads no bit-rate, so it builds no histogram it can avoid
+            return psnr_model(vrange, self.error_variance(eb))
+
         lo, hi = seed_eb, seed_eb
         for _ in range(60):
-            est = self.estimate(lo)
-            if est.psnr < target_psnr:
+            if psnr(lo) < target_psnr:
                 lo /= 2.0
             else:
                 break
         for _ in range(60):
-            est = self.estimate(hi)
-            if est.psnr > target_psnr and hi < eb_cap:
+            if psnr(hi) > target_psnr and hi < eb_cap:
                 hi = min(hi * 2.0, eb_cap)
             else:
                 break
         for _ in range(50):
             mid = np.sqrt(lo * hi)
-            if self.estimate(mid).psnr > target_psnr:
+            if psnr(mid) > target_psnr:
                 lo = mid
             else:
                 hi = mid

@@ -1,10 +1,13 @@
 """Unit tests for the bit-level I/O layer."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.compressor import bitstream
 from repro.compressor.bitstream import (
     BitReader,
     BitWriter,
@@ -15,6 +18,53 @@ from repro.compressor.bitstream import (
     pack_codes,
     slice_window16,
 )
+
+
+def _reference_pack_codes(
+    codes: np.ndarray, lengths: np.ndarray
+) -> tuple[bytes, int]:
+    """The kernel ``pack_codes`` had before word assembly: one ``uint8``
+    per output bit, scattered per code-length group.  Slow, obviously
+    right, and the oracle every test below compares against."""
+    codes = np.asarray(codes, dtype=np.uint64).ravel()
+    lengths = np.asarray(lengths, dtype=np.int64).ravel()
+    if codes.size == 0:
+        return b"", 0
+    ends = np.cumsum(lengths)
+    total_bits = int(ends[-1])
+    starts = ends - lengths
+    flat = np.zeros(total_bits, dtype=np.uint8)
+    present = np.flatnonzero(np.bincount(lengths, minlength=58))
+    for ln in present:
+        ln = int(ln)
+        if ln == 0:
+            continue
+        idx = np.flatnonzero(lengths == ln)
+        shifts = np.arange(ln - 1, -1, -1, dtype=np.uint64)
+        offsets = np.arange(ln, dtype=np.int64)
+        # Chunk the scatter to bound peak index memory to ~32 MB.
+        chunk = max(1, (1 << 22) // ln)
+        for lo in range(0, idx.size, chunk):
+            sel = idx[lo : lo + chunk]
+            bits = (codes[sel, None] >> shifts[None, :]) & np.uint64(1)
+            pos = starts[sel, None] + offsets[None, :]
+            flat[pos.ravel()] = bits.ravel().astype(np.uint8)
+    return bits_to_bytes(flat), total_bits
+
+
+def _random_codes(rng, lengths: np.ndarray) -> np.ndarray:
+    """A uniformly random codeword of ``lengths[i]`` bits per entry."""
+    lengths = np.asarray(lengths).astype(np.uint64)
+    raw = rng.integers(0, 2**64, size=lengths.shape, dtype=np.uint64)
+    # two shifts: a zero-length entry would otherwise shift by 64
+    return (raw >> np.uint64(1)) >> (np.uint64(63) - lengths)
+
+
+def _assert_matches_reference(codes, lengths, context=""):
+    payload, total_bits = pack_codes(codes, lengths)
+    expected, expected_bits = _reference_pack_codes(codes, lengths)
+    assert total_bits == expected_bits, context
+    assert payload == expected, context
 
 
 class TestPackCodes:
@@ -42,6 +92,50 @@ class TestPackCodes:
         with pytest.raises(ValueError):
             pack_codes(np.array([1]), np.array([60]))
 
+    def test_longest_code_is_accepted(self):
+        payload, nbits = pack_codes(np.array([2**57 - 1]), np.array([57]))
+        assert nbits == 57
+        assert payload == b"\xff" * 7 + b"\x80"
+        with pytest.raises(ValueError, match="exceeds 57 bits"):
+            pack_codes(np.array([1]), np.array([58]))
+
+    def test_negative_length_raises_its_own_error(self):
+        with pytest.raises(ValueError, match="codeword length -1"):
+            pack_codes(np.array([1, 1]), np.array([3, -1]))
+
+    def test_inputs_are_ravelled_after_the_shape_check(self):
+        codes = np.array([[1, 2], [3, 0]])
+        lengths = np.array([[1, 2], [2, 3]])
+        assert pack_codes(codes, lengths) == pack_codes(
+            codes.ravel(), lengths.ravel()
+        )
+        assert pack_codes(codes, lengths) == (b"\xd8", 8)
+        with pytest.raises(ValueError, match="same shape"):
+            pack_codes(codes, lengths.ravel())
+
+    def test_code_wider_than_its_length_is_rejected(self):
+        # the per-bit kernel truncated 0b111 to b"\xc0"; word assembly
+        # would smear the extra bit into the previous codeword
+        with pytest.raises(ValueError, match="do not fit"):
+            pack_codes(np.array([0b111]), np.array([2]))
+        with pytest.raises(ValueError, match="do not fit"):
+            pack_codes(np.array([0, 0, 4, 0]), np.array([3, 3, 2, 3]))
+        with pytest.raises(ValueError, match="do not fit"):
+            pack_codes(np.array([-1]), np.array([57]))
+
+    def test_zero_length_entries_are_skipped(self):
+        assert pack_codes(np.array([0, 5, 0, 1, 0]), [0, 3, 0, 1, 0]) == (
+            b"\xb0",
+            4,
+        )
+        assert pack_codes(np.zeros(5, np.uint64), np.zeros(5, int)) == (
+            b"",
+            0,
+        )
+        for lengths in ([0, 0], [4, 0]):  # a zero-length code must be 0
+            with pytest.raises(ValueError, match="do not fit"):
+                pack_codes(np.array([0, 1]), np.array(lengths))
+
     @given(
         st.lists(
             st.tuples(st.integers(1, 20), st.integers(0, 2**20 - 1)),
@@ -57,6 +151,157 @@ class TestPackCodes:
         payload, nbits = pack_codes(codes, lengths)
         assert nbits == lengths.sum()
         assert len(payload) == (nbits + 7) // 8
+
+
+def _draw_stream(seed: int):
+    """Expand *seed* into one ``pack_codes`` input and its description."""
+    rng = np.random.default_rng(seed)
+    max_len = int(
+        rng.choice([1, 2, 7, 8, 14, 15, 17, 28, 29, 40, 56, 57])
+    )
+    min_len = int(rng.integers(0, max_len + 1)) if rng.random() < 0.5 else 1
+    n = int(rng.choice([1, 2, 3, 5, 63, 64, 65, 257, 1000, 4097]))
+    lengths = rng.integers(min_len, max_len + 1, size=n)
+    if rng.random() < 0.3:  # zero-length entries interleaved
+        lengths[rng.random(n) < 0.4] = 0
+    if rng.random() < 0.3:  # one long code among short ones: no fold
+        lengths[int(rng.integers(n))] = max_len
+    case = f"seed={seed} n={n} lengths in [{min_len}, {max_len}]"
+    return _random_codes(rng, lengths), lengths, case
+
+
+class TestWordAssemblyMatchesThePerBitKernel:
+    """``pack_codes`` against the kernel it replaced, byte for byte.
+
+    Seeded and deterministic: a failure names its seed, and
+    ``_draw_stream(seed)`` rebuilds the input.
+    """
+
+    @pytest.mark.parametrize("seed", range(96))
+    def test_seeded_streams(self, seed):
+        codes, lengths, case = _draw_stream(seed)
+        _assert_matches_reference(codes, lengths, case)
+
+    @pytest.mark.parametrize("length", range(1, 58))
+    @pytest.mark.parametrize("folded", (False, True))
+    def test_every_length_at_every_offset(self, length, folded):
+        """A codeword of each length starting at each offset mod 64:
+        ending short of, on and past the word boundary, 57 bits at
+        offset 63 among them."""
+        rng = np.random.default_rng(length)
+        # unfolded: a leading 57-bit code keeps the fold away, so the
+        # position pass sees these offsets as they are; folded: no
+        # filler is longer than the probe, so its length sets the folds
+        lengths = [] if folded else [57]
+        filler = length if folded else 57
+        position, probes = sum(lengths), []
+        for offset in range(64):
+            gap = (offset - position) % 64
+            lengths += [filler] * (gap // filler) + [gap % filler]
+            probes.append(len(lengths))
+            lengths.append(length)
+            position += gap + length
+        lengths = np.array(lengths)
+        starts = np.cumsum(lengths) - lengths
+        assert sorted(starts[probes] % 64) == list(range(64))
+        codes = _random_codes(rng, lengths)
+        codes[probes] |= np.uint64(1) | np.uint64(1 << (length - 1))
+        _assert_matches_reference(codes, lengths, f"length {length}")
+
+    @pytest.mark.parametrize("max_len", (1, 3, 4, 7, 8, 14, 15, 28, 29, 57))
+    @pytest.mark.parametrize("n", (1, 2, 3, 4, 5, 7, 8, 9, 31, 33, 1001))
+    def test_both_sides_of_each_fold_threshold(self, max_len, n):
+        """Odd counts carry their last codeword through every fold; one
+        bit more than a threshold folds one time fewer."""
+        rng = np.random.default_rng(1000 * max_len + n)
+        lengths = rng.integers(1, max_len + 1, size=n)
+        lengths[int(rng.integers(n))] = max_len
+        _assert_matches_reference(
+            _random_codes(rng, lengths), lengths, f"{max_len} bits x {n}"
+        )
+        lengths[:] = max_len  # a single-length stream
+        codes = _random_codes(rng, lengths)
+        _assert_matches_reference(codes, lengths, f"all {max_len} x {n}")
+        codes[:] = (1 << max_len) - 1
+        _assert_matches_reference(codes, lengths, f"ones {max_len} x {n}")
+
+    def test_folds_follow_the_longest_codeword(self, monkeypatch):
+        folds = []
+        real = bitstream._fold_pairs
+        monkeypatch.setattr(
+            bitstream,
+            "_fold_pairs",
+            lambda c, ln: folds.append(c.size) or real(c, ln),
+        )
+        for max_len, expected in ((29, 0), (28, 1), (15, 1), (14, 2), (7, 3)):
+            folds.clear()
+            lengths = np.full(37, max_len)
+            pack_codes(np.zeros(37, np.uint64), lengths)
+            assert folds == [37, 19, 10][:expected], max_len
+
+    @pytest.mark.parametrize("max_len", (1, 17, 57))
+    def test_block_boundaries(self, max_len):
+        """One symbol short of a block, a full block, one symbol into the
+        next, and two blocks and a symbol."""
+        block = bitstream._PACK_BLOCK
+        rng = np.random.default_rng(max_len)
+        lengths = rng.integers(1, max_len + 1, size=2 * block + 1)
+        codes = _random_codes(rng, lengths)
+        for n in (block - 1, block, block + 1, 2 * block + 1):
+            _assert_matches_reference(codes[:n], lengths[:n], f"n={n}")
+
+    @pytest.mark.parametrize("block", (1, 2, 3, 8, 13))
+    @pytest.mark.parametrize("max_len", (5, 28, 29, 57))
+    def test_codewords_straddle_the_word_two_blocks_share(
+        self, block, max_len, monkeypatch
+    ):
+        """Tiny blocks put a boundary after every few symbols, at every
+        bit offset: unfolded streams must straddle some of them."""
+        monkeypatch.setattr(bitstream, "_PACK_BLOCK", block)
+        rng = np.random.default_rng(100 * block + max_len)
+        straddles = 0
+        for n in (block - 1, block, block + 1, 2 * block + 1, 40 * block + 3):
+            lengths = rng.integers(max(1, max_len - 9), max_len + 1, size=n)
+            if n > 5:
+                lengths[rng.integers(0, n, size=n // 5)] = 0
+            _assert_matches_reference(
+                _random_codes(rng, lengths), lengths, f"n={n}"
+            )
+            ends = np.cumsum(lengths)
+            last = ends[block - 1 :: block]  # end of each block's last code
+            width = lengths[block - 1 :: block]
+            crosses = (last - 1) // 64 != (last - width) // 64
+            straddles += int(np.sum(crosses & (width > 0)))
+        if max_len > 28:
+            assert straddles
+
+    def test_blocks_of_nothing_but_zero_lengths(self, monkeypatch):
+        monkeypatch.setattr(bitstream, "_PACK_BLOCK", 4)
+        lengths = np.array([0] * 4 + [3, 0, 0, 9] + [0] * 8 + [57, 1])
+        codes = _random_codes(np.random.default_rng(0), lengths)
+        _assert_matches_reference(codes, lengths)
+
+    def test_peak_memory_stays_below_the_per_bit_kernel(self):
+        """By count, no timer: blocks keep the temporaries O(block), so
+        the peak is the words and the output bytes — well below the
+        per-bit kernel's (~50 bytes per symbol), where an unblocked
+        word assembly sits above it (~75)."""
+        rng = np.random.default_rng(21)
+        lengths = rng.integers(1, 18, size=1 << 21)
+        codes = _random_codes(rng, lengths)
+
+        def traced(kernel):
+            tracemalloc.start()
+            try:
+                packed = kernel(codes, lengths)
+                return packed, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        packed, peak = traced(pack_codes)
+        expected, reference_peak = traced(_reference_pack_codes)
+        assert packed == expected
+        assert peak <= reference_peak
 
 
 class TestBitWriterReader:
@@ -81,6 +326,12 @@ class TestBitWriterReader:
     def test_write_value_too_large_raises(self):
         with pytest.raises(ValueError):
             BitWriter().write(8, 3)
+        # the full-width field checks its value like every other width
+        writer = BitWriter()
+        writer.write(2**64 - 1, 64)
+        assert writer.getvalue() == b"\xff" * 8
+        with pytest.raises(ValueError, match="does not fit in 64 bits"):
+            writer.write(2**64, 64)
 
     def test_write_negative_raises(self):
         with pytest.raises(ValueError):

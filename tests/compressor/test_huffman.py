@@ -24,6 +24,7 @@ from repro.compressor.encoders.huffman import (
     huffman_code_lengths,
 )
 from repro.utils.stats import entropy_bits, normalized_histogram
+from tests.compressor.test_bitstream import _reference_pack_codes
 
 
 # -- oracles: the scalar loops the vectorised kernels replaced ------------------
@@ -718,6 +719,17 @@ class TestKernelRoutes:
             enc._decode_payload_batched(*parts),
         ):
             np.testing.assert_array_equal(route, dense)
+
+    @pytest.mark.parametrize("kind", _ROUTE_KINDS)
+    def test_the_packed_payload_is_the_per_bit_kernels(self, kind):
+        # the bits every route above decodes, against the one-byte-per-
+        # bit kernel ``pack_codes`` replaced
+        code, dense = route_base(kind)
+        dense = dense[: 1 << 17]
+        codes, lengths = code.codes[dense], code.lengths[dense]
+        assert pack_codes(codes, lengths) == _reference_pack_codes(
+            codes, lengths
+        )
 
     @pytest.mark.parametrize("kind", _ROUTE_KINDS)
     def test_the_walk_takes_streams_up_to_the_crossover(

@@ -111,6 +111,28 @@ DELTA_SHA256 = (
 )
 
 
+#: name -> (ledger builder, shape, config of the workload, sha256 of
+#: the input, of the container): the two workloads whose bytes
+#: ``pack_codes`` writes most of, taken at the revision before it went
+#: from one byte per bit to 64-bit words.
+ENCODE_SHA256 = {
+    "codec_bulk": (
+        "random_walk",
+        (32, 32, 256),
+        CompressionConfig(error_bound=1e-2, tile_shape=(16, 32, 256)),
+        "06870226a871ee3201c42678acb70a1894b0918d1a4c3c66b4f40fa5ae7b44fe",
+        "6e3c1f79c42776132900262e40fa3e95b3bc54c7136ecb9000862febc577fe0c",
+    ),
+    "serve_hot": (
+        "halo",
+        (512, 512),
+        CompressionConfig(error_bound=0.05, tile_shape=(128, 128)),
+        "237de095c0005286b7603982f501d8c0c83db793ae2b307cad61d2ea426a2df2",
+        "a9e69db41a28d46cc14e8ad67d1cb23a3dadafa14a221d18352885b8b6791dbd",
+    ),
+}
+
+
 def _plan_case(name):
     if name == "halo":
         return halo_field(), HALO_CONFIG
@@ -137,6 +159,15 @@ def test_v6_delta_bytes_are_pinned():
     delta = _delta(pair)
     assert _sha256(delta.blob) == DELTA_SHA256[1]
     assert delta.stats.temporal_tiles == 8 and delta.stats.model_decisions == 8
+
+
+@pytest.mark.parametrize("name", sorted(ENCODE_SHA256))
+def test_bulk_encode_bytes_are_pinned(name):
+    kind, shape, config, input_sha, blob_sha = ENCODE_SHA256[name]
+    field = _ledger_fields().build(kind, shape, seed=5)[0]
+    _skip_unless_input_matches([field], input_sha)
+    blob = TiledCompressor(backend="serial").compress(field, config).blob
+    assert _sha256(blob) == blob_sha
 
 
 # -- cost: rate-only paths never pay for quality --------------------------------

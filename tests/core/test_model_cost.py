@@ -18,6 +18,7 @@ from repro.compressor.encoders.rle import zero_run_lengths
 from repro.core import histogram as histogram_mod
 from repro.core.histogram import histograms_from_codes
 from repro.core.model import RatioQualityModel
+from repro.core.quality import error_variance_for_psnr
 from repro.core.sampling import sample_prediction_errors
 
 PREDICTORS = ("lorenzo", "interpolation", "regression")
@@ -231,6 +232,53 @@ def test_inverse_ratio_query_runs_on_the_rate_only_path():
     # ~50 bisection probes, and the quality table was never built
     assert model._residual_grid is None
     assert model.estimate(eb).ratio == pytest.approx(12.0, rel=0.05)
+
+
+def _psnr_bisection_over_estimate(model, target):
+    """``error_bound_for_psnr`` as it ran when every probe was a full
+    ``estimate`` — the oracle for the quality-only search."""
+    sample = model.sample
+    target_var = error_variance_for_psnr(sample.value_range, target)
+    seed_eb = model._from_abs(float(np.sqrt(3.0 * target_var)))
+    eb_cap = max(model._from_abs(sample.value_range), seed_eb)
+    lo = hi = seed_eb
+    for _ in range(60):
+        if model.estimate(lo).psnr < target:
+            lo /= 2.0
+        else:
+            break
+    for _ in range(60):
+        if model.estimate(hi).psnr > target and hi < eb_cap:
+            hi = min(hi * 2.0, eb_cap)
+        else:
+            break
+    for _ in range(50):
+        mid = np.sqrt(lo * hi)
+        if model.estimate(mid).psnr > target:
+            lo = mid
+        else:
+            hi = mid
+    return float(np.sqrt(lo * hi))
+
+
+@pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
+@pytest.mark.parametrize("predictor", PREDICTORS)
+def test_inverse_psnr_query_reads_the_quality_side_only(
+    predictor, mode, monkeypatch
+):
+    field = FIELDS["walk_3d_f4"]
+    if mode is ErrorBoundMode.PW_REL:
+        field = np.exp(field / np.abs(field).max())
+    model = RatioQualityModel(predictor=predictor, mode=mode, seed=3).fit(
+        field
+    )
+    expected = [_psnr_bisection_over_estimate(model, t) for t in (35.0, 70.0)]
+
+    def no_rates(*args, **kwargs):
+        raise AssertionError("a PSNR search read the bit-rate side")
+
+    monkeypatch.setattr(RatioQualityModel, "_rates", no_rates)
+    assert [model.error_bound_for_psnr(t) for t in (35.0, 70.0)] == expected
 
 
 def test_mean_zero_run_equals_the_row_loop():

@@ -75,10 +75,12 @@ class TestProfile:
         self, profile_snapshot
     ):
         # One sampling pass must beat one full compress+decompress trial.
+        # Best of five: the margin is ~1.3x since the encode kernel got
+        # faster (it was ~1.4x), and it is a timer on a shared box.
         profile = ThroughputProfile.measure(
             profile_snapshot,
             CompressionConfig(error_bound=1e-4),
-            repeats=3,
+            repeats=5,
         )
         assert profile.model_optimize > profile.tae_trial
 
