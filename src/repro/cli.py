@@ -618,12 +618,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _client(url: str):
     from repro.service.client import ArrayClient
 
-    return ArrayClient(url)
+    try:
+        return ArrayClient(url)
+    except ValueError as exc:  # not an http(s) URL
+        raise SystemExit(str(exc)) from None
 
 
 def _remote_call(fn):
     """Run a client call, mapping service failures to clean exits."""
-    from urllib.error import URLError
+    from http.client import HTTPException
 
     from repro.service.client import ServiceError
 
@@ -631,31 +634,32 @@ def _remote_call(fn):
         return fn()
     except ServiceError as exc:
         raise SystemExit(f"server error: {exc}") from exc
-    except (OSError, URLError) as exc:
+    except (OSError, HTTPException) as exc:
+        # HTTPException: a damaged response (IncompleteRead, ...)
         raise SystemExit(f"cannot reach server: {exc}") from exc
 
 
 def _cmd_remote_put(args: argparse.Namespace) -> int:
     data = _load_array(args.input)
     tile = parse_tile_shape(args.tile) if args.tile else None
-    client = _client(args.url)
     if args.snapshot:
         if args.adaptive:
             raise SystemExit(
                 "--snapshot deltas are not adaptive; drop --adaptive"
             )
-        entry = _remote_call(
-            lambda: client.put_snapshot(
-                args.name,
-                data,
-                eb=args.eb,
-                predictor=args.predictor,
-                mode=args.mode,
-                lossless=args.lossless,
-                tile=tile,
-                keyframe_interval=args.keyframe_interval,
+        with _client(args.url) as client:
+            entry = _remote_call(
+                lambda: client.put_snapshot(
+                    args.name,
+                    data,
+                    eb=args.eb,
+                    predictor=args.predictor,
+                    mode=args.mode,
+                    lossless=args.lossless,
+                    tile=tile,
+                    keyframe_interval=args.keyframe_interval,
+                )
             )
-        )
         kind = "keyframe" if entry.get("keyframe") else (
             f"delta ({entry.get('temporal_tiles', 0)} temporal / "
             f"{entry.get('spatial_tiles', 0)} spatial tiles)"
@@ -668,19 +672,20 @@ def _cmd_remote_put(args: argparse.Namespace) -> int:
         return 0
     if args.keyframe_interval is not None:
         raise SystemExit("--keyframe-interval requires --snapshot")
-    entry = _remote_call(
-        lambda: client.put(
-            args.name,
-            data,
-            eb=args.eb,
-            predictor=args.predictor,
-            mode=args.mode,
-            lossless=args.lossless,
-            tile=tile,
-            adaptive=args.adaptive,
-            overwrite=args.overwrite,
+    with _client(args.url) as client:
+        entry = _remote_call(
+            lambda: client.put(
+                args.name,
+                data,
+                eb=args.eb,
+                predictor=args.predictor,
+                mode=args.mode,
+                lossless=args.lossless,
+                tile=tile,
+                adaptive=args.adaptive,
+                overwrite=args.overwrite,
+            )
         )
-    )
     print(
         f"{args.input} -> {args.url}/v1/datasets/{args.name}: "
         f"{entry['raw_bytes']} -> {entry['compressed_bytes']} bytes "
@@ -702,15 +707,15 @@ def _parse_time_range(text: str) -> tuple[int, int]:
 
 
 def _cmd_remote_read(args: argparse.Namespace) -> int:
-    client = _client(args.url)
     region = args.region if args.region is not None else ":"
     if args.region is not None:
         parse_region(args.region)  # fail fast with the CLI's message
     if args.time_range is not None:
         t0, t1 = _parse_time_range(args.time_range)
-        data = _remote_call(
-            lambda: client.read_range(args.name, region, t0, t1)
-        )
+        with _client(args.url) as client:
+            data = _remote_call(
+                lambda: client.read_range(args.name, region, t0, t1)
+            )
         np.save(args.output, data)
         stats = client.last_read_stats
         print(
@@ -722,11 +727,12 @@ def _cmd_remote_read(args: argparse.Namespace) -> int:
             f"<= {stats.get('chain_depth', 1)})"
         )
         return 0
-    data = _remote_call(
-        lambda: client.read_region(
-            args.name, region, version=args.version
+    with _client(args.url) as client:
+        data = _remote_call(
+            lambda: client.read_region(
+                args.name, region, version=args.version
+            )
         )
-    )
     np.save(args.output, data)
     stats = client.last_read_stats
     version_note = (
@@ -743,8 +749,8 @@ def _cmd_remote_read(args: argparse.Namespace) -> int:
 
 
 def _cmd_remote_stat(args: argparse.Namespace) -> int:
-    client = _client(args.url)
-    entry = _remote_call(lambda: client.stat(args.name))
+    with _client(args.url) as client:
+        entry = _remote_call(lambda: client.stat(args.name))
     if args.json:
         print(json.dumps(entry, sort_keys=True))
     else:

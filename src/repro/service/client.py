@@ -1,16 +1,43 @@
 """Python client for the compressed-array server.
 
-Stdlib-only (``urllib``) counterpart of :mod:`repro.service.server`:
-arrays travel as ``.npy`` bodies, metadata as JSON.  Regions may be
-given as slice tuples (``(slice(0, 32), slice(16, 48))``) or the CLI's
-textual form (``"0:32,16:48"``).
+Stdlib-only (``http.client``) counterpart of
+:mod:`repro.service.server`: arrays travel as ``.npy`` bodies, metadata
+as JSON.  Regions may be given as slice tuples (``(slice(0, 32),
+slice(16, 48))``) or the CLI's textual form (``"0:32,16:48"``).
 
 Usage::
 
-    client = ArrayClient("http://127.0.0.1:8765")
-    client.put("pressure", field, eb=1e-3, tile=(64, 64))
-    roi = client.read_region("pressure", "0:32,16:48")
-    print(client.stat("pressure")["container"]["tile_map"]["n_tiles"])
+    with ArrayClient("http://127.0.0.1:8765") as client:
+        client.put("pressure", field, eb=1e-3, tile=(64, 64))
+        roi = client.read_region("pressure", "0:32,16:48")
+        print(client.stat("pressure")["container"]["tile_map"]["n_tiles"])
+
+Connections
+-----------
+
+Calls travel over persistent connections kept in an idle pool on the
+client, so a sequential caller talks to the server over one TCP
+connection for its whole life.  A connection goes back to the pool only
+after its response was read to the end and did not say ``Connection:
+close``; any exception closes it.  Three rules make the reuse safe:
+
+1. *Poll before reuse.*  An idle socket that is readable was closed (or
+   spoken on) by the server: it is dropped and a fresh one opened; no
+   request is ever written to it.
+2. *One uncounted resend, narrowly.*  When a **reused** connection
+   fails before the first response byte (the server closed it between
+   the poll and the send) and the call is replay-safe, the request is
+   sent once more on a fresh connection without consuming a retry
+   attempt.  A failure on a fresh connection, or after any response
+   byte, is a counted attempt.  ``delete`` is not replay-safe and
+   always travels on a fresh connection of its own, closed afterwards
+   (the pooled one stays for the next call).
+3. *The pool makes a shared client thread-safe.*  A connection is owned
+   by one in-flight call, so N threads on one client hold at most N
+   connections.
+
+:meth:`ArrayClient.close` (or leaving the ``with`` block) closes the
+pool; the client stays usable and reconnects on the next call.
 
 Resilience
 ----------
@@ -36,10 +63,9 @@ import http.client
 import io
 import json
 import random
+import select
 import time
-import urllib.error
 import urllib.parse
-import urllib.request
 import uuid
 from dataclasses import dataclass
 from typing import Sequence
@@ -112,12 +138,23 @@ def _parse_retry_after(headers) -> float | None:
         return None
 
 
-class ArrayClient:
-    """Thin HTTP client; one instance per server base URL.
+def _readable(sock) -> bool:
+    """Whether *sock* has bytes (or an EOF) waiting, without blocking."""
+    # poll, not select: no FD_SETSIZE limit on the descriptor's value
+    poller = select.poll()
+    poller.register(sock, select.POLLIN)
+    return bool(poller.poll(0))
 
-    Stateless between calls apart from ``last_read_stats`` (accounting
-    headers of the most recent read) and ``last_retry_stats``
-    (attempt/backoff accounting of the most recent request).
+
+class ArrayClient:
+    """HTTP client over pooled keep-alive connections; one per server.
+
+    Holds idle connections between calls (see the module docstring for
+    the reuse rules; :meth:`close` or a ``with`` block releases them),
+    plus ``last_read_stats`` (accounting headers of the most recent
+    read) and ``last_retry_stats`` (attempt/backoff accounting of the
+    most recent request).  Safe to share between threads: every
+    in-flight call owns its connection.
     """
 
     def __init__(
@@ -132,8 +169,100 @@ class ArrayClient:
         self._rng = random.Random(retry.seed if retry else None)
         self.last_read_stats: dict = {}
         self.last_retry_stats: dict = {}
+        parts = urllib.parse.urlsplit(self.base_url)
+        if parts.scheme not in ("http", "https") or not parts.hostname:
+            raise ValueError(f"not an http(s) URL: {base_url!r}")
+        self._connection_class = (
+            http.client.HTTPSConnection
+            if parts.scheme == "https"
+            else http.client.HTTPConnection
+        )
+        self._address = (parts.hostname, parts.port)
+        self._path_prefix = parts.path
+        #: connections whose last response was read to the end; a call
+        #: pops one and owns it until it appends it back
+        self._idle: list[http.client.HTTPConnection] = []
+
+    def close(self) -> None:
+        """Close every pooled connection (the next call reconnects)."""
+        while True:
+            try:
+                self._idle.pop().close()
+            except IndexError:
+                return
+
+    def __enter__(self) -> "ArrayClient":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
 
     # -- transport -------------------------------------------------------------
+
+    def _take_idle(self) -> http.client.HTTPConnection | None:
+        """A pooled connection the server has left alone, or ``None``.
+
+        Rule (1): a readable idle socket holds the server's FIN (idle
+        timeout, drain, restart) or stray bytes; either way it is dead
+        to us, so it is closed here and never written to.
+        """
+        while True:
+            try:
+                conn = self._idle.pop()
+            except IndexError:
+                return None
+            if not _readable(conn.sock):
+                return conn
+            conn.close()
+
+    def _exchange(
+        self, request: tuple, replay_safe: bool
+    ) -> tuple[http.client.HTTPResponse, bytes]:
+        """Send ``(method, target, body, headers)``; read the answer.
+
+        Returns the response and its fully read body.  The connection
+        is pooled again only if that response was read to the end and
+        did not announce ``Connection: close``; any exception closes
+        it, because a connection with unread bytes would hand them to
+        the next call as its answer.
+        """
+
+        def send(conn) -> http.client.HTTPResponse:
+            conn.request(*request)
+            return conn.getresponse()
+
+        # a request that must not be sent twice never rides a connection
+        # that may already be dead: it gets one of its own, closed
+        # afterwards so the pool keeps its one warm connection
+        conn = self._take_idle() if replay_safe else None
+        try:
+            if conn is not None:
+                try:
+                    response = send(conn)
+                except (ConnectionResetError, BrokenPipeError):
+                    # (RemoteDisconnected is a ConnectionResetError.)
+                    # Rule (2): no response byte arrived, and on a
+                    # reused connection that means the server closed it
+                    # after the poll — no fault of this request, so it
+                    # is resent below without charging the retry policy
+                    conn.close()
+                    conn = None
+            if conn is None:
+                # connects on first use; http.client sets TCP_NODELAY
+                conn = self._connection_class(
+                    *self._address, timeout=self.timeout
+                )
+                response = send(conn)
+            payload = response.read()
+        except BaseException:
+            if conn is not None:
+                conn.close()
+            raise
+        if response.will_close or not replay_safe:
+            conn.close()
+        else:
+            self._idle.append(conn)
+        return response, payload
 
     def _perform(
         self,
@@ -152,9 +281,15 @@ class ArrayClient:
         *idempotent* requests retry — PUTs qualify because they carry
         an idempotency token (see :meth:`put`).
         """
-        url = f"{self.base_url}{path}"
+        target = f"{self._path_prefix}{path}"
         if params:
-            url += "?" + urllib.parse.urlencode(params)
+            target += "?" + urllib.parse.urlencode(params)
+        request = (
+            method,
+            target,
+            body,
+            {"Content-Type": content_type} if content_type else {},
+        )
         policy = self.retry
         max_attempts = (
             policy.max_attempts if policy and idempotent else 1
@@ -174,39 +309,30 @@ class ArrayClient:
             attempts += 1
             retry_after = None
             try:
-                request = urllib.request.Request(
-                    url, data=body, method=method
+                response, payload = self._exchange(
+                    request, idempotent
                 )
-                if content_type:
-                    request.add_header("Content-Type", content_type)
-                with urllib.request.urlopen(
-                    request, timeout=self.timeout
-                ) as response:
-                    payload = response.read()
-                    _record()
-                    return response.status, response.headers, payload
-            except urllib.error.HTTPError as exc:
-                retry_after = _parse_retry_after(exc.headers)
-                try:
-                    message = json.loads(exc.read().decode()).get(
-                        "error", exc.reason
-                    )
-                except (json.JSONDecodeError, UnicodeDecodeError):
-                    message = str(exc.reason)
-                error: Exception = ServiceError(exc.code, message)
-                retryable = (
-                    policy is not None
-                    and exc.code in policy.retry_statuses
-                )
-            except (
-                urllib.error.URLError,
-                http.client.HTTPException,
-                OSError,
-            ) as exc:
+            except (http.client.HTTPException, OSError) as exc:
                 # connection refused/reset, dropped sockets, timeouts,
                 # truncated bodies (IncompleteRead) all land here
-                error = exc
+                error: Exception = exc
                 retryable = True
+            else:
+                if 200 <= response.status < 300:
+                    _record()
+                    return response.status, response.headers, payload
+                retry_after = _parse_retry_after(response.headers)
+                try:
+                    message = json.loads(payload.decode()).get(
+                        "error", response.reason
+                    )
+                except (json.JSONDecodeError, UnicodeDecodeError):
+                    message = str(response.reason)
+                error = ServiceError(response.status, message)
+                retryable = (
+                    policy is not None
+                    and response.status in policy.retry_statuses
+                )
 
             if not retryable or attempts >= max_attempts:
                 _record()

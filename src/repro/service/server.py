@@ -1,13 +1,22 @@
 """Concurrent HTTP server over an :class:`ArrayStore`.
 
 A stdlib-only (``http.server.ThreadingHTTPServer``) serving layer: one
-thread per request, all requests sharing one store, one decoded-tile
-cache and one long-lived container reader per dataset.  JSON for
-metadata, raw ``.npy`` bodies for array payloads.
+thread per connection — with the keep-alive :class:`ArrayClient`, one
+per client — all requests sharing one store, one decoded-tile cache and
+one long-lived container reader per dataset.  JSON for metadata, raw
+``.npy`` bodies for array payloads.
+
+Connections are HTTP/1.1 keep-alive.  The server closes one only from
+the idle state (``IDLE_TIMEOUT_S`` without a request, or
+``server_close()``) or after a response that said ``Connection:
+close`` — every error that may leave a request body unread, and every
+response once draining — so a client never finds a request it already
+sent silently discarded.
 
 Endpoints (all under ``/v1``)::
 
     GET    /v1/health                        liveness + dataset count
+                                             + connection counters
     GET    /v1/datasets                      list datasets (manifest)
     PUT    /v1/datasets/{name}?eb=...        compress .npy body into store
     GET    /v1/datasets/{name}               stat (manifest + container)
@@ -41,6 +50,7 @@ import io
 import json
 import logging
 import signal
+import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -61,6 +71,11 @@ logger = logging.getLogger("repro.service")
 MAX_BODY_BYTES = 512 << 20
 
 NPY_CONTENT_TYPE = "application/x-npy"
+
+#: a kept-alive connection with no request for this long is closed;
+#: longer than any pause inside a client's working loop, short enough
+#: that abandoned clients do not pin handler threads for good
+IDLE_TIMEOUT_S = 120.0
 
 
 class _ServiceError(Exception):
@@ -145,6 +160,10 @@ class _Handler(BaseHTTPRequestHandler):
 
     server_version = "repro-serve/1.0"
     protocol_version = "HTTP/1.1"
+    timeout = IDLE_TIMEOUT_S
+    #: headers and body leave as two small writes; on a warm connection
+    #: Nagle holds the second until the client's delayed ACK (~40 ms)
+    disable_nagle_algorithm = True
 
     # -- plumbing --------------------------------------------------------------
 
@@ -152,8 +171,18 @@ class _Handler(BaseHTTPRequestHandler):
     def store(self) -> ArrayStore:
         return self.server.store  # type: ignore[attr-defined]
 
+    def setup(self) -> None:
+        super().setup()
+        self.server.connection_opened(self.connection)
+
+    def finish(self) -> None:
+        self.server.connection_closed(self.connection)
+        super().finish()
+
     def log_message(self, fmt: str, *args: object) -> None:
-        logger.debug("%s %s", self.address_string(), fmt % args)
+        # called for every response: format only if someone listens
+        if logger.isEnabledFor(logging.DEBUG):
+            logger.debug("%s %s", self.address_string(), fmt % args)
 
     def _transmit(
         self,
@@ -186,7 +215,7 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         for key, value in (extra_headers or {}).items():
             self.send_header(key, str(value))
-        if close:
+        if close or self.server.draining.is_set():
             # send_header("Connection", "close") also flips
             # self.close_connection, so the socket really drops
             self.send_header("Connection", "close")
@@ -271,6 +300,9 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
         self.send_header("Retry-After", "1")
+        # sent before any request body was read, like
+        # _send_error_json — and the one response a draining server
+        # gives, which always announces the close
         self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
@@ -315,10 +347,15 @@ class _Handler(BaseHTTPRequestHandler):
         if parts and parts[0] == "v1":
             parts = parts[1:]
         if parts == ["health"] and method == "GET":
+            server: ArrayServer = self.server  # type: ignore[assignment]
             self._send_json(
                 {
                     "status": "ok",
                     "datasets": len(self.store.names()),
+                    "connections": {
+                        "accepted": server.connections_accepted,
+                        "open": server.connections_open,
+                    },
                 }
             )
             return
@@ -368,9 +405,10 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _handle_put(self, name: str, query: dict) -> None:
         config, overwrite = _config_from_query(query)
-        # the idempotency token (the client's checksum of the body)
-        # lets a retried PUT whose first attempt committed converge on
-        # the recorded entry instead of appending/conflicting twice
+        # the idempotency token (a uuid4 the client mints once per
+        # logical put and repeats on every resend of it) lets a retried
+        # PUT whose first attempt committed converge on the recorded
+        # entry instead of appending/conflicting twice
         token = query.get("token", [None])[-1] or None
         data = self._read_body_array()
         if _parse_bool(query, "snapshot"):
@@ -470,14 +508,26 @@ class _Handler(BaseHTTPRequestHandler):
 
     # -- HTTP verbs ------------------------------------------------------------
 
+    def _serve(self, method: str) -> None:
+        server: ArrayServer = self.server  # type: ignore[assignment]
+        if not server.request_begins(self.connection):
+            # server_close() ran while this request was on the wire:
+            # hang up rather than answer from a store that may be gone
+            self.close_connection = True
+            return
+        try:
+            self._route(method)
+        finally:
+            server.request_ends(self.connection)
+
     def do_GET(self) -> None:  # noqa: N802 (stdlib naming)
-        self._route("GET")
+        self._serve("GET")
 
     def do_PUT(self) -> None:  # noqa: N802
-        self._route("PUT")
+        self._serve("PUT")
 
     def do_DELETE(self) -> None:  # noqa: N802
-        self._route("DELETE")
+        self._serve("DELETE")
 
 
 class ArrayServer(ThreadingHTTPServer):
@@ -508,9 +558,16 @@ class ArrayServer(ThreadingHTTPServer):
         #: test seam: armed injector perturbs responses in _transmit
         self.faults = faults
         #: once set, every non-healthz request is refused with 503
+        #: and every response announces ``Connection: close``
         self.draining = threading.Event()
         self._inflight = 0
         self._inflight_cond = threading.Condition()
+        #: connections ever accepted (a keep-alive client costs one)
+        self.connections_accepted = 0
+        #: open connection -> whether a request is being served on it
+        self._connections: dict[socket.socket, bool] = {}
+        self._connections_lock = threading.Lock()
+        self._closed = False
 
     @property
     def url(self) -> str:
@@ -525,6 +582,58 @@ class ArrayServer(ThreadingHTTPServer):
         )
         thread.start()
         return thread
+
+    # -- connection registry ---------------------------------------------------
+
+    @property
+    def connections_open(self) -> int:
+        """Connections currently held by handler threads."""
+        return len(self._connections)
+
+    def connection_opened(self, connection: socket.socket) -> None:
+        with self._connections_lock:
+            self.connections_accepted += 1
+            self._connections[connection] = False
+
+    def connection_closed(self, connection: socket.socket) -> None:
+        with self._connections_lock:
+            self._connections.pop(connection, None)
+
+    def request_begins(self, connection: socket.socket) -> bool:
+        """Mark *connection* busy; ``False`` once the server closed."""
+        with self._connections_lock:
+            if self._closed:
+                return False
+            self._connections[connection] = True
+            return True
+
+    def request_ends(self, connection: socket.socket) -> None:
+        with self._connections_lock:
+            self._connections[connection] = False
+
+    def server_close(self) -> None:
+        """Close the listener and every idle kept-alive connection.
+
+        A handler thread blocked on an idle connection would otherwise
+        outlive ``shutdown()`` and answer its client's next request
+        from a store the embedder has since closed.  Connections with
+        a request in flight are left to finish: ``draining`` makes
+        that response announce ``Connection: close``.
+        """
+        self.draining.set()
+        super().server_close()
+        with self._connections_lock:
+            self._closed = True
+            idle = [
+                connection
+                for connection, busy in self._connections.items()
+                if not busy
+            ]
+        for connection in idle:
+            try:
+                connection.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # the peer already hung up
 
     # -- saturation + drain accounting -----------------------------------------
 
@@ -573,9 +682,11 @@ def serve(
     the serving threads; see :mod:`repro.compressor.executor`).
 
     SIGTERM (and Ctrl-C) triggers a graceful drain: the listener stops
-    accepting work (new requests get 503 + Retry-After), in-flight
-    requests run to completion (up to ``drain_timeout`` seconds), the
-    manifest is flushed, and only then does the process exit.
+    accepting work (new requests get 503 + Retry-After and
+    ``Connection: close``), in-flight requests run to completion (up
+    to ``drain_timeout`` seconds), idle kept-alive connections are
+    closed with the listener, the manifest is flushed, and only then
+    does the process exit.
     """
     from repro.service.cache import TileLRUCache
 

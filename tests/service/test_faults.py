@@ -7,9 +7,11 @@ silently wrong data — and the server's backpressure (503 + Retry-After)
 and drain states are visible and survivable.
 """
 
+import http.client
 import os
 import random
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -212,6 +214,131 @@ class TestClientRetries:
             _shutdown(server, store)
 
 
+def _hang_up_idle(server):
+    """Close every idle connection from the server's side, as the idle
+    timeout would, and wait until its handler threads let go."""
+    for connection in list(server._connections):
+        connection.shutdown(socket.SHUT_RDWR)
+    deadline = time.monotonic() + 5.0
+    while server.connections_open:
+        assert time.monotonic() < deadline
+        time.sleep(0.001)
+
+
+class TestKeepAliveUnderFaults:
+    """Detected-or-correct on pooled connections: a connection is
+    reused only after a fully read response, and the accounting of
+    rule (2) — one uncounted resend when a *reused* connection dies
+    before the first response byte — is pinned both ways."""
+
+    @pytest.fixture
+    def warm(self, tmp_path):
+        """(server, store, field, injector); faults armed by the test."""
+        field = smooth_field((32, 32), seed=11)
+        injector = _ScriptedInjector([])
+        server, store = _serve(tmp_path, faults=injector)
+        store.create(
+            "press",
+            field,
+            CompressionConfig(error_bound=EB, tile_shape=(16, 16)),
+        )
+        try:
+            yield server, store, field, injector
+        finally:
+            _shutdown(server, store)
+
+    def test_truncated_connection_is_discarded(self, warm):
+        server, store, field, injector = warm
+        client = ArrayClient(server.url)
+        small = client.read_region("press", "0:4,0:4")
+        injector._script.append(("truncate",))
+        with pytest.raises(http.client.IncompleteRead):
+            client.read_region("press", ":")
+        assert client.last_retry_stats["attempts"] == 1
+        assert client._idle == []  # half a body is still in that socket
+        again = client.read_region("press", "0:4,0:4")
+        assert again.tobytes() == small.tobytes()
+        assert server.connections_accepted == 2
+
+    def test_drop_on_warm_connection_is_resent_uncounted(self, warm):
+        server, store, field, injector = warm
+        for retry in (None, RetryPolicy(base_delay=0.01, seed=0)):
+            client = ArrayClient(server.url, retry=retry)
+            client.health()  # warm: the next call reuses this socket
+            injector._script.append(("drop",))
+            roi = client.read_region("press", ":")
+            assert_error_bounded(field, roi, EB)
+            assert client.last_retry_stats == {
+                "attempts": 1,
+                "retries": 0,
+                "slept": 0.0,
+            }
+            client.close()
+
+    def test_second_drop_is_a_counted_attempt(self, warm):
+        # the resend travels on a fresh connection, and a failure
+        # there is a real one: fatal without a policy, one retry with
+        server, store, field, injector = warm
+        bare = ArrayClient(server.url)
+        bare.health()
+        injector._script.extend([("drop",), ("drop",)])
+        with pytest.raises(http.client.RemoteDisconnected):
+            bare.read_region("press", ":")
+        assert bare.last_retry_stats["attempts"] == 1
+        assert bare._idle == []
+
+        retrying = ArrayClient(
+            server.url, retry=RetryPolicy(base_delay=0.01, seed=0)
+        )
+        retrying.health()
+        injector._script.extend([("drop",), ("drop",)])
+        roi = retrying.read_region("press", ":")
+        assert_error_bounded(field, roi, EB)
+        assert retrying.last_retry_stats["attempts"] == 2
+        assert retrying.last_retry_stats["slept"] > 0
+        retrying.close()
+
+    def test_server_side_idle_close_is_invisible(self, warm):
+        """Rule (1): the server's FIN makes the idle socket readable,
+        so it is dropped at the poll and never written to."""
+        server, store, field, injector = warm
+        client = ArrayClient(server.url)
+        client.health()
+        _hang_up_idle(server)
+        roi = client.read_region("press", ":")
+        assert_error_bounded(field, roi, EB)
+        assert client.last_retry_stats["attempts"] == 1
+        assert server.connections_accepted == 2
+        _hang_up_idle(server)
+        assert client._take_idle() is None
+        assert client._idle == []
+
+    def test_delete_never_rides_a_pooled_connection(self, warm):
+        server, store, field, injector = warm
+        client = ArrayClient(server.url)
+        client.health()
+        (warm,) = client._idle
+        assert client.delete("press") == {"deleted": "press"}
+        # it took a connection of its own and gave it up; the warm
+        # one is still pooled for the next replay-safe call ...
+        assert server.connections_accepted == 2
+        assert client._idle == [warm]
+        assert client.health()["connections"]["accepted"] == 2
+        # ... and after a server-side close the delete still goes out
+        # exactly once, on a third
+        store.create(
+            "press",
+            field,
+            CompressionConfig(error_bound=EB, tile_shape=(16, 16)),
+        )
+        _hang_up_idle(server)
+        assert client.delete("press") == {"deleted": "press"}
+        assert client.last_retry_stats["attempts"] == 1
+        assert server.connections_accepted == 3
+        assert store.names() == []
+        client.close()
+
+
 class TestPutIdempotency:
     class _FixedTokenClient(ArrayClient):
         @staticmethod
@@ -258,6 +385,27 @@ class TestPutIdempotency:
         finally:
             _shutdown(server, store)
 
+    def test_uncounted_resend_repeats_the_token(self, tmp_path):
+        # a committed put whose response is dropped on a *warm*
+        # connection is resent outside the retry policy — with the
+        # same token, or it would append twice
+        field = smooth_field((24, 24), seed=8)
+        injector = _ScriptedInjector([])
+        server, store = _serve(tmp_path, faults=injector)
+        try:
+            client = ArrayClient(server.url)
+            client.health()
+            injector._script.append(("drop",))
+            entry = client.put_snapshot(
+                "wave", field, eb=EB, tile=(12, 12)
+            )
+            assert entry["version"] == 0
+            assert entry.get("duplicate") is True
+            assert client.last_retry_stats["attempts"] == 1
+            assert int(store.info("wave")["latest_version"]) == 0
+        finally:
+            _shutdown(server, store)
+
     def test_distinct_calls_never_collide(self, tmp_path):
         # identical payloads appended twice ARE two versions: tokens
         # are per-call, not content hashes
@@ -287,6 +435,43 @@ class TestHealthAndDrain:
                 client.health()
             assert excinfo.value.status == 503
             assert "draining" in excinfo.value.message
+        finally:
+            _shutdown(server, store)
+
+    def test_inflight_response_announces_the_close(self, tmp_path):
+        # a request already being served when the drain begins is
+        # answered in full, but its response says Connection: close —
+        # the server never hangs up on a client that was not told
+        field = smooth_field((24, 24), seed=12)
+        injector = FaultInjector(
+            http_failure_rate=1.0,
+            http_modes=("delay",),
+            delay_seconds=0.3,
+        )
+        server, store = _serve(tmp_path, faults=injector)
+        try:
+            store.create(
+                "press",
+                field,
+                CompressionConfig(error_bound=EB, tile_shape=(12, 12)),
+            )
+            client = ArrayClient(server.url)
+            got = []
+            reader = threading.Thread(
+                target=lambda: got.append(
+                    client.read_region("press", ":")
+                )
+            )
+            reader.start()
+            deadline = time.monotonic() + 5.0
+            while not injector.fired("http"):  # the handler is stalling
+                assert time.monotonic() < deadline
+                time.sleep(0.001)
+            server.begin_drain()
+            reader.join(timeout=10.0)
+            assert not reader.is_alive()
+            assert_error_bounded(field, got[0], EB)
+            assert client._idle == []
         finally:
             _shutdown(server, store)
 

@@ -1,5 +1,9 @@
 """HTTP server + client tests, including the concurrency acceptance."""
 
+import http.client
+import logging
+import socket
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -19,19 +23,26 @@ N_CLIENTS = 8
 
 
 @pytest.fixture
-def served(tmp_path):
-    """A live server over a fresh store; yields (client, store)."""
+def live(tmp_path):
+    """A live server over a fresh store; yields (client, server)."""
     store = ArrayStore(
         tmp_path / "store", cache=TileLRUCache(byte_budget=32 << 20)
     )
     server = ArrayServer(store)
     server.serve_in_background()
     try:
-        yield ArrayClient(server.url), store
+        yield ArrayClient(server.url), server
     finally:
         server.shutdown()
         server.server_close()
         store.close()
+
+
+@pytest.fixture
+def served(live):
+    """The same, for tests that look at the store: (client, store)."""
+    client, server = live
+    return client, server.store
 
 
 @pytest.fixture
@@ -247,7 +258,6 @@ class TestErrors:
         the server must drop the keep-alive connection so the body is
         not parsed as the next request."""
         import io as _io
-        import socket
         from urllib.parse import urlparse
 
         client, _ = served
@@ -365,3 +375,170 @@ class TestConcurrentClients:
         # waited on the in-flight decode or hit the cache afterwards
         assert stats.misses == 1
         assert stats.hits + stats.coalesced == N_CLIENTS - 1
+
+
+def _connections(client):
+    return client.health()["connections"]
+
+
+class TestKeepAlive:
+    """One connection per client, by count — no timers anywhere."""
+
+    def test_one_client_is_one_connection(self, served, field):
+        client, _ = served
+        snaps = _snaps(field, 2)
+        for snap in snaps:
+            client.put_snapshot("wave", snap, eb=EB, tile=(16, 16))
+        calls = [
+            lambda i: client.put(
+                f"d{i}", field[:16, :16], eb=EB, tile=(16, 16)
+            ),
+            lambda i: client.read_region("wave", "8:40,8:40"),
+            lambda i: client.stat("wave"),
+            lambda i: client.read_range("wave", "0:16,0:16", 0, 1),
+            lambda i: client.cache_stats(),
+        ]
+        for i in range(200):
+            calls[i % len(calls)](i)
+        report = _connections(client)
+        assert report == {"accepted": 1, "open": 1}
+
+    def test_rejected_put_costs_one_reconnect(self, served, field):
+        """A PUT refused on its query string leaves its body unread, so
+        the server announces the close and the client must not pool
+        that connection: the next call opens a second one and reads
+        its own answer, not the leftovers."""
+        client, _ = served
+        client.put("press", field, eb=EB, tile=(16, 16))
+        expected = client.read_region("press", "8:40,8:40")
+        with pytest.raises(ServiceError) as err:
+            client._json(
+                "PUT", "/v1/datasets/x", body=b"zz", content_type="a/b"
+            )
+        assert err.value.status == 400
+        assert client._idle == []
+        again = client.read_region("press", "8:40,8:40")
+        assert again.tobytes() == expected.tobytes()
+        assert _connections(client)["accepted"] == 2
+
+    def test_shared_client_across_threads(self, served, field):
+        """Rule (3): the pool hands a connection to one call at a time,
+        so 8 threads on ONE client get their own bytes back and never
+        hold more than 8 connections."""
+        client, _ = served
+        client.put("press", field, eb=EB, tile=(16, 16))
+        regions = ["0:16,0:16", "8:40,8:40", "0:48,16:32", "5:6,0:48"]
+        reference = {
+            slab: client.read_region("press", slab).tobytes()
+            for slab in regions
+        }
+
+        def worker(seed: int) -> list:
+            order = np.random.default_rng(seed).integers(
+                0, len(regions), size=24
+            )
+            return [
+                (
+                    regions[index],
+                    client.read_region("press", regions[index]).tobytes(),
+                )
+                for index in order
+            ]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # force interleaving on the pool
+        try:
+            with ThreadPoolExecutor(max_workers=N_CLIENTS) as pool:
+                batches = list(pool.map(worker, range(N_CLIENTS)))
+        finally:
+            sys.setswitchinterval(interval)
+        for batch in batches:
+            assert len(batch) == 24
+            for slab, payload in batch:
+                assert payload == reference[slab]
+        report = _connections(client)
+        assert report["accepted"] <= N_CLIENTS
+        assert report["open"] == report["accepted"]
+        assert len(client._idle) == report["open"]
+
+    def test_close_releases_the_pool_and_client_stays_usable(
+        self, served
+    ):
+        client, _ = served
+        with client:
+            client.health()
+            assert len(client._idle) == 1
+        assert client._idle == []
+        assert _connections(client)["accepted"] == 2
+
+    def test_both_ends_disable_nagle(self, live):
+        """The structural guard for the 40 ms stall: headers and body
+        are two small writes, and on a warm connection Nagle would
+        hold the second until the peer's delayed ACK."""
+        client, server = live
+        client.health()
+        (server_side,) = server._connections
+        for sock in (client._idle[0].sock, server_side):
+            assert sock.getsockopt(
+                socket.IPPROTO_TCP, socket.TCP_NODELAY
+            )
+
+    def test_drain_announces_close(self, live):
+        client, server = live
+        client.health()
+        assert len(client._idle) == 1
+        server.begin_drain()
+        with pytest.raises(ServiceError) as err:
+            client.healthz()  # rides the warm connection
+        assert err.value.status == 503
+        assert client._idle == []  # it said Connection: close
+
+    def test_no_answer_after_server_close(self, tmp_path, field):
+        """A handler thread parked on a kept-alive socket must not go
+        on serving once the embedder shut the server down."""
+        store = ArrayStore(tmp_path / "zombie")
+        server = ArrayServer(store)
+        server.serve_in_background()
+        client = ArrayClient(server.url)
+        try:
+            client.put("press", field, eb=EB, tile=(16, 16))
+            assert len(client._idle) == 1
+        finally:
+            server.shutdown()
+            server.server_close()
+        try:
+            with pytest.raises((OSError, http.client.HTTPException)):
+                client.read_region("press", "0:16,0:16")
+        finally:
+            store.close()
+            client.close()
+
+
+
+class TestAccessLog:
+    class _Hostile:
+        def __str__(self):
+            raise AssertionError("formatted an access line nobody reads")
+
+    @staticmethod
+    def _handler():
+        from repro.service.server import _Handler
+
+        handler = _Handler.__new__(_Handler)  # no socket needed
+        handler.client_address = ("127.0.0.1", 4242)
+        return handler
+
+    def test_nothing_is_formatted_at_the_default_level(self):
+        self._handler().log_message("%s", self._Hostile())
+
+    def test_debug_line_is_unchanged(self, caplog):
+        handler = self._handler()
+        with caplog.at_level(logging.DEBUG, logger="repro.service"):
+            handler.log_message(
+                '"%s" %s %s', "GET /v1/health HTTP/1.1", "200", "-"
+            )
+            with pytest.raises(AssertionError):
+                handler.log_message("%s", self._Hostile())
+        assert [r.getMessage() for r in caplog.records] == [
+            '127.0.0.1 "GET /v1/health HTTP/1.1" 200 -'
+        ]

@@ -377,6 +377,36 @@ class TestRemoteCommands:
         with pytest.raises(SystemExit, match="cannot reach server"):
             main(["remote-stat", "http://127.0.0.1:1", "x"])
 
+    def test_damaged_response_is_a_clean_exit(
+        self, field_file, tmp_path
+    ):
+        # http.client.IncompleteRead is neither ServiceError nor
+        # OSError: it used to escape _remote_call as a traceback
+        from repro.service import ArrayServer, ArrayStore
+        from tests.service.test_faults import _ScriptedInjector
+
+        injector = _ScriptedInjector([])
+        store = ArrayStore(tmp_path / "store")
+        server = ArrayServer(store, faults=injector)
+        server.serve_in_background()
+        try:
+            main(["remote-put", server.url, "press", field_file,
+                  "--eb", "0.01"])
+            injector._script.append(("truncate",))
+            with pytest.raises(
+                SystemExit, match="cannot reach server: IncompleteRead"
+            ):
+                main(["remote-read", server.url, "press",
+                      str(tmp_path / "o.npy")])
+        finally:
+            server.shutdown()
+            server.server_close()
+            store.close()
+
+    def test_not_a_url_is_a_clean_exit(self, tmp_path):
+        with pytest.raises(SystemExit, match="not an http"):
+            main(["remote-stat", "127.0.0.1:8765", "x"])
+
     def test_remote_snapshot_chain_and_versioned_read(
         self, served, tmp_path, capsys
     ):
