@@ -69,7 +69,7 @@ def round_trip(client: ArrayClient) -> None:
     print(f"read: first {first} -> again {again}")
 
     stat = client.stat("demo")
-    assert stat["container"]["container_version"] == 4
+    assert stat["container"]["container_version"] == 7
     assert stat["container"]["tile_map"]["n_tiles"] == 16
     print(
         "stat: v4 container, "

@@ -28,10 +28,10 @@ Entry point for the library's day-to-day workflow on ``.npy`` arrays::
 ``compress`` accepts exactly one targeting flag: ``--eb`` (direct
 bound), ``--ratio`` (model-derived bound for a target ratio) or
 ``--psnr`` (model-derived bound for a target quality).  ``--tile``
-switches to the tiled v4 container, streamed tile-by-tile with bounded
+switches to the tiled (v7) container, streamed tile-by-tile with bounded
 memory (the input is opened as a memmap); ``--adaptive`` additionally
 runs the model-driven planner so every tile gets its own predictor,
-bound and quantizer radius (adaptive v5 container; ``inspect`` prints
+bound and quantizer radius (a palette in the TOC; ``inspect`` prints
 the per-tile choices); ``--region`` decodes only the tiles
 intersecting the requested hyperslab.
 
@@ -134,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--tile",
         default=None,
         metavar="T1,T2,...",
-        help="tile shape for the tiled v4 container (out-of-core "
+        help="tile shape for the tiled container (out-of-core "
         "streaming + region decode), e.g. 64,64,64",
     )
     comp.add_argument(
@@ -142,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="model-driven per-tile configuration: each tile gets its "
         "own predictor/bound/radius at matched aggregate quality "
-        "(adaptive v5 container; requires --tile, abs/rel modes)",
+        "(palette in the TOC; requires --tile, abs/rel modes)",
     )
     comp.add_argument(
         "--fit-clusters",
@@ -287,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     rput.add_argument(
         "--adaptive",
         action="store_true",
-        help="model-driven per-tile configuration (v5 container)",
+        help="model-driven per-tile configuration (TOC palette)",
     )
     rput.add_argument(
         "--overwrite",
@@ -550,7 +550,7 @@ def _cmd_decompress(args: argparse.Namespace) -> int:
             f"({tiled.last_tiles_decoded} tiles decoded)"
         )
         return 0
-    # TiledCompressor dispatches flat v2/v3 and tiled v4 uniformly
+    # TiledCompressor dispatches flat v2/v3 and tiled v4-v7 uniformly
     try:
         data = tiled.decompress(args.input, workers=args.workers)
     except ValueError as exc:

@@ -10,8 +10,7 @@ in :mod:`repro.compressor.container`;
 :class:`repro.compressor.tiled.TiledCompressor` layers tiled
 out-of-core streaming with region-of-interest decode on top; and
 :class:`repro.compressor.adaptive.AdaptivePlanner` turns the
-ratio-quality model into a per-tile configuration autotuner (the
-adaptive v5 container).
+ratio-quality model into a per-tile configuration autotuner.
 """
 
 from repro.compressor.adaptive import (

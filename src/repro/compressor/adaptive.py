@@ -1,4 +1,4 @@
-"""Per-tile adaptive configuration planning (model-driven v5 container).
+"""Per-tile adaptive configuration planning (model-driven, palettized).
 
 The paper's rate-quality model answers "what would this config cost?"
 without running the compressor; this module turns that into an *online
@@ -8,7 +8,7 @@ planner drives the §IV-C rate-distortion machinery
 its own codec configuration — error bound, predictor and quantizer
 radius — at matched aggregate quality.
 :class:`~repro.compressor.tiled.TiledCompressor` encodes the resulting
-heterogeneous tiles into the v5 container, whose TOC records every
+heterogeneous tiles into the tiled container, whose TOC records every
 tile's parameters.
 
 The planning pipeline, per :meth:`AdaptivePlanner.plan` call:
@@ -141,7 +141,7 @@ class TileChoice:
     est_mse: float
 
     def to_json(self) -> dict:
-        """The ``config`` dict stored in the v5 TOC record."""
+        """The ``config`` dict stored in the TOC palette."""
         return {
             "predictor": self.predictor,
             "error_bound": self.error_bound,
@@ -154,7 +154,7 @@ class PlanStats:
     """Planner work accounting for one :meth:`AdaptivePlanner.plan` call.
 
     The counters are deterministic functions of ``(data, config,
-    planner, cache state)`` — they go into the v5 container header and
+    planner, cache state)`` — they go into the container header and
     surface through ``repro inspect`` — while ``plan_seconds`` is a
     wall-clock measurement that stays runtime-only (and is excluded
     from equality, so plans from different backends still compare
@@ -322,7 +322,7 @@ class AdaptivePlanner:
     grid_points:
         Log-spaced bound-grid resolution (odd keeps the nominal bound
         exactly on the grid).  The default trades a slightly coarser
-        allocation for a small v5 TOC config palette: tiles can only
+        allocation for a small TOC config palette: tiles can only
         land on ``grid_points`` distinct bounds.
     seed:
         Sampling RNG seed (fits are deterministic).

@@ -73,7 +73,7 @@ class CompressionConfig:
         the single-stream v2 container.
     tile_shape:
         When set, :class:`repro.compressor.tiled.TiledCompressor` splits
-        the array into tiles of this shape and writes the tiled v4
+        the array into tiles of this shape and writes the tiled (v7)
         container (out-of-core streaming, region-of-interest decode).
         Ignored by the flat :class:`~repro.compressor.sz.SZCompressor`.
     parallel_backend:
@@ -89,7 +89,7 @@ class CompressionConfig:
         (:class:`repro.compressor.adaptive.AdaptivePlanner`) assigns
         every tile its own predictor, error bound and quantizer radius
         at the aggregate quality the uniform config would achieve, and
-        the v5 container records the choices per tile.  ``predictor``
+        the TOC palette records the choices per tile.  ``predictor``
         and ``error_bound`` then act as the nominal starting point.
         Requires an ``ABS`` or ``REL`` mode (the planner works in the
         value domain).
@@ -112,9 +112,9 @@ class CompressionConfig:
         matching tile of a reference snapshot, falling back to spatial
         prediction per tile when the rate-quality model says the
         residual costs more bits (see
-        :class:`repro.compressor.temporal.TemporalCompressor`, v6
-        container).  Requires an ``ABS`` or ``REL`` mode and is
-        mutually exclusive with ``adaptive``.
+        :class:`repro.compressor.temporal.TemporalCompressor`).
+        Requires an ``ABS`` or ``REL`` mode and is mutually exclusive
+        with ``adaptive``.
     """
 
     predictor: str = "lorenzo"

@@ -20,63 +20,73 @@ predictor side payload, PW_REL sign payload.
 
 Tiled containers (out-of-core streaming, region-of-interest decode)::
 
-    b"RQSZ" | version:u8 | header_len:u32 | header JSON
-           | tile payloads ... | TOC JSON | toc_len:u64
+    b"RQSZ" | 7 | header_len:u32 | header JSON | tile payloads ...
+           | TOC JSON | toc_crc:u32 (with checksums) | toc_len:u64
 
-Each tile payload is itself a self-describing flat (v2/v3) container
-covering one N-d tile of the array.  The trailing TOC records every
-tile's byte extent (``offset``/``size``) and index-space extent
-(``start``/``stop``), so a reader can seek straight to the tiles
-intersecting a requested hyperslab without touching the rest of the
-file.  The TOC trails the payloads so writers can stream tiles to disk
-with bounded memory and fix the offsets up at close time.
+**v7** is the one frame written — uniform, adaptive and temporal alike
+— and a flat array is a one-tile tiled container in it, byte for byte:
+a **tile payload is stage bytes and nothing else**::
+
+    meta_len:varint | meta JSON | five varint section lengths | sections
+
+What a decoder needs beyond the sections (a flat header's fields,
+:data:`TILE_KEYS`) is *resolved*, not repeated: the container header's
+own codec fields, overridden by what the TOC's ``shared`` records once
+per predictor (what that predictor's first tile added to the header —
+in the TOC because a streaming writer has the header on disk before the
+first tile is encoded), by the tile's palette entry, and last by the
+tile's ``meta``, which therefore holds only what differs (a full
+interior tile has ``meta_len == 0``: seven bytes of framing).  The
+**TOC is arrays**: ``sizes`` and, with checksums, ``crcs`` +
+``header_crc``; an adaptive container adds the ``configs`` palette of
+``[predictor, absolute error bound, quantizer radius]`` triples and a
+``tile_configs`` index per tile; a temporal one (header ``temporal``)
+a ``tile_modes`` bit per tile (1 = residual against the reference
+snapshot's decoded tile, see :mod:`repro.compressor.temporal`).
+*Derived, never stored:* a tile's byte offset is the running sum of
+``sizes`` from the end of the header, its index-space extent its place
+in ``iter_tiles(shape, tile_shape)`` order; sizes that do not tile the
+payload region exactly are refused.  The TOC trails the payloads so
+writers stream tiles to disk with bounded memory.
 
 Integrity: containers written with ``checksums`` enabled (the default)
 declare a checksum algorithm in the header (``"checksums"`` field) and
-carry a 32-bit checksum of every tile payload (``tile_crcs`` in the
-TOC), of the header JSON (``header_crc`` in the TOC) and of the TOC
-JSON itself (a 4-byte trailer between the TOC and its length word).
-Verification happens on read: a mismatching TOC or header raises
-:class:`ContainerFormatError` at open, a mismatching tile payload
-raises :class:`TileCorruptError` naming the tile, and containers
-*without* checksums (anything written before this scheme, including
-all golden fixtures) verify as **unknown** — never as failures.
+carry a 32-bit checksum of every tile payload, of the header JSON and
+of the TOC JSON itself (the 4-byte trailer).  Verification happens on
+read: a mismatching TOC or header raises :class:`ContainerFormatError`
+at open, a mismatching tile payload raises :class:`TileCorruptError`
+naming the tile, and containers *without* checksums (all golden
+fixtures) verify as **unknown** — never as failures.  With or without,
+what the TOC says is checked at open: palette indices, mode bits, and
+every tile extent inside the payload region.
 
-* **v4** — every tile was encoded under the global header's config.
-* **v5** (adaptive) — the same frame, but the TOC additionally carries
-  a ``configs`` palette of the distinct model-selected codec parameter
-  sets (``[predictor, absolute error bound, quantizer radius]``
-  triples) plus a ``tile_configs`` array mapping every tile to its
-  palette entry, so heterogeneous per-tile choices survive in the
-  format and readers reconstruct without a global config.  The palette
-  + index encoding keeps the per-tile TOC cost to a couple of bytes —
-  neighbouring tiles frequently land on the same choice, and the
-  allocation grid bounds the number of distinct entries.
-* **v6** (temporal) — the same frame again, for one snapshot of a
-  versioned snapshot chain: each tile payload is either a *spatial*
-  encoding of the tile's samples or a *temporal residual* against the
-  decoded matching tile of a reference snapshot.  The TOC carries a
-  ``tile_modes`` bit array (1 = temporal residual, 0 = spatial) and
-  the header records the reference snapshot id (``ref_snapshot``) plus
-  ``temporal_stats`` choice counters; decoding therefore needs the
-  decoded reference snapshot (see
-  :mod:`repro.compressor.temporal`).
+**v4 / v5 / v6 are read-only** (``TiledWriter(version=...)`` forges
+them for tests): the same frame, but each tile payload is a
+self-describing flat v2/v3 container and the TOC a list of per-tile
+``offset``/``size``/``start``/``stop`` dicts (+ ``tile_crcs``); v5
+adds the palette, v6 the ``tile_modes``.
 """
 
 from __future__ import annotations
 
 import io
+import itertools
 import json
+import math
 import os
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import BinaryIO, Sequence
 
+import numpy as np
+
+from repro.compressor.encoders.lz77 import read_varint, write_varint
 from repro.compressor.integrity import (
     CHECKSUM_ALGORITHM,
     checksum,
     checksum_named,
 )
+from repro.compressor.tiled_geometry import iter_tiles, tile_grid
 
 __all__ = [
     "MAGIC",
@@ -85,8 +95,10 @@ __all__ = [
     "VERSION_TILED",
     "VERSION_ADAPTIVE",
     "VERSION_TEMPORAL",
+    "VERSION_FRAME",
     "TILED_VERSIONS",
     "SECTION_NAMES",
+    "TILE_KEYS",
     "ContainerFormatError",
     "TileCorruptError",
     "flat_overhead",
@@ -98,6 +110,8 @@ __all__ = [
     "is_tiled_version",
     "write_chunked_codes",
     "read_chunked_codes",
+    "pack_tile",
+    "unpack_tile",
     "TileRecord",
     "TiledWriter",
     "TiledReader",
@@ -139,16 +153,18 @@ MAGIC = b"RQSZ"
 VERSION_SINGLE = 2
 #: flat container, chunked codes section
 VERSION_CHUNKED = 3
-#: tiled container with a trailing TOC
+#: legacy (read-only) tiled frames: tiles are flat containers
 VERSION_TILED = 4
-#: tiled container whose TOC records per-tile codec configurations
+#: ... whose TOC records per-tile codec configurations
 VERSION_ADAPTIVE = 5
-#: tiled container whose tiles may be temporal residuals vs a reference
+#: ... whose tiles may be temporal residuals vs a reference
 VERSION_TEMPORAL = 6
+#: the tiled frame: tiles are stage bytes, offsets and extents derived
+VERSION_FRAME = 7
 
 _FLAT_VERSIONS = (VERSION_SINGLE, VERSION_CHUNKED)
 #: container versions that use the tiled payloads + trailing-TOC frame
-TILED_VERSIONS = (VERSION_TILED, VERSION_ADAPTIVE, VERSION_TEMPORAL)
+TILED_VERSIONS = tuple(range(VERSION_TILED, VERSION_FRAME + 1))
 
 # Writer layout constants -- every size computation below derives from
 # these, so accounting cannot drift from the format.
@@ -168,6 +184,15 @@ SECTION_NAMES = (
     "side",
     "signs",
 )
+
+#: the codec parameters a v7 tile may share with others: a flat
+#: header's fields but ``shape``/``dtype`` (the grid's)
+_SHARED_KEYS = frozenset(
+    "predictor mode error_bound abs_eb quant_radius lossless lorenzo_levels "
+    "regression_block chunk_size predictor_meta outlier_kind transform".split()
+)
+#: ... and all its ``meta`` may name: those, and what is the tile's alone
+TILE_KEYS = _SHARED_KEYS | {"constant", "chunked"}
 
 
 def container_version(blob: bytes) -> int:
@@ -315,7 +340,57 @@ def read_chunked_codes(payload: bytes) -> list[bytes]:
     return blobs
 
 
-# -- tiled (v4/v5) containers --------------------------------------------------
+# -- v7 tile payloads ----------------------------------------------------------
+
+
+def _compact_json(obj: object) -> bytes:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
+
+
+def pack_tile(meta: dict, sections: Sequence[bytes]) -> bytes:
+    """A v7 tile payload: what *meta* overrides, then the stage bytes."""
+    out = bytearray()
+    meta_bytes = _compact_json(meta) if meta else b""
+    write_varint(out, len(meta_bytes))
+    out += meta_bytes
+    for section in sections:
+        write_varint(out, len(section))
+    return bytes(out) + b"".join(sections)
+
+
+def unpack_tile(payload: bytes) -> tuple[dict, list[bytes]]:
+    """Split a v7 tile payload into its ``meta`` and stage sections.
+
+    The recorded lengths must tile the payload exactly and ``meta`` may
+    name :data:`TILE_KEYS` only — anything else is a
+    :class:`ContainerFormatError`, before any length is believed.
+    """
+    try:
+        meta_len, pos = read_varint(payload, 0)
+        if meta_len > len(payload) - pos:
+            raise ValueError("meta overruns the payload")
+        meta = json.loads(payload[pos : pos + meta_len]) if meta_len else {}
+        pos += meta_len
+        sizes = []
+        for _ in SECTION_NAMES:
+            size, pos = read_varint(payload, pos)
+            sizes.append(size)
+    except ValueError as exc:  # bad varint, UTF-8 or JSON
+        raise ContainerFormatError(f"corrupt tile payload: {exc}") from exc
+    if not isinstance(meta, dict) or not meta.keys() <= TILE_KEYS:
+        raise ContainerFormatError(
+            f"corrupt tile meta: expected a subset of {sorted(TILE_KEYS)}"
+        )
+    if pos + sum(sizes) != len(payload):
+        raise ContainerFormatError(
+            f"corrupt tile payload: sections record {sum(sizes)} bytes, "
+            f"{len(payload) - pos} follow the lengths"
+        )
+    bounds = list(itertools.accumulate(sizes, initial=pos))
+    return meta, [payload[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+# -- tiled containers ----------------------------------------------------------
 
 #: field order of the v5 TOC config-palette entries
 _CONFIG_ENTRY_KEYS = ("predictor", "error_bound", "quant_radius")
@@ -333,22 +408,46 @@ def _entry_to_config(entry: Sequence | dict) -> dict:
     return dict(zip(_CONFIG_ENTRY_KEYS, entry))
 
 
+def _tile_base(header: dict, shared: dict, config: dict | None) -> dict:
+    """What a v7 tile's parameters resolve to before its own ``meta``:
+    the header's codec fields, under the TOC's record for the tile's
+    predictor (*shared*: predictor side data goes with the predictor),
+    under the tile's palette *config* — whose bound is absolute."""
+    fields = {k: v for k, v in header.items() if k in _SHARED_KEYS}
+    base = {**fields, **shared.get((config or fields).get("predictor"), {})}
+    if config is not None:
+        base.update(config, abs_eb=config.get("error_bound"))
+    return base
+
+
+def _added(params: dict, base: dict, keys: frozenset) -> dict:
+    """The *keys* entries of *params* that *base* does not already say."""
+    return {
+        key: value
+        for key, value in params.items()
+        if key in keys and (key not in base or base[key] != value)
+    }
+
+
 @dataclass(frozen=True)
 class TileRecord:
     """One tile's byte extent, index-space extent and codec parameters.
 
-    ``config`` is ``None`` in v4 containers (every tile shares the
-    global header's settings); the adaptive v5 container stores each
-    tile's chosen codec parameters here so readers and tooling can
+    ``config`` is ``None`` in uniform containers (every tile shares the
+    global header's settings); an adaptive container's palette stores
+    each tile's chosen codec parameters here so readers and tooling can
     reconstruct the per-tile choices without a global config.
 
-    ``temporal`` marks a v6 tile whose payload encodes a residual
-    against the decoded matching tile of the reference snapshot rather
-    than the tile's samples directly.
+    ``temporal`` marks a tile whose payload encodes a residual against
+    the decoded matching tile of the reference snapshot rather than the
+    tile's samples directly.
 
     ``crc`` is the payload's 32-bit checksum under the container's
     declared algorithm, or ``None`` for containers written without
     checksums (which verify as *unknown*, never as failures).
+
+    ``params`` is what a v7 reader resolved for the tile, to be
+    completed by its ``meta``; ``None``: a self-describing v4-v6 payload.
     """
 
     offset: int
@@ -358,6 +457,7 @@ class TileRecord:
     config: dict | None = None
     temporal: bool = False
     crc: int | None = None
+    params: dict | None = field(default=None, compare=False, repr=False)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -365,7 +465,7 @@ class TileRecord:
         return tuple(b - a for a, b in zip(self.start, self.stop))
 
     def to_json(self) -> dict:
-        """TOC form of the byte/index extents (config is palettized)."""
+        """Legacy TOC form of the byte/index extents."""
         return {
             "offset": self.offset,
             "size": self.size,
@@ -374,28 +474,23 @@ class TileRecord:
         }
 
     @staticmethod
-    def from_json(
-        record: dict,
-        config: dict | None = None,
-        temporal: bool = False,
-        crc: int | None = None,
-    ) -> "TileRecord":
+    def from_json(record: dict) -> "TileRecord":
         return TileRecord(
             offset=int(record["offset"]),
             size=int(record["size"]),
             start=tuple(int(x) for x in record["start"]),
             stop=tuple(int(x) for x in record["stop"]),
-            config=config,
-            temporal=temporal,
-            crc=crc,
         )
 
 
 class TiledWriter:
-    """Streams a v4 tiled container to a binary sink.
+    """Streams a tiled container to a binary sink.
 
-    Tiles are appended one at a time (bounded memory); the TOC is
-    written at close.  Use as a context manager or call :meth:`finish`.
+    Tiles are appended one at a time, in grid order (bounded memory);
+    the TOC is written at close.  Use as a context manager or call
+    :meth:`finish`.  :meth:`add_stages` is the encode loop's entry;
+    :meth:`add_tile` files a ready payload as it is (how tests forge
+    frames, legacy ones through ``version``).
 
     ``checksums`` (default on) records the payload/header/TOC
     checksums described in the module docstring; readers of containers
@@ -406,7 +501,7 @@ class TiledWriter:
         self,
         sink: BinaryIO,
         header: dict,
-        version: int = VERSION_TILED,
+        version: int = VERSION_FRAME,
         checksums: bool = True,
     ) -> None:
         if version not in TILED_VERSIONS:
@@ -416,30 +511,57 @@ class TiledWriter:
         self._tiles: list[TileRecord] = []
         self._finished = False
         self._checksums = bool(checksums)
-        self._header_crc: int | None = None
         try:
             self._start = sink.tell()
         except (OSError, AttributeError):
             self._start = 0  # non-seekable sink: container starts it
         if self._checksums:
             header = dict(header, checksums=CHECKSUM_ALGORITHM)
-        prelude, header_bytes = self._prelude(header, version)
-        if self._checksums:
-            self._header_crc = checksum(header_bytes)
+        self._header = header
+        self._modes = version == VERSION_TEMPORAL or (
+            version == VERSION_FRAME and bool(header.get("temporal"))
+        )
+        # v7: where the next tile must lie, and per predictor what its
+        # first tile added to the header's codec fields
+        self._grid = version == VERSION_FRAME and iter_tiles(
+            header["shape"], header["tile_shape"]
+        )
+        self._shared: dict[str, dict] = {}
+        header_bytes = _compact_json(header)
+        self._header_crc = checksum(header_bytes) if checksums else None
+        prelude = (
+            MAGIC
+            + bytes([version])
+            + len(header_bytes).to_bytes(_HEADER_LEN_BYTES, "little")
+            + header_bytes
+        )
         self._fh.write(prelude)
         # _pos tracks the sink's absolute position so TOC offsets stay
         # valid even when the container does not begin at byte 0
         self._pos = self._start + len(prelude)
 
-    @staticmethod
-    def _prelude(header: dict, version: int) -> tuple[bytes, bytes]:
-        header_bytes = json.dumps(header, sort_keys=True).encode()
-        return (
-            MAGIC
-            + bytes([version])
-            + len(header_bytes).to_bytes(_HEADER_LEN_BYTES, "little")
-            + header_bytes,
-            header_bytes,
+    def add_stages(
+        self,
+        start: Sequence[int],
+        stop: Sequence[int],
+        params: dict,
+        sections: Sequence[bytes],
+        config: dict | None = None,
+        temporal: bool = False,
+    ) -> TileRecord:
+        """Append one tile as a v7 payload of its *sections* and whatever
+        of its *params* (:data:`TILE_KEYS`) is not resolved without it."""
+        entry = config and _entry_to_config(_config_to_entry(config))
+        predictor = (entry or self._header).get("predictor")
+        if predictor not in self._shared:
+            self._shared[predictor] = _added(
+                params, _tile_base(self._header, {}, entry), _SHARED_KEYS
+            )
+        meta = _added(
+            params, _tile_base(self._header, self._shared, entry), TILE_KEYS
+        )
+        return self.add_tile(
+            start, stop, pack_tile(meta, sections), config, temporal
         )
 
     def add_tile(
@@ -453,9 +575,9 @@ class TiledWriter:
         """Append one encoded tile; returns its TOC record."""
         if self._finished:
             raise ValueError("writer already finished")
-        if temporal and self._version != VERSION_TEMPORAL:
+        if temporal and not self._modes:
             raise ValueError(
-                "temporal tiles require a v6 (temporal) container"
+                "temporal tiles need a v6, or v7 header 'temporal', container"
             )
         record = TileRecord(
             offset=self._pos,
@@ -466,6 +588,12 @@ class TiledWriter:
             temporal=temporal,
             crc=checksum(payload) if self._checksums else None,
         )
+        extent = (record.start, record.stop)
+        if self._grid and next(self._grid, None) != extent:
+            raise ValueError(
+                f"tile {extent} is not the next of the grid: v7 extents "
+                "are derived from tile order"
+            )
         self._fh.write(payload)
         self._pos += len(payload)
         self._tiles.append(record)
@@ -493,18 +621,24 @@ class TiledWriter:
                 indices[key] = len(palette)
                 palette.append(entry)
             tile_configs.append(indices[key])
-        body: dict = {"tiles": [t.to_json() for t in self._tiles]}
+        if self._version == VERSION_FRAME:
+            sizes = [t.size for t in self._tiles]
+            body: dict = {"sizes": sizes, "shared": self._shared}
+            crc_key = "crcs"
+        else:
+            body = {"tiles": [t.to_json() for t in self._tiles]}
+            crc_key = "tile_crcs"
         if palette:
             body["configs"] = palette
             body["tile_configs"] = tile_configs
-        if self._version == VERSION_TEMPORAL:
+        if self._modes:
             body["tile_modes"] = [
                 1 if t.temporal else 0 for t in self._tiles
             ]
         if self._checksums:
-            body["tile_crcs"] = [t.crc for t in self._tiles]
+            body[crc_key] = [t.crc for t in self._tiles]
             body["header_crc"] = self._header_crc
-        toc = json.dumps(body).encode()
+        toc = _compact_json(body)
         self._fh.write(toc)
         if self._checksums:
             # the TOC's own checksum sits between the TOC JSON and the
@@ -590,7 +724,7 @@ def read_blob(source: bytes | str | os.PathLike | BinaryIO) -> bytes:
 
 
 class TiledReader:
-    """Random-access reader over a v4 tiled container.
+    """Random-access reader over a tiled (v4-v7) container.
 
     Accepts a ``bytes`` blob, a filesystem path, or an open binary file;
     only the header, the TOC and explicitly requested tiles are ever
@@ -599,7 +733,8 @@ class TiledReader:
 
     def __init__(self, source: bytes | str | os.PathLike | BinaryIO):
         self._src = _ByteSource(source)
-        total = self._src.size()
+        #: size of the container in bytes
+        self.nbytes = total = self._src.size()
         head_len = len(MAGIC) + _VERSION_BYTES + _HEADER_LEN_BYTES
         if total < head_len + _TOC_LEN_BYTES:
             raise ContainerFormatError("truncated container")
@@ -619,7 +754,9 @@ class TiledReader:
             self.header: dict = json.loads(header_bytes.decode())
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ContainerFormatError("corrupt container header") from exc
-        if not isinstance(self.header, dict):
+        if not isinstance(self.header, dict) or not isinstance(
+            self.header.get("checksums"), (str, type(None))
+        ):
             raise ContainerFormatError("corrupt container header")
         self.header["container_version"] = self.version
 
@@ -656,64 +793,107 @@ class TiledReader:
                     "corrupt tile TOC: checksum mismatch "
                     f"({self.checksum_algorithm})"
                 )
+        bad_toc = (LookupError, TypeError, ValueError, AttributeError)
         try:
             toc = json.loads(toc_bytes.decode())
-            n_tiles = len(toc["tiles"])
-            palette = toc.get("configs", ())
-            tile_configs = toc.get("tile_configs")
-            if tile_configs is None:
-                tile_configs = [None] * n_tiles
-            if len(tile_configs) != n_tiles:
-                # zip() below would silently drop trailing tiles
-                raise ValueError("corrupt tile TOC")
-            tile_modes = toc.get("tile_modes")
-            if tile_modes is None:
-                tile_modes = [0] * n_tiles
-            if len(tile_modes) != n_tiles:
-                raise ValueError("corrupt tile TOC")
-            tile_crcs = toc.get("tile_crcs")
-            if tile_crcs is None:
-                tile_crcs = [None] * n_tiles
-            if len(tile_crcs) != n_tiles:
-                raise ValueError("corrupt tile TOC")
-            self.tiles: list[TileRecord] = [
-                TileRecord.from_json(
-                    record,
-                    _entry_to_config(palette[index])
-                    if index is not None
-                    else None,
-                    temporal=bool(mode),
-                    crc=None if crc is None else int(crc),
-                )
-                for record, index, mode, crc in zip(
-                    toc["tiles"], tile_configs, tile_modes, tile_crcs
-                )
-            ]
-        except (
-            UnicodeDecodeError,
-            json.JSONDecodeError,
-            KeyError,
-            IndexError,
-            TypeError,
-            ValueError,
-        ) as exc:
+            header_crc = toc.get("header_crc")
+        except bad_toc as exc:
             raise ContainerFormatError("corrupt tile TOC") from exc
         if self._verifiable:
-            header_crc = toc.get("header_crc")
             if header_crc is not None and (
                 checksum_named(self.checksum_algorithm, header_bytes)
-                != int(header_crc)
+                != header_crc
             ):
                 raise ContainerFormatError(
                     "corrupt container header: checksum mismatch "
                     f"({self.checksum_algorithm})"
                 )
             self.checksum_state = "verified"
+        #: whether the TOC maps tiles to temporal/spatial (``tile_modes``)
+        self.temporal = "tile_modes" in toc
+        try:
+            self.tiles: list[TileRecord] = self._records(
+                toc, head_len + header_len, toc_start
+            )
+        except bad_toc as exc:
+            raise ContainerFormatError(f"corrupt tile TOC: {exc}") from exc
+
+    def _records(self, toc: dict, lo: int, hi: int) -> list[TileRecord]:
+        """The TOC as tile records; payloads must lie in ``[lo, hi)``.
+
+        Both forms end up here: v7's arrays, whose offsets and extents
+        are derived, and the legacy per-tile dicts, whose are checked —
+        a checksum-free TOC is only as good as these checks.
+        """
+        if self.version == VERSION_FRAME:
+            sizes = toc["sizes"]
+            shape, tile_shape = self.header["shape"], self.header["tile_shape"]
+            for ints in (sizes, shape, tile_shape):
+                if not isinstance(ints, list) or not all(
+                    type(n) is int and n >= 0 for n in ints
+                ):
+                    raise ValueError("sizes and shapes must be integer lists")
+            if np.dtype(self.header["dtype"] or "").kind not in "fiu":
+                raise ValueError("dtype is not a numeric type")
+            if math.prod(tile_grid(shape, tile_shape)) != len(sizes):
+                raise ValueError(f"{len(sizes)} sizes do not fill the grid")
+            if sum(sizes) != hi - lo:
+                raise ValueError("sizes do not tile the payload region")
+            offsets = itertools.accumulate(sizes, initial=lo)
+            grid = iter_tiles(shape, tile_shape)
+            extents = [(o, s, *e) for o, s, e in zip(offsets, sizes, grid)]
+            shared = toc.get("shared", {})
+        else:
+            tiles = map(TileRecord.from_json, toc["tiles"])
+            extents = [(t.offset, t.size, t.start, t.stop) for t in tiles]
+            shared = None
+
+        def column(key: str, fill: object) -> list:
+            values = toc.get(key, [fill] * len(extents))
+            if not isinstance(values, list) or len(values) != len(extents):
+                # zip() below would silently drop trailing tiles
+                raise ValueError(f"{key} does not match the tile count")
+            return values
+
+        palette = [_entry_to_config(e) for e in toc.get("configs", ())]
+        # legacy payloads describe themselves: no resolved parameters
+        params = [
+            None if shared is None else _tile_base(self.header, shared, config)
+            for config in [*palette, None]
+        ]
+        records = []
+        for extent, index, mode, crc in zip(
+            extents,
+            column("tile_configs", None),
+            column("tile_modes", 0),
+            column("tile_crcs" if shared is None else "crcs", None),
+        ):
+            if index is not None and (
+                type(index) is not int or not 0 <= index < len(palette)
+            ):
+                raise ValueError(f"tile config {index!r} is not in the palette")
+            if mode not in (0, 1) or not (crc is None or type(crc) is int):
+                raise ValueError("tile mode or checksum is not a valid value")
+            if not lo <= extent[0] <= extent[0] + extent[1] <= hi:
+                raise ValueError(
+                    f"tile at {extent[0]} (+{extent[1]}) lies outside "
+                    f"the payload region {lo}..{hi}"
+                )
+            records.append(
+                TileRecord(
+                    *extent,
+                    config=None if index is None else palette[index],
+                    temporal=bool(mode),
+                    crc=crc,
+                    params=params[-1 if index is None else index],
+                )
+            )
+        return records
 
     def read_tile(
         self, record: TileRecord, verify: bool = True
     ) -> bytes:
-        """Read one tile's payload (a flat v2/v3 container).
+        """Read one tile's payload (v7: :func:`unpack_tile` splits it).
 
         When the container carries checksums the payload is verified
         against the TOC's recorded value; a mismatch raises
@@ -742,6 +922,13 @@ class TiledReader:
                 version=self.version,
             )
         return payload
+
+    def read_sections(self, record: TileRecord) -> list[bytes]:
+        """The stage sections of one tile, whichever frame wraps them."""
+        payload = self.read_tile(record)
+        if record.params is None:
+            return read_flat(payload)[1]
+        return unpack_tile(payload)[1]
 
     def verify_tiles(self) -> str:
         """Checksum every tile payload; returns the resulting state.

@@ -27,7 +27,7 @@ _MIN_MATCH = 4
 _HASH_BITS = 16
 
 
-def _write_varint(out: bytearray, value: int) -> None:
+def write_varint(out: bytearray, value: int) -> None:
     """Append *value* as LEB128."""
     if value < 0:
         raise ValueError("varints are unsigned")
@@ -41,7 +41,7 @@ def _write_varint(out: bytearray, value: int) -> None:
             return
 
 
-def _read_varint(data: bytes, pos: int) -> tuple[int, int]:
+def read_varint(data: bytes, pos: int) -> tuple[int, int]:
     """Read a LEB128 varint at *pos*; return ``(value, new_pos)``."""
     value = 0
     shift = 0
@@ -54,6 +54,8 @@ def _read_varint(data: bytes, pos: int) -> tuple[int, int]:
         if not byte & 0x80:
             return value, pos
         shift += 7
+        if shift > 63:
+            raise ValueError("varint longer than 64 bits")
 
 
 @dataclass(frozen=True)
@@ -107,7 +109,7 @@ class Lz77Codec:
         """Compress and return parsing statistics."""
         n = len(data)
         out = bytearray()
-        _write_varint(out, n)
+        write_varint(out, n)
         if n == 0:
             return bytes(out), Lz77Stats(0, len(out), 0, 0)
 
@@ -127,9 +129,9 @@ class Lz77Codec:
             candidate = int(cand[p])
             length = self._extend_match(data, candidate, p, max_match)
             literals = data[literal_start:p]
-            _write_varint(out, len(literals))
+            write_varint(out, len(literals))
             out.extend(literals)
-            _write_varint(out, length)
+            write_varint(out, length)
             out.extend((p - candidate).to_bytes(3, "big"))
             n_matches += 1
             n_literals += len(literals)
@@ -137,9 +139,9 @@ class Lz77Codec:
             literal_start = pos
         # Trailing literals with an empty match.
         literals = data[literal_start:]
-        _write_varint(out, len(literals))
+        write_varint(out, len(literals))
         out.extend(literals)
-        _write_varint(out, 0)
+        write_varint(out, 0)
         out.extend((0).to_bytes(3, "big"))
         n_literals += len(literals)
         stats = Lz77Stats(n, len(out), n_matches, n_literals)
@@ -219,13 +221,13 @@ class Lz77Codec:
 
     def decode(self, payload: bytes) -> bytes:
         """Invert :meth:`encode`."""
-        expected, pos = _read_varint(payload, 0)
+        expected, pos = read_varint(payload, 0)
         out = bytearray()
         while len(out) < expected:
-            lit_len, pos = _read_varint(payload, pos)
+            lit_len, pos = read_varint(payload, pos)
             out.extend(payload[pos : pos + lit_len])
             pos += lit_len
-            match_len, pos = _read_varint(payload, pos)
+            match_len, pos = read_varint(payload, pos)
             dist = int.from_bytes(payload[pos : pos + 3], "big")
             pos += 3
             if match_len:

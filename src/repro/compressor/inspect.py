@@ -2,8 +2,8 @@
 
 :func:`describe_container` turns a blob/path into the JSON-friendly
 dict behind ``repro inspect`` — container version, header fields, and
-for tiled (v4/v5) containers the tile map with per-tile byte extents
-and the adaptive per-tile codec choices.  The serving subsystem's
+for tiled containers the tile map with per-tile byte extents and the
+adaptive per-tile codec choices.  The serving subsystem's
 ``stat`` endpoint returns exactly this structure, so the CLI and the
 HTTP API cannot drift apart.
 """
@@ -23,16 +23,19 @@ def describe_container(
     source: bytes | str | os.PathLike | BinaryIO,
     verify: bool = False,
 ) -> dict:
-    """Describe a flat (v2/v3) or tiled (v4/v5/v6) RQSZ container.
+    """Describe a flat (v2/v3) or tiled (v4-v7) RQSZ container.
 
     Returns the parsed header plus ``section_bytes`` (flat) or
-    ``tile_map`` (tiled; tile extents, payload sizes, for v5 the
-    per-tile configs with an ``adaptive`` roll-up, and for v6 each
-    tile's temporal/spatial choice with a ``temporal`` roll-up).
+    ``tile_map`` (tiled; tile extents — derived ones in v7 — payload
+    sizes, for adaptive containers the per-tile configs with an
+    ``adaptive`` roll-up, and for temporal ones each tile's
+    temporal/spatial choice with a ``temporal`` roll-up).
     Tiled descriptions carry an ``integrity`` block: the declared
     checksum algorithm and the verification state — ``"verified"`` /
     ``"unknown"`` from header+TOC alone, upgraded by ``verify=True``
-    to a full read of every tile payload.  Raises
+    to a full read of every tile payload, which also splits the file
+    into ``tile_map.stage_bytes`` (what the codec stages produced) and
+    ``framing_bytes`` (everything else).  Raises
     :class:`~repro.compressor.container.ContainerFormatError` (a
     ``ValueError``) for anything that is not a well-formed container,
     including checksum mismatches.
@@ -76,7 +79,7 @@ def _describe_tiled(
             }
             if t.config is not None:
                 entry["config"] = t.config
-            if reader.version == container.VERSION_TEMPORAL:
+            if reader.temporal:
                 entry["temporal"] = bool(t.temporal)
             tiles.append(entry)
         header["tile_map"] = {
@@ -102,7 +105,12 @@ def _describe_tiled(
                 "error_bound_min": min(bounds, default=None),
                 "error_bound_max": max(bounds, default=None),
             }
-        if reader.version == container.VERSION_TEMPORAL:
+        if verify:
+            sections = map(reader.read_sections, reader.tiles)
+            stage = sum(len(s) for tile in sections for s in tile)
+            header["tile_map"]["stage_bytes"] = stage
+            header["tile_map"]["framing_bytes"] = reader.nbytes - stage
+        if reader.temporal:
             n_temporal = sum(1 for t in reader.tiles if t.temporal)
             header["tile_map"]["temporal"] = {
                 "temporal_tiles": n_temporal,

@@ -16,7 +16,7 @@ layouts): **v2** with a single Huffman(+lossless) code payload, and
 **v3** — written when ``config.chunk_size`` is set and the stream
 exceeds it — whose code stream is split into fixed-size blocks that
 encode and decode in parallel when the compressor is constructed with
-``workers > 1``.  The tiled **v4** container is produced by
+``workers > 1``.  The tiled (v7) container is produced by
 :class:`repro.compressor.tiled.TiledCompressor`, which drives this
 facade per tile.
 
@@ -28,7 +28,9 @@ single value and reconstruct exactly.  Both still carry the full header.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -165,88 +167,149 @@ class SZCompressor:
     ) -> CompressionResult:
         """Compress *data* under *config*; returns blob plus measurements.
 
-        With ``reconstruct`` the result also carries
+        :meth:`encode_stages` wrapped in a flat container.  With
+        ``reconstruct`` the result also carries
         ``result.reconstruction`` — bit for bit what
         ``decompress(result.blob)`` returns, taken from the
         predict-quantize stage instead of a decode (``None`` when the
         prediction stage cannot surface it).
         """
         data = np.asarray(data)
-        original_bytes = data.nbytes
         times = StageTimes()
-        # 0-d arrays compress as their single element; the header's empty
-        # shape list restores the original dimensionality.
-        core = data.reshape(1) if data.ndim == 0 else data
-
-        if data.size == 0:
-            return self._trivial_result(
-                data, config, times, reconstruct=reconstruct
-            )
-
-        with Timer() as t:
-            work, transform_meta, signs_payload = self._transform.forward(
-                core, config
-            )
-            abs_eb = config.absolute_bound(core)
-        times.add("transform", t.elapsed)
-
-        if abs_eb <= 0:
-            # REL bound on a constant field: the value range is zero, so
-            # the bound demands exact reconstruction — store the value.
-            return self._trivial_result(
-                data,
-                config,
-                times,
-                constant=float(core.flat[0]),
-                reconstruct=reconstruct,
-            )
-
-        with Timer() as t:
-            output = self._prediction.decompose(
-                work, config, abs_eb, reconstruct
-            )
-        times.add("predict_quantize", t.elapsed)
-
-        encoded = self._entropy.encode(output.codes, config, times)
-
-        p0 = (
-            float(np.count_nonzero(output.codes == 0) / output.codes.size)
-            if output.codes.size
-            else 1.0
+        header, sections, reconstruction, (p0, n_outliers, huffman_only) = (
+            self.encode_stages(data, config, reconstruct, times)
         )
         with Timer() as t:
-            blob, sizes = self._assemble(
-                data,
-                config,
-                abs_eb,
-                output,
-                encoded,
-                transform_meta,
-                signs_payload,
+            version = (
+                container.VERSION_CHUNKED
+                if header.pop("chunked", False)
+                else container.VERSION_SINGLE
             )
+            blob, header_len = container.write_flat(header, sections, version)
         times.add("serialize", t.elapsed)
-
-        reconstruction = None
-        if output.reconstruction is not None:
-            # the tail of decompress(), on the encoder's own values
-            reconstruction = (
-                self._transform.inverse(
-                    output.reconstruction,
-                    {"transform": transform_meta, "shape": list(data.shape)},
-                    signs_payload,
-                )
-                .reshape(data.shape)
-                .astype(data.dtype)
-            )
         return CompressionResult(
             blob=blob,
             n_points=int(data.size),
-            original_bytes=original_bytes,
-            sizes=sizes,
+            original_bytes=data.nbytes,
+            sizes=StageSizes(
+                header=header_len,
+                codes=len(sections[0]),
+                huffman_only=huffman_only,
+                outliers=len(sections[1]) + len(sections[2]),
+                side=len(sections[3]),
+                signs=len(sections[4]),
+            ),
             p0=p0,
-            n_outliers=output.n_outliers,
+            n_outliers=n_outliers,
             times=times,
             reconstruction=reconstruction,
+        )
+
+    def encode_stages(
+        self,
+        data: np.ndarray,
+        config: CompressionConfig,
+        reconstruct: bool = False,
+        times: StageTimes | None = None,
+    ) -> tuple[dict, list[bytes], np.ndarray | None, tuple[float, int, int]]:
+        """Encode *data* without a container around it.
+
+        Returns ``(header, sections, reconstruction, measures)``: the
+        fields a flat header would hold (``chunked`` standing in for
+        the v3 version byte), the five stage sections in
+        :data:`container.SECTION_NAMES` order, what ``compress`` would
+        surface, and ``(p0, n_outliers, huffman_only)``.  The per-tile
+        contract of the tiled compressor.
+        """
+        data = np.asarray(data)
+        times = times if times is not None else StageTimes()
+        # 0-d arrays compress as their single element; the header's empty
+        # shape list restores the original dimensionality.
+        core = data.reshape(1) if data.ndim == 0 else data
+        abs_eb = 0.0
+        if data.size:
+            with Timer() as t:
+                work, transform_meta, signs_payload = self._transform.forward(
+                    core, config
+                )
+                abs_eb = config.absolute_bound(core)
+            times.add("transform", t.elapsed)
+        extra: dict = {}
+        if abs_eb <= 0:
+            # degenerate input, no stage bytes: an empty array, or a REL
+            # bound on a constant field — the value range is zero, so
+            # the bound demands exact reconstruction: store the value
+            abs_eb, transform_meta, signs_payload = 0.0, {}, b""
+            output = PredictorOutput(
+                codes=np.zeros(0, dtype=np.int64),
+                outlier_positions=np.zeros(0, dtype=np.int64),
+                outlier_values=np.zeros(0, dtype=np.float64),
+            )
+            encoded, p0 = EncodedCodes(b"", 0, 0), 1.0
+            if data.size:
+                extra["constant"] = float(core.flat[0])
+            reconstruction = (
+                np.full(data.shape, extra.get("constant", 0), dtype=data.dtype)
+                if reconstruct
+                else None
+            )
+        else:
+            with Timer() as t:
+                output = self._prediction.decompose(
+                    work, config, abs_eb, reconstruct
+                )
+            times.add("predict_quantize", t.elapsed)
+            encoded = self._entropy.encode(output.codes, config, times)
+            if encoded.chunked:
+                extra["chunked"] = True
+            p0 = (
+                float(np.count_nonzero(output.codes == 0) / output.codes.size)
+                if output.codes.size
+                else 1.0
+            )
+            reconstruction = None
+            if output.reconstruction is not None:
+                # the tail of decode_stages(), on the encoder's own values
+                reconstruction = (
+                    self._transform.inverse(
+                        output.reconstruction,
+                        {"transform": transform_meta, "shape": list(data.shape)},
+                        signs_payload,
+                    )
+                    .reshape(data.shape)
+                    .astype(data.dtype)
+                )
+        header = {
+            "predictor": config.predictor,
+            "mode": config.mode.value,
+            "error_bound": config.error_bound,
+            "abs_eb": abs_eb,
+            "quant_radius": config.quant_radius,
+            "lossless": config.lossless,
+            "lorenzo_levels": config.lorenzo_levels,
+            "regression_block": config.regression_block,
+            "chunk_size": config.chunk_size,
+            "shape": list(data.shape),
+            "dtype": data.dtype.str,
+            "predictor_meta": output.meta,
+            "outlier_kind": (
+                "codes" if output.outlier_values.dtype == np.int64 else "values"
+            ),
+            "transform": transform_meta,
+            **extra,
+        }
+        sections = [
+            encoded.payload,
+            output.outlier_positions.astype(np.int64).tobytes(),
+            output.outlier_values.tobytes(),
+            output.side_payload,
+            signs_payload,
+        ]
+        return (
+            header,
+            sections,
+            reconstruction,
+            (p0, output.n_outliers, encoded.huffman_only),
         )
 
     def decompress(
@@ -258,10 +321,25 @@ class SZCompressor:
         (v3) containers.
         """
         header, sections = container.read_flat(blob)
-        version = header["container_version"]
+        if header["container_version"] == container.VERSION_CHUNKED:
+            header["chunked"] = True
+        return self.decode_stages(header, sections, workers)
+
+    def decode_stages(
+        self,
+        header: dict,
+        sections: Sequence[bytes],
+        workers: int | None = None,
+    ) -> np.ndarray:
+        """The array :meth:`encode_stages` turned into *header*, *sections*.
+
+        *header* may come from anywhere (a flat container, a tiled one's
+        resolved tile parameters + the grid's ``shape``/``dtype``), so a
+        code stream that is not the one ``shape`` needs is refused.
+        """
         shape = tuple(header["shape"])
         dtype = np.dtype(header["dtype"])
-        n_points = int(np.prod(shape)) if shape else 1
+        n_points = math.prod(shape)
         if n_points == 0:
             return np.zeros(shape, dtype=dtype)
         if "constant" in header:
@@ -273,9 +351,18 @@ class SZCompressor:
         codes = self._entropy.decode(
             codes_payload,
             config,
-            chunked=version == container.VERSION_CHUNKED,
+            chunked=bool(header.get("chunked")),
             workers=workers,
         )
+        # every point has a code but the interpolation predictor's anchors
+        n_codes = n_points - math.prod(
+            header["predictor_meta"].get("anchor_shape", (0,))
+        )
+        if codes.size != n_codes:
+            raise container.ContainerFormatError(
+                f"corrupt code stream: {codes.size} codes, {dtype} "
+                f"{shape} takes {n_codes}"
+            )
 
         out_dtype = np.int64 if header["outlier_kind"] == "codes" else np.float64
         output = PredictorOutput(
@@ -298,113 +385,6 @@ class SZCompressor:
         """Compress then decompress; returns ``(result, reconstruction)``."""
         result = self.compress(data, config)
         return result, self.decompress(result.blob)
-
-    # -- trivial containers ----------------------------------------------------
-
-    def _trivial_result(
-        self,
-        data: np.ndarray,
-        config: CompressionConfig,
-        times: StageTimes,
-        constant: float | None = None,
-        reconstruct: bool = False,
-    ) -> CompressionResult:
-        """Container for degenerate inputs (empty or constant-under-REL)."""
-        output = PredictorOutput(
-            codes=np.zeros(0, dtype=np.int64),
-            outlier_positions=np.zeros(0, dtype=np.int64),
-            outlier_values=np.zeros(0, dtype=np.float64),
-        )
-        extra = {} if constant is None else {"constant": constant}
-        with Timer() as t:
-            blob, sizes = self._assemble(
-                data,
-                config,
-                0.0,
-                output,
-                EncodedCodes(b"", 0, 0),
-                {},
-                b"",
-                extra_header=extra,
-            )
-        times.add("serialize", t.elapsed)
-        return CompressionResult(
-            blob=blob,
-            n_points=int(data.size),
-            original_bytes=data.nbytes,
-            sizes=sizes,
-            p0=1.0,
-            n_outliers=0,
-            times=times,
-            reconstruction=(
-                np.full(
-                    data.shape,
-                    0 if constant is None else constant,
-                    dtype=data.dtype,
-                )
-                if reconstruct
-                else None
-            ),
-        )
-
-    # -- container assembly ----------------------------------------------------
-
-    def _assemble(
-        self,
-        data: np.ndarray,
-        config: CompressionConfig,
-        abs_eb: float,
-        output: PredictorOutput,
-        encoded: EncodedCodes,
-        transform_meta: dict,
-        signs_payload: bytes,
-        extra_header: dict | None = None,
-    ) -> tuple[bytes, StageSizes]:
-        outlier_kind = (
-            "codes" if output.outlier_values.dtype == np.int64 else "values"
-        )
-        header = {
-            "predictor": config.predictor,
-            "mode": config.mode.value,
-            "error_bound": config.error_bound,
-            "abs_eb": abs_eb,
-            "quant_radius": config.quant_radius,
-            "lossless": config.lossless,
-            "lorenzo_levels": config.lorenzo_levels,
-            "regression_block": config.regression_block,
-            "chunk_size": config.chunk_size,
-            "shape": list(data.shape),
-            "dtype": np.asarray(data).dtype.str,
-            "predictor_meta": output.meta,
-            "outlier_kind": outlier_kind,
-            "transform": transform_meta,
-        }
-        if extra_header:
-            header.update(extra_header)
-        pos_b = output.outlier_positions.astype(np.int64).tobytes()
-        val_b = output.outlier_values.tobytes()
-        sections = [
-            encoded.payload,
-            pos_b,
-            val_b,
-            output.side_payload,
-            signs_payload,
-        ]
-        version = (
-            container.VERSION_CHUNKED
-            if encoded.chunked
-            else container.VERSION_SINGLE
-        )
-        blob, header_len = container.write_flat(header, sections, version)
-        sizes = StageSizes(
-            header=header_len,
-            codes=len(encoded.payload),
-            huffman_only=encoded.huffman_only,
-            outliers=len(pos_b) + len(val_b),
-            side=len(output.side_payload),
-            signs=len(signs_payload),
-        )
-        return blob, sizes
 
     @staticmethod
     def _config_from_header(header: dict) -> CompressionConfig:

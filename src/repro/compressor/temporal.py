@@ -1,4 +1,4 @@
-"""Temporal delta compression for snapshot streams (v6 container).
+"""Temporal delta compression for snapshot streams.
 
 The paper's in-situ use case dumps a *time series* of simulation
 snapshots.  Successive snapshots are strongly correlated, so predicting
@@ -27,13 +27,14 @@ snapshot and the one whose estimated bit-rate at the allocated bound is
 lower wins (tiny tiles, where sampling is meaningless, simply encode
 both and keep the smaller payload).
 
-On disk a delta snapshot is a **v6** container: the familiar tiled
-frame, plus a ``tile_modes`` map in the TOC (1 = temporal residual,
-0 = spatial) and header fields ``ref_snapshot`` / ``snapshot_index`` /
-``temporal_stats`` so tooling (``repro inspect --json``) can show how
-the stream was encoded.  Keyframes — snapshots with no reference — are
-plain v4 (adaptive: v5) containers and anchor random access: a chain of
-deltas decodes by walking back to the nearest keyframe.
+On disk a delta snapshot is the familiar tiled (v7) frame whose header
+says ``temporal``: a ``tile_modes`` map in the TOC (1 = temporal
+residual, 0 = spatial) and header fields ``ref_snapshot`` /
+``snapshot_index`` / ``temporal_stats`` so tooling (``repro inspect
+--json``) can show how the stream was encoded.  Keyframes — snapshots
+with no reference — are plain (or adaptive) tiled containers and anchor
+random access: a chain of deltas decodes by walking back to the nearest
+keyframe.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from typing import BinaryIO, Iterator, Sequence
 
 import numpy as np
 
-from repro.compressor import container
 from repro.compressor.adaptive import AdaptivePlanner
 from repro.compressor.config import CompressionConfig, ErrorBoundMode
 from repro.compressor.executor import resolve_executor
@@ -84,7 +84,7 @@ _MODEL_BATCH_POINTS = 1 << 15
 class TemporalStats:
     """Deterministic per-snapshot counters of the temporal/spatial choice.
 
-    Stored in the v6 header as ``temporal_stats`` (the ``planner_stats``
+    Stored in a delta's header as ``temporal_stats`` (the ``planner_stats``
     idiom), so ``repro inspect --json`` can show how a snapshot was
     encoded without decoding it.
     """
@@ -171,12 +171,12 @@ class TemporalCompressor:
         """Compress one snapshot of a stream.
 
         With ``reference=None`` the snapshot is a **keyframe**: it
-        delegates to the tiled compressor (v4 container) and decodes
+        delegates to the tiled compressor and decodes
         standalone.  With a reference — the *decoded* previous
         snapshot — each tile encodes either the temporal residual
         against the reference or its own samples, whichever the
         rate-quality model prices cheaper at the bound, and the result
-        is a v6 container whose header records ``ref_id`` /
+        is a temporal container whose header records ``ref_id`` /
         ``snapshot_index`` (``result.keyframe`` is false and
         ``result.stats`` counts the choices).
 
@@ -237,7 +237,6 @@ class TemporalCompressor:
             config,
             tile_shape,
             self._delta_jobs(data, reference, extents, config, abs_eb, stats),
-            container.VERSION_TEMPORAL,
             header_extra,
             out,
             reconstruct,
@@ -398,7 +397,7 @@ class TemporalCompressor:
     ) -> np.ndarray:
         """Decode a full snapshot.
 
-        Keyframes (flat or v4/v5 containers) decode standalone; v6
+        Keyframes (flat or tiled containers) decode standalone;
         delta snapshots require ``reference`` — the *decoded* snapshot
         the container's ``ref_snapshot`` header names.
         """
@@ -415,7 +414,7 @@ class TemporalCompressor:
     ) -> np.ndarray:
         """Decode only the hyperslab *region* of a snapshot.
 
-        For v6 delta snapshots ``reference`` must cover the full
+        For delta snapshots ``reference`` must cover the full
         snapshot shape (only the region's tiles of it are read).
         """
         return self.tiled.decompress_region(

@@ -1,8 +1,8 @@
 """Tiled out-of-core compression with region-of-interest decode.
 
 :class:`TiledCompressor` splits an N-d field into tiles (configurable
-``config.tile_shape``), drives the flat :class:`SZCompressor` pipeline
-once per tile, and writes the v4 tiled container described in
+``config.tile_shape``), runs the :class:`SZCompressor` stages once per
+tile, and writes the tiled (v7) container described in
 :mod:`repro.compressor.container`.  Because tiles are encoded one batch
 at a time and streamed straight to the sink, peak memory is bounded by
 a few tiles — the input may be a ``np.memmap``/``np.load(mmap_mode=...)``
@@ -18,13 +18,13 @@ many tiles each call touched.
 When ``config.adaptive`` is set the compressor first runs the
 model-driven planner (:class:`repro.compressor.adaptive.
 AdaptivePlanner`), encodes every tile under its own selected
-(predictor, bound, radius) and writes the **v5** container whose TOC
-records each tile's parameters; see :mod:`repro.compressor.adaptive`
-for the planning pipeline and its bound semantics.
+(predictor, bound, radius) and the container's TOC records each tile's
+parameters in a palette; see :mod:`repro.compressor.adaptive` for the
+planning pipeline and its bound semantics.
 
 This module is the only one that knows how a tiled container's tiles
 are encoded, written, decoded and assembled.  Every writer — uniform,
-adaptive, and the temporal (v6) policy of
+adaptive, and the temporal policy of
 :mod:`repro.compressor.temporal` — hands :class:`TileJob` s to one loop
 (:meth:`TiledCompressor._encode_tiles`); every reader — this class,
 the serving store, the chunked storage layer — turns a tile payload
@@ -109,13 +109,13 @@ class TiledResult:
     tiles: list[TileRecord]
     blob: bytes | None = None
     times: StageTimes = field(default_factory=StageTimes)
-    #: the per-tile assignment, for adaptive (v5) runs only
+    #: the per-tile assignment, for adaptive runs only
     plan: AdaptivePlan | None = None
     #: the decoded array — what ``decompress`` returns for the
     #: container — when the compress was asked to surface it and every
     #: tile's codec could; ``None`` otherwise
     reconstruction: np.ndarray | None = None
-    #: ``False`` for a temporal delta snapshot (v6), which decodes only
+    #: ``False`` for a temporal delta snapshot, which decodes only
     #: against its reference; ``True`` for everything standalone
     keyframe: bool = True
     #: id of the reference snapshot (deltas only)
@@ -178,19 +178,41 @@ def decode_tile(
     dtype: np.dtype,
     codec: SZCompressor | None = None,
     ref_tile: np.ndarray | None = None,
+    params: dict | None = None,
 ) -> np.ndarray:
     """The tile a TOC record of *shape* and *dtype* names, from *payload*.
 
     The one way a tile payload becomes samples, for every reader: the
-    flat *codec* (default: this process's stock one) decodes it, the
-    result must be exactly what the record describes — a payload that
-    decodes to anything else raises :class:`ContainerFormatError`
-    instead of being cropped or broadcast into place, which no payload
-    checksum can catch — and a temporal tile (*ref_tile* given) is the
-    decoded residual combined with its reference tile.
+    *codec* (default: this process's stock one) decodes it — a v7
+    payload's sections under the record's *params* and its own
+    ``meta``, a legacy payload (no *params*) as the flat container it
+    is — the result must be exactly what the record describes — a
+    payload that decodes to anything else, or not at all, raises
+    :class:`ContainerFormatError` instead of being cropped or broadcast
+    into place, which no payload checksum can catch — and a temporal
+    tile (*ref_tile* given) is the decoded residual combined with its
+    reference tile.
     """
     codec = codec if codec is not None else worker_state().codec
-    tile = codec.decompress(payload)
+    if params is None:
+        tile = codec.decompress(payload)
+    else:
+        meta, sections = container.unpack_tile(payload)
+        try:
+            tile = codec.decode_stages(
+                dict(params, **meta, shape=shape, dtype=np.dtype(dtype).str),
+                sections,
+            )
+        except ContainerFormatError:
+            raise
+        # what the stages raise on parameters or lengths no encoder wrote
+        except (
+            ValueError, LookupError, TypeError, AttributeError, ArithmeticError
+        ) as exc:
+            raise ContainerFormatError(
+                f"corrupt tiled container: tile does not decode under "
+                f"its recorded parameters ({exc!r})"
+            ) from exc
     if tuple(tile.shape) != tuple(shape) or tile.dtype != dtype:
         raise ContainerFormatError(
             f"corrupt tiled container: tile decodes to {tile.dtype} "
@@ -296,7 +318,7 @@ class TiledCompressor:
         dataset: str | None = None,
         reconstruct: bool = False,
     ) -> TiledResult:
-        """Tile-compress *data* into a v4 container.
+        """Tile-compress *data* into a tiled (v7) container.
 
         ``out`` may be a path or binary file object to stream the
         container to (bounded memory); ``None`` builds the blob in
@@ -306,13 +328,12 @@ class TiledCompressor:
 
         With ``config.adaptive`` set (and a non-empty array) the
         model-driven planner assigns every tile its own predictor,
-        bound and quantizer radius, and the container is written as v5
-        with the choices recorded in the TOC (``result.plan`` carries
-        the full assignment).  ``dataset`` names the array for the
-        cross-snapshot plan cache (the compressor's ``plan_cache`` or
-        ``config.plan_cache``): successive snapshots of the same
-        dataset reuse the previous plan when their tile statistics
-        have not drifted.
+        bound and quantizer radius, and the TOC's palette records the
+        choices (``result.plan`` carries the full assignment).
+        ``dataset`` names the array for the cross-snapshot plan cache
+        (the compressor's ``plan_cache`` or ``config.plan_cache``):
+        successive snapshots of the same dataset reuse the previous
+        plan when their tile statistics have not drifted.
 
         With ``reconstruct`` the result also carries the decoded array
         (``result.reconstruction``): each tile task writes what its
@@ -331,7 +352,6 @@ class TiledCompressor:
         times = StageTimes()
 
         plan: AdaptivePlan | None = None
-        version = container.VERSION_TILED
         if config.adaptive and data.size > 0:
             cache = self._plan_cache
             if cache is None and config.plan_cache is not None:
@@ -371,7 +391,6 @@ class TiledCompressor:
                 # break byte-identical re-encodes (plan_seconds stays
                 # on the runtime PlanStats object)
                 header_extra["planner_stats"] = plan.stats.to_json()
-            version = container.VERSION_ADAPTIVE
         else:
             with Timer() as t:
                 tile_config, header_extra = self._resolve_tile_config(
@@ -401,7 +420,6 @@ class TiledCompressor:
             config,
             tile_shape,
             jobs,
-            version,
             header_extra,
             out,
             reconstruct,
@@ -416,19 +434,20 @@ class TiledCompressor:
         config: CompressionConfig,
         tile_shape: tuple[int, ...],
         jobs: Iterable[TileJob],
-        version: int,
         header_extra: dict | Callable[[list[bool]], dict],
         out: str | os.PathLike | BinaryIO | None,
         reconstruct: bool,
         executor: CodecExecutor,
         times: StageTimes,
     ) -> TiledResult:
-        """The one tile loop: encode *jobs*, write the *version* container.
+        """The one tile loop: encode *jobs*, write the container.
 
         Every tiled container — uniform, adaptive, temporal — is framed
         here: the header is *config*'s global settings plus
-        *header_extra*, each job becomes one TOC tile (``temporal``
-        where the kept candidate was a residual), and with
+        *header_extra* (``temporal`` in it makes room for the per-tile
+        mode bits), each job becomes one TOC tile (``temporal`` where
+        the kept candidate was a residual, a palette entry where the
+        job names a ``toc_config``), and with
         *reconstruct* the decoded array is assembled from what the
         encodes surfaced.  Tiles stream to the sink as they are
         encoded, so peak memory stays at one batch — unless
@@ -447,7 +466,7 @@ class TiledCompressor:
             if callable(header_extra):
                 encoded = list(encoded)
                 header_extra = header_extra(
-                    [temporal for _, _, temporal, _ in encoded]
+                    [temporal for *_, temporal, _ in encoded]
                 )
             header = {
                 "shape": list(data.shape),
@@ -467,14 +486,15 @@ class TiledCompressor:
             else:
                 sink = io.BytesIO() if out is None else out
             try:
-                writer = TiledWriter(sink, header, version=version)
-                for job, payload, temporal, tile_surfaced in encoded:
+                writer = TiledWriter(sink, header)
+                for job, params, sections, temporal, tile_surfaced in encoded:
                     surfaced = surfaced and tile_surfaced
                     with Timer() as io_timer:
-                        writer.add_tile(
+                        writer.add_stages(
                             job.start,
                             job.stop,
-                            payload,
+                            params,
+                            sections,
                             config=job.toc_config,
                             temporal=temporal,
                         )
@@ -502,10 +522,10 @@ class TiledCompressor:
         dtype: np.dtype,
         executor: CodecExecutor,
         reconstruction: np.ndarray | None,
-    ) -> Iterator[tuple[TileJob, bytes, bool, bool]]:
+    ) -> Iterator[tuple[TileJob, dict, list[bytes], bool, bool]]:
         """Encode *jobs* batch-by-batch; at most ``workers`` jobs live.
 
-        Yields ``(job, payload, temporal, surfaced)`` in TOC order,
+        Yields ``(job, params, sections, temporal, surfaced)`` in TOC order,
         whatever order the jobs arrive in.  Each batch is staged into
         one executor input buffer (a shared-memory arena under the
         process backend, which workers view without copying), every
@@ -520,7 +540,7 @@ class TiledCompressor:
         """
         ship_codec = self._codec if self._custom_codec else None
         # encoded tiles whose predecessors in TOC order are still to come
-        waiting: dict[int, tuple[TileJob, bytes, bool, bool]] = {}
+        waiting: dict[int, tuple] = {}
         emitted = 0
         for batch in _batched(jobs, max(executor.workers, 1)):
             slots = [slot for job in batch for slot in job.candidates]
@@ -547,11 +567,13 @@ class TiledCompressor:
                 first = 0
                 for job in batch:
                     # a job's candidates sit side by side; min keeps the
-                    # first of equally small payloads
+                    # first of equally few stage bytes
                     own = range(first, first + len(job.candidates))
                     first = own.stop
-                    slot = min(own, key=lambda slot: len(results[slot][0]))
-                    payload, surfaced = results[slot]
+                    slot = min(
+                        own, key=lambda slot: sum(map(len, results[slot][1]))
+                    )
+                    params, sections, surfaced = results[slot]
                     samples, _, ref_tile = slots[slot]
                     if surfaced:
                         tile = _slot(
@@ -561,7 +583,7 @@ class TiledCompressor:
                             tile if ref_tile is None else combine(tile, ref_tile)
                         )
                     waiting[job.index] = (
-                        job, payload, ref_tile is not None, surfaced
+                        job, params, sections, ref_tile is not None, surfaced
                     )
             finally:
                 arena.release()
@@ -577,7 +599,7 @@ class TiledCompressor:
     ) -> tuple[int, ...]:
         tile_shape = config.tile_shape
         if tile_shape is None:
-            # default: one tile covering the array (still a valid v4
+            # default: one tile covering the array (still a valid tiled
             # container, just without partial-decode benefits)
             return tuple(max(1, n) for n in shape)
         tile_grid(shape, tile_shape)  # validates rank/positivity
@@ -620,9 +642,9 @@ class TiledCompressor:
         workers: int | None = None,
         reference: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Decode a full array from any RQSZ container (v2–v6).
+        """Decode a full array from any RQSZ container (v2–v7).
 
-        A v6 delta snapshot needs ``reference`` — the *decoded*
+        A temporal delta snapshot needs ``reference`` — the *decoded*
         snapshot its ``ref_snapshot`` header names; everything else
         decodes standalone and ignores it.
         """
@@ -641,7 +663,7 @@ class TiledCompressor:
         and decoded (see ``last_tiles_decoded``).  The result has the
         region's shape; an empty intersection yields an empty array.
         Flat v2/v3 blobs are supported via a full decode + slice.  For
-        a v6 delta snapshot ``reference`` must cover the full snapshot
+        a temporal delta snapshot ``reference`` must cover the full snapshot
         shape (only the region's tiles of it are read).
         """
         return self._decode(source, region, workers, reference)
@@ -695,7 +717,7 @@ class TiledCompressor:
         if any(record.temporal for record in reader.tiles):
             if reference is None:
                 raise ValueError(
-                    "temporal (v6) snapshot needs its decoded reference "
+                    "temporal snapshot needs its decoded reference "
                     f"snapshot {reader.header.get('ref_snapshot')!r}: "
                     "pass reference=, as TemporalCompressor.decompress "
                     "documents"
@@ -725,6 +747,7 @@ class TiledCompressor:
                     dtype,
                     self._codec,
                     ref_tile(record),
+                    record.params,
                 )
                 copy_overlap(out, region, tile, record.start, overlap)
         else:
@@ -746,6 +769,7 @@ class TiledCompressor:
                         dtype.str,
                         ship_codec,
                         ref_tile(record),
+                        record.params,
                     )
                     for (record, _), offset in zip(hits, offsets)
                 ]
@@ -768,36 +792,37 @@ def _compress_tile_task(item, inp, out):
     stock pipeline — the worker's own rebuilt
     :class:`~repro.compressor.sz.SZCompressor` encodes the tile — and
     the caller's codec object on the serial/thread backends, where no
-    pickling happens.  Returns ``(blob, surfaced)``: given an output
-    region, the tile's reconstruction is written at the same offset of
-    it (where :func:`decode_tile_task` would put the decode), and
-    ``surfaced`` says whether the codec had one to write.
+    pickling happens.  Returns ``(params, sections, surfaced)``, the
+    codec's ``encode_stages`` output: given an output region, the
+    tile's reconstruction is written at the same offset of it (where
+    :func:`decode_tile_task` would put the decode), and ``surfaced``
+    says whether the codec had one to write.
     """
     offset, shape, dtype_str, config, codec = item
     dtype = np.dtype(dtype_str)
     codec = codec if codec is not None else worker_state().codec
-    result = codec.compress(
+    params, sections, reconstruction, _ = codec.encode_stages(
         _slot(inp, offset, shape, dtype), config, reconstruct=out is not None
     )
-    surfaced = result.reconstruction is not None
+    surfaced = reconstruction is not None
     if surfaced:
-        _slot(out, offset, shape, dtype)[...] = result.reconstruction
-    return result.blob, surfaced
+        _slot(out, offset, shape, dtype)[...] = reconstruction
+    return params, sections, surfaced
 
 
 def decode_tile_task(item, inp, out):
     """Executor task: :func:`decode_tile` into the shared output buffer.
 
-    ``item`` is ``(payload, offset, shape, dtype_str, codec,
-    ref_tile)``, the last two ``None`` for the worker's stock codec and
-    a spatial tile; the decoded samples are written at ``offset`` of
-    the preallocated output region, so nothing array-sized is pickled
-    back.
+    ``item`` is ``(payload, offset, shape, dtype_str, codec, ref_tile,
+    params)``, the last three ``None`` for the worker's stock codec, a
+    spatial tile and a legacy payload; the decoded samples are written
+    at ``offset`` of the preallocated output region, so nothing
+    array-sized is pickled back.
     """
-    payload, offset, shape, dtype_str, codec, ref_tile = item
+    payload, offset, shape, dtype_str, codec, ref_tile, params = item
     dtype = np.dtype(dtype_str)
     _slot(out, offset, shape, dtype)[...] = decode_tile(
-        payload, shape, dtype, codec, ref_tile
+        payload, shape, dtype, codec, ref_tile, params
     )
     return None
 

@@ -8,6 +8,7 @@ Pure index-space helpers — no I/O, no codec state — used by
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -42,21 +43,16 @@ def tile_grid(
 def iter_tiles(
     shape: Sequence[int], tile_shape: Sequence[int]
 ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Yield every tile's ``(start, stop)`` extents in C order.
+    """Every tile's ``(start, stop)`` extents, in C order.
 
     Edge tiles are clipped to the array bounds, so stops never exceed
     the shape.
     """
-    counts = tile_grid(shape, tile_shape)
-    for flat in range(int(np.prod(counts))):
-        idx = np.unravel_index(flat, counts)
-        yield (
-            tuple(int(i * t) for i, t in zip(idx, tile_shape)),
-            tuple(
-                int(min((i + 1) * t, n))
-                for i, t, n in zip(idx, tile_shape, shape)
-            ),
-        )
+    tile_grid(shape, tile_shape)  # validates rank/positivity
+    dims = list(zip(map(int, shape), map(int, tile_shape)))
+    starts = [range(0, n, t) for n, t in dims]
+    stops = [[min(a + t, n) for a in range(0, n, t)] for n, t in dims]
+    return zip(itertools.product(*starts), itertools.product(*stops))
 
 
 def extent_slices(

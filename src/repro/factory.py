@@ -60,7 +60,7 @@ class CodecFactory:
     fit_clusters: int | None = None
     #: path of a file-backed cross-snapshot plan cache (None disables)
     plan_cache: str | None = None
-    #: compress snapshot streams as temporal deltas (v6 container)
+    #: compress snapshot streams as temporal deltas
     temporal: bool = False
     #: every Nth snapshot of a chain is a keyframe, bounding the chain
     #: depth random access has to decode
@@ -107,7 +107,7 @@ class CodecFactory:
         return self.temporal_compressor().tiled
 
     def temporal_compressor(self) -> TemporalCompressor:
-        """The snapshot-stream delta compressor (v6 container).
+        """The snapshot-stream delta compressor.
 
         The factory's sampling settings drive the per-tile
         temporal-vs-spatial rate-model comparison, and the planner and

@@ -4,7 +4,7 @@ The paper's downstream consumers — post-hoc analyses reading small
 regions of huge compressed snapshots — get a serving layer here:
 
 * :class:`~repro.service.store.ArrayStore` — a directory of named
-  datasets persisted as tiled (v4) / adaptive (v5) RQSZ containers;
+  datasets persisted as tiled (adaptive: palettized) RQSZ containers;
 * :class:`~repro.service.cache.TileLRUCache` — a sharded,
   byte-budgeted decoded-tile LRU with request coalescing, so hot
   region reads skip entropy decode;

@@ -4,9 +4,9 @@
 is an **append-only snapshot chain**: version 0 comes from
 :meth:`create` (or the first :meth:`put_snapshot`) and every further
 :meth:`put_snapshot` appends one version.  Periodic versions are
-**keyframes** — standalone tiled (v4) or adaptive (v5) containers —
-and the versions in between are temporal **deltas** (v6 containers,
-:class:`repro.compressor.temporal.TemporalCompressor`) whose tiles
+**keyframes** — standalone tiled (or adaptive) containers — and the
+versions in between are temporal **deltas**
+(:class:`repro.compressor.temporal.TemporalCompressor`) whose tiles
 encode residuals against the decoded previous version.  The keyframe
 cadence (``keyframe_interval``, default 4) bounds how many containers
 random access to any version has to decode.  A JSON manifest
@@ -821,7 +821,7 @@ class ArrayStore:
             ) from None
 
     def _decode_tile_blob(
-        self, executor, blob: bytes, shape: tuple[int, ...], dtype
+        self, executor, blob: bytes, rec: TileRecord, dtype
     ) -> np.ndarray:
         """Decode one tile payload, on *executor* when it is a pool.
 
@@ -833,14 +833,15 @@ class ArrayStore:
         ``get_or_load`` coalescing individually; the per-tile segment
         setup is microseconds against a multi-millisecond decode.
         """
+        shape = rec.shape
         if executor.name != "process":
-            return decode_tile(blob, shape, dtype)
+            return decode_tile(blob, shape, dtype, params=rec.params)
         nbytes = int(np.prod(shape)) * dtype.itemsize
         buffer = executor.output_buffer(nbytes)
         try:
             executor.run_batch(
                 decode_tile_task,
-                [(blob, 0, tuple(shape), dtype.str, None, None)],
+                [(blob, 0, shape, dtype.str, None, None, rec.params)],
                 output=buffer,
             )
             return buffer.array.view(dtype).reshape(shape).copy()
@@ -881,7 +882,7 @@ class ArrayStore:
             reader, _, _, _ = self._reader(name, version)
             try:
                 tile = self._decode_tile_blob(
-                    executor, reader.read_tile(rec), rec.shape, dtype
+                    executor, reader.read_tile(rec), rec, dtype
                 )
             except (ValueError, OSError) as exc:
                 raise DatasetCorruptError(

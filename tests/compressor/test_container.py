@@ -40,7 +40,7 @@ class TestFlat:
             container.read_flat(b"NOPE" + b"\x00" * 32)
 
     def test_tiled_version_rejected_by_flat_reader(self):
-        header = {"shape": [1], "dtype": "<f8"}
+        header = {"shape": [0], "tile_shape": [1], "dtype": "<f8"}
         sink = io.BytesIO()
         with TiledWriter(sink, header):
             pass
@@ -104,20 +104,30 @@ class TestChunkedFraming:
 
 
 class TestTiledFormat:
-    def _write(self, sink):
+    def _write(self, sink, version=container.VERSION_FRAME):
         header = {"shape": [4, 4], "dtype": "<f4", "tile_shape": [2, 4]}
-        with TiledWriter(sink, header) as writer:
+        with TiledWriter(sink, header, version=version) as writer:
             writer.add_tile((0, 0), (2, 4), b"payload-a")
             writer.add_tile((2, 0), (4, 4), b"payload-bb")
         return header
 
-    def test_writer_reader_roundtrip_bytes(self):
+    @pytest.mark.parametrize("version", [4, 7])
+    def test_writer_reader_roundtrip_bytes(self, version):
         sink = io.BytesIO()
-        header = self._write(sink)
+        header = self._write(sink, version)
         reader = TiledReader(sink.getvalue())
         assert reader.header["shape"] == header["shape"]
-        assert reader.header["container_version"] == 4
+        assert reader.header["container_version"] == version
         assert [t.size for t in reader.tiles] == [9, 10]
+        # stored in the legacy TOC, derived from sizes and grid in v7
+        assert [t.offset for t in reader.tiles] == [
+            sink.getvalue().index(b"payload-a"),
+            sink.getvalue().index(b"payload-bb"),
+        ]
+        assert [(t.start, t.stop) for t in reader.tiles] == [
+            ((0, 0), (2, 4)),
+            ((2, 0), (4, 4)),
+        ]
         assert reader.read_tile(reader.tiles[0]) == b"payload-a"
         assert reader.read_tile(reader.tiles[1]) == b"payload-bb"
 
@@ -135,14 +145,14 @@ class TestTiledFormat:
 
     def test_add_after_finish_rejected(self):
         sink = io.BytesIO()
-        writer = TiledWriter(sink, {"shape": [1]})
+        writer = TiledWriter(sink, {"shape": [1], "tile_shape": [1]})
         writer.finish()
         with pytest.raises(ValueError):
             writer.add_tile((0,), (1,), b"x")
 
     def test_finish_total_matches_container_size(self):
         sink = io.BytesIO()
-        writer = TiledWriter(sink, {"shape": [2]})
+        writer = TiledWriter(sink, {"shape": [2], "tile_shape": [2]})
         writer.add_tile((0,), (2,), b"xy")
         total = writer.finish()
         assert total == len(sink.getvalue())
@@ -168,7 +178,7 @@ class TestTiledFormat:
         self._write(sink)
         assert (
             container.container_version(sink.getvalue())
-            == container.VERSION_TILED
+            == container.VERSION_FRAME
         )
 
     def test_peek_version_sniffs_every_source_kind(self, tmp_path):
@@ -178,7 +188,7 @@ class TestTiledFormat:
         flat = SZCompressor().compress(
             smooth_field((64,)), CompressionConfig(error_bound=1e-3)
         ).blob
-        for blob, version in ((tiled, 4), (flat, 2)):
+        for blob, version in ((tiled, 7), (flat, 2)):
             path = tmp_path / f"v{version}.rqsz"
             path.write_bytes(blob)
             with open(path, "rb") as fh:

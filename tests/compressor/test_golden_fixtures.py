@@ -7,8 +7,11 @@ the PR-8 clustered planner, v6 from the PR-9 temporal snapshot-stream
 mode) next to ``*_expected.npy`` snapshots of what those revisions
 decoded them to.  The current pipeline must reproduce those arrays *exactly* —
 not merely within the error bound — or silent decode drift has crept
-into a released format.  ``tests/data/make_tiled_fixtures.py``
-documents the regeneration policy (format-version bumps only).
+into a released format.  The v7 fixtures (PR 23) are the same inputs
+and configs as the v4 / v5-clustered / v6 ones in the frame written
+today, and must decode to *their* expected arrays: the format moved
+framing, not values.  ``tests/data/make_tiled_fixtures.py`` documents
+the regeneration policy (format-version bumps only).
 """
 
 import hashlib
@@ -25,7 +28,7 @@ from repro.compressor import (
     TemporalCompressor,
     TiledCompressor,
 )
-from repro.compressor.container import TiledReader
+from repro.compressor.container import TiledReader, unpack_tile
 from repro.compressor.tiled_geometry import extent_slices
 from repro.service.store import ArrayStore
 from tests.conftest import adopt_container
@@ -274,31 +277,119 @@ def test_one_reader_decodes_every_golden_blob_on_every_backend(
         np.testing.assert_array_equal(store.read_full("gold"), expected)
 
 
+# -- v7: same inputs, same configs, same decoded arrays, a smaller frame ---------
+
+#: v7 fixture -> the frozen fixture whose input, config, expected array
+#: (and, for the temporal one, reference) it shares
+GOLDEN_V7_TWINS = {
+    "pr23_v7_uniform": "pr2_v4_tiled_zstd",
+    "pr23_v7_adaptive": "pr8_v5_clustered",
+    "pr23_v7_temporal": "pr9_v6_temporal",
+}
+
+
+def _load_v7(name: str) -> tuple[bytes, np.ndarray, np.ndarray | None]:
+    with open(os.path.join(DATA_DIR, f"{name}.rqsz"), "rb") as fh:
+        blob = fh.read()
+    twin = GOLDEN_V7_TWINS[name]
+    ref = _load_temporal()[2] if twin == "pr9_v6_temporal" else None
+    return blob, _load(twin)[1], ref
+
+
+@pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+@pytest.mark.parametrize("name", sorted(GOLDEN_V7_TWINS))
+def test_golden_v7_decodes_to_the_frozen_twins_array(name, backend, tmp_path):
+    blob, expected, ref = _load_v7(name)
+    assert blob[4] == 7
+    for front in (TiledCompressor, TemporalCompressor):
+        codec = front(workers=2, backend=backend)
+        recon = codec.decompress(blob, reference=ref)
+        assert recon.dtype == expected.dtype
+        np.testing.assert_array_equal(recon, expected)
+        region = (slice(5, 18), slice(3, 16))
+        np.testing.assert_array_equal(
+            codec.decompress_region(blob, region, reference=ref),
+            expected[region],
+        )
+    with _store_serving(str(tmp_path), blob, ref, backend) as store:
+        np.testing.assert_array_equal(store.read_full("gold"), expected)
+
+
+def test_golden_v7_layout_is_pinned():
+    """What is stored and what is derived, per kind of container."""
+    common = {"sizes", "shared", "crcs", "header_crc"}
+    toc_keys = {
+        "pr23_v7_uniform": common,
+        "pr23_v7_adaptive": common | {"configs", "tile_configs"},
+        "pr23_v7_temporal": common | {"tile_modes"},
+    }
+    for name, keys in toc_keys.items():
+        blob, _, _ = _load_v7(name)
+        header_len = int.from_bytes(blob[5:9], "little")
+        toc_len = int.from_bytes(blob[-8:], "little")
+        toc = json.loads(blob[-12 - toc_len : -12])
+        assert set(toc) == keys, name
+        with TiledReader(blob) as reader:
+            twin = TiledReader(_load(GOLDEN_V7_TWINS[name])[0])
+            # offsets: the running sum of sizes from the end of the header
+            offsets = [t.offset for t in reader.tiles]
+            assert offsets[0] == 9 + header_len
+            assert offsets[1:] == [t.offset + t.size for t in reader.tiles[:-1]]
+            assert offsets[-1] + reader.tiles[-1].size == len(blob) - 12 - toc_len
+            # extents, configs, modes: what the legacy TOC spelled out
+            assert len(reader.tiles) == len(twin.tiles)
+            for new, old in zip(reader.tiles, twin.tiles):
+                assert (new.start, new.stop) == (old.start, old.stop)
+                assert new.config == old.config
+                assert new.temporal == old.temporal
+                # ... around the very bytes the legacy tile wrapped
+                assert reader.read_sections(new) == twin.read_sections(old)
+            # the first tile of a predictor has no meta by construction
+            # (what it adds to the header is the TOC's shared record)
+            assert unpack_tile(reader.read_tile(reader.tiles[0]))[0] == {}
+            assert set(toc["shared"]) == {
+                (t.config or reader.header)["predictor"] for t in reader.tiles
+            }
+    # the uniform fixture: interior tiles are 7 bytes of framing each
+    blob, _, _ = _load_v7("pr23_v7_uniform")
+    with TiledReader(blob) as reader:
+        for record in reader.tiles:
+            meta, sections = unpack_tile(reader.read_tile(record))
+            if record.shape == (8, 8):
+                assert meta == {}
+                assert record.size - sum(map(len, sections)) <= 7
+
+
 # -- byte identity of what the current revision *writes* ------------------------
 
 #: name -> (sha256 of the generator's input array, sha256 of the
 #: container the codec wrote for it when the pins were taken).  The
 #: stored fixtures above pin decoding; these pin encoding — a change to
 #: the entropy path that alters one output byte shows up here.
+#: Re-taken in PR 23, re-keyed from the now frozen pr2 / pr8 / pr9: the
+#: writer frames the same stage sections, tile for tile, as v7 (shown
+#: by ``test_golden_v7_layout_is_pinned`` against the frozen fixtures).
 REENCODED_SHA256 = {
-    "pr2_v4_tiled_zstd": (
+    "pr23_v7_uniform": (
         "86d9e97268afe6a5d10049d5d327957b56db4c624350ff3b8828bb7d7fe6ca6c",
-        "58205adb417a3afdcd13625642a301dc99cb49228b0266a61f5c8cc1626f50eb",
+        "a6c68db3be8e6153af8224e47a1f5649992e24a4e66b13ab0858acf9efb2999a",
     ),
-    "pr8_v5_clustered": (
+    "pr23_v7_adaptive": (
         "3ddb4e5940d7ef981a42cd0ee737e5f2ec9f1435c849f4c9fd2ac0832ea4f5dc",
-        "91cd96fa885dcd447e05f0cd9a1a19b2a3a45ad358b33daf20624cd4c9453852",
+        "77154af39378a753b653fca6fe56f481230d41cb631f510a2aad2d17ff850f33",
     ),
-    "pr9_v6_temporal": (
+    "pr23_v7_temporal": (
         "8723621414aee059102e6f789097ca7aade905c5b15814ef8b5a8204af195b68",
-        "fd93eaf5dd7406cd73db8396497f61bfee9dde83b3245235b4d31644e7671691",
+        "551a4762dd5b845ad0549f87a0fb66674760905060a773d94469ee4072554008",
     ),
 }
 
 #: a 9-tile container of 32x32 tiles — the small-stream entropy path
-#: (no sync table, raw lossless escapes) — over a stored input array
+#: (no sync table, raw lossless escapes) — over a stored input array.
+#: Re-taken in PR 23 (v7 framing; the stage sections are the ones the
+#: previous pin covered, see ``tests/compressor/test_container_v7.py``)
 SMALL_TILE_SHA256 = (
-    "d0dd625d6c18c570343dc81729663ed7045dea911d6b9025610f776e66a49c05"
+    "7aac03855fb61543ea5b1f2e169854c793e3cb5889ffbd23ca13a86e8856e798"
 )
 
 

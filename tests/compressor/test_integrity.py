@@ -17,6 +17,8 @@ from repro.compressor.container import (
     TileCorruptError,
     TiledReader,
     TiledWriter,
+    pack_tile,
+    unpack_tile,
 )
 from repro.compressor.inspect import describe_container
 from repro.compressor.integrity import (
@@ -28,12 +30,21 @@ from repro.compressor.integrity import (
 from tests.conftest import smooth_field
 
 
+PAYLOAD_A = pack_tile({}, [b"payload-a", b"", b"", b"", b""])
+PAYLOAD_B = pack_tile({}, [b"payload-bb", b"", b"", b"", b""])
+
+
 def _tiled_blob(note: str = "aaaaaaaa") -> bytes:
     sink = io.BytesIO()
-    header = {"shape": [4, 4], "dtype": "<f4", "note": note}
+    header = {
+        "shape": [4, 4],
+        "tile_shape": [2, 4],
+        "dtype": "<f4",
+        "note": note,
+    }
     with TiledWriter(sink, header) as writer:
-        writer.add_tile((0, 0), (2, 4), b"payload-a")
-        writer.add_tile((2, 0), (4, 4), b"payload-bb")
+        writer.add_tile((0, 0), (2, 4), PAYLOAD_A)
+        writer.add_tile((2, 0), (4, 4), PAYLOAD_B)
     return sink.getvalue()
 
 
@@ -60,13 +71,15 @@ class TestWriterReaderChecksums:
         assert reader.checksum_algorithm == CHECKSUM_ALGORITHM
         assert reader.checksum_state == "verified"
         assert all(t.crc is not None for t in reader.tiles)
-        assert reader.read_tile(reader.tiles[0]) == b"payload-a"
+        assert reader.read_tile(reader.tiles[0]) == PAYLOAD_A
         assert reader.verify_tiles() == "verified"
 
     def test_checksums_off_reads_as_unknown(self):
         sink = io.BytesIO()
         with TiledWriter(
-            sink, {"shape": [2], "dtype": "<f4"}, checksums=False
+            sink,
+            {"shape": [2], "tile_shape": [2], "dtype": "<f4"},
+            checksums=False,
         ) as writer:
             writer.add_tile((0,), (2,), b"xy")
         reader = TiledReader(sink.getvalue())
@@ -90,7 +103,7 @@ class TestWriterReaderChecksums:
         assert err.version == corrupt.version
         assert "tile 1" in str(err)
         # the sibling tile is untouched and still readable
-        assert corrupt.read_tile(corrupt.tiles[0]) == b"payload-a"
+        assert corrupt.read_tile(corrupt.tiles[0]) == PAYLOAD_A
 
     def test_verify_false_returns_damaged_bytes(self):
         blob = bytearray(_tiled_blob())
@@ -209,8 +222,9 @@ class TestEndToEnd:
         data = smooth_field((128, 128))
         config = CompressionConfig(error_bound=1e-5, tile_shape=(32, 32))
         compressor = TiledCompressor()
-        with_sums = len(compressor.compress(data, config).blob)
-        reader = TiledReader(compressor.compress(data, config).blob)
+        blob = compressor.compress(data, config).blob
+        with_sums = len(blob)
+        reader = TiledReader(blob)
         assert reader.checksum_state == "verified"
         # rebuild the same container without checksums for comparison
         plain = io.BytesIO()
@@ -225,8 +239,17 @@ class TestEndToEnd:
             checksums=False,
         ) as writer:
             for t in reader.tiles:
-                writer.add_tile(
-                    t.start, t.stop, reader.read_tile(t), config=t.config
+                meta, sections = unpack_tile(reader.read_tile(t))
+                writer.add_stages(
+                    t.start,
+                    t.stop,
+                    {**t.params, **meta},
+                    sections,
+                    config=t.config,
                 )
         without = len(plain.getvalue())
+        # the copy is the container, minus what checksums add
+        np.testing.assert_array_equal(
+            compressor.decompress(plain.getvalue()), compressor.decompress(blob)
+        )
         assert (with_sums - without) / without <= 0.01

@@ -83,6 +83,11 @@ def _delta(pair):
 
 
 # -- identity: pinned before the change, unchanged after ------------------------
+#
+# The container hashes below were re-taken in PR 23 (v7 framing): for
+# each of them the v4/v5/v6 container the previous value pinned and the
+# v7 one hold, tile for tile, the same stage sections, palette entries
+# and ``tile_modes`` — only the bytes around them changed.
 
 #: name -> (sha256 of the input, of ``AdaptivePlan.to_payload()`` as
 #: sorted JSON, of the v5 container), taken at the revision before the
@@ -91,12 +96,12 @@ PLAN_SHA256 = {
     "halo": (
         "0540d2b3436d8f48ab299173a0ade3a2ac48f6a0d124a82fff234c4b99ab504c",
         "9663b932e5a1eca71f0a59abb4e7dc041de0f6182aceade8277b044d19ec4fb0",
-        "2e689afe927cebddb5ccc262d23c0c335d2a8b9ab4a438374b3002eb08c9d7dd",
+        "0dfbab0e6dea30065cc6f035dd010e42cf3fc727a6e547f75189e317047ebc43",
     ),
     "hetero": (
         "3ddb4e5940d7ef981a42cd0ee737e5f2ec9f1435c849f4c9fd2ac0832ea4f5dc",
         "565e3c3ba8d27c2b6cda30b6576f595f4f9256eb60653b3953a4cf859399f907",
-        "91cd96fa885dcd447e05f0cd9a1a19b2a3a45ad358b33daf20624cd4c9453852",
+        "77154af39378a753b653fca6fe56f481230d41cb631f510a2aad2d17ff850f33",
     ),
 }
 PLAN_STATS = {
@@ -107,7 +112,7 @@ PLAN_STATS = {
 #: (sha256 of both wave steps, of the v6 delta container)
 DELTA_SHA256 = (
     "2dde5c648442ce311af8fa52a444731e5e1c53d7618d118d0c1dcbe509c5e5bc",
-    "cb789d53ecc1828f37496ac17b209548c9d3dbe8baa04250a4d437d174008cf0",
+    "9aee3adc0c83f4b6f8cbbc7e1260ecf516d67cbc39173358ccb017c29fbf16bd",
 )
 
 
@@ -121,14 +126,14 @@ ENCODE_SHA256 = {
         (32, 32, 256),
         CompressionConfig(error_bound=1e-2, tile_shape=(16, 32, 256)),
         "06870226a871ee3201c42678acb70a1894b0918d1a4c3c66b4f40fa5ae7b44fe",
-        "6e3c1f79c42776132900262e40fa3e95b3bc54c7136ecb9000862febc577fe0c",
+        "77c385a51201bea78f268d1c068ac04ee8c87948474fd97dc8e1558ac9178b5f",
     ),
     "serve_hot": (
         "halo",
         (512, 512),
         CompressionConfig(error_bound=0.05, tile_shape=(128, 128)),
         "237de095c0005286b7603982f501d8c0c83db793ae2b307cad61d2ea426a2df2",
-        "a9e69db41a28d46cc14e8ad67d1cb23a3dadafa14a221d18352885b8b6791dbd",
+        "956abefb4346fd659f12fa4a6afeed37015eb90ab3188fb8060279d7c4440e04",
     ),
 }
 

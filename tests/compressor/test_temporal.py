@@ -5,7 +5,6 @@ from __future__ import annotations
 import hashlib
 import io
 import os
-import types
 
 import numpy as np
 import pytest
@@ -45,7 +44,7 @@ def test_keyframe_is_plain_tiled_container():
     tc = TemporalCompressor()
     result = tc.compress_snapshot(chain(1)[0], config())
     assert result.keyframe
-    assert result.blob[4] == 4
+    assert result.blob[4] == 7 and not TiledReader(result.blob).temporal
     assert result.stats is None
     # standalone decode, also through the plain tiled front-end
     np.testing.assert_array_equal(
@@ -80,7 +79,7 @@ def test_delta_container_is_v6_with_stats_and_modes():
         snaps[1], config(), reference=ref, ref_id="v0", snapshot_index=1
     )
     assert not result.keyframe
-    assert result.blob[4] == 6
+    assert result.blob[4] == 7 and TiledReader(result.blob).temporal
     stats = result.stats
     assert stats.tiles == result.n_tiles == 9
     assert stats.temporal_tiles + stats.spatial_tiles == stats.tiles
@@ -293,27 +292,30 @@ DATA_DIR = os.path.join(os.path.dirname(__file__), "..", "data")
 
 #: sha256 of ``compress_snapshot(expected, config, reference=ref)`` over
 #: the stored ``pr9_v6_temporal`` arrays, taken with the per-tile choice
-#: (two single-array fits per tile) that the batched one replaced
+#: (two single-array fits per tile) that the batched one replaced —
+#: re-taken in PR 23 for the v7 frame: tile for tile the same
+#: ``tile_modes`` and the same stage sections as the v6 containers the
+#: previous values pinned, other framing around them
 PER_TILE_CHOICE_SHA256 = {
     # the fixture's own config: 40 / 16 leaves edge tiles (3 groups)
     "fixture_config": (
         dict(tile_shape=(16, 16)),
-        "fd93eaf5dd7406cd73db8396497f61bfee9dde83b3245235b4d31644e7671691",
+        "551a4762dd5b845ad0549f87a0fb66674760905060a773d94469ee4072554008",
     ),
     # non-divisible both ways: four shape groups, two below the
     # model's minimum tile size (8 measured decisions among 20 tiles)
     "odd_grid": (
         dict(tile_shape=(12, 9)),
-        "b028d7f04a068555b42f5d4edf59b88db1951b73e258762c9f2642f3fac55da1",
+        "a2cdea2d68eb0caafda30c9e0b607636b1c0487d4764d84ed476a51622d7283c",
     ),
     # non-Lorenzo spatial candidates: two sampling passes per group
     "interpolation": (
         dict(tile_shape=(16, 16), predictor="interpolation"),
-        "5108bf92207f7c83c82f006160ef16a8e4908f22a143f47cfe0b10bc326640ab",
+        "bd9aeeac98bfa3ee970413bc61df63c415d5db85b5cf02bd2479438c353f23d7",
     ),
     "regression_f4": (
         dict(tile_shape=(16, 16), predictor="regression"),
-        "304cd01d10a5f00aab44b8f2773249d87e39886a6430fc8866d6ddb7fdd2f957",
+        "724f95c3276b09eb0a7ed64f5a0a8e856c83880db893f86a09269f9a80501cec",
     ),
 }
 
@@ -432,16 +434,17 @@ def test_small_edge_groups_measure_while_full_tiles_model():
 
 
 class _SizedCodec:
-    """A per-tile codec whose payload sizes the test dictates."""
+    """A per-tile codec whose stage-byte counts the test dictates."""
 
     def __init__(self, residual_bytes, spatial_bytes):
         self.sizes = {"lorenzo": residual_bytes, "interpolation": spatial_bytes}
 
-    def compress(self, tile, cfg, reconstruct=False):
+    def encode_stages(self, tile, cfg, reconstruct=False):
         # a stream configured with another predictor encodes only its
         # residuals with Lorenzo
-        blob = cfg.predictor[:1].encode() * self.sizes[cfg.predictor]
-        return types.SimpleNamespace(blob=blob, reconstruction=None)
+        codes = cfg.predictor[:1].encode() * self.sizes[cfg.predictor]
+        params = {"predictor": cfg.predictor}
+        return params, [codes, b"", b"", b"", b""], None, None
 
 
 @pytest.mark.parametrize(
@@ -474,7 +477,7 @@ def test_a_measured_decision_keeps_the_smaller_payload(
     assert result.stats.measured_decisions == result.stats.tiles
     with TiledReader(result.blob) as reader:
         for record in reader.tiles:
-            assert reader.read_tile(record) == kept
+            assert reader.read_sections(record)[0] == kept
             assert record.temporal is kept.startswith(b"l")
 
 

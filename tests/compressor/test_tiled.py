@@ -106,7 +106,7 @@ class TestRoundtrip:
         tc = TiledCompressor(workers=workers)
         result = tc.compress(data, cfg)
         assert result.n_tiles == 6
-        assert result.blob[4] == 4  # tiled v4 container
+        assert result.blob[4] == 7  # the tiled frame
         recon = tc.decompress(result.blob)
         assert recon.dtype == data.dtype
         assert_error_bounded(data, recon, 1e-3)
@@ -149,12 +149,13 @@ class TestRoundtrip:
         assert_error_bounded(data, recon, eb_rel * vrange)
         # every tile must carry the bound derived from the GLOBAL range,
         # not from its own (much smaller) local range
-        from repro.compressor.container import TiledReader, read_flat
+        from repro.compressor.container import TiledReader, unpack_tile
 
         with TiledReader(result.blob) as reader:
             assert reader.header["value_range"] == [0.0, 100.0]
             for record in reader.tiles:
-                header, _ = read_flat(reader.read_tile(record))
+                meta, _ = unpack_tile(reader.read_tile(record))
+                header = {**record.params, **meta}
                 assert header["abs_eb"] == pytest.approx(eb_rel * vrange)
 
     def test_rel_mode_constant_field_exact(self):

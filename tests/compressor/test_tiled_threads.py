@@ -13,6 +13,7 @@ import pytest
 
 from repro.compressor import CompressionConfig, SZCompressor, TiledCompressor
 from repro.compressor.container import TiledReader
+from repro.compressor.tiled import decode_tile
 from tests.conftest import smooth_field
 
 N_THREADS = 8
@@ -69,17 +70,25 @@ def test_shared_reader_hammered_from_threads(tiled_path):
     """One TiledReader + one stateless codec, eight decode threads."""
     codec = SZCompressor()
     with TiledReader(tiled_path) as reader:
-        reference = [
-            codec.decompress(reader.read_tile(record)).tobytes()
-            for record in reader.tiles
-        ]
+        dtype = np.dtype(reader.header["dtype"])
+
+        def decode(record):
+            return decode_tile(
+                reader.read_tile(record),
+                record.shape,
+                dtype,
+                codec,
+                params=record.params,
+            )
+
+        reference = [decode(record).tobytes() for record in reader.tiles]
 
         def worker(seed: int):
             rng = np.random.default_rng(seed)
             out = []
             for _ in range(ROUNDS * len(reader.tiles)):
                 i = int(rng.integers(len(reader.tiles)))
-                tile = codec.decompress(reader.read_tile(reader.tiles[i]))
+                tile = decode(reader.tiles[i])
                 out.append((i, tile.tobytes()))
             return out
 

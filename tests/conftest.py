@@ -88,3 +88,95 @@ def adopt_container(root, name: str, blob: bytes) -> None:
         }
     with open(os.path.join(root, "store.json"), "w") as fh:
         json.dump({"datasets": {name: entry}}, fh)
+
+
+def rewrite_container(blob: bytes, header=None, toc=None, resum=True) -> bytes:
+    """Tiled *blob* with its header and/or TOC passed through a function.
+
+    With *resum* the checksums a container declares are recomputed, so
+    what a reader then objects to is structure, not a CRC (a forgery);
+    without, they are left as they were (a corruption).
+    """
+    import json
+
+    from repro.compressor.integrity import checksum
+
+    header_len = int.from_bytes(blob[5:9], "little")
+    new_header = json.loads(blob[9 : 9 + header_len])
+    sums = bool(new_header.get("checksums"))
+    toc_len = int.from_bytes(blob[-8:], "little")
+    toc_start = len(blob) - 8 - 4 * sums - toc_len
+    new_toc = json.loads(blob[toc_start : toc_start + toc_len])
+    if header is not None:
+        new_header = header(new_header) or new_header
+    header_bytes = json.dumps(new_header).encode()
+    if sums and resum and "header_crc" in new_toc:
+        new_toc["header_crc"] = checksum(header_bytes)
+    if toc is not None:
+        new_toc = toc(new_toc) or new_toc
+    toc_bytes = json.dumps(new_toc).encode()
+    toc_crc = b""
+    if sums:
+        toc_crc = (
+            checksum(toc_bytes).to_bytes(4, "little")
+            if resum
+            else blob[toc_start + toc_len : -8]
+        )
+    return b"".join(
+        [
+            blob[:5],
+            len(header_bytes).to_bytes(4, "little"),
+            header_bytes,
+            blob[9 + header_len : toc_start],
+            toc_bytes,
+            toc_crc,
+            len(toc_bytes).to_bytes(8, "little"),
+        ]
+    )
+
+
+def replace_tile(blob: bytes, index: int, payload: bytes, resum=True) -> bytes:
+    """v7 *blob* with tile *index* replaced by *payload*, the TOC's
+    ``sizes`` following and — with *resum* — its checksums too."""
+    from repro.compressor.container import TiledReader
+    from repro.compressor.integrity import checksum
+
+    with TiledReader(blob) as reader:
+        record = reader.tiles[index]
+
+    def refile(toc):
+        toc["sizes"][index] = len(payload)
+        if resum and "crcs" in toc:
+            toc["crcs"][index] = checksum(payload)
+
+    out = blob[: record.offset] + payload + blob[record.offset + record.size :]
+    if len(payload) != record.size or resum:
+        out = rewrite_container(out, toc=refile, resum=resum)
+    return out
+
+
+def without_checksums(blob: bytes) -> bytes:
+    """The v7 container *blob*, written again with ``checksums=False``."""
+    import io
+
+    from repro.compressor.container import TiledReader, TiledWriter, unpack_tile
+
+    sink = io.BytesIO()
+    with TiledReader(blob) as reader:
+        header = {
+            k: v
+            for k, v in reader.header.items()
+            if k not in ("checksums", "container_version")
+        }
+        with TiledWriter(sink, header, checksums=False) as writer:
+            for t in reader.tiles:
+                meta, sections = unpack_tile(reader.read_tile(t))
+                writer.add_stages(
+                    t.start,
+                    t.stop,
+                    {**t.params, **meta},
+                    sections,
+                    config=t.config,
+                    temporal=t.temporal,
+                )
+    return sink.getvalue()

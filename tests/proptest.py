@@ -18,7 +18,7 @@ the invariants every case must satisfy:
   only the intersecting tiles;
 * temporal cases replay the case as a short snapshot chain: the bound
   holds on *every* snapshot (keyframe or delta), full decode and
-  region decode of a v6 container are byte-identical, keyframes decode
+  region decode of a temporal container are byte-identical, keyframes decode
   standalone while deltas demand their reference, and the keyframe
   cadence bounds the number of containers any version needs;
 * on every path — flat, tiled, adaptive, temporal — the reconstruction
@@ -47,6 +47,7 @@ from repro.compressor import (
     TemporalCompressor,
     TiledCompressor,
 )
+from repro.compressor.container import TiledReader
 from repro.compressor.tiled import intersect_extent, normalize_region
 
 __all__ = ["Case", "draw_case", "check_case", "run_seed"]
@@ -435,7 +436,7 @@ def _check_temporal(case: Case) -> None:
         if not result.keyframe and any(
             record.temporal for record in result.tiles
         ):
-            assert result.blob[4] == 6
+            assert result.blob[4] == 7 and TiledReader(result.blob).temporal
             try:
                 tc.decompress(result.blob)
             except ValueError:

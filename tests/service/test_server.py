@@ -70,7 +70,7 @@ class TestEndpoints:
         assert client.last_read_stats["tiles_touched"] == 9
 
         stat = client.stat("press")
-        assert stat["container"]["container_version"] == 4
+        assert stat["container"]["container_version"] == 7
         assert stat["container"]["tile_map"]["n_tiles"] == 9
 
         listed = client.list_datasets()
@@ -113,7 +113,7 @@ class TestEndpoints:
         )
         assert entry["config"]["adaptive"] is True
         stat = client.stat("ada")
-        assert stat["container"]["container_version"] == 5
+        assert stat["container"]["container_version"] == 7
         assert "adaptive" in stat["container"]["tile_map"]
 
 
@@ -155,7 +155,7 @@ class TestSnapshotChains:
         assert "temporal" in stat["container"]["tile_map"]
         kf = client.stat("wave", version=0)
         assert kf["version"] == 0
-        assert kf["container"]["container_version"] == 4
+        assert kf["container"]["container_version"] == 7
 
     def test_read_range_stacks_versions(self, served, field):
         client, _ = served

@@ -71,7 +71,7 @@ class TestCreate:
         )
         assert entry["config"]["adaptive"] is True
         stat = store.stat("ada")
-        assert stat["container"]["container_version"] == 5
+        assert stat["container"]["container_version"] == 7
         back = store.read_full("ada")
         assert back.shape == field.shape
 
@@ -92,7 +92,7 @@ class TestMetadata:
     def test_stat_includes_container_description(self, store, field):
         store.create("press", field, _config())
         stat = store.stat("press")
-        assert stat["container"]["container_version"] == 4
+        assert stat["container"]["container_version"] == 7
         assert stat["container"]["tile_map"]["n_tiles"] == 9
 
     def test_persistence_across_instances(self, tmp_path, field):
@@ -253,16 +253,13 @@ class TestCorruptContainers:
     def test_inflight_reader_survives_delete(self, store, field):
         """A read that started before delete() finishes against the
         old file instead of crashing on a closed handle."""
-        from repro.compressor import SZCompressor
-
         store.create("press", field, _config())
         reader, _, _, _ = store._reader("press")
         record = reader.tiles[0]
-        expected = SZCompressor().decompress(reader.read_tile(record))
+        expected = reader.read_tile(record)
         store.delete("press")
         # the popped reader is still open; the unlinked file serves it
-        again = SZCompressor().decompress(reader.read_tile(record))
-        np.testing.assert_array_equal(again, expected)
+        assert reader.read_tile(record) == expected
 
 
 class TestSharedCache:
@@ -635,3 +632,47 @@ class TestOneWritePath:
             store.list_datasets(),
             store.cache.stats().entries,
         )
+
+
+class TestStoreWrittenByThePreviousFormat:
+    """``tests/data/pr22_store``: a chain the parent of PR 23 wrote — a
+    v4 keyframe and two v6 deltas — with what it decoded them to."""
+
+    SOURCE = os.path.join(os.path.dirname(__file__), "..", "data", "pr22_store")
+
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_it_is_served_and_extended_with_v7_deltas(self, tmp_path, backend):
+        import shutil
+
+        root = str(tmp_path / "store")
+        shutil.copytree(self.SOURCE, root)
+        expected = np.load(os.path.join(root, "expected.npy"))
+        step = np.load(os.path.join(root, "next_step.npy"))
+        window = (slice(3, 21), slice(5, 24))
+        with ArrayStore(root, workers=2, parallel_backend=backend) as store:
+            versions = [
+                store.stat("wave", version=v)["container"]["container_version"]
+                for v in range(3)
+            ]
+            assert versions == [4, 6, 6]
+            # a delta against a v6 delta's decode, then the next keyframe
+            for _ in range(2):
+                record = store.put_snapshot(
+                    "wave", step, CompressionConfig(error_bound=1e-3, tile_shape=(8, 8))
+                )
+            assert record["version"] == 4 and record["keyframe"]
+            stat = store.stat("wave", version=3)
+            assert stat["container"]["container_version"] == 7
+            assert stat["container"]["temporal"] and stat["chain_depth"] == 4
+        # a fresh process, a cold cache: the v7 delta decodes through the
+        # v6 -> v6 -> v4 chain under it
+        with ArrayStore(root, workers=2, parallel_backend=backend) as store:
+            results = store.read_range("wave", window, 0, 4)
+            assert [r.version for r in results] == [0, 1, 2, 3, 4]
+            for result, want in zip(results[:3], expected):
+                assert result.data.tobytes() == want[window].tobytes()
+            for result in results[3:]:
+                assert_error_bounded(step[window], result.data, 1e-3)
+            np.testing.assert_array_equal(
+                store.read_full("wave", version=2), expected[2]
+            )

@@ -49,9 +49,9 @@ def decodes(monkeypatch):
     calls = []
     original = ArrayStore._decode_tile_blob
 
-    def counting(self, executor, blob, shape, dtype):
-        calls.append(tuple(shape))
-        return original(self, executor, blob, shape, dtype)
+    def counting(self, executor, blob, rec, dtype):
+        calls.append(rec.shape)
+        return original(self, executor, blob, rec, dtype)
 
     monkeypatch.setattr(ArrayStore, "_decode_tile_blob", counting)
     return calls
@@ -109,7 +109,7 @@ class TestChainWriteThrough:
     def test_adaptive_keyframes_are_seeded_too(self, store, decodes):
         field = _snaps(1)[0]
         store.create("ada", field, _config(adaptive=True, tile_shape=(10, 12)))
-        assert store.stat("ada")["container"]["container_version"] == 5
+        assert store.stat("ada")["container"]["container_version"] == 7
         read = store.read_region("ada", WINDOW)
         assert read.cache_misses == 0 and decodes == []
         with ArrayStore(store.root) as cold:

@@ -157,7 +157,7 @@ class TestTiledCli:
         )
         assert "tiles" in capsys.readouterr().out
         with open(blob, "rb") as fh:
-            assert fh.read()[4] == 4  # tiled v4 container
+            assert fh.read()[4] == 7  # the tiled frame
         assert (
             main(["decompress", blob, roi_path, "--region", "5:20,25:"]) == 0
         )
@@ -197,7 +197,7 @@ class TestTiledCli:
         capsys.readouterr()
         assert main(["inspect", blob]) == 0
         header = json.loads(capsys.readouterr().out)
-        assert header["container_version"] == 4
+        assert header["container_version"] == 7
         assert header["tile_map"]["n_tiles"] == 4
         assert len(header["tile_map"]["tiles"]) == 4
         assert header["tile_shape"] == [10, 10]
@@ -229,13 +229,13 @@ class TestTiledCli:
         out = capsys.readouterr().out
         assert "adaptive plan" in out
         with open(blob, "rb") as fh:
-            assert fh.read()[4] == 5  # adaptive v5 container
+            assert fh.read()[4] == 7  # the tiled frame, with a palette
         assert main(["decompress", blob, back]) == 0
         assert np.load(back).shape == data.shape
         capsys.readouterr()
         assert main(["inspect", blob]) == 0
         header = json.loads(capsys.readouterr().out)
-        assert header["container_version"] == 5
+        assert header["container_version"] == 7
         assert header["adaptive"] is True
         adaptive = header["tile_map"]["adaptive"]
         assert sum(adaptive["predictor_counts"].values()) == 9
@@ -275,7 +275,7 @@ class TestInspect:
         out = capsys.readouterr().out
         assert out.count("\n") == 1  # one compact document
         header = json.loads(out)
-        assert header["container_version"] == 4
+        assert header["container_version"] == 7
         assert header["tile_map"]["n_tiles"] == 4
 
     def test_inspect_non_container_clean_error(self, tmp_path):
@@ -359,7 +359,7 @@ class TestRemoteCommands:
         )
         assert main(["remote-stat", served, "press", "--json"]) == 0
         stat = json.loads(capsys.readouterr().out)
-        assert stat["container"]["container_version"] == 4
+        assert stat["container"]["container_version"] == 7
 
     def test_remote_read_full_default(
         self, served, field_file, tmp_path, capsys

@@ -4,7 +4,10 @@ A tile payload that decodes to another shape than the TOC extent it is
 filed under is intact as far as any checksum can tell, so the decoder
 is the only line of defence: every reader, on every executor backend,
 must refuse it with a :class:`ContainerFormatError` — never crop it
-into place, never leak NumPy's broadcast error.
+into place, never leak NumPy's broadcast error.  A v7 tile has no shape
+of its own to disagree with, so the same verdict falls on what can: a
+code stream of another length than the extent takes, section lengths
+that do not add up, a ``meta`` that names what a tile may not say.
 """
 
 import functools
@@ -20,11 +23,22 @@ from repro.compressor import (
     TemporalCompressor,
     TiledCompressor,
 )
-from repro.compressor.container import ContainerFormatError, TiledWriter
+from repro.compressor.container import (
+    ContainerFormatError,
+    TiledReader,
+    TiledWriter,
+    pack_tile,
+    unpack_tile,
+)
 from repro.compressor.tiled_geometry import extent_slices, iter_tiles
 from repro.service.store import ArrayStore, DatasetCorruptError
 from repro.storage.hdf5sim import H5LikeFile
-from tests.conftest import adopt_container, smooth_field
+from tests.conftest import (
+    adopt_container,
+    replace_tile,
+    smooth_field,
+    without_checksums,
+)
 
 SHAPE, TILE, BAD_TILE = (32, 32), (16, 16), (16, 16)
 WRONG_SHAPE = {"larger": (24, 24), "smaller": (8, 8)}
@@ -44,7 +58,7 @@ def mismatched(kind: str, checksums: bool, version: int = 4) -> bytes:
     sink = io.BytesIO()
     with TiledWriter(
         sink, header, version=version, checksums=checksums
-    ) as writer:
+    ) as writer:  # legacy frames: each tile a flat container
         for start, stop in iter_tiles(SHAPE, TILE):
             bad = start == BAD_TILE
             tile = (
@@ -104,6 +118,66 @@ def test_every_reader_refuses_a_tile_of_the_wrong_shape(
     read, version = READERS[reader]
     blob = mismatched(kind, checksums, version)
     with pytest.raises(ContainerFormatError, match="TOC records"):
+        read(backend, blob, tmp_path)
+
+
+def _other_tile(shape):
+    return SZCompressor().encode_stages(
+        smooth_field(shape).astype(np.float64),
+        CompressionConfig(error_bound=1e-3),
+    )[1]
+
+
+#: what to file under the last tile's extent instead of its (meta, sections)
+V7_DAMAGE = {
+    "more-codes": lambda meta, sections: pack_tile(meta, _other_tile((24, 24))),
+    "fewer-codes": lambda meta, sections: pack_tile(meta, _other_tile((8, 8))),
+    # the first section length one too long: the five no longer add up
+    "section-length": lambda meta, sections: (
+        lambda p: p[:1] + bytes([p[1] + 1]) + p[2:]
+    )(pack_tile({}, [s[:100] for s in sections])),
+    "unknown-meta-key": lambda meta, sections: pack_tile(
+        {"shape": [16, 16]}, sections
+    ),
+    "meta-of-the-wrong-type": lambda meta, sections: pack_tile(
+        {"predictor_meta": 7, "quant_radius": "wide"}, sections
+    ),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def damaged_v7(kind: str, checksums: bool, temporal: bool) -> bytes:
+    """A v7 container whose last tile is damaged the *kind* way.
+
+    Its checksums (when it has any) are those of the damaged payload:
+    nothing but the decoder stands between it and the caller.
+    """
+    config = CompressionConfig(error_bound=1e-3, tile_shape=TILE)
+    if temporal:
+        blob = TemporalCompressor().compress_snapshot(
+            FIELD + 1e-2, config, reference=FIELD, ref_id="v0"
+        ).blob
+    else:
+        blob = TiledCompressor().compress(FIELD, config).blob
+    if not checksums:
+        blob = without_checksums(blob)
+    with TiledReader(blob) as reader:
+        assert reader.tiles[-1].start == BAD_TILE
+        assert reader.tiles[-1].temporal == temporal
+        meta, sections = unpack_tile(reader.read_tile(reader.tiles[-1]))
+    return replace_tile(blob, 3, V7_DAMAGE[kind](meta, sections))
+
+
+@pytest.mark.parametrize("kind", sorted(V7_DAMAGE))
+@pytest.mark.parametrize("checksums", [True, False], ids=["crc", "nocrc"])
+@pytest.mark.parametrize("reader", sorted(READERS))
+@pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+def test_every_reader_refuses_a_damaged_v7_tile(
+    backend, reader, checksums, kind, tmp_path
+):
+    read, version = READERS[reader]
+    blob = damaged_v7(kind, checksums, temporal=version == 6)
+    with pytest.raises(ContainerFormatError, match="corrupt"):
         read(backend, blob, tmp_path)
 
 
