@@ -32,14 +32,20 @@ heterogeneous field (smooth background + an injected halo-dense
 lognormal region) and compares the adaptive container against the
 *best uniform config at equal PSNR* — each uniform predictor's bound
 is bisected until its measured PSNR matches the adaptive run's.  The
-acceptance metric is ``equal_psnr_stage_gain``, over the bytes the codec
-stages produced (what the plan controls): 1.041 on the 12-step
-bisection below.  ``equal_psnr_gain``, over whole files, is recorded
-beside it and not asserted: it read 1.078 under v5, of which ~0.07 was
-wrapper size (an interpolation tile's flat JSON header is ~45 B longer
-than a Lorenzo tile's and the plan mixes Lorenzo tiles in), and reads
-0.95 under v7, where a 64-tile plan's own records (palette, index per
-tile, planner header fields: ~700 B) outweigh its 250 B of stage gain.
+recorded ``equal_psnr_gain`` is the acceptance metric: adaptive must
+spend at least 5% fewer bytes than the best uniform baseline.  **Not
+met since container v7 (PR 23): 0.94.**  The 12-step bisection below
+measured 1.078 under v5, of which ~0.07 was wrapper size (an
+interpolation tile's flat JSON header is ~45 B longer than a Lorenzo
+tile's and the plan mixes Lorenzo tiles in); v7 has no wrappers, and a
+64-tile plan's own records (palette, index per tile, planner header
+fields: ~750 B) outweigh the 4 % of stage bytes it saves
+(``equal_psnr_stage_gain``, recorded beside it: 1.041).  The threshold
+stands; ``test_throughput`` checks it last and reports the miss as an
+expected failure until the planner prices its records (ROADMAP item
+1(c)).  (The measured gain is sensitive to the bisection resolution
+because the uniform byte/PSNR curve has a knee near the adaptive
+operating point.)
 The mode also records the planner's fit/cluster counters and a
 cross-snapshot plan-cache replay timing.
 
@@ -203,9 +209,8 @@ ADAPTIVE_TILE = (32, 32)
 #: nominal bound ~= background std: just below background-tile
 #: saturation, where per-tile bound allocation has bits to harvest
 ADAPTIVE_EB = 1.0
-#: required stage-byte advantage over the best uniform config at
-#: equal PSNR (1.041 measured)
-ADAPTIVE_MIN_GAIN = 1.03
+#: required byte advantage over the best uniform config at equal PSNR
+ADAPTIVE_MIN_GAIN = 1.05
 
 
 def _hetero_field() -> np.ndarray:
@@ -868,11 +873,7 @@ def _checksum_overhead(data: np.ndarray, config) -> float:
     """Fractional container growth from the integrity checksums."""
     import io
 
-    from repro.compressor.container import (
-        TiledReader,
-        TiledWriter,
-        unpack_tile,
-    )
+    from repro.compressor.container import TiledReader, TiledWriter
 
     blob = TiledCompressor().compress(data, config).blob
     reader = TiledReader(blob)
@@ -888,17 +889,8 @@ def _checksum_overhead(data: np.ndarray, config) -> float:
         version=reader.version,
         checksums=False,
     ) as writer:
-        # re-filed through add_stages, not as raw payloads: the shared
-        # parameter record of the TOC is rebuilt with them
         for t in reader.tiles:
-            meta, sections = unpack_tile(reader.read_tile(t))
-            writer.add_stages(
-                t.start,
-                t.stop,
-                {**t.params, **meta},
-                sections,
-                config=t.config,
-            )
+            writer.copy_tile(reader, t)
     without = len(plain.getvalue())
     return (len(blob) - without) / without
 
@@ -1336,9 +1328,6 @@ def test_throughput(report, tmp_path):
     # footprint (whole array + codes + payloads in the flat pipeline)
     assert tiled["peak_rss_mb"] < 0.75 * tiled["flat_peak_rss_mb"]
 
-    # adaptive per-tile configuration (acceptance criterion): on the
-    # heterogeneous halo field the plan must encode to >= 3% fewer stage
-    # bytes than the best uniform config at equal measured PSNR
     report(
         "v5_adaptive equal-PSNR comparison "
         f"(PSNR {adaptive['psnr']} dB): adaptive {adaptive['bytes']} B "
@@ -1348,7 +1337,6 @@ def test_throughput(report, tmp_path):
         f"{adaptive['equal_psnr_stage_gain']}x stage bytes "
         f"(predictors {adaptive['predictor_counts']})"
     )
-    assert adaptive["equal_psnr_stage_gain"] >= ADAPTIVE_MIN_GAIN
 
     # serving (acceptance criterion): on the 16-tile halo workload the
     # decoded-tile cache must make warm region reads >= 3x faster at
@@ -1366,3 +1354,17 @@ def test_throughput(report, tmp_path):
     assert serving["warm_speedup_p50"] >= SERVE_MIN_WARM_SPEEDUP
     assert serving["cache"]["hits"] > 0
     assert serving["qps"] > 0
+
+    # adaptive per-tile configuration (acceptance criterion): on the
+    # heterogeneous halo field the adaptive container must spend >= 5%
+    # fewer bytes than the best uniform config at equal measured PSNR.
+    # Checked last and, while it is known not to hold (module
+    # docstring), reported as an expected failure: everything above ran
+    if adaptive["equal_psnr_gain"] < ADAPTIVE_MIN_GAIN:
+        import pytest
+
+        pytest.xfail(
+            f"equal_psnr_gain {adaptive['equal_psnr_gain']} < "
+            f"{ADAPTIVE_MIN_GAIN}: the plan's records outweigh its "
+            f"{adaptive['equal_psnr_stage_gain']}x of stage bytes"
+        )

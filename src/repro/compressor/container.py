@@ -32,11 +32,15 @@ a **tile payload is stage bytes and nothing else**::
 What a decoder needs beyond the sections (a flat header's fields,
 :data:`TILE_KEYS`) is *resolved*, not repeated: the container header's
 own codec fields, overridden by what the TOC's ``shared`` records once
-per predictor (what that predictor's first tile added to the header —
+per kind of tile (what the first tile of the kind added to the header —
 in the TOC because a streaming writer has the header on disk before the
-first tile is encoded), by the tile's palette entry, and last by the
-tile's ``meta``, which therefore holds only what differs (a full
-interior tile has ``meta_len == 0``: seven bytes of framing).  The
+first tile is encoded; the kind is what the TOC says of a tile before
+its payload is read: ``"temporal"`` for a residual, else its palette's
+or the header's predictor), by the tile's palette entry, and last by
+the tile's ``meta``, which therefore holds only what differs (a full
+interior tile has ``meta_len == 0``: seven bytes of framing).  A payload
+is thus read with its container's TOC, and moved to another one with
+:meth:`TiledWriter.copy_tile`, not as raw bytes.  The
 **TOC is arrays**: ``sizes`` and, with checksums, ``crcs`` +
 ``header_crc``; an adaptive container adds the ``configs`` palette of
 ``[predictor, absolute error bound, quantizer radius]`` triples and a
@@ -110,6 +114,7 @@ __all__ = [
     "is_tiled_version",
     "write_chunked_codes",
     "read_chunked_codes",
+    "check_tile_params",
     "pack_tile",
     "unpack_tile",
     "TileRecord",
@@ -185,14 +190,26 @@ SECTION_NAMES = (
     "signs",
 )
 
-#: the codec parameters a v7 tile may share with others: a flat
-#: header's fields but ``shape``/``dtype`` (the grid's)
-_SHARED_KEYS = frozenset(
-    "predictor mode error_bound abs_eb quant_radius lossless lorenzo_levels "
-    "regression_block chunk_size predictor_meta outlier_kind transform".split()
-)
-#: ... and all its ``meta`` may name: those, and what is the tile's alone
-TILE_KEYS = _SHARED_KEYS | {"constant", "chunked"}
+_NUMBER = (int, float)
+#: a v7 tile's parameters — a flat header's fields but ``shape`` and
+#: ``dtype`` (the grid's) — and their JSON types
+_PARAM_TYPES = {
+    key: types
+    for types, keys in [
+        (str, "predictor mode outlier_kind"),
+        (_NUMBER, "error_bound abs_eb constant"),
+        (int, "quant_radius lorenzo_levels regression_block"),
+        ((str, type(None)), "lossless"),
+        ((int, type(None)), "chunk_size"),
+        (dict, "predictor_meta transform"),
+        (bool, "chunked"),
+    ]
+    for key in keys.split()
+}
+#: all a tile's ``meta`` may name ...
+TILE_KEYS = frozenset(_PARAM_TYPES)
+#: ... and what it may share with others: not what is the tile's alone
+_SHARED_KEYS = TILE_KEYS - {"constant", "chunked"}
 
 
 def container_version(blob: bytes) -> int:
@@ -347,6 +364,28 @@ def _compact_json(obj: object) -> bytes:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
 
 
+def check_tile_params(params: object) -> None:
+    """Refuse *params* unless a dict of :data:`TILE_KEYS`, each of its
+    JSON type — a predictor's or transform's own entries numbers or
+    lists of integers: no stage then meets a type no encoder wrote."""
+    if not isinstance(params, dict):
+        raise ContainerFormatError("corrupt tile parameters: not an object")
+    for key, value in params.items():
+        good = isinstance(value, _PARAM_TYPES.get(key, ()))
+        if good and isinstance(value, dict):
+            good = all(
+                all(type(n) is int for n in v)
+                if isinstance(v, list)
+                else isinstance(v, _NUMBER)
+                for v in value.values()
+            )
+        if not good:
+            raise ContainerFormatError(
+                f"corrupt tile parameters: {key!r} may not be {value!r} "
+                f"(known: {sorted(TILE_KEYS)})"
+            )
+
+
 def pack_tile(meta: dict, sections: Sequence[bytes]) -> bytes:
     """A v7 tile payload: what *meta* overrides, then the stage bytes."""
     out = bytearray()
@@ -375,12 +414,10 @@ def unpack_tile(payload: bytes) -> tuple[dict, list[bytes]]:
         for _ in SECTION_NAMES:
             size, pos = read_varint(payload, pos)
             sizes.append(size)
-    except ValueError as exc:  # bad varint, UTF-8 or JSON
+    # bad varint, UTF-8 or JSON (nested past the parser's stack)
+    except (ValueError, RecursionError) as exc:
         raise ContainerFormatError(f"corrupt tile payload: {exc}") from exc
-    if not isinstance(meta, dict) or not meta.keys() <= TILE_KEYS:
-        raise ContainerFormatError(
-            f"corrupt tile meta: expected a subset of {sorted(TILE_KEYS)}"
-        )
+    check_tile_params(meta)
     if pos + sum(sizes) != len(payload):
         raise ContainerFormatError(
             f"corrupt tile payload: sections record {sum(sizes)} bytes, "
@@ -408,13 +445,19 @@ def _entry_to_config(entry: Sequence | dict) -> dict:
     return dict(zip(_CONFIG_ENTRY_KEYS, entry))
 
 
+def _tile_kind(header: dict, config: dict | None, temporal: bool) -> str:
+    """The key of a v7 tile's ``shared`` record — what the TOC alone
+    says of the tile: that it is a ``"temporal"`` residual, or else its
+    palette's or the header's predictor (side data goes with it)."""
+    return "temporal" if temporal else str((config or header).get("predictor"))
+
+
 def _tile_base(header: dict, shared: dict, config: dict | None) -> dict:
     """What a v7 tile's parameters resolve to before its own ``meta``:
-    the header's codec fields, under the TOC's record for the tile's
-    predictor (*shared*: predictor side data goes with the predictor),
-    under the tile's palette *config* — whose bound is absolute."""
-    fields = {k: v for k, v in header.items() if k in _SHARED_KEYS}
-    base = {**fields, **shared.get((config or fields).get("predictor"), {})}
+    the header's codec fields, under the *shared* record of the tile's
+    kind, under its palette *config* — whose bound is absolute."""
+    base = {k: v for k, v in header.items() if k in _SHARED_KEYS}
+    base.update(shared)
     if config is not None:
         base.update(config, abs_eb=config.get("error_bound"))
     return base
@@ -488,7 +531,8 @@ class TiledWriter:
 
     Tiles are appended one at a time, in grid order (bounded memory);
     the TOC is written at close.  Use as a context manager or call
-    :meth:`finish`.  :meth:`add_stages` is the encode loop's entry;
+    :meth:`finish`.  :meth:`add_stages` is the encode loop's entry,
+    :meth:`copy_tile` re-files another container's tile, and
     :meth:`add_tile` files a ready payload as it is (how tests forge
     frames, legacy ones through ``version``).
 
@@ -521,7 +565,7 @@ class TiledWriter:
         self._modes = version == VERSION_TEMPORAL or (
             version == VERSION_FRAME and bool(header.get("temporal"))
         )
-        # v7: where the next tile must lie, and per predictor what its
+        # v7: where the next tile must lie, and per kind of tile what its
         # first tile added to the header's codec fields
         self._grid = version == VERSION_FRAME and iter_tiles(
             header["shape"], header["tile_shape"]
@@ -552,17 +596,31 @@ class TiledWriter:
         """Append one tile as a v7 payload of its *sections* and whatever
         of its *params* (:data:`TILE_KEYS`) is not resolved without it."""
         entry = config and _entry_to_config(_config_to_entry(config))
-        predictor = (entry or self._header).get("predictor")
-        if predictor not in self._shared:
-            self._shared[predictor] = _added(
+        kind = _tile_kind(self._header, entry, temporal)
+        if kind not in self._shared:
+            # the first tile of a kind speaks for the rest of it
+            self._shared[kind] = _added(
                 params, _tile_base(self._header, {}, entry), _SHARED_KEYS
             )
         meta = _added(
-            params, _tile_base(self._header, self._shared, entry), TILE_KEYS
+            params, _tile_base(self._header, self._shared[kind], entry), TILE_KEYS
         )
         return self.add_tile(
             start, stop, pack_tile(meta, sections), config, temporal
         )
+
+    def copy_tile(self, reader: "TiledReader", record: TileRecord) -> TileRecord:
+        """Re-file *record* of *reader* (extent, palette entry and mode
+        kept): a legacy payload as it is, a v7 one through
+        :meth:`add_stages` — what it left to *reader*'s header and TOC
+        to say is resolved again against this writer's."""
+        rest = (record.config, record.temporal)
+        payload = reader.read_tile(record)
+        if record.params is None:
+            return self.add_tile(record.start, record.stop, payload, *rest)
+        meta, sections = unpack_tile(payload)
+        params = {**record.params, **meta}
+        return self.add_stages(record.start, record.stop, params, sections, *rest)
 
     def add_tile(
         self,
@@ -572,7 +630,13 @@ class TiledWriter:
         config: dict | None = None,
         temporal: bool = False,
     ) -> TileRecord:
-        """Append one encoded tile; returns its TOC record."""
+        """Append one encoded tile as it is; returns its TOC record.
+
+        Nothing but the TOC row is recorded for a v7 *payload*: its
+        ``meta`` must complete header and palette *config* on its own.
+        One lifted from another container may lean on that container's
+        ``shared`` records — :meth:`copy_tile` re-files those.
+        """
         if self._finished:
             raise ValueError("writer already finished")
         if temporal and not self._modes:
@@ -608,6 +672,13 @@ class TiledWriter:
         """Write the trailing TOC; returns the total container size."""
         if self._finished:
             return self._pos - self._start
+        if self._grid and len(self._tiles) != math.prod(
+            tile_grid(self._header["shape"], self._header["tile_shape"])
+        ):
+            raise ValueError(
+                f"{len(self._tiles)} tiles do not fill the grid: v7 "
+                "extents are derived from tile order"
+            )
         palette: list[list] = []
         indices: dict[str, int] = {}
         tile_configs: list[int | None] = []
@@ -856,11 +927,20 @@ class TiledReader:
             return values
 
         palette = [_entry_to_config(e) for e in toc.get("configs", ())]
-        # legacy payloads describe themselves: no resolved parameters
-        params = [
-            None if shared is None else _tile_base(self.header, shared, config)
-            for config in [*palette, None]
-        ]
+        resolved: dict[tuple, dict] = {}
+
+        def params(index: int | None, mode: int) -> dict | None:
+            if shared is None:
+                # legacy payloads describe themselves
+                return None
+            if (index, mode) not in resolved:
+                config = None if index is None else palette[index]
+                kind = _tile_kind(self.header, config, bool(mode))
+                base = _tile_base(self.header, shared.get(kind, {}), config)
+                check_tile_params(base)
+                resolved[index, mode] = base
+            return resolved[index, mode]
+
         records = []
         for extent, index, mode, crc in zip(
             extents,
@@ -885,7 +965,7 @@ class TiledReader:
                     config=None if index is None else palette[index],
                     temporal=bool(mode),
                     crc=crc,
-                    params=params[-1 if index is None else index],
+                    params=params(index, mode),
                 )
             )
         return records

@@ -62,6 +62,14 @@ class PredictorOutput:
         """Number of unpredictable points."""
         return int(self.outlier_positions.size)
 
+    def meta_int(self, key: str, default: int | None = None) -> int:
+        """The small count the encoder recorded under *key* — a decoded
+        container may hold anything there: ``ValueError`` if it does."""
+        value = self.meta.get(key, default)
+        if type(value) is not int or not 0 <= value < 64:
+            raise ValueError(f"corrupt predictor meta: {key} = {value!r}")
+        return value
+
 
 class Predictor(abc.ABC):
     """Abstract predictor: decompose to codes, reconstruct from codes."""

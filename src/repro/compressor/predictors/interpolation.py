@@ -191,7 +191,7 @@ class InterpolationPredictor(Predictor):
         error_bound: float,
     ) -> np.ndarray:
         bin_width = 2.0 * error_bound
-        levels = output.meta["levels"]
+        levels = output.meta_int("levels")
         stride0 = 1 << levels
         anchor_shape = tuple(output.meta["anchor_shape"])
         anchors = np.frombuffer(

@@ -119,7 +119,7 @@ class LorenzoPredictor(Predictor):
         codes = output.codes.astype(np.int64).copy()
         codes[output.outlier_positions] = output.outlier_values
         lattice = _inverse_difference(
-            codes.reshape(shape), output.meta.get("order", self.order)
+            codes.reshape(shape), output.meta_int("order", self.order)
         )
         return lattice.astype(np.float64) * (2.0 * error_bound)
 

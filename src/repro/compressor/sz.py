@@ -355,9 +355,10 @@ class SZCompressor:
             workers=workers,
         )
         # every point has a code but the interpolation predictor's anchors
-        n_codes = n_points - math.prod(
-            header["predictor_meta"].get("anchor_shape", (0,))
-        )
+        anchor_shape = header["predictor_meta"].get("anchor_shape", [0])
+        if not isinstance(anchor_shape, list):
+            raise container.ContainerFormatError("corrupt anchor_shape")
+        n_codes = n_points - math.prod(anchor_shape)
         if codes.size != n_codes:
             raise container.ContainerFormatError(
                 f"corrupt code stream: {codes.size} codes, {dtype} "

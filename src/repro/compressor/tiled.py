@@ -154,7 +154,7 @@ class TileJob(NamedTuple):
     stop: tuple[int, ...]
     #: candidate encodings ``(samples, per-tile config, reference tile)``
     #: — a reference tile marks *samples* as the residual against it.
-    #: The smallest payload is kept, the first on a tie
+    #: The one of the fewest stage bytes is kept, the first on a tie
     candidates: list[tuple[np.ndarray, CompressionConfig, np.ndarray | None]]
     #: the tile's TOC ``config`` record (adaptive containers)
     toc_config: dict | None = None
@@ -205,10 +205,9 @@ def decode_tile(
             )
         except ContainerFormatError:
             raise
-        # what the stages raise on parameters or lengths no encoder wrote
-        except (
-            ValueError, LookupError, TypeError, AttributeError, ArithmeticError
-        ) as exc:
+        # parameters are of their types (checked at open and in meta):
+        # a missing one, or values and lengths no encoder wrote
+        except (ValueError, LookupError) as exc:
             raise ContainerFormatError(
                 f"corrupt tiled container: tile does not decode under "
                 f"its recorded parameters ({exc!r})"
@@ -566,8 +565,11 @@ class TiledCompressor:
                 )
                 first = 0
                 for job in batch:
-                    # a job's candidates sit side by side; min keeps the
-                    # first of equally few stage bytes
+                    # a job's candidates sit side by side.  Kept: the one
+                    # of the fewest stage bytes, the first of equals — a
+                    # tile's parameters are not counted: its kind's are
+                    # recorded once, and what meta is left after that
+                    # only the writer knows
                     own = range(first, first + len(job.candidates))
                     first = own.stop
                     slot = min(

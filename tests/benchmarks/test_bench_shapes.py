@@ -123,9 +123,17 @@ def test_v5_adaptive_counters(v5_adaptive):
     assert stats["tiles_planned"] == 64
     assert 0 < stats["fits_performed"] <= stats["tiles_planned"]
     assert v5_adaptive["plan_cache_speedup"] >= 1.0
-    # stage bytes, what the plan controls; a 64-tile plan's own
-    # records outweigh the gain on whole files (bench docstring)
     assert v5_adaptive["equal_psnr_stage_gain"] > 1.0
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="PR 23 (container v7): without per-tile wrappers a 64-tile "
+    "plan's own records outweigh the stage bytes it saves — 0.94; see "
+    "the bench docstring and ROADMAP item 1(c)",
+)
+def test_v5_adaptive_beats_the_best_uniform_file(v5_adaptive):
+    assert v5_adaptive["equal_psnr_gain"] > 1.0
 
 
 def test_snapshot_stream_shape(snapshot_stream):

@@ -286,26 +286,11 @@ class TestV5Container:
 
 
 class TestAdaptiveBeatsUniformOnHeterogeneousData:
-    def test_equal_psnr_ratio_gain(self):
-        """The acceptance-criterion property at test scale: on a
-        heterogeneous field, the stage bytes the adaptive plan encodes
-        to are fewer than the best uniform config's at equal (or
-        better) measured PSNR, and what the plan costs to record (the
-        palette, an index per tile, the planner's header fields) is
-        bounded per palette entry and per tile.
-
-        Stage bytes, not file sizes: under v5 the same comparison on
-        whole files read 1.08x, of which 0.07 was flat-wrapper size
-        (an interpolation tile's JSON header is ~45 B longer than a
-        Lorenzo tile's, and the plan mixes in Lorenzo tiles) — v7 has
-        no wrappers, which leaves the plan's own 4 % here, less than
-        its ~700 B of records on a 64-tile field."""
+    @pytest.fixture(scope="class")
+    def contest(self):
+        """The adaptive container and, per uniform predictor, the
+        smallest container of equal (or better) measured PSNR."""
         from repro.analysis.metrics import psnr
-        from repro.compressor.inspect import describe_container
-
-        def split(blob):
-            tile_map = describe_container(blob, verify=True)["tile_map"]
-            return tile_map["stage_bytes"], tile_map["framing_bytes"]
 
         field = heterogeneous_field((256, 256), halo_frac=0.25, contrast=3.0)
         eb = 1.0  # just below background-tile saturation, where the
@@ -319,7 +304,7 @@ class TestAdaptiveBeatsUniformOnHeterogeneousData:
         )
         ada_psnr = psnr(field, tc.decompress(adaptive.blob))
 
-        best_uniform = None
+        uniforms = []
         for predictor in ("lorenzo", "interpolation"):
             lo, hi, best = eb / 16, eb * 16, None
             for _ in range(8):
@@ -333,18 +318,54 @@ class TestAdaptiveBeatsUniformOnHeterogeneousData:
                     ),
                 )
                 if psnr(field, tc.decompress(uniform.blob)) >= ada_psnr:
-                    best = split(uniform.blob)
+                    best = uniform
                     lo = mid
                 else:
                     hi = mid
-            if best is not None and (
-                best_uniform is None or best[0] < best_uniform[0]
-            ):
-                best_uniform = best
-        assert best_uniform is not None
-        stage, framing = split(adaptive.blob)
-        assert stage < best_uniform[0] / 1.02
+            if best is not None:
+                uniforms.append(best)
+        assert uniforms
+        return adaptive, uniforms
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="PR 23: of the 1.08x this read under v5, 0.07 was the flat "
+        "wrappers (an interpolation tile's JSON header is ~45 B longer "
+        "than a Lorenzo tile's and the plan mixes Lorenzo tiles in); "
+        "without wrappers the plan's 4 % of stage bytes (261 B) is less "
+        "than what the plan costs to record (~750 B at 64 tiles): "
+        "8 498 B against 8 013 B.  ROADMAP item 1(c): a planner that "
+        "prices its own records.",
+    )
+    def test_equal_psnr_ratio_gain(self, contest):
+        """The acceptance-criterion property at test scale: on a
+        heterogeneous field, the adaptive container spends fewer
+        bytes than the best uniform config at equal (or better)
+        measured PSNR.  The bench (`benchmarks/bench_throughput.py`,
+        ``v5_adaptive`` mode) runs the same comparison with a tighter
+        bisection and enforces the >= 5% acceptance margin."""
+        adaptive, uniforms = contest
+        best_uniform = min(u.compressed_bytes for u in uniforms)
+        assert adaptive.compressed_bytes < best_uniform / 1.02
+
+    def test_equal_psnr_stage_gain_and_what_the_plan_costs(self, contest):
+        """Where the whole-file comparison above stands under v7, in
+        its two parts: the plan does encode to fewer stage bytes than
+        the best uniform config, and what it costs to record — palette,
+        an index per tile, the ``shared`` record of a second predictor,
+        the planner's header fields — is bounded per palette entry and
+        per tile.  The second part outweighs the first at 64 tiles."""
+        from repro.compressor.inspect import describe_container
+
+        def split(result):
+            tile_map = describe_container(result.blob, verify=True)["tile_map"]
+            return tile_map["stage_bytes"], tile_map["framing_bytes"]
+
+        adaptive, uniforms = contest
+        best_stage, best_framing = min(map(split, uniforms))
+        stage, framing = split(adaptive)
+        assert stage < best_stage / 1.02
         entries = len({json.dumps(t.config) for t in adaptive.tiles})
-        assert framing - best_uniform[1] <= (
+        assert framing - best_framing <= (
             300 + 40 * entries + 3 * adaptive.n_tiles
         )

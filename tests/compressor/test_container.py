@@ -145,9 +145,9 @@ class TestTiledFormat:
 
     def test_add_after_finish_rejected(self):
         sink = io.BytesIO()
-        writer = TiledWriter(sink, {"shape": [1], "tile_shape": [1]})
+        writer = TiledWriter(sink, {"shape": [0], "tile_shape": [1]})
         writer.finish()
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="already finished"):
             writer.add_tile((0,), (1,), b"x")
 
     def test_finish_total_matches_container_size(self):

@@ -28,6 +28,7 @@ from repro.compressor import (
     TemporalCompressor,
     TiledCompressor,
 )
+from repro.compressor.encoders.lz77 import write_varint
 from repro.compressor.container import (
     TILE_KEYS,
     ContainerFormatError,
@@ -82,13 +83,34 @@ class TestTilePayload:
             unpack_tile(damage(pack_tile({}, self.SECTIONS)))
 
     @pytest.mark.parametrize(
-        "meta", [b'{"shape":[1]}', b"[1]", b'{"abs_eb":', b"\xff\xfe"]
+        "meta",
+        [
+            b'{"shape":[1]}',
+            b"[1]",
+            b'{"abs_eb":',
+            b"\xff\xfe",
+            # known keys, values of a type no encoder writes there
+            b'{"abs_eb":"1"}',
+            b'{"quant_radius":2.5}',
+            b'{"predictor_meta":[1]}',
+            b'{"predictor_meta":{"levels":{}}}',
+            b'{"predictor_meta":{"anchor_shape":[1,true]}}',
+            b'{"transform":{"fill":"x"}}',
+            b'{"chunked":1}',
+        ],
     )
-    def test_meta_names_tile_keys_only(self, meta):
+    def test_meta_names_tile_keys_only_each_of_its_type(self, meta):
         payload = bytes([len(meta)]) + meta + bytes(5)
         with pytest.raises(ContainerFormatError, match="corrupt tile"):
             unpack_tile(payload)
         assert "shape" not in TILE_KEYS and "dtype" not in TILE_KEYS
+
+    def test_a_meta_nested_past_the_parsers_stack_is_refused(self):
+        meta = b'{"transform":' + b"[" * 100_000
+        payload = bytearray()
+        write_varint(payload, len(meta))
+        with pytest.raises(ContainerFormatError, match="corrupt tile"):
+            unpack_tile(bytes(payload) + meta + bytes(5))
 
 
 # -- the TOC is checked, with or without checksums ------------------------------
@@ -232,6 +254,111 @@ def test_v7_writer_takes_tiles_in_grid_order_only():
         writer.add_tile((2, 0), (4, 4), b"late")
     legacy = TiledWriter(io.BytesIO(), header, version=4)
     legacy.add_tile((2, 0), (4, 4), b"any order: the TOC stores extents")
+
+
+def test_v7_writer_refuses_to_finish_a_grid_it_has_not_filled():
+    """Extents are derived from tile order, so a TOC of fewer sizes than
+    the grid has tiles is a container no reader opens: not written."""
+    header = {"shape": [4, 4], "tile_shape": [2, 4], "dtype": "<f8"}
+    sink = io.BytesIO()
+    with pytest.raises(ValueError, match="1 tiles do not fill the grid"):
+        with TiledWriter(sink, header) as writer:
+            writer.add_tile((0, 0), (2, 4), pack_tile({}, [b""] * 5))
+    written = sink.getvalue()
+    assert writer.add_tile((2, 0), (4, 4), pack_tile({}, [b""] * 5))
+    writer.finish()
+    assert sink.getvalue().startswith(written)
+    assert len(TiledReader(sink.getvalue()).tiles) == 2
+    # a legacy TOC stores its extents: any subset of a grid is a frame
+    with TiledWriter(io.BytesIO(), header, version=4) as legacy:
+        legacy.add_tile((0, 0), (2, 4), b"one of two")
+
+
+# -- what a tile shares with its kind -------------------------------------------
+
+
+def _toc(blob: bytes) -> dict:
+    seen = {}
+    rewrite(blob, toc=seen.update)
+    return seen
+
+
+def test_shared_records_are_keyed_by_what_the_toc_says_of_a_tile():
+    """One record per palette (or header) predictor and one for temporal
+    residuals — whose predictor is Lorenzo whatever the stream's — so in
+    a grid of full tiles no tile has a meta, whichever kind came first."""
+    rng = np.random.default_rng(5)
+    first = np.cumsum(rng.standard_normal((48, 48)), axis=0)
+    second = first + 0.01 * rng.standard_normal(first.shape)
+    second[:16, :16] = 40 * rng.standard_normal((16, 16))  # one spatial tile
+    second[32:, 32:] = 40 * rng.standard_normal((16, 16))
+    config = CompressionConfig(
+        error_bound=0.01, tile_shape=(16, 16), predictor="interpolation"
+    )
+    temporal = TemporalCompressor()
+    for reference, data in [(first, second), (second, first)]:
+        delta = temporal.compress_snapshot(data, config, reference=reference)
+        with TiledReader(delta.blob) as reader:
+            modes = {t.temporal for t in reader.tiles}
+            metas = [unpack_tile(reader.read_tile(t))[0] for t in reader.tiles]
+            predictors = {
+                t.temporal: t.params["predictor"] for t in reader.tiles
+            }
+        assert modes == {False, True}
+        assert metas == [{}] * 9
+        assert predictors == {False: "interpolation", True: "lorenzo"}
+        shared = _toc(delta.blob)["shared"]
+        assert set(shared) == {"interpolation", "temporal"}
+        assert shared["temporal"]["predictor_meta"] == {"order": 1}
+        assert "predictor" not in shared["interpolation"]
+
+
+@pytest.mark.parametrize("kind", ["uniform", "adaptive", "temporal"])
+def test_copy_tile_refiles_what_a_raw_payload_would_lose(kind):
+    """A v7 payload leans on its container's ``shared`` records: filed
+    raw into another container it is refused, not decoded under other
+    parameters; ``copy_tile`` resolves it again."""
+    blob, expected = _fuzz_blob(kind, checksums=True)
+
+    def refiled(file_tile) -> bytes:
+        sink = io.BytesIO()
+        with TiledReader(blob) as reader:
+            header = dict(reader.header)
+            del header["checksums"], header["container_version"]
+            with TiledWriter(sink, header) as writer:
+                for record in reader.tiles:
+                    file_tile(writer, reader, record)
+        return sink.getvalue()
+
+    copied = refiled(TiledWriter.copy_tile)
+    assert copied == blob
+    raw = refiled(
+        lambda writer, reader, t: writer.add_tile(
+            t.start, t.stop, reader.read_tile(t), t.config, t.temporal
+        )
+    )
+    assert _toc(raw)["shared"] == {} != _toc(blob)["shared"]
+    with pytest.raises(ContainerFormatError, match="recorded parameters"):
+        TiledCompressor().decompress(raw, reference=FUZZ_REF)
+
+
+def test_copy_tile_files_a_legacy_payload_as_it_is():
+    data = smooth_field((24, 24))
+    config = CompressionConfig(error_bound=1e-3)
+    sinks = [io.BytesIO(), io.BytesIO()]
+    header = {"shape": [24, 24], "tile_shape": [12, 24], "dtype": data.dtype.str}
+    with TiledWriter(sinks[0], header, version=4) as writer:
+        for start, stop in iter_tiles((24, 24), (12, 24)):
+            tile = data[start[0] : stop[0]]
+            writer.add_tile(start, stop, SZCompressor().compress(tile, config).blob)
+    with TiledReader(sinks[0].getvalue()) as reader:
+        with TiledWriter(sinks[1], header, version=4) as writer:
+            for record in reversed(reader.tiles):
+                writer.copy_tile(reader, record)
+    np.testing.assert_array_equal(
+        TiledCompressor().decompress(sinks[1].getvalue()),
+        TiledCompressor().decompress(sinks[0].getvalue()),
+    )
 
 
 # -- stage-byte identity --------------------------------------------------------

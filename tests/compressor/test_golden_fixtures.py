@@ -344,11 +344,15 @@ def test_golden_v7_layout_is_pinned():
                 assert new.temporal == old.temporal
                 # ... around the very bytes the legacy tile wrapped
                 assert reader.read_sections(new) == twin.read_sections(old)
-            # the first tile of a predictor has no meta by construction
-            # (what it adds to the header is the TOC's shared record)
+            # the first tile of a kind has no meta by construction (what
+            # it adds to the header is the TOC's shared record): a kind
+            # is a predictor's spatial tiles, or the temporal residuals
             assert unpack_tile(reader.read_tile(reader.tiles[0]))[0] == {}
             assert set(toc["shared"]) == {
-                (t.config or reader.header)["predictor"] for t in reader.tiles
+                "temporal"
+                if t.temporal
+                else (t.config or reader.header)["predictor"]
+                for t in reader.tiles
             }
     # the uniform fixture: interior tiles are 7 bytes of framing each
     blob, _, _ = _load_v7("pr23_v7_uniform")
@@ -380,7 +384,7 @@ REENCODED_SHA256 = {
     ),
     "pr23_v7_temporal": (
         "8723621414aee059102e6f789097ca7aade905c5b15814ef8b5a8204af195b68",
-        "551a4762dd5b845ad0549f87a0fb66674760905060a773d94469ee4072554008",
+        "e5152758464a4e9fbd3f7031dc996222621a39abd027962d00efffbf801721eb",
     ),
 }
 

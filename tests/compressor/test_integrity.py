@@ -18,7 +18,6 @@ from repro.compressor.container import (
     TiledReader,
     TiledWriter,
     pack_tile,
-    unpack_tile,
 )
 from repro.compressor.inspect import describe_container
 from repro.compressor.integrity import (
@@ -239,14 +238,7 @@ class TestEndToEnd:
             checksums=False,
         ) as writer:
             for t in reader.tiles:
-                meta, sections = unpack_tile(reader.read_tile(t))
-                writer.add_stages(
-                    t.start,
-                    t.stop,
-                    {**t.params, **meta},
-                    sections,
-                    config=t.config,
-                )
+                writer.copy_tile(reader, t)
         without = len(plain.getvalue())
         # the copy is the container, minus what checksums add
         np.testing.assert_array_equal(

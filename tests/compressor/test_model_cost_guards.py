@@ -112,7 +112,7 @@ PLAN_STATS = {
 #: (sha256 of both wave steps, of the v6 delta container)
 DELTA_SHA256 = (
     "2dde5c648442ce311af8fa52a444731e5e1c53d7618d118d0c1dcbe509c5e5bc",
-    "9aee3adc0c83f4b6f8cbbc7e1260ecf516d67cbc39173358ccb017c29fbf16bd",
+    "7dcd125eac4e7310d4a755fdd6a7bf9a652a41f99c0fd9ed6cc79fdc275affe9",
 )
 
 

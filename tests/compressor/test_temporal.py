@@ -300,22 +300,22 @@ PER_TILE_CHOICE_SHA256 = {
     # the fixture's own config: 40 / 16 leaves edge tiles (3 groups)
     "fixture_config": (
         dict(tile_shape=(16, 16)),
-        "551a4762dd5b845ad0549f87a0fb66674760905060a773d94469ee4072554008",
+        "e5152758464a4e9fbd3f7031dc996222621a39abd027962d00efffbf801721eb",
     ),
     # non-divisible both ways: four shape groups, two below the
     # model's minimum tile size (8 measured decisions among 20 tiles)
     "odd_grid": (
         dict(tile_shape=(12, 9)),
-        "a2cdea2d68eb0caafda30c9e0b607636b1c0487d4764d84ed476a51622d7283c",
+        "cd0a51c8ac21aa86ffa417153d20031dee0b459079a66ce8f11f96ca10e60e3c",
     ),
     # non-Lorenzo spatial candidates: two sampling passes per group
     "interpolation": (
         dict(tile_shape=(16, 16), predictor="interpolation"),
-        "bd9aeeac98bfa3ee970413bc61df63c415d5db85b5cf02bd2479438c353f23d7",
+        "3254865245ee71674c1c4c285a97c716b4e08c4b5cd1cd1efdedd8481e266b88",
     ),
     "regression_f4": (
         dict(tile_shape=(16, 16), predictor="regression"),
-        "724f95c3276b09eb0a7ed64f5a0a8e856c83880db893f86a09269f9a80501cec",
+        "8c7b52e2248107542ba4a8ce44b4a9045e0d2400746418415aff0f4ee56fb9ff",
     ),
 }
 
@@ -436,14 +436,15 @@ def test_small_edge_groups_measure_while_full_tiles_model():
 class _SizedCodec:
     """A per-tile codec whose stage-byte counts the test dictates."""
 
-    def __init__(self, residual_bytes, spatial_bytes):
+    def __init__(self, residual_bytes, spatial_bytes, residual_params=()):
         self.sizes = {"lorenzo": residual_bytes, "interpolation": spatial_bytes}
+        self.params = {"lorenzo": dict(residual_params), "interpolation": {}}
 
     def encode_stages(self, tile, cfg, reconstruct=False):
         # a stream configured with another predictor encodes only its
         # residuals with Lorenzo
         codes = cfg.predictor[:1].encode() * self.sizes[cfg.predictor]
-        params = {"predictor": cfg.predictor}
+        params = {"predictor": cfg.predictor, **self.params[cfg.predictor]}
         return params, [codes, b"", b"", b"", b""], None, None
 
 
@@ -479,6 +480,27 @@ def test_a_measured_decision_keeps_the_smaller_payload(
         for record in reader.tiles:
             assert reader.read_sections(record)[0] == kept
             assert record.temporal is kept.startswith(b"l")
+
+
+def test_a_measured_decision_counts_sections_not_parameters():
+    """What is compared is stage bytes, the five sections.  A
+    candidate's parameters are not counted, however long: the writer
+    records them once for the kind (the TOC's ``shared``), and only the
+    writer knows whether a tile then needs a ``meta`` at all."""
+    side_data = {"predictor_meta": {"weights": list(range(40))}}
+    snaps = chain(2, shape=(16, 16), drift=0.5)
+    tc = TemporalCompressor(codec=_SizedCodec(7, 9, side_data))
+    result = tc.compress_snapshot(
+        snaps[1],
+        config(tile_shape=(4, 4), predictor="interpolation"),
+        reference=snaps[0],
+    )
+    with TiledReader(result.blob) as reader:
+        assert all(record.temporal for record in reader.tiles)
+        assert all(record.size == 6 + 7 for record in reader.tiles)
+        assert reader.tiles[0].params["predictor_meta"] == side_data[
+            "predictor_meta"
+        ]
 
 
 @pytest.mark.parametrize("backend", ["serial", "thread", "process"])

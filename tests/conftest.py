@@ -159,7 +159,7 @@ def without_checksums(blob: bytes) -> bytes:
     """The v7 container *blob*, written again with ``checksums=False``."""
     import io
 
-    from repro.compressor.container import TiledReader, TiledWriter, unpack_tile
+    from repro.compressor.container import TiledReader, TiledWriter
 
     sink = io.BytesIO()
     with TiledReader(blob) as reader:
@@ -170,13 +170,5 @@ def without_checksums(blob: bytes) -> bytes:
         }
         with TiledWriter(sink, header, checksums=False) as writer:
             for t in reader.tiles:
-                meta, sections = unpack_tile(reader.read_tile(t))
-                writer.add_stages(
-                    t.start,
-                    t.stop,
-                    {**t.params, **meta},
-                    sections,
-                    config=t.config,
-                    temporal=t.temporal,
-                )
+                writer.copy_tile(reader, t)
     return sink.getvalue()
