@@ -10,7 +10,7 @@ the target.
 
 Every codec here is built through :class:`~repro.factory.CodecFactory`,
 so the same harness exercises the flat pipeline and — via a factory
-variant with ``temporal`` set — the v6 snapshot-stream delta mode, whose
+variant with ``temporal`` set — the v6 snapshot stream delta mode, whose
 per-snapshot rate/PSNR rides along as a third arm in the table.
 """
 

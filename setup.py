@@ -1,8 +1,15 @@
-"""Setup shim for environments without the `wheel` package.
+"""Packaging for the `repro` package under ``src/``.
 
-All project metadata lives in pyproject.toml; this file only enables
-legacy editable installs (`pip install -e . --no-use-pep517`).
+There is no pyproject.toml; this file is the project metadata, and
+`pip install -e .` gives an importable `repro` and the `repro` command.
 """
-from setuptools import setup
+from setuptools import find_packages, setup
 
-setup()
+setup(
+    name="repro",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    python_requires=">=3.9",
+    install_requires=["numpy"],
+    entry_points={"console_scripts": ["repro = repro.cli:main"]},
+)

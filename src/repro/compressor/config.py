@@ -17,6 +17,7 @@ Prediction-based error-bounded lossy compressors (the SZ family) expose an
 from __future__ import annotations
 
 import enum
+import math
 import os
 from dataclasses import dataclass, replace
 
@@ -149,8 +150,8 @@ class CompressionConfig:
             )
         if not isinstance(self.mode, ErrorBoundMode):
             raise TypeError("mode must be an ErrorBoundMode")
-        if self.error_bound <= 0:
-            raise ValueError("error_bound must be positive")
+        if not (math.isfinite(self.error_bound) and self.error_bound > 0):
+            raise ValueError("error_bound must be positive and finite")
         if self.quant_radius < 2:
             raise ValueError("quant_radius must be at least 2")
         if self.lorenzo_levels not in (1, 2):

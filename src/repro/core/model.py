@@ -588,7 +588,7 @@ class RatioQualityModel:
         a short monotone bisection on the full estimate (including the
         lossless stage and side overhead) refines it.
         """
-        self._require_fit()
+        sample = self._require_fit()
         assert self._huffman is not None
         if target_bitrate <= self._overhead_bits:
             raise ValueError(
@@ -597,6 +597,9 @@ class RatioQualityModel:
         seed_abs = self._huffman.error_bound_for_bitrate(
             max(target_bitrate - self._overhead_bits, 1e-6)
         )
+        # a seed past the value range (every code zero; the anchor
+        # extrapolation clamps at e^700) overflows the bisection's lo * hi
+        seed_abs = min(seed_abs, sample.value_range)
         return self._bisect_bitrate(
             target_bitrate, self._from_abs(seed_abs)
         )

@@ -107,7 +107,7 @@ class CodecFactory:
         return self.temporal_compressor().tiled
 
     def temporal_compressor(self) -> TemporalCompressor:
-        """The snapshot-stream delta compressor.
+        """The snapshot stream delta compressor.
 
         The factory's sampling settings drive the per-tile
         temporal-vs-spatial rate-model comparison, and the planner and

@@ -15,7 +15,7 @@ Two flavours of fine-grained error-bound tuning:
 The pipeline compresses through whatever codec its
 :class:`~repro.factory.CodecFactory` describes: the flat pipeline by
 default, the tiled/adaptive compressor when the factory carries a
-``tile_shape``, and the temporal snapshot-stream delta mode (v6) when
+``tile_shape``, and the temporal snapshot stream delta mode (v6) when
 the factory sets ``temporal`` — keyframes at the factory's
 ``keyframe_interval``, every other snapshot encoded against the decoded
 previous one.
@@ -152,7 +152,7 @@ class SnapshotPipeline:
     """Streaming in-situ optimization: one decision per snapshot.
 
     The factory picks the codec path: flat (default), tiled/adaptive
-    (``tile_shape`` set), or temporal snapshot-stream deltas
+    (``tile_shape`` set), or temporal snapshot stream deltas
     (``temporal`` set — each non-keyframe snapshot encodes against the
     *decoded* previous snapshot, exactly what a chained in-situ dump
     replays).

@@ -13,6 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro.analysis.metrics import psnr
 from repro.compressor import (
     CompressionConfig,
     ErrorBoundMode,
@@ -28,6 +29,7 @@ from repro.compressor.plan_cache import (
 )
 from repro.compressor.tiled_geometry import iter_tiles
 from repro.core.sampling import batch_tile_stats
+from repro.datasets.generators import gaussian_random_field
 
 
 def halo_field(shape=(128, 128), noise=2.0, seed=0):
@@ -98,6 +100,31 @@ class TestClustering:
         assert [c.to_json() for c in clustered.choices] == [
             c.to_json() for c in per_tile.choices
         ]
+
+    def test_population_structured_field_shares_fits_four_to_one(self):
+        """64 tiles in four homogeneous quadrants (quiet, mild,
+        turbulent, oscillatory) — the regime clustering is for: at
+        least four tiles a fit, at <= 2 % of the bytes and 0.15 dB of
+        what a fit per tile reaches."""
+        rng = np.random.default_rng(7)
+        data = 10.0 * gaussian_random_field((256, 256), slope=4.0, seed=7)
+        data[:128, :128] += rng.normal(0, 0.2, (128, 128))
+        data[:128, 128:] += rng.normal(0, 1.5, (128, 128))
+        data[128:, :128] += rng.normal(0, 6.0, (128, 128))
+        data[128:, 128:] += 4.0 * np.outer(
+            np.cos(np.arange(128) * 0.7), np.sin(np.arange(128) * 0.9)
+        )
+        data = data.astype(np.float32)
+        config = replace(CONFIG, error_bound=0.5)
+        tc = TiledCompressor()
+        clustered = tc.compress(data, config)
+        per_tile = tc.compress(data, replace(config, fit_clusters=0))
+        stats = clustered.plan.stats
+        assert stats.tiles_planned >= 4 * stats.fits_performed
+        assert clustered.compressed_bytes <= 1.02 * per_tile.compressed_bytes
+        assert psnr(data, tc.decompress(clustered.blob)) == pytest.approx(
+            psnr(data, tc.decompress(per_tile.blob)), abs=0.15
+        )
 
     def test_refit_guard_triggers_on_forced_single_cluster(self):
         """Tiles whose quantization behaviour deviates get own fits."""

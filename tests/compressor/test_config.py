@@ -24,6 +24,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             CompressionConfig(error_bound=0.0)
 
+    @pytest.mark.parametrize("bound", [float("nan"), float("inf"), -float("inf")])
+    def test_nonfinite_bound(self, bound):
+        # inf quantizes everything to one bin and decodes to all NaN
+        with pytest.raises(ValueError, match="error_bound"):
+            CompressionConfig(error_bound=bound)
+
     def test_mode_type_checked(self):
         with pytest.raises(TypeError):
             CompressionConfig(mode="abs")

@@ -11,6 +11,7 @@ start methods yield the same bytes.
 """
 
 import os
+import pickle
 import threading
 
 import numpy as np
@@ -25,6 +26,7 @@ from repro.compressor import (
 )
 from repro.compressor import executor as executor_mod
 from repro.compressor import stages as stages_mod
+from repro.compressor.container import TiledReader
 from repro.compressor.executor import (
     SerialExecutor,
     ThreadExecutor,
@@ -33,6 +35,7 @@ from repro.compressor.executor import (
     resolve_executor,
 )
 from repro.compressor.stages import HuffmanEntropyStage
+from tests.conftest import smooth_field
 from tests.proptest import draw_case
 
 DATA_DIR = os.path.join(os.path.dirname(os.path.dirname(__file__)), "data")
@@ -202,6 +205,37 @@ class TestFailureModes:
         tc = TiledCompressor(workers=2, backend="process")
         with pytest.raises(ValueError):
             tc.decompress(bytes(blob))
+
+
+class TestProcessTransport:
+    def test_items_carry_no_array_data(self, monkeypatch):
+        """The ``CodecExecutor`` contract, by count: "raw array data
+        belongs in the buffers".  A 128 KB tile costs the process
+        backend a few hundred pickled bytes to encode and its compressed
+        payload to decode — what keeps the backend worth its IPC."""
+        data = smooth_field((256, 256)).astype(np.float64)
+        config = CompressionConfig(error_bound=1e-3, tile_shape=(128, 128))
+        serial = TiledCompressor().compress(data, config).blob
+        pickled = []
+        run_batch = ProcessExecutor.run_batch
+
+        def counting(self, fn, items, input=None, output=None):
+            pickled.extend(len(pickle.dumps(item)) for item in items)
+            return run_batch(self, fn, items, input=input, output=output)
+
+        monkeypatch.setattr(ProcessExecutor, "run_batch", counting)
+        tc = TiledCompressor(workers=2, backend="process")
+        assert tc.compress(data, config).blob == serial
+        encode = pickled.copy()
+        pickled.clear()
+        np.testing.assert_array_equal(
+            tc.decompress(serial), TiledCompressor().decompress(serial)
+        )
+        payloads = [tile.size for tile in TiledReader(serial).tiles]
+        assert len(encode) == len(pickled) == len(payloads) == 4
+        assert max(encode) <= 4096
+        assert all(n <= size + 4096 for n, size in zip(pickled, payloads))
+        assert max(payloads) + 4096 < data.nbytes // 4  # under one raw tile
 
 
 def _echo_task(item, inp, out):

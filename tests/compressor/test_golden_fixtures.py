@@ -3,7 +3,7 @@
 ``tests/data`` holds containers generated by earlier revisions of the
 codec (v2 from the seed, v3 from the pre-refactor chunked pipeline, v4
 from the PR-2 tiled subsystem, v5 from the PR-3 adaptive subsystem and
-the PR-8 clustered planner, v6 from the PR-9 temporal snapshot-stream
+the PR-8 clustered planner, v6 from the PR-9 temporal snapshot stream
 mode) next to ``*_expected.npy`` snapshots of what those revisions
 decoded them to.  The current pipeline must reproduce those arrays *exactly* —
 not merely within the error bound — or silent decode drift has crept

@@ -1,4 +1,4 @@
-"""Unit tests for the temporal snapshot-stream compressor (v6)."""
+"""Unit tests for the temporal snapshot stream compressor (v6)."""
 
 from __future__ import annotations
 
@@ -283,7 +283,7 @@ def test_scratch_vs_delta_byte_advantage():
         )
         total += result.compressed_bytes
         reference = tc.decompress(result.blob, reference=reference)
-    assert total < scratch
+    assert scratch >= 1.25 * total
 
 
 # -- the batched temporal/spatial choice ----------------------------------------

@@ -563,7 +563,7 @@ class TestChaosZeroWrongBytes:
                     continue
                 served += 1
                 assert np.array_equal(roi, truth)
-            assert served >= 25  # retries keep availability high
+            assert served >= 27  # retries keep availability >= 0.9
             assert injector.fired("http") > 0
         finally:
             _shutdown(server, store)

@@ -227,6 +227,15 @@ class TestErrors:
         assert err.value.status == 400
         assert "eb" in err.value.message
 
+    def test_nonfinite_eb_400_and_nothing_stored(self, served, field):
+        client, _ = served
+        for eb in (float("inf"), float("nan")):  # ?eb=inf, ?eb=nan
+            with pytest.raises(ServiceError) as err:
+                client.put("x", field, eb=eb)
+            assert err.value.status == 400
+            assert "error_bound" in err.value.message
+        assert client.list_datasets() == []
+
     def test_bad_body_400(self, served):
         client, _ = served
         with pytest.raises(ServiceError) as err:

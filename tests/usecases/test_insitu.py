@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.datasets import wave_snapshots
+from repro.factory import CodecFactory
 from repro.usecases.insitu import PartitionTuner, SnapshotPipeline
 
 
@@ -75,6 +76,18 @@ class TestSnapshotPipeline:
         for snap in snapshots:
             record = pipe.process(snap)
             assert record.psnr >= 60.0 - 2.0
+
+    def test_temporal_stream_meets_target_with_deltas(self, snapshots):
+        pipe = SnapshotPipeline(
+            target_psnr=60.0,
+            factory=CodecFactory(
+                tile_shape=(16, 16, 16), temporal=True, keyframe_interval=2
+            ),
+        )
+        records = [pipe.process(snap) for snap in snapshots]
+        assert all(r.psnr >= 60.0 - 2.0 for r in records)
+        assert [r.keyframe for r in records] == [True, False, True, False]
+        assert sum(r.temporal_tiles for r in records) > 0
 
     def test_adapts_error_bound_across_snapshots(self, snapshots):
         # Wavefields grow in amplitude; the in-situ bound must adapt

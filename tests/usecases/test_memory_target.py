@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.compressor import SZCompressor
+from repro.datasets import wave_snapshots
 from repro.usecases.memory_target import BudgetReport, MemoryBudgetCompressor
-from tests.conftest import smooth_field
+from tests.conftest import assert_error_bounded, smooth_field
 
 
 @pytest.fixture(scope="module")
@@ -46,6 +48,25 @@ class TestSoftPolicy:
         assert report.budget_bytes == budget
         assert report.target_bytes == int(budget * 0.8)
         assert report.error_bound > 0
+
+
+class TestQuietField:
+    def test_generous_budget_on_a_mostly_zero_field_decodes_in_bound(self):
+        # a wave just after its source fired: the rate target sits above
+        # what the field can spend, the anchor extrapolation seeds the
+        # bound search at e^700, and its lo * hi overflowed to a bound of
+        # inf — a container that "fit" and decoded to all NaN
+        snap = wave_snapshots(
+            (24, 24, 24), n_snapshots=1, steps_between=15, seed=19
+        )[0]
+        report = MemoryBudgetCompressor().compress(snap, snap.nbytes // 6)
+        assert report.fits
+        assert 0 < report.error_bound < np.ptp(snap)
+        assert_error_bounded(
+            snap,
+            SZCompressor().decompress(report.result.blob),
+            report.error_bound,
+        )
 
 
 class TestStrictPolicy:
