@@ -250,6 +250,18 @@ def _histogram(stream: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return present + lo, counts[present]
 
 
+def _sync_layout(n: int) -> tuple[int, int]:
+    """Sync interval and offset count of an *n*-symbol stream's table.
+
+    ``(0, 0)`` below :data:`_SYNC_MIN_STREAM`.  Every block but the
+    first starts on an offset, so there are ``(n - 1) // interval``.
+    """
+    if n < _SYNC_MIN_STREAM:
+        return 0, 0
+    interval = max(_SYNC_MIN_INTERVAL, -(-n // _SYNC_TARGET_BLOCKS))
+    return interval, (n - 1) // interval
+
+
 def _canonical_codes(lengths: np.ndarray) -> np.ndarray:
     """Assign canonical codewords from code lengths.
 
@@ -537,17 +549,26 @@ class HuffmanEncoder:
         """A floor on the ``container_bytes`` of any plan for a histogram.
 
         No prefix code spends fewer payload bits than the Shannon
-        entropy ``n * H`` of the histogram, and the header size is exact
-        (the sync table, which only adds bytes, is left out).  Float
-        error is shaved off the entropy term, so the floor never exceeds
-        the exact size.
+        entropy ``n * H`` of the histogram, and the header size is exact.
+        So is the sync table wherever every plan carries one: a stream
+        of :data:`_SYNC_MIN_STREAM` symbols or more whose payload cannot
+        overflow the u32 offsets even at the longest code length its
+        alphabet admits.  Float error is shaved off the entropy term, so
+        the floor never exceeds the exact size.
         """
+        n = int(counts.sum())
         entropy_bits = float(
-            np.sum(counts * np.log2(counts.sum() / counts)) * (1 - 1e-9)
+            np.sum(counts * np.log2(n / counts)) * (1 - 1e-9)
         )
+        interval, n_sync = _sync_layout(n)
+        longest = min(_MAX_CODE_LEN, max(symbols.size - 1, 1))
+        sync_bytes = 0
+        if interval and n * longest < 1 << 32:
+            sync_bytes = 8 + 4 * n_sync  # interval + count, then offsets
         return (
             4
             + (cls._header_bits(symbols) + 7) // 8
+            + sync_bytes
             + int(entropy_bits) // 8
         )
 
@@ -574,16 +595,13 @@ class HuffmanEncoder:
         Returns ``(0, empty)`` when the stream is too small to benefit or
         the payload exceeds the u32 offset range.
         """
-        n = int(lengths.size)
-        if n < _SYNC_MIN_STREAM:
+        interval, n_sync = _sync_layout(int(lengths.size))
+        if not interval:
             return 0, np.zeros(0, dtype=np.uint32)
         ends = np.cumsum(lengths, dtype=np.int64)
         if int(ends[-1]) >= 1 << 32:
             return 0, np.zeros(0, dtype=np.uint32)
-        interval = max(
-            _SYNC_MIN_INTERVAL, -(-n // _SYNC_TARGET_BLOCKS)
-        )
-        idx = np.arange(interval, n, interval, dtype=np.int64)
+        idx = np.arange(1, n_sync + 1, dtype=np.int64) * interval
         return interval, ends[idx - 1].astype(np.uint32)
 
     # -- serialization -----------------------------------------------------

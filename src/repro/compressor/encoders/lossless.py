@@ -82,10 +82,13 @@ class LosslessBackend:
         alone; when it already matches or exceeds the input
         (incompressible token streams), skip the expensive bit-packing —
         the caller emits the raw escape either way, so the container
-        bytes are identical to always packing.  On small inputs, where
-        the Huffman header alone rivals the data, the planner's entropy
-        floor (the provable form of the paper's Eq. 4 estimate) usually
-        settles the same question before any code is built.
+        bytes are identical to always packing.  Before any code is
+        built, the planner's entropy floor (the provable form of the
+        paper's Eq. 4 estimate: exact header and sync table plus the
+        Shannon payload) settles the same question for most streams
+        that escape — small ones, where the header rivals the data, and
+        near-8-bit token streams of incompressible bytes, where the
+        sync table tips it.
         """
         if self._lz is not None:
             tokens = np.frombuffer(self._lz.encode(data), dtype=np.uint8)

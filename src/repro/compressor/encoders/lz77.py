@@ -126,7 +126,7 @@ class Lz77Codec:
             if j >= match_pos.size:
                 break
             p = int(match_pos[j])
-            candidate = int(cand[p])
+            candidate = int(cand[j])
             length = self._extend_match(data, candidate, p, max_match)
             literals = data[literal_start:p]
             write_varint(out, len(literals))
@@ -154,12 +154,14 @@ class Lz77Codec:
         """Vectorized single-candidate match scan.
 
         Returns ``(match_pos, cand)``: the sorted positions where a match
-        of at least :data:`_MIN_MATCH` bytes starts, and for every
-        position the previous occurrence of its 4-byte prefix (or -1).
-        The previous occurrence is found with a stable argsort over the
-        16-bit prefix hashes (radix sort, O(n)); equal hashes land
-        adjacent in scan order, so each position's predecessor in its
-        bucket is its nearest earlier candidate.
+        of at least :data:`_MIN_MATCH` bytes starts, and ``cand[j]`` the
+        previous occurrence of the 4-byte prefix at ``match_pos[j]``.
+        A position's candidate is its predecessor in its 16-bit hash
+        bucket: a stable argsort over the hashes (radix sort, O(n))
+        lays every bucket out in scan order.  Neighbours in that order
+        whose prefixes are equal are the verified pairs — equal prefixes
+        hash alike, so they share a bucket — and only those within the
+        window are kept and sorted back into scan order.
         """
         n = len(data)
         if n < _MIN_MATCH:
@@ -174,15 +176,14 @@ class Lz77Codec:
         hashes = (
             (quad * np.uint32(2654435761)) >> np.uint32(32 - _HASH_BITS)
         ).astype(np.uint16)
-        order = np.argsort(hashes, kind="stable").astype(np.int64)
-        cand = np.full(quad.size, -1, dtype=np.int64)
-        same = hashes[order[1:]] == hashes[order[:-1]]
-        cand[order[1:][same]] = order[:-1][same]
-        ok = cand >= 0
-        np.logical_and(ok, np.arange(quad.size) - cand <= window, out=ok)
-        # verify the actual bytes (the hash can collide)
-        np.logical_and(ok, quad[np.maximum(cand, 0)] == quad, out=ok)
-        return np.flatnonzero(ok), cand
+        order = np.argsort(hashes, kind="stable")
+        ranked = quad[order]
+        pair = np.flatnonzero(ranked[1:] == ranked[:-1])
+        pos, cand = order[pair + 1], order[pair]
+        near = pos - cand <= window
+        pos, cand = pos[near], cand[near]
+        by_pos = np.argsort(pos)
+        return pos[by_pos], cand[by_pos]
 
     @staticmethod
     def _extend_match(
@@ -220,16 +221,24 @@ class Lz77Codec:
         return length
 
     def decode(self, payload: bytes) -> bytes:
-        """Invert :meth:`encode`."""
+        """Invert :meth:`encode`.
+
+        No length may run past the size the stream declares, so a forged
+        ``match_len`` is refused before it is allocated.
+        """
         expected, pos = read_varint(payload, 0)
         out = bytearray()
         while len(out) < expected:
             lit_len, pos = read_varint(payload, pos)
+            if lit_len > expected - len(out):
+                raise ValueError("LZ77 literal run past the declared size")
             out.extend(payload[pos : pos + lit_len])
             pos += lit_len
             match_len, pos = read_varint(payload, pos)
             dist = int.from_bytes(payload[pos : pos + 3], "big")
             pos += 3
+            if match_len > expected - len(out):
+                raise ValueError("LZ77 match past the declared size")
             if match_len:
                 if dist <= 0 or dist > len(out):
                     raise ValueError("invalid match distance")

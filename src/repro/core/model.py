@@ -54,7 +54,7 @@ __all__ = [
 
 #: Per-tile point cap for the batched residual-curve pass — a
 #: systematic stride subsample, like the per-model
-#: :meth:`RatioQualityModel._fit_residual_curve` cap but sized for a
+#: :meth:`RatioQualityModel._residual_table` cap but sized for a
 #: whole grid of bounds evaluated over every tile at once.
 RESIDUAL_CURVE_POINTS = 1 << 16
 
@@ -154,8 +154,9 @@ class RatioQualityModel:
         self.sample: SampleResult | None = None
         self._huffman: HuffmanAnchorModel | None = None
         self._overhead_bits: float = 0.0
-        self._residual_grid: tuple[np.ndarray, np.ndarray] | None = None
-        #: fitted-domain array the residual table is still owed from
+        #: (log bounds, variances — negative until computed, bounds)
+        self._residual_grid: tuple[np.ndarray, ...] | None = None
+        #: fitted-domain array entries of the residual table are owed from
         self._residual_source: np.ndarray | None = None
 
     def __getstate__(self) -> dict:
@@ -168,12 +169,13 @@ class RatioQualityModel:
     def fit(self, data: np.ndarray) -> "RatioQualityModel":
         """Run the one-time sampling pass over *data*.
 
-        The Lorenzo quality table (:meth:`_fit_residual_curve`, 48 O(N)
-        passes) is built from *data* when a quality field is first
-        asked for, or when the model is pickled; rate-only queries
+        The Lorenzo quality table (:meth:`_residual_table`, 48 entries
+        of one O(N) pass each) is computed from *data* an entry at a
+        time: a quality field reads the two entries around its bound,
+        and a pickle completes the table.  Rate-only queries
         (:meth:`bitrate`, :meth:`bitrate_curve`) never pay for it.
-        Until then the model refers to *data*, which must not be
-        modified in between.
+        Until the table is complete or the model is pickled, the model
+        refers to *data*, which must not be modified in between.
         """
         self._fit_stack([self], np.asarray(data)[None])
         return self
@@ -252,40 +254,61 @@ class RatioQualityModel:
         self._residual_grid = None
         self._residual_source = work if self.predictor == "lorenzo" else None
 
-    def _fit_residual_curve(self, data: np.ndarray) -> None:
-        """Exact value-residual variance curve for dual-quant Lorenzo.
+    def _fit_residual_curve(self, entry: int) -> float:
+        """Entry *entry* of the exact value-residual variance curve.
 
         The dual-quantization reconstruction is ``2 eb * rint(x/2 eb)``
         point-wise, so the error variance at any bound is the second
         moment of the scalar quantization residual of the values — a
         vectorized O(N) reduction per grid point, robust against the
         heavy-tailed value distributions that defeat 1% sampling.
-        A systematic stride subsample caps the cost on huge arrays.
         """
-        flat = np.asarray(data, dtype=np.float64).ravel()
-        max_points = 1 << 21
-        if flat.size > max_points:
-            flat = flat[:: flat.size // max_points + 1]
-        vrange = float(flat.max() - flat.min())
-        if vrange <= 0:
-            self._residual_grid = None
-            return
-        grid = np.geomspace(vrange * 1e-9, vrange * 4.0, 48)
-        variances = []
-        for chunk in bound_chunks(grid, flat.size):
-            widths = 2.0 * chunk[:, None]
-            residual = flat / widths
-            np.rint(residual, out=residual)
-            residual *= widths
-            np.subtract(flat, residual, out=residual)
-            np.square(residual, out=residual)
-            variances.append(np.mean(residual, axis=1))
-        self._residual_grid = (np.log(grid), np.concatenate(variances))
+        flat = self._residual_source
+        width = 2.0 * self._residual_grid[2][entry]
+        residual = flat / width
+        np.rint(residual, out=residual)
+        residual *= width
+        np.subtract(flat, residual, out=residual)
+        np.square(residual, out=residual)
+        return float(np.mean(residual))
 
-    def _residual_table(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """The residual table, built on first use (then *data* is let go)."""
-        if self._residual_source is not None:
-            self._fit_residual_curve(self._residual_source)
+    def _residual_table(
+        self, log_eb: float | None = None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        """``(log bounds, variances, bounds)`` of dual-quant Lorenzo.
+
+        48 bounds, geometric over the value range; ``None`` for a
+        constant array.  Variances are computed on demand, each by
+        :meth:`_fit_residual_curve`: at *log_eb* the two ``np.interp``
+        reads there (the end one when it clamps), without it every one
+        still owed.  Once all are, the fitted array is let go.  A
+        systematic stride subsample caps the cost on huge arrays.
+        """
+        flat = self._residual_source
+        if flat is None:
+            return self._residual_grid
+        if self._residual_grid is None:
+            flat = np.asarray(flat, dtype=np.float64).ravel()
+            max_points = 1 << 21
+            if flat.size > max_points:
+                flat = flat[:: flat.size // max_points + 1]
+            vrange = float(flat.max() - flat.min())
+            if vrange <= 0:
+                self._residual_source = None
+                return None
+            grid = np.geomspace(vrange * 1e-9, vrange * 4.0, 48)
+            self._residual_grid = (np.log(grid), np.full(48, -1.0), grid)
+            self._residual_source = flat
+        log_grid, variances, _ = self._residual_grid
+        entries = range(variances.size)
+        if log_eb is not None:
+            j = int(np.searchsorted(log_grid, log_eb, "right")) - 1
+            j = min(max(j, 0), variances.size - 2)
+            entries = (j, j + 1)
+        for entry in entries:
+            if variances[entry] < 0:  # not computed yet
+                variances[entry] = self._fit_residual_curve(entry)
+        if not (variances < 0).any():
             self._residual_source = None
         return self._residual_grid
 
@@ -436,12 +459,11 @@ class RatioQualityModel:
         """
         sample = self._require_fit()
         if refined and self.predictor == "lorenzo":
-            table = self._residual_table()
+            log_eb = np.log(abs_eb)
+            table = self._residual_table(log_eb)
             if table is not None:
-                log_grid, variances = table
-                return float(
-                    np.interp(np.log(abs_eb), log_grid, variances)
-                )
+                log_grid, variances, _ = table
+                return float(np.interp(log_eb, log_grid, variances))
             if sample.values is not None:
                 # fallback: sampled non-zero values, sparsity-weighted
                 width = 2.0 * abs_eb
@@ -694,7 +716,7 @@ def batch_residual_curves(
     Returns an ``(n_tiles, n_grid)`` table: entry ``(i, j)`` is the
     value-residual variance tile ``i`` achieves under the dual-quant
     Lorenzo reconstruction ``2 eb * rint(x / 2 eb)`` at ``grid[j]`` —
-    the same exact quantity :meth:`RatioQualityModel._fit_residual_curve`
+    the same exact quantity :meth:`RatioQualityModel._residual_table`
     tabulates per model, but computed for *all* tiles of a tiled run in
     one vectorized sweep (the bound-allocation MSE table of the
     adaptive planner).  A systematic stride subsample caps the per-tile

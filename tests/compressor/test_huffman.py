@@ -410,6 +410,19 @@ class TestSizeFloor:
         )
         assert 0 <= enc.plan(stream).container_bytes - floor <= 1
 
+    def test_floor_counts_the_sync_table_exactly(self):
+        # the same dyadic histogram, long enough for a sync table: the
+        # floor stays within the payload's rounding, so its sync term is
+        # the table's exact size, not merely a bound on it
+        stream = np.repeat([0, 1, 2, 3], [2048, 1024, 512, 512])
+        enc = HuffmanEncoder()
+        plan = enc.plan(stream)
+        assert plan.interval and plan.sync.size == 15
+        floor = enc._container_bytes_floor(
+            *np.unique(stream, return_counts=True)
+        )
+        assert 0 <= plan.container_bytes - floor <= 1
+
 
 class TestSyncFreeWalk:
     """The pointer-doubling decode against the scalar walk it replaced."""

@@ -2,18 +2,21 @@
 
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compressor.encoders.huffman import HuffmanEncoder
+from repro.compressor.encoders.huffman import HuffmanCode, HuffmanEncoder
 from repro.compressor.encoders.lossless import (
+    _CODED,
     LOSSLESS_BACKENDS,
     LosslessBackend,
     get_lossless_backend,
 )
+from tests.compressor.test_lz77 import forged_stream
 
 
 @pytest.fixture(params=LOSSLESS_BACKENDS)
@@ -75,9 +78,12 @@ class TestBackendOrdering:
 
 
 def draw_payload(seed: int) -> bytes:
-    """Inputs on both sides of the raw escape, small ones above all."""
+    """Inputs on both sides of the raw escape, small ones above all.
+
+    Token streams of 4096 or more carry a sync table, so the larger
+    sizes put the floor's sync term to work."""
     rng = np.random.default_rng(seed)
-    n = int(rng.choice([0, 1, 9, 40, 200, 700, 3000]))
+    n = int(rng.choice([0, 1, 9, 40, 200, 700, 3000, 4500, 6000]))
     kind = seed % 5
     if kind == 0:  # incompressible
         return rng.bytes(n)
@@ -135,6 +141,47 @@ class TestEntropyGate:
                 assert exact.container_bytes >= len(data)
                 assert backend.compress(data)[0] == 0
         assert fired  # small inputs: the header alone settles it
+
+    @pytest.mark.parametrize("name", LOSSLESS_BACKENDS)
+    def test_incompressible_sync_sized_payload_builds_no_code(
+        self, name, monkeypatch
+    ):
+        # ~8-bit tokens: the entropy alone sits under the budget, and the
+        # sync table the plan would carry tips the floor over it
+        data = np.random.default_rng(11).bytes(6000)
+        built = []
+        init = HuffmanCode.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(HuffmanCode, "__init__", counted)
+        backend = LosslessBackend(name)
+        gated = backend.compress(data)
+        assert not built and gated == bytes([0]) + data
+        monkeypatch.setattr(
+            HuffmanEncoder,
+            "_container_bytes_floor",
+            classmethod(lambda cls, symbols, counts: 0),
+        )
+        assert backend.compress(data) == gated
+        assert built  # without the floor the code is built, then escaped
+
+
+class TestForgedLengths:
+    def test_match_past_the_declared_size_allocates_nothing(self):
+        # declared size 10, one literal, then a 2^34-byte match at dist 1
+        tokens = np.frombuffer(forged_stream(1, 1 << 34), dtype=np.uint8)
+        payload = bytes([_CODED]) + HuffmanEncoder().encode(tokens)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="declared size"):
+                get_lossless_backend("zstd_like").decompress(payload)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 24
 
 
 class TestSharedBackends:

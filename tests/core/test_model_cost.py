@@ -350,9 +350,33 @@ def test_lazy_quality_fields_equal_the_eager_table(name):
         assert est.error_variance == float(
             np.interp(np.log(eb), log_grid, variances)
         )
-    np.testing.assert_array_equal(model._residual_grid[0], log_grid)
-    np.testing.assert_array_equal(model._residual_grid[1], variances)
+    table = model._residual_table()
+    np.testing.assert_array_equal(table[0], log_grid)
+    np.testing.assert_array_equal(table[1], variances)
     assert model._residual_source is None, "the array outlived the table"
+
+
+def test_one_estimate_computes_at_most_two_table_entries(monkeypatch):
+    field = FIELDS["walk_2d"]
+    model = RatioQualityModel(seed=0).fit(field)
+    entries = []
+    fit_entry = RatioQualityModel._fit_residual_curve
+
+    def counted(self, entry):
+        entries.append(entry)
+        return fit_entry(self, entry)
+
+    monkeypatch.setattr(RatioQualityModel, "_fit_residual_curve", counted)
+    span = float(field.max() - field.min())
+    # inside the grid, below it (clamped to the first entry), above it
+    for eb in (span * 1e-3, span * 1e-12, span * 10.0):
+        before = len(entries)
+        model.estimate(eb)
+        assert len(entries) - before <= 2
+    assert len(entries) == len(set(entries)) < 48
+    assert model._residual_source is not None
+    model.error_bound_for_psnr(40.0)  # ~50 probes around one bound
+    assert len(entries) < 12
 
 
 def test_pickled_model_answers_identically_and_stays_small():
