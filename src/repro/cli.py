@@ -124,13 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--psnr", type=float, help="target PSNR in dB (model)"
     )
     comp.add_argument(
-        "--chunk-size",
-        type=int,
-        default=None,
-        help="split the code stream into blocks of this many symbols "
-        "(chunked v3 container; enables parallel encode/decode)",
-    )
-    comp.add_argument(
         "--tile",
         default=None,
         metavar="T1,T2,...",
@@ -166,9 +159,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="parallel width for chunked block / tile encoding "
-        "(default: 1, or the machine's core count when --backend "
-        "is given)",
+        help="parallel width for tile encoding; a flat container "
+        "encodes serially (default: 1, or the machine's core count "
+        "when --backend is given)",
     )
     comp.add_argument(
         "--backend",
@@ -193,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="parallel width for chunked block / tile decoding "
+        help="parallel width for tile decoding "
         "(default: 1, or the machine's core count when --backend "
         "is given)",
     )
@@ -399,7 +392,6 @@ def _factory_from_args(args: argparse.Namespace) -> CodecFactory:
         predictor=args.predictor,
         mode=ErrorBoundMode(args.mode),
         lossless=None if args.lossless == "none" else args.lossless,
-        chunk_size=getattr(args, "chunk_size", None),
         workers=getattr(args, "workers", None),
         adaptive=getattr(args, "adaptive", False),
         parallel_backend=getattr(args, "backend", None),

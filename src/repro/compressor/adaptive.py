@@ -73,7 +73,7 @@ from repro.compressor.config import CompressionConfig, ErrorBoundMode
 from repro.compressor.executor import (
     CodecExecutor,
     carve_buffer,
-    resolve_executor,
+    get_executor,
 )
 from repro.compressor.plan_cache import (
     PlannerCache,
@@ -696,7 +696,7 @@ class AdaptivePlanner:
         deterministic given ``(tile, seed)``, so the resulting models
         are identical to the serial ones.
         """
-        executor = executor or resolve_executor("serial", 1)
+        executor = executor or get_executor("serial", 1)
         if executor.workers <= 1 or len(extents) <= 1:
             models: list[dict[str, RatioQualityModel] | None] = []
             for start, stop in extents:

@@ -66,12 +66,6 @@ class CompressionConfig:
         Order of the Lorenzo predictor (1 or 2).
     regression_block:
         Block edge length for the regression predictor (paper: 6).
-    chunk_size:
-        When set, the quantization-code stream is split into blocks of
-        this many symbols, each independently Huffman + lossless coded
-        (container format v3).  Blocks encode/decode in parallel when the
-        compressor is constructed with ``workers > 1``.  ``None`` keeps
-        the single-stream v2 container.
     tile_shape:
         When set, :class:`repro.compressor.tiled.TiledCompressor` splits
         the array into tiles of this shape and writes the tiled (v7)
@@ -79,8 +73,8 @@ class CompressionConfig:
         Ignored by the flat :class:`~repro.compressor.sz.SZCompressor`.
     parallel_backend:
         Runtime execution hint, **not** part of the on-disk format:
-        which :mod:`repro.compressor.executor` backend the chunked and
-        tiled hot paths should fan work out on — ``"serial"``,
+        which :mod:`repro.compressor.executor` backend the tiled hot
+        paths should fan work out on — ``"serial"``,
         ``"thread"`` or ``"process"`` (``None`` keeps each
         compressor's own default).  Never serialized into container
         headers; two configs differing only here produce byte-identical
@@ -125,7 +119,6 @@ class CompressionConfig:
     lossless: str | None = "zstd_like"
     lorenzo_levels: int = 1
     regression_block: int = 6
-    chunk_size: int | None = None
     tile_shape: tuple[int, ...] | None = None
     adaptive: bool = False
     parallel_backend: str | None = None
@@ -158,8 +151,6 @@ class CompressionConfig:
             raise ValueError("lorenzo_levels must be 1 or 2")
         if self.regression_block < 2:
             raise ValueError("regression_block must be at least 2")
-        if self.chunk_size is not None and self.chunk_size < 1:
-            raise ValueError("chunk_size must be positive (or None)")
         if self.tile_shape is not None:
             tile_shape = tuple(int(t) for t in self.tile_shape)
             if not tile_shape or any(t < 1 for t in tile_shape):
@@ -223,8 +214,8 @@ class CompressionConfig:
 
         Per-tile configs execute *inside* executor tasks: the tiling
         fields are stripped AND the parallel and planning hints, or
-        every worker would recursively spin up its own executor for
-        the tile's inner (chunked) encode, or re-enter the planner.
+        every worker would recursively spin up its own executor, or
+        re-enter the planner.
         *pinned* fields (a resolved bound, a tile's planned choice)
         replace the caller's.
         """

@@ -14,9 +14,10 @@ Huffman/lossless code payload, outlier positions, outlier values,
 predictor side payload, PW_REL sign payload.
 
 * **v2** — the code stream is one Huffman(+lossless) payload.
-* **v3** — the code stream is split into fixed-size blocks, each
-  independently Huffman(+lossless) coded; the codes section becomes
-  ``n_chunks:u32 | chunk_len:u64 ... | chunk payloads``.
+* **v3** (read-only) — the code stream is split into fixed-size blocks,
+  each independently Huffman(+lossless) coded; the codes section
+  becomes ``n_chunks:u32 | chunk_len:u64 ... | chunk payloads``.  A
+  tile whose parameters say ``chunked`` carries such a section too.
 
 Tiled containers (out-of-core streaming, region-of-interest decode)::
 
@@ -112,7 +113,6 @@ __all__ = [
     "peek_version",
     "read_blob",
     "is_tiled_version",
-    "write_chunked_codes",
     "read_chunked_codes",
     "check_tile_params",
     "pack_tile",
@@ -315,17 +315,7 @@ def read_flat(blob: bytes) -> tuple[dict, list[bytes]]:
     return header, sections
 
 
-# -- chunked (v3) codes-section framing ----------------------------------------
-
-
-def write_chunked_codes(payloads: Sequence[bytes]) -> bytes:
-    """Frame independently coded blocks into one v3 codes section."""
-    parts = [len(payloads).to_bytes(_CHUNK_COUNT_BYTES, "little")]
-    parts.extend(
-        len(p).to_bytes(_CHUNK_LEN_BYTES, "little") for p in payloads
-    )
-    parts.extend(payloads)
-    return b"".join(parts)
+# -- chunked (v3) codes-section framing, read-only -----------------------------
 
 
 def read_chunked_codes(payload: bytes) -> list[bytes]:

@@ -1,7 +1,7 @@
 """Pluggable parallel-execution backends for the codec hot paths.
 
-The chunked/tiled pipelines fan embarrassingly parallel work — entropy
-blocks, tiles, per-tile model fits — out over an executor.  Three
+The tiled pipelines fan embarrassingly parallel work — tile encodes
+and decodes, per-tile model fits — out over an executor.  Three
 backends implement one :class:`CodecExecutor` interface:
 
 ``serial``
@@ -9,10 +9,8 @@ backends implement one :class:`CodecExecutor` interface:
     whenever ``workers`` collapses to 1.
 ``thread``
     A persistent ``ThreadPoolExecutor``.  Cheap to enter, shares all
-    memory, but the entropy stages are Python/NumPy-heavy and hold the
-    GIL, so threads help only where the work releases it (see
-    :attr:`repro.compressor.stages.HuffmanEntropyStage.releases_gil`
-    and the encode fan-out cap built on it).
+    memory, but the codec stages are Python/NumPy-heavy and hold the
+    GIL much of the time, so threads help only where NumPy releases it.
 ``process``
     A persistent ``ProcessPoolExecutor``.  Bulk array payloads travel
     through ``multiprocessing.shared_memory`` segments — workers map
@@ -20,17 +18,17 @@ backends implement one :class:`CodecExecutor` interface:
     decoded output into a parent-preallocated region — so pickling is
     reserved for the tiny per-item metadata (configs, extents, blob
     bytes that are already entropy-coded).  Worker processes build
-    their stage objects (codec, Huffman coder) exactly once, in a
-    fork/spawn-safe initializer, and reuse them for every task.
+    their codec exactly once, in a fork/spawn-safe initializer, and
+    reuse it for every task.
 
 The unit of work is :meth:`CodecExecutor.run_batch`: an ordered map of
 a **module-level** task function over small picklable items, with an
 optional shared input buffer and an optional preallocated output
 buffer.  Buffers come from the executor itself
-(:meth:`~CodecExecutor.input_buffer` / :meth:`~CodecExecutor.wrap_input`
-/ :meth:`~CodecExecutor.output_buffer`), so the serial and thread
-backends hand the caller's memory straight to the task while the
-process backend transparently swaps in shared-memory segments.
+(:meth:`~CodecExecutor.input_buffer` /
+:meth:`~CodecExecutor.output_buffer`), so the serial and thread
+backends hand local memory straight to the task while the process
+backend transparently swaps in shared-memory segments.
 
 Executors are shared and persistent: :func:`get_executor` caches one
 instance per ``(backend, workers, start_method)`` so repeated
@@ -63,7 +61,6 @@ __all__ = [
     "ExecutorError",
     "make_executor",
     "get_executor",
-    "resolve_executor",
     "shutdown_executors",
 ]
 
@@ -141,9 +138,9 @@ class ExecutorBuffer:
 
     ``array`` is a 1-D ``uint8`` view the parent fills (inputs) or
     reads (outputs).  For the serial/thread backends it is plain local
-    memory — possibly a zero-copy view of the caller's own array; for
-    the process backend it is a ``multiprocessing.shared_memory``
-    segment that workers map without copying.  Call :meth:`release`
+    memory; for the process backend it is a
+    ``multiprocessing.shared_memory`` segment that workers map without
+    copying.  Call :meth:`release`
     when the batch is done (always, in a ``finally``) so segments are
     unlinked promptly.
     """
@@ -171,12 +168,6 @@ class ExecutorBuffer:
                 shm.unlink()
             except FileNotFoundError:  # pragma: no cover - already gone
                 pass
-
-
-def _as_flat_bytes(array: np.ndarray) -> np.ndarray:
-    """A 1-D uint8 view (or copy, if non-contiguous) of *array*."""
-    array = np.ascontiguousarray(array)
-    return array.view(np.uint8).reshape(-1)
 
 
 # -- the executor interface ----------------------------------------------------
@@ -211,14 +202,6 @@ class CodecExecutor(abc.ABC):
     def input_buffer(self, nbytes: int) -> ExecutorBuffer:
         """A writable input buffer of *nbytes* for the parent to fill."""
         return ExecutorBuffer(np.empty(int(nbytes), dtype=np.uint8))
-
-    def wrap_input(self, array: np.ndarray) -> ExecutorBuffer:
-        """Expose an existing array as a batch input buffer.
-
-        Zero-copy for serial/thread; one copy into shared memory for
-        the process backend.
-        """
-        return ExecutorBuffer(_as_flat_bytes(array))
 
     def output_buffer(self, nbytes: int) -> ExecutorBuffer:
         """A preallocated output buffer workers write into."""
@@ -266,8 +249,7 @@ _THREAD_POOL_PREFIX = "codec-exec"
 
 class ThreadExecutor(CodecExecutor):
     """Persistent thread pool; memory is shared, the GIL is not released
-    by the pure-Python entropy stages (see the encode fan-out cap in
-    :mod:`repro.compressor.stages`)."""
+    by the pure-Python parts of the codec stages."""
 
     name = "thread"
 
@@ -291,11 +273,10 @@ class ThreadExecutor(CodecExecutor):
         if len(items) <= 1 or threading.current_thread().name.startswith(
             _THREAD_POOL_PREFIX
         ):
-            # Nested batch from inside a pool task (e.g. a tile decode
-            # whose per-tile codec itself fans chunk decodes out): run
-            # inline.  Submitting would deadlock once outer tasks hold
-            # every pool thread — and nested thread fan-out buys
-            # nothing under the GIL anyway.
+            # Nested batch from inside a pool task: run inline.
+            # Submitting would deadlock once outer tasks hold every
+            # pool thread — and nested thread fan-out buys nothing
+            # under the GIL anyway.
             return [fn(item, inp, out) for item in items]
         pool = self._ensure_pool()
         futures = [pool.submit(fn, item, inp, out) for item in items]
@@ -311,7 +292,7 @@ class ThreadExecutor(CodecExecutor):
 # -- process backend -----------------------------------------------------------
 
 #: per-worker singletons, built once by the pool initializer (or lazily
-#: on first task) so every task reuses the same stage objects
+#: on first task) so every task reuses the same codec
 _WORKER_STATE = None
 
 #: capacity of the per-worker shared-memory attachment cache: one batch
@@ -321,15 +302,13 @@ _WORKER_SHM_CACHE = 4
 
 
 class _WorkerState:
-    """Stage objects + shm attachments owned by one worker process."""
+    """The codec + shm attachments owned by one worker process."""
 
     def __init__(self) -> None:
-        # imported lazily: this module is imported by the stage modules
-        from repro.compressor.encoders.huffman import HuffmanEncoder
+        # imported lazily: this module is imported by the codec modules
         from repro.compressor.sz import SZCompressor
 
         self.codec = SZCompressor()
-        self.huffman = HuffmanEncoder()
         self.shm_cache: OrderedDict = OrderedDict()
 
 
@@ -479,13 +458,6 @@ class ProcessExecutor(CodecExecutor):
     def input_buffer(self, nbytes: int) -> ExecutorBuffer:
         return self._shm_buffer(int(nbytes))
 
-    def wrap_input(self, array: np.ndarray) -> ExecutorBuffer:
-        flat = _as_flat_bytes(array)
-        buffer = self._shm_buffer(flat.nbytes)
-        if flat.nbytes:
-            buffer.array[:] = flat
-        return buffer
-
     def output_buffer(self, nbytes: int) -> ExecutorBuffer:
         return self._shm_buffer(int(nbytes))
 
@@ -512,8 +484,7 @@ class ProcessExecutor(CodecExecutor):
         ):
             raise ValueError(
                 "process batches need executor-allocated buffers "
-                "(use input_buffer/wrap_input/output_buffer on this "
-                "executor)"
+                "(use input_buffer/output_buffer on this executor)"
             )
         try:
             futures = [
@@ -582,8 +553,8 @@ def get_executor(
     process) all reuse one pool.  A pool poisoned by a worker crash is
     transparently replaced on the next request.
 
-    Width semantics: an **explicit** ``workers <= 1`` always means
-    serial, whatever the backend; ``workers=None`` with an explicitly
+    Width semantics: an **explicit** ``workers <= 1`` always means the
+    serial singleton, whatever the backend; ``workers=None`` with an explicitly
     requested parallel backend means :func:`default_workers` (the
     machine's usable cores, capped) — so ``backend="process"`` alone
     is never a silent no-op.  ``backend=None`` keeps the historical
@@ -607,23 +578,6 @@ def get_executor(
             executor = make_executor(backend, workers, start_method)
             _REGISTRY[key] = executor
         return executor
-
-
-def resolve_executor(
-    backend: str | None,
-    workers: int | None,
-    executor: CodecExecutor | None = None,
-) -> CodecExecutor:
-    """The executor a compressor should use.
-
-    An explicit *executor* instance wins; otherwise ``workers`` <= 1
-    short-circuits to the serial singleton and the shared registry
-    supplies the rest.  ``backend=None`` keeps the historical thread
-    behavior.
-    """
-    if executor is not None:
-        return executor
-    return get_executor(backend, workers)
 
 
 def shutdown_executors() -> None:

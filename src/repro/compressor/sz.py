@@ -5,20 +5,18 @@
 
     transform → predict/quantize → entropy-encode → container
 
-Each stage sits behind a small interface (:class:`TransformStage`,
-:class:`PredictionStage`, :class:`EntropyStage`) and can be swapped via
-the constructor; the byte formats live in
+The transform and prediction stages sit behind small interfaces
+(:class:`TransformStage`, :class:`PredictionStage`) and can be swapped
+via the constructor; the byte formats live in
 :mod:`repro.compressor.container`.  Decompression inverts every stage
 and, by construction, honours the configured error bound.
 
-Two flat container versions are written (see :mod:`container` for the
-layouts): **v2** with a single Huffman(+lossless) code payload, and
-**v3** — written when ``config.chunk_size`` is set and the stream
-exceeds it — whose code stream is split into fixed-size blocks that
-encode and decode in parallel when the compressor is constructed with
-``workers > 1``.  The tiled (v7) container is produced by
+The flat container written is **v2**, one Huffman(+lossless) code
+payload (see :mod:`container` for the layouts); **v3**, whose code
+stream was split into independently coded blocks, is still read.  The
+tiled (v7) container is produced by
 :class:`repro.compressor.tiled.TiledCompressor`, which drives this
-facade per tile.
+facade per tile and is the one place work runs in parallel.
 
 Degenerate inputs take a trivial container: empty arrays round-trip to
 the correct shape/dtype, and constant fields under ``REL`` mode (whose
@@ -39,7 +37,6 @@ from repro.compressor.config import CompressionConfig, ErrorBoundMode
 from repro.compressor.predictors.base import PredictorOutput
 from repro.compressor.stages import (
     EncodedCodes,
-    EntropyStage,
     HuffmanEntropyStage,
     PredictionStage,
     PredictorStage,
@@ -122,40 +119,19 @@ class CompressionResult:
 class SZCompressor:
     """Facade composing the transform, prediction and entropy stages.
 
-    ``workers`` sets the default parallelism for chunked (v3)
-    containers and ``backend`` picks the execution backend the blocks
-    fan out on — ``"serial"``, ``"thread"`` (historical default) or
-    ``"process"`` (shared-memory process pool; see
-    :mod:`repro.compressor.executor`).  ``None``/1 workers keeps
-    everything on the calling thread.  Pass alternative stage
-    implementations to swap parts of the pipeline (a custom ``entropy``
-    stage owns its own parallelism, so ``backend`` then only serves as
-    the default for configs carrying ``parallel_backend``).
+    Everything runs on the calling thread.  Pass alternative transform
+    or prediction stages to swap parts of the pipeline.
     """
 
     def __init__(
         self,
-        workers: int | None = None,
         *,
-        backend: str | None = None,
         transform: TransformStage | None = None,
         prediction: PredictionStage | None = None,
-        entropy: EntropyStage | None = None,
     ) -> None:
-        if workers is not None and workers < 1:
-            raise ValueError("workers must be a positive integer or None")
-        self._workers = workers or 1
-        self._backend = backend
         self._transform = transform or PwRelLogTransform()
         self._prediction = prediction or PredictorStage()
-        self._entropy = entropy or HuffmanEntropyStage(
-            workers=workers, backend=backend
-        )
-
-    @property
-    def entropy_releases_gil(self) -> bool:
-        """Whether the entropy stage can run GIL-free (thread scaling)."""
-        return bool(getattr(self._entropy, "releases_gil", False))
+        self._entropy = HuffmanEntropyStage()
 
     # -- public API ------------------------------------------------------------
 
@@ -180,12 +156,9 @@ class SZCompressor:
             self.encode_stages(data, config, reconstruct, times)
         )
         with Timer() as t:
-            version = (
-                container.VERSION_CHUNKED
-                if header.pop("chunked", False)
-                else container.VERSION_SINGLE
+            blob, header_len = container.write_flat(
+                header, sections, container.VERSION_SINGLE
             )
-            blob, header_len = container.write_flat(header, sections, version)
         times.add("serialize", t.elapsed)
         return CompressionResult(
             blob=blob,
@@ -215,8 +188,7 @@ class SZCompressor:
         """Encode *data* without a container around it.
 
         Returns ``(header, sections, reconstruction, measures)``: the
-        fields a flat header would hold (``chunked`` standing in for
-        the v3 version byte), the five stage sections in
+        fields a flat header would hold, the five stage sections in
         :data:`container.SECTION_NAMES` order, what ``compress`` would
         surface, and ``(p0, n_outliers, huffman_only)``.  The per-tile
         contract of the tiled compressor.
@@ -245,7 +217,7 @@ class SZCompressor:
                 outlier_positions=np.zeros(0, dtype=np.int64),
                 outlier_values=np.zeros(0, dtype=np.float64),
             )
-            encoded, p0 = EncodedCodes(b"", 0, 0), 1.0
+            encoded, p0 = EncodedCodes(b"", 0), 1.0
             if data.size:
                 extra["constant"] = float(core.flat[0])
             reconstruction = (
@@ -260,8 +232,6 @@ class SZCompressor:
                 )
             times.add("predict_quantize", t.elapsed)
             encoded = self._entropy.encode(output.codes, config, times)
-            if encoded.chunked:
-                extra["chunked"] = True
             p0 = (
                 float(np.count_nonzero(output.codes == 0) / output.codes.size)
                 if output.codes.size
@@ -288,7 +258,8 @@ class SZCompressor:
             "lossless": config.lossless,
             "lorenzo_levels": config.lorenzo_levels,
             "regression_block": config.regression_block,
-            "chunk_size": config.chunk_size,
+            # no knob left sets it; dropping the key is a format change
+            "chunk_size": None,
             "shape": list(data.shape),
             "dtype": data.dtype.str,
             "predictor_meta": output.meta,
@@ -312,30 +283,22 @@ class SZCompressor:
             (p0, output.n_outliers, encoded.huffman_only),
         )
 
-    def decompress(
-        self, blob: bytes, workers: int | None = None
-    ) -> np.ndarray:
-        """Decompress a container produced by :meth:`compress`.
-
-        ``workers`` overrides the constructor's parallelism for chunked
-        (v3) containers.
-        """
+    def decompress(self, blob: bytes) -> np.ndarray:
+        """Decompress a flat (v2/v3) container."""
         header, sections = container.read_flat(blob)
         if header["container_version"] == container.VERSION_CHUNKED:
             header["chunked"] = True
-        return self.decode_stages(header, sections, workers)
+        return self.decode_stages(header, sections)
 
     def decode_stages(
-        self,
-        header: dict,
-        sections: Sequence[bytes],
-        workers: int | None = None,
+        self, header: dict, sections: Sequence[bytes]
     ) -> np.ndarray:
         """The array :meth:`encode_stages` turned into *header*, *sections*.
 
         *header* may come from anywhere (a flat container, a tiled one's
         resolved tile parameters + the grid's ``shape``/``dtype``), so a
         code stream that is not the one ``shape`` needs is refused.
+        ``chunked`` in it marks a v3 codes section.
         """
         shape = tuple(header["shape"])
         dtype = np.dtype(header["dtype"])
@@ -349,10 +312,7 @@ class SZCompressor:
         codes_payload, pos_b, val_b, side, signs = sections
 
         codes = self._entropy.decode(
-            codes_payload,
-            config,
-            chunked=bool(header.get("chunked")),
-            workers=workers,
+            codes_payload, config, chunked=bool(header.get("chunked"))
         )
         # every point has a code but the interpolation predictor's anchors
         anchor_shape = header["predictor_meta"].get("anchor_shape", [0])
@@ -397,5 +357,4 @@ class SZCompressor:
             lossless=header["lossless"],
             lorenzo_levels=header["lorenzo_levels"],
             regression_block=header["regression_block"],
-            chunk_size=header.get("chunk_size"),
         )

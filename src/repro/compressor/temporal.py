@@ -47,7 +47,7 @@ import numpy as np
 
 from repro.compressor.adaptive import AdaptivePlanner
 from repro.compressor.config import CompressionConfig, ErrorBoundMode
-from repro.compressor.executor import resolve_executor
+from repro.compressor.executor import get_executor
 from repro.compressor.plan_cache import PlannerCache
 from repro.compressor.sz import SZCompressor
 from repro.compressor.tiled import (
@@ -240,7 +240,7 @@ class TemporalCompressor:
             header_extra,
             out,
             reconstruct,
-            resolve_executor("serial", 1),
+            get_executor("serial", 1),
             StageTimes(),
         )
         return replace(delta, keyframe=False, ref_snapshot=ref_id, stats=stats)

@@ -6,8 +6,9 @@ tile, and writes the tiled (v7) container described in
 :mod:`repro.compressor.container`.  Because tiles are encoded one batch
 at a time and streamed straight to the sink, peak memory is bounded by
 a few tiles — the input may be a ``np.memmap``/``np.load(mmap_mode=...)``
-array far larger than RAM.  Tiles are mutually independent, so a batch
-encodes in parallel across a thread pool (``workers``).
+array far larger than RAM.  Tiles are mutually independent — the only
+unit of parallel work — so a batch encodes and decodes across an
+executor's workers (``workers``).
 
 Reading is random-access: :meth:`TiledCompressor.decompress_region`
 seeks to, reads and decodes *only* the tiles intersecting the requested
@@ -65,10 +66,9 @@ from repro.compressor.container import (
 from repro.compressor.executor import (
     CodecExecutor,
     carve_buffer,
-    resolve_executor,
+    get_executor,
     worker_state,
 )
-from repro.compressor.stages import gil_capped_encode_executor
 from repro.compressor.sz import SZCompressor
 from repro.compressor.tiled_geometry import (
     copy_overlap,
@@ -233,10 +233,7 @@ class TiledCompressor:
     ``"serial"``, ``"thread"`` or ``"process"`` (shared-memory process
     pool; see :mod:`repro.compressor.executor`); ``None`` resolves to
     the thread backend (or ``config.parallel_backend`` when set).
-    Note that thread-backend *encode* fan-out is capped to serial
-    whenever the per-tile codec's entropy stage cannot release the GIL
-    — the stock stage cannot — with a one-time warning; decode keeps
-    its thread fan-out.  ``codec`` swaps the per-tile compressor (any
+    Encode and decode fan out alike.  ``codec`` swaps the per-tile compressor (any
     :class:`SZCompressor`-compatible facade; serial/thread backends
     only — process workers rebuild the stock codec).
 
@@ -263,9 +260,9 @@ class TiledCompressor:
         # to the machine's default_workers() (see executor.get_executor)
         self._workers = workers
         # a caller-supplied codec travels inside work items, which the
-        # process backend would have to pickle (stage objects hold
-        # executors); its workers rebuild the *default* codec instead,
-        # so custom codecs are restricted to serial/thread
+        # process backend would have to pickle; its workers rebuild the
+        # *default* codec instead, so custom codecs are restricted to
+        # serial/thread
         self._custom_codec = codec is not None
         self._codec = codec or SZCompressor()
         self._planner = planner or AdaptivePlanner()
@@ -292,7 +289,7 @@ class TiledCompressor:
             config.parallel_backend if config is not None else None
         )
         effective = workers if workers is not None else self._workers
-        executor = resolve_executor(backend, effective)
+        executor = get_executor(backend, effective)
         if executor.name == "process" and self._custom_codec:
             raise ValueError(
                 "the process backend re-creates the default per-tile "
@@ -410,10 +407,6 @@ class TiledCompressor:
                 zip(iter_tiles(data.shape, tile_shape), per_tile)
             )
         )
-        executor = gil_capped_encode_executor(
-            self._executor_for(config),
-            getattr(self._codec, "entropy_releases_gil", False),
-        )
         encoded = self._encode_tiles(
             data,
             config,
@@ -422,7 +415,7 @@ class TiledCompressor:
             header_extra,
             out,
             reconstruct,
-            executor,
+            self._executor_for(config),
             times,
         )
         return replace(encoded, plan=plan)
@@ -475,7 +468,8 @@ class TiledCompressor:
                 "mode": config.mode.value,
                 "error_bound": config.error_bound,
                 "lossless": config.lossless,
-                "chunk_size": config.chunk_size,
+                # no knob left sets it; dropping the key is a format change
+                "chunk_size": None,
                 "quant_radius": config.quant_radius,
                 **header_extra,
             }
@@ -679,9 +673,7 @@ class TiledCompressor:
     ) -> np.ndarray:
         """*region* (``None``: everything) of the container at *source*."""
         if not container.is_tiled_version(container.peek_version(source)):
-            data = self._codec.decompress(
-                container.read_blob(source), workers=workers
-            )
+            data = self._codec.decompress(container.read_blob(source))
             if region is None:
                 return data
             self._count_decoded(1)

@@ -46,7 +46,6 @@ class CodecFactory:
     predictor: str = "lorenzo"
     mode: ErrorBoundMode = ErrorBoundMode.ABS
     lossless: str | None = "zstd_like"
-    chunk_size: int | None = None
     tile_shape: tuple[int, ...] | None = None
     adaptive: bool = False
     workers: int | None = None
@@ -79,7 +78,6 @@ class CodecFactory:
             mode=self.mode,
             error_bound=float(error_bound),
             lossless=self.lossless,
-            chunk_size=self.chunk_size,
             tile_shape=self.tile_shape,
             adaptive=self.adaptive,
             parallel_backend=self.parallel_backend,
@@ -90,10 +88,9 @@ class CodecFactory:
         return replace(base, **overrides) if overrides else base
 
     def compressor(self) -> SZCompressor:
-        """The flat staged-pipeline compressor."""
-        return SZCompressor(
-            workers=self.workers, backend=self.parallel_backend
-        )
+        """The flat staged-pipeline compressor (serial: a flat array
+        is one unit of work)."""
+        return SZCompressor()
 
     def tiled_compressor(self) -> TiledCompressor:
         """The tiled out-of-core compressor.

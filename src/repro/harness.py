@@ -65,8 +65,6 @@ class RateDistortionStudy:
         relative_bounds=(1e-4, 1e-3, 1e-2),
         measure_quality: bool = True,
         lossless: str | None = "zstd_like",
-        chunk_size: int | None = None,
-        workers: int | None = None,
         factory: CodecFactory | None = None,
     ) -> None:
         if not fields:
@@ -77,9 +75,7 @@ class RateDistortionStudy:
         self.predictors = tuple(predictors)
         self.relative_bounds = tuple(relative_bounds)
         self.measure_quality = measure_quality
-        self.factory = factory or CodecFactory(
-            lossless=lossless, chunk_size=chunk_size, workers=workers
-        )
+        self.factory = factory or CodecFactory(lossless=lossless)
 
     def run(self) -> list[StudyCell]:
         """Execute the full sweep; returns one cell per combination.

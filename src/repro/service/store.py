@@ -63,7 +63,7 @@ from repro.compressor import (
     TiledResult,
 )
 from repro.compressor.container import TiledReader, TileRecord
-from repro.compressor.executor import resolve_executor
+from repro.compressor.executor import get_executor
 from repro.compressor.inspect import describe_container
 from repro.compressor.tiled import decode_tile, decode_tile_task
 from repro.compressor.tiled_geometry import (
@@ -977,7 +977,7 @@ class ArrayStore:
         out = np.zeros(
             tuple(r.stop - r.start for r in slices), dtype=dtype
         )
-        executor = resolve_executor(self._backend, self._workers)
+        executor = get_executor(self._backend, self._workers)
 
         def fetch(rec) -> tuple[np.ndarray, bool]:
             return self._fetch_tile(

@@ -1,14 +1,41 @@
-"""Chunked (v3) containers: roundtrips, parallelism, compatibility."""
+"""Chunked (v3) code streams: read-only, decoded as they were written.
+
+Earlier revisions could split a code stream into independently coded
+blocks (``chunk_size``): flat v3 containers, and v7 tiles whose
+parameters say ``chunked``.  Nothing writes them any more; the
+forging helpers in ``tests/conftest.py`` do, byte for byte as the
+retired writer did (pinned against ``seed_v3_zstd`` below), so every
+such file keeps decoding to what its unchunked twin decodes to.
+"""
 
 import os
 
 import numpy as np
 import pytest
 
-from repro.compressor import CompressionConfig, ErrorBoundMode, SZCompressor
-from repro.compressor.container import read_flat
+from repro.compressor import (
+    CompressionConfig,
+    ErrorBoundMode,
+    SZCompressor,
+    TiledCompressor,
+)
+from repro.compressor.container import (
+    ContainerFormatError,
+    TiledReader,
+    pack_tile,
+    read_chunked_codes,
+    read_flat,
+    unpack_tile,
+)
 from repro.compressor.stages import HuffmanEntropyStage
-from tests.conftest import assert_error_bounded, smooth_field
+from repro.compressor.tiled import decode_tile
+from tests.conftest import (
+    assert_error_bounded,
+    forge_chunked_v7,
+    forge_v3,
+    smooth_field,
+    write_chunked_codes,
+)
 
 DATA_DIR = os.path.join(os.path.dirname(os.path.dirname(__file__)), "data")
 
@@ -18,108 +45,130 @@ def sz():
     return SZCompressor()
 
 
-class TestChunkedRoundtrip:
+def _seed_field():
+    return np.load(os.path.join(DATA_DIR, "seed_v2_field.npy"))
+
+
+def _assert_twins(sz, data, config, chunk):
+    """A forged v3 container decodes exactly as its v2 twin does."""
+    v2 = sz.compress(data, config).blob
+    v3 = forge_v3(data, config, chunk)
+    assert v3[4] == 3 and len(read_chunked_codes(read_flat(v3)[1][0])) > 1
+    recon = sz.decompress(v3)
+    assert recon.dtype == data.dtype and recon.shape == data.shape
+    np.testing.assert_array_equal(recon, sz.decompress(v2))
+    np.testing.assert_array_equal(TiledCompressor().decompress(v3), recon)
+    return recon
+
+
+class TestForgedFlatV3:
+    def test_forger_writes_the_released_fixture_byte_for_byte(self):
+        with open(os.path.join(DATA_DIR, "seed_v3_zstd.rqsz"), "rb") as fh:
+            released = fh.read()
+        forged = forge_v3(_seed_field(), CompressionConfig(error_bound=1e-3), 512)
+        assert forged == released
+
     @pytest.mark.parametrize("predictor", ["lorenzo", "interpolation", "regression"])
-    def test_roundtrip_bound(self, sz, predictor):
+    def test_decodes_to_its_v2_twin(self, sz, predictor):
         data = smooth_field((40, 50))
-        cfg = CompressionConfig(
-            predictor=predictor, error_bound=1e-3, chunk_size=512
-        )
-        result, recon = sz.roundtrip(data, cfg)
-        assert recon.shape == data.shape
-        assert_error_bounded(data, recon, 1e-3)
-        assert result.blob[4] == 3  # container version
+        cfg = CompressionConfig(predictor=predictor, error_bound=1e-3)
+        assert_error_bounded(data, _assert_twins(sz, data, cfg, 512), 1e-3)
 
     @pytest.mark.parametrize("n", [2047, 2048, 2049, 4096, 6000])
-    def test_chunk_boundaries(self, sz, n):
-        # sizes straddling exact multiples of the chunk size
+    def test_block_boundaries(self, sz, n):
+        # sizes straddling exact multiples of the block size
         data = smooth_field((n,))
-        cfg = CompressionConfig(error_bound=1e-3, chunk_size=1024)
-        _, recon = sz.roundtrip(data, cfg)
-        assert_error_bounded(data, recon, 1e-3)
-
-    def test_small_stream_falls_back_to_v2(self, sz):
-        data = smooth_field((30,))
-        cfg = CompressionConfig(error_bound=1e-3, chunk_size=1024)
-        result = sz.compress(data, cfg)
-        assert result.blob[4] == 2
-        assert_error_bounded(data, sz.decompress(result.blob), 1e-3)
+        _assert_twins(sz, data, CompressionConfig(error_bound=1e-3), 1024)
 
     @pytest.mark.parametrize("mode", list(ErrorBoundMode))
     def test_all_modes(self, sz, mode):
         data = smooth_field((60, 60)) + 2.0  # positive for PW_REL
-        cfg = CompressionConfig(
-            mode=mode, error_bound=1e-3, chunk_size=700
-        )
-        _, recon = sz.roundtrip(data, cfg)
-        if mode is ErrorBoundMode.ABS:
-            assert_error_bounded(data, recon, 1e-3)
-        elif mode is ErrorBoundMode.REL:
-            vrange = float(data.max()) - float(data.min())
-            assert_error_bounded(data, recon, 1e-3 * vrange)
-        else:
-            rel = np.abs(recon.astype(np.float64) / data - 1.0)
-            assert np.max(rel) <= 1e-3 * (1 + 1e-4)
+        cfg = CompressionConfig(mode=mode, error_bound=1e-3)
+        _assert_twins(sz, data, cfg, 700)
 
     @pytest.mark.parametrize("lossless", ["zstd_like", "gzip_like", "rle", None])
     def test_all_lossless_backends(self, sz, lossless):
         data = smooth_field((5000,))
-        cfg = CompressionConfig(
-            error_bound=1e-3, lossless=lossless, chunk_size=600
-        )
-        _, recon = sz.roundtrip(data, cfg)
-        assert_error_bounded(data, recon, 1e-3)
+        cfg = CompressionConfig(error_bound=1e-3, lossless=lossless)
+        _assert_twins(sz, data, cfg, 600)
+
+
+def _chunked_v7():
+    """A v7 container of chunked tiles, and its unchunked twin."""
+    data = smooth_field((40, 50))
+    config = CompressionConfig(error_bound=1e-3, tile_shape=(16, 25))
+    forged = forge_chunked_v7(data, config, 100)
+    twin = TiledCompressor().compress(data, config)
+    return forged, twin.blob
+
+
+class TestChunkedV7Tiles:
+    def test_decode_to_their_unchunked_twin(self):
+        blob, twin = _chunked_v7()
+        with TiledReader(blob) as reader:
+            metas = [unpack_tile(reader.read_tile(t))[0] for t in reader.tiles]
+        assert any(meta.get("chunked") is True for meta in metas)
+        expected = TiledCompressor().decompress(twin)
+        for backend in ("serial", "thread"):
+            tc = TiledCompressor(workers=2, backend=backend)
+            np.testing.assert_array_equal(tc.decompress(blob), expected)
+            region = (slice(5, 30), slice(12, 37))
+            np.testing.assert_array_equal(
+                tc.decompress_region(blob, region), expected[region]
+            )
+
+    @pytest.mark.parametrize("blocks", ["dropped", "repeated"])
+    def test_blocks_of_the_wrong_total_are_refused(self, blocks):
+        blob, _ = _chunked_v7()
+        with TiledReader(blob) as reader:
+            record = reader.tiles[0]
+            meta, sections = unpack_tile(reader.read_tile(record))
+            dtype = np.dtype(reader.header["dtype"])
+        assert meta.get("chunked") or record.params.get("chunked")
+        parts = read_chunked_codes(sections[0])
+        parts = parts[:-1] if blocks == "dropped" else parts + parts[-1:]
+        payload = pack_tile(meta, [write_chunked_codes(parts), *sections[1:]])
+        with pytest.raises(ContainerFormatError, match="corrupt code stream"):
+            decode_tile(payload, record.shape, dtype, params=record.params)
 
 
 class TestWorkers:
-    def test_parallel_encode_is_deterministic(self):
-        data = smooth_field((50, 60))
-        cfg = CompressionConfig(error_bound=1e-3, chunk_size=400)
-        serial = SZCompressor().compress(data, cfg)
-        parallel = SZCompressor(workers=4).compress(data, cfg)
-        assert serial.blob == parallel.blob
-
-    def test_parallel_decode_matches_serial(self, sz):
-        data = smooth_field((50, 60))
-        cfg = CompressionConfig(error_bound=1e-3, chunk_size=400)
-        blob = sz.compress(data, cfg).blob
-        a = sz.decompress(blob)
-        b = sz.decompress(blob, workers=3)
-        c = SZCompressor(workers=2).decompress(blob)
-        np.testing.assert_array_equal(a, b)
-        np.testing.assert_array_equal(a, c)
-
-    def test_invalid_workers_rejected(self):
-        with pytest.raises(ValueError):
-            SZCompressor(workers=0)
+    def test_parallel_decode_matches_serial(self):
+        # process workers rebuild the stock codec and get each tile's
+        # parameters, ``chunked`` among them, with its work item
+        blob, _ = _chunked_v7()
+        serial = TiledCompressor()
+        parallel = TiledCompressor(workers=3, backend="process")
+        region = (slice(5, 30), slice(12, 37))
+        np.testing.assert_array_equal(
+            parallel.decompress_region(blob, region),
+            serial.decompress_region(blob, region),
+        )
+        assert parallel.last_tiles_decoded == 4
 
 
 class TestRatioParity:
-    def test_chunked_ratio_close_to_single_stream(self, sz):
-        # chunks must be large enough to amortize the per-chunk Huffman
-        # table, as in production use (the default is >= 2^20 symbols)
-        data = smooth_field((256, 256))
-        v2 = sz.compress(data, CompressionConfig(error_bound=1e-3))
-        v3 = sz.compress(
-            data, CompressionConfig(error_bound=1e-3, chunk_size=16384)
-        )
-        assert v3.ratio >= 0.95 * v2.ratio
-
     def test_huffman_only_accounting(self, sz):
         data = smooth_field((96, 96))
         result = sz.compress(
-            data, CompressionConfig(error_bound=1e-3, chunk_size=2048)
+            data, CompressionConfig(error_bound=1e-3, lossless=None)
         )
-        assert 0 < result.sizes.huffman_only
+        assert 0 < result.sizes.huffman_only == result.sizes.codes
         assert result.sizes.total == len(result.blob)
 
 
 class TestHeaderRoundtrip:
     def test_chunk_size_in_header(self, sz):
+        # written as null, not dropped: the header bytes stay as they were
         data = smooth_field((40, 40))
-        cfg = CompressionConfig(error_bound=1e-3, chunk_size=500)
-        result = sz.compress(data, cfg)
-        header, _ = read_flat(result.blob)
+        cfg = CompressionConfig(error_bound=1e-3)
+        header, _ = read_flat(sz.compress(data, cfg).blob)
+        assert header["chunk_size"] is None
+        assert header["container_version"] == 2
+        assert sz._config_from_header(header) == cfg
+        # a released v3 header records its block size, which no
+        # config holds any more
+        header, _ = read_flat(forge_v3(data, cfg, 500))
         assert header["chunk_size"] == 500
         assert header["container_version"] == 3
         assert sz._config_from_header(header) == cfg
@@ -134,7 +183,7 @@ class TestBackwardCompat:
 
     @pytest.fixture(scope="class")
     def seed_field(self):
-        return np.load(os.path.join(DATA_DIR, "seed_v2_field.npy"))
+        return _seed_field()
 
     def test_seed_abs_zstd_blob(self, sz, seed_field):
         with open(os.path.join(DATA_DIR, "seed_v2_zstd.rqsz"), "rb") as fh:
@@ -160,7 +209,9 @@ class TestBackwardCompat:
         with open(os.path.join(DATA_DIR, "seed_v2_zstd.rqsz"), "rb") as fh:
             header, _ = read_flat(fh.read())
         assert "chunk_size" not in header
-        assert sz._config_from_header(header).chunk_size is None
+        assert sz._config_from_header(header) == CompressionConfig(
+            error_bound=1e-3
+        )
 
 
 class TestCorruptedBlobs:
@@ -173,8 +224,7 @@ class TestCorruptedBlobs:
 
     def test_corrupt_chunk_table_rejected(self, sz):
         data = smooth_field((5000,))
-        cfg = CompressionConfig(error_bound=1e-3, chunk_size=1000)
-        blob = sz.compress(data, cfg).blob
+        blob = forge_v3(data, CompressionConfig(error_bound=1e-3), 1000)
         header, sections = read_flat(blob)
         codes = bytearray(sections[0])
         # inflate the first chunk's recorded length
@@ -194,10 +244,8 @@ class TestCorruptedBlobs:
         """Flipping any byte of the codes payload must never escape as a
         raw IndexError — decode either succeeds or raises ValueError."""
         data = smooth_field((4500,))
-        cfg = CompressionConfig(
-            error_bound=1e-2, lossless=None, chunk_size=2000
-        )
-        blob = sz.compress(data, cfg).blob
+        cfg = CompressionConfig(error_bound=1e-2, lossless=None)
+        blob = forge_v3(data, cfg, 2000)
         for pos in range(len(blob) - 40, len(blob)):
             corrupted = bytearray(blob)
             corrupted[pos] ^= 0xFF

@@ -8,7 +8,7 @@ import pytest
 from repro.compressor import container
 from repro.compressor import CompressionConfig, SZCompressor
 from repro.compressor.container import TiledReader, TiledWriter, TileRecord
-from tests.conftest import smooth_field
+from tests.conftest import smooth_field, write_chunked_codes
 
 
 class TestFlat:
@@ -61,7 +61,7 @@ class TestStageSizesDerived:
         [
             CompressionConfig(error_bound=1e-3),
             CompressionConfig(error_bound=1e-3, lossless=None),
-            CompressionConfig(error_bound=1e-3, chunk_size=300),
+            CompressionConfig(error_bound=1e-3, lossless="rle"),
             CompressionConfig(
                 predictor="regression", error_bound=1e-2
             ),
@@ -82,7 +82,7 @@ class TestStageSizesDerived:
 class TestChunkedFraming:
     def test_roundtrip(self):
         payloads = [b"one", b"", b"three" * 100]
-        framed = container.write_chunked_codes(payloads)
+        framed = write_chunked_codes(payloads)
         assert container.read_chunked_codes(framed) == payloads
 
     @pytest.mark.parametrize(
@@ -98,7 +98,7 @@ class TestChunkedFraming:
             container.read_chunked_codes(corrupt)
 
     def test_trailing_garbage_rejected(self):
-        framed = container.write_chunked_codes([b"abc"]) + b"junk"
+        framed = write_chunked_codes([b"abc"]) + b"junk"
         with pytest.raises(ValueError):
             container.read_chunked_codes(framed)
 

@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.compressor import CompressionConfig, ErrorBoundMode, SZCompressor
+from repro.compressor import (
+    CompressionConfig,
+    ErrorBoundMode,
+    SZCompressor,
+    TiledCompressor,
+)
 from tests.conftest import assert_error_bounded
 
 
@@ -76,12 +81,6 @@ class TestEmptyInputs:
         assert recon.shape == (0, 7)
         assert recon.dtype == np.float32
 
-    def test_empty_chunked_config(self, sz):
-        data = np.zeros(0)
-        cfg = CompressionConfig(error_bound=1e-3, chunk_size=256)
-        _, recon = sz.roundtrip(data, cfg)
-        assert recon.shape == (0,)
-
 
 class TestScalarAndSingleton:
     def test_zero_dim_array(self, sz):
@@ -113,11 +112,12 @@ class TestScalarAndSingleton:
 
 
 class TestDtypePreservation:
-    @pytest.mark.parametrize("chunk_size", [None, 300])
-    def test_float32_roundtrip(self, sz, chunk_size):
+    @pytest.mark.parametrize("tile_shape", [None, (16, 16)])
+    def test_float32_roundtrip(self, sz, tile_shape):
         rng = np.random.default_rng(0)
         data = rng.standard_normal((40, 40)).astype(np.float32)
-        cfg = CompressionConfig(error_bound=1e-3, chunk_size=chunk_size)
-        _, recon = sz.roundtrip(data, cfg)
+        cfg = CompressionConfig(error_bound=1e-3, tile_shape=tile_shape)
+        codec = sz if tile_shape is None else TiledCompressor()
+        recon = codec.decompress(codec.compress(data, cfg).blob)
         assert recon.dtype == np.float32
         assert_error_bounded(data, recon, 1e-3)

@@ -13,6 +13,7 @@ start methods yield the same bytes.
 import os
 import pickle
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -25,37 +26,28 @@ from repro.compressor import (
     TiledCompressor,
 )
 from repro.compressor import executor as executor_mod
-from repro.compressor import stages as stages_mod
 from repro.compressor.container import TiledReader
 from repro.compressor.executor import (
     SerialExecutor,
     ThreadExecutor,
     get_executor,
     make_executor,
-    resolve_executor,
 )
-from repro.compressor.stages import HuffmanEntropyStage
-from tests.conftest import smooth_field
+from tests.conftest import forge_chunked_v7, smooth_field
 from tests.proptest import draw_case
 
 DATA_DIR = os.path.join(os.path.dirname(os.path.dirname(__file__)), "data")
 
 #: proptest seeds exercised per backend (tiny arrays; every seed covers
-#: a different dtype/shape/mode/predictor/chunk/tile combination)
+#: a different dtype/shape/mode/predictor/tile combination)
 CORPUS_SEEDS = range(0, 12)
 
 BACKENDS = ("serial", "thread", "process")
 
 
 def _compress_case(case, backend):
-    if case.config.tile_shape is not None:
-        return (
-            TiledCompressor(workers=case.workers, backend=backend)
-            .compress(case.data, case.config)
-            .blob
-        )
     return (
-        SZCompressor(workers=case.workers, backend=backend)
+        TiledCompressor(workers=case.workers, backend=backend)
         .compress(case.data, case.config)
         .blob
     )
@@ -65,6 +57,8 @@ class TestByteIdenticalOutputs:
     def test_property_corpus_identical_across_backends(self):
         for seed in CORPUS_SEEDS:
             case = draw_case(seed)
+            if case.config.tile_shape is None:
+                continue  # a flat array is one unit of work: no backend
             serial = _compress_case(case, "serial")
             for backend in ("thread", "process"):
                 assert _compress_case(case, backend) == serial, (
@@ -90,11 +84,13 @@ class TestByteIdenticalOutputs:
     def test_chunked_decode_identical_across_backends(self):
         rng = np.random.default_rng(7)
         data = np.cumsum(rng.standard_normal((40, 500)), axis=-1)
-        config = CompressionConfig(error_bound=1e-3, chunk_size=2048)
-        blob = SZCompressor().compress(data, config).blob
-        base = SZCompressor(workers=1).decompress(blob)
+        config = CompressionConfig(error_bound=1e-3, tile_shape=(20, 125))
+        blob = forge_chunked_v7(data, config, 2048)
+        base = TiledCompressor().decompress(blob)
+        twin = TiledCompressor().compress(data, config).blob
+        np.testing.assert_array_equal(base, TiledCompressor().decompress(twin))
         for backend in ("thread", "process"):
-            out = SZCompressor(workers=3, backend=backend).decompress(
+            out = TiledCompressor(workers=3, backend=backend).decompress(
                 blob
             )
             np.testing.assert_array_equal(out, base)
@@ -102,47 +98,64 @@ class TestByteIdenticalOutputs:
 
 class TestStartMethods:
     @pytest.mark.parametrize("start_method", ["fork", "spawn"])
-    def test_chunked_roundtrip_matches_serial(self, start_method):
+    def test_tiled_roundtrip_matches_serial(self, start_method, monkeypatch):
         rng = np.random.default_rng(11)
         data = np.cumsum(rng.standard_normal((30, 400)), axis=-1)
-        config = CompressionConfig(error_bound=1e-3, chunk_size=1024)
-        serial = SZCompressor().compress(data, config)
+        config = CompressionConfig(error_bound=1e-3, tile_shape=(15, 100))
+        serial = TiledCompressor().compress(data, config).blob
+        expected = TiledCompressor().decompress(serial)
 
         proc = ProcessExecutor(2, start_method=start_method)
+        batches = []
+
+        def counting(fn, items, input=None, output=None):
+            batches.append(fn.__name__)
+            return ProcessExecutor.run_batch(
+                proc, fn, items, input=input, output=output
+            )
+
+        proc.run_batch = counting
+        monkeypatch.setattr(
+            TiledCompressor, "_executor_for", lambda *args, **kw: proc
+        )
         try:
-            sz = SZCompressor(
-                entropy=HuffmanEntropyStage(workers=2, executor=proc)
-            )
-            result = sz.compress(data, config)
-            assert result.blob == serial.blob
-            np.testing.assert_array_equal(
-                sz.decompress(result.blob), SZCompressor().decompress(
-                    serial.blob
-                )
-            )
+            tc = TiledCompressor(workers=2, backend="process")
+            assert tc.compress(data, config).blob == serial
+            np.testing.assert_array_equal(tc.decompress(serial), expected)
         finally:
             proc.close()
+        assert set(batches) == {"_compress_tile_task", "decode_tile_task"}
 
     @pytest.mark.parametrize("start_method", ["fork", "spawn"])
     def test_raw_batch_runs_under_both_methods(self, start_method):
         proc = ProcessExecutor(2, start_method=start_method)
+        values = np.arange(4096, dtype=np.int64) % 17
+        inp = proc.input_buffer(values.nbytes)
+        out = proc.output_buffer(16)
         try:
-            codes = np.arange(4096, dtype=np.int64) % 17
-            buffer = proc.wrap_input(codes)
-            try:
-                results = proc.run_batch(
-                    stages_mod._encode_chunk_task,
-                    [(0, 2048, None), (2048, 4096, None)],
-                    input=buffer,
-                )
-            finally:
-                buffer.release()
-            assert len(results) == 2
-            for payload, huffman_len in results:
-                assert isinstance(payload, bytes)
-                assert huffman_len == len(payload)
+            inp.array.view(np.int64)[:] = values
+            pids = proc.run_batch(
+                _sum_slice_task,
+                [(0, 0, 2048), (1, 2048, 4096)],
+                input=inp,
+                output=out,
+            )
+            assert len(pids) == 2 and os.getpid() not in pids
+            assert out.array.view(np.int64).tolist() == [
+                int(values[:2048].sum()),
+                int(values[2048:].sum()),
+            ]
         finally:
+            inp.release()
+            out.release()
             proc.close()
+
+
+def _sum_slice_task(item, inp, out):
+    """Sum one slice of the shared input into its slot of the output."""
+    index, lo, hi = item
+    out.view(np.int64)[index] = inp.view(np.int64)[lo:hi].sum()
+    return os.getpid()
 
 
 def _crash_task(item, inp, out):
@@ -242,6 +255,12 @@ def _echo_task(item, inp, out):
     return item
 
 
+def _nested_task(item, inp, out):
+    """A task that runs a batch of its own on the executor it runs on."""
+    executor, value = item
+    return executor.run_batch(_echo_task, [value, -value])
+
+
 class TestParallelRegionHammer:
     def test_concurrent_region_decodes_on_one_reader(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -286,34 +305,22 @@ class TestParallelRegionHammer:
 
 class TestNestedParallelism:
     def test_nested_thread_batches_run_inline_without_deadlock(self):
-        # A custom thread-backed codec inside a thread-backed tiled
-        # decode used to deadlock: outer tile tasks held every pool
-        # thread while their inner chunk batches queued behind them.
-        # Nested batches must run inline instead.
-        rng = np.random.default_rng(1)
-        data = np.cumsum(rng.standard_normal((16, 64)), axis=-1)
-        config = CompressionConfig(
-            error_bound=1e-2, chunk_size=64, tile_shape=(8, 32)
-        )
-        tc = TiledCompressor(
-            workers=4,
-            backend="thread",
-            codec=SZCompressor(workers=4, backend="thread"),
-        )
-        blob = tc.compress(data, config).blob
-
+        # Outer tasks holding every pool thread while their inner
+        # batches queue behind them would deadlock: nested batches
+        # must run inline instead.
+        pool = ThreadExecutor(2)
+        items = [(pool, value) for value in range(1, 9)]
         done: list = []
 
         def run() -> None:
-            done.append(tc.decompress_region(blob, (slice(0, 16),)))
+            done.append(pool.run_batch(_nested_task, items))
 
         thread = threading.Thread(target=run, daemon=True)
         thread.start()
         thread.join(timeout=60)
-        assert done, "nested thread decode deadlocked"
-        np.testing.assert_array_equal(
-            done[0], TiledCompressor().decompress(blob)
-        )
+        assert done, "nested thread batch deadlocked"
+        pool.close()
+        assert done[0] == [[value, -value] for value in range(1, 9)]
 
     def test_per_tile_configs_never_carry_the_parallel_hint(self):
         # Per-tile configs execute inside executor tasks; shipping the
@@ -323,13 +330,10 @@ class TestNestedParallelism:
         data = np.cumsum(rng.standard_normal((32, 32)), axis=0)
         hinted = CompressionConfig(
             error_bound=1e-2,
-            chunk_size=128,
             tile_shape=(16, 16),
             parallel_backend="process",
         )
-        plain = CompressionConfig(
-            error_bound=1e-2, chunk_size=128, tile_shape=(16, 16)
-        )
+        plain = CompressionConfig(error_bound=1e-2, tile_shape=(16, 16))
         tc = TiledCompressor(workers=2)
         assert (
             tc.compress(data, hinted).blob == tc.compress(data, plain).blob
@@ -355,43 +359,47 @@ class TestNestedParallelism:
         assert base.parallel_backend is None
 
 
-class TestThreadEncodeCap:
-    def test_thread_encode_caps_and_warns_once(self):
-        data = np.cumsum(
-            np.random.default_rng(0).standard_normal(6000)
+def _count_batches(monkeypatch, executor_class) -> list:
+    """Names of the tasks *executor_class* batches run from now on."""
+    ran: list = []
+    run_batch = executor_class.run_batch
+
+    def counting(self, fn, items, input=None, output=None):
+        ran.append(fn.__name__)
+        return run_batch(self, fn, items, input=input, output=output)
+
+    monkeypatch.setattr(executor_class, "run_batch", counting)
+    return ran
+
+
+class TestEncodeFanOut:
+    """Tiles are the unit of parallel work: encode fans out over the
+    same executor as decode, on every parallel backend, silently and
+    with the serial bytes."""
+
+    DATA = np.cumsum(
+        np.random.default_rng(0).standard_normal((64, 96)), axis=-1
+    )
+    CONFIG = CompressionConfig(error_bound=1e-3, tile_shape=(16, 32))
+
+    @pytest.mark.parametrize(
+        "executor_class",
+        [ThreadExecutor, ProcessExecutor],
+        ids=["thread", "process"],
+    )
+    def test_encode_and_decode_fan_out(self, monkeypatch, executor_class):
+        serial = TiledCompressor().compress(self.DATA, self.CONFIG).blob
+        ran = _count_batches(monkeypatch, executor_class)
+        tc = TiledCompressor(workers=2, backend=executor_class.name)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            blob = tc.compress(self.DATA, self.CONFIG).blob
+        assert blob == serial
+        assert ran and set(ran) == {"_compress_tile_task"}
+        np.testing.assert_array_equal(
+            tc.decompress(blob), TiledCompressor().decompress(serial)
         )
-        config = CompressionConfig(error_bound=1e-3, chunk_size=512)
-        stages_mod._gil_cap_warned = False
-        try:
-            with pytest.warns(RuntimeWarning, match="cannot release the GIL"):
-                threaded = SZCompressor(
-                    workers=4, backend="thread"
-                ).compress(data, config)
-            serial = SZCompressor().compress(data, config)
-            assert threaded.blob == serial.blob
-        finally:
-            stages_mod._gil_cap_warned = False
-
-    def test_cap_helper_passes_through_gil_free_stages(self):
-        thread = ThreadExecutor(4)
-        try:
-            assert (
-                stages_mod.gil_capped_encode_executor(thread, True)
-                is thread
-            )
-            capped = stages_mod.gil_capped_encode_executor(thread, False)
-            assert capped.name == "serial"
-        finally:
-            thread.close()
-
-    def test_process_backend_is_never_capped(self):
-        proc = ProcessExecutor(2)
-        try:
-            assert (
-                stages_mod.gil_capped_encode_executor(proc, False) is proc
-            )
-        finally:
-            proc.close()
+        assert ran[-1] == "decode_tile_task"
 
 
 class TestExecutorPlumbing:
@@ -404,11 +412,9 @@ class TestExecutorPlumbing:
         with pytest.raises(ValueError, match="unknown parallel backend"):
             make_executor("gpu", 2)
 
-    def test_resolve_executor_serial_shortcuts(self):
-        assert resolve_executor("process", 1).name == "serial"
-        assert resolve_executor(None, None).name == "serial"
-        explicit = SerialExecutor()
-        assert resolve_executor("process", 8, explicit) is explicit
+    def test_get_executor_serial_shortcuts(self):
+        assert get_executor("process", 1).name == "serial"
+        assert get_executor(None, None).name == "serial"
 
     def test_explicit_backend_without_workers_gets_default_width(self):
         # an explicitly requested parallel backend must not silently
@@ -420,7 +426,7 @@ class TestExecutorPlumbing:
         made = make_executor("process")
         assert made.workers == width
         made.close()
-        resolved = resolve_executor("process", None)
+        resolved = get_executor("process", None)
         assert resolved.name == ("process" if width > 1 else "serial")
 
     def test_get_executor_is_shared(self):
@@ -460,7 +466,7 @@ class TestExecutorPlumbing:
     def test_buffers_roundtrip_serial_and_process(self):
         for ex in (SerialExecutor(), ProcessExecutor(2)):
             try:
-                wrapped = ex.wrap_input(np.arange(10, dtype=np.int64))
+                wrapped = ex.input_buffer(80)
                 assert wrapped.array.nbytes == 80
                 out = ex.output_buffer(16)
                 assert out.array.nbytes == 16

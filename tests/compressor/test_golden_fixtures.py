@@ -10,7 +10,9 @@ not merely within the error bound — or silent decode drift has crept
 into a released format.  The v7 fixtures (PR 23) are the same inputs
 and configs as the v4 / v5-clustered / v6 ones in the frame written
 today, and must decode to *their* expected arrays: the format moved
-framing, not values.  ``tests/data/make_tiled_fixtures.py`` documents
+framing, not values.  ``pr23_v7_uniform`` records the v4 twin's
+``chunk_size``, which no config sets any more: it is frozen, and
+``pr26_v7_uniform`` is the same container without it.  ``tests/data/make_tiled_fixtures.py`` documents
 the regeneration policy (format-version bumps only).
 """
 
@@ -66,9 +68,15 @@ def test_golden_blob_decodes_byte_identically(name):
 
 @pytest.mark.parametrize("name", GOLDEN_BLOBS)
 def test_golden_blob_decodes_identically_with_workers(name):
+    """A flat container is one unit of work: a parallel front end decodes
+    it, whole or in part, to the same array."""
     blob, expected = _load(name)
-    recon = SZCompressor(workers=3).decompress(blob)
-    np.testing.assert_array_equal(recon, expected)
+    tc = TiledCompressor(workers=3, backend="thread")
+    np.testing.assert_array_equal(tc.decompress(blob), expected)
+    region = (slice(3, 17), slice(10, 25))
+    np.testing.assert_array_equal(
+        tc.decompress_region(blob, region), expected[region]
+    )
 
 
 @pytest.mark.parametrize("name", GOLDEN_BLOBS)
@@ -283,6 +291,7 @@ def test_one_reader_decodes_every_golden_blob_on_every_backend(
 #: (and, for the temporal one, reference) it shares
 GOLDEN_V7_TWINS = {
     "pr23_v7_uniform": "pr2_v4_tiled_zstd",
+    "pr26_v7_uniform": "pr2_v4_tiled_zstd",
     "pr23_v7_adaptive": "pr8_v5_clustered",
     "pr23_v7_temporal": "pr9_v6_temporal",
 }
@@ -320,6 +329,7 @@ def test_golden_v7_layout_is_pinned():
     common = {"sizes", "shared", "crcs", "header_crc"}
     toc_keys = {
         "pr23_v7_uniform": common,
+        "pr26_v7_uniform": common,
         "pr23_v7_adaptive": common | {"configs", "tile_configs"},
         "pr23_v7_temporal": common | {"tile_modes"},
     }
@@ -354,14 +364,30 @@ def test_golden_v7_layout_is_pinned():
                 else (t.config or reader.header)["predictor"]
                 for t in reader.tiles
             }
-    # the uniform fixture: interior tiles are 7 bytes of framing each
-    blob, _, _ = _load_v7("pr23_v7_uniform")
-    with TiledReader(blob) as reader:
-        for record in reader.tiles:
-            meta, sections = unpack_tile(reader.read_tile(record))
-            if record.shape == (8, 8):
-                assert meta == {}
-                assert record.size - sum(map(len, sections)) <= 7
+    # the uniform fixtures: interior tiles are 7 bytes of framing each
+    for name in ("pr23_v7_uniform", "pr26_v7_uniform"):
+        blob, _, _ = _load_v7(name)
+        with TiledReader(blob) as reader:
+            for record in reader.tiles:
+                meta, sections = unpack_tile(reader.read_tile(record))
+                if record.shape == (8, 8):
+                    assert meta == {}
+                    assert record.size - sum(map(len, sections)) <= 7
+
+
+def test_uniform_successor_differs_from_its_frozen_twin_in_chunk_size_only():
+    """``pr26_v7_uniform`` is ``pr23_v7_uniform`` written by a codec
+    without ``chunk_size``: the same tiles, byte for byte, under a
+    header that no longer records it."""
+    frozen, _, _ = _load_v7("pr23_v7_uniform")
+    successor, _, _ = _load_v7("pr26_v7_uniform")
+    with TiledReader(frozen) as old, TiledReader(successor) as new:
+        assert len(new.tiles) == len(old.tiles)
+        for a, b in zip(new.tiles, old.tiles):
+            assert new.read_tile(a) == old.read_tile(b)
+        assert old.header.pop("chunk_size") == 128
+        assert new.header.pop("chunk_size") is None
+        assert new.header == old.header
 
 
 # -- byte identity of what the current revision *writes* ------------------------
@@ -374,9 +400,10 @@ def test_golden_v7_layout_is_pinned():
 #: writer frames the same stage sections, tile for tile, as v7 (shown
 #: by ``test_golden_v7_layout_is_pinned`` against the frozen fixtures).
 REENCODED_SHA256 = {
-    "pr23_v7_uniform": (
+    # pr23_v7_uniform's successor, taken when chunk_size was retired
+    "pr26_v7_uniform": (
         "86d9e97268afe6a5d10049d5d327957b56db4c624350ff3b8828bb7d7fe6ca6c",
-        "a6c68db3be8e6153af8224e47a1f5649992e24a4e66b13ab0858acf9efb2999a",
+        "c8dc85c885d0ce6bab0fa89bdae10510fe83862cb3627bba2daee2d132d431fc",
     ),
     "pr23_v7_adaptive": (
         "3ddb4e5940d7ef981a42cd0ee737e5f2ec9f1435c849f4c9fd2ac0832ea4f5dc",

@@ -117,7 +117,6 @@ def test_predictor_output_carries_its_own_reconstruct(predictor, order, shape):
         np.testing.assert_array_equal(plain.codes, output.codes)
 
 
-@pytest.mark.filterwarnings("ignore:the entropy stage cannot release the GIL")
 @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
 @pytest.mark.parametrize("adaptive", [False, True])
 def test_tiled_reconstruction_equals_decode(backend, adaptive):

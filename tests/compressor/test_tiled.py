@@ -213,13 +213,10 @@ class TestRegionDecodeProperty:
         dtype = rng.choice([np.float32, np.float64])
         mode = rng.choice(list(ErrorBoundMode))
         data = (smooth_field(shape, seed=seed) + 2.0).astype(dtype)
+        if rng.random() < 0.5:  # the retired chunk_size draw: same regions
+            rng.integers(200, 2000)
         cfg = CompressionConfig(
-            mode=mode,
-            error_bound=1e-3,
-            tile_shape=tile_shape,
-            chunk_size=int(rng.integers(200, 2000))
-            if rng.random() < 0.5
-            else None,
+            mode=mode, error_bound=1e-3, tile_shape=tile_shape
         )
         tc = TiledCompressor()
         result = tc.compress(data, cfg)

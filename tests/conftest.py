@@ -155,6 +155,77 @@ def replace_tile(blob: bytes, index: int, payload: bytes, resum=True) -> bytes:
     return out
 
 
+def write_chunked_codes(payloads) -> bytes:
+    """Frame independently coded blocks into one v3 codes section.
+
+    The codec only reads this framing now; earlier revisions wrote it
+    for ``chunk_size``, and the tests forge it to keep such files
+    decoding.
+    """
+    parts = [len(payloads).to_bytes(4, "little")]
+    parts.extend(len(p).to_bytes(8, "little") for p in payloads)
+    parts.extend(payloads)
+    return b"".join(parts)
+
+
+def chunk_codes(params: dict, sections, chunk: int) -> tuple[dict, list]:
+    """An ``encode_stages`` output with its codes section in blocks.
+
+    *params* and *sections* come back as the chunked writer made them
+    for ``chunk_size=chunk``: the code stream in blocks of *chunk*
+    symbols, each Huffman(+lossless) coded on its own.
+    """
+    from repro.compressor.encoders.huffman import HuffmanEncoder
+    from repro.compressor.encoders.lossless import get_lossless_backend
+    from repro.compressor.stages import HuffmanEntropyStage
+    from repro.compressor.sz import SZCompressor
+
+    config = SZCompressor._config_from_header(params)
+    codes = HuffmanEntropyStage().decode(sections[0], config, chunked=False)
+    blocks = []
+    for lo in range(0, codes.size, chunk):
+        block = HuffmanEncoder().encode(codes[lo : lo + chunk])
+        if config.lossless is not None:
+            block = get_lossless_backend(config.lossless).compress(block)
+        blocks.append(block)
+    return (
+        dict(params, chunk_size=chunk, chunked=True),
+        [write_chunked_codes(blocks), *sections[1:]],
+    )
+
+
+def forge_v3(data, config, chunk: int) -> bytes:
+    """The flat v3 container the chunked writer made of *data* under
+    *config* with ``chunk_size=chunk`` (it wrote v3 for streams of more
+    than *chunk* codes)."""
+    from repro.compressor import container
+    from repro.compressor.sz import SZCompressor
+
+    params, sections, _, _ = SZCompressor().encode_stages(data, config)
+    params, sections = chunk_codes(params, sections, chunk)
+    del params["chunked"]  # the version byte says it
+    return container.write_flat(params, sections, container.VERSION_CHUNKED)[0]
+
+
+def forge_chunked_v7(data, config, chunk: int) -> bytes:
+    """The v7 container of *data* under *config* whose tiles of more
+    than *chunk* codes the chunked writer split into blocks, with
+    ``chunked`` in their parameters."""
+    from repro.compressor.sz import SZCompressor
+    from repro.compressor.tiled import TiledCompressor
+
+    class ChunkingCodec(SZCompressor):
+        def encode_stages(self, data, config, reconstruct=False, times=None):
+            params, sections, recon, measures = super().encode_stages(
+                data, config, reconstruct, times
+            )
+            if data.size > chunk:
+                params, sections = chunk_codes(params, sections, chunk)
+            return params, sections, recon, measures
+
+    return TiledCompressor(codec=ChunkingCodec()).compress(data, config).blob
+
+
 def without_checksums(blob: bytes) -> bytes:
     """The v7 container *blob*, written again with ``checksums=False``."""
     import io

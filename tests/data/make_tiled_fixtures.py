@@ -14,16 +14,20 @@ container version.
 
 Two kinds of fixture live here:
 
-* **frozen** (``FROZEN``) — containers of the formats no writer
-  produces any more (v4 ``pr2_v4_tiled_zstd``, v5 ``pr3_v5_adaptive`` /
-  ``pr8_v5_clustered``, v6 ``pr9_v6_temporal``), kept byte for byte as
+* **frozen** (``FROZEN``) — containers no writer produces any more
+  (v4 ``pr2_v4_tiled_zstd``, v5 ``pr3_v5_adaptive`` /
+  ``pr8_v5_clustered``, v6 ``pr9_v6_temporal``, and the v7
+  ``pr23_v7_uniform``, whose header records a ``chunk_size`` of 128
+  that no config can express any more), kept byte for byte as
   released.  This script never writes them; ``--check`` only decodes
-  them against their ``*_expected.npy``.
-* **current** (:func:`build`) — ``pr23_v7_uniform`` / ``_adaptive`` /
-  ``_temporal``, the v7 frame minted from the *same inputs and configs*
-  as the frozen pr2 / pr8 / pr9 fixtures.  They carry no expected array
-  of their own: v7 moved framing, not one stage byte, so each must
-  decode to the frozen twin's ``*_expected.npy`` exactly.  The inputs
+  them against the ``*_expected.npy`` they name.
+* **current** (:func:`build`) — ``pr26_v7_uniform`` /
+  ``pr23_v7_adaptive`` / ``pr23_v7_temporal``, the v7 frame minted from
+  the *same inputs and configs* as the frozen pr2 / pr8 / pr9 fixtures
+  (pr2's ``chunk_size`` left out: none of its tiles was long enough to
+  be chunked).  They carry no expected array of their own: v7 moved
+  framing, not one stage byte, so each must decode to the frozen twin's
+  ``*_expected.npy`` exactly.  The inputs
   are fully deterministic (fixed seeds, serial encoding), so ``--check``
   regenerates them in memory and fails on any byte that differs from
   the stored file (an input that another NumPy build synthesises
@@ -76,7 +80,7 @@ def hetero_field(shape=(96, 96), seed=7):
 #: current fixture -> (frozen twin whose input, config and decoded
 #: array it shares, sha256 of that input on the minting NumPy build)
 TWINS = {
-    "pr23_v7_uniform": (
+    "pr26_v7_uniform": (
         "pr2_v4_tiled_zstd",
         "86d9e97268afe6a5d10049d5d327957b56db4c624350ff3b8828bb7d7fe6ca6c",
     ),
@@ -89,7 +93,12 @@ TWINS = {
         "8723621414aee059102e6f789097ca7aade905c5b15814ef8b5a8204af195b68",
     ),
 }
-FROZEN = ["pr3_v5_adaptive"] + [twin for twin, _ in TWINS.values()]
+#: frozen fixture -> the fixture whose ``*_expected.npy`` it decodes to
+FROZEN = {
+    name: name
+    for name in ["pr3_v5_adaptive"] + [twin for twin, _ in TWINS.values()]
+}
+FROZEN["pr23_v7_uniform"] = "pr2_v4_tiled_zstd"
 
 
 def build():
@@ -102,14 +111,13 @@ def build():
     """
     tc = TiledCompressor()
 
-    # edge tiles (prime-ish shape), chunk_size set, zstd — the input and
-    # config of the frozen v4 ``pr2_v4_tiled_zstd``
+    # edge tiles (prime-ish shape), zstd — the input and config of the
+    # frozen v4 ``pr2_v4_tiled_zstd`` but its chunk_size (128: more codes
+    # than any of these tiles has)
     data = smooth_field((21, 19)).astype(np.float64)
-    config = CompressionConfig(
-        error_bound=1e-3, tile_shape=(8, 8), chunk_size=128
-    )
+    config = CompressionConfig(error_bound=1e-3, tile_shape=(8, 8))
     result = tc.compress(data, config)
-    yield "pr23_v7_uniform", data, result.blob, tc.decompress(
+    yield "pr26_v7_uniform", data, result.blob, tc.decompress(
         result.blob
     ), None
 
@@ -164,7 +172,7 @@ def _stored(name: str, suffix: str = ".rqsz"):
 def check() -> list[str]:
     """Every way the stored fixtures differ from what they should be."""
     problems = []
-    for name in FROZEN:
+    for name, expected_name in FROZEN.items():
         reference = (
             _stored(name + "_ref", ".npy")
             if os.path.exists(os.path.join(DATA_DIR, name + "_ref.npy"))
@@ -173,7 +181,7 @@ def check() -> list[str]:
         decoded = TiledCompressor().decompress(
             _stored(name), reference=reference
         )
-        expected = _stored(name + "_expected", ".npy")
+        expected = _stored(expected_name + "_expected", ".npy")
         if decoded.dtype != expected.dtype or not np.array_equal(
             decoded, expected
         ):

@@ -5,7 +5,7 @@ this harness covers the ones nobody did.  A single integer seed
 deterministically expands into a full compression case — dtype, shape
 (rank 0..4 with prime-sized dims), field character, bound mode
 (ABS/REL/PW_REL plus model-driven PSNR targeting), predictor, lossless
-backend, chunking, tiling and adaptivity — and :func:`run_seed` asserts
+backend, tiling and adaptivity — and :func:`run_seed` asserts
 the invariants every case must satisfy:
 
 * the reconstruction honours the configured error bound (mode-aware:
@@ -73,6 +73,7 @@ class Case:
     data: np.ndarray
     config: CompressionConfig
     kind: str
+    #: parallel width of the tiled front end
     workers: int
     #: PSNR the error bound was model-derived for (None = direct bound)
     psnr_target: float | None = None
@@ -83,7 +84,7 @@ class Case:
             f"seed={self.seed} kind={self.kind} shape={self.data.shape} "
             f"dtype={self.data.dtype} mode={cfg.mode.value} "
             f"eb={cfg.error_bound:.4g} predictor={cfg.predictor} "
-            f"lossless={cfg.lossless} chunk={cfg.chunk_size} "
+            f"lossless={cfg.lossless} "
             f"tile={cfg.tile_shape} adaptive={cfg.adaptive} "
             f"fit_clusters={cfg.fit_clusters} temporal={cfg.temporal} "
             f"workers={self.workers} psnr_target={self.psnr_target}"
@@ -150,7 +151,10 @@ def draw_case(seed: int) -> Case:
     )
     lossless = rng.choice(["zstd_like", "gzip_like", "rle", "none"])
     lossless = None if lossless == "none" else str(lossless)
-    chunk_size = int(rng.integers(64, 1500)) if rng.random() < 0.4 else None
+    # the draws of the retired chunk_size, discarded: every seed keeps
+    # expanding to the case it always did, minus chunking
+    if rng.random() < 0.4:
+        rng.integers(64, 1500)
 
     mode = ErrorBoundMode(str(rng.choice(["abs", "abs", "rel", "pw_rel"])))
     vrange = float(data.max() - data.min()) if data.size else 0.0
@@ -206,7 +210,6 @@ def draw_case(seed: int) -> Case:
         mode=mode,
         error_bound=error_bound,
         lossless=lossless,
-        chunk_size=chunk_size,
         tile_shape=tile_shape,
         adaptive=adaptive,
         fit_clusters=fit_clusters,
@@ -465,7 +468,7 @@ def check_case(case: Case) -> None:
     flat_config = replace(
         config, tile_shape=None, adaptive=False, temporal=False
     )
-    sz = SZCompressor(workers=case.workers)
+    sz = SZCompressor()
     result = sz.compress(data, flat_config)
     recon = sz.decompress(result.blob)
     assert recon.shape == data.shape and recon.dtype == data.dtype

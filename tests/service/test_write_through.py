@@ -80,9 +80,6 @@ class TestChainWriteThrough:
         assert stats.hits == 3 * 9 + 5 * 6
         assert decodes == []
 
-    @pytest.mark.filterwarnings(
-        "ignore:the entropy stage cannot release the GIL"
-    )
     @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
     def test_seeded_versions_equal_a_cold_store(self, tmp_path, backend):
         """Every version of a chain that crosses a keyframe boundary,

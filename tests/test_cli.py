@@ -51,25 +51,15 @@ class TestCompressDecompress:
         assert restored.shape == original.shape
         assert np.max(np.abs(restored - original)) <= 0.01 * (1 + 1e-5)
 
-    def test_chunked_roundtrip_with_workers(self, tmp_path, capsys):
+    def test_flat_roundtrip_with_workers(self, tmp_path, capsys):
         src = str(tmp_path / "big.npy")
         np.save(src, smooth_field((40, 40)))
         blob = str(tmp_path / "x.rqsz")
         back = str(tmp_path / "back.npy")
+        with pytest.raises(SystemExit):
+            main(["compress", src, blob, "--eb", "0.01", "--chunk-size", "512"])
         assert (
-            main(
-                [
-                    "compress",
-                    src,
-                    blob,
-                    "--eb",
-                    "0.01",
-                    "--chunk-size",
-                    "512",
-                    "--workers",
-                    "2",
-                ]
-            )
+            main(["compress", src, blob, "--eb", "0.01", "--workers", "2"])
             == 0
         )
         assert main(["decompress", blob, back, "--workers", "2"]) == 0
@@ -77,7 +67,7 @@ class TestCompressDecompress:
         restored = np.load(back)
         assert np.max(np.abs(restored - original)) <= 0.01 * (1 + 1e-5)
         with open(blob, "rb") as fh:
-            assert fh.read()[4] == 3  # chunked v3 container
+            assert fh.read()[4] == 2  # a flat array is one unit of work
 
     def test_psnr_target(self, field_file, tmp_path, capsys):
         blob = str(tmp_path / "x.rqsz")

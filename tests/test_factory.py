@@ -20,7 +20,6 @@ class TestConfigs:
             predictor="interpolation",
             mode=ErrorBoundMode.REL,
             lossless="rle",
-            chunk_size=512,
             tile_shape=(8, 8),
         )
         config = factory.config(1e-3)
@@ -29,7 +28,6 @@ class TestConfigs:
             mode=ErrorBoundMode.REL,
             error_bound=1e-3,
             lossless="rle",
-            chunk_size=512,
             tile_shape=(8, 8),
         )
 
@@ -88,15 +86,13 @@ class TestConstruction:
 class TestEndToEnd:
     def test_factory_roundtrip_matches_direct_construction(self):
         data = smooth_field((24, 24))
-        factory = CodecFactory(lossless="rle", chunk_size=300)
+        factory = CodecFactory(lossless="rle", workers=2)
         via_factory = factory.compressor().compress(
             data, factory.config(1e-3)
         )
         direct = SZCompressor().compress(
             data,
-            CompressionConfig(
-                error_bound=1e-3, lossless="rle", chunk_size=300
-            ),
+            CompressionConfig(error_bound=1e-3, lossless="rle"),
         )
         assert via_factory.blob == direct.blob
 
