@@ -9,10 +9,9 @@ word its first bit falls in (shift counts always below 64), the fields
 sharing a word are OR-reduced in one ``reduceat``, a field that
 straddles leaves its tail in the next word, and the pass runs over
 blocks of 65536 symbols so its temporaries do not grow with the
-stream.  The reader offers both a sliding 16-bit window and
-random-access window gathers (:func:`build_bit_window` /
+stream.  Random-access window gathers (:func:`build_bit_window` /
 :func:`gather_window16`, and :func:`slice_window16` when the positions
-are a range) so table-driven Huffman decoding resolves many bit
+are a range) let table-driven Huffman decoding resolve many bit
 positions per NumPy call instead of one Python step per symbol.  Header
 fields (fixed-width words, Elias-gamma runs) are packed and unpacked
 whole, never bit by bit.
@@ -185,23 +184,39 @@ def build_bit_window(payload: bytes) -> np.ndarray:
 
     Entry *i* packs bytes ``i, i+1, i+2`` big-endian into 24 bits (the
     stream is conceptually zero-padded), so the 16 bits starting at any
-    bit offset ``p`` are a shift of ``window[p >> 3]``.
+    bit offset ``p`` are a shift of ``window[p >> 3]``.  Built in place:
+    one ``uint32`` array, no temporaries.
     """
-    raw = np.frombuffer(payload, dtype=np.uint8).astype(np.uint32)
-    b = np.concatenate([raw, np.zeros(3, dtype=np.uint32)])
-    return (b[:-2] << np.uint32(16)) | (b[1:-1] << np.uint32(8)) | b[2:]
+    raw = np.frombuffer(payload, dtype=np.uint8)
+    window = np.zeros(raw.size + 1, dtype=np.uint32)
+    window[:-1] = raw
+    for k in (1, 2):
+        window <<= 8
+        window[: max(raw.size - k, 0)] |= raw[k:]
+    return window
 
 
-def gather_window16(window: np.ndarray, positions: np.ndarray) -> np.ndarray:
-    """The 16 bits starting at each bit *position*, MSB-first, as uint32.
+def gather_window16(
+    window: np.ndarray, positions: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """The 16 bits starting at each bit *position*, MSB-first.
 
     *window* comes from :func:`build_bit_window`; *positions* must lie in
     ``[0, 8 * len(payload)]`` (the end position reads zero padding).
+    The result is a new ``uint32`` array, or is computed in *out* (an
+    integer array of the positions' shape): then the window gather is
+    the one array the call allocates.
     """
     positions = np.asarray(positions, dtype=np.int64)
-    word = window[positions >> 3]
-    shift = (8 - (positions & 7)).astype(np.uint32)
-    return (word >> shift) & np.uint32(0xFFFF)
+    if out is None:
+        out = np.empty(positions.shape, dtype=np.uint32)
+    np.right_shift(positions, 3, out=out, casting="unsafe")
+    word = window[out]
+    np.bitwise_and(positions, 7, out=out, casting="unsafe")
+    np.subtract(8, out, out=out)
+    np.right_shift(word, out, out=out, casting="unsafe")
+    np.bitwise_and(out, 0xFFFF, out=out)
+    return out
 
 
 #: ``8 - (p & 7)`` for the eight bit positions *p* that share a byte
@@ -249,27 +264,14 @@ class BitWriter:
         self._bits.append(np.unpackbits(word)[64 - nbits :])
         self._nbits += nbits
 
-    def write_gamma(self, value: int) -> None:
-        """Append *value* >= 1 in Elias-gamma code.
-
-        ``value = 2^k + r`` is written as *k* zero bits followed by the
-        ``k + 1``-bit binary form — short codes for small values, which
-        is ideal for the near-unit deltas of sorted quantization-code
-        alphabets.
-        """
-        if value < 1:
-            raise ValueError("Elias gamma encodes integers >= 1")
-        k = value.bit_length() - 1
-        if k:
-            self.write(0, k)
-        self.write(value, k + 1)
-
     def write_gamma_array(self, values: np.ndarray) -> None:
         """Append every entry of *values* (each >= 1) in Elias-gamma code.
 
-        Same bits as one :meth:`write_gamma` per entry: the gamma code of
-        ``v`` is ``v`` right-aligned in a ``2k + 1``-bit field, so each
-        bit plane of the values scatters into place in one store.
+        ``v = 2^k + r`` is *k* zero bits followed by the ``k + 1``-bit
+        binary form — short codes for small values, ideal for the
+        near-unit deltas of sorted quantization-code alphabets.  That is
+        ``v`` right-aligned in a ``2k + 1``-bit field, so each bit plane
+        of the values scatters into place in one store.
         """
         values = np.asarray(values)
         if values.size == 0:
@@ -315,13 +317,8 @@ class BitWriter:
 
 
 class BitReader:
-    """Bit reader with a vectorized sliding 16-bit window.
-
-    ``window16`` exposes, for every bit offset, the next 16 bits as an
-    integer; the Huffman decoder indexes it once per symbol.
-    """
-
-    WINDOW = 16
+    """Bit reader for headers: fixed-width fields and Elias-gamma runs,
+    each read whole."""
 
     def __init__(self, payload: bytes, nbits: int | None = None) -> None:
         raw = np.frombuffer(payload, dtype=np.uint8)
@@ -332,7 +329,6 @@ class BitReader:
             bits = bits[:nbits]
         self._bits = bits
         self.pos = 0
-        self._window: np.ndarray | None = None
 
     @property
     def nbits(self) -> int:
@@ -350,25 +346,6 @@ class BitReader:
         # packbits pads the final byte on the right; shift the pad out
         packed = np.packbits(chunk).tobytes()
         return int.from_bytes(packed, "big") >> (-nbits % 8)
-
-    def read_gamma(self) -> int:
-        """Read one Elias-gamma value (inverse of ``write_gamma``)."""
-        k = 0
-        while True:
-            if self.pos >= self._bits.size:
-                raise EOFError("bitstream exhausted")
-            bit = int(self._bits[self.pos])
-            self.pos += 1
-            if bit:
-                break
-            k += 1
-        value = 1
-        for _ in range(k):
-            if self.pos >= self._bits.size:
-                raise EOFError("bitstream exhausted")
-            value = (value << 1) | int(self._bits[self.pos])
-            self.pos += 1
-        return value
 
     def read_gamma_array(self, count: int) -> np.ndarray:
         """Read *count* Elias-gamma values in one vectorized pass.
@@ -437,21 +414,3 @@ class BitReader:
         bits = chunk.reshape(count, nbits).astype(np.uint64)
         shifts = np.arange(nbits - 1, -1, -1, dtype=np.uint64)
         return (bits << shifts[None, :]).sum(axis=1, dtype=np.uint64)
-
-    def window16(self) -> np.ndarray:
-        """Sliding window: entry *i* packs bits ``[i, i+16)`` MSB-first.
-
-        The stream is conceptually zero-padded at the end so the window is
-        defined for every bit position.
-        """
-        if self._window is None:
-            padded = np.concatenate(
-                [self._bits, np.zeros(self.WINDOW, dtype=np.uint8)]
-            ).astype(np.uint32)
-            window = np.zeros(self._bits.size + 1, dtype=np.uint32)
-            acc = np.zeros(self._bits.size + 1, dtype=np.uint32)
-            for k in range(self.WINDOW):
-                acc = padded[k : k + self._bits.size + 1]
-                window = (window << np.uint32(1)) | acc
-            self._window = window
-        return self._window

@@ -102,13 +102,15 @@ class _DecodeTableLRU:
     Decoding is concurrent (threaded region decodes, the serving
     layer), so lookups/insertions take a lock; the tables themselves
     are immutable once published.  The bound is on the bytes held, not
-    the entries: 32 tables of the widest kind (``int64`` symbols,
-    ~0.6 MiB each) or ~100 of the ``uint16`` kind every real alphabet
-    gets, so a dataset cycling through a few dozen distinct codes
-    stays resident.
+    the entries.  An entry is a 65 536-entry symbol table of the
+    narrowest unsigned type that holds the alphabet's largest dense
+    index (``uint8`` / ``uint16`` / ``uint32``) plus a ``uint8`` length
+    table: 128, 192 or 320 KiB.  18 MiB holds 96 of the ``uint16``
+    kind, which alphabets of 257 to 65 536 symbols get, so a dataset
+    cycling through a few dozen distinct codes stays resident.
     """
 
-    def __init__(self, max_bytes: int = 32 * 9 * (1 << _PRIMARY_BITS)) -> None:
+    def __init__(self, max_bytes: int = 18 << 20) -> None:
         self._max_bytes = max_bytes
         self._lock = threading.Lock()
         self._entries: OrderedDict[bytes, tuple] = OrderedDict()
@@ -649,7 +651,7 @@ class HuffmanEncoder:
 
     def _deserialize(
         self, blob: bytes
-    ) -> tuple[HuffmanCode, int, bytes, int, int, np.ndarray]:
+    ) -> tuple[HuffmanCode, int, memoryview, int, int, np.ndarray]:
         if len(blob) < 4:
             raise ValueError("truncated Huffman container")
         word = int.from_bytes(blob[:4], "big")
@@ -691,7 +693,9 @@ class HuffmanEncoder:
         except EOFError as exc:
             raise ValueError("truncated Huffman header") from exc
         code = HuffmanCode(symbols, lengths, _canonical_codes(lengths))
-        return code, n_data, blob[pos:], total_bits, interval, sync
+        # a view: a stream-sized copy of the payload buys the decode nothing
+        payload = memoryview(blob)[pos:]
+        return code, n_data, payload, total_bits, interval, sync
 
     # -- decoding ----------------------------------------------------------
 
@@ -857,17 +861,24 @@ class HuffmanEncoder:
         resolves symbol and code length through the primary tables, and
         advances all cursors at once; block boundaries come from the
         serialized sync table, so blocks are mutually independent.
+        Symbol *r* of every block is column *r* of the ``(blocks,
+        interval)`` output, and a round computes in per-block buffers
+        allocated once per call: beyond them it allocates only its
+        gathers (and, when a code escapes, the escape's index).
         """
         starts = self._block_starts(n_data, total_bits, interval, sync)
         n_blocks = starts.size
         rem = n_data - (n_blocks - 1) * interval
         sym_table, len_table = self._primary_tables(code)
+        # the output outlives the window: allocated first, the window's
+        # pages are the last taken and the first given back
+        out = np.empty((n_blocks, interval), dtype=sym_table.dtype)
         window = build_bit_window(payload)
-        limit = np.int64(total_bits)
-
-        out = np.empty(n_data, dtype=sym_table.dtype)
         cur = starts.copy()
-        base = np.arange(n_blocks, dtype=np.int64) * interval
+        pos = np.empty(n_blocks, dtype=np.int64)  # the clamped cursors
+        # one intp conversion serves both table gathers
+        prefix = np.empty(n_blocks, dtype=np.intp)
+        rows = out
         slow: dict | None = None  # lazy long-code index
         for r in range(interval):
             if r == rem:
@@ -875,36 +886,34 @@ class HuffmanEncoder:
                 # sit exactly on the end of the payload; drop it.
                 if int(cur[-1]) != total_bits:
                     raise ValueError("corrupt Huffman payload")
-                cur = cur[:-1]
-                base = base[:-1]
-            prefix = gather_window16(window, np.minimum(cur, limit))
+                cur, pos, prefix, rows = (
+                    cur[:-1], pos[:-1], prefix[:-1], rows[:-1]
+                )
+            # a corrupt sync table can push a cursor past the payload
+            # end, and the final integrity check reports that — the
+            # gathers and the escape walk must not index out of bounds
+            # first
+            np.minimum(cur, total_bits, out=pos)
+            gather_window16(window, pos, out=prefix)
             ln = len_table[prefix]
-            out[base + r] = sym_table[prefix]
+            rows[:, r] = sym_table[prefix]
             if not ln.all():
                 if slow is None:
                     slow = self._long_code_index(code)
-                ln = ln.astype(np.int64)
                 for e in np.flatnonzero(ln == 0):
-                    # clamp like the gather above: a corrupt sync table
-                    # can push a cursor past the payload end, and the
-                    # final integrity check reports that — the escape
-                    # walk must not index out of bounds first
-                    dense, ln_e = self._decode_long_bytes(
-                        window, int(min(cur[e], limit)), total_bits, slow
+                    rows[e, r], ln[e] = self._decode_long_bytes(
+                        window, int(pos[e]), total_bits, slow
                     )
-                    out[base[e] + r] = dense
-                    ln[e] = ln_e
-            cur = cur + ln
+            np.add(cur, ln, out=cur)
         # Every surviving block must land exactly on the next block's
         # start (the last full one on total_bits) — a cheap, complete
         # integrity check against truncated or corrupted payloads.
+        final = starts[1:]
         if rem == interval:
-            final = np.concatenate([starts[1:], np.array([limit])])
-        else:
-            final = starts[1:]
+            final = np.append(final, total_bits)
         if not np.array_equal(cur, final):
             raise ValueError("corrupt Huffman payload")
-        return out
+        return out.ravel()[:n_data]
 
     def _primary_tables(
         self, code: HuffmanCode
@@ -928,20 +937,26 @@ class HuffmanEncoder:
         cached = _DECODE_TABLE_CACHE.get(key)
         if cached is not None:
             return cached
-        # the narrowest symbol entries that hold the alphabet: building
-        # the table costs mostly the pages it touches
+        # the narrowest symbol entries that hold the largest dense index:
+        # building the table costs mostly the pages it touches
+        lengths = code.lengths
+        size = 1 << _PRIMARY_BITS
         sym_table = np.zeros(
-            1 << _PRIMARY_BITS, dtype=np.min_scalar_type(code.lengths.size)
+            size, dtype=np.min_scalar_type(max(lengths.size - 1, 0))
         )
-        len_table = np.zeros(1 << _PRIMARY_BITS, dtype=np.uint8)
-        for dense in range(code.lengths.size):
-            ln = int(code.lengths[dense])
-            if ln == 0 or ln > _PRIMARY_BITS:
-                continue
-            base = int(code.codes[dense]) << (_PRIMARY_BITS - ln)
-            span = 1 << (_PRIMARY_BITS - ln)
-            sym_table[base : base + span] = dense
-            len_table[base : base + span] = ln
+        len_table = np.zeros(size, dtype=np.uint8)
+        # Canonical codes of length <= 16, taken in (length, index)
+        # order, tile the prefix space from 0: each fills the next
+        # 2**(16 - length) entries.  A corrupt header can oversubscribe
+        # the space; what starts past its end is dropped.
+        short = np.flatnonzero((lengths > 0) & (lengths <= _PRIMARY_BITS))
+        short = short[np.argsort(lengths[short], kind="stable")]
+        spans = 1 << (_PRIMARY_BITS - lengths[short])
+        short = short[: np.searchsorted(np.cumsum(spans) - spans, size)]
+        spans = spans[: short.size]
+        for table, fill in ((sym_table, short), (len_table, lengths[short])):
+            fill = np.repeat(fill.astype(table.dtype), spans)[:size]
+            table[: fill.size] = fill
         # the same arrays are handed to every decode that shares the
         # alphabet, so freeze them against accidental mutation
         sym_table.flags.writeable = False
@@ -953,12 +968,9 @@ class HuffmanEncoder:
         self, code: HuffmanCode
     ) -> dict[tuple[int, int], int]:
         """Map ``(length, codeword)`` to dense index for codes > 16 bits."""
-        index: dict[tuple[int, int], int] = {}
-        for dense in range(code.lengths.size):
-            ln = int(code.lengths[dense])
-            if ln > _PRIMARY_BITS:
-                index[(ln, int(code.codes[dense]))] = dense
-        return index
+        dense = np.flatnonzero(code.lengths > _PRIMARY_BITS)
+        keys = zip(code.lengths[dense].tolist(), code.codes[dense].tolist())
+        return dict(zip(keys, dense.tolist()))
 
     @staticmethod
     def _decode_long_bytes(

@@ -63,10 +63,10 @@ class LosslessBackend:
         return bytes([_CODED]) + body
 
     def decompress(self, payload: bytes) -> bytes:
-        """Invert :meth:`compress`."""
+        """Invert :meth:`compress` (the raw escape returns a view)."""
         if not payload:
             raise ValueError("empty lossless payload")
-        method, body = payload[0], payload[1:]
+        method, body = payload[0], memoryview(payload)[1:]
         if method == _RAW:
             return body
         if method != _CODED:

@@ -30,6 +30,14 @@ from repro.compressor.predictors.base import Predictor, PredictorOutput
 
 __all__ = ["LorenzoPredictor", "ClassicLorenzoPredictor"]
 
+#: points per in-place int64 -> float64 step of the inverse: its
+#: temporary copy stays well below a tile
+_SCALE_BLOCK = 1 << 13
+
+#: points per slice from which the inverse adds slices instead of
+#: accumulating an axis (the measured crossover is 256-512)
+_MIN_SLICE = 512
+
 
 def _forward_difference(lattice: np.ndarray, order: int) -> np.ndarray:
     """Apply the Lorenzo difference stencil (order times per axis)."""
@@ -40,13 +48,23 @@ def _forward_difference(lattice: np.ndarray, order: int) -> np.ndarray:
     return codes
 
 
-def _inverse_difference(codes: np.ndarray, order: int) -> np.ndarray:
-    """Invert :func:`_forward_difference` with per-axis cumulative sums."""
-    lattice = codes
+def _inverse_difference(codes: np.ndarray, order: int) -> None:
+    """Invert :func:`_forward_difference` in place: per-axis running sums.
+
+    Along the last axis that is ``np.cumsum``.  Along another one whose
+    slices are long it is one add per index instead: NumPy accumulates
+    a non-last axis in strided inner loops, ~10x slower than adding
+    whole contiguous slices on a (16, 32, 256) tile's first axis.
+    """
     for _ in range(order):
         for axis in range(codes.ndim - 1, -1, -1):
-            lattice = np.cumsum(lattice, axis=axis)
-    return lattice
+            slice_size = codes.size // max(codes.shape[axis], 1)
+            if axis == codes.ndim - 1 or slice_size < _MIN_SLICE:
+                np.cumsum(codes, axis=axis, out=codes)
+                continue
+            lanes = np.moveaxis(codes, axis, 0)
+            for i in range(1, lanes.shape[0]):
+                np.add(lanes[i], lanes[i - 1], out=lanes[i])
 
 
 def lorenzo_predicted(data: np.ndarray, order: int = 1) -> np.ndarray:
@@ -116,12 +134,19 @@ class LorenzoPredictor(Predictor):
         shape: tuple[int, ...],
         error_bound: float,
     ) -> np.ndarray:
-        codes = output.codes.astype(np.int64).copy()
+        codes = np.array(output.codes, dtype=np.int64)  # the one working copy
         codes[output.outlier_positions] = output.outlier_values
-        lattice = _inverse_difference(
+        _inverse_difference(
             codes.reshape(shape), output.meta_int("order", self.order)
         )
-        return lattice.astype(np.float64) * (2.0 * error_bound)
+        # the float64 values overwrite the lattice they are scaled from,
+        # a block at a time: NumPy copies each overlapping input block
+        # before writing it, so no second tile-sized array is made
+        values = codes.view(np.float64)
+        for lo in range(0, codes.size, _SCALE_BLOCK):
+            block = slice(lo, lo + _SCALE_BLOCK)
+            np.multiply(codes[block], 2.0 * error_bound, out=values[block])
+        return values.reshape(shape)
 
     def prediction_errors(self, data: np.ndarray) -> np.ndarray:
         data = self._validate(data)

@@ -337,8 +337,9 @@ class SZCompressor:
         work = self._prediction.reconstruct(
             output, core_shape, header["abs_eb"], config
         )
+        del codes, output  # spent: the tile-sized code stream is freed here
         data = self._transform.inverse(work, header, signs)
-        return data.reshape(shape).astype(dtype)
+        return data.reshape(shape).astype(dtype, copy=False)
 
     def roundtrip(
         self, data: np.ndarray, config: CompressionConfig

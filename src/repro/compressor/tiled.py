@@ -744,6 +744,7 @@ class TiledCompressor:
                     record.params,
                 )
                 copy_overlap(out, region, tile, record.start, overlap)
+                del tile  # not held while the next tile decodes
         else:
             ship_codec = self._codec if self._custom_codec else None
             buffer, offsets = carve_buffer(

@@ -52,6 +52,44 @@ def _reference_pack_codes(
     return bits_to_bytes(flat), total_bits
 
 
+def _reference_window16(payload: bytes, nbits=None) -> np.ndarray:
+    """The sliding window ``BitReader.window16`` gave the decoder before
+    random-access gathers: entry *p* packs bits ``[p, p + 16)`` of the
+    first *nbits* payload bits, MSB-first, the stream zero-padded — one
+    ``uint32`` per bit position, built a bit plane at a time."""
+    bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8))
+    if nbits is not None:
+        if nbits > bits.size:
+            raise ValueError("nbits exceeds available payload bits")
+        bits = bits[:nbits]
+    padded = np.concatenate([bits, np.zeros(16, dtype=np.uint8)])
+    window = np.zeros(bits.size + 1, dtype=np.uint32)
+    for k in range(16):
+        window = (window << np.uint32(1)) | padded[k : k + bits.size + 1]
+    return window
+
+
+def _reference_write_gamma(writer: BitWriter, value: int) -> None:
+    """One Elias-gamma value, as ``BitWriter.write_gamma`` wrote it
+    before fields were packed whole: ``value = 2^k + r`` is *k* zero
+    bits, then the ``k + 1``-bit binary form."""
+    if value < 1:
+        raise ValueError("Elias gamma encodes integers >= 1")
+    k = value.bit_length() - 1
+    writer.write(0, k)
+    writer.write(value, k + 1)
+
+
+def _reference_read_gamma(reader: BitReader) -> int:
+    """One Elias-gamma value, a bit at a time (``BitReader.read_gamma``
+    before fields were read whole): zeros up to the first one, then as
+    many value bits.  ``EOFError`` when the stream runs out."""
+    k = 0
+    while not reader.read(1):
+        k += 1
+    return (1 << k) | reader.read(k)
+
+
 def _random_codes(rng, lengths: np.ndarray) -> np.ndarray:
     """A uniformly random codeword of ``lengths[i]`` bits per entry."""
     lengths = np.asarray(lengths).astype(np.uint64)
@@ -403,7 +441,7 @@ class TestWholeFieldsMatchBitLoops:
         one_by_one.write(5, 3)
         whole.write(5, 3)
         for value in values:
-            one_by_one.write_gamma(value)
+            _reference_write_gamma(one_by_one, value)
         whole.write_gamma_array(np.array(values, dtype=np.int64))
         assert whole.nbits == one_by_one.nbits
         assert whole.getvalue() == one_by_one.getvalue()
@@ -413,6 +451,9 @@ class TestWholeFieldsMatchBitLoops:
         reader = BitReader(whole.getvalue(), nbits=whole.nbits)
         assert reader.read(3) == 5
         assert reader.read_gamma_array(len(values)).tolist() == values
+        reader = BitReader(whole.getvalue(), nbits=whole.nbits)
+        assert reader.read(3) == 5
+        assert [_reference_read_gamma(reader) for _ in values] == values
 
     def test_gamma_array_widest_value_and_empty(self):
         writer = BitWriter()
@@ -429,17 +470,30 @@ class TestWholeFieldsMatchBitLoops:
 
 
 class TestWindow16:
+    """The per-bit window oracle, and the random-access gather against it."""
+
     def test_window_values(self):
         # bits: 1010 1010 (one byte)
-        r = BitReader(b"\xaa")
-        window = r.window16()
+        window = _reference_window16(b"\xaa")
         # window[0] packs bits 0..15: 1010101000000000
         assert window[0] == 0b1010101000000000
         assert window[1] == 0b0101010000000000
 
     def test_window_length(self):
-        r = BitReader(b"\x00\x00")
-        assert r.window16().size == 17  # nbits + 1
+        assert _reference_window16(b"\x00\x00").size == 17  # nbits + 1
+
+    @pytest.mark.parametrize("size", (0, 1, 2, 3, 4, 64, 1001))
+    def test_gather_equals_the_per_bit_window(self, size):
+        payload = np.random.default_rng(size).bytes(size)
+        positions = np.arange(8 * size + 1)
+        expected = _reference_window16(payload)
+        window = build_bit_window(payload)
+        assert window.dtype == np.uint32 and window.size == size + 1
+        assert gather_window16(window, positions).tolist() == expected.tolist()
+        # in place, into the intp buffer the batched decode reuses
+        out = np.empty(positions.size, dtype=np.intp)
+        assert gather_window16(window, positions, out=out) is out
+        assert out.tolist() == expected.tolist()
 
 
 class TestRandomAccessWindow:

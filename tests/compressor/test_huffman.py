@@ -1,8 +1,9 @@
 """Unit + property tests for the Huffman codec.
 
 The vectorised kernels are checked against the loops they replaced,
-kept here as oracles: the heap construction of the code lengths and
-the one-symbol-per-iteration walk of a sync-free payload.  Randomised
+kept here as oracles: the heap construction of the code lengths, the
+per-symbol fill of the decode tables and the long-code index, and the
+one-symbol-per-iteration walk of a sync-free payload.  Randomised
 cases expand from integer seeds (as in ``tests/proptest.py``), so a
 failure names the seed that reproduces it.
 """
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compressor.bitstream import BitReader, pack_codes
+from repro.compressor.bitstream import pack_codes
 from repro.compressor.encoders import huffman as huffman_module
 from repro.compressor.encoders.huffman import (
     HuffmanCode,
@@ -24,7 +25,10 @@ from repro.compressor.encoders.huffman import (
     huffman_code_lengths,
 )
 from repro.utils.stats import entropy_bits, normalized_histogram
-from tests.compressor.test_bitstream import _reference_pack_codes
+from tests.compressor.test_bitstream import (
+    _reference_pack_codes,
+    _reference_window16,
+)
 
 
 # -- oracles: the scalar loops the vectorised kernels replaced ------------------
@@ -70,6 +74,35 @@ def loop_canonical_codes(lengths: np.ndarray) -> np.ndarray:
     return codes
 
 
+def reference_primary_tables(
+    code: HuffmanCode,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The 16-bit decode tables filled one symbol at a time: every code
+    of length <= 16 writes its dense index and length over the
+    ``2**(16 - length)`` prefixes that start with it."""
+    sym_table = np.zeros(1 << 16, dtype=np.int64)
+    len_table = np.zeros(1 << 16, dtype=np.uint8)
+    for dense in range(code.lengths.size):
+        ln = int(code.lengths[dense])
+        if ln == 0 or ln > 16:
+            continue
+        base = int(code.codes[dense]) << (16 - ln)
+        span = 1 << (16 - ln)
+        sym_table[base : base + span] = dense
+        len_table[base : base + span] = ln
+    return sym_table, len_table
+
+
+def reference_long_code_index(code: HuffmanCode) -> dict:
+    """``(length, codeword) -> dense index`` over the whole alphabet."""
+    index = {}
+    for dense in range(code.lengths.size):
+        ln = int(code.lengths[dense])
+        if ln > 16:
+            index[(ln, int(code.codes[dense]))] = dense
+    return index
+
+
 def scalar_walk(
     enc: HuffmanEncoder,
     code: HuffmanCode,
@@ -77,10 +110,11 @@ def scalar_walk(
     payload: bytes,
     total_bits: int,
 ) -> np.ndarray:
-    """One Python iteration per symbol over the sliding 16-bit window."""
-    window = BitReader(payload, nbits=total_bits).window16()
-    sym_table, len_table = enc._primary_tables(code)
-    long_codes = enc._long_code_index(code)
+    """One Python iteration per symbol over the sliding 16-bit window,
+    through tables built by the loops above."""
+    window = _reference_window16(payload, total_bits)
+    sym_table, len_table = reference_primary_tables(code)
+    long_codes = reference_long_code_index(code)
     out = np.empty(n_data, dtype=np.int64)
     pos = 0
     for i in range(n_data):
@@ -944,11 +978,88 @@ class TestDecodeTableCache:
         assert cache.nbytes == 4 * table.nbytes
 
     def test_wide_alphabets_get_wider_entries(self):
+        # sized by the largest dense index, n_symbols - 1: the boundaries
+        # of each entry type, on both sides
         enc = HuffmanEncoder()
-        for n_symbols, dtype in ((200, np.uint8), (300, np.uint16)):
+        for n_symbols, dtype in (
+            (200, np.uint8),
+            (256, np.uint8),
+            (257, np.uint16),
+            (300, np.uint16),
+            (65536, np.uint16),
+            (65537, np.uint32),
+        ):
             stream = np.arange(n_symbols).repeat(2)
             code = HuffmanCode.from_stream(stream)
             assert enc._primary_tables(code)[0].dtype == dtype
             np.testing.assert_array_equal(
                 enc.decode(enc.encode(stream)), stream
             )
+
+
+def draw_table_code(seed: int) -> HuffmanCode:
+    """A code for the table builders: the optimal code of a seeded
+    histogram, a wide near-uniform alphabet, a staircase past 16 bits,
+    or lengths only a corrupt header holds (over- or undersubscribed)
+    that still get canonical codewords."""
+    rng = np.random.default_rng(seed)
+    kind = seed % 4
+    if kind == 0:
+        lengths = huffman_code_lengths(draw_histogram(seed))
+    elif kind == 1:
+        counts = rng.integers(1, 4, int(rng.integers(1000, 4000)))
+        lengths = huffman_code_lengths(counts)
+    elif kind == 2:
+        return staircase_code(rng, int(rng.integers(17, 59)))
+    else:
+        lengths = rng.integers(0, 20, int(rng.integers(1, 40)))
+    symbols = np.arange(lengths.size, dtype=np.int64) * 3 - 7
+    return HuffmanCode(symbols, lengths, _canonical_codes(lengths))
+
+
+class TestDecodeTables:
+    """The table builders against the per-symbol loops they replaced."""
+
+    @pytest.mark.parametrize("seed", range(200))
+    def test_tables_equal_the_per_symbol_loop(self, seed, monkeypatch):
+        cache = huffman_module._DecodeTableLRU()  # built here, not recalled
+        monkeypatch.setattr(huffman_module, "_DECODE_TABLE_CACHE", cache)
+        code = draw_table_code(seed)
+        enc = HuffmanEncoder()
+        sym_table, len_table = enc._primary_tables(code)
+        expected_sym, expected_len = reference_primary_tables(code)
+        assert sym_table.dtype == np.min_scalar_type(code.lengths.size - 1)
+        np.testing.assert_array_equal(sym_table, expected_sym)
+        np.testing.assert_array_equal(len_table, expected_len)
+        assert enc._long_code_index(code) == reference_long_code_index(code)
+
+    def test_oversubscribed_lengths_build_in_bounded_memory(
+        self, monkeypatch
+    ):
+        # a corrupt header can claim any number of 1-bit codes: the fill
+        # stops at the end of the prefix space instead of repeating them
+        # all (here 600 x 32768 entries, 39 MB)
+        cache = huffman_module._DecodeTableLRU()
+        monkeypatch.setattr(huffman_module, "_DECODE_TABLE_CACHE", cache)
+        lengths = np.ones(600, dtype=np.int64)
+        code = HuffmanCode(
+            np.arange(600), lengths, _canonical_codes(lengths)
+        )
+        tracemalloc.start()
+        try:
+            tables = HuffmanEncoder()._primary_tables(code)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        for table, expected in zip(tables, reference_primary_tables(code)):
+            np.testing.assert_array_equal(table, expected)
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("longest", range(17, 58))
+    def test_long_code_index_equals_the_alphabet_loop(self, longest):
+        # a staircase whose two longest codes are *longest* bits
+        code = staircase_code(np.random.default_rng(longest), longest + 1)
+        index = HuffmanEncoder()._long_code_index(code)
+        assert index == reference_long_code_index(code)
+        assert max(ln for ln, _ in index) == longest
+        assert len(index) == int(np.sum(code.lengths > 16))

@@ -78,6 +78,42 @@ class TestDualQuantRoundtrip:
         assert np.max(np.abs(recon - data)) <= eb * (1 + 1e-12)
 
 
+class TestInPlaceInverse:
+    """``reconstruct`` works in one int64 array; the chain of fresh
+    ``np.cumsum`` arrays and the ``float64`` product it replaced is the
+    oracle, bit for bit."""
+
+    @staticmethod
+    def reference_reconstruct(output, shape, eb):
+        codes = output.codes.astype(np.int64).copy()
+        codes[output.outlier_positions] = output.outlier_values
+        lattice = codes.reshape(shape)
+        for _ in range(output.meta_int("order", 1)):
+            for axis in range(len(shape) - 1, -1, -1):
+                lattice = np.cumsum(lattice, axis=axis)
+        return lattice.astype(np.float64) * (2.0 * eb)
+
+    # slices on both sides of the add-by-slice threshold, and more
+    # points than one scaling block
+    @pytest.mark.parametrize(
+        "shape",
+        [(9000,), (3, 700), (700, 3), (4, 8, 300), (16, 32, 256), (2, 3, 4)],
+    )
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_equals_the_cumsum_chain(self, shape, order):
+        rng = np.random.default_rng(len(shape) * 1000 + order)
+        data = np.cumsum(rng.standard_normal(shape), axis=-1)
+        predictor = LorenzoPredictor(order=order)
+        out = predictor.decompose(data, 1e-3, 64)  # outliers included
+        assert out.outlier_positions.size
+        codes = out.codes.copy()
+        recon = predictor.reconstruct(out, shape, 1e-3)
+        expected = self.reference_reconstruct(out, shape, 1e-3)
+        assert recon.dtype == np.float64 and recon.shape == shape
+        assert recon.tobytes() == expected.tobytes()
+        np.testing.assert_array_equal(out.codes, codes)  # input untouched
+
+
 class TestClassicLorenzo:
     @pytest.mark.parametrize("shape", [(64,), (12, 12), (6, 6, 6)])
     def test_bound_holds(self, shape):
