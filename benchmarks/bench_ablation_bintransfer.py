@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.compressor import CompressionConfig, SZCompressor
+from repro.compressor import CompressionConfig, TiledCompressor
 from repro.core.accuracy import estimation_error
 from repro.core.encoder_model import combined_bitrate
 from repro.core.histogram import build_code_histogram
@@ -26,7 +26,7 @@ FRACTIONS = (3e-2, 0.08, 0.15, 0.3)
 def comparison():
     data = load_field("CESM", "TROP_Z", size_scale=0.5)
     vrange = float(data.max() - data.min())
-    sz = SZCompressor()
+    sz = TiledCompressor()
     sample = sample_prediction_errors(data, "interpolation", rate=0.01)
     rows = []
     errs = {True: [], False: []}

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.metrics import psnr
-from repro.compressor import CompressionConfig, SZCompressor
+from repro.compressor import CompressionConfig, TiledCompressor
 from repro.core.accuracy import estimation_accuracy
 from repro.datasets import load_field
 from repro.usecases.predictor_selection import PredictorSelector
@@ -26,7 +26,7 @@ PREDICTORS = ("lorenzo", "interpolation", "regression")
 def experiment():
     data = load_field("RTM", "snapshot_3000", size_scale=0.7)
     vrange = float(data.max() - data.min())
-    sz = SZCompressor()
+    sz = TiledCompressor()
     selector = PredictorSelector(PREDICTORS).fit(data)
 
     rows = []
@@ -37,7 +37,8 @@ def experiment():
             eb = vrange * frac
             est = selector.models[predictor].estimate(eb)
             cfg = CompressionConfig(predictor=predictor, error_bound=eb)
-            result, recon = sz.roundtrip(data, cfg)
+            result = sz.compress(data, cfg, reconstruct=True)
+            recon = result.reconstruction
             meas_psnr = psnr(data, recon)
             rows.append(
                 (

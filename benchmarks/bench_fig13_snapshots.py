@@ -44,7 +44,7 @@ def experiment():
     offline = offline_worst_case_error_bound(
         list(snaps), factory.config(candidates[0]), candidates, TARGET_PSNR
     )
-    sz = factory.compressor()
+    sz = factory.tiled_compressor()
     rows = []
     pipeline = SnapshotPipeline(target_psnr=TARGET_PSNR, factory=factory)
     stream = SnapshotPipeline(

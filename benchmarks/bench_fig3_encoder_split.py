@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.compressor import CompressionConfig, SZCompressor
+from repro.compressor import CompressionConfig, TiledCompressor
 from repro.datasets import load_field
 from repro.utils.tables import format_table
 
@@ -23,7 +23,7 @@ FRACTIONS = (1e-4, 1e-3, 1e-2, 5e-2, 0.15, 0.4, 0.8)
 def sweep():
     data = load_field("Hurricane", "U", size_scale=0.6)
     vrange = float(data.max() - data.min())
-    sz = SZCompressor()
+    sz = TiledCompressor()
     rows = []
     for frac in FRACTIONS:
         eb = vrange * frac
@@ -32,7 +32,7 @@ def sweep():
             cfg = CompressionConfig(error_bound=eb, lossless=lossless)
             result = sz.compress(data, cfg)
             key = lossless or "huffman_only"
-            sizes[key] = result.sizes.codes
+            sizes[key] = result.section_bytes["codes"]
             p0 = result.p0
         n = data.size
         rows.append(
@@ -71,7 +71,7 @@ def test_fig3(benchmark, sweep, report):
     )
     # the modelled quantity: Huffman-only encoding of the codes
     data = load_field("Hurricane", "U", size_scale=0.3)
-    sz = SZCompressor()
+    sz = TiledCompressor()
     cfg = CompressionConfig(
         error_bound=float(data.max() - data.min()) * 1e-3, lossless=None
     )

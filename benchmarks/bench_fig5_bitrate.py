@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.compressor import CompressionConfig, SZCompressor
+from repro.compressor import CompressionConfig, TiledCompressor
 from repro.core.accuracy import estimation_accuracy
 from repro.core.model import RatioQualityModel
 from repro.datasets import load_field
@@ -24,7 +24,7 @@ FRACTIONS = (3e-5, 1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 0.1, 0.3)
 def sweep():
     data = load_field("Miranda", "vx", size_scale=0.6)
     vrange = float(data.max() - data.min())
-    sz = SZCompressor()
+    sz = TiledCompressor()
     model = RatioQualityModel(predictor="lorenzo").fit(data)
     rows = []
     for frac in FRACTIONS:

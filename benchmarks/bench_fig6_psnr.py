@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.metrics import psnr
-from repro.compressor import CompressionConfig, SZCompressor
+from repro.compressor import CompressionConfig, TiledCompressor
 from repro.core.accuracy import estimation_accuracy
 from repro.core.model import RatioQualityModel
 from repro.datasets import load_field
@@ -27,7 +27,7 @@ PREDICTORS = ("interpolation", "lorenzo")
 def sweep():
     data = load_field("Nyx", "dark_matter_density", size_scale=0.5)
     vrange = float(data.max() - data.min())
-    sz = SZCompressor()
+    sz = TiledCompressor()
     rows = {}
     for predictor in PREDICTORS:
         model = RatioQualityModel(predictor=predictor).fit(data)
@@ -35,7 +35,7 @@ def sweep():
         for frac in FRACTIONS:
             eb = vrange * frac
             cfg = CompressionConfig(predictor=predictor, error_bound=eb)
-            _, recon = sz.roundtrip(data, cfg)
+            recon = sz.compress(data, cfg, reconstruct=True).reconstruction
             series.append(
                 (
                     frac,

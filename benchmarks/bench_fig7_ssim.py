@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.metrics import ssim_global
-from repro.compressor import CompressionConfig, SZCompressor
+from repro.compressor import CompressionConfig, TiledCompressor
 from repro.core.accuracy import estimation_accuracy
 from repro.core.model import RatioQualityModel
 from repro.datasets import load_field
@@ -23,7 +23,7 @@ FIELDS = (("CESM", "TS", 0.5), ("RTM", "snapshot_3000", 0.6))
 
 @pytest.fixture(scope="module")
 def sweep():
-    sz = SZCompressor()
+    sz = TiledCompressor()
     out = {}
     for dataset, field, scale in FIELDS:
         data = load_field(dataset, field, size_scale=scale)
@@ -32,9 +32,9 @@ def sweep():
         series = []
         for frac in FRACTIONS:
             eb = vrange * frac
-            _, recon = sz.roundtrip(
-                data, CompressionConfig(error_bound=eb)
-            )
+            recon = sz.compress(
+                data, CompressionConfig(error_bound=eb), reconstruct=True
+            ).reconstruction
             est = model.estimate(eb).ssim
             meas = ssim_global(data, recon)
             series.append((frac, est, meas, 1 - est, 1 - meas))

@@ -15,7 +15,7 @@ from repro.analysis.spectrum import (
     predicted_spectrum_relative_error,
     spectrum_relative_error,
 )
-from repro.compressor import CompressionConfig, SZCompressor
+from repro.compressor import CompressionConfig, TiledCompressor
 from repro.core.model import RatioQualityModel
 from repro.datasets import load_field
 from repro.utils.tables import format_table
@@ -27,12 +27,14 @@ FRACTIONS = (1e-3, 3e-3, 1e-2, 3e-2, 0.1, 0.25)
 def sweep():
     data = load_field("Nyx", "temperature", size_scale=0.5)
     vrange = float(data.max() - data.min())
-    sz = SZCompressor()
+    sz = TiledCompressor()
     model = RatioQualityModel(predictor="lorenzo").fit(data)
     rows = []
     for frac in FRACTIONS:
         eb = vrange * frac
-        _, recon = sz.roundtrip(data, CompressionConfig(error_bound=eb))
+        recon = sz.compress(
+            data, CompressionConfig(error_bound=eb), reconstruct=True
+        ).reconstruction
         measured = spectrum_relative_error(
             data.astype(np.float64), recon.astype(np.float64)
         )

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.metrics import psnr, ssim_global
-from repro.compressor import CompressionConfig, SZCompressor
+from repro.compressor import CompressionConfig, TiledCompressor
 from repro.compressor.predictors import make_predictor
 from repro.core.accuracy import estimation_error
 from repro.core.model import RatioQualityModel
@@ -30,7 +30,7 @@ def _evaluate_field(dataset: str, field: str) -> tuple:
     spec = get_dataset(dataset)
     data = spec.field(field).load(SCALES[spec.dims])
     vrange = float(data.max() - data.min())
-    sz = SZCompressor()
+    sz = TiledCompressor()
     model = RatioQualityModel(predictor="lorenzo").fit(data)
 
     pred = make_predictor("lorenzo")
@@ -57,7 +57,7 @@ def _evaluate_field(dataset: str, field: str) -> tuple:
         huff_est.append(est.huffman_bitrate)
         huff_meas.append(result.huffman_bit_rate)
         ll_est.append(est.lossless_ratio)
-        ll_meas.append(result.sizes.huffman_only / max(result.sizes.codes, 1))
+        ll_meas.append(result.huffman_only / max(result.section_bytes["codes"], 1))
         total_est.append(est.bitrate)
         total_meas.append(result.bit_rate)
         psnr_est.append(est.psnr)

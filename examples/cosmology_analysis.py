@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import CompressionConfig, SZCompressor
+from repro import CompressionConfig, TiledCompressor
 from repro.analysis import (
     find_halos,
     halo_match_f1,
@@ -65,10 +65,9 @@ def main() -> None:
     )
 
     # compress and verify both analyses
-    sz = SZCompressor()
-    result, recon = sz.roundtrip(
-        density, CompressionConfig(error_bound=chosen)
-    )
+    sz = TiledCompressor()
+    result = sz.compress(density, CompressionConfig(error_bound=chosen))
+    recon = sz.decompress(result.blob)
     measured = spectrum_relative_error(
         density.astype(np.float64), recon.astype(np.float64)
     )

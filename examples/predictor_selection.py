@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import CompressionConfig, SZCompressor
+from repro import CompressionConfig, TiledCompressor
 from repro.analysis import psnr
 from repro.datasets import load_field
 from repro.usecases import PredictorSelector
@@ -66,11 +66,12 @@ def main() -> None:
         f"{decision.predictor!r} (predicted PSNR "
         f"{decision.estimate.psnr:.2f} dB)"
     )
-    sz = SZCompressor()
+    sz = TiledCompressor()
     for name, model in selector.models.items():
         eb = model.error_bound_for_bitrate(target_rate)
         cfg = CompressionConfig(predictor=name, error_bound=eb)
-        result, recon = sz.roundtrip(data, cfg)
+        result = sz.compress(data, cfg)
+        recon = sz.decompress(result.blob)
         print(
             f"  measured {name:14s}: {result.bit_rate:.2f} b/pt, "
             f"{psnr(data, recon):.2f} dB"

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import CompressionConfig, SZCompressor
+from repro import CompressionConfig, TiledCompressor
 from repro.analysis import psnr
 from repro.core import RatioQualityModel
 from repro.datasets import load_field
@@ -49,10 +49,11 @@ def main() -> None:
     print(f"\nbound for a predicted 10:1 ratio: {eb:.5g}")
 
     # Now compress for real and compare.
-    sz = SZCompressor()
-    result, recon = sz.roundtrip(
+    sz = TiledCompressor()
+    result = sz.compress(
         data, CompressionConfig(predictor="lorenzo", error_bound=eb)
     )
+    recon = sz.decompress(result.blob)
     est = model.estimate(eb)
     print(
         f"measured ratio {result.ratio:.2f} (predicted {est.ratio:.2f}), "

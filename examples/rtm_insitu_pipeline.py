@@ -18,7 +18,7 @@ import tempfile
 
 import numpy as np
 
-from repro import CompressionConfig, SZCompressor
+from repro import CompressionConfig, TiledCompressor
 from repro.analysis import psnr
 from repro.datasets import wave_snapshots
 from repro.storage import H5LikeFile
@@ -47,7 +47,7 @@ def main() -> None:
 
     # -- in-situ model-guided pipeline, writing into the container
     pipeline = SnapshotPipeline(target_psnr=TARGET_PSNR)
-    sz = SZCompressor()
+    sz = TiledCompressor()
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "rtm.rqh5")
         rows = []

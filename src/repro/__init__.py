@@ -5,7 +5,8 @@ Dramatically via Ratio-Quality Modeling" (ICDE 2022).
 
 Public entry points:
 
-* :class:`repro.compressor.SZCompressor` — the SZ3-like compressor.
+* :class:`repro.compressor.TiledCompressor` — the SZ3-like compressor
+  (every array, tiled or one whole tile).
 * :class:`repro.core.RatioQualityModel` — the analytical model.
 * :mod:`repro.datasets` — synthetic stand-ins for the paper's datasets.
 * :mod:`repro.usecases` — predictor selection, memory targeting, in-situ
@@ -15,7 +16,6 @@ Public entry points:
 
 from repro.compressor import (
     CompressionConfig,
-    CompressionResult,
     ErrorBoundMode,
     SZCompressor,
     TiledCompressor,
@@ -27,7 +27,6 @@ __version__ = "1.1.0"
 
 __all__ = [
     "CompressionConfig",
-    "CompressionResult",
     "ErrorBoundMode",
     "SZCompressor",
     "TiledCompressor",

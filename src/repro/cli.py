@@ -27,9 +27,10 @@ Entry point for the library's day-to-day workflow on ``.npy`` arrays::
 
 ``compress`` accepts exactly one targeting flag: ``--eb`` (direct
 bound), ``--ratio`` (model-derived bound for a target ratio) or
-``--psnr`` (model-derived bound for a target quality).  ``--tile``
-switches to the tiled (v7) container, streamed tile-by-tile with bounded
-memory (the input is opened as a memmap); ``--adaptive`` additionally
+``--psnr`` (model-derived bound for a target quality).  Every compress
+writes a v7 container from a memmap of the input; without ``--tile``
+the whole array is its one tile, with ``--tile`` it is streamed
+tile-by-tile with bounded memory; ``--adaptive`` additionally
 runs the model-driven planner so every tile gets its own predictor,
 bound and quantizer radius (a palette in the TOC; ``inspect`` prints
 the per-tile choices); ``--region`` decodes only the tiles
@@ -159,9 +160,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="parallel width for tile encoding; a flat container "
-        "encodes serially (default: 1, or the machine's core count "
-        "when --backend is given)",
+        help="parallel width for tile encoding; without --tile the "
+        "one tile encodes serially (default: 1, or the machine's core "
+        "count when --backend is given)",
     )
     comp.add_argument(
         "--backend",
@@ -445,9 +446,9 @@ def _cmd_compress(args: argparse.Namespace) -> int:
         raise SystemExit("--adaptive requires --tile")
     if args.adaptive and args.mode == "pw_rel":
         raise SystemExit("--adaptive supports --mode abs or rel only")
-    # tiled compression streams from a memmap so huge inputs never
-    # materialize in RAM
-    data = _load_array(args.input, mmap=tile_shape is not None)
+    # compression streams from a memmap so huge inputs never
+    # materialize in RAM (one tile at a time)
+    data = _load_array(args.input, mmap=True)
     if args.eb is not None:
         eb = args.eb
     else:
@@ -460,61 +461,47 @@ def _cmd_compress(args: argparse.Namespace) -> int:
             eb = model.error_bound_for_psnr(args.psnr)
         print(f"model-selected error bound: {eb:.6g}")
 
-    if tile_shape is not None:
-        config = factory.config(
-            eb,
-            tile_shape=tile_shape,
-            adaptive=args.adaptive,
-            fit_clusters=getattr(args, "fit_clusters", None),
-            plan_cache=getattr(args, "plan_cache", None),
-        )
-        # the input's base name keys the cross-snapshot plan cache, so
-        # re-compressing successive snapshots written to the same file
-        # name reuses the plan
-        dataset = os.path.splitext(os.path.basename(args.input))[0]
-        result = factory.tiled_compressor().compress(
-            data, config, out=args.output, dataset=dataset
-        )
-        print(
-            f"{args.input} -> {args.output}: {result.original_bytes} -> "
-            f"{result.compressed_bytes} bytes ({result.ratio:.2f}x, "
-            f"{result.bit_rate:.3f} bits/pt, {result.n_tiles} tiles of "
-            f"{result.tile_shape})"
-        )
-        if result.plan is not None:
-            bounds = [c.error_bound for c in result.plan.choices]
-            counts = ", ".join(
-                f"{predictor}={n}"
-                for predictor, n in sorted(
-                    result.plan.predictor_counts().items()
-                )
-            )
-            print(
-                f"adaptive plan: {counts}; per-tile eb in "
-                f"[{min(bounds):.4g}, {max(bounds):.4g}] "
-                f"(nominal {result.plan.nominal_bound:.4g}, target "
-                f"PSNR {result.plan.target_psnr:.2f} dB)"
-            )
-            stats = result.plan.stats
-            if stats is not None:
-                print(
-                    f"planner: {stats.fits_performed} fits for "
-                    f"{stats.tiles_planned} tiles "
-                    f"({stats.clusters} clusters, {stats.refits} "
-                    f"refits, cache {stats.cache}) in "
-                    f"{stats.plan_seconds:.3f}s"
-                )
-        return 0
-
-    config = factory.config(eb)
-    result = factory.compressor().compress(data, config)
-    with open(args.output, "wb") as fh:
-        fh.write(result.blob)
+    config = factory.config(
+        eb,
+        tile_shape=tile_shape,
+        adaptive=args.adaptive,
+        fit_clusters=getattr(args, "fit_clusters", None),
+        plan_cache=getattr(args, "plan_cache", None),
+    )
+    # the input's base name keys the cross-snapshot plan cache, so
+    # re-compressing successive snapshots written to the same file
+    # name reuses the plan
+    dataset = os.path.splitext(os.path.basename(args.input))[0]
+    result = factory.tiled_compressor().compress(
+        data, config, out=args.output, dataset=dataset
+    )
     print(
         f"{args.input} -> {args.output}: {result.original_bytes} -> "
         f"{result.compressed_bytes} bytes ({result.ratio:.2f}x, "
-        f"{result.bit_rate:.3f} bits/pt, p0={result.p0:.3f})"
+        f"{result.bit_rate:.3f} bits/pt, p0={result.p0:.3f}, "
+        f"{result.n_tiles} tiles of {result.tile_shape})"
     )
+    if result.plan is not None:
+        bounds = [c.error_bound for c in result.plan.choices]
+        counts = ", ".join(
+            f"{predictor}={n}"
+            for predictor, n in sorted(result.plan.predictor_counts().items())
+        )
+        print(
+            f"adaptive plan: {counts}; per-tile eb in "
+            f"[{min(bounds):.4g}, {max(bounds):.4g}] "
+            f"(nominal {result.plan.nominal_bound:.4g}, target "
+            f"PSNR {result.plan.target_psnr:.2f} dB)"
+        )
+        stats = result.plan.stats
+        if stats is not None:
+            print(
+                f"planner: {stats.fits_performed} fits for "
+                f"{stats.tiles_planned} tiles "
+                f"({stats.clusters} clusters, {stats.refits} "
+                f"refits, cache {stats.cache}) in "
+                f"{stats.plan_seconds:.3f}s"
+            )
     return 0
 
 
@@ -542,7 +529,7 @@ def _cmd_decompress(args: argparse.Namespace) -> int:
             f"({tiled.last_tiles_decoded} tiles decoded)"
         )
         return 0
-    # TiledCompressor dispatches flat v2/v3 and tiled v4-v7 uniformly
+    # TiledCompressor reads every version, flat v2/v3 and tiled v4-v7
     try:
         data = tiled.decompress(args.input, workers=args.workers)
     except ValueError as exc:

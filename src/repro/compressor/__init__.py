@@ -4,11 +4,12 @@ The substrate the ratio-quality model describes, organized as a staged
 pipeline: predictors (Lorenzo / interpolation / regression), a
 linear-scaling quantizer, Huffman coding and optional lossless
 back-ends, composed behind small stage interfaces
-(:mod:`repro.compressor.stages`) by the flat
-:class:`repro.compressor.sz.SZCompressor` facade; the byte formats live
+(:mod:`repro.compressor.stages`) by the per-tile
+:class:`repro.compressor.sz.SZCompressor` codec; the byte formats live
 in :mod:`repro.compressor.container`;
-:class:`repro.compressor.tiled.TiledCompressor` layers tiled
-out-of-core streaming with region-of-interest decode on top; and
+:class:`repro.compressor.tiled.TiledCompressor` is the one front end —
+tiled out-of-core streaming with region-of-interest decode, a flat
+array being one tile; and
 :class:`repro.compressor.adaptive.AdaptivePlanner` turns the
 ratio-quality model into a per-tile configuration autotuner.
 """
@@ -36,7 +37,7 @@ from repro.compressor.executor import (
 )
 from repro.compressor.plan_cache import PlannerCache
 from repro.compressor.quantizer import LinearQuantizer, QuantizedBlock
-from repro.compressor.sz import CompressionResult, SZCompressor, StageSizes
+from repro.compressor.sz import SZCompressor
 from repro.compressor.temporal import TemporalCompressor, TemporalStats
 from repro.compressor.tiled import TiledCompressor, TiledResult
 
@@ -47,8 +48,6 @@ __all__ = [
     "LinearQuantizer",
     "QuantizedBlock",
     "SZCompressor",
-    "CompressionResult",
-    "StageSizes",
     "TiledCompressor",
     "TiledResult",
     "TemporalCompressor",

@@ -67,10 +67,10 @@ class CompressionConfig:
     regression_block:
         Block edge length for the regression predictor (paper: 6).
     tile_shape:
-        When set, :class:`repro.compressor.tiled.TiledCompressor` splits
-        the array into tiles of this shape and writes the tiled (v7)
-        container (out-of-core streaming, region-of-interest decode).
-        Ignored by the flat :class:`~repro.compressor.sz.SZCompressor`.
+        The tiles :class:`repro.compressor.tiled.TiledCompressor` splits
+        the array into (out-of-core streaming, region-of-interest
+        decode); ``None`` makes the whole array one tile.  Either way
+        the container is v7.
     parallel_backend:
         Runtime execution hint, **not** part of the on-disk format:
         which :mod:`repro.compressor.executor` backend the tiled hot
@@ -210,7 +210,7 @@ class CompressionConfig:
         return float(np.log1p(self.error_bound))
 
     def per_tile(self, **pinned) -> "CompressionConfig":
-        """This config as the flat codec encoding one tile sees it.
+        """This config as the stage codec encoding one tile sees it.
 
         Per-tile configs execute *inside* executor tasks: the tiling
         fields are stripped AND the parallel and planning hints, or

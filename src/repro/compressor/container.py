@@ -5,19 +5,22 @@ rest of the pipeline (stages, compressors, CLI, storage) never touches
 offsets or length prefixes directly and section accounting is *derived*
 from the writer instead of hand-summed.
 
-Flat containers (one array, decoded whole)::
+Flat containers (read-only: one array, decoded whole)::
 
     b"RQSZ" | version:u8 | header_len:u32 | header JSON | sections
 
-where each section is ``length:u64 | bytes``.  Sections, in order:
-Huffman/lossless code payload, outlier positions, outlier values,
-predictor side payload, PW_REL sign payload.
+where each section is ``length:u64 | bytes`` and the last one ends the
+container.  Sections, in order: Huffman/lossless code payload, outlier
+positions, outlier values, predictor side payload, PW_REL sign payload.
 
 * **v2** — the code stream is one Huffman(+lossless) payload.
-* **v3** (read-only) — the code stream is split into fixed-size blocks,
-  each independently Huffman(+lossless) coded; the codes section
-  becomes ``n_chunks:u32 | chunk_len:u64 ... | chunk payloads``.  A
-  tile whose parameters say ``chunked`` carries such a section too.
+* **v3** — the code stream is split into fixed-size blocks, each
+  independently Huffman(+lossless) coded; the codes section becomes
+  ``n_chunks:u32 | chunk_len:u64 ... | chunk payloads``.  A tile whose
+  parameters say ``chunked`` carries such a section too.
+
+Nothing writes either any more: a flat array is the one-tile v7
+container below, whose tile holds the same five sections byte for byte.
 
 Tiled containers (out-of-core streaming, region-of-interest decode)::
 
@@ -65,8 +68,7 @@ fixtures) verify as **unknown** — never as failures.  With or without,
 what the TOC says is checked at open: palette indices, mode bits, and
 every tile extent inside the payload region.
 
-**v4 / v5 / v6 are read-only** (``TiledWriter(version=...)`` forges
-them for tests): the same frame, but each tile payload is a
+**v4 / v5 / v6 are read-only**: the same frame, but each tile payload is a
 self-describing flat v2/v3 container and the TOC a list of per-tile
 ``offset``/``size``/``start``/``stop`` dicts (+ ``tile_crcs``); v5
 adds the palette, v6 the ``tile_modes``.
@@ -106,13 +108,10 @@ __all__ = [
     "TILE_KEYS",
     "ContainerFormatError",
     "TileCorruptError",
-    "flat_overhead",
-    "write_flat",
     "read_flat",
     "container_version",
     "peek_version",
     "read_blob",
-    "is_tiled_version",
     "read_chunked_codes",
     "check_tile_params",
     "pack_tile",
@@ -224,46 +223,18 @@ def container_version(blob: bytes) -> int:
     return blob[len(MAGIC)]
 
 
-def is_tiled_version(version: int) -> bool:
-    """Whether *version* uses the tiled payloads + trailing-TOC frame."""
-    return version in TILED_VERSIONS
-
-
 # -- flat (v2/v3) containers ---------------------------------------------------
 
 
-def flat_overhead(
-    header_len: int, n_sections: int = len(SECTION_NAMES)
-) -> int:
-    """Bytes the flat writer adds around the header and section payloads."""
-    return (
-        len(MAGIC)
-        + _VERSION_BYTES
-        + _HEADER_LEN_BYTES
-        + header_len
-        + n_sections * _SECTION_LEN_BYTES
-    )
+def read_flat(blob: bytes) -> tuple[dict, list[bytes]]:
+    """Split a flat container into its parsed header and raw sections.
 
-
-def write_flat(
-    header: dict, sections: Sequence[bytes], version: int
-) -> tuple[bytes, int]:
-    """Serialize a flat container; returns ``(blob, header_bytes_len)``."""
-    if version not in _FLAT_VERSIONS:
-        raise ValueError(f"not a flat container version: {version}")
-    header_bytes = json.dumps(header, sort_keys=True).encode()
-    parts = [MAGIC, bytes([version])]
-    parts.append(len(header_bytes).to_bytes(_HEADER_LEN_BYTES, "little"))
-    parts.append(header_bytes)
-    for section in sections:
-        parts.append(len(section).to_bytes(_SECTION_LEN_BYTES, "little"))
-        parts.append(section)
-    return b"".join(parts), len(header_bytes)
-
-
-def _read_header(blob: bytes) -> tuple[dict, int, int]:
-    """Parse magic/version/header; returns ``(header, version, pos)``."""
+    The container version is reported as ``container_version`` in the
+    returned header dict.
+    """
     version = container_version(blob)
+    if version not in _FLAT_VERSIONS:
+        raise ContainerFormatError(f"unsupported container version {version}")
     pos = len(MAGIC) + _VERSION_BYTES
     if len(blob) < pos + _HEADER_LEN_BYTES:
         raise ContainerFormatError("truncated container header")
@@ -280,20 +251,7 @@ def _read_header(blob: bytes) -> tuple[dict, int, int]:
     if not isinstance(header, dict):
         raise ContainerFormatError("corrupt container header")
     header["container_version"] = int(version)
-    return header, version, pos + header_len
-
-
-def read_flat(blob: bytes) -> tuple[dict, list[bytes]]:
-    """Split a flat container into its parsed header and raw sections.
-
-    The container version is reported as ``container_version`` in the
-    returned header dict.
-    """
-    if container_version(blob) not in _FLAT_VERSIONS:
-        raise ContainerFormatError(
-            f"unsupported container version {container_version(blob)}"
-        )
-    header, _, pos = _read_header(blob)
+    pos += header_len
     sections: list[bytes] = []
     for name in SECTION_NAMES:
         if len(blob) < pos + _SECTION_LEN_BYTES:
@@ -312,6 +270,11 @@ def read_flat(blob: bytes) -> tuple[dict, list[bytes]]:
             )
         sections.append(blob[pos : pos + size])
         pos += size
+    if pos != len(blob):
+        raise ContainerFormatError(
+            f"corrupt container: {len(blob) - pos} bytes follow the last "
+            "section"
+        )
     return header, sections
 
 
@@ -388,7 +351,8 @@ def pack_tile(meta: dict, sections: Sequence[bytes]) -> bytes:
 
 
 def unpack_tile(payload: bytes) -> tuple[dict, list[bytes]]:
-    """Split a v7 tile payload into its ``meta`` and stage sections.
+    """Split a v7 tile payload into its ``meta`` and stage sections
+    (views of *payload*).
 
     The recorded lengths must tile the payload exactly and ``meta`` may
     name :data:`TILE_KEYS` only — anything else is a
@@ -414,7 +378,9 @@ def unpack_tile(payload: bytes) -> tuple[dict, list[bytes]]:
             f"{len(payload) - pos} follow the lengths"
         )
     bounds = list(itertools.accumulate(sizes, initial=pos))
-    return meta, [payload[a:b] for a, b in zip(bounds, bounds[1:])]
+    # views: the sections share the payload's buffer, not a copy of it
+    view = memoryview(payload)
+    return meta, [view[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 # -- tiled containers ----------------------------------------------------------
@@ -497,34 +463,16 @@ class TileRecord:
         """Shape of the tile in index space."""
         return tuple(b - a for a, b in zip(self.start, self.stop))
 
-    def to_json(self) -> dict:
-        """Legacy TOC form of the byte/index extents."""
-        return {
-            "offset": self.offset,
-            "size": self.size,
-            "start": list(self.start),
-            "stop": list(self.stop),
-        }
-
-    @staticmethod
-    def from_json(record: dict) -> "TileRecord":
-        return TileRecord(
-            offset=int(record["offset"]),
-            size=int(record["size"]),
-            start=tuple(int(x) for x in record["start"]),
-            stop=tuple(int(x) for x in record["stop"]),
-        )
-
 
 class TiledWriter:
-    """Streams a tiled container to a binary sink.
+    """Streams a v7 container to a binary sink.
 
     Tiles are appended one at a time, in grid order (bounded memory);
     the TOC is written at close.  Use as a context manager or call
     :meth:`finish`.  :meth:`add_stages` is the encode loop's entry,
     :meth:`copy_tile` re-files another container's tile, and
     :meth:`add_tile` files a ready payload as it is (how tests forge
-    frames, legacy ones through ``version``).
+    frames).
 
     ``checksums`` (default on) records the payload/header/TOC
     checksums described in the module docstring; readers of containers
@@ -535,13 +483,9 @@ class TiledWriter:
         self,
         sink: BinaryIO,
         header: dict,
-        version: int = VERSION_FRAME,
         checksums: bool = True,
     ) -> None:
-        if version not in TILED_VERSIONS:
-            raise ValueError(f"not a tiled container version: {version}")
         self._fh = sink
-        self._version = version
         self._tiles: list[TileRecord] = []
         self._finished = False
         self._checksums = bool(checksums)
@@ -552,20 +496,16 @@ class TiledWriter:
         if self._checksums:
             header = dict(header, checksums=CHECKSUM_ALGORITHM)
         self._header = header
-        self._modes = version == VERSION_TEMPORAL or (
-            version == VERSION_FRAME and bool(header.get("temporal"))
-        )
-        # v7: where the next tile must lie, and per kind of tile what its
+        self._modes = bool(header.get("temporal"))
+        # where the next tile must lie, and per kind of tile what its
         # first tile added to the header's codec fields
-        self._grid = version == VERSION_FRAME and iter_tiles(
-            header["shape"], header["tile_shape"]
-        )
+        self._grid = iter_tiles(header["shape"], header["tile_shape"])
         self._shared: dict[str, dict] = {}
         header_bytes = _compact_json(header)
         self._header_crc = checksum(header_bytes) if checksums else None
         prelude = (
             MAGIC
-            + bytes([version])
+            + bytes([VERSION_FRAME])
             + len(header_bytes).to_bytes(_HEADER_LEN_BYTES, "little")
             + header_bytes
         )
@@ -601,14 +541,18 @@ class TiledWriter:
 
     def copy_tile(self, reader: "TiledReader", record: TileRecord) -> TileRecord:
         """Re-file *record* of *reader* (extent, palette entry and mode
-        kept): a legacy payload as it is, a v7 one through
-        :meth:`add_stages` — what it left to *reader*'s header and TOC
-        to say is resolved again against this writer's."""
-        rest = (record.config, record.temporal)
-        payload = reader.read_tile(record)
+        kept) through :meth:`add_stages` — what its payload left to
+        *reader*'s header and TOC to say is resolved again against this
+        writer's.  A legacy (v4-v6) payload is a flat container, which a
+        v7 tile may not be: refused."""
         if record.params is None:
-            return self.add_tile(record.start, record.stop, payload, *rest)
-        meta, sections = unpack_tile(payload)
+            raise ValueError(
+                f"tile {record.start}..{record.stop} of a v{reader.version} "
+                "container is a flat blob, not v7 stage bytes: decode and "
+                "re-encode it instead"
+            )
+        rest = (record.config, record.temporal)
+        meta, sections = unpack_tile(reader.read_tile(record))
         params = {**record.params, **meta}
         return self.add_stages(record.start, record.stop, params, sections, *rest)
 
@@ -622,8 +566,8 @@ class TiledWriter:
     ) -> TileRecord:
         """Append one encoded tile as it is; returns its TOC record.
 
-        Nothing but the TOC row is recorded for a v7 *payload*: its
-        ``meta`` must complete header and palette *config* on its own.
+        Nothing but the TOC row is recorded for *payload*: its ``meta``
+        must complete header and palette *config* on its own.
         One lifted from another container may lean on that container's
         ``shared`` records — :meth:`copy_tile` re-files those.
         """
@@ -631,7 +575,7 @@ class TiledWriter:
             raise ValueError("writer already finished")
         if temporal and not self._modes:
             raise ValueError(
-                "temporal tiles need a v6, or v7 header 'temporal', container"
+                "temporal tiles need a container whose header says 'temporal'"
             )
         record = TileRecord(
             offset=self._pos,
@@ -643,7 +587,7 @@ class TiledWriter:
             crc=checksum(payload) if self._checksums else None,
         )
         extent = (record.start, record.stop)
-        if self._grid and next(self._grid, None) != extent:
+        if next(self._grid, None) != extent:
             raise ValueError(
                 f"tile {extent} is not the next of the grid: v7 extents "
                 "are derived from tile order"
@@ -662,7 +606,7 @@ class TiledWriter:
         """Write the trailing TOC; returns the total container size."""
         if self._finished:
             return self._pos - self._start
-        if self._grid and len(self._tiles) != math.prod(
+        if len(self._tiles) != math.prod(
             tile_grid(self._header["shape"], self._header["tile_shape"])
         ):
             raise ValueError(
@@ -682,13 +626,8 @@ class TiledWriter:
                 indices[key] = len(palette)
                 palette.append(entry)
             tile_configs.append(indices[key])
-        if self._version == VERSION_FRAME:
-            sizes = [t.size for t in self._tiles]
-            body: dict = {"sizes": sizes, "shared": self._shared}
-            crc_key = "crcs"
-        else:
-            body = {"tiles": [t.to_json() for t in self._tiles]}
-            crc_key = "tile_crcs"
+        sizes = [t.size for t in self._tiles]
+        body: dict = {"sizes": sizes, "shared": self._shared}
         if palette:
             body["configs"] = palette
             body["tile_configs"] = tile_configs
@@ -697,7 +636,7 @@ class TiledWriter:
                 1 if t.temporal else 0 for t in self._tiles
             ]
         if self._checksums:
-            body[crc_key] = [t.crc for t in self._tiles]
+            body["crcs"] = [t.crc for t in self._tiles]
             body["header_crc"] = self._header_crc
         toc = _compact_json(body)
         self._fh.write(toc)
@@ -905,8 +844,11 @@ class TiledReader:
             extents = [(o, s, *e) for o, s, e in zip(offsets, sizes, grid)]
             shared = toc.get("shared", {})
         else:
-            tiles = map(TileRecord.from_json, toc["tiles"])
-            extents = [(t.offset, t.size, t.start, t.stop) for t in tiles]
+            extents = [
+                (int(t["offset"]), int(t["size"]),
+                 tuple(map(int, t["start"])), tuple(map(int, t["stop"])))
+                for t in toc["tiles"]
+            ]
             shared = None
 
         def column(key: str, fill: object) -> list:

@@ -43,7 +43,7 @@ def describe_container(
     # tiled containers are described from header + TOC alone, so a
     # path goes to TiledReader's random-access reads instead of
     # slurping a potentially huge file
-    if container.is_tiled_version(container.peek_version(source)):
+    if container.peek_version(source) in container.TILED_VERSIONS:
         return _describe_tiled(source, verify)
     return _describe_flat(container.read_blob(source))
 

@@ -1,8 +1,8 @@
 """Composable pipeline stages: transform → predict/quantize → entropy.
 
-:class:`~repro.compressor.sz.SZCompressor` is a thin facade over three
-stage objects, each behind a small interface so alternatives can be
-swapped in without touching the facade or the container layer:
+The per-tile codec :class:`~repro.compressor.sz.SZCompressor` composes
+three stage objects, each behind a small interface so alternatives can
+be swapped in without touching the codec or the container layer:
 
 * :class:`TransformStage` — an invertible pre-transform of the raw
   values (the PW_REL log transform, or the identity);
@@ -12,10 +12,8 @@ swapped in without touching the facade or the container layer:
   one Huffman(+lossless) payload, and still reads the v3 codes sections
   of independently coded blocks that earlier revisions wrote.
 
-Parallel work is a tile's (:mod:`repro.compressor.tiled`), never a
-stage's.  Container serialization is *not* a stage object: the byte
-formats live in :mod:`repro.compressor.container` and the facade calls
-them directly.
+Parallel work is a tile's, and framing the stage bytes the tiled
+compressor's (:mod:`repro.compressor.tiled`), never a stage's.
 """
 
 from __future__ import annotations

@@ -1,33 +1,29 @@
-"""The end-to-end prediction-based lossy compressor (SZ3-like pipeline).
+"""The per-tile stage codec (SZ3-like prediction-based pipeline).
 
-:class:`SZCompressor` is a facade over the staged pipeline in
+:class:`SZCompressor` composes the staged pipeline in
 :mod:`repro.compressor.stages`::
 
-    transform → predict/quantize → entropy-encode → container
+    transform → predict/quantize → entropy-encode
 
 The transform and prediction stages sit behind small interfaces
 (:class:`TransformStage`, :class:`PredictionStage`) and can be swapped
-via the constructor; the byte formats live in
-:mod:`repro.compressor.container`.  Decompression inverts every stage
-and, by construction, honours the configured error bound.
+via the constructor.  :meth:`SZCompressor.encode_stages` turns one
+array into its five stage sections plus the parameters that decode
+them, and :meth:`SZCompressor.decode_stages` inverts every stage — by
+construction within the configured error bound.  Neither frames
+anything: :class:`repro.compressor.tiled.TiledCompressor` is the one
+front end, which drives this codec per tile (a flat array is one tile)
+and writes the container of :mod:`repro.compressor.container`.
 
-The flat container written is **v2**, one Huffman(+lossless) code
-payload (see :mod:`container` for the layouts); **v3**, whose code
-stream was split into independently coded blocks, is still read.  The
-tiled (v7) container is produced by
-:class:`repro.compressor.tiled.TiledCompressor`, which drives this
-facade per tile and is the one place work runs in parallel.
-
-Degenerate inputs take a trivial container: empty arrays round-trip to
-the correct shape/dtype, and constant fields under ``REL`` mode (whose
+Degenerate inputs take no stage bytes: empty arrays round-trip to the
+correct shape/dtype, and constant fields under ``REL`` mode (whose
 value range — hence absolute bound — collapses to zero) are stored as a
-single value and reconstruct exactly.  Both still carry the full header.
+single value and reconstruct exactly.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -45,79 +41,11 @@ from repro.compressor.stages import (
 )
 from repro.utils.timer import StageTimes, Timer
 
-__all__ = ["SZCompressor", "CompressionResult", "StageSizes"]
-
-
-@dataclass(frozen=True)
-class StageSizes:
-    """Byte sizes of the container sections (header included)."""
-
-    header: int
-    codes: int
-    huffman_only: int
-    outliers: int
-    side: int
-    signs: int
-
-    @property
-    def total(self) -> int:
-        """Container size in bytes, derived from the writer's layout."""
-        return (
-            container.flat_overhead(self.header)
-            + self.codes
-            + self.outliers
-            + self.side
-            + self.signs
-        )
-
-
-@dataclass
-class CompressionResult:
-    """Outcome of one compression run.
-
-    ``blob`` is the decodable container; the remaining fields are the
-    measurements the paper's evaluation plots (bit-rate, ratio, zero-code
-    fraction p0, stage breakdowns).
-    """
-
-    blob: bytes
-    n_points: int
-    original_bytes: int
-    sizes: StageSizes
-    p0: float
-    n_outliers: int
-    times: StageTimes = field(default_factory=StageTimes)
-    #: what ``decompress(blob)`` returns, when ``compress`` was asked to
-    #: surface it and the prediction stage could; ``None`` otherwise
-    reconstruction: np.ndarray | None = None
-
-    @property
-    def compressed_bytes(self) -> int:
-        """Container size in bytes."""
-        return len(self.blob)
-
-    @property
-    def ratio(self) -> float:
-        """Compression ratio (original / compressed)."""
-        return self.original_bytes / self.compressed_bytes
-
-    @property
-    def bit_rate(self) -> float:
-        """Bits per data point of the full container."""
-        if self.n_points == 0:
-            return 0.0
-        return 8.0 * self.compressed_bytes / self.n_points
-
-    @property
-    def huffman_bit_rate(self) -> float:
-        """Bits per point of the Huffman-coded quantization codes only."""
-        if self.n_points == 0:
-            return 0.0
-        return 8.0 * self.sizes.huffman_only / self.n_points
+__all__ = ["SZCompressor"]
 
 
 class SZCompressor:
-    """Facade composing the transform, prediction and entropy stages.
+    """The transform, prediction and entropy stages of one tile.
 
     Everything runs on the calling thread.  Pass alternative transform
     or prediction stages to swap parts of the pipeline.
@@ -135,63 +63,22 @@ class SZCompressor:
 
     # -- public API ------------------------------------------------------------
 
-    def compress(
-        self,
-        data: np.ndarray,
-        config: CompressionConfig,
-        reconstruct: bool = False,
-    ) -> CompressionResult:
-        """Compress *data* under *config*; returns blob plus measurements.
-
-        :meth:`encode_stages` wrapped in a flat container.  With
-        ``reconstruct`` the result also carries
-        ``result.reconstruction`` — bit for bit what
-        ``decompress(result.blob)`` returns, taken from the
-        predict-quantize stage instead of a decode (``None`` when the
-        prediction stage cannot surface it).
-        """
-        data = np.asarray(data)
-        times = StageTimes()
-        header, sections, reconstruction, (p0, n_outliers, huffman_only) = (
-            self.encode_stages(data, config, reconstruct, times)
-        )
-        with Timer() as t:
-            blob, header_len = container.write_flat(
-                header, sections, container.VERSION_SINGLE
-            )
-        times.add("serialize", t.elapsed)
-        return CompressionResult(
-            blob=blob,
-            n_points=int(data.size),
-            original_bytes=data.nbytes,
-            sizes=StageSizes(
-                header=header_len,
-                codes=len(sections[0]),
-                huffman_only=huffman_only,
-                outliers=len(sections[1]) + len(sections[2]),
-                side=len(sections[3]),
-                signs=len(sections[4]),
-            ),
-            p0=p0,
-            n_outliers=n_outliers,
-            times=times,
-            reconstruction=reconstruction,
-        )
-
     def encode_stages(
         self,
         data: np.ndarray,
         config: CompressionConfig,
         reconstruct: bool = False,
         times: StageTimes | None = None,
-    ) -> tuple[dict, list[bytes], np.ndarray | None, tuple[float, int, int]]:
+    ) -> tuple[dict, list[bytes], np.ndarray | None, dict[str, int]]:
         """Encode *data* without a container around it.
 
         Returns ``(header, sections, reconstruction, measures)``: the
         fields a flat header would hold, the five stage sections in
-        :data:`container.SECTION_NAMES` order, what ``compress`` would
-        surface, and ``(p0, n_outliers, huffman_only)``.  The per-tile
-        contract of the tiled compressor.
+        :data:`container.SECTION_NAMES` order, with ``reconstruct``
+        what :meth:`decode_stages` will return for them (``None`` when
+        the prediction stage cannot surface it), and the counts
+        :class:`~repro.compressor.tiled.TiledResult` totals over tiles.
+        The per-tile contract of the tiled compressor.
         """
         data = np.asarray(data)
         times = times if times is not None else StageTimes()
@@ -217,7 +104,7 @@ class SZCompressor:
                 outlier_positions=np.zeros(0, dtype=np.int64),
                 outlier_values=np.zeros(0, dtype=np.float64),
             )
-            encoded, p0 = EncodedCodes(b"", 0), 1.0
+            encoded = EncodedCodes(b"", 0)
             if data.size:
                 extra["constant"] = float(core.flat[0])
             reconstruction = (
@@ -232,11 +119,6 @@ class SZCompressor:
                 )
             times.add("predict_quantize", t.elapsed)
             encoded = self._entropy.encode(output.codes, config, times)
-            p0 = (
-                float(np.count_nonzero(output.codes == 0) / output.codes.size)
-                if output.codes.size
-                else 1.0
-            )
             reconstruction = None
             if output.reconstruction is not None:
                 # the tail of decode_stages(), on the encoder's own values
@@ -280,15 +162,13 @@ class SZCompressor:
             header,
             sections,
             reconstruction,
-            (p0, output.n_outliers, encoded.huffman_only),
+            {
+                "n_codes": int(output.codes.size),
+                "n_zero_codes": int(np.count_nonzero(output.codes == 0)),
+                "n_outliers": output.n_outliers,
+                "huffman_only": encoded.huffman_only,
+            },
         )
-
-    def decompress(self, blob: bytes) -> np.ndarray:
-        """Decompress a flat (v2/v3) container."""
-        header, sections = container.read_flat(blob)
-        if header["container_version"] == container.VERSION_CHUNKED:
-            header["chunked"] = True
-        return self.decode_stages(header, sections)
 
     def decode_stages(
         self, header: dict, sections: Sequence[bytes]
@@ -340,13 +220,6 @@ class SZCompressor:
         del codes, output  # spent: the tile-sized code stream is freed here
         data = self._transform.inverse(work, header, signs)
         return data.reshape(shape).astype(dtype, copy=False)
-
-    def roundtrip(
-        self, data: np.ndarray, config: CompressionConfig
-    ) -> tuple[CompressionResult, np.ndarray]:
-        """Compress then decompress; returns ``(result, reconstruction)``."""
-        result = self.compress(data, config)
-        return result, self.decompress(result.blob)
 
     @staticmethod
     def _config_from_header(header: dict) -> CompressionConfig:

@@ -183,7 +183,7 @@ class TemporalCompressor:
         ``config.mode`` must be ``ABS`` or ``REL`` (enforced by
         :class:`CompressionConfig` when ``temporal=True``); ``REL``
         resolves against the *current* snapshot's value range, matching
-        the flat pipeline's per-array semantics.
+        the per-array semantics of every other compress.
 
         With ``reconstruct`` the result also carries the decoded
         snapshot (``result.reconstruction``), assembled from what the
@@ -260,7 +260,7 @@ class TemporalCompressor:
         loop restores it); the residual candidate, where there is one,
         comes first, so it keeps a measured tie.
         """
-        # per-tile configs run the flat codec directly, under the
+        # per-tile configs run the stage codec directly, under the
         # resolved absolute bound
         tile_cfg = config.per_tile(mode=ErrorBoundMode.ABS, error_bound=abs_eb)
         # residuals are structureless noise around zero; the Lorenzo
@@ -397,7 +397,7 @@ class TemporalCompressor:
     ) -> np.ndarray:
         """Decode a full snapshot.
 
-        Keyframes (flat or tiled containers) decode standalone;
+        Keyframes (any container but a delta) decode standalone;
         delta snapshots require ``reference`` — the *decoded* snapshot
         the container's ``ref_snapshot`` header names.
         """

@@ -1,7 +1,8 @@
-"""Tiled out-of-core compression with region-of-interest decode.
+"""The one compressor front end: tiled, out-of-core, region decode.
 
-:class:`TiledCompressor` splits an N-d field into tiles (configurable
-``config.tile_shape``), runs the :class:`SZCompressor` stages once per
+:class:`TiledCompressor` is how every array is compressed.  It splits
+an N-d field into tiles (``config.tile_shape``; ``None`` makes the
+whole array one tile), runs the :class:`SZCompressor` stages once per
 tile, and writes the tiled (v7) container described in
 :mod:`repro.compressor.container`.  Because tiles are encoded one batch
 at a time and streamed straight to the sink, peak memory is bounded by
@@ -31,8 +32,8 @@ adaptive, and the temporal policy of
 the serving store, the chunked storage layer — turns a tile payload
 into samples through :func:`decode_tile`.
 
-Error-bound semantics of the uniform path match the flat pipeline
-exactly:
+Error-bound semantics of the uniform path are the stage codec's on the
+whole array:
 
 * ``ABS`` and ``PW_REL`` bounds are data-independent (the latter in log
   space), so tiles compress under the user's config directly;
@@ -48,6 +49,7 @@ import itertools
 import math
 import os
 import threading
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -100,7 +102,8 @@ __all__ = [
 
 @dataclass
 class TiledResult:
-    """Outcome of one tiled compression run (array or chain snapshot)."""
+    """Outcome of one compression run (array or chain snapshot): the
+    container and what the paper's evaluation plots, over all tiles."""
 
     n_points: int
     original_bytes: int
@@ -108,7 +111,18 @@ class TiledResult:
     tile_shape: tuple[int, ...]
     tiles: list[TileRecord]
     blob: bytes | None = None
+    #: seconds per stage: the loop's, and each tile's transform /
+    #: predict_quantize / huffman / lossless summed over tiles
     times: StageTimes = field(default_factory=StageTimes)
+    #: quantization codes, and how many of them are zero
+    n_codes: int = 0
+    n_zero_codes: int = 0
+    #: unpredictable points stored verbatim
+    n_outliers: int = 0
+    #: bytes of the Huffman-coded code streams before the lossless stage
+    huffman_only: int = 0
+    #: stage bytes per :data:`~repro.compressor.container.SECTION_NAMES`
+    section_bytes: dict[str, int] = field(default_factory=dict)
     #: the per-tile assignment, for adaptive runs only
     plan: AdaptivePlan | None = None
     #: the decoded array — what ``decompress`` returns for the
@@ -140,6 +154,18 @@ class TiledResult:
         if self.n_points == 0:
             return 0.0
         return 8.0 * self.compressed_bytes / self.n_points
+
+    @property
+    def p0(self) -> float:
+        """Fraction of zero quantization codes (1.0 when none exist)."""
+        return self.n_zero_codes / self.n_codes if self.n_codes else 1.0
+
+    @property
+    def huffman_bit_rate(self) -> float:
+        """Bits per point of the Huffman-coded quantization codes only."""
+        if self.n_points == 0:
+            return 0.0
+        return 8.0 * self.huffman_only / self.n_points
 
 
 # -- the per-tile contract -----------------------------------------------------
@@ -186,7 +212,7 @@ def decode_tile(
     *codec* (default: this process's stock one) decodes it — a v7
     payload's sections under the record's *params* and its own
     ``meta``, a legacy payload (no *params*) as the flat container it
-    is — the result must be exactly what the record describes — a
+    is (:func:`_decode_flat`) — the result must be exactly what the record describes — a
     payload that decodes to anything else, or not at all, raises
     :class:`ContainerFormatError` instead of being cropped or broadcast
     into place, which no payload checksum can catch — and a temporal
@@ -195,7 +221,7 @@ def decode_tile(
     """
     codec = codec if codec is not None else worker_state().codec
     if params is None:
-        tile = codec.decompress(payload)
+        tile = _decode_flat(payload, codec)
     else:
         meta, sections = container.unpack_tile(payload)
         try:
@@ -221,11 +247,20 @@ def decode_tile(
     return tile if ref_tile is None else combine(tile, ref_tile)
 
 
+def _decode_flat(blob: bytes, codec: SZCompressor) -> np.ndarray:
+    """The array of a flat (v2/v3) container — read only, nothing writes
+    one any more; a legacy (v4-v6) tile payload is such a container."""
+    header, sections = container.read_flat(blob)
+    if header["container_version"] == container.VERSION_CHUNKED:
+        header["chunked"] = True
+    return codec.decode_stages(header, sections)
+
+
 # -- the tiled compressor ------------------------------------------------------
 
 
 class TiledCompressor:
-    """Out-of-core tiled front-end over the flat SZ pipeline.
+    """Out-of-core tiled front end over the :class:`SZCompressor` stages.
 
     ``workers`` bounds both the encode parallelism *and* the number of
     tiles materialized at once, so peak memory stays at a few tiles.
@@ -316,7 +351,8 @@ class TiledCompressor:
     ) -> TiledResult:
         """Tile-compress *data* into a tiled (v7) container.
 
-        ``out`` may be a path or binary file object to stream the
+        Any array compresses here: with ``config.tile_shape`` unset the
+        whole array — a 0-d one too — is one tile.  ``out`` may be a path or binary file object to stream the
         container to (bounded memory); ``None`` builds the blob in
         memory and returns it in ``result.blob``.  *data* may be any
         array-like, including a ``np.memmap`` over a file that does not
@@ -339,11 +375,6 @@ class TiledCompressor:
         """
         if not hasattr(data, "ndim"):
             data = np.asarray(data)
-        if data.ndim == 0:
-            raise ValueError(
-                "tiled compression needs at least one dimension; "
-                "use SZCompressor for scalars"
-            )
         tile_shape = self._resolve_tile_shape(data.shape, config)
         times = StageTimes()
 
@@ -441,7 +472,9 @@ class TiledCompressor:
         the kept candidate was a residual, a palette entry where the
         job names a ``toc_config``), and with
         *reconstruct* the decoded array is assembled from what the
-        encodes surfaced.  Tiles stream to the sink as they are
+        encodes surfaced; the kept encodes' measures are totalled
+        into the result, and every encode's stage times into *times*.
+        Tiles stream to the sink as they are
         encoded, so peak memory stays at one batch — unless
         *header_extra* is a callable: a header that records how the
         encodes turned out (it is given every tile's temporal flag, in
@@ -451,9 +484,11 @@ class TiledCompressor:
             np.empty(data.shape, dtype=data.dtype) if reconstruct else None
         )
         surfaced = True
+        totals: Counter = Counter()  # encode_stages' measures, over tiles
+        section_bytes = dict.fromkeys(container.SECTION_NAMES, 0)
         with Timer() as t:
             encoded = self._encode_jobs(
-                jobs, data.dtype, executor, reconstruction
+                jobs, data.dtype, executor, reconstruction, times
             )
             if callable(header_extra):
                 encoded = list(encoded)
@@ -480,8 +515,13 @@ class TiledCompressor:
                 sink = io.BytesIO() if out is None else out
             try:
                 writer = TiledWriter(sink, header)
-                for job, params, sections, temporal, tile_surfaced in encoded:
+                for job, params, sections, measures, temporal, tile_surfaced in (
+                    encoded
+                ):
                     surfaced = surfaced and tile_surfaced
+                    totals.update(measures)
+                    for name, section in zip(container.SECTION_NAMES, sections):
+                        section_bytes[name] += len(section)
                     with Timer() as io_timer:
                         writer.add_stages(
                             job.start,
@@ -506,7 +546,9 @@ class TiledCompressor:
             tiles=writer.tiles,
             blob=sink.getvalue() if isinstance(sink, io.BytesIO) else None,
             times=times,
+            section_bytes=section_bytes,
             reconstruction=reconstruction if surfaced else None,
+            **totals,
         )
 
     def _encode_jobs(
@@ -515,11 +557,13 @@ class TiledCompressor:
         dtype: np.dtype,
         executor: CodecExecutor,
         reconstruction: np.ndarray | None,
-    ) -> Iterator[tuple[TileJob, dict, list[bytes], bool, bool]]:
+        times: StageTimes,
+    ) -> Iterator[tuple[TileJob, dict, list[bytes], dict, bool, bool]]:
         """Encode *jobs* batch-by-batch; at most ``workers`` jobs live.
 
-        Yields ``(job, params, sections, temporal, surfaced)`` in TOC order,
-        whatever order the jobs arrive in.  Each batch is staged into
+        Yields ``(job, params, sections, measures, temporal, surfaced)``
+        in TOC order, whatever order the jobs arrive in; every encode's
+        stage times, kept or not, are added to *times*.  Each batch is staged into
         one executor input buffer (a shared-memory arena under the
         process backend, which workers view without copying), every
         candidate in a slot of its own, so peak memory stays at one
@@ -557,6 +601,8 @@ class TiledCompressor:
                 results = executor.run_batch(
                     _compress_tile_task, items, input=arena, output=decoded
                 )
+                for *_, tile_times in results:
+                    times.merge(tile_times)
                 first = 0
                 for job in batch:
                     # a job's candidates sit side by side.  Kept: the one
@@ -569,7 +615,7 @@ class TiledCompressor:
                     slot = min(
                         own, key=lambda slot: sum(map(len, results[slot][1]))
                     )
-                    params, sections, surfaced = results[slot]
+                    params, sections, surfaced, measures, _ = results[slot]
                     samples, _, ref_tile = slots[slot]
                     if surfaced:
                         tile = _slot(
@@ -578,8 +624,9 @@ class TiledCompressor:
                         reconstruction[extent_slices(job.start, job.stop)] = (
                             tile if ref_tile is None else combine(tile, ref_tile)
                         )
+                    temporal = ref_tile is not None
                     waiting[job.index] = (
-                        job, params, sections, ref_tile is not None, surfaced
+                        job, params, sections, measures, temporal, surfaced
                     )
             finally:
                 arena.release()
@@ -672,8 +719,8 @@ class TiledCompressor:
         reference: np.ndarray | None,
     ) -> np.ndarray:
         """*region* (``None``: everything) of the container at *source*."""
-        if not container.is_tiled_version(container.peek_version(source)):
-            data = self._codec.decompress(container.read_blob(source))
+        if container.peek_version(source) not in container.TILED_VERSIONS:
+            data = _decode_flat(container.read_blob(source), self._codec)
             if region is None:
                 return data
             self._count_decoded(1)
@@ -704,7 +751,8 @@ class TiledCompressor:
         under the process backend, so decoded samples are never
         pickled — and the parent assembles the hyperslab from the
         buffer views.  Temporal tiles travel with the matching tile of
-        *reference*.
+        *reference*.  A region that is exactly one tile's extent (a
+        whole one-tile container) is that tile as decoded, not a copy.
         """
         dtype = np.dtype(reader.header["dtype"])
         shape = tuple(reader.header["shape"])
@@ -729,20 +777,24 @@ class TiledCompressor:
                 reference[extent_slices(record.start, record.stop)]
             )
 
-        out = np.zeros(tuple(r.stop - r.start for r in region), dtype=dtype)
+        def decode(record: TileRecord) -> np.ndarray:
+            return decode_tile(
+                reader.read_tile(record), record.shape, dtype, self._codec,
+                ref_tile(record), record.params,
+            )
+
         hits = intersecting_tiles(reader.tiles, region)
         executor = self._executor_for(None, workers)
+        # the region is one tile's extent: the answer is that tile
+        if [region] == [extent_slices(r.start, r.stop) for r, _ in hits]:
+            tile = decode(hits[0][0])
+            self._count_decoded(1)
+            return tile
 
+        out = np.zeros(tuple(r.stop - r.start for r in region), dtype=dtype)
         if executor.workers <= 1 or len(hits) <= 1:
             for record, overlap in hits:
-                tile = decode_tile(
-                    reader.read_tile(record),
-                    record.shape,
-                    dtype,
-                    self._codec,
-                    ref_tile(record),
-                    record.params,
-                )
+                tile = decode(record)
                 copy_overlap(out, region, tile, record.start, overlap)
                 del tile  # not held while the next tile decodes
         else:
@@ -787,22 +839,23 @@ def _compress_tile_task(item, inp, out):
     stock pipeline — the worker's own rebuilt
     :class:`~repro.compressor.sz.SZCompressor` encodes the tile — and
     the caller's codec object on the serial/thread backends, where no
-    pickling happens.  Returns ``(params, sections, surfaced)``, the
-    codec's ``encode_stages`` output: given an output region, the
-    tile's reconstruction is written at the same offset of it (where
-    :func:`decode_tile_task` would put the decode), and ``surfaced``
-    says whether the codec had one to write.
+    pickling happens.  Returns ``(params, sections, surfaced, measures,
+    times)``, the codec's ``encode_stages`` output and its stage times:
+    given an output region, the tile's reconstruction is written at the
+    same offset of it (where :func:`decode_tile_task` would put the
+    decode), and ``surfaced`` says whether the codec had one to write.
     """
     offset, shape, dtype_str, config, codec = item
     dtype = np.dtype(dtype_str)
     codec = codec if codec is not None else worker_state().codec
-    params, sections, reconstruction, _ = codec.encode_stages(
-        _slot(inp, offset, shape, dtype), config, reconstruct=out is not None
+    times = StageTimes()
+    params, sections, reconstruction, measures = codec.encode_stages(
+        _slot(inp, offset, shape, dtype), config, out is not None, times
     )
     surfaced = reconstruction is not None
     if surfaced:
         _slot(out, offset, shape, dtype)[...] = reconstruction
-    return params, sections, surfaced
+    return params, sections, surfaced, measures, times
 
 
 def decode_tile_task(item, inp, out):

@@ -2,8 +2,8 @@
 
 The study harness and all three use cases need the same plumbing — a
 predictor name, an error-bound mode, sampling parameters and codec
-knobs, threaded through to ``CompressionConfig``, ``SZCompressor`` /
-``TiledCompressor`` and ``RatioQualityModel`` constructors.  Before this
+knobs, threaded through to ``CompressionConfig``, ``TiledCompressor``
+and ``RatioQualityModel`` constructors.  Before this
 module each of them carried its own copy of that kwargs forwarding;
 :class:`CodecFactory` holds it once.
 
@@ -11,7 +11,7 @@ Usage::
 
     factory = CodecFactory(predictor="interpolation", sample_rate=0.02)
     model = factory.fit_model(data)
-    result = factory.compressor().compress(
+    result = factory.tiled_compressor().compress(
         data, factory.config(error_bound=1e-3)
     )
 """
@@ -26,7 +26,6 @@ from repro.compressor import (
     AdaptivePlanner,
     CompressionConfig,
     ErrorBoundMode,
-    SZCompressor,
     TemporalCompressor,
     TiledCompressor,
 )
@@ -87,13 +86,9 @@ class CodecFactory:
         )
         return replace(base, **overrides) if overrides else base
 
-    def compressor(self) -> SZCompressor:
-        """The flat staged-pipeline compressor (serial: a flat array
-        is one unit of work)."""
-        return SZCompressor()
-
     def tiled_compressor(self) -> TiledCompressor:
-        """The tiled out-of-core compressor.
+        """The compressor: tiled out-of-core (``tile_shape`` unset: one
+        whole-array tile).
 
         The factory's sampling settings parameterize the adaptive
         planner, so ``adaptive`` runs sample at the rate/seed every

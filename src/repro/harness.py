@@ -80,19 +80,14 @@ class RateDistortionStudy:
     def run(self) -> list[StudyCell]:
         """Execute the full sweep; returns one cell per combination.
 
-        A factory carrying ``tile_shape`` routes every cell through the
-        tiled compressor (v4 containers; v5 when ``adaptive`` is also
-        set), so studies measure the container the deployment would
-        actually write.
+        Every cell compresses through the factory's compressor — one
+        whole-array tile, or its ``tile_shape`` grid (``adaptive``
+        planned when set) — so studies measure the container the
+        deployment would actually write.
         """
         import time
 
-        tiled = (
-            self.factory.tiled_compressor()
-            if self.factory.tile_shape is not None
-            else None
-        )
-        sz = self.factory.compressor()
+        tiled = self.factory.tiled_compressor()
         cells: list[StudyCell] = []
         for name, data in self.fields.items():
             data = np.asarray(data)
@@ -111,17 +106,10 @@ class RateDistortionStudy:
                     )
                     config = factory.config(eb)
                     start = time.perf_counter()
-                    if tiled is not None:
-                        result = tiled.compress(data, config)
-                    else:
-                        result = sz.compress(data, config)
+                    result = tiled.compress(data, config)
                     compress_seconds = time.perf_counter() - start
                     if self.measure_quality:
-                        recon = (
-                            tiled.decompress(result.blob)
-                            if tiled is not None
-                            else sz.decompress(result.blob)
-                        )
+                        recon = tiled.decompress(result.blob)
                         meas_psnr = psnr(data, recon)
                         meas_ssim = ssim_global(data, recon)
                     else:

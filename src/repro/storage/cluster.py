@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.compressor import CompressionConfig, SZCompressor
+from repro.compressor import CompressionConfig, TiledCompressor
 from repro.core.model import RatioQualityModel
 from repro.usecases.baselines import tae_select_error_bound
 from repro.utils.timer import StageTimes, Timer
@@ -90,13 +90,13 @@ class ThroughputProfile:
         dominated by scheduler noise, which would skew every simulated
         dump time calibrated from the profile.
         """
-        sz = SZCompressor()
+        tiled = TiledCompressor()
         nbytes = float(np.asarray(sample).nbytes)
 
         best_comp = best_model = best_trial = float("inf")
         for _ in range(max(1, repeats)):
             with Timer() as t_comp:
-                result = sz.compress(sample, config)
+                tiled.compress(sample, config)
             with Timer() as t_model:
                 model = RatioQualityModel(
                     predictor=config.predictor
@@ -106,7 +106,6 @@ class ThroughputProfile:
                 tae_select_error_bound(
                     sample, config, [config.error_bound], target_psnr
                 )
-            del result
             best_comp = min(best_comp, t_comp.elapsed)
             best_model = min(best_model, t_model.elapsed)
             best_trial = min(best_trial, t_trial.elapsed)
@@ -145,7 +144,7 @@ class ClusterSimulator:
         self.spec = spec
         self.profile = profile
         self.config = config
-        self._sz = SZCompressor()
+        self._tiled = TiledCompressor()
 
     # -- strategy primitives ------------------------------------------------------
 
@@ -154,10 +153,8 @@ class ClusterSimulator:
         return float(np.asarray(snapshot).nbytes) / self.spec.n_ranks
 
     def _compressed_bytes(self, snapshot: np.ndarray, eb: float) -> int:
-        result = self._sz.compress(
-            snapshot, self.config.with_error_bound(float(eb))
-        )
-        return result.compressed_bytes
+        config = self.config.with_error_bound(float(eb))
+        return self._tiled.compress(snapshot, config).compressed_bytes
 
     def _io_time(self, compressed_bytes: int) -> float:
         return (

@@ -12,7 +12,7 @@ Chunk geometry delegates to the tiled subsystem
 powers :meth:`H5LikeFile.read_region` — a partial read that touches and
 decompresses only the chunks intersecting a requested hyperslab, the
 same access pattern :meth:`TiledCompressor.decompress_region` serves on
-bare v4 containers.  When a dataset's filter config carries a
+bare v7 containers.  When a dataset's filter config carries a
 ``tile_shape`` it becomes the default chunk grid.
 
 File layout::
@@ -20,7 +20,10 @@ File layout::
     b"RQH5" | version:u8 | chunk payloads ... | TOC JSON | toc_len:u64
 
 The TOC records every dataset's shape/dtype/chunk grid, per-chunk
-offsets/sizes, the filter config, and user attributes.
+offsets/sizes/kinds, the filter config, and user attributes.  A
+filtered chunk is a v7 tile payload (kind ``"tile"``) whose ``meta``
+holds all its parameters, decoded by the tile decoder every reader
+uses; chunks of kind ``"sz"`` (earlier files) are flat containers.
 """
 
 from __future__ import annotations
@@ -33,6 +36,11 @@ from typing import Sequence
 import numpy as np
 
 from repro.compressor import CompressionConfig, SZCompressor
+from repro.compressor.container import (
+    TILE_KEYS,
+    ContainerFormatError,
+    pack_tile,
+)
 from repro.compressor.adaptive import AdaptivePlan, AdaptivePlanner
 from repro.compressor.plan_cache import PlannerCache
 from repro.compressor.tiled import decode_tile
@@ -112,7 +120,11 @@ class H5LikeFile:
             self._closed = False
         else:
             self._fh = open(path, "rb")
-            self._load_toc()
+            try:
+                self._load_toc()
+            except BaseException:
+                self._fh.close()
+                raise
             self._closed = False
 
     # -- context management ------------------------------------------------------
@@ -153,8 +165,8 @@ class H5LikeFile:
         A filter config with ``adaptive`` set runs the model-driven
         planner over the chunk grid, so every chunk is stored under its
         own (predictor, bound, radius) — the chunk records carry the
-        choices, and reads are transparent since each payload is
-        self-describing.
+        choices, and reads are transparent since each payload's
+        ``meta`` holds its parameters.
         """
         if self.mode != "w":
             raise IOError("file is open read-only")
@@ -196,8 +208,12 @@ class H5LikeFile:
                 chunk_config = (
                     plan.config_for(config, index) if plan is not None else config
                 )
-                payload = self._sz.compress(chunk, chunk_config).blob
-                kind = "sz"
+                params, sections, _, _ = self._sz.encode_stages(
+                    chunk, chunk_config
+                )
+                meta = {k: v for k, v in params.items() if k in TILE_KEYS}
+                payload = pack_tile(meta, sections)
+                kind = "tile"
             else:
                 payload = chunk.tobytes()
                 kind = "raw"
@@ -247,14 +263,42 @@ class H5LikeFile:
     # -- reading ------------------------------------------------------------
 
     def _load_toc(self) -> None:
-        self._fh.seek(0)
-        magic = self._fh.read(len(_MAGIC))
-        if magic != _MAGIC:
-            raise ValueError("not an RQH5 container")
-        self._fh.seek(-8, os.SEEK_END)
+        """Read the TOC; a damaged file is a :class:`ContainerFormatError`.
+
+        Every chunk record must lie inside the payload region (after
+        the magic and version, before the TOC), so no read goes outside
+        it whatever the TOC says.
+        """
+        head = self._fh.read(len(_MAGIC) + 1)
+        if head[: len(_MAGIC)] != _MAGIC:
+            raise ContainerFormatError("not an RQH5 container")
+        total = self._fh.seek(0, os.SEEK_END)
+        self._fh.seek(max(total - 8, 0))
         toc_len = int.from_bytes(self._fh.read(8), "little")
-        self._fh.seek(-8 - toc_len, os.SEEK_END)
-        self._toc = json.loads(self._fh.read(toc_len).decode())
+        toc_start = total - 8 - toc_len
+        if toc_start < len(head):
+            raise ContainerFormatError(
+                f"truncated or corrupt RQH5 container: {total} bytes do "
+                f"not hold a {toc_len}-byte TOC"
+            )
+        self._fh.seek(toc_start)
+        try:
+            toc = json.loads(self._fh.read(toc_len).decode())
+            datasets = toc["datasets"]
+            chunks = [
+                (int(c["offset"]), int(c["size"]))
+                for entry in datasets.values()
+                for c in entry["chunks"]
+            ]
+        except (ValueError, TypeError, LookupError, AttributeError) as exc:
+            raise ContainerFormatError(f"corrupt RQH5 TOC: {exc!r}") from exc
+        for offset, size in chunks:
+            if not len(head) <= offset <= offset + size <= toc_start:
+                raise ContainerFormatError(
+                    f"corrupt RQH5 TOC: chunk at {offset} (+{size}) lies "
+                    f"outside the payload region {len(head)}..{toc_start}"
+                )
+        self._toc = toc
 
     def dataset_names(self) -> list[str]:
         """Names of all stored datasets."""
@@ -311,8 +355,12 @@ class H5LikeFile:
             chunk_shape = tuple(
                 b - a for a, b in zip(record["start"], record["stop"])
             )
-            if record["kind"] == "sz":
-                chunk = decode_tile(payload, chunk_shape, dtype, self._sz)
+            if record["kind"] != "raw":
+                # "sz": a flat container, from before chunks were tiles
+                params = {} if record["kind"] == "tile" else None
+                chunk = decode_tile(
+                    payload, chunk_shape, dtype, self._sz, params=params
+                )
             else:
                 chunk = np.frombuffer(payload, dtype=dtype).reshape(
                     chunk_shape

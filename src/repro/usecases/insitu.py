@@ -13,10 +13,10 @@ Two flavours of fine-grained error-bound tuning:
   the target PSNR, compress (Fig. 13, vs. the offline worst-case bound).
 
 The pipeline compresses through whatever codec its
-:class:`~repro.factory.CodecFactory` describes: the flat pipeline by
-default, the tiled/adaptive compressor when the factory carries a
-``tile_shape``, and the temporal snapshot stream delta mode (v6) when
-the factory sets ``temporal`` — keyframes at the factory's
+:class:`~repro.factory.CodecFactory` describes: one whole-array tile by
+default, the factory's ``tile_shape`` grid (adaptive when set)
+otherwise, and the temporal snapshot stream delta mode when the
+factory sets ``temporal`` — keyframes at the factory's
 ``keyframe_interval``, every other snapshot encoded against the decoded
 previous one.
 """
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.analysis.metrics import psnr
-from repro.compressor import CompressionResult
+from repro.compressor import TiledResult
 from repro.core.optimizer import PartitionOptimizer, PartitionPlan
 from repro.factory import CodecFactory
 from repro.utils.timer import StageTimes, Timer
@@ -41,7 +41,7 @@ class TunedCompression:
     """Per-partition plan plus measured outcomes."""
 
     plan: PartitionPlan
-    results: list[CompressionResult]
+    results: list[TiledResult]
     measured_psnr: float
     measured_bitrate: float
 
@@ -66,7 +66,7 @@ class PartitionTuner:
         self.seed = self.factory.seed
         self.partitions: list[np.ndarray] = []
         self.optimizer: PartitionOptimizer | None = None
-        self._sz = self.factory.compressor()
+        self._tiled = self.factory.tiled_compressor()
 
     def fit(self, partitions: list[np.ndarray]) -> "PartitionTuner":
         """Fit one model per partition and build the optimizer grid."""
@@ -100,14 +100,17 @@ class PartitionTuner:
         return self._execute(plan)
 
     def _execute(self, plan: PartitionPlan) -> TunedCompression:
-        results: list[CompressionResult] = []
+        results: list[TiledResult] = []
         sq_err_sum = 0.0
         bits_sum = 0.0
         n_sum = 0
         vrange = 0.0
         for partition, eb in zip(self.partitions, plan.error_bounds):
             config = self.factory.config(eb)
-            result, recon = self._sz.roundtrip(partition, config)
+            # what a decode of the container returns, surfaced by the
+            # encode instead of decoding it
+            result = self._tiled.compress(partition, config, reconstruct=True)
+            recon = result.reconstruction
             results.append(result)
             diff = partition.astype(np.float64) - recon.astype(np.float64)
             sq_err_sum += float(np.sum(diff**2))
@@ -141,7 +144,7 @@ class SnapshotRecord:
     ratio: float
     psnr: float
     times: StageTimes = field(default_factory=StageTimes)
-    #: False for temporal-delta snapshots (v6); True otherwise
+    #: False for temporal-delta snapshots; True otherwise
     keyframe: bool = True
     #: per-tile choice counts of temporal-delta snapshots
     temporal_tiles: int = 0
@@ -151,8 +154,8 @@ class SnapshotRecord:
 class SnapshotPipeline:
     """Streaming in-situ optimization: one decision per snapshot.
 
-    The factory picks the codec path: flat (default), tiled/adaptive
-    (``tile_shape`` set), or temporal snapshot stream deltas
+    The factory picks the codec path: one whole-array tile (default),
+    tiled/adaptive (``tile_shape`` set), or temporal snapshot stream deltas
     (``temporal`` set — each non-keyframe snapshot encodes against the
     *decoded* previous snapshot, exactly what a chained in-situ dump
     replays).
@@ -173,15 +176,11 @@ class SnapshotPipeline:
         self.predictor = self.factory.predictor
         self.sample_rate = self.factory.sample_rate
         self.seed = self.factory.seed
-        self._sz = self.factory.compressor()
-        # tiled, adaptive and temporal streams write tiled containers:
         # a temporal factory's compressor takes the reference as well
         self._tiled = (
             self.factory.temporal_compressor()
             if self.factory.temporal
             else self.factory.tiled_compressor()
-            if self.factory.tile_shape is not None
-            else None
         )
         #: decoded previous snapshot — the temporal reference
         self._last_recon: np.ndarray | None = None
@@ -200,9 +199,7 @@ class SnapshotPipeline:
         config = self.factory.config(eb)
         keyframe = True
         temporal_tiles = spatial_tiles = 0
-        if self._tiled is None:
-            result = self._sz.compress(snapshot, config, reconstruct=True)
-        elif not self.factory.temporal:
+        if not self.factory.temporal:
             result = self._tiled.compress(
                 snapshot, config, dataset="insitu-stream", reconstruct=True
             )

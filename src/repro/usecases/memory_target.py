@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.compressor import CompressionResult
+from repro.compressor import TiledResult
 from repro.factory import CodecFactory
 
 __all__ = ["MemoryBudgetCompressor", "BudgetReport"]
@@ -33,7 +33,7 @@ class BudgetReport:
 
     budget_bytes: int
     target_bytes: int
-    result: CompressionResult
+    result: TiledResult
     error_bound: float
     rounds: int
 
@@ -74,7 +74,7 @@ class MemoryBudgetCompressor:
         self.max_rounds = max_rounds
         self.sample_rate = self.factory.sample_rate
         self.seed = self.factory.seed
-        self._sz = self.factory.compressor()
+        self._tiled = self.factory.tiled_compressor()
 
     def compress(self, data: np.ndarray, budget_bytes: int) -> BudgetReport:
         """Compress *data* to fit *budget_bytes*.
@@ -125,5 +125,5 @@ class MemoryBudgetCompressor:
             reports.append(self.compress(array, max(share, 1)))
         return reports
 
-    def _compress_at(self, data: np.ndarray, eb: float) -> CompressionResult:
-        return self._sz.compress(data, self.factory.config(eb))
+    def _compress_at(self, data: np.ndarray, eb: float) -> TiledResult:
+        return self._tiled.compress(data, self.factory.config(eb))

@@ -43,6 +43,31 @@ def test_codec_bulk_decode_peak_is_a_small_multiple_of_the_output(
     assert peak <= 4.5 * decoded.nbytes
 
 
+def test_one_tile_decode_peaks_where_the_flat_decode_did(monkeypatch):
+    """A flat array is a one-tile container, and decoding it costs what
+    decoding the retired flat (v2) container did.  On a 4 MiB random
+    walk (``float32`` 64x64x256, ABS 1e-2, tables built cold) the traced
+    peak is <= 4.6x the output; it reads 4.39x.  Before the flat writer
+    was retired, the flat decode of the same field peaked at 4.39x and
+    the one-tile decode at 5.68x: a zeroed output array the tile was
+    copied into, and the tile's sections sliced out of its payload as
+    copies instead of views."""
+    cache = huffman_module._DecodeTableLRU()
+    monkeypatch.setattr(huffman_module, "_DECODE_TABLE_CACHE", cache)
+    field = _ledger_fields().random_walk((64, 64, 256), seed=5)[0]
+    codec = TiledCompressor(backend="serial")
+    blob = codec.compress(field, CompressionConfig(error_bound=1e-2)).blob
+    tracemalloc.start()
+    try:
+        decoded = codec.decompress(blob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert codec.last_tiles_decoded == 1
+    assert_error_bounded(field, decoded, 1e-2)
+    assert peak <= 4.6 * decoded.nbytes
+
+
 def test_cold_tables_decode_what_warm_ones_do(monkeypatch):
     """A 64-tile high-entropy container — a distinct quantization code
     and token code per tile — decodes to the same bytes with every

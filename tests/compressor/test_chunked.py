@@ -32,7 +32,9 @@ from repro.compressor.tiled import decode_tile
 from tests.conftest import (
     assert_error_bounded,
     forge_chunked_v7,
+    forge_v2,
     forge_v3,
+    one_tile_params,
     smooth_field,
     write_chunked_codes,
 )
@@ -42,7 +44,7 @@ DATA_DIR = os.path.join(os.path.dirname(os.path.dirname(__file__)), "data")
 
 @pytest.fixture(scope="module")
 def sz():
-    return SZCompressor()
+    return TiledCompressor()
 
 
 def _seed_field():
@@ -50,14 +52,17 @@ def _seed_field():
 
 
 def _assert_twins(sz, data, config, chunk):
-    """A forged v3 container decodes exactly as its v2 twin does."""
-    v2 = sz.compress(data, config).blob
+    """A forged v3 container decodes exactly as its unchunked twin — the
+    one-tile container — does."""
+    twin = sz.compress(data, config).blob
     v3 = forge_v3(data, config, chunk)
     assert v3[4] == 3 and len(read_chunked_codes(read_flat(v3)[1][0])) > 1
     recon = sz.decompress(v3)
     assert recon.dtype == data.dtype and recon.shape == data.shape
-    np.testing.assert_array_equal(recon, sz.decompress(v2))
-    np.testing.assert_array_equal(TiledCompressor().decompress(v3), recon)
+    np.testing.assert_array_equal(recon, sz.decompress(twin))
+    np.testing.assert_array_equal(
+        decode_tile(v3, data.shape, data.dtype), recon
+    )
     return recon
 
 
@@ -153,8 +158,8 @@ class TestRatioParity:
         result = sz.compress(
             data, CompressionConfig(error_bound=1e-3, lossless=None)
         )
-        assert 0 < result.sizes.huffman_only == result.sizes.codes
-        assert result.sizes.total == len(result.blob)
+        assert 0 < result.huffman_only == result.section_bytes["codes"]
+        assert result.compressed_bytes == len(result.blob)
 
 
 class TestHeaderRoundtrip:
@@ -162,16 +167,15 @@ class TestHeaderRoundtrip:
         # written as null, not dropped: the header bytes stay as they were
         data = smooth_field((40, 40))
         cfg = CompressionConfig(error_bound=1e-3)
-        header, _ = read_flat(sz.compress(data, cfg).blob)
-        assert header["chunk_size"] is None
-        assert header["container_version"] == 2
-        assert sz._config_from_header(header) == cfg
+        blob = sz.compress(data, cfg).blob
+        assert TiledReader(blob).header["chunk_size"] is None
+        assert SZCompressor._config_from_header(one_tile_params(blob)) == cfg
         # a released v3 header records its block size, which no
         # config holds any more
         header, _ = read_flat(forge_v3(data, cfg, 500))
         assert header["chunk_size"] == 500
         assert header["container_version"] == 3
-        assert sz._config_from_header(header) == cfg
+        assert SZCompressor._config_from_header(header) == cfg
 
 
 class TestBackwardCompat:
@@ -209,15 +213,32 @@ class TestBackwardCompat:
         with open(os.path.join(DATA_DIR, "seed_v2_zstd.rqsz"), "rb") as fh:
             header, _ = read_flat(fh.read())
         assert "chunk_size" not in header
-        assert sz._config_from_header(header) == CompressionConfig(
+        assert SZCompressor._config_from_header(header) == CompressionConfig(
             error_bound=1e-3
         )
+
+    @pytest.mark.parametrize("name", ["seed_v2_zstd", "seed_v2_none"])
+    def test_one_tile_holds_the_seed_blobs_sections(self, sz, seed_field, name):
+        """Framing moved, values did not: the seed field re-encoded under
+        a released blob's config is a one-tile container whose five
+        sections are that blob's, byte for byte (REL resolved to the
+        same absolute bound), and which decodes to its expected array."""
+        with open(os.path.join(DATA_DIR, f"{name}.rqsz"), "rb") as fh:
+            header, sections = read_flat(fh.read())
+        config = SZCompressor._config_from_header(header)
+        blob = sz.compress(seed_field, config).blob
+        with TiledReader(blob) as reader:
+            (record,) = reader.tiles
+            assert reader.read_sections(record) == sections
+        assert one_tile_params(blob)["abs_eb"] == header["abs_eb"]
+        expected = np.load(os.path.join(DATA_DIR, f"{name}_expected.npy"))
+        np.testing.assert_array_equal(sz.decompress(blob), expected)
 
 
 class TestCorruptedBlobs:
     def test_unsupported_version_rejected(self, sz):
         data = smooth_field((30, 30))
-        blob = bytearray(sz.compress(data, CompressionConfig()).blob)
+        blob = bytearray(forge_v2(data, CompressionConfig()))
         blob[4] = 9
         with pytest.raises(ValueError):
             sz.decompress(bytes(blob))
@@ -231,12 +252,12 @@ class TestCorruptedBlobs:
         codes[4:12] = (2**40).to_bytes(8, "little")
         with pytest.raises(ValueError):
             HuffmanEntropyStage().decode(
-                bytes(codes), sz._config_from_header(header), chunked=True
+                bytes(codes), SZCompressor._config_from_header(header), chunked=True
             )
 
     def test_truncated_container_rejected(self, sz):
         data = smooth_field((2000,))
-        blob = sz.compress(data, CompressionConfig(error_bound=1e-3)).blob
+        blob = forge_v2(data, CompressionConfig(error_bound=1e-3))
         with pytest.raises((ValueError, EOFError)):
             sz.decompress(blob[: len(blob) // 2])
 

@@ -6,34 +6,50 @@ import numpy as np
 import pytest
 
 from repro.compressor import container
-from repro.compressor import CompressionConfig, SZCompressor
+from repro.compressor import CompressionConfig, TiledCompressor
 from repro.compressor.container import TiledReader, TiledWriter, TileRecord
-from tests.conftest import smooth_field, write_chunked_codes
+from tests.conftest import (
+    LegacyTiledWriter,
+    forge_flat,
+    forge_v2,
+    smooth_field,
+    write_chunked_codes,
+)
 
 
 class TestFlat:
+    """Flat (v2/v3) containers are read only; the tests forge them."""
+
     def test_write_read_roundtrip(self):
         header = {"shape": [3], "dtype": "<f8", "x": 1}
         sections = [b"codes", b"", b"vals", b"side", b"signs!"]
-        blob, header_len = container.write_flat(
-            header, sections, container.VERSION_SINGLE
+        back_header, back_sections = container.read_flat(
+            forge_flat(header, sections)
         )
-        back_header, back_sections = container.read_flat(blob)
         assert back_header.pop("container_version") == 2
         assert back_header == header
         assert back_sections == sections
-        assert header_len > 0
 
-    def test_blob_size_matches_derived_overhead(self):
-        header = {"k": "v"}
-        sections = [b"a" * 10, b"b" * 3, b"", b"c", b"dd"]
-        blob, header_len = container.write_flat(
-            header, sections, container.VERSION_CHUNKED
-        )
-        expected = container.flat_overhead(header_len) + sum(
-            len(s) for s in sections
-        )
-        assert len(blob) == expected
+    @pytest.mark.parametrize("version", [2, 3])
+    def test_trailing_bytes_rejected(self, version):
+        """The last section ends the container: bytes after it mean the
+        blob is not what its lengths say (a chunk record that overran)."""
+        blob = forge_flat({"k": "v"}, [b"a" * 10, b"b" * 3, b"", b"c", b"dd"], version)
+        container.read_flat(blob)
+        for junk in (b"\x00", b"junk", bytes(1 << 20)):
+            with pytest.raises(container.ContainerFormatError, match="follow"):
+                container.read_flat(blob + junk)
+
+    def test_trailing_bytes_after_a_released_blob_rejected(self):
+        import os
+
+        data_dir = os.path.join(os.path.dirname(os.path.dirname(__file__)), "data")
+        with open(os.path.join(data_dir, "seed_v2_zstd.rqsz"), "rb") as fh:
+            blob = fh.read()
+        expected = np.load(os.path.join(data_dir, "seed_v2_zstd_expected.npy"))
+        np.testing.assert_array_equal(TiledCompressor().decompress(blob), expected)
+        with pytest.raises(container.ContainerFormatError):
+            TiledCompressor().decompress(blob + b"junk")
 
     def test_bad_magic_rejected(self):
         with pytest.raises(ValueError):
@@ -47,14 +63,10 @@ class TestFlat:
         with pytest.raises(ValueError):
             container.read_flat(sink.getvalue())
 
-    def test_non_flat_version_rejected_by_writer(self):
-        with pytest.raises(ValueError):
-            container.write_flat({}, [b""] * 5, container.VERSION_TILED)
 
-
-class TestStageSizesDerived:
-    """StageSizes.total must equal the real container size, with the
-    overhead derived from the writer's layout constants."""
+class TestResultAccounting:
+    """A result's size is its container's, its section totals the
+    stage bytes the container holds."""
 
     @pytest.mark.parametrize(
         "config",
@@ -69,14 +81,22 @@ class TestStageSizesDerived:
     )
     def test_total_matches_blob(self, config):
         data = smooth_field((40, 40))
-        result = SZCompressor().compress(data, config)
-        assert result.sizes.total == len(result.blob)
+        result = TiledCompressor().compress(data, config)
+        assert result.compressed_bytes == len(result.blob)
+        with TiledReader(result.blob) as reader:
+            (record,) = reader.tiles
+            sections = reader.read_sections(record)
+        assert result.section_bytes == {
+            name: len(section)
+            for name, section in zip(container.SECTION_NAMES, sections)
+        }
 
     def test_total_matches_for_trivial_containers(self):
-        result = SZCompressor().compress(
+        result = TiledCompressor().compress(
             np.zeros((0, 2)), CompressionConfig()
         )
-        assert result.sizes.total == len(result.blob)
+        assert result.compressed_bytes == len(result.blob)
+        assert set(result.section_bytes.values()) == {0}
 
 
 class TestChunkedFraming:
@@ -106,7 +126,12 @@ class TestChunkedFraming:
 class TestTiledFormat:
     def _write(self, sink, version=container.VERSION_FRAME):
         header = {"shape": [4, 4], "dtype": "<f4", "tile_shape": [2, 4]}
-        with TiledWriter(sink, header, version=version) as writer:
+        writer = (
+            TiledWriter(sink, header)
+            if version == container.VERSION_FRAME
+            else LegacyTiledWriter(sink, header, version)
+        )
+        with writer:
             writer.add_tile((0, 0), (2, 4), b"payload-a")
             writer.add_tile((2, 0), (4, 4), b"payload-bb")
         return header
@@ -141,7 +166,6 @@ class TestTiledFormat:
     def test_tile_record_geometry(self):
         record = TileRecord(offset=0, size=1, start=(2, 0), stop=(4, 3))
         assert record.shape == (2, 3)
-        assert TileRecord.from_json(record.to_json()) == record
 
     def test_add_after_finish_rejected(self):
         sink = io.BytesIO()
@@ -158,9 +182,7 @@ class TestTiledFormat:
         assert total == len(sink.getvalue())
 
     def test_flat_blob_rejected_by_tiled_reader(self):
-        blob = SZCompressor().compress(
-            smooth_field((10,)), CompressionConfig()
-        ).blob
+        blob = forge_v2(smooth_field((10,)), CompressionConfig())
         with pytest.raises(ValueError):
             TiledReader(blob)
 
@@ -185,9 +207,7 @@ class TestTiledFormat:
         sink = io.BytesIO()
         self._write(sink)
         tiled = sink.getvalue()
-        flat = SZCompressor().compress(
-            smooth_field((64,)), CompressionConfig(error_bound=1e-3)
-        ).blob
+        flat = forge_v2(smooth_field((64,)), CompressionConfig(error_bound=1e-3))
         for blob, version in ((tiled, 7), (flat, 2)):
             path = tmp_path / f"v{version}.rqsz"
             path.write_bytes(blob)
@@ -205,7 +225,7 @@ class TestTiledFormat:
                  "quant_radius": 256}
         cfg_b = {"predictor": "interpolation", "error_bound": 2.0,
                  "quant_radius": 1024}
-        with TiledWriter(
+        with LegacyTiledWriter(
             sink, header, version=container.VERSION_ADAPTIVE
         ) as writer:
             writer.add_tile((0, 0), (2, 4), b"payload-a", config=cfg_a)
@@ -258,7 +278,3 @@ class TestTiledFormat:
         )
         with pytest.raises(ValueError, match="corrupt tile TOC"):
             TiledReader(bad)
-
-    def test_invalid_writer_version_rejected(self):
-        with pytest.raises(ValueError):
-            TiledWriter(io.BytesIO(), {"shape": [1]}, version=3)

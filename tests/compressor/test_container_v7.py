@@ -42,6 +42,8 @@ from repro.compressor.container import (
 from repro.compressor.inspect import describe_container
 from repro.compressor.tiled_geometry import iter_tiles
 from tests.conftest import (
+    LegacyTiledWriter,
+    forge_v2,
     replace_tile,
     rewrite_container as rewrite,
     smooth_field,
@@ -126,7 +128,12 @@ def forged(version: int, checksums: bool = False) -> bytes:
         {"predictor": "interpolation", "error_bound": 2.0, "quant_radius": 64},
     ]
     sink = io.BytesIO()
-    with TiledWriter(sink, header, version=version, checksums=checksums) as w:
+    writer = (
+        TiledWriter(sink, header, checksums=checksums)
+        if version == 7
+        else LegacyTiledWriter(sink, header, version, checksums)
+    )
+    with writer as w:
         for index, (start, stop) in enumerate(iter_tiles((6, 4), (2, 4))):
             w.add_tile(
                 start,
@@ -252,7 +259,7 @@ def test_v7_writer_takes_tiles_in_grid_order_only():
     writer = TiledWriter(io.BytesIO(), header)
     with pytest.raises(ValueError, match="not the next of the grid"):
         writer.add_tile((2, 0), (4, 4), b"late")
-    legacy = TiledWriter(io.BytesIO(), header, version=4)
+    legacy = LegacyTiledWriter(io.BytesIO(), header, version=4)
     legacy.add_tile((2, 0), (4, 4), b"any order: the TOC stores extents")
 
 
@@ -270,7 +277,7 @@ def test_v7_writer_refuses_to_finish_a_grid_it_has_not_filled():
     assert sink.getvalue().startswith(written)
     assert len(TiledReader(sink.getvalue()).tiles) == 2
     # a legacy TOC stores its extents: any subset of a grid is a frame
-    with TiledWriter(io.BytesIO(), header, version=4) as legacy:
+    with LegacyTiledWriter(io.BytesIO(), header, version=4) as legacy:
         legacy.add_tile((0, 0), (2, 4), b"one of two")
 
 
@@ -342,23 +349,23 @@ def test_copy_tile_refiles_what_a_raw_payload_would_lose(kind):
         TiledCompressor().decompress(raw, reference=FUZZ_REF)
 
 
-def test_copy_tile_files_a_legacy_payload_as_it_is():
+def test_copy_tile_refuses_a_legacy_payload():
+    """A v4-v6 tile is a flat container: filed into a v7 TOC it would
+    make a container no reader decodes, so the copy is refused before
+    a byte is written."""
     data = smooth_field((24, 24))
     config = CompressionConfig(error_bound=1e-3)
-    sinks = [io.BytesIO(), io.BytesIO()]
     header = {"shape": [24, 24], "tile_shape": [12, 24], "dtype": data.dtype.str}
-    with TiledWriter(sinks[0], header, version=4) as writer:
+    sinks = [io.BytesIO(), io.BytesIO()]
+    with LegacyTiledWriter(sinks[0], header, version=4) as writer:
         for start, stop in iter_tiles((24, 24), (12, 24)):
-            tile = data[start[0] : stop[0]]
-            writer.add_tile(start, stop, SZCompressor().compress(tile, config).blob)
+            writer.add_tile(start, stop, forge_v2(data[start[0] : stop[0]], config))
     with TiledReader(sinks[0].getvalue()) as reader:
-        with TiledWriter(sinks[1], header, version=4) as writer:
-            for record in reversed(reader.tiles):
-                writer.copy_tile(reader, record)
-    np.testing.assert_array_equal(
-        TiledCompressor().decompress(sinks[1].getvalue()),
-        TiledCompressor().decompress(sinks[0].getvalue()),
-    )
+        writer = TiledWriter(sinks[1], header)
+        written = sinks[1].getvalue()
+        with pytest.raises(ValueError, match="flat blob"):
+            writer.copy_tile(reader, reader.tiles[0])
+    assert sinks[1].getvalue() == written and writer.tiles == []
 
 
 # -- stage-byte identity --------------------------------------------------------
@@ -370,11 +377,10 @@ class Recording(SZCompressor):
     def __init__(self):
         super().__init__()
         self.seen = []
-        self.flat = SZCompressor()
 
     def encode_stages(self, data, config, reconstruct=False, times=None):
         out = super().encode_stages(data, config, reconstruct, times)
-        self.seen.append((out[1], self.flat.compress(data, config).blob))
+        self.seen.append((out[1], forge_v2(data, config)))
         return out
 
 
@@ -433,7 +439,7 @@ def test_v7_tiles_are_the_flat_codecs_stage_bytes(seed, kind):
             if k not in ("checksums", "container_version")
         }
         version = 6 if reader.temporal else 5 if result.plan else 4
-        with TiledWriter(legacy, header, version=version) as writer:
+        with LegacyTiledWriter(legacy, header, version=version) as writer:
             for record in reader.tiles:
                 meta, sections = unpack_tile(reader.read_tile(record))
                 resolved = {**record.params, **meta}
@@ -524,7 +530,7 @@ def test_inspect_splits_legacy_frames_the_same_way():
     data = smooth_field((32, 32)).astype(np.float64)
     config = CompressionConfig(error_bound=1e-3)
     tiles = [
-        (start, stop, SZCompressor().compress(data[start[0] : stop[0]], config))
+        (start, stop, forge_v2(data[start[0] : stop[0]], config))
         for start, stop in iter_tiles((32, 32), (8, 32))
     ]
     sizes = {}
@@ -533,10 +539,15 @@ def test_inspect_splits_legacy_frames_the_same_way():
         header = {"shape": [32, 32], "tile_shape": [8, 32], "dtype": "<f8"}
         if version == 7:
             header["temporal"] = True
-        with TiledWriter(sink, header, version=version) as writer:
+        writer = (
+            TiledWriter(sink, header)
+            if version == 7
+            else LegacyTiledWriter(sink, header, version)
+        )
+        with writer:
             for index, (start, stop, flat) in enumerate(tiles):
                 if version == 7:
-                    params, sections = read_flat(flat.blob)
+                    params, sections = read_flat(flat)
                     writer.add_stages(
                         start, stop, params, sections, temporal=index == 2
                     )
@@ -544,13 +555,13 @@ def test_inspect_splits_legacy_frames_the_same_way():
                     writer.add_tile(
                         start,
                         stop,
-                        flat.blob,
+                        flat,
                         temporal=version == 6 and index == 2,
                     )
         info = describe_container(sink.getvalue(), verify=True)
         tile_map = info["tile_map"]
         assert tile_map["stage_bytes"] == sum(
-            len(s) for *_, flat in tiles for s in read_flat(flat.blob)[1]
+            len(s) for *_, flat in tiles for s in read_flat(flat)[1]
         )
         assert tile_map["stage_bytes"] + tile_map["framing_bytes"] == len(
             sink.getvalue()

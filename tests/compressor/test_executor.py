@@ -442,10 +442,10 @@ class TestExecutorPlumbing:
 
     def test_parallel_backend_never_reaches_the_header(self):
         data = np.linspace(0, 1, 256).reshape(16, 16)
-        plain = SZCompressor().compress(
+        plain = TiledCompressor(backend="serial").compress(
             data, CompressionConfig(error_bound=1e-3)
         )
-        hinted = SZCompressor().compress(
+        hinted = TiledCompressor(backend="serial").compress(
             data,
             CompressionConfig(
                 error_bound=1e-3, parallel_backend="process"

@@ -234,7 +234,6 @@ class TestEndToEnd:
                 for k, v in reader.header.items()
                 if k not in ("checksums", "container_version")
             },
-            version=reader.version,
             checksums=False,
         ) as writer:
             for t in reader.tiles:

@@ -3,14 +3,18 @@
 import numpy as np
 import pytest
 
-from repro.compressor import CompressionConfig, SZCompressor
-from repro.compressor.container import read_flat
-from tests.conftest import assert_error_bounded, smooth_field
+from repro.compressor import CompressionConfig, TiledCompressor
+from tests.conftest import (
+    assert_error_bounded,
+    one_tile_params,
+    roundtrip,
+    smooth_field,
+)
 
 
 @pytest.fixture(scope="module")
 def sz():
-    return SZCompressor()
+    return TiledCompressor()
 
 
 class TestOrder2Lorenzo:
@@ -19,7 +23,7 @@ class TestOrder2Lorenzo:
         cfg = CompressionConfig(
             predictor="lorenzo", lorenzo_levels=2, error_bound=1e-3
         )
-        _, recon = sz.roundtrip(data, cfg)
+        _, recon = roundtrip(data, cfg)
         assert_error_bounded(data, recon, 1e-3)
 
     def test_order2_helps_on_linear_trends(self, sz):
@@ -43,8 +47,7 @@ class TestOrder2Lorenzo:
         cfg = CompressionConfig(
             predictor="lorenzo", lorenzo_levels=2, error_bound=1e-2
         )
-        result = sz.compress(data, cfg)
-        header, _ = read_flat(result.blob)
+        header = one_tile_params(sz.compress(data, cfg).blob)
         assert header["lorenzo_levels"] == 2
         assert header["predictor_meta"]["order"] == 2
 
@@ -54,7 +57,7 @@ class TestFourDimensional:
     def test_roundtrip_4d(self, sz, predictor):
         data = smooth_field((6, 7, 8, 9))
         cfg = CompressionConfig(predictor=predictor, error_bound=1e-3)
-        _, recon = sz.roundtrip(data, cfg)
+        _, recon = roundtrip(data, cfg)
         assert_error_bounded(data, recon, 1e-3)
 
     def test_exafel_like_roundtrip(self, sz):
@@ -62,7 +65,7 @@ class TestFourDimensional:
 
         data = photon_events_4d((2, 3, 24, 24), seed=0)
         eb = float(data.max() - data.min()) * 1e-3
-        _, recon = sz.roundtrip(
+        _, recon = roundtrip(
             data, CompressionConfig(error_bound=eb)
         )
         assert_error_bounded(data, recon, eb)

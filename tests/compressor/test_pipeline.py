@@ -1,4 +1,4 @@
-"""End-to-end tests for the SZCompressor pipeline."""
+"""End-to-end tests of the pipeline: a flat array is a one-tile container."""
 
 import numpy as np
 import pytest
@@ -6,16 +6,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from repro.compressor import CompressionConfig, ErrorBoundMode, SZCompressor
-from repro.compressor.container import read_flat
-from tests.conftest import assert_error_bounded, smooth_field
+from repro.compressor import (
+    CompressionConfig,
+    ErrorBoundMode,
+    SZCompressor,
+    TiledCompressor,
+)
+from repro.compressor.container import TiledReader
+from repro.compressor.encoders.huffman import HuffmanEncoder
+from repro.compressor.encoders.lossless import get_lossless_backend
+from tests.conftest import assert_error_bounded, roundtrip, smooth_field
 
 PREDICTORS = ["lorenzo", "interpolation", "regression"]
 
 
 @pytest.fixture(scope="module")
 def sz():
-    return SZCompressor()
+    return TiledCompressor()
 
 
 class TestAbsMode:
@@ -25,7 +32,7 @@ class TestAbsMode:
         data = smooth_field(shape)
         eb = 1e-3
         cfg = CompressionConfig(predictor=predictor, error_bound=eb)
-        result, recon = sz.roundtrip(data, cfg)
+        result, recon = roundtrip(data, cfg)
         assert recon.shape == data.shape
         assert recon.dtype == data.dtype
         assert_error_bounded(data, recon, eb)
@@ -35,7 +42,7 @@ class TestAbsMode:
     def test_float64_input(self, sz, predictor):
         data = smooth_field((30, 30)).astype(np.float64)
         cfg = CompressionConfig(predictor=predictor, error_bound=1e-6)
-        _, recon = sz.roundtrip(data, cfg)
+        _, recon = roundtrip(data, cfg)
         assert recon.dtype == np.float64
         assert np.max(np.abs(recon - data)) <= 1e-6 * (1 + 1e-9)
 
@@ -54,7 +61,7 @@ class TestRelMode:
         cfg = CompressionConfig(
             mode=ErrorBoundMode.REL, error_bound=1e-4
         )
-        _, recon = sz.roundtrip(data, cfg)
+        _, recon = roundtrip(data, cfg)
         abs_eb = 1e-4 * (float(data.max()) - float(data.min()))
         assert_error_bounded(data, recon, abs_eb)
 
@@ -66,7 +73,7 @@ class TestPwRelMode:
         cfg = CompressionConfig(
             mode=ErrorBoundMode.PW_REL, error_bound=1e-2
         )
-        _, recon = sz.roundtrip(data, cfg)
+        _, recon = roundtrip(data, cfg)
         rel = np.abs(recon.astype(np.float64) / data - 1.0)
         assert np.max(rel) <= 1e-2 * (1 + 1e-4)
 
@@ -76,7 +83,7 @@ class TestPwRelMode:
         cfg = CompressionConfig(
             mode=ErrorBoundMode.PW_REL, error_bound=1e-2
         )
-        _, recon = sz.roundtrip(data, cfg)
+        _, recon = roundtrip(data, cfg)
         assert np.all(recon[data == 0] == 0.0)
 
     def test_negative_values_keep_sign(self, sz):
@@ -85,7 +92,7 @@ class TestPwRelMode:
         cfg = CompressionConfig(
             mode=ErrorBoundMode.PW_REL, error_bound=1e-2
         )
-        _, recon = sz.roundtrip(data, cfg)
+        _, recon = roundtrip(data, cfg)
         assert np.all(np.sign(recon) == np.sign(data))
 
 
@@ -94,7 +101,7 @@ class TestLosslessStages:
     def test_roundtrip_all_backends(self, sz, lossless):
         data = smooth_field((32, 32))
         cfg = CompressionConfig(error_bound=1e-2, lossless=lossless)
-        _, recon = sz.roundtrip(data, cfg)
+        _, recon = roundtrip(data, cfg)
         assert_error_bounded(data, recon, 1e-2)
 
     def test_lossless_helps_at_high_bound(self, sz):
@@ -108,7 +115,7 @@ class TestLosslessStages:
         without = sz.compress(
             data, CompressionConfig(error_bound=eb, lossless=None)
         )
-        assert with_ll.sizes.codes < without.sizes.codes
+        assert with_ll.section_bytes["codes"] < without.section_bytes["codes"]
 
 
 class TestResultAccounting:
@@ -116,16 +123,42 @@ class TestResultAccounting:
         data = smooth_field((40, 40))
         result = sz.compress(data, CompressionConfig(error_bound=1e-3))
         assert result.compressed_bytes == len(result.blob)
-        assert result.sizes.total == len(result.blob)
+        assert sum(result.section_bytes.values()) < len(result.blob)
         assert result.bit_rate == pytest.approx(
             8 * len(result.blob) / data.size
         )
         assert 0 <= result.p0 <= 1
 
+    @pytest.mark.parametrize("tile_shape", [None, (16, 16)])
+    @pytest.mark.parametrize("predictor", PREDICTORS)
+    def test_measures_are_read_back_from_the_tiles(self, sz, predictor, tile_shape):
+        """``p0``, outliers and Huffman-only bytes are what the tiles
+        store, totalled (``p0`` weighted by code count); on one tile,
+        what the retired flat compress reported of the same sections."""
+        data = smooth_field((40, 40))
+        data[::7, ::5] *= 1e4  # outliers
+        cfg = CompressionConfig(
+            predictor=predictor, error_bound=1e-3, quant_radius=64,
+            tile_shape=tile_shape,
+        )
+        result = sz.compress(data, cfg)
+        codes, huffman = [], []
+        with TiledReader(result.blob) as reader:
+            sections = [reader.read_sections(t) for t in reader.tiles]
+        for tile in sections:
+            huffman.append(get_lossless_backend(cfg.lossless).decompress(tile[0]))
+            codes.append(HuffmanEncoder().decode(huffman[-1]))
+        codes = np.concatenate(codes)
+        assert result.n_codes == codes.size
+        assert result.p0 == np.count_nonzero(codes == 0) / codes.size
+        assert result.n_outliers == sum(len(t[1]) for t in sections) // 8 > 0
+        assert result.huffman_only == sum(map(len, huffman))
+        assert result.huffman_bit_rate == 8 * result.huffman_only / data.size
+
     def test_times_recorded(self, sz):
         data = smooth_field((40, 40))
         result = sz.compress(data, CompressionConfig(error_bound=1e-3))
-        for stage in ("predict_quantize", "huffman", "serialize"):
+        for stage in ("predict_quantize", "huffman", "lossless", "encode_tiles"):
             assert stage in result.times.seconds
 
     def test_huffman_bitrate_below_total(self, sz):
@@ -156,9 +189,13 @@ class TestContainerFormat:
             error_bound=1e-3,
             lossless="rle",
         )
-        result = sz.compress(data, cfg)
-        header, _ = read_flat(result.blob)
-        restored = sz._config_from_header(header)
+        with TiledReader(sz.compress(data, cfg).blob) as reader:
+            # the header keeps the config's own bound, the tile the
+            # absolute bound REL resolved to
+            own = {k: reader.header[k] for k in ("mode", "error_bound")}
+            restored = SZCompressor._config_from_header(
+                {**reader.tiles[0].params, **own}
+            )
         assert restored == cfg
 
 
@@ -174,9 +211,8 @@ class TestPropertyBased:
     )
     @settings(max_examples=40, deadline=None)
     def test_error_bound_invariant(self, data, predictor, eb):
-        sz = SZCompressor()
         cfg = CompressionConfig(
             predictor=predictor, error_bound=eb, lossless=None
         )
-        _, recon = sz.roundtrip(data, cfg)
+        _, recon = roundtrip(data, cfg)
         assert_error_bounded(data, recon, eb)

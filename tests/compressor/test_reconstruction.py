@@ -73,7 +73,7 @@ def assert_same_array(surfaced: np.ndarray, decoded: np.ndarray) -> None:
 def test_flat_reconstruction_equals_decode(seed, case):
     predictor, dtype, mode, shape = case
     rng = np.random.default_rng(seed)
-    sz = SZCompressor()
+    sz = TiledCompressor()  # no tile_shape: one whole-array tile
     for kind in KINDS:
         data = _field(kind, shape, rng).astype(dtype)
         bound = 1e-3 if mode is not ErrorBoundMode.ABS else 1e-3 * max(
@@ -186,7 +186,7 @@ def test_a_stage_that_cannot_surface_leaves_none():
     data = _field("smooth", (32, 24), rng)
     codec = SZCompressor(prediction=Opaque())
     config = CompressionConfig(error_bound=1e-3, tile_shape=(16, 12))
-    assert codec.compress(data, config, reconstruct=True).reconstruction is None
+    assert codec.encode_stages(data, config, reconstruct=True)[2] is None
     tiled = TiledCompressor(codec=codec).compress(
         data, config, reconstruct=True
     )

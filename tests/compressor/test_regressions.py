@@ -11,25 +11,24 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.compressor import CompressionConfig, ErrorBoundMode, SZCompressor
+from repro.compressor import CompressionConfig, ErrorBoundMode
 from repro.compressor.encoders.huffman import HuffmanCode, HuffmanEncoder
 from repro.core.encoder_model import HuffmanAnchorModel
+from tests.conftest import roundtrip
 
 
 def test_rel_mode_constant_field_roundtrips():
     """`ValueError: error_bound must be positive` on constant REL input."""
-    sz = SZCompressor()
     data = np.full(1000, 6.5)
     cfg = CompressionConfig(mode=ErrorBoundMode.REL, error_bound=1e-3)
-    _, recon = sz.roundtrip(data, cfg)
+    _, recon = roundtrip(data, cfg)
     np.testing.assert_array_equal(recon, data)
 
 
 def test_empty_array_roundtrips():
     """`ValueError: cannot compress an empty array` on size-0 input."""
-    sz = SZCompressor()
     data = np.zeros((0, 3), dtype=np.float32)
-    result, recon = sz.roundtrip(data, CompressionConfig())
+    result, recon = roundtrip(data, CompressionConfig())
     assert recon.shape == (0, 3)
     assert recon.dtype == np.float32
     assert result.compressed_bytes > 0

@@ -155,6 +155,135 @@ def replace_tile(blob: bytes, index: int, payload: bytes, resum=True) -> bytes:
     return out
 
 
+def roundtrip(data, config):
+    """``(result, decoded)``: *data* through the one front end and back."""
+    from repro.compressor import TiledCompressor
+
+    tiled = TiledCompressor()
+    result = tiled.compress(data, config)
+    return result, tiled.decompress(result.blob)
+
+
+def one_tile_params(blob: bytes) -> dict:
+    """What the one tile of the container *blob* decodes under: header,
+    TOC and palette resolved, completed by its ``meta``."""
+    from repro.compressor.container import TiledReader, unpack_tile
+
+    with TiledReader(blob) as reader:
+        (record,) = reader.tiles
+        meta, _ = unpack_tile(reader.read_tile(record))
+    return {**record.params, **meta}
+
+
+def forge_flat(header: dict, sections, version: int = 2) -> bytes:
+    """*header* and the five stage *sections* framed as the retired flat
+    writer framed them: v2, or v3 around a chunked codes section."""
+    import json
+
+    header_bytes = json.dumps(header, sort_keys=True).encode()
+    parts = [b"RQSZ", bytes([version])]
+    parts += [len(header_bytes).to_bytes(4, "little"), header_bytes]
+    for section in sections:
+        parts += [len(section).to_bytes(8, "little"), section]
+    return b"".join(parts)
+
+
+def forge_v2(data, config) -> bytes:
+    """The flat v2 container the retired writer made of *data* under
+    *config* — the one-tile v7 container's sections, flat-framed."""
+    from repro.compressor.sz import SZCompressor
+
+    params, sections, _, _ = SZCompressor().encode_stages(data, config)
+    return forge_flat(params, sections)
+
+
+class LegacyTiledWriter:
+    """Forges a v4/v5/v6 frame as the retired legacy writer did.
+
+    Tiles are ready payloads — flat containers in the released files —
+    filed in any order: the legacy TOC stores each one's ``offset``,
+    ``size``, ``start`` and ``stop``, v5 adds the ``configs`` palette
+    and ``tile_configs``, v6 the ``tile_modes``, and with *checksums*
+    the ``tile_crcs`` and ``header_crc``.
+    """
+
+    def __init__(self, sink, header: dict, version: int = 4, checksums=True):
+        from repro.compressor.integrity import CHECKSUM_ALGORITHM, checksum
+
+        assert version in (4, 5, 6), version
+        self._fh, self._version, self._checksums = sink, version, checksums
+        if checksums:
+            header = dict(header, checksums=CHECKSUM_ALGORITHM)
+        header_bytes = _compact_json(header)
+        self._header_crc = checksum(header_bytes)
+        prelude = b"RQSZ" + bytes([version])
+        prelude += len(header_bytes).to_bytes(4, "little") + header_bytes
+        self._pos = sink.tell() + len(prelude)
+        sink.write(prelude)
+        self._rows: list[tuple] = []
+
+    def add_tile(self, start, stop, payload, config=None, temporal=False):
+        from repro.compressor.integrity import checksum
+
+        assert self._version == 6 or not temporal
+        self._rows.append(
+            (self._pos, payload, start, stop, config, temporal, checksum(payload))
+        )
+        self._fh.write(payload)
+        self._pos += len(payload)
+
+    def copy_tile(self, reader, record) -> None:
+        """Re-file *record* of a legacy *reader*, payload as it is."""
+        payload = reader.read_tile(record)
+        self.add_tile(record.start, record.stop, payload, record.config, record.temporal)
+
+    def finish(self) -> None:
+        from repro.compressor.integrity import checksum
+
+        body: dict = {
+            "tiles": [
+                {"offset": o, "size": len(p), "start": list(a), "stop": list(b)}
+                for o, p, a, b, *_ in self._rows
+            ]
+        }
+        palette: list = []
+        entries = [
+            None
+            if config is None
+            else [config.get(k) for k in ("predictor", "error_bound", "quant_radius")]
+            for *_, config, _, _ in self._rows
+        ]
+        for entry in entries:
+            if entry is not None and entry not in palette:
+                palette.append(entry)
+        if palette:
+            body["configs"] = palette
+            body["tile_configs"] = [
+                None if e is None else palette.index(e) for e in entries
+            ]
+        if self._version == 6:
+            body["tile_modes"] = [int(row[5]) for row in self._rows]
+        if self._checksums:
+            body["tile_crcs"] = [row[6] for row in self._rows]
+            body["header_crc"] = self._header_crc
+        toc = _compact_json(body)
+        crc = checksum(toc).to_bytes(4, "little") if self._checksums else b""
+        self._fh.write(toc + crc + len(toc).to_bytes(8, "little"))
+
+    def __enter__(self) -> "LegacyTiledWriter":
+        return self
+
+    def __exit__(self, exc_type, *exc_info) -> None:
+        if exc_type is None:
+            self.finish()
+
+
+def _compact_json(obj) -> bytes:
+    import json
+
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
+
+
 def write_chunked_codes(payloads) -> bytes:
     """Frame independently coded blocks into one v3 codes section.
 
@@ -198,13 +327,12 @@ def forge_v3(data, config, chunk: int) -> bytes:
     """The flat v3 container the chunked writer made of *data* under
     *config* with ``chunk_size=chunk`` (it wrote v3 for streams of more
     than *chunk* codes)."""
-    from repro.compressor import container
     from repro.compressor.sz import SZCompressor
 
     params, sections, _, _ = SZCompressor().encode_stages(data, config)
     params, sections = chunk_codes(params, sections, chunk)
     del params["chunked"]  # the version byte says it
-    return container.write_flat(params, sections, container.VERSION_CHUNKED)[0]
+    return forge_flat(params, sections, 3)
 
 
 def forge_chunked_v7(data, config, chunk: int) -> bytes:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import CompressionConfig, SZCompressor
+from repro import CompressionConfig
 from repro.analysis import (
     find_halos,
     halo_match_f1,
@@ -14,7 +14,7 @@ from repro.core.error_distribution import ErrorDistributionModel
 from repro.core.injection import inject_errors, predict_analysis_impact
 from repro.core.model import RatioQualityModel
 from repro.datasets import load_field
-from tests.conftest import smooth_field
+from tests.conftest import roundtrip, smooth_field
 
 
 class TestInjectErrors:
@@ -57,7 +57,7 @@ class TestPredictAnalysisImpact:
             compare=lambda ref, pert: psnr(ref, pert),
             n_trials=2,
         )
-        _, recon = SZCompressor().roundtrip(
+        _, recon = roundtrip(
             data, CompressionConfig(error_bound=eb)
         )
         assert predicted == pytest.approx(psnr(data, recon), abs=1.5)
@@ -100,7 +100,7 @@ class TestPredictAnalysisImpact:
             compare=spectrum_relative_error,
             n_trials=2,
         )
-        _, recon = SZCompressor().roundtrip(
+        _, recon = roundtrip(
             data.astype(np.float32), CompressionConfig(error_bound=eb)
         )
         measured = spectrum_relative_error(

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from repro.analysis.metrics import psnr, ssim_global
-from repro.compressor import CompressionConfig, ErrorBoundMode, SZCompressor
+from repro.compressor import CompressionConfig, ErrorBoundMode, TiledCompressor
 from repro.core.accuracy import estimation_accuracy
 from repro.core.model import RatioQualityModel
-from tests.conftest import smooth_field
+from tests.conftest import roundtrip, smooth_field
 
 PREDICTORS = ["lorenzo", "interpolation", "regression"]
 
@@ -19,7 +19,7 @@ def data():
 
 @pytest.fixture(scope="module")
 def sz():
-    return SZCompressor()
+    return TiledCompressor()
 
 
 def relative_ebs(data, fractions):
@@ -82,7 +82,7 @@ class TestAccuracyAgainstCompressor:
         for eb in ebs:
             estimated.append(model.estimate(eb).psnr)
             cfg = CompressionConfig(predictor=predictor, error_bound=eb)
-            _, recon = sz.roundtrip(data, cfg)
+            _, recon = roundtrip(data, cfg)
             measured.append(psnr(data, recon))
         acc = estimation_accuracy(measured, estimated)
         assert acc > 0.95  # paper: 97.3% average
@@ -93,7 +93,7 @@ class TestAccuracyAgainstCompressor:
         estimated, measured = [], []
         for eb in ebs:
             estimated.append(model.estimate(eb).ssim)
-            _, recon = sz.roundtrip(
+            _, recon = roundtrip(
                 data, CompressionConfig(error_bound=eb)
             )
             measured.append(ssim_global(data, recon))
@@ -105,7 +105,7 @@ class TestAccuracyAgainstCompressor:
         model = RatioQualityModel().fit(data)
         vrange = float(data.max() - data.min())
         eb = vrange * 0.3
-        _, recon = sz.roundtrip(data, CompressionConfig(error_bound=eb))
+        _, recon = roundtrip(data, CompressionConfig(error_bound=eb))
         measured = psnr(data, recon)
         refined = model.estimate(eb, refined_distribution=True).psnr
         uniform = model.estimate(eb, refined_distribution=False).psnr
@@ -137,7 +137,7 @@ class TestInverseQueries:
         model = RatioQualityModel().fit(data)
         target = 60.0
         eb = model.error_bound_for_psnr(target)
-        _, recon = sz.roundtrip(data, CompressionConfig(error_bound=eb))
+        _, recon = roundtrip(data, CompressionConfig(error_bound=eb))
         assert psnr(data, recon) == pytest.approx(target, abs=2.0)
 
     def test_invalid_targets(self, data):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.compressor import CompressionConfig, ErrorBoundMode, SZCompressor
+from repro.compressor import CompressionConfig, ErrorBoundMode, TiledCompressor
 from repro.core.accuracy import estimation_accuracy
 from repro.core.model import RatioQualityModel
 from tests.conftest import smooth_field
@@ -11,7 +11,7 @@ from tests.conftest import smooth_field
 
 @pytest.fixture(scope="module")
 def sz():
-    return SZCompressor()
+    return TiledCompressor()
 
 
 @pytest.fixture(scope="module")

@@ -12,7 +12,8 @@ the invariants every case must satisfy:
   absolute, range-relative, point-wise relative with exact zeros, or
   the per-tile bounds of an adaptive plan);
 * shape and dtype survive the round trip;
-* the flat and tiled front-ends decode the same blob identically;
+* a flat array's one-tile container and its stage sections framed as
+  the retired flat (v2) writer did decode identically;
 * a tiled container's full decode, full-region decode and random
   subregion decodes agree with each other, and region decodes touch
   only the intersecting tiles;
@@ -21,7 +22,7 @@ the invariants every case must satisfy:
   region decode of a temporal container are byte-identical, keyframes decode
   standalone while deltas demand their reference, and the keyframe
   cadence bounds the number of containers any version needs;
-* on every path — flat, tiled, adaptive, temporal — the reconstruction
+* on every path — one tile, tiled, adaptive, temporal — the reconstruction
   an encode surfaces on request is byte-for-byte the decode of what it
   wrote, and asking for it changes no written byte.
 
@@ -43,14 +44,13 @@ from repro.compressor import (
     CompressionConfig,
     ErrorBoundMode,
     PlannerCache,
-    SZCompressor,
     TemporalCompressor,
     TiledCompressor,
 )
 from repro.compressor.container import TiledReader
 from repro.compressor.tiled import intersect_extent, normalize_region
 
-__all__ = ["Case", "draw_case", "check_case", "run_seed"]
+__all__ = ["Case", "draw_case", "resolved_config", "check_case", "run_seed"]
 
 #: prime-heavy dimension menu — primes exercise every edge-tile and
 #: interpolation-level branch that power-of-two shapes hide
@@ -451,29 +451,34 @@ def _check_temporal(case: Case) -> None:
         previous = recon
 
 
+def resolved_config(case: Case) -> CompressionConfig:
+    """*case*'s config, its bound model-derived if it targets a PSNR."""
+    if case.psnr_target is None:
+        return case.config
+    from repro.core.model import RatioQualityModel
+
+    model = RatioQualityModel(
+        predictor=case.config.predictor, seed=case.seed
+    ).fit(case.data)
+    return replace(
+        case.config, error_bound=model.error_bound_for_psnr(case.psnr_target)
+    )
+
+
 def check_case(case: Case) -> None:
     """Assert every round-trip invariant of *case*."""
-    data, config = case.data, case.config
-
+    data, config = case.data, resolved_config(case)
     error_bound = config.error_bound
-    if case.psnr_target is not None:
-        from repro.core.model import RatioQualityModel
-
-        model = RatioQualityModel(
-            predictor=config.predictor, seed=case.seed
-        ).fit(data)
-        error_bound = model.error_bound_for_psnr(case.psnr_target)
-        config = replace(config, error_bound=error_bound)
 
     flat_config = replace(
         config, tile_shape=None, adaptive=False, temporal=False
     )
-    sz = SZCompressor()
-    result = sz.compress(data, flat_config)
-    recon = sz.decompress(result.blob)
+    tc = TiledCompressor()
+    result = tc.compress(data, flat_config)
+    recon = tc.decompress(result.blob)
     assert recon.shape == data.shape and recon.dtype == data.dtype
     _assert_bound(data, recon, flat_config, error_bound)
-    surfaced = sz.compress(data, flat_config, reconstruct=True)
+    surfaced = tc.compress(data, flat_config, reconstruct=True)
     assert surfaced.blob == result.blob
     _assert_surfaced(surfaced.reconstruction, recon)
 
@@ -486,9 +491,11 @@ def check_case(case: Case) -> None:
             f"{case.psnr_target:.1f} dB target"
         )
 
-    # flat and tiled front-ends must decode the same blob identically
+    # the read-only flat path decodes the same sections identically
+    from tests.conftest import forge_v2
+
     np.testing.assert_array_equal(
-        TiledCompressor().decompress(result.blob), recon
+        tc.decompress(forge_v2(data, flat_config)), recon
     )
 
     if config.tile_shape is not None and data.ndim >= 1:

@@ -1,13 +1,16 @@
 """Tests for the HDF5-like chunked container."""
 
+import json
 import os
 
 import numpy as np
 import pytest
 
 from repro.compressor import CompressionConfig
+from repro.compressor.container import ContainerFormatError
+from repro.compressor.tiled_geometry import extent_slices, iter_tiles
 from repro.storage.hdf5sim import H5LikeFile
-from tests.conftest import assert_error_bounded, smooth_field
+from tests.conftest import assert_error_bounded, forge_v2, smooth_field
 
 
 @pytest.fixture
@@ -153,8 +156,8 @@ class TestReadRegion:
             f.create_dataset("x", data, cfg, chunk_shape=(8, 8))
         with H5LikeFile(path, "r") as f:
             calls = []
-            original = f._sz.decompress
-            f._sz.decompress = lambda blob: calls.append(1) or original(blob)
+            original = f._sz.decode_stages
+            f._sz.decode_stages = lambda *a: calls.append(1) or original(*a)
             f.read_region("x", (slice(1, 7), slice(9, 15)))
             assert len(calls) == 1  # one of 16 chunks touched
 
@@ -231,3 +234,111 @@ class TestErrors:
         f.create_dataset("x", smooth_field((4, 4)))
         f.close()
         f.close()
+
+
+def _toc(raw: bytes) -> tuple[dict, int]:
+    toc_len = int.from_bytes(raw[-8:], "little")
+    return json.loads(raw[-8 - toc_len : -8]), len(raw) - 8 - toc_len
+
+
+def _with_toc(raw: bytes, toc) -> bytes:
+    body = json.dumps(toc).encode()
+    return raw[: _toc(raw)[1]] + body + len(body).to_bytes(8, "little")
+
+
+class TestDamagedFiles:
+    """A damaged file is a structured error at open, never an OSError or
+    a read outside the payload region."""
+
+    @pytest.fixture
+    def raw(self, path):
+        with H5LikeFile(path, "w") as f:
+            f.create_dataset(
+                "x", smooth_field((16, 16)), CompressionConfig(), chunk_shape=(8, 8)
+            )
+        with open(path, "rb") as fh:
+            return fh.read()
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda raw: raw[:6],  # shorter than magic + TOC length
+            lambda raw: raw[:-3],  # truncated: the TOC length is garbage
+            lambda raw: raw[:5] + bytes(range(200, 256)) * 2,  # garbage
+            lambda raw: _with_toc(raw, [1, 2]),  # not an object
+            lambda raw: _with_toc(raw, {"datasets": {"x": {"chunks": 7}}}),
+        ],
+        ids=["6-bytes", "truncated-toc", "garbage", "toc-list", "chunks-int"],
+    )
+    def test_damage_is_a_container_format_error(self, raw, path, damage):
+        with open(path, "wb") as fh:
+            fh.write(damage(raw))
+        with pytest.raises(ContainerFormatError):
+            H5LikeFile(path, "r")
+
+    @pytest.mark.parametrize("overrun", [1 << 20, 1])
+    def test_a_chunk_record_past_the_payload_region_is_refused(
+        self, raw, path, overrun
+    ):
+        toc, toc_start = _toc(raw)
+        toc["datasets"]["x"]["chunks"][-1]["size"] += overrun
+        with open(path, "wb") as fh:
+            fh.write(_with_toc(raw, toc))
+        with pytest.raises(ContainerFormatError, match="outside the payload"):
+            H5LikeFile(path, "r")
+
+    def test_a_chunk_record_over_its_neighbour_is_refused(self, raw, path):
+        toc, _ = _toc(raw)
+        toc["datasets"]["x"]["chunks"][0]["size"] += 1
+        with open(path, "wb") as fh:
+            fh.write(_with_toc(raw, toc))
+        with H5LikeFile(path, "r") as f:
+            with pytest.raises(ContainerFormatError, match="corrupt tile"):
+                f.read_dataset("x")
+
+
+class TestLegacyFlatChunks:
+    """Files of earlier revisions store each chunk as a flat container
+    (kind ``"sz"``): they still decode, and a record whose size overran
+    into the next chunk is refused, not silently decoded."""
+
+    @pytest.fixture
+    def legacy(self, path):
+        data = smooth_field((16, 12))
+        raw = bytearray(b"RQH5\x01")
+        chunks = []
+        for start, stop in iter_tiles(data.shape, (8, 12)):
+            blob = forge_v2(data[extent_slices(start, stop)], CompressionConfig())
+            chunks.append(
+                {
+                    "offset": len(raw),
+                    "size": len(blob),
+                    "kind": "sz",
+                    "start": list(start),
+                    "stop": list(stop),
+                }
+            )
+            raw += blob
+        entry = {"shape": [16, 12], "dtype": data.dtype.str, "chunks": chunks}
+        toc = json.dumps({"datasets": {"x": entry}}).encode()
+        with open(path, "wb") as fh:
+            fh.write(bytes(raw) + toc + len(toc).to_bytes(8, "little"))
+        return data
+
+    def test_flat_chunks_still_decode(self, legacy, path):
+        with H5LikeFile(path, "r") as f:
+            assert_error_bounded(legacy, f.read_dataset("x"), 1e-3)
+            np.testing.assert_array_equal(
+                f.read_region("x", (slice(9, 12),)), f.read_dataset("x")[9:12]
+            )
+
+    def test_a_flat_chunk_record_over_its_neighbour_is_refused(self, legacy, path):
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        toc, _ = _toc(raw)
+        toc["datasets"]["x"]["chunks"][0]["size"] += 1
+        with open(path, "wb") as fh:
+            fh.write(_with_toc(raw, toc))
+        with H5LikeFile(path, "r") as f:
+            with pytest.raises(ContainerFormatError, match="follow the last"):
+                f.read_dataset("x")

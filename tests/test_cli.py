@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -67,7 +68,7 @@ class TestCompressDecompress:
         restored = np.load(back)
         assert np.max(np.abs(restored - original)) <= 0.01 * (1 + 1e-5)
         with open(blob, "rb") as fh:
-            assert fh.read()[4] == 2  # a flat array is one unit of work
+            assert fh.read()[4] == 7  # a flat array is a one-tile container
 
     def test_psnr_target(self, field_file, tmp_path, capsys):
         blob = str(tmp_path / "x.rqsz")
@@ -251,6 +252,13 @@ class TestInspect:
         assert main(["inspect", blob]) == 0
         header = json.loads(capsys.readouterr().out)
         assert header["predictor"] == "lorenzo"
+        assert header["tile_map"]["n_tiles"] == 1
+
+    def test_flat_header_json(self, capsys):
+        data_dir = os.path.join(os.path.dirname(__file__), "data")
+        assert main(["inspect", os.path.join(data_dir, "seed_v2_zstd.rqsz")]) == 0
+        header = json.loads(capsys.readouterr().out)
+        assert header["container_version"] == 2
         assert header["section_bytes"]["codes"] > 0
 
     def test_json_flag_is_single_line_machine_output(

@@ -6,7 +6,6 @@ import pytest
 from repro.compressor import (
     CompressionConfig,
     ErrorBoundMode,
-    SZCompressor,
     TiledCompressor,
 )
 from repro.core.model import RatioQualityModel
@@ -55,7 +54,6 @@ class TestConfigs:
 class TestConstruction:
     def test_compressors(self):
         factory = CodecFactory(workers=2)
-        assert isinstance(factory.compressor(), SZCompressor)
         assert isinstance(factory.tiled_compressor(), TiledCompressor)
 
     def test_model_settings(self):
@@ -87,10 +85,10 @@ class TestEndToEnd:
     def test_factory_roundtrip_matches_direct_construction(self):
         data = smooth_field((24, 24))
         factory = CodecFactory(lossless="rle", workers=2)
-        via_factory = factory.compressor().compress(
+        via_factory = factory.tiled_compressor().compress(
             data, factory.config(1e-3)
         )
-        direct = SZCompressor().compress(
+        direct = TiledCompressor().compress(
             data,
             CompressionConfig(error_bound=1e-3, lossless="rle"),
         )

@@ -8,7 +8,7 @@ them.
 import numpy as np
 import pytest
 
-from repro import CompressionConfig, ErrorBoundMode, SZCompressor
+from repro import CompressionConfig, ErrorBoundMode, TiledCompressor
 from repro.analysis import (
     find_halos,
     halo_match_f1,
@@ -29,6 +29,7 @@ from repro.usecases import (
     PredictorSelector,
     SnapshotPipeline,
 )
+from tests.conftest import roundtrip
 
 
 class TestModelGuidedCompression:
@@ -47,7 +48,7 @@ class TestModelGuidedCompression:
         model = RatioQualityModel().fit(data)
         target = 65.0
         eb = model.error_bound_for_psnr(target)
-        _, recon = SZCompressor().roundtrip(
+        _, recon = roundtrip(
             data, CompressionConfig(error_bound=eb)
         )
         assert psnr(data, recon) >= target - 2.5
@@ -56,7 +57,7 @@ class TestModelGuidedCompression:
         data = load_field("Hurricane", "TC", size_scale=0.4)
         model = RatioQualityModel().fit(data)
         eb = model.error_bound_for_ratio(8.0)
-        result = SZCompressor().compress(
+        result = TiledCompressor().compress(
             data, CompressionConfig(error_bound=eb)
         )
         assert result.ratio == pytest.approx(8.0, rel=0.25)
@@ -77,7 +78,7 @@ class TestModelGuidedCompression:
                         predictor=predictor, error_bound=vrange * rel
                     )
                     meas.append(
-                        SZCompressor().compress(data, cfg).bit_rate
+                        TiledCompressor().compress(data, cfg).bit_rate
                     )
                 assert estimation_accuracy(meas, est) > 0.8
 
@@ -118,7 +119,7 @@ class TestSelectorAgainstGroundTruth:
             ("lorenzo", "interpolation", "regression")
         ).fit(data)
         decision = selector.select_for_error_bound(eb)
-        sz = SZCompressor()
+        sz = TiledCompressor()
         measured = {
             name: sz.compress(
                 data, CompressionConfig(predictor=name, error_bound=eb)
@@ -134,7 +135,7 @@ class TestDomainAnalysisContracts:
         data = load_field("Nyx", "temperature", size_scale=0.35)
         model = RatioQualityModel().fit(data)
         eb = model.error_bound_for_psnr(70.0)
-        _, recon = SZCompressor().roundtrip(
+        _, recon = roundtrip(
             data, CompressionConfig(error_bound=eb)
         )
         err = spectrum_relative_error(
@@ -146,7 +147,7 @@ class TestDomainAnalysisContracts:
         density = load_field("Nyx", "dark_matter_density", size_scale=0.35)
         model = RatioQualityModel().fit(density)
         eb = model.error_bound_for_psnr(80.0)
-        _, recon = SZCompressor().roundtrip(
+        _, recon = roundtrip(
             density, CompressionConfig(error_bound=eb)
         )
         threshold = float(np.percentile(density, 99.5))
@@ -159,7 +160,7 @@ class TestDomainAnalysisContracts:
         model = RatioQualityModel().fit(data)
         vrange = float(data.max() - data.min())
         est = model.estimate(vrange * 1e-2)
-        _, recon = SZCompressor().roundtrip(
+        _, recon = roundtrip(
             data, CompressionConfig(error_bound=vrange * 1e-2)
         )
         assert ssim_global(data, recon) == pytest.approx(
@@ -205,7 +206,7 @@ class TestPwRelEndToEnd:
         cfg = CompressionConfig(
             mode=ErrorBoundMode.PW_REL, error_bound=rel_eb
         )
-        result, recon = SZCompressor().roundtrip(data, cfg)
+        result, recon = roundtrip(data, cfg)
         assert result.bit_rate == pytest.approx(8.0, rel=0.25)
         rel_err = np.abs(recon.astype(np.float64) / data - 1.0)
         assert np.max(rel_err) <= rel_eb * (1 + 1e-4)

@@ -26,7 +26,6 @@ from repro.compressor import (
 from repro.compressor.container import (
     ContainerFormatError,
     TiledReader,
-    TiledWriter,
     pack_tile,
     unpack_tile,
 )
@@ -34,7 +33,9 @@ from repro.compressor.tiled_geometry import extent_slices, iter_tiles
 from repro.service.store import ArrayStore, DatasetCorruptError
 from repro.storage.hdf5sim import H5LikeFile
 from tests.conftest import (
+    LegacyTiledWriter,
     adopt_container,
+    forge_v2,
     replace_tile,
     smooth_field,
     without_checksums,
@@ -53,11 +54,11 @@ def mismatched(kind: str, checksums: bool, version: int = 4) -> bytes:
 
     In the v6 variant the bad tile is filed as a temporal residual.
     """
-    codec, config = SZCompressor(), CompressionConfig(error_bound=1e-3)
+    config = CompressionConfig(error_bound=1e-3)
     header = {"shape": list(SHAPE), "dtype": "<f8", "tile_shape": list(TILE)}
     sink = io.BytesIO()
-    with TiledWriter(
-        sink, header, version=version, checksums=checksums
+    with LegacyTiledWriter(
+        sink, header, version, checksums
     ) as writer:  # legacy frames: each tile a flat container
         for start, stop in iter_tiles(SHAPE, TILE):
             bad = start == BAD_TILE
@@ -69,7 +70,7 @@ def mismatched(kind: str, checksums: bool, version: int = 4) -> bytes:
             writer.add_tile(
                 start,
                 stop,
-                codec.compress(tile, config).blob,
+                forge_v2(tile, config),
                 temporal=bad and version == 6,
             )
     return sink.getvalue()
@@ -202,8 +203,10 @@ def test_chunked_file_refuses_a_chunk_of_the_wrong_shape(kind, tmp_path):
     with open(path, "wb") as fh:
         fh.write(raw[: -8 - toc_len] + patched)
         fh.write(len(patched).to_bytes(8, "little"))
+    # a chunk is a v7 tile payload: its code stream is not the one the
+    # extent takes
     with H5LikeFile(path, "r") as fh:
-        with pytest.raises(ContainerFormatError, match="TOC records"):
+        with pytest.raises(ContainerFormatError, match="corrupt code stream"):
             fh.read_region("field", REGION)
-        with pytest.raises(ContainerFormatError, match="TOC records"):
+        with pytest.raises(ContainerFormatError, match="corrupt code stream"):
             fh.read_dataset("field")

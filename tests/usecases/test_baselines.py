@@ -57,6 +57,8 @@ class TestSweep:
         )
         assert result.times.get("predict_quantize") > 0
         assert result.times.get("huffman") > 0
+        # the paper's trial decodes what it compressed (Fig. 9 times it)
+        assert result.times.get("decompress_analyze") > 0
 
 
 class TestTaeSelection:

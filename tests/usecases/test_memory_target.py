@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.compressor import SZCompressor
+from repro.compressor import TiledCompressor
 from repro.datasets import wave_snapshots
 from repro.usecases.memory_target import BudgetReport, MemoryBudgetCompressor
 from tests.conftest import assert_error_bounded, smooth_field
@@ -64,7 +64,7 @@ class TestQuietField:
         assert 0 < report.error_bound < np.ptp(snap)
         assert_error_bounded(
             snap,
-            SZCompressor().decompress(report.result.blob),
+            TiledCompressor().decompress(report.result.blob),
             report.error_bound,
         )
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.compressor import CompressionConfig, SZCompressor
+from repro.compressor import CompressionConfig, TiledCompressor
 from repro.usecases.predictor_selection import PredictorSelector
 from tests.conftest import smooth_field
 
@@ -49,7 +49,7 @@ class TestSelection:
         # compressing under both predictors.
         eb = float(data.max() - data.min()) * 1e-3
         decision = selector.select_for_error_bound(eb)
-        sz = SZCompressor()
+        sz = TiledCompressor()
         measured = {
             name: sz.compress(
                 data, CompressionConfig(predictor=name, error_bound=eb)
