@@ -51,6 +51,7 @@ import sys
 import numpy as np
 
 from repro.compressor import TiledCompressor
+from repro.compressor.adaptive import DEFAULT_FIT_CLUSTERS
 from repro.compressor.inspect import describe_container
 from repro.compressor.tiled_geometry import parse_region_text
 from repro.datasets import DATASETS, load_field
@@ -141,11 +142,11 @@ def build_parser() -> argparse.ArgumentParser:
     comp.add_argument(
         "--fit-clusters",
         type=int,
-        default=None,
+        default=DEFAULT_FIT_CLUSTERS,
         metavar="N",
         help="adaptive planning: cap on tile clusters sharing one "
-        "model fit (0 fits every tile individually; default: the "
-        "planner's own cap)",
+        "model fit (0 fits every tile individually; default: "
+        "%(default)s)",
     )
     comp.add_argument(
         "--plan-cache",
@@ -396,6 +397,8 @@ def _factory_from_args(args: argparse.Namespace) -> CodecFactory:
         workers=getattr(args, "workers", None),
         adaptive=getattr(args, "adaptive", False),
         parallel_backend=getattr(args, "backend", None),
+        fit_clusters=getattr(args, "fit_clusters", DEFAULT_FIT_CLUSTERS),
+        plan_cache=getattr(args, "plan_cache", None),
     )
 
 
@@ -461,13 +464,7 @@ def _cmd_compress(args: argparse.Namespace) -> int:
             eb = model.error_bound_for_psnr(args.psnr)
         print(f"model-selected error bound: {eb:.6g}")
 
-    config = factory.config(
-        eb,
-        tile_shape=tile_shape,
-        adaptive=args.adaptive,
-        fit_clusters=getattr(args, "fit_clusters", None),
-        plan_cache=getattr(args, "plan_cache", None),
-    )
+    config = factory.config(eb, tile_shape=tile_shape)
     # the input's base name keys the cross-snapshot plan cache, so
     # re-compressing successive snapshots written to the same file
     # name reuses the plan
@@ -510,9 +507,7 @@ def _cmd_decompress(args: argparse.Namespace) -> int:
     if args.region is not None:
         region = parse_region(args.region)
         try:
-            data = tiled.decompress_region(
-                args.input, region, workers=args.workers
-            )
+            data = tiled.decompress_region(args.input, region)
         except (IndexError, ValueError) as exc:
             # container-level failures (not RQSZ, truncated, corrupt
             # TOC) must not be misreported as a bad --region
@@ -531,7 +526,7 @@ def _cmd_decompress(args: argparse.Namespace) -> int:
         return 0
     # TiledCompressor reads every version, flat v2/v3 and tiled v4-v7
     try:
-        data = tiled.decompress(args.input, workers=args.workers)
+        data = tiled.decompress(args.input)
     except ValueError as exc:
         raise SystemExit(f"cannot decompress {args.input}: {exc}") from exc
     except OSError as exc:

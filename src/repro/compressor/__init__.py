@@ -3,7 +3,7 @@
 The substrate the ratio-quality model describes, organized as a staged
 pipeline: predictors (Lorenzo / interpolation / regression), a
 linear-scaling quantizer, Huffman coding and optional lossless
-back-ends, composed behind small stage interfaces
+back-ends, composed from the stage objects
 (:mod:`repro.compressor.stages`) by the per-tile
 :class:`repro.compressor.sz.SZCompressor` codec; the byte formats live
 in :mod:`repro.compressor.container`;

@@ -327,14 +327,10 @@ class AdaptivePlanner:
     seed:
         Sampling RNG seed (fits are deterministic).
     fit_clusters:
-        Default cap on the number of tile clusters sharing one model
-        fit (``config.fit_clusters`` overrides per run; ``0`` fits
-        every tile individually).
+        Cap on the number of tile clusters sharing one model fit
+        (``0`` fits every tile individually).
     refit_tolerance:
         Drift guard for shared fits — see the module docstring.
-    cache:
-        Default :class:`~repro.compressor.plan_cache.PlannerCache` for
-        cross-snapshot plan reuse (``plan(cache=...)`` overrides).
     """
 
     def __init__(
@@ -346,7 +342,6 @@ class AdaptivePlanner:
         seed: int | None = 0,
         fit_clusters: int = DEFAULT_FIT_CLUSTERS,
         refit_tolerance: float = REFIT_TOLERANCE,
-        cache: PlannerCache | None = None,
     ) -> None:
         if not predictors:
             raise ValueError("need at least one candidate predictor")
@@ -367,7 +362,6 @@ class AdaptivePlanner:
         self.seed = seed
         self.fit_clusters = int(fit_clusters)
         self.refit_tolerance = float(refit_tolerance)
-        self.cache = cache
 
     # -- public API --------------------------------------------------------
 
@@ -389,10 +383,10 @@ class AdaptivePlanner:
         backend, tiles travel to workers through shared memory and
         only the small fitted models are pickled back; fits are
         deterministic given ``(tile, seed)``, so the plan is identical
-        across backends.  *cache* (or the planner's default cache)
-        enables cross-snapshot plan reuse keyed by *dataset*; see the
-        module docstring.  Raises for ``PW_REL`` configs (the planner
-        works in the value domain) and for empty arrays.  Returns
+        across backends.  *cache* enables cross-snapshot plan reuse
+        keyed by *dataset*; see the module docstring.  Raises for
+        ``PW_REL`` configs (the planner works in the value domain) and
+        for empty arrays.  Returns
         ``None`` when there is nothing to plan — a ``REL`` bound on a
         constant field, whose zero value range demands exact storage;
         the uniform tiled path handles that case already.
@@ -426,7 +420,6 @@ class AdaptivePlanner:
         else:
             abs_eb = float(config.error_bound)
 
-        cache = cache if cache is not None else self.cache
         cache_status = "disabled"
         config_hash = fingerprint = None
         key = dataset if dataset else "_anon"
@@ -520,12 +513,6 @@ class AdaptivePlanner:
         ]
         fallback = candidates[0]
 
-        fit_clusters = (
-            config.fit_clusters
-            if config.fit_clusters is not None
-            else self.fit_clusters
-        )
-
         clusters: list[list[int]] = []
         reps: list[int] = []
         refits: list[int] = []
@@ -536,7 +523,7 @@ class AdaptivePlanner:
         est_bits = float("nan")
         est_psnr = float("inf")
         if modeled:
-            clusters = _cluster_tiles(stats, modeled, fit_clusters)
+            clusters = _cluster_tiles(stats, modeled, self.fit_clusters)
             reps = [_representative(stats, members) for members in clusters]
             rep_models = self._fit_extent_models(
                 data, [extents[r] for r in reps], fit_predictors, executor

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import enum
 import math
-import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -47,7 +46,9 @@ class ErrorBoundMode(enum.Enum):
 
 @dataclass(frozen=True)
 class CompressionConfig:
-    """Immutable settings for one compression run.
+    """Immutable settings for one compression run: what the container
+    records.  How a run executes — backend, width, plan cache, fit
+    reuse — belongs to the compressor and planner that run it.
 
     Parameters
     ----------
@@ -71,14 +72,6 @@ class CompressionConfig:
         the array into (out-of-core streaming, region-of-interest
         decode); ``None`` makes the whole array one tile.  Either way
         the container is v7.
-    parallel_backend:
-        Runtime execution hint, **not** part of the on-disk format:
-        which :mod:`repro.compressor.executor` backend the tiled hot
-        paths should fan work out on — ``"serial"``,
-        ``"thread"`` or ``"process"`` (``None`` keeps each
-        compressor's own default).  Never serialized into container
-        headers; two configs differing only here produce byte-identical
-        containers.
     adaptive:
         When set (tiled compression only), the model-driven planner
         (:class:`repro.compressor.adaptive.AdaptivePlanner`) assigns
@@ -88,19 +81,6 @@ class CompressionConfig:
         and ``error_bound`` then act as the nominal starting point.
         Requires an ``ABS`` or ``REL`` mode (the planner works in the
         value domain).
-    fit_clusters:
-        Adaptive-planning hint, **not** part of the on-disk format:
-        maximum number of tile clusters the planner fits models for
-        (statistically similar tiles share one fit; a drift guard
-        re-fits outliers).  ``0`` disables clustering (one fit per
-        tile); ``None`` keeps the planner's own default.  Like
-        ``parallel_backend``, never serialized into container headers.
-    plan_cache:
-        Adaptive-planning hint, **not** part of the on-disk format:
-        path of a file-backed :class:`repro.compressor.plan_cache.
-        PlannerCache` the planner reuses cross-snapshot plans through.
-        ``None`` disables caching.  Never serialized into container
-        headers.
     temporal:
         When set (tiled compression only), snapshots compress as
         *temporal deltas*: each tile is predicted from the decoded
@@ -121,14 +101,10 @@ class CompressionConfig:
     regression_block: int = 6
     tile_shape: tuple[int, ...] | None = None
     adaptive: bool = False
-    parallel_backend: str | None = None
-    fit_clusters: int | None = None
-    plan_cache: str | None = None
     temporal: bool = False
 
     _KNOWN_PREDICTORS = ("lorenzo", "interpolation", "regression")
     _KNOWN_LOSSLESS = ("zstd_like", "gzip_like", "rle", None)
-    _KNOWN_BACKENDS = ("serial", "thread", "process", None)
 
     def __post_init__(self) -> None:
         if self.predictor not in self._KNOWN_PREDICTORS:
@@ -173,24 +149,6 @@ class CompressionConfig:
                     "temporal delta mode and adaptive tiling are "
                     "mutually exclusive"
                 )
-        if self.parallel_backend not in self._KNOWN_BACKENDS:
-            raise ValueError(
-                f"unknown parallel backend {self.parallel_backend!r}; "
-                f"expected one of {self._KNOWN_BACKENDS}"
-            )
-        if self.fit_clusters is not None:
-            fit_clusters = int(self.fit_clusters)
-            if fit_clusters < 0:
-                raise ValueError(
-                    "fit_clusters must be non-negative (0 disables "
-                    "clustering) or None"
-                )
-            object.__setattr__(self, "fit_clusters", fit_clusters)
-        if self.plan_cache is not None:
-            # normalize PathLike inputs so equality and hashing work
-            object.__setattr__(
-                self, "plan_cache", os.fspath(self.plan_cache)
-            )
 
     def absolute_bound(self, data: np.ndarray) -> float:
         """Resolve the *absolute* bound this config implies on *data*.
@@ -212,20 +170,14 @@ class CompressionConfig:
     def per_tile(self, **pinned) -> "CompressionConfig":
         """This config as the stage codec encoding one tile sees it.
 
-        Per-tile configs execute *inside* executor tasks: the tiling
-        fields are stripped AND the parallel and planning hints, or
-        every worker would recursively spin up its own executor, or
-        re-enter the planner.
-        *pinned* fields (a resolved bound, a tile's planned choice)
-        replace the caller's.
+        The tiling fields are stripped, or every tile would be tiled,
+        or re-planned, again.  *pinned* fields (a resolved bound, a
+        tile's planned choice) replace the caller's.
         """
         return replace(
             self,
             tile_shape=None,
             adaptive=False,
-            parallel_backend=None,
-            fit_clusters=None,
-            plan_cache=None,
             **pinned,
         )
 

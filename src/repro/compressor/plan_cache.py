@@ -121,13 +121,12 @@ def planner_config_hash(config, planner) -> str:
         "lossless": config.lossless,
         "lorenzo_levels": int(config.lorenzo_levels),
         "regression_block": int(config.regression_block),
-        "fit_clusters": config.fit_clusters,
         "planner_predictors": list(planner.predictors),
         "sample_rate": float(planner.sample_rate),
         "span": float(planner.span),
         "grid_points": int(planner.grid_points),
         "seed": planner.seed,
-        "fit_clusters_default": planner.fit_clusters,
+        "fit_clusters": planner.fit_clusters,
         "refit_tolerance": float(planner.refit_tolerance),
     }
     blob = json.dumps(payload, sort_keys=True).encode("utf-8")

@@ -1,12 +1,10 @@
-"""Composable pipeline stages: transform → predict/quantize → entropy.
+"""The stages after the transform: predict/quantize → entropy.
 
-The per-tile codec :class:`~repro.compressor.sz.SZCompressor` composes
-three stage objects, each behind a small interface so alternatives can
-be swapped in without touching the codec or the container layer:
+The per-tile codec :class:`~repro.compressor.sz.SZCompressor` runs the
+value-domain transform (:func:`repro.compressor.transform.
+forward_transform`), then two stage objects:
 
-* :class:`TransformStage` — an invertible pre-transform of the raw
-  values (the PW_REL log transform, or the identity);
-* :class:`PredictionStage` — turns the (transformed) array into integer
+* :class:`PredictorStage` — turns the (transformed) array into integer
   quantization codes plus outliers, and back;
 * :class:`HuffmanEntropyStage` — losslessly encodes the code stream as
   one Huffman(+lossless) payload, and still reads the v3 codes sections
@@ -18,111 +16,38 @@ compressor's (:mod:`repro.compressor.tiled`), never a stage's.
 
 from __future__ import annotations
 
-import abc
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.compressor import container
-from repro.compressor.config import CompressionConfig, ErrorBoundMode
+from repro.compressor.config import CompressionConfig
 from repro.compressor.encoders.huffman import HuffmanEncoder
 from repro.compressor.encoders.lossless import get_lossless_backend
 from repro.compressor.predictors import make_predictor
 from repro.compressor.predictors.base import PredictorOutput
-from repro.compressor.transform import inverse_log_transform, log_transform
 from repro.utils.timer import StageTimes, Timer
 
 __all__ = [
-    "TransformStage",
-    "PwRelLogTransform",
-    "PredictionStage",
     "PredictorStage",
     "HuffmanEntropyStage",
     "EncodedCodes",
 ]
 
 
-# -- transform stage -----------------------------------------------------------
-
-
-class TransformStage(abc.ABC):
-    """Invertible value-domain transform applied before prediction."""
-
-    @abc.abstractmethod
-    def forward(
-        self, data: np.ndarray, config: CompressionConfig
-    ) -> tuple[np.ndarray, dict, bytes]:
-        """Transform *data*; returns ``(work, meta, signs_payload)``.
-
-        ``meta`` is recorded in the container header under
-        ``"transform"``; ``signs_payload`` is stored as its own section.
-        """
-
-    @abc.abstractmethod
-    def inverse(
-        self, work: np.ndarray, header: dict, signs_payload: bytes
-    ) -> np.ndarray:
-        """Invert :meth:`forward` using the stored header/payload."""
-
-
-class PwRelLogTransform(TransformStage):
-    """Log transform for PW_REL mode; identity for ABS/REL.
-
-    Liang et al. (CLUSTER'18): a point-wise relative bound becomes an
-    absolute bound in log space.
-    """
-
-    def forward(
-        self, data: np.ndarray, config: CompressionConfig
-    ) -> tuple[np.ndarray, dict, bytes]:
-        if config.mode is not ErrorBoundMode.PW_REL:
-            return np.asarray(data, dtype=np.float64), {}, b""
-        return log_transform(data)
-
-    def inverse(
-        self, work: np.ndarray, header: dict, signs_payload: bytes
-    ) -> np.ndarray:
-        if not header.get("transform", {}).get("pw_rel"):
-            return work
-        shape = tuple(header["shape"]) or (1,)
-        return inverse_log_transform(work, shape, signs_payload)
-
-
 # -- prediction/quantization stage ---------------------------------------------
 
 
-class PredictionStage(abc.ABC):
-    """Decompose values into quantization codes + outliers, and back."""
+class PredictorStage:
+    """Dispatches to the configured predictor (Lorenzo/interp/regression).
 
-    @abc.abstractmethod
-    def decompose(
-        self,
-        work: np.ndarray,
-        config: CompressionConfig,
-        abs_eb: float,
-        reconstruct: bool = False,
-    ) -> PredictorOutput:
-        """Predict + quantize *work* under the absolute bound.
-
-        With ``reconstruct`` the output should also carry what
-        :meth:`reconstruct` will return for it
-        (``PredictorOutput.reconstruction``); a stage that cannot
-        surface it leaves the field ``None``.
-        """
-
-    @abc.abstractmethod
-    def reconstruct(
-        self,
-        output: PredictorOutput,
-        shape: tuple[int, ...],
-        abs_eb: float,
-        config: CompressionConfig,
-    ) -> np.ndarray:
-        """Invert :meth:`decompose` (returns ``float64``)."""
-
-
-class PredictorStage(PredictionStage):
-    """Dispatches to the configured predictor (Lorenzo/interp/regression)."""
+    :meth:`decompose` predicts and quantizes under the absolute bound;
+    with ``reconstruct`` its output also carries what
+    :meth:`reconstruct` will return for it
+    (``PredictorOutput.reconstruction``) — a stage that cannot surface
+    it leaves the field ``None``.  :meth:`reconstruct` inverts it
+    (``float64``).
+    """
 
     @staticmethod
     def make_predictor(config: CompressionConfig):

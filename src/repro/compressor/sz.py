@@ -5,9 +5,8 @@
 
     transform → predict/quantize → entropy-encode
 
-The transform and prediction stages sit behind small interfaces
-(:class:`TransformStage`, :class:`PredictionStage`) and can be swapped
-via the constructor.  :meth:`SZCompressor.encode_stages` turns one
+The prediction stage (:class:`PredictorStage`) can be swapped via the
+constructor.  :meth:`SZCompressor.encode_stages` turns one
 array into its five stage sections plus the parameters that decode
 them, and :meth:`SZCompressor.decode_stages` inverts every stage — by
 construction within the configured error bound.  Neither frames
@@ -34,11 +33,9 @@ from repro.compressor.predictors.base import PredictorOutput
 from repro.compressor.stages import (
     EncodedCodes,
     HuffmanEntropyStage,
-    PredictionStage,
     PredictorStage,
-    PwRelLogTransform,
-    TransformStage,
 )
+from repro.compressor.transform import forward_transform, inverse_transform
 from repro.utils.timer import StageTimes, Timer
 
 __all__ = ["SZCompressor"]
@@ -47,17 +44,11 @@ __all__ = ["SZCompressor"]
 class SZCompressor:
     """The transform, prediction and entropy stages of one tile.
 
-    Everything runs on the calling thread.  Pass alternative transform
-    or prediction stages to swap parts of the pipeline.
+    Everything runs on the calling thread.  Pass an alternative
+    prediction stage to swap that part of the pipeline.
     """
 
-    def __init__(
-        self,
-        *,
-        transform: TransformStage | None = None,
-        prediction: PredictionStage | None = None,
-    ) -> None:
-        self._transform = transform or PwRelLogTransform()
+    def __init__(self, *, prediction: PredictorStage | None = None) -> None:
         self._prediction = prediction or PredictorStage()
         self._entropy = HuffmanEntropyStage()
 
@@ -88,8 +79,8 @@ class SZCompressor:
         abs_eb = 0.0
         if data.size:
             with Timer() as t:
-                work, transform_meta, signs_payload = self._transform.forward(
-                    core, config
+                work, transform_meta, signs_payload = forward_transform(
+                    core, config.mode is ErrorBoundMode.PW_REL
                 )
                 abs_eb = config.absolute_bound(core)
             times.add("transform", t.elapsed)
@@ -123,7 +114,7 @@ class SZCompressor:
             if output.reconstruction is not None:
                 # the tail of decode_stages(), on the encoder's own values
                 reconstruction = (
-                    self._transform.inverse(
+                    inverse_transform(
                         output.reconstruction,
                         {"transform": transform_meta, "shape": list(data.shape)},
                         signs_payload,
@@ -218,7 +209,7 @@ class SZCompressor:
             output, core_shape, header["abs_eb"], config
         )
         del codes, output  # spent: the tile-sized code stream is freed here
-        data = self._transform.inverse(work, header, signs)
+        data = inverse_transform(work, header, signs)
         return data.reshape(shape).astype(dtype, copy=False)
 
     @staticmethod

@@ -393,7 +393,6 @@ class TemporalCompressor:
         self,
         source: bytes | str | os.PathLike | BinaryIO,
         reference: np.ndarray | None = None,
-        workers: int | None = None,
     ) -> np.ndarray:
         """Decode a full snapshot.
 
@@ -401,25 +400,20 @@ class TemporalCompressor:
         delta snapshots require ``reference`` — the *decoded* snapshot
         the container's ``ref_snapshot`` header names.
         """
-        return self.tiled.decompress(
-            source, workers=workers, reference=reference
-        )
+        return self.tiled.decompress(source, reference=reference)
 
     def decompress_region(
         self,
         source: bytes | str | os.PathLike | BinaryIO,
         region: Sequence[slice | int] | slice | int,
         reference: np.ndarray | None = None,
-        workers: int | None = None,
     ) -> np.ndarray:
         """Decode only the hyperslab *region* of a snapshot.
 
         For delta snapshots ``reference`` must cover the full
         snapshot shape (only the region's tiles of it are read).
         """
-        return self.tiled.decompress_region(
-            source, region, workers=workers, reference=reference
-        )
+        return self.tiled.decompress_region(source, region, reference=reference)
 
     #: a tile from its decoded residual + reference tile, as every
     #: reader reconstructs it

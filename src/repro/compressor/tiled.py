@@ -66,6 +66,7 @@ from repro.compressor.container import (
     TileRecord,
 )
 from repro.compressor.executor import (
+    BACKENDS,
     CodecExecutor,
     carve_buffer,
     get_executor,
@@ -262,13 +263,19 @@ def _decode_flat(blob: bytes, codec: SZCompressor) -> np.ndarray:
 class TiledCompressor:
     """Out-of-core tiled front end over the :class:`SZCompressor` stages.
 
-    ``workers`` bounds both the encode parallelism *and* the number of
-    tiles materialized at once, so peak memory stays at a few tiles.
-    ``backend`` picks the execution backend tiles fan out on —
-    ``"serial"``, ``"thread"`` or ``"process"`` (shared-memory process
-    pool; see :mod:`repro.compressor.executor`); ``None`` resolves to
-    the thread backend (or ``config.parallel_backend`` when set).
-    Encode and decode fan out alike.  ``codec`` swaps the per-tile compressor (any
+    The compressor is where a run's execution is set, once, for every
+    compress and decode it does.  ``workers`` bounds both the
+    parallelism *and* the number of tiles materialized at once, so
+    peak memory stays at a few tiles.  ``backend`` picks the execution
+    backend tiles fan out on — one of
+    :data:`repro.compressor.executor.BACKENDS` (``"process"`` is a
+    shared-memory process pool); ``None`` resolves to the thread
+    backend.  An unknown name is refused here.  Encode and decode fan
+    out alike.  ``planner`` plans adaptive configs (its
+    ``fit_clusters`` caps model fits), and ``plan_cache`` — a
+    :class:`PlannerCache` or the path of a file-backed one — lets it
+    replay the plan of an earlier snapshot of the same dataset.
+    ``codec`` swaps the per-tile compressor (any
     :class:`SZCompressor`-compatible facade; serial/thread backends
     only — process workers rebuild the stock codec).
 
@@ -291,6 +298,11 @@ class TiledCompressor:
     ) -> None:
         if workers is not None and workers < 1:
             raise ValueError("workers must be a positive integer or None")
+        if backend is not None and backend not in BACKENDS:
+            raise ValueError(
+                f"unknown parallel backend {backend!r}; expected one of "
+                f"{BACKENDS}"
+            )
         # None is preserved: an explicit backend with no width resolves
         # to the machine's default_workers() (see executor.get_executor)
         self._workers = workers
@@ -315,16 +327,8 @@ class TiledCompressor:
         #: tiles decoded by the most recent decode call
         self.last_tiles_decoded = 0
 
-    def _executor_for(
-        self,
-        config: CompressionConfig | None = None,
-        workers: int | None = None,
-    ) -> CodecExecutor:
-        backend = self._backend or (
-            config.parallel_backend if config is not None else None
-        )
-        effective = workers if workers is not None else self._workers
-        executor = get_executor(backend, effective)
+    def _executor(self) -> CodecExecutor:
+        executor = get_executor(self._backend, self._workers)
         if executor.name == "process" and self._custom_codec:
             raise ValueError(
                 "the process backend re-creates the default per-tile "
@@ -362,10 +366,9 @@ class TiledCompressor:
         model-driven planner assigns every tile its own predictor,
         bound and quantizer radius, and the TOC's palette records the
         choices (``result.plan`` carries the full assignment).
-        ``dataset`` names the array for the cross-snapshot plan cache
-        (the compressor's ``plan_cache`` or ``config.plan_cache``):
-        successive snapshots of the same dataset reuse the previous
-        plan when their tile statistics have not drifted.
+        ``dataset`` names the array for the compressor's cross-snapshot
+        ``plan_cache``: successive snapshots of the same dataset reuse
+        the previous plan when their tile statistics have not drifted.
 
         With ``reconstruct`` the result also carries the decoded array
         (``result.reconstruction``): each tile task writes what its
@@ -380,9 +383,6 @@ class TiledCompressor:
 
         plan: AdaptivePlan | None = None
         if config.adaptive and data.size > 0:
-            cache = self._plan_cache
-            if cache is None and config.plan_cache is not None:
-                cache = PlannerCache.at_path(config.plan_cache)
             with Timer() as t:
                 # None = nothing to plan (REL bound on a constant
                 # field); the uniform path below stores it exactly
@@ -390,8 +390,8 @@ class TiledCompressor:
                     data,
                     config,
                     tile_shape,
-                    executor=self._executor_for(config),
-                    cache=cache,
+                    executor=self._executor(),
+                    cache=self._plan_cache,
                     dataset=dataset,
                 )
             times.add("plan", t.elapsed)
@@ -446,7 +446,7 @@ class TiledCompressor:
             header_extra,
             out,
             reconstruct,
-            self._executor_for(config),
+            self._executor(),
             times,
         )
         return replace(encoded, plan=plan)
@@ -682,7 +682,6 @@ class TiledCompressor:
     def decompress(
         self,
         source: bytes | str | os.PathLike | BinaryIO,
-        workers: int | None = None,
         reference: np.ndarray | None = None,
     ) -> np.ndarray:
         """Decode a full array from any RQSZ container (v2–v7).
@@ -691,13 +690,12 @@ class TiledCompressor:
         snapshot its ``ref_snapshot`` header names; everything else
         decodes standalone and ignores it.
         """
-        return self._decode(source, None, workers, reference)
+        return self._decode(source, None, reference)
 
     def decompress_region(
         self,
         source: bytes | str | os.PathLike | BinaryIO,
         region: Sequence[slice | int] | slice | int,
-        workers: int | None = None,
         reference: np.ndarray | None = None,
     ) -> np.ndarray:
         """Decode only the hyperslab *region*.
@@ -709,13 +707,12 @@ class TiledCompressor:
         a temporal delta snapshot ``reference`` must cover the full snapshot
         shape (only the region's tiles of it are read).
         """
-        return self._decode(source, region, workers, reference)
+        return self._decode(source, region, reference)
 
     def _decode(
         self,
         source: bytes | str | os.PathLike | BinaryIO,
         region: Sequence[slice | int] | slice | int | None,
-        workers: int | None,
         reference: np.ndarray | None,
     ) -> np.ndarray:
         """*region* (``None``: everything) of the container at *source*."""
@@ -732,7 +729,6 @@ class TiledCompressor:
             return self._decode_tiles(
                 reader,
                 normalize_region(() if region is None else region, shape),
-                workers,
                 reference,
             )
 
@@ -740,7 +736,6 @@ class TiledCompressor:
         self,
         reader: TiledReader,
         region: tuple[slice, ...],
-        workers: int | None,
         reference: np.ndarray | None,
     ) -> np.ndarray:
         """Decode the tiles intersecting *region* on the executor.
@@ -784,7 +779,7 @@ class TiledCompressor:
             )
 
         hits = intersecting_tiles(reader.tiles, region)
-        executor = self._executor_for(None, workers)
+        executor = self._executor()
         # the region is one tile's extent: the answer is that tile
         if [region] == [extent_slices(r.start, r.stop) for r, _ in hits]:
             tile = decode(hits[0][0])

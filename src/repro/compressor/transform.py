@@ -12,7 +12,12 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["log_transform", "inverse_log_transform"]
+__all__ = [
+    "log_transform",
+    "inverse_log_transform",
+    "forward_transform",
+    "inverse_transform",
+]
 
 
 def log_transform(data: np.ndarray) -> tuple[np.ndarray, dict, bytes]:
@@ -58,3 +63,25 @@ def inverse_log_transform(
     values[negative] = -values[negative]
     values[zero] = 0.0
     return values.reshape(shape)
+
+
+def forward_transform(
+    data: np.ndarray, pw_rel: bool
+) -> tuple[np.ndarray, dict, bytes]:
+    """The codec's value-domain transform, as :func:`log_transform`
+    returns it: the log transform under a PW_REL bound, else *data* as
+    ``float64`` with no ``transform`` record and no signs section."""
+    if not pw_rel:
+        return np.asarray(data, dtype=np.float64), {}, b""
+    return log_transform(data)
+
+
+def inverse_transform(
+    work: np.ndarray, header: dict, signs_payload: bytes
+) -> np.ndarray:
+    """Invert :func:`forward_transform` as *header* records it: its
+    ``transform`` says whether, its ``shape`` sizes the masks."""
+    if not header.get("transform", {}).get("pw_rel"):
+        return work
+    shape = tuple(header["shape"]) or (1,)
+    return inverse_log_transform(work, shape, signs_payload)

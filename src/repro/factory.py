@@ -29,6 +29,7 @@ from repro.compressor import (
     TemporalCompressor,
     TiledCompressor,
 )
+from repro.compressor.adaptive import DEFAULT_FIT_CLUSTERS
 from repro.core.model import DEFAULT_SAMPLE_RATE, RatioQualityModel
 
 __all__ = ["CodecFactory"]
@@ -47,16 +48,16 @@ class CodecFactory:
     lossless: str | None = "zstd_like"
     tile_shape: tuple[int, ...] | None = None
     adaptive: bool = False
+    #: width and execution backend ("serial", "thread", "process";
+    #: None: the thread backend) of the compressors built here
     workers: int | None = None
-    #: execution backend for the parallel hot paths ("serial",
-    #: "thread", "process"; None keeps the compressors' defaults)
     parallel_backend: str | None = None
     sample_rate: float = DEFAULT_SAMPLE_RATE
     seed: int | None = 0
-    #: adaptive-planning fit-reuse cap (None keeps the planner default,
-    #: 0 fits every tile individually)
-    fit_clusters: int | None = None
-    #: path of a file-backed cross-snapshot plan cache (None disables)
+    #: the adaptive planner's fit-reuse cap (0 fits every tile)
+    fit_clusters: int = DEFAULT_FIT_CLUSTERS
+    #: path of the compressors' file-backed cross-snapshot plan cache
+    #: (None disables)
     plan_cache: str | None = None
     #: compress snapshot streams as temporal deltas
     temporal: bool = False
@@ -67,7 +68,9 @@ class CodecFactory:
     # -- codec construction ----------------------------------------------------
 
     def config(self, error_bound: float, **overrides) -> CompressionConfig:
-        """A :class:`CompressionConfig` at *error_bound*.
+        """A :class:`CompressionConfig` at *error_bound*: the settings
+        the container records.  How it runs — width, backend, fit
+        reuse, plan cache — is the compressor's (:meth:`tiled_compressor`).
 
         Keyword *overrides* replace individual config fields (e.g. a
         per-call ``predictor`` or ``tile_shape``).
@@ -79,9 +82,6 @@ class CodecFactory:
             lossless=self.lossless,
             tile_shape=self.tile_shape,
             adaptive=self.adaptive,
-            parallel_backend=self.parallel_backend,
-            fit_clusters=self.fit_clusters,
-            plan_cache=self.plan_cache,
             temporal=self.temporal,
         )
         return replace(base, **overrides) if overrides else base
@@ -90,11 +90,12 @@ class CodecFactory:
         """The compressor: tiled out-of-core (``tile_shape`` unset: one
         whole-array tile).
 
-        The factory's sampling settings parameterize the adaptive
-        planner, so ``adaptive`` runs sample at the rate/seed every
-        other model in the study uses; the factory's
-        ``parallel_backend``/``workers`` pick the execution backend
-        tiles (and the planner's per-tile fits) fan out on.
+        The factory's sampling settings and ``fit_clusters``
+        parameterize the adaptive planner, so ``adaptive`` runs sample
+        at the rate/seed every other model in the study uses, and plan
+        through ``plan_cache``; ``parallel_backend``/``workers`` pick
+        the execution backend tiles (and the planner's per-tile fits)
+        fan out on.
         """
         return self.temporal_compressor().tiled
 
@@ -111,27 +112,11 @@ class CodecFactory:
             sample_rate=self.sample_rate,
             seed=self.seed,
             planner=AdaptivePlanner(
-                sample_rate=self.sample_rate, seed=self.seed
+                sample_rate=self.sample_rate,
+                seed=self.seed,
+                fit_clusters=self.fit_clusters,
             ),
             plan_cache=self.plan_cache,
-        )
-
-    def array_store(self, root, cache=None) -> "ArrayStore":
-        """An :class:`repro.service.store.ArrayStore` rooted at *root*.
-
-        Datasets put into the store compress through this factory's
-        tiled compressor, so adaptive planning samples at the factory's
-        rate/seed and encoding uses its worker count.
-        """
-        from repro.service.store import ArrayStore
-
-        return ArrayStore(
-            root,
-            cache=cache,
-            workers=self.workers,
-            factory=self,
-            parallel_backend=self.parallel_backend,
-            keyframe_interval=self.keyframe_interval,
         )
 
     # -- model construction ----------------------------------------------------

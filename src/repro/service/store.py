@@ -152,21 +152,22 @@ class ArrayStore:
         Decoded-tile cache shared across datasets; ``None`` builds a
         default :class:`TileLRUCache`.
     workers:
-        Parallel width for tile *encoding* on :meth:`create` and for
-        the per-request cache-miss fan-out of :meth:`read_region`
+        Parallel width for tile *encoding* on every put and for the
+        per-request cache-miss fan-out of :meth:`read_region`
         (``None``/1 keeps reads sequential, the historical behavior).
-    factory:
-        Optional :class:`repro.factory.CodecFactory` supplying the
-        compressor of every put, so adaptive keyframes — of any
-        version — sample at the same rate/seed, and share the plan
-        cache, of the rest of the caller's pipeline.
     parallel_backend:
-        Execution backend for the codec hot paths (``"serial"``,
-        ``"thread"``, ``"process"``).  With the process backend,
-        cache-miss tiles are entropy-decoded in executor worker
-        processes (decoded samples return through shared memory), so
-        the serving threads — and the cache shard locks they take —
-        are never held hostage by a slow pure-Python decode.
+        Execution backend for the codec hot paths, one of
+        :data:`repro.compressor.executor.BACKENDS`; an unknown name is
+        refused here.  With the process backend, cache-miss tiles are
+        entropy-decoded in executor worker processes (decoded samples
+        return through shared memory), so the serving threads — and
+        the cache shard locks they take — are never held hostage by a
+        slow pure-Python decode.
+    plan_cache:
+        :class:`repro.compressor.PlannerCache` (or the path of a
+        file-backed one) every put plans adaptive keyframes through:
+        successive puts of the same dataset name reuse the previous
+        plan while tile stats have not drifted.
     keyframe_interval:
         Default keyframe cadence for snapshot chains appended with
         :meth:`put_snapshot`: every Nth version is a standalone
@@ -178,7 +179,6 @@ class ArrayStore:
         root: str | os.PathLike,
         cache: TileLRUCache | None = None,
         workers: int | None = None,
-        factory=None,
         parallel_backend: str | None = None,
         plan_cache=None,
         keyframe_interval: int = DEFAULT_KEYFRAME_INTERVAL,
@@ -186,21 +186,19 @@ class ArrayStore:
     ) -> None:
         if keyframe_interval < 1:
             raise ValueError("keyframe_interval must be at least 1")
+        #: every put's compressor (refuses an unknown backend)
+        self._compressor = TemporalCompressor(
+            workers=workers, backend=parallel_backend, plan_cache=plan_cache
+        )
         self.root = str(root)
         os.makedirs(self.root, exist_ok=True)
         self.cache = cache or TileLRUCache()
         self._workers = workers
-        self._factory = factory
         self._backend = parallel_backend
         self._keyframe_interval = int(keyframe_interval)
         # test seam: an armed FaultInjector turns the named crash
         # points in the write paths into simulated process kills
         self._faults = faults
-        # PlannerCache instance or path: successive puts of the same
-        # dataset name reuse the previous adaptive plan when tile stats
-        # have not drifted.  A factory carries its own plan_cache
-        # setting; this parameter covers the factory-less default path.
-        self._plan_cache = plan_cache
         self._fanout_lock = threading.Lock()
         self._fanout: "ThreadPoolExecutor | None" = None
         self._lock = threading.RLock()
@@ -441,15 +439,6 @@ class ArrayStore:
         # behind a long encode
         path = os.path.join(self.root, self._snapshot_file(name, version))
         tmp = f"{path}.tmp-{threading.get_ident()}"
-        compressor = (
-            self._factory.temporal_compressor()
-            if self._factory is not None
-            else TemporalCompressor(
-                workers=self._workers,
-                backend=self._backend,
-                plan_cache=self._plan_cache,
-            )
-        )
         # surface the decoded tiles for the cache — unless the snapshot
         # is larger than the whole cache: seeding it would only flush
         # what readers are using
@@ -460,7 +449,7 @@ class ArrayStore:
                 # the dataset name that keys the cross-snapshot plan
                 # cache: keyframes of every version, and overwriting
                 # puts, reuse the prior plan
-                result = compressor.tiled.compress(
+                result = self._compressor.tiled.compress(
                     data,
                     snapshot_config,
                     out=tmp,
@@ -468,7 +457,7 @@ class ArrayStore:
                     reconstruct=seed_cache,
                 )
             else:
-                result = compressor.compress_snapshot(
+                result = self._compressor.compress_snapshot(
                     data,
                     snapshot_config,
                     # the decoded previous version, through the shared

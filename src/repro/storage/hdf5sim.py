@@ -29,6 +29,7 @@ uses; chunks of kind ``"sz"`` (earlier files) are flat containers.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 from typing import Sequence
@@ -50,6 +51,7 @@ from repro.compressor.tiled_geometry import (
     intersect_extent,
     iter_tiles,
     normalize_region,
+    tile_grid,
 )
 
 __all__ = ["H5LikeFile", "DatasetInfo"]
@@ -267,7 +269,8 @@ class H5LikeFile:
 
         Every chunk record must lie inside the payload region (after
         the magic and version, before the TOC), so no read goes outside
-        it whatever the TOC says.
+        it whatever the TOC says; and every dataset's records must be
+        a read that cannot go silently wrong (:func:`_check_dataset`).
         """
         head = self._fh.read(len(_MAGIC) + 1)
         if head[: len(_MAGIC)] != _MAGIC:
@@ -287,9 +290,11 @@ class H5LikeFile:
             datasets = toc["datasets"]
             chunks = [
                 (int(c["offset"]), int(c["size"]))
-                for entry in datasets.values()
-                for c in entry["chunks"]
+                for name, entry in datasets.items()
+                for c in _check_dataset(name, entry)
             ]
+        except ContainerFormatError:
+            raise
         except (ValueError, TypeError, LookupError, AttributeError) as exc:
             raise ContainerFormatError(f"corrupt RQH5 TOC: {exc!r}") from exc
         for offset, size in chunks:
@@ -373,3 +378,43 @@ class H5LikeFile:
             return self._toc["datasets"][name]
         except KeyError:
             raise KeyError(f"no dataset named {name!r}") from None
+
+
+def _check_dataset(name: str, entry: dict) -> list[dict]:
+    """*entry*'s chunk records, refused unless reading them is exact.
+
+    The dtype must parse, the records must tile ``shape`` exactly once
+    on the ``chunk_shape`` grid (an entry of an earlier file has none:
+    its first record's extent is the grid), and a raw record must hold
+    exactly its extent's bytes.  Otherwise a missing record reads as
+    zeros and a misplaced or mis-sized one fails to reshape.
+    """
+    chunks = entry["chunks"]
+    shape = tuple(int(n) for n in entry["shape"])
+    itemsize = np.dtype(entry["dtype"]).itemsize
+    extents = [
+        (tuple(map(int, c["start"])), tuple(map(int, c["stop"])))
+        for c in chunks
+    ]
+    grid = entry.get("chunk_shape")
+    if grid is None:
+        start, stop = extents[0] if extents else ((0,) * len(shape),) * 2
+        grid = [max(1, b - a) for a, b in zip(start, stop)]
+    # counted before listed: a forged shape must not make the grid huge
+    if (
+        min(shape, default=0) < 0
+        or math.prod(tile_grid(shape, grid)) != len(extents)
+        or sorted(extents) != sorted(iter_tiles(shape, grid))
+    ):
+        raise ContainerFormatError(
+            f"corrupt RQH5 TOC: the chunks of dataset {name!r} do not "
+            f"tile its shape {shape} once on the grid {tuple(grid)}"
+        )
+    for record, (start, stop) in zip(chunks, extents):
+        nbytes = math.prod(b - a for a, b in zip(start, stop)) * itemsize
+        if record["kind"] == "raw" and int(record["size"]) != nbytes:
+            raise ContainerFormatError(
+                f"corrupt RQH5 TOC: a raw chunk of dataset {name!r} "
+                f"records {record['size']} bytes, its extent holds {nbytes}"
+            )
+    return chunks

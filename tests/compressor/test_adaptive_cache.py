@@ -9,6 +9,7 @@ drift fallback, corrupt files and structurally invalid entries.
 import json
 import os
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -84,19 +85,17 @@ class TestClustering:
         assert 0 < stats.clusters <= stats.fits_performed
 
     def test_fit_clusters_zero_fits_every_tile(self):
-        config = replace(CONFIG, fit_clusters=0)
-        plan = AdaptivePlanner().plan(halo_field(), config, (32, 32))
+        plan = AdaptivePlanner(fit_clusters=0).plan(
+            halo_field(), CONFIG, (32, 32)
+        )
         assert plan.stats.fits_performed == plan.stats.tiles_modeled
         assert plan.stats.clusters == plan.stats.tiles_modeled
 
     def test_clustered_plan_matches_per_tile_plan(self):
         """Sharing fits must not change the planned choices here."""
         data = halo_field()
-        planner = AdaptivePlanner()
-        clustered = planner.plan(data, CONFIG, (32, 32))
-        per_tile = planner.plan(
-            data, replace(CONFIG, fit_clusters=0), (32, 32)
-        )
+        clustered = AdaptivePlanner().plan(data, CONFIG, (32, 32))
+        per_tile = AdaptivePlanner(fit_clusters=0).plan(data, CONFIG, (32, 32))
         assert [c.to_json() for c in clustered.choices] == [
             c.to_json() for c in per_tile.choices
         ]
@@ -118,7 +117,9 @@ class TestClustering:
         config = replace(CONFIG, error_bound=0.5)
         tc = TiledCompressor()
         clustered = tc.compress(data, config)
-        per_tile = tc.compress(data, replace(config, fit_clusters=0))
+        per_tile = TiledCompressor(
+            planner=AdaptivePlanner(fit_clusters=0)
+        ).compress(data, config)
         stats = clustered.plan.stats
         assert stats.tiles_planned >= 4 * stats.fits_performed
         assert clustered.compressed_bytes <= 1.02 * per_tile.compressed_bytes
@@ -135,8 +136,7 @@ class TestClustering:
         # can represent both
         data[:, :64] = 2.0 * np.round(rng.normal(0, 5, (128, 64)))
         data[:, 64:] = rng.uniform(-10.0, 10.0, (128, 64))
-        config = replace(CONFIG, fit_clusters=1)
-        plan = AdaptivePlanner().plan(data, config, (32, 32))
+        plan = AdaptivePlanner(fit_clusters=1).plan(data, CONFIG, (32, 32))
         assert plan.stats.refits > 0
         assert (
             plan.stats.fits_performed
@@ -173,10 +173,10 @@ class TestPlannerCache:
     def test_hit_miss_drift_accounting(self):
         data = halo_field()
         cache = PlannerCache()
-        planner = AdaptivePlanner(cache=cache)
-        p1 = planner.plan(data, CONFIG, (32, 32), dataset="halo")
+        plan = partial(AdaptivePlanner().plan, cache=cache)
+        p1 = plan(data, CONFIG, (32, 32), dataset="halo")
         assert p1.stats.cache == "miss"
-        p2 = planner.plan(data, CONFIG, (32, 32), dataset="halo")
+        p2 = plan(data, CONFIG, (32, 32), dataset="halo")
         assert p2.stats.cache == "hit"
         assert p2.stats.fits_performed == 0
         assert [c.to_json() for c in p2.choices] == [
@@ -184,11 +184,11 @@ class TestPlannerCache:
         ]
         # a near snapshot (in-tolerance noise) still hits
         near = data + np.random.default_rng(7).normal(0, 0.2, data.shape)
-        p3 = planner.plan(near, CONFIG, (32, 32), dataset="halo")
+        p3 = plan(near, CONFIG, (32, 32), dataset="halo")
         assert p3.stats.cache == "hit"
         # a drifted snapshot falls back to a fresh plan
         far = data * 3.0 + 50.0
-        p4 = planner.plan(far, CONFIG, (32, 32), dataset="halo")
+        p4 = plan(far, CONFIG, (32, 32), dataset="halo")
         assert p4.stats.cache == "drift"
         assert p4.stats.fits_performed > 0
         assert cache.counters == {
@@ -201,43 +201,41 @@ class TestPlannerCache:
     def test_drift_replan_refreshes_entry(self):
         data = halo_field()
         cache = PlannerCache()
-        planner = AdaptivePlanner(cache=cache)
-        planner.plan(data, CONFIG, (32, 32), dataset="halo")
+        plan = partial(AdaptivePlanner().plan, cache=cache)
+        plan(data, CONFIG, (32, 32), dataset="halo")
         far = data * 3.0 + 50.0
-        planner.plan(far, CONFIG, (32, 32), dataset="halo")
+        plan(far, CONFIG, (32, 32), dataset="halo")
         # the refreshed entry serves the *new* snapshot statistics
-        p = planner.plan(far, CONFIG, (32, 32), dataset="halo")
+        p = plan(far, CONFIG, (32, 32), dataset="halo")
         assert p.stats.cache == "hit"
 
     def test_config_change_misses(self):
         data = halo_field()
         cache = PlannerCache()
-        planner = AdaptivePlanner(cache=cache)
-        planner.plan(data, CONFIG, (32, 32), dataset="halo")
+        plan = partial(AdaptivePlanner().plan, cache=cache)
+        plan(data, CONFIG, (32, 32), dataset="halo")
         other = replace(CONFIG, error_bound=0.5)
-        p = planner.plan(data, other, (32, 32), dataset="halo")
+        p = plan(data, other, (32, 32), dataset="halo")
         assert p.stats.cache == "miss"
 
     def test_separate_datasets_do_not_collide(self):
         data = halo_field()
         cache = PlannerCache()
-        planner = AdaptivePlanner(cache=cache)
-        planner.plan(data, CONFIG, (32, 32), dataset="a")
-        p = planner.plan(data, CONFIG, (32, 32), dataset="b")
+        plan = partial(AdaptivePlanner().plan, cache=cache)
+        plan(data, CONFIG, (32, 32), dataset="a")
+        p = plan(data, CONFIG, (32, 32), dataset="b")
         assert p.stats.cache == "miss"
         assert len(cache) == 2
 
     def test_file_backed_round_trip(self, tmp_path):
         path = tmp_path / "plans.json"
         data = halo_field()
-        c1 = PlannerCache(path=path)
-        AdaptivePlanner(cache=c1).plan(
-            data, CONFIG, (32, 32), dataset="halo"
+        AdaptivePlanner().plan(
+            data, CONFIG, (32, 32), cache=PlannerCache(path=path), dataset="halo"
         )
         assert path.exists()
-        c2 = PlannerCache(path=path)
-        p = AdaptivePlanner(cache=c2).plan(
-            data, CONFIG, (32, 32), dataset="halo"
+        p = AdaptivePlanner().plan(
+            data, CONFIG, (32, 32), cache=PlannerCache(path=path), dataset="halo"
         )
         assert p.stats.cache == "hit"
 
@@ -253,9 +251,9 @@ class TestPlannerCache:
         assert cache.counters["rejected"] == 1
         # and the cache still works end to end
         data = halo_field()
-        planner = AdaptivePlanner(cache=cache)
-        planner.plan(data, CONFIG, (32, 32), dataset="halo")
-        p = planner.plan(data, CONFIG, (32, 32), dataset="halo")
+        plan = partial(AdaptivePlanner().plan, cache=cache)
+        plan(data, CONFIG, (32, 32), dataset="halo")
+        p = plan(data, CONFIG, (32, 32), dataset="halo")
         assert p.stats.cache == "hit"
 
     def test_structurally_invalid_entry_is_dropped(self, tmp_path):
@@ -276,11 +274,11 @@ class TestPlannerCache:
         """An entry whose plan cannot be rebuilt is rejected, not fatal."""
         data = halo_field()
         cache = PlannerCache()
-        planner = AdaptivePlanner(cache=cache)
-        planner.plan(data, CONFIG, (32, 32), dataset="halo")
+        plan = partial(AdaptivePlanner().plan, cache=cache)
+        plan(data, CONFIG, (32, 32), dataset="halo")
         with cache._lock:
             cache._entries["halo"]["plan"]["choices"][0]["error_bound"] = -1
-        p = planner.plan(data, CONFIG, (32, 32), dataset="halo")
+        p = plan(data, CONFIG, (32, 32), dataset="halo")
         assert p.stats.cache == "miss"
         assert p.stats.fits_performed > 0
         assert cache.counters["rejected"] == 1
@@ -307,9 +305,7 @@ class TestPlannerCache:
             != base
         )
         assert (
-            planner_config_hash(
-                replace(CONFIG, fit_clusters=2), planner
-            )
+            planner_config_hash(CONFIG, AdaptivePlanner(fit_clusters=2))
             != base
         )
         assert (
@@ -344,15 +340,6 @@ class TestCompressorIntegration:
             TiledCompressor().decompress(first.blob),
             TiledCompressor().decompress(second.blob),
         )
-
-    def test_config_plan_cache_path_is_used(self, tmp_path):
-        path = tmp_path / "plans.json"
-        config = replace(CONFIG, plan_cache=str(path))
-        tc = TiledCompressor()
-        tc.compress(halo_field(), config, dataset="halo")
-        assert path.exists()
-        result = tc.compress(halo_field(), config, dataset="halo")
-        assert result.plan.stats.cache == "hit"
 
     def test_rel_mode_plans_through_cache(self):
         data = halo_field()

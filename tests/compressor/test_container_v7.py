@@ -401,8 +401,6 @@ def _tiled_case(seed: int, kind: str):
         tile_shape=tile_shape,
         adaptive=kind == "adaptive",
         temporal=False,
-        fit_clusters=None,
-        plan_cache=None,
     )
 
 

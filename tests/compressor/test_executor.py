@@ -23,6 +23,7 @@ from repro.compressor import (
     ExecutorError,
     ProcessExecutor,
     SZCompressor,
+    TemporalCompressor,
     TiledCompressor,
 )
 from repro.compressor import executor as executor_mod
@@ -47,7 +48,9 @@ BACKENDS = ("serial", "thread", "process")
 
 def _compress_case(case, backend):
     return (
-        TiledCompressor(workers=case.workers, backend=backend)
+        TiledCompressor(
+            workers=case.workers, backend=backend, planner=case.planner()
+        )
         .compress(case.data, case.config)
         .blob
     )
@@ -116,7 +119,7 @@ class TestStartMethods:
 
         proc.run_batch = counting
         monkeypatch.setattr(
-            TiledCompressor, "_executor_for", lambda *args, **kw: proc
+            TiledCompressor, "_executor", lambda *args, **kw: proc
         )
         try:
             tc = TiledCompressor(workers=2, backend="process")
@@ -322,42 +325,6 @@ class TestNestedParallelism:
         pool.close()
         assert done[0] == [[value, -value] for value in range(1, 9)]
 
-    def test_per_tile_configs_never_carry_the_parallel_hint(self):
-        # Per-tile configs execute inside executor tasks; shipping the
-        # parallel_backend hint along would make every worker spin up
-        # its own nested executor (process workers forking pools).
-        rng = np.random.default_rng(2)
-        data = np.cumsum(rng.standard_normal((32, 32)), axis=0)
-        hinted = CompressionConfig(
-            error_bound=1e-2,
-            tile_shape=(16, 16),
-            parallel_backend="process",
-        )
-        plain = CompressionConfig(error_bound=1e-2, tile_shape=(16, 16))
-        tc = TiledCompressor(workers=2)
-        assert (
-            tc.compress(data, hinted).blob == tc.compress(data, plain).blob
-        )
-        adaptive = CompressionConfig(
-            error_bound=0.5,
-            tile_shape=(16, 16),
-            adaptive=True,
-            parallel_backend="process",
-        )
-        result = TiledCompressor(workers=2, backend="process").compress(
-            data, adaptive
-        )
-        base = CompressionConfig(error_bound=0.5)
-        for i in range(result.plan.n_tiles):
-            cfg = result.plan.config_for(
-                CompressionConfig(
-                    error_bound=0.5, parallel_backend="process"
-                ),
-                i,
-            )
-            assert cfg.parallel_backend is None
-        assert base.parallel_backend is None
-
 
 def _count_batches(monkeypatch, executor_class) -> list:
     """Names of the tasks *executor_class* batches run from now on."""
@@ -434,24 +401,18 @@ class TestExecutorPlumbing:
         b = get_executor("thread", 3)
         assert a is b
 
-    def test_config_rejects_unknown_backend(self):
-        with pytest.raises(ValueError, match="unknown parallel backend"):
-            CompressionConfig(parallel_backend="cluster")
-        cfg = CompressionConfig(parallel_backend="process")
-        assert cfg.parallel_backend == "process"
+    def test_runners_reject_unknown_backend_at_construction(self, tmp_path):
+        from repro.service.store import ArrayStore
 
-    def test_parallel_backend_never_reaches_the_header(self):
-        data = np.linspace(0, 1, 256).reshape(16, 16)
-        plain = TiledCompressor(backend="serial").compress(
-            data, CompressionConfig(error_bound=1e-3)
-        )
-        hinted = TiledCompressor(backend="serial").compress(
-            data,
-            CompressionConfig(
-                error_bound=1e-3, parallel_backend="process"
-            ),
-        )
-        assert plain.blob == hinted.blob
+        with pytest.raises(ValueError, match="unknown parallel backend"):
+            TiledCompressor(backend="cluster")
+        with pytest.raises(ValueError, match="unknown parallel backend"):
+            TemporalCompressor(backend="cluster")
+        with pytest.raises(ValueError, match="unknown parallel backend"):
+            ArrayStore(tmp_path / "s", parallel_backend="cluster")
+        assert not (tmp_path / "s").exists()
+        for backend in (None,) + executor_mod.BACKENDS:
+            TiledCompressor(backend=backend)
 
     def test_custom_codec_rejected_on_process_backend(self):
         tc = TiledCompressor(

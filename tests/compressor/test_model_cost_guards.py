@@ -55,7 +55,7 @@ HALO_CONFIG = CompressionConfig(
     error_bound=0.2, tile_shape=(32, 32), adaptive=True
 )
 HETERO_CONFIG = CompressionConfig(
-    error_bound=1.0, tile_shape=(32, 32), adaptive=True, fit_clusters=4
+    error_bound=1.0, tile_shape=(32, 32), adaptive=True
 )
 WAVE_CONFIG = CompressionConfig(error_bound=2e-3, tile_shape=(16, 16, 32))
 
@@ -139,22 +139,29 @@ ENCODE_SHA256 = {
 
 
 def _plan_case(name):
+    """``(field, config, planner)`` of a pinned plan."""
     if name == "halo":
-        return halo_field(), HALO_CONFIG
-    return heterogeneous_field(seed=11), HETERO_CONFIG
+        return halo_field(), HALO_CONFIG, AdaptivePlanner()
+    return heterogeneous_field(seed=11), HETERO_CONFIG, AdaptivePlanner(
+        fit_clusters=4
+    )
 
 
 @pytest.mark.parametrize("name", sorted(PLAN_SHA256))
 def test_adaptive_plan_and_v5_bytes_are_pinned(name):
-    field, config = _plan_case(name)
+    field, config, planner = _plan_case(name)
     input_sha, plan_sha, blob_sha = PLAN_SHA256[name]
     _skip_unless_input_matches([field], input_sha)
-    plan = AdaptivePlanner().plan(field, config, config.tile_shape)
+    plan = planner.plan(field, config, config.tile_shape)
     payload = json.dumps(plan.to_payload(), sort_keys=True).encode()
     assert _sha256(payload) == plan_sha
     stats = plan.stats.to_json()
     assert {key: stats[key] for key in PLAN_STATS[name]} == PLAN_STATS[name]
-    blob = TiledCompressor(backend="serial").compress(field, config).blob
+    blob = (
+        TiledCompressor(backend="serial", planner=planner)
+        .compress(field, config)
+        .blob
+    )
     assert _sha256(blob) == blob_sha
 
 

@@ -512,13 +512,11 @@ def test_delta_decodes_fan_out_and_are_counted(backend):
     blob = serial.compress_snapshot(snaps[1], config(), reference=ref).blob
     expected = serial.decompress(blob, reference=ref)
     assert serial.tiled.last_tiles_decoded == 9
-    tc = TemporalCompressor(backend=backend)
-    np.testing.assert_array_equal(
-        tc.decompress(blob, reference=ref, workers=2), expected
-    )
+    tc = TemporalCompressor(workers=2, backend=backend)
+    np.testing.assert_array_equal(tc.decompress(blob, reference=ref), expected)
     region = (slice(7, 31), slice(10, 38))
     np.testing.assert_array_equal(
-        tc.decompress_region(blob, region, reference=ref, workers=2),
+        tc.decompress_region(blob, region, reference=ref),
         expected[region],
     )
     assert tc.tiled.last_tiles_decoded == 6

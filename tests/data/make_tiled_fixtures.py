@@ -43,6 +43,7 @@ import numpy as np
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", ".."))
 
 from repro.compressor import (  # noqa: E402
+    AdaptivePlanner,
     CompressionConfig,
     TemporalCompressor,
     TiledCompressor,
@@ -128,12 +129,11 @@ def build():
     # adaptive=True``, predates planner_stats and has no twin.)
     field = hetero_field((128, 128), seed=11)
     config = CompressionConfig(
-        error_bound=1.0,
-        tile_shape=(32, 32),
-        adaptive=True,
-        fit_clusters=4,
+        error_bound=1.0, tile_shape=(32, 32), adaptive=True
     )
-    result = tc.compress(field, config)
+    result = TiledCompressor(planner=AdaptivePlanner(fit_clusters=4)).compress(
+        field, config
+    )
     yield "pr23_v7_adaptive", field, result.blob, tc.decompress(
         result.blob
     ), None

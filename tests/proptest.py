@@ -41,6 +41,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro.compressor import (
+    AdaptivePlanner,
     CompressionConfig,
     ErrorBoundMode,
     PlannerCache,
@@ -77,6 +78,14 @@ class Case:
     workers: int
     #: PSNR the error bound was model-derived for (None = direct bound)
     psnr_target: float | None = None
+    #: the adaptive planner's fit-reuse cap (None = its default)
+    fit_clusters: int | None = None
+
+    def planner(self) -> AdaptivePlanner:
+        """The planner an adaptive case plans with."""
+        if self.fit_clusters is None:
+            return AdaptivePlanner()
+        return AdaptivePlanner(fit_clusters=self.fit_clusters)
 
     def describe(self) -> str:
         cfg = self.config
@@ -86,7 +95,7 @@ class Case:
             f"eb={cfg.error_bound:.4g} predictor={cfg.predictor} "
             f"lossless={cfg.lossless} "
             f"tile={cfg.tile_shape} adaptive={cfg.adaptive} "
-            f"fit_clusters={cfg.fit_clusters} temporal={cfg.temporal} "
+            f"fit_clusters={self.fit_clusters} temporal={cfg.temporal} "
             f"workers={self.workers} psnr_target={self.psnr_target}"
         )
 
@@ -212,7 +221,6 @@ def draw_case(seed: int) -> Case:
         lossless=lossless,
         tile_shape=tile_shape,
         adaptive=adaptive,
-        fit_clusters=fit_clusters,
         temporal=temporal,
     )
     workers = int(rng.choice([1, 1, 3]))
@@ -223,6 +231,7 @@ def draw_case(seed: int) -> Case:
         kind=kind,
         workers=workers,
         psnr_target=psnr_target,
+        fit_clusters=fit_clusters,
     )
 
 
@@ -275,7 +284,7 @@ def _check_tiled(case: Case, flat_recon: np.ndarray) -> None:
     """Tiled round-trip + region-decode invariants."""
     rng = np.random.default_rng(case.seed + 1)
     data, config = case.data, case.config
-    tc = TiledCompressor(workers=case.workers)
+    tc = TiledCompressor(workers=case.workers, planner=case.planner())
     result = tc.compress(data, config, reconstruct=True)
 
     recon = tc.decompress(result.blob)
@@ -363,7 +372,9 @@ def _check_cached_plan(
     """
     data, config = case.data, case.config
     cache = PlannerCache()
-    tc = TiledCompressor(workers=case.workers, plan_cache=cache)
+    tc = TiledCompressor(
+        workers=case.workers, planner=case.planner(), plan_cache=cache
+    )
     first = tc.compress(data, config, dataset="prop")
     second = tc.compress(data, config, dataset="prop")
     assert first.plan is not None and second.plan is not None

@@ -561,52 +561,34 @@ class TestOneWritePath:
         return calls
 
     @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
-    @pytest.mark.parametrize("factory", [True, False], ids=["factory", "bare"])
     def test_every_keyframe_plans_like_version_zero(
-        self, tmp_path, field, planned, factory, backend
+        self, tmp_path, field, planned, backend
     ):
         """Keyframes of later versions keep the planner's sampling
         settings, the plan cache and the dataset name that keys it."""
         from repro.compressor import PlannerCache
-        from repro.factory import CodecFactory
 
         plans = PlannerCache()
-        if factory:
-            made = CodecFactory(
-                adaptive=True,
-                tile_shape=(16, 16),
-                sample_rate=0.2,
-                seed=7,
-                workers=2,
-                parallel_backend=backend,
-                keyframe_interval=2,
-            )
-            store, config = made.array_store(tmp_path / "s"), made.config(EB)
-            expected = dict(sample_rate=0.2, seed=7, cache=None)
-        else:
-            store = ArrayStore(
-                tmp_path / "s",
-                workers=2,
-                parallel_backend=backend,
-                plan_cache=plans,
-                keyframe_interval=2,
-            )
-            config = _config(adaptive=True)
-            expected = dict(sample_rate=0.05, seed=0, cache=plans)
+        store = ArrayStore(
+            tmp_path / "s",
+            workers=2,
+            parallel_backend=backend,
+            plan_cache=plans,
+            keyframe_interval=2,
+        )
         with store:
             for version in range(5):  # a statistically unchanged stream
-                record = store.put_snapshot("wave", field, config)
+                record = store.put_snapshot(
+                    "wave", field, _config(adaptive=True)
+                )
                 assert record["keyframe"] is (version % 2 == 0)
         assert len(planned) == 3  # v0, v2, v4: deltas are never planned
         for call in planned:
             assert call["dataset"] == "wave"
-            assert call["cache"] is expected["cache"]
-            assert call["sample_rate"] == expected["sample_rate"]
-            assert call["seed"] == expected["seed"]
-        if not factory:
-            assert [call["outcome"] for call in planned] == [
-                "miss", "hit", "hit"
-            ]
+            assert call["cache"] is plans
+            assert call["sample_rate"] == 0.05
+            assert call["seed"] == 0
+        assert [call["outcome"] for call in planned] == ["miss", "hit", "hit"]
 
     @pytest.mark.parametrize(
         "put", ["create", "overwrite", "first", "delta", "keyframe"]

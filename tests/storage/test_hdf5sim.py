@@ -287,6 +287,51 @@ class TestDamagedFiles:
         with pytest.raises(ContainerFormatError, match="outside the payload"):
             H5LikeFile(path, "r")
 
+    @pytest.mark.parametrize("filtered", [True, False], ids=["tile", "raw"])
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda entry: entry["chunks"].pop(1),
+            lambda entry: entry["chunks"][0]["start"].__setitem__(1, 1),
+            lambda entry: entry["chunks"][0]["stop"].__setitem__(0, 9),
+            lambda entry: entry.__setitem__("dtype", "<zz9"),
+            lambda entry: entry.__setitem__("chunk_shape", [8, 4]),
+            # refused by count, before a 10^18-tile grid is listed
+            lambda entry: entry.update(shape=[10**9] * 2, chunk_shape=[1, 1]),
+        ],
+        ids=[
+            "dropped", "start-shifted", "stop-shifted", "dtype", "grid", "huge"
+        ],
+    )
+    def test_records_must_tile_the_shape_once(
+        self, path, filtered, damage
+    ):
+        config = CompressionConfig() if filtered else None
+        with H5LikeFile(path, "w") as f:
+            f.create_dataset("a", smooth_field((4, 4)), config)
+            f.create_dataset("x", smooth_field((16, 16)), config, (8, 8))
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        toc, _ = _toc(raw)
+        damage(toc["datasets"]["x"])
+        with open(path, "wb") as fh:
+            fh.write(_with_toc(raw, toc))
+        with pytest.raises(ContainerFormatError):
+            H5LikeFile(path, "r")
+
+    @pytest.mark.parametrize("error", [-4, 1])
+    def test_a_raw_chunk_of_the_wrong_size_is_refused(self, path, error):
+        with H5LikeFile(path, "w") as f:
+            f.create_dataset("x", smooth_field((16, 16)), chunk_shape=(8, 8))
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        toc, _ = _toc(raw)
+        toc["datasets"]["x"]["chunks"][0]["size"] += error
+        with open(path, "wb") as fh:
+            fh.write(_with_toc(raw, toc))
+        with pytest.raises(ContainerFormatError, match="raw chunk"):
+            H5LikeFile(path, "r")
+
     def test_a_chunk_record_over_its_neighbour_is_refused(self, raw, path):
         toc, _ = _toc(raw)
         toc["datasets"]["x"]["chunks"][0]["size"] += 1

@@ -243,6 +243,48 @@ class TestTiledCli:
             main(["compress", field_file, blob, "--eb", "0.01",
                   "--tile", "8,8", "--adaptive", "--mode", "pw_rel"])
 
+    def test_fit_clusters_and_plan_cache_reach_the_planner(
+        self, tmp_path, capsys
+    ):
+        src = str(tmp_path / "f.npy")
+        # two clusters under the planner's default cap
+        np.save(src, smooth_field((64, 64)) + 3.0 * smooth_field((64, 64), seed=9))
+        plans = str(tmp_path / "plans.json")
+        printed, decoded = [], []
+        for run in range(2):
+            blob = str(tmp_path / f"f{run}.rqsz")
+            back = str(tmp_path / f"b{run}.npy")
+            assert main(["compress", src, blob, "--eb", "0.02", "--adaptive",
+                         "--tile", "32,32", "--fit-clusters", "1",
+                         "--plan-cache", plans]) == 0
+            printed.append(capsys.readouterr().out)
+            assert main(["inspect", blob, "--json"]) == 0
+            header = json.loads(capsys.readouterr().out)
+            assert header["planner_stats"]["clusters"] <= 1
+            assert main(["decompress", blob, back]) == 0
+            decoded.append(np.load(back))
+        assert "cache miss" in printed[0]
+        assert "cache hit" in printed[1]
+        np.testing.assert_array_equal(*decoded)
+
+    def test_parallel_decode_equals_serial(self, tmp_path, capsys):
+        src = str(tmp_path / "f.npy")
+        np.save(src, smooth_field((40, 40)))
+        blob = str(tmp_path / "f.rqsz")
+        main(["compress", src, blob, "--eb", "0.01", "--tile", "8,8"])
+        parallel = ["--workers", "2", "--backend", "thread"]
+        outputs = {}
+        for name, flags in [
+            ("serial", []),
+            ("thread", parallel),
+            ("roi", ["--region", "3:30,5:"] + parallel),
+        ]:
+            outputs[name] = str(tmp_path / f"{name}.npy")
+            assert main(["decompress", blob, outputs[name]] + flags) == 0
+        serial = np.load(outputs["serial"])
+        np.testing.assert_array_equal(np.load(outputs["thread"]), serial)
+        np.testing.assert_array_equal(np.load(outputs["roi"]), serial[3:30, 5:])
+
 
 class TestInspect:
     def test_header_json(self, field_file, tmp_path, capsys):

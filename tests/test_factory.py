@@ -56,6 +56,15 @@ class TestConstruction:
         factory = CodecFactory(workers=2)
         assert isinstance(factory.tiled_compressor(), TiledCompressor)
 
+    def test_runtime_settings_reach_the_compressor_not_the_config(self):
+        factory = CodecFactory(
+            sample_rate=0.5, seed=3, fit_clusters=2, parallel_backend="serial"
+        )
+        planner = factory.tiled_compressor()._planner
+        assert (planner.sample_rate, planner.seed) == (0.5, 3)
+        assert planner.fit_clusters == 2
+        assert factory.config(1e-3) == CompressionConfig(error_bound=1e-3)
+
     def test_model_settings(self):
         factory = CodecFactory(
             predictor="interpolation",
@@ -125,19 +134,3 @@ class TestEndToEnd:
         assert len(cells) == 1
         assert np.isfinite(cells[0].meas_bitrate)
 
-
-class TestArrayStore:
-    def test_factory_builds_store_with_its_settings(self, tmp_path):
-        from repro.service.store import ArrayStore
-
-        factory = CodecFactory(
-            predictor="interpolation", sample_rate=0.5, seed=3, workers=2
-        )
-        store = factory.array_store(tmp_path / "store")
-        assert isinstance(store, ArrayStore)
-        config = factory.config(1e-2, tile_shape=(8, 8))
-        entry = store.create("f", smooth_field((16, 16)), config)
-        assert entry["config"]["predictor"] == "interpolation"
-        back = store.read_full("f")
-        assert back.shape == (16, 16)
-        store.close()
