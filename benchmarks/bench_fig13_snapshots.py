@@ -10,8 +10,9 @@ the target.
 
 Every codec here is built through :class:`~repro.factory.CodecFactory`,
 so the same harness exercises the flat pipeline and — via a factory
-variant with ``temporal`` set — the v6 snapshot stream delta mode, whose
-per-snapshot rate/PSNR rides along as a third arm in the table.
+variant whose base config sets ``temporal`` — the snapshot stream delta
+mode, whose per-snapshot rate/PSNR rides along as a third arm in the
+table.
 """
 
 from __future__ import annotations
@@ -49,7 +50,11 @@ def experiment():
     pipeline = SnapshotPipeline(target_psnr=TARGET_PSNR, factory=factory)
     stream = SnapshotPipeline(
         target_psnr=TARGET_PSNR,
-        factory=replace(factory, temporal=True, keyframe_interval=4),
+        factory=replace(
+            factory,
+            base=replace(factory.base, temporal=True),
+            keyframe_interval=4,
+        ),
     )
     for i, snap in enumerate(snaps):
         result = sz.compress(

@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.compressor import CompressionConfig
 from repro.datasets import wave_snapshots
 from repro.factory import CodecFactory
 from repro.storage.cluster import (
@@ -31,7 +32,7 @@ def experiment():
     snaps = wave_snapshots(
         (40, 40, 40), n_snapshots=6, steps_between=8, seed=37
     )
-    factory = CodecFactory(predictor="lorenzo")
+    factory = CodecFactory(base=CompressionConfig(predictor="lorenzo"))
     vrange = max(float(np.ptp(s)) for s in snaps)
     candidates = [vrange * 10 ** (-e) for e in (1, 2, 3, 4, 5)]
     config = factory.config(candidates[2])

@@ -38,7 +38,8 @@ intersecting the requested hyperslab.
 
 The shared codec flags (``--predictor``, ``--mode``, ``--lossless``)
 are defined once on a parent parser, so they land in every subcommand
-that compresses or models data.
+that compresses or models data; :data:`~repro.compressor.config.CONFIG_TEXT`
+spells them, ``--eb``, ``--tile`` and ``--adaptive`` as the ``PUT`` query.
 """
 
 from __future__ import annotations
@@ -50,44 +51,34 @@ import sys
 
 import numpy as np
 
-from repro.compressor import TiledCompressor
+from repro.compressor import CompressionConfig, TiledCompressor
 from repro.compressor.adaptive import DEFAULT_FIT_CLUSTERS
+from repro.compressor.config import CONFIG_TEXT, parse_config_text
 from repro.compressor.inspect import describe_container
 from repro.compressor.tiled_geometry import parse_region_text
 from repro.datasets import DATASETS, load_field
 from repro.factory import CodecFactory
 from repro.utils.tables import format_table
 
-__all__ = ["main", "build_parser", "parse_region", "parse_tile_shape"]
-
-_LOSSLESS_CHOICES = ["zstd_like", "gzip_like", "rle", "none"]
+__all__ = ["main", "build_parser", "parse_region"]
 
 
 def _codec_parent() -> argparse.ArgumentParser:
     """Shared ``--predictor``/``--mode``/``--lossless`` flags.
 
     Defined once so new codec flags land in every subcommand that uses
-    this parent, instead of being copy-pasted per subparser.
+    this parent, instead of being copy-pasted per subparser; unset, a
+    flag keeps the :class:`CompressionConfig` default.
     """
     parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument(
-        "--predictor",
-        default="lorenzo",
-        choices=["lorenzo", "interpolation", "regression"],
-        help="prediction scheme",
-    )
-    parent.add_argument(
-        "--mode",
-        default="abs",
-        choices=["abs", "rel", "pw_rel"],
-        help="error-bound mode",
-    )
-    parent.add_argument(
-        "--lossless",
-        default="zstd_like",
-        choices=_LOSSLESS_CHOICES,
-        help="lossless stage after Huffman ('none' disables it)",
-    )
+    for name, help_text in (
+        ("predictor", "prediction scheme"),
+        ("mode", "error-bound mode"),
+        ("lossless", "lossless stage after Huffman ('none' disables it)"),
+    ):
+        parent.add_argument(
+            f"--{name}", choices=CONFIG_TEXT[name].choices, help=help_text
+        )
     return parent
 
 
@@ -99,6 +90,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     codec = _codec_parent()
+    tiling = argparse.ArgumentParser(add_help=False)
+    tiling.add_argument(
+        "--tile",
+        metavar="T1,T2,...",
+        help="tile shape for the tiled container (out-of-core "
+        "streaming + region decode), e.g. 64,64,64",
+    )
+    tiling.add_argument(
+        "--adaptive",
+        action="store_const",
+        const="1",
+        help="model-driven per-tile configuration: each tile gets its "
+        "own predictor/bound/radius at matched aggregate quality "
+        "(palette in the TOC; requires --tile, abs/rel modes)",
+    )
 
     est = sub.add_parser(
         "estimate", parents=[codec], help="model forecasts for an array"
@@ -106,38 +112,23 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("input", help=".npy array to profile")
     est.add_argument(
         "--eb",
-        type=float,
         nargs="+",
         required=True,
         help="error bound(s) to estimate at",
     )
 
     comp = sub.add_parser(
-        "compress", parents=[codec], help="compress a .npy array"
+        "compress", parents=[codec, tiling], help="compress a .npy array"
     )
     comp.add_argument("input", help=".npy array")
     comp.add_argument("output", help="destination .rqsz blob")
     group = comp.add_mutually_exclusive_group(required=True)
-    group.add_argument("--eb", type=float, help="error bound")
+    group.add_argument("--eb", help="error bound")
     group.add_argument(
         "--ratio", type=float, help="target compression ratio (model)"
     )
     group.add_argument(
         "--psnr", type=float, help="target PSNR in dB (model)"
-    )
-    comp.add_argument(
-        "--tile",
-        default=None,
-        metavar="T1,T2,...",
-        help="tile shape for the tiled container (out-of-core "
-        "streaming + region decode), e.g. 64,64,64",
-    )
-    comp.add_argument(
-        "--adaptive",
-        action="store_true",
-        help="model-driven per-tile configuration: each tile gets its "
-        "own predictor/bound/radius at matched aggregate quality "
-        "(palette in the TOC; requires --tile, abs/rel modes)",
     )
     comp.add_argument(
         "--fit-clusters",
@@ -266,24 +257,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     rput = sub.add_parser(
         "remote-put",
-        parents=[codec],
+        parents=[codec, tiling],
         help="compress a .npy array into a remote store",
     )
     rput.add_argument("url", help="server base URL, e.g. http://host:8765")
     rput.add_argument("name", help="dataset name")
     rput.add_argument("input", help=".npy array to upload")
-    rput.add_argument("--eb", type=float, required=True, help="error bound")
-    rput.add_argument(
-        "--tile",
-        default=None,
-        metavar="T1,T2,...",
-        help="tile shape for the stored container, e.g. 64,64,64",
-    )
-    rput.add_argument(
-        "--adaptive",
-        action="store_true",
-        help="model-driven per-tile configuration (TOC palette)",
-    )
+    rput.add_argument("--eb", required=True, help="error bound")
     rput.add_argument(
         "--overwrite",
         action="store_true",
@@ -367,17 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
 # -- argument parsing helpers --------------------------------------------------
 
 
-def parse_tile_shape(text: str) -> tuple[int, ...]:
-    """Parse ``"64,64,64"`` into a tile shape tuple."""
-    try:
-        tile = tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise SystemExit(f"invalid tile shape {text!r}") from None
-    if not tile or any(t < 1 for t in tile):
-        raise SystemExit(f"invalid tile shape {text!r}")
-    return tile
-
-
 def parse_region(text: str) -> tuple[slice | int, ...]:
     """Parse ``"0:32,16:48,:"`` into per-axis slices (ints stay ints)."""
     try:
@@ -386,20 +355,11 @@ def parse_region(text: str) -> tuple[slice | int, ...]:
         raise SystemExit(f"invalid region {text!r}") from None
 
 
-def _factory_from_args(args: argparse.Namespace) -> CodecFactory:
-    """The CodecFactory the shared codec flags describe."""
-    from repro.compressor import ErrorBoundMode
-
-    return CodecFactory(
-        predictor=args.predictor,
-        mode=ErrorBoundMode(args.mode),
-        lossless=None if args.lossless == "none" else args.lossless,
-        workers=getattr(args, "workers", None),
-        adaptive=getattr(args, "adaptive", False),
-        parallel_backend=getattr(args, "backend", None),
-        fit_clusters=getattr(args, "fit_clusters", DEFAULT_FIT_CLUSTERS),
-        plan_cache=getattr(args, "plan_cache", None),
-    )
+def _config_from_args(args: argparse.Namespace, **text) -> CompressionConfig:
+    """The config the codec flags spell; *text* replaces a flag (one
+    ``--eb`` of several).  A ``ValueError`` names the refused value."""
+    flags = {name: getattr(args, name, None) for name in CONFIG_TEXT}
+    return parse_config_text({**flags, **text})
 
 
 def _load_array(path: str, mmap: bool = False) -> np.ndarray:
@@ -414,64 +374,61 @@ def _load_array(path: str, mmap: bool = False) -> np.ndarray:
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
     data = _load_array(args.input)
-    factory = _factory_from_args(args)
-    model = factory.fit_model(
-        data, use_lossless=factory.lossless is not None
-    )
-    rows = [
-        (
-            eb,
-            est.bitrate,
-            est.ratio,
-            est.p0,
-            est.psnr,
-            est.ssim,
+    try:
+        configs = [_config_from_args(args, eb=eb) for eb in args.eb]
+        model = CodecFactory(configs[0]).fit_model(
+            data, use_lossless=configs[0].lossless is not None
         )
-        for eb in args.eb
-        for est in [model.estimate(eb)]
-    ]
+        rows = [
+            (c.error_bound, est.bitrate, est.ratio, est.p0, est.psnr, est.ssim)
+            for c in configs
+            for est in [model.estimate(c.error_bound)]
+        ]
+    except ValueError as exc:
+        raise SystemExit(f"cannot estimate {args.input}: {exc}") from exc
     print(
         format_table(
             ["eb", "bits/pt", "ratio", "p0", "PSNR", "SSIM"],
             rows,
             float_spec=".4g",
             title=f"{args.input}: {data.shape} {data.dtype}, "
-            f"predictor={args.predictor}, mode={args.mode}",
+            f"predictor={model.predictor}, mode={model.mode.value}",
         )
     )
     return 0
 
 
 def _cmd_compress(args: argparse.Namespace) -> int:
-    factory = _factory_from_args(args)
-    tile_shape = parse_tile_shape(args.tile) if args.tile else None
-    if args.adaptive and tile_shape is None:
-        raise SystemExit("--adaptive requires --tile")
-    if args.adaptive and args.mode == "pw_rel":
-        raise SystemExit("--adaptive supports --mode abs or rel only")
-    # compression streams from a memmap so huge inputs never
-    # materialize in RAM (one tile at a time)
-    data = _load_array(args.input, mmap=True)
-    if args.eb is not None:
-        eb = args.eb
-    else:
-        model = factory.fit_model(
-            np.asarray(data), use_lossless=factory.lossless is not None
+    try:
+        config = _config_from_args(args)
+        if config.adaptive and config.tile_shape is None:
+            raise SystemExit("--adaptive requires --tile")
+        factory = CodecFactory(
+            config, workers=args.workers, parallel_backend=args.backend,
+            fit_clusters=args.fit_clusters, plan_cache=args.plan_cache,
         )
-        if args.ratio is not None:
-            eb = model.error_bound_for_ratio(args.ratio)
-        else:
-            eb = model.error_bound_for_psnr(args.psnr)
-        print(f"model-selected error bound: {eb:.6g}")
-
-    config = factory.config(eb, tile_shape=tile_shape)
-    # the input's base name keys the cross-snapshot plan cache, so
-    # re-compressing successive snapshots written to the same file
-    # name reuses the plan
-    dataset = os.path.splitext(os.path.basename(args.input))[0]
-    result = factory.tiled_compressor().compress(
-        data, config, out=args.output, dataset=dataset
-    )
+        # compression streams from a memmap so huge inputs never
+        # materialize in RAM (one tile at a time)
+        data = _load_array(args.input, mmap=True)
+        if args.eb is None:
+            model = factory.fit_model(
+                np.asarray(data), use_lossless=config.lossless is not None
+            )
+            if args.ratio is not None:
+                eb = model.error_bound_for_ratio(args.ratio)
+            else:
+                eb = model.error_bound_for_psnr(args.psnr)
+            print(f"model-selected error bound: {eb:.6g}")
+            config = factory.config(eb)
+        # the input's base name keys the cross-snapshot plan cache, so
+        # re-compressing successive snapshots written to the same file
+        # name reuses the plan
+        dataset = os.path.splitext(os.path.basename(args.input))[0]
+        result = factory.tiled_compressor().compress(
+            data, config, out=args.output, dataset=dataset
+        )
+    except ValueError as exc:
+        raise SystemExit(f"cannot compress {args.input}: {exc}") from exc
     print(
         f"{args.input} -> {args.output}: {result.original_bytes} -> "
         f"{result.compressed_bytes} bytes ({result.ratio:.2f}x, "
@@ -614,10 +571,15 @@ def _remote_call(fn):
 
 
 def _cmd_remote_put(args: argparse.Namespace) -> int:
+    try:
+        config = _config_from_args(args)
+    except ValueError as exc:
+        raise SystemExit(f"cannot put {args.input}: {exc}") from exc
     data = _load_array(args.input)
-    tile = parse_tile_shape(args.tile) if args.tile else None
+    # the client's codec keywords are the table's names
+    codec = {name: getattr(config, s.field) for name, s in CONFIG_TEXT.items()}
     if args.snapshot:
-        if args.adaptive:
+        if codec.pop("adaptive"):
             raise SystemExit(
                 "--snapshot deltas are not adaptive; drop --adaptive"
             )
@@ -626,12 +588,8 @@ def _cmd_remote_put(args: argparse.Namespace) -> int:
                 lambda: client.put_snapshot(
                     args.name,
                     data,
-                    eb=args.eb,
-                    predictor=args.predictor,
-                    mode=args.mode,
-                    lossless=args.lossless,
-                    tile=tile,
                     keyframe_interval=args.keyframe_interval,
+                    **codec,
                 )
             )
         kind = "keyframe" if entry.get("keyframe") else (
@@ -649,15 +607,7 @@ def _cmd_remote_put(args: argparse.Namespace) -> int:
     with _client(args.url) as client:
         entry = _remote_call(
             lambda: client.put(
-                args.name,
-                data,
-                eb=args.eb,
-                predictor=args.predictor,
-                mode=args.mode,
-                lossless=args.lossless,
-                tile=tile,
-                adaptive=args.adaptive,
-                overwrite=args.overwrite,
+                args.name, data, overwrite=args.overwrite, **codec
             )
         )
     print(

@@ -12,13 +12,17 @@ Prediction-based error-bounded lossy compressors (the SZ family) expose an
     logarithmic transform before compression (Liang et al., CLUSTER'18),
     which turns the point-wise relative bound into an absolute bound in
     log space.
+
+A config is spelled here only: :data:`CONFIG_TEXT` as CLI flags and
+``PUT`` query text, :meth:`CompressionConfig.to_json` as stored records.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -27,7 +31,11 @@ from repro.utils.stats import value_range
 __all__ = [
     "ErrorBoundMode",
     "CompressionConfig",
+    "CONFIG_TEXT",
     "DEFAULT_QUANT_RADIUS",
+    "format_config_text",
+    "parse_config_text",
+    "parse_flag",
 ]
 
 # Default half-width of the quantization code alphabet: codes lie in
@@ -120,7 +128,10 @@ class CompressionConfig:
         if not isinstance(self.mode, ErrorBoundMode):
             raise TypeError("mode must be an ErrorBoundMode")
         if not (math.isfinite(self.error_bound) and self.error_bound > 0):
-            raise ValueError("error_bound must be positive and finite")
+            raise ValueError(
+                "error_bound must be positive and finite, got "
+                f"{self.error_bound!r}"
+            )
         if self.quant_radius < 2:
             raise ValueError("quant_radius must be at least 2")
         if self.lorenzo_levels not in (1, 2):
@@ -131,7 +142,8 @@ class CompressionConfig:
             tile_shape = tuple(int(t) for t in self.tile_shape)
             if not tile_shape or any(t < 1 for t in tile_shape):
                 raise ValueError(
-                    "tile_shape must be a non-empty tuple of positive ints"
+                    "tile_shape must be a non-empty tuple of positive "
+                    f"ints, got {tile_shape!r}"
                 )
             # normalize list/iterable inputs so equality and hashing work
             object.__setattr__(self, "tile_shape", tile_shape)
@@ -188,3 +200,84 @@ class CompressionConfig:
     def with_predictor(self, predictor: str) -> "CompressionConfig":
         """Return a copy with a different predictor."""
         return replace(self, predictor=predictor)
+
+    def to_json(self) -> dict:
+        """Every field, JSON-spelled: the ``config`` record of a store
+        manifest and the ``filter`` record of an RQH5 dataset."""
+        record = {f.name: getattr(self, f.name) for f in fields(self)}
+        tile = None if self.tile_shape is None else list(self.tile_shape)
+        return {**record, "mode": self.mode.value, "tile_shape": tile}
+
+
+# -- text spelling -------------------------------------------------------------
+
+
+_TRUE, _FALSE = ("1", "true", "yes", "on"), ("0", "false", "no", "off", "")
+
+
+def parse_flag(text: str) -> bool:
+    """A boolean: ``1``/``true``/``yes``/``on`` or ``0``/``false``/
+    ``no``/``off``/empty."""
+    raw = text.strip().lower()
+    if raw not in _TRUE + _FALSE:
+        raise ValueError(f"invalid boolean {text!r}")
+    return raw in _TRUE
+
+
+def _lossless_text(stage: str | None) -> str:
+    return "none" if stage is None else str(stage)
+
+
+class _Spelling(NamedTuple):
+    field: str
+    parse: Callable[[str], object]
+    format: Callable[[object], str | None]  # unvalidated; None: left out
+    choices: tuple[str, ...] | None = None  # what a command line offers
+
+
+#: The names the CLI codec flags and the ``PUT`` query share, one text
+#: spelling each: ``eb=0.001``, ``predictor=lorenzo``, ``mode=rel``,
+#: ``lossless=none`` (``None``), ``tile=64,64`` (absent: one whole-array
+#: tile), ``adaptive=1``.
+CONFIG_TEXT: dict[str, _Spelling] = {
+    "eb": _Spelling("error_bound", float, lambda eb: repr(float(eb))),
+    "predictor": _Spelling(
+        "predictor", str, str, CompressionConfig._KNOWN_PREDICTORS
+    ),
+    "mode": _Spelling(
+        "mode", ErrorBoundMode, lambda m: str(getattr(m, "value", m)),
+        tuple(m.value for m in ErrorBoundMode),
+    ),
+    "lossless": _Spelling(
+        "lossless", lambda text: None if text == "none" else text,
+        _lossless_text,
+        tuple(map(_lossless_text, CompressionConfig._KNOWN_LOSSLESS)),
+    ),
+    "tile": _Spelling(
+        "tile_shape", lambda text: tuple(map(int, text.split(","))),
+        lambda t: None if t is None else ",".join(str(int(n)) for n in t),
+    ),
+    "adaptive": _Spelling("adaptive", parse_flag, lambda a: str(int(bool(a)))),
+}
+
+
+def parse_config_text(text: Mapping[str, str | None]) -> CompressionConfig:
+    """The config *text* spells by :data:`CONFIG_TEXT` name (other keys
+    ignored; absent or ``None``: the default).  A ``ValueError`` names
+    the value that does not parse or that the config refuses."""
+    values = {}
+    for name, (field, parse, _, _) in CONFIG_TEXT.items():
+        if text.get(name) is None:
+            continue
+        try:
+            values[field] = parse(text[name])
+        except ValueError:
+            raise ValueError(f"invalid {name} {text[name]!r}") from None
+    return CompressionConfig(**values)
+
+
+def format_config_text(**values) -> dict[str, str]:
+    """Library values, by :data:`CONFIG_TEXT` name, as text — unchecked:
+    :func:`parse_config_text` at the other end checks them."""
+    text = {name: CONFIG_TEXT[name].format(v) for name, v in values.items()}
+    return {name: t for name, t in text.items() if t is not None}

@@ -652,7 +652,9 @@ class RatioQualityModel:
         """Error bound for a target compression ratio."""
         sample = self._require_fit()
         if target_ratio <= 0:
-            raise ValueError("target_ratio must be positive")
+            raise ValueError(
+                f"target_ratio must be positive, got {target_ratio!r}"
+            )
         return self.error_bound_for_bitrate(
             sample.dtype_bits / target_ratio
         )

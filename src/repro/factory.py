@@ -1,15 +1,17 @@
 """Shared construction of compressors, configs and ratio-quality models.
 
 The study harness and all three use cases need the same plumbing — a
-predictor name, an error-bound mode, sampling parameters and codec
-knobs, threaded through to ``CompressionConfig``, ``TiledCompressor``
-and ``RatioQualityModel`` constructors.  Before this
-module each of them carried its own copy of that kwargs forwarding;
-:class:`CodecFactory` holds it once.
+codec configuration, sampling parameters and runtime settings, threaded
+through to ``CompressionConfig``, ``TiledCompressor`` and
+``RatioQualityModel`` constructors.  Before this module each of them
+carried its own copy of that kwargs forwarding; :class:`CodecFactory`
+holds it once.
 
 Usage::
 
-    factory = CodecFactory(predictor="interpolation", sample_rate=0.02)
+    factory = CodecFactory(
+        base=CompressionConfig(predictor="interpolation"), sample_rate=0.02
+    )
     model = factory.fit_model(data)
     result = factory.tiled_compressor().compress(
         data, factory.config(error_bound=1e-3)
@@ -25,7 +27,6 @@ import numpy as np
 from repro.compressor import (
     AdaptivePlanner,
     CompressionConfig,
-    ErrorBoundMode,
     TemporalCompressor,
     TiledCompressor,
 )
@@ -37,17 +38,15 @@ __all__ = ["CodecFactory"]
 
 @dataclass(frozen=True)
 class CodecFactory:
-    """One place for the (predictor, mode, codec, sampling) settings.
+    """One place for the (config, runtime, sampling) settings.
 
     Immutable; derive variants with :meth:`with_predictor` or
     ``dataclasses.replace``.
     """
 
-    predictor: str = "lorenzo"
-    mode: ErrorBoundMode = ErrorBoundMode.ABS
-    lossless: str | None = "zstd_like"
-    tile_shape: tuple[int, ...] | None = None
-    adaptive: bool = False
+    #: the configs built here, but for their error bound: predictor,
+    #: mode, lossless stage, tiling, adaptive planning, temporal deltas
+    base: CompressionConfig = CompressionConfig()
     #: width and execution backend ("serial", "thread", "process";
     #: None: the thread backend) of the compressors built here
     workers: int | None = None
@@ -59,8 +58,6 @@ class CodecFactory:
     #: path of the compressors' file-backed cross-snapshot plan cache
     #: (None disables)
     plan_cache: str | None = None
-    #: compress snapshot streams as temporal deltas
-    temporal: bool = False
     #: every Nth snapshot of a chain is a keyframe, bounding the chain
     #: depth random access has to decode
     keyframe_interval: int = 4
@@ -68,23 +65,10 @@ class CodecFactory:
     # -- codec construction ----------------------------------------------------
 
     def config(self, error_bound: float, **overrides) -> CompressionConfig:
-        """A :class:`CompressionConfig` at *error_bound*: the settings
-        the container records.  How it runs — width, backend, fit
-        reuse, plan cache — is the compressor's (:meth:`tiled_compressor`).
-
-        Keyword *overrides* replace individual config fields (e.g. a
-        per-call ``predictor`` or ``tile_shape``).
-        """
-        base = CompressionConfig(
-            predictor=self.predictor,
-            mode=self.mode,
-            error_bound=float(error_bound),
-            lossless=self.lossless,
-            tile_shape=self.tile_shape,
-            adaptive=self.adaptive,
-            temporal=self.temporal,
-        )
-        return replace(base, **overrides) if overrides else base
+        """``base`` at *error_bound*, keyword *overrides* replacing
+        fields (e.g. a per-call ``predictor``).  How it runs is the
+        compressor's (:meth:`tiled_compressor`)."""
+        return replace(self.base, error_bound=float(error_bound), **overrides)
 
     def tiled_compressor(self) -> TiledCompressor:
         """The compressor: tiled out-of-core (``tile_shape`` unset: one
@@ -124,8 +108,8 @@ class CodecFactory:
     def model(self, **overrides) -> RatioQualityModel:
         """An unfitted :class:`RatioQualityModel` with these settings."""
         kwargs = dict(
-            predictor=self.predictor,
-            mode=self.mode,
+            predictor=self.base.predictor,
+            mode=self.base.mode,
             sample_rate=self.sample_rate,
             seed=self.seed,
         )
@@ -140,4 +124,4 @@ class CodecFactory:
 
     def with_predictor(self, predictor: str) -> "CodecFactory":
         """A copy of this factory for a different predictor."""
-        return replace(self, predictor=predictor)
+        return replace(self, base=self.base.with_predictor(predictor))

@@ -28,6 +28,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from repro.analysis.metrics import psnr, ssim_global
+from repro.compressor import CompressionConfig
 from repro.core.accuracy import estimation_accuracy
 from repro.factory import CodecFactory
 from repro.utils.tables import format_table
@@ -75,15 +76,17 @@ class RateDistortionStudy:
         self.predictors = tuple(predictors)
         self.relative_bounds = tuple(relative_bounds)
         self.measure_quality = measure_quality
-        self.factory = factory or CodecFactory(lossless=lossless)
+        self.factory = factory or CodecFactory(
+            base=CompressionConfig(lossless=lossless)
+        )
 
     def run(self) -> list[StudyCell]:
         """Execute the full sweep; returns one cell per combination.
 
         Every cell compresses through the factory's compressor — one
-        whole-array tile, or its ``tile_shape`` grid (``adaptive``
-        planned when set) — so studies measure the container the
-        deployment would actually write.
+        whole-array tile, or the ``tile_shape`` grid of its base config
+        (``adaptive`` planned when set) — so studies measure the
+        container the deployment would actually write.
         """
         import time
 

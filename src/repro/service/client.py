@@ -72,6 +72,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.compressor.config import ErrorBoundMode, format_config_text
 from repro.compressor.tiled_geometry import format_region
 
 __all__ = ["ArrayClient", "RetryPolicy", "ServiceError"]
@@ -385,33 +386,22 @@ class ArrayClient:
         data: np.ndarray,
         eb: float,
         predictor: str = "lorenzo",
-        mode: str = "abs",
-        lossless: str = "zstd_like",
+        mode: ErrorBoundMode | str = "abs",
+        lossless: str | None = "zstd_like",
         tile: Sequence[int] | None = None,
         adaptive: bool = False,
         overwrite: bool = False,
     ) -> dict:
-        """Upload *data* for server-side compression into the store."""
-        buf = io.BytesIO()
-        np.save(buf, np.ascontiguousarray(data), allow_pickle=False)
-        params = {
-            "eb": repr(float(eb)),
-            "predictor": predictor,
-            "mode": mode,
-            "lossless": lossless,
-            "adaptive": int(bool(adaptive)),
-            "overwrite": int(bool(overwrite)),
-            "token": self._fresh_token(),
-        }
-        if tile is not None:
-            params["tile"] = ",".join(str(int(t)) for t in tile)
-        return self._json(
-            "PUT",
-            f"/v1/datasets/{urllib.parse.quote(name)}",
-            params=params,
-            body=buf.getvalue(),
-            content_type=NPY_CONTENT_TYPE,
+        """Upload *data* for server-side compression into the store.
+
+        ``mode`` and ``lossless`` take library values or their text;
+        the server, not the client, refuses a bad one (400).
+        """
+        text = format_config_text(
+            eb=eb, predictor=predictor, mode=mode, lossless=lossless,
+            tile=tile, adaptive=adaptive,
         )
+        return self._put(name, data, overwrite=int(bool(overwrite)), **text)
 
     def put_snapshot(
         self,
@@ -419,8 +409,8 @@ class ArrayClient:
         data: np.ndarray,
         eb: float,
         predictor: str = "lorenzo",
-        mode: str = "abs",
-        lossless: str = "zstd_like",
+        mode: ErrorBoundMode | str = "abs",
+        lossless: str | None = "zstd_like",
         tile: Sequence[int] | None = None,
         keyframe_interval: int | None = None,
     ) -> dict:
@@ -430,26 +420,26 @@ class ArrayClient:
         later appends become temporal deltas except every
         ``keyframe_interval``-th version.  Returns the new snapshot's
         manifest record (``version``, ``keyframe``, byte accounting,
-        temporal/spatial tile counts).
+        temporal/spatial tile counts).  The codec settings are spelled
+        as for :meth:`put`.
         """
+        text = format_config_text(
+            eb=eb, predictor=predictor, mode=mode, lossless=lossless, tile=tile
+        )
+        return self._put(
+            name, data, snapshot=1, keyframe_interval=keyframe_interval, **text
+        )
+
+    def _put(self, name: str, data: np.ndarray, **params) -> dict:
+        """The one ``PUT``: *data* as ``.npy``, the *params* that are set
+        and a fresh idempotency token as the query."""
         buf = io.BytesIO()
         np.save(buf, np.ascontiguousarray(data), allow_pickle=False)
-        params = {
-            "eb": repr(float(eb)),
-            "predictor": predictor,
-            "mode": mode,
-            "lossless": lossless,
-            "snapshot": 1,
-            "token": self._fresh_token(),
-        }
-        if tile is not None:
-            params["tile"] = ",".join(str(int(t)) for t in tile)
-        if keyframe_interval is not None:
-            params["keyframe_interval"] = int(keyframe_interval)
+        params = {k: v for k, v in params.items() if v is not None}
         return self._json(
             "PUT",
             f"/v1/datasets/{urllib.parse.quote(name)}",
-            params=params,
+            params={**params, "token": self._fresh_token()},
             body=buf.getvalue(),
             content_type=NPY_CONTENT_TYPE,
         )

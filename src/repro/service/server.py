@@ -27,12 +27,22 @@ Endpoints (all under ``/v1``)::
     DELETE /v1/datasets/{name}               remove dataset
     GET    /v1/cache/stats                   decoded-tile cache counters
 
-``PUT`` query parameters mirror the CLI compress flags: ``eb``
-(required), ``predictor``, ``mode``, ``lossless``, ``tile`` (e.g.
-``64,64``), ``adaptive`` (0/1) and ``overwrite`` (0/1); adding
-``snapshot=1`` appends the body as one version of the dataset's
-snapshot chain instead (``keyframe_interval`` optionally sets the
-chain's keyframe cadence on first append).  ``region`` accepts
+``PUT`` query parameters, default in brackets; the first six are
+spelled by :data:`repro.compressor.config.CONFIG_TEXT`, as are the CLI
+flags of the same names::
+
+    eb           error bound, e.g. 0.001                    [required]
+    predictor    lorenzo | interpolation | regression        [lorenzo]
+    mode         abs | rel | pw_rel                              [abs]
+    lossless     zstd_like | gzip_like | rle | none (None) [zstd_like]
+    tile         tile shape, e.g. 64,64       [one whole-array tile]
+    adaptive     0 | 1: per-tile planned configs                   [0]
+    overwrite    0 | 1: replace an existing dataset                [0]
+    snapshot     1: append as one version of the snapshot chain    [0]
+    keyframe_interval  with snapshot=1: cadence, on the first append
+    token        the idempotency token a retried put repeats
+
+``region`` accepts
 ``version=N`` to address one chain snapshot (default: latest), and
 ``stat`` accepts the same.  The ``region`` response carries the read's
 accounting in ``X-Tiles-Touched``, ``X-Cache-Hits`` and
@@ -58,7 +68,8 @@ from urllib.parse import parse_qs, unquote, urlparse
 
 import numpy as np
 
-from repro.compressor import CompressionConfig, ErrorBoundMode
+from repro.compressor import CompressionConfig
+from repro.compressor.config import parse_config_text, parse_flag
 from repro.compressor.tiled_geometry import parse_region_text
 from repro.service.faults import FaultInjector
 from repro.service.store import ArrayStore, DatasetCorruptError
@@ -86,61 +97,21 @@ class _ServiceError(Exception):
         self.status = status
 
 
-def _parse_bool(values: dict, key: str) -> bool:
-    raw = values.get(key, ["0"])[-1].strip().lower()
-    if raw in ("1", "true", "yes", "on"):
-        return True
-    if raw in ("0", "false", "no", "off", ""):
-        return False
-    raise _ServiceError(400, f"invalid boolean for {key!r}: {raw!r}")
+def _parse_bool(query: dict, key: str, default: bool = False) -> bool:
+    try:
+        return parse_flag(query[key][-1]) if key in query else default
+    except ValueError as exc:
+        raise _ServiceError(400, f"{key}: {exc}") from None
 
 
-def _config_from_query(query: dict) -> tuple[CompressionConfig, bool]:
-    """Build the compression config a PUT's query string describes."""
+def _config_from_query(query: dict) -> CompressionConfig:
+    """The compression config a PUT's query string spells (a
+    ``ValueError`` naming the bad value answers 400)."""
     if "eb" not in query:
         raise _ServiceError(400, "missing required parameter 'eb'")
-    try:
-        eb = float(query["eb"][-1])
-    except ValueError:
-        raise _ServiceError(
-            400, f"invalid error bound {query['eb'][-1]!r}"
-        ) from None
-    tile_shape = None
-    if "tile" in query:
-        try:
-            tile_shape = tuple(
-                int(part) for part in query["tile"][-1].split(",")
-            )
-        except ValueError:
-            raise _ServiceError(
-                400, f"invalid tile shape {query['tile'][-1]!r}"
-            ) from None
-    mode = query.get("mode", ["abs"])[-1]
-    try:
-        mode = ErrorBoundMode(mode)
-    except ValueError:
-        raise _ServiceError(400, f"unknown mode {mode!r}") from None
-    lossless = query.get("lossless", ["zstd_like"])[-1]
-    try:
-        config = CompressionConfig(
-            predictor=query.get("predictor", ["lorenzo"])[-1],
-            mode=mode,
-            error_bound=eb,
-            lossless=None if lossless == "none" else lossless,
-            tile_shape=tile_shape,
-            adaptive=_parse_bool(query, "adaptive"),
-        )
-    except (TypeError, ValueError) as exc:
-        raise _ServiceError(400, str(exc)) from None
-    return config, _parse_bool(query, "overwrite")
-
-
-def _parse_bool_default(
-    values: dict, key: str, default: bool
-) -> bool:
-    if key not in values:
-        return default
-    return _parse_bool(values, key)
+    return parse_config_text(
+        {key: values[-1] for key, values in query.items()}
+    )
 
 
 def _parse_int(query: dict, key: str) -> int | None:
@@ -404,7 +375,8 @@ class _Handler(BaseHTTPRequestHandler):
     # -- handlers --------------------------------------------------------------
 
     def _handle_put(self, name: str, query: dict) -> None:
-        config, overwrite = _config_from_query(query)
+        config = _config_from_query(query)
+        overwrite = _parse_bool(query, "overwrite")
         # the idempotency token (a uuid4 the client mints once per
         # logical put and repeats on every resend of it) lets a retried
         # PUT whose first attempt committed converge on the recorded
@@ -412,30 +384,23 @@ class _Handler(BaseHTTPRequestHandler):
         token = query.get("token", [None])[-1] or None
         data = self._read_body_array()
         if _parse_bool(query, "snapshot"):
+            # a refused append (shape, dtype, cadence) is a ValueError: 400
+            entry = self.store.put_snapshot(
+                name,
+                data,
+                config,
+                keyframe_interval=_parse_int(query, "keyframe_interval"),
+                put_token=token,
+            )
+        else:
             try:
-                entry = self.store.put_snapshot(
-                    name,
-                    data,
-                    config,
-                    keyframe_interval=_parse_int(
-                        query, "keyframe_interval"
-                    ),
-                    put_token=token,
+                entry = self.store.create(
+                    name, data, config, overwrite=overwrite, put_token=token
                 )
             except ValueError as exc:
-                raise _ServiceError(400, str(exc)) from None
-            status = 200 if entry.get("duplicate") else 201
-            self._send_json(entry, status=status)
-            return
-        try:
-            entry = self.store.create(
-                name, data, config, overwrite=overwrite, put_token=token
-            )
-        except ValueError as exc:
-            status = 409 if "already exists" in str(exc) else 400
-            raise _ServiceError(status, str(exc)) from None
-        status = 200 if entry.get("duplicate") else 201
-        self._send_json(entry, status=status)
+                status = 409 if "already exists" in str(exc) else 400
+                raise _ServiceError(status, str(exc)) from None
+        self._send_json(entry, status=200 if entry.get("duplicate") else 201)
 
     def _handle_region(self, name: str, query: dict) -> None:
         if "slab" not in query:
@@ -447,7 +412,7 @@ class _Handler(BaseHTTPRequestHandler):
             name,
             region,
             version=_parse_int(query, "version"),
-            allow_degraded=_parse_bool_default(query, "degraded", True),
+            allow_degraded=_parse_bool(query, "degraded", True),
         )
         self._send_npy(
             result.data,
@@ -478,7 +443,7 @@ class _Handler(BaseHTTPRequestHandler):
             region,
             t0,
             t1,
-            allow_degraded=_parse_bool_default(query, "degraded", True),
+            allow_degraded=_parse_bool(query, "degraded", True),
         )
         stacked = np.stack([r.data for r in results])
         degraded = [

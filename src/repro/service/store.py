@@ -503,13 +503,7 @@ class ArrayStore:
                     "raw_bytes": int(result.original_bytes),
                     "compressed_bytes": int(result.compressed_bytes),
                     "ratio": round(result.ratio, 6),
-                    "config": {
-                        "predictor": config.predictor,
-                        "mode": config.mode.value,
-                        "error_bound": config.error_bound,
-                        "lossless": config.lossless,
-                        "adaptive": bool(config.adaptive),
-                    },
+                    "config": config.to_json(),
                     "put_token": put_token,
                 }
             record = self._commit(

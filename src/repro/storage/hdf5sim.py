@@ -239,28 +239,11 @@ class H5LikeFile:
             "chunks": chunk_records,
             "raw_bytes": int(data.nbytes),
             "compressed_bytes": total,
-            "filter": self._config_dict(config),
+            "filter": None if config is None else config.to_json(),
             "attrs": attrs or {},
         }
         self._toc["datasets"][name] = entry
         return self.info(name)
-
-    @staticmethod
-    def _config_dict(config: CompressionConfig | None) -> dict | None:
-        if config is None:
-            return None
-        return {
-            "predictor": config.predictor,
-            "mode": config.mode.value,
-            "error_bound": config.error_bound,
-            "lossless": config.lossless,
-            "tile_shape": (
-                list(config.tile_shape)
-                if config.tile_shape is not None
-                else None
-            ),
-            "adaptive": config.adaptive,
-        }
 
     # -- reading ------------------------------------------------------------
 

@@ -14,9 +14,9 @@ Two flavours of fine-grained error-bound tuning:
 
 The pipeline compresses through whatever codec its
 :class:`~repro.factory.CodecFactory` describes: one whole-array tile by
-default, the factory's ``tile_shape`` grid (adaptive when set)
-otherwise, and the temporal snapshot stream delta mode when the
-factory sets ``temporal`` — keyframes at the factory's
+default, the ``tile_shape`` grid of the factory's base config (adaptive
+when set) otherwise, and the temporal snapshot stream delta mode when
+that config sets ``temporal`` — keyframes at the factory's
 ``keyframe_interval``, every other snapshot encoded against the decoded
 previous one.
 """
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.analysis.metrics import psnr
-from repro.compressor import TiledResult
+from repro.compressor import CompressionConfig, TiledResult
 from repro.core.optimizer import PartitionOptimizer, PartitionPlan
 from repro.factory import CodecFactory
 from repro.utils.timer import StageTimes, Timer
@@ -58,12 +58,10 @@ class PartitionTuner:
         factory: CodecFactory | None = None,
     ) -> None:
         self.factory = factory or CodecFactory(
-            predictor=predictor, sample_rate=sample_rate, seed=seed
+            CompressionConfig(predictor=predictor), sample_rate=sample_rate,
+            seed=seed,
         )
-        self.predictor = self.factory.predictor
-        self.sample_rate = self.factory.sample_rate
         self.grid_points = grid_points
-        self.seed = self.factory.seed
         self.partitions: list[np.ndarray] = []
         self.optimizer: PartitionOptimizer | None = None
         self._tiled = self.factory.tiled_compressor()
@@ -154,11 +152,11 @@ class SnapshotRecord:
 class SnapshotPipeline:
     """Streaming in-situ optimization: one decision per snapshot.
 
-    The factory picks the codec path: one whole-array tile (default),
-    tiled/adaptive (``tile_shape`` set), or temporal snapshot stream deltas
-    (``temporal`` set — each non-keyframe snapshot encodes against the
-    *decoded* previous snapshot, exactly what a chained in-situ dump
-    replays).
+    The factory's base config picks the codec path: one whole-array
+    tile (default), tiled/adaptive (``tile_shape`` set), or temporal
+    snapshot stream deltas (``temporal`` set — each non-keyframe
+    snapshot encodes against the *decoded* previous snapshot, exactly
+    what a chained in-situ dump replays).
     """
 
     def __init__(
@@ -171,15 +169,13 @@ class SnapshotPipeline:
     ) -> None:
         self.target_psnr = target_psnr
         self.factory = factory or CodecFactory(
-            predictor=predictor, sample_rate=sample_rate, seed=seed
+            CompressionConfig(predictor=predictor), sample_rate=sample_rate,
+            seed=seed,
         )
-        self.predictor = self.factory.predictor
-        self.sample_rate = self.factory.sample_rate
-        self.seed = self.factory.seed
         # a temporal factory's compressor takes the reference as well
         self._tiled = (
             self.factory.temporal_compressor()
-            if self.factory.temporal
+            if self.factory.base.temporal
             else self.factory.tiled_compressor()
         )
         #: decoded previous snapshot — the temporal reference
@@ -199,7 +195,7 @@ class SnapshotPipeline:
         config = self.factory.config(eb)
         keyframe = True
         temporal_tiles = spatial_tiles = 0
-        if not self.factory.temporal:
+        if not config.temporal:
             result = self._tiled.compress(
                 snapshot, config, dataset="insitu-stream", reconstruct=True
             )

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.compressor import TiledResult
+from repro.compressor import CompressionConfig, TiledResult
 from repro.factory import CodecFactory
 
 __all__ = ["MemoryBudgetCompressor", "BudgetReport"]
@@ -66,14 +66,12 @@ class MemoryBudgetCompressor:
         if max_rounds < 1:
             raise ValueError("max_rounds must be at least 1")
         self.factory = factory or CodecFactory(
-            predictor=predictor, sample_rate=sample_rate, seed=seed
+            CompressionConfig(predictor=predictor), sample_rate=sample_rate,
+            seed=seed,
         )
-        self.predictor = self.factory.predictor
         self.target_fraction = target_fraction
         self.strict = strict
         self.max_rounds = max_rounds
-        self.sample_rate = self.factory.sample_rate
-        self.seed = self.factory.seed
         self._tiled = self.factory.tiled_compressor()
 
     def compress(self, data: np.ndarray, budget_bytes: int) -> BudgetReport:

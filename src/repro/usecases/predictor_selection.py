@@ -46,8 +46,6 @@ class PredictorSelector:
         self.factory = factory or CodecFactory(
             sample_rate=sample_rate, seed=seed
         )
-        self.sample_rate = self.factory.sample_rate
-        self.seed = self.factory.seed
         self.models: dict[str, RatioQualityModel] = {}
 
     def fit(self, data: np.ndarray) -> "PredictorSelector":

@@ -9,6 +9,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from repro.compressor import ErrorBoundMode
 from repro.service import (
     ArrayClient,
     ArrayServer,
@@ -115,6 +116,43 @@ class TestEndpoints:
         stat = client.stat("ada")
         assert stat["container"]["container_version"] == 7
         assert "adaptive" in stat["container"]["tile_map"]
+
+
+class TestClientSpeaksLibraryValues:
+    """``put`` / ``put_snapshot`` take the library's ``None`` and
+    ``ErrorBoundMode`` as well as their text."""
+
+    @pytest.mark.parametrize("method", ["put", "put_snapshot"])
+    @pytest.mark.parametrize(
+        "codec, recorded",
+        [
+            ({"lossless": None}, {"lossless": None, "mode": "abs"}),
+            (
+                {"mode": ErrorBoundMode.REL},
+                {"lossless": "zstd_like", "mode": "rel"},
+            ),
+        ],
+    )
+    def test_201_and_the_record_says_so(
+        self, served, field, monkeypatch, method, codec, recorded
+    ):
+        client, _ = served
+        statuses = []
+        perform = client._perform
+
+        def spy(*args, **kwargs):
+            response = perform(*args, **kwargs)
+            statuses.append(response[0])
+            return response
+
+        monkeypatch.setattr(client, "_perform", spy)
+        getattr(client, method)("d", field, eb=EB, tile=(16, 16), **codec)
+        assert statuses == [201]
+        config = client.stat("d")["config"]
+        assert {k: config[k] for k in recorded} == recorded
+        roi = client.read_region("d", ":")
+        bound = EB * (np.ptp(field) if "mode" in codec else 1.0)
+        assert_error_bounded(field, roi, bound)
 
 
 def _snaps(field, n, drift=0.01):

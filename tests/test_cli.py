@@ -329,6 +329,35 @@ class TestInspect:
             main(["inspect", str(tmp_path / "missing.rqsz")])
 
 
+class TestCleanConfigErrors:
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["compress", "{src}", "{blob}", "--eb", "inf"], "got inf"),
+            (["compress", "{src}", "{blob}", "--eb", "-1"], "got -1.0"),
+            (
+                ["compress", "{src}", "{blob}", "--eb", "0.01",
+                 "--tile", "8,8,8"],
+                "tile shape (8, 8, 8)",
+            ),
+            (["compress", "{src}", "{blob}", "--ratio", "-3"], "got -3.0"),
+            (["estimate", "{src}", "--eb", "-1"], "got -1.0"),
+        ],
+    )
+    def test_one_line_exit_naming_the_value(
+        self, argv, named, field_file, tmp_path
+    ):
+        blob = str(tmp_path / "x.rqsz")
+        argv = [a.format(src=field_file, blob=blob) for a in argv]
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        message = str(err.value)
+        assert message.startswith(f"cannot {argv[0]} {field_file}: ")
+        assert named in message
+        assert "\n" not in message
+        assert not os.path.exists(blob)
+
+
 class TestCleanDecompressErrors:
     def test_region_on_non_container_clean_error(self, tmp_path):
         bogus = tmp_path / "not.rqsz"

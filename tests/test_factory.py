@@ -1,7 +1,8 @@
 """Tests for the shared CodecFactory plumbing."""
 
+from dataclasses import fields, replace
+
 import numpy as np
-import pytest
 
 from repro.compressor import (
     CompressionConfig,
@@ -16,10 +17,12 @@ from tests.conftest import smooth_field
 class TestConfigs:
     def test_config_carries_factory_settings(self):
         factory = CodecFactory(
-            predictor="interpolation",
-            mode=ErrorBoundMode.REL,
-            lossless="rle",
-            tile_shape=(8, 8),
+            base=CompressionConfig(
+                predictor="interpolation",
+                mode=ErrorBoundMode.REL,
+                lossless="rle",
+                tile_shape=(8, 8),
+            )
         )
         config = factory.config(1e-3)
         assert config == CompressionConfig(
@@ -37,7 +40,9 @@ class TestConfigs:
         assert config.error_bound == 1e-2
 
     def test_adaptive_carried_and_overridable(self):
-        factory = CodecFactory(tile_shape=(8, 8), adaptive=True)
+        factory = CodecFactory(
+            base=CompressionConfig(tile_shape=(8, 8), adaptive=True)
+        )
         assert factory.config(1e-3).adaptive is True
         assert factory.config(1e-3, adaptive=False).adaptive is False
         assert CodecFactory().config(1e-3).adaptive is False
@@ -45,10 +50,28 @@ class TestConfigs:
     def test_with_predictor_variant(self):
         factory = CodecFactory(sample_rate=0.05, seed=7)
         variant = factory.with_predictor("regression")
-        assert variant.predictor == "regression"
+        assert variant.base.predictor == "regression"
         assert variant.sample_rate == 0.05
         assert variant.seed == 7
-        assert factory.predictor == "lorenzo"  # original untouched
+        assert factory.base.predictor == "lorenzo"  # original untouched
+
+    def test_one_home_for_the_config(self):
+        # the codec settings live on ``base`` only; the other fields
+        # are how compressors run and models sample
+        assert [f.name for f in fields(CodecFactory)] == [
+            "base",
+            "workers",
+            "parallel_backend",
+            "sample_rate",
+            "seed",
+            "fit_clusters",
+            "plan_cache",
+            "keyframe_interval",
+        ]
+        base = CompressionConfig(predictor="regression", temporal=True)
+        factory = CodecFactory(base=base)
+        assert factory.config(1e-2) == replace(base, error_bound=1e-2)
+        assert CodecFactory().base == CompressionConfig()
 
 
 class TestConstruction:
@@ -67,8 +90,9 @@ class TestConstruction:
 
     def test_model_settings(self):
         factory = CodecFactory(
-            predictor="interpolation",
-            mode=ErrorBoundMode.REL,
+            base=CompressionConfig(
+                predictor="interpolation", mode=ErrorBoundMode.REL
+            ),
             sample_rate=0.02,
             seed=11,
         )
@@ -93,7 +117,9 @@ class TestConstruction:
 class TestEndToEnd:
     def test_factory_roundtrip_matches_direct_construction(self):
         data = smooth_field((24, 24))
-        factory = CodecFactory(lossless="rle", workers=2)
+        factory = CodecFactory(
+            base=CompressionConfig(lossless="rle"), workers=2
+        )
         via_factory = factory.tiled_compressor().compress(
             data, factory.config(1e-3)
         )
@@ -117,12 +143,12 @@ class TestEndToEnd:
         assert PredictorSelector(factory=factory).factory is factory
         pipeline = SnapshotPipeline(target_psnr=60.0, factory=factory)
         assert pipeline.factory is factory
-        assert pipeline.sample_rate == 0.03
+        assert pipeline.factory.sample_rate == 0.03
 
     def test_harness_uses_factory(self):
         from repro.harness import RateDistortionStudy
 
-        factory = CodecFactory(lossless=None)
+        factory = CodecFactory(base=CompressionConfig(lossless=None))
         study = RateDistortionStudy(
             fields={"f": smooth_field((16, 16))},
             relative_bounds=(1e-2,),

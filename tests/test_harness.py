@@ -5,6 +5,7 @@ import csv
 import numpy as np
 import pytest
 
+from repro.compressor import CompressionConfig
 from repro.harness import RateDistortionStudy, StudyCell
 from tests.conftest import smooth_field
 
@@ -34,7 +35,7 @@ class TestTiledStudies:
             fields={"f": smooth_field((24, 24), seed=3)},
             predictors=("lorenzo",),
             relative_bounds=(1e-2,),
-            factory=CodecFactory(tile_shape=(12, 12)),
+            factory=CodecFactory(base=CompressionConfig(tile_shape=(12, 12))),
         )
         cells = study.run()
         assert len(cells) == 1
@@ -51,7 +52,9 @@ class TestTiledStudies:
             fields={"hetero": field},
             predictors=("lorenzo",),
             relative_bounds=(1e-2,),
-            factory=CodecFactory(tile_shape=(16, 16), adaptive=True),
+            factory=CodecFactory(
+                base=CompressionConfig(tile_shape=(16, 16), adaptive=True)
+            ),
         )
         cells = study.run()
         assert len(cells) == 1

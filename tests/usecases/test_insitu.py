@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.compressor import CompressionConfig
 from repro.datasets import wave_snapshots
 from repro.factory import CodecFactory
 from repro.usecases.insitu import PartitionTuner, SnapshotPipeline
@@ -81,7 +82,8 @@ class TestSnapshotPipeline:
         pipe = SnapshotPipeline(
             target_psnr=60.0,
             factory=CodecFactory(
-                tile_shape=(16, 16, 16), temporal=True, keyframe_interval=2
+                base=CompressionConfig(tile_shape=(16, 16, 16), temporal=True),
+                keyframe_interval=2,
             ),
         )
         records = [pipe.process(snap) for snap in snapshots]
