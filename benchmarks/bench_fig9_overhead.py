@@ -11,6 +11,7 @@ stage breakdown of the TAE cost (prediction / Huffman / lossless).
 from __future__ import annotations
 
 import time
+from collections import Counter
 
 import pytest
 
@@ -35,7 +36,7 @@ def comparison():
         bounds = [vrange * 10 ** (-6 + i * 0.7) for i in range(N_BOUNDS)]
 
         start = time.perf_counter()
-        tae_breakdown = None
+        tae_breakdown: Counter = Counter()  # both sweeps' stages, summed
         for predictor in PREDICTORS:
             sweep = trial_and_error_sweep(
                 data,
@@ -43,10 +44,7 @@ def comparison():
                 bounds,
                 measure_quality=False,
             )
-            if tae_breakdown is None:
-                tae_breakdown = sweep.times
-            else:
-                tae_breakdown.merge(sweep.times)
+            tae_breakdown.update(sweep.times)
         tae_time = time.perf_counter() - start
 
         start = time.perf_counter()
@@ -62,9 +60,9 @@ def comparison():
             (
                 name,
                 tae_time,
-                tae_breakdown.get("predict_quantize"),
-                tae_breakdown.get("huffman"),
-                tae_breakdown.get("lossless"),
+                tae_breakdown["predict_quantize"],
+                tae_breakdown["huffman"],
+                tae_breakdown["lossless"],
                 model_time,
                 speedup,
             )

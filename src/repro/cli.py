@@ -51,6 +51,7 @@ import sys
 
 import numpy as np
 
+from repro import obs
 from repro.compressor import CompressionConfig, TiledCompressor
 from repro.compressor.adaptive import DEFAULT_FIT_CLUSTERS
 from repro.compressor.config import CONFIG_TEXT, parse_config_text
@@ -424,9 +425,10 @@ def _cmd_compress(args: argparse.Namespace) -> int:
         # re-compressing successive snapshots written to the same file
         # name reuses the plan
         dataset = os.path.splitext(os.path.basename(args.input))[0]
-        result = factory.tiled_compressor().compress(
-            data, config, out=args.output, dataset=dataset
-        )
+        with obs.record() as times:
+            result = factory.tiled_compressor().compress(
+                data, config, out=args.output, dataset=dataset
+            )
     except ValueError as exc:
         raise SystemExit(f"cannot compress {args.input}: {exc}") from exc
     print(
@@ -453,8 +455,7 @@ def _cmd_compress(args: argparse.Namespace) -> int:
                 f"planner: {stats.fits_performed} fits for "
                 f"{stats.tiles_planned} tiles "
                 f"({stats.clusters} clusters, {stats.refits} "
-                f"refits, cache {stats.cache}) in "
-                f"{stats.plan_seconds:.3f}s"
+                f"refits, cache {stats.cache}) in {times['plan']:.3f}s"
             )
     return 0
 

@@ -63,8 +63,7 @@ to the per-tile bound, which the allocation keeps within
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -155,10 +154,9 @@ class PlanStats:
 
     The counters are deterministic functions of ``(data, config,
     planner, cache state)`` — they go into the container header and
-    surface through ``repro inspect`` — while ``plan_seconds`` is a
-    wall-clock measurement that stays runtime-only (and is excluded
-    from equality, so plans from different backends still compare
-    equal).
+    surface through ``repro inspect``.  The wall-clock cost of a plan
+    is the ``plan`` span of :meth:`TiledCompressor.compress
+    <repro.compressor.tiled.TiledCompressor.compress>`.
     """
 
     tiles_planned: int
@@ -169,7 +167,6 @@ class PlanStats:
     #: plan provenance: ``"disabled"`` (no cache attached), ``"miss"``,
     #: ``"drift"`` (stale entry, freshly re-planned) or ``"hit"``
     cache: str
-    plan_seconds: float | None = field(default=None, compare=False)
 
     def to_json(self) -> dict:
         """Deterministic counters only (container-header safe)."""
@@ -391,7 +388,6 @@ class AdaptivePlanner:
         constant field, whose zero value range demands exact storage;
         the uniform tiled path handles that case already.
         """
-        t_start = time.perf_counter()
         if config.mode is ErrorBoundMode.PW_REL:
             raise ValueError(
                 "adaptive planning supports ABS and REL bounds only"
@@ -445,7 +441,6 @@ class AdaptivePlanner:
                             fits_performed=0,
                             refits=0,
                             cache="hit",
-                            plan_seconds=time.perf_counter() - t_start,
                         ),
                     )
                 cache.mark_rejected(key)
@@ -463,7 +458,6 @@ class AdaptivePlanner:
             value_range,
             executor,
             cache_status,
-            t_start,
         )
         if cache is not None:
             cache.store(
@@ -503,7 +497,6 @@ class AdaptivePlanner:
         value_range: float,
         executor: CodecExecutor | None,
         cache_status: str,
-        t_start: float,
     ) -> AdaptivePlan:
         """Steps 2-5: cluster, fit, guard, allocate, select."""
         n_tiles = len(extents)
@@ -664,7 +657,6 @@ class AdaptivePlanner:
                 fits_performed=len(reps) + len(refits),
                 refits=len(refits),
                 cache=cache_status,
-                plan_seconds=time.perf_counter() - t_start,
             ),
         )
 

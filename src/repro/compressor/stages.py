@@ -20,13 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro import obs
 from repro.compressor import container
 from repro.compressor.config import CompressionConfig
 from repro.compressor.encoders.huffman import HuffmanEncoder
 from repro.compressor.encoders.lossless import get_lossless_backend
 from repro.compressor.predictors import make_predictor
 from repro.compressor.predictors.base import PredictorOutput
-from repro.utils.timer import StageTimes, Timer
 
 __all__ = [
     "PredictorStage",
@@ -99,22 +99,16 @@ class HuffmanEntropyStage:
         self._huffman = HuffmanEncoder()
 
     def encode(
-        self,
-        codes: np.ndarray,
-        config: CompressionConfig,
-        times: StageTimes | None = None,
+        self, codes: np.ndarray, config: CompressionConfig
     ) -> EncodedCodes:
         """Encode *codes* as one Huffman(+lossless) payload."""
-        times = times if times is not None else StageTimes()
-        with Timer() as t:
+        with obs.span("huffman"):
             huffman_payload = self._huffman.encode(codes)
-        times.add("huffman", t.elapsed)
         payload = huffman_payload
         if config.lossless is not None:
-            with Timer() as t:
+            with obs.span("lossless"):
                 backend = get_lossless_backend(config.lossless)
                 payload = backend.compress(huffman_payload)
-            times.add("lossless", t.elapsed)
         return EncodedCodes(payload, len(huffman_payload))
 
     def decode(

@@ -27,6 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro import obs
 from repro.compressor import container
 from repro.compressor.config import CompressionConfig, ErrorBoundMode
 from repro.compressor.predictors.base import PredictorOutput
@@ -36,7 +37,6 @@ from repro.compressor.stages import (
     PredictorStage,
 )
 from repro.compressor.transform import forward_transform, inverse_transform
-from repro.utils.timer import StageTimes, Timer
 
 __all__ = ["SZCompressor"]
 
@@ -59,7 +59,6 @@ class SZCompressor:
         data: np.ndarray,
         config: CompressionConfig,
         reconstruct: bool = False,
-        times: StageTimes | None = None,
     ) -> tuple[dict, list[bytes], np.ndarray | None, dict[str, int]]:
         """Encode *data* without a container around it.
 
@@ -72,18 +71,16 @@ class SZCompressor:
         The per-tile contract of the tiled compressor.
         """
         data = np.asarray(data)
-        times = times if times is not None else StageTimes()
         # 0-d arrays compress as their single element; the header's empty
         # shape list restores the original dimensionality.
         core = data.reshape(1) if data.ndim == 0 else data
         abs_eb = 0.0
         if data.size:
-            with Timer() as t:
+            with obs.span("transform"):
                 work, transform_meta, signs_payload = forward_transform(
                     core, config.mode is ErrorBoundMode.PW_REL
                 )
                 abs_eb = config.absolute_bound(core)
-            times.add("transform", t.elapsed)
         extra: dict = {}
         if abs_eb <= 0:
             # degenerate input, no stage bytes: an empty array, or a REL
@@ -104,12 +101,11 @@ class SZCompressor:
                 else None
             )
         else:
-            with Timer() as t:
+            with obs.span("predict_quantize"):
                 output = self._prediction.decompose(
                     work, config, abs_eb, reconstruct
                 )
-            times.add("predict_quantize", t.elapsed)
-            encoded = self._entropy.encode(output.codes, config, times)
+            encoded = self._entropy.encode(output.codes, config)
             reconstruction = None
             if output.reconstruction is not None:
                 # the tail of decode_stages(), on the encoder's own values

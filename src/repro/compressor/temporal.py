@@ -60,7 +60,6 @@ from repro.compressor.tiled_geometry import extent_slices, iter_tiles
 from repro.core.model import RatioQualityModel
 from repro.core.sampling import iter_tile_batches
 from repro.utils.stats import value_range
-from repro.utils.timer import StageTimes
 
 __all__ = [
     "TemporalCompressor",
@@ -241,7 +240,6 @@ class TemporalCompressor:
             out,
             reconstruct,
             get_executor("serial", 1),
-            StageTimes(),
         )
         return replace(delta, keyframe=False, ref_snapshot=ref_id, stats=stats)
 

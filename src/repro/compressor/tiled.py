@@ -55,6 +55,7 @@ from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
+from repro import obs
 from repro.compressor import container
 from repro.compressor.adaptive import AdaptivePlan, AdaptivePlanner
 from repro.compressor.plan_cache import PlannerCache
@@ -82,7 +83,6 @@ from repro.compressor.tiled_geometry import (
     normalize_region,
     tile_grid,
 )
-from repro.utils.timer import StageTimes, Timer
 
 __all__ = [
     "TiledCompressor",
@@ -112,9 +112,6 @@ class TiledResult:
     tile_shape: tuple[int, ...]
     tiles: list[TileRecord]
     blob: bytes | None = None
-    #: seconds per stage: the loop's, and each tile's transform /
-    #: predict_quantize / huffman / lossless summed over tiles
-    times: StageTimes = field(default_factory=StageTimes)
     #: quantization codes, and how many of them are zero
     n_codes: int = 0
     n_zero_codes: int = 0
@@ -379,11 +376,10 @@ class TiledCompressor:
         if not hasattr(data, "ndim"):
             data = np.asarray(data)
         tile_shape = self._resolve_tile_shape(data.shape, config)
-        times = StageTimes()
 
         plan: AdaptivePlan | None = None
         if config.adaptive and data.size > 0:
-            with Timer() as t:
+            with obs.span("plan"):
                 # None = nothing to plan (REL bound on a constant
                 # field); the uniform path below stores it exactly
                 plan = self._planner.plan(
@@ -394,7 +390,6 @@ class TiledCompressor:
                     cache=self._plan_cache,
                     dataset=dataset,
                 )
-            times.add("plan", t.elapsed)
         if plan is not None:
             # each tile's own config plus its TOC record
             per_tile = [
@@ -415,15 +410,14 @@ class TiledCompressor:
             }
             if plan.stats is not None:
                 # deterministic counters only: wall-clock timing would
-                # break byte-identical re-encodes (plan_seconds stays
-                # on the runtime PlanStats object)
+                # break byte-identical re-encodes (the ``plan`` span
+                # times it)
                 header_extra["planner_stats"] = plan.stats.to_json()
         else:
-            with Timer() as t:
+            with obs.span("scan"):
                 tile_config, header_extra = self._resolve_tile_config(
                     data, config, tile_shape
                 )
-            times.add("scan", t.elapsed)
             per_tile = itertools.repeat((tile_config, None))
 
         jobs = (
@@ -447,7 +441,6 @@ class TiledCompressor:
             out,
             reconstruct,
             self._executor(),
-            times,
         )
         return replace(encoded, plan=plan)
 
@@ -461,7 +454,6 @@ class TiledCompressor:
         out: str | os.PathLike | BinaryIO | None,
         reconstruct: bool,
         executor: CodecExecutor,
-        times: StageTimes,
     ) -> TiledResult:
         """The one tile loop: encode *jobs*, write the container.
 
@@ -473,8 +465,9 @@ class TiledCompressor:
         job names a ``toc_config``), and with
         *reconstruct* the decoded array is assembled from what the
         encodes surfaced; the kept encodes' measures are totalled
-        into the result, and every encode's stage times into *times*.
-        Tiles stream to the sink as they are
+        into the result, and every encode's stage times into the
+        active :func:`repro.obs.record`, beside ``io``, the writer's
+        share.  Tiles stream to the sink as they are
         encoded, so peak memory stays at one batch — unless
         *header_extra* is a callable: a header that records how the
         encodes turned out (it is given every tile's temporal flag, in
@@ -486,57 +479,52 @@ class TiledCompressor:
         surfaced = True
         totals: Counter = Counter()  # encode_stages' measures, over tiles
         section_bytes = dict.fromkeys(container.SECTION_NAMES, 0)
-        with Timer() as t:
-            encoded = self._encode_jobs(
-                jobs, data.dtype, executor, reconstruction, times
+        encoded = self._encode_jobs(jobs, data.dtype, executor, reconstruction)
+        if callable(header_extra):
+            encoded = list(encoded)
+            header_extra = header_extra(
+                [temporal for *_, temporal, _ in encoded]
             )
-            if callable(header_extra):
-                encoded = list(encoded)
-                header_extra = header_extra(
-                    [temporal for *_, temporal, _ in encoded]
-                )
-            header = {
-                "shape": list(data.shape),
-                "dtype": data.dtype.str,
-                "tile_shape": list(tile_shape),
-                "predictor": config.predictor,
-                "mode": config.mode.value,
-                "error_bound": config.error_bound,
-                "lossless": config.lossless,
-                # no knob left sets it; dropping the key is a format change
-                "chunk_size": None,
-                "quant_radius": config.quant_radius,
-                **header_extra,
-            }
-            close_sink = isinstance(out, (str, os.PathLike))
+        header = {
+            "shape": list(data.shape),
+            "dtype": data.dtype.str,
+            "tile_shape": list(tile_shape),
+            "predictor": config.predictor,
+            "mode": config.mode.value,
+            "error_bound": config.error_bound,
+            "lossless": config.lossless,
+            # no knob left sets it; dropping the key is a format change
+            "chunk_size": None,
+            "quant_radius": config.quant_radius,
+            **header_extra,
+        }
+        close_sink = isinstance(out, (str, os.PathLike))
+        if close_sink:
+            sink = open(out, "wb")
+        else:
+            sink = io.BytesIO() if out is None else out
+        try:
+            writer = TiledWriter(sink, header)
+            for job, params, sections, measures, temporal, tile_surfaced in (
+                encoded
+            ):
+                surfaced = surfaced and tile_surfaced
+                totals.update(measures)
+                for name, section in zip(container.SECTION_NAMES, sections):
+                    section_bytes[name] += len(section)
+                with obs.span("io"):
+                    writer.add_stages(
+                        job.start,
+                        job.stop,
+                        params,
+                        sections,
+                        config=job.toc_config,
+                        temporal=temporal,
+                    )
+            total = writer.finish()
+        finally:
             if close_sink:
-                sink = open(out, "wb")
-            else:
-                sink = io.BytesIO() if out is None else out
-            try:
-                writer = TiledWriter(sink, header)
-                for job, params, sections, measures, temporal, tile_surfaced in (
-                    encoded
-                ):
-                    surfaced = surfaced and tile_surfaced
-                    totals.update(measures)
-                    for name, section in zip(container.SECTION_NAMES, sections):
-                        section_bytes[name] += len(section)
-                    with Timer() as io_timer:
-                        writer.add_stages(
-                            job.start,
-                            job.stop,
-                            params,
-                            sections,
-                            config=job.toc_config,
-                            temporal=temporal,
-                        )
-                    times.add("io", io_timer.elapsed)
-                total = writer.finish()
-            finally:
-                if close_sink:
-                    sink.close()
-        times.add("encode_tiles", t.elapsed)
+                sink.close()
 
         return TiledResult(
             n_points=int(data.size),
@@ -545,7 +533,6 @@ class TiledCompressor:
             tile_shape=tile_shape,
             tiles=writer.tiles,
             blob=sink.getvalue() if isinstance(sink, io.BytesIO) else None,
-            times=times,
             section_bytes=section_bytes,
             reconstruction=reconstruction if surfaced else None,
             **totals,
@@ -557,15 +544,15 @@ class TiledCompressor:
         dtype: np.dtype,
         executor: CodecExecutor,
         reconstruction: np.ndarray | None,
-        times: StageTimes,
     ) -> Iterator[tuple[TileJob, dict, list[bytes], dict, bool, bool]]:
         """Encode *jobs* batch-by-batch; at most ``workers`` jobs live.
 
         Yields ``(job, params, sections, measures, temporal, surfaced)``
         in TOC order, whatever order the jobs arrive in; every encode's
-        stage times, kept or not, are added to *times*.  Each batch is staged into
-        one executor input buffer (a shared-memory arena under the
-        process backend, which workers view without copying), every
+        stage times, kept or not, are added to the active record.  Each
+        batch is staged into one executor input buffer (a shared-memory
+        arena under the process backend, which workers view without
+        copying), every
         candidate in a slot of its own, so peak memory stays at one
         batch of raw tiles plus their compressed payloads.
 
@@ -602,7 +589,7 @@ class TiledCompressor:
                     _compress_tile_task, items, input=arena, output=decoded
                 )
                 for *_, tile_times in results:
-                    times.merge(tile_times)
+                    obs.add(tile_times)
                 first = 0
                 for job in batch:
                     # a job's candidates sit side by side.  Kept: the one
@@ -835,7 +822,9 @@ def _compress_tile_task(item, inp, out):
     :class:`~repro.compressor.sz.SZCompressor` encodes the tile — and
     the caller's codec object on the serial/thread backends, where no
     pickling happens.  Returns ``(params, sections, surfaced, measures,
-    times)``, the codec's ``encode_stages`` output and its stage times:
+    times)``, the codec's ``encode_stages`` output and the
+    :func:`repro.obs.record` it ran in — its own on every backend, which
+    the tile loop adds to the caller's once:
     given an output region, the tile's reconstruction is written at the
     same offset of it (where :func:`decode_tile_task` would put the
     decode), and ``surfaced`` says whether the codec had one to write.
@@ -843,10 +832,10 @@ def _compress_tile_task(item, inp, out):
     offset, shape, dtype_str, config, codec = item
     dtype = np.dtype(dtype_str)
     codec = codec if codec is not None else worker_state().codec
-    times = StageTimes()
-    params, sections, reconstruction, measures = codec.encode_stages(
-        _slot(inp, offset, shape, dtype), config, out is not None, times
-    )
+    with obs.record() as times:
+        params, sections, reconstruction, measures = codec.encode_stages(
+            _slot(inp, offset, shape, dtype), config, out is not None
+        )
     surfaced = reconstruction is not None
     if surfaced:
         _slot(out, offset, shape, dtype)[...] = reconstruction

@@ -27,6 +27,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from repro import obs
 from repro.analysis.metrics import psnr, ssim_global
 from repro.compressor import CompressionConfig
 from repro.core.accuracy import estimation_accuracy
@@ -88,8 +89,6 @@ class RateDistortionStudy:
         (``adaptive`` planned when set) — so studies measure the
         container the deployment would actually write.
         """
-        import time
-
         tiled = self.factory.tiled_compressor()
         cells: list[StudyCell] = []
         for name, data in self.fields.items():
@@ -97,20 +96,15 @@ class RateDistortionStudy:
             vrange = float(data.max()) - float(data.min())
             for predictor in self.predictors:
                 factory = self.factory.with_predictor(predictor)
-                start = time.perf_counter()
-                model = factory.fit_model(data)
-                fit_seconds = time.perf_counter() - start
+                with obs.span("fit") as fit:
+                    model = factory.fit_model(data)
                 for rel in self.relative_bounds:
                     eb = vrange * rel
-                    start = time.perf_counter()
-                    est = model.estimate(eb)
-                    model_seconds = (
-                        fit_seconds + time.perf_counter() - start
-                    )
+                    with obs.span("estimate") as estimate:
+                        est = model.estimate(eb)
                     config = factory.config(eb)
-                    start = time.perf_counter()
-                    result = tiled.compress(data, config)
-                    compress_seconds = time.perf_counter() - start
+                    with obs.span("compress") as compress:
+                        result = tiled.compress(data, config)
                     if self.measure_quality:
                         recon = tiled.decompress(result.blob)
                         meas_psnr = psnr(data, recon)
@@ -131,8 +125,8 @@ class RateDistortionStudy:
                             meas_psnr=meas_psnr,
                             est_ssim=est.ssim,
                             meas_ssim=meas_ssim,
-                            compress_seconds=compress_seconds,
-                            model_seconds=model_seconds,
+                            compress_seconds=compress.elapsed,
+                            model_seconds=fit.elapsed + estimate.elapsed,
                         )
                     )
         return cells

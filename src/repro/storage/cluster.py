@@ -25,10 +25,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro import obs
 from repro.compressor import CompressionConfig, TiledCompressor
 from repro.core.model import RatioQualityModel
 from repro.usecases.baselines import tae_select_error_bound
-from repro.utils.timer import StageTimes, Timer
 
 __all__ = [
     "ClusterSpec",
@@ -95,14 +95,14 @@ class ThroughputProfile:
 
         best_comp = best_model = best_trial = float("inf")
         for _ in range(max(1, repeats)):
-            with Timer() as t_comp:
+            with obs.span("compress") as t_comp:
                 tiled.compress(sample, config)
-            with Timer() as t_model:
+            with obs.span("model_optimize") as t_model:
                 model = RatioQualityModel(
                     predictor=config.predictor
                 ).fit(sample)
                 model.error_bound_for_psnr(target_psnr)
-            with Timer() as t_trial:
+            with obs.span("tae_trial") as t_trial:
                 tae_select_error_bound(
                     sample, config, [config.error_bound], target_psnr
                 )
@@ -124,12 +124,13 @@ class DumpReport:
     snapshot_index: int
     error_bound: float
     compressed_bytes: int
-    times: StageTimes = field(default_factory=StageTimes)
+    #: modelled seconds per stage: optimize, compress, io
+    times: dict[str, float] = field(default_factory=dict)
 
     @property
     def total_time(self) -> float:
         """End-to-end dump time (optimize + compress + I/O)."""
-        return self.times.total
+        return sum(self.times.values())
 
 
 class ClusterSimulator:
@@ -167,19 +168,31 @@ class ClusterSimulator:
         # wall-clock.  Even splits make every rank the critical path.
         return self._rank_bytes(snapshot) / self.profile.compress
 
+    def _report(
+        self,
+        strategy: str,
+        snapshot: np.ndarray,
+        index: int,
+        eb: float,
+        optimize: float,
+    ) -> DumpReport:
+        """Price a dump: *optimize* seconds, then compress and write at *eb*."""
+        size = self._compressed_bytes(snapshot, eb)
+        times = {
+            "optimize": optimize,
+            "compress": self._compress_time(snapshot),
+            "io": self._io_time(size),
+        }
+        return DumpReport(strategy, index, eb, size, times)
+
     # -- strategies ------------------------------------------------------------
 
     def dump_traditional(
         self, snapshot: np.ndarray, index: int, fixed_error_bound: float
     ) -> DumpReport:
         """Traditional: precomputed offline bound; no online optimization."""
-        times = StageTimes()
-        times.add("optimize", 0.0)
-        times.add("compress", self._compress_time(snapshot))
-        size = self._compressed_bytes(snapshot, fixed_error_bound)
-        times.add("io", self._io_time(size))
-        return DumpReport(
-            "traditional", index, fixed_error_bound, size, times
+        return self._report(
+            "traditional", snapshot, index, fixed_error_bound, 0.0
         )
 
     def dump_tae(
@@ -190,23 +203,14 @@ class ClusterSimulator:
         target_psnr: float,
     ) -> DumpReport:
         """In-situ TAE: try every candidate online, then compress."""
-        sweep = tae_select_error_bound(
-            snapshot,
-            self.config,
-            candidates,
-            target_psnr,
-        )
-        eb = sweep.chosen_error_bound
+        # one pass over *candidates*: the sweep and the pricing read it
+        candidates = list(candidates)
+        eb = tae_select_error_bound(
+            snapshot, self.config, candidates, target_psnr
+        ).chosen_error_bound
         rank_bytes = self._rank_bytes(snapshot)
-        times = StageTimes()
-        times.add(
-            "optimize",
-            len(list(candidates)) * rank_bytes / self.profile.tae_trial,
-        )
-        times.add("compress", self._compress_time(snapshot))
-        size = self._compressed_bytes(snapshot, eb)
-        times.add("io", self._io_time(size))
-        return DumpReport("tae", index, eb, size, times)
+        optimize = len(candidates) * rank_bytes / self.profile.tae_trial
+        return self._report("tae", snapshot, index, eb, optimize)
 
     def dump_model(
         self, snapshot: np.ndarray, index: int, target_psnr: float
@@ -216,15 +220,8 @@ class ClusterSimulator:
             snapshot
         )
         eb = model.error_bound_for_psnr(target_psnr)
-        times = StageTimes()
-        times.add(
-            "optimize",
-            self._rank_bytes(snapshot) / self.profile.model_optimize,
-        )
-        times.add("compress", self._compress_time(snapshot))
-        size = self._compressed_bytes(snapshot, eb)
-        times.add("io", self._io_time(size))
-        return DumpReport("model", index, eb, size, times)
+        optimize = self._rank_bytes(snapshot) / self.profile.model_optimize
+        return self._report("model", snapshot, index, eb, optimize)
 
     def baseline_raw_dump_time(self, snapshot: np.ndarray) -> float:
         """Dump time without any compression (the paper's 29.4 s line)."""

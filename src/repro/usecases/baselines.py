@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro import obs
 from repro.analysis.metrics import psnr
 from repro.compressor import CompressionConfig, TiledCompressor
-from repro.utils.timer import StageTimes, Timer
 
 __all__ = [
     "TrialPoint",
@@ -50,7 +50,8 @@ class TrialAndErrorResult:
 
     chosen_error_bound: float
     points: list[TrialPoint]
-    times: StageTimes = field(default_factory=StageTimes)
+    #: seconds per stage (a :func:`repro.obs.record`)
+    times: dict[str, float] = field(default_factory=dict)
 
 
 def trial_and_error_sweep(
@@ -63,31 +64,29 @@ def trial_and_error_sweep(
 
     Each trial is the paper's: a compress, and with *measure_quality* a
     decompress of the container plus the PSNR.  The per-stage
-    compressor timings accumulate into the result's ``times`` so
+    compressor timings are recorded into the result's ``times`` so
     overhead benchmarks can split prediction / Huffman / lossless cost
     exactly as Fig. 9 does.
     """
     tiled = TiledCompressor()
     points: list[TrialPoint] = []
-    times = StageTimes()
-    for eb in error_bounds:
-        cfg = config.with_error_bound(float(eb))
-        result = tiled.compress(data, cfg)
-        times.merge(result.times)
-        quality = float("nan")
-        if measure_quality:
-            with Timer() as t:
-                recon = tiled.decompress(result.blob)
-                quality = psnr(data, recon)
-            times.add("decompress_analyze", t.elapsed)
-        points.append(
-            TrialPoint(
-                error_bound=float(eb),
-                bit_rate=result.bit_rate,
-                ratio=result.ratio,
-                psnr=quality,
+    with obs.record() as times:
+        for eb in error_bounds:
+            cfg = config.with_error_bound(float(eb))
+            result = tiled.compress(data, cfg)
+            quality = float("nan")
+            if measure_quality:
+                with obs.span("decompress_analyze"):
+                    recon = tiled.decompress(result.blob)
+                    quality = psnr(data, recon)
+            points.append(
+                TrialPoint(
+                    error_bound=float(eb),
+                    bit_rate=result.bit_rate,
+                    ratio=result.ratio,
+                    psnr=quality,
+                )
             )
-        )
     chosen = points[-1].error_bound if points else float("nan")
     return TrialAndErrorResult(chosen, points, times)
 
@@ -125,16 +124,16 @@ def offline_worst_case_error_bound(
     """
     if not snapshots:
         raise ValueError("need at least one snapshot")
-    times = StageTimes()
     per_bound_worst: dict[float, float] = {}
     all_points: list[TrialPoint] = []
-    for snapshot in snapshots:
-        sweep = trial_and_error_sweep(snapshot, config, error_bounds)
-        times.merge(sweep.times)
-        all_points.extend(sweep.points)
-        for point in sweep.points:
-            worst = per_bound_worst.get(point.error_bound, float("inf"))
-            per_bound_worst[point.error_bound] = min(worst, point.psnr)
+    with obs.record() as times:
+        for snapshot in snapshots:
+            sweep = trial_and_error_sweep(snapshot, config, error_bounds)
+            obs.add(sweep.times)
+            all_points.extend(sweep.points)
+            for point in sweep.points:
+                worst = per_bound_worst.get(point.error_bound, float("inf"))
+                per_bound_worst[point.error_bound] = min(worst, point.psnr)
     qualifying = [
         eb for eb, worst in per_bound_worst.items() if worst >= target_psnr
     ]

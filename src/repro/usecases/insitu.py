@@ -27,11 +27,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro import obs
 from repro.analysis.metrics import psnr
 from repro.compressor import CompressionConfig, TiledResult
 from repro.core.optimizer import PartitionOptimizer, PartitionPlan
 from repro.factory import CodecFactory
-from repro.utils.timer import StageTimes, Timer
 
 __all__ = ["PartitionTuner", "TunedCompression", "SnapshotPipeline", "SnapshotRecord"]
 
@@ -141,7 +141,9 @@ class SnapshotRecord:
     bit_rate: float
     ratio: float
     psnr: float
-    times: StageTimes = field(default_factory=StageTimes)
+    #: seconds per stage (a :func:`repro.obs.record`): ``optimize``,
+    #: the compress's codec stages and ``io``, ``verify`` — disjoint
+    times: dict[str, float] = field(default_factory=dict)
     #: False for temporal-delta snapshots; True otherwise
     keyframe: bool = True
     #: per-tile choice counts of temporal-delta snapshots
@@ -186,49 +188,21 @@ class SnapshotPipeline:
         """Fit, pick the bound for the PSNR target, compress, measure."""
         snapshot = np.asarray(snapshot)
         index = len(self.records)
-        times = StageTimes()
-        with Timer() as t:
-            model = self.factory.fit_model(snapshot)
-            eb = model.error_bound_for_psnr(self.target_psnr)
-        times.add("optimize", t.elapsed)
-
-        config = self.factory.config(eb)
-        keyframe = True
-        temporal_tiles = spatial_tiles = 0
-        if not config.temporal:
-            result = self._tiled.compress(
-                snapshot, config, dataset="insitu-stream", reconstruct=True
-            )
-        else:
-            interval = max(1, self.factory.keyframe_interval)
-            reference = (
-                self._last_recon if index % interval != 0 else None
-            )
-            result = self._tiled.compress_snapshot(
-                snapshot,
-                config,
-                reference=reference,
-                ref_id=f"snapshot-{index - 1}"
-                if reference is not None
-                else None,
-                snapshot_index=index,
-                reconstruct=True,
-            )
-            keyframe = result.keyframe
-            if result.stats is not None:
-                temporal_tiles = result.stats.temporal_tiles
-                spatial_tiles = result.stats.spatial_tiles
-        times.merge(result.times)
-        # the encode surfaces what a decode of the blob returns (the
-        # factory's stock stages always can), so measuring the achieved
-        # quality — and keeping the next delta's reference — costs no
-        # decode
-        recon = result.reconstruction
-        with Timer() as t:
-            quality = psnr(snapshot, recon)
-        times.add("verify", t.elapsed)
+        with obs.record() as times:
+            with obs.span("optimize"):
+                model = self.factory.fit_model(snapshot)
+                eb = model.error_bound_for_psnr(self.target_psnr)
+            result = self._compress(snapshot, self.factory.config(eb), index)
+            # the encode surfaces what a decode of the blob returns (the
+            # factory's stock stages always can), so measuring the
+            # achieved quality — and keeping the next delta's reference
+            # — costs no decode
+            recon = result.reconstruction
+            with obs.span("verify"):
+                quality = psnr(snapshot, recon)
         self._last_recon = recon
 
+        stats = result.stats
         record = SnapshotRecord(
             index=index,
             error_bound=float(eb),
@@ -236,9 +210,28 @@ class SnapshotPipeline:
             ratio=result.ratio,
             psnr=quality,
             times=times,
-            keyframe=keyframe,
-            temporal_tiles=temporal_tiles,
-            spatial_tiles=spatial_tiles,
+            keyframe=result.keyframe,
+            temporal_tiles=stats.temporal_tiles if stats is not None else 0,
+            spatial_tiles=stats.spatial_tiles if stats is not None else 0,
         )
         self.records.append(record)
         return record
+
+    def _compress(
+        self, snapshot: np.ndarray, config: CompressionConfig, index: int
+    ) -> TiledResult:
+        """Snapshot *index* under *config*, its reconstruction surfaced."""
+        if not config.temporal:
+            return self._tiled.compress(
+                snapshot, config, dataset="insitu-stream", reconstruct=True
+            )
+        interval = max(1, self.factory.keyframe_interval)
+        reference = self._last_recon if index % interval != 0 else None
+        return self._tiled.compress_snapshot(
+            snapshot,
+            config,
+            reference=reference,
+            ref_id=f"snapshot-{index - 1}" if reference is not None else None,
+            snapshot_index=index,
+            reconstruct=True,
+        )

@@ -1,4 +1,4 @@
-"""Shared utilities: statistics helpers, timers, and table formatting."""
+"""Shared utilities: statistics helpers and table formatting."""
 
 from repro.utils.stats import (
     entropy_bits,
@@ -7,7 +7,6 @@ from repro.utils.stats import (
     value_range,
 )
 from repro.utils.tables import format_table
-from repro.utils.timer import StageTimes, Timer
 
 __all__ = [
     "entropy_bits",
@@ -15,6 +14,4 @@ __all__ = [
     "safe_log2",
     "value_range",
     "format_table",
-    "StageTimes",
-    "Timer",
 ]

@@ -62,8 +62,7 @@ class TestPlanDeterminism:
         other = TiledCompressor(workers=3, backend=backend).compress(
             data, CONFIG
         )
-        # identical choices AND identical deterministic counters;
-        # plan_seconds is excluded from PlanStats equality
+        # identical choices AND identical deterministic counters
         assert strip_stats(serial.plan) == strip_stats(other.plan)
         assert serial.plan.stats == other.plan.stats
         assert serial.blob == other.blob

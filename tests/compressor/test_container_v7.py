@@ -378,8 +378,8 @@ class Recording(SZCompressor):
         super().__init__()
         self.seen = []
 
-    def encode_stages(self, data, config, reconstruct=False, times=None):
-        out = super().encode_stages(data, config, reconstruct, times)
+    def encode_stages(self, data, config, reconstruct=False):
+        out = super().encode_stages(data, config, reconstruct)
         self.seen.append((out[1], forge_v2(data, config)))
         return out
 

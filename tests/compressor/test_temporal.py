@@ -440,7 +440,7 @@ class _SizedCodec:
         self.sizes = {"lorenzo": residual_bytes, "interpolation": spatial_bytes}
         self.params = {"lorenzo": dict(residual_params), "interpolation": {}}
 
-    def encode_stages(self, tile, cfg, reconstruct=False, times=None):
+    def encode_stages(self, tile, cfg, reconstruct=False):
         # a stream configured with another predictor encodes only its
         # residuals with Lorenzo
         codes = cfg.predictor[:1].encode() * self.sizes[cfg.predictor]

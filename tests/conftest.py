@@ -343,9 +343,9 @@ def forge_chunked_v7(data, config, chunk: int) -> bytes:
     from repro.compressor.tiled import TiledCompressor
 
     class ChunkingCodec(SZCompressor):
-        def encode_stages(self, data, config, reconstruct=False, times=None):
+        def encode_stages(self, data, config, reconstruct=False):
             params, sections, recon, measures = super().encode_stages(
-                data, config, reconstruct, times
+                data, config, reconstruct
             )
             if data.size > chunk:
                 params, sections = chunk_codes(params, sections, chunk)

@@ -101,6 +101,17 @@ class TestStrategies:
         trad = sim.dump_traditional(snapshot, 0, report.error_bound)
         assert report.times.get("optimize") > trad.times.get("optimize")
 
+    def test_tae_prices_an_iterator_like_its_list(self, sim, snapshot):
+        # the sweep used to drain an iterator before the optimize stage
+        # counted it, pricing that stage at 0 s
+        candidates = [1e-3, 1e-4, 1e-5]
+        listed = sim.dump_tae(snapshot, 0, candidates, target_psnr=60.0)
+        iterated = sim.dump_tae(
+            snapshot, 0, iter(candidates), target_psnr=60.0
+        )
+        assert iterated == listed
+        assert iterated.times["optimize"] > 0
+
     def test_model_cheaper_optimization_than_tae(self, sim, snapshot):
         candidates = [1e-3, 1e-4, 1e-5, 1e-6, 1e-7]
         tae = sim.dump_tae(snapshot, 0, candidates, target_psnr=60.0)
@@ -123,7 +134,7 @@ class TestStrategies:
     def test_report_total(self, sim, snapshot):
         report = sim.dump_traditional(snapshot, 0, 1e-4)
         assert report.total_time == pytest.approx(
-            sum(report.times.seconds.values())
+            sum(report.times.values())
         )
 
 
