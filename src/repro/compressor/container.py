@@ -5,23 +5,6 @@ rest of the pipeline (stages, compressors, CLI, storage) never touches
 offsets or length prefixes directly and section accounting is *derived*
 from the writer instead of hand-summed.
 
-Flat containers (read-only: one array, decoded whole)::
-
-    b"RQSZ" | version:u8 | header_len:u32 | header JSON | sections
-
-where each section is ``length:u64 | bytes`` and the last one ends the
-container.  Sections, in order: Huffman/lossless code payload, outlier
-positions, outlier values, predictor side payload, PW_REL sign payload.
-
-* **v2** — the code stream is one Huffman(+lossless) payload.
-* **v3** — the code stream is split into fixed-size blocks, each
-  independently Huffman(+lossless) coded; the codes section becomes
-  ``n_chunks:u32 | chunk_len:u64 ... | chunk payloads``.  A tile whose
-  parameters say ``chunked`` carries such a section too.
-
-Nothing writes either any more: a flat array is the one-tile v7
-container below, whose tile holds the same five sections byte for byte.
-
 Tiled containers (out-of-core streaming, region-of-interest decode)::
 
     b"RQSZ" | 7 | header_len:u32 | header JSON | tile payloads ...
@@ -68,10 +51,9 @@ fixtures) verify as **unknown** — never as failures.  With or without,
 what the TOC says is checked at open: palette indices, mode bits, and
 every tile extent inside the payload region.
 
-**v4 / v5 / v6 are read-only**: the same frame, but each tile payload is a
-self-describing flat v2/v3 container and the TOC a list of per-tile
-``offset``/``size``/``start``/``stop`` dicts (+ ``tile_crcs``); v5
-adds the palette, v6 the ``tile_modes``.
+Older versions — the flat v2/v3 blobs and the v4-v6 frames of flat
+tiles — are read only, by :class:`TiledReader` through
+:mod:`repro.compressor.legacy`, and come out as v7 tiles.
 """
 
 from __future__ import annotations
@@ -97,22 +79,13 @@ from repro.compressor.tiled_geometry import iter_tiles, tile_grid
 
 __all__ = [
     "MAGIC",
-    "VERSION_SINGLE",
-    "VERSION_CHUNKED",
-    "VERSION_TILED",
-    "VERSION_ADAPTIVE",
-    "VERSION_TEMPORAL",
     "VERSION_FRAME",
-    "TILED_VERSIONS",
     "SECTION_NAMES",
     "TILE_KEYS",
     "ContainerFormatError",
     "TileCorruptError",
-    "read_flat",
     "container_version",
-    "peek_version",
-    "read_blob",
-    "read_chunked_codes",
+    "read_header",
     "check_tile_params",
     "pack_tile",
     "unpack_tile",
@@ -153,34 +126,18 @@ class TileCorruptError(ContainerFormatError):
         self.version = version
 
 MAGIC = b"RQSZ"
-#: flat container, single-stream codes section
-VERSION_SINGLE = 2
-#: flat container, chunked codes section
-VERSION_CHUNKED = 3
-#: legacy (read-only) tiled frames: tiles are flat containers
-VERSION_TILED = 4
-#: ... whose TOC records per-tile codec configurations
-VERSION_ADAPTIVE = 5
-#: ... whose tiles may be temporal residuals vs a reference
-VERSION_TEMPORAL = 6
-#: the tiled frame: tiles are stage bytes, offsets and extents derived
+#: the one frame written: tiles are stage bytes, offsets and extents
+#: derived (older versions: :mod:`repro.compressor.legacy`)
 VERSION_FRAME = 7
-
-_FLAT_VERSIONS = (VERSION_SINGLE, VERSION_CHUNKED)
-#: container versions that use the tiled payloads + trailing-TOC frame
-TILED_VERSIONS = tuple(range(VERSION_TILED, VERSION_FRAME + 1))
 
 # Writer layout constants -- every size computation below derives from
 # these, so accounting cannot drift from the format.
 _VERSION_BYTES = 1
 _HEADER_LEN_BYTES = 4
-_SECTION_LEN_BYTES = 8
-_CHUNK_COUNT_BYTES = 4
-_CHUNK_LEN_BYTES = 8
 _TOC_LEN_BYTES = 8
 _CRC_BYTES = 4
 
-#: flat container sections, in on-disk order
+#: a tile's stage sections, in on-disk order
 SECTION_NAMES = (
     "codes",
     "outlier_positions",
@@ -223,91 +180,26 @@ def container_version(blob: bytes) -> int:
     return blob[len(MAGIC)]
 
 
-# -- flat (v2/v3) containers ---------------------------------------------------
-
-
-def read_flat(blob: bytes) -> tuple[dict, list[bytes]]:
-    """Split a flat container into its parsed header and raw sections.
-
-    The container version is reported as ``container_version`` in the
-    returned header dict.
-    """
-    version = container_version(blob)
-    if version not in _FLAT_VERSIONS:
-        raise ContainerFormatError(f"unsupported container version {version}")
-    pos = len(MAGIC) + _VERSION_BYTES
-    if len(blob) < pos + _HEADER_LEN_BYTES:
+def read_header(read_at, total: int) -> tuple[dict, bytes, int]:
+    """``(header, its JSON bytes, where they end)`` of the *total*-byte
+    container ``read_at(offset, size)`` reads — every version opens with
+    ``b"RQSZ" | version:u8 | header_len:u32 | header JSON``; the parsed
+    header gets its ``container_version``."""
+    head_len = len(MAGIC) + _VERSION_BYTES + _HEADER_LEN_BYTES
+    head = read_at(0, min(total, head_len))
+    version = container_version(head)
+    end = head_len + int.from_bytes(head[-_HEADER_LEN_BYTES:], "little")
+    if total < end:
         raise ContainerFormatError("truncated container header")
-    header_len = int.from_bytes(
-        blob[pos : pos + _HEADER_LEN_BYTES], "little"
-    )
-    pos += _HEADER_LEN_BYTES
-    if len(blob) < pos + header_len:
-        raise ContainerFormatError("truncated container header")
+    header_bytes = read_at(head_len, end - head_len)
     try:
-        header = json.loads(blob[pos : pos + header_len].decode())
+        header = json.loads(header_bytes.decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ContainerFormatError("corrupt container header") from exc
     if not isinstance(header, dict):
         raise ContainerFormatError("corrupt container header")
     header["container_version"] = int(version)
-    pos += header_len
-    sections: list[bytes] = []
-    for name in SECTION_NAMES:
-        if len(blob) < pos + _SECTION_LEN_BYTES:
-            raise ContainerFormatError(
-                f"truncated container: section {name!r} has no "
-                "length prefix"
-            )
-        size = int.from_bytes(
-            blob[pos : pos + _SECTION_LEN_BYTES], "little"
-        )
-        pos += _SECTION_LEN_BYTES
-        if len(blob) < pos + size:
-            raise ContainerFormatError(
-                f"truncated container: section {name!r} records "
-                f"{size} bytes but only {len(blob) - pos} remain"
-            )
-        sections.append(blob[pos : pos + size])
-        pos += size
-    if pos != len(blob):
-        raise ContainerFormatError(
-            f"corrupt container: {len(blob) - pos} bytes follow the last "
-            "section"
-        )
-    return header, sections
-
-
-# -- chunked (v3) codes-section framing, read-only -----------------------------
-
-
-def read_chunked_codes(payload: bytes) -> list[bytes]:
-    """Split a v3 codes section back into its block payloads."""
-    if len(payload) < _CHUNK_COUNT_BYTES:
-        raise ContainerFormatError("corrupt chunked codes section")
-    n_chunks = int.from_bytes(payload[:_CHUNK_COUNT_BYTES], "little")
-    table_end = _CHUNK_COUNT_BYTES + _CHUNK_LEN_BYTES * n_chunks
-    if n_chunks < 1 or len(payload) < table_end:
-        raise ContainerFormatError("corrupt chunked codes section")
-    lengths = [
-        int.from_bytes(
-            payload[
-                _CHUNK_COUNT_BYTES
-                + _CHUNK_LEN_BYTES * i : _CHUNK_COUNT_BYTES
-                + _CHUNK_LEN_BYTES * (i + 1)
-            ],
-            "little",
-        )
-        for i in range(n_chunks)
-    ]
-    blobs: list[bytes] = []
-    pos = table_end
-    for length in lengths:
-        blobs.append(payload[pos : pos + length])
-        pos += length
-    if pos != len(payload):
-        raise ContainerFormatError("corrupt chunked codes section")
-    return blobs
+    return header, header_bytes, end
 
 
 # -- v7 tile payloads ----------------------------------------------------------
@@ -445,8 +337,8 @@ class TileRecord:
     declared algorithm, or ``None`` for containers written without
     checksums (which verify as *unknown*, never as failures).
 
-    ``params`` is what a v7 reader resolved for the tile, to be
-    completed by its ``meta``; ``None``: a self-describing v4-v6 payload.
+    ``params`` is what the reader resolved for the tile from header,
+    TOC and palette, to be completed by its payload's ``meta``.
     """
 
     offset: int
@@ -456,7 +348,7 @@ class TileRecord:
     config: dict | None = None
     temporal: bool = False
     crc: int | None = None
-    params: dict | None = field(default=None, compare=False, repr=False)
+    params: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -543,14 +435,8 @@ class TiledWriter:
         """Re-file *record* of *reader* (extent, palette entry and mode
         kept) through :meth:`add_stages` — what its payload left to
         *reader*'s header and TOC to say is resolved again against this
-        writer's.  A legacy (v4-v6) payload is a flat container, which a
-        v7 tile may not be: refused."""
-        if record.params is None:
-            raise ValueError(
-                f"tile {record.start}..{record.stop} of a v{reader.version} "
-                "container is a flat blob, not v7 stage bytes: decode and "
-                "re-encode it instead"
-            )
+        writer's — from any version, since *reader* serves every tile
+        as v7."""
         rest = (record.config, record.temporal)
         meta, sections = unpack_tile(reader.read_tile(record))
         params = {**record.params, **meta}
@@ -698,67 +584,40 @@ class _ByteSource:
             self._fh.close()
 
 
-def peek_version(source: bytes | str | os.PathLike | BinaryIO) -> int:
-    """Version byte of the RQSZ container at *source*, flat or tiled.
-
-    The one magic/version sniffer: readers dispatch on it before they
-    parse anything else.  Reads five bytes, whatever the container's
-    size; raises :class:`ContainerFormatError` when they are not an
-    RQSZ magic and version.
-    """
-    src = _ByteSource(source)
-    try:
-        probe = min(src.size(), len(MAGIC) + _VERSION_BYTES)
-        return container_version(src.read_at(0, probe))
-    finally:
-        src.close()
-
-
-def read_blob(source: bytes | str | os.PathLike | BinaryIO) -> bytes:
-    """Every byte of *source* — what the flat (v2/v3) readers parse."""
-    src = _ByteSource(source)
-    try:
-        return src.read_at(0, src.size())
-    finally:
-        src.close()
-
-
 class TiledReader:
-    """Random-access reader over a tiled (v4-v7) container.
+    """Random-access reader over any RQSZ container, served as v7 tiles.
 
     Accepts a ``bytes`` blob, a filesystem path, or an open binary file;
     only the header, the TOC and explicitly requested tiles are ever
     read, so region decodes touch a fraction of the file.
+
+    An older version is read through :mod:`repro.compressor.legacy`
+    (a flat v2/v3 blob is one tile covering its array), and nothing
+    past this class can tell: :meth:`read_tile` returns every tile as
+    a v7 payload, while ``offset``, ``size`` and ``nbytes`` stay stored.
     """
 
     def __init__(self, source: bytes | str | os.PathLike | BinaryIO):
         self._src = _ByteSource(source)
         #: size of the container in bytes
         self.nbytes = total = self._src.size()
-        head_len = len(MAGIC) + _VERSION_BYTES + _HEADER_LEN_BYTES
-        if total < head_len + _TOC_LEN_BYTES:
-            raise ContainerFormatError("truncated container")
-        head = self._src.read_at(0, head_len)
-        if head[: len(MAGIC)] != MAGIC:
-            raise ContainerFormatError("not an RQSZ container")
-        if head[len(MAGIC)] not in TILED_VERSIONS:
-            raise ContainerFormatError(
-                f"not a tiled container (version {head[len(MAGIC)]})"
-            )
-        self.version = int(head[len(MAGIC)])
-        header_len = int.from_bytes(head[-_HEADER_LEN_BYTES:], "little")
-        if total < head_len + header_len + _TOC_LEN_BYTES:
-            raise ContainerFormatError("truncated container header")
-        header_bytes = self._src.read_at(head_len, header_len)
-        try:
-            self.header: dict = json.loads(header_bytes.decode())
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ContainerFormatError("corrupt container header") from exc
-        if not isinstance(self.header, dict) or not isinstance(
-            self.header.get("checksums"), (str, type(None))
-        ):
+        self.header, header_bytes, lo = read_header(self._src.read_at, total)
+        if not isinstance(self.header.get("checksums"), (str, type(None))):
             raise ContainerFormatError("corrupt container header")
-        self.header["container_version"] = self.version
+        self.version: int = self.header["container_version"]
+        #: the reader of the older frames, imported for those only
+        self._legacy = None
+        #: a flat (v2/v3) blob: one tile and no TOC, nor a tile map
+        self.flat = False
+        if self.version != VERSION_FRAME:
+            from repro.compressor import legacy
+
+            if self.version not in legacy.VERSIONS:
+                raise ContainerFormatError(
+                    f"unsupported container version {self.version}"
+                )
+            self._legacy = legacy
+            self.flat = self.version in legacy.FLAT_VERSIONS
 
         #: checksum algorithm the container declares (``None`` = none)
         self.checksum_algorithm: str | None = self.header.get("checksums")
@@ -771,7 +630,14 @@ class TiledReader:
         #: ``"verified"`` (header+TOC checksums held), ``"unknown"``
         #: (no/unsupported checksums); a mismatch raises instead
         self.checksum_state = "unknown"
+        #: whether the TOC maps tiles to temporal/spatial (``tile_modes``)
+        self.temporal = False
+        if self.flat:
+            self.tiles = [self._legacy.flat_tile(self.header, total)]
+            return
 
+        if total < lo + _TOC_LEN_BYTES:
+            raise ContainerFormatError("truncated container")
         toc_len = int.from_bytes(
             self._src.read_at(total - _TOC_LEN_BYTES, _TOC_LEN_BYTES),
             "little",
@@ -780,7 +646,7 @@ class TiledReader:
         # checksum between the TOC JSON and the trailing length word
         crc_bytes = _CRC_BYTES if self.checksum_algorithm else 0
         toc_start = total - _TOC_LEN_BYTES - crc_bytes - toc_len
-        if toc_len <= 0 or toc_start < head_len + header_len:
+        if toc_len <= 0 or toc_start < lo:
             raise ContainerFormatError("corrupt tile TOC")
         toc_bytes = self._src.read_at(toc_start, toc_len)
         if self._verifiable:
@@ -809,23 +675,22 @@ class TiledReader:
                     f"({self.checksum_algorithm})"
                 )
             self.checksum_state = "verified"
-        #: whether the TOC maps tiles to temporal/spatial (``tile_modes``)
         self.temporal = "tile_modes" in toc
         try:
-            self.tiles: list[TileRecord] = self._records(
-                toc, head_len + header_len, toc_start
-            )
+            self.tiles: list[TileRecord] = self._records(toc, lo, toc_start)
         except bad_toc as exc:
             raise ContainerFormatError(f"corrupt tile TOC: {exc}") from exc
 
     def _records(self, toc: dict, lo: int, hi: int) -> list[TileRecord]:
         """The TOC as tile records; payloads must lie in ``[lo, hi)``.
 
-        Both forms end up here: v7's arrays, whose offsets and extents
-        are derived, and the legacy per-tile dicts, whose are checked —
-        a checksum-free TOC is only as good as these checks.
+        v7's offsets and extents are derived, a legacy TOC's stored
+        (:func:`repro.compressor.legacy.read_toc`) and checked here — a
+        checksum-free TOC is only as good as these checks.
         """
-        if self.version == VERSION_FRAME:
+        if self._legacy is not None:
+            extents, crcs = self._legacy.read_toc(toc)
+        else:
             sizes = toc["sizes"]
             shape, tile_shape = self.header["shape"], self.header["tile_shape"]
             for ints in (sizes, shape, tile_shape):
@@ -842,29 +707,22 @@ class TiledReader:
             offsets = itertools.accumulate(sizes, initial=lo)
             grid = iter_tiles(shape, tile_shape)
             extents = [(o, s, *e) for o, s, e in zip(offsets, sizes, grid)]
-            shared = toc.get("shared", {})
-        else:
-            extents = [
-                (int(t["offset"]), int(t["size"]),
-                 tuple(map(int, t["start"])), tuple(map(int, t["stop"])))
-                for t in toc["tiles"]
-            ]
-            shared = None
+            crcs = toc.get("crcs", [None] * len(extents))
 
-        def column(key: str, fill: object) -> list:
-            values = toc.get(key, [fill] * len(extents))
+        def column(values: object, key: str) -> list:
             if not isinstance(values, list) or len(values) != len(extents):
                 # zip() below would silently drop trailing tiles
                 raise ValueError(f"{key} does not match the tile count")
             return values
 
+        def stored(key: str, fill: object) -> list:
+            return column(toc.get(key, [fill] * len(extents)), key)
+
         palette = [_entry_to_config(e) for e in toc.get("configs", ())]
+        shared = toc.get("shared", {})
         resolved: dict[tuple, dict] = {}
 
-        def params(index: int | None, mode: int) -> dict | None:
-            if shared is None:
-                # legacy payloads describe themselves
-                return None
+        def params(index: int | None, mode: int) -> dict:
             if (index, mode) not in resolved:
                 config = None if index is None else palette[index]
                 kind = _tile_kind(self.header, config, bool(mode))
@@ -876,9 +734,9 @@ class TiledReader:
         records = []
         for extent, index, mode, crc in zip(
             extents,
-            column("tile_configs", None),
-            column("tile_modes", 0),
-            column("tile_crcs" if shared is None else "crcs", None),
+            stored("tile_configs", None),
+            stored("tile_modes", 0),
+            column(crcs, "crcs"),
         ):
             if index is not None and (
                 type(index) is not int or not 0 <= index < len(palette)
@@ -902,20 +760,17 @@ class TiledReader:
             )
         return records
 
-    def read_tile(
-        self, record: TileRecord, verify: bool = True
-    ) -> bytes:
-        """Read one tile's payload (v7: :func:`unpack_tile` splits it).
+    def read_tile(self, record: TileRecord) -> bytes:
+        """Read one tile's v7 payload (:func:`unpack_tile` splits it).
 
-        When the container carries checksums the payload is verified
-        against the TOC's recorded value; a mismatch raises
-        :class:`TileCorruptError` naming the tile.  ``verify=False``
-        skips the check (diagnostics that want the raw damaged bytes).
+        When the container carries checksums the stored payload is
+        verified against the TOC's recorded value first; a mismatch
+        raises :class:`TileCorruptError` naming the tile.  A legacy
+        payload is then re-framed by :func:`~.legacy.reframe`.
         """
         payload = self._src.read_at(record.offset, record.size)
         if (
-            verify
-            and record.crc is not None
+            record.crc is not None
             and self._verifiable
             and checksum_named(self.checksum_algorithm, payload)
             != record.crc
@@ -933,14 +788,15 @@ class TiledReader:
                 offset=record.offset,
                 version=self.version,
             )
+        if self._legacy is not None:
+            payload = self._legacy.reframe(
+                payload, record.shape, self.header["dtype"]
+            )
         return payload
 
     def read_sections(self, record: TileRecord) -> list[bytes]:
-        """The stage sections of one tile, whichever frame wraps them."""
-        payload = self.read_tile(record)
-        if record.params is None:
-            return read_flat(payload)[1]
-        return unpack_tile(payload)[1]
+        """The stage sections of one tile."""
+        return unpack_tile(self.read_tile(record))[1]
 
     def verify_tiles(self) -> str:
         """Checksum every tile payload; returns the resulting state.

@@ -13,8 +13,7 @@ from __future__ import annotations
 import os
 from typing import BinaryIO
 
-from repro.compressor import container
-from repro.compressor.container import TiledReader
+from repro.compressor.container import SECTION_NAMES, TiledReader
 
 __all__ = ["describe_container"]
 
@@ -23,10 +22,10 @@ def describe_container(
     source: bytes | str | os.PathLike | BinaryIO,
     verify: bool = False,
 ) -> dict:
-    """Describe a flat (v2/v3) or tiled (v4-v7) RQSZ container.
+    """Describe any RQSZ container (v2-v7).
 
-    Returns the parsed header plus ``section_bytes`` (flat) or
-    ``tile_map`` (tiled; tile extents — derived ones in v7 — payload
+    Returns the parsed header plus ``section_bytes`` (a flat v2/v3
+    blob) or ``tile_map`` (tile extents — derived ones in v7 — payload
     sizes, for adaptive containers the per-tile configs with an
     ``adaptive`` roll-up, and for temporal ones each tile's
     temporal/spatial choice with a ``temporal`` roll-up).
@@ -40,28 +39,19 @@ def describe_container(
     ``ValueError``) for anything that is not a well-formed container,
     including checksum mismatches.
     """
-    # tiled containers are described from header + TOC alone, so a
-    # path goes to TiledReader's random-access reads instead of
-    # slurping a potentially huge file
-    if container.peek_version(source) in container.TILED_VERSIONS:
-        return _describe_tiled(source, verify)
-    return _describe_flat(container.read_blob(source))
-
-
-def _describe_flat(blob: bytes) -> dict:
-    header, sections = container.read_flat(blob)
-    header["section_bytes"] = {
-        name: len(section)
-        for name, section in zip(container.SECTION_NAMES, sections)
-    }
-    return header
-
-
-def _describe_tiled(
-    source: bytes | str | os.PathLike | BinaryIO, verify: bool = False
-) -> dict:
+    # described from header + TOC alone: a path goes to TiledReader's
+    # random-access reads instead of slurping a potentially huge file
     with TiledReader(source) as reader:
         header = dict(reader.header)
+        if reader.flat:
+            (record,) = reader.tiles
+            header["section_bytes"] = {
+                name: len(section)
+                for name, section in zip(
+                    SECTION_NAMES, reader.read_sections(record)
+                )
+            }
+            return header
         state = reader.verify_tiles() if verify else reader.checksum_state
         header["integrity"] = {
             "checksums": reader.checksum_algorithm,

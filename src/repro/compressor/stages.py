@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import obs
-from repro.compressor import container
 from repro.compressor.config import CompressionConfig
 from repro.compressor.encoders.huffman import HuffmanEncoder
 from repro.compressor.encoders.lossless import get_lossless_backend
@@ -121,10 +120,12 @@ class HuffmanEntropyStage:
         """
         if not chunked:
             return self._huffman.decode(self._unwrap_lossless(payload, config))
+        from repro.compressor import legacy  # only a legacy writer chunked
+
         return np.concatenate(
             [
                 self._huffman.decode(self._unwrap_lossless(block, config))
-                for block in container.read_chunked_codes(payload)
+                for block in legacy.read_chunked_codes(payload)
             ]
         )
 

@@ -162,8 +162,8 @@ class SZCompressor:
     ) -> np.ndarray:
         """The array :meth:`encode_stages` turned into *header*, *sections*.
 
-        *header* may come from anywhere (a flat container, a tiled one's
-        resolved tile parameters + the grid's ``shape``/``dtype``), so a
+        *header* is a tile's resolved parameters + the grid's
+        ``shape``/``dtype``, which a payload cannot vouch for, so a
         code stream that is not the one ``shape`` needs is refused.
         ``chunked`` in it marks a v3 codes section.
         """

@@ -202,40 +202,38 @@ def decode_tile(
     dtype: np.dtype,
     codec: SZCompressor | None = None,
     ref_tile: np.ndarray | None = None,
-    params: dict | None = None,
+    *,
+    params: dict,
 ) -> np.ndarray:
     """The tile a TOC record of *shape* and *dtype* names, from *payload*.
 
     The one way a tile payload becomes samples, for every reader: the
-    *codec* (default: this process's stock one) decodes it — a v7
+    *codec* (default: this process's stock one) decodes the v7
     payload's sections under the record's *params* and its own
-    ``meta``, a legacy payload (no *params*) as the flat container it
-    is (:func:`_decode_flat`) — the result must be exactly what the record describes — a
-    payload that decodes to anything else, or not at all, raises
-    :class:`ContainerFormatError` instead of being cropped or broadcast
-    into place, which no payload checksum can catch — and a temporal
-    tile (*ref_tile* given) is the decoded residual combined with its
-    reference tile.
+    ``meta`` — a legacy payload arrives re-framed by
+    :class:`~repro.compressor.container.TiledReader`.  The result must
+    be exactly what the record describes: a payload that decodes to
+    anything else, or not at all, raises :class:`ContainerFormatError`
+    instead of being cropped or broadcast into place, which no payload
+    checksum can catch.  A temporal tile (*ref_tile* given) is the
+    decoded residual combined with its reference tile.
     """
     codec = codec if codec is not None else worker_state().codec
-    if params is None:
-        tile = _decode_flat(payload, codec)
-    else:
-        meta, sections = container.unpack_tile(payload)
-        try:
-            tile = codec.decode_stages(
-                dict(params, **meta, shape=shape, dtype=np.dtype(dtype).str),
-                sections,
-            )
-        except ContainerFormatError:
-            raise
-        # parameters are of their types (checked at open and in meta):
-        # a missing one, or values and lengths no encoder wrote
-        except (ValueError, LookupError) as exc:
-            raise ContainerFormatError(
-                f"corrupt tiled container: tile does not decode under "
-                f"its recorded parameters ({exc!r})"
-            ) from exc
+    meta, sections = container.unpack_tile(payload)
+    try:
+        tile = codec.decode_stages(
+            dict(params, **meta, shape=shape, dtype=np.dtype(dtype).str),
+            sections,
+        )
+    except ContainerFormatError:
+        raise
+    # parameters are of their types (checked at open and in meta):
+    # a missing one, or values and lengths no encoder wrote
+    except (ValueError, LookupError) as exc:
+        raise ContainerFormatError(
+            f"corrupt tiled container: tile does not decode under "
+            f"its recorded parameters ({exc!r})"
+        ) from exc
     if tuple(tile.shape) != tuple(shape) or tile.dtype != dtype:
         raise ContainerFormatError(
             f"corrupt tiled container: tile decodes to {tile.dtype} "
@@ -243,15 +241,6 @@ def decode_tile(
             f"{tuple(shape)}"
         )
     return tile if ref_tile is None else combine(tile, ref_tile)
-
-
-def _decode_flat(blob: bytes, codec: SZCompressor) -> np.ndarray:
-    """The array of a flat (v2/v3) container — read only, nothing writes
-    one any more; a legacy (v4-v6) tile payload is such a container."""
-    header, sections = container.read_flat(blob)
-    if header["container_version"] == container.VERSION_CHUNKED:
-        header["chunked"] = True
-    return codec.decode_stages(header, sections)
 
 
 # -- the tiled compressor ------------------------------------------------------
@@ -677,7 +666,8 @@ class TiledCompressor:
         snapshot its ``ref_snapshot`` header names; everything else
         decodes standalone and ignores it.
         """
-        return self._decode(source, None, reference)
+        with TiledReader(source) as reader:
+            return self._decode_tiles(reader, (), reference)
 
     def decompress_region(
         self,
@@ -690,39 +680,17 @@ class TiledCompressor:
         Only the tiles intersecting the region are read from the source
         and decoded (see ``last_tiles_decoded``).  The result has the
         region's shape; an empty intersection yields an empty array.
-        Flat v2/v3 blobs are supported via a full decode + slice.  For
+        A flat v2/v3 blob is one tile, decoded whole.  For
         a temporal delta snapshot ``reference`` must cover the full snapshot
         shape (only the region's tiles of it are read).
         """
-        return self._decode(source, region, reference)
-
-    def _decode(
-        self,
-        source: bytes | str | os.PathLike | BinaryIO,
-        region: Sequence[slice | int] | slice | int | None,
-        reference: np.ndarray | None,
-    ) -> np.ndarray:
-        """*region* (``None``: everything) of the container at *source*."""
-        if container.peek_version(source) not in container.TILED_VERSIONS:
-            data = _decode_flat(container.read_blob(source), self._codec)
-            if region is None:
-                return data
-            self._count_decoded(1)
-            return np.ascontiguousarray(
-                data[normalize_region(region, data.shape)]
-            )
         with TiledReader(source) as reader:
-            shape = tuple(reader.header["shape"])
-            return self._decode_tiles(
-                reader,
-                normalize_region(() if region is None else region, shape),
-                reference,
-            )
+            return self._decode_tiles(reader, region, reference)
 
     def _decode_tiles(
         self,
         reader: TiledReader,
-        region: tuple[slice, ...],
+        region: Sequence[slice | int] | slice | int,
         reference: np.ndarray | None,
     ) -> np.ndarray:
         """Decode the tiles intersecting *region* on the executor.
@@ -738,6 +706,7 @@ class TiledCompressor:
         """
         dtype = np.dtype(reader.header["dtype"])
         shape = tuple(reader.header["shape"])
+        region = normalize_region(region, shape)
         if any(record.temporal for record in reader.tiles):
             if reference is None:
                 raise ValueError(
@@ -762,7 +731,7 @@ class TiledCompressor:
         def decode(record: TileRecord) -> np.ndarray:
             return decode_tile(
                 reader.read_tile(record), record.shape, dtype, self._codec,
-                ref_tile(record), record.params,
+                ref_tile(record), params=record.params,
             )
 
         hits = intersecting_tiles(reader.tiles, region)
@@ -846,15 +815,15 @@ def decode_tile_task(item, inp, out):
     """Executor task: :func:`decode_tile` into the shared output buffer.
 
     ``item`` is ``(payload, offset, shape, dtype_str, codec, ref_tile,
-    params)``, the last three ``None`` for the worker's stock codec, a
-    spatial tile and a legacy payload; the decoded samples are written
-    at ``offset`` of the preallocated output region, so nothing
+    params)``, the codec and reference tile ``None`` for the worker's
+    stock codec and a spatial tile; the decoded samples are written at
+    ``offset`` of the preallocated output region, so nothing
     array-sized is pickled back.
     """
     payload, offset, shape, dtype_str, codec, ref_tile, params = item
     dtype = np.dtype(dtype_str)
     _slot(out, offset, shape, dtype)[...] = decode_tile(
-        payload, shape, dtype, codec, ref_tile, params
+        payload, shape, dtype, codec, ref_tile, params=params
     )
     return None
 

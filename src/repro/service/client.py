@@ -54,7 +54,8 @@ Writes are safe to retry too: every ``put``/``put_snapshot`` carries a
 per-call idempotency token, so a retry whose first attempt actually
 committed converges on the recorded entry (the server answers 200 with
 ``duplicate: true``) instead of double-appending.  The accounting of
-the most recent call lands in ``last_retry_stats``.
+the most recent call on the calling thread lands in
+``last_retry_stats``.
 """
 
 from __future__ import annotations
@@ -64,6 +65,7 @@ import io
 import json
 import random
 import select
+import threading
 import time
 import urllib.parse
 import uuid
@@ -155,7 +157,8 @@ class ArrayClient:
     plus ``last_read_stats`` (accounting headers of the most recent
     read) and ``last_retry_stats`` (attempt/backoff accounting of the
     most recent request).  Safe to share between threads: every
-    in-flight call owns its connection.
+    in-flight call owns its connection, and both stats are the calling
+    thread's own most recent call's.
     """
 
     def __init__(
@@ -168,8 +171,8 @@ class ArrayClient:
         self.timeout = timeout
         self.retry = retry
         self._rng = random.Random(retry.seed if retry else None)
-        self.last_read_stats: dict = {}
-        self.last_retry_stats: dict = {}
+        # per thread: a shared client's calls would overwrite each other's
+        self._stats = threading.local()
         parts = urllib.parse.urlsplit(self.base_url)
         if parts.scheme not in ("http", "https") or not parts.hostname:
             raise ValueError(f"not an http(s) URL: {base_url!r}")
@@ -183,6 +186,16 @@ class ArrayClient:
         #: connections whose last response was read to the end; a call
         #: pops one and owns it until it appends it back
         self._idle: list[http.client.HTTPConnection] = []
+
+    @property
+    def last_read_stats(self) -> dict:
+        """Accounting headers of this thread's most recent read."""
+        return getattr(self._stats, "read", {})
+
+    @property
+    def last_retry_stats(self) -> dict:
+        """Attempt/backoff accounting of this thread's most recent call."""
+        return getattr(self._stats, "retry", {})
 
     def close(self) -> None:
         """Close every pooled connection (the next call reconnects)."""
@@ -300,7 +313,7 @@ class ArrayClient:
         started = time.monotonic()
 
         def _record() -> None:
-            self.last_retry_stats = {
+            self._stats.retry = {
                 "attempts": attempts,
                 "retries": attempts - 1,
                 "slept": slept,
@@ -487,7 +500,7 @@ class ArrayClient:
         _status, headers, payload = self._perform(
             "GET", path, params=params
         )
-        self.last_read_stats = {
+        self._stats.read = {
             "tiles_touched": int(headers.get("X-Tiles-Touched", 0)),
             "cache_hits": int(headers.get("X-Cache-Hits", 0)),
             "cache_misses": int(headers.get("X-Cache-Misses", 0)),
@@ -527,7 +540,7 @@ class ArrayClient:
             "GET", path, params=params
         )
         raw_degraded = headers.get("X-Degraded-Versions", "")
-        self.last_read_stats = {
+        self._stats.read = {
             "tiles_touched": int(headers.get("X-Tiles-Touched", 0)),
             "cache_hits": int(headers.get("X-Cache-Hits", 0)),
             "cache_misses": int(headers.get("X-Cache-Misses", 0)),

@@ -23,7 +23,8 @@ The TOC records every dataset's shape/dtype/chunk grid, per-chunk
 offsets/sizes/kinds, the filter config, and user attributes.  A
 filtered chunk is a v7 tile payload (kind ``"tile"``) whose ``meta``
 holds all its parameters, decoded by the tile decoder every reader
-uses; chunks of kind ``"sz"`` (earlier files) are flat containers.
+uses; a chunk of kind ``"sz"`` (earlier files) is a flat container,
+re-framed as such a payload (:func:`repro.compressor.legacy.reframe`).
 """
 
 from __future__ import annotations
@@ -343,11 +344,14 @@ class H5LikeFile:
             chunk_shape = tuple(
                 b - a for a, b in zip(record["start"], record["stop"])
             )
+            if record["kind"] == "sz":
+                # a flat container, from before chunks were tiles
+                from repro.compressor import legacy
+
+                payload = legacy.reframe(payload, chunk_shape, dtype)
             if record["kind"] != "raw":
-                # "sz": a flat container, from before chunks were tiles
-                params = {} if record["kind"] == "tile" else None
                 chunk = decode_tile(
-                    payload, chunk_shape, dtype, self._sz, params=params
+                    payload, chunk_shape, dtype, self._sz, params={}
                 )
             else:
                 chunk = np.frombuffer(payload, dtype=dtype).reshape(

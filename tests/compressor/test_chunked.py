@@ -23,10 +23,9 @@ from repro.compressor.container import (
     ContainerFormatError,
     TiledReader,
     pack_tile,
-    read_chunked_codes,
-    read_flat,
     unpack_tile,
 )
+from repro.compressor.legacy import read_chunked_codes, read_flat, reframe
 from repro.compressor.stages import HuffmanEntropyStage
 from repro.compressor.tiled import decode_tile
 from tests.conftest import (
@@ -61,7 +60,11 @@ def _assert_twins(sz, data, config, chunk):
     assert recon.dtype == data.dtype and recon.shape == data.shape
     np.testing.assert_array_equal(recon, sz.decompress(twin))
     np.testing.assert_array_equal(
-        decode_tile(v3, data.shape, data.dtype), recon
+        decode_tile(
+            reframe(v3, data.shape, data.dtype), data.shape, data.dtype,
+            params={},
+        ),
+        recon,
     )
     return recon
 

@@ -1,11 +1,15 @@
 """Container layer: flat/chunked/tiled formats and derived accounting."""
 
 import io
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from repro.compressor import container
+import repro
+from repro.compressor import container, legacy
 from repro.compressor import CompressionConfig, TiledCompressor
 from repro.compressor.container import TiledReader, TiledWriter, TileRecord
 from tests.conftest import (
@@ -23,7 +27,7 @@ class TestFlat:
     def test_write_read_roundtrip(self):
         header = {"shape": [3], "dtype": "<f8", "x": 1}
         sections = [b"codes", b"", b"vals", b"side", b"signs!"]
-        back_header, back_sections = container.read_flat(
+        back_header, back_sections = legacy.read_flat(
             forge_flat(header, sections)
         )
         assert back_header.pop("container_version") == 2
@@ -35,10 +39,10 @@ class TestFlat:
         """The last section ends the container: bytes after it mean the
         blob is not what its lengths say (a chunk record that overran)."""
         blob = forge_flat({"k": "v"}, [b"a" * 10, b"b" * 3, b"", b"c", b"dd"], version)
-        container.read_flat(blob)
+        legacy.read_flat(blob)
         for junk in (b"\x00", b"junk", bytes(1 << 20)):
             with pytest.raises(container.ContainerFormatError, match="follow"):
-                container.read_flat(blob + junk)
+                legacy.read_flat(blob + junk)
 
     def test_trailing_bytes_after_a_released_blob_rejected(self):
         import os
@@ -53,7 +57,7 @@ class TestFlat:
 
     def test_bad_magic_rejected(self):
         with pytest.raises(ValueError):
-            container.read_flat(b"NOPE" + b"\x00" * 32)
+            legacy.read_flat(b"NOPE" + b"\x00" * 32)
 
     def test_tiled_version_rejected_by_flat_reader(self):
         header = {"shape": [0], "tile_shape": [1], "dtype": "<f8"}
@@ -61,7 +65,7 @@ class TestFlat:
         with TiledWriter(sink, header):
             pass
         with pytest.raises(ValueError):
-            container.read_flat(sink.getvalue())
+            legacy.read_flat(sink.getvalue())
 
 
 class TestResultAccounting:
@@ -103,7 +107,7 @@ class TestChunkedFraming:
     def test_roundtrip(self):
         payloads = [b"one", b"", b"three" * 100]
         framed = write_chunked_codes(payloads)
-        assert container.read_chunked_codes(framed) == payloads
+        assert legacy.read_chunked_codes(framed) == payloads
 
     @pytest.mark.parametrize(
         "corrupt",
@@ -115,12 +119,12 @@ class TestChunkedFraming:
     )
     def test_corrupt_rejected(self, corrupt):
         with pytest.raises(ValueError):
-            container.read_chunked_codes(corrupt)
+            legacy.read_chunked_codes(corrupt)
 
     def test_trailing_garbage_rejected(self):
         framed = write_chunked_codes([b"abc"]) + b"junk"
         with pytest.raises(ValueError):
-            container.read_chunked_codes(framed)
+            legacy.read_chunked_codes(framed)
 
 
 class TestTiledFormat:
@@ -153,8 +157,14 @@ class TestTiledFormat:
             ((0, 0), (2, 4)),
             ((2, 0), (4, 4)),
         ]
-        assert reader.read_tile(reader.tiles[0]) == b"payload-a"
-        assert reader.read_tile(reader.tiles[1]) == b"payload-bb"
+        if version == container.VERSION_FRAME:
+            assert reader.read_tile(reader.tiles[0]) == b"payload-a"
+            assert reader.read_tile(reader.tiles[1]) == b"payload-bb"
+        else:
+            # a legacy tile is served re-framed, and this one is not the
+            # flat container every legacy tile must be
+            with pytest.raises(container.ContainerFormatError):
+                reader.read_tile(reader.tiles[0])
 
     def test_writer_reader_roundtrip_file(self, tmp_path):
         path = tmp_path / "t.rqsz"
@@ -181,10 +191,15 @@ class TestTiledFormat:
         total = writer.finish()
         assert total == len(sink.getvalue())
 
-    def test_flat_blob_rejected_by_tiled_reader(self):
-        blob = forge_v2(smooth_field((10,)), CompressionConfig())
-        with pytest.raises(ValueError):
-            TiledReader(blob)
+    def test_flat_blob_is_one_tile_covering_the_array(self):
+        blob = forge_v2(smooth_field((10, 3)), CompressionConfig())
+        with TiledReader(blob) as reader:
+            assert reader.flat and reader.version == 2
+            assert reader.checksum_state == "unknown"
+            (record,) = reader.tiles
+            assert (record.offset, record.size) == (0, len(blob))
+            assert (record.start, record.stop) == ((0, 0), (10, 3))
+            assert reader.read_sections(record) == legacy.read_flat(blob)[1]
 
     def test_truncated_rejected(self):
         sink = io.BytesIO()
@@ -203,7 +218,7 @@ class TestTiledFormat:
             == container.VERSION_FRAME
         )
 
-    def test_peek_version_sniffs_every_source_kind(self, tmp_path):
+    def test_reader_opens_every_source_kind(self, tmp_path):
         sink = io.BytesIO()
         self._write(sink)
         tiled = sink.getvalue()
@@ -213,11 +228,12 @@ class TestTiledFormat:
             path.write_bytes(blob)
             with open(path, "rb") as fh:
                 for source in (blob, bytearray(blob), str(path), path, fh):
-                    assert container.peek_version(source) == version
-                    assert container.read_blob(source) == blob
-        for junk in (b"", b"RQSZ", b"NOPE\x04" + bytes(32)):
+                    with TiledReader(source) as reader:
+                        assert reader.version == version
+                        assert reader.nbytes == len(blob)
+        for junk in (b"", b"RQSZ", b"NOPE\x04" + bytes(32), b"RQSZ\x01" + bytes(32)):
             with pytest.raises(container.ContainerFormatError):
-                container.peek_version(junk)
+                TiledReader(junk)
 
     def _write_adaptive(self, sink):
         header = {"shape": [4, 4], "dtype": "<f4", "adaptive": True}
@@ -226,7 +242,7 @@ class TestTiledFormat:
         cfg_b = {"predictor": "interpolation", "error_bound": 2.0,
                  "quant_radius": 1024}
         with LegacyTiledWriter(
-            sink, header, version=container.VERSION_ADAPTIVE
+            sink, header, version=5
         ) as writer:
             writer.add_tile((0, 0), (2, 4), b"payload-a", config=cfg_a)
             writer.add_tile((2, 0), (4, 4), b"payload-bb", config=cfg_b)
@@ -239,7 +255,7 @@ class TestTiledFormat:
         blob = sink.getvalue()
         assert container.container_version(blob) == 5
         reader = TiledReader(blob)
-        assert reader.version == container.VERSION_ADAPTIVE
+        assert reader.version == 5
         assert [t.config for t in reader.tiles] == [cfg_a, cfg_b, cfg_a]
         # two distinct configs palettized once despite three tiles
         # (checksummed containers carry a 4-byte TOC crc before the
@@ -278,3 +294,23 @@ class TestTiledFormat:
         )
         with pytest.raises(ValueError, match="corrupt tile TOC"):
             TiledReader(bad)
+
+
+def test_only_an_older_version_byte_imports_the_legacy_reader():
+    """The v7 path never enters ``repro.compressor.legacy``; a v2 blob
+    is what opens the door."""
+    flat = forge_v2(smooth_field((16,)), CompressionConfig())
+    code = f"""
+import sys
+import numpy as np
+from repro.compressor import CompressionConfig, TiledCompressor
+tc = TiledCompressor()
+config = CompressionConfig(tile_shape=(4, 4))
+tc.decompress(tc.compress(np.arange(64.0).reshape(8, 8), config).blob)
+assert "repro.compressor.legacy" not in sys.modules
+tc.decompress({flat!r})
+assert "repro.compressor.legacy" in sys.modules
+"""
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=60, env=env)

@@ -15,6 +15,7 @@ structured error (the fuzz).
 import functools
 import io
 import json
+import os
 import time
 from dataclasses import replace
 
@@ -36,9 +37,9 @@ from repro.compressor.container import (
     TiledReader,
     TiledWriter,
     pack_tile,
-    read_flat,
     unpack_tile,
 )
+from repro.compressor.legacy import read_flat
 from repro.compressor.inspect import describe_container
 from repro.compressor.tiled_geometry import iter_tiles
 from tests.conftest import (
@@ -50,6 +51,8 @@ from tests.conftest import (
     without_checksums,
 )
 from tests.proptest import draw_case
+
+DATA_DIR = os.path.join(os.path.dirname(os.path.dirname(__file__)), "data")
 
 
 # -- the tile payload -----------------------------------------------------------
@@ -349,23 +352,31 @@ def test_copy_tile_refiles_what_a_raw_payload_would_lose(kind):
         TiledCompressor().decompress(raw, reference=FUZZ_REF)
 
 
-def test_copy_tile_refuses_a_legacy_payload():
-    """A v4-v6 tile is a flat container: filed into a v7 TOC it would
-    make a container no reader decodes, so the copy is refused before
-    a byte is written."""
-    data = smooth_field((24, 24))
-    config = CompressionConfig(error_bound=1e-3)
-    header = {"shape": [24, 24], "tile_shape": [12, 24], "dtype": data.dtype.str}
-    sinks = [io.BytesIO(), io.BytesIO()]
-    with LegacyTiledWriter(sinks[0], header, version=4) as writer:
-        for start, stop in iter_tiles((24, 24), (12, 24)):
-            writer.add_tile(start, stop, forge_v2(data[start[0] : stop[0]], config))
-    with TiledReader(sinks[0].getvalue()) as reader:
-        writer = TiledWriter(sinks[1], header)
-        written = sinks[1].getvalue()
-        with pytest.raises(ValueError, match="flat blob"):
-            writer.copy_tile(reader, reader.tiles[0])
-    assert sinks[1].getvalue() == written and writer.tiles == []
+@pytest.mark.parametrize(
+    "name", ["pr2_v4_tiled_zstd", "pr8_v5_clustered", "pr9_v6_temporal"]
+)
+def test_copy_tile_refiles_every_tile_of_a_legacy_container(name):
+    """The reader serves a v4-v6 tile as v7 stage bytes, so ``copy_tile``
+    re-files a legacy container, tile by tile, as a v7 one that decodes
+    to the very array the legacy one does."""
+    with open(os.path.join(DATA_DIR, f"{name}.rqsz"), "rb") as fh:
+        blob = fh.read()
+    expected = np.load(os.path.join(DATA_DIR, f"{name}_expected.npy"))
+    reference = None
+    if blob[4] == 6:
+        reference = np.load(os.path.join(DATA_DIR, f"{name}_ref.npy"))
+    sink = io.BytesIO()
+    with TiledReader(blob) as reader:
+        header = dict(reader.header)
+        del header["container_version"]
+        with TiledWriter(sink, header) as writer:
+            for record in reader.tiles:
+                writer.copy_tile(reader, record)
+    copied = sink.getvalue()
+    assert copied[4] == 7
+    decoded = TiledCompressor().decompress(copied, reference=reference)
+    assert decoded.dtype == expected.dtype
+    assert decoded.tobytes() == expected.tobytes()
 
 
 # -- stage-byte identity --------------------------------------------------------

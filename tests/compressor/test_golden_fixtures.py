@@ -60,9 +60,14 @@ def _load(name: str) -> tuple[bytes, np.ndarray]:
 
 @pytest.mark.parametrize("name", GOLDEN_BLOBS)
 def test_golden_blob_decodes_byte_identically(name):
-    """As a legacy tile payload: a v4-v6 tile is such a flat blob."""
+    """As the one tile the reader serves it as, re-framed to v7."""
     blob, expected = _load(name)
-    recon = decode_tile(blob, expected.shape, expected.dtype)
+    with TiledReader(blob) as reader:
+        (record,) = reader.tiles
+        payload = reader.read_tile(record)
+    recon = decode_tile(
+        payload, expected.shape, expected.dtype, params=record.params
+    )
     assert recon.dtype == expected.dtype
     np.testing.assert_array_equal(recon, expected)
 
@@ -284,6 +289,18 @@ def test_one_reader_decodes_every_golden_blob_on_every_backend(
         return  # the store serves tiled containers only
     with _store_serving(str(tmp_path), blob, ref, backend) as store:
         np.testing.assert_array_equal(store.read_full("gold"), expected)
+
+
+@pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+@pytest.mark.parametrize("name", GOLDEN_BLOBS)
+def test_the_store_serves_a_flat_blob_as_its_one_tile(name, backend, tmp_path):
+    blob, expected = _load(name)
+    with _store_serving(str(tmp_path), blob, None, backend) as store:
+        np.testing.assert_array_equal(store.read_full("gold"), expected)
+        region = (slice(3, 17), slice(10, 25))
+        np.testing.assert_array_equal(
+            store.read_region("gold", region).data, expected[region]
+        )
 
 
 # -- v7: same inputs, same configs, same decoded arrays, a smaller frame ---------

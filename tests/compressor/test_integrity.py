@@ -26,7 +26,7 @@ from repro.compressor.integrity import (
     checksum_named,
     supported_algorithms,
 )
-from tests.conftest import smooth_field
+from tests.conftest import LegacyTiledWriter, forge_v2, smooth_field
 
 
 PAYLOAD_A = pack_tile({}, [b"payload-a", b"", b"", b"", b""])
@@ -104,13 +104,38 @@ class TestWriterReaderChecksums:
         # the sibling tile is untouched and still readable
         assert corrupt.read_tile(corrupt.tiles[0]) == PAYLOAD_A
 
-    def test_verify_false_returns_damaged_bytes(self):
-        blob = bytearray(_tiled_blob())
-        record = TiledReader(bytes(blob)).tiles[0]
-        blob[record.offset] ^= 0x01
-        reader = TiledReader(bytes(blob))
-        raw = reader.read_tile(reader.tiles[0], verify=False)
-        assert len(raw) == record.size
+    def test_flipped_legacy_tile_byte_names_that_tile(self):
+        """A checksummed v5's tile CRC is checked before the tile is
+        re-framed: the damaged tile is named, its siblings still read."""
+        data = smooth_field((24, 24)).astype(np.float64)
+        header = {"shape": [24, 24], "dtype": "<f8", "tile_shape": [8, 24]}
+        sink = io.BytesIO()
+        with LegacyTiledWriter(sink, header, version=5) as writer:
+            for lo, eb in ((0, 1e-2), (8, 1e-3), (16, 1e-4)):
+                config = CompressionConfig(error_bound=eb)
+                writer.add_tile(
+                    (lo, 0), (lo + 8, 24),
+                    forge_v2(data[lo : lo + 8], config), config.to_json(),
+                )
+        intact = sink.getvalue()
+        blob = bytearray(intact)
+        blob[TiledReader(intact).tiles[1].offset + 40] ^= 0x08
+        blob = bytes(blob)
+        with TiledReader(blob) as reader, TiledReader(intact) as good:
+            assert reader.checksum_state == "verified"
+            for index in (0, 2):
+                assert reader.read_tile(reader.tiles[index]) == good.read_tile(
+                    good.tiles[index]
+                )
+            with pytest.raises(TileCorruptError, match="tile 1 of v5") as caught:
+                reader.read_tile(reader.tiles[1])
+        assert caught.value.tile_index == 1
+        region = (slice(0, 8), slice(0, 24))
+        tc = TiledCompressor()
+        np.testing.assert_array_equal(
+            tc.decompress_region(blob, region),
+            tc.decompress_region(intact, region),
+        )
 
     def test_verify_tiles_names_first_corrupt_tile(self):
         blob = bytearray(_tiled_blob())

@@ -260,6 +260,17 @@ class TestRegionDecodeProperty:
         assert tc.last_tiles_decoded == 1
         assert tc.tiles_decoded == 1  # cumulative counter
 
+    def test_a_flat_decode_counts_its_one_tile(self):
+        data = smooth_field((32, 32))
+        tc = TiledCompressor()
+        tiled = tc.compress(
+            data, CompressionConfig(error_bound=1e-3, tile_shape=(8, 8))
+        )
+        tc.decompress(tiled.blob)
+        assert (tc.last_tiles_decoded, tc.tiles_decoded) == (16, 16)
+        tc.decompress(forge_v2(data, CompressionConfig(error_bound=1e-3)))
+        assert (tc.last_tiles_decoded, tc.tiles_decoded) == (1, 17)
+
     def test_int_indices_keep_dimensionality(self):
         data = smooth_field((12, 12))
         cfg = CompressionConfig(error_bound=1e-3, tile_shape=(6, 6))

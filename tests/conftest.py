@@ -84,7 +84,8 @@ def adopt_container(root, name: str, blob: bytes) -> None:
             "file": f"{name}.rqsz",
             "shape": reader.header["shape"],
             "dtype": reader.header["dtype"],
-            "tile_shape": reader.header["tile_shape"],
+            # a flat (v2/v3) blob is one tile covering its array
+            "tile_shape": reader.header.get("tile_shape", reader.header["shape"]),
         }
     with open(os.path.join(root, "store.json"), "w") as fh:
         json.dump({"datasets": {name: entry}}, fh)

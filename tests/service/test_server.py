@@ -4,6 +4,7 @@ import http.client
 import logging
 import socket
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -180,6 +181,30 @@ class TestSnapshotChains:
             assert_error_bounded(snap, roi, EB)
             assert client.last_read_stats["version"] == v
             assert client.last_read_stats["chain_depth"] == v % 4 + 1
+
+    def test_a_shared_client_keeps_each_threads_read_stats(self, served, field):
+        client, _ = served
+        for snap in _snaps(field, 2):
+            client.put_snapshot("wave", snap, eb=EB, tile=(16, 16))
+        # B's read lands between A's read and A's look at its stats
+        a_read = threading.Barrier(2, timeout=30)
+        b_read = threading.Barrier(2, timeout=30)
+
+        def a():
+            client.read_region("wave", ":,:", version=0)
+            a_read.wait()
+            b_read.wait()
+            return client.last_read_stats["version"]
+
+        def b():
+            a_read.wait()
+            client.read_region("wave", ":,:", version=1)
+            b_read.wait()
+            return client.last_read_stats["version"]
+
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            seen = [pool.submit(a), pool.submit(b)]
+            assert [f.result(timeout=60) for f in seen] == [0, 1]
 
     def test_stat_versioned(self, served, field):
         client, _ = served
