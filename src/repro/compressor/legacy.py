@@ -28,11 +28,17 @@ flat v2/v3 container and the TOC a list of per-tile
 ``offset``/``size``/``start``/``stop`` dicts (+ ``tile_crcs``); v5
 adds the palette, v6 the ``tile_modes``.  Offsets and extents are
 stored, not derived, so tiles may lie in any order.
+
+**RQH5 v1** files (:mod:`repro.storage.hdf5sim`) record a dataset as
+chunk records (``offset``/``size``/``kind``/``start``/``stop``), no
+checksum: :func:`refile_rqh5` turns them into what a v2 dataset is.
 """
 
 from __future__ import annotations
 
+import io
 import itertools
+import math
 
 import numpy as np
 
@@ -40,12 +46,18 @@ from repro.compressor.container import (
     SECTION_NAMES,
     TILE_KEYS,
     ContainerFormatError,
+    TiledWriter,
     TileRecord,
     pack_tile,
     read_header,
+    unpack_tile,
 )
+from repro.compressor.tiled_geometry import extent_slices, iter_tiles, tile_grid
 
-__all__ = ["read_flat", "read_chunked_codes", "reframe", "flat_tile", "read_toc"]
+__all__ = [
+    "read_flat", "read_chunked_codes", "reframe", "flat_tile", "read_toc",
+    "refile_rqh5",
+]
 
 #: flat containers: v2 holds one code stream, v3 a chunked one
 FLAT_VERSIONS = (2, 3)
@@ -157,3 +169,68 @@ def read_toc(toc: dict) -> tuple[list[tuple], list]:
         for t in toc["tiles"]
     ]
     return extents, toc.get("tile_crcs", [None] * len(extents))
+
+
+# -- RQH5 v1 datasets ----------------------------------------------------------
+
+
+def refile_rqh5(entry: dict, read_at) -> bytes | np.ndarray:
+    """A v1 RQH5 dataset of TOC *entry*, its chunks read by
+    ``read_at(offset, size)``: its samples if they are raw, else an
+    in-memory v7 container of them, each a tile filed under its own
+    ``meta`` (``"tile"``: a v7 payload; ``"sz"``: a flat container).
+
+    Sorted by start, the records must tile ``shape`` once on the
+    ``chunk_shape`` grid (an entry of an earlier file has none: its
+    first record's extent is the grid); a raw one must hold its extent.
+    """
+    shape = [int(n) for n in entry["shape"]]
+    dtype = np.dtype(entry["dtype"])
+    chunks = sorted(entry["chunks"], key=lambda c: list(map(int, c["start"])))
+    extents = [
+        (tuple(map(int, c["start"])), tuple(map(int, c["stop"])))
+        for c in chunks
+    ]
+    grid = entry.get("chunk_shape")
+    if grid is None:
+        start, stop = extents[0] if extents else ((0,) * len(shape),) * 2
+        grid = [max(1, b - a) for a, b in zip(start, stop)]
+    grid = [int(n) for n in grid]
+    # counted before listed: a forged shape must not make the grid huge
+    if (
+        min(shape, default=0) < 0
+        or math.prod(tile_grid(shape, grid)) != len(extents)
+        or extents != list(iter_tiles(shape, grid))
+    ):
+        raise ContainerFormatError(
+            f"corrupt RQH5 TOC: the chunks do not tile the shape "
+            f"{tuple(shape)} once on the grid {tuple(grid)}"
+        )
+    if all(c["kind"] == "raw" for c in chunks):
+        sizes = [
+            math.prod(b - a for a, b in zip(*extent)) * dtype.itemsize
+            for extent in extents
+        ]
+        if [int(c["size"]) for c in chunks] != sizes:
+            raise ContainerFormatError(
+                "corrupt RQH5 TOC: a raw chunk does not record its extent's bytes"
+            )
+        out = np.empty(shape, dtype)
+        for record, extent, size in zip(chunks, extents, sizes):
+            tile = out[extent_slices(*extent)]
+            payload = read_at(int(record["offset"]), size)
+            tile[...] = np.frombuffer(payload, dtype).reshape(tile.shape)
+        return out
+    sink = io.BytesIO()
+    header = {"shape": shape, "dtype": dtype.str, "tile_shape": grid}
+    with TiledWriter(sink, header) as writer:
+        for record, (start, stop) in zip(chunks, extents):
+            payload = read_at(int(record["offset"]), int(record["size"]))
+            if record["kind"] == "sz":
+                payload = reframe(
+                    payload, [b - a for a, b in zip(start, stop)], dtype
+                )
+            elif record["kind"] != "tile":
+                raise ContainerFormatError(f"corrupt RQH5 TOC: {record}")
+            writer.add_stages(start, stop, *unpack_tile(payload))
+    return sink.getvalue()

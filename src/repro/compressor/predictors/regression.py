@@ -27,15 +27,6 @@ from repro.compressor.predictors.base import Predictor, PredictorOutput
 __all__ = ["RegressionPredictor"]
 
 
-def _block_grid(shape: tuple[int, ...], block: int) -> list[list[tuple[int, int]]]:
-    """Per-axis list of ``(start, stop)`` block extents covering *shape*."""
-    grids: list[list[tuple[int, int]]] = []
-    for n in shape:
-        extents = [(s, min(s + block, n)) for s in range(0, n, block)]
-        grids.append(extents)
-    return grids
-
-
 class RegressionPredictor(Predictor):
     """SZ2-style blockwise linear regression."""
 

@@ -28,9 +28,9 @@ This module is the only one that knows how a tiled container's tiles
 are encoded, written, decoded and assembled.  Every writer — uniform,
 adaptive, and the temporal policy of
 :mod:`repro.compressor.temporal` — hands :class:`TileJob` s to one loop
-(:meth:`TiledCompressor._encode_tiles`); every reader — this class,
-the serving store, the chunked storage layer — turns a tile payload
-into samples through :func:`decode_tile`.
+(:meth:`TiledCompressor._encode_tiles`); every reader — this class
+(and through it the chunked storage layer), the serving store — turns
+a tile payload into samples through :func:`decode_tile`.
 
 Error-bound semantics of the uniform path are the stage codec's on the
 whole array:

@@ -2,8 +2,8 @@
 
 Pure index-space helpers — no I/O, no codec state — used by
 :class:`repro.compressor.tiled.TiledCompressor`, the adaptive planner
-(:mod:`repro.compressor.adaptive`) and the chunked storage layer
-(:mod:`repro.storage.hdf5sim`).
+(:mod:`repro.compressor.adaptive`), the serving store and the chunked
+storage layer (:mod:`repro.storage.hdf5sim`).
 """
 
 from __future__ import annotations
@@ -193,8 +193,8 @@ def copy_overlap(
     ``overlap`` is in global coordinates (as returned by
     :func:`intersect_extent`); this shifts it into the tile's local
     frame on the read side and the region's frame on the write side.
-    Shared by every region-assembling reader (tiled containers, the
-    chunked storage layer and the serving subsystem).
+    Shared by every region-assembling reader (tiled containers and the
+    serving subsystem).
     """
     tile_slc = tuple(
         slice(o.start - a, o.stop - a)

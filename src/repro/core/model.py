@@ -85,17 +85,6 @@ class RQEstimate:
     psnr: float
     ssim: float
 
-    def as_row(self) -> tuple:
-        """Tuple form for table printing."""
-        return (
-            self.error_bound,
-            self.bitrate,
-            self.ratio,
-            self.p0,
-            self.psnr,
-            self.ssim,
-        )
-
 
 class _Rate(NamedTuple):
     """Bit-rate side of an estimate at one bound."""

@@ -37,11 +37,6 @@ class PartitionPlan:
     total_bits: float
     aggregate_psnr: float
 
-    @property
-    def mean_bitrate(self) -> float:
-        """Size-weighted mean bits/point implied by total_bits."""
-        return self.total_bits
-
 
 class PartitionOptimizer:
     """Allocate error bounds across fitted per-partition models."""

@@ -145,9 +145,7 @@ def _resolve_intent(store, report: RecoveryReport) -> None:
             )
     elif op == "delete":
         if name in datasets:
-            for key in [k for k in store._readers if k[0] == name]:
-                store._readers.pop(key, None)
-                store._tile_index.pop(key, None)
+            store._drop_readers(name)
             del datasets[name]
             store._bump_generation(name)
         for filename in intent.get("files", ()):
@@ -193,9 +191,7 @@ def recover_store(store, deep: bool = False) -> "RecoveryReport":
                     break
             if broken_at is None:
                 continue
-            for key in [k for k in store._readers if k[0] == name]:
-                store._readers.pop(key, None)
-                store._tile_index.pop(key, None)
+            store._drop_readers(name)
             if broken_at == 0:
                 for snap in snapshots:
                     _quarantine(store, snap["file"], report)

@@ -51,6 +51,7 @@ import os
 import re
 import threading
 import time
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -93,6 +94,10 @@ _NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,127}$")
 #: default keyframe cadence of snapshot chains: random access to any
 #: version decodes at most this many containers
 DEFAULT_KEYFRAME_INTERVAL = 4
+#: chain versions a store holds open at once, each with its tile map;
+#: opening one more drops the least recently read (a ledger run reads
+#: at most six, so it never drops one)
+OPEN_VERSIONS = 16
 
 
 def _fsync_path(path: str) -> None:
@@ -202,10 +207,12 @@ class ArrayStore:
         self._fanout_lock = threading.Lock()
         self._fanout: "ThreadPoolExecutor | None" = None
         self._lock = threading.RLock()
-        self._readers: dict[tuple[str, int], TiledReader] = {}
-        # per-(name, version) map of tile start -> TileRecord, for the
-        # chain walk's reference-tile lookups (chains share a tile grid)
-        self._tile_index: dict[tuple[str, int], dict] = {}
+        # per (name, version) read lately, least recent first: its
+        # reader and its map of tile start -> TileRecord, for the chain
+        # walk's reference-tile lookups (chains share a tile grid)
+        self._open: OrderedDict[tuple[str, int], tuple[TiledReader, dict]] = (
+            OrderedDict()
+        )
         self._manifest: dict = {"datasets": {}}
         path = self._manifest_path()
         if os.path.exists(path):
@@ -675,14 +682,7 @@ class ArrayStore:
         """Remove a dataset: every chain file, manifest entry, cache."""
         with self._lock:
             entry = self._entry(name)
-            # pop but do NOT close: an in-flight read_region may still
-            # hold these readers; they finish against the old (unlinked
-            # or replaced) files and the handles close when the last
-            # reference drops.  Closing here would turn a benign
-            # read-vs-delete race into a spurious corruption error.
-            for key in [k for k in self._readers if k[0] == name]:
-                self._readers.pop(key, None)
-                self._tile_index.pop(key, None)
+            self._drop_readers(name)
             # the intent lets recovery finish a delete interrupted
             # between the manifest rewrite and the file removals
             self._write_intent(
@@ -755,13 +755,24 @@ class ArrayStore:
 
     # -- reading ---------------------------------------------------------------
 
+    def _drop_readers(self, name: str) -> None:
+        """Forget every open reader of dataset *name*, closing none: an
+        in-flight read_region may still hold one, finishes against the
+        old (unlinked or replaced) file, and the handle closes when the
+        last reference drops.  Closing here would turn a benign
+        read-vs-delete race into a spurious corruption error."""
+        with self._lock:
+            for key in [k for k in self._open if k[0] == name]:
+                del self._open[key]
+
     def _reader(
         self, name: str, version: int | None = None
     ) -> tuple[TiledReader, int, int, int]:
         """Long-lived reader for one chain version.
 
         Returns ``(reader, generation, resolved version, chain
-        depth)``; readers are cached per ``(name, version)``.
+        depth)``; the :data:`OPEN_VERSIONS` versions read last keep
+        theirs (one dropped to make room is not closed, as on delete).
         """
         with self._lock:
             entry = self._entry(name)
@@ -770,8 +781,7 @@ class ArrayStore:
             snapshots = self._snapshots(entry)
             depth = self._chain_depth(snapshots, resolved)
             key = (name, resolved)
-            reader = self._readers.get(key)
-            if reader is None:
+            if key not in self._open:
                 try:
                     reader = TiledReader(
                         os.path.join(
@@ -783,18 +793,18 @@ class ArrayStore:
                         f"stored container for dataset {name!r} "
                         f"version {resolved} is unreadable: {exc}"
                     ) from exc
-                self._readers[key] = reader
-            return reader, generation, resolved, depth
+                index = {rec.start: rec for rec in reader.tiles}
+                self._open[key] = (reader, index)
+                if len(self._open) > OPEN_VERSIONS:
+                    self._open.popitem(last=False)
+            self._open.move_to_end(key)
+            return self._open[key][0], generation, resolved, depth
 
     def _tile_at(self, name: str, version: int, start: tuple) -> "TileRecord":
         """The tile record of *version* whose extent begins at *start*."""
-        key = (name, version)
         with self._lock:
-            index = self._tile_index.get(key)
-            if index is None:
-                reader, _, _, _ = self._reader(name, version)
-                index = {rec.start: rec for rec in reader.tiles}
-                self._tile_index[key] = index
+            self._reader(name, version)
+            index = self._open[name, version][1]
         try:
             return index[tuple(start)]
         except KeyError:
@@ -1059,10 +1069,9 @@ class ArrayStore:
                 self._fanout.shutdown(wait=True)
                 self._fanout = None
         with self._lock:
-            for reader in self._readers.values():
+            for reader, _ in self._open.values():
                 reader.close()
-            self._readers.clear()
-            self._tile_index.clear()
+            self._open.clear()
 
     def __enter__(self) -> "ArrayStore":
         return self

@@ -1,30 +1,21 @@
-"""An HDF5-like chunked container with lossy-compression filters.
+"""An HDF5-like container of named datasets behind a lossy filter.
 
 The paper's data-management experiments run through parallel HDF5 with
-the H5Z-SZ filter.  This module provides the equivalent storage layer:
-a single-file container holding named datasets, each split into chunks
-that pass through an optional compression filter (our SZ pipeline) on
-write and are decompressed transparently on read — the same architecture
-as an HDF5 dataset with a dynamically loaded filter.
+the H5Z-SZ filter, which runs one compressor on every chunk.  Here the
+filter is the one compressor front end,
+:class:`~repro.compressor.tiled.TiledCompressor`: a filtered dataset
+*is* the v7 container it writes with the chunks as tiles, so its bound
+(``REL`` over the whole dataset), plan, tile checksums and partial
+reads are the compressor's own.  :class:`H5LikeFile` keeps the index::
 
-Chunk geometry delegates to the tiled subsystem
-(:func:`repro.compressor.tiled.iter_tiles` and friends), which also
-powers :meth:`H5LikeFile.read_region` — a partial read that touches and
-decompresses only the chunks intersecting a requested hyperslab, the
-same access pattern :meth:`TiledCompressor.decompress_region` serves on
-bare v7 containers.  When a dataset's filter config carries a
-``tile_shape`` it becomes the default chunk grid.
+    b"RQH5" | 2 | dataset bytes ... | TOC JSON | toc_crc:u32 | toc_len:u64
 
-File layout::
-
-    b"RQH5" | version:u8 | chunk payloads ... | TOC JSON | toc_len:u64
-
-The TOC records every dataset's shape/dtype/chunk grid, per-chunk
-offsets/sizes/kinds, the filter config, and user attributes.  A
-filtered chunk is a v7 tile payload (kind ``"tile"``) whose ``meta``
-holds all its parameters, decoded by the tile decoder every reader
-uses; a chunk of kind ``"sz"`` (earlier files) is a flat container,
-re-framed as such a payload (:func:`repro.compressor.legacy.reframe`).
+A dataset's bytes are a v7 container, or its samples in C order when
+unfiltered.  The TOC maps every name to where they lie (``offset``,
+``compressed_bytes``), its shape, dtype, chunk grid, filter config and
+user attributes; ``toc_crc`` is its CRC-32.  Version-1 files (a record
+per chunk, no checksum) are read only, each dataset re-filed as that
+container on its first read (:func:`repro.compressor.legacy.refile_rqh5`).
 """
 
 from __future__ import annotations
@@ -32,33 +23,27 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from repro.compressor import CompressionConfig, SZCompressor
-from repro.compressor.container import (
-    TILE_KEYS,
-    ContainerFormatError,
-    pack_tile,
-)
-from repro.compressor.adaptive import AdaptivePlan, AdaptivePlanner
-from repro.compressor.plan_cache import PlannerCache
-from repro.compressor.tiled import decode_tile
-from repro.compressor.tiled_geometry import (
-    copy_overlap,
-    extent_slices,
-    intersect_extent,
-    iter_tiles,
-    normalize_region,
-    tile_grid,
-)
+from repro.compressor import CompressionConfig, TiledCompressor
+from repro.compressor.adaptive import AdaptivePlanner
+from repro.compressor.container import ContainerFormatError, TiledReader
+from repro.compressor.integrity import checksum_named
+from repro.compressor.tiled_geometry import normalize_region
 
 __all__ = ["H5LikeFile", "DatasetInfo"]
 
 _MAGIC = b"RQH5"
-_VERSION = 1
+_VERSION = 2
+_CRC_BYTES = 4
+_TOC_LEN_BYTES = 8
+
+
+def _toc_crc(toc: bytes) -> bytes:
+    return checksum_named("crc32", toc).to_bytes(_CRC_BYTES, "little")
 
 
 @dataclass(frozen=True)
@@ -83,7 +68,7 @@ class DatasetInfo:
 
 
 class H5LikeFile:
-    """Single-file chunked store with optional lossy filters.
+    """Single-file store of named datasets with optional lossy filters.
 
     Usage::
 
@@ -104,31 +89,24 @@ class H5LikeFile:
             raise ValueError("mode must be 'r' or 'w'")
         self.path = path
         self.mode = mode
-        self._sz = SZCompressor()
-        # drives adaptive filter configs; injectable so callers can
-        # align sampling settings with the rest of their pipeline
-        self._planner = planner or AdaptivePlanner()
-        # PlannerCache for cross-snapshot plan reuse: writing the same
-        # dataset name to successive files (one per simulation step)
-        # replays the previous step's plan when stats have not drifted
-        self._plan_cache = (
-            PlannerCache.at_path(plan_cache)
-            if isinstance(plan_cache, (str, os.PathLike))
-            else plan_cache
-        )
+        # the planner drives adaptive filter configs (injectable so
+        # callers can align sampling settings with the rest of their
+        # pipeline); the plan cache replays the plan of the same
+        # dataset name in an earlier file (one per simulation step)
+        self._codec = TiledCompressor(planner=planner, plan_cache=plan_cache)
         self._toc: dict = {"datasets": {}}
+        # per dataset, what its reads go through: set on its first read
+        self._sources: dict[str, np.ndarray | bytes | _Window] = {}
+        self._fh = open(path, "wb" if mode == "w" else "rb")
+        self._closed = False
         if mode == "w":
-            self._fh = open(path, "wb")
             self._fh.write(_MAGIC + bytes([_VERSION]))
-            self._closed = False
-        else:
-            self._fh = open(path, "rb")
-            try:
-                self._load_toc()
-            except BaseException:
-                self._fh.close()
-                raise
-            self._closed = False
+            return
+        try:
+            self._load_toc()
+        except BaseException:
+            self._fh.close()
+            raise
 
     # -- context management ------------------------------------------------------
 
@@ -144,9 +122,10 @@ class H5LikeFile:
             return
         if self.mode == "w":
             toc = json.dumps(self._toc).encode()
-            self._fh.write(toc)
-            self._fh.write(len(toc).to_bytes(8, "little"))
+            self._fh.write(toc + _toc_crc(toc))
+            self._fh.write(len(toc).to_bytes(_TOC_LEN_BYTES, "little"))
         self._fh.close()
+        self._sources.clear()
         self._closed = True
 
     # -- writing ------------------------------------------------------------
@@ -163,13 +142,11 @@ class H5LikeFile:
 
         ``chunk_shape`` defaults to the filter config's ``tile_shape``
         when set, else the full array (one chunk); pass a smaller grid
-        for partial-read patterns (:meth:`read_region`).
-
-        A filter config with ``adaptive`` set runs the model-driven
-        planner over the chunk grid, so every chunk is stored under its
-        own (predictor, bound, radius) — the chunk records carry the
-        choices, and reads are transparent since each payload's
-        ``meta`` holds its parameters.
+        for partial-read patterns (:meth:`read_region`).  A filtered
+        dataset is written by :meth:`TiledCompressor.compress` with the
+        chunks as its tiles, byte for byte the container it writes on
+        its own — under an ``adaptive`` config every chunk is stored
+        under its own (predictor, bound, radius).
         """
         if self.mode != "w":
             raise IOError("file is open read-only")
@@ -187,107 +164,114 @@ class H5LikeFile:
             c <= 0 for c in chunk_shape
         ):
             raise ValueError("invalid chunk shape")
-
-        plan: AdaptivePlan | None = None
-        if config is not None and config.adaptive and data.size > 0:
-            # None = nothing to plan (constant field under REL): fall
-            # back to the uniform filter, which stores it exactly
-            plan = self._planner.plan(
+        offset = self._fh.tell()
+        if config is None:
+            self._fh.write(data.tobytes())
+        else:
+            self._codec.compress(
                 data,
-                config,
-                chunk_shape,
-                cache=self._plan_cache,
+                replace(config, tile_shape=chunk_shape),
+                out=self._fh,
                 dataset=name,
             )
-
-        chunk_records: list[dict] = []
-        total = 0
-        for index, (start, stop) in enumerate(
-            iter_tiles(data.shape, chunk_shape)
-        ):
-            slc = extent_slices(start, stop)
-            chunk = np.ascontiguousarray(data[slc])
-            if config is not None:
-                chunk_config = (
-                    plan.config_for(config, index) if plan is not None else config
-                )
-                params, sections, _, _ = self._sz.encode_stages(
-                    chunk, chunk_config
-                )
-                meta = {k: v for k, v in params.items() if k in TILE_KEYS}
-                payload = pack_tile(meta, sections)
-                kind = "tile"
-            else:
-                payload = chunk.tobytes()
-                kind = "raw"
-            offset = self._fh.tell()
-            self._fh.write(payload)
-            total += len(payload)
-            record = {
-                "offset": int(offset),
-                "size": len(payload),
-                "kind": kind,
-                "start": [int(s.start) for s in slc],
-                "stop": [int(s.stop) for s in slc],
-            }
-            if plan is not None:
-                record["config"] = plan.choices[index].to_json()
-            chunk_records.append(record)
-        entry = {
+        self._toc["datasets"][name] = {
+            "offset": offset,
+            "compressed_bytes": self._fh.tell() - offset,
             "shape": list(data.shape),
             "dtype": data.dtype.str,
-            "chunk_shape": list(chunk_shape),
-            "chunks": chunk_records,
-            "raw_bytes": int(data.nbytes),
-            "compressed_bytes": total,
+            "chunk_shape": [int(c) for c in chunk_shape],
             "filter": None if config is None else config.to_json(),
             "attrs": attrs or {},
         }
-        self._toc["datasets"][name] = entry
         return self.info(name)
 
     # -- reading ------------------------------------------------------------
 
     def _load_toc(self) -> None:
-        """Read the TOC; a damaged file is a :class:`ContainerFormatError`.
-
-        Every chunk record must lie inside the payload region (after
-        the magic and version, before the TOC), so no read goes outside
-        it whatever the TOC says; and every dataset's records must be
-        a read that cannot go silently wrong (:func:`_check_dataset`).
-        """
+        """Read the index; a damaged one is a :class:`ContainerFormatError`.
+        What a dataset's entry says is checked on its first read."""
         head = self._fh.read(len(_MAGIC) + 1)
         if head[: len(_MAGIC)] != _MAGIC:
             raise ContainerFormatError("not an RQH5 container")
+        self._version = head[-1]
+        if self._version not in (1, _VERSION):
+            raise ContainerFormatError(
+                f"unsupported RQH5 version {self._version}"
+            )
+        crc_bytes = _CRC_BYTES if self._version == _VERSION else 0
         total = self._fh.seek(0, os.SEEK_END)
-        self._fh.seek(max(total - 8, 0))
-        toc_len = int.from_bytes(self._fh.read(8), "little")
-        toc_start = total - 8 - toc_len
+        self._fh.seek(max(total - _TOC_LEN_BYTES, 0))
+        toc_len = int.from_bytes(self._fh.read(_TOC_LEN_BYTES), "little")
+        toc_start = total - _TOC_LEN_BYTES - crc_bytes - toc_len
         if toc_start < len(head):
             raise ContainerFormatError(
                 f"truncated or corrupt RQH5 container: {total} bytes do "
                 f"not hold a {toc_len}-byte TOC"
             )
         self._fh.seek(toc_start)
+        toc = self._fh.read(toc_len)
+        if crc_bytes and self._fh.read(crc_bytes) != _toc_crc(toc):
+            raise ContainerFormatError("corrupt RQH5 TOC: checksum mismatch")
         try:
-            toc = json.loads(self._fh.read(toc_len).decode())
-            datasets = toc["datasets"]
-            chunks = [
-                (int(c["offset"]), int(c["size"]))
-                for name, entry in datasets.items()
-                for c in _check_dataset(name, entry)
-            ]
+            self._toc = json.loads(toc.decode())
+            if not isinstance(self._toc["datasets"], dict):
+                raise TypeError("datasets is not an object")
+        except (ValueError, TypeError, LookupError) as exc:
+            raise ContainerFormatError(f"corrupt RQH5 TOC: {exc!r}") from exc
+        #: dataset bytes lie after the magic and version, before the TOC
+        self._payload = (len(head), toc_start)
+
+    def _read_at(self, offset: int, size: int) -> bytes:
+        """*size* bytes at *offset*, refused unless inside the payload
+        region, so no read goes outside it whatever the TOC says."""
+        lo, hi = self._payload
+        if not lo <= offset <= offset + size <= hi:
+            raise ContainerFormatError(
+                f"corrupt RQH5 TOC: {size} bytes at {offset} lie outside "
+                f"the payload region {lo}..{hi}"
+            )
+        self._fh.seek(offset)
+        return self._fh.read(size)
+
+    def _source(self, name: str) -> np.ndarray | bytes | _Window:
+        """What dataset *name* is read from, settled on its first read:
+        its samples, or its v7 container — a window of this file, or a
+        version-1 dataset's chunks re-filed in memory.  A container of
+        another shape or dtype than the TOC records is refused."""
+        if name in self._sources:
+            return self._sources[name]
+        entry = self._entry(name)
+        try:
+            if self._version == 1:
+                from repro.compressor import legacy
+
+                source = legacy.refile_rqh5(entry, self._read_at)
+            else:
+                shape = [int(n) for n in entry["shape"]]
+                dtype = np.dtype(entry["dtype"])
+                source = _Window(
+                    self._read_at, entry["offset"], entry["compressed_bytes"]
+                )
+                if entry["filter"] is None:
+                    if source.size != math.prod(shape) * dtype.itemsize:
+                        raise ValueError(
+                            f"{source.size} bytes are not the raw samples "
+                            f"of {dtype} {tuple(shape)}"
+                        )
+                    source = np.frombuffer(source.read(), dtype).reshape(shape)
+                else:
+                    with TiledReader(source) as reader:
+                        held = [reader.header[k] for k in ("shape", "dtype")]
+                    if held != [shape, dtype.str]:
+                        raise ValueError(f"the container holds {held}")
         except ContainerFormatError:
             raise
-        except (ValueError, TypeError, LookupError, AttributeError) as exc:
-            raise ContainerFormatError(f"corrupt RQH5 TOC: {exc!r}") from exc
-        for offset, size in chunks:
-            if not len(head) <= offset <= offset + size <= toc_start:
-                raise ContainerFormatError(
-                    f"corrupt RQH5 TOC: chunk at {offset} (+{size}) lies "
-                    f"outside the payload region {len(head)}..{toc_start}"
-                )
-        self._toc = toc
+        except (ValueError, TypeError, LookupError) as exc:
+            raise ContainerFormatError(
+                f"corrupt RQH5 TOC: dataset {name!r}: {exc!r}"
+            ) from exc
+        self._sources[name] = source
+        return source
 
     def dataset_names(self) -> list[str]:
         """Names of all stored datasets."""
@@ -302,7 +286,8 @@ class H5LikeFile:
             dtype=entry["dtype"],
             chunk_shape=tuple(entry["chunk_shape"]),
             compressed_bytes=entry["compressed_bytes"],
-            raw_bytes=entry["raw_bytes"],
+            raw_bytes=math.prod(entry["shape"])
+            * np.dtype(entry["dtype"]).itemsize,
             filter_config=entry["filter"],
             attrs=entry["attrs"],
         )
@@ -320,45 +305,16 @@ class H5LikeFile:
     ) -> np.ndarray:
         """Read only the hyperslab *region* of a dataset.
 
-        Seeks to, reads and decompresses exclusively the chunks
-        intersecting the region — a partial read in the H5Z-SZ sense.
+        Of a filtered dataset, only the chunks intersecting the region
+        are read and decompressed — a partial read in the H5Z-SZ sense.
         *region* follows :func:`repro.compressor.tiled.normalize_region`
         semantics: step-1 slices with non-negative endpoints, plus
         width-1 integer indices (negative ints count from the end).
         """
-        entry = self._entry(name)
-        dtype = np.dtype(entry["dtype"])
-        shape = tuple(entry["shape"])
-        slices = normalize_region(region, shape)
-        out = np.zeros(
-            tuple(r.stop - r.start for r in slices), dtype=dtype
-        )
-        for record in entry["chunks"]:
-            overlap = intersect_extent(
-                record["start"], record["stop"], slices
-            )
-            if overlap is None:
-                continue
-            self._fh.seek(record["offset"])
-            payload = self._fh.read(record["size"])
-            chunk_shape = tuple(
-                b - a for a, b in zip(record["start"], record["stop"])
-            )
-            if record["kind"] == "sz":
-                # a flat container, from before chunks were tiles
-                from repro.compressor import legacy
-
-                payload = legacy.reframe(payload, chunk_shape, dtype)
-            if record["kind"] != "raw":
-                chunk = decode_tile(
-                    payload, chunk_shape, dtype, self._sz, params={}
-                )
-            else:
-                chunk = np.frombuffer(payload, dtype=dtype).reshape(
-                    chunk_shape
-                )
-            copy_overlap(out, slices, chunk, record["start"], overlap)
-        return out
+        source = self._source(name)
+        if isinstance(source, np.ndarray):
+            return source[normalize_region(region, source.shape)].copy()
+        return self._codec.decompress_region(source, region)
 
     def _entry(self, name: str) -> dict:
         try:
@@ -367,41 +323,24 @@ class H5LikeFile:
             raise KeyError(f"no dataset named {name!r}") from None
 
 
-def _check_dataset(name: str, entry: dict) -> list[dict]:
-    """*entry*'s chunk records, refused unless reading them is exact.
+class _Window:
+    """The *size* bytes ``read_at`` reads at *offset*, as a binary file
+    of their own: a dataset's container where it lies in the file."""
 
-    The dtype must parse, the records must tile ``shape`` exactly once
-    on the ``chunk_shape`` grid (an entry of an earlier file has none:
-    its first record's extent is the grid), and a raw record must hold
-    exactly its extent's bytes.  Otherwise a missing record reads as
-    zeros and a misplaced or mis-sized one fails to reshape.
-    """
-    chunks = entry["chunks"]
-    shape = tuple(int(n) for n in entry["shape"])
-    itemsize = np.dtype(entry["dtype"]).itemsize
-    extents = [
-        (tuple(map(int, c["start"])), tuple(map(int, c["stop"])))
-        for c in chunks
-    ]
-    grid = entry.get("chunk_shape")
-    if grid is None:
-        start, stop = extents[0] if extents else ((0,) * len(shape),) * 2
-        grid = [max(1, b - a) for a, b in zip(start, stop)]
-    # counted before listed: a forged shape must not make the grid huge
-    if (
-        min(shape, default=0) < 0
-        or math.prod(tile_grid(shape, grid)) != len(extents)
-        or sorted(extents) != sorted(iter_tiles(shape, grid))
-    ):
-        raise ContainerFormatError(
-            f"corrupt RQH5 TOC: the chunks of dataset {name!r} do not "
-            f"tile its shape {shape} once on the grid {tuple(grid)}"
-        )
-    for record, (start, stop) in zip(chunks, extents):
-        nbytes = math.prod(b - a for a, b in zip(start, stop)) * itemsize
-        if record["kind"] == "raw" and int(record["size"]) != nbytes:
-            raise ContainerFormatError(
-                f"corrupt RQH5 TOC: a raw chunk of dataset {name!r} "
-                f"records {record['size']} bytes, its extent holds {nbytes}"
-            )
-    return chunks
+    def __init__(self, read_at, offset: int, size: int) -> None:
+        self._read_at, self._offset, self.size = read_at, offset, size
+        self._pos = 0
+
+    def seek(self, pos: int, whence: int = os.SEEK_SET) -> int:
+        self._pos = pos + (self.size if whence == os.SEEK_END else 0)
+        return self._pos
+
+    def tell(self) -> int:
+        return self._pos
+
+    def read(self, size: int = -1) -> bytes:
+        left = max(self.size - self._pos, 0)
+        size = left if size < 0 else min(size, left)
+        data = self._read_at(self._offset + self._pos, size)
+        self._pos += len(data)
+        return data

@@ -136,6 +136,40 @@ def rewrite_container(blob: bytes, header=None, toc=None, resum=True) -> bytes:
     )
 
 
+def rqh5_toc(raw: bytes) -> tuple[dict, int]:
+    """The TOC of an RQH5 file's bytes and where it starts (from
+    version 2 a CRC-32 of it follows)."""
+    import json
+
+    crc_bytes = 4 if raw[4] >= 2 else 0
+    toc_len = int.from_bytes(raw[-8:], "little")
+    start = len(raw) - 8 - crc_bytes - toc_len
+    return json.loads(raw[start : start + toc_len]), start
+
+
+def with_rqh5_toc(raw: bytes, toc) -> bytes:
+    """RQH5 file bytes *raw* under another TOC, a v2 TOC's CRC
+    recomputed: a forged entry, not a damaged TOC."""
+    import json
+    import zlib
+
+    body = json.dumps(toc).encode()
+    crc = zlib.crc32(body).to_bytes(4, "little") if raw[4] >= 2 else b""
+    start = rqh5_toc(raw)[1]
+    return raw[:start] + body + crc + len(body).to_bytes(8, "little")
+
+
+def forge_rqh5(path, edit) -> None:
+    """Rewrite the RQH5 file at *path* with ``edit(datasets)`` applied
+    to its TOC (see :func:`with_rqh5_toc`)."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    toc, _ = rqh5_toc(raw)
+    edit(toc["datasets"])
+    with open(path, "wb") as fh:
+        fh.write(with_rqh5_toc(raw, toc))
+
+
 def replace_tile(blob: bytes, index: int, payload: bytes, resum=True) -> bytes:
     """v7 *blob* with tile *index* replaced by *payload*, the TOC's
     ``sizes`` following and — with *resum* — its checksums too."""

@@ -1,6 +1,8 @@
 """Tests for the multi-dataset compressed-array store."""
 
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -441,6 +443,50 @@ class TestSnapshotChains:
         )
         # version 0 still reads as before
         assert_error_bounded(field, store.read_full("press", version=0), EB)
+
+
+#: puts and reads a chain of argv[2] versions under an open-file limit of
+#: argv[1]; prints the versions that did not read back exactly
+_LONG_CHAIN = """
+import resource, sys, tempfile
+import numpy as np
+from repro.compressor import CompressionConfig
+from repro.service.cache import TileLRUCache
+from repro.service.store import ArrayStore
+
+limit, n = map(int, sys.argv[1:])
+hard = resource.getrlimit(resource.RLIMIT_NOFILE)[1]
+resource.setrlimit(resource.RLIMIT_NOFILE, (limit, hard))
+field = np.cumsum(np.random.default_rng(0).standard_normal((8, 8)), axis=1)
+config = CompressionConfig(error_bound=1e-3)
+bad = []
+with tempfile.TemporaryDirectory() as root:
+    with ArrayStore(root, cache=TileLRUCache(0)) as store:
+        for v in range(n):
+            store.put_snapshot("wave", field + v, config)
+        for v in range(n):
+            got = store.read_region("wave", (), version=v, allow_degraded=True)
+            if got.degraded or np.max(np.abs(got.data - field - v)) > 1e-3:
+                bad.append(v)
+print(bad)
+"""
+
+
+class TestOpenFiles:
+    def test_a_chain_longer_than_the_open_file_limit_reads_exactly(self):
+        """A store holds a bounded number of versions open, so a chain
+        longer than the process's open-file limit still puts, and every
+        version reads back exact, never degraded to a keyframe."""
+        env = dict(os.environ, PYTHONPATH="src")
+        proc = subprocess.run(
+            [sys.executable, "-c", _LONG_CHAIN, "32", "40"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.strip() == "[]"
 
 
 class TestSnapshotAppendRaces:

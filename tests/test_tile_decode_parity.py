@@ -12,7 +12,8 @@ that do not add up, a ``meta`` that names what a tile may not say.
 
 import functools
 import io
-import json
+import os
+import shutil
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from repro.storage.hdf5sim import H5LikeFile
 from tests.conftest import (
     LegacyTiledWriter,
     adopt_container,
+    forge_rqh5,
     forge_v2,
     replace_tile,
     smooth_field,
@@ -46,6 +48,7 @@ WRONG_SHAPE = {"larger": (24, 24), "smaller": (8, 8)}
 #: touches all four tiles, so pooled backends take their executor path
 REGION = (slice(8, 28), slice(8, 28))
 FIELD = smooth_field(SHAPE).astype(np.float64)
+RQH5_V1 = os.path.join(os.path.dirname(__file__), "data", "pr34_rqh5_v1.rqh5")
 
 
 @functools.lru_cache(maxsize=None)
@@ -184,27 +187,39 @@ def test_every_reader_refuses_a_damaged_v7_tile(
 
 @pytest.mark.parametrize("kind", sorted(WRONG_SHAPE))
 def test_chunked_file_refuses_a_chunk_of_the_wrong_shape(kind, tmp_path):
+    # a version-1 file records a chunk per chunk: refile the last one
+    # of the 32x32 "rel" dataset (16x16 samples) under an extent it is
+    # larger / smaller than
+    path = str(tmp_path / "field.rqh5")
+    shutil.copy(RQH5_V1, path)
+
+    def edit(datasets):
+        record = datasets["rel"]["chunks"][-1]
+        if kind == "larger":
+            record["stop"] = [24, 24]
+        else:
+            record["start"] = [8, 8]
+
+    forge_rqh5(path, edit)
+    # the records no longer tile the shape: the dataset is refused on
+    # its first read, before any chunk whose code stream the extent
+    # does not take is decoded
+    with H5LikeFile(path, "r") as fh:
+        with pytest.raises(ContainerFormatError, match="do not tile"):
+            fh.read_dataset("rel")
+
+
+@pytest.mark.parametrize("kind", sorted(WRONG_SHAPE))
+def test_chunked_file_refuses_a_dataset_of_the_wrong_shape(kind, tmp_path):
+    # a version-2 dataset is one container: its TOC entry records
+    # another shape than the container holds
     path = str(tmp_path / "field.rqh5")
     config = CompressionConfig(error_bound=1e-3, tile_shape=TILE)
     with H5LikeFile(path, "w") as fh:
         fh.create_dataset("field", FIELD, config)
-    # refile the last chunk (16x16 samples) under an extent it is
-    # larger / smaller than
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    toc_len = int.from_bytes(raw[-8:], "little")
-    toc = json.loads(raw[-8 - toc_len : -8])
-    record = toc["datasets"]["field"]["chunks"][-1]
-    if kind == "larger":
-        record["stop"] = [24, 24]
-    else:
-        record["start"] = [8, 8]
-    patched = json.dumps(toc).encode()
-    with open(path, "wb") as fh:
-        fh.write(raw[: -8 - toc_len] + patched)
-        fh.write(len(patched).to_bytes(8, "little"))
-    # the records no longer tile the shape: the file is refused at open,
-    # before any read reaches a chunk whose code stream the extent
-    # does not take
-    with pytest.raises(ContainerFormatError, match="do not tile"):
-        H5LikeFile(path, "r")
+    forge_rqh5(
+        path, lambda datasets: datasets["field"].update(shape=WRONG_SHAPE[kind])
+    )
+    with H5LikeFile(path, "r") as fh:
+        with pytest.raises(ContainerFormatError, match="container holds"):
+            fh.read_dataset("field")
