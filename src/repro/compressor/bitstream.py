@@ -1,30 +1,43 @@
 """Bit-level I/O used by the entropy coders.
 
-:func:`pack_codes` and ``BitWriter`` pack variable-length codes into
-bytes; ``BitReader`` extracts them.  All are vectorized with NumPy.
-:func:`pack_codes`, the encode kernel, assembles the stream in 64-bit
-words, never one byte per bit: neighbouring codewords are folded into
-fields of at most 57 bits, every field is shifted to its place in the
-word its first bit falls in (shift counts always below 64), the fields
-sharing a word are OR-reduced in one ``reduceat``, a field that
-straddles leaves its tail in the next word, and the pass runs over
-blocks of 65536 symbols so its temporaries do not grow with the
-stream.  Random-access window gathers (:func:`build_bit_window` /
-:func:`gather_window16`, and :func:`slice_window16` when the positions
-are a range) let table-driven Huffman decoding resolve many bit
-positions per NumPy call instead of one Python step per symbol.  Header
-fields (fixed-width words, Elias-gamma runs) are packed and unpacked
-whole, never bit by bit.
+:func:`pack_codes` packs variable-length codes into bytes, vectorized
+with NumPy: it assembles the stream in 64-bit words, never one byte per
+bit — neighbouring codewords are folded into fields of at most 57 bits,
+every field is shifted to its place in the word its first bit falls in
+(shift counts always below 64), the fields sharing a word are
+OR-reduced in one ``reduceat``, a field that straddles leaves its tail
+in the next word, and the pass runs over blocks of 65536 symbols so its
+temporaries do not grow with the stream.  Random-access window gathers
+(:func:`build_bit_window` / :func:`gather_window16`, and
+:func:`slice_window16` when the positions are a range) let table-driven
+Huffman decoding resolve many bit positions per NumPy call instead of
+one Python step per symbol.
+
+Headers are Python integers.  A writer lists ``(value, width)`` fields
+— a whole Elias-gamma run (:func:`gamma_field`) or array of fixed-width
+values (:func:`fixed_field`) is one field, built in one NumPy pass — and
+:func:`pack_fields` concatenates them into bytes.  A reader takes the
+header as one integer (:func:`bits_word`) and cuts fields out of it by
+shifts (:func:`read_field`), walks a gamma run
+(:func:`read_gamma`) and unpacks a fixed-width array with one
+``np.unpackbits`` (:func:`read_fixed`).
 """
 
 from __future__ import annotations
 
+from typing import Iterable
+
 import numpy as np
 
 __all__ = [
-    "BitWriter",
-    "BitReader",
     "pack_codes",
+    "pack_fields",
+    "gamma_field",
+    "fixed_field",
+    "bits_word",
+    "read_field",
+    "read_gamma",
+    "read_fixed",
     "bits_to_bytes",
     "build_bit_window",
     "gather_window16",
@@ -197,7 +210,10 @@ def build_bit_window(payload: bytes) -> np.ndarray:
 
 
 def gather_window16(
-    window: np.ndarray, positions: np.ndarray, out: np.ndarray | None = None
+    window: np.ndarray,
+    positions: np.ndarray,
+    out: np.ndarray | None = None,
+    bits: int = 16,
 ) -> np.ndarray:
     """The 16 bits starting at each bit *position*, MSB-first.
 
@@ -205,7 +221,8 @@ def gather_window16(
     ``[0, 8 * len(payload)]`` (the end position reads zero padding).
     The result is a new ``uint32`` array, or is computed in *out* (an
     integer array of the positions' shape): then the window gather is
-    the one array the call allocates.
+    the one array the call allocates.  With *bits* below 16 each entry
+    is the leading *bits* of those 16, in the same number of passes.
     """
     positions = np.asarray(positions, dtype=np.int64)
     if out is None:
@@ -213,17 +230,19 @@ def gather_window16(
     np.right_shift(positions, 3, out=out, casting="unsafe")
     word = window[out]
     np.bitwise_and(positions, 7, out=out, casting="unsafe")
-    np.subtract(8, out, out=out)
+    np.subtract(24 - bits, out, out=out)
     np.right_shift(word, out, out=out, casting="unsafe")
-    np.bitwise_and(out, 0xFFFF, out=out)
+    np.bitwise_and(out, (1 << bits) - 1, out=out)
     return out
 
 
-#: ``8 - (p & 7)`` for the eight bit positions *p* that share a byte
-_IN_BYTE_SHIFTS = np.arange(8, 0, -1, dtype=np.uint32)
+#: ``p & 7`` for the eight bit positions *p* that share a byte
+_IN_BYTE = np.arange(8, dtype=np.uint32)
 
 
-def slice_window16(window: np.ndarray, lo: int, hi: int) -> np.ndarray:
+def slice_window16(
+    window: np.ndarray, lo: int, hi: int, bits: int = 16
+) -> np.ndarray:
     """:func:`gather_window16` over the contiguous positions ``[lo, hi)``.
 
     A range of positions reads a *slice* of the window index, each word
@@ -232,7 +251,8 @@ def slice_window16(window: np.ndarray, lo: int, hi: int) -> np.ndarray:
     if hi <= lo:
         return np.zeros(0, dtype=np.uint32)
     words = window[lo >> 3 : (hi + 7) >> 3]
-    out = (words[:, None] >> _IN_BYTE_SHIFTS) & np.uint32(0xFFFF)
+    shifts = np.uint32(24 - bits) - _IN_BYTE
+    out = (words[:, None] >> shifts) & np.uint32((1 << bits) - 1)
     return out.ravel()[lo & 7 : (lo & 7) + hi - lo]
 
 
@@ -241,176 +261,158 @@ def bits_to_bytes(bits: np.ndarray) -> bytes:
     return np.packbits(np.asarray(bits, dtype=np.uint8)).tobytes()
 
 
-class BitWriter:
-    """Incremental bit writer for small headers and escape payloads.
+# -- header fields -------------------------------------------------------------
 
-    The hot encoding path uses :func:`pack_codes`; this class covers the
-    small, irregular writes (code tables, outlier lists).
+
+def pack_fields(fields: Iterable[tuple[int, int]]) -> bytes:
+    """Concatenate ``(value, width)`` fields MSB-first, zero-padded to bytes.
+
+    Each *value* must be a non-negative integer below ``2 ** width``; a
+    zero-width field adds nothing.
     """
-
-    def __init__(self) -> None:
-        self._bits: list[np.ndarray] = []
-        self._nbits = 0
-
-    def write(self, value: int, nbits: int) -> None:
-        """Append the low *nbits* of *value*, MSB first."""
-        if nbits < 0 or nbits > 64:
-            raise ValueError("nbits must be within [0, 64]")
-        if nbits == 0:
-            return
-        if value < 0 or value >> nbits:
-            raise ValueError(f"value {value} does not fit in {nbits} bits")
-        word = np.array([value], dtype=">u8").view(np.uint8)
-        self._bits.append(np.unpackbits(word)[64 - nbits :])
-        self._nbits += nbits
-
-    def write_gamma_array(self, values: np.ndarray) -> None:
-        """Append every entry of *values* (each >= 1) in Elias-gamma code.
-
-        ``v = 2^k + r`` is *k* zero bits followed by the ``k + 1``-bit
-        binary form — short codes for small values, ideal for the
-        near-unit deltas of sorted quantization-code alphabets.  That is
-        ``v`` right-aligned in a ``2k + 1``-bit field, so each bit plane
-        of the values scatters into place in one store.
-        """
-        values = np.asarray(values)
-        if values.size == 0:
-            return
-        widths = gamma_bit_lengths(values)
-        values = values.astype(np.uint64)
-        ends = np.cumsum(widths)
-        bits = np.zeros(int(ends[-1]), dtype=np.uint8)
-        for plane in range((int(widths.max()) + 1) // 2):
-            live = np.flatnonzero(widths > 2 * plane)
-            bits[ends[live] - 1 - plane] = (
-                values[live] >> np.uint64(plane)
-            ) & np.uint64(1)
-        self._bits.append(bits)
-        self._nbits += bits.size
-
-    def write_array(self, values: np.ndarray, nbits: int) -> None:
-        """Append every entry of *values* using *nbits* bits each."""
-        values = np.asarray(values, dtype=np.uint64)
-        if values.size == 0:
-            return
-        if nbits <= 0 or nbits > 64:
-            raise ValueError("nbits must be within [1, 64]")
-        if nbits < 64 and np.any(values >> np.uint64(nbits)):
-            raise ValueError(f"some values do not fit in {nbits} bits")
-        shifts = np.arange(nbits - 1, -1, -1, dtype=np.uint64)
-        bits = ((values[:, None] >> shifts[None, :]) & np.uint64(1)).astype(
-            np.uint8
-        )
-        self._bits.append(bits.ravel())
-        self._nbits += nbits * values.size
-
-    @property
-    def nbits(self) -> int:
-        """Number of bits written so far."""
-        return self._nbits
-
-    def getvalue(self) -> bytes:
-        """Return the packed bytes (zero-padded to a byte boundary)."""
-        if not self._bits:
-            return b""
-        return bits_to_bytes(np.concatenate(self._bits))
+    word = nbits = 0
+    for value, width in fields:
+        if width < 0:
+            raise ValueError("field width must be non-negative")
+        if value < 0 or value >> width:
+            raise ValueError(f"value {value} does not fit in {width} bits")
+        word = word << width | value
+        nbits += width
+    pad = -nbits % 8
+    return (word << pad).to_bytes((nbits + pad) // 8, "big")
 
 
-class BitReader:
-    """Bit reader for headers: fixed-width fields and Elias-gamma runs,
-    each read whole."""
+def _bits_value(bits: np.ndarray) -> int:
+    """A 0/1 ``uint8`` array read MSB-first as one integer."""
+    return int.from_bytes(np.packbits(bits).tobytes(), "big") >> (
+        -bits.size % 8
+    )
 
-    def __init__(self, payload: bytes, nbits: int | None = None) -> None:
-        raw = np.frombuffer(payload, dtype=np.uint8)
-        bits = np.unpackbits(raw)
-        if nbits is not None:
-            if nbits > bits.size:
-                raise ValueError("nbits exceeds available payload bits")
-            bits = bits[:nbits]
-        self._bits = bits
-        self.pos = 0
 
-    @property
-    def nbits(self) -> int:
-        """Total number of readable bits."""
-        return int(self._bits.size)
+def gamma_field(values: np.ndarray) -> tuple[int, int]:
+    """Every entry of *values* (each >= 1) in Elias-gamma code, as one
+    ``(value, width)`` field.
 
-    def read(self, nbits: int) -> int:
-        """Read *nbits* MSB-first and return them as an int."""
-        if nbits < 0:
-            raise ValueError("nbits must be non-negative")
-        if self.pos + nbits > self._bits.size:
+    ``v = 2^k + r`` is *k* zero bits followed by the ``k + 1``-bit
+    binary form — short codes for small values, ideal for the
+    near-unit deltas of sorted quantization-code alphabets.  That is
+    ``v`` right-aligned in a ``2k + 1``-bit field, so each bit plane of
+    the values scatters into place in one store — and a run of unit
+    values is all ones.
+    """
+    values = np.asarray(values)
+    if values.size == 0:
+        return 0, 0
+    if (values == 1).all():
+        return (1 << values.size) - 1, values.size
+    widths = gamma_bit_lengths(values)
+    values = values.astype(np.uint64)
+    ends = np.cumsum(widths)
+    bits = np.zeros(int(ends[-1]), dtype=np.uint8)
+    for plane in range((int(widths.max()) + 1) // 2):
+        live = np.flatnonzero(widths > 2 * plane)
+        bits[ends[live] - 1 - plane] = (
+            values[live] >> np.uint64(plane)
+        ) & np.uint64(1)
+    return _bits_value(bits), bits.size
+
+
+def fixed_field(values: np.ndarray, nbits: int) -> tuple[int, int]:
+    """Every entry of *values* in *nbits* bits, as one ``(value, width)``
+    field."""
+    values = np.asarray(values, dtype=np.uint64).ravel()
+    if nbits <= 0 or nbits > 64:
+        raise ValueError("nbits must be within [1, 64]")
+    if nbits < 64 and np.any(values >> np.uint64(nbits)):
+        raise ValueError(f"some values do not fit in {nbits} bits")
+    shifts = np.arange(nbits - 1, -1, -1, dtype=np.uint64)
+    bits = ((values[:, None] >> shifts) & np.uint64(1)).astype(np.uint8)
+    return _bits_value(bits.ravel()), bits.size
+
+
+def bits_word(data: bytes, nbits: int | None = None) -> tuple[int, int]:
+    """The first *nbits* bits of *data* (all of them by default) as one
+    integer, and *nbits* — the ``(word, nbits)`` pair the readers take."""
+    total = 8 * len(data)
+    if nbits is None:
+        nbits = total
+    if nbits > total:
+        raise ValueError("nbits exceeds available payload bits")
+    return int.from_bytes(data, "big") >> (total - nbits), nbits
+
+
+def read_field(word: int, nbits: int, pos: int, width: int) -> int:
+    """Bits ``[pos, pos + width)`` of the *nbits*-bit *word*, MSB-first.
+
+    ``EOFError`` when they run past its end.
+    """
+    if width < 0:
+        raise ValueError("width must be non-negative")
+    if pos + width > nbits:
+        raise EOFError("bitstream exhausted")
+    return word >> (nbits - pos - width) & ((1 << width) - 1)
+
+
+def read_gamma(
+    word: int, nbits: int, pos: int, count: int
+) -> tuple[np.ndarray, int]:
+    """*count* Elias-gamma values from bit *pos* of an *nbits*-bit word.
+
+    Returns the ``int64`` values and the bits they took.  A run of
+    unit values is all ones, so one comparison settles the common
+    case; otherwise the run is walked over the word's binary digits —
+    each stretch of ones is a stretch of unit values, found in one
+    ``str.find``, and each code ``0^k 1 b^k`` costs two more.
+    ``EOFError`` when a code runs past the word — at once when the word
+    cannot hold *count* one-bit codes; after that a value of more than
+    63 bits is a ``ValueError``.
+    """
+    if count < 0:
+        raise ValueError("count must be non-negative")
+    if pos + count > nbits:
+        # every code takes a bit at least: refused before the output
+        # of a count no word can hold is allocated
+        raise EOFError("bitstream exhausted")
+    values = np.ones(count, dtype=np.int64)
+    if read_field(word, nbits, pos, count) == (1 << count) - 1:
+        return values, count
+    text = format(word, f"0{nbits}b")
+    at, done, widest = pos, 0, 0
+    where, found = [], []
+    while done < count:
+        stop = at + count - done  # where the rest would end, all ones
+        zero = text.find("0", at, stop)
+        if zero < 0:
+            if stop > nbits:
+                raise EOFError("bitstream exhausted")
+            at, done = stop, count
+            break
+        done += zero - at
+        head = text.find("1", zero)
+        end = 2 * head - zero + 1
+        if head < 0 or end > nbits:
             raise EOFError("bitstream exhausted")
-        chunk = self._bits[self.pos : self.pos + nbits]
-        self.pos += nbits
-        # packbits pads the final byte on the right; shift the pad out
-        packed = np.packbits(chunk).tobytes()
-        return int.from_bytes(packed, "big") >> (-nbits % 8)
+        where.append(done)
+        found.append(text[head:end])
+        widest = max(widest, head - zero)
+        at, done = end, done + 1
+    if widest > 62:
+        raise ValueError("Elias-gamma value exceeds 63 bits")
+    values[where] = [int(digits, 2) for digits in found]
+    return values, at - pos
 
-    def read_gamma_array(self, count: int) -> np.ndarray:
-        """Read *count* Elias-gamma values in one vectorized pass.
 
-        Gamma codes chain sequentially (each code's width depends on its
-        leading zero run), so the start positions are recovered with
-        pointer doubling over the per-position jump map
-        ``jump[p] = 2 * nextone[p] - p + 1`` — ``O(log count)`` rounds of
-        NumPy gathers instead of one Python iteration per bit.
-        """
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        if count == 0:
-            return np.zeros(0, dtype=np.int64)
-        region = self._bits[self.pos :].astype(np.int64)
-        n = region.size
-        if n == 0:
-            raise EOFError("bitstream exhausted")
-        # nextone[p]: index of the first 1-bit at position >= p (n if none).
-        marks = np.where(region == 1, np.arange(n, dtype=np.int64), n)
-        nextone = np.minimum.accumulate(marks[::-1])[::-1]
-        nextone = np.concatenate([nextone, np.array([n], dtype=np.int64)])
-        # jump[p]: start of the next code when a code starts at p.  A code
-        # is k zeros, a 1 at nextone[p], then k value bits.
-        jump = np.minimum(2 * nextone - np.arange(n + 1, dtype=np.int64) + 1, n)
-        starts = np.empty(count + 1, dtype=np.int64)
-        starts[0] = 0
-        have = 1
-        while have < count + 1:
-            take = min(have, count + 1 - have)
-            starts[have : have + take] = jump[starts[:take]]
-            have += take
-            if have < count + 1:
-                jump = jump[jump]
-        heads = nextone[starts[:count]]
-        ks = heads - starts[:count]
-        # Each code's value bits must lie inside the region: the
-        # *unclamped* start of the next code is 2*head - start + 1, and
-        # the clamped `jump` used for chaining would silently hide an
-        # overrun of the final code.
-        ends = 2 * heads - starts[:count] + 1
-        if (
-            np.any(heads >= n)
-            or np.any(ends > n)
-            or np.any(starts[1:] <= starts[:-1])
-        ):
-            raise EOFError("bitstream exhausted")
-        if np.any(ks > 62):
-            raise ValueError("Elias-gamma value exceeds 63 bits")
-        values = np.ones(count, dtype=np.int64)
-        for j in range(int(ks.max())):
-            live = j < ks
-            values[live] = (values[live] << 1) | region[heads[live] + 1 + j]
-        self.pos += int(starts[count])
-        return values
-
-    def read_array(self, count: int, nbits: int) -> np.ndarray:
-        """Read *count* fixed-width fields of *nbits* bits each."""
-        if count < 0 or nbits <= 0 or nbits > 64:
-            raise ValueError("invalid count or nbits")
-        need = count * nbits
-        if self.pos + need > self._bits.size:
-            raise EOFError("bitstream exhausted")
-        chunk = self._bits[self.pos : self.pos + need]
-        self.pos += need
-        bits = chunk.reshape(count, nbits).astype(np.uint64)
-        shifts = np.arange(nbits - 1, -1, -1, dtype=np.uint64)
-        return (bits << shifts[None, :]).sum(axis=1, dtype=np.uint64)
+def read_fixed(
+    word: int, nbits: int, pos: int, count: int, width: int
+) -> np.ndarray:
+    """*count* fields of *width* bits from bit *pos* of an *nbits*-bit
+    word, as ``uint64`` — one ``np.unpackbits`` for the lot."""
+    if count < 0 or width <= 0 or width > 64:
+        raise ValueError("invalid count or width")
+    need = count * width
+    field = read_field(word, nbits, pos, need)
+    pad = -need % 8
+    raw = (field << pad).to_bytes((need + pad) // 8, "big")
+    bits = np.unpackbits(np.frombuffer(raw, np.uint8), count=need)
+    bits = bits.reshape(count, width)
+    return bits.astype(np.uint64) @ _POW2[width - 1 :: -1]

@@ -28,7 +28,13 @@ The implementation is written for NumPy throughput:
   (short, or serialized by older versions) chain from the cursor alone,
   one fixed-size window at a time;
 * codes longer than 16 bits take a per-bit canonical walk, which is rare
-  because long codes correspond to near-zero-probability symbols.
+  because long codes correspond to near-zero-probability symbols;
+* a read of many small tiles decodes their streams as one stack
+  (:meth:`HuffmanEncoder.decode_stack`): every header is read from
+  Python integers, and every sync-free stream one walk window holds is
+  chained in one pointer-doubling pass over all of them, through
+  cached tables of ``2 ** longest`` entries laid end to end — the
+  per-stream fixed cost, not the bits, is what small tiles pay.
 """
 
 from __future__ import annotations
@@ -37,16 +43,22 @@ import hashlib
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from repro.compressor.bitstream import (
-    BitReader,
-    BitWriter,
+    bits_word,
     build_bit_window,
+    fixed_field,
     gamma_bit_lengths,
+    gamma_field,
     gather_window16,
     pack_codes,
+    pack_fields,
+    read_field,
+    read_fixed,
+    read_gamma,
     slice_window16,
 )
 
@@ -88,6 +100,14 @@ _WALK_WINDOW_BITS = 1 << 15
 #: Floor of the walk window while long-code escapes keep cutting it short.
 _WALK_MIN_WINDOW_BITS = 256
 
+#: Entries of the stack walk's arrays (bit positions, and streams times
+#: their longest symbol count) that bound one pass: a stack of more is
+#: walked a group at a time (:meth:`HuffmanEncoder._walk_stack`).
+_STACK_WALK_SIZE = 1 << 18
+
+#: offset of each bit of a byte, MSB first
+_BIT_IN_BYTE = np.arange(8, dtype=np.uint32)
+
 #: Longest sync-table payload the window walk takes.  The batched
 #: kernel runs one Python round per symbol of a sync block (``interval``
 #: rounds of ~10 us, however few blocks a round advances), the walk
@@ -102,12 +122,14 @@ class _DecodeTableLRU:
     Decoding is concurrent (threaded region decodes, the serving
     layer), so lookups/insertions take a lock; the tables themselves
     are immutable once published.  The bound is on the bytes held, not
-    the entries.  An entry is a 65 536-entry symbol table of the
-    narrowest unsigned type that holds the alphabet's largest dense
-    index (``uint8`` / ``uint16`` / ``uint32``) plus a ``uint8`` length
-    table: 128, 192 or 320 KiB.  18 MiB holds 96 of the ``uint16``
-    kind, which alphabets of 257 to 65 536 symbols get, so a dataset
-    cycling through a few dozen distinct codes stays resident.
+    the entries.  An entry is a symbol table of ``2 ** bits`` entries
+    (``bits`` the code's longest length, capped at 16) of the narrowest
+    unsigned type that holds the alphabet's largest dense index
+    (``uint8`` / ``uint16`` / ``uint32``) plus a ``uint8`` length table:
+    at most 128, 192 or 320 KiB, and a few KiB for the alphabets of
+    small tiles.  18 MiB holds 96 of the widest ``uint16`` kind, which
+    alphabets of 257 to 65 536 symbols get, so a dataset cycling
+    through a few dozen distinct codes stays resident.
     """
 
     def __init__(self, max_bytes: int = 18 << 20) -> None:
@@ -353,17 +375,25 @@ def _chain_starts(lens: np.ndarray, limit: int) -> np.ndarray:
     return starts[: np.searchsorted(starts[:have], m)]
 
 
+def _table_bits(len_table: np.ndarray) -> int:
+    """The window bits a primary table of ``2 ** bits`` entries reads."""
+    return len_table.size.bit_length() - 1
+
+
 @dataclass
 class HuffmanCode:
     """A canonical Huffman code over a dense alphabet.
 
     ``symbols[i]`` is the original symbol value for dense index *i*;
     ``lengths[i]``/``codes[i]`` its code length and canonical codeword.
+    A code read back from a header has no ``codes``: decoding needs
+    only the lengths (the tables and the few codewords past 16 bits
+    derive from them).
     """
 
     symbols: np.ndarray
     lengths: np.ndarray
-    codes: np.ndarray
+    codes: np.ndarray | None = None
 
     @classmethod
     def from_stream(cls, stream: np.ndarray) -> "HuffmanCode":
@@ -392,6 +422,24 @@ class HuffmanCode:
         symbols, counts = symbols[keep], counts[keep]
         order = np.argsort(symbols)
         return cls._from_sorted_histogram(symbols[order], counts[order])
+
+
+class _Stream(NamedTuple):
+    """One parsed Huffman blob: what every decode kernel takes."""
+
+    code: HuffmanCode
+    n_data: int
+    payload: memoryview
+    total_bits: int
+    interval: int
+    sync: np.ndarray
+
+
+#: the stream of a blob with no symbols
+_EMPTY_STREAM = _Stream(
+    HuffmanCode(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)),
+    0, memoryview(b""), 0, 0, _NO_SYNC,
+)
 
 
 @dataclass(frozen=True)
@@ -489,33 +537,69 @@ class HuffmanEncoder:
         )
 
     def decode(self, blob: bytes) -> np.ndarray:
-        """Invert :meth:`encode`, returning an ``int64`` array."""
-        code, n_data, payload, total_bits, interval, sync = (
-            self._deserialize(blob)
-        )
-        if n_data == 0:
-            if sync.size:
-                raise ValueError("corrupt Huffman sync table")
-            return np.zeros(0, dtype=np.int64)
-        if 8 * len(payload) < total_bits:
-            raise ValueError("Huffman payload truncated")
-        if n_data > total_bits:
-            # every symbol costs at least one bit; a larger count means a
-            # corrupt header (and would over-allocate the output)
-            raise ValueError("corrupt Huffman header")
-        if interval and n_data > interval and total_bits > _SYNC_WALK_MAX_BITS:
-            dense = self._decode_payload_batched(
-                code, n_data, payload, total_bits, interval, sync
-            )
-        else:
-            # sync-free streams of any size, and sync-table ones too
-            # short to fill the batched rounds; the rule also bounds
-            # those rounds by the payload size, whatever interval a
-            # corrupt header names
-            dense = self._decode_payload(
-                code, n_data, payload, total_bits, interval, sync
-            )
-        return code.symbols[dense]
+        """Invert :meth:`encode`, returning an ``int64`` array.
+
+        The one-blob case of :meth:`decode_stack`.
+        """
+        return self.decode_stack([blob])[0]
+
+    def decode_stack(self, blobs: Sequence[bytes]) -> list[np.ndarray]:
+        """:meth:`decode` of every blob — the arrays, and the error.
+
+        The headers are read in one integer pass (:meth:`_parse`).
+        Every sync-free stream that one walk window holds is decoded in
+        one pointer-doubling pass over all of them
+        (:meth:`_walk_stack`); the others take the kernel their size
+        picks, as alone.  A stack that raises is decoded again one blob
+        at a time, so the error is the first bad blob's own.
+        """
+        try:
+            return self._decode_stack(blobs)
+        except ValueError:
+            if len(blobs) <= 1:
+                raise
+            return [self._decode_stack([blob])[0] for blob in blobs]
+
+    def _decode_stack(self, blobs: Sequence[bytes]) -> list[np.ndarray]:
+        streams = self._parse(blobs)
+        out: list = [None] * len(streams)
+        walk: list[int] = []
+        for i, stream in enumerate(streams):
+            code, n_data, payload, total_bits, interval, sync = stream
+            if n_data == 0:
+                if sync.size:
+                    raise ValueError("corrupt Huffman sync table")
+                out[i] = np.zeros(0, dtype=np.int64)
+            elif 8 * len(payload) < total_bits:
+                raise ValueError("Huffman payload truncated")
+            elif n_data > total_bits:
+                # every symbol costs at least one bit; a larger count means
+                # a corrupt header (and would over-allocate the output)
+                raise ValueError("corrupt Huffman header")
+            elif (
+                interval
+                and n_data > interval
+                and total_bits > _SYNC_WALK_MAX_BITS
+            ):
+                out[i] = code.symbols[self._decode_payload_batched(*stream)]
+            elif (
+                not interval
+                and total_bits < _WALK_WINDOW_BITS
+                and code.lengths.max() <= _PRIMARY_BITS
+            ):
+                walk.append(i)
+            else:
+                # sync-free streams past one window or with long codes,
+                # and sync-table ones too short to fill the batched
+                # rounds; the rule also bounds those rounds by the
+                # payload size, whatever interval a corrupt header names
+                out[i] = code.symbols[self._decode_payload(*stream)]
+        walked = self._walk_stack([streams[i] for i in walk])
+        for i, dense in zip(walk, walked):
+            if dense is None:  # the pass did not finish it: the walk says why
+                dense = self._decode_payload(*streams[i])
+            out[i] = streams[i].code.symbols[dense]
+        return out
 
     def encoded_size_bits(self, stream: np.ndarray) -> int:
         """Exact payload size in bits without packing the bitstream.
@@ -609,9 +693,7 @@ class HuffmanEncoder:
     # -- serialization -----------------------------------------------------
 
     def _serialize_empty(self) -> bytes:
-        writer = BitWriter()
-        writer.write(0, 32)
-        header = writer.getvalue()
+        header = pack_fields([(0, 32)])
         return len(header).to_bytes(4, "big") + header
 
     def _serialize(
@@ -623,25 +705,25 @@ class HuffmanEncoder:
         sync_interval: int = 0,
         sync_offsets: np.ndarray | None = None,
     ) -> bytes:
-        writer = BitWriter()
-        writer.write(code.symbols.size, 32)
-        # Compact symbol table: the alphabet is sorted, so store the
-        # first value (zigzag, 64 bits) and Elias-gamma deltas — near-unit
-        # for quantization codes, ~2 bits per symbol instead of 64.
         first = int(code.symbols[0])
-        writer.write((first << 1 ^ first >> 63) & (2**64 - 1), 64)
-        writer.write_gamma_array(np.diff(code.symbols))
-        writer.write_array(code.lengths.astype(np.uint64), 6)
-        writer.write(n_data, 64)
-        writer.write(total_bits, 64)
+        fields = [
+            (code.symbols.size, 32),
+            # Compact symbol table: the alphabet is sorted, so store the
+            # first value (zigzag, 64 bits) and Elias-gamma deltas —
+            # near-unit for quantization codes, ~2 bits per symbol
+            # instead of 64.
+            ((first << 1 ^ first >> 63) & (2**64 - 1), 64),
+            gamma_field(np.diff(code.symbols)),
+            fixed_field(code.lengths, 6),
+            (n_data, 64),
+            (total_bits, 64),
+        ]
+        flag, sync_bytes = 0, b""
         if sync_interval:
-            writer.write(sync_interval, 32)
-            writer.write(sync_offsets.size, 32)
-        header = writer.getvalue()
-        flag = _SYNC_FLAG if sync_interval else 0
-        sync_bytes = (
-            sync_offsets.astype("<u4").tobytes() if sync_interval else b""
-        )
+            fields += [(sync_interval, 32), (sync_offsets.size, 32)]
+            flag = _SYNC_FLAG
+            sync_bytes = sync_offsets.astype("<u4").tobytes()
+        header = pack_fields(fields)
         return (
             (len(header) | flag).to_bytes(4, "big")
             + header
@@ -649,42 +731,68 @@ class HuffmanEncoder:
             + payload
         )
 
-    def _deserialize(
-        self, blob: bytes
-    ) -> tuple[HuffmanCode, int, memoryview, int, int, np.ndarray]:
-        if len(blob) < 4:
-            raise ValueError("truncated Huffman container")
-        word = int.from_bytes(blob[:4], "big")
-        has_sync = bool(word & _SYNC_FLAG)
-        header_len = word & ~_SYNC_FLAG
-        try:
-            header = BitReader(blob[4 : 4 + header_len])
-            n_symbols = header.read(32)
-            if 6 * n_symbols > 8 * header_len:
-                # the code-length section alone would not fit the header
-                raise ValueError("corrupt Huffman header")
+    def _parse(self, blobs: Sequence[bytes]) -> list[_Stream]:
+        """Every blob's header, read from Python integers.
+
+        Fixed fields are shifts of the header read as one integer
+        (:meth:`_parse_fields`); the 6-bit code lengths of all the
+        blobs are cut from one concatenated field by one
+        :func:`~repro.compressor.bitstream.read_fixed`.  Codewords are
+        built only for a code with lengths past the primary table's 16
+        bits, to refuse what :func:`_canonical_codes` refuses.
+        """
+        heads = [self._parse_fields(blob) for blob in blobs]
+        counts = [head[0] for head in heads]
+        word = 0
+        for n_symbols, field, *_ in heads:
+            word = word << 6 * n_symbols | field
+        lengths = read_fixed(word, 6 * sum(counts), 0, sum(counts), 6)
+        lengths = np.split(lengths.astype(np.int64), np.cumsum(counts[:-1]))
+        streams = []
+        for (n_symbols, _, first, deltas, *rest), lens in zip(heads, lengths):
             if n_symbols == 0:
-                return HuffmanCode(
-                    np.zeros(0, dtype=np.int64),
-                    np.zeros(0, dtype=np.int64),
-                    np.zeros(0, dtype=np.uint64),
-                ), 0, b"", 0, 0, _NO_SYNC
-            zz_first = header.read(64)
-            first = (zz_first >> 1) ^ -(zz_first & 1)
-            deltas = header.read_gamma_array(n_symbols - 1)
+                streams.append(_EMPTY_STREAM)
+                continue
+            if lens.max() > _PRIMARY_BITS:
+                # the one refusal of corrupt lengths _canonical_codes
+                # makes, a 64-bit Kraft sum wrapping, needs codes past
+                # 16 bits: a header has too few symbols otherwise
+                _canonical_codes(lens)
             symbols = np.empty(n_symbols, dtype=np.int64)
             symbols[0] = first
             np.cumsum(deltas, out=symbols[1:])
             symbols[1:] += first
-            lengths = header.read_array(n_symbols, 6).astype(np.int64)
-            n_data = header.read(64)
-            total_bits = header.read(64)
-            interval = 0
-            sync = _NO_SYNC
-            pos = 4 + header_len
-            if has_sync:
-                interval = header.read(32)
-                n_sync = header.read(32)
+            streams.append(_Stream(HuffmanCode(symbols, lens), *rest))
+        return streams
+
+    @staticmethod
+    def _parse_fields(blob: bytes) -> tuple:
+        """``(n_symbols, lengths field, first symbol, deltas, n_data,
+        payload, total_bits, interval, sync)`` of one blob's header."""
+        if len(blob) < 4:
+            raise ValueError("truncated Huffman container")
+        flagged = int.from_bytes(blob[:4], "big")
+        header_len = flagged & ~_SYNC_FLAG
+        pos = 4 + header_len
+        word, nbits = bits_word(blob[4:pos])
+        try:
+            n_symbols = read_field(word, nbits, 0, 32)
+            if 6 * n_symbols > 8 * header_len:
+                # the code-length section alone would not fit the header
+                raise ValueError("corrupt Huffman header")
+            if n_symbols == 0:
+                return 0, 0, 0, None
+            zz_first = read_field(word, nbits, 32, 64)
+            deltas, used = read_gamma(word, nbits, 96, n_symbols - 1)
+            at = 96 + used
+            lengths_field = read_field(word, nbits, at, 6 * n_symbols)
+            at += 6 * n_symbols
+            n_data = read_field(word, nbits, at, 64)
+            total_bits = read_field(word, nbits, at + 64, 64)
+            interval, sync = 0, _NO_SYNC
+            if flagged & _SYNC_FLAG:
+                interval = read_field(word, nbits, at + 128, 32)
+                n_sync = read_field(word, nbits, at + 160, 32)
                 sync_end = pos + 4 * n_sync
                 if interval <= 0 or sync_end > len(blob):
                     raise ValueError("corrupt Huffman sync table")
@@ -692,12 +800,101 @@ class HuffmanEncoder:
                 pos = sync_end
         except EOFError as exc:
             raise ValueError("truncated Huffman header") from exc
-        code = HuffmanCode(symbols, lengths, _canonical_codes(lengths))
+        first = (zz_first >> 1) ^ -(zz_first & 1)
         # a view: a stream-sized copy of the payload buys the decode nothing
         payload = memoryview(blob)[pos:]
-        return code, n_data, payload, total_bits, interval, sync
+        return (
+            n_symbols, lengths_field, first, deltas, n_data, payload,
+            total_bits, interval, sync,
+        )
 
     # -- decoding ----------------------------------------------------------
+
+    def _walk_stack(
+        self, streams: Sequence[_Stream]
+    ) -> list[np.ndarray | None]:
+        """Dense indices of one-window sync-free streams, or ``None``.
+
+        One pointer-doubling pass per group of streams whose arrays —
+        bit positions, and streams times their longest symbol count —
+        stay within :data:`_STACK_WALK_SIZE` entries (one always goes).
+        """
+        out: list[np.ndarray | None] = []
+        group: list[_Stream] = []
+        positions = widest = 0
+        for stream in streams:
+            span = 8 * ((stream.total_bits >> 3) + 3)
+            wider = max(widest, stream.n_data)
+            if group and max(
+                positions + span, (len(group) + 1) * wider
+            ) > _STACK_WALK_SIZE:
+                out += self._walk_group(group)
+                group, positions, wider = [], 0, stream.n_data
+            group.append(stream)
+            positions, widest = positions + span, wider
+        return out + (self._walk_group(group) if group else [])
+
+    def _walk_group(
+        self, streams: Sequence[_Stream]
+    ) -> list[np.ndarray | None]:
+        """One pointer-doubling pass over a group of one-window streams.
+
+        The payloads are laid end to end, each cut or zero-padded to the
+        bytes its positions ``0 .. total_bits`` read, so that every
+        position reads what it reads in the stream's own window; the
+        cached primary tables are laid end to end too, so each position
+        resolves through its own stream's table in one gather.  Chaining
+        ``jump[p] = p + len[p]`` from every stream's first bit at once
+        (:func:`_block_orbits`) yields the symbol starts.  A stream is
+        done when its last symbol ends within its ``total_bits``, the
+        window walk's own acceptance test; one that is not (an escape, a
+        prefix no code holds, a truncation) gets ``None``.
+        """
+        table_at: dict[int, int] = {}  # a table the group shares goes once
+        sym_parts, len_parts = [], []
+        chunks, spans, bases, shifts, masks = [], [], [], [], []
+        size = 0
+        for stream in streams:
+            sym_table, len_table = self._primary_tables(stream.code)
+            base = table_at.get(id(len_table))
+            if base is None:
+                base = table_at[id(len_table)] = size
+                sym_parts.append(sym_table)
+                len_parts.append(len_table)
+                size += len_table.size
+            bits = _table_bits(len_table)
+            span = (stream.total_bits >> 3) + 3  # bytes of its 24-bit words
+            chunk = bytes(stream.payload[:span])
+            chunks += [chunk, bytes(span - len(chunk))]
+            spans.append(span)
+            bases.append(base)
+            shifts.append(24 - bits)
+            masks.append((1 << bits) - 1)
+        spans = np.array(spans)
+
+        def per_byte(values: list[int]) -> np.ndarray:
+            return np.repeat(np.array(values, np.uint32), spans)[:, None]
+
+        # the table entry of every bit position, computed in the window's
+        # uint32 and converted to an index once
+        window = build_bit_window(b"".join(chunks))[: int(spans.sum()), None]
+        index = window >> (per_byte(shifts) - _BIT_IN_BYTE)
+        index &= per_byte(masks)
+        index += per_byte(bases)
+        index = index.ravel().astype(np.intp)
+        jump = _jump_map(np.concatenate(len_parts)[index])
+        starts = 8 * (np.cumsum(spans) - spans)
+        ends = starts + [stream.total_bits for stream in streams]
+        counts = np.array([stream.n_data for stream in streams])
+        orbits = _block_orbits(jump, starts, int(counts.max()))
+        done = jump[orbits[np.arange(counts.size), counts - 1]] <= ends
+        # a failed orbit ends on the exit, one past the last position
+        np.minimum(orbits, index.size - 1, out=orbits)
+        dense = np.concatenate(sym_parts)[index[orbits]]
+        return [
+            row[:n] if ok else None
+            for row, n, ok in zip(dense, counts.tolist(), done.tolist())
+        ]
 
     @staticmethod
     def _block_starts(
@@ -750,6 +947,7 @@ class HuffmanEncoder:
         """
         marks = self._block_starts(n_data, total_bits, interval, sync)
         sym_table, len_table = self._primary_tables(code)
+        bits = _table_bits(len_table)
         window = build_bit_window(payload)
         if marks.size > 1:
             out = self._decode_from_marks(
@@ -769,7 +967,7 @@ class HuffmanEncoder:
             # positions up to total_bits inclusive: the end position
             # reads zero padding, as in the round-based decoder
             prefix = slice_window16(
-                window, pos, min(pos + span, total_bits + 1)
+                window, pos, min(pos + span, total_bits + 1), bits
             ).astype(np.intp)  # a table gather converts any other index
             lens = len_table[prefix]
             starts = _chain_starts(lens, n_data - done)
@@ -828,9 +1026,9 @@ class HuffmanEncoder:
             lo = int(edges[i])
             j = int(np.searchsorted(edges, lo + _WALK_WINDOW_BITS, "right"))
             j = max(j - 1, i + 1)
-            prefix = slice_window16(window, lo, int(edges[j]) + 1).astype(
-                np.intp
-            )
+            prefix = slice_window16(
+                window, lo, int(edges[j]) + 1, _table_bits(len_table)
+            ).astype(np.intp)
             jump = _jump_map(len_table[prefix])
             starts = _block_orbits(jump, edges[i:j] - lo, interval)
             starts = starts.ravel()[: n_data - i * interval]
@@ -870,6 +1068,7 @@ class HuffmanEncoder:
         n_blocks = starts.size
         rem = n_data - (n_blocks - 1) * interval
         sym_table, len_table = self._primary_tables(code)
+        bits = _table_bits(len_table)
         # the output outlives the window: allocated first, the window's
         # pages are the last taken and the first given back
         out = np.empty((n_blocks, interval), dtype=sym_table.dtype)
@@ -894,7 +1093,7 @@ class HuffmanEncoder:
             # gathers and the escape walk must not index out of bounds
             # first
             np.minimum(cur, total_bits, out=pos)
-            gather_window16(window, pos, out=prefix)
+            gather_window16(window, pos, out=prefix, bits=bits)
             ln = len_table[prefix]
             rows[:, r] = sym_table[prefix]
             if not ln.all():
@@ -918,47 +1117,48 @@ class HuffmanEncoder:
     def _primary_tables(
         self, code: HuffmanCode
     ) -> tuple[np.ndarray, np.ndarray]:
-        """The 16-bit primary decode table for *code* (cached).
+        """The primary decode tables for *code* (cached).
 
-        ``len_table[prefix]`` is the code length when a full code of
-        length <= 16 matches the prefix, else 0 (escape to the slow path).
+        A table has ``2 ** bits`` entries, ``bits`` the longest code
+        length capped at 16: ``len_table[prefix]`` is the code length
+        when a full code of length <= ``bits`` matches the leading
+        ``bits`` of a window (:func:`_table_bits`), else 0 (escape to
+        the slow path).  A small alphabet's tables are a few hundred
+        bytes, not two 64 K arrays.
 
         The tables are content-addressed through a process-wide LRU:
-        canonical codes are fully determined by ``(symbols, lengths)``,
-        so any two streams sharing an alphabet — e.g. the many
-        near-constant tiles of an adaptive (v5) container that land on
-        the same TOC config palette entry and emit the same tiny code —
-        build the LUT once per reader process instead of once per tile.
+        canonical codes are fully determined by the code lengths, so
+        any two streams sharing them — e.g. the many near-constant
+        tiles of a container that emit the same tiny code — build the
+        tables once per reader process instead of once per tile.
         """
-        key = hashlib.blake2b(
-            code.symbols.tobytes() + b"|" + code.lengths.tobytes(),
-            digest_size=16,
-        ).digest()
+        lengths = code.lengths
+        key = hashlib.blake2b(lengths.tobytes(), digest_size=16).digest()
         cached = _DECODE_TABLE_CACHE.get(key)
         if cached is not None:
             return cached
+        bits = min(max(int(lengths.max(initial=0)), 1), _PRIMARY_BITS)
+        size = 1 << bits
         # the narrowest symbol entries that hold the largest dense index:
         # building the table costs mostly the pages it touches
-        lengths = code.lengths
-        size = 1 << _PRIMARY_BITS
         sym_table = np.zeros(
             size, dtype=np.min_scalar_type(max(lengths.size - 1, 0))
         )
         len_table = np.zeros(size, dtype=np.uint8)
-        # Canonical codes of length <= 16, taken in (length, index)
+        # Canonical codes of length <= bits, taken in (length, index)
         # order, tile the prefix space from 0: each fills the next
-        # 2**(16 - length) entries.  A corrupt header can oversubscribe
+        # 2**(bits - length) entries.  A corrupt header can oversubscribe
         # the space; what starts past its end is dropped.
-        short = np.flatnonzero((lengths > 0) & (lengths <= _PRIMARY_BITS))
+        short = np.flatnonzero((lengths > 0) & (lengths <= bits))
         short = short[np.argsort(lengths[short], kind="stable")]
-        spans = 1 << (_PRIMARY_BITS - lengths[short])
+        spans = 1 << (bits - lengths[short])
         short = short[: np.searchsorted(np.cumsum(spans) - spans, size)]
         spans = spans[: short.size]
         for table, fill in ((sym_table, short), (len_table, lengths[short])):
             fill = np.repeat(fill.astype(table.dtype), spans)[:size]
             table[: fill.size] = fill
         # the same arrays are handed to every decode that shares the
-        # alphabet, so freeze them against accidental mutation
+        # code, so freeze them against accidental mutation
         sym_table.flags.writeable = False
         len_table.flags.writeable = False
         _DECODE_TABLE_CACHE.put(key, (sym_table, len_table))
@@ -967,9 +1167,13 @@ class HuffmanEncoder:
     def _long_code_index(
         self, code: HuffmanCode
     ) -> dict[tuple[int, int], int]:
-        """Map ``(length, codeword)`` to dense index for codes > 16 bits."""
+        """Map ``(length, codeword)`` to dense index for codes > 16 bits.
+
+        The one place a decode builds codewords, from the lengths.
+        """
         dense = np.flatnonzero(code.lengths > _PRIMARY_BITS)
-        keys = zip(code.lengths[dense].tolist(), code.codes[dense].tolist())
+        codes = _canonical_codes(code.lengths)[dense]
+        keys = zip(code.lengths[dense].tolist(), codes.tolist())
         return dict(zip(keys, dense.tolist()))
 
     @staticmethod

@@ -17,6 +17,7 @@ compressor's (:mod:`repro.compressor.tiled`), never a stage's.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -116,18 +117,40 @@ class HuffmanEntropyStage:
         """Invert :meth:`encode` back to the flat ``int64`` code stream.
 
         A *chunked* payload is a v3 codes section, whose blocks decode
-        one after another; the caller checks the total.
+        one after another; the caller checks the total.  The
+        one-section case of :meth:`decode_stack`.
         """
-        if not chunked:
-            return self._huffman.decode(self._unwrap_lossless(payload, config))
-        from repro.compressor import legacy  # only a legacy writer chunked
+        return self.decode_stack([(payload, config, chunked)])[0]
 
-        return np.concatenate(
-            [
-                self._huffman.decode(self._unwrap_lossless(block, config))
-                for block in legacy.read_chunked_codes(payload)
-            ]
-        )
+    def decode_stack(
+        self, sections: Sequence[tuple[bytes, CompressionConfig, bool]]
+    ) -> list[np.ndarray]:
+        """:meth:`decode` of every ``(payload, config, chunked)`` section.
+
+        Each payload is unwrapped from its lossless stage, then every
+        Huffman stream is decoded as one stack
+        (:meth:`HuffmanEncoder.decode_stack`) — but a chunked section's
+        blocks, which decode one after another as before.
+        """
+        out: list = [None] * len(sections)
+        stacked, blobs = [], []
+        for i, (payload, config, chunked) in enumerate(sections):
+            if not chunked:
+                stacked.append(i)
+                blobs.append(self._unwrap_lossless(payload, config))
+                continue
+            # only a legacy writer chunked
+            from repro.compressor import legacy
+
+            out[i] = np.concatenate(
+                [
+                    self._huffman.decode(self._unwrap_lossless(block, config))
+                    for block in legacy.read_chunked_codes(payload)
+                ]
+            )
+        for i, codes in zip(stacked, self._huffman.decode_stack(blobs)):
+            out[i] = codes
+        return out
 
     @staticmethod
     def _unwrap_lossless(

@@ -165,27 +165,64 @@ class SZCompressor:
         *header* is a tile's resolved parameters + the grid's
         ``shape``/``dtype``, which a payload cannot vouch for, so a
         code stream that is not the one ``shape`` needs is refused.
-        ``chunked`` in it marks a v3 codes section.
+        ``chunked`` in it marks a v3 codes section.  The one-tile case
+        of :meth:`decode_stack`.
         """
+        return self.decode_stack([(header, sections)])[0]
+
+    def decode_stack(
+        self, tiles: Sequence[tuple[dict, Sequence[bytes]]]
+    ) -> list[np.ndarray]:
+        """:meth:`decode_stages` of every ``(header, sections)`` tile.
+
+        Each tile's codes section is unwrapped from its lossless stage
+        and all of them are entropy-decoded as one stack
+        (:meth:`HuffmanEntropyStage.decode_stack`); then each tile is
+        reconstructed on its own.  What raises is some bad tile's
+        error — decode one tile at a time for the first one's.
+        """
+        out: list = [None] * len(tiles)
+        coded = []  # the tiles with a code stream
+        for i, (header, sections) in enumerate(tiles):
+            shape = tuple(header["shape"])
+            dtype = np.dtype(header["dtype"])
+            if math.prod(shape) == 0:
+                out[i] = np.zeros(shape, dtype=dtype)
+            elif "constant" in header:
+                out[i] = np.full(shape, header["constant"], dtype=dtype)
+            else:
+                config = self._config_from_header(header)
+                # five sections, or the unpacking's error says otherwise
+                codes_payload, _, _, _, _ = sections
+                coded.append((i, header, config, codes_payload, sections))
+        stack = self._entropy.decode_stack(
+            [
+                (codes_payload, config, bool(header.get("chunked")))
+                for _, header, config, codes_payload, _ in coded
+            ]
+        )
+        # popped, so that each code stream is freed once its tile is built
+        stack.reverse()
+        for i, header, config, _, sections in coded:
+            out[i] = self._reconstruct(header, config, sections, stack.pop())
+        return out
+
+    def _reconstruct(
+        self,
+        header: dict,
+        config: CompressionConfig,
+        sections: Sequence[bytes],
+        codes: np.ndarray,
+    ) -> np.ndarray:
+        """The tile of *header* from its decoded *codes* and sections."""
         shape = tuple(header["shape"])
         dtype = np.dtype(header["dtype"])
-        n_points = math.prod(shape)
-        if n_points == 0:
-            return np.zeros(shape, dtype=dtype)
-        if "constant" in header:
-            return np.full(shape, header["constant"], dtype=dtype)
-
-        config = self._config_from_header(header)
-        codes_payload, pos_b, val_b, side, signs = sections
-
-        codes = self._entropy.decode(
-            codes_payload, config, chunked=bool(header.get("chunked"))
-        )
+        _, pos_b, val_b, side, signs = sections
         # every point has a code but the interpolation predictor's anchors
         anchor_shape = header["predictor_meta"].get("anchor_shape", [0])
         if not isinstance(anchor_shape, list):
             raise container.ContainerFormatError("corrupt anchor_shape")
-        n_codes = n_points - math.prod(anchor_shape)
+        n_codes = math.prod(shape) - math.prod(anchor_shape)
         if codes.size != n_codes:
             raise container.ContainerFormatError(
                 f"corrupt code stream: {codes.size} codes, {dtype} "

@@ -30,7 +30,8 @@ adaptive, and the temporal policy of
 :mod:`repro.compressor.temporal` — hands :class:`TileJob` s to one loop
 (:meth:`TiledCompressor._encode_tiles`); every reader — this class
 (and through it the chunked storage layer), the serving store — turns
-a tile payload into samples through :func:`decode_tile`.
+tile payloads into samples through :func:`decode_tiles` (one tile:
+:func:`decode_tile`), which entropy-decodes a stack of tiles at once.
 
 Error-bound semantics of the uniform path are the stage codec's on the
 whole array:
@@ -89,6 +90,7 @@ __all__ = [
     "TiledResult",
     "TileJob",
     "decode_tile",
+    "decode_tiles",
     "decode_tile_task",
     "combine",
     "iter_tiles",
@@ -208,23 +210,78 @@ def decode_tile(
     """The tile a TOC record of *shape* and *dtype* names, from *payload*.
 
     The one way a tile payload becomes samples, for every reader: the
-    *codec* (default: this process's stock one) decodes the v7
-    payload's sections under the record's *params* and its own
+    one-tile case of :func:`decode_tiles`.
+    """
+    return decode_tiles(
+        [payload], [shape], dtype, codec, [ref_tile], params=[params]
+    )[0]
+
+
+def decode_tiles(
+    payloads: Sequence[bytes],
+    shapes: Sequence[Sequence[int]],
+    dtype: np.dtype,
+    codec: SZCompressor | None = None,
+    ref_tiles: Sequence[np.ndarray | None] | None = None,
+    *,
+    params: Sequence[dict],
+) -> list[np.ndarray]:
+    """The tiles TOC records of *shapes* and *dtype* name, as one stack.
+
+    The *codec* (default: this process's stock one) decodes each v7
+    payload's sections under its record's *params* and its own
     ``meta`` — a legacy payload arrives re-framed by
-    :class:`~repro.compressor.container.TiledReader`.  The result must
-    be exactly what the record describes: a payload that decodes to
-    anything else, or not at all, raises :class:`ContainerFormatError`
-    instead of being cropped or broadcast into place, which no payload
-    checksum can catch.  A temporal tile (*ref_tile* given) is the
-    decoded residual combined with its reference tile.
+    :class:`~repro.compressor.container.TiledReader` — and all their
+    code streams at once (:meth:`SZCompressor.decode_stack`).  Each
+    result must be exactly what its record describes: a payload that
+    decodes to anything else, or not at all, raises
+    :class:`ContainerFormatError` instead of being cropped or
+    broadcast into place, which no payload checksum can catch.  A
+    temporal tile (*ref_tiles* entry given) is the decoded residual
+    combined with its reference tile.  A stack that raises is decoded
+    again one tile at a time, so the error is the first bad tile's own.
     """
     codec = codec if codec is not None else worker_state().codec
-    meta, sections = container.unpack_tile(payload)
+    ref_tiles = ref_tiles or [None] * len(payloads)
     try:
-        tile = codec.decode_stages(
-            dict(params, **meta, shape=shape, dtype=np.dtype(dtype).str),
-            sections,
+        decoded = _decode_stack(payloads, shapes, dtype, codec, params)
+    except Exception:
+        # whatever a stack raises, its tiles decoded alone, in order,
+        # raise the first bad one's own error
+        if len(payloads) <= 1:
+            raise
+        return [
+            decode_tile(payload, shape, dtype, codec, ref, params=tile_params)
+            for payload, shape, ref, tile_params in zip(
+                payloads, shapes, ref_tiles, params
+            )
+        ]
+    return [
+        tile if ref is None else combine(tile, ref)
+        for tile, ref in zip(decoded, ref_tiles)
+    ]
+
+
+def _decode_stack(
+    payloads: Sequence[bytes],
+    shapes: Sequence[Sequence[int]],
+    dtype: np.dtype,
+    codec: SZCompressor,
+    params: Sequence[dict],
+) -> list[np.ndarray]:
+    """:func:`decode_tiles` but the fallback and the reference tiles."""
+    dtype = np.dtype(dtype)
+    tiles = []
+    for payload, shape, tile_params in zip(payloads, shapes, params):
+        meta, sections = container.unpack_tile(payload)
+        tiles.append(
+            (
+                dict(tile_params, **meta, shape=shape, dtype=dtype.str),
+                sections,
+            )
         )
+    try:
+        decoded = codec.decode_stack(tiles)
     except ContainerFormatError:
         raise
     # parameters are of their types (checked at open and in meta):
@@ -234,13 +291,14 @@ def decode_tile(
             f"corrupt tiled container: tile does not decode under "
             f"its recorded parameters ({exc!r})"
         ) from exc
-    if tuple(tile.shape) != tuple(shape) or tile.dtype != dtype:
-        raise ContainerFormatError(
-            f"corrupt tiled container: tile decodes to {tile.dtype} "
-            f"{tuple(tile.shape)}, TOC records {np.dtype(dtype)} "
-            f"{tuple(shape)}"
-        )
-    return tile if ref_tile is None else combine(tile, ref_tile)
+    for tile, shape in zip(decoded, shapes):
+        if tuple(tile.shape) != tuple(shape) or tile.dtype != dtype:
+            raise ContainerFormatError(
+                f"corrupt tiled container: tile decodes to {tile.dtype} "
+                f"{tuple(tile.shape)}, TOC records {dtype} "
+                f"{tuple(shape)}"
+            )
+    return decoded
 
 
 # -- the tiled compressor ------------------------------------------------------
@@ -695,14 +753,17 @@ class TiledCompressor:
     ) -> np.ndarray:
         """Decode the tiles intersecting *region* on the executor.
 
-        The parent reads the (compressed, small) tile payloads and
-        ships them as work items; workers decode each tile straight
-        into a preallocated output buffer — a shared-memory region
-        under the process backend, so decoded samples are never
-        pickled — and the parent assembles the hyperslab from the
-        buffer views.  Temporal tiles travel with the matching tile of
-        *reference*.  A region that is exactly one tile's extent (a
-        whole one-tile container) is that tile as decoded, not a copy.
+        Tiles decode in stacks (:func:`decode_tiles`, cut by
+        :func:`_stacks`): serially one stack after another, each copied
+        into the region before the next decodes; under a pool the
+        parent reads the (compressed, small) tile payloads and ships
+        one stack per worker, which decodes its tiles straight into a
+        preallocated output buffer — a shared-memory region under the
+        process backend, so decoded samples are never pickled — and
+        the parent assembles the hyperslab from the buffer views.
+        Temporal tiles travel with the matching tile of *reference*.  A
+        region that is exactly one tile's extent (a whole one-tile
+        container) is that tile as decoded, not a copy.
         """
         dtype = np.dtype(reader.header["dtype"])
         shape = tuple(reader.header["shape"])
@@ -728,49 +789,54 @@ class TiledCompressor:
                 reference[extent_slices(record.start, record.stop)]
             )
 
-        def decode(record: TileRecord) -> np.ndarray:
-            return decode_tile(
-                reader.read_tile(record), record.shape, dtype, self._codec,
-                ref_tile(record), params=record.params,
+        def decode(stack: list) -> list[np.ndarray]:
+            return decode_tiles(
+                [reader.read_tile(record) for record, _ in stack],
+                [record.shape for record, _ in stack],
+                dtype,
+                self._codec,
+                [ref_tile(record) for record, _ in stack],
+                params=[record.params for record, _ in stack],
             )
 
         hits = intersecting_tiles(reader.tiles, region)
+        sizes = [math.prod(record.shape) for record, _ in hits]
         executor = self._executor()
         # the region is one tile's extent: the answer is that tile
         if [region] == [extent_slices(r.start, r.stop) for r, _ in hits]:
-            tile = decode(hits[0][0])
+            (tile,) = decode(hits)
             self._count_decoded(1)
             return tile
 
         out = np.zeros(tuple(r.stop - r.start for r in region), dtype=dtype)
         if executor.workers <= 1 or len(hits) <= 1:
-            for record, overlap in hits:
-                tile = decode(record)
-                copy_overlap(out, region, tile, record.start, overlap)
-                del tile  # not held while the next tile decodes
+            for part in _stacks(sizes, 1):
+                stack = hits[part]
+                for (record, overlap), tile in zip(stack, decode(stack)):
+                    copy_overlap(out, region, tile, record.start, overlap)
+                del tile  # not held while the next stack decodes
         else:
             ship_codec = self._codec if self._custom_codec else None
             buffer, offsets = carve_buffer(
                 executor,
-                [
-                    math.prod(record.shape) * dtype.itemsize
-                    for record, _ in hits
-                ],
+                [size * dtype.itemsize for size in sizes],
                 kind="output",
             )
             try:
-                items = [
-                    (
-                        reader.read_tile(record),
-                        offset,
-                        record.shape,
-                        dtype.str,
-                        ship_codec,
-                        ref_tile(record),
-                        record.params,
+                items = []
+                for part in _stacks(sizes, executor.workers):
+                    records = [record for record, _ in hits[part]]
+                    items.append(
+                        (
+                            [reader.read_tile(record) for record in records],
+                            offsets[part],
+                            [record.shape for record in records],
+                            dtype.str,
+                            ship_codec,
+                            [ref_tile(record) for record in records],
+                            [record.params for record in records],
+                        )
                     )
-                    for (record, _), offset in zip(hits, offsets)
-                ]
                 executor.run_batch(decode_tile_task, items, output=buffer)
                 for (record, overlap), offset in zip(hits, offsets):
                     tile = _slot(buffer.array, offset, record.shape, dtype)
@@ -779,6 +845,27 @@ class TiledCompressor:
                 buffer.release()
         self._count_decoded(len(hits))
         return out
+
+
+#: decoded points a decode stack holds at most (512 KiB of ``float64``):
+#: a read decodes its tiles in stacks of up to this many — a larger
+#: tile alone — so its peak memory is a stack's, not the read's
+_STACK_POINTS = 1 << 16
+
+
+def _stacks(sizes: Sequence[int], ways: int) -> list[slice]:
+    """The runs of consecutive tiles, of *sizes* points each, that decode
+    as one stack: at most :data:`_STACK_POINTS` points (or one larger
+    tile), and a read of fewer still cut *ways* ways, one stack per
+    worker of a pool."""
+    limit = min(_STACK_POINTS, -(-sum(sizes) // ways))
+    starts, held = [], 0
+    for i, size in enumerate(sizes):
+        if not starts or held + size > limit:
+            starts.append(i)
+            held = 0
+        held += size
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [len(sizes)])]
 
 
 def _compress_tile_task(item, inp, out):
@@ -812,19 +899,22 @@ def _compress_tile_task(item, inp, out):
 
 
 def decode_tile_task(item, inp, out):
-    """Executor task: :func:`decode_tile` into the shared output buffer.
+    """Executor task: :func:`decode_tiles` into the shared output buffer.
 
-    ``item`` is ``(payload, offset, shape, dtype_str, codec, ref_tile,
-    params)``, the codec and reference tile ``None`` for the worker's
-    stock codec and a spatial tile; the decoded samples are written at
-    ``offset`` of the preallocated output region, so nothing
-    array-sized is pickled back.
+    ``item`` is ``(payloads, offsets, shapes, dtype_str, codec,
+    ref_tiles, params)``, one entry per tile of the stack but the
+    codec — ``None`` for the worker's stock one — and the dtype; a
+    reference tile is ``None`` for a spatial tile.  The decoded samples
+    of each tile are written at its ``offset`` of the preallocated
+    output region, so nothing array-sized is pickled back.
     """
-    payload, offset, shape, dtype_str, codec, ref_tile, params = item
+    payloads, offsets, shapes, dtype_str, codec, ref_tiles, params = item
     dtype = np.dtype(dtype_str)
-    _slot(out, offset, shape, dtype)[...] = decode_tile(
-        payload, shape, dtype, codec, ref_tile, params=params
+    tiles = decode_tiles(
+        payloads, shapes, dtype, codec, ref_tiles, params=params
     )
+    for offset, shape, tile in zip(offsets, shapes, tiles):
+        _slot(out, offset, shape, dtype)[...] = tile
     return None
 
 

@@ -834,7 +834,12 @@ class ArrayStore:
         try:
             executor.run_batch(
                 decode_tile_task,
-                [(blob, 0, shape, dtype.str, None, None, rec.params)],
+                [
+                    (
+                        [blob], [0], [shape], dtype.str, None, [None],
+                        [rec.params],
+                    )
+                ],
                 output=buffer,
             )
             return buffer.array.view(dtype).reshape(shape).copy()

@@ -9,13 +9,18 @@ from hypothesis import strategies as st
 
 from repro.compressor import bitstream
 from repro.compressor.bitstream import (
-    BitReader,
-    BitWriter,
     bits_to_bytes,
+    bits_word,
     build_bit_window,
+    fixed_field,
     gamma_bit_lengths,
+    gamma_field,
     gather_window16,
     pack_codes,
+    pack_fields,
+    read_field,
+    read_fixed,
+    read_gamma,
     slice_window16,
 )
 
@@ -53,7 +58,7 @@ def _reference_pack_codes(
 
 
 def _reference_window16(payload: bytes, nbits=None) -> np.ndarray:
-    """The sliding window ``BitReader.window16`` gave the decoder before
+    """The sliding window the bit reader gave the decoder before
     random-access gathers: entry *p* packs bits ``[p, p + 16)`` of the
     first *nbits* payload bits, MSB-first, the stream zero-padded — one
     ``uint32`` per bit position, built a bit plane at a time."""
@@ -69,25 +74,41 @@ def _reference_window16(payload: bytes, nbits=None) -> np.ndarray:
     return window
 
 
-def _reference_write_gamma(writer: BitWriter, value: int) -> None:
-    """One Elias-gamma value, as ``BitWriter.write_gamma`` wrote it
-    before fields were packed whole: ``value = 2^k + r`` is *k* zero
-    bits, then the ``k + 1``-bit binary form."""
+def _reference_gamma_bits(value: int) -> list[int]:
+    """One Elias-gamma value, as the bit writer wrote it before fields
+    were packed whole: ``value = 2^k + r`` is *k* zero bits, then the
+    ``k + 1``-bit binary form."""
     if value < 1:
         raise ValueError("Elias gamma encodes integers >= 1")
     k = value.bit_length() - 1
-    writer.write(0, k)
-    writer.write(value, k + 1)
+    return [0] * k + [(value >> (k - i)) & 1 for i in range(k + 1)]
 
 
-def _reference_read_gamma(reader: BitReader) -> int:
-    """One Elias-gamma value, a bit at a time (``BitReader.read_gamma``
-    before fields were read whole): zeros up to the first one, then as
-    many value bits.  ``EOFError`` when the stream runs out."""
+def _reference_read_gamma(bits: list[int], pos: int) -> tuple[int, int]:
+    """One Elias-gamma value from *bits* at *pos*, a bit at a time (the
+    bit reader before fields were read whole): zeros up to the first
+    one, then as many value bits.  Returns the value and the position
+    after it; ``EOFError`` when the stream runs out."""
+
+    def bit() -> int:
+        nonlocal pos
+        if pos >= len(bits):
+            raise EOFError("bitstream exhausted")
+        pos += 1
+        return bits[pos - 1]
+
     k = 0
-    while not reader.read(1):
+    while not bit():
         k += 1
-    return (1 << k) | reader.read(k)
+    value = 1
+    for _ in range(k):
+        value = value << 1 | bit()
+    return value, pos
+
+
+def _bit_list(data: bytes, nbits: int) -> list[int]:
+    """The first *nbits* bits of *data*, MSB first."""
+    return np.unpackbits(np.frombuffer(data, dtype=np.uint8))[:nbits].tolist()
 
 
 def _random_codes(rng, lengths: np.ndarray) -> np.ndarray:
@@ -342,64 +363,64 @@ class TestWordAssemblyMatchesThePerBitKernel:
         assert peak <= reference_peak
 
 
-class TestBitWriterReader:
+class TestHeaderFields:
+    """Headers are written as ``(value, width)`` fields and read from one
+    integer: scalar fields, fixed-width arrays and their bounds."""
+
     def test_roundtrip_scalar_fields(self):
-        w = BitWriter()
-        w.write(5, 4)
-        w.write(1023, 10)
-        w.write(0, 1)
-        r = BitReader(w.getvalue(), nbits=w.nbits)
-        assert r.read(4) == 5
-        assert r.read(10) == 1023
-        assert r.read(1) == 0
+        data = pack_fields([(5, 4), (1023, 10), (0, 1)])
+        word, nbits = bits_word(data, 15)
+        assert read_field(word, nbits, 0, 4) == 5
+        assert read_field(word, nbits, 4, 10) == 1023
+        assert read_field(word, nbits, 14, 1) == 0
 
     def test_roundtrip_array(self):
-        w = BitWriter()
         values = np.arange(17, dtype=np.uint64)
-        w.write_array(values, 5)
-        r = BitReader(w.getvalue())
-        out = r.read_array(17, 5)
+        field = fixed_field(values, 5)
+        assert field[1] == 17 * 5
+        word, nbits = bits_word(pack_fields([field]))
+        out = read_fixed(word, nbits, 0, 17, 5)
         np.testing.assert_array_equal(out, values)
 
     def test_write_value_too_large_raises(self):
         with pytest.raises(ValueError):
-            BitWriter().write(8, 3)
+            pack_fields([(8, 3)])
         # the full-width field checks its value like every other width
-        writer = BitWriter()
-        writer.write(2**64 - 1, 64)
-        assert writer.getvalue() == b"\xff" * 8
+        assert pack_fields([(2**64 - 1, 64)]) == b"\xff" * 8
         with pytest.raises(ValueError, match="does not fit in 64 bits"):
-            writer.write(2**64, 64)
+            pack_fields([(2**64 - 1, 64), (2**64, 64)])
+        with pytest.raises(ValueError, match="do not fit in 6 bits"):
+            fixed_field(np.array([3, 64]), 6)
 
     def test_write_negative_raises(self):
         with pytest.raises(ValueError):
-            BitWriter().write(-1, 4)
+            pack_fields([(-1, 4)])
 
     def test_read_past_end_raises(self):
-        r = BitReader(b"\x00")
         with pytest.raises(EOFError):
-            r.read(9)
+            read_field(*bits_word(b"\x00"), 0, 9)
+        with pytest.raises(EOFError):
+            read_field(*bits_word(b"\x00"), 5, 4)
 
     def test_read_array_past_end_raises(self):
-        r = BitReader(b"\x00")
         with pytest.raises(EOFError):
-            r.read_array(3, 4)
+            read_fixed(*bits_word(b"\x00"), 0, 3, 4)
 
     def test_nbits_truncation(self):
-        r = BitReader(b"\xff\xff", nbits=5)
-        assert r.nbits == 5
+        assert bits_word(b"\xff\xff", nbits=5) == (31, 5)
+        assert bits_word(b"\xa5\x0f", nbits=12) == (0xA50, 12)
 
     def test_nbits_exceeding_payload_raises(self):
         with pytest.raises(ValueError):
-            BitReader(b"\xff", nbits=9)
+            bits_word(b"\xff", nbits=9)
 
     @given(st.lists(st.integers(0, 2**16 - 1), min_size=1, max_size=50))
     def test_array_roundtrip_random(self, values):
-        w = BitWriter()
-        w.write_array(np.array(values, dtype=np.uint64), 16)
-        r = BitReader(w.getvalue())
+        word, nbits = bits_word(
+            pack_fields([fixed_field(np.array(values, dtype=np.uint64), 16)])
+        )
         np.testing.assert_array_equal(
-            r.read_array(len(values), 16), values
+            read_fixed(word, nbits, 0, len(values), 16), values
         )
 
 
@@ -416,18 +437,18 @@ class TestWholeFieldsMatchBitLoops:
             fields.append(
                 (int.from_bytes(rng.bytes(8), "big") >> (64 - nbits), nbits)
             )
-        writer = BitWriter()
+        data = pack_fields(fields)
         bits = []
         for value, nbits in fields:
-            writer.write(value, nbits)
             bits += [(value >> (nbits - 1 - i)) & 1 for i in range(nbits)]
-        assert writer.nbits == len(bits)
-        assert writer.getvalue() == bits_to_bytes(np.array(bits, np.uint8))
-        reader = BitReader(writer.getvalue(), nbits=writer.nbits)
-        assert [reader.read(nbits) for _, nbits in fields] == [
-            value for value, _ in fields
-        ]
-        assert reader.pos == len(bits)
+        assert data == bits_to_bytes(np.array(bits, np.uint8))
+        word, nbits = bits_word(data, len(bits))
+        pos, read = 0, []
+        for _, width in fields:
+            read.append(read_field(word, nbits, pos, width))
+            pos += width
+        assert read == [value for value, _ in fields]
+        assert pos == len(bits)
 
     @pytest.mark.parametrize("seed", range(24))
     def test_gamma_array_equals_one_write_gamma_per_value(self, seed):
@@ -437,34 +458,37 @@ class TestWholeFieldsMatchBitLoops:
             + int(rng.integers(0, 2))
             for _ in range(int(rng.integers(1, 60)))
         ]
-        one_by_one, whole = BitWriter(), BitWriter()
-        one_by_one.write(5, 3)
-        whole.write(5, 3)
+        one_by_one = [1, 0, 1]
         for value in values:
-            _reference_write_gamma(one_by_one, value)
-        whole.write_gamma_array(np.array(values, dtype=np.int64))
-        assert whole.nbits == one_by_one.nbits
-        assert whole.getvalue() == one_by_one.getvalue()
+            one_by_one += _reference_gamma_bits(value)
+        field = gamma_field(np.array(values, dtype=np.int64))
+        whole = pack_fields([(5, 3), field])
+        assert 3 + field[1] == len(one_by_one)
+        assert whole == bits_to_bytes(np.array(one_by_one, np.uint8))
         assert gamma_bit_lengths(np.array(values)).tolist() == [
             2 * value.bit_length() - 1 for value in values
         ]
-        reader = BitReader(whole.getvalue(), nbits=whole.nbits)
-        assert reader.read(3) == 5
-        assert reader.read_gamma_array(len(values)).tolist() == values
-        reader = BitReader(whole.getvalue(), nbits=whole.nbits)
-        assert reader.read(3) == 5
-        assert [_reference_read_gamma(reader) for _ in values] == values
+        word, nbits = bits_word(whole, len(one_by_one))
+        assert read_field(word, nbits, 0, 3) == 5
+        got, used = read_gamma(word, nbits, 3, len(values))
+        assert got.tolist() == values and used == field[1]
+        pos, read = 3, []
+        for _ in values:
+            value, pos = _reference_read_gamma(one_by_one, pos)
+            read.append(value)
+        assert read == values and pos == nbits
 
     def test_gamma_array_widest_value_and_empty(self):
-        writer = BitWriter()
-        writer.write_gamma_array(np.zeros(0, dtype=np.int64))
-        assert writer.nbits == 0
-        writer.write_gamma_array(np.array([2**64 - 1], dtype=np.uint64))
-        assert writer.nbits == 127
+        assert gamma_field(np.zeros(0, dtype=np.int64)) == (0, 0)
+        value, width = gamma_field(np.array([2**64 - 1], dtype=np.uint64))
+        assert width == 127 and value == 2**64 - 1
+        # read back, the value past 63 bits is refused
+        with pytest.raises(ValueError, match="exceeds 63 bits"):
+            read_gamma(value, width, 0, 1)
 
     def test_gamma_array_rejects_values_below_one(self):
         with pytest.raises(ValueError):
-            BitWriter().write_gamma_array(np.array([3, 0, 2]))
+            gamma_field(np.array([3, 0, 2]))
         with pytest.raises(ValueError):
             gamma_bit_lengths(np.array([-4]))
 
@@ -520,6 +544,24 @@ class TestRandomAccessWindow:
                 assert got.tolist() == expected.tolist()
         assert slice_window16(window, 7, 3).size == 0
         assert slice_window16(build_bit_window(b""), 0, 1).tolist() == [0]
+
+    @pytest.mark.parametrize("bits", (1, 4, 9, 15, 16))
+    def test_fewer_bits_are_the_leading_bits(self, bits):
+        """A table of ``2 ** bits`` entries reads the window's leading
+        *bits*, on both the gather and the slice."""
+        payload = np.random.default_rng(bits).bytes(9)
+        window = build_bit_window(payload)
+        positions = np.arange(8 * len(payload) + 1)
+        expected = gather_window16(window, positions) >> (16 - bits)
+        expected = expected.tolist()
+        got = gather_window16(window, positions, bits=bits)
+        assert got.tolist() == expected
+        out = np.empty(positions.size, dtype=np.intp)
+        gather_window16(window, positions, out=out, bits=bits)
+        assert out.tolist() == expected
+        for lo, hi in ((0, positions.size), (3, 17), (8, 9)):
+            got = slice_window16(window, lo, hi, bits)
+            assert got.tolist() == expected[lo:hi]
 
 
 class TestBitsToBytes:

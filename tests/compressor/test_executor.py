@@ -228,7 +228,8 @@ class TestProcessTransport:
         """The ``CodecExecutor`` contract, by count: "raw array data
         belongs in the buffers".  A 128 KB tile costs the process
         backend a few hundred pickled bytes to encode and its compressed
-        payload to decode — what keeps the backend worth its IPC."""
+        payload to decode — what keeps the backend worth its IPC.  A
+        decode item is one stack per worker: here two tiles each."""
         data = smooth_field((256, 256)).astype(np.float64)
         config = CompressionConfig(error_bound=1e-3, tile_shape=(128, 128))
         serial = TiledCompressor().compress(data, config).blob
@@ -248,9 +249,10 @@ class TestProcessTransport:
             tc.decompress(serial), TiledCompressor().decompress(serial)
         )
         payloads = [tile.size for tile in TiledReader(serial).tiles]
-        assert len(encode) == len(pickled) == len(payloads) == 4
+        assert len(encode) == len(payloads) == 4 and len(pickled) == 2
         assert max(encode) <= 4096
-        assert all(n <= size + 4096 for n, size in zip(pickled, payloads))
+        stacks = [sum(payloads[:2]), sum(payloads[2:])]
+        assert all(n <= size + 4096 for n, size in zip(pickled, stacks))
         assert max(payloads) + 4096 < data.nbytes // 4  # under one raw tile
 
 

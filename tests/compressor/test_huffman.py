@@ -143,9 +143,25 @@ def scalar_walk(
     return out
 
 
+def deserialize(enc: HuffmanEncoder, blob: bytes):
+    """The one-blob header parse, its code completed with the canonical
+    codewords the oracles index (a parsed code carries lengths only)."""
+    stream = enc._parse([blob])[0]
+    symbols, lengths = stream.code.symbols, stream.code.lengths
+    return stream._replace(
+        code=HuffmanCode(symbols, lengths, _canonical_codes(lengths))
+    )
+
+
+def expanded(table: np.ndarray) -> np.ndarray:
+    """A primary table of ``2 ** bits`` entries as the 16-bit table it
+    stands for: each entry covers ``2 ** (16 - bits)`` window values."""
+    return np.repeat(table, (1 << 16) // table.size)
+
+
 def reference_decode(enc: HuffmanEncoder, blob: bytes) -> np.ndarray:
     """``HuffmanEncoder.decode`` with the scalar walk for sync-free streams."""
-    code, n_data, payload, total_bits, interval, _ = enc._deserialize(blob)
+    code, n_data, payload, total_bits, interval, _ = deserialize(enc, blob)
     if n_data == 0:
         return np.zeros(0, dtype=np.int64)
     if 8 * len(payload) < total_bits or n_data > total_bits:
@@ -466,8 +482,8 @@ class TestSyncFreeWalk:
         stream = draw_small_stream(seed)
         enc = HuffmanEncoder()
         blob = enc.encode(stream)
-        code, n_data, payload, total_bits, interval, _ = enc._deserialize(
-            blob
+        code, n_data, payload, total_bits, interval, _ = deserialize(
+            enc, blob
         )
         assert interval == 0 and n_data == stream.size
         np.testing.assert_array_equal(
@@ -638,7 +654,7 @@ def kernel_verdicts(enc: HuffmanEncoder, blob: bytes) -> list:
     verdicts = [verdict(lambda: enc.decode(blob))]
     try:
         code, n_data, payload, total_bits, interval, sync = (
-            enc._deserialize(blob)
+            deserialize(enc, blob)
         )
     except ValueError:
         return verdicts
@@ -754,7 +770,7 @@ class TestKernelRoutes:
         dense = dense[:size]
         enc = HuffmanEncoder()
         blob = sync_blob(enc, code, dense, 256)
-        parts = enc._deserialize(blob)
+        parts = deserialize(enc, blob)
         assert parts[1] == size and parts[4] == 256
         assert parts[5].size == (size - 1) // 256
         np.testing.assert_array_equal(
@@ -788,8 +804,8 @@ class TestKernelRoutes:
         at, past = (
             sync_blob(enc, code, dense[:size], 256) for size in (n, n + 1)
         )
-        assert enc._deserialize(at)[3] <= huffman_module._SYNC_WALK_MAX_BITS
-        assert enc._deserialize(past)[3] > huffman_module._SYNC_WALK_MAX_BITS
+        assert deserialize(enc, at)[3] <= huffman_module._SYNC_WALK_MAX_BITS
+        assert deserialize(enc, past)[3] > huffman_module._SYNC_WALK_MAX_BITS
 
         def unexpected(*args, **kwargs):
             raise AssertionError("wrong kernel for this stream")
@@ -827,7 +843,7 @@ class TestNoDecodeCliff:
         code, dense = route_base(kind)
         enc = HuffmanEncoder()
         blob = enc.encode(code.symbols[dense[:n]])
-        _, _, _, total_bits, interval, sync = enc._deserialize(blob)
+        _, _, _, total_bits, interval, sync = deserialize(enc, blob)
         assert interval == 256 and sync.size == n // 256 - 1
         calls = []
 
@@ -861,7 +877,7 @@ class TestNoDecodeCliff:
         enc = HuffmanEncoder()
         stream = code.symbols[dense[: 1 << 18]]
         blob = enc.encode(stream)
-        assert enc._deserialize(blob)[3] > 1 << 20
+        assert deserialize(enc, blob)[3] > 1 << 20
 
         def unexpected(*args, **kwargs):
             raise AssertionError("not on the large-stream route")
@@ -937,11 +953,195 @@ class TestCorruptSyncStreams:
         intact = kernel_verdicts(enc, blob)
         assert len(intact) == 3 and not isinstance(intact[0], str)
         assert_one_verdict(intact)
-        n_sync = enc._deserialize(blob)[5].size
+        n_sync = deserialize(enc, blob)[5].size
         for _ in range(12):
             assert_one_verdict(
                 kernel_verdicts(enc, self.damage(rng, blob, n_sync))
             )
+
+
+def damaged_blobs(seed: int) -> list[bytes]:
+    """The twelve damaged blobs of seed *seed* of
+    ``test_corrupt_small_blobs_agree_with_scalar_verdict``, drawn the
+    same way from the same generator."""
+    rng = np.random.default_rng(1000 + seed)
+    enc = HuffmanEncoder()
+    if seed % 3 == 0:
+        code = staircase_code(rng, int(rng.integers(17, 30)))
+        p = 2.0 ** -np.minimum(code.lengths, 12).astype(float)
+        dense = rng.choice(
+            code.lengths.size, int(rng.integers(1, 2000)), p=p / p.sum()
+        )
+        blob = sync_free_blob(enc, code, dense)
+    else:
+        blob = enc.encode(draw_small_stream(seed))
+    out = []
+    for _ in range(12):
+        damaged = bytearray(blob)
+        mode = int(rng.integers(0, 3))
+        if mode == 0:
+            damaged = damaged[: int(rng.integers(0, len(damaged)))]
+        else:
+            for _ in range(1 if mode == 1 else 4):
+                at = int(rng.integers(0, len(damaged)))
+                damaged[at] ^= 1 << int(rng.integers(0, 8))
+        out.append(bytes(damaged))
+    return out
+
+
+_INTACT: list = []
+
+
+def intact_blobs() -> list[tuple[bytes, np.ndarray]]:
+    """35 short intact streams of every kind ``draw_small_stream`` has,
+    each with its symbols."""
+    if not _INTACT:
+        enc = HuffmanEncoder()
+        streams = [draw_small_stream(200 + i)[:64] for i in range(35)]
+        _INTACT.extend((enc.encode(stream), stream) for stream in streams)
+    return _INTACT
+
+
+def one_pass(enc: HuffmanEncoder, blob: bytes) -> bool:
+    """Whether the stack walk takes *blob*: sync-free, not empty, one
+    walk window long and no code past the primary table."""
+    code, n_data, _, total_bits, interval, _ = enc._parse([blob])[0]
+    return (
+        n_data > 0
+        and not interval
+        and total_bits < huffman_module._WALK_WINDOW_BITS
+        and code.lengths.max() <= 16
+    )
+
+
+def alone(enc: HuffmanEncoder, blob: bytes):
+    """What one blob decodes to alone: its array, or its error message."""
+    try:
+        return enc.decode(blob)
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestDecodeStack:
+    """A stack of streams decodes exactly as its streams do alone —
+    arrays, dtypes and the first bad one's error."""
+
+    def mixed(self) -> list[bytes]:
+        rng = np.random.default_rng(41)
+        enc = HuffmanEncoder()
+        escapes = staircase_code(rng, 24)
+        p = 2.0 ** -np.minimum(escapes.lengths, 12).astype(float)
+        long_dense = rng.choice(escapes.lengths.size, 900, p=p / p.sum())
+        long_dense[::50] = np.flatnonzero(escapes.lengths > 16)[0]
+        widest = staircase_code(rng, 17)  # 16 bits the longest code
+        p = 2.0 ** -widest.lengths.astype(float)
+        legacy = rng.integers(0, 64, 20_000)
+        small = enc.encode(rng.integers(-5, 6, 700))
+        return [
+            small,
+            # an escape longer than 16 bits in a one-window stream
+            sync_free_blob(enc, escapes, long_dense),
+            enc.encode(np.zeros(0, dtype=np.int64)),  # empty
+            enc.encode(np.full(300, -7)),  # one symbol, one bit each
+            # a legacy format-1 stream several walk windows long
+            sync_free_blob(
+                enc,
+                HuffmanCode.from_stream(legacy),
+                HuffmanEncoder._dense_indices(np.arange(64), legacy),
+            ),
+            enc.encode(rng.integers(-20, 21, 9000)),  # a sync table
+            small,  # an alphabet the stack has met
+            enc.encode(rng.integers(0, 300, 800) * 100_003),  # sparse
+            sync_free_blob(  # a table of 2 ** 16 entries
+                enc,
+                widest,
+                rng.choice(widest.lengths.size, 500, p=p / p.sum()),
+            ),
+        ]
+
+    def test_mixed_stack_equals_each_blob_alone(self, monkeypatch):
+        cache = huffman_module._DecodeTableLRU()
+        monkeypatch.setattr(huffman_module, "_DECODE_TABLE_CACHE", cache)
+        enc = HuffmanEncoder()
+        blobs = self.mixed()
+        expected = [alone(enc, blob) for blob in blobs]
+        rng = np.random.default_rng(5)
+        for cold in (True, False, True, False):
+            if cold:  # every alphabet built by the stack itself
+                cache.clear()
+            order = rng.permutation(len(blobs))
+            got = enc.decode_stack([blobs[i] for i in order])
+            for i, array in zip(order, got):
+                assert array.dtype == expected[i].dtype
+                np.testing.assert_array_equal(array, expected[i])
+        assert enc.decode_stack([]) == []
+
+    def test_one_window_streams_take_one_pass(self, monkeypatch):
+        # counted: every one-window sync-free stream of a stack is walked
+        # by one pass, the per-stream walk sees the rest only
+        enc = HuffmanEncoder()
+        blobs = self.mixed() + [blob for blob, _ in intact_blobs()]
+        walked, passes = [], []
+        real_walk, real_group = enc._decode_payload, enc._walk_group
+
+        def walk(*stream):
+            walked.append(stream[1])
+            return real_walk(*stream)
+
+        def group(streams):
+            passes.append(len(streams))
+            return real_group(streams)
+
+        monkeypatch.setattr(enc, "_decode_payload", walk)
+        monkeypatch.setattr(enc, "_walk_group", group)
+        enc.decode_stack(blobs)
+        # the escape, the multi-window stream and the sync-table one
+        assert sorted(walked) == [900, 9000, 20_000]
+        assert passes == [len(blobs) - 4]  # all but those and the empty one
+        assert passes == [sum(one_pass(enc, blob) for blob in blobs)]
+
+    def test_a_stack_is_walked_in_bounded_groups(self, monkeypatch):
+        monkeypatch.setattr(huffman_module, "_STACK_WALK_SIZE", 1 << 12)
+        enc = HuffmanEncoder()
+        blobs = [blob for blob, _ in intact_blobs()]
+        passes = []
+        real_group = enc._walk_group
+
+        def group(streams):
+            passes.append(len(streams))
+            return real_group(streams)
+
+        monkeypatch.setattr(enc, "_walk_group", group)
+        got = enc.decode_stack(blobs)
+        assert len(passes) > 1 and sum(passes) == len(blobs)
+        assert all(one_pass(enc, blob) for blob in blobs)
+        for array, blob in zip(got, blobs):
+            np.testing.assert_array_equal(array, enc.decode(blob))
+
+    @pytest.mark.parametrize("seed", range(120))
+    def test_a_damaged_blob_among_intact_ones(self, seed):
+        """The damage of the scalar-verdict test, in a stack of 35 intact
+        streams: the damaged blob's own error and message, or
+        ``reference_decode``'s array and every intact stream's own."""
+        enc = HuffmanEncoder()
+        blobs, streams = zip(*intact_blobs())
+        rng = np.random.default_rng(seed)
+        damaged = damaged_blobs(seed)[int(rng.integers(0, 12))]
+        at = int(rng.integers(0, len(blobs) + 1))
+        stack = [*blobs[:at], damaged, *blobs[at:]]
+        try:
+            expected = reference_decode(enc, damaged)
+        except ValueError:
+            with pytest.raises(ValueError) as raised:
+                enc.decode_stack(stack)
+            with pytest.raises(ValueError) as own:
+                enc.decode(damaged)
+            assert str(raised.value) == str(own.value)
+        else:
+            got = enc.decode_stack(stack)
+            np.testing.assert_array_equal(got.pop(at), expected)
+            for array, stream in zip(got, streams):
+                np.testing.assert_array_equal(array, stream)
 
 
 class TestDecodeTableCache:
@@ -1029,8 +1229,11 @@ class TestDecodeTables:
         sym_table, len_table = enc._primary_tables(code)
         expected_sym, expected_len = reference_primary_tables(code)
         assert sym_table.dtype == np.min_scalar_type(code.lengths.size - 1)
-        np.testing.assert_array_equal(sym_table, expected_sym)
-        np.testing.assert_array_equal(len_table, expected_len)
+        # 2 ** longest entries, capped at the 16-bit window
+        bits = min(max(int(code.lengths.max()), 1), 16)
+        assert sym_table.size == len_table.size == 1 << bits
+        np.testing.assert_array_equal(expanded(sym_table), expected_sym)
+        np.testing.assert_array_equal(expanded(len_table), expected_len)
         assert enc._long_code_index(code) == reference_long_code_index(code)
 
     def test_oversubscribed_lengths_build_in_bounded_memory(
@@ -1052,7 +1255,7 @@ class TestDecodeTables:
         finally:
             tracemalloc.stop()
         for table, expected in zip(tables, reference_primary_tables(code)):
-            np.testing.assert_array_equal(table, expected)
+            np.testing.assert_array_equal(expanded(table), expected)
         assert peak < 1 << 20
 
     @pytest.mark.parametrize("longest", range(17, 58))

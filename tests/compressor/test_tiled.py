@@ -1,6 +1,9 @@
 """Tiled containers: out-of-core streaming and region-of-interest decode."""
 
+from __future__ import annotations
+
 import io
+import os
 import tracemalloc
 
 import numpy as np
@@ -10,14 +13,28 @@ from repro.compressor import (
     CompressionConfig,
     ErrorBoundMode,
     TiledCompressor,
+    container,
 )
+from repro.compressor.container import ContainerFormatError, TiledReader
+from repro.compressor.encoders import huffman
+from repro.compressor.encoders.huffman import HuffmanEncoder
 from repro.compressor.tiled import (
+    decode_tile,
+    decode_tiles,
     intersect_extent,
     iter_tiles,
     normalize_region,
     tile_grid,
 )
-from tests.conftest import assert_error_bounded, forge_v2, smooth_field
+from repro.datasets.generators import gaussian_random_field, lognormal_field
+from tests.conftest import (
+    assert_error_bounded,
+    forge_chunked_v7,
+    forge_v2,
+    smooth_field,
+    tile_by_tile,
+    tiles_of,
+)
 
 
 class TestGeometry:
@@ -386,3 +403,171 @@ class TestOutOfCoreStreaming:
         TiledCompressor().compress(data, cfg, out=out)
         with open(out, "rb") as fh:
             assert fh.read() == in_memory
+
+
+# -- decode stacks -----------------------------------------------------------
+
+DATA_DIR = os.path.join(os.path.dirname(os.path.dirname(__file__)), "data")
+
+#: every golden fixture, v2 to v7
+FIXTURES = sorted(
+    name[: -len(".rqsz")]
+    for name in os.listdir(DATA_DIR)
+    if name.endswith(".rqsz")
+)
+
+
+def fixture(name: str) -> tuple[bytes, np.ndarray | None]:
+    """A golden fixture and, for a temporal one, its reference."""
+    with open(os.path.join(DATA_DIR, f"{name}.rqsz"), "rb") as fh:
+        blob = fh.read()
+    reference = None
+    if "temporal" in name:
+        reference = np.load(os.path.join(DATA_DIR, "pr9_v6_temporal_ref.npy"))
+    return blob, reference
+
+
+def assert_same_bytes(got: np.ndarray, expected: np.ndarray) -> None:
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+def middle(shape: tuple[int, ...]) -> tuple[slice, ...]:
+    return tuple(slice(n // 4, n - n // 4) for n in shape)
+
+
+def halo_field(shape=(192, 192), seed: int = 3) -> np.ndarray:
+    """A smooth background with a lognormal halo patch in its middle
+    half: tiles of a few symbols beside tiles of a few dozen."""
+
+    def roughness(field):
+        return np.sqrt(
+            np.mean([np.mean(np.diff(field, axis=a) ** 2) for a in range(2)])
+        )
+
+    background = gaussian_random_field(shape, slope=3.0, seed=seed)
+    background = background.astype(np.float64) * 0.05 / roughness(background)
+    patch = lognormal_field(
+        tuple(n // 2 for n in shape), slope=1.0, seed=seed + 1, contrast=1.5
+    ).astype(np.float64)
+    patch = np.minimum(patch / roughness(patch), 16.0)
+    pad = [(n // 4, n - n // 2 - n // 4) for n in shape]
+    return background + np.pad(patch, pad)
+
+
+class TestDecodeStacks:
+    """A read decodes its tiles as stacks; what it returns is byte for
+    byte what :func:`decode_tile` makes of each tile alone."""
+
+    def test_fixture_reads_equal_their_tiles_decoded_alone(self):
+        # the property-test corpus is held to the same in
+        # tests/proptest.py::_check_tiled
+        codecs = [
+            TiledCompressor(workers=2, backend=backend)
+            for backend in ("serial", "thread", "process")
+        ]
+        for name in FIXTURES:
+            blob, ref = fixture(name)
+            expected = tile_by_tile(blob, ref)
+            region = middle(expected.shape)
+            for codec in codecs:
+                assert_same_bytes(
+                    codec.decompress(blob, reference=ref), expected
+                )
+                assert_same_bytes(
+                    codec.decompress_region(blob, region, reference=ref),
+                    expected[region],
+                )
+
+    def mixed(self) -> list:
+        """Tiles of every kind one ``float64`` stack can hold."""
+        data = smooth_field((40, 40)).astype(np.float64)
+        config = CompressionConfig(error_bound=1e-3, tile_shape=(16, 16))
+        constant = CompressionConfig(
+            error_bound=1e-2, mode=ErrorBoundMode.REL
+        )
+        return (
+            tiles_of(TiledCompressor().compress(data, config).blob)
+            # chunked (v3) codes sections, decoded a block at a time
+            + tiles_of(forge_chunked_v7(data, config, 100))[:3]
+            # a constant tile, no stage bytes
+            + tiles_of(
+                TiledCompressor().compress(np.full((8, 8), 3.5), constant)
+                .blob
+            )
+            # an empty one
+            + [(container.pack_tile({}, [b""] * 5), (0, 3), {}, None)]
+        )
+
+    def test_mixed_stack_equals_its_tiles_alone(self):
+        tiles = self.mixed()
+        alone = [
+            decode_tile(payload, shape, np.float64, params=params)
+            for payload, shape, params, _ in tiles
+        ]
+        keys = set()
+        for payload, _, params, _ in tiles:
+            keys |= set(params) | set(container.unpack_tile(payload)[0])
+        assert {"chunked", "constant"} <= keys
+        rng = np.random.default_rng(2)
+        for _ in range(3):
+            order = rng.permutation(len(tiles))
+            payloads, shapes, params, _ = zip(*(tiles[i] for i in order))
+            got = decode_tiles(payloads, shapes, np.float64, params=params)
+            for i, tile in zip(order, got):
+                assert_same_bytes(tile, alone[i])
+
+    def test_a_bad_tile_raises_its_own_error_in_a_stack(self):
+        tiles = self.mixed()
+        payloads, shapes, params, _ = map(list, zip(*tiles))
+        rng = np.random.default_rng(8)
+        seen = set()
+        for _ in range(12):
+            at = int(rng.integers(0, len(tiles) - 2))  # a coded tile
+            damaged = bytearray(payloads[at])
+            for _ in range(int(rng.choice([1, 3]))):
+                damaged[int(rng.integers(0, len(damaged)))] ^= 0xFF
+            stack = payloads[:at] + [bytes(damaged)] + payloads[at + 1 :]
+            try:
+                own = decode_tile(
+                    bytes(damaged), shapes[at], np.float64, params=params[at]
+                )
+            except ValueError as exc:
+                with pytest.raises(type(exc)) as raised:
+                    decode_tiles(stack, shapes, np.float64, params=params)
+                assert str(raised.value) == str(exc)
+                seen.add(type(exc))
+            else:
+                got = decode_tiles(stack, shapes, np.float64, params=params)
+                assert_same_bytes(got[at], own)
+        assert ContainerFormatError in seen
+
+    def test_cold_tables_decode_as_warm_ones(self, monkeypatch):
+        """Tables rebuilt by every read decode what cached ones do, and
+        a small alphabet's tables hold ``2 ** longest`` entries."""
+        config = CompressionConfig(error_bound=0.2, tile_shape=(32, 32))
+        blob = TiledCompressor().compress(halo_field(), config).blob
+        codec = TiledCompressor()
+        warm = codec.decompress(blob)
+        assert_same_bytes(codec.decompress(blob), warm)
+        built = {}
+        real = HuffmanEncoder._primary_tables
+
+        def spy(self, code):
+            built[code.lengths.tobytes()] = code.lengths
+            return real(self, code)
+
+        monkeypatch.setattr(HuffmanEncoder, "_primary_tables", spy)
+        region = (slice(40, 136), slice(40, 136))
+        huffman._DECODE_TABLE_CACHE.clear()
+        assert_same_bytes(codec.decompress_region(blob, region), warm[region])
+        huffman._DECODE_TABLE_CACHE.clear()
+        built.clear()
+        assert_same_bytes(codec.decompress(blob), warm)
+        longest = [int(lengths.max()) for lengths in built.values()]
+        assert len(built) > 10 and max(longest) < 16
+        assert huffman._DECODE_TABLE_CACHE.nbytes == sum(
+            (1 << max(top, 1))
+            * (np.min_scalar_type(lengths.size - 1).itemsize + 1)
+            for top, lengths in zip(longest, built.values())
+        )

@@ -406,3 +406,44 @@ def without_checksums(blob: bytes) -> bytes:
             for t in reader.tiles:
                 writer.copy_tile(reader, t)
     return sink.getvalue()
+
+
+def tiles_of(blob: bytes, reference: np.ndarray | None = None) -> list:
+    """``(payload, shape, params, reference tile)`` of every tile."""
+    from repro.compressor.container import TiledReader
+    from repro.compressor.tiled_geometry import extent_slices
+
+    with TiledReader(blob) as reader:
+        return [
+            (
+                reader.read_tile(record),
+                record.shape,
+                record.params,
+                reference[extent_slices(record.start, record.stop)]
+                if record.temporal
+                else None,
+            )
+            for record in reader.tiles
+        ]
+
+
+def tile_by_tile(
+    blob: bytes, reference: np.ndarray | None = None
+) -> np.ndarray:
+    """*blob* decoded by ``decode_tile``, one tile at a time: what every
+    read must return, however it stacks the tiles."""
+    from repro.compressor.container import TiledReader
+    from repro.compressor.tiled import decode_tile
+    from repro.compressor.tiled_geometry import extent_slices
+
+    with TiledReader(blob) as reader:
+        dtype = np.dtype(reader.header["dtype"])
+        out = np.zeros(tuple(reader.header["shape"]), dtype=dtype)
+        records = reader.tiles
+    for record, (payload, shape, params, ref) in zip(
+        records, tiles_of(blob, reference)
+    ):
+        out[extent_slices(record.start, record.stop)] = decode_tile(
+            payload, shape, dtype, ref_tile=ref, params=params
+        )
+    return out

@@ -17,6 +17,9 @@ the invariants every case must satisfy:
 * a tiled container's full decode, full-region decode and random
   subregion decodes agree with each other, and region decodes touch
   only the intersecting tiles;
+* a tiled container's reads decode its tiles as stacks: full and
+  region decodes, on the serial, thread or process backend by seed,
+  are byte for byte what ``decode_tile`` makes of each tile alone;
 * temporal cases replay the case as a short snapshot chain: the bound
   holds on *every* snapshot (keyframe or delta), full decode and
   region decode of a temporal container are byte-identical, keyframes decode
@@ -290,6 +293,7 @@ def _check_tiled(case: Case, flat_recon: np.ndarray) -> None:
     recon = tc.decompress(result.blob)
     assert recon.shape == data.shape and recon.dtype == data.dtype
     _assert_surfaced(result.reconstruction, recon)
+    _check_stacks(case, result.blob, recon)
     if config.adaptive and result.plan is not None:
         # every tile honours its own allocated absolute bound
         for choice in result.plan.choices:
@@ -331,6 +335,22 @@ def _check_tiled(case: Case, flat_recon: np.ndarray) -> None:
             for t in result.tiles
         )
         assert tc.last_tiles_decoded == hits
+
+
+def _check_stacks(case: Case, blob: bytes, recon: np.ndarray) -> None:
+    """Reads decode their tiles as stacks: *recon* (the case's own
+    decode, serial for one worker and threaded for more), and a full
+    and a region decode on the backend the seed picks, are byte for
+    byte what ``decode_tile`` makes of each tile alone."""
+    from tests.conftest import tile_by_tile
+
+    assert recon.tobytes() == tile_by_tile(blob).tobytes()
+    backend = ("serial", "thread", "process")[case.seed % 3]
+    tc = TiledCompressor(workers=2, backend=backend)
+    assert tc.decompress(blob).tobytes() == recon.tobytes()
+    region = tuple(slice(n // 4, n - n // 4) for n in recon.shape)
+    got = tc.decompress_region(blob, region)
+    assert got.tobytes() == recon[region].tobytes()
 
 
 def _check_plan_quality(

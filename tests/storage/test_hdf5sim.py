@@ -167,11 +167,11 @@ class TestReadRegion:
         with H5LikeFile(path, "w") as f:
             f.create_dataset("x", data, cfg, chunk_shape=(8, 8))
         calls = []
-        original = SZCompressor.decode_stages
+        original = SZCompressor.decode_stack
         monkeypatch.setattr(
             SZCompressor,
-            "decode_stages",
-            lambda *a: calls.append(1) or original(*a),
+            "decode_stack",
+            lambda self, tiles: calls.extend(tiles) or original(self, tiles),
         )
         with H5LikeFile(path, "r") as f:
             f.read_region("x", (slice(1, 7), slice(9, 15)))
