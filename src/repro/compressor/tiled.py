@@ -30,8 +30,10 @@ adaptive, and the temporal policy of
 :mod:`repro.compressor.temporal` — hands :class:`TileJob` s to one loop
 (:meth:`TiledCompressor._encode_tiles`); every reader — this class
 (and through it the chunked storage layer), the serving store — turns
-tile payloads into samples through :func:`decode_tiles` (one tile:
-:func:`decode_tile`), which entropy-decodes a stack of tiles at once.
+tile payloads into samples through :func:`decode_records`, which cuts
+a read into stacks, one per worker, each decoded by
+:func:`decode_tiles` (one tile: :func:`decode_tile`), which
+entropy-decodes a stack of tiles at once.
 
 Error-bound semantics of the uniform path are the stage codec's on the
 whole array:
@@ -91,6 +93,7 @@ __all__ = [
     "TileJob",
     "decode_tile",
     "decode_tiles",
+    "decode_records",
     "decode_tile_task",
     "combine",
     "iter_tiles",
@@ -753,14 +756,10 @@ class TiledCompressor:
     ) -> np.ndarray:
         """Decode the tiles intersecting *region* on the executor.
 
-        Tiles decode in stacks (:func:`decode_tiles`, cut by
-        :func:`_stacks`): serially one stack after another, each copied
-        into the region before the next decodes; under a pool the
-        parent reads the (compressed, small) tile payloads and ships
-        one stack per worker, which decodes its tiles straight into a
-        preallocated output buffer — a shared-memory region under the
-        process backend, so decoded samples are never pickled — and
-        the parent assembles the hyperslab from the buffer views.
+        The tiles go through :func:`decode_records` — serially one
+        stack after another, each copied into the region before the
+        next decodes; under a pool one stack per worker — and the
+        parent assembles the hyperslab from what it hands over.
         Temporal tiles travel with the matching tile of *reference*.  A
         region that is exactly one tile's extent (a whole one-tile
         container) is that tile as decoded, not a copy.
@@ -789,62 +788,100 @@ class TiledCompressor:
                 reference[extent_slices(record.start, record.stop)]
             )
 
-        def decode(stack: list) -> list[np.ndarray]:
-            return decode_tiles(
-                [reader.read_tile(record) for record, _ in stack],
-                [record.shape for record, _ in stack],
-                dtype,
-                self._codec,
-                [ref_tile(record) for record, _ in stack],
-                params=[record.params for record, _ in stack],
-            )
-
         hits = intersecting_tiles(reader.tiles, region)
-        sizes = [math.prod(record.shape) for record, _ in hits]
+        records = [record for record, _ in hits]
         executor = self._executor()
+        codec = self._codec if self._custom_codec else None
         # the region is one tile's extent: the answer is that tile
-        if [region] == [extent_slices(r.start, r.stop) for r, _ in hits]:
-            (tile,) = decode(hits)
+        if [region] == [extent_slices(r.start, r.stop) for r in records]:
+            tiles: list[np.ndarray] = []
+            decode_records(
+                executor, records, dtype, reader.read_tile,
+                lambda _, tile: tiles.append(tile), codec, ref_tile,
+            )
             self._count_decoded(1)
-            return tile
+            return tiles[0]
 
         out = np.zeros(tuple(r.stop - r.start for r in region), dtype=dtype)
-        if executor.workers <= 1 or len(hits) <= 1:
-            for part in _stacks(sizes, 1):
-                stack = hits[part]
-                for (record, overlap), tile in zip(stack, decode(stack)):
-                    copy_overlap(out, region, tile, record.start, overlap)
-                del tile  # not held while the next stack decodes
-        else:
-            ship_codec = self._codec if self._custom_codec else None
-            buffer, offsets = carve_buffer(
-                executor,
-                [size * dtype.itemsize for size in sizes],
-                kind="output",
-            )
-            try:
-                items = []
-                for part in _stacks(sizes, executor.workers):
-                    records = [record for record, _ in hits[part]]
-                    items.append(
-                        (
-                            [reader.read_tile(record) for record in records],
-                            offsets[part],
-                            [record.shape for record in records],
-                            dtype.str,
-                            ship_codec,
-                            [ref_tile(record) for record in records],
-                            [record.params for record in records],
-                        )
-                    )
-                executor.run_batch(decode_tile_task, items, output=buffer)
-                for (record, overlap), offset in zip(hits, offsets):
-                    tile = _slot(buffer.array, offset, record.shape, dtype)
-                    copy_overlap(out, region, tile, record.start, overlap)
-            finally:
-                buffer.release()
+
+        def place(i: int, tile: np.ndarray) -> None:
+            record, overlap = hits[i]
+            copy_overlap(out, region, tile, record.start, overlap)
+
+        decode_records(
+            executor, records, dtype, reader.read_tile, place, codec, ref_tile
+        )
         self._count_decoded(len(hits))
         return out
+
+
+def decode_records(
+    executor: CodecExecutor,
+    records: Sequence[TileRecord],
+    dtype: np.dtype,
+    read: Callable[[TileRecord], bytes],
+    take: Callable[[int, np.ndarray], None],
+    codec: SZCompressor | None = None,
+    ref_tile: Callable[[TileRecord], np.ndarray | None] = lambda _: None,
+) -> None:
+    """Decode the tiles *records* name in stacks; ``take(i, tile)`` each,
+    in record order.
+
+    The one decode route of every region reader — this module's
+    :class:`TiledCompressor` and the serving store.  *read* gives a
+    record's payload and *ref_tile* its reference tile (``None`` for a
+    spatial tile); *codec* ``None`` is the stock one.  The records are
+    cut into stacks by :func:`_stacks`.  On a serial executor (or for
+    one record) each stack decodes inline through :func:`decode_tiles`
+    and its tiles are handed over — the decode's own arrays — before
+    the next stack decodes, so peak memory is one stack's.  On a pool
+    the payloads are read here and each worker gets one stack, a
+    :func:`decode_tile_task` item that decodes into a shared output
+    buffer (shared memory under the process backend, so decoded
+    samples are never pickled); *take* then gets views into that
+    buffer, valid only during the call.  What raises is
+    :func:`decode_tiles`' error: a stack's first bad tile's own.
+    """
+    dtype = np.dtype(dtype)
+    sizes = [math.prod(record.shape) for record in records]
+    if executor.workers <= 1 or len(records) <= 1:
+        for part in _stacks(sizes, 1):
+            stack = records[part]
+            tiles = decode_tiles(
+                [read(record) for record in stack],
+                [record.shape for record in stack],
+                dtype,
+                codec,
+                [ref_tile(record) for record in stack],
+                params=[record.params for record in stack],
+            )
+            for i, tile in enumerate(tiles, start=part.start):
+                take(i, tile)
+            del tiles, tile  # not held while the next stack decodes
+        return
+    buffer, offsets = carve_buffer(
+        executor, [size * dtype.itemsize for size in sizes], kind="output"
+    )
+    try:
+        items = []
+        for part in _stacks(sizes, executor.workers):
+            stack = records[part]
+            items.append(
+                (
+                    [read(record) for record in stack],
+                    offsets[part],
+                    [record.shape for record in stack],
+                    dtype.str,
+                    codec,
+                    [ref_tile(record) for record in stack],
+                    [record.params for record in stack],
+                )
+            )
+        executor.run_batch(decode_tile_task, items, output=buffer)
+        for i, (record, offset) in enumerate(zip(records, offsets)):
+            take(i, _slot(buffer.array, offset, record.shape, dtype))
+    finally:
+        buffer.release()
 
 
 #: decoded points a decode stack holds at most (512 KiB of ``float64``):

@@ -15,7 +15,12 @@ Design points:
   tile simultaneously, exactly one (the leader) runs the loader; the
   rest block on an event and receive the leader's result, so a hot
   cold tile is decoded once rather than once per request
-  (``stats().coalesced`` counts the waits).
+  (``stats().coalesced`` counts the waits).  A read claims all of its
+  keys in one pass (:meth:`TileLRUCache.get_or_load_many`) and loads
+  every key it leads in one batch — a region's misses decode as one
+  stack — while each key keeps its own value or error, and keys
+  another read is loading are waited for only after this read's own
+  are published.
 * **Counters** — per-shard hits / misses / evictions / coalesced waits
   aggregate into :meth:`stats`, which the server exposes at
   ``/v1/cache/stats`` and the latency benchmark records.
@@ -28,9 +33,9 @@ corrupt later reads.
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable
+from collections import Counter, OrderedDict
+from dataclasses import asdict, dataclass
+from typing import Callable, Hashable, Iterable, Sequence
 
 import numpy as np
 
@@ -52,7 +57,7 @@ class CacheStats:
     bytes_cached: int
     byte_budget: int
     shards: int
-    #: loader exceptions seen by get_or_load — a growing count under a
+    #: keys whose load failed — a growing count under a
     #: steady workload is the cache-side smoke signal of data damage
     load_failures: int = 0
 
@@ -64,18 +69,14 @@ class CacheStats:
 
     def to_json(self) -> dict:
         """JSON-friendly dict (counters plus derived hit rate)."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "coalesced": self.coalesced,
-            "entries": self.entries,
-            "bytes_cached": self.bytes_cached,
-            "byte_budget": self.byte_budget,
-            "shards": self.shards,
-            "load_failures": self.load_failures,
-            "hit_rate": round(self.hit_rate, 6),
-        }
+        return dict(asdict(self), hit_rate=round(self.hit_rate, 6))
+
+
+#: the :class:`CacheStats` fields that are sums of per-shard counters
+_SUMMED = (
+    "hits", "misses", "evictions", "coalesced", "bytes_cached",
+    "byte_budget", "load_failures",
+)
 
 
 class _InFlight:
@@ -173,52 +174,87 @@ class TileLRUCache:
     ) -> tuple[np.ndarray, bool]:
         """Return ``(value, was_hit)``; concurrent misses load once.
 
-        The first thread to miss on *key* becomes the leader and runs
-        *loader* outside any lock; threads missing meanwhile block on
-        the leader's event and share its result (counted as
-        ``coalesced``, not as extra misses).  A loader exception is
-        re-raised in the leader and every waiter, and nothing is
-        cached.
+        The one-key case of :meth:`get_or_load_many`: *loader* runs in
+        the leader, outside any lock.
         """
+        return self.get_or_load_many((key,), lambda _: [loader()])[0]
+
+    def get_or_load_many(
+        self,
+        keys: Sequence[Hashable],
+        load_many: Callable[[list], Sequence[np.ndarray | BaseException]],
+    ) -> list[tuple[np.ndarray, bool]]:
+        """``(value, was_hit)`` per key of *keys*; misses load as a batch.
+
+        One pass over the shard locks sorts each key into a hit, a
+        leader or a follower of another call's load (``coalesced``).
+        All leaders load through one ``load_many(leaders)`` call outside
+        any lock, which returns each key's value or its own exception,
+        in order (what it raises is every leader's).  Every leader is
+        published before the call waits on a key it follows, so calls
+        wait in no cycle while no loader waits on a key a caller of its
+        own batch may lead (the store's rule: a chain version waits only
+        on older ones).  A key listed twice is claimed once; the first
+        failed key in *keys* raises.
+        """
+        claims: dict[Hashable, tuple] = {}
+        leaders: list[Hashable] = []
+        for key in keys:
+            if key in claims:
+                continue
+            shard = self._shard_for(key)
+            with shard.lock:
+                value = shard.entries.get(key)
+                if value is not None:
+                    shard.entries.move_to_end(key)
+                    shard.hits += 1
+                    claims[key] = (value, None)
+                    continue
+                flight = shard.inflight.get(key)
+                if flight is None:
+                    flight = shard.inflight[key] = _InFlight()
+                    shard.misses += 1
+                    leaders.append(key)
+                else:
+                    shard.coalesced += 1
+            claims[key] = (None, flight)
+        if leaders:
+            try:
+                results = [
+                    r if isinstance(r, BaseException) else self._freeze(r)
+                    for r in load_many(leaders)
+                ]
+                if len(results) != len(leaders):
+                    raise RuntimeError("load_many returned a wrong count")
+            except BaseException as exc:
+                results = [exc] * len(leaders)
+            for key, result in zip(leaders, results):
+                self._publish(key, claims[key][1], result)
+        out = []
+        for key in keys:
+            value, flight = claims[key]
+            if flight is not None:
+                flight.event.wait()
+                if flight.error is not None:
+                    raise flight.error
+                value = flight.value
+            out.append((value, flight is None))
+        return out
+
+    def _publish(self, key: Hashable, flight: _InFlight, result) -> None:
+        """Settle a leader's *flight* with its (frozen) value or error."""
         shard = self._shard_for(key)
-        with shard.lock:
-            value = shard.entries.get(key)
-            if value is not None:
-                shard.entries.move_to_end(key)
-                shard.hits += 1
-                return value, True
-            flight = shard.inflight.get(key)
-            if flight is None:
-                flight = _InFlight()
-                shard.inflight[key] = flight
-                shard.misses += 1
-                leader = True
-            else:
-                shard.coalesced += 1
-                leader = False
-
-        if not leader:
-            flight.event.wait()
-            if flight.error is not None:
-                raise flight.error
-            assert flight.value is not None
-            return flight.value, False
-
-        try:
-            value = self._freeze(loader())
-        except BaseException as exc:
-            flight.error = exc
+        if isinstance(result, BaseException):
+            flight.error = result
             with shard.lock:
                 shard.inflight.pop(key, None)
                 shard.load_failures += 1
-            flight.event.set()
-            raise
-        with shard.lock:
-            shard.inflight.pop(key, None)
-            shard.insert(key, value)
-        flight.value = value
+        else:
+            with shard.lock:
+                shard.inflight.pop(key, None)
+                shard.insert(key, result)
+            flight.value = result
         flight.event.set()
-        return value, False
 
     @staticmethod
     def _freeze(value: np.ndarray) -> np.ndarray:
@@ -258,26 +294,9 @@ class TileLRUCache:
 
     def stats(self) -> CacheStats:
         """Aggregate counters across shards."""
-        hits = misses = evictions = coalesced = entries = cached = 0
-        budget = failures = 0
+        totals = Counter()
         for shard in self._shards:
             with shard.lock:
-                hits += shard.hits
-                misses += shard.misses
-                evictions += shard.evictions
-                coalesced += shard.coalesced
-                entries += len(shard.entries)
-                cached += shard.bytes_cached
-                budget += shard.byte_budget
-                failures += shard.load_failures
-        return CacheStats(
-            hits=hits,
-            misses=misses,
-            evictions=evictions,
-            coalesced=coalesced,
-            entries=entries,
-            bytes_cached=cached,
-            byte_budget=budget,
-            shards=len(self._shards),
-            load_failures=failures,
-        )
+                totals.update({n: getattr(shard, n) for n in _SUMMED})
+                totals["entries"] += len(shard.entries)
+        return CacheStats(shards=len(self._shards), **totals)

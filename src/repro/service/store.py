@@ -26,8 +26,10 @@ new dataset, and the version component keeps a chain's snapshots from
 ever colliding on equal byte offsets).  A temporal tile's loader
 fetches the matching reference tile of the previous version *through
 the same cache*, so chain walks — and time-range reads over a chain —
-share every decoded reference tile.  Concurrent misses on the same
-tile are coalesced: one decode, many consumers.
+share every decoded reference tile.  A read claims all of its tiles in
+one pass and decodes its misses as one batch, the way
+:class:`~repro.compressor.TiledCompressor` reads; concurrent misses on
+the same tile are coalesced: one decode, many consumers.
 
 Writes seed that cache.  An encode already holds what a decoder will
 reconstruct, so every put asks its compressor to surface it and, once
@@ -52,7 +54,6 @@ import re
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -66,7 +67,7 @@ from repro.compressor import (
 from repro.compressor.container import TiledReader, TileRecord
 from repro.compressor.executor import get_executor
 from repro.compressor.inspect import describe_container
-from repro.compressor.tiled import decode_tile, decode_tile_task
+from repro.compressor.tiled import decode_records
 from repro.compressor.tiled_geometry import (
     copy_overlap,
     extent_slices,
@@ -157,17 +158,18 @@ class ArrayStore:
         Decoded-tile cache shared across datasets; ``None`` builds a
         default :class:`TileLRUCache`.
     workers:
-        Parallel width for tile *encoding* on every put and for the
-        per-request cache-miss fan-out of :meth:`read_region`
-        (``None``/1 keeps reads sequential, the historical behavior).
+        Parallel width for tile encoding on every put and for the
+        cache-miss decode of every read: a read's misses decode as
+        stacks, one per worker (``None``/1 decodes them as one stack on
+        the calling thread).  There is no read fan-out pool of the
+        store's own; the executor is the one the codec uses.
     parallel_backend:
         Execution backend for the codec hot paths, one of
         :data:`repro.compressor.executor.BACKENDS`; an unknown name is
-        refused here.  With the process backend, cache-miss tiles are
-        entropy-decoded in executor worker processes (decoded samples
-        return through shared memory), so the serving threads — and
-        the cache shard locks they take — are never held hostage by a
-        slow pure-Python decode.
+        refused here.  With the process backend, a read's miss stacks
+        decode in executor worker processes (decoded samples return
+        through shared memory), so the serving threads are never held
+        hostage by a slow pure-Python decode.
     plan_cache:
         :class:`repro.compressor.PlannerCache` (or the path of a
         file-backed one) every put plans adaptive keyframes through:
@@ -204,8 +206,6 @@ class ArrayStore:
         # test seam: an armed FaultInjector turns the named crash
         # points in the write paths into simulated process kills
         self._faults = faults
-        self._fanout_lock = threading.Lock()
-        self._fanout: "ThreadPoolExecutor | None" = None
         self._lock = threading.RLock()
         # per (name, version) read lately, least recent first: its
         # reader and its map of tile start -> TileRecord, for the chain
@@ -800,105 +800,103 @@ class ArrayStore:
             self._open.move_to_end(key)
             return self._open[key][0], generation, resolved, depth
 
-    def _tile_at(self, name: str, version: int, start: tuple) -> "TileRecord":
-        """The tile record of *version* whose extent begins at *start*."""
+    def _tiles_at(
+        self, name: str, version: int, starts: Sequence[tuple]
+    ) -> list[TileRecord]:
+        """The tile records of *version* whose extents begin at *starts*."""
         with self._lock:
             self._reader(name, version)
             index = self._open[name, version][1]
         try:
-            return index[tuple(start)]
-        except KeyError:
+            return [index[tuple(start)] for start in starts]
+        except KeyError as exc:
             raise DatasetCorruptError(
                 f"dataset {name!r} version {version} has no tile at "
-                f"{tuple(start)}: chain tile grids are misaligned"
+                f"{exc.args[0]}: chain tile grids are misaligned"
             ) from None
 
-    def _decode_tile_blob(
-        self, executor, blob: bytes, rec: TileRecord, dtype
-    ) -> np.ndarray:
-        """Decode one tile payload, on *executor* when it is a pool.
-
-        With the ``process`` backend the entropy decode runs in an
-        executor worker and the decoded samples come back through a
-        shared-memory output region (never pickled); otherwise the
-        decode is inline.  Tiles go one at a time — not as one batch
-        per request — because each one must pass through the cache's
-        ``get_or_load`` coalescing individually; the per-tile segment
-        setup is microseconds against a multi-millisecond decode.
-        """
-        shape = rec.shape
-        if executor.name != "process":
-            return decode_tile(blob, shape, dtype, params=rec.params)
-        nbytes = int(np.prod(shape)) * dtype.itemsize
-        buffer = executor.output_buffer(nbytes)
-        try:
-            executor.run_batch(
-                decode_tile_task,
-                [
-                    (
-                        [blob], [0], [shape], dtype.str, None, [None],
-                        [rec.params],
-                    )
-                ],
-                output=buffer,
-            )
-            return buffer.array.view(dtype).reshape(shape).copy()
-        finally:
-            buffer.release()
-
-    def _fanout_pool(self, width: int) -> ThreadPoolExecutor:
-        """Lazily built pool for per-request cache-miss fan-out."""
-        with self._fanout_lock:
-            if self._fanout is None:
-                self._fanout = ThreadPoolExecutor(
-                    max_workers=max(2, width),
-                    thread_name_prefix="store-read",
-                )
-            return self._fanout
-
-    def _fetch_tile(
+    def _fetch_tiles(
         self,
         name: str,
         generation: int,
         version: int,
-        rec: TileRecord,
-        executor,
+        records: Sequence[TileRecord],
         dtype: np.dtype,
-    ) -> tuple[np.ndarray, bool]:
-        """One decoded tile of one chain version, through the cache.
-
-        Temporal tiles recursively fetch the matching reference tile of
-        the previous version — also through the cache, so a chain walk
-        decodes each ancestor tile at most once and time-range reads
-        share every reference.  The recursion happens inside the
-        cache's loader, which runs with the shard lock *released*, so
-        nested fetches cannot deadlock; depth is bounded by the chain's
-        keyframe interval.
-        """
-
-        def load() -> np.ndarray:
-            reader, _, _, _ = self._reader(name, version)
-            try:
-                tile = self._decode_tile_blob(
-                    executor, reader.read_tile(rec), rec, dtype
-                )
-            except (ValueError, OSError) as exc:
-                raise DatasetCorruptError(
-                    f"tile at offset {rec.offset} of dataset "
-                    f"{name!r} version {version} failed to decode: "
-                    f"{exc}"
-                ) from exc
-            if rec.temporal:
-                parent = self._tile_at(name, version - 1, rec.start)
-                ref_tile, _ = self._fetch_tile(
-                    name, generation, version - 1, parent, executor, dtype
-                )
-                tile = TemporalCompressor.combine(tile, ref_tile)
-            return tile
-
-        return self.cache.get_or_load(
-            (name, generation, version, rec.offset), load
+    ) -> list[tuple[np.ndarray, bool]]:
+        """``(tile, was_hit)`` per record of one chain version, from one
+        :meth:`TileLRUCache.get_or_load_many` call: the tiles it leads
+        load as one batch (:meth:`_load_tiles`), so a chain walk decodes
+        each ancestor tile at most once and time-range reads share every
+        reference.  A load waits only on older versions, so no two reads
+        wait on each other in a cycle."""
+        by_offset = {record.offset: record for record in records}
+        return self.cache.get_or_load_many(
+            [(name, generation, version, record.offset) for record in records],
+            lambda keys: self._load_tiles(
+                name,
+                generation,
+                version,
+                [by_offset[key[3]] for key in keys],
+                dtype,
+            ),
         )
+
+    def _load_tiles(
+        self,
+        name: str,
+        generation: int,
+        version: int,
+        records: Sequence[TileRecord],
+        dtype: np.dtype,
+    ) -> list:
+        """The tiles of *records* in *version*, each an array or its error.
+
+        The tiles decode as stacks, one per worker of the store's
+        executor, through :func:`~repro.compressor.tiled.decode_records`
+        — the route :class:`TiledCompressor` reads with — and temporal
+        residuals are combined with their reference tiles.  A batch that
+        raises is loaded again one tile at a time, so each tile gets its
+        own verdict: a tile that does not decode a
+        :class:`DatasetCorruptError`, the good ones their samples.
+        """
+        try:
+            reader, _, _, _ = self._reader(name, version)
+            tiles: list[np.ndarray] = []
+            decode_records(
+                get_executor(self._backend, self._workers),
+                records,
+                dtype,
+                reader.read_tile,
+                # a copy: a pool hands over views of its batch buffer
+                lambda _, tile: tiles.append(tile.copy()),
+            )
+            temporal = [i for i, rec in enumerate(records) if rec.temporal]
+            if temporal:
+                parents = self._tiles_at(
+                    name, version - 1, [records[i].start for i in temporal]
+                )
+                references = self._fetch_tiles(
+                    name, generation, version - 1, parents, dtype
+                )
+                for i, (reference, _) in zip(temporal, references):
+                    tiles[i] = TemporalCompressor.combine(tiles[i], reference)
+            return tiles
+        except Exception as exc:
+            if len(records) > 1:
+                return [
+                    verdict
+                    for record in records
+                    for verdict in self._load_tiles(
+                        name, generation, version, [record], dtype
+                    )
+                ]
+            if isinstance(exc, (ValueError, OSError)):
+                cause, exc = exc, DatasetCorruptError(
+                    f"tile at offset {records[0].offset} of dataset "
+                    f"{name!r} version {version} failed to decode: {exc}"
+                )
+                exc.__cause__ = cause
+            return [exc]
 
     def read_region(
         self,
@@ -910,14 +908,15 @@ class ArrayStore:
         """Decode the hyperslab *region* of dataset *name*.
 
         ``version`` picks a chain snapshot (default: the latest).
-        Only intersecting tiles are touched; each comes from the
-        decoded-tile cache when possible (concurrent cold misses on one
-        tile are coalesced into a single decode), and temporal tiles
-        pull their reference tiles through the same cache, decoding at
-        most ``chain_depth`` containers per tile.  With ``workers`` > 1
-        the misses of one request are fetched concurrently — decodes
-        run on the configured executor backend — so a single slow tile
-        never serializes the rest of the request.
+        Only intersecting tiles are touched, claimed from the
+        decoded-tile cache in one pass; the misses decode as one batch
+        of stacks (one per worker, on the configured executor backend),
+        concurrent cold misses on one tile are coalesced into a single
+        decode, and temporal tiles pull their reference tiles through
+        the same cache, decoding at most ``chain_depth`` containers per
+        tile.  A damaged tile fails only itself: the read raises the
+        :class:`DatasetCorruptError` of the first bad tile it touches,
+        and the good tiles it decoded are cached.
 
         ``allow_degraded`` controls what happens when the requested
         snapshot is unreadable (corrupt delta or damaged container):
@@ -975,34 +974,19 @@ class ArrayStore:
         out = np.zeros(
             tuple(r.stop - r.start for r in slices), dtype=dtype
         )
-        executor = get_executor(self._backend, self._workers)
-
-        def fetch(rec) -> tuple[np.ndarray, bool]:
-            return self._fetch_tile(
-                name, generation, resolved, rec, executor, dtype
-            )
-
         needed = intersecting_tiles(reader.tiles, slices)
-        if executor.workers > 1 and len(needed) > 1:
-            pool = self._fanout_pool(executor.workers)
-            fetched = list(
-                pool.map(fetch, [record for record, _ in needed])
-            )
-        else:
-            fetched = [fetch(record) for record, _ in needed]
-
-        hits = misses = 0
+        fetched = self._fetch_tiles(
+            name, generation, resolved, [record for record, _ in needed], dtype
+        )
+        hits = 0
         for (record, overlap), (tile, was_hit) in zip(needed, fetched):
-            if was_hit:
-                hits += 1
-            else:
-                misses += 1
+            hits += was_hit
             copy_overlap(out, slices, tile, record.start, overlap)
         return RegionResult(
             data=out,
             tiles_touched=len(needed),
             cache_hits=hits,
-            cache_misses=misses,
+            cache_misses=len(needed) - hits,
             version=resolved,
             chain_depth=depth,
         )
@@ -1068,11 +1052,7 @@ class ArrayStore:
         return recover_store(self, deep=deep)
 
     def close(self) -> None:
-        """Close every open container reader and the read fan-out pool."""
-        with self._fanout_lock:
-            if self._fanout is not None:
-                self._fanout.shutdown(wait=True)
-                self._fanout = None
+        """Close every open container reader."""
         with self._lock:
             for reader, _ in self._open.values():
                 reader.close()

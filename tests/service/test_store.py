@@ -245,6 +245,39 @@ class TestCorruptContainers:
         with pytest.raises(DatasetCorruptError, match="unreadable"):
             store.stat("press")
 
+    def test_one_bad_tile_fails_only_itself(self, tmp_path, field):
+        from repro.compressor.container import TiledReader
+        from repro.service.store import DatasetCorruptError
+
+        root = tmp_path / "store"
+        snaps = _drifting_snaps(field, 2)
+        with ArrayStore(root) as writer:
+            for snap in snaps:
+                writer.put_snapshot("wave", snap, _config())
+        path = root / "wave@v1.rqsz"
+        with TiledReader(str(path)) as reader:
+            bad = reader.tiles[4]  # the middle tile of the 3 x 3 grid
+        blob = bytearray(path.read_bytes())
+        blob[bad.offset + bad.size // 2] ^= 0x10
+        path.write_bytes(bytes(blob))
+        with ArrayStore(root) as store:
+            with pytest.raises(
+                DatasetCorruptError,
+                match=f"tile at offset {bad.offset} of dataset 'wave' "
+                "version 1 failed to decode",
+            ):
+                store.read_full("wave", version=1)
+            assert store.cache.stats().load_failures == 1
+            # the read's eight good tiles were cached
+            good = store.read_region("wave", (slice(0, 16),), version=1)
+            assert (good.cache_hits, good.cache_misses) == (3, 0)
+            assert_error_bounded(snaps[1][:16], good.data, EB)
+            degraded = store.read_region(
+                "wave", (), version=1, allow_degraded=True
+            )
+            assert degraded.degraded and degraded.version == 0
+            assert_error_bounded(snaps[0], degraded.data, EB)
+
     def test_corrupt_manifest_json_clean_error(self, tmp_path):
         root = tmp_path / "store"
         os.makedirs(root)

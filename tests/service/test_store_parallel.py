@@ -1,17 +1,19 @@
-"""ArrayStore cache-miss fan-out across executor backends.
+"""ArrayStore cache-miss decodes across executor backends.
 
 The store's read path must stay correct (and its counters coherent)
-when misses of one request are fetched concurrently and the decodes
-run on the process executor, including under concurrent readers where
+when the misses of one request decode as stacks on a pool — the
+process executor included — and under concurrent readers, where
 request coalescing kicks in.
 """
 
+import os
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from repro.compressor import CompressionConfig
+from repro.compressor import CompressionConfig, TiledCompressor
 from repro.service.cache import TileLRUCache
 from repro.service.store import ArrayStore
 
@@ -23,47 +25,67 @@ def _field() -> np.ndarray:
     )
 
 
-@pytest.mark.parametrize("backend", ["serial", "thread", "process"])
-def test_read_region_matches_across_backends(tmp_path, backend):
-    data = _field()
-    store = ArrayStore(
-        str(tmp_path / f"store-{backend}"),
-        cache=TileLRUCache(byte_budget=8 << 20),
-        workers=2,
-        parallel_backend=backend,
-    )
-    with store:
-        store.create(
-            "field",
-            data,
-            CompressionConfig(error_bound=1e-2, tile_shape=(16, 16)),
-        )
-        store.cache.clear()  # drop the tiles the put wrote through
-        result = store.read_region(
-            "field", (slice(8, 40), slice(10, 60))
-        )
-        assert result.tiles_touched == 12
-        assert result.cache_misses == 12
-        assert result.cache_hits == 0
-        baseline = ArrayStore(
-            str(tmp_path / "store-base"),
-            workers=None,
-        )
-        with baseline:
-            baseline.create(
-                "field",
-                data,
-                CompressionConfig(error_bound=1e-2, tile_shape=(16, 16)),
-            )
-            expected = baseline.read_region(
-                "field", (slice(8, 40), slice(10, 60))
-            ).data
-        np.testing.assert_array_equal(result.data, expected)
+WINDOW = (slice(8, 40), slice(10, 60))
 
-        warm = store.read_region("field", (slice(8, 40), slice(10, 60)))
-        assert warm.cache_hits == 12
-        assert warm.cache_misses == 0
-        np.testing.assert_array_equal(warm.data, expected)
+
+@pytest.fixture(scope="module")
+def stored(tmp_path_factory):
+    """A store directory holding a spatial, an adaptive-palette and a
+    three-version temporal dataset, and what ``TiledCompressor``
+    decodes of ``WINDOW`` from each container."""
+    root = tmp_path_factory.mktemp("stored")
+    data = _field()
+    config = CompressionConfig(error_bound=1e-2, tile_shape=(16, 16))
+    with ArrayStore(str(root)) as store:
+        store.create("field", data, config)
+        store.create("ada", data, replace(config, adaptive=True))
+        for v in range(3):
+            store.put_snapshot("wave", data + 0.05 * v, config)
+        files = {
+            (name, snap["version"]): os.path.join(str(root), snap["file"])
+            for name in store.names()
+            for snap in store.versions(name)
+        }
+    codec = TiledCompressor()
+    expected = {
+        name: codec.decompress_region(files[name, 0], WINDOW)
+        for name in ("field", "ada")
+    }
+    reference = None
+    for v in range(3):
+        expected["wave", v] = codec.decompress_region(
+            files["wave", v], WINDOW, reference=reference
+        )
+        reference = codec.decompress(files["wave", v], reference=reference)
+    return str(root), expected
+
+
+@pytest.mark.parametrize("budget", [8 << 20, 0], ids=["cached", "no-cache"])
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+def test_read_region_matches_across_backends(stored, backend, workers, budget):
+    """Store reads are what ``TiledCompressor.decompress_region`` makes
+    of the same containers, byte for byte, with the same hit and miss
+    counts, on every backend and width — and with a zero-budget cache,
+    where every lookup misses."""
+    root, expected = stored
+    cache = TileLRUCache(byte_budget=budget)
+    with ArrayStore(
+        root, cache=cache, workers=workers, parallel_backend=backend
+    ) as store:
+        for name in ("field", "ada"):
+            for warm in (False, True):
+                result = store.read_region(name, WINDOW)
+                assert result.tiles_touched == 12
+                hits = 12 if warm and budget else 0
+                assert (result.cache_hits, result.cache_misses) == (
+                    hits, 12 - hits,
+                )
+                assert result.data.tobytes() == expected[name].tobytes()
+        results = store.read_range("wave", WINDOW, 0, 2)
+        for v, result in enumerate(results):
+            assert (result.cache_hits, result.cache_misses) == (0, 12)
+            assert result.data.tobytes() == expected["wave", v].tobytes()
 
 
 def test_concurrent_cold_reads_coalesce_and_agree(tmp_path):

@@ -16,6 +16,7 @@ import pytest
 from repro.compressor import CompressionConfig
 from repro.service.cache import TileLRUCache
 from repro.service.faults import FaultInjector, SimulatedCrash
+from repro.service import store as store_module
 from repro.service.store import MANIFEST_NAME, ArrayStore
 from tests.conftest import assert_error_bounded, smooth_field
 
@@ -45,16 +46,37 @@ def store(tmp_path):
 
 @pytest.fixture
 def decodes(monkeypatch):
-    """Every tile payload any store decodes, counted at the one seam."""
+    """Every tile any store decodes, one entry per tile, counted at the
+    one seam: the store's call of the decode route."""
     calls = []
-    original = ArrayStore._decode_tile_blob
+    original = store_module.decode_records
 
-    def counting(self, executor, blob, rec, dtype):
-        calls.append(rec.shape)
-        return original(self, executor, blob, rec, dtype)
+    def counting(executor, records, dtype, read, take, *args, **kwargs):
+        def counted(i, tile):
+            calls.append(records[i].shape)
+            take(i, tile)
 
-    monkeypatch.setattr(ArrayStore, "_decode_tile_blob", counting)
+        return original(executor, records, dtype, read, counted, *args, **kwargs)
+
+    monkeypatch.setattr(store_module, "decode_records", counting)
     return calls
+
+
+class TestDecodeSeam:
+    def test_a_cold_read_decodes_each_uncached_tile_once(
+        self, tmp_path, decodes
+    ):
+        """The positive control of every ``decodes == []`` below."""
+        root = tmp_path / "store"
+        with ArrayStore(root) as warm:
+            warm.create("press", _snaps(1)[0], _config())
+        assert decodes == []
+        with ArrayStore(root) as cold:
+            read = cold.read_region("press", WINDOW)
+            assert read.cache_misses == read.tiles_touched == 6
+            assert decodes == [(16, 16)] * 6
+            assert cold.read_region("press", WINDOW).cache_hits == 6
+            assert len(decodes) == 6
 
 
 class TestChainWriteThrough:
