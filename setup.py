@@ -10,6 +10,6 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.9",
-    install_requires=["numpy"],
+    install_requires=["numpy", "scipy"],
     entry_points={"console_scripts": ["repro = repro.cli:main"]},
 )

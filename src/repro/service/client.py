@@ -91,6 +91,18 @@ class ServiceError(Exception):
         self.message = message
 
 
+#: ``np.load`` parses a header with ``ast.literal_eval``, whose recursion
+#: count CPython 3.11.0-3.11.7 and 3.12.0-3.12.1 share across threads
+#: (gh-106905: ``SystemError``); re-entrant, as a finalizer may load too
+_NPY_LOCK = threading.RLock()
+
+
+def load_npy(payload: bytes) -> np.ndarray:
+    """The array of a ``.npy`` body, parsed under one process-wide lock."""
+    with _NPY_LOCK:
+        return np.load(io.BytesIO(payload), allow_pickle=False)
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
     """Retry schedule for transient transport/server failures.
@@ -508,7 +520,7 @@ class ArrayClient:
             "chain_depth": int(headers.get("X-Chain-Depth", 1)),
             "degraded": bool(int(headers.get("X-Degraded", 0))),
         }
-        return np.load(io.BytesIO(payload), allow_pickle=False)
+        return load_npy(payload)
 
     def read_range(
         self,
@@ -551,7 +563,7 @@ class ArrayClient:
                 int(v) for v in raw_degraded.split(",") if v
             ],
         }
-        return np.load(io.BytesIO(payload), allow_pickle=False)
+        return load_npy(payload)
 
     def delete(self, name: str) -> dict:
         """Remove dataset *name* from the store."""

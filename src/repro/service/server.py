@@ -71,6 +71,7 @@ import numpy as np
 from repro.compressor import CompressionConfig
 from repro.compressor.config import parse_config_text, parse_flag
 from repro.compressor.tiled_geometry import parse_region_text
+from repro.service.client import NPY_CONTENT_TYPE, load_npy
 from repro.service.faults import FaultInjector
 from repro.service.store import ArrayStore, DatasetCorruptError
 
@@ -81,12 +82,14 @@ logger = logging.getLogger("repro.service")
 #: request bodies larger than this are rejected up front (512 MiB)
 MAX_BODY_BYTES = 512 << 20
 
-NPY_CONTENT_TYPE = "application/x-npy"
-
 #: a kept-alive connection with no request for this long is closed;
 #: longer than any pause inside a client's working loop, short enough
 #: that abandoned clients do not pin handler threads for good
 IDLE_TIMEOUT_S = 120.0
+
+#: how often ``serve_forever`` looks for ``shutdown()``: a stop (SIGTERM
+#: drain, teardown) waits up to one poll, and the stdlib polls at 0.5 s
+POLL_INTERVAL_S = 0.05
 
 
 class _ServiceError(Exception):
@@ -233,7 +236,7 @@ class _Handler(BaseHTTPRequestHandler):
         if len(body) != length:
             raise _ServiceError(400, "truncated request body")
         try:
-            return np.load(io.BytesIO(body), allow_pickle=False)
+            return load_npy(body)
         except ValueError as exc:
             raise _ServiceError(
                 400, f"body is not a valid .npy payload: {exc}"
@@ -543,8 +546,9 @@ class ArrayServer(ThreadingHTTPServer):
     def serve_in_background(self) -> threading.Thread:
         """Run ``serve_forever`` on a daemon thread; returns it."""
         thread = threading.Thread(
-            target=self.serve_forever, name="repro-serve", daemon=True
+            target=self.serve_forever, args=(POLL_INTERVAL_S,), daemon=True
         )
+        thread.name = "repro-serve"
         thread.start()
         return thread
 
@@ -681,7 +685,7 @@ def serve(
         f"on {server.url}"
     )
     try:
-        server.serve_forever()
+        server.serve_forever(POLL_INTERVAL_S)
     except KeyboardInterrupt:
         server.begin_drain()
         print("shutting down")

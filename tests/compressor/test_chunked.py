@@ -37,6 +37,7 @@ from tests.conftest import (
     smooth_field,
     write_chunked_codes,
 )
+from tests.oracle import assert_same_verdict, tile_routes
 
 DATA_DIR = os.path.join(os.path.dirname(os.path.dirname(__file__)), "data")
 
@@ -112,18 +113,21 @@ def _chunked_v7():
 
 class TestChunkedV7Tiles:
     def test_decode_to_their_unchunked_twin(self):
+        # process workers rebuild the stock codec and get each tile's
+        # parameters, ``chunked`` among them, with its work item
         blob, twin = _chunked_v7()
         with TiledReader(blob) as reader:
             metas = [unpack_tile(reader.read_tile(t))[0] for t in reader.tiles]
         assert any(meta.get("chunked") is True for meta in metas)
-        expected = TiledCompressor().decompress(twin)
-        for backend in ("serial", "thread"):
-            tc = TiledCompressor(workers=2, backend=backend)
-            np.testing.assert_array_equal(tc.decompress(blob), expected)
-            region = (slice(5, 30), slice(12, 37))
-            np.testing.assert_array_equal(
-                tc.decompress_region(blob, region), expected[region]
+        three = TiledCompressor(workers=3, backend="process")
+        for region in ((), (slice(5, 30), slice(12, 37))):
+            routes = tile_routes(blob, region)
+            routes["twin"] = lambda: TiledCompressor().decompress_region(
+                twin, region
             )
+            routes["process/3"] = lambda: three.decompress_region(blob, region)
+            assert_same_verdict(routes)
+        assert three.last_tiles_decoded == 4  # of 12, for the region
 
     @pytest.mark.parametrize("blocks", ["dropped", "repeated"])
     def test_blocks_of_the_wrong_total_are_refused(self, blocks):
@@ -138,21 +142,6 @@ class TestChunkedV7Tiles:
         payload = pack_tile(meta, [write_chunked_codes(parts), *sections[1:]])
         with pytest.raises(ContainerFormatError, match="corrupt code stream"):
             decode_tile(payload, record.shape, dtype, params=record.params)
-
-
-class TestWorkers:
-    def test_parallel_decode_matches_serial(self):
-        # process workers rebuild the stock codec and get each tile's
-        # parameters, ``chunked`` among them, with its work item
-        blob, _ = _chunked_v7()
-        serial = TiledCompressor()
-        parallel = TiledCompressor(workers=3, backend="process")
-        region = (slice(5, 30), slice(12, 37))
-        np.testing.assert_array_equal(
-            parallel.decompress_region(blob, region),
-            serial.decompress_region(blob, region),
-        )
-        assert parallel.last_tiles_decoded == 4
 
 
 class TestRatioParity:

@@ -33,7 +33,6 @@ from repro.compressor.encoders.lz77 import write_varint
 from repro.compressor.container import (
     TILE_KEYS,
     ContainerFormatError,
-    TileCorruptError,
     TiledReader,
     TiledWriter,
     pack_tile,
@@ -44,12 +43,14 @@ from repro.compressor.inspect import describe_container
 from repro.compressor.tiled_geometry import iter_tiles
 from tests.conftest import (
     LegacyTiledWriter,
+    case,
     forge_v2,
     replace_tile,
     rewrite_container as rewrite,
     smooth_field,
     without_checksums,
 )
+from tests.oracle import assert_same_verdict, tile_routes
 from tests.proptest import draw_case
 
 DATA_DIR = os.path.join(os.path.dirname(os.path.dirname(__file__)), "data")
@@ -415,13 +416,31 @@ def _tiled_case(seed: int, kind: str):
     )
 
 
-@pytest.mark.parametrize("kind", ["uniform", "adaptive", "temporal"])
-@pytest.mark.parametrize("seed", range(24))
-def test_v7_tiles_are_the_flat_codecs_stage_bytes(seed, kind):
-    case = _tiled_case(seed, kind)
-    if case is None:
-        pytest.skip("the case has no such container")
-    data, config = case
+#: one tile at a time, and as the reader decodes them: for a read of
+#: the whole container the stack routes are the serial decompress's own
+WHOLE_READ_ROUTES = ("decode_tile", "decompress/serial")
+
+
+def test_v7_tiles_are_the_flat_codecs_stage_bytes():
+    """Proptest cases 0..23 as uniform, adaptive and temporal v7
+    containers: each tile's sections and resolved parameters are the
+    flat codec's for it, and every route decodes the v7 frame to what
+    the legacy frame of those flat blobs decodes to.  17 of the 72
+    cases have no such container (a 0-d, empty or constant field
+    cannot be planned or delta-coded, nor a PW_REL one planned)."""
+    inapplicable = 0
+    for seed in range(24):
+        for kind in ("uniform", "adaptive", "temporal"):
+            tiled = _tiled_case(seed, kind)
+            if tiled is None:
+                inapplicable += 1
+                continue
+            with case(seed=seed, kind=kind):
+                _check_stage_bytes(*tiled, kind)
+    assert inapplicable == 17
+
+
+def _check_stage_bytes(data, config, kind) -> None:
     codec = Recording()
     reference = None
     if kind == "temporal":
@@ -438,7 +457,6 @@ def test_v7_tiles_are_the_flat_codecs_stage_bytes(seed, kind):
         result = TiledCompressor(codec=codec).compress(data, config)
     blob = result.blob
     assert blob[4] == 7
-    decoded = TiledCompressor().decompress(blob, reference=reference)
 
     legacy = io.BytesIO()
     with TiledReader(blob) as reader:
@@ -469,13 +487,14 @@ def test_v7_tiles_are_the_flat_codecs_stage_bytes(seed, kind):
                     temporal=record.temporal,
                 )
     # ... and the same values out of either frame
-    unwrapped = TiledCompressor().decompress(
+    routes = tile_routes(blob, reference=reference, backends=["serial"])
+    routes = {k: v for k, v in routes.items() if k in WHOLE_READ_ROUTES}
+    routes["legacy frame"] = lambda: TiledCompressor().decompress(
         legacy.getvalue(), reference=reference
     )
-    assert unwrapped.dtype == decoded.dtype
-    assert unwrapped.tobytes() == decoded.tobytes()
     if result.reconstruction is not None:
-        assert decoded.tobytes() == result.reconstruction.tobytes()
+        routes["reconstruction"] = lambda: result.reconstruction
+    assert_same_verdict(routes)
 
 
 def _tile_fields(flat_header: dict) -> dict:
@@ -690,13 +709,7 @@ def _mutate_prelude(blob: bytes, rng, resum: bool) -> bytes:
     return replace_tile(blob, index, new, resum)
 
 
-@pytest.mark.parametrize(
-    "model",
-    ["corruption", "forgery", "nocrc"],
-)
-@pytest.mark.parametrize("kind", ["uniform", "adaptive", "temporal"])
-@pytest.mark.parametrize("surface", ["header", "toc", "prelude"])
-def test_v7_mutants_are_detected_or_correct(surface, kind, model):
+def test_v7_mutants_are_detected_or_correct():
     """Seeded, structure-aware: one value of the header or TOC JSON, or
     one tile's prelude, replaced, dropped, nudged or duplicated.
 
@@ -707,6 +720,14 @@ def test_v7_mutants_are_detected_or_correct(surface, kind, model):
     what comes out is the right shape and dtype or a structured error —
     never another exception, an attacker-sized allocation or a hang.
     """
+    for surface in ("header", "toc", "prelude"):
+        for kind in ("uniform", "adaptive", "temporal"):
+            for model in ("corruption", "forgery", "nocrc"):
+                with case(surface=surface, kind=kind, model=model):
+                    _check_mutants(surface, kind, model)
+
+
+def _check_mutants(surface: str, kind: str, model: str) -> None:
     blob, expected = _fuzz_blob(kind, checksums=model != "nocrc")
     resum = model != "corruption"
     rng = np.random.default_rng([ord(surface[0]), len(kind), len(model)])
@@ -719,24 +740,21 @@ def test_v7_mutants_are_detected_or_correct(surface, kind, model):
                 _mutate_json(doc, rng)
 
             mutant = rewrite(blob, resum=resum, **{surface: mutate})
+        routes = tile_routes(mutant, reference=FUZZ_REF, backends=["serial"])
+        routes = {k: v for k, v in routes.items() if k in WHOLE_READ_ROUTES}
         started = time.perf_counter()
-        try:
-            decoded = TiledCompressor().decompress(mutant, reference=FUZZ_REF)
-        except (ContainerFormatError, TileCorruptError):
+        # any exception but a ValueError fails the test by escaping
+        verdict = assert_same_verdict(routes)
+        assert time.perf_counter() - started < 5.0 * len(routes)
+        if isinstance(verdict, Exception):
+            if not isinstance(verdict, ContainerFormatError):
+                # a forged shape: the caller's reference is the wrong one
+                assert_same_verdict(routes, match="reference shape")
             outcomes["refused"] += 1
             continue
-        except ValueError as exc:
-            # a forged shape: the caller's reference is the wrong one
-            if "reference shape" not in str(exc):
-                raise
-            outcomes["refused"] += 1
-            continue
-        finally:
-            assert time.perf_counter() - started < 5.0
-        # any other exception fails the test by escaping
-        assert decoded.shape == expected.shape
-        assert decoded.dtype == expected.dtype
-        same = decoded.tobytes() == expected.tobytes()
+        assert verdict.shape == expected.shape
+        assert verdict.dtype == expected.dtype
+        same = verdict.tobytes() == expected.tobytes()
         outcomes["correct" if same else "differs"] += 1
     assert outcomes["refused"] > 10, outcomes
     if model == "corruption":

@@ -85,6 +85,10 @@ class TestEliasGamma:
         data, nbits = _write([1, 1, 1])
         with pytest.raises(EOFError):
             read_gamma(*bits_word(data, nbits), 0, 4)
+        # a count no word can hold (a damaged header's) is refused
+        # before its output is allocated: 2 ** 40 values are 8 TiB
+        with pytest.raises(EOFError):
+            read_gamma(*bits_word(data, nbits), 0, 1 << 40)
 
     @given(st.lists(st.integers(1, 2**30), min_size=1, max_size=100))
     @settings(max_examples=100)

@@ -30,10 +30,11 @@ from repro.compressor import (
     TiledCompressor,
 )
 from repro.compressor.container import TiledReader, unpack_tile
-from repro.compressor.tiled import decode_tile
-from repro.compressor.tiled_geometry import extent_slices
+from repro.compressor.executor import BACKENDS
+from repro.compressor.tiled_geometry import extent_slices, normalize_region
 from repro.service.store import ArrayStore
-from tests.conftest import adopt_container
+from tests.conftest import adopt_container, case
+from tests.oracle import assert_same_verdict, tile_routes
 
 DATA_DIR = os.path.join(os.path.dirname(os.path.dirname(__file__)), "data")
 
@@ -58,72 +59,56 @@ def _load(name: str) -> tuple[bytes, np.ndarray]:
     return blob, expected
 
 
-@pytest.mark.parametrize("name", GOLDEN_BLOBS)
-def test_golden_blob_decodes_byte_identically(name):
-    """As the one tile the reader serves it as, re-framed to v7."""
-    blob, expected = _load(name)
-    with TiledReader(blob) as reader:
-        (record,) = reader.tiles
-        payload = reader.read_tile(record)
-    recon = decode_tile(
-        payload, expected.shape, expected.dtype, params=record.params
-    )
-    assert recon.dtype == expected.dtype
-    np.testing.assert_array_equal(recon, expected)
+#: where a fixture is read in part, by container version: a flat blob's
+#: one tile, the v6 snapshot's grid, and the 3x3 grid of all the others
+FLAT, GRID = (slice(3, 17), slice(10, 25)), (slice(5, 18), slice(3, 16))
+PARTIAL = {2: FLAT, 3: FLAT, 6: (slice(5, 30), slice(12, 37))}
 
 
-@pytest.mark.parametrize("name", GOLDEN_BLOBS)
-def test_golden_blob_decodes_identically_with_workers(name):
-    """A flat container is one unit of work: a parallel front end decodes
-    it, whole or in part, to the same array."""
-    blob, expected = _load(name)
-    tc = TiledCompressor(workers=3, backend="thread")
-    np.testing.assert_array_equal(tc.decompress(blob), expected)
-    region = (slice(3, 17), slice(10, 25))
-    np.testing.assert_array_equal(
-        tc.decompress_region(blob, region), expected[region]
-    )
+def test_every_route_decodes_every_golden_blob_to_its_array(tmp_path):
+    """v2-v7, whole and in part, on every route of the oracle — and
+    ``TemporalCompressor`` on every backend, a temporal blob reaching
+    the store as version 1 of a chain (``_store_serving``) — to the very
+    array the fixture pins, not merely one within its bound.  A part
+    decodes only the tiles it meets."""
+    names = GOLDEN_BLOBS + GOLDEN_TILED_BLOBS + ["pr9_v6_temporal"]
+    for name in names + sorted(GOLDEN_V7_TWINS):
+        if name in GOLDEN_V7_TWINS:
+            blob, expected, ref = _load_v7(name)
+        else:
+            blob, expected = _load(name)
+            ref = _load_temporal()[2] if blob[4] == 6 else None
+        partial = PARTIAL.get(blob[4], GRID)
+        for region in ((), partial):
+            where = tmp_path / f"{name}-{len(region)}"
+            routes = tile_routes(blob, region, ref, where)
+            window = normalize_region(region, expected.shape)
+            routes["pinned"] = lambda: expected[window]
+            for backend in BACKENDS:
+                front = TemporalCompressor(workers=2, backend=backend)
+                routes[f"temporal/{backend}"] = lambda f=front: f.decompress(
+                    blob, reference=ref
+                )[window]
+                if ref is not None:
+                    routes[f"chain/{backend}"] = lambda b=backend: _chain_read(
+                        where / b, blob, ref, b, region
+                    )
+            with case(fixture=name, region=region):
+                assert_same_verdict(routes)
+        if blob[4] >= 4:
+            tiled = TiledCompressor()
+            tiled.decompress_region(blob, partial, reference=ref)
+            assert tiled.last_tiles_decoded < len(TiledReader(blob).tiles)
 
 
-@pytest.mark.parametrize("name", GOLDEN_BLOBS)
-def test_tiled_front_end_accepts_flat_golden_blobs(name):
-    """TiledCompressor transparently decodes legacy flat containers."""
-    blob, expected = _load(name)
-    np.testing.assert_array_equal(
-        TiledCompressor().decompress(blob), expected
-    )
+def _chain_read(root, blob, ref, backend, region) -> np.ndarray:
+    with _store_serving(str(root), blob, ref, backend) as store:
+        return store.read_region("gold", region).data
 
 
 def test_v3_golden_blob_is_chunked():
     blob, _ = _load("seed_v3_zstd")
     assert blob[4] == 3
-
-
-def test_golden_region_decode_matches_expected_slice():
-    """Region decode of a legacy flat blob slices the exact array."""
-    blob, expected = _load("seed_v2_zstd")
-    region = (slice(3, 17), slice(10, 25))
-    roi = TiledCompressor().decompress_region(blob, region)
-    np.testing.assert_array_equal(roi, expected[region])
-
-
-@pytest.mark.parametrize("name", GOLDEN_TILED_BLOBS)
-def test_golden_tiled_blob_decodes_byte_identically(name):
-    blob, expected = _load(name)
-    recon = TiledCompressor().decompress(blob)
-    assert recon.dtype == expected.dtype
-    np.testing.assert_array_equal(recon, expected)
-
-
-@pytest.mark.parametrize("name", GOLDEN_TILED_BLOBS)
-def test_golden_tiled_region_decode_matches_expected(name):
-    blob, expected = _load(name)
-    tc = TiledCompressor()
-    region = (slice(5, 18), slice(3, 16))
-    roi = tc.decompress_region(blob, region)
-    np.testing.assert_array_equal(roi, expected[region])
-    # partial decode must touch only the intersecting tiles
-    assert tc.last_tiles_decoded < len(TiledReader(blob).tiles)
 
 
 def test_golden_v4_container_version_and_toc():
@@ -175,22 +160,6 @@ def _load_temporal() -> tuple[bytes, np.ndarray, np.ndarray]:
     blob, expected = _load("pr9_v6_temporal")
     ref = np.load(os.path.join(DATA_DIR, "pr9_v6_temporal_ref.npy"))
     return blob, expected, ref
-
-
-def test_golden_v6_temporal_decodes_byte_identically():
-    blob, expected, ref = _load_temporal()
-    recon = TemporalCompressor().decompress(blob, reference=ref)
-    assert recon.dtype == expected.dtype
-    np.testing.assert_array_equal(recon, expected)
-
-
-def test_golden_v6_region_decode_matches_expected():
-    blob, expected, ref = _load_temporal()
-    region = (slice(5, 30), slice(12, 37))
-    roi = TemporalCompressor().decompress_region(
-        blob, region, reference=ref
-    )
-    np.testing.assert_array_equal(roi, expected[region])
 
 
 def test_golden_v6_header_and_toc_schema():
@@ -269,40 +238,6 @@ def _store_serving(
     return store
 
 
-@pytest.mark.parametrize("backend", ["serial", "thread", "process"])
-@pytest.mark.parametrize(
-    "name", GOLDEN_BLOBS + GOLDEN_TILED_BLOBS + ["pr9_v6_temporal"]
-)
-def test_one_reader_decodes_every_golden_blob_on_every_backend(
-    name, backend, tmp_path
-):
-    """v2-v6 through the tiled reader, its temporal front and the store."""
-    blob, expected = _load(name)
-    ref = _load_temporal()[2] if blob[4] == 6 else None
-    for front in (TiledCompressor, TemporalCompressor):
-        recon = front(workers=2, backend=backend).decompress(
-            blob, reference=ref
-        )
-        assert recon.dtype == expected.dtype
-        np.testing.assert_array_equal(recon, expected)
-    if blob[4] < 4:
-        return  # the store serves tiled containers only
-    with _store_serving(str(tmp_path), blob, ref, backend) as store:
-        np.testing.assert_array_equal(store.read_full("gold"), expected)
-
-
-@pytest.mark.parametrize("backend", ["serial", "thread", "process"])
-@pytest.mark.parametrize("name", GOLDEN_BLOBS)
-def test_the_store_serves_a_flat_blob_as_its_one_tile(name, backend, tmp_path):
-    blob, expected = _load(name)
-    with _store_serving(str(tmp_path), blob, None, backend) as store:
-        np.testing.assert_array_equal(store.read_full("gold"), expected)
-        region = (slice(3, 17), slice(10, 25))
-        np.testing.assert_array_equal(
-            store.read_region("gold", region).data, expected[region]
-        )
-
-
 # -- v7: same inputs, same configs, same decoded arrays, a smaller frame ---------
 
 #: v7 fixture -> the frozen fixture whose input, config, expected array
@@ -321,25 +256,6 @@ def _load_v7(name: str) -> tuple[bytes, np.ndarray, np.ndarray | None]:
     twin = GOLDEN_V7_TWINS[name]
     ref = _load_temporal()[2] if twin == "pr9_v6_temporal" else None
     return blob, _load(twin)[1], ref
-
-
-@pytest.mark.parametrize("backend", ["serial", "thread", "process"])
-@pytest.mark.parametrize("name", sorted(GOLDEN_V7_TWINS))
-def test_golden_v7_decodes_to_the_frozen_twins_array(name, backend, tmp_path):
-    blob, expected, ref = _load_v7(name)
-    assert blob[4] == 7
-    for front in (TiledCompressor, TemporalCompressor):
-        codec = front(workers=2, backend=backend)
-        recon = codec.decompress(blob, reference=ref)
-        assert recon.dtype == expected.dtype
-        np.testing.assert_array_equal(recon, expected)
-        region = (slice(5, 18), slice(3, 16))
-        np.testing.assert_array_equal(
-            codec.decompress_region(blob, region, reference=ref),
-            expected[region],
-        )
-    with _store_serving(str(tmp_path), blob, ref, backend) as store:
-        np.testing.assert_array_equal(store.read_full("gold"), expected)
 
 
 def test_golden_v7_layout_is_pinned():

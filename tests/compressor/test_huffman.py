@@ -25,9 +25,15 @@ from repro.compressor.encoders.huffman import (
     huffman_code_lengths,
 )
 from repro.utils.stats import entropy_bits, normalized_histogram
-from tests.compressor.test_bitstream import (
-    _reference_pack_codes,
-    _reference_window16,
+from tests.compressor.test_bitstream import _reference_pack_codes
+from tests.conftest import case
+from tests.oracle import (
+    DECODE_MESSAGES,
+    assert_same_verdict,
+    deserialize,
+    huffman_routes,
+    reference_long_code_index,
+    reference_primary_tables,
 )
 
 
@@ -74,101 +80,10 @@ def loop_canonical_codes(lengths: np.ndarray) -> np.ndarray:
     return codes
 
 
-def reference_primary_tables(
-    code: HuffmanCode,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The 16-bit decode tables filled one symbol at a time: every code
-    of length <= 16 writes its dense index and length over the
-    ``2**(16 - length)`` prefixes that start with it."""
-    sym_table = np.zeros(1 << 16, dtype=np.int64)
-    len_table = np.zeros(1 << 16, dtype=np.uint8)
-    for dense in range(code.lengths.size):
-        ln = int(code.lengths[dense])
-        if ln == 0 or ln > 16:
-            continue
-        base = int(code.codes[dense]) << (16 - ln)
-        span = 1 << (16 - ln)
-        sym_table[base : base + span] = dense
-        len_table[base : base + span] = ln
-    return sym_table, len_table
-
-
-def reference_long_code_index(code: HuffmanCode) -> dict:
-    """``(length, codeword) -> dense index`` over the whole alphabet."""
-    index = {}
-    for dense in range(code.lengths.size):
-        ln = int(code.lengths[dense])
-        if ln > 16:
-            index[(ln, int(code.codes[dense]))] = dense
-    return index
-
-
-def scalar_walk(
-    enc: HuffmanEncoder,
-    code: HuffmanCode,
-    n_data: int,
-    payload: bytes,
-    total_bits: int,
-) -> np.ndarray:
-    """One Python iteration per symbol over the sliding 16-bit window,
-    through tables built by the loops above."""
-    window = _reference_window16(payload, total_bits)
-    sym_table, len_table = reference_primary_tables(code)
-    long_codes = reference_long_code_index(code)
-    out = np.empty(n_data, dtype=np.int64)
-    pos = 0
-    for i in range(n_data):
-        if pos >= window.size:
-            raise ValueError("Huffman payload truncated")
-        prefix = int(window[pos])
-        ln = int(len_table[prefix])
-        if ln:
-            out[i] = sym_table[prefix]
-        else:
-            value = prefix
-            ln = 16
-            while True:
-                if ln == 57:
-                    raise ValueError("no code matched")
-                ln += 1
-                nxt = pos + ln - 1
-                bit = int(window[nxt]) >> 15 if nxt < window.size else 0
-                value = (value << 1) | bit
-                if (ln, value) in long_codes:
-                    out[i] = long_codes[(ln, value)]
-                    break
-        pos += ln
-    if pos > total_bits:
-        raise ValueError("Huffman payload truncated")
-    return out
-
-
-def deserialize(enc: HuffmanEncoder, blob: bytes):
-    """The one-blob header parse, its code completed with the canonical
-    codewords the oracles index (a parsed code carries lengths only)."""
-    stream = enc._parse([blob])[0]
-    symbols, lengths = stream.code.symbols, stream.code.lengths
-    return stream._replace(
-        code=HuffmanCode(symbols, lengths, _canonical_codes(lengths))
-    )
-
-
 def expanded(table: np.ndarray) -> np.ndarray:
     """A primary table of ``2 ** bits`` entries as the 16-bit table it
     stands for: each entry covers ``2 ** (16 - bits)`` window values."""
     return np.repeat(table, (1 << 16) // table.size)
-
-
-def reference_decode(enc: HuffmanEncoder, blob: bytes) -> np.ndarray:
-    """``HuffmanEncoder.decode`` with the scalar walk for sync-free streams."""
-    code, n_data, payload, total_bits, interval, _ = deserialize(enc, blob)
-    if n_data == 0:
-        return np.zeros(0, dtype=np.int64)
-    if 8 * len(payload) < total_bits or n_data > total_bits:
-        raise ValueError("corrupt Huffman container")
-    if interval and n_data > interval:
-        return enc.decode(blob)  # sync-table path, not under test here
-    return code.symbols[scalar_walk(enc, code, n_data, payload, total_bits)]
 
 
 def sync_free_blob(
@@ -279,12 +194,13 @@ def draw_histogram(seed: int) -> np.ndarray:
 
 
 class TestCodeLengthsMatchHeapOracle:
-    @pytest.mark.parametrize("seed", range(96))
-    def test_lengths_equal_the_heap_construction(self, seed):
-        counts = draw_histogram(seed)
-        np.testing.assert_array_equal(
-            huffman_code_lengths(counts), heap_code_lengths(counts)
-        )
+    def test_lengths_equal_the_heap_construction(self):
+        for seed in range(96):
+            with case(seed=seed):
+                counts = draw_histogram(seed)
+                np.testing.assert_array_equal(
+                    huffman_code_lengths(counts), heap_code_lengths(counts)
+                )
 
     def test_deepest_supported_tree_and_the_one_beyond(self):
         fib = [1, 1]
@@ -297,22 +213,23 @@ class TestCodeLengthsMatchHeapOracle:
         with pytest.raises(ValueError):
             huffman_code_lengths(np.array(fib))
 
-    @pytest.mark.parametrize("seed", range(48))
-    def test_canonical_codes_equal_the_counting_loop(self, seed):
-        rng = np.random.default_rng(seed)
-        if seed % 2:
-            lengths = huffman_code_lengths(draw_histogram(seed))
-        else:  # what a corrupt header can hold: any 6-bit lengths
-            lengths = rng.integers(0, 64, int(rng.integers(1, 40)))
-        try:
-            expected = loop_canonical_codes(lengths)
-        except OverflowError:
-            with pytest.raises(ValueError):
-                _canonical_codes(lengths)
-        else:
-            np.testing.assert_array_equal(
-                _canonical_codes(lengths), expected
-            )
+    def test_canonical_codes_equal_the_counting_loop(self):
+        for seed in range(48):
+            rng = np.random.default_rng(seed)
+            if seed % 2:
+                lengths = huffman_code_lengths(draw_histogram(seed))
+            else:  # what a corrupt header can hold: any 6-bit lengths
+                lengths = rng.integers(0, 64, int(rng.integers(1, 40)))
+            with case(seed=seed):
+                try:
+                    expected = loop_canonical_codes(lengths)
+                except OverflowError:
+                    with pytest.raises(ValueError):
+                        _canonical_codes(lengths)
+                else:
+                    np.testing.assert_array_equal(
+                        _canonical_codes(lengths), expected
+                    )
 
     def test_oversubscribed_lengths_raise_value_error(self):
         with pytest.raises(ValueError):
@@ -477,43 +394,39 @@ class TestSizeFloor:
 class TestSyncFreeWalk:
     """The pointer-doubling decode against the scalar walk it replaced."""
 
-    @pytest.mark.parametrize("seed", range(60))
-    def test_walk_equals_scalar_walk(self, seed):
-        stream = draw_small_stream(seed)
+    def test_walk_equals_scalar_walk(self):
         enc = HuffmanEncoder()
-        blob = enc.encode(stream)
-        code, n_data, payload, total_bits, interval, _ = deserialize(
-            enc, blob
-        )
-        assert interval == 0 and n_data == stream.size
-        np.testing.assert_array_equal(
-            enc._decode_payload(code, n_data, payload, total_bits),
-            scalar_walk(enc, code, n_data, payload, total_bits),
-        )
-        np.testing.assert_array_equal(enc.decode(blob), stream)
+        for seed in range(60):
+            with case(seed=seed):
+                stream = draw_small_stream(seed)
+                blob = enc.encode(stream)
+                _, n_data, _, _, interval, _ = deserialize(enc, blob)
+                assert interval == 0 and n_data == stream.size
+                routes = huffman_routes(enc, blob)
+                assert "scalar walk" in routes
+                verdict = assert_same_verdict(routes)
+                np.testing.assert_array_equal(verdict, stream)
 
-    @pytest.mark.parametrize("seed", range(40))
-    def test_long_codes_take_the_canonical_walk(self, seed):
-        rng = np.random.default_rng(seed)
-        code = staircase_code(rng, int(rng.integers(18, 45)))
-        n = int(rng.choice([1, 2, int(rng.integers(1, 4096))]))
-        long_ones = np.flatnonzero(code.lengths > 16)
-        if seed % 4 == 0:  # every symbol escapes
-            dense = rng.choice(long_ones, n)
-        else:  # escapes at a seeded rate among short codes
-            p = 2.0 ** -np.minimum(code.lengths, 10).astype(float)
-            dense = rng.choice(code.lengths.size, n, p=p / p.sum())
-            dense[rng.random(n) < rng.choice([0.0, 0.01, 0.3])] = (
-                long_ones[0]
-            )
+    def test_long_codes_take_the_canonical_walk(self):
         enc = HuffmanEncoder()
-        blob = sync_free_blob(enc, code, dense)
-        np.testing.assert_array_equal(
-            enc.decode(blob), code.symbols[dense]
-        )
-        np.testing.assert_array_equal(
-            reference_decode(enc, blob), code.symbols[dense]
-        )
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            code = staircase_code(rng, int(rng.integers(18, 45)))
+            n = int(rng.choice([1, 2, int(rng.integers(1, 4096))]))
+            long_ones = np.flatnonzero(code.lengths > 16)
+            if seed % 4 == 0:  # every symbol escapes
+                dense = rng.choice(long_ones, n)
+            else:  # escapes at a seeded rate among short codes
+                p = 2.0 ** -np.minimum(code.lengths, 10).astype(float)
+                dense = rng.choice(code.lengths.size, n, p=p / p.sum())
+                dense[rng.random(n) < rng.choice([0.0, 0.01, 0.3])] = (
+                    long_ones[0]
+                )
+            with case(seed=seed):
+                verdict = assert_same_verdict(
+                    huffman_routes(enc, sync_free_blob(enc, code, dense))
+                )
+                np.testing.assert_array_equal(verdict, code.symbols[dense])
 
     def test_walk_crosses_window_boundaries(self, monkeypatch):
         # windows far smaller than the stream: every hand-over between
@@ -530,38 +443,23 @@ class TestSyncFreeWalk:
             code.symbols[dense],
         )
 
-    @pytest.mark.parametrize("seed", range(120))
-    def test_corrupt_small_blobs_agree_with_scalar_verdict(self, seed):
-        """Bit flips and truncations: right bytes or ValueError, and the
-        same verdict as the scalar walk — nothing else ever escapes."""
-        rng = np.random.default_rng(1000 + seed)
+    def test_damaged_blobs_get_one_verdict_on_every_route(self):
+        """Bit flips and truncations: right bytes or ``ValueError``, the
+        same on every route and the scalar walk, and ``decode``'s own
+        message in any stack — one blob of each seed also decodes among
+        the 35 intact streams, which keep their own symbols.  Nothing
+        else ever escapes."""
         enc = HuffmanEncoder()
-        if seed % 3 == 0:
-            code = staircase_code(rng, int(rng.integers(17, 30)))
-            p = 2.0 ** -np.minimum(code.lengths, 12).astype(float)
-            dense = rng.choice(
-                code.lengths.size, int(rng.integers(1, 2000)), p=p / p.sum()
-            )
-            blob = sync_free_blob(enc, code, dense)
-        else:
-            blob = enc.encode(draw_small_stream(seed))
-        for _ in range(12):
-            damaged = bytearray(blob)
-            mode = int(rng.integers(0, 3))
-            if mode == 0:
-                damaged = damaged[: int(rng.integers(0, len(damaged)))]
-            else:
-                for _ in range(1 if mode == 1 else 4):
-                    at = int(rng.integers(0, len(damaged)))
-                    damaged[at] ^= 1 << int(rng.integers(0, 8))
-            damaged = bytes(damaged)
-            try:
-                expected = reference_decode(enc, damaged)
-            except ValueError:
-                with pytest.raises(ValueError):
-                    enc.decode(damaged)
-            else:
-                np.testing.assert_array_equal(enc.decode(damaged), expected)
+        for seed in range(120):
+            rng = np.random.default_rng(seed)
+            picked, at = int(rng.integers(0, 12)), int(rng.integers(0, 36))
+            for k, damaged in enumerate(damaged_blobs(seed)):
+                intact = intact_blobs() if k == picked else ()
+                with case(seed=seed, blob=k):
+                    assert_same_verdict(
+                        huffman_routes(enc, damaged, intact, at),
+                        messages=DECODE_MESSAGES,
+                    )
 
     def test_multi_megabit_sync_free_blob_decodes_in_bounded_memory(self):
         """A legacy format-1 stream of any length walks fixed-size
@@ -641,46 +539,6 @@ def crossover_symbols(code: HuffmanCode, dense: np.ndarray) -> int:
     )
 
 
-def kernel_verdicts(enc: HuffmanEncoder, blob: bytes) -> list:
-    """What ``decode`` and each kernel make of *blob*: the decoded
-    symbols or ``"rejected"`` — anything but ``ValueError`` propagates."""
-
-    def verdict(run):
-        try:
-            return run()
-        except ValueError:
-            return "rejected"
-
-    verdicts = [verdict(lambda: enc.decode(blob))]
-    try:
-        code, n_data, payload, total_bits, interval, sync = (
-            deserialize(enc, blob)
-        )
-    except ValueError:
-        return verdicts
-    if not 0 < n_data <= total_bits <= 8 * len(payload):
-        return verdicts  # decode() turns these away before any kernel
-    parts = (code, n_data, payload, total_bits, interval, sync)
-    kernels = [enc._decode_payload]
-    if n_data > interval > 0:  # else the rounds are not bounded by the data
-        kernels.append(enc._decode_payload_batched)
-    for kernel in kernels:
-        dense = verdict(lambda: kernel(*parts))
-        verdicts.append(
-            dense if isinstance(dense, str) else code.symbols[dense]
-        )
-    return verdicts
-
-
-def assert_one_verdict(verdicts: list) -> None:
-    first = verdicts[0]
-    for other in verdicts[1:]:
-        if isinstance(first, str) or isinstance(other, str):
-            assert isinstance(first, str) and isinstance(other, str)
-        else:
-            np.testing.assert_array_equal(other, first)
-
-
 class TestSyncTableIsChecked:
     """A sync table is verified on every route, not only the batched one."""
 
@@ -744,10 +602,10 @@ class TestSyncTableIsChecked:
             blob = self.enc._serialize(
                 code, dense.size, payload, claimed, 256, sync
             )
-            verdicts = kernel_verdicts(self.enc, blob)
-            assert len(verdicts) == 3
-            assert_one_verdict(verdicts)
-            assert isinstance(verdicts[0], str) == (claimed != total_bits)
+            routes = huffman_routes(self.enc, blob)
+            assert "_decode_payload_batched" in routes
+            verdict = assert_same_verdict(routes)
+            assert isinstance(verdict, ValueError) == (claimed != total_bits)
 
     def test_a_mark_off_its_symbol_is_rejected_by_the_walk(self):
         sync = self.plan.sync.copy()
@@ -761,74 +619,71 @@ class TestKernelRoutes:
 
     SIZES = (257, 4095, 4096, 4097, 8192, 16384, -1, 0, 1, 1 << 18)
 
-    @pytest.mark.parametrize("kind", _ROUTE_KINDS)
-    @pytest.mark.parametrize("size", SIZES)
-    def test_all_routes_return_the_same_array(self, kind, size):
-        code, dense = route_base(kind)
-        if size <= 1:  # around the longest stream the walk still takes
-            size += crossover_symbols(code, dense)
-        dense = dense[:size]
+    def test_all_routes_return_the_same_array(self):
         enc = HuffmanEncoder()
-        blob = sync_blob(enc, code, dense, 256)
-        parts = deserialize(enc, blob)
-        assert parts[1] == size and parts[4] == 256
-        assert parts[5].size == (size - 1) // 256
-        np.testing.assert_array_equal(
-            enc.decode(blob), code.symbols[dense]
-        )
-        for route in (
-            enc._decode_payload(*parts),
-            enc._decode_payload(*parts[:4]),
-            enc._decode_payload_batched(*parts),
-        ):
-            np.testing.assert_array_equal(route, dense)
+        for kind in _ROUTE_KINDS:
+            code, dense = route_base(kind)
+            for size in self.SIZES:
+                if size <= 1:  # around the longest stream the walk takes
+                    size += crossover_symbols(code, dense)
+                some = dense[:size]
+                blob = sync_blob(enc, code, some, 256)
+                parts = deserialize(enc, blob)
+                with case(kind=kind, size=size):
+                    assert parts[1] == size and parts[4] == 256
+                    assert parts[5].size == (size - 1) // 256
+                    routes = huffman_routes(enc, blob)
+                    routes["_decode_payload without marks"] = (
+                        lambda: code.symbols[enc._decode_payload(*parts[:4])]
+                    )
+                    routes["encoded"] = lambda: code.symbols[some]
+                    assert len(routes) == 5
+                    assert_same_verdict(routes)
 
-    @pytest.mark.parametrize("kind", _ROUTE_KINDS)
-    def test_the_packed_payload_is_the_per_bit_kernels(self, kind):
+    def test_the_packed_payload_is_the_per_bit_kernels(self):
         # the bits every route above decodes, against the one-byte-per-
         # bit kernel ``pack_codes`` replaced
-        code, dense = route_base(kind)
-        dense = dense[: 1 << 17]
-        codes, lengths = code.codes[dense], code.lengths[dense]
-        assert pack_codes(codes, lengths) == _reference_pack_codes(
-            codes, lengths
-        )
+        for kind in _ROUTE_KINDS:
+            code, dense = route_base(kind)
+            dense = dense[: 1 << 17]
+            codes, lengths = code.codes[dense], code.lengths[dense]
+            assert pack_codes(codes, lengths) == _reference_pack_codes(
+                codes, lengths
+            ), kind
 
-    @pytest.mark.parametrize("kind", _ROUTE_KINDS)
-    def test_the_walk_takes_streams_up_to_the_crossover(
-        self, kind, monkeypatch
-    ):
-        code, dense = route_base(kind)
-        n = crossover_symbols(code, dense)
-        enc = HuffmanEncoder()
-        at, past = (
-            sync_blob(enc, code, dense[:size], 256) for size in (n, n + 1)
-        )
-        assert deserialize(enc, at)[3] <= huffman_module._SYNC_WALK_MAX_BITS
-        assert deserialize(enc, past)[3] > huffman_module._SYNC_WALK_MAX_BITS
-
+    def test_the_walk_takes_streams_up_to_the_crossover(self, monkeypatch):
         def unexpected(*args, **kwargs):
             raise AssertionError("wrong kernel for this stream")
 
-        with monkeypatch.context() as patch:
-            patch.setattr(
-                HuffmanEncoder, "_decode_payload_batched", unexpected
+        enc = HuffmanEncoder()
+        for kind in _ROUTE_KINDS:
+            code, dense = route_base(kind)
+            n = crossover_symbols(code, dense)
+            at, past = (
+                sync_blob(enc, code, dense[:size], 256) for size in (n, n + 1)
             )
-            enc.decode(at)
-            with pytest.raises(AssertionError):
+            limit = huffman_module._SYNC_WALK_MAX_BITS
+            assert deserialize(enc, at)[3] <= limit < deserialize(enc, past)[3]
+            with monkeypatch.context() as patch:
+                patch.setattr(
+                    HuffmanEncoder, "_decode_payload_batched", unexpected
+                )
+                enc.decode(at)
+                with pytest.raises(AssertionError):
+                    enc.decode(past)
+            with monkeypatch.context() as patch:
+                patch.setattr(HuffmanEncoder, "_decode_payload", unexpected)
                 enc.decode(past)
-        monkeypatch.setattr(HuffmanEncoder, "_decode_payload", unexpected)
-        enc.decode(past)
 
-    @pytest.mark.parametrize("interval", (1, 2, 7, 256, 5000))
-    def test_any_interval_a_writer_could_pick(self, interval):
+    def test_any_interval_a_writer_could_pick(self):
         code, dense = route_base("laplace")
         dense = dense[:9001]
         enc = HuffmanEncoder()
-        assert_one_verdict(
-            [code.symbols[dense]]
-            + kernel_verdicts(enc, sync_blob(enc, code, dense, interval))
-        )
+        for interval in (1, 2, 7, 256, 5000):
+            routes = huffman_routes(enc, sync_blob(enc, code, dense, interval))
+            routes["encoded"] = lambda: code.symbols[dense]
+            with case(interval=interval):
+                assert_same_verdict(routes)
 
 
 class TestNoDecodeCliff:
@@ -945,25 +800,27 @@ class TestCorruptSyncStreams:
             sync = sync[:-1]
         return bytes(out[:table]) + sync.tobytes() + bytes(out[payload:])
 
-    @pytest.mark.parametrize("seed", range(120))
-    def test_every_kernel_reaches_the_same_verdict(self, seed):
-        rng = np.random.default_rng(2000 + seed)
-        blob = self.draw_blob(rng, seed)
+    def test_every_kernel_reaches_the_same_verdict(self):
         enc = HuffmanEncoder()
-        intact = kernel_verdicts(enc, blob)
-        assert len(intact) == 3 and not isinstance(intact[0], str)
-        assert_one_verdict(intact)
-        n_sync = deserialize(enc, blob)[5].size
-        for _ in range(12):
-            assert_one_verdict(
-                kernel_verdicts(enc, self.damage(rng, blob, n_sync))
-            )
+        for seed in range(120):
+            rng = np.random.default_rng(2000 + seed)
+            blob = self.draw_blob(rng, seed)
+            n_sync = deserialize(enc, blob)[5].size
+            with case(seed=seed):
+                routes = huffman_routes(enc, blob)
+                assert "_decode_payload_batched" in routes
+                assert not isinstance(assert_same_verdict(routes), Exception)
+            for k in range(12):
+                damaged = self.damage(rng, blob, n_sync)
+                with case(seed=seed, damage=k):
+                    assert_same_verdict(
+                        huffman_routes(enc, damaged), messages=DECODE_MESSAGES
+                    )
 
 
 def damaged_blobs(seed: int) -> list[bytes]:
-    """The twelve damaged blobs of seed *seed* of
-    ``test_corrupt_small_blobs_agree_with_scalar_verdict``, drawn the
-    same way from the same generator."""
+    """Twelve bit-flipped or truncated copies of one short sync-free
+    stream, drawn from *seed*."""
     rng = np.random.default_rng(1000 + seed)
     enc = HuffmanEncoder()
     if seed % 3 == 0:
@@ -1014,14 +871,6 @@ def one_pass(enc: HuffmanEncoder, blob: bytes) -> bool:
     )
 
 
-def alone(enc: HuffmanEncoder, blob: bytes):
-    """What one blob decodes to alone: its array, or its error message."""
-    try:
-        return enc.decode(blob)
-    except ValueError as exc:
-        return str(exc)
-
-
 class TestDecodeStack:
     """A stack of streams decodes exactly as its streams do alone —
     arrays, dtypes and the first bad one's error."""
@@ -1064,7 +913,7 @@ class TestDecodeStack:
         monkeypatch.setattr(huffman_module, "_DECODE_TABLE_CACHE", cache)
         enc = HuffmanEncoder()
         blobs = self.mixed()
-        expected = [alone(enc, blob) for blob in blobs]
+        expected = [enc.decode(blob) for blob in blobs]
         rng = np.random.default_rng(5)
         for cold in (True, False, True, False):
             if cold:  # every alphabet built by the stack itself
@@ -1100,6 +949,23 @@ class TestDecodeStack:
         assert passes == [len(blobs) - 4]  # all but those and the empty one
         assert passes == [sum(one_pass(enc, blob) for blob in blobs)]
 
+    def test_the_first_bad_blob_speaks_for_the_stack(self):
+        # the later blob's header fails a pass the stack makes over every
+        # header first: decoded alone, in order, the first bad one's own
+        # error comes first
+        enc = HuffmanEncoder()
+        rng = np.random.default_rng(0)
+        blob = enc.encode(rng.integers(-5, 6, 700))
+        stack = [blob, blob[:-20], blob[:3]]
+        assert_same_verdict(
+            {
+                "decode": lambda: enc.decode(stack[1]),
+                "decode_stack": lambda: enc.decode_stack(stack)[1],
+            },
+            messages=("decode", "decode_stack"),
+            match="payload truncated",
+        )
+
     def test_a_stack_is_walked_in_bounded_groups(self, monkeypatch):
         monkeypatch.setattr(huffman_module, "_STACK_WALK_SIZE", 1 << 12)
         enc = HuffmanEncoder()
@@ -1117,31 +983,6 @@ class TestDecodeStack:
         assert all(one_pass(enc, blob) for blob in blobs)
         for array, blob in zip(got, blobs):
             np.testing.assert_array_equal(array, enc.decode(blob))
-
-    @pytest.mark.parametrize("seed", range(120))
-    def test_a_damaged_blob_among_intact_ones(self, seed):
-        """The damage of the scalar-verdict test, in a stack of 35 intact
-        streams: the damaged blob's own error and message, or
-        ``reference_decode``'s array and every intact stream's own."""
-        enc = HuffmanEncoder()
-        blobs, streams = zip(*intact_blobs())
-        rng = np.random.default_rng(seed)
-        damaged = damaged_blobs(seed)[int(rng.integers(0, 12))]
-        at = int(rng.integers(0, len(blobs) + 1))
-        stack = [*blobs[:at], damaged, *blobs[at:]]
-        try:
-            expected = reference_decode(enc, damaged)
-        except ValueError:
-            with pytest.raises(ValueError) as raised:
-                enc.decode_stack(stack)
-            with pytest.raises(ValueError) as own:
-                enc.decode(damaged)
-            assert str(raised.value) == str(own.value)
-        else:
-            got = enc.decode_stack(stack)
-            np.testing.assert_array_equal(got.pop(at), expected)
-            for array, stream in zip(got, streams):
-                np.testing.assert_array_equal(array, stream)
 
 
 class TestDecodeTableCache:
@@ -1220,21 +1061,26 @@ def draw_table_code(seed: int) -> HuffmanCode:
 class TestDecodeTables:
     """The table builders against the per-symbol loops they replaced."""
 
-    @pytest.mark.parametrize("seed", range(200))
-    def test_tables_equal_the_per_symbol_loop(self, seed, monkeypatch):
-        cache = huffman_module._DecodeTableLRU()  # built here, not recalled
+    def test_tables_equal_the_per_symbol_loop(self, monkeypatch):
+        cache = huffman_module._DecodeTableLRU()
         monkeypatch.setattr(huffman_module, "_DECODE_TABLE_CACHE", cache)
-        code = draw_table_code(seed)
         enc = HuffmanEncoder()
-        sym_table, len_table = enc._primary_tables(code)
-        expected_sym, expected_len = reference_primary_tables(code)
-        assert sym_table.dtype == np.min_scalar_type(code.lengths.size - 1)
-        # 2 ** longest entries, capped at the 16-bit window
-        bits = min(max(int(code.lengths.max()), 1), 16)
-        assert sym_table.size == len_table.size == 1 << bits
-        np.testing.assert_array_equal(expanded(sym_table), expected_sym)
-        np.testing.assert_array_equal(expanded(len_table), expected_len)
-        assert enc._long_code_index(code) == reference_long_code_index(code)
+        for seed in range(200):
+            cache.clear()  # built here, not recalled
+            code = draw_table_code(seed)
+            with case(seed=seed):
+                sym_table, len_table = enc._primary_tables(code)
+                expected_sym, expected_len = reference_primary_tables(code)
+                assert sym_table.dtype == np.min_scalar_type(
+                    code.lengths.size - 1
+                )
+                # 2 ** longest entries, capped at the 16-bit window
+                bits = min(max(int(code.lengths.max()), 1), 16)
+                assert sym_table.size == len_table.size == 1 << bits
+                assert np.array_equal(expanded(sym_table), expected_sym)
+                assert np.array_equal(expanded(len_table), expected_len)
+                index = enc._long_code_index(code)
+                assert index == reference_long_code_index(code)
 
     def test_oversubscribed_lengths_build_in_bounded_memory(
         self, monkeypatch
@@ -1258,11 +1104,12 @@ class TestDecodeTables:
             np.testing.assert_array_equal(expanded(table), expected)
         assert peak < 1 << 20
 
-    @pytest.mark.parametrize("longest", range(17, 58))
-    def test_long_code_index_equals_the_alphabet_loop(self, longest):
-        # a staircase whose two longest codes are *longest* bits
-        code = staircase_code(np.random.default_rng(longest), longest + 1)
-        index = HuffmanEncoder()._long_code_index(code)
-        assert index == reference_long_code_index(code)
-        assert max(ln for ln, _ in index) == longest
-        assert len(index) == int(np.sum(code.lengths > 16))
+    def test_long_code_index_equals_the_alphabet_loop(self):
+        for longest in range(17, 58):
+            # a staircase whose two longest codes are *longest* bits
+            code = staircase_code(np.random.default_rng(longest), longest + 1)
+            index = HuffmanEncoder()._long_code_index(code)
+            with case(longest=longest):
+                assert index == reference_long_code_index(code)
+                assert max(ln for ln, _ in index) == longest
+                assert len(index) == int(np.sum(code.lengths > 16))

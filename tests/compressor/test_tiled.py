@@ -29,12 +29,12 @@ from repro.compressor.tiled import (
 from repro.datasets.generators import gaussian_random_field, lognormal_field
 from tests.conftest import (
     assert_error_bounded,
+    case,
     forge_chunked_v7,
     forge_v2,
     smooth_field,
-    tile_by_tile,
-    tiles_of,
 )
+from tests.oracle import assert_same_verdict, tile_routes
 
 
 class TestGeometry:
@@ -462,22 +462,20 @@ class TestDecodeStacks:
     def test_fixture_reads_equal_their_tiles_decoded_alone(self):
         # the property-test corpus is held to the same in
         # tests/proptest.py::_check_tiled
-        codecs = [
-            TiledCompressor(workers=2, backend=backend)
-            for backend in ("serial", "thread", "process")
-        ]
         for name in FIXTURES:
             blob, ref = fixture(name)
-            expected = tile_by_tile(blob, ref)
-            region = middle(expected.shape)
-            for codec in codecs:
-                assert_same_bytes(
-                    codec.decompress(blob, reference=ref), expected
-                )
-                assert_same_bytes(
-                    codec.decompress_region(blob, region, reference=ref),
-                    expected[region],
-                )
+            with case(fixture=name):
+                full = assert_same_verdict(tile_routes(blob, reference=ref))
+                assert_same_verdict(tile_routes(blob, middle(full.shape), ref))
+
+    @staticmethod
+    def tiles_of(blob: bytes) -> list:
+        """``(payload, shape, params, None)`` of every tile of *blob*."""
+        with TiledReader(blob) as reader:
+            return [
+                (reader.read_tile(record), record.shape, record.params, None)
+                for record in reader.tiles
+            ]
 
     def mixed(self) -> list:
         """Tiles of every kind one ``float64`` stack can hold."""
@@ -486,6 +484,7 @@ class TestDecodeStacks:
         constant = CompressionConfig(
             error_bound=1e-2, mode=ErrorBoundMode.REL
         )
+        tiles_of = self.tiles_of
         return (
             tiles_of(TiledCompressor().compress(data, config).blob)
             # chunked (v3) codes sections, decoded a block at a time
@@ -541,6 +540,28 @@ class TestDecodeStacks:
                 got = decode_tiles(stack, shapes, np.float64, params=params)
                 assert_same_bytes(got[at], own)
         assert ContainerFormatError in seen
+
+    def test_the_first_bad_tile_speaks_for_the_stack(self):
+        # the later tile's prelude fails a pass the stack makes over
+        # every tile first: decoded alone, in order, the first bad one's
+        # own error comes first
+        payloads, shapes, params, _ = map(list, zip(*self.mixed()[:3]))
+        meta, sections = container.unpack_tile(payloads[1])
+        codes = sections[0][: len(sections[0]) // 2]
+        payloads[1] = container.pack_tile(meta, [codes, *sections[1:]])
+        payloads[2] = payloads[2][:2]
+        assert_same_verdict(
+            {
+                "decode_tile": lambda: decode_tile(
+                    payloads[1], shapes[1], np.float64, params=params[1]
+                ),
+                "decode_tiles": lambda: decode_tiles(
+                    payloads, shapes, np.float64, params=params
+                )[1],
+            },
+            messages=("decode_tile", "decode_tiles"),
+            match="payload truncated",
+        )
 
     def test_cold_tables_decode_as_warm_ones(self, monkeypatch):
         """Tables rebuilt by every read decode what cached ones do, and

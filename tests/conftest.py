@@ -2,16 +2,28 @@
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
-import pytest
+from hypothesis import settings
 
 SEED = 1234
 
+#: every ``@given`` test draws the same examples on every run, so a
+#: tier-1 failure reproduces; a test's own ``@settings`` keeps its
+#: ``max_examples`` and inherits the rest from here
+settings.register_profile("repro", derandomize=True, deadline=None)
+settings.load_profile("repro")
 
-@pytest.fixture
-def rng() -> np.random.Generator:
-    """Deterministic RNG for tests."""
-    return np.random.default_rng(SEED)
+
+@contextlib.contextmanager
+def case(**labels):
+    """One input of a family that one test loops over: a failure inside
+    names the input (its seed, say) that reproduces it."""
+    try:
+        yield
+    except Exception as exc:
+        raise AssertionError(f"fails at {labels}: {exc}") from exc
 
 
 def smooth_field(shape: tuple[int, ...], seed: int = SEED, noise: float = 0.05):
@@ -24,21 +36,6 @@ def smooth_field(shape: tuple[int, ...], seed: int = SEED, noise: float = 0.05):
         field = field * np.sin(g + 0.3)
     field = field + noise * rng.standard_normal(shape)
     return field.astype(np.float32)
-
-
-@pytest.fixture
-def field_1d() -> np.ndarray:
-    return smooth_field((4096,))
-
-
-@pytest.fixture
-def field_2d() -> np.ndarray:
-    return smooth_field((48, 64))
-
-
-@pytest.fixture
-def field_3d() -> np.ndarray:
-    return smooth_field((24, 24, 24))
 
 
 def assert_error_bounded(
@@ -406,44 +403,3 @@ def without_checksums(blob: bytes) -> bytes:
             for t in reader.tiles:
                 writer.copy_tile(reader, t)
     return sink.getvalue()
-
-
-def tiles_of(blob: bytes, reference: np.ndarray | None = None) -> list:
-    """``(payload, shape, params, reference tile)`` of every tile."""
-    from repro.compressor.container import TiledReader
-    from repro.compressor.tiled_geometry import extent_slices
-
-    with TiledReader(blob) as reader:
-        return [
-            (
-                reader.read_tile(record),
-                record.shape,
-                record.params,
-                reference[extent_slices(record.start, record.stop)]
-                if record.temporal
-                else None,
-            )
-            for record in reader.tiles
-        ]
-
-
-def tile_by_tile(
-    blob: bytes, reference: np.ndarray | None = None
-) -> np.ndarray:
-    """*blob* decoded by ``decode_tile``, one tile at a time: what every
-    read must return, however it stacks the tiles."""
-    from repro.compressor.container import TiledReader
-    from repro.compressor.tiled import decode_tile
-    from repro.compressor.tiled_geometry import extent_slices
-
-    with TiledReader(blob) as reader:
-        dtype = np.dtype(reader.header["dtype"])
-        out = np.zeros(tuple(reader.header["shape"]), dtype=dtype)
-        records = reader.tiles
-    for record, (payload, shape, params, ref) in zip(
-        records, tiles_of(blob, reference)
-    ):
-        out[extent_slices(record.start, record.stop)] = decode_tile(
-            payload, shape, dtype, ref_tile=ref, params=params
-        )
-    return out

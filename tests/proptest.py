@@ -53,6 +53,7 @@ from repro.compressor import (
 )
 from repro.compressor.container import TiledReader
 from repro.compressor.tiled import intersect_extent, normalize_region
+from tests.oracle import assert_same_verdict, tile_routes
 
 __all__ = ["Case", "draw_case", "resolved_config", "check_case", "run_seed"]
 
@@ -293,7 +294,21 @@ def _check_tiled(case: Case, flat_recon: np.ndarray) -> None:
     recon = tc.decompress(result.blob)
     assert recon.shape == data.shape and recon.dtype == data.dtype
     _assert_surfaced(result.reconstruction, recon)
-    _check_stacks(case, result.blob, recon)
+    # reads decode their tiles as stacks: recon (serial for one worker,
+    # threaded for more), and a full and a region decode on the
+    # backend the seed picks, are what every tile decodes to alone
+    backend = ("serial", "thread", "process")[case.seed % 3]
+    routes = tile_routes(result.blob, backends=[backend])
+    routes.pop("decode_tiles", None)  # the stack decompress decodes
+    assert_same_verdict({"the case's decode": lambda: recon, **routes})
+    middle = tuple(slice(n // 4, n - n // 4) for n in data.shape)
+    region = TiledCompressor(workers=2, backend=backend).decompress_region
+    assert_same_verdict(
+        {
+            "the case's decode": lambda: recon[middle],
+            "decompress_region": lambda: region(result.blob, middle),
+        }
+    )
     if config.adaptive and result.plan is not None:
         # every tile honours its own allocated absolute bound
         for choice in result.plan.choices:
@@ -335,22 +350,6 @@ def _check_tiled(case: Case, flat_recon: np.ndarray) -> None:
             for t in result.tiles
         )
         assert tc.last_tiles_decoded == hits
-
-
-def _check_stacks(case: Case, blob: bytes, recon: np.ndarray) -> None:
-    """Reads decode their tiles as stacks: *recon* (the case's own
-    decode, serial for one worker and threaded for more), and a full
-    and a region decode on the backend the seed picks, are byte for
-    byte what ``decode_tile`` makes of each tile alone."""
-    from tests.conftest import tile_by_tile
-
-    assert recon.tobytes() == tile_by_tile(blob).tobytes()
-    backend = ("serial", "thread", "process")[case.seed % 3]
-    tc = TiledCompressor(workers=2, backend=backend)
-    assert tc.decompress(blob).tobytes() == recon.tobytes()
-    region = tuple(slice(n // 4, n - n // 4) for n in recon.shape)
-    got = tc.decompress_region(blob, region)
-    assert got.tobytes() == recon[region].tobytes()
 
 
 def _check_plan_quality(

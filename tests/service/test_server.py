@@ -1,10 +1,13 @@
 """HTTP server + client tests, including the concurrency acceptance."""
 
+import gc
 import http.client
+import io
 import logging
 import socket
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -18,6 +21,7 @@ from repro.service import (
     ServiceError,
     TileLRUCache,
 )
+from repro.service.client import load_npy
 from tests.conftest import assert_error_bounded, smooth_field
 
 EB = 1e-3
@@ -585,6 +589,86 @@ class TestKeepAlive:
             store.close()
             client.close()
 
+
+
+def concurrent_loads(load, threads: int = 8, calls: int = 100) -> list:
+    """The ``SystemError``s of *threads* x *calls* ``load(npy bytes)``.
+
+    Each thread loads from its own C stack depth, and finalizer garbage
+    holds a thread that collects in the middle of a header parse until
+    another thread has loaded: on an interpreter with the shared AST
+    recursion counter (see :func:`load_npy`) a bare ``np.load`` raises
+    here within a fraction of a second."""
+    body = io.BytesIO()
+    np.save(body, np.arange(12.0).reshape(3, 4))
+    payload, loads, errors, live = body.getvalue(), [0], [], [True]
+
+    class Garbage:
+        def __init__(self):
+            self.cycle = self  # only the collector frees it
+
+        def __del__(self):
+            if not live[0]:
+                return
+            Garbage()  # every collection has a finalizer to run
+            if sys._getframe(1).f_code.co_name != "parse":
+                return
+            seen, deadline = loads[0], time.monotonic() + 2e-4
+            while loads[0] == seen and time.monotonic() < deadline:
+                time.sleep(1e-5)
+
+    def nested(depth):  # each level re-enters the interpreter from C
+        if depth == 0:
+            return load(payload)
+        return next(map(lambda _: nested(depth - 1), [0]))
+
+    def work(depth):
+        for _ in range(calls):
+            try:
+                nested(depth)
+                loads[0] += 1
+            except SystemError as exc:
+                errors.append(exc)
+
+    thresholds = gc.get_threshold()
+    Garbage()
+    gc.set_threshold(20)
+    try:
+        workers = [
+            threading.Thread(target=work, args=(d,)) for d in range(threads)
+        ]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join()
+    finally:
+        gc.set_threshold(*thresholds)
+        live[0] = False
+        gc.collect()
+    return errors
+
+
+class TestNpyBodies:
+    """Both ends parse ``.npy`` bodies through one locked helper."""
+
+    def test_concurrent_loads_never_corrupt_the_header_parse(self):
+        assert concurrent_loads(load_npy) == []
+
+    def test_arrays_come_back_as_np_load_returns_them(self):
+        for array in (
+            np.arange(6, dtype="<i4").reshape(2, 3),
+            np.asfortranarray(np.ones((3, 4), dtype=">f8")),
+            np.zeros((0, 5), dtype=np.float32),
+        ):
+            body = io.BytesIO()
+            np.save(body, array)
+            got = load_npy(body.getvalue())
+            assert got.dtype == array.dtype and got.shape == array.shape
+            assert got.flags.writeable
+            assert got.flags.f_contiguous == array.flags.f_contiguous
+            np.testing.assert_array_equal(got, array)
+        with pytest.raises(ValueError):
+            load_npy(b"not an npy body")
 
 
 class TestAccessLog:

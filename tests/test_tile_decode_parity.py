@@ -2,12 +2,13 @@
 
 A tile payload that decodes to another shape than the TOC extent it is
 filed under is intact as far as any checksum can tell, so the decoder
-is the only line of defence: every reader, on every executor backend,
-must refuse it with a :class:`ContainerFormatError` — never crop it
-into place, never leak NumPy's broadcast error.  A v7 tile has no shape
-of its own to disagree with, so the same verdict falls on what can: a
-code stream of another length than the extent takes, section lengths
-that do not add up, a ``meta`` that names what a tile may not say.
+is the only line of defence: every reader, on every executor backend
+(:func:`tests.oracle.tile_routes`), must refuse it with a
+:class:`ContainerFormatError` — never crop it into place, never leak
+NumPy's broadcast error.  A v7 tile has no shape of its own to disagree
+with, so the same verdict falls on what can: a code stream of another
+length than the extent takes, section lengths that do not add up, a
+``meta`` that names what a tile may not say.
 """
 
 import functools
@@ -31,17 +32,17 @@ from repro.compressor.container import (
     unpack_tile,
 )
 from repro.compressor.tiled_geometry import extent_slices, iter_tiles
-from repro.service.store import ArrayStore, DatasetCorruptError
 from repro.storage.hdf5sim import H5LikeFile
 from tests.conftest import (
     LegacyTiledWriter,
-    adopt_container,
+    case,
     forge_rqh5,
     forge_v2,
     replace_tile,
     smooth_field,
     without_checksums,
 )
+from tests.oracle import assert_same_verdict, tile_routes
 
 SHAPE, TILE, BAD_TILE = (32, 32), (16, 16), (16, 16)
 WRONG_SHAPE = {"larger": (24, 24), "smaller": (8, 8)}
@@ -79,50 +80,24 @@ def mismatched(kind: str, checksums: bool, version: int = 4) -> bytes:
     return sink.getvalue()
 
 
-def _tiled_full(backend, blob, tmp_path):
-    TiledCompressor(workers=2, backend=backend).decompress(blob)
+def refused_everywhere(blob: bytes, match: str, tmp) -> None:
+    """Every route to ``REGION`` of *blob* refuses it, one way."""
+    routes = tile_routes(blob, REGION, reference=FIELD, tmp=tmp)
+    verdict = assert_same_verdict(routes, match=match)
+    assert isinstance(verdict, ContainerFormatError), verdict
 
 
-def _tiled_region(backend, blob, tmp_path):
-    TiledCompressor(workers=2, backend=backend).decompress_region(blob, REGION)
-
-
-def _temporal_full(backend, blob, tmp_path):
-    TemporalCompressor(workers=2, backend=backend).decompress(
-        blob, reference=FIELD
-    )
-
-
-def _store_region(backend, blob, tmp_path):
-    adopt_container(tmp_path, "field", blob)
-    with ArrayStore(tmp_path, workers=2, parallel_backend=backend) as store:
-        for _ in range(2):  # a refused tile is never served from the cache
-            with pytest.raises(DatasetCorruptError) as caught:
-                store.read_region("field", REGION)
-            assert isinstance(caught.value.__cause__, ContainerFormatError)
-            assert store.cache.stats().entries <= 3
-    raise caught.value.__cause__
-
-
-READERS = {
-    "tiled.decompress": (_tiled_full, 4),
-    "tiled.decompress_region": (_tiled_region, 4),
-    "temporal.decompress": (_temporal_full, 6),
-    "store.read_region": (_store_region, 4),
-}
-
-
-@pytest.mark.parametrize("kind", sorted(WRONG_SHAPE))
-@pytest.mark.parametrize("checksums", [True, False], ids=["crc", "nocrc"])
-@pytest.mark.parametrize("reader", sorted(READERS))
-@pytest.mark.parametrize("backend", ["serial", "thread", "process"])
-def test_every_reader_refuses_a_tile_of_the_wrong_shape(
-    backend, reader, checksums, kind, tmp_path
-):
-    read, version = READERS[reader]
-    blob = mismatched(kind, checksums, version)
-    with pytest.raises(ContainerFormatError, match="TOC records"):
-        read(backend, blob, tmp_path)
+def test_every_reader_refuses_a_tile_of_the_wrong_shape(tmp_path):
+    # a v6 frame files the bad tile as a temporal residual
+    for kind in sorted(WRONG_SHAPE):
+        for checksums in (True, False):
+            for version in (4, 6):
+                with case(kind=kind, checksums=checksums, version=version):
+                    refused_everywhere(
+                        mismatched(kind, checksums, version),
+                        "TOC records",
+                        tmp_path / f"{kind}-{checksums}-{version}",
+                    )
 
 
 def _other_tile(shape):
@@ -172,17 +147,31 @@ def damaged_v7(kind: str, checksums: bool, temporal: bool) -> bytes:
     return replace_tile(blob, 3, V7_DAMAGE[kind](meta, sections))
 
 
-@pytest.mark.parametrize("kind", sorted(V7_DAMAGE))
-@pytest.mark.parametrize("checksums", [True, False], ids=["crc", "nocrc"])
-@pytest.mark.parametrize("reader", sorted(READERS))
-@pytest.mark.parametrize("backend", ["serial", "thread", "process"])
-def test_every_reader_refuses_a_damaged_v7_tile(
-    backend, reader, checksums, kind, tmp_path
-):
-    read, version = READERS[reader]
-    blob = damaged_v7(kind, checksums, temporal=version == 6)
-    with pytest.raises(ContainerFormatError, match="corrupt"):
-        read(backend, blob, tmp_path)
+def test_every_reader_refuses_a_damaged_v7_tile(tmp_path):
+    for kind in sorted(V7_DAMAGE):
+        for checksums in (True, False):
+            for temporal in (False, True):
+                with case(kind=kind, checksums=checksums, temporal=temporal):
+                    refused_everywhere(
+                        damaged_v7(kind, checksums, temporal),
+                        "corrupt",
+                        tmp_path / f"{kind}-{checksums}-{temporal}",
+                    )
+
+
+def test_a_decode_of_another_shape_or_dtype_is_refused():
+    # the last line of defence, whatever the frame: a codec that hands
+    # back another shape or dtype than the record's is refused, never
+    # cropped or cast into place
+    class Drifting(SZCompressor):
+        def decode_stack(self, tiles):
+            return [drift(tile) for tile in super().decode_stack(tiles)]
+
+    config = CompressionConfig(error_bound=1e-3, tile_shape=TILE)
+    blob = TiledCompressor().compress(FIELD, config).blob
+    for drift in (lambda t: t[:-1], lambda t: t.astype(np.float32)):
+        with pytest.raises(ContainerFormatError, match="TOC records"):
+            TiledCompressor(codec=Drifting()).decompress(blob)
 
 
 @pytest.mark.parametrize("kind", sorted(WRONG_SHAPE))
