@@ -23,7 +23,6 @@ from repro.compressor.bitstream import (
     read_gamma,
     slice_window16,
 )
-from tests.conftest import case
 
 
 def _reference_pack_codes(
@@ -237,59 +236,53 @@ class TestWordAssemblyMatchesThePerBitKernel:
     ``_draw_stream(seed)`` rebuilds the input.
     """
 
-    def test_seeded_streams(self):
-        for seed in range(96):
-            codes, lengths, context = _draw_stream(seed)
-            _assert_matches_reference(codes, lengths, context)
+    @pytest.mark.parametrize("seed", range(96))
+    def test_seeded_streams(self, seed):
+        codes, lengths, case = _draw_stream(seed)
+        _assert_matches_reference(codes, lengths, case)
 
-    def test_every_length_at_every_offset(self):
+    @pytest.mark.parametrize("length", range(1, 58))
+    @pytest.mark.parametrize("folded", (False, True))
+    def test_every_length_at_every_offset(self, length, folded):
         """A codeword of each length starting at each offset mod 64:
         ending short of, on and past the word boundary, 57 bits at
         offset 63 among them."""
-        for length in range(1, 58):
-            for folded in (False, True):
-                rng = np.random.default_rng(length)
-                # unfolded: a leading 57-bit code keeps the fold away, so
-                # the position pass sees these offsets as they are;
-                # folded: no filler is longer than the probe, so its
-                # length sets the folds
-                lengths = [] if folded else [57]
-                filler = length if folded else 57
-                position, probes = sum(lengths), []
-                for offset in range(64):
-                    gap = (offset - position) % 64
-                    lengths += [filler] * (gap // filler) + [gap % filler]
-                    probes.append(len(lengths))
-                    lengths.append(length)
-                    position += gap + length
-                lengths = np.array(lengths)
-                starts = np.cumsum(lengths) - lengths
-                context = f"length {length} folded {folded}"
-                assert sorted(starts[probes] % 64) == list(range(64)), context
-                codes = _random_codes(rng, lengths)
-                codes[probes] |= np.uint64(1) | np.uint64(1 << (length - 1))
-                _assert_matches_reference(codes, lengths, context)
+        rng = np.random.default_rng(length)
+        # unfolded: a leading 57-bit code keeps the fold away, so the
+        # position pass sees these offsets as they are; folded: no
+        # filler is longer than the probe, so its length sets the folds
+        lengths = [] if folded else [57]
+        filler = length if folded else 57
+        position, probes = sum(lengths), []
+        for offset in range(64):
+            gap = (offset - position) % 64
+            lengths += [filler] * (gap // filler) + [gap % filler]
+            probes.append(len(lengths))
+            lengths.append(length)
+            position += gap + length
+        lengths = np.array(lengths)
+        starts = np.cumsum(lengths) - lengths
+        assert sorted(starts[probes] % 64) == list(range(64))
+        codes = _random_codes(rng, lengths)
+        codes[probes] |= np.uint64(1) | np.uint64(1 << (length - 1))
+        _assert_matches_reference(codes, lengths, f"length {length}")
 
-    def test_both_sides_of_each_fold_threshold(self):
+    @pytest.mark.parametrize("max_len", (1, 3, 4, 7, 8, 14, 15, 28, 29, 57))
+    @pytest.mark.parametrize("n", (1, 2, 3, 4, 5, 7, 8, 9, 31, 33, 1001))
+    def test_both_sides_of_each_fold_threshold(self, max_len, n):
         """Odd counts carry their last codeword through every fold; one
         bit more than a threshold folds one time fewer."""
-        for max_len in (1, 3, 4, 7, 8, 14, 15, 28, 29, 57):
-            for n in (1, 2, 3, 4, 5, 7, 8, 9, 31, 33, 1001):
-                rng = np.random.default_rng(1000 * max_len + n)
-                lengths = rng.integers(1, max_len + 1, size=n)
-                lengths[int(rng.integers(n))] = max_len
-                _assert_matches_reference(
-                    _random_codes(rng, lengths), lengths, f"{max_len} x {n}"
-                )
-                lengths[:] = max_len  # a single-length stream
-                codes = _random_codes(rng, lengths)
-                _assert_matches_reference(
-                    codes, lengths, f"all {max_len} x {n}"
-                )
-                codes[:] = (1 << max_len) - 1
-                _assert_matches_reference(
-                    codes, lengths, f"ones {max_len} x {n}"
-                )
+        rng = np.random.default_rng(1000 * max_len + n)
+        lengths = rng.integers(1, max_len + 1, size=n)
+        lengths[int(rng.integers(n))] = max_len
+        _assert_matches_reference(
+            _random_codes(rng, lengths), lengths, f"{max_len} bits x {n}"
+        )
+        lengths[:] = max_len  # a single-length stream
+        codes = _random_codes(rng, lengths)
+        _assert_matches_reference(codes, lengths, f"all {max_len} x {n}")
+        codes[:] = (1 << max_len) - 1
+        _assert_matches_reference(codes, lengths, f"ones {max_len} x {n}")
 
     def test_folds_follow_the_longest_codeword(self, monkeypatch):
         folds = []
@@ -305,46 +298,41 @@ class TestWordAssemblyMatchesThePerBitKernel:
             pack_codes(np.zeros(37, np.uint64), lengths)
             assert folds == [37, 19, 10][:expected], max_len
 
-    def test_block_boundaries(self):
+    @pytest.mark.parametrize("max_len", (1, 17, 57))
+    def test_block_boundaries(self, max_len):
         """One symbol short of a block, a full block, one symbol into the
         next, and two blocks and a symbol."""
         block = bitstream._PACK_BLOCK
-        for max_len in (1, 17, 57):
-            rng = np.random.default_rng(max_len)
-            lengths = rng.integers(1, max_len + 1, size=2 * block + 1)
-            codes = _random_codes(rng, lengths)
-            for n in (block - 1, block, block + 1, 2 * block + 1):
-                _assert_matches_reference(
-                    codes[:n], lengths[:n], f"{max_len} bits n={n}"
-                )
+        rng = np.random.default_rng(max_len)
+        lengths = rng.integers(1, max_len + 1, size=2 * block + 1)
+        codes = _random_codes(rng, lengths)
+        for n in (block - 1, block, block + 1, 2 * block + 1):
+            _assert_matches_reference(codes[:n], lengths[:n], f"n={n}")
 
-    def test_codewords_straddle_the_word_two_blocks_share(self, monkeypatch):
+    @pytest.mark.parametrize("block", (1, 2, 3, 8, 13))
+    @pytest.mark.parametrize("max_len", (5, 28, 29, 57))
+    def test_codewords_straddle_the_word_two_blocks_share(
+        self, block, max_len, monkeypatch
+    ):
         """Tiny blocks put a boundary after every few symbols, at every
         bit offset: unfolded streams must straddle some of them."""
-        for block in (1, 2, 3, 8, 13):
-            monkeypatch.setattr(bitstream, "_PACK_BLOCK", block)
-            for max_len in (5, 28, 29, 57):
-                rng = np.random.default_rng(100 * block + max_len)
-                straddles = 0
-                sizes = (block - 1, block, block + 1, 2 * block + 1)
-                for n in (*sizes, 40 * block + 3):
-                    lengths = rng.integers(
-                        max(1, max_len - 9), max_len + 1, size=n
-                    )
-                    if n > 5:
-                        lengths[rng.integers(0, n, size=n // 5)] = 0
-                    _assert_matches_reference(
-                        _random_codes(rng, lengths),
-                        lengths,
-                        f"block {block} {max_len} bits n={n}",
-                    )
-                    ends = np.cumsum(lengths)
-                    last = ends[block - 1 :: block]  # each block's last end
-                    width = lengths[block - 1 :: block]
-                    crosses = (last - 1) // 64 != (last - width) // 64
-                    straddles += int(np.sum(crosses & (width > 0)))
-                with case(block=block, max_len=max_len):
-                    assert straddles or max_len <= 28
+        monkeypatch.setattr(bitstream, "_PACK_BLOCK", block)
+        rng = np.random.default_rng(100 * block + max_len)
+        straddles = 0
+        for n in (block - 1, block, block + 1, 2 * block + 1, 40 * block + 3):
+            lengths = rng.integers(max(1, max_len - 9), max_len + 1, size=n)
+            if n > 5:
+                lengths[rng.integers(0, n, size=n // 5)] = 0
+            _assert_matches_reference(
+                _random_codes(rng, lengths), lengths, f"n={n}"
+            )
+            ends = np.cumsum(lengths)
+            last = ends[block - 1 :: block]  # end of each block's last code
+            width = lengths[block - 1 :: block]
+            crosses = (last - 1) // 64 != (last - width) // 64
+            straddles += int(np.sum(crosses & (width > 0)))
+        if max_len > 28:
+            assert straddles
 
     def test_blocks_of_nothing_but_zero_lengths(self, monkeypatch):
         monkeypatch.setattr(bitstream, "_PACK_BLOCK", 4)

@@ -43,7 +43,6 @@ from repro.compressor.inspect import describe_container
 from repro.compressor.tiled_geometry import iter_tiles
 from tests.conftest import (
     LegacyTiledWriter,
-    case,
     forge_v2,
     replace_tile,
     rewrite_container as rewrite,
@@ -421,26 +420,28 @@ def _tiled_case(seed: int, kind: str):
 WHOLE_READ_ROUTES = ("decode_tile", "decompress/serial")
 
 
-def test_v7_tiles_are_the_flat_codecs_stage_bytes():
-    """Proptest cases 0..23 as uniform, adaptive and temporal v7
-    containers: each tile's sections and resolved parameters are the
-    flat codec's for it, and every route decodes the v7 frame to what
-    the legacy frame of those flat blobs decodes to.  17 of the 72
-    cases have no such container (a 0-d, empty or constant field
-    cannot be planned or delta-coded, nor a PW_REL one planned)."""
-    inapplicable = 0
-    for seed in range(24):
-        for kind in ("uniform", "adaptive", "temporal"):
-            tiled = _tiled_case(seed, kind)
-            if tiled is None:
-                inapplicable += 1
-                continue
-            with case(seed=seed, kind=kind):
-                _check_stage_bytes(*tiled, kind)
-    assert inapplicable == 17
+#: proptest cases 0..23 that have a uniform, adaptive or temporal v7
+#: container
+STAGE_CASES = [
+    (seed, kind)
+    for seed in range(24)
+    for kind in ("uniform", "adaptive", "temporal")
+    if _tiled_case(seed, kind) is not None
+]
 
 
-def _check_stage_bytes(data, config, kind) -> None:
+def test_17_of_the_72_cases_have_no_such_container():
+    # a 0-d, empty or constant field cannot be planned or delta-coded,
+    # nor a PW_REL one planned
+    assert 72 - len(STAGE_CASES) == 17
+
+
+@pytest.mark.parametrize("seed, kind", STAGE_CASES)
+def test_v7_tiles_are_the_flat_codecs_stage_bytes(seed, kind):
+    """Each tile's sections and resolved parameters are the flat codec's
+    for it, and every route decodes the v7 frame to what the legacy
+    frame of those flat blobs decodes to."""
+    data, config = _tiled_case(seed, kind)
     codec = Recording()
     reference = None
     if kind == "temporal":
@@ -709,7 +710,10 @@ def _mutate_prelude(blob: bytes, rng, resum: bool) -> bytes:
     return replace_tile(blob, index, new, resum)
 
 
-def test_v7_mutants_are_detected_or_correct():
+@pytest.mark.parametrize("model", ["corruption", "forgery", "nocrc"])
+@pytest.mark.parametrize("kind", ["uniform", "adaptive", "temporal"])
+@pytest.mark.parametrize("surface", ["header", "toc", "prelude"])
+def test_v7_mutants_are_detected_or_correct(surface, kind, model):
     """Seeded, structure-aware: one value of the header or TOC JSON, or
     one tile's prelude, replaced, dropped, nudged or duplicated.
 
@@ -720,14 +724,6 @@ def test_v7_mutants_are_detected_or_correct():
     what comes out is the right shape and dtype or a structured error —
     never another exception, an attacker-sized allocation or a hang.
     """
-    for surface in ("header", "toc", "prelude"):
-        for kind in ("uniform", "adaptive", "temporal"):
-            for model in ("corruption", "forgery", "nocrc"):
-                with case(surface=surface, kind=kind, model=model):
-                    _check_mutants(surface, kind, model)
-
-
-def _check_mutants(surface: str, kind: str, model: str) -> None:
     blob, expected = _fuzz_blob(kind, checksums=model != "nocrc")
     resum = model != "corruption"
     rng = np.random.default_rng([ord(surface[0]), len(kind), len(model)])

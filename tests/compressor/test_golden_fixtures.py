@@ -33,7 +33,7 @@ from repro.compressor.container import TiledReader, unpack_tile
 from repro.compressor.executor import BACKENDS
 from repro.compressor.tiled_geometry import extent_slices, normalize_region
 from repro.service.store import ArrayStore
-from tests.conftest import adopt_container, case
+from tests.conftest import adopt_container
 from tests.oracle import assert_same_verdict, tile_routes
 
 DATA_DIR = os.path.join(os.path.dirname(os.path.dirname(__file__)), "data")
@@ -63,47 +63,6 @@ def _load(name: str) -> tuple[bytes, np.ndarray]:
 #: one tile, the v6 snapshot's grid, and the 3x3 grid of all the others
 FLAT, GRID = (slice(3, 17), slice(10, 25)), (slice(5, 18), slice(3, 16))
 PARTIAL = {2: FLAT, 3: FLAT, 6: (slice(5, 30), slice(12, 37))}
-
-
-def test_every_route_decodes_every_golden_blob_to_its_array(tmp_path):
-    """v2-v7, whole and in part, on every route of the oracle — and
-    ``TemporalCompressor`` on every backend, a temporal blob reaching
-    the store as version 1 of a chain (``_store_serving``) — to the very
-    array the fixture pins, not merely one within its bound.  A part
-    decodes only the tiles it meets."""
-    names = GOLDEN_BLOBS + GOLDEN_TILED_BLOBS + ["pr9_v6_temporal"]
-    for name in names + sorted(GOLDEN_V7_TWINS):
-        if name in GOLDEN_V7_TWINS:
-            blob, expected, ref = _load_v7(name)
-        else:
-            blob, expected = _load(name)
-            ref = _load_temporal()[2] if blob[4] == 6 else None
-        partial = PARTIAL.get(blob[4], GRID)
-        for region in ((), partial):
-            where = tmp_path / f"{name}-{len(region)}"
-            routes = tile_routes(blob, region, ref, where)
-            window = normalize_region(region, expected.shape)
-            routes["pinned"] = lambda: expected[window]
-            for backend in BACKENDS:
-                front = TemporalCompressor(workers=2, backend=backend)
-                routes[f"temporal/{backend}"] = lambda f=front: f.decompress(
-                    blob, reference=ref
-                )[window]
-                if ref is not None:
-                    routes[f"chain/{backend}"] = lambda b=backend: _chain_read(
-                        where / b, blob, ref, b, region
-                    )
-            with case(fixture=name, region=region):
-                assert_same_verdict(routes)
-        if blob[4] >= 4:
-            tiled = TiledCompressor()
-            tiled.decompress_region(blob, partial, reference=ref)
-            assert tiled.last_tiles_decoded < len(TiledReader(blob).tiles)
-
-
-def _chain_read(root, blob, ref, backend, region) -> np.ndarray:
-    with _store_serving(str(root), blob, ref, backend) as store:
-        return store.read_region("gold", region).data
 
 
 def test_v3_golden_blob_is_chunked():
@@ -256,6 +215,55 @@ def _load_v7(name: str) -> tuple[bytes, np.ndarray, np.ndarray | None]:
     twin = GOLDEN_V7_TWINS[name]
     ref = _load_temporal()[2] if twin == "pr9_v6_temporal" else None
     return blob, _load(twin)[1], ref
+
+
+#: v2-v6 and the v7 successors of the frozen fixtures
+ALL_GOLDEN = (
+    GOLDEN_BLOBS
+    + GOLDEN_TILED_BLOBS
+    + ["pr9_v6_temporal"]
+    + sorted(GOLDEN_V7_TWINS)
+)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("part", [False, True], ids=["whole", "part"])
+@pytest.mark.parametrize("name", ALL_GOLDEN)
+def test_every_route_decodes_every_golden_blob_to_its_array(
+    name, part, backend, tmp_path
+):
+    """Whole or in part, every route of the oracle on *backend* — and
+    ``TemporalCompressor``, a temporal blob reaching the store as
+    version 1 of a chain (``_store_serving``) — decodes to the very
+    array the fixture pins, not merely one within its bound.  A part
+    decodes only the tiles it meets."""
+    if name in GOLDEN_V7_TWINS:
+        blob, expected, ref = _load_v7(name)
+    else:
+        blob, expected = _load(name)
+        ref = _load_temporal()[2] if blob[4] == 6 else None
+    region = PARTIAL.get(blob[4], GRID) if part else ()
+    routes = tile_routes(blob, region, ref, tmp_path, backends=[backend])
+    window = normalize_region(region, expected.shape)
+    routes["pinned"] = lambda: expected[window]
+    front = TemporalCompressor(workers=2, backend=backend)
+    routes[f"temporal/{backend}"] = lambda: front.decompress(
+        blob, reference=ref
+    )[window]
+    if ref is not None:
+        routes[f"chain/{backend}"] = lambda: _chain_read(
+            tmp_path / "chain", blob, ref, backend, region
+        )
+    assert_same_verdict(routes)
+    if part and blob[4] >= 4:
+        tiled = TiledCompressor(workers=2, backend=backend)
+        tiled.decompress_region(blob, region, reference=ref)
+        assert tiled.last_tiles_decoded < len(TiledReader(blob).tiles)
+
+
+def _chain_read(root, blob, ref, backend, region) -> np.ndarray:
+    with _store_serving(str(root), blob, ref, backend) as store:
+        return store.read_region("gold", region).data
 
 
 def test_golden_v7_layout_is_pinned():

@@ -194,13 +194,12 @@ def draw_histogram(seed: int) -> np.ndarray:
 
 
 class TestCodeLengthsMatchHeapOracle:
-    def test_lengths_equal_the_heap_construction(self):
-        for seed in range(96):
-            with case(seed=seed):
-                counts = draw_histogram(seed)
-                np.testing.assert_array_equal(
-                    huffman_code_lengths(counts), heap_code_lengths(counts)
-                )
+    @pytest.mark.parametrize("seed", range(96))
+    def test_lengths_equal_the_heap_construction(self, seed):
+        counts = draw_histogram(seed)
+        np.testing.assert_array_equal(
+            huffman_code_lengths(counts), heap_code_lengths(counts)
+        )
 
     def test_deepest_supported_tree_and_the_one_beyond(self):
         fib = [1, 1]
@@ -213,23 +212,22 @@ class TestCodeLengthsMatchHeapOracle:
         with pytest.raises(ValueError):
             huffman_code_lengths(np.array(fib))
 
-    def test_canonical_codes_equal_the_counting_loop(self):
-        for seed in range(48):
-            rng = np.random.default_rng(seed)
-            if seed % 2:
-                lengths = huffman_code_lengths(draw_histogram(seed))
-            else:  # what a corrupt header can hold: any 6-bit lengths
-                lengths = rng.integers(0, 64, int(rng.integers(1, 40)))
-            with case(seed=seed):
-                try:
-                    expected = loop_canonical_codes(lengths)
-                except OverflowError:
-                    with pytest.raises(ValueError):
-                        _canonical_codes(lengths)
-                else:
-                    np.testing.assert_array_equal(
-                        _canonical_codes(lengths), expected
-                    )
+    @pytest.mark.parametrize("seed", range(48))
+    def test_canonical_codes_equal_the_counting_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        if seed % 2:
+            lengths = huffman_code_lengths(draw_histogram(seed))
+        else:  # what a corrupt header can hold: any 6-bit lengths
+            lengths = rng.integers(0, 64, int(rng.integers(1, 40)))
+        try:
+            expected = loop_canonical_codes(lengths)
+        except OverflowError:
+            with pytest.raises(ValueError):
+                _canonical_codes(lengths)
+        else:
+            np.testing.assert_array_equal(
+                _canonical_codes(lengths), expected
+            )
 
     def test_oversubscribed_lengths_raise_value_error(self):
         with pytest.raises(ValueError):
@@ -394,39 +392,37 @@ class TestSizeFloor:
 class TestSyncFreeWalk:
     """The pointer-doubling decode against the scalar walk it replaced."""
 
-    def test_walk_equals_scalar_walk(self):
+    @pytest.mark.parametrize("seed", range(60))
+    def test_walk_equals_scalar_walk(self, seed):
         enc = HuffmanEncoder()
-        for seed in range(60):
-            with case(seed=seed):
-                stream = draw_small_stream(seed)
-                blob = enc.encode(stream)
-                _, n_data, _, _, interval, _ = deserialize(enc, blob)
-                assert interval == 0 and n_data == stream.size
-                routes = huffman_routes(enc, blob)
-                assert "scalar walk" in routes
-                verdict = assert_same_verdict(routes)
-                np.testing.assert_array_equal(verdict, stream)
+        stream = draw_small_stream(seed)
+        blob = enc.encode(stream)
+        _, n_data, _, _, interval, _ = deserialize(enc, blob)
+        assert interval == 0 and n_data == stream.size
+        routes = huffman_routes(enc, blob)
+        assert "scalar walk" in routes
+        verdict = assert_same_verdict(routes)
+        np.testing.assert_array_equal(verdict, stream)
 
-    def test_long_codes_take_the_canonical_walk(self):
+    @pytest.mark.parametrize("seed", range(40))
+    def test_long_codes_take_the_canonical_walk(self, seed):
+        rng = np.random.default_rng(seed)
+        code = staircase_code(rng, int(rng.integers(18, 45)))
+        n = int(rng.choice([1, 2, int(rng.integers(1, 4096))]))
+        long_ones = np.flatnonzero(code.lengths > 16)
+        if seed % 4 == 0:  # every symbol escapes
+            dense = rng.choice(long_ones, n)
+        else:  # escapes at a seeded rate among short codes
+            p = 2.0 ** -np.minimum(code.lengths, 10).astype(float)
+            dense = rng.choice(code.lengths.size, n, p=p / p.sum())
+            dense[rng.random(n) < rng.choice([0.0, 0.01, 0.3])] = (
+                long_ones[0]
+            )
         enc = HuffmanEncoder()
-        for seed in range(40):
-            rng = np.random.default_rng(seed)
-            code = staircase_code(rng, int(rng.integers(18, 45)))
-            n = int(rng.choice([1, 2, int(rng.integers(1, 4096))]))
-            long_ones = np.flatnonzero(code.lengths > 16)
-            if seed % 4 == 0:  # every symbol escapes
-                dense = rng.choice(long_ones, n)
-            else:  # escapes at a seeded rate among short codes
-                p = 2.0 ** -np.minimum(code.lengths, 10).astype(float)
-                dense = rng.choice(code.lengths.size, n, p=p / p.sum())
-                dense[rng.random(n) < rng.choice([0.0, 0.01, 0.3])] = (
-                    long_ones[0]
-                )
-            with case(seed=seed):
-                verdict = assert_same_verdict(
-                    huffman_routes(enc, sync_free_blob(enc, code, dense))
-                )
-                np.testing.assert_array_equal(verdict, code.symbols[dense])
+        verdict = assert_same_verdict(
+            huffman_routes(enc, sync_free_blob(enc, code, dense))
+        )
+        np.testing.assert_array_equal(verdict, code.symbols[dense])
 
     def test_walk_crosses_window_boundaries(self, monkeypatch):
         # windows far smaller than the stream: every hand-over between
@@ -443,23 +439,16 @@ class TestSyncFreeWalk:
             code.symbols[dense],
         )
 
-    def test_damaged_blobs_get_one_verdict_on_every_route(self):
+    @pytest.mark.parametrize("seed", range(120))
+    def test_corrupt_small_blobs_agree_with_scalar_verdict(self, seed):
         """Bit flips and truncations: right bytes or ``ValueError``, the
-        same on every route and the scalar walk, and ``decode``'s own
-        message in any stack — one blob of each seed also decodes among
-        the 35 intact streams, which keep their own symbols.  Nothing
-        else ever escapes."""
+        same on every route and the scalar walk — nothing else ever
+        escapes.  ``TestDecodeStack`` decodes one blob of each seed
+        among intact streams."""
         enc = HuffmanEncoder()
-        for seed in range(120):
-            rng = np.random.default_rng(seed)
-            picked, at = int(rng.integers(0, 12)), int(rng.integers(0, 36))
-            for k, damaged in enumerate(damaged_blobs(seed)):
-                intact = intact_blobs() if k == picked else ()
-                with case(seed=seed, blob=k):
-                    assert_same_verdict(
-                        huffman_routes(enc, damaged, intact, at),
-                        messages=DECODE_MESSAGES,
-                    )
+        for k, damaged in enumerate(damaged_blobs(seed)):
+            with case(blob=k):
+                assert_same_verdict(huffman_routes(enc, damaged))
 
     def test_multi_megabit_sync_free_blob_decodes_in_bounded_memory(self):
         """A legacy format-1 stream of any length walks fixed-size
@@ -619,71 +608,71 @@ class TestKernelRoutes:
 
     SIZES = (257, 4095, 4096, 4097, 8192, 16384, -1, 0, 1, 1 << 18)
 
-    def test_all_routes_return_the_same_array(self):
+    @pytest.mark.parametrize("kind", _ROUTE_KINDS)
+    @pytest.mark.parametrize("size", SIZES)
+    def test_all_routes_return_the_same_array(self, kind, size):
+        code, dense = route_base(kind)
+        if size <= 1:  # around the longest stream the walk still takes
+            size += crossover_symbols(code, dense)
+        dense = dense[:size]
         enc = HuffmanEncoder()
-        for kind in _ROUTE_KINDS:
-            code, dense = route_base(kind)
-            for size in self.SIZES:
-                if size <= 1:  # around the longest stream the walk takes
-                    size += crossover_symbols(code, dense)
-                some = dense[:size]
-                blob = sync_blob(enc, code, some, 256)
-                parts = deserialize(enc, blob)
-                with case(kind=kind, size=size):
-                    assert parts[1] == size and parts[4] == 256
-                    assert parts[5].size == (size - 1) // 256
-                    routes = huffman_routes(enc, blob)
-                    routes["_decode_payload without marks"] = (
-                        lambda: code.symbols[enc._decode_payload(*parts[:4])]
-                    )
-                    routes["encoded"] = lambda: code.symbols[some]
-                    assert len(routes) == 5
-                    assert_same_verdict(routes)
+        blob = sync_blob(enc, code, dense, 256)
+        parts = deserialize(enc, blob)
+        assert parts[1] == size and parts[4] == 256
+        assert parts[5].size == (size - 1) // 256
+        routes = huffman_routes(enc, blob)
+        routes["_decode_payload without marks"] = lambda: code.symbols[
+            enc._decode_payload(*parts[:4])
+        ]
+        routes["encoded"] = lambda: code.symbols[dense]
+        assert len(routes) == 5
+        assert_same_verdict(routes)
 
-    def test_the_packed_payload_is_the_per_bit_kernels(self):
+    @pytest.mark.parametrize("kind", _ROUTE_KINDS)
+    def test_the_packed_payload_is_the_per_bit_kernels(self, kind):
         # the bits every route above decodes, against the one-byte-per-
         # bit kernel ``pack_codes`` replaced
-        for kind in _ROUTE_KINDS:
-            code, dense = route_base(kind)
-            dense = dense[: 1 << 17]
-            codes, lengths = code.codes[dense], code.lengths[dense]
-            assert pack_codes(codes, lengths) == _reference_pack_codes(
-                codes, lengths
-            ), kind
+        code, dense = route_base(kind)
+        dense = dense[: 1 << 17]
+        codes, lengths = code.codes[dense], code.lengths[dense]
+        assert pack_codes(codes, lengths) == _reference_pack_codes(
+            codes, lengths
+        )
 
-    def test_the_walk_takes_streams_up_to_the_crossover(self, monkeypatch):
+    @pytest.mark.parametrize("kind", _ROUTE_KINDS)
+    def test_the_walk_takes_streams_up_to_the_crossover(
+        self, kind, monkeypatch
+    ):
+        code, dense = route_base(kind)
+        n = crossover_symbols(code, dense)
+        enc = HuffmanEncoder()
+        at, past = (
+            sync_blob(enc, code, dense[:size], 256) for size in (n, n + 1)
+        )
+        limit = huffman_module._SYNC_WALK_MAX_BITS
+        assert deserialize(enc, at)[3] <= limit < deserialize(enc, past)[3]
+
         def unexpected(*args, **kwargs):
             raise AssertionError("wrong kernel for this stream")
 
-        enc = HuffmanEncoder()
-        for kind in _ROUTE_KINDS:
-            code, dense = route_base(kind)
-            n = crossover_symbols(code, dense)
-            at, past = (
-                sync_blob(enc, code, dense[:size], 256) for size in (n, n + 1)
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                HuffmanEncoder, "_decode_payload_batched", unexpected
             )
-            limit = huffman_module._SYNC_WALK_MAX_BITS
-            assert deserialize(enc, at)[3] <= limit < deserialize(enc, past)[3]
-            with monkeypatch.context() as patch:
-                patch.setattr(
-                    HuffmanEncoder, "_decode_payload_batched", unexpected
-                )
-                enc.decode(at)
-                with pytest.raises(AssertionError):
-                    enc.decode(past)
-            with monkeypatch.context() as patch:
-                patch.setattr(HuffmanEncoder, "_decode_payload", unexpected)
+            enc.decode(at)
+            with pytest.raises(AssertionError):
                 enc.decode(past)
+        monkeypatch.setattr(HuffmanEncoder, "_decode_payload", unexpected)
+        enc.decode(past)
 
-    def test_any_interval_a_writer_could_pick(self):
+    @pytest.mark.parametrize("interval", (1, 2, 7, 256, 5000))
+    def test_any_interval_a_writer_could_pick(self, interval):
         code, dense = route_base("laplace")
         dense = dense[:9001]
         enc = HuffmanEncoder()
-        for interval in (1, 2, 7, 256, 5000):
-            routes = huffman_routes(enc, sync_blob(enc, code, dense, interval))
-            routes["encoded"] = lambda: code.symbols[dense]
-            with case(interval=interval):
-                assert_same_verdict(routes)
+        routes = huffman_routes(enc, sync_blob(enc, code, dense, interval))
+        routes["encoded"] = lambda: code.symbols[dense]
+        assert_same_verdict(routes)
 
 
 class TestNoDecodeCliff:
@@ -800,22 +789,21 @@ class TestCorruptSyncStreams:
             sync = sync[:-1]
         return bytes(out[:table]) + sync.tobytes() + bytes(out[payload:])
 
-    def test_every_kernel_reaches_the_same_verdict(self):
+    @pytest.mark.parametrize("seed", range(120))
+    def test_every_kernel_reaches_the_same_verdict(self, seed):
+        rng = np.random.default_rng(2000 + seed)
+        blob = self.draw_blob(rng, seed)
         enc = HuffmanEncoder()
-        for seed in range(120):
-            rng = np.random.default_rng(2000 + seed)
-            blob = self.draw_blob(rng, seed)
-            n_sync = deserialize(enc, blob)[5].size
-            with case(seed=seed):
-                routes = huffman_routes(enc, blob)
-                assert "_decode_payload_batched" in routes
-                assert not isinstance(assert_same_verdict(routes), Exception)
-            for k in range(12):
-                damaged = self.damage(rng, blob, n_sync)
-                with case(seed=seed, damage=k):
-                    assert_same_verdict(
-                        huffman_routes(enc, damaged), messages=DECODE_MESSAGES
-                    )
+        n_sync = deserialize(enc, blob)[5].size
+        routes = huffman_routes(enc, blob)
+        assert "_decode_payload_batched" in routes
+        assert not isinstance(assert_same_verdict(routes), Exception)
+        for k in range(12):
+            damaged = self.damage(rng, blob, n_sync)
+            with case(damage=k):
+                assert_same_verdict(
+                    huffman_routes(enc, damaged), messages=DECODE_MESSAGES
+                )
 
 
 def damaged_blobs(seed: int) -> list[bytes]:
@@ -984,6 +972,21 @@ class TestDecodeStack:
         for array, blob in zip(got, blobs):
             np.testing.assert_array_equal(array, enc.decode(blob))
 
+    @pytest.mark.parametrize("seed", range(120))
+    def test_a_damaged_blob_among_intact_ones(self, seed):
+        """One damaged blob of ``test_corrupt_small_blobs_agree_with_
+        scalar_verdict``'s seed in a stack of 35 intact streams: its
+        own array or error and message on every route, and every intact
+        stream's own symbols."""
+        enc = HuffmanEncoder()
+        rng = np.random.default_rng(seed)
+        damaged = damaged_blobs(seed)[int(rng.integers(0, 12))]
+        at = int(rng.integers(0, len(intact_blobs()) + 1))
+        assert_same_verdict(
+            huffman_routes(enc, damaged, intact_blobs(), at),
+            messages=DECODE_MESSAGES,
+        )
+
 
 class TestDecodeTableCache:
     def test_forty_codes_stay_resident_within_the_bound(self, monkeypatch):
@@ -1061,26 +1064,21 @@ def draw_table_code(seed: int) -> HuffmanCode:
 class TestDecodeTables:
     """The table builders against the per-symbol loops they replaced."""
 
-    def test_tables_equal_the_per_symbol_loop(self, monkeypatch):
-        cache = huffman_module._DecodeTableLRU()
+    @pytest.mark.parametrize("seed", range(200))
+    def test_tables_equal_the_per_symbol_loop(self, seed, monkeypatch):
+        cache = huffman_module._DecodeTableLRU()  # built here, not recalled
         monkeypatch.setattr(huffman_module, "_DECODE_TABLE_CACHE", cache)
+        code = draw_table_code(seed)
         enc = HuffmanEncoder()
-        for seed in range(200):
-            cache.clear()  # built here, not recalled
-            code = draw_table_code(seed)
-            with case(seed=seed):
-                sym_table, len_table = enc._primary_tables(code)
-                expected_sym, expected_len = reference_primary_tables(code)
-                assert sym_table.dtype == np.min_scalar_type(
-                    code.lengths.size - 1
-                )
-                # 2 ** longest entries, capped at the 16-bit window
-                bits = min(max(int(code.lengths.max()), 1), 16)
-                assert sym_table.size == len_table.size == 1 << bits
-                assert np.array_equal(expanded(sym_table), expected_sym)
-                assert np.array_equal(expanded(len_table), expected_len)
-                index = enc._long_code_index(code)
-                assert index == reference_long_code_index(code)
+        sym_table, len_table = enc._primary_tables(code)
+        expected_sym, expected_len = reference_primary_tables(code)
+        assert sym_table.dtype == np.min_scalar_type(code.lengths.size - 1)
+        # 2 ** longest entries, capped at the 16-bit window
+        bits = min(max(int(code.lengths.max()), 1), 16)
+        assert sym_table.size == len_table.size == 1 << bits
+        np.testing.assert_array_equal(expanded(sym_table), expected_sym)
+        np.testing.assert_array_equal(expanded(len_table), expected_len)
+        assert enc._long_code_index(code) == reference_long_code_index(code)
 
     def test_oversubscribed_lengths_build_in_bounded_memory(
         self, monkeypatch
@@ -1104,12 +1102,11 @@ class TestDecodeTables:
             np.testing.assert_array_equal(expanded(table), expected)
         assert peak < 1 << 20
 
-    def test_long_code_index_equals_the_alphabet_loop(self):
-        for longest in range(17, 58):
-            # a staircase whose two longest codes are *longest* bits
-            code = staircase_code(np.random.default_rng(longest), longest + 1)
-            index = HuffmanEncoder()._long_code_index(code)
-            with case(longest=longest):
-                assert index == reference_long_code_index(code)
-                assert max(ln for ln, _ in index) == longest
-                assert len(index) == int(np.sum(code.lengths > 16))
+    @pytest.mark.parametrize("longest", range(17, 58))
+    def test_long_code_index_equals_the_alphabet_loop(self, longest):
+        # a staircase whose two longest codes are *longest* bits
+        code = staircase_code(np.random.default_rng(longest), longest + 1)
+        index = HuffmanEncoder()._long_code_index(code)
+        assert index == reference_long_code_index(code)
+        assert max(ln for ln, _ in index) == longest
+        assert len(index) == int(np.sum(code.lengths > 16))

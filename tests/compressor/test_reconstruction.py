@@ -21,7 +21,6 @@ from repro.compressor import (
     TiledCompressor,
 )
 from repro.compressor.predictors import make_predictor
-from tests.conftest import case
 from tests.oracle import assert_same_verdict, tile_routes
 
 PREDICTORS = ["lorenzo", "interpolation", "regression"]
@@ -62,34 +61,39 @@ def assert_same_array(surfaced: np.ndarray, decoded: np.ndarray) -> None:
     assert surfaced.tobytes() == decoded.tobytes()
 
 
-def test_flat_reconstruction_equals_decode():
-    sz = TiledCompressor()  # no tile_shape: one whole-array tile
-    for seed, (predictor, dtype, mode, shape) in enumerate(
-        itertools.product(
-            PREDICTORS, ["f4", "f8"], list(ErrorBoundMode), SHAPES
+@pytest.mark.parametrize(
+    "seed, case",
+    list(
+        enumerate(
+            itertools.product(
+                PREDICTORS, ["f4", "f8"], list(ErrorBoundMode), SHAPES
+            )
         )
-    ):
-        rng = np.random.default_rng(seed)
-        for kind in KINDS:
-            data = _field(kind, shape, rng).astype(dtype)
-            bound = 1e-3 if mode is not ErrorBoundMode.ABS else 1e-3 * max(
-                float(np.ptp(data)), 1.0
-            )
-            config = CompressionConfig(
-                predictor=predictor, mode=mode, error_bound=bound
-            )
-            with case(seed=seed, kind=kind):
-                result = sz.compress(data, config, reconstruct=True)
-                assert result.reconstruction is not None
-                # one tile decodes on one thread, whatever the backend
-                routes = tile_routes(result.blob, backends=["serial"])
-                routes["reconstruction"] = lambda: result.reconstruction
-                assert_same_verdict(routes)
-                # asking changes nothing that is written, and not asking
-                # computes nothing
-                plain = sz.compress(data, config)
-                assert plain.blob == result.blob
-                assert plain.reconstruction is None
+    ),
+)
+def test_flat_reconstruction_equals_decode(seed, case):
+    predictor, dtype, mode, shape = case
+    rng = np.random.default_rng(seed)
+    sz = TiledCompressor()  # no tile_shape: one whole-array tile
+    for kind in KINDS:
+        data = _field(kind, shape, rng).astype(dtype)
+        bound = 1e-3 if mode is not ErrorBoundMode.ABS else 1e-3 * max(
+            float(np.ptp(data)), 1.0
+        )
+        config = CompressionConfig(
+            predictor=predictor, mode=mode, error_bound=bound
+        )
+        result = sz.compress(data, config, reconstruct=True)
+        assert result.reconstruction is not None, kind
+        # one tile decodes on one thread, whatever the backend
+        routes = tile_routes(result.blob, backends=["serial"])
+        routes[f"{kind} reconstruction"] = lambda: result.reconstruction
+        assert_same_verdict(routes)
+        # asking changes nothing that is written, and not asking
+        # computes nothing
+        plain = sz.compress(data, config)
+        assert plain.blob == result.blob, kind
+        assert plain.reconstruction is None
 
 
 @pytest.mark.parametrize(

@@ -35,7 +35,6 @@ from repro.compressor.tiled_geometry import extent_slices, iter_tiles
 from repro.storage.hdf5sim import H5LikeFile
 from tests.conftest import (
     LegacyTiledWriter,
-    case,
     forge_rqh5,
     forge_v2,
     replace_tile,
@@ -80,24 +79,40 @@ def mismatched(kind: str, checksums: bool, version: int = 4) -> bytes:
     return sink.getvalue()
 
 
-def refused_everywhere(blob: bytes, match: str, tmp) -> None:
-    """Every route to ``REGION`` of *blob* refuses it, one way."""
-    routes = tile_routes(blob, REGION, reference=FIELD, tmp=tmp)
+#: reader -> the container version it is handed (a v6 frame files the
+#: bad tile as a temporal residual) and the :func:`tests.oracle.tile_routes`
+#: it takes, held to ``decode_tile`` and a ``decode_tiles`` stack
+READERS = {
+    "tiled.decompress": (4, ("decompress/",)),
+    "tiled.decompress_region": (4, ("decompress_region/",)),
+    "temporal.decompress": (
+        6,
+        ("temporal/", "decompress/", "decompress_region/"),
+    ),
+    "store.read_region": (4, ("store/", "h5")),
+}
+
+
+def refused_everywhere(blob, reader, backend, match, tmp) -> None:
+    """*reader*'s routes to ``REGION`` of *blob* on *backend*, and the
+    tile-by-tile decodes, all refuse it one way."""
+    taken = ("decode_tile", *READERS[reader][1])
+    routes = tile_routes(blob, REGION, FIELD, tmp, backends=[backend])
+    routes = {k: v for k, v in routes.items() if k.startswith(taken)}
+    assert len(routes) > 2, list(routes)
     verdict = assert_same_verdict(routes, match=match)
     assert isinstance(verdict, ContainerFormatError), verdict
 
 
-def test_every_reader_refuses_a_tile_of_the_wrong_shape(tmp_path):
-    # a v6 frame files the bad tile as a temporal residual
-    for kind in sorted(WRONG_SHAPE):
-        for checksums in (True, False):
-            for version in (4, 6):
-                with case(kind=kind, checksums=checksums, version=version):
-                    refused_everywhere(
-                        mismatched(kind, checksums, version),
-                        "TOC records",
-                        tmp_path / f"{kind}-{checksums}-{version}",
-                    )
+@pytest.mark.parametrize("kind", sorted(WRONG_SHAPE))
+@pytest.mark.parametrize("checksums", [True, False], ids=["crc", "nocrc"])
+@pytest.mark.parametrize("reader", sorted(READERS))
+@pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+def test_every_reader_refuses_a_tile_of_the_wrong_shape(
+    backend, reader, checksums, kind, tmp_path
+):
+    blob = mismatched(kind, checksums, READERS[reader][0])
+    refused_everywhere(blob, reader, backend, "TOC records", tmp_path)
 
 
 def _other_tile(shape):
@@ -147,16 +162,16 @@ def damaged_v7(kind: str, checksums: bool, temporal: bool) -> bytes:
     return replace_tile(blob, 3, V7_DAMAGE[kind](meta, sections))
 
 
-def test_every_reader_refuses_a_damaged_v7_tile(tmp_path):
-    for kind in sorted(V7_DAMAGE):
-        for checksums in (True, False):
-            for temporal in (False, True):
-                with case(kind=kind, checksums=checksums, temporal=temporal):
-                    refused_everywhere(
-                        damaged_v7(kind, checksums, temporal),
-                        "corrupt",
-                        tmp_path / f"{kind}-{checksums}-{temporal}",
-                    )
+@pytest.mark.parametrize("kind", sorted(V7_DAMAGE))
+@pytest.mark.parametrize("checksums", [True, False], ids=["crc", "nocrc"])
+@pytest.mark.parametrize("reader", sorted(READERS))
+@pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+def test_every_reader_refuses_a_damaged_v7_tile(
+    backend, reader, checksums, kind, tmp_path
+):
+    temporal = READERS[reader][0] == 6
+    blob = damaged_v7(kind, checksums, temporal)
+    refused_everywhere(blob, reader, backend, "corrupt", tmp_path)
 
 
 def test_a_decode_of_another_shape_or_dtype_is_refused():
