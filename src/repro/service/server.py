@@ -546,9 +546,11 @@ class ArrayServer(ThreadingHTTPServer):
     def serve_in_background(self) -> threading.Thread:
         """Run ``serve_forever`` on a daemon thread; returns it."""
         thread = threading.Thread(
-            target=self.serve_forever, args=(POLL_INTERVAL_S,), daemon=True
+            target=self.serve_forever,
+            args=(POLL_INTERVAL_S,),
+            name="repro-serve",
+            daemon=True,
         )
-        thread.name = "repro-serve"
         thread.start()
         return thread
 

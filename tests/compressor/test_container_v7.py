@@ -415,9 +415,9 @@ def _tiled_case(seed: int, kind: str):
     )
 
 
-#: one tile at a time, and as the reader decodes them: for a read of
-#: the whole container the stack routes are the serial decompress's own
-WHOLE_READ_ROUTES = ("decode_tile", "decompress/serial")
+#: each tile decoded alone, and the whole container as the serial
+#: reader decodes it (for the whole, the stack routes are its own)
+WHOLE_READ = {"backends": ["serial"], "names": ("decode_tile", "decompress")}
 
 
 #: proptest cases 0..23 that have a uniform, adaptive or temporal v7
@@ -488,8 +488,7 @@ def test_v7_tiles_are_the_flat_codecs_stage_bytes(seed, kind):
                     temporal=record.temporal,
                 )
     # ... and the same values out of either frame
-    routes = tile_routes(blob, reference=reference, backends=["serial"])
-    routes = {k: v for k, v in routes.items() if k in WHOLE_READ_ROUTES}
+    routes = tile_routes(blob, reference=reference, **WHOLE_READ)
     routes["legacy frame"] = lambda: TiledCompressor().decompress(
         legacy.getvalue(), reference=reference
     )
@@ -710,6 +709,19 @@ def _mutate_prelude(blob: bytes, rng, resum: bool) -> bytes:
     return replace_tile(blob, index, new, resum)
 
 
+def in_time(route):
+    """*route*, failing if it takes 5 s or more: no decode may hang."""
+
+    def timed():
+        started = time.perf_counter()
+        try:
+            return route()
+        finally:
+            assert time.perf_counter() - started < 5.0
+
+    return timed
+
+
 @pytest.mark.parametrize("model", ["corruption", "forgery", "nocrc"])
 @pytest.mark.parametrize("kind", ["uniform", "adaptive", "temporal"])
 @pytest.mark.parametrize("surface", ["header", "toc", "prelude"])
@@ -736,12 +748,10 @@ def test_v7_mutants_are_detected_or_correct(surface, kind, model):
                 _mutate_json(doc, rng)
 
             mutant = rewrite(blob, resum=resum, **{surface: mutate})
-        routes = tile_routes(mutant, reference=FUZZ_REF, backends=["serial"])
-        routes = {k: v for k, v in routes.items() if k in WHOLE_READ_ROUTES}
-        started = time.perf_counter()
+        routes = tile_routes(mutant, reference=FUZZ_REF, **WHOLE_READ)
+        routes = {name: in_time(route) for name, route in routes.items()}
         # any exception but a ValueError fails the test by escaping
         verdict = assert_same_verdict(routes)
-        assert time.perf_counter() - started < 5.0 * len(routes)
         if isinstance(verdict, Exception):
             if not isinstance(verdict, ContainerFormatError):
                 # a forged shape: the caller's reference is the wrong one

@@ -232,9 +232,9 @@ ALL_GOLDEN = (
 def test_every_route_decodes_every_golden_blob_to_its_array(
     name, part, backend, tmp_path
 ):
-    """Whole or in part, every route of the oracle on *backend* — and
-    ``TemporalCompressor``, a temporal blob reaching the store as
-    version 1 of a chain (``_store_serving``) — decodes to the very
+    """Whole or in part, every route of the oracle on *backend* — and,
+    a temporal blob reaching the store as version 1 of a chain
+    (``_store_serving``) — decodes to the very
     array the fixture pins, not merely one within its bound.  A part
     decodes only the tiles it meets."""
     if name in GOLDEN_V7_TWINS:
@@ -246,10 +246,6 @@ def test_every_route_decodes_every_golden_blob_to_its_array(
     routes = tile_routes(blob, region, ref, tmp_path, backends=[backend])
     window = normalize_region(region, expected.shape)
     routes["pinned"] = lambda: expected[window]
-    front = TemporalCompressor(workers=2, backend=backend)
-    routes[f"temporal/{backend}"] = lambda: front.decompress(
-        blob, reference=ref
-    )[window]
     if ref is not None:
         routes[f"chain/{backend}"] = lambda: _chain_read(
             tmp_path / "chain", blob, ref, backend, region

@@ -86,7 +86,9 @@ def test_flat_reconstruction_equals_decode(seed, case):
         result = sz.compress(data, config, reconstruct=True)
         assert result.reconstruction is not None, kind
         # one tile decodes on one thread, whatever the backend
-        routes = tile_routes(result.blob, backends=["serial"])
+        routes = tile_routes(
+            result.blob, backends=["serial"], names=("decompress",)
+        )
         routes[f"{kind} reconstruction"] = lambda: result.reconstruction
         assert_same_verdict(routes)
         # asking changes nothing that is written, and not asking

@@ -336,18 +336,19 @@ def tile_routes(
     reference: np.ndarray | None = None,
     tmp=None,
     backends: Iterable[str] = BACKENDS,
+    names: Iterable[str] | None = None,
 ) -> dict[str, Callable]:
-    """Every reader's route to *region* of the container *blob*.
+    """The routes to *region* of the container *blob*, or of them those
+    *names* (a backend's are ``{name}/{backend}``).
 
     Of more than one tile, ``decode_tile`` per tile and one
     ``decode_tiles`` stack over the tiles the region meets; then on
-    each of *backends* (two workers)
-    ``TiledCompressor.decompress`` (cropped) and, for less than the
-    whole array, ``decompress_region``,
-    ``TemporalCompressor.decompress`` for a container with temporal
-    tiles (which take their tile of *reference*) — and, given a *tmp*
-    directory and no temporal tile, ``ArrayStore.read_region`` on each
-    backend and ``H5LikeFile.read_region``.
+    each of *backends* (two workers) ``TiledCompressor.decompress``
+    (cropped) and, for less than the whole array, ``decompress_region``,
+    and ``TemporalCompressor.decompress`` (``temporal``: temporal tiles
+    take their tile of *reference*) — and, given a *tmp* directory and
+    no temporal tile, ``ArrayStore.read_region`` on each backend
+    (``store``) and ``H5LikeFile.read_region`` (``h5``).
     """
     try:
         with TiledReader(blob) as reader:
@@ -379,15 +380,16 @@ def tile_routes(
                     blob, region, reference=reference
                 )
             )
-        if temporal:
-            front = TemporalCompressor(workers=2, backend=backend)
-            routes[f"temporal/{backend}"] = lambda t=front: t.decompress(
-                blob, reference=reference
-            )[region]
-        elif tmp is not None:
+        front = TemporalCompressor(workers=2, backend=backend)
+        routes[f"temporal/{backend}"] = lambda t=front: t.decompress(
+            blob, reference=reference
+        )[region]
+        if tmp is not None and not temporal:
             routes[f"store/{backend}"] = lambda b=backend: _store_read(
                 blob, region, tmp / f"store-{b}", b
             )
     if tmp is not None and not temporal:
         routes["h5"] = lambda: _h5_read(blob, region, tmp / "field.rqh5")
-    return routes
+    if names is None:
+        return routes
+    return {k: v for k, v in routes.items() if k.split("/")[0] in names}

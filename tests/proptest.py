@@ -298,8 +298,9 @@ def _check_tiled(case: Case, flat_recon: np.ndarray) -> None:
     # threaded for more), and a full and a region decode on the
     # backend the seed picks, are what every tile decodes to alone
     backend = ("serial", "thread", "process")[case.seed % 3]
-    routes = tile_routes(result.blob, backends=[backend])
-    routes.pop("decode_tiles", None)  # the stack decompress decodes
+    routes = tile_routes(
+        result.blob, backends=[backend], names=("decode_tile", "decompress")
+    )
     assert_same_verdict({"the case's decode": lambda: recon, **routes})
     middle = tuple(slice(n // 4, n - n // 4) for n in data.shape)
     region = TiledCompressor(workers=2, backend=backend).decompress_region
