@@ -43,11 +43,13 @@ import hashlib
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from repro.compressor.bitstream import (
+    bits_to_bytes,
     bits_word,
     build_bit_window,
     fixed_field,
@@ -107,6 +109,10 @@ _STACK_WALK_SIZE = 1 << 18
 
 #: offset of each bit of a byte, MSB first
 _BIT_IN_BYTE = np.arange(8, dtype=np.uint32)
+
+#: zero codewords of one bit: a packed stack's fill up to the next word
+_ZERO_FILL, _ONE_FILL = np.zeros(63, dtype=np.uint64), np.ones(63, dtype=int)
+_NO_LENGTHS = np.zeros(0, dtype=np.int64)
 
 #: Longest sync-table payload the window walk takes.  The batched
 #: kernel runs one Python round per symbol of a sync block (``interval``
@@ -274,6 +280,49 @@ def _histogram(stream: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return present + lo, counts[present]
 
 
+def _histograms(streams: Sequence[np.ndarray]) -> list:
+    """:func:`_histogram` of each ``int64`` stream, from one ``bincount``
+    in which each stream's bins follow the value spans of those before
+    it; ``None`` for an empty stream or one too sparse to count."""
+    out: list = [None] * len(streams)
+    full = [i for i, stream in enumerate(streams) if stream.size]
+    if not full:
+        return out
+    sizes = np.array([streams[i].size for i in full])
+    flat = np.concatenate([streams[i] for i in full])
+    lo = np.minimum.reduceat(flat, np.cumsum(sizes) - sizes)
+    spans = np.maximum.reduceat(flat, np.cumsum(sizes) - sizes) - lo + 1
+    spans[spans > np.maximum(256, 4 * sizes)] = 0  # counted by plan()
+    shift = np.cumsum(spans) - spans - lo  # a value's bin, less the value
+    counted = np.bincount(
+        (flat + np.repeat(shift, sizes))[np.repeat(spans > 0, sizes)],
+        minlength=int(spans.sum()),
+    )
+    present = np.flatnonzero(counted)
+    cuts = present.searchsorted(np.append(shift + lo, spans.sum())).tolist()
+    symbols = present - np.repeat(shift, np.diff(cuts))
+    counts = counted[present]
+    for k, i in enumerate(full):
+        if spans[k]:
+            out[i] = symbols[cuts[k] : cuts[k + 1]], counts[cuts[k] : cuts[k + 1]]
+    return out
+
+
+def _length_fields(lengths: Sequence[np.ndarray]) -> list[tuple[int, int]]:
+    """:func:`fixed_field` of each array of 6-bit code lengths, all of
+    them unpacked in one pass and cut out of one integer."""
+    bits = np.unpackbits(
+        np.concatenate([_NO_LENGTHS, *lengths]).astype(np.uint8)[:, None],
+        axis=1,
+    )[:, 2:]
+    word = int.from_bytes(bits_to_bytes(bits), "big") >> (-bits.size % 8)
+    ends = list(accumulate((6 * part.size for part in lengths), initial=0))
+    return [
+        (word >> bits.size - end & (1 << end - start) - 1, end - start)
+        for start, end in zip(ends, ends[1:])
+    ]
+
+
 def _sync_layout(n: int) -> tuple[int, int]:
     """Sync interval and offset count of an *n*-symbol stream's table.
 
@@ -409,20 +458,6 @@ class HuffmanCode:
         lengths = huffman_code_lengths(counts)
         return cls(symbols, lengths, _canonical_codes(lengths))
 
-    @classmethod
-    def from_histogram(
-        cls, symbols: np.ndarray, counts: np.ndarray
-    ) -> "HuffmanCode":
-        """Build the code from a precomputed ``(symbols, counts)`` pair."""
-        symbols = np.asarray(symbols, dtype=np.int64)
-        counts = np.asarray(counts, dtype=np.int64)
-        if symbols.shape != counts.shape:
-            raise ValueError("symbols and counts must align")
-        keep = counts > 0
-        symbols, counts = symbols[keep], counts[keep]
-        order = np.argsort(symbols)
-        return cls._from_sorted_histogram(symbols[order], counts[order])
-
 
 class _Stream(NamedTuple):
     """One parsed Huffman blob: what every decode kernel takes."""
@@ -451,6 +486,7 @@ class HuffmanEncodePlan:
     code: HuffmanCode
     dense: np.ndarray
     lengths: np.ndarray
+    total_bits: int
     interval: int
     sync: np.ndarray
     container_bytes: int
@@ -480,23 +516,68 @@ class HuffmanEncoder:
 
         ``plan`` (from :meth:`plan`) reuses an already-built code —
         callers that first ask for the coded size avoid rebuilding the
-        histogram, tree and sync table.
+        histogram, tree and sync table.  The one-stream case of
+        :meth:`encode_stack`.
         """
-        stream = np.asarray(stream, dtype=np.int64).ravel()
-        if plan is None:
-            plan = self.plan(stream)
-        if plan is None:
-            return self._serialize_empty()
-        code = plan.code
-        payload, total_bits = pack_codes(
-            code.codes[plan.dense], plan.lengths
+        return self.encode_stack([stream], [plan])[0]
+
+    def encode_stack(
+        self,
+        streams: Sequence[np.ndarray],
+        plans: "Sequence[HuffmanEncodePlan | None] | None" = None,
+    ) -> list[bytes]:
+        """:meth:`encode` of every stream, with its plan (``None``: built).
+
+        The histograms of the streams to plan come from one offset
+        ``bincount`` (:func:`_histograms`); each stream still gets its
+        own :meth:`plan`.  The codewords of all of them are packed by
+        one :func:`pack_codes` call, each stream starting on a 64-bit
+        word (zero fill ahead of it), so each slice of the payload is
+        the bytes the stream packs to alone.
+        """
+        streams = [np.asarray(s, dtype=np.int64).ravel() for s in streams]
+        plans = list(plans or [None] * len(streams))
+        todo = [i for i, plan in enumerate(plans) if plan is None]
+        histograms = (
+            _histograms([streams[i] for i in todo])
+            if len(todo) > 1
+            else [None] * len(todo)  # one stream counts alone in plan()
         )
-        return self._serialize(
-            code, stream.size, payload, total_bits, plan.interval, plan.sync
+        for i, histogram in zip(todo, histograms):
+            plans[i] = self.plan(streams[i], histogram=histogram)
+        coded = [plan for plan in plans if plan is not None]
+        codes, lengths, words = [], [], [0]
+        for plan in coded:
+            fill = -plan.total_bits % 64
+            codes += [plan.code.codes[plan.dense], _ZERO_FILL[:fill]]
+            lengths += [plan.lengths, _ONE_FILL[:fill]]
+            words.append(words[-1] + (plan.total_bits + fill) // 64)
+        if len(coded) > 1:  # one stream is packed as it is
+            codes, lengths = [np.concatenate(codes)], [np.concatenate(lengths)]
+        packed = pack_codes(codes[0], lengths[0])[0] if coded else b""
+        fields = _length_fields([plan.code.lengths for plan in coded])
+        blobs = iter(
+            self._serialize(
+                plan.code,
+                plan.dense.size,
+                packed[8 * word : 8 * word + (plan.total_bits + 7) // 8],
+                plan.total_bits,
+                plan.interval,
+                plan.sync,
+                field,
+            )
+            for plan, word, field in zip(coded, words, fields)
         )
+        return [
+            next(blobs) if plan is not None else self._serialize_empty()
+            for plan in plans
+        ]
 
     def plan(
-        self, stream: np.ndarray, budget: int | None = None
+        self,
+        stream: np.ndarray,
+        budget: int | None = None,
+        histogram: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> "HuffmanEncodePlan | None":
         """Build everything :meth:`encode` needs except the packed bits.
 
@@ -507,12 +588,13 @@ class HuffmanEncoder:
         A caller that would discard any plan of *budget* bytes or more
         passes it: when the entropy floor on the serialized size
         (:meth:`_container_bytes_floor`) already reaches the budget the
-        answer is ``None`` too, and no code is built.
+        answer is ``None`` too, and no code is built.  *histogram* is
+        the stream's ``(symbols, counts)``, when already counted.
         """
         stream = np.asarray(stream, dtype=np.int64).ravel()
         if stream.size == 0:
             return None
-        symbols, counts = _histogram(stream)
+        symbols, counts = histogram or _histogram(stream)
         if (
             budget is not None
             and self._container_bytes_floor(symbols, counts) >= budget
@@ -533,7 +615,7 @@ class HuffmanEncoder:
             + (total_bits + 7) // 8
         )
         return HuffmanEncodePlan(
-            code, dense, lengths, interval, sync, container_bytes
+            code, dense, lengths, total_bits, interval, sync, container_bytes
         )
 
     def decode(self, blob: bytes) -> np.ndarray:
@@ -704,6 +786,7 @@ class HuffmanEncoder:
         total_bits: int,
         sync_interval: int = 0,
         sync_offsets: np.ndarray | None = None,
+        lengths_field: tuple[int, int] | None = None,
     ) -> bytes:
         first = int(code.symbols[0])
         fields = [
@@ -714,7 +797,7 @@ class HuffmanEncoder:
             # instead of 64.
             ((first << 1 ^ first >> 63) & (2**64 - 1), 64),
             gamma_field(np.diff(code.symbols)),
-            fixed_field(code.lengths, 6),
+            lengths_field or fixed_field(code.lengths, 6),
             (n_data, 64),
             (total_bits, 64),
         ]

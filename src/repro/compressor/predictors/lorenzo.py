@@ -24,6 +24,8 @@ Two implementations are provided:
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from repro.compressor.predictors.base import Predictor, PredictorOutput
@@ -39,11 +41,16 @@ _SCALE_BLOCK = 1 << 13
 _MIN_SLICE = 512
 
 
-def _forward_difference(lattice: np.ndarray, order: int) -> np.ndarray:
-    """Apply the Lorenzo difference stencil (order times per axis)."""
+def _forward_difference(
+    lattice: np.ndarray, order: int, stacked: bool = False
+) -> np.ndarray:
+    """Apply the Lorenzo difference stencil (order times per axis).
+
+    ``stacked`` marks a leading batch axis, which the stencil skips.
+    """
     codes = lattice
     for _ in range(order):
-        for axis in range(lattice.ndim):
+        for axis in range(int(stacked), lattice.ndim):
             codes = np.diff(codes, axis=axis, prepend=0)
     return codes
 
@@ -96,37 +103,59 @@ class LorenzoPredictor(Predictor):
         radius: int,
         reconstruct: bool = False,
     ) -> PredictorOutput:
-        data = self._validate(data)
-        if error_bound <= 0:
+        """The one-array case of :meth:`decompose_stack`."""
+        return self.decompose_stack(
+            np.asarray(data)[None], [error_bound], radius, reconstruct
+        )[0]
+
+    def decompose_stack(
+        self,
+        stack: np.ndarray,
+        error_bounds: Sequence[float],
+        radius: int,
+        reconstruct: bool = False,
+    ) -> list[PredictorOutput]:
+        """:meth:`decompose` of each member of the ``(n, *shape)``
+        *stack* under its own bound, in one pass of the lattice and the
+        stencil over the stack."""
+        stack = self._validate(stack, stacked=True)
+        bounds = set(error_bounds)
+        if min(bounds) <= 0:
             raise ValueError("error_bound must be positive")
-        bin_width = 2.0 * error_bound
-        lattice_f = np.rint(data / bin_width)
+        # one bound for the whole stack divides as a scalar
+        bin_width = 2.0 * (
+            float(bounds.pop())
+            if len(bounds) == 1
+            else np.reshape(error_bounds, (-1,) + (1,) * (stack.ndim - 1))
+        )
+        lattice_f = np.rint(stack / bin_width)
         if np.any(np.abs(lattice_f) > 2**53):
             raise ValueError(
                 "error bound too small for dual-quantization: lattice "
                 "indices exceed the exact-integer range of float64"
             )
         lattice = lattice_f.astype(np.int64)
-        codes = _forward_difference(lattice, self.order).ravel()
-
-        overflow = np.abs(codes) > radius
-        positions = np.flatnonzero(overflow)
-        outlier_codes = codes[positions].copy()
-        codes = codes.copy()
-        codes[positions] = 0
-        return PredictorOutput(
-            codes=codes,
-            outlier_positions=positions.astype(np.int64),
-            outlier_values=outlier_codes,
-            meta={"order": self.order},
-            # the decoder's own expression, from the integer lattice
-            # (``lattice_f`` may hold -0.0 where the decoder has 0.0)
-            reconstruction=(
-                lattice.astype(np.float64) * bin_width
-                if reconstruct
-                else None
-            ),
-        )
+        codes = _forward_difference(lattice, self.order, stacked=True)
+        codes = codes.reshape(len(stack), -1)
+        flat, size = codes.ravel(), codes.shape[1]
+        positions = np.flatnonzero(np.abs(flat) > radius)
+        outlier_codes = flat[positions]
+        flat[positions] = 0
+        cuts = positions.searchsorted(range(0, flat.size + 1, size)).tolist()
+        positions %= size  # each member's own
+        # the decoder's own expression, from the integer lattice
+        # (``lattice_f`` may hold -0.0 where the decoder has 0.0)
+        values = lattice * bin_width if reconstruct else [None] * len(stack)
+        return [
+            PredictorOutput(
+                codes=codes[i],
+                outlier_positions=positions[lo:hi],
+                outlier_values=outlier_codes[lo:hi],
+                meta={"order": self.order},
+                reconstruction=values[i],
+            )
+            for i, (lo, hi) in enumerate(zip(cuts, cuts[1:]))
+        ]
 
     def reconstruct(
         self,

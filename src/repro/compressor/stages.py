@@ -41,12 +41,13 @@ __all__ = [
 class PredictorStage:
     """Dispatches to the configured predictor (Lorenzo/interp/regression).
 
-    :meth:`decompose` predicts and quantizes under the absolute bound;
-    with ``reconstruct`` its output also carries what
-    :meth:`reconstruct` will return for it
-    (``PredictorOutput.reconstruction``) — a stage that cannot surface
-    it leaves the field ``None``.  :meth:`reconstruct` inverts it
-    (``float64``).
+    :meth:`decompose` predicts and quantizes a stack of same-shaped
+    arrays, each under its own absolute bound — Lorenzo in one pass
+    over the stack, the others an array at a time; with
+    ``reconstruct`` each output also carries what :meth:`reconstruct`
+    will return for it (``PredictorOutput.reconstruction``) — a stage
+    that cannot surface it leaves the field ``None``.
+    :meth:`reconstruct` inverts one output (``float64``).
     """
 
     @staticmethod
@@ -62,13 +63,20 @@ class PredictorStage:
         self,
         work: np.ndarray,
         config: CompressionConfig,
-        abs_eb: float,
+        abs_eb: Sequence[float],
         reconstruct: bool = False,
-    ) -> PredictorOutput:
+    ) -> list[PredictorOutput]:
+        """The outputs of the ``(n, *shape)`` stack *work*, member *i*
+        under the absolute bound ``abs_eb[i]``."""
         predictor = self.make_predictor(config)
-        return predictor.decompose(
-            work, abs_eb, config.quant_radius, reconstruct
-        )
+        if config.predictor == "lorenzo":
+            return predictor.decompose_stack(
+                work, abs_eb, config.quant_radius, reconstruct
+            )
+        return [
+            predictor.decompose(member, bound, config.quant_radius, reconstruct)
+            for member, bound in zip(work, abs_eb)
+        ]
 
     def reconstruct(
         self,
@@ -98,18 +106,26 @@ class HuffmanEntropyStage:
     def __init__(self) -> None:
         self._huffman = HuffmanEncoder()
 
-    def encode(
-        self, codes: np.ndarray, config: CompressionConfig
-    ) -> EncodedCodes:
-        """Encode *codes* as one Huffman(+lossless) payload."""
+    def encode_stack(
+        self, streams: Sequence[np.ndarray], config: CompressionConfig
+    ) -> list[EncodedCodes]:
+        """Encode each code stream as one Huffman(+lossless) payload.
+
+        The Huffman streams are coded as one stack
+        (:meth:`HuffmanEncoder.encode_stack`); the lossless stage takes
+        the payloads one at a time.
+        """
         with obs.span("huffman"):
-            huffman_payload = self._huffman.encode(codes)
-        payload = huffman_payload
+            blobs = self._huffman.encode_stack(streams)
+        payloads = blobs
         if config.lossless is not None:
             with obs.span("lossless"):
                 backend = get_lossless_backend(config.lossless)
-                payload = backend.compress(huffman_payload)
-        return EncodedCodes(payload, len(huffman_payload))
+                payloads = [backend.compress(blob) for blob in blobs]
+        return [
+            EncodedCodes(payload, len(blob))
+            for payload, blob in zip(payloads, blobs)
+        ]
 
     def decode(
         self, payload: bytes, config: CompressionConfig, chunked: bool

@@ -9,10 +9,12 @@ The prediction stage (:class:`PredictorStage`) can be swapped via the
 constructor.  :meth:`SZCompressor.encode_stages` turns one
 array into its five stage sections plus the parameters that decode
 them, and :meth:`SZCompressor.decode_stages` inverts every stage — by
-construction within the configured error bound.  Neither frames
+construction within the configured error bound; ``encode_stack`` and
+``decode_stack`` do the same for many tiles at once.  None frames
 anything: :class:`repro.compressor.tiled.TiledCompressor` is the one
-front end, which drives this codec per tile (a flat array is one tile)
-and writes the container of :mod:`repro.compressor.container`.
+front end, which drives this codec a stack of tiles at a time (a flat
+array is one tile) and writes the container of
+:mod:`repro.compressor.container`.
 
 Degenerate inputs take no stage bytes: empty arrays round-trip to the
 correct shape/dtype, and constant fields under ``REL`` mode (whose
@@ -68,94 +70,123 @@ class SZCompressor:
         what :meth:`decode_stages` will return for them (``None`` when
         the prediction stage cannot surface it), and the counts
         :class:`~repro.compressor.tiled.TiledResult` totals over tiles.
-        The per-tile contract of the tiled compressor.
+        The per-tile contract of the tiled compressor, and the one-tile
+        case of :meth:`encode_stack`.
         """
-        data = np.asarray(data)
-        # 0-d arrays compress as their single element; the header's empty
-        # shape list restores the original dimensionality.
-        core = data.reshape(1) if data.ndim == 0 else data
-        abs_eb = 0.0
-        if data.size:
-            with obs.span("transform"):
-                work, transform_meta, signs_payload = forward_transform(
-                    core, config.mode is ErrorBoundMode.PW_REL
-                )
-                abs_eb = config.absolute_bound(core)
-        extra: dict = {}
-        if abs_eb <= 0:
-            # degenerate input, no stage bytes: an empty array, or a REL
-            # bound on a constant field — the value range is zero, so
-            # the bound demands exact reconstruction: store the value
-            abs_eb, transform_meta, signs_payload = 0.0, {}, b""
-            output = PredictorOutput(
-                codes=np.zeros(0, dtype=np.int64),
-                outlier_positions=np.zeros(0, dtype=np.int64),
-                outlier_values=np.zeros(0, dtype=np.float64),
-            )
-            encoded = EncodedCodes(b"", 0)
-            if data.size:
-                extra["constant"] = float(core.flat[0])
-            reconstruction = (
-                np.full(data.shape, extra.get("constant", 0), dtype=data.dtype)
-                if reconstruct
-                else None
-            )
-        else:
+        return self.encode_stack([data], config, reconstruct)[0]
+
+    def encode_stack(
+        self,
+        tiles: Sequence[np.ndarray],
+        config: CompressionConfig,
+        reconstruct: bool = False,
+    ) -> list[tuple[dict, list[bytes], np.ndarray | None, dict[str, int]]]:
+        """:meth:`encode_stages` of every tile, all of one shape.
+
+        Each tile is transformed alone; those with stage bytes are
+        predicted and quantized as one ``(n, *shape)`` stack, each under
+        its own bound (:meth:`PredictorStage.decompose`), and
+        entropy-coded as one stack
+        (:meth:`HuffmanEntropyStage.encode_stack`).  What raises is some
+        bad tile's error — encode one tile at a time for the first one's.
+        """
+        tiles = [np.asarray(tile) for tile in tiles]
+        # 0-d arrays compress as their single element; the header's
+        # empty shape list restores the dimensionality
+        cores = [tile.reshape(1) if tile.ndim == 0 else tile for tile in tiles]
+        transforms: dict[int, tuple] = {}  # the tiles with stage bytes
+        with obs.span("transform"):
+            for i, core in enumerate(cores):
+                abs_eb = config.absolute_bound(core) if core.size else 0.0
+                if not abs_eb <= 0:
+                    pw_rel = config.mode is ErrorBoundMode.PW_REL
+                    transforms[i] = (abs_eb, *forward_transform(core, pw_rel))
+        stages: dict = {}
+        if transforms:
+            works = [work for _, work, _, _ in transforms.values()]
             with obs.span("predict_quantize"):
-                output = self._prediction.decompose(
-                    work, config, abs_eb, reconstruct
+                outputs = self._prediction.decompose(
+                    works[0][None] if len(works) == 1 else np.stack(works),
+                    config,
+                    [abs_eb for abs_eb, *_ in transforms.values()],
+                    reconstruct,
                 )
-            encoded = self._entropy.encode(output.codes, config)
-            reconstruction = None
-            if output.reconstruction is not None:
-                # the tail of decode_stages(), on the encoder's own values
-                reconstruction = (
-                    inverse_transform(
-                        output.reconstruction,
-                        {"transform": transform_meta, "shape": list(data.shape)},
-                        signs_payload,
+            encoded = self._entropy.encode_stack(
+                [output.codes for output in outputs], config
+            )
+            stages = dict(zip(transforms, zip(outputs, encoded)))
+        out = []
+        for i, data in enumerate(tiles):
+            reconstruction, extra = None, {}
+            if i in stages:
+                abs_eb, _, transform_meta, signs_payload = transforms[i]
+                output, encoded = stages[i]
+                if output.reconstruction is not None:
+                    # the tail of decode_stages(), on the encoder's values
+                    reconstruction = (
+                        inverse_transform(
+                            output.reconstruction,
+                            {"transform": transform_meta, "shape": [*data.shape]},
+                            signs_payload,
+                        )
+                        .reshape(data.shape)
+                        .astype(data.dtype)
                     )
-                    .reshape(data.shape)
-                    .astype(data.dtype)
+            else:
+                # degenerate input, no stage bytes: an empty array, or a
+                # REL bound on a constant field — the value range is
+                # zero, so the bound demands exact reconstruction: store
+                # the value
+                abs_eb, transform_meta, signs_payload = 0.0, {}, b""
+                output = PredictorOutput(
+                    codes=np.zeros(0, dtype=np.int64),
+                    outlier_positions=np.zeros(0, dtype=np.int64),
+                    outlier_values=np.zeros(0, dtype=np.float64),
                 )
-        header = {
-            "predictor": config.predictor,
-            "mode": config.mode.value,
-            "error_bound": config.error_bound,
-            "abs_eb": abs_eb,
-            "quant_radius": config.quant_radius,
-            "lossless": config.lossless,
-            "lorenzo_levels": config.lorenzo_levels,
-            "regression_block": config.regression_block,
-            # no knob left sets it; dropping the key is a format change
-            "chunk_size": None,
-            "shape": list(data.shape),
-            "dtype": data.dtype.str,
-            "predictor_meta": output.meta,
-            "outlier_kind": (
-                "codes" if output.outlier_values.dtype == np.int64 else "values"
-            ),
-            "transform": transform_meta,
-            **extra,
-        }
-        sections = [
-            encoded.payload,
-            output.outlier_positions.astype(np.int64).tobytes(),
-            output.outlier_values.tobytes(),
-            output.side_payload,
-            signs_payload,
-        ]
-        return (
-            header,
-            sections,
-            reconstruction,
-            {
+                encoded = EncodedCodes(b"", 0)
+                if data.size:
+                    extra["constant"] = float(data.flat[0])
+                if reconstruct:
+                    reconstruction = np.full(
+                        data.shape, extra.get("constant", 0), dtype=data.dtype
+                    )
+            header = {
+                "predictor": config.predictor,
+                "mode": config.mode.value,
+                "error_bound": config.error_bound,
+                "abs_eb": abs_eb,
+                "quant_radius": config.quant_radius,
+                "lossless": config.lossless,
+                "lorenzo_levels": config.lorenzo_levels,
+                "regression_block": config.regression_block,
+                # no knob left sets it; dropping the key is a format change
+                "chunk_size": None,
+                "shape": list(data.shape),
+                "dtype": data.dtype.str,
+                "predictor_meta": output.meta,
+                "outlier_kind": (
+                    "codes"
+                    if output.outlier_values.dtype == np.int64
+                    else "values"
+                ),
+                "transform": transform_meta,
+                **extra,
+            }
+            sections = [
+                encoded.payload,
+                output.outlier_positions.astype(np.int64).tobytes(),
+                output.outlier_values.tobytes(),
+                output.side_payload,
+                signs_payload,
+            ]
+            measures = {
                 "n_codes": int(output.codes.size),
                 "n_zero_codes": int(np.count_nonzero(output.codes == 0)),
                 "n_outliers": output.n_outliers,
                 "huffman_only": encoded.huffman_only,
-            },
-        )
+            }
+            out.append((header, sections, reconstruction, measures))
+        return out
 
     def decode_stages(
         self, header: dict, sections: Sequence[bytes]

@@ -3,7 +3,8 @@
 :class:`TiledCompressor` is how every array is compressed.  It splits
 an N-d field into tiles (``config.tile_shape``; ``None`` makes the
 whole array one tile), runs the :class:`SZCompressor` stages once per
-tile, and writes the tiled (v7) container described in
+stack of same-shape, same-config tiles, and writes the tiled (v7)
+container described in
 :mod:`repro.compressor.container`.  Because tiles are encoded one batch
 at a time and streamed straight to the sink, peak memory is bounded by
 a few tiles — the input may be a ``np.memmap``/``np.load(mmap_mode=...)``
@@ -322,9 +323,11 @@ class TiledCompressor:
     ``fit_clusters`` caps model fits), and ``plan_cache`` — a
     :class:`PlannerCache` or the path of a file-backed one — lets it
     replay the plan of an earlier snapshot of the same dataset.
-    ``codec`` swaps the per-tile compressor (any
-    :class:`SZCompressor`-compatible facade; serial/thread backends
-    only — process workers rebuild the stock codec).
+    ``codec`` swaps the per-tile compressor: any
+    :class:`SZCompressor`-compatible facade, which encodes stacks of
+    same-shape, same-config tiles (``encode_stack``) and decodes stacks
+    of tiles (``decode_stack``); serial/thread backends only — process
+    workers rebuild the stock codec.
 
     Decoding is **thread-safe**: every decode call works on local state
     only (the stage objects are stateless and :class:`TiledReader`
@@ -595,16 +598,17 @@ class TiledCompressor:
         executor: CodecExecutor,
         reconstruction: np.ndarray | None,
     ) -> Iterator[tuple[TileJob, dict, list[bytes], dict, bool, bool]]:
-        """Encode *jobs* batch-by-batch; at most ``workers`` jobs live.
+        """Encode *jobs* batch-by-batch (:func:`_job_batches`).
 
         Yields ``(job, params, sections, measures, temporal, surfaced)``
         in TOC order, whatever order the jobs arrive in; every encode's
         stage times, kept or not, are added to the active record.  Each
         batch is staged into one executor input buffer (a shared-memory
         arena under the process backend, which workers view without
-        copying), every
-        candidate in a slot of its own, so peak memory stays at one
-        batch of raw tiles plus their compressed payloads.
+        copying), every candidate in a slot of its own, so peak memory
+        stays at one batch of raw tiles plus their compressed payloads.
+        Its candidates of one shape and config encode as stacks cut by
+        :func:`_stacks`, each an executor item.
 
         A *reconstruction* array is filled with the decoded tiles, each
         task writing its own into an output buffer laid out like the
@@ -613,10 +617,11 @@ class TiledCompressor:
         the tile's codec had one to write.
         """
         ship_codec = self._codec if self._custom_codec else None
+        ways = max(executor.workers, 1)
         # encoded tiles whose predecessors in TOC order are still to come
         waiting: dict[int, tuple] = {}
         emitted = 0
-        for batch in _batched(jobs, max(executor.workers, 1)):
+        for batch in _job_batches(jobs, ways):
             slots = [slot for job in batch for slot in job.candidates]
             sizes = [
                 dtype.itemsize * math.prod(samples.shape)
@@ -629,17 +634,27 @@ class TiledCompressor:
                 else None
             )
             try:
-                items = []
-                for (samples, cfg, _), offset in zip(slots, offsets):
-                    _slot(arena.array, offset, samples.shape, dtype)[...] = samples
-                    items.append(
-                        (offset, samples.shape, dtype.str, cfg, ship_codec)
-                    )
-                results = executor.run_batch(
-                    _compress_tile_task, items, input=arena, output=decoded
-                )
-                for *_, tile_times in results:
-                    obs.add(tile_times)
+                groups: dict[tuple, list[int]] = {}
+                for k, (samples, cfg, _) in enumerate(slots):
+                    _slot(arena.array, offsets[k], samples.shape, dtype)[...] = samples
+                    groups.setdefault((samples.shape, cfg), []).append(k)
+                stacks, items = [], []
+                for (shape, cfg), members in groups.items():
+                    points = [math.prod(shape)] * len(members)
+                    for part in _stacks(points, ways):
+                        stacks.append(members[part])
+                        offs = [offsets[k] for k in members[part]]
+                        items.append((offs, shape, dtype.str, cfg, ship_codec))
+                results: list = [None] * len(slots)
+                for stack, (encodes, times) in zip(
+                    stacks,
+                    executor.run_batch(
+                        _compress_tile_task, items, input=arena, output=decoded
+                    ),
+                ):
+                    obs.add(times)
+                    for k, encode in zip(stack, encodes):
+                        results[k] = encode
                 first = 0
                 for job in batch:
                     # a job's candidates sit side by side.  Kept: the one
@@ -652,7 +667,7 @@ class TiledCompressor:
                     slot = min(
                         own, key=lambda slot: sum(map(len, results[slot][1]))
                     )
-                    params, sections, surfaced, measures, _ = results[slot]
+                    params, sections, surfaced, measures = results[slot]
                     samples, _, ref_tile = slots[slot]
                     if surfaced:
                         tile = _slot(
@@ -702,9 +717,16 @@ class TiledCompressor:
         lo, hi = np.inf, -np.inf
         for start, stop in iter_tiles(data.shape, tile_shape):
             tile = data[extent_slices(start, stop)]
-            lo = min(lo, float(np.min(tile)))
-            hi = max(hi, float(np.max(tile)))
+            tile_lo, tile_hi = float(np.min(tile)), float(np.max(tile))
+            if not (math.isfinite(tile_lo) and math.isfinite(tile_hi)):
+                raise ValueError("data must be finite (no NaN/Inf)")
+            lo, hi = min(lo, tile_lo), max(hi, tile_hi)
         abs_eb = config.error_bound * (hi - lo)
+        if not math.isfinite(abs_eb):
+            raise ValueError(
+                f"value range [{lo!r}, {hi!r}] overflows float64: a REL "
+                "bound cannot scale by it"
+            )
         if abs_eb <= 0:
             # constant field: every tile is constant too; the per-tile
             # REL path stores each as an exact trivial container.
@@ -884,17 +906,19 @@ def decode_records(
         buffer.release()
 
 
-#: decoded points a decode stack holds at most (512 KiB of ``float64``):
-#: a read decodes its tiles in stacks of up to this many — a larger
-#: tile alone — so its peak memory is a stack's, not the read's
+#: points a stack holds at most (512 KiB of ``float64``): reads decode
+#: and writes encode their tiles in stacks of up to this many — a larger
+#: tile alone — so peak memory is a stack's.  Encode stacks of 2**16
+#: points beat 2**14 on 32x32 to 128x128 tiles; two 2**17-point tiles
+#: lost by stacking
 _STACK_POINTS = 1 << 16
 
 
 def _stacks(sizes: Sequence[int], ways: int) -> list[slice]:
-    """The runs of consecutive tiles, of *sizes* points each, that decode
+    """The runs of consecutive tiles, of *sizes* points each, that code
     as one stack: at most :data:`_STACK_POINTS` points (or one larger
-    tile), and a read of fewer still cut *ways* ways, one stack per
-    worker of a pool."""
+    tile), and fewer still cut *ways* ways, one stack per worker of a
+    pool."""
     limit = min(_STACK_POINTS, -(-sum(sizes) // ways))
     starts, held = [], 0
     for i, size in enumerate(sizes):
@@ -906,33 +930,43 @@ def _stacks(sizes: Sequence[int], ways: int) -> list[slice]:
 
 
 def _compress_tile_task(item, inp, out):
-    """Executor task: compress one tile staged in the input arena.
+    """Executor task: compress one stack of tiles staged in the input arena.
 
-    ``item`` is ``(offset, shape, dtype_str, config, codec)``; the tile
-    samples live in the batch input buffer (zero-copy shared-memory
-    view under the process backend).  ``codec`` is ``None`` for the
-    stock pipeline — the worker's own rebuilt
-    :class:`~repro.compressor.sz.SZCompressor` encodes the tile — and
-    the caller's codec object on the serial/thread backends, where no
-    pickling happens.  Returns ``(params, sections, surfaced, measures,
-    times)``, the codec's ``encode_stages`` output and the
-    :func:`repro.obs.record` it ran in — its own on every backend, which
-    the tile loop adds to the caller's once:
-    given an output region, the tile's reconstruction is written at the
-    same offset of it (where :func:`decode_tile_task` would put the
-    decode), and ``surfaced`` says whether the codec had one to write.
+    ``item`` is ``(offsets, shape, dtype_str, config, codec)``: tiles of
+    *shape* at *offsets* of the batch input buffer (zero-copy
+    shared-memory views under the process backend), all encoded under
+    *config*.  ``codec`` is ``None`` for the stock pipeline — the
+    worker's own rebuilt :class:`~repro.compressor.sz.SZCompressor`
+    encodes the stack — and the caller's codec object on the
+    serial/thread backends, where no pickling happens.  Returns
+    ``(encodes, times)``: per tile ``(params, sections, surfaced,
+    measures)`` from the codec's ``encode_stack``, and the
+    :func:`repro.obs.record` it ran in — its own on every backend,
+    which the tile loop adds to the caller's once.  Given an output
+    region, each tile's reconstruction is written at its offset of it
+    (where :func:`decode_tile_task` would put the decode), and
+    ``surfaced`` says whether the codec had one to write.  A stack that
+    raises is encoded again one tile at a time, so the error is the
+    first bad tile's own.
     """
-    offset, shape, dtype_str, config, codec = item
+    offsets, shape, dtype_str, config, codec = item
     dtype = np.dtype(dtype_str)
     codec = codec if codec is not None else worker_state().codec
+    tiles = [_slot(inp, offset, shape, dtype) for offset in offsets]
     with obs.record() as times:
-        params, sections, reconstruction, measures = codec.encode_stages(
-            _slot(inp, offset, shape, dtype), config, out is not None
-        )
-    surfaced = reconstruction is not None
-    if surfaced:
-        _slot(out, offset, shape, dtype)[...] = reconstruction
-    return params, sections, surfaced, measures, times
+        try:
+            encodes = codec.encode_stack(tiles, config, out is not None)
+        except Exception:
+            if len(tiles) == 1:
+                raise
+            encodes = [
+                codec.encode_stack([tile], config, out is not None)[0]
+                for tile in tiles
+            ]
+    for offset, (_, _, reconstruction, _) in zip(offsets, encodes):
+        if reconstruction is not None:
+            _slot(out, offset, shape, dtype)[...] = reconstruction
+    return [(p, s, r is not None, m) for p, s, r, m in encodes], times
 
 
 def decode_tile_task(item, inp, out):
@@ -963,13 +997,17 @@ def _slot(
     return buffer[offset : offset + nbytes].view(dtype).reshape(shape)
 
 
-def _batched(iterable: Iterable, size: int) -> Iterator[list]:
-    """Yield lists of up to *size* items (itertools.batched, py<3.12)."""
+def _job_batches(jobs: Iterable[TileJob], ways: int) -> Iterator[list]:
+    """Lists of consecutive *jobs*: each closes once it holds at least
+    *ways* jobs and :data:`_STACK_POINTS` candidate points per way, or
+    the jobs run out."""
     batch: list = []
-    for item in iterable:
-        batch.append(item)
-        if len(batch) >= size:
+    points = 0
+    for job in jobs:
+        batch.append(job)
+        points += sum(math.prod(samples.shape) for samples, _, _ in job.candidates)
+        if len(batch) >= ways and points >= ways * _STACK_POINTS:
             yield batch
-            batch = []
+            batch, points = [], 0
     if batch:
         yield batch

@@ -389,9 +389,10 @@ class Recording(SZCompressor):
         super().__init__()
         self.seen = []
 
-    def encode_stages(self, data, config, reconstruct=False):
-        out = super().encode_stages(data, config, reconstruct)
-        self.seen.append((out[1], forge_v2(data, config)))
+    def encode_stack(self, tiles, config, reconstruct=False):
+        out = super().encode_stack(tiles, config, reconstruct)
+        for data, (_, sections, _, _) in zip(tiles, out):
+            self.seen.append((sections, forge_v2(data, config)))
         return out
 
 

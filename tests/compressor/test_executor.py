@@ -228,8 +228,9 @@ class TestProcessTransport:
         """The ``CodecExecutor`` contract, by count: "raw array data
         belongs in the buffers".  A 128 KB tile costs the process
         backend a few hundred pickled bytes to encode and its compressed
-        payload to decode — what keeps the backend worth its IPC.  A
-        decode item is one stack per worker: here two tiles each."""
+        payload to decode — what keeps the backend worth its IPC.  An
+        encode or decode item is one stack per worker: here two tiles
+        each."""
         data = smooth_field((256, 256)).astype(np.float64)
         config = CompressionConfig(error_bound=1e-3, tile_shape=(128, 128))
         serial = TiledCompressor().compress(data, config).blob
@@ -249,7 +250,7 @@ class TestProcessTransport:
             tc.decompress(serial), TiledCompressor().decompress(serial)
         )
         payloads = [tile.size for tile in TiledReader(serial).tiles]
-        assert len(encode) == len(payloads) == 4 and len(pickled) == 2
+        assert len(payloads) == 4 and len(encode) == len(pickled) == 2
         assert max(encode) <= 4096
         stacks = [sum(payloads[:2]), sum(payloads[2:])]
         assert all(n <= size + 4096 for n, size in zip(pickled, stacks))

@@ -239,7 +239,10 @@ class TestHuffmanCodePrefixProperty:
     @settings(max_examples=30)
     def test_codes_are_prefix_free(self, counts):
         symbols = np.arange(len(counts))
-        code = HuffmanCode.from_histogram(symbols, np.array(counts))
+        stream = np.repeat(symbols, counts)
+        code = HuffmanEncoder().plan(
+            stream, histogram=(symbols, np.array(counts))
+        ).code
         entries = [
             (int(code.codes[i]), int(code.lengths[i]))
             for i in range(len(counts))

@@ -440,12 +440,12 @@ class _SizedCodec:
         self.sizes = {"lorenzo": residual_bytes, "interpolation": spatial_bytes}
         self.params = {"lorenzo": dict(residual_params), "interpolation": {}}
 
-    def encode_stages(self, tile, cfg, reconstruct=False):
+    def encode_stack(self, tiles, cfg, reconstruct=False):
         # a stream configured with another predictor encodes only its
         # residuals with Lorenzo
         codes = cfg.predictor[:1].encode() * self.sizes[cfg.predictor]
         params = {"predictor": cfg.predictor, **self.params[cfg.predictor]}
-        return params, [codes, b"", b"", b"", b""], None, {}
+        return [(params, [codes, b"", b"", b"", b""], None, {}) for _ in tiles]
 
 
 @pytest.mark.parametrize(

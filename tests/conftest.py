@@ -375,13 +375,15 @@ def forge_chunked_v7(data, config, chunk: int) -> bytes:
     from repro.compressor.tiled import TiledCompressor
 
     class ChunkingCodec(SZCompressor):
-        def encode_stages(self, data, config, reconstruct=False):
-            params, sections, recon, measures = super().encode_stages(
-                data, config, reconstruct
-            )
-            if data.size > chunk:
-                params, sections = chunk_codes(params, sections, chunk)
-            return params, sections, recon, measures
+        def encode_stack(self, tiles, config, reconstruct=False):
+            out = []
+            for data, (params, sections, recon, measures) in zip(
+                tiles, super().encode_stack(tiles, config, reconstruct)
+            ):
+                if data.size > chunk:
+                    params, sections = chunk_codes(params, sections, chunk)
+                out.append((params, sections, recon, measures))
+            return out
 
     return TiledCompressor(codec=ChunkingCodec()).compress(data, config).blob
 

@@ -1,4 +1,4 @@
-"""Tests for repro.obs: spans, isolated records, and exact-once tile stages."""
+"""Tests for repro.obs: spans, isolated records, and exact-once stack stages."""
 
 import itertools
 
@@ -8,7 +8,7 @@ import pytest
 from repro import obs
 from repro.compressor import CompressionConfig, TiledCompressor
 
-#: the codec stages every tile records once
+#: the codec stages every encode stack records once
 CODEC_STAGES = ("transform", "predict_quantize", "huffman", "lossless")
 
 
@@ -83,12 +83,13 @@ def _four_tiles(backend: str) -> dict:
     return times
 
 
-def test_serial_compress_counts_each_tile_stage_once(monkeypatch):
+def test_serial_compress_counts_each_stack_stage_once(monkeypatch):
+    # the four tiles encode as one stack, whose stages each run once
     ticks = itertools.count()
     monkeypatch.setattr(obs, "_clock", lambda: float(next(ticks)))
     times = _four_tiles("serial")
     for stage in CODEC_STAGES:
-        assert times[stage] == 4.0, stage
+        assert times[stage] == 1.0, stage
 
 
 @pytest.mark.parametrize("backend", ["thread", "process"])
