@@ -43,13 +43,11 @@ import hashlib
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from repro.compressor.bitstream import (
-    bits_to_bytes,
     bits_word,
     build_bit_window,
     fixed_field,
@@ -112,7 +110,6 @@ _BIT_IN_BYTE = np.arange(8, dtype=np.uint32)
 
 #: zero codewords of one bit: a packed stack's fill up to the next word
 _ZERO_FILL, _ONE_FILL = np.zeros(63, dtype=np.uint64), np.ones(63, dtype=int)
-_NO_LENGTHS = np.zeros(0, dtype=np.int64)
 
 #: Longest sync-table payload the window walk takes.  The batched
 #: kernel runs one Python round per symbol of a sync block (``interval``
@@ -290,8 +287,9 @@ def _histograms(streams: Sequence[np.ndarray]) -> list:
         return out
     sizes = np.array([streams[i].size for i in full])
     flat = np.concatenate([streams[i] for i in full])
-    lo = np.minimum.reduceat(flat, np.cumsum(sizes) - sizes)
-    spans = np.maximum.reduceat(flat, np.cumsum(sizes) - sizes) - lo + 1
+    starts = np.cumsum(sizes) - sizes
+    lo = np.minimum.reduceat(flat, starts)
+    spans = np.maximum.reduceat(flat, starts) - lo + 1
     spans[spans > np.maximum(256, 4 * sizes)] = 0  # counted by plan()
     shift = np.cumsum(spans) - spans - lo  # a value's bin, less the value
     counted = np.bincount(
@@ -306,21 +304,6 @@ def _histograms(streams: Sequence[np.ndarray]) -> list:
         if spans[k]:
             out[i] = symbols[cuts[k] : cuts[k + 1]], counts[cuts[k] : cuts[k + 1]]
     return out
-
-
-def _length_fields(lengths: Sequence[np.ndarray]) -> list[tuple[int, int]]:
-    """:func:`fixed_field` of each array of 6-bit code lengths, all of
-    them unpacked in one pass and cut out of one integer."""
-    bits = np.unpackbits(
-        np.concatenate([_NO_LENGTHS, *lengths]).astype(np.uint8)[:, None],
-        axis=1,
-    )[:, 2:]
-    word = int.from_bytes(bits_to_bytes(bits), "big") >> (-bits.size % 8)
-    ends = list(accumulate((6 * part.size for part in lengths), initial=0))
-    return [
-        (word >> bits.size - end & (1 << end - start) - 1, end - start)
-        for start, end in zip(ends, ends[1:])
-    ]
 
 
 def _sync_layout(n: int) -> tuple[int, int]:
@@ -555,7 +538,6 @@ class HuffmanEncoder:
         if len(coded) > 1:  # one stream is packed as it is
             codes, lengths = [np.concatenate(codes)], [np.concatenate(lengths)]
         packed = pack_codes(codes[0], lengths[0])[0] if coded else b""
-        fields = _length_fields([plan.code.lengths for plan in coded])
         blobs = iter(
             self._serialize(
                 plan.code,
@@ -564,9 +546,8 @@ class HuffmanEncoder:
                 plan.total_bits,
                 plan.interval,
                 plan.sync,
-                field,
             )
-            for plan, word, field in zip(coded, words, fields)
+            for plan, word in zip(coded, words)
         )
         return [
             next(blobs) if plan is not None else self._serialize_empty()
@@ -689,12 +670,8 @@ class HuffmanEncoder:
         Used by "size-only" measurement paths (the header is excluded, as
         in the paper's bit-rate accounting).
         """
-        stream = np.asarray(stream, dtype=np.int64).ravel()
-        if stream.size == 0:
-            return 0
-        code = HuffmanCode.from_stream(stream)
-        dense = self._dense_indices(code.symbols, stream)
-        return int(code.lengths[dense].sum())
+        plan = self.plan(stream)
+        return plan.total_bits if plan is not None else 0
 
     # -- encoding ----------------------------------------------------------
 
@@ -786,7 +763,6 @@ class HuffmanEncoder:
         total_bits: int,
         sync_interval: int = 0,
         sync_offsets: np.ndarray | None = None,
-        lengths_field: tuple[int, int] | None = None,
     ) -> bytes:
         first = int(code.symbols[0])
         fields = [
@@ -797,7 +773,7 @@ class HuffmanEncoder:
             # instead of 64.
             ((first << 1 ^ first >> 63) & (2**64 - 1), 64),
             gamma_field(np.diff(code.symbols)),
-            lengths_field or fixed_field(code.lengths, 6),
+            fixed_field(code.lengths, 6),
             (n_data, 64),
             (total_bits, 64),
         ]

@@ -42,6 +42,13 @@ from repro.compressor.transform import forward_transform, inverse_transform
 
 __all__ = ["SZCompressor"]
 
+#: the predictor output of a tile without stage bytes
+_NO_OUTPUT = PredictorOutput(
+    codes=np.zeros(0, dtype=np.int64),
+    outlier_positions=np.zeros(0, dtype=np.int64),
+    outlier_values=np.zeros(0, dtype=np.float64),
+)
+
 
 class SZCompressor:
     """The transform, prediction and entropy stages of one tile.
@@ -91,65 +98,59 @@ class SZCompressor:
         bad tile's error — encode one tile at a time for the first one's.
         """
         tiles = [np.asarray(tile) for tile in tiles]
-        # 0-d arrays compress as their single element; the header's
-        # empty shape list restores the dimensionality
-        cores = [tile.reshape(1) if tile.ndim == 0 else tile for tile in tiles]
-        transforms: dict[int, tuple] = {}  # the tiles with stage bytes
+        # (abs_eb, work, transform meta, signs) of each tile; no work:
+        # degenerate input, no stage bytes — an empty array, or a REL
+        # bound on a constant field, whose zero value range demands
+        # exact reconstruction: the value is stored
+        transforms, coded = [], []
         with obs.span("transform"):
-            for i, core in enumerate(cores):
+            for i, tile in enumerate(tiles):
+                # 0-d arrays compress as their single element; the
+                # header's empty shape list restores the dimensionality
+                core = tile.reshape(1) if tile.ndim == 0 else tile
                 abs_eb = config.absolute_bound(core) if core.size else 0.0
-                if not abs_eb <= 0:
-                    pw_rel = config.mode is ErrorBoundMode.PW_REL
-                    transforms[i] = (abs_eb, *forward_transform(core, pw_rel))
-        stages: dict = {}
-        if transforms:
-            works = [work for _, work, _, _ in transforms.values()]
+                if abs_eb <= 0:
+                    transforms.append((0.0, None, {}, b""))
+                    continue
+                pw_rel = config.mode is ErrorBoundMode.PW_REL
+                transforms.append((abs_eb, *forward_transform(core, pw_rel)))
+                coded.append(i)
+        stages = [(_NO_OUTPUT, EncodedCodes(b"", 0))] * len(tiles)
+        if coded:
+            works = [transforms[i][1] for i in coded]
             with obs.span("predict_quantize"):
                 outputs = self._prediction.decompose(
                     works[0][None] if len(works) == 1 else np.stack(works),
                     config,
-                    [abs_eb for abs_eb, *_ in transforms.values()],
+                    [transforms[i][0] for i in coded],
                     reconstruct,
                 )
             encoded = self._entropy.encode_stack(
                 [output.codes for output in outputs], config
             )
-            stages = dict(zip(transforms, zip(outputs, encoded)))
+            for i, stage in zip(coded, zip(outputs, encoded)):
+                stages[i] = stage
         out = []
-        for i, data in enumerate(tiles):
-            reconstruction, extra = None, {}
-            if i in stages:
-                abs_eb, _, transform_meta, signs_payload = transforms[i]
-                output, encoded = stages[i]
-                if output.reconstruction is not None:
-                    # the tail of decode_stages(), on the encoder's values
-                    reconstruction = (
-                        inverse_transform(
-                            output.reconstruction,
-                            {"transform": transform_meta, "shape": [*data.shape]},
-                            signs_payload,
-                        )
-                        .reshape(data.shape)
-                        .astype(data.dtype)
+        for data, transform, (output, encoded) in zip(tiles, transforms, stages):
+            abs_eb, _, transform_meta, signs_payload = transform
+            extra, reconstruction = {}, None
+            if output is _NO_OUTPUT and data.size:
+                extra["constant"] = float(data.flat[0])
+            if output.reconstruction is not None:
+                # the tail of decode_stages(), on the encoder's own values
+                reconstruction = (
+                    inverse_transform(
+                        output.reconstruction,
+                        {"transform": transform_meta, "shape": [*data.shape]},
+                        signs_payload,
                     )
-            else:
-                # degenerate input, no stage bytes: an empty array, or a
-                # REL bound on a constant field — the value range is
-                # zero, so the bound demands exact reconstruction: store
-                # the value
-                abs_eb, transform_meta, signs_payload = 0.0, {}, b""
-                output = PredictorOutput(
-                    codes=np.zeros(0, dtype=np.int64),
-                    outlier_positions=np.zeros(0, dtype=np.int64),
-                    outlier_values=np.zeros(0, dtype=np.float64),
+                    .reshape(data.shape)
+                    .astype(data.dtype)
                 )
-                encoded = EncodedCodes(b"", 0)
-                if data.size:
-                    extra["constant"] = float(data.flat[0])
-                if reconstruct:
-                    reconstruction = np.full(
-                        data.shape, extra.get("constant", 0), dtype=data.dtype
-                    )
+            elif output is _NO_OUTPUT and reconstruct:
+                reconstruction = np.full(
+                    data.shape, extra.get("constant", 0), dtype=data.dtype
+                )
             header = {
                 "predictor": config.predictor,
                 "mode": config.mode.value,

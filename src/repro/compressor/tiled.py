@@ -7,7 +7,7 @@ stack of same-shape, same-config tiles, and writes the tiled (v7)
 container described in
 :mod:`repro.compressor.container`.  Because tiles are encoded one batch
 at a time and streamed straight to the sink, peak memory is bounded by
-a few tiles — the input may be a ``np.memmap``/``np.load(mmap_mode=...)``
+a few stacks — the input may be a ``np.memmap``/``np.load(mmap_mode=...)``
 array far larger than RAM.  Tiles are mutually independent — the only
 unit of parallel work — so a batch encodes and decodes across an
 executor's workers (``workers``).
@@ -313,9 +313,9 @@ class TiledCompressor:
 
     The compressor is where a run's execution is set, once, for every
     compress and decode it does.  ``workers`` bounds both the
-    parallelism *and* the number of tiles materialized at once, so
-    peak memory stays at a few tiles.  ``backend`` picks the execution
-    backend tiles fan out on — one of
+    parallelism *and* what is materialized at once — a stack of tiles
+    per worker — so peak memory stays at a few stacks.  ``backend``
+    picks the execution backend tiles fan out on — one of
     :data:`repro.compressor.executor.BACKENDS` (``"process"`` is a
     shared-memory process pool); ``None`` resolves to the thread
     backend.  An unknown name is refused here.  Encode and decode fan
