@@ -302,7 +302,8 @@ def _histograms(streams: Sequence[np.ndarray]) -> list:
     counts = counted[present]
     for k, i in enumerate(full):
         if spans[k]:
-            out[i] = symbols[cuts[k] : cuts[k + 1]], counts[cuts[k] : cuts[k + 1]]
+            mine = slice(cuts[k], cuts[k + 1])
+            out[i] = symbols[mine], counts[mine]
     return out
 
 
@@ -678,10 +679,13 @@ class HuffmanEncoder:
     @staticmethod
     def _header_bits(symbols: np.ndarray) -> int:
         """Exact bit size of the serialized header of a sync-free stream."""
+        gaps = symbols.size - 1  # one bit each when every gap is 1
+        if int(symbols[-1]) - int(symbols[0]) != gaps:
+            gaps = int(gamma_bit_lengths(np.diff(symbols)).sum())
         return (
             32  # n_symbols
             + 64  # first symbol, zigzag
-            + int(gamma_bit_lengths(np.diff(symbols)).sum())
+            + gaps
             + 6 * symbols.size
             + 64  # n_data
             + 64  # total_bits

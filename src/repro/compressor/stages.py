@@ -73,8 +73,9 @@ class PredictorStage:
             return predictor.decompose_stack(
                 work, abs_eb, config.quant_radius, reconstruct
             )
+        radius = config.quant_radius
         return [
-            predictor.decompose(member, bound, config.quant_radius, reconstruct)
+            predictor.decompose(member, bound, radius, reconstruct)
             for member, bound in zip(work, abs_eb)
         ]
 

@@ -131,8 +131,9 @@ class SZCompressor:
             for i, stage in zip(coded, zip(outputs, encoded)):
                 stages[i] = stage
         out = []
-        for data, transform, (output, encoded) in zip(tiles, transforms, stages):
-            abs_eb, _, transform_meta, signs_payload = transform
+        for i, data in enumerate(tiles):
+            abs_eb, _, transform_meta, signs_payload = transforms[i]
+            output, encoded = stages[i]
             extra, reconstruction = {}, None
             if output is _NO_OUTPUT and data.size:
                 extra["constant"] = float(data.flat[0])
@@ -164,7 +165,7 @@ class SZCompressor:
                 "chunk_size": None,
                 "shape": list(data.shape),
                 "dtype": data.dtype.str,
-                "predictor_meta": output.meta,
+                "predictor_meta": dict(output.meta),  # not _NO_OUTPUT's
                 "outlier_kind": (
                     "codes"
                     if output.outlier_values.dtype == np.int64

@@ -635,8 +635,8 @@ class TiledCompressor:
             )
             try:
                 groups: dict[tuple, list[int]] = {}
-                for k, (samples, cfg, _) in enumerate(slots):
-                    _slot(arena.array, offsets[k], samples.shape, dtype)[...] = samples
+                for k, ((samples, cfg, _), offset) in enumerate(zip(slots, offsets)):
+                    _slot(arena.array, offset, samples.shape, dtype)[...] = samples
                     groups.setdefault((samples.shape, cfg), []).append(k)
                 stacks, items = [], []
                 for (shape, cfg), members in groups.items():
@@ -1005,7 +1005,7 @@ def _job_batches(jobs: Iterable[TileJob], ways: int) -> Iterator[list]:
     points = 0
     for job in jobs:
         batch.append(job)
-        points += sum(math.prod(samples.shape) for samples, _, _ in job.candidates)
+        points += sum(math.prod(slot[0].shape) for slot in job.candidates)
         if len(batch) >= ways and points >= ways * _STACK_POINTS:
             yield batch
             batch, points = [], 0

@@ -144,11 +144,14 @@ class TestIntegerArrays:
         assert result.n_codes == data.size
 
 
+FLAT_TILED = ["flat", "tiled"]
+
+
 class TestRelOnUnscalableData:
     """A valid REL bound on data whose value range is not a finite
     number names the data as the cause, never the bound."""
 
-    @pytest.mark.parametrize("tile_shape", [None, (4, 4)], ids=["flat", "tiled"])
+    @pytest.mark.parametrize("tile_shape", [None, (4, 4)], ids=FLAT_TILED)
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_data_is_named(self, tile_shape, bad):
         data = np.arange(64, dtype=np.float64).reshape(8, 8)
@@ -159,11 +162,12 @@ class TestRelOnUnscalableData:
         with pytest.raises(ValueError, match="data must be finite"):
             TiledCompressor().compress(data, cfg)
 
-    @pytest.mark.parametrize("tile_shape", [None, (2,)], ids=["flat", "tiled"])
+    @pytest.mark.parametrize("tile_shape", [None, (2,)], ids=FLAT_TILED)
     def test_a_range_past_float64_is_named(self, tile_shape):
         data = np.array([-1e308, 0.0, 1e308, 5.0])
         cfg = CompressionConfig(
             mode=ErrorBoundMode.REL, error_bound=0.01, tile_shape=tile_shape
         )
-        with pytest.raises(ValueError, match=r"value range \[-1e\+308, 1e\+308\]"):
+        named = r"value range \[-1e\+308, 1e\+308\]"
+        with pytest.raises(ValueError, match=named):
             TiledCompressor().compress(data, cfg)
