@@ -34,7 +34,8 @@ The implementation is written for NumPy throughput:
   Python integers, and every sync-free stream one walk window holds is
   chained in one pointer-doubling pass over all of them, through
   cached tables of ``2 ** longest`` entries laid end to end — the
-  per-stream fixed cost, not the bits, is what small tiles pay.
+  per-stream fixed cost, not the bits, is what small tiles pay; a write
+  encodes them as one stack too (:meth:`HuffmanEncoder.encode_stack`).
 """
 
 from __future__ import annotations
