@@ -429,20 +429,6 @@ class HuffmanCode:
     lengths: np.ndarray
     codes: np.ndarray | None = None
 
-    @classmethod
-    def from_stream(cls, stream: np.ndarray) -> "HuffmanCode":
-        """Build the optimal code for the given integer stream."""
-        return cls._from_sorted_histogram(
-            *_histogram(np.asarray(stream, dtype=np.int64).ravel())
-        )
-
-    @classmethod
-    def _from_sorted_histogram(
-        cls, symbols: np.ndarray, counts: np.ndarray
-    ) -> "HuffmanCode":
-        lengths = huffman_code_lengths(counts)
-        return cls(symbols, lengths, _canonical_codes(lengths))
-
 
 class _Stream(NamedTuple):
     """One parsed Huffman blob: what every decode kernel takes."""
@@ -583,7 +569,10 @@ class HuffmanEncoder:
             and self._container_bytes_floor(symbols, counts) >= budget
         ):
             return None
-        code = HuffmanCode._from_sorted_histogram(symbols, counts)
+        code_lengths = huffman_code_lengths(counts)
+        code = HuffmanCode(
+            symbols, code_lengths, _canonical_codes(code_lengths)
+        )
         dense = self._dense_indices(code.symbols, stream)
         lengths = code.lengths[dense]
         total_bits = int(lengths.sum())

@@ -328,7 +328,7 @@ class TestEncodedSize:
         enc = HuffmanEncoder()
         bits = enc.encoded_size_bits(stream)
         # real payload is the container minus header; check consistency
-        code = HuffmanCode.from_stream(stream)
+        code = HuffmanEncoder().plan(stream).code
         dense = np.searchsorted(code.symbols, stream)
         assert bits == int(code.lengths[dense].sum())
 
@@ -517,7 +517,7 @@ def route_base(kind: str) -> tuple[HuffmanCode, np.ndarray]:
                 stream = np.rint(rng.laplace(0, 8, n)).astype(np.int64)
             else:
                 stream = rng.integers(0, 8192, n)
-            code = HuffmanCode.from_stream(stream)
+            code = HuffmanEncoder().plan(stream).code
             dense = HuffmanEncoder._dense_indices(code.symbols, stream)
         _ROUTE_BASE[kind] = (code, dense)
     return _ROUTE_BASE[kind]
@@ -886,7 +886,7 @@ class TestDecodeStack:
             # a legacy format-1 stream several walk windows long
             sync_free_blob(
                 enc,
-                HuffmanCode.from_stream(legacy),
+                HuffmanEncoder().plan(legacy).code,
                 HuffmanEncoder._dense_indices(np.arange(64), legacy),
             ),
             enc.encode(rng.integers(-20, 21, 9000)),  # a sync table
@@ -1037,7 +1037,7 @@ class TestDecodeTableCache:
             (65537, np.uint32),
         ):
             stream = np.arange(n_symbols).repeat(2)
-            code = HuffmanCode.from_stream(stream)
+            code = HuffmanEncoder().plan(stream).code
             assert enc._primary_tables(code)[0].dtype == dtype
             np.testing.assert_array_equal(
                 enc.decode(enc.encode(stream)), stream

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.compressor import CompressionConfig, ErrorBoundMode
-from repro.compressor.encoders.huffman import HuffmanCode, HuffmanEncoder
+from repro.compressor.encoders.huffman import HuffmanEncoder
 from repro.core.encoder_model import HuffmanAnchorModel
 from tests.conftest import roundtrip
 
@@ -70,7 +70,7 @@ class TestHuffmanTruncationErrors:
             # force the legacy scalar path via a sync-free serialization
             rng = np.random.default_rng(5)
             stream = rng.integers(-1000, 1000, size=2000)
-            code = HuffmanCode.from_stream(stream)
+            code = HuffmanEncoder().plan(stream).code
             dense = np.searchsorted(code.symbols, stream)
             from repro.compressor.bitstream import pack_codes
 
@@ -118,7 +118,7 @@ class TestHuffmanTruncationErrors:
         # header claims more symbols than the payload can hold
         encoder = HuffmanEncoder()
         stream = np.arange(128)
-        code = HuffmanCode.from_stream(stream)
+        code = HuffmanEncoder().plan(stream).code
         dense = np.searchsorted(code.symbols, stream)
         from repro.compressor.bitstream import pack_codes
 
