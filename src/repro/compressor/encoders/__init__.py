@@ -10,7 +10,7 @@ from repro.compressor.encoders.lossless import (
     LosslessBackend,
     get_lossless_backend,
 )
-from repro.compressor.encoders.lz77 import Lz77Codec, Lz77Params, Lz77Stats
+from repro.compressor.encoders.lz77 import Lz77Codec, Lz77Params
 from repro.compressor.encoders.rle import (
     RleStats,
     ZeroRunLengthEncoder,
@@ -26,7 +26,6 @@ __all__ = [
     "LOSSLESS_BACKENDS",
     "Lz77Codec",
     "Lz77Params",
-    "Lz77Stats",
     "ZeroRunLengthEncoder",
     "RleStats",
     "zero_run_lengths",

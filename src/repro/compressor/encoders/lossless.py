@@ -23,10 +23,11 @@ stored instead.
 from __future__ import annotations
 
 import functools
+from typing import Sequence
 
 import numpy as np
 
-from repro.compressor.encoders.huffman import HuffmanEncoder
+from repro.compressor.encoders.huffman import HuffmanEncoder, _histograms
 from repro.compressor.encoders.lz77 import Lz77Codec, Lz77Params
 from repro.compressor.encoders.rle import ZeroRunLengthEncoder
 
@@ -56,11 +57,65 @@ class LosslessBackend:
             self._rle = ZeroRunLengthEncoder()
 
     def compress(self, data: bytes) -> bytes:
-        """Compress *data*; never larger than ``len(data) + 1``."""
-        body = self._compress_body(data)
-        if body is None or len(body) >= len(data):
-            return bytes([_RAW]) + data
-        return bytes([_CODED]) + body
+        """Compress *data*; never larger than ``len(data) + 1``.  The
+        one-payload case of :meth:`compress_stack`."""
+        return self.compress_stack([data])[0]
+
+    def compress_stack(self, payloads: Sequence[bytes]) -> list[bytes]:
+        """:meth:`compress` of every payload, each with its own escape.
+
+        The stack is tokenised by one LZ77 scan (RLE: a payload at a
+        time), its token streams are counted by one offset ``bincount``
+        and planned one at a time, and those that code smaller than
+        their payload are packed as one Huffman stack.
+
+        The exact coded size is known from the Huffman code lengths
+        alone; when it already matches or exceeds the input
+        (incompressible token streams), skip the expensive bit-packing —
+        the raw escape is emitted either way, so the container bytes
+        are identical to always packing.  Before any code is built, the
+        planner's entropy floor (the provable form of the paper's Eq. 4
+        estimate: exact header and sync table plus the Shannon payload)
+        settles the same question for most streams that escape — small
+        ones, where the header rivals the data, and near-8-bit token
+        streams of incompressible bytes, where the sync table tips it.
+        """
+        if self._lz is not None:
+            streams = [
+                np.frombuffer(tokens, dtype=np.uint8).astype(np.int64)
+                for tokens in self._lz.encode_stack(payloads)
+            ]
+        else:
+            streams = [
+                self._rle.encode(
+                    np.frombuffer(data, dtype=np.uint8).astype(np.int64),
+                    zero_symbol=0,
+                )[0]
+                for data in payloads
+            ]
+        # one stream is counted alone, in plan()
+        histograms = _histograms(streams) if len(streams) > 1 else [None]
+        coded, plans = [], []
+        for i, (tokens, data) in enumerate(zip(streams, payloads)):
+            plan = self._huffman.plan(
+                tokens, budget=len(data), histogram=histograms[i]
+            )
+            # no plan: the floor reached the budget — or there are no
+            # tokens, which only empty data produces, and any header
+            # loses to that
+            if plan is not None and plan.container_bytes < len(data):
+                coded.append(i)
+                plans.append(plan)
+        packed = self._huffman.encode_stack(
+            [streams[i] for i in coded], plans
+        )
+        bodies = dict(zip(coded, packed))
+        return [
+            bytes([_CODED]) + bodies[i]
+            if i in bodies
+            else bytes([_RAW]) + data
+            for i, data in enumerate(payloads)
+        ]
 
     def decompress(self, payload: bytes) -> bytes:
         """Invert :meth:`compress` (the raw escape returns a view)."""
@@ -74,33 +129,6 @@ class LosslessBackend:
         return self._decompress_body(body)
 
     # -- bodies -------------------------------------------------------------
-
-    def _compress_body(self, data: bytes) -> bytes | None:
-        """Coded body, or ``None`` when the raw escape is sure to win.
-
-        The exact coded size is known from the Huffman code lengths
-        alone; when it already matches or exceeds the input
-        (incompressible token streams), skip the expensive bit-packing —
-        the caller emits the raw escape either way, so the container
-        bytes are identical to always packing.  Before any code is
-        built, the planner's entropy floor (the provable form of the
-        paper's Eq. 4 estimate: exact header and sync table plus the
-        Shannon payload) settles the same question for most streams
-        that escape — small ones, where the header rivals the data, and
-        near-8-bit token streams of incompressible bytes, where the
-        sync table tips it.
-        """
-        if self._lz is not None:
-            tokens = np.frombuffer(self._lz.encode(data), dtype=np.uint8)
-        else:
-            symbols = np.frombuffer(data, dtype=np.uint8).astype(np.int64)
-            tokens, _ = self._rle.encode(symbols, zero_symbol=0)
-        plan = self._huffman.plan(tokens, budget=len(data))
-        # no plan: the floor reached the budget — or there are no tokens,
-        # which only empty data produces, and any header loses to that
-        if plan is None or plan.container_bytes >= len(data):
-            return None
-        return self._huffman.encode(tokens, plan=plan)
 
     def _decompress_body(self, body: bytes) -> bytes:
         decoded = self._huffman.decode(body)

@@ -17,11 +17,13 @@ LEB128.  ``window_bits`` bounds match distances.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-__all__ = ["Lz77Codec", "Lz77Params", "Lz77Stats"]
+__all__ = ["Lz77Codec", "Lz77Params"]
 
 _MIN_MATCH = 4
 _HASH_BITS = 16
@@ -77,23 +79,6 @@ class Lz77Params:
         return 1 << self.window_bits
 
 
-@dataclass(frozen=True)
-class Lz77Stats:
-    """Parsing statistics for one encode pass."""
-
-    n_input: int
-    n_output: int
-    n_matches: int
-    n_literals: int
-
-    @property
-    def ratio(self) -> float:
-        """Input bytes per output byte."""
-        if self.n_output == 0:
-            return 1.0
-        return self.n_input / self.n_output
-
-
 class Lz77Codec:
     """Greedy LZ77 with a single-candidate hash table."""
 
@@ -101,51 +86,70 @@ class Lz77Codec:
         self.params = params or Lz77Params()
 
     def encode(self, data: bytes) -> bytes:
-        """Compress *data*; always decodable by :meth:`decode`."""
-        payload, _ = self.encode_with_stats(data)
-        return payload
+        """Compress *data*; always decodable by :meth:`decode`.  The
+        one-payload case of :meth:`encode_stack`."""
+        return self.encode_stack([data])[0]
 
-    def encode_with_stats(self, data: bytes) -> tuple[bytes, Lz77Stats]:
-        """Compress and return parsing statistics."""
+    def encode_stack(self, payloads: Sequence[bytes]) -> list[bytes]:
+        """:meth:`encode` of every payload, from one candidate scan.
+
+        The scan runs over the payloads laid end to end and keeps a pair
+        only inside one member: its candidate at or after the member's
+        start, its 4 bytes before the member's end.  A 4-byte prefix
+        that straddles two members sits after every kept one of its
+        member, so it never parts two of them in a hash bucket: each
+        member gets the pairs, and the bytes, it gets alone.
+        """
+        # joining one payload returns it: no copy
+        pos, cand = self._candidate_scan(
+            b"".join(payloads), self.params.window
+        )
+        counts = [pos.size]
+        if len(payloads) > 1:  # alone, every pair is the member's
+            sizes = [len(data) for data in payloads]
+            ends = np.cumsum(sizes)
+            member = ends.searchsorted(pos, side="right")
+            start = (ends - sizes)[member]
+            keep = (cand >= start) & (pos + _MIN_MATCH <= ends[member])
+            pos, cand = (pos - start)[keep], (cand - start)[keep]
+            counts = np.bincount(member[keep], minlength=len(payloads))
+        cuts = np.cumsum([0, *counts]).tolist()
+        pos, cand = pos.tolist(), cand.tolist()
+        return [
+            self._parse(data, pos[a:b], cand[a:b])
+            for data, a, b in zip(payloads, cuts, cuts[1:])
+        ]
+
+    def _parse(
+        self, data: bytes, positions: list[int], candidates: list[int]
+    ) -> bytes:
+        """Greedy token stream of *data* over its sorted match pairs."""
         n = len(data)
         out = bytearray()
         write_varint(out, n)
         if n == 0:
-            return bytes(out), Lz77Stats(0, len(out), 0, 0)
-
-        window = self.params.window
+            return bytes(out)
         max_match = self.params.max_match
-        match_pos, cand = self._candidate_scan(data, window)
-
-        pos = 0
-        literal_start = 0
-        n_matches = 0
-        n_literals = 0
+        j = literal_start = 0
         while True:
-            j = int(np.searchsorted(match_pos, pos))
-            if j >= match_pos.size:
+            j = bisect_left(positions, literal_start, j)
+            if j == len(positions):
                 break
-            p = int(match_pos[j])
-            candidate = int(cand[j])
+            p, candidate = positions[j], candidates[j]
             length = self._extend_match(data, candidate, p, max_match)
             literals = data[literal_start:p]
             write_varint(out, len(literals))
             out.extend(literals)
             write_varint(out, length)
             out.extend((p - candidate).to_bytes(3, "big"))
-            n_matches += 1
-            n_literals += len(literals)
-            pos = p + length
-            literal_start = pos
+            literal_start = p + length
         # Trailing literals with an empty match.
         literals = data[literal_start:]
         write_varint(out, len(literals))
         out.extend(literals)
         write_varint(out, 0)
         out.extend((0).to_bytes(3, "big"))
-        n_literals += len(literals)
-        stats = Lz77Stats(n, len(out), n_matches, n_literals)
-        return bytes(out), stats
+        return bytes(out)
 
     @staticmethod
     def _candidate_scan(
@@ -191,11 +195,16 @@ class Lz77Codec:
     ) -> int:
         """Length of the common prefix of data[candidate:] / data[pos:].
 
-        Compares in growing chunks so long (zero-run) matches cost few
-        Python operations.
+        Most matches are short, and a few byte compares settle them;
+        past that it compares in growing chunks, so long (zero-run)
+        matches cost few Python operations.
         """
         n = len(data)
-        length = _MIN_MATCH
+        short = min(max_match, n - pos, 2 * _MIN_MATCH)
+        for length in range(_MIN_MATCH, short):
+            if data[candidate + length] != data[pos + length]:
+                return length
+        length = short
         step = 64
         while length < max_match and pos + length < n:
             take = min(step, max_match - length, n - pos - length)
@@ -235,6 +244,8 @@ class Lz77Codec:
             out.extend(payload[pos : pos + lit_len])
             pos += lit_len
             match_len, pos = read_varint(payload, pos)
+            if pos + 3 > len(payload):
+                raise ValueError("truncated LZ77 stream")
             dist = int.from_bytes(payload[pos : pos + 3], "big")
             pos += 3
             if match_len > expected - len(out):

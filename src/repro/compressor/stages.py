@@ -113,8 +113,8 @@ class HuffmanEntropyStage:
         """Encode each code stream as one Huffman(+lossless) payload.
 
         The Huffman streams are coded as one stack
-        (:meth:`HuffmanEncoder.encode_stack`); the lossless stage takes
-        the payloads one at a time.
+        (:meth:`HuffmanEncoder.encode_stack`), and so are their payloads
+        in the lossless stage (:meth:`LosslessBackend.compress_stack`).
         """
         with obs.span("huffman"):
             blobs = self._huffman.encode_stack(streams)
@@ -122,7 +122,7 @@ class HuffmanEntropyStage:
         if config.lossless is not None:
             with obs.span("lossless"):
                 backend = get_lossless_backend(config.lossless)
-                payloads = [backend.compress(blob) for blob in blobs]
+                payloads = backend.compress_stack(blobs)
         return [
             EncodedCodes(payload, len(blob))
             for payload, blob in zip(payloads, blobs)
