@@ -36,7 +36,6 @@ from repro.compressor.executor import (
     make_executor,
 )
 from repro.compressor.plan_cache import PlannerCache
-from repro.compressor.quantizer import LinearQuantizer, QuantizedBlock
 from repro.compressor.sz import SZCompressor
 from repro.compressor.temporal import TemporalCompressor, TemporalStats
 from repro.compressor.tiled import TiledCompressor, TiledResult
@@ -45,8 +44,6 @@ __all__ = [
     "CompressionConfig",
     "ErrorBoundMode",
     "DEFAULT_QUANT_RADIUS",
-    "LinearQuantizer",
-    "QuantizedBlock",
     "SZCompressor",
     "TiledCompressor",
     "TiledResult",

@@ -4,7 +4,10 @@ A predictor turns an array into (a) a stream of integer quantization
 codes, (b) an outlier stream for unpredictable points, and (c) an
 optional side payload (anchors, regression coefficients).  The inverse
 direction reconstructs the array from those pieces while honouring the
-error bound.
+error bound.  Quantizing is what gives the encoder the decoder's
+values, so every predictor can hand them back with its output.
+Interpolation and regression quantize through
+:mod:`repro.compressor.quantizer`; Lorenzo rounds onto its own lattice.
 
 For the ratio-quality model the predictor additionally exposes
 *prediction errors computed from original values* (§III-C4 of the paper:

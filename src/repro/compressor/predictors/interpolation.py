@@ -16,9 +16,12 @@ traversal order (level, axis, C-order within the sweep block).
 
 from __future__ import annotations
 
+from typing import Iterator, NamedTuple
+
 import numpy as np
 
 from repro.compressor.predictors.base import Predictor, PredictorOutput
+from repro.compressor.quantizer import Dequantizer, Quantizer
 
 __all__ = ["InterpolationPredictor"]
 
@@ -61,6 +64,34 @@ def _open_mesh(vectors: list[np.ndarray]) -> tuple[np.ndarray, ...]:
     )
 
 
+class _Sweep(NamedTuple):
+    """One sweep: the points of *level* refined along *axis*."""
+
+    level: int
+    axis: int
+    #: per-axis index vectors of the sweep's points (:func:`_sweep_indices`)
+    vectors: list[np.ndarray]
+    #: their indices along *axis*, odd multiples of *half*
+    targets: np.ndarray
+    half: int
+
+    def predict(self, values: np.ndarray) -> np.ndarray:
+        """Linear interpolation of the sweep's points along its axis,
+        from *values* (the left neighbour alone at the far edge)."""
+        axis, targets, half = self.axis, self.targets, self.half
+        left_vec = list(self.vectors)
+        right_vec = list(self.vectors)
+        left_vec[axis] = targets - half
+        right_ok = targets + half < values.shape[axis]
+        right_vec[axis] = np.where(right_ok, targets + half, targets - half)
+        left = values[_open_mesh(left_vec)]
+        right = values[_open_mesh(right_vec)]
+        weight_shape = [1] * values.ndim
+        weight_shape[axis] = targets.size
+        ok = right_ok.reshape(weight_shape)
+        return np.where(ok, 0.5 * (left + right), left)
+
+
 class InterpolationPredictor(Predictor):
     """SZ3-style multi-level linear interpolation."""
 
@@ -79,6 +110,19 @@ class InterpolationPredictor(Predictor):
             level += 1
         return level
 
+    @staticmethod
+    def _sweeps(shape: tuple[int, ...], levels: int) -> Iterator[_Sweep]:
+        """Every non-empty sweep of *levels* over *shape*, in traversal
+        order."""
+        for level in range(levels, 0, -1):
+            stride = 1 << level
+            half = stride >> 1
+            for axis in range(len(shape)):
+                vectors, targets = _sweep_indices(shape, axis, stride, half)
+                if targets.size == 0 or any(v.size == 0 for v in vectors):
+                    continue
+                yield _Sweep(level, axis, vectors, targets, half)
+
     # -- compression ---------------------------------------------------------
 
     def decompose(
@@ -89,9 +133,7 @@ class InterpolationPredictor(Predictor):
         reconstruct: bool = False,
     ) -> PredictorOutput:
         data = self._validate(data)
-        if error_bound <= 0:
-            raise ValueError("error_bound must be positive")
-        bin_width = 2.0 * error_bound
+        quantizer = Quantizer(error_bound, radius)
         levels = self._levels(data.shape)
         stride0 = 1 << levels
 
@@ -99,58 +141,11 @@ class InterpolationPredictor(Predictor):
         anchor_slices = tuple(slice(None, None, stride0) for _ in data.shape)
         anchors = data[anchor_slices].copy()
         recon[anchor_slices] = anchors
+        for sweep in self._sweeps(data.shape, levels):
+            grid = _open_mesh(sweep.vectors)
+            recon[grid] = quantizer.quantize(data[grid], sweep.predict(recon))
 
-        code_blocks: list[np.ndarray] = []
-        outlier_positions: list[np.ndarray] = []
-        outlier_values: list[np.ndarray] = []
-        offset = 0
-        for level in range(levels, 0, -1):
-            stride = 1 << level
-            half = stride >> 1
-            for axis in range(data.ndim):
-                vectors, targets = _sweep_indices(
-                    data.shape, axis, stride, half
-                )
-                if targets.size == 0 or any(v.size == 0 for v in vectors):
-                    continue
-                grid = _open_mesh(vectors)
-                pred = self._predict(recon, vectors, axis, targets, half)
-                true = data[grid]
-                err = true - pred
-                # + 0.0 clears -0.0: the decoder multiplies integer
-                # codes, and ``recon`` must hold exactly its values
-                codes_f = np.rint(err / bin_width) + 0.0
-                value = pred + codes_f * bin_width
-                bad = (np.abs(codes_f) > radius) | (
-                    np.abs(true - value) > error_bound
-                )
-                codes_f = np.where(bad, 0.0, codes_f)
-                value = np.where(bad, true, value)
-                recon[grid] = value
-
-                flat_codes = codes_f.astype(np.int64).ravel()
-                code_blocks.append(flat_codes)
-                bad_flat = np.flatnonzero(bad.ravel())
-                if bad_flat.size:
-                    outlier_positions.append(bad_flat + offset)
-                    outlier_values.append(true.ravel()[bad_flat])
-                offset += flat_codes.size
-
-        codes = (
-            np.concatenate(code_blocks)
-            if code_blocks
-            else np.zeros(0, dtype=np.int64)
-        )
-        positions = (
-            np.concatenate(outlier_positions)
-            if outlier_positions
-            else np.zeros(0, dtype=np.int64)
-        )
-        values = (
-            np.concatenate(outlier_values)
-            if outlier_values
-            else np.zeros(0, dtype=np.float64)
-        )
+        codes, positions, values = quantizer.streams()
         return PredictorOutput(
             codes=codes,
             outlier_positions=positions,
@@ -160,28 +155,6 @@ class InterpolationPredictor(Predictor):
             reconstruction=recon if reconstruct else None,
         )
 
-    def _predict(
-        self,
-        recon: np.ndarray,
-        vectors: list[np.ndarray],
-        axis: int,
-        targets: np.ndarray,
-        half: int,
-    ) -> np.ndarray:
-        """Linear interpolation of the sweep targets along *axis*."""
-        n = recon.shape[axis]
-        left_vec = list(vectors)
-        right_vec = list(vectors)
-        left_vec[axis] = targets - half
-        right_ok = targets + half < n
-        right_vec[axis] = np.where(right_ok, targets + half, targets - half)
-        left = recon[_open_mesh(left_vec)]
-        right = recon[_open_mesh(right_vec)]
-        weight_shape = [1] * recon.ndim
-        weight_shape[axis] = targets.size
-        ok = right_ok.reshape(weight_shape)
-        return np.where(ok, 0.5 * (left + right), left)
-
     # -- decompression ---------------------------------------------------------
 
     def reconstruct(
@@ -190,7 +163,6 @@ class InterpolationPredictor(Predictor):
         shape: tuple[int, ...],
         error_bound: float,
     ) -> np.ndarray:
-        bin_width = 2.0 * error_bound
         levels = output.meta_int("levels")
         stride0 = 1 << levels
         anchor_shape = tuple(output.meta["anchor_shape"])
@@ -201,37 +173,16 @@ class InterpolationPredictor(Predictor):
         recon = np.zeros(shape, dtype=np.float64)
         anchor_slices = tuple(slice(None, None, stride0) for _ in shape)
         recon[anchor_slices] = anchors
-
-        out_pos = np.asarray(output.outlier_positions, dtype=np.int64)
-        out_val = np.asarray(output.outlier_values, dtype=np.float64)
-        order = np.argsort(out_pos)
-        out_pos, out_val = out_pos[order], out_val[order]
-        offset = 0
-        for level in range(levels, 0, -1):
-            stride = 1 << level
-            half = stride >> 1
-            for axis in range(len(shape)):
-                vectors, targets = _sweep_indices(shape, axis, stride, half)
-                if targets.size == 0 or any(v.size == 0 for v in vectors):
-                    continue
-                grid = _open_mesh(vectors)
-                pred = self._predict(recon, vectors, axis, targets, half)
-                block_size = int(np.prod([v.size for v in vectors]))
-                codes = output.codes[offset : offset + block_size].reshape(
-                    pred.shape
-                )
-                value = pred + codes.astype(np.float64) * bin_width
-                # Patch outliers belonging to this sweep (positions are
-                # sorted, so the sweep's slice is contiguous).
-                lo = np.searchsorted(out_pos, offset)
-                hi = np.searchsorted(out_pos, offset + block_size)
-                if hi > lo:
-                    local = np.unravel_index(
-                        out_pos[lo:hi] - offset, pred.shape
-                    )
-                    value[local] = out_val[lo:hi]
-                recon[grid] = value
-                offset += block_size
+        dequantizer = Dequantizer(
+            output.codes,
+            output.outlier_positions,
+            output.outlier_values,
+            error_bound,
+        )
+        for sweep in self._sweeps(shape, levels):
+            recon[_open_mesh(sweep.vectors)] = dequantizer.dequantize(
+                sweep.predict(recon)
+            )
         return recon
 
     # -- model support ---------------------------------------------------------
@@ -255,21 +206,14 @@ class InterpolationPredictor(Predictor):
         sampling strategy weights levels with these blocks.
         """
         data = self._validate(data)
-        levels = self._levels(data.shape)
-        out: list[tuple[int, int, np.ndarray]] = []
-        for level in range(levels, 0, -1):
-            stride = 1 << level
-            half = stride >> 1
-            for axis in range(data.ndim):
-                vectors, targets = _sweep_indices(
-                    data.shape, axis, stride, half
-                )
-                if targets.size == 0 or any(v.size == 0 for v in vectors):
-                    continue
-                grid = _open_mesh(vectors)
-                pred = self._predict(data, vectors, axis, targets, half)
-                out.append((level, axis, data[grid] - pred))
-        return out
+        return [
+            (
+                sweep.level,
+                sweep.axis,
+                data[_open_mesh(sweep.vectors)] - sweep.predict(data),
+            )
+            for sweep in self._sweeps(data.shape, self._levels(data.shape))
+        ]
 
     def sample_errors(
         self, data: np.ndarray, rate: float, rng: np.random.Generator

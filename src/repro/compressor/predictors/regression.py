@@ -23,6 +23,7 @@ import itertools
 import numpy as np
 
 from repro.compressor.predictors.base import Predictor, PredictorOutput
+from repro.compressor.quantizer import Dequantizer, Quantizer
 
 __all__ = ["RegressionPredictor"]
 
@@ -71,22 +72,30 @@ class RegressionPredictor(Predictor):
             intercept -= slope * mean_c
         coeffs[:, 0] = intercept
         coeffs32 = coeffs.astype(np.float32)
+        return coeffs32, self._evaluate(coeffs32, bshape)
 
+    @staticmethod
+    def _evaluate(
+        coeffs: np.ndarray, block_shape: tuple[int, ...]
+    ) -> np.ndarray:
+        """The ``float64`` predictions of ``(nblocks, ndim + 1)`` float32
+        *coeffs* over blocks of *block_shape*: what encoder and decoder
+        both quantize against."""
+        nblocks = coeffs.shape[0]
+        ndim = len(block_shape)
+        slope_shape = (nblocks,) + (1,) * ndim
         preds = np.broadcast_to(
-            coeffs32[:, 0].astype(np.float64).reshape(
-                (nblocks,) + (1,) * ndim
-            ),
-            blocks.shape,
+            coeffs[:, 0].astype(np.float64).reshape(slope_shape),
+            (nblocks,) + block_shape,
         ).copy()
-        for axis, b in enumerate(bshape):
+        for axis, b in enumerate(block_shape):
             coord = np.arange(b, dtype=np.float64)
             view_shape = [1] * (ndim + 1)
             view_shape[axis + 1] = b
-            slope_shape = (nblocks,) + (1,) * ndim
-            preds += coeffs32[:, axis + 1].astype(np.float64).reshape(
+            preds += coeffs[:, axis + 1].astype(np.float64).reshape(
                 slope_shape
             ) * coord.reshape(view_shape)
-        return coeffs32, preds
+        return preds
 
     def _iter_groups(self, shape: tuple[int, ...]):
         """Yield ``(region_slices, block_shape)`` groups.
@@ -154,53 +163,22 @@ class RegressionPredictor(Predictor):
         reconstruct: bool = False,
     ) -> PredictorOutput:
         data = self._validate(data)
-        if error_bound <= 0:
-            raise ValueError("error_bound must be positive")
-        bin_width = 2.0 * error_bound
+        quantizer = Quantizer(error_bound, radius)
         recon = np.empty_like(data) if reconstruct else None
 
-        code_blocks: list[np.ndarray] = []
-        outlier_positions: list[np.ndarray] = []
-        outlier_values: list[np.ndarray] = []
         coeff_chunks: list[np.ndarray] = []
-        offset = 0
         for slices, block_shape in self._iter_groups(data.shape):
             region = data[slices]
             blocks = self._to_blocks(region, block_shape)
             coeffs, preds = self._fit_block_group(blocks)
             coeff_chunks.append(coeffs.ravel())
-            err = blocks - preds
-            # + 0.0 clears -0.0: the decoder multiplies integer codes,
-            # and ``value`` must be exactly what it computes
-            codes_f = np.rint(err / bin_width) + 0.0
-            value = preds + codes_f * bin_width
-            bad = (np.abs(codes_f) > radius) | (
-                np.abs(blocks - value) > error_bound
-            )
+            value = quantizer.quantize(blocks, preds)
             if recon is not None:
                 recon[slices] = self._from_blocks(
-                    np.where(bad, blocks, value), region.shape, block_shape
+                    value, region.shape, block_shape
                 )
-            codes_f = np.where(bad, 0.0, codes_f)
-            flat_codes = codes_f.astype(np.int64).ravel()
-            code_blocks.append(flat_codes)
-            bad_flat = np.flatnonzero(bad.ravel())
-            if bad_flat.size:
-                outlier_positions.append(bad_flat + offset)
-                outlier_values.append(blocks.ravel()[bad_flat])
-            offset += flat_codes.size
 
-        codes = np.concatenate(code_blocks)
-        positions = (
-            np.concatenate(outlier_positions)
-            if outlier_positions
-            else np.zeros(0, dtype=np.int64)
-        )
-        values = (
-            np.concatenate(outlier_values)
-            if outlier_values
-            else np.zeros(0, dtype=np.float64)
-        )
+        codes, positions, values = quantizer.streams()
         coeff_payload = np.concatenate(coeff_chunks).astype(np.float32)
         return PredictorOutput(
             codes=codes,
@@ -219,20 +197,19 @@ class RegressionPredictor(Predictor):
         shape: tuple[int, ...],
         error_bound: float,
     ) -> np.ndarray:
-        bin_width = 2.0 * error_bound
         block = output.meta.get("block", self.block)
         if block != self.block:
             raise ValueError("block size mismatch between encode and decode")
         coeffs_flat = np.frombuffer(output.side_payload, dtype=np.float32)
         recon = np.zeros(shape, dtype=np.float64)
-
-        out_pos = np.asarray(output.outlier_positions, dtype=np.int64)
-        out_val = np.asarray(output.outlier_values, dtype=np.float64)
-        order = np.argsort(out_pos)
-        out_pos, out_val = out_pos[order], out_val[order]
+        dequantizer = Dequantizer(
+            output.codes,
+            output.outlier_positions,
+            output.outlier_values,
+            error_bound,
+        )
 
         ndim = len(shape)
-        offset = 0
         coeff_offset = 0
         for slices, block_shape in self._iter_groups(shape):
             region_shape = tuple(s.stop - s.start for s in slices)
@@ -246,35 +223,10 @@ class RegressionPredictor(Predictor):
                 coeff_offset : coeff_offset + ncoef
             ].reshape(nblocks, ndim + 1)
             coeff_offset += ncoef
-
-            preds = np.broadcast_to(
-                coeffs[:, 0].astype(np.float64).reshape(
-                    (nblocks,) + (1,) * ndim
-                ),
-                (nblocks,) + block_shape,
-            ).copy()
-            for axis, b in enumerate(block_shape):
-                coord = np.arange(b, dtype=np.float64)
-                view_shape = [1] * (ndim + 1)
-                view_shape[axis + 1] = b
-                preds += coeffs[:, axis + 1].astype(np.float64).reshape(
-                    (nblocks,) + (1,) * ndim
-                ) * coord.reshape(view_shape)
-
-            block_size = preds.size
-            codes = output.codes[offset : offset + block_size].reshape(
-                preds.shape
-            )
-            value = preds + codes.astype(np.float64) * bin_width
-            lo = np.searchsorted(out_pos, offset)
-            hi = np.searchsorted(out_pos, offset + block_size)
-            if hi > lo:
-                local = np.unravel_index(out_pos[lo:hi] - offset, preds.shape)
-                value[local] = out_val[lo:hi]
+            value = dequantizer.dequantize(self._evaluate(coeffs, block_shape))
             recon[slices] = self._from_blocks(
                 value, region_shape, block_shape
             )
-            offset += block_size
         return recon
 
     # -- model support -------------------------------------------------------------

@@ -3,95 +3,111 @@
 Prediction errors are mapped to integer *quantization codes* with bin
 width ``2 * eb``::
 
-    code = round(err / (2 * eb))          reconstruction: pred + 2*eb*code
+    code = rint(err / (2 * eb))          reconstruction: pred + 2*eb*code
 
 so any in-range code guarantees ``|original - reconstructed| <= eb``.
-Codes outside ``[-radius, radius]`` mark the point *unpredictable*: its
-value ships verbatim in the outlier stream, exactly as SZ does.
+A point whose code falls outside ``[-radius, radius]``, or whose
+reconstruction still misses the bound in floating point, is
+*unpredictable*: its code is 0 and its value ships verbatim in the
+outlier stream, exactly as SZ does.
+
+This is the one quantizer of the interpolation and regression
+predictors, which own only their traversal: they hand it one stretch
+(a sweep, a group of blocks) of ``(true, pred)`` at a time, in
+traversal order.  :class:`Quantizer` returns each stretch's
+reconstruction and gathers the code and outlier streams;
+:class:`Dequantizer` walks the same stretches back.  Lorenzo's
+dual-quantization lattice (:mod:`repro.compressor.predictors.lorenzo`)
+quantizes values, not errors, and is its own.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-__all__ = ["LinearQuantizer", "QuantizedBlock"]
+__all__ = ["Quantizer", "Dequantizer"]
 
 
-@dataclass
-class QuantizedBlock:
-    """Quantizer output for a stream of prediction errors.
-
-    ``codes`` uses the *shifted* convention internally favoured by SZ
-    (zero means unpredictable); here we keep signed codes plus an explicit
-    outlier mask, which reads more clearly:
-
-    * ``codes`` — int32 array, clipped to the radius; only meaningful
-      where ``~outlier_mask``;
-    * ``outlier_mask`` — bool array marking unpredictable points;
-    * ``outlier_values`` — the original values at those points.
-    """
-
-    codes: np.ndarray
-    outlier_mask: np.ndarray
-    outlier_values: np.ndarray
-
-    @property
-    def n_outliers(self) -> int:
-        """Number of unpredictable points."""
-        return int(self.outlier_mask.sum())
+def _join(pieces: list[np.ndarray], dtype) -> np.ndarray:
+    return np.concatenate(pieces) if pieces else np.zeros(0, dtype=dtype)
 
 
-class LinearQuantizer:
-    """Quantize prediction errors with bin width ``2 * error_bound``."""
+class Quantizer:
+    """The encoder's side: quantize stretches, gather their streams."""
 
-    def __init__(self, error_bound: float, radius: int = 32768) -> None:
+    def __init__(self, error_bound: float, radius: int) -> None:
         if error_bound <= 0:
             raise ValueError("error_bound must be positive")
-        if radius < 2:
-            raise ValueError("radius must be at least 2")
-        self.error_bound = float(error_bound)
-        self.radius = int(radius)
+        self.error_bound = error_bound
+        self.radius = radius
+        self._bin_width = 2.0 * error_bound
+        self._codes: list[np.ndarray] = []
+        self._positions: list[np.ndarray] = []
+        self._values: list[np.ndarray] = []
+        self._offset = 0
 
-    @property
-    def bin_width(self) -> float:
-        """Quantization interval size (twice the error bound)."""
-        return 2.0 * self.error_bound
+    def quantize(self, true: np.ndarray, pred: np.ndarray) -> np.ndarray:
+        """The decoder's values of the stretch *true* predicted as *pred*.
 
-    def quantize(
-        self, errors: np.ndarray, original: np.ndarray
-    ) -> QuantizedBlock:
-        """Quantize *errors*; *original* supplies outlier values.
-
-        Points whose code overflows the radius — or whose reconstruction
-        would still violate the bound due to floating-point rounding —
-        are flagged as outliers.
+        Its codes (C order) are appended to the code stream, and its
+        unpredictable points to the outlier stream, by their positions
+        in the code stream.
         """
-        errors = np.asarray(errors, dtype=np.float64)
-        original = np.asarray(original, dtype=np.float64)
-        if errors.shape != original.shape:
-            raise ValueError("errors and original must have the same shape")
-        codes_f = np.rint(errors / self.bin_width)
-        overflow = np.abs(codes_f) > self.radius
-        codes_f = np.where(overflow, 0.0, codes_f)
-        codes = codes_f.astype(np.int64)
-        # Verify the bound actually holds after rounding; flag violators.
-        recon_err = np.abs(errors - codes * self.bin_width)
-        violates = recon_err > self.error_bound * (1 + 1e-12)
-        outlier_mask = overflow | violates
-        codes[outlier_mask] = 0
-        return QuantizedBlock(
-            codes=codes.astype(np.int32),
-            outlier_mask=outlier_mask,
-            outlier_values=original[outlier_mask].astype(np.float64),
+        # + 0.0 clears -0.0: the decoder multiplies integer codes, and
+        # the values returned must be exactly what it computes
+        codes = np.rint((true - pred) / self._bin_width) + 0.0
+        value = pred + codes * self._bin_width
+        bad = (np.abs(codes) > self.radius) | (
+            np.abs(true - value) > self.error_bound
+        )
+        flat = np.where(bad, 0.0, codes).astype(np.int64).ravel()
+        self._codes.append(flat)
+        bad_flat = np.flatnonzero(bad.ravel())
+        if bad_flat.size:
+            self._positions.append(bad_flat + self._offset)
+            self._values.append(true.ravel()[bad_flat])
+        self._offset += flat.size
+        return np.where(bad, true, value)
+
+    def streams(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(codes, outlier_positions, outlier_values)`` so far."""
+        return (
+            _join(self._codes, np.int64),
+            _join(self._positions, np.int64),
+            _join(self._values, np.float64),
         )
 
-    def dequantize(self, codes: np.ndarray) -> np.ndarray:
-        """Map codes back to error values (bin centres)."""
-        return np.asarray(codes, dtype=np.float64) * self.bin_width
 
-    def codes_for_errors(self, errors: np.ndarray) -> np.ndarray:
-        """Codes only (no outlier handling) — used by the model's sampler."""
-        errors = np.asarray(errors, dtype=np.float64)
-        return np.rint(errors / self.bin_width).astype(np.int64)
+class Dequantizer:
+    """The decoder's side: the stretches of a :class:`Quantizer`'s
+    streams, in the order it quantized them."""
+
+    def __init__(
+        self,
+        codes: np.ndarray,
+        outlier_positions: np.ndarray,
+        outlier_values: np.ndarray,
+        error_bound: float,
+    ) -> None:
+        positions = np.asarray(outlier_positions, dtype=np.int64)
+        values = np.asarray(outlier_values, dtype=np.float64)
+        # sorted, so that each stretch's outliers are one slice
+        order = np.argsort(positions)
+        self._positions, self._values = positions[order], values[order]
+        self._codes = codes
+        self._bin_width = 2.0 * error_bound
+        self._offset = 0
+
+    def dequantize(self, pred: np.ndarray) -> np.ndarray:
+        """``pred + code * 2eb`` over the next ``pred.size`` codes, with
+        the stretch's outliers patched in."""
+        start, stop = self._offset, self._offset + pred.size
+        codes = self._codes[start:stop].reshape(pred.shape)
+        value = pred + codes.astype(np.float64) * self._bin_width
+        lo = np.searchsorted(self._positions, start)
+        hi = np.searchsorted(self._positions, stop)
+        if hi > lo:
+            local = np.unravel_index(self._positions[lo:hi] - start, pred.shape)
+            value[local] = self._values[lo:hi]
+        self._offset = stop
+        return value

@@ -5,7 +5,9 @@ value-domain transform (:func:`repro.compressor.transform.
 forward_transform`), then two stage objects:
 
 * :class:`PredictorStage` — turns the (transformed) array into integer
-  quantization codes plus outliers, and back;
+  quantization codes plus outliers, and back: Lorenzo on its own
+  dual-quantization lattice, interpolation and regression through the
+  one linear quantizer of :mod:`repro.compressor.quantizer`;
 * :class:`HuffmanEntropyStage` — losslessly encodes the code stream as
   one Huffman(+lossless) payload, and still reads the v3 codes sections
   of independently coded blocks that earlier revisions wrote.
@@ -45,8 +47,8 @@ class PredictorStage:
     arrays, each under its own absolute bound — Lorenzo in one pass
     over the stack, the others an array at a time; with
     ``reconstruct`` each output also carries what :meth:`reconstruct`
-    will return for it (``PredictorOutput.reconstruction``) — a stage
-    that cannot surface it leaves the field ``None``.
+    will return for it (``PredictorOutput.reconstruction``), which
+    every predictor holds once it has quantized.
     :meth:`reconstruct` inverts one output (``float64``).
     """
 

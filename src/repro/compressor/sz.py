@@ -5,10 +5,11 @@
 
     transform → predict/quantize → entropy-encode
 
-The prediction stage (:class:`PredictorStage`) can be swapped via the
-constructor.  :meth:`SZCompressor.encode_stages` turns one
-array into its five stage sections plus the parameters that decode
-them, and :meth:`SZCompressor.decode_stages` inverts every stage — by
+The predict/quantize stage quantizes through
+:mod:`repro.compressor.quantizer` (Lorenzo on its own lattice).
+:meth:`SZCompressor.encode_stages` turns one array into its five stage
+sections plus the parameters that decode them, and
+:meth:`SZCompressor.decode_stages` inverts every stage — by
 construction within the configured error bound; ``encode_stack`` and
 ``decode_stack`` do the same for many tiles at once.  None frames
 anything: :class:`repro.compressor.tiled.TiledCompressor` is the one
@@ -24,7 +25,9 @@ single value and reconstruct exactly.
 
 from __future__ import annotations
 
+import ctypes
 import math
+import sys
 from typing import Sequence
 
 import numpy as np
@@ -42,6 +45,15 @@ from repro.compressor.transform import forward_transform, inverse_transform
 
 __all__ = ["SZCompressor"]
 
+# glibc's adaptive heap thresholds, fixed at their ceiling (mmap 32 MiB,
+# trim twice that): a tile's freed MB-sized temporaries then serve the
+# next encode, where the heap top was handed back after a 1 MB compress
+# (~3 200 page faults, a quarter of its time) or kept, as the hash seed
+# had laid out the heap
+if sys.platform.startswith("linux"):
+    ctypes.CDLL(None).mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    ctypes.CDLL(None).mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
 #: the predictor output of a tile without stage bytes
 _NO_OUTPUT = PredictorOutput(
     codes=np.zeros(0, dtype=np.int64),
@@ -53,12 +65,11 @@ _NO_OUTPUT = PredictorOutput(
 class SZCompressor:
     """The transform, prediction and entropy stages of one tile.
 
-    Everything runs on the calling thread.  Pass an alternative
-    prediction stage to swap that part of the pipeline.
+    Everything runs on the calling thread.
     """
 
-    def __init__(self, *, prediction: PredictorStage | None = None) -> None:
-        self._prediction = prediction or PredictorStage()
+    def __init__(self) -> None:
+        self._prediction = PredictorStage()
         self._entropy = HuffmanEntropyStage()
 
     # -- public API ------------------------------------------------------------
@@ -74,9 +85,9 @@ class SZCompressor:
         Returns ``(header, sections, reconstruction, measures)``: the
         fields a flat header would hold, the five stage sections in
         :data:`container.SECTION_NAMES` order, with ``reconstruct``
-        what :meth:`decode_stages` will return for them (``None`` when
-        the prediction stage cannot surface it), and the counts
-        :class:`~repro.compressor.tiled.TiledResult` totals over tiles.
+        what :meth:`decode_stages` will return for them (else ``None``),
+        and the counts :class:`~repro.compressor.tiled.TiledResult`
+        totals over tiles.
         The per-tile contract of the tiled compressor, and the one-tile
         case of :meth:`encode_stack`.
         """
@@ -137,7 +148,11 @@ class SZCompressor:
             extra, reconstruction = {}, None
             if output is _NO_OUTPUT and data.size:
                 extra["constant"] = float(data.flat[0])
-            if output.reconstruction is not None:
+            if reconstruct and output is _NO_OUTPUT:
+                reconstruction = np.full(
+                    data.shape, extra.get("constant", 0), dtype=data.dtype
+                )
+            elif reconstruct:
                 # the tail of decode_stages(), on the encoder's own values
                 reconstruction = (
                     inverse_transform(
@@ -147,10 +162,6 @@ class SZCompressor:
                     )
                     .reshape(data.shape)
                     .astype(data.dtype)
-                )
-            elif output is _NO_OUTPUT and reconstruct:
-                reconstruction = np.full(
-                    data.shape, extra.get("constant", 0), dtype=data.dtype
                 )
             header = {
                 "predictor": config.predictor,

@@ -50,12 +50,7 @@ from repro.compressor.config import CompressionConfig, ErrorBoundMode
 from repro.compressor.executor import get_executor
 from repro.compressor.plan_cache import PlannerCache
 from repro.compressor.sz import SZCompressor
-from repro.compressor.tiled import (
-    TiledCompressor,
-    TiledResult,
-    TileJob,
-    combine,
-)
+from repro.compressor.tiled import TiledCompressor, TiledResult, TileJob
 from repro.compressor.tiled_geometry import extent_slices, iter_tiles
 from repro.core.model import RatioQualityModel
 from repro.core.sampling import iter_tile_batches
@@ -187,7 +182,8 @@ class TemporalCompressor:
         With ``reconstruct`` the result also carries the decoded
         snapshot (``result.reconstruction``), assembled from what the
         predict-quantize stage of every tile already holds — residual
-        tiles pass through the same :meth:`combine` the reader uses.
+        tiles pass through the same :func:`~repro.compressor.tiled.combine`
+        the readers use.
         """
         if not hasattr(data, "ndim"):
             data = np.asarray(data)
@@ -412,7 +408,3 @@ class TemporalCompressor:
         snapshot shape (only the region's tiles of it are read).
         """
         return self.tiled.decompress_region(source, region, reference=reference)
-
-    #: a tile from its decoded residual + reference tile, as every
-    #: reader reconstructs it
-    combine = staticmethod(combine)

@@ -130,8 +130,8 @@ class TiledResult:
     #: the per-tile assignment, for adaptive runs only
     plan: AdaptivePlan | None = None
     #: the decoded array — what ``decompress`` returns for the
-    #: container — when the compress was asked to surface it and every
-    #: tile's codec could; ``None`` otherwise
+    #: container — when the compress was asked to surface it; ``None``
+    #: otherwise
     reconstruction: np.ndarray | None = None
     #: ``False`` for a temporal delta snapshot, which decodes only
     #: against its reference; ``True`` for everything standalone
@@ -195,7 +195,9 @@ def combine(residual: np.ndarray, ref_tile: np.ndarray) -> np.ndarray:
 
     Pure elementwise float64 addition cast back to the tile dtype —
     deterministic across executor backends, so chain decodes stay
-    byte-identical however the payloads were decoded.
+    byte-identical however the payloads were decoded.  Every reader,
+    and the encode loop's reconstruction, meets a temporal residual
+    with its reference tile here, after the decode.
     """
     return (
         residual.astype(np.float64) + ref_tile.astype(np.float64)
@@ -207,7 +209,6 @@ def decode_tile(
     shape: Sequence[int],
     dtype: np.dtype,
     codec: SZCompressor | None = None,
-    ref_tile: np.ndarray | None = None,
     *,
     params: dict,
 ) -> np.ndarray:
@@ -216,9 +217,7 @@ def decode_tile(
     The one way a tile payload becomes samples, for every reader: the
     one-tile case of :func:`decode_tiles`.
     """
-    return decode_tiles(
-        [payload], [shape], dtype, codec, [ref_tile], params=[params]
-    )[0]
+    return decode_tiles([payload], [shape], dtype, codec, params=[params])[0]
 
 
 def decode_tiles(
@@ -226,7 +225,6 @@ def decode_tiles(
     shapes: Sequence[Sequence[int]],
     dtype: np.dtype,
     codec: SZCompressor | None = None,
-    ref_tiles: Sequence[np.ndarray | None] | None = None,
     *,
     params: Sequence[dict],
 ) -> list[np.ndarray]:
@@ -241,29 +239,23 @@ def decode_tiles(
     decodes to anything else, or not at all, raises
     :class:`ContainerFormatError` instead of being cropped or
     broadcast into place, which no payload checksum can catch.  A
-    temporal tile (*ref_tiles* entry given) is the decoded residual
-    combined with its reference tile.  A stack that raises is decoded
-    again one tile at a time, so the error is the first bad tile's own.
+    temporal tile decodes to its residual, which the reader combines
+    with its reference tile (:func:`combine`).  A stack that raises is
+    decoded again one tile at a time, so the error is the first bad
+    tile's own.
     """
     codec = codec if codec is not None else worker_state().codec
-    ref_tiles = ref_tiles or [None] * len(payloads)
     try:
-        decoded = _decode_stack(payloads, shapes, dtype, codec, params)
+        return _decode_stack(payloads, shapes, dtype, codec, params)
     except Exception:
         # whatever a stack raises, its tiles decoded alone, in order,
         # raise the first bad one's own error
         if len(payloads) <= 1:
             raise
         return [
-            decode_tile(payload, shape, dtype, codec, ref, params=tile_params)
-            for payload, shape, ref, tile_params in zip(
-                payloads, shapes, ref_tiles, params
-            )
+            decode_tile(payload, shape, dtype, codec, params=tile_params)
+            for payload, shape, tile_params in zip(payloads, shapes, params)
         ]
-    return [
-        tile if ref is None else combine(tile, ref)
-        for tile, ref in zip(decoded, ref_tiles)
-    ]
 
 
 def _decode_stack(
@@ -273,7 +265,7 @@ def _decode_stack(
     codec: SZCompressor,
     params: Sequence[dict],
 ) -> list[np.ndarray]:
-    """:func:`decode_tiles` but the fallback and the reference tiles."""
+    """:func:`decode_tiles` but the fallback."""
     dtype = np.dtype(dtype)
     tiles = []
     for payload, shape, tile_params in zip(payloads, shapes, params):
@@ -517,7 +509,7 @@ class TiledCompressor:
         the kept candidate was a residual, a palette entry where the
         job names a ``toc_config``), and with
         *reconstruct* the decoded array is assembled from what the
-        encodes surfaced; the kept encodes' measures are totalled
+        encodes hold; the kept encodes' measures are totalled
         into the result, and every encode's stage times into the
         active :func:`repro.obs.record`, beside ``io``, the writer's
         share.  Tiles stream to the sink as they are
@@ -529,14 +521,13 @@ class TiledCompressor:
         reconstruction = (
             np.empty(data.shape, dtype=data.dtype) if reconstruct else None
         )
-        surfaced = True
         totals: Counter = Counter()  # encode_stages' measures, over tiles
         section_bytes = dict.fromkeys(container.SECTION_NAMES, 0)
         encoded = self._encode_jobs(jobs, data.dtype, executor, reconstruction)
         if callable(header_extra):
             encoded = list(encoded)
             header_extra = header_extra(
-                [temporal for *_, temporal, _ in encoded]
+                [temporal for *_, temporal in encoded]
             )
         header = {
             "shape": list(data.shape),
@@ -558,10 +549,7 @@ class TiledCompressor:
             sink = io.BytesIO() if out is None else out
         try:
             writer = TiledWriter(sink, header)
-            for job, params, sections, measures, temporal, tile_surfaced in (
-                encoded
-            ):
-                surfaced = surfaced and tile_surfaced
+            for job, params, sections, measures, temporal in encoded:
                 totals.update(measures)
                 for name, section in zip(container.SECTION_NAMES, sections):
                     section_bytes[name] += len(section)
@@ -587,7 +575,7 @@ class TiledCompressor:
             tiles=writer.tiles,
             blob=sink.getvalue() if isinstance(sink, io.BytesIO) else None,
             section_bytes=section_bytes,
-            reconstruction=reconstruction if surfaced else None,
+            reconstruction=reconstruction,
             **totals,
         )
 
@@ -597,10 +585,10 @@ class TiledCompressor:
         dtype: np.dtype,
         executor: CodecExecutor,
         reconstruction: np.ndarray | None,
-    ) -> Iterator[tuple[TileJob, dict, list[bytes], dict, bool, bool]]:
+    ) -> Iterator[tuple[TileJob, dict, list[bytes], dict, bool]]:
         """Encode *jobs* batch-by-batch (:func:`_job_batches`).
 
-        Yields ``(job, params, sections, measures, temporal, surfaced)``
+        Yields ``(job, params, sections, measures, temporal)``
         in TOC order, whatever order the jobs arrive in; every encode's
         stage times, kept or not, are added to the active record.  Each
         batch is staged into one executor input buffer (a shared-memory
@@ -613,8 +601,7 @@ class TiledCompressor:
         A *reconstruction* array is filled with the decoded tiles, each
         task writing its own into an output buffer laid out like the
         input arena (a residual meets its reference tile here, through
-        the :func:`combine` the readers use); ``surfaced`` says whether
-        the tile's codec had one to write.
+        the :func:`combine` the readers use).
         """
         ship_codec = self._codec if self._custom_codec else None
         ways = max(executor.workers, 1)
@@ -667,9 +654,9 @@ class TiledCompressor:
                     slot = min(
                         own, key=lambda slot: sum(map(len, results[slot][1]))
                     )
-                    params, sections, surfaced, measures = results[slot]
+                    params, sections, measures = results[slot]
                     samples, _, ref_tile = slots[slot]
-                    if surfaced:
+                    if reconstruction is not None:
                         tile = _slot(
                             decoded.array, offsets[slot], samples.shape, dtype
                         )
@@ -678,7 +665,7 @@ class TiledCompressor:
                         )
                     temporal = ref_tile is not None
                     waiting[job.index] = (
-                        job, params, sections, measures, temporal, surfaced
+                        job, params, sections, measures, temporal
                     )
             finally:
                 arena.release()
@@ -781,10 +768,11 @@ class TiledCompressor:
         The tiles go through :func:`decode_records` — serially one
         stack after another, each copied into the region before the
         next decodes; under a pool one stack per worker — and the
-        parent assembles the hyperslab from what it hands over.
-        Temporal tiles travel with the matching tile of *reference*.  A
-        region that is exactly one tile's extent (a whole one-tile
-        container) is that tile as decoded, not a copy.
+        parent assembles the hyperslab from what it hands over, each
+        temporal residual combined (:func:`combine`) with the matching
+        tile of *reference* first.  A region that is exactly one tile's extent
+        (a whole one-tile container) is that tile as decoded, not a
+        copy.
         """
         dtype = np.dtype(reader.header["dtype"])
         shape = tuple(reader.header["shape"])
@@ -803,23 +791,24 @@ class TiledCompressor:
                     f"match snapshot shape {shape}"
                 )
 
-        def ref_tile(record: TileRecord) -> np.ndarray | None:
-            if not record.temporal:
-                return None
-            return np.ascontiguousarray(
-                reference[extent_slices(record.start, record.stop)]
-            )
-
         hits = intersecting_tiles(reader.tiles, region)
         records = [record for record, _ in hits]
         executor = self._executor()
         codec = self._codec if self._custom_codec else None
+
+        def combined(i: int, tile: np.ndarray) -> np.ndarray:
+            record = records[i]
+            if not record.temporal:
+                return tile
+            extent = extent_slices(record.start, record.stop)
+            return combine(tile, reference[extent])
+
         # the region is one tile's extent: the answer is that tile
         if [region] == [extent_slices(r.start, r.stop) for r in records]:
             tiles: list[np.ndarray] = []
             decode_records(
                 executor, records, dtype, reader.read_tile,
-                lambda _, tile: tiles.append(tile), codec, ref_tile,
+                lambda i, tile: tiles.append(combined(i, tile)), codec,
             )
             self._count_decoded(1)
             return tiles[0]
@@ -828,11 +817,9 @@ class TiledCompressor:
 
         def place(i: int, tile: np.ndarray) -> None:
             record, overlap = hits[i]
-            copy_overlap(out, region, tile, record.start, overlap)
+            copy_overlap(out, region, combined(i, tile), record.start, overlap)
 
-        decode_records(
-            executor, records, dtype, reader.read_tile, place, codec, ref_tile
-        )
+        decode_records(executor, records, dtype, reader.read_tile, place, codec)
         self._count_decoded(len(hits))
         return out
 
@@ -844,18 +831,19 @@ def decode_records(
     read: Callable[[TileRecord], bytes],
     take: Callable[[int, np.ndarray], None],
     codec: SZCompressor | None = None,
-    ref_tile: Callable[[TileRecord], np.ndarray | None] = lambda _: None,
 ) -> None:
     """Decode the tiles *records* name in stacks; ``take(i, tile)`` each,
     in record order.
 
     The one decode route of every region reader — this module's
     :class:`TiledCompressor` and the serving store.  *read* gives a
-    record's payload and *ref_tile* its reference tile (``None`` for a
-    spatial tile); *codec* ``None`` is the stock one.  The records are
-    cut into stacks by :func:`_stacks`.  On a serial executor (or for
-    one record) each stack decodes inline through :func:`decode_tiles`
-    and its tiles are handed over — the decode's own arrays — before
+    record's payload; *codec* ``None`` is the stock one.  A temporal
+    record's tile is its residual, which the reader combines with its
+    reference tile (:func:`combine`): no worker is sent one.  The
+    records are cut into stacks by :func:`_stacks`.  On a serial
+    executor (or for one record) each stack decodes inline through
+    :func:`decode_tiles` and its tiles are handed over — the decode's
+    own arrays — before
     the next stack decodes, so peak memory is one stack's.  On a pool
     the payloads are read here and each worker gets one stack, a
     :func:`decode_tile_task` item that decodes into a shared output
@@ -874,7 +862,6 @@ def decode_records(
                 [record.shape for record in stack],
                 dtype,
                 codec,
-                [ref_tile(record) for record in stack],
                 params=[record.params for record in stack],
             )
             for i, tile in enumerate(tiles, start=part.start):
@@ -895,7 +882,6 @@ def decode_records(
                     [record.shape for record in stack],
                     dtype.str,
                     codec,
-                    [ref_tile(record) for record in stack],
                     [record.params for record in stack],
                 )
             )
@@ -939,15 +925,13 @@ def _compress_tile_task(item, inp, out):
     worker's own rebuilt :class:`~repro.compressor.sz.SZCompressor`
     encodes the stack — and the caller's codec object on the
     serial/thread backends, where no pickling happens.  Returns
-    ``(encodes, times)``: per tile ``(params, sections, surfaced,
-    measures)`` from the codec's ``encode_stack``, and the
-    :func:`repro.obs.record` it ran in — its own on every backend,
-    which the tile loop adds to the caller's once.  Given an output
-    region, each tile's reconstruction is written at its offset of it
-    (where :func:`decode_tile_task` would put the decode), and
-    ``surfaced`` says whether the codec had one to write.  A stack that
-    raises is encoded again one tile at a time, so the error is the
-    first bad tile's own.
+    ``(encodes, times)``: per tile ``(params, sections, measures)`` from
+    the codec's ``encode_stack``, and the :func:`repro.obs.record` it
+    ran in — its own on every backend, which the tile loop adds to the
+    caller's once.  Given an output region, each tile's reconstruction
+    is written at its offset of it (where :func:`decode_tile_task`
+    would put the decode).  A stack that raises is encoded again one
+    tile at a time, so the error is the first bad tile's own.
     """
     offsets, shape, dtype_str, config, codec = item
     dtype = np.dtype(dtype_str)
@@ -963,27 +947,24 @@ def _compress_tile_task(item, inp, out):
                 codec.encode_stack([tile], config, out is not None)[0]
                 for tile in tiles
             ]
-    for offset, (_, _, reconstruction, _) in zip(offsets, encodes):
-        if reconstruction is not None:
+    if out is not None:
+        for offset, (_, _, reconstruction, _) in zip(offsets, encodes):
             _slot(out, offset, shape, dtype)[...] = reconstruction
-    return [(p, s, r is not None, m) for p, s, r, m in encodes], times
+    return [(p, s, m) for p, s, _, m in encodes], times
 
 
 def decode_tile_task(item, inp, out):
     """Executor task: :func:`decode_tiles` into the shared output buffer.
 
     ``item`` is ``(payloads, offsets, shapes, dtype_str, codec,
-    ref_tiles, params)``, one entry per tile of the stack but the
-    codec — ``None`` for the worker's stock one — and the dtype; a
-    reference tile is ``None`` for a spatial tile.  The decoded samples
+    params)``, one entry per tile of the stack but the codec — ``None``
+    for the worker's stock one — and the dtype.  The decoded samples
     of each tile are written at its ``offset`` of the preallocated
     output region, so nothing array-sized is pickled back.
     """
-    payloads, offsets, shapes, dtype_str, codec, ref_tiles, params = item
+    payloads, offsets, shapes, dtype_str, codec, params = item
     dtype = np.dtype(dtype_str)
-    tiles = decode_tiles(
-        payloads, shapes, dtype, codec, ref_tiles, params=params
-    )
+    tiles = decode_tiles(payloads, shapes, dtype, codec, params=params)
     for offset, shape, tile in zip(offsets, shapes, tiles):
         _slot(out, offset, shape, dtype)[...] = tile
     return None

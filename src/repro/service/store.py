@@ -37,8 +37,7 @@ the version is committed (file fsynced and renamed, manifest rewritten,
 still under the store lock), inserts the decoded tiles under the keys a
 read of that version computes: the read-after-write and the next delta
 put's reference are hits.  A put whose snapshot is larger than the
-whole cache budget, or whose codec cannot surface a reconstruction,
-seeds nothing and reads decode as before.
+whole cache budget seeds nothing, and reads decode as before.
 
 Everything is thread-safe: the manifest and reader table are guarded
 by an RLock, long-lived :class:`TiledReader` instances serialize their
@@ -67,7 +66,7 @@ from repro.compressor import (
 from repro.compressor.container import TiledReader, TileRecord
 from repro.compressor.executor import get_executor
 from repro.compressor.inspect import describe_container
-from repro.compressor.tiled import decode_records
+from repro.compressor.tiled import combine, decode_records
 from repro.compressor.tiled_geometry import (
     copy_overlap,
     extent_slices,
@@ -879,7 +878,7 @@ class ArrayStore:
                     name, generation, version - 1, parents, dtype
                 )
                 for i, (reference, _) in zip(temporal, references):
-                    tiles[i] = TemporalCompressor.combine(tiles[i], reference)
+                    tiles[i] = combine(tiles[i], reference)
             return tiles
         except Exception as exc:
             if len(records) > 1:

@@ -256,6 +256,32 @@ class TestProcessTransport:
         assert all(n <= size + 4096 for n, size in zip(pickled, stacks))
         assert max(payloads) + 4096 < data.nbytes // 4  # under one raw tile
 
+    def test_a_delta_decode_ships_no_reference_tile(self, monkeypatch):
+        """A temporal residual meets its reference tile in the reader,
+        after the decode: a decode item holds payloads, not samples."""
+        first = smooth_field((256, 256)).astype(np.float64)
+        second = first + 1e-3 * smooth_field((256, 256))
+        config = CompressionConfig(error_bound=1e-3, tile_shape=(128, 128))
+        delta = TemporalCompressor().compress_snapshot(
+            second, config, reference=first
+        )
+        assert delta.stats.temporal_tiles == 4
+        pickled = []
+        run_batch = ProcessExecutor.run_batch
+
+        def counting(self, fn, items, input=None, output=None):
+            pickled.extend(len(pickle.dumps(item)) for item in items)
+            return run_batch(self, fn, items, input=input, output=output)
+
+        monkeypatch.setattr(ProcessExecutor, "run_batch", counting)
+        tc = TiledCompressor(workers=2, backend="process")
+        decoded = tc.decompress(delta.blob, reference=first)
+        assert decoded.tobytes() == TiledCompressor().decompress(
+            delta.blob, reference=first
+        ).tobytes()
+        assert len(pickled) == 2
+        assert max(pickled) <= len(delta.blob) + 4096 < first.nbytes // 4
+
 
 def _echo_task(item, inp, out):
     return item

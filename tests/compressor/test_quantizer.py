@@ -1,58 +1,86 @@
-"""Unit + property tests for the linear-scaling quantizer."""
+"""The one linear quantizer of the interpolation and regression
+predictors: unit + property tests, and a sha256 pin over the stage
+sections of tiles whose points escape it."""
+
+import hashlib
+import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compressor.quantizer import LinearQuantizer
+from repro.compressor import CompressionConfig, SZCompressor
+from repro.compressor.quantizer import Dequantizer, Quantizer
 
 
-class TestConstruction:
-    def test_bin_width(self):
-        assert LinearQuantizer(0.5).bin_width == 1.0
-
-    def test_nonpositive_bound_raises(self):
-        with pytest.raises(ValueError):
-            LinearQuantizer(0.0)
-
-    def test_small_radius_raises(self):
-        with pytest.raises(ValueError):
-            LinearQuantizer(1.0, radius=1)
+def quantize(true, pred, eb, radius=32768):
+    """``(values, codes, positions, outlier values)`` of one stretch."""
+    quantizer = Quantizer(eb, radius)
+    values = quantizer.quantize(np.asarray(true), np.asarray(pred))
+    return (values, *quantizer.streams())
 
 
 class TestQuantize:
-    def test_zero_error_gets_zero_code(self):
-        q = LinearQuantizer(0.1)
-        block = q.quantize(np.zeros(4), np.zeros(4))
-        np.testing.assert_array_equal(block.codes, 0)
-        assert block.n_outliers == 0
-
-    def test_error_within_bound_after_dequant(self):
-        q = LinearQuantizer(0.05)
-        errors = np.linspace(-3, 3, 101)
-        block = q.quantize(errors, errors)
-        recon = q.dequantize(block.codes)
-        ok = ~block.outlier_mask
-        assert np.all(np.abs(errors[ok] - recon[ok]) <= 0.05 + 1e-12)
-
-    def test_overflow_marks_outlier(self):
-        q = LinearQuantizer(0.01, radius=4)
-        errors = np.array([0.0, 1.0])  # 1.0/0.02 = 50 bins > radius
-        block = q.quantize(errors, np.array([5.0, 6.0]))
-        assert block.n_outliers == 1
-        assert block.outlier_values[0] == 6.0
-        assert block.codes[1] == 0
-
-    def test_shape_mismatch_raises(self):
-        q = LinearQuantizer(0.1)
+    def test_nonpositive_bound_raises(self):
         with pytest.raises(ValueError):
-            q.quantize(np.zeros(3), np.zeros(4))
+            Quantizer(0.0, 8)
 
-    def test_codes_for_errors_no_clipping(self):
-        q = LinearQuantizer(0.5)
-        codes = q.codes_for_errors(np.array([0.0, 1.0, -2.0, 0.4]))
-        np.testing.assert_array_equal(codes, [0, 1, -2, 0])
+    def test_no_stretch_gives_empty_streams(self):
+        codes, positions, values = Quantizer(0.1, 8).streams()
+        assert (codes.dtype, positions.dtype, values.dtype) == (
+            np.int64,
+            np.int64,
+            np.float64,
+        )
+        assert codes.size == positions.size == values.size == 0
+
+    def test_positions_count_through_every_stretch(self):
+        quantizer = Quantizer(0.5, 2)
+        quantizer.quantize(np.zeros((2, 3)), np.zeros((2, 3)))
+        quantizer.quantize(np.array([[0.0, 9.0]]), np.zeros((1, 2)))
+        codes, positions, values = quantizer.streams()
+        assert codes.size == 8
+        np.testing.assert_array_equal(positions, [7])
+        np.testing.assert_array_equal(values, [9.0])
+
+    def test_codes_round_to_the_nearest_bin(self):
+        # bins of width 2 centred at even errors
+        errors = np.array([0.9, 1.1, 2.9, 3.1, -0.9, -1.1])
+        _, codes, positions, _ = quantize(errors, np.zeros(6), 1.0)
+        np.testing.assert_array_equal(codes, [0, 1, 1, 2, 0, -1])
+        assert codes.dtype == np.int64 and positions.size == 0
+
+    def test_overflow_is_an_outlier(self):
+        true, pred = np.array([5.0, 6.0]), np.array([5.0, 5.0])
+        # 1.0 / 0.02 = 50 bins > radius 4
+        values, codes, positions, outliers = quantize(true, pred, 0.01, 4)
+        np.testing.assert_array_equal(codes, [0, 0])
+        np.testing.assert_array_equal(positions, [1])
+        np.testing.assert_array_equal(outliers, [6.0])
+        np.testing.assert_array_equal(values, true)
+
+    def test_a_rounded_value_past_the_bound_is_an_outlier(self):
+        # the code is in range, but pred + code * 2eb rounds, at 1e7,
+        # to a float farther than eb from the true value
+        rng = np.random.default_rng(0)
+        true = 1e7 + 1e-6 * rng.standard_normal(256)
+        pred = np.full(256, 1e7)
+        values, codes, positions, outliers = quantize(true, pred, 1e-9, 1 << 30)
+        assert 0 < positions.size < true.size
+        assert np.all(codes[positions] == 0)
+        np.testing.assert_array_equal(outliers, true[positions])
+        assert np.all(np.abs(values - true) <= 1e-9)
+
+    def test_negative_zero_is_cleared_from_codes(self):
+        # rint(-0.4) is -0.0; a decoder multiplies the integer 0
+        true, pred = np.array([-0.0, -0.4]), np.array([-0.0, -0.0])
+        values, codes, _, _ = quantize(true, pred, 0.5)
+        np.testing.assert_array_equal(codes, [0, 0])
+        assert not np.any(np.signbit(values))
+        decoded = Dequantizer(codes, [], [], 0.5).dequantize(pred)
+        assert decoded.tobytes() == values.tobytes()
 
     @given(
         st.floats(1e-6, 1e3),
@@ -61,20 +89,114 @@ class TestQuantize:
             min_size=1,
             max_size=200,
         ),
+        st.integers(2, 1 << 20),
     )
-    @settings(max_examples=100)
-    def test_bound_invariant(self, eb, raw_errors):
-        q = LinearQuantizer(eb)
-        errors = np.array(raw_errors)
-        block = q.quantize(errors, errors)
-        recon = q.dequantize(block.codes)
-        ok = ~block.outlier_mask
-        assert np.all(
-            np.abs(errors[ok] - recon[ok]) <= eb * (1 + 1e-9)
-        )
+    @settings(max_examples=100, deadline=None)
+    def test_bound_invariant(self, eb, raw, radius):
+        true = np.array(raw)
+        pred = np.roll(true, 1)
+        values, codes, positions, _ = quantize(true, pred, eb, radius)
+        assert np.all(np.abs(values - true) <= eb)
+        assert np.all(np.abs(codes) <= radius)
+        assert np.all(np.diff(positions) > 0)
 
-    def test_bin_assignment_midpoints(self):
-        q = LinearQuantizer(1.0)  # bins of width 2 centred at even ints
-        errors = np.array([0.9, 1.1, 2.9, 3.1, -0.9, -1.1])
-        codes = q.codes_for_errors(errors)
-        np.testing.assert_array_equal(codes, [0, 1, 1, 2, 0, -1])
+
+class TestDequantize:
+    def test_inverts_stretches_in_traversal_order(self):
+        rng = np.random.default_rng(1)
+        stretches = [
+            (rng.standard_normal(shape), rng.standard_normal(shape))
+            for shape in [(5, 4), (7,), (3, 2, 2)]
+        ]
+        quantizer = Quantizer(1e-2, 16)
+        encoded = [quantizer.quantize(true, pred) for true, pred in stretches]
+        codes, positions, values = quantizer.streams()
+        assert positions.size  # the radius makes outliers in every stretch
+        dequantizer = Dequantizer(codes, positions, values, 1e-2)
+        for (_, pred), want in zip(stretches, encoded):
+            assert dequantizer.dequantize(pred).tobytes() == want.tobytes()
+
+    def test_outlier_positions_in_any_order(self):
+        true = np.array([0.0, 9.0, 0.1, -7.0, 0.0, 5.0])
+        pred = np.zeros(6)
+        values, codes, positions, outliers = quantize(true, pred, 0.05, 1)
+        order = np.random.default_rng(2).permutation(positions.size)
+        shuffled = Dequantizer(codes, positions[order], outliers[order], 0.05)
+        first = shuffled.dequantize(pred[:3])
+        second = shuffled.dequantize(pred[3:])
+        np.testing.assert_array_equal(np.concatenate([first, second]), values)
+
+
+#: shapes of 1-D to 4-D, none a multiple of the regression block (6)
+SHAPES = [(53,), (23, 17), (13, 11, 9), (7, 8, 9, 5)]
+
+
+def _outlier_field(cause, shape, seed):
+    """A field and config whose points escape the quantizer by *cause*:
+    past a small radius, or past the bound once rounded at 1e7."""
+    walk = np.cumsum(np.random.default_rng(seed).standard_normal(shape), axis=-1)
+    if cause == "overflow":
+        return 0.01 * walk, CompressionConfig(error_bound=1e-3, quant_radius=4)
+    config = CompressionConfig(error_bound=1e-9, quant_radius=1 << 30)
+    return 1e7 + 1e-6 * walk, config
+
+
+#: sha256 over the five stage sections (each length-prefixed) of every
+#: interpolation and regression case below, encoded without and with
+#: the reconstruction, and over that reconstruction's bytes; taken
+#: before the predictors shared one quantizer
+OUTLIER_SECTIONS_SHA256 = (
+    "20572de0becfe2f4653d93599dd126cc9f87f2fcc45ddc62d1b59028cfd07cc8"
+)
+
+
+def test_outlier_sections_are_pinned():
+    digest = hashlib.sha256()
+    codec = SZCompressor()
+    cases = itertools.product(
+        ["interpolation", "regression"], ["overflow", "violation"], SHAPES
+    )
+    for seed, (predictor, cause, shape) in enumerate(cases):
+        data, config = _outlier_field(cause, shape, seed)
+        config = replace(config, predictor=predictor)
+        for reconstruct in (False, True):
+            _, sections, recon, measures = codec.encode_stages(
+                data, config, reconstruct
+            )
+            assert measures["n_outliers"] > 0, (predictor, cause, shape)
+            for section in sections:
+                digest.update(len(section).to_bytes(8, "little"))
+                digest.update(section)
+            if reconstruct:
+                digest.update(recon.tobytes())
+    assert digest.hexdigest() == OUTLIER_SECTIONS_SHA256
+
+
+@pytest.mark.parametrize("predictor", ["interpolation", "regression"])
+def test_the_predictor_quantizes_through_it(monkeypatch, predictor):
+    """Every code a predictor writes is one the quantizer made, and
+    every value it decodes one the dequantizer returned."""
+    from repro.compressor.predictors import make_predictor
+
+    seen = {"quantized": 0, "dequantized": 0}
+
+    def spy(name, real):
+        def counted(self, *args):
+            value = real(self, *args)
+            seen[name] += value.size
+            return value
+
+        return counted
+
+    monkeypatch.setattr(
+        Quantizer, "quantize", spy("quantized", Quantizer.quantize)
+    )
+    monkeypatch.setattr(
+        Dequantizer, "dequantize", spy("dequantized", Dequantizer.dequantize)
+    )
+    pred = make_predictor(predictor)
+    data, _ = _outlier_field("overflow", (23, 17), 0)
+    output = pred.decompose(data, 1e-3, 4)
+    pred.reconstruct(output, data.shape, 1e-3)
+    n = output.codes.size
+    assert seen == {"quantized": n, "dequantized": n}

@@ -16,7 +16,6 @@ import pytest
 from repro.compressor import (
     CompressionConfig,
     ErrorBoundMode,
-    SZCompressor,
     TemporalCompressor,
     TiledCompressor,
 )
@@ -179,27 +178,3 @@ def test_delta_reconstruction_equals_decode(predictor, dtype):
         snapshot_index=1,
     )
     assert plain.blob == delta.blob and plain.reconstruction is None
-
-
-def test_a_stage_that_cannot_surface_leaves_none():
-    """The skip is by what the codec returns, never by a switch."""
-    from repro.compressor.stages import PredictorStage
-
-    class Opaque(PredictorStage):
-        def decompose(self, work, config, abs_eb, reconstruct=False):
-            return super().decompose(work, config, abs_eb)
-
-    rng = np.random.default_rng(2)
-    data = _field("smooth", (32, 24), rng)
-    codec = SZCompressor(prediction=Opaque())
-    config = CompressionConfig(error_bound=1e-3, tile_shape=(16, 12))
-    assert codec.encode_stages(data, config, reconstruct=True)[2] is None
-    tiled = TiledCompressor(codec=codec).compress(
-        data, config, reconstruct=True
-    )
-    assert tiled.reconstruction is None
-    delta = TemporalCompressor(codec=codec).compress_snapshot(
-        data + 0.01, config, reference=data, reconstruct=True
-    )
-    assert delta.reconstruction is None
-    assert not delta.keyframe

@@ -26,7 +26,7 @@ from repro.compressor.encoders.huffman import (
     _canonical_codes,
 )
 from repro.compressor.executor import BACKENDS
-from repro.compressor.tiled import decode_tile, decode_tiles
+from repro.compressor.tiled import combine, decode_tile, decode_tiles
 from repro.compressor.tiled_geometry import extent_slices, normalize_region
 
 #: what a route may raise and still have reached a verdict
@@ -256,26 +256,22 @@ def _by_tile(blob, region, reference, stacked) -> np.ndarray:
             raise ValueError(f"reference shape {reference.shape} != {shape}")
         records = _touched(reader, region)
         payloads = [reader.read_tile(record) for record in records]
-    refs = [
-        np.ascontiguousarray(reference[extent_slices(r.start, r.stop)])
-        if r.temporal
-        else None
-        for r in records
-    ]
     shapes = [record.shape for record in records]
     params = [record.params for record in records]
     if stacked:
-        tiles = decode_tiles(
-            payloads, shapes, dtype, ref_tiles=refs, params=params
-        )
+        tiles = decode_tiles(payloads, shapes, dtype, params=params)
     else:
         tiles = [
-            decode_tile(payload, shape, dtype, ref_tile=ref, params=p)
-            for payload, shape, ref, p in zip(payloads, shapes, refs, params)
+            decode_tile(payload, shape, dtype, params=p)
+            for payload, shape, p in zip(payloads, shapes, params)
         ]
     out = np.zeros(shape, dtype=dtype)
     for record, tile in zip(records, tiles):
-        out[extent_slices(record.start, record.stop)] = tile
+        extent = extent_slices(record.start, record.stop)
+        # a temporal tile decodes to its residual
+        if record.temporal:
+            tile = combine(tile, reference[extent])
+        out[extent] = tile
     return out[region]
 
 

@@ -160,26 +160,6 @@ class TestWriteThroughIsSkippedByWhatItSees:
                     == cold.read_full("wave").tobytes()
                 )
 
-    def test_a_codec_that_surfaces_nothing_seeds_nothing(
-        self, store, monkeypatch
-    ):
-        from repro.compressor.stages import PredictorStage
-
-        original = PredictorStage.decompose
-
-        def opaque(self, work, config, abs_eb, reconstruct=False):
-            return original(self, work, config, abs_eb)
-
-        monkeypatch.setattr(PredictorStage, "decompose", opaque)
-        snaps = _snaps(2)
-        for snap in snaps:
-            store.put_snapshot("wave", snap, _config())
-        # the delta put decoded its reference into the cache; nothing
-        # of the version it wrote is there
-        assert {key[2] for key in store.cache.keys()} == {0}
-        assert store.read_region("wave", WINDOW).cache_misses == 6
-        assert_error_bounded(snaps[1], store.read_full("wave"), EB)
-
 
 class TestSeedsFollowCommits:
     def test_overwrite_and_recreate_never_serve_the_old_generation(
