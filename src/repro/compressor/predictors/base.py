@@ -4,8 +4,10 @@ A predictor turns an array into (a) a stream of integer quantization
 codes, (b) an outlier stream for unpredictable points, and (c) an
 optional side payload (anchors, regression coefficients).  The inverse
 direction reconstructs the array from those pieces while honouring the
-error bound.  Quantizing is what gives the encoder the decoder's
-values, so every predictor can hand them back with its output.
+error bound.  A predictor encodes a stack of same-shaped arrays in one
+pass (:meth:`Predictor.decompose_stack`), one array as a stack of one.
+Quantizing is what gives the encoder the decoder's values, so every
+predictor can hand them back with its output.
 Interpolation and regression quantize through
 :mod:`repro.compressor.quantizer`; Lorenzo rounds onto its own lattice.
 
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -48,7 +51,7 @@ class PredictorOutput:
     reconstruction:
         What :meth:`Predictor.reconstruct` will return for this output
         (``float64``, input shape), when the caller asked
-        :meth:`Predictor.decompose` for it; ``None`` otherwise.  The
+        :meth:`Predictor.decompose_stack` for it; ``None`` otherwise.  The
         predict-quantize loop already holds these values, so surfacing
         them saves the consumer a decode.
     """
@@ -80,7 +83,6 @@ class Predictor(abc.ABC):
     #: name used in configs and blob headers
     name: str = "abstract"
 
-    @abc.abstractmethod
     def decompose(
         self,
         data: np.ndarray,
@@ -88,11 +90,23 @@ class Predictor(abc.ABC):
         radius: int,
         reconstruct: bool = False,
     ) -> PredictorOutput:
-        """Quantize *data* under an absolute *error_bound*.
+        """The one-array case of :meth:`decompose_stack`."""
+        return self.decompose_stack(
+            np.asarray(data)[None], [error_bound], radius, reconstruct
+        )[0]
 
-        With ``reconstruct`` the output also carries the decoder's
-        reconstruction (``PredictorOutput.reconstruction``).
-        """
+    @abc.abstractmethod
+    def decompose_stack(
+        self,
+        stack: np.ndarray,
+        error_bounds: Sequence[float],
+        radius: int,
+        reconstruct: bool = False,
+    ) -> list[PredictorOutput]:
+        """Quantize member *i* of the ``(n, *shape)`` *stack* under the
+        absolute bound ``error_bounds[i]``, as a stack of it alone would;
+        with ``reconstruct`` each output also carries the decoder's
+        reconstruction (``PredictorOutput.reconstruction``)."""
 
     @abc.abstractmethod
     def reconstruct(
@@ -101,7 +115,7 @@ class Predictor(abc.ABC):
         shape: tuple[int, ...],
         error_bound: float,
     ) -> np.ndarray:
-        """Invert :meth:`decompose` (returns ``float64``)."""
+        """Invert an output of :meth:`decompose_stack` (``float64``)."""
 
     @abc.abstractmethod
     def prediction_errors(self, data: np.ndarray) -> np.ndarray:

@@ -10,13 +10,15 @@ quantizes the prediction error, and reconstructs — so later sweeps and
 levels predict from reconstructed values, exactly like SZ3.
 
 Every sweep is a pure slicing operation, so compression and decompression
-are vectorized; the code/outlier streams follow the deterministic
-traversal order (level, axis, C-order within the sweep block).
+are vectorized — compression over a whole stack of same-shaped arrays,
+whose leading member axis every sweep index takes whole; the
+code/outlier streams follow the deterministic traversal order (level,
+axis, C-order within the sweep block).
 """
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -77,16 +79,21 @@ class _Sweep(NamedTuple):
 
     def predict(self, values: np.ndarray) -> np.ndarray:
         """Linear interpolation of the sweep's points along its axis,
-        from *values* (the left neighbour alone at the far edge)."""
+        from *values* (the left neighbour alone at the far edge), of
+        every member when *values* is a stack."""
+        ndim = len(self.vectors)
+        # a stack's member axis is taken whole; one array (decode,
+        # sampling) is indexed with no prefix, which NumPy does faster
+        lead = (slice(None),) * (values.ndim - ndim)
         axis, targets, half = self.axis, self.targets, self.half
         left_vec = list(self.vectors)
         right_vec = list(self.vectors)
         left_vec[axis] = targets - half
-        right_ok = targets + half < values.shape[axis]
+        right_ok = targets + half < values.shape[axis - ndim]
         right_vec[axis] = np.where(right_ok, targets + half, targets - half)
-        left = values[_open_mesh(left_vec)]
-        right = values[_open_mesh(right_vec)]
-        weight_shape = [1] * values.ndim
+        left = values[lead + _open_mesh(left_vec)]
+        right = values[lead + _open_mesh(right_vec)]
+        weight_shape = [1] * ndim
         weight_shape[axis] = targets.size
         ok = right_ok.reshape(weight_shape)
         return np.where(ok, 0.5 * (left + right), left)
@@ -125,35 +132,36 @@ class InterpolationPredictor(Predictor):
 
     # -- compression ---------------------------------------------------------
 
-    def decompose(
+    def decompose_stack(
         self,
-        data: np.ndarray,
-        error_bound: float,
+        stack: np.ndarray,
+        error_bounds: Sequence[float],
         radius: int,
         reconstruct: bool = False,
-    ) -> PredictorOutput:
-        data = self._validate(data)
-        quantizer = Quantizer(error_bound, radius)
-        levels = self._levels(data.shape)
-        stride0 = 1 << levels
+    ) -> list[PredictorOutput]:
+        """Every sweep of every member at once: one stretch of the
+        quantizer per sweep."""
+        stack = self._validate(stack, stacked=True)
+        quantizer = Quantizer(error_bounds, radius)
+        shape = stack.shape[1:]
+        levels = self._levels(shape)
+        anchor_slices = (..., *(slice(None, None, 1 << levels) for _ in shape))
 
-        recon = np.zeros_like(data)
-        anchor_slices = tuple(slice(None, None, stride0) for _ in data.shape)
-        anchors = data[anchor_slices].copy()
+        recon = np.zeros_like(stack)
+        anchors = stack[anchor_slices].copy()
         recon[anchor_slices] = anchors
-        for sweep in self._sweeps(data.shape, levels):
-            grid = _open_mesh(sweep.vectors)
-            recon[grid] = quantizer.quantize(data[grid], sweep.predict(recon))
-
-        codes, positions, values = quantizer.streams()
-        return PredictorOutput(
-            codes=codes,
-            outlier_positions=positions,
-            outlier_values=values,
-            side_payload=anchors.astype(np.float64).tobytes(),
-            meta={"levels": levels, "anchor_shape": list(anchors.shape)},
-            reconstruction=recon if reconstruct else None,
-        )
+        for sweep in self._sweeps(shape, levels):
+            grid = (..., *_open_mesh(sweep.vectors))
+            recon[grid] = quantizer.quantize(stack[grid], sweep.predict(recon))
+        return [  # each member's streams, side payload, meta, values
+            PredictorOutput(
+                *streams,
+                anchors[i].tobytes(),
+                {"levels": levels, "anchor_shape": [*anchors.shape[1:]]},
+                recon[i] if reconstruct else None,
+            )
+            for i, streams in enumerate(quantizer.streams())
+        ]
 
     # -- decompression ---------------------------------------------------------
 
@@ -189,13 +197,8 @@ class InterpolationPredictor(Predictor):
 
     def prediction_errors(self, data: np.ndarray) -> np.ndarray:
         """Errors of every sweep, predicting from *original* values."""
-        data = self._validate(data)
-        blocks = [
-            err for _, _, err in self.level_errors(data)
-        ]
-        if not blocks:
-            return np.zeros(0, dtype=np.float64)
-        return np.concatenate([b.ravel() for b in blocks])
+        errors = [err.ravel() for _, _, err in self.level_errors(data)]
+        return np.concatenate([np.zeros(0), *errors])
 
     def level_errors(
         self, data: np.ndarray
@@ -225,16 +228,11 @@ class InterpolationPredictor(Predictor):
         ``2^-n`` geometric progression across levels), drawn uniformly at
         random within the level's sweep blocks.
         """
-        data = self._validate(data)
-        pieces: list[np.ndarray] = []
+        pieces = [np.zeros(0)]
         for _, _, err in self.level_errors(data):
             flat = err.ravel()
             n = max(1, int(round(flat.size * rate)))
-            if n >= flat.size:
-                pieces.append(flat)
-            else:
-                idx = rng.choice(flat.size, size=n, replace=False)
-                pieces.append(flat[idx])
-        if not pieces:
-            return np.zeros(0, dtype=np.float64)
+            if n < flat.size:
+                flat = flat[rng.choice(flat.size, size=n, replace=False)]
+            pieces.append(flat)
         return np.concatenate(pieces)

@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.compressor.predictors.base import Predictor, PredictorOutput
 
-__all__ = ["LorenzoPredictor", "ClassicLorenzoPredictor"]
+__all__ = ["LorenzoPredictor", "ClassicLorenzoPredictor", "stencil_errors"]
 
 #: points per in-place int64 -> float64 step of the inverse: its
 #: temporary copy stays well below a tile
@@ -86,6 +86,16 @@ def lorenzo_predicted(data: np.ndarray, order: int = 1) -> np.ndarray:
     return data - _forward_difference(data, order)
 
 
+def stencil_errors(signs: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Order-1 Lorenzo errors of the stencils *signs*, *values* that
+    :meth:`LorenzoPredictor.sample_stencils` returns: the signed sum of
+    the ``values[..., mask]`` columns, added in mask order."""
+    errors = values[..., 0].copy()
+    for mask in range(1, signs.size):
+        errors += signs[mask] * values[..., mask]
+    return errors
+
+
 class LorenzoPredictor(Predictor):
     """Vectorized dual-quantization Lorenzo predictor."""
 
@@ -96,18 +106,6 @@ class LorenzoPredictor(Predictor):
             raise ValueError("Lorenzo order must be 1 or 2")
         self.order = order
 
-    def decompose(
-        self,
-        data: np.ndarray,
-        error_bound: float,
-        radius: int,
-        reconstruct: bool = False,
-    ) -> PredictorOutput:
-        """The one-array case of :meth:`decompose_stack`."""
-        return self.decompose_stack(
-            np.asarray(data)[None], [error_bound], radius, reconstruct
-        )[0]
-
     def decompose_stack(
         self,
         stack: np.ndarray,
@@ -115,9 +113,9 @@ class LorenzoPredictor(Predictor):
         radius: int,
         reconstruct: bool = False,
     ) -> list[PredictorOutput]:
-        """:meth:`decompose` of each member of the ``(n, *shape)``
-        *stack* under its own bound, in one pass of the lattice and the
-        stencil over the stack."""
+        """Each member of the ``(n, *shape)`` *stack* under its own
+        bound, in one pass of the lattice and the stencil over the
+        stack."""
         stack = self._validate(stack, stacked=True)
         bounds = set(error_bounds)
         if min(bounds) <= 0:
@@ -305,37 +303,28 @@ class LorenzoPredictor(Predictor):
 
         Draw points uniformly at random and evaluate the Lorenzo stencil
         at each, touching only the sampled neighbourhoods instead of
-        materialising the full error array.
+        materialising the full error array (order 2 reads its points
+        from :meth:`prediction_errors`).
         """
         data = self._validate(data)
         n = data.size
         n_samples = max(1, min(n, int(round(n * rate))))
         flat_idx = rng.choice(n, size=n_samples, replace=False)
-        coords = np.unravel_index(flat_idx, data.shape)
-        errors = np.asarray(data[coords], dtype=np.float64).copy()
-        # Inclusion-exclusion over neighbour offsets: order-1 Lorenzo
-        # error = sum over non-empty offset subsets of (-1)^{|S|} x[p - S].
-        ndim = data.ndim
-        for mask in range(1, 1 << ndim):
-            sign = -1.0 if bin(mask).count("1") % 2 == 1 else 1.0
-            shifted = []
-            valid = np.ones(n_samples, dtype=bool)
-            for axis in range(ndim):
-                c = coords[axis]
-                if mask >> axis & 1:
-                    c = c - 1
-                    valid &= c >= 0
-                shifted.append(c)
-            clipped = tuple(np.maximum(c, 0) for c in shifted)
-            neighbour = np.where(valid, data[clipped], 0.0)
-            errors += sign * neighbour
         if self.order == 2:
-            # For order 2 fall back to exact stencil on a gathered window:
-            # cheap because the full-difference array is only needed at
-            # the sampled points.
-            full = self.prediction_errors(data)
-            errors = full.ravel()[flat_idx]
-        return errors
+            return self.prediction_errors(data).ravel()[flat_idx]
+        return stencil_errors(*self._gather_stencils(data[None], flat_idx))[0]
+
+
+def _classic_prediction(recon: np.ndarray, coords: tuple[int, ...]) -> float:
+    """Order-1 Lorenzo prediction of the point *coords* from the values
+    of *recon* before it (zero past the border), in mask order."""
+    pred = 0.0
+    for mask in range(1, 1 << recon.ndim):
+        sign = 1.0 if bin(mask).count("1") % 2 == 1 else -1.0
+        neighbour = tuple(c - (mask >> a & 1) for a, c in enumerate(coords))
+        if min(neighbour) >= 0:
+            pred += sign * recon[neighbour]
+    return pred
 
 
 class ClassicLorenzoPredictor(Predictor):
@@ -347,34 +336,32 @@ class ClassicLorenzoPredictor(Predictor):
 
     name = "lorenzo_classic"
 
-    def decompose(
+    def decompose_stack(
         self,
-        data: np.ndarray,
-        error_bound: float,
+        stack: np.ndarray,
+        error_bounds: Sequence[float],
         radius: int,
         reconstruct: bool = False,
+    ) -> list[PredictorOutput]:
+        """The reference routine, a member at a time."""
+        return [
+            self._decompose_member(member, bound, radius, reconstruct)
+            for member, bound in zip(
+                self._validate(stack, stacked=True), error_bounds
+            )
+        ]
+
+    @staticmethod
+    def _decompose_member(
+        data: np.ndarray, error_bound: float, radius: int, reconstruct: bool
     ) -> PredictorOutput:
-        data = self._validate(data)
         bin_width = 2.0 * error_bound
         recon = np.zeros_like(data)
         flat_codes = np.zeros(data.size, dtype=np.int64)
         outlier_positions: list[int] = []
         outlier_values: list[float] = []
-        ndim = data.ndim
         for flat, coords in enumerate(np.ndindex(*data.shape)):
-            pred = 0.0
-            for mask in range(1, 1 << ndim):
-                sign = 1.0 if bin(mask).count("1") % 2 == 1 else -1.0
-                neighbour = []
-                ok = True
-                for axis in range(ndim):
-                    c = coords[axis] - (mask >> axis & 1)
-                    if c < 0:
-                        ok = False
-                        break
-                    neighbour.append(c)
-                if ok:
-                    pred += sign * recon[tuple(neighbour)]
+            pred = _classic_prediction(recon, coords)
             err = data[coords] - pred
             code = int(round(err / bin_width))
             value = pred + code * bin_width
@@ -404,24 +391,11 @@ class ClassicLorenzoPredictor(Predictor):
         outliers = dict(
             zip(output.outlier_positions.tolist(), output.outlier_values)
         )
-        ndim = len(shape)
         for flat, coords in enumerate(np.ndindex(*shape)):
             if flat in outliers:
                 recon[coords] = outliers[flat]
                 continue
-            pred = 0.0
-            for mask in range(1, 1 << ndim):
-                sign = 1.0 if bin(mask).count("1") % 2 == 1 else -1.0
-                neighbour = []
-                ok = True
-                for axis in range(ndim):
-                    c = coords[axis] - (mask >> axis & 1)
-                    if c < 0:
-                        ok = False
-                        break
-                    neighbour.append(c)
-                if ok:
-                    pred += sign * recon[tuple(neighbour)]
+            pred = _classic_prediction(recon, coords)
             recon[coords] = pred + output.codes[flat] * bin_width
         return recon
 

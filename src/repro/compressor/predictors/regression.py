@@ -19,6 +19,7 @@ so fitting all blocks is a handful of einsum reductions.
 from __future__ import annotations
 
 import itertools
+from typing import Sequence
 
 import numpy as np
 
@@ -155,39 +156,44 @@ class RegressionPredictor(Predictor):
 
     # -- compression -------------------------------------------------------------
 
-    def decompose(
+    def decompose_stack(
         self,
-        data: np.ndarray,
-        error_bound: float,
+        stack: np.ndarray,
+        error_bounds: Sequence[float],
         radius: int,
         reconstruct: bool = False,
-    ) -> PredictorOutput:
-        data = self._validate(data)
-        quantizer = Quantizer(error_bound, radius)
-        recon = np.empty_like(data) if reconstruct else None
+    ) -> list[PredictorOutput]:
+        """Every member's blocks of one group at once: the member axis
+        is one more block axis, of blocks of one."""
+        stack = self._validate(stack, stacked=True)
+        quantizer = Quantizer(error_bounds, radius)
+        n = len(stack)
+        recon = np.empty_like(stack) if reconstruct else None
 
         coeff_chunks: list[np.ndarray] = []
-        for slices, block_shape in self._iter_groups(data.shape):
-            region = data[slices]
-            blocks = self._to_blocks(region, block_shape)
+        for slices, block_shape in self._iter_groups(stack.shape[1:]):
+            region = stack[(slice(None), *slices)]
+            blocks = self._to_blocks(region, (1,) + block_shape)[:, 0]
             coeffs, preds = self._fit_block_group(blocks)
-            coeff_chunks.append(coeffs.ravel())
-            value = quantizer.quantize(blocks, preds)
+            coeff_chunks.append(coeffs.reshape(n, -1))
+            value = quantizer.quantize(
+                blocks.reshape(n, -1), preds.reshape(n, -1)
+            )
             if recon is not None:
-                recon[slices] = self._from_blocks(
-                    value, region.shape, block_shape
+                recon[(slice(None), *slices)] = self._from_blocks(
+                    value, region.shape, (1,) + block_shape
                 )
 
-        codes, positions, values = quantizer.streams()
-        coeff_payload = np.concatenate(coeff_chunks).astype(np.float32)
-        return PredictorOutput(
-            codes=codes,
-            outlier_positions=positions,
-            outlier_values=values,
-            side_payload=coeff_payload.tobytes(),
-            meta={"block": self.block},
-            reconstruction=recon,
-        )
+        coeff_payload = np.concatenate(coeff_chunks, axis=1)
+        return [  # each member's streams, side payload, meta, values
+            PredictorOutput(
+                *streams,
+                coeff_payload[i].tobytes(),
+                {"block": self.block},
+                None if recon is None else recon[i],
+            )
+            for i, streams in enumerate(quantizer.streams())
+        ]
 
     # -- decompression -------------------------------------------------------------
 

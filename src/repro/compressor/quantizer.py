@@ -14,73 +14,81 @@ outlier stream, exactly as SZ does.
 This is the one quantizer of the interpolation and regression
 predictors, which own only their traversal: they hand it one stretch
 (a sweep, a group of blocks) of ``(true, pred)`` at a time, in
-traversal order.  :class:`Quantizer` returns each stretch's
-reconstruction and gathers the code and outlier streams;
-:class:`Dequantizer` walks the same stretches back.  Lorenzo's
-dual-quantization lattice (:mod:`repro.compressor.predictors.lorenzo`)
-quantizes values, not errors, and is its own.
+traversal order, of every member of a stack (a leading axis, a bound
+per member).  :class:`Quantizer` returns each stretch's reconstruction
+and gathers each member's code and outlier streams; :class:`Dequantizer`
+walks one member's stretches back.  Lorenzo's dual-quantization lattice
+(:mod:`repro.compressor.predictors.lorenzo`) quantizes values, not
+errors, and is its own.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 import numpy as np
 
 __all__ = ["Quantizer", "Dequantizer"]
 
 
-def _join(pieces: list[np.ndarray], dtype) -> np.ndarray:
-    return np.concatenate(pieces) if pieces else np.zeros(0, dtype=dtype)
-
-
 class Quantizer:
-    """The encoder's side: quantize stretches, gather their streams."""
+    """The encoder's side: quantize stretches of a stack, gather each
+    member's streams."""
 
-    def __init__(self, error_bound: float, radius: int) -> None:
-        if error_bound <= 0:
+    def __init__(self, error_bounds: Sequence[float], radius: int) -> None:
+        bounds = np.asarray(error_bounds, dtype=np.float64)
+        if not np.all(bounds > 0):
             raise ValueError("error_bound must be positive")
-        self.error_bound = error_bound
         self.radius = radius
-        self._bin_width = 2.0 * error_bound
-        self._codes: list[np.ndarray] = []
-        self._positions: list[np.ndarray] = []
-        self._values: list[np.ndarray] = []
+        self._bounds = bounds
+        # codes, and (member, position, value) of outliers, per stretch
+        self._codes = [np.zeros((bounds.size, 0), dtype=np.int64)]
+        self._outliers = [(np.zeros(0, np.int64),) * 2 + (np.zeros(0),)]
         self._offset = 0
 
     def quantize(self, true: np.ndarray, pred: np.ndarray) -> np.ndarray:
-        """The decoder's values of the stretch *true* predicted as *pred*.
+        """The decoder's values of the stretch *true* predicted as *pred*,
+        both ``(n, *stretch)`` — member *i* under bound *i*.
 
-        Its codes (C order) are appended to the code stream, and its
-        unpredictable points to the outlier stream, by their positions
-        in the code stream.
+        Each member's codes (C order) are appended to its code stream,
+        and its unpredictable points to its outlier stream, by their
+        positions in its code stream.
         """
+        eb = self._bounds.reshape((-1,) + (1,) * (true.ndim - 1))
+        bin_width = 2.0 * eb
         # + 0.0 clears -0.0: the decoder multiplies integer codes, and
         # the values returned must be exactly what it computes
-        codes = np.rint((true - pred) / self._bin_width) + 0.0
-        value = pred + codes * self._bin_width
-        bad = (np.abs(codes) > self.radius) | (
-            np.abs(true - value) > self.error_bound
-        )
-        flat = np.where(bad, 0.0, codes).astype(np.int64).ravel()
+        codes = np.rint((true - pred) / bin_width) + 0.0
+        value = pred + codes * bin_width
+        bad = (np.abs(codes) > self.radius) | (np.abs(true - value) > eb)
+        n = len(true)
+        flat = np.where(bad, 0.0, codes).astype(np.int64).reshape(n, -1)
         self._codes.append(flat)
-        bad_flat = np.flatnonzero(bad.ravel())
-        if bad_flat.size:
-            self._positions.append(bad_flat + self._offset)
-            self._values.append(true.ravel()[bad_flat])
-        self._offset += flat.size
+        member, point = np.nonzero(bad.reshape(n, -1))
+        self._outliers.append(
+            (member, point + self._offset, true.reshape(n, -1)[member, point])
+        )
+        self._offset += flat.shape[1]
         return np.where(bad, true, value)
 
-    def streams(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(codes, outlier_positions, outlier_values)`` so far."""
-        return (
-            _join(self._codes, np.int64),
-            _join(self._positions, np.int64),
-            _join(self._values, np.float64),
-        )
+    def streams(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Each member's ``(codes, outlier_positions, outlier_values)``
+        so far, in its own traversal order."""
+        codes = np.concatenate(self._codes, axis=1)
+        member, positions, values = map(np.concatenate, zip(*self._outliers))
+        # stable: a member's outliers stay in stretch order
+        order = np.argsort(member, kind="stable")
+        positions, values = positions[order], values[order]
+        cuts = member[order].searchsorted(np.arange(len(codes) + 1)).tolist()
+        return [
+            (codes[i], positions[lo:hi], values[lo:hi])
+            for i, (lo, hi) in enumerate(zip(cuts, cuts[1:]))
+        ]
 
 
 class Dequantizer:
-    """The decoder's side: the stretches of a :class:`Quantizer`'s
-    streams, in the order it quantized them."""
+    """The decoder's side: the stretches of one member's
+    :class:`Quantizer` streams, in the order it quantized them."""
 
     def __init__(
         self,

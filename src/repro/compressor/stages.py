@@ -4,8 +4,9 @@ The per-tile codec :class:`~repro.compressor.sz.SZCompressor` runs the
 value-domain transform (:func:`repro.compressor.transform.
 forward_transform`), then two stage objects:
 
-* :class:`PredictorStage` — turns the (transformed) array into integer
-  quantization codes plus outliers, and back: Lorenzo on its own
+* :class:`PredictorStage` — turns a stack of (transformed) arrays into
+  integer quantization codes plus outliers in one pass of the
+  configured predictor, and one array back: Lorenzo on its own
   dual-quantization lattice, interpolation and regression through the
   one linear quantizer of :mod:`repro.compressor.quantizer`;
 * :class:`HuffmanEntropyStage` — losslessly encodes the code stream as
@@ -44,12 +45,13 @@ class PredictorStage:
     """Dispatches to the configured predictor (Lorenzo/interp/regression).
 
     :meth:`decompose` predicts and quantizes a stack of same-shaped
-    arrays, each under its own absolute bound — Lorenzo in one pass
-    over the stack, the others an array at a time; with
-    ``reconstruct`` each output also carries what :meth:`reconstruct`
-    will return for it (``PredictorOutput.reconstruction``), which
-    every predictor holds once it has quantized.
-    :meth:`reconstruct` inverts one output (``float64``).
+    arrays, each under its own absolute bound, in one
+    :meth:`~repro.compressor.predictors.base.Predictor.decompose_stack`
+    pass whatever the predictor; with ``reconstruct`` each output also
+    carries what :meth:`reconstruct` will return for it
+    (``PredictorOutput.reconstruction``), which every predictor holds
+    once it has quantized.  :meth:`reconstruct` inverts one output
+    (``float64``).
     """
 
     @staticmethod
@@ -70,16 +72,9 @@ class PredictorStage:
     ) -> list[PredictorOutput]:
         """The outputs of the ``(n, *shape)`` stack *work*, member *i*
         under the absolute bound ``abs_eb[i]``."""
-        predictor = self.make_predictor(config)
-        if config.predictor == "lorenzo":
-            return predictor.decompose_stack(
-                work, abs_eb, config.quant_radius, reconstruct
-            )
-        radius = config.quant_radius
-        return [
-            predictor.decompose(member, bound, radius, reconstruct)
-            for member, bound in zip(work, abs_eb)
-        ]
+        return self.make_predictor(config).decompose_stack(
+            work, abs_eb, config.quant_radius, reconstruct
+        )
 
     def reconstruct(
         self,

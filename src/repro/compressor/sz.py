@@ -274,12 +274,17 @@ class SZCompressor:
             )
 
         out_dtype = np.int64 if header["outlier_kind"] == "codes" else np.float64
+        positions = np.frombuffer(pos_b, dtype=np.int64)
+        values = np.frombuffer(val_b, dtype=out_dtype)
+        # every writer files each outlier once, in code-stream order
+        if positions.size != values.size or positions.size and (
+            positions[0] < 0
+            or positions[-1] >= n_codes
+            or np.any(positions[1:] <= positions[:-1])
+        ):
+            raise container.ContainerFormatError("corrupt outlier positions")
         output = PredictorOutput(
-            codes=codes,
-            outlier_positions=np.frombuffer(pos_b, dtype=np.int64),
-            outlier_values=np.frombuffer(val_b, dtype=out_dtype),
-            side_payload=side,
-            meta=header["predictor_meta"],
+            codes, positions, values, side, header["predictor_meta"]
         )
         core_shape = shape if shape else (1,)
         work = self._prediction.reconstruct(

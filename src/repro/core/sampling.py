@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.compressor.predictors import make_predictor
+from repro.compressor.predictors.lorenzo import stencil_errors
 
 __all__ = [
     "SampleResult",
@@ -173,15 +174,11 @@ def sample_prediction_errors_stack(
     stencil_signs = None
     stencil_values = row_stencils = [None] * len(stack)
     if predictor == "lorenzo" and getattr(pred, "order", 1) == 1:
-        # One gather serves both: the order-1 prediction error is the
-        # signed sum of the stencil columns, accumulated in mask order
-        # (the order ``sample_errors`` adds the neighbours in).
+        # one gather serves both the stencils and the errors
         stencil_signs, stencil_values = pred.sample_stencils(
             work, rate, rng, stacked=True
         )
-        errors = stencil_values[:, :, 0].copy()
-        for mask in range(1, stencil_signs.size):
-            errors += stencil_signs[mask] * stencil_values[:, :, mask]
+        errors = stencil_errors(stencil_signs, stencil_values)
         row_len = stack.shape[-1]
         n_rows = max(8, int(round(size * rate / max(row_len, 1))))
         _, row_stencils = pred.sample_row_stencils(

@@ -19,6 +19,7 @@ from repro.compressor import (
     tiled,
 )
 from repro.compressor.encoders.huffman import HuffmanEncoder
+from repro.compressor.quantizer import Quantizer
 from repro.compressor.stages import PredictorStage
 from repro.compressor.sz import SZCompressor
 from repro.compressor.tiled_geometry import extent_slices, iter_tiles
@@ -56,6 +57,14 @@ def grid_stacks(data, tile_shape):
     return list(stacks.values())
 
 
+#: the predictors, Lorenzo first
+PREDICTORS = ["lorenzo", "interpolation", "regression"]
+
+#: tiles of 1-D to 4-D whose sizes are neither multiples of the
+#: regression block (6) nor powers of two
+RAGGED = [(53,), (14, 13), (7, 11, 9), (5, 13, 3, 7)]
+
+
 def _walk(shape, seed, dtype=np.float64):
     rng = np.random.default_rng(seed)
     return np.cumsum(rng.standard_normal(shape), axis=-1).astype(dtype)
@@ -76,11 +85,16 @@ def test_every_proptest_case_stacks_as_alone(seed):
     "reconstruct", [False, True], ids=["plain", "surfaced"]
 )
 class TestStackCases:
-    def test_outliers_in_some_tiles_only(self, reconstruct):
-        tiles = list(_walk((6, 16, 16), 1) * 1e-3)
-        tiles[1][3, 4] += 50.0
-        tiles[4][9:11, 2] -= 80.0
-        config = CompressionConfig(error_bound=1e-3, quant_radius=16)
+    @pytest.mark.parametrize("predictor", PREDICTORS)
+    @pytest.mark.parametrize("shape", [(16, 16), *RAGGED], ids=str)
+    def test_outliers_in_some_tiles_only(self, reconstruct, predictor, shape):
+        tiles = list(_walk((6, *shape), 1) * 1e-3)
+        # odd coordinates: never an interpolation anchor
+        tiles[1][(1,) * len(shape)] += 50.0
+        tiles[4][(-2,) * len(shape)] -= 80.0
+        config = CompressionConfig(
+            predictor=predictor, error_bound=1e-3, quant_radius=16
+        )
         stacked = assert_stacks_as_alone(tiles, config, reconstruct)
         outliers = [measures["n_outliers"] for *_, measures in stacked]
         assert outliers[1] and outliers[4] and not outliers[0]
@@ -125,11 +139,18 @@ class TestStackCases:
         )
         assert_stacks_as_alone(list(data), config, reconstruct)
 
-    @pytest.mark.parametrize("predictor", ["interpolation", "regression"])
-    def test_other_predictors(self, reconstruct, predictor):
-        config = CompressionConfig(predictor=predictor, error_bound=1e-2)
-        tiles = list(_walk((3, 14, 12), 7))
-        assert_stacks_as_alone(tiles, config, reconstruct)
+    @pytest.mark.parametrize("predictor", PREDICTORS[1:])
+    @pytest.mark.parametrize("shape", [(14, 12), *RAGGED], ids=str)
+    @pytest.mark.parametrize("mode", [ErrorBoundMode.ABS, ErrorBoundMode.REL])
+    def test_other_predictors(self, reconstruct, predictor, shape, mode):
+        config = CompressionConfig(
+            predictor=predictor, mode=mode, error_bound=1e-2
+        )
+        walks = _walk((3, *shape), 7)
+        tiles = [walk * scale for walk, scale in zip(walks, (2.0, 1.0, 0.5))]
+        stacked = assert_stacks_as_alone(tiles, config, reconstruct)
+        bounds = {params["abs_eb"] for params, *_ in stacked}
+        assert len(bounds) == (3 if mode is ErrorBoundMode.REL else 1)
 
     def test_a_temporal_deltas_candidates(self, reconstruct, monkeypatch):
         seen = []
@@ -177,6 +198,26 @@ def test_a_36_tile_compress_predicts_once_per_stack(monkeypatch):
     assert calls["decompose"] == -(-36 // per_stack) < 36
     # one plan for the code stream, one for the lossless stage's tokens
     assert calls["plan"] == 2 * 36
+
+
+@pytest.mark.parametrize("predictor", PREDICTORS[1:])
+def test_a_36_tile_compress_quantizes_once_per_stack(monkeypatch, predictor):
+    built = []
+    original = Quantizer.__init__
+
+    def counting(self, error_bounds, radius):
+        built.append(len(error_bounds))
+        original(self, error_bounds, radius)
+
+    monkeypatch.setattr(Quantizer, "__init__", counting)
+    data = _walk((192, 192), 11)
+    config = CompressionConfig(
+        predictor=predictor, error_bound=1e-2, tile_shape=(32, 32)
+    )
+    result = TiledCompressor(backend="serial").compress(data, config)
+    assert result.n_tiles == 36 == sum(built)
+    per_stack = tiled._STACK_POINTS // (32 * 32)
+    assert len(built) == -(-36 // per_stack) < 36
 
 
 def test_a_stack_that_raises_names_its_first_bad_tile():

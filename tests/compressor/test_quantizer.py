@@ -1,6 +1,7 @@
 """The one linear quantizer of the interpolation and regression
-predictors: unit + property tests, and a sha256 pin over the stage
-sections of tiles whose points escape it."""
+predictors, over stacks of members with a bound each: unit + property
+tests, and a sha256 pin over the stage sections of tiles whose points
+escape it."""
 
 import hashlib
 import itertools
@@ -16,34 +17,64 @@ from repro.compressor.quantizer import Dequantizer, Quantizer
 
 
 def quantize(true, pred, eb, radius=32768):
-    """``(values, codes, positions, outlier values)`` of one stretch."""
-    quantizer = Quantizer(eb, radius)
-    values = quantizer.quantize(np.asarray(true), np.asarray(pred))
-    return (values, *quantizer.streams())
+    """``(values, codes, positions, outlier values)`` of one stretch of
+    a one-member stack."""
+    quantizer = Quantizer([eb], radius)
+    values = quantizer.quantize(np.asarray(true)[None], np.asarray(pred)[None])
+    return (values[0], *quantizer.streams()[0])
 
 
 class TestQuantize:
     def test_nonpositive_bound_raises(self):
         with pytest.raises(ValueError):
-            Quantizer(0.0, 8)
+            Quantizer([0.1, 0.0], 8)
 
     def test_no_stretch_gives_empty_streams(self):
-        codes, positions, values = Quantizer(0.1, 8).streams()
-        assert (codes.dtype, positions.dtype, values.dtype) == (
-            np.int64,
-            np.int64,
-            np.float64,
-        )
-        assert codes.size == positions.size == values.size == 0
+        streams = Quantizer([0.1, 0.2], 8).streams()
+        assert len(streams) == 2
+        for codes, positions, values in streams:
+            assert (codes.dtype, positions.dtype, values.dtype) == (
+                np.int64,
+                np.int64,
+                np.float64,
+            )
+            assert codes.size == positions.size == values.size == 0
 
     def test_positions_count_through_every_stretch(self):
-        quantizer = Quantizer(0.5, 2)
-        quantizer.quantize(np.zeros((2, 3)), np.zeros((2, 3)))
-        quantizer.quantize(np.array([[0.0, 9.0]]), np.zeros((1, 2)))
-        codes, positions, values = quantizer.streams()
+        quantizer = Quantizer([0.5, 0.5], 2)
+        quantizer.quantize(np.zeros((2, 2, 3)), np.zeros((2, 2, 3)))
+        true = np.array([[[0.0, 9.0]], [[-9.0, 0.0]]])
+        quantizer.quantize(true, np.zeros((2, 1, 2)))
+        (codes, positions, values), (_, other, others) = quantizer.streams()
         assert codes.size == 8
         np.testing.assert_array_equal(positions, [7])
         np.testing.assert_array_equal(values, [9.0])
+        np.testing.assert_array_equal(other, [6])
+        np.testing.assert_array_equal(others, [-9.0])
+
+    def test_each_member_streams_as_alone(self):
+        # per-member bounds, outliers in some members only, in several
+        # stretches: each member's streams and values are its own
+        rng = np.random.default_rng(3)
+        bounds = [5e-2, 1e-3, 1e-2, 5e-2]
+        stretches = []
+        for shape in [(5, 4), (7,), (3, 2, 2)]:
+            true = rng.standard_normal((4, *shape))
+            stretches.append((true, true + 0.1 * rng.standard_normal(true.shape)))
+        stretches[0][0][2, 3, 1] = 1e3
+        stretches[2][0][3, 0, 1, 1] = -1e3
+        quantizer = Quantizer(bounds, 64)
+        stacked = [quantizer.quantize(true, pred) for true, pred in stretches]
+        streams = quantizer.streams()
+        assert [p.size > 0 for _, p, _ in streams] == [False, True, True, True]
+        for i, bound in enumerate(bounds):
+            alone = Quantizer([bound], 64)
+            for (true, pred), got in zip(stretches, stacked):
+                want = alone.quantize(true[i : i + 1], pred[i : i + 1])
+                assert got[i].tobytes() == want[0].tobytes()
+            for got, want in zip(streams[i], alone.streams()[0]):
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
 
     def test_codes_round_to_the_nearest_bin(self):
         # bins of width 2 centred at even errors
@@ -108,13 +139,19 @@ class TestDequantize:
             (rng.standard_normal(shape), rng.standard_normal(shape))
             for shape in [(5, 4), (7,), (3, 2, 2)]
         ]
-        quantizer = Quantizer(1e-2, 16)
-        encoded = [quantizer.quantize(true, pred) for true, pred in stretches]
-        codes, positions, values = quantizer.streams()
-        assert positions.size  # the radius makes outliers in every stretch
-        dequantizer = Dequantizer(codes, positions, values, 1e-2)
-        for (_, pred), want in zip(stretches, encoded):
-            assert dequantizer.dequantize(pred).tobytes() == want.tobytes()
+        bounds = [1e-2, 1e-1]
+        quantizer = Quantizer(bounds, 16)
+        encoded = [
+            quantizer.quantize(np.stack([true, 2 * true]), np.stack([pred] * 2))
+            for true, pred in stretches
+        ]
+        for i, (streams, bound) in enumerate(zip(quantizer.streams(), bounds)):
+            # the radius makes outliers in every stretch
+            assert streams[1].size
+            dequantizer = Dequantizer(*streams, bound)
+            for (_, pred), want in zip(stretches, encoded):
+                got = dequantizer.dequantize(pred)
+                assert got.tobytes() == want[i].tobytes()
 
     def test_outlier_positions_in_any_order(self):
         true = np.array([0.0, 9.0, 0.1, -7.0, 0.0, 5.0])

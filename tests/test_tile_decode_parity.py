@@ -173,6 +173,48 @@ def test_every_reader_refuses_a_damaged_v7_tile(
     refused_everywhere(blob, reader, backend, "corrupt", tmp_path)
 
 
+#: the outlier positions *p* of a tile of *n* codes, damaged so that no
+#: checksum-free reader can tell: order kept, but one lies outside the
+#: code stream, or is filed twice, or has no value
+POSITION_DAMAGE = {
+    "negative": lambda p, n: np.concatenate([-p[-1:], p[1:]]),
+    "past-the-end": lambda p, n: np.concatenate([p[:-1], [n]]),
+    "repeated": lambda p, n: np.concatenate([p[:1], p[:-1]]),
+    "unpaired": lambda p, n: p[:-1],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(POSITION_DAMAGE))
+@pytest.mark.parametrize("predictor", ["lorenzo", "interpolation", "regression"])
+def test_every_reader_refuses_outlier_positions_off_the_codes(
+    predictor, kind, tmp_path
+):
+    field = 1e-3 * np.cumsum(
+        np.random.default_rng(0).standard_normal(SHAPE), axis=-1
+    )
+    field[19, 20] += 50.0  # a few outliers, in the last tile
+    config = CompressionConfig(
+        predictor=predictor,
+        error_bound=1e-3,
+        quant_radius=16,
+        tile_shape=TILE,
+    )
+    blob = without_checksums(TiledCompressor().compress(field, config).blob)
+    with TiledReader(blob) as reader:
+        assert reader.tiles[-1].start == BAD_TILE
+        meta, sections = unpack_tile(reader.read_tile(reader.tiles[-1]))
+    positions = np.frombuffer(sections[1], dtype=np.int64)
+    assert positions.size > 1
+    # the one 16x16 tile of the grid's interpolation anchors: (0, 0)
+    n_codes = 256 - (predictor == "interpolation")
+    damaged = POSITION_DAMAGE[kind](positions, n_codes).astype(np.int64)
+    sections[1] = damaged.tobytes()
+    blob = replace_tile(blob, 3, pack_tile(meta, sections))
+    routes = tile_routes(blob, REGION, tmp=tmp_path, backends=["serial"])
+    verdict = assert_same_verdict(routes, match="corrupt outlier positions")
+    assert isinstance(verdict, ContainerFormatError), verdict
+
+
 def test_a_decode_of_another_shape_or_dtype_is_refused():
     # the last line of defence, whatever the frame: a codec that hands
     # back another shape or dtype than the record's is refused, never
