@@ -14,13 +14,13 @@ Huffman decoding resolve many bit positions per NumPy call instead of
 one Python step per symbol.
 
 Headers are Python integers.  A writer lists ``(value, width)`` fields
-— a whole Elias-gamma run (:func:`gamma_field`) or array of fixed-width
-values (:func:`fixed_field`) is one field, built in one NumPy pass — and
-:func:`pack_fields` concatenates them into bytes.  A reader takes the
-header as one integer (:func:`bits_word`) and cuts fields out of it by
-shifts (:func:`read_field`), walks a gamma run
-(:func:`read_gamma`) and unpacks a fixed-width array with one
-``np.unpackbits`` (:func:`read_fixed`).
+and :func:`pack_fields` concatenates them into bytes; the Elias-gamma
+runs and fixed-width arrays of a whole stack of headers are one bit
+array, written in one NumPy pass (:func:`pack_values`).  A reader takes
+the header as one integer (:func:`bits_word`) and cuts fields out of it
+by shifts (:func:`read_field`), walks a gamma run (:func:`read_gamma`)
+and unpacks a fixed-width array with one ``np.unpackbits``
+(:func:`read_fixed`).
 """
 
 from __future__ import annotations
@@ -32,8 +32,7 @@ import numpy as np
 __all__ = [
     "pack_codes",
     "pack_fields",
-    "gamma_field",
-    "fixed_field",
+    "pack_values",
     "bits_word",
     "read_field",
     "read_gamma",
@@ -282,52 +281,24 @@ def pack_fields(fields: Iterable[tuple[int, int]]) -> bytes:
     return (word << pad).to_bytes((nbits + pad) // 8, "big")
 
 
-def _bits_value(bits: np.ndarray) -> int:
-    """A 0/1 ``uint8`` array read MSB-first as one integer."""
-    return int.from_bytes(np.packbits(bits).tobytes(), "big") >> (
-        -bits.size % 8
-    )
-
-
-def gamma_field(values: np.ndarray) -> tuple[int, int]:
-    """Every entry of *values* (each >= 1) in Elias-gamma code, as one
-    ``(value, width)`` field.
-
-    ``v = 2^k + r`` is *k* zero bits followed by the ``k + 1``-bit
-    binary form — short codes for small values, ideal for the
-    near-unit deltas of sorted quantization-code alphabets.  That is
-    ``v`` right-aligned in a ``2k + 1``-bit field, so each bit plane of
-    the values scatters into place in one store — and a run of unit
-    values is all ones.
+def pack_values(values: np.ndarray, widths: np.ndarray) -> bytes:
+    """Each value right-aligned in a field of its width, the fields
+    concatenated MSB-first and zero-padded to bytes: one bit array, into
+    which every significant bit of every value scatters in one store.
+    An Elias-gamma code is such a field, ``v`` in ``2 * bit_length(v) -
+    1`` bits (:func:`gamma_bit_lengths`): a run of unit values is all ones.
     """
-    values = np.asarray(values)
-    if values.size == 0:
-        return 0, 0
-    if (values == 1).all():
-        return (1 << values.size) - 1, values.size
-    widths = gamma_bit_lengths(values)
-    values = values.astype(np.uint64)
-    ends = np.cumsum(widths)
-    bits = np.zeros(int(ends[-1]), dtype=np.uint8)
-    for plane in range((int(widths.max()) + 1) // 2):
-        live = np.flatnonzero(widths > 2 * plane)
-        bits[ends[live] - 1 - plane] = (
-            values[live] >> np.uint64(plane)
-        ) & np.uint64(1)
-    return _bits_value(bits), bits.size
-
-
-def fixed_field(values: np.ndarray, nbits: int) -> tuple[int, int]:
-    """Every entry of *values* in *nbits* bits, as one ``(value, width)``
-    field."""
     values = np.asarray(values, dtype=np.uint64).ravel()
-    if nbits <= 0 or nbits > 64:
-        raise ValueError("nbits must be within [1, 64]")
-    if nbits < 64 and np.any(values >> np.uint64(nbits)):
-        raise ValueError(f"some values do not fit in {nbits} bits")
-    shifts = np.arange(nbits - 1, -1, -1, dtype=np.uint64)
-    bits = ((values[:, None] >> shifts) & np.uint64(1)).astype(np.uint8)
-    return _bits_value(bits.ravel()), bits.size
+    ends = np.cumsum(widths, dtype=np.int64)
+    held = np.searchsorted(_POW2, values, side="right")  # significant bits
+    if (held > np.asarray(widths)).any():
+        raise ValueError("some values do not fit in their field widths")
+    bits = np.zeros(int(ends[-1]) if ends.size else 0, dtype=np.uint8)
+    plane = np.arange(held.sum()) - np.repeat(np.cumsum(held) - held, held)
+    bits[np.repeat(ends - 1, held) - plane] = (
+        np.repeat(values, held) >> plane.astype(np.uint64) & np.uint64(1)
+    )
+    return np.packbits(bits).tobytes()
 
 
 def bits_word(data: bytes, nbits: int | None = None) -> tuple[int, int]:

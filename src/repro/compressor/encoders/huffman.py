@@ -9,10 +9,12 @@ The implementation is written for NumPy throughput:
 * the tree is built once per stream by a stable sort of the histogram
   and a two-queue merge (alphabet-sized, not data-sized);
 * codes are *canonical*, so only the code lengths ship in the header;
+  a write builds every codeword of a stack of streams in one ``lexsort``
+  and every header's variable part — Elias-gamma symbol gaps, 6-bit
+  lengths — as one bit array (:meth:`HuffmanEncoder.encode_stack`);
 * encoding maps symbols through lookup tables and assembles the
-  codewords in 64-bit words — neighbours folded into fields of up to 57
-  bits, shifted into place, OR-reduced per word, a block of symbols at
-  a time (:func:`repro.compressor.bitstream.pack_codes`);
+  codewords in 64-bit words, a block of symbols at a time
+  (:func:`repro.compressor.bitstream.pack_codes`);
 * a stream of ``_SYNC_MIN_STREAM`` symbols or more embeds a *sync
   table* (the bit offset of every K-th symbol): an index that makes the
   sync blocks independent, and an integrity check every decode kernel
@@ -21,21 +23,16 @@ The implementation is written for NumPy throughput:
   itself: long sync-table streams (payload above
   ``_SYNC_WALK_MAX_BITS``) run *batched rounds* — one gather over the
   16-bit window advances every sync block by one symbol, ``K`` Python
-  rounds in all, which pays only once the blocks are many; shorter ones
-  resolve every bit position of a window through the tables at once and
-  chain ``jump[p] = p + len_table[window16[p]]`` by pointer doubling
-  from all the sync marks of the window; streams without a table
-  (short, or serialized by older versions) chain from the cursor alone,
-  one fixed-size window at a time;
+  rounds in all; shorter ones chain ``jump[p] = p + len[p]`` over a
+  window's bit positions by pointer doubling, from its sync marks or
+  the cursor;
 * codes longer than 16 bits take a per-bit canonical walk, which is rare
   because long codes correspond to near-zero-probability symbols;
 * a read of many small tiles decodes their streams as one stack
-  (:meth:`HuffmanEncoder.decode_stack`): every header is read from
-  Python integers, and every sync-free stream one walk window holds is
-  chained in one pointer-doubling pass over all of them, through
-  cached tables of ``2 ** longest`` entries laid end to end — the
-  per-stream fixed cost, not the bits, is what small tiles pay; a write
-  encodes them as one stack too (:meth:`HuffmanEncoder.encode_stack`).
+  (:meth:`HuffmanEncoder.decode_stack`): headers read from Python
+  integers, every sync-free stream one walk window holds chained in one
+  pointer-doubling pass through cached tables laid end to end — the
+  per-stream fixed cost, not the bits, is what small tiles pay.
 """
 
 from __future__ import annotations
@@ -51,12 +48,11 @@ import numpy as np
 from repro.compressor.bitstream import (
     bits_word,
     build_bit_window,
-    fixed_field,
     gamma_bit_lengths,
-    gamma_field,
     gather_window16,
     pack_codes,
     pack_fields,
+    pack_values,
     read_field,
     read_fixed,
     read_gamma,
@@ -111,6 +107,9 @@ _BIT_IN_BYTE = np.arange(8, dtype=np.uint32)
 
 #: zero codewords of one bit: a packed stack's fill up to the next word
 _ZERO_FILL, _ONE_FILL = np.zeros(63, dtype=np.uint64), np.ones(63, dtype=int)
+
+#: the blob of a stream with no symbols: a header of one zero count
+_EMPTY_BLOB = b"\x00\x00\x00\x04" + bytes(4)
 
 #: Longest sync-table payload the window walk takes.  The batched
 #: kernel runs one Python round per symbol of a sync block (``interval``
@@ -278,34 +277,110 @@ def _histogram(stream: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return present + lo, counts[present]
 
 
+class _Histogram(NamedTuple):
+    """A stream's alphabet and counts, its sync-free header's exact bits
+    (``None`` past a gap of ``2**63 - 1``: read back, gaps are
+    ``int64``) and :func:`_container_bytes_floors`' floor."""
+
+    symbols: np.ndarray
+    counts: np.ndarray
+    header_bits: int | None
+    floor: int
+
+
 def _histograms(streams: Sequence[np.ndarray]) -> list:
-    """:func:`_histogram` of each ``int64`` stream, from one ``bincount``
-    in which each stream's bins follow the value spans of those before
-    it; ``None`` for an empty stream or one too sparse to count."""
+    """The :class:`_Histogram` of each ``int64`` stream (empty: ``None``).
+
+    One ``bincount`` counts the streams, each one's bins following the
+    value spans (taken unsigned: ``int64`` wraps at ``2**63``) of those
+    before it; one stream alone takes :func:`_histogram`, one too sparse
+    to count ``np.unique``.  One pass over the alphabets laid end to end
+    then finds every header's exact size and every size floor.
+    """
     out: list = [None] * len(streams)
     full = [i for i, stream in enumerate(streams) if stream.size]
-    if not full:
+    if len(full) == 1:
+        counted = [_histogram(streams[full[0]])]
+    elif full:
+        sizes = np.array([streams[i].size for i in full])
+        flat = np.concatenate([streams[i] for i in full])
+        starts = np.cumsum(sizes) - sizes
+        lo = np.minimum.reduceat(flat, starts)
+        gaps = np.maximum.reduceat(flat, starts).view(np.uint64)
+        gaps -= lo.view(np.uint64)
+        dense = gaps < np.maximum(256, 4 * sizes).astype(np.uint64)
+        spans = np.where(dense, gaps + 1, 0).astype(np.int64)
+        lo[~dense] = 0
+        shift = np.cumsum(spans) - spans - lo  # a value's bin, less it
+        bins = np.bincount(
+            (flat + np.repeat(shift, sizes))[np.repeat(dense, sizes)],
+            minlength=int(spans.sum()),
+        )
+        seen = np.flatnonzero(bins)  # the bins of the values seen
+        cuts = seen.searchsorted(np.append(shift + lo, spans.sum()))
+        symbols, counts = seen - np.repeat(shift, np.diff(cuts)), bins[seen]
+        counted = [
+            (symbols[a:b], counts[a:b])
+            if ok
+            else np.unique(streams[i], return_counts=True)
+            for ok, a, b, i in zip(dense, cuts, cuts[1:], full)
+        ]
+    else:
         return out
-    sizes = np.array([streams[i].size for i in full])
-    flat = np.concatenate([streams[i] for i in full])
-    starts = np.cumsum(sizes) - sizes
-    lo = np.minimum.reduceat(flat, starts)
-    spans = np.maximum.reduceat(flat, starts) - lo + 1
-    spans[spans > np.maximum(256, 4 * sizes)] = 0  # counted by plan()
-    shift = np.cumsum(spans) - spans - lo  # a value's bin, less the value
-    counted = np.bincount(
-        (flat + np.repeat(shift, sizes))[np.repeat(spans > 0, sizes)],
-        minlength=int(spans.sum()),
+    sizes = np.array([symbols.size for symbols, _ in counted])
+    if all(int(s[-1]) - int(s[0]) == s.size - 1 for s, _ in counted):
+        gap_bits, wide = sizes - 1, [0] * sizes.size  # one bit a gap
+    else:
+        member, later, gaps = _alphabet_gaps([s for s, _ in counted])
+        widths = gamma_bit_lengths(gaps)
+        gap_bits = np.bincount(member[later], widths, sizes.size).astype(int)
+        wide = np.bincount(member[later], widths > 125, sizes.size)  # 64-bit
+    # gaps and 6-bit lengths, then n_symbols (32 bits), the first symbol
+    # (zigzag), n_data and total_bits (64 bits each)
+    header_bits = gap_bits + 6 * sizes + 224
+    floors = _container_bytes_floors(
+        np.concatenate([counts for _, counts in counted]), sizes, header_bits
     )
-    present = np.flatnonzero(counted)
-    cuts = present.searchsorted(np.append(shift + lo, spans.sum())).tolist()
-    symbols = present - np.repeat(shift, np.diff(cuts))
-    counts = counted[present]
     for k, i in enumerate(full):
-        if spans[k]:
-            mine = slice(cuts[k], cuts[k + 1])
-            out[i] = symbols[mine], counts[mine]
+        bits = None if wide[k] else int(header_bits[k])
+        out[i] = _Histogram(*counted[k], bits, int(floors[k]))
     return out
+
+
+def _alphabet_gaps(alphabets: Sequence[np.ndarray]) -> tuple:
+    """Each symbol's alphabet, whether a symbol of it precedes, and the
+    gap from that one (unsigned: none wraps) of sorted alphabets."""
+    symbols = np.concatenate(alphabets)
+    sizes = [alphabet.size for alphabet in alphabets]
+    later = np.ones(symbols.size, dtype=bool)
+    later[np.cumsum(sizes) - sizes] = False
+    gaps = np.diff(symbols.view(np.uint64))[later[1:]]
+    return np.repeat(np.arange(len(sizes)), sizes), later, gaps
+
+
+def _container_bytes_floors(
+    counts: np.ndarray, sizes: np.ndarray, header_bits: np.ndarray
+) -> np.ndarray:
+    """A floor on the ``container_bytes`` of any plan for each of a
+    stack of histograms (counts laid end to end, ``sizes[k]`` each).
+
+    No prefix code spends fewer payload bits than the Shannon entropy
+    ``n * H``; the header size is exact, and so is the sync table where
+    every plan carries one (:data:`_SYNC_MIN_STREAM` symbols or more,
+    no u32 offset overflow even at the longest length the alphabet
+    admits).  Float error is shaved off the entropy term.
+    """
+    starts = np.cumsum(sizes) - sizes
+    n = np.add.reduceat(counts, starts)
+    terms = counts * np.log2(np.repeat(n, sizes) / counts)
+    entropy_bits = np.add.reduceat(terms, starts) * (1 - 1e-9)
+    floors = 4 + (header_bits + 7) // 8 + entropy_bits.astype(np.int64) // 8
+    for k in np.flatnonzero(n >= _SYNC_MIN_STREAM).tolist():
+        interval, n_sync = _sync_layout(int(n[k]))
+        longest = min(_MAX_CODE_LEN, max(int(sizes[k]) - 1, 1))
+        if int(n[k]) * longest < 1 << 32:
+            floors[k] += 8 + 4 * n_sync  # interval + count, then offsets
+    return floors
 
 
 def _sync_layout(n: int) -> tuple[int, int]:
@@ -320,27 +395,32 @@ def _sync_layout(n: int) -> tuple[int, int]:
     return interval, (n - 1) // interval
 
 
-def _canonical_codes(lengths: np.ndarray) -> np.ndarray:
-    """Assign canonical codewords from code lengths.
+def _canonical_codes(
+    lengths: np.ndarray, sizes: Sequence[int] | None = None
+) -> np.ndarray:
+    """Canonical codewords of a stack of codes, their lengths laid end
+    to end (``sizes[k]`` each; one code by default).
 
-    Symbols are ranked by ``(length, symbol-index)``; codewords count up
-    within each length, shifting left at every length increase — so the
-    codeword of rank *r* is the Kraft sum of the ranks before it, scaled
-    to its own length.  Length-0 symbols (absent from the stream)
-    receive code 0 and must never be encoded.
+    One ``lexsort`` ranks every symbol by ``(code, length, index)``; a
+    code's codewords count up within each length, shifting left at
+    every length increase — so the codeword of rank *r* is the Kraft sum
+    of the code's ranks before it, scaled to its own length.  Length-0
+    symbols (absent from the stream) get 0 and must never be encoded.
     """
     lengths = np.asarray(lengths, dtype=np.int64)
+    sizes = np.asarray([lengths.size] if sizes is None else sizes)
     codes = np.zeros(lengths.size, dtype=np.uint64)
-    order = np.argsort(lengths, kind="stable")
-    ranked = lengths[order].astype(np.uint64)
-    coded = np.searchsorted(ranked, 1)
-    if coded == ranked.size:
+    if lengths.size == 0:
         return codes
-    order, ranked = order[coded:], ranked[coded:]
-    pad = ranked[-1] - ranked
-    before = np.zeros(order.size, dtype=np.uint64)
-    np.cumsum(np.uint64(1) << pad[:-1], out=before[1:])
-    if (before[1:] < before[:-1]).any():
+    member = np.repeat(np.arange(sizes.size), sizes)
+    order = np.lexsort((lengths, member))
+    ranked = lengths[order]
+    longest = np.repeat(ranked[np.cumsum(sizes) - 1], sizes)
+    pad = (longest - ranked).astype(np.uint64)
+    weight = np.where(ranked > 0, np.uint64(1) << pad, np.uint64(0))
+    before = np.cumsum(weight) - weight  # wraps between codes, harmlessly
+    before -= np.repeat(before[np.cumsum(sizes) - sizes], sizes)
+    if (before[1:] < before[:-1])[member[1:] == member[:-1]].any():
         # only lengths no encoder emits (a corrupt header) oversubscribe
         # the code space this far
         raise ValueError("corrupt Huffman code lengths")
@@ -420,9 +500,9 @@ class HuffmanCode:
 
     ``symbols[i]`` is the original symbol value for dense index *i*;
     ``lengths[i]``/``codes[i]`` its code length and canonical codeword.
-    A code read back from a header has no ``codes``: decoding needs
-    only the lengths (the tables and the few codewords past 16 bits
-    derive from them).
+    Neither a plan's code (a stack's codewords are built at once) nor
+    a parsed one with no length past 16 bits has ``codes``: decoding
+    needs only the lengths, and the long-code walk those codewords.
     """
 
     symbols: np.ndarray
@@ -499,54 +579,49 @@ class HuffmanEncoder:
     ) -> list[bytes]:
         """:meth:`encode` of every stream, with its plan (``None``: built).
 
-        The histograms of the streams to plan come from one offset
-        ``bincount`` (:func:`_histograms`); each stream still gets its
-        own :meth:`plan`.  The codewords of all of them are packed by
-        one :func:`pack_codes` call, each stream starting on a 64-bit
-        word (zero fill ahead of it), so each slice of the payload is
-        the bytes the stream packs to alone.
+        Each stream gets its own :meth:`plan`, from what one pass over
+        the stack counted (:func:`_histograms`).  One
+        :func:`_canonical_codes` pass builds every code's codewords, one
+        :func:`pack_codes` call packs every stream, each from a 64-bit
+        word (zero fill ahead of it) so that its slice is the bytes it
+        packs to alone, and one pass writes every header.
         """
         streams = [np.asarray(s, dtype=np.int64).ravel() for s in streams]
         plans = list(plans or [None] * len(streams))
         todo = [i for i, plan in enumerate(plans) if plan is None]
-        histograms = (
-            _histograms([streams[i] for i in todo])
-            if len(todo) > 1
-            else [None] * len(todo)  # one stream counts alone in plan()
-        )
-        for i, histogram in zip(todo, histograms):
+        for i, histogram in zip(todo, _histograms([streams[i] for i in todo])):
             plans[i] = self.plan(streams[i], histogram=histogram)
         coded = [plan for plan in plans if plan is not None]
+        if not coded:
+            return [_EMPTY_BLOB] * len(plans)
+        sizes = np.array([plan.code.lengths.size for plan in coded])
+        book = _canonical_codes(  # every code's codewords
+            np.concatenate([plan.code.lengths for plan in coded]), sizes
+        )
         codes, lengths, words = [], [], [0]
-        for plan in coded:
+        for plan, start in zip(coded, (np.cumsum(sizes) - sizes).tolist()):
             fill = -plan.total_bits % 64
-            codes += [plan.code.codes[plan.dense], _ZERO_FILL[:fill]]
+            codes += [book[start:][plan.dense], _ZERO_FILL[:fill]]
             lengths += [plan.lengths, _ONE_FILL[:fill]]
             words.append(words[-1] + (plan.total_bits + fill) // 64)
         if len(coded) > 1:  # one stream is packed as it is
             codes, lengths = [np.concatenate(codes)], [np.concatenate(lengths)]
-        packed = pack_codes(codes[0], lengths[0])[0] if coded else b""
-        blobs = iter(
-            self._serialize(
-                plan.code,
-                plan.dense.size,
-                packed[8 * word : 8 * word + (plan.total_bits + 7) // 8],
-                plan.total_bits,
-                plan.interval,
-                plan.sync,
+        packed = memoryview(pack_codes(codes[0], lengths[0])[0])
+        blobs = iter(self._serialize([
+            _Stream(
+                plan.code, plan.dense.size,
+                packed[8 * word :][: (plan.total_bits + 7) // 8],
+                plan.total_bits, plan.interval, plan.sync,
             )
             for plan, word in zip(coded, words)
-        )
-        return [
-            next(blobs) if plan is not None else self._serialize_empty()
-            for plan in plans
-        ]
+        ]))
+        return [next(blobs) if plan else _EMPTY_BLOB for plan in plans]
 
     def plan(
         self,
         stream: np.ndarray,
         budget: int | None = None,
-        histogram: tuple[np.ndarray, np.ndarray] | None = None,
+        histogram: _Histogram | None = None,
     ) -> "HuffmanEncodePlan | None":
         """Build everything :meth:`encode` needs except the packed bits.
 
@@ -556,36 +631,28 @@ class HuffmanEncoder:
 
         A caller that would discard any plan of *budget* bytes or more
         passes it: when the entropy floor on the serialized size
-        (:meth:`_container_bytes_floor`) already reaches the budget the
+        (:func:`_container_bytes_floors`) already reaches the budget the
         answer is ``None`` too, and no code is built.  *histogram* is
-        the stream's ``(symbols, counts)``, when already counted.
+        the stream's, when a stack pass counted it (:func:`_histograms`).
+        A gap past ``2**63 - 1`` in the alphabet raises ``ValueError``.
         """
         stream = np.asarray(stream, dtype=np.int64).ravel()
         if stream.size == 0:
             return None
-        symbols, counts = histogram or _histogram(stream)
-        if (
-            budget is not None
-            and self._container_bytes_floor(symbols, counts) >= budget
-        ):
-            return None
-        code_lengths = huffman_code_lengths(counts)
-        code = HuffmanCode(
-            symbols, code_lengths, _canonical_codes(code_lengths)
+        symbols, counts, header_bits, floor = (
+            histogram or _histograms([stream])[0]
         )
+        if header_bits is None:
+            raise ValueError("Huffman alphabet gap exceeds 2**63 - 1")
+        if budget is not None and floor >= budget:
+            return None
+        code = HuffmanCode(symbols, huffman_code_lengths(counts))
         dense = self._dense_indices(code.symbols, stream)
         lengths = code.lengths[dense]
-        total_bits = int(lengths.sum())
-        interval, sync = self._sync_offsets(lengths)
-        header_bits = self._header_bits(code.symbols) + (
-            64 if interval else 0  # sync interval + count
-        )
-        container_bytes = (
-            4
-            + (header_bits + 7) // 8
-            + 4 * sync.size
-            + (total_bits + 7) // 8
-        )
+        interval, sync, total_bits = self._sync_offsets(lengths)
+        header_bits += 64 if interval else 0  # sync interval + count
+        container_bytes = 4 + (header_bits + 7) // 8 + 4 * sync.size
+        container_bytes += (total_bits + 7) // 8
         return HuffmanEncodePlan(
             code, dense, lengths, total_bits, interval, sync, container_bytes
         )
@@ -667,51 +734,6 @@ class HuffmanEncoder:
     # -- encoding ----------------------------------------------------------
 
     @staticmethod
-    def _header_bits(symbols: np.ndarray) -> int:
-        """Exact bit size of the serialized header of a sync-free stream."""
-        gaps = symbols.size - 1  # one bit each when every gap is 1
-        if int(symbols[-1]) - int(symbols[0]) != gaps:
-            gaps = int(gamma_bit_lengths(np.diff(symbols)).sum())
-        return (
-            32  # n_symbols
-            + 64  # first symbol, zigzag
-            + gaps
-            + 6 * symbols.size
-            + 64  # n_data
-            + 64  # total_bits
-        )
-
-    @classmethod
-    def _container_bytes_floor(
-        cls, symbols: np.ndarray, counts: np.ndarray
-    ) -> int:
-        """A floor on the ``container_bytes`` of any plan for a histogram.
-
-        No prefix code spends fewer payload bits than the Shannon
-        entropy ``n * H`` of the histogram, and the header size is exact.
-        So is the sync table wherever every plan carries one: a stream
-        of :data:`_SYNC_MIN_STREAM` symbols or more whose payload cannot
-        overflow the u32 offsets even at the longest code length its
-        alphabet admits.  Float error is shaved off the entropy term, so
-        the floor never exceeds the exact size.
-        """
-        n = int(counts.sum())
-        entropy_bits = float(
-            np.sum(counts * np.log2(n / counts)) * (1 - 1e-9)
-        )
-        interval, n_sync = _sync_layout(n)
-        longest = min(_MAX_CODE_LEN, max(symbols.size - 1, 1))
-        sync_bytes = 0
-        if interval and n * longest < 1 << 32:
-            sync_bytes = 8 + 4 * n_sync  # interval + count, then offsets
-        return (
-            4
-            + (cls._header_bits(symbols) + 7) // 8
-            + sync_bytes
-            + int(entropy_bits) // 8
-        )
-
-    @staticmethod
     def _dense_indices(symbols: np.ndarray, stream: np.ndarray) -> np.ndarray:
         """Map stream values to dense alphabet indices.
 
@@ -728,61 +750,64 @@ class HuffmanEncoder:
         return np.searchsorted(symbols, stream)
 
     @staticmethod
-    def _sync_offsets(lengths: np.ndarray) -> tuple[int, np.ndarray]:
-        """Pick a sync interval and the bit offsets of the block starts.
-
-        Returns ``(0, empty)`` when the stream is too small to benefit or
-        the payload exceeds the u32 offset range.
+    def _sync_offsets(lengths: np.ndarray) -> tuple[int, np.ndarray, int]:
+        """A sync interval, the bit offsets of the block starts (a running
+        sum of the blocks' bit counts, not of the stream's) and the
+        payload bits.  Interval 0 and no offsets when the stream is too
+        small to benefit or the payload exceeds the u32 offset range.
         """
         interval, n_sync = _sync_layout(int(lengths.size))
         if not interval:
-            return 0, np.zeros(0, dtype=np.uint32)
-        ends = np.cumsum(lengths, dtype=np.int64)
-        if int(ends[-1]) >= 1 << 32:
-            return 0, np.zeros(0, dtype=np.uint32)
-        idx = np.arange(1, n_sync + 1, dtype=np.int64) * interval
-        return interval, ends[idx - 1].astype(np.uint32)
+            return 0, np.zeros(0, dtype=np.uint32), int(lengths.sum())
+        marked = n_sync * interval
+        ends = np.cumsum(lengths[:marked].reshape(n_sync, interval).sum(1))
+        total_bits = int(ends[-1]) + int(lengths[marked:].sum())
+        if total_bits >= 1 << 32:
+            return 0, np.zeros(0, dtype=np.uint32), total_bits
+        return interval, ends.astype(np.uint32), total_bits
 
     # -- serialization -----------------------------------------------------
 
-    def _serialize_empty(self) -> bytes:
-        header = pack_fields([(0, 32)])
-        return len(header).to_bytes(4, "big") + header
+    def _serialize(self, streams: Sequence[_Stream]) -> list[bytes]:
+        """Every stream's blob: the inverse of :meth:`_parse`.
 
-    def _serialize(
-        self,
-        code: HuffmanCode,
-        n_data: int,
-        payload: bytes,
-        total_bits: int,
-        sync_interval: int = 0,
-        sync_offsets: np.ndarray | None = None,
-    ) -> bytes:
-        first = int(code.symbols[0])
-        fields = [
-            (code.symbols.size, 32),
-            # Compact symbol table: the alphabet is sorted, so store the
-            # first value (zigzag, 64 bits) and Elias-gamma deltas —
-            # near-unit for quantization codes, ~2 bits per symbol
-            # instead of 64.
-            ((first << 1 ^ first >> 63) & (2**64 - 1), 64),
-            gamma_field(np.diff(code.symbols)),
-            fixed_field(code.lengths, 6),
-            (n_data, 64),
-            (total_bits, 64),
-        ]
-        flag, sync_bytes = 0, b""
-        if sync_interval:
-            fields += [(sync_interval, 32), (sync_offsets.size, 32)]
-            flag = _SYNC_FLAG
-            sync_bytes = sync_offsets.astype("<u4").tobytes()
-        header = pack_fields(fields)
-        return (
-            (len(header) | flag).to_bytes(4, "big")
-            + header
-            + sync_bytes
-            + payload
-        )
+        A header holds the sorted alphabet as its first symbol (zigzag)
+        and Elias-gamma gaps — ~2 bits per symbol instead of 64 for
+        quantization codes — then the 6-bit code lengths.  The gaps and
+        lengths of every header are one bit array (:func:`pack_values`),
+        cut per stream by integer shifts.
+        """
+        codes = [stream.code for stream in streams]
+        member, later, gaps = _alphabet_gaps([code.symbols for code in codes])
+        lengths = np.concatenate([code.lengths for code in codes])
+        # a stream's gaps, then its lengths: sorted stably by stream
+        order = np.argsort(np.append(member[later], member), kind="stable")
+        values = np.append(gaps, lengths.astype(np.uint64))[order]
+        gammas = gamma_bit_lengths(gaps)
+        widths = np.append(gammas, np.full(member.size, 6))[order]
+        packed = pack_values(values, widths)
+        last = np.cumsum(2 * np.bincount(member) - 1) - 1  # a header's last
+        ends = np.cumsum(widths)[last].tolist()
+        blobs = []
+        for stream, lo, hi in zip(streams, [0, *ends], ends):
+            code, n_data, payload, total_bits, interval, sync = stream
+            first = int(code.symbols[0])
+            cut = int.from_bytes(packed[lo >> 3 : (hi + 7) >> 3], "big")
+            fields = [
+                (code.symbols.size, 32),
+                ((first << 1 ^ first >> 63) & (2**64 - 1), 64),
+                (cut >> (-hi % 8) & (1 << hi - lo) - 1, hi - lo),
+                (n_data, 64),
+                (total_bits, 64),
+            ]
+            flag, tail = 0, b""
+            if interval:
+                fields += [(interval, 32), (sync.size, 32)]
+                flag, tail = _SYNC_FLAG, sync.astype("<u4").tobytes()
+            header = pack_fields(fields)
+            head = (len(header) | flag).to_bytes(4, "big") + header
+            blobs.append(head + tail + payload)
+        return blobs
 
     def _parse(self, blobs: Sequence[bytes]) -> list[_Stream]:
         """Every blob's header, read from Python integers.
@@ -792,7 +817,8 @@ class HuffmanEncoder:
         blobs are cut from one concatenated field by one
         :func:`~repro.compressor.bitstream.read_fixed`.  Codewords are
         built only for a code with lengths past the primary table's 16
-        bits, to refuse what :func:`_canonical_codes` refuses.
+        bits: the long-code walk reads them, and building them refuses
+        what :func:`_canonical_codes` refuses.
         """
         heads = [self._parse_fields(blob) for blob in blobs]
         counts = [head[0] for head in heads]
@@ -806,16 +832,17 @@ class HuffmanEncoder:
             if n_symbols == 0:
                 streams.append(_EMPTY_STREAM)
                 continue
+            codes = None
             if lens.max() > _PRIMARY_BITS:
                 # the one refusal of corrupt lengths _canonical_codes
                 # makes, a 64-bit Kraft sum wrapping, needs codes past
                 # 16 bits: a header has too few symbols otherwise
-                _canonical_codes(lens)
+                codes = _canonical_codes(lens)
             symbols = np.empty(n_symbols, dtype=np.int64)
             symbols[0] = first
             np.cumsum(deltas, out=symbols[1:])
             symbols[1:] += first
-            streams.append(_Stream(HuffmanCode(symbols, lens), *rest))
+            streams.append(_Stream(HuffmanCode(symbols, lens, codes), *rest))
         return streams
 
     @staticmethod
@@ -1222,11 +1249,13 @@ class HuffmanEncoder:
     ) -> dict[tuple[int, int], int]:
         """Map ``(length, codeword)`` to dense index for codes > 16 bits.
 
-        The one place a decode builds codewords, from the lengths.
+        The codewords are the ones :meth:`_parse` built: a parsed code
+        has them whenever a length passes 16 bits.
         """
         dense = np.flatnonzero(code.lengths > _PRIMARY_BITS)
-        codes = _canonical_codes(code.lengths)[dense]
-        keys = zip(code.lengths[dense].tolist(), codes.tolist())
+        if not dense.size:  # an escape no code resolves
+            return {}
+        keys = zip(code.lengths[dense].tolist(), code.codes[dense].tolist())
         return dict(zip(keys, dense.tolist()))
 
     @staticmethod

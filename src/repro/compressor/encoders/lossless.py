@@ -65,9 +65,10 @@ class LosslessBackend:
         """:meth:`compress` of every payload, each with its own escape.
 
         The stack is tokenised by one LZ77 scan (RLE: a payload at a
-        time), its token streams are counted by one offset ``bincount``
-        and planned one at a time, and those that code smaller than
-        their payload are packed as one Huffman stack.
+        time); one pass counts its token streams and finds their header
+        sizes and entropy floors (``huffman._histograms``), each is
+        planned alone, and those that code smaller than their payload
+        are packed as one Huffman stack.
 
         The exact coded size is known from the Huffman code lengths
         alone; when it already matches or exceeds the input
@@ -93,9 +94,8 @@ class LosslessBackend:
                 )[0]
                 for data in payloads
             ]
-        # one stream is counted alone, in plan()
-        histograms = _histograms(streams) if len(streams) > 1 else [None]
         coded, plans = [], []
+        histograms = _histograms(streams)
         for i, (tokens, data) in enumerate(zip(streams, payloads)):
             plan = self._huffman.plan(
                 tokens, budget=len(data), histogram=histograms[i]

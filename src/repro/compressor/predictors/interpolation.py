@@ -18,7 +18,8 @@ axis, C-order within the sweep block).
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple, Sequence
+import functools
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -67,36 +68,60 @@ def _open_mesh(vectors: list[np.ndarray]) -> tuple[np.ndarray, ...]:
 
 
 class _Sweep(NamedTuple):
-    """One sweep: the points of *level* refined along *axis*."""
+    """One sweep: the points of *level* refined along *axis*.
+
+    Every index is a read-only open mesh (:func:`_open_mesh`), built
+    once per shape (:func:`_sweeps`).
+    """
 
     level: int
     axis: int
-    #: per-axis index vectors of the sweep's points (:func:`_sweep_indices`)
-    vectors: list[np.ndarray]
-    #: their indices along *axis*, odd multiples of *half*
-    targets: np.ndarray
-    half: int
+    #: the sweep's points (:func:`_sweep_indices`)
+    grid: tuple[np.ndarray, ...]
+    #: their left and right neighbours along *axis*: the left one again
+    #: where the right one is past the far edge
+    left: tuple[np.ndarray, ...]
+    right: tuple[np.ndarray, ...]
+    #: where the right neighbour exists, shaped to broadcast over the grid
+    inside: np.ndarray
 
     def predict(self, values: np.ndarray) -> np.ndarray:
         """Linear interpolation of the sweep's points along its axis,
         from *values* (the left neighbour alone at the far edge), of
         every member when *values* is a stack."""
-        ndim = len(self.vectors)
         # a stack's member axis is taken whole; one array (decode,
         # sampling) is indexed with no prefix, which NumPy does faster
-        lead = (slice(None),) * (values.ndim - ndim)
-        axis, targets, half = self.axis, self.targets, self.half
-        left_vec = list(self.vectors)
-        right_vec = list(self.vectors)
-        left_vec[axis] = targets - half
-        right_ok = targets + half < values.shape[axis - ndim]
-        right_vec[axis] = np.where(right_ok, targets + half, targets - half)
-        left = values[lead + _open_mesh(left_vec)]
-        right = values[lead + _open_mesh(right_vec)]
-        weight_shape = [1] * ndim
-        weight_shape[axis] = targets.size
-        ok = right_ok.reshape(weight_shape)
-        return np.where(ok, 0.5 * (left + right), left)
+        lead = (slice(None),) * (values.ndim - len(self.grid))
+        left = values[lead + self.left]
+        right = values[lead + self.right]
+        return np.where(self.inside, 0.5 * (left + right), left)
+
+
+@functools.lru_cache(maxsize=128)
+def _sweeps(shape: tuple[int, ...], levels: int) -> tuple[_Sweep, ...]:
+    """Every non-empty sweep of *levels* over *shape*, in traversal order.
+
+    The indices depend on nothing else, so each ``(shape, levels)`` is
+    built once and shared by every encode, decode and sampling pass.
+    """
+    sweeps = []
+    for level in range(levels, 0, -1):
+        stride = 1 << level
+        half = stride >> 1
+        for axis in range(len(shape)):
+            vectors, targets = _sweep_indices(shape, axis, stride, half)
+            if targets.size == 0 or any(v.size == 0 for v in vectors):
+                continue
+            inside = targets + half < shape[axis]
+            left, right = list(vectors), list(vectors)
+            left[axis] = targets - half
+            right[axis] = np.where(inside, targets + half, targets - half)
+            grid, left, right = (_open_mesh(v) for v in (vectors, left, right))
+            inside = inside.reshape(grid[axis].shape)
+            for array in (*grid, *left, *right, inside):
+                array.flags.writeable = False
+            sweeps.append(_Sweep(level, axis, grid, left, right, inside))
+    return tuple(sweeps)
 
 
 class InterpolationPredictor(Predictor):
@@ -116,19 +141,6 @@ class InterpolationPredictor(Predictor):
         while (1 << level) < span and level < self.max_level:
             level += 1
         return level
-
-    @staticmethod
-    def _sweeps(shape: tuple[int, ...], levels: int) -> Iterator[_Sweep]:
-        """Every non-empty sweep of *levels* over *shape*, in traversal
-        order."""
-        for level in range(levels, 0, -1):
-            stride = 1 << level
-            half = stride >> 1
-            for axis in range(len(shape)):
-                vectors, targets = _sweep_indices(shape, axis, stride, half)
-                if targets.size == 0 or any(v.size == 0 for v in vectors):
-                    continue
-                yield _Sweep(level, axis, vectors, targets, half)
 
     # -- compression ---------------------------------------------------------
 
@@ -150,8 +162,8 @@ class InterpolationPredictor(Predictor):
         recon = np.zeros_like(stack)
         anchors = stack[anchor_slices].copy()
         recon[anchor_slices] = anchors
-        for sweep in self._sweeps(shape, levels):
-            grid = (..., *_open_mesh(sweep.vectors))
+        for sweep in _sweeps(shape, levels):
+            grid = (..., *sweep.grid)
             recon[grid] = quantizer.quantize(stack[grid], sweep.predict(recon))
         return [  # each member's streams, side payload, meta, values
             PredictorOutput(
@@ -187,8 +199,8 @@ class InterpolationPredictor(Predictor):
             output.outlier_values,
             error_bound,
         )
-        for sweep in self._sweeps(shape, levels):
-            recon[_open_mesh(sweep.vectors)] = dequantizer.dequantize(
+        for sweep in _sweeps(tuple(shape), levels):
+            recon[sweep.grid] = dequantizer.dequantize(
                 sweep.predict(recon)
             )
         return recon
@@ -213,9 +225,9 @@ class InterpolationPredictor(Predictor):
             (
                 sweep.level,
                 sweep.axis,
-                data[_open_mesh(sweep.vectors)] - sweep.predict(data),
+                data[sweep.grid] - sweep.predict(data),
             )
-            for sweep in self._sweeps(data.shape, self._levels(data.shape))
+            for sweep in _sweeps(data.shape, self._levels(data.shape))
         ]
 
     def sample_errors(

@@ -12,17 +12,36 @@ from repro.compressor.bitstream import (
     bits_to_bytes,
     bits_word,
     build_bit_window,
-    fixed_field,
     gamma_bit_lengths,
-    gamma_field,
     gather_window16,
     pack_codes,
     pack_fields,
+    pack_values,
     read_field,
     read_fixed,
     read_gamma,
     slice_window16,
 )
+
+
+def _as_field(data: bytes, nbits: int) -> tuple[int, int]:
+    """The first *nbits* of *data* as one ``(value, width)`` field."""
+    return int.from_bytes(data, "big") >> (8 * len(data) - nbits), nbits
+
+
+def gamma_field(values) -> tuple[int, int]:
+    """An Elias-gamma run as one field, written by :func:`pack_values`."""
+    values = np.asarray(values)
+    widths = gamma_bit_lengths(values)
+    return _as_field(pack_values(values, widths), int(widths.sum()))
+
+
+def fixed_field(values, nbits: int) -> tuple[int, int]:
+    """*nbits*-bit values as one field, written by :func:`pack_values`."""
+    values = np.asarray(values, dtype=np.uint64).ravel()
+    return _as_field(
+        pack_values(values, np.full(values.size, nbits)), values.size * nbits
+    )
 
 
 def _reference_pack_codes(
@@ -389,7 +408,7 @@ class TestHeaderFields:
         assert pack_fields([(2**64 - 1, 64)]) == b"\xff" * 8
         with pytest.raises(ValueError, match="does not fit in 64 bits"):
             pack_fields([(2**64 - 1, 64), (2**64, 64)])
-        with pytest.raises(ValueError, match="do not fit in 6 bits"):
+        with pytest.raises(ValueError, match="do not fit in their field"):
             fixed_field(np.array([3, 64]), 6)
 
     def test_write_negative_raises(self):

@@ -1,6 +1,7 @@
 """Tests for the Elias-gamma fields of the bitstream layer.
 
-Fields are written and read whole (``gamma_field`` / ``read_gamma``);
+Fields are written and read whole (``pack_values`` with gamma widths,
+through ``test_bitstream.gamma_field`` / ``read_gamma``);
 the one-value-at-a-time codec they replaced is the oracle
 (``tests/compressor/test_bitstream.py``).
 """
@@ -13,13 +14,13 @@ from hypothesis import strategies as st
 from repro.compressor.bitstream import (
     bits_to_bytes,
     bits_word,
-    gamma_field,
     pack_fields,
     read_field,
     read_gamma,
 )
 from tests.compressor.test_bitstream import (
     _bit_list,
+    gamma_field,
     _reference_gamma_bits,
     _reference_read_gamma,
 )

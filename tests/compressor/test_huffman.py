@@ -8,6 +8,7 @@ cases expand from integer seeds (as in ``tests/proptest.py``), so a
 failure names the seed that reproduces it.
 """
 
+import hashlib
 import heapq
 import tracemalloc
 
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compressor.bitstream import pack_codes
+from repro.compressor.bitstream import gamma_bit_lengths, pack_codes
 from repro.compressor.encoders import huffman as huffman_module
 from repro.compressor.encoders.huffman import (
     HuffmanCode,
@@ -34,6 +35,8 @@ from tests.oracle import (
     huffman_routes,
     reference_long_code_index,
     reference_primary_tables,
+    serialize,
+    with_codes,
 )
 
 
@@ -90,8 +93,9 @@ def sync_free_blob(
     enc: HuffmanEncoder, code: HuffmanCode, dense: np.ndarray
 ) -> bytes:
     """Serialize *dense* indices under *code* with no sync table."""
-    payload, total_bits = pack_codes(code.codes[dense], code.lengths[dense])
-    return enc._serialize(code, dense.size, payload, total_bits)
+    codes = _canonical_codes(code.lengths)
+    payload, total_bits = pack_codes(codes[dense], code.lengths[dense])
+    return serialize(enc, code, dense.size, payload, total_bits)
 
 
 def staircase_code(rng: np.random.Generator, longest: int) -> HuffmanCode:
@@ -240,9 +244,7 @@ class TestHuffmanCodePrefixProperty:
     def test_codes_are_prefix_free(self, counts):
         symbols = np.arange(len(counts))
         stream = np.repeat(symbols, counts)
-        code = HuffmanEncoder().plan(
-            stream, histogram=(symbols, np.array(counts))
-        ).code
+        code = with_codes(HuffmanEncoder().plan(stream).code)
         entries = [
             (int(code.codes[i]), int(code.lengths[i]))
             for i in range(len(counts))
@@ -349,6 +351,25 @@ class TestEncodedSize:
         assert h <= bits_per_symbol <= h + 1.0
 
 
+def reference_floor(symbols: np.ndarray, counts: np.ndarray) -> int:
+    """The size floor of one histogram as computed a stream at a time
+    before the stack pass: Shannon payload, exact header and sync
+    table."""
+    n = int(counts.sum())
+    entropy_bits = float(np.sum(counts * np.log2(n / counts)) * (1 - 1e-9))
+    interval, n_sync = huffman_module._sync_layout(n)
+    longest = min(57, max(symbols.size - 1, 1))
+    sync_bytes = 8 + 4 * n_sync if interval and n * longest < 1 << 32 else 0
+    gaps = int(gamma_bit_lengths(np.diff(symbols)).sum())
+    header_bits = 32 + 64 + gaps + 6 * symbols.size + 64 + 64
+    return 4 + (header_bits + 7) // 8 + sync_bytes + int(entropy_bits) // 8
+
+
+def stacked_floor(stream: np.ndarray) -> int:
+    """The floor the stack pass finds for *stream* alone."""
+    return huffman_module._histograms([np.asarray(stream, np.int64)])[0].floor
+
+
 class TestSizeFloor:
     @pytest.mark.parametrize("seed", range(40))
     def test_floor_never_exceeds_the_exact_size(self, seed):
@@ -359,9 +380,7 @@ class TestSizeFloor:
             stream = draw_small_stream(seed)
         enc = HuffmanEncoder()
         plan = enc.plan(stream)
-        floor = enc._container_bytes_floor(
-            *np.unique(stream, return_counts=True)
-        )
+        floor = stacked_floor(stream)
         assert floor <= plan.container_bytes
         assert len(enc.encode(stream, plan=plan)) == plan.container_bytes
         # the budget only ever withholds plans it proves too large
@@ -373,9 +392,7 @@ class TestSizeFloor:
         # rounding (down in the floor, up in the container) separates them
         stream = np.repeat([0, 1, 2, 3], [512, 256, 128, 128])
         enc = HuffmanEncoder()
-        floor = enc._container_bytes_floor(
-            *np.unique(stream, return_counts=True)
-        )
+        floor = stacked_floor(stream)
         assert 0 <= enc.plan(stream).container_bytes - floor <= 1
 
     def test_floor_counts_the_sync_table_exactly(self):
@@ -386,10 +403,144 @@ class TestSizeFloor:
         enc = HuffmanEncoder()
         plan = enc.plan(stream)
         assert plan.interval and plan.sync.size == 15
-        floor = enc._container_bytes_floor(
-            *np.unique(stream, return_counts=True)
-        )
+        floor = stacked_floor(stream)
         assert 0 <= plan.container_bytes - floor <= 1
+
+
+# -- stacks: every member is its stream encoded alone ----------------------
+
+
+def draw_stack(seed: int) -> tuple[list, list]:
+    """A seeded stack of streams of every kind ``encode_stack`` routes
+    apart, and which members are handed a ready plan."""
+    rng = np.random.default_rng(seed)
+    streams = []
+    for _ in range(int(rng.integers(1, 10))):
+        longer = [int(rng.integers(3, 700)), int(rng.integers(4096, 6000))]
+        n = int(rng.choice([0, 1, 2, *longer]))
+        kind = int(rng.integers(0, 7))
+        if kind == 0:  # contiguous, negative symbols
+            stream = rng.integers(-6, 7, n)
+        elif kind == 1:  # zero-dominated, like quantization codes
+            stream = (rng.geometric(0.6, n) - 1) * rng.choice([-1, 1], n)
+        elif kind == 2:  # bytes, like lossless tokens
+            stream = rng.integers(0, 256, n)
+        elif kind == 3:  # sparse: counted by np.unique below 225
+            # symbols (x 3), and indexed by searchsorted too (x 1009)
+            stream = rng.integers(-150, 150, n) * int(rng.choice([3, 1009]))
+        elif kind == 4:  # one symbol, far from zero
+            stream = np.full(n, int(rng.integers(-(2**40), 2**40)))
+        elif kind == 5:  # spans and gaps past 2**32
+            stream = rng.integers(-(2**62), 2**62, n)
+        else:  # a few far-apart symbols
+            stream = rng.choice(rng.integers(-(2**50), 2**50, 5), n)
+        streams.append(stream.astype(np.int64))
+    return streams, (rng.random(len(streams)) < 0.3).tolist()
+
+
+#: sha256 of the blobs ``encode_stack`` writes for the 40 stacks of
+#: :func:`draw_stack` (each blob's length, big-endian u64, then its bytes)
+STACK_SHA256 = (
+    "fce24b2fb5e7fb9af6b5fb65d3a34ac974ee83c5b94a34805cddc9ce29ce4863"
+)
+
+
+def encode_drawn_stack(enc: HuffmanEncoder, seed: int) -> tuple:
+    streams, planned = draw_stack(seed)
+    plans = [enc.plan(s) if p else None for s, p in zip(streams, planned)]
+    return streams, enc.encode_stack(streams, plans)
+
+
+class TestEncodeStackMembers:
+    """The stack passes — counts, header sizes, floors, codewords,
+    headers — give every member the bytes its stream gets alone."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_each_member_equals_its_stream_alone(self, seed):
+        enc = HuffmanEncoder()
+        streams, stacked = encode_drawn_stack(enc, seed)
+        assert len(stacked) == len(streams)
+        for i, (stream, blob) in enumerate(zip(streams, stacked)):
+            with case(member=i):
+                assert blob == enc.encode(stream)
+                np.testing.assert_array_equal(enc.decode(blob), stream)
+
+    def test_mixed_corpus_bytes_are_pinned(self):
+        enc = HuffmanEncoder()
+        digest = hashlib.sha256()
+        for seed in range(40):
+            for blob in encode_drawn_stack(enc, seed)[1]:
+                digest.update(len(blob).to_bytes(8, "big") + blob)
+        assert digest.hexdigest() == STACK_SHA256
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_stacked_floors_equal_the_per_stream_formula(self, seed):
+        streams, _ = draw_stack(seed)
+        enc = HuffmanEncoder()
+        histograms = huffman_module._histograms(streams)
+        for i, (stream, histogram) in enumerate(zip(streams, histograms)):
+            with case(member=i):
+                if not stream.size:
+                    assert histogram is None
+                    continue
+                symbols, counts = np.unique(stream, return_counts=True)
+                np.testing.assert_array_equal(histogram.symbols, symbols)
+                np.testing.assert_array_equal(histogram.counts, counts)
+                assert histogram.floor == reference_floor(symbols, counts)
+                assert histogram.floor <= enc.plan(stream).container_bytes
+
+
+class TestSyncOffsets:
+    """The marks are running sums of whole blocks; the cumulative sum of
+    the stream they replaced is the reference."""
+
+    @pytest.mark.parametrize("n", (1, 4095, 4096, 4097, 4352, 70_001))
+    def test_marks_and_total_equal_the_cumulative_sum(self, n):
+        lengths = np.random.default_rng(n).integers(1, 58, n)
+        interval, sync, total_bits = HuffmanEncoder._sync_offsets(lengths)
+        ends = np.cumsum(lengths)
+        assert total_bits == int(ends[-1])
+        assert interval == huffman_module._sync_layout(n)[0]
+        marks = np.arange(interval, n, interval) if interval else []
+        assert sync.dtype == np.uint32
+        np.testing.assert_array_equal(sync, ends[np.asarray(marks, int) - 1])
+
+    def test_a_payload_past_u32_offsets_has_no_table(self):
+        lengths = np.full(4096, 1 << 20)
+        interval, sync, total_bits = HuffmanEncoder._sync_offsets(lengths)
+        assert (interval, sync.size, total_bits) == (0, 0, 1 << 32)
+
+
+class TestWideAlphabets:
+    """Spans and gaps past ``int64``: a span counts as sparse, a gap no
+    header holds is refused by name — alone and in a stack alike."""
+
+    NORMAL = np.array([1, 2])
+
+    def test_a_span_past_int64_takes_the_sparse_count(self):
+        enc = HuffmanEncoder()
+        for wide in (np.array([0, 2**63 - 1]), np.array([-(2**63), -1])):
+            alone = enc.encode(wide)
+            np.testing.assert_array_equal(enc.decode(alone), wide)
+            assert enc.encode_stack([self.NORMAL, wide]) == [
+                enc.encode(self.NORMAL),
+                alone,
+            ]
+
+    def test_a_gap_past_int64_is_refused(self):
+        enc = HuffmanEncoder()
+        for wide in (
+            np.array([-(2**62), 2**62]),
+            np.array([-(2**63), 2**63 - 1]),
+        ):
+            for route in (
+                lambda: enc.plan(wide),
+                lambda: enc.encode(wide),
+                lambda: enc.encode_stack([self.NORMAL, wide]),
+                lambda: enc.encode_stack([wide, self.NORMAL]),
+            ):
+                with pytest.raises(ValueError, match="gap exceeds 2\\*\\*63"):
+                    route()
 
 
 class TestSyncFreeWalk:
@@ -462,10 +613,10 @@ class TestSyncFreeWalk:
         enc = HuffmanEncoder()
         plan = enc.plan(stream)
         payload, total_bits = pack_codes(
-            plan.code.codes[plan.dense], plan.lengths
+            _canonical_codes(plan.code.lengths)[plan.dense], plan.lengths
         )
         assert total_bits > 1_500_000
-        blob = enc._serialize(plan.code, stream.size, payload, total_bits)
+        blob = serialize(enc, plan.code, stream.size, payload, total_bits)
         del plan, payload
         tracemalloc.start()
         try:
@@ -487,11 +638,13 @@ def sync_blob(
 ) -> bytes:
     """Serialize *dense* under *code* with a sync mark every *interval*."""
     lengths = code.lengths[dense]
-    payload, total_bits = pack_codes(code.codes[dense], lengths)
+    payload, total_bits = pack_codes(
+        _canonical_codes(code.lengths)[dense], lengths
+    )
     marked = np.arange(interval, dense.size, interval)
     sync = np.cumsum(lengths)[marked - 1].astype(np.uint32)
-    return enc._serialize(
-        code, dense.size, payload, total_bits, interval, sync
+    return serialize(
+        enc, code, dense.size, payload, total_bits, interval, sync
     )
 
 
@@ -517,7 +670,7 @@ def route_base(kind: str) -> tuple[HuffmanCode, np.ndarray]:
                 stream = np.rint(rng.laplace(0, 8, n)).astype(np.int64)
             else:
                 stream = rng.integers(0, 8192, n)
-            code = HuffmanEncoder().plan(stream).code
+            code = with_codes(HuffmanEncoder().plan(stream).code)
             dense = HuffmanEncoder._dense_indices(code.symbols, stream)
         _ROUTE_BASE[kind] = (code, dense)
     return _ROUTE_BASE[kind]
@@ -541,12 +694,13 @@ class TestSyncTableIsChecked:
         self.plan = self.enc.plan(self.stream)
 
     def serialize(self, n, interval, sync):
-        code, dense = self.plan.code, self.plan.dense[:n]
+        code, dense = with_codes(self.plan.code), self.plan.dense[:n]
         payload, total_bits = pack_codes(
             code.codes[dense], code.lengths[dense]
         )
-        return self.enc._serialize(
-            code, n, payload, total_bits, interval, np.asarray(sync, "<u4")
+        return serialize(
+            self.enc, code, n, payload, total_bits, interval,
+            np.asarray(sync, "<u4"),
         )
 
     def test_oversized_table_on_a_one_block_stream_is_rejected(self):
@@ -591,8 +745,8 @@ class TestSyncTableIsChecked:
         )
         sync = np.cumsum(code.lengths[dense])[255:-1:256].astype("<u4")
         for claimed in (total_bits, total_bits + 1, total_bits + 7):
-            blob = self.enc._serialize(
-                code, dense.size, payload, claimed, 256, sync
+            blob = serialize(
+                self.enc, code, dense.size, payload, claimed, 256, sync
             )
             routes = huffman_routes(self.enc, blob)
             assert "_decode_payload_batched" in routes

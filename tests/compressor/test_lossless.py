@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.compressor.encoders import huffman
 from repro.compressor.encoders.huffman import HuffmanCode, HuffmanEncoder
 from repro.compressor.encoders.lossless import (
     _CODED,
@@ -97,6 +98,12 @@ def draw_payload(seed: int) -> bytes:
     return np.minimum(skewed, 255).astype(np.uint8).tobytes()
 
 
+def no_floors(counts, sizes, header_bits):
+    """The stacked size floors with the gate off: zero never reaches a
+    budget."""
+    return np.zeros(len(sizes), dtype=np.int64)
+
+
 class TestEntropyGate:
     """The planner's entropy floor may only skip work, never change bytes."""
 
@@ -109,11 +116,7 @@ class TestEntropyGate:
         gated = [backend.compress(data) for data in payloads]
         assert {out[0] for out in gated} == {0, 1}  # both outcomes occur
         # a floor of zero never reaches a budget: every plan is built
-        monkeypatch.setattr(
-            HuffmanEncoder,
-            "_container_bytes_floor",
-            classmethod(lambda cls, symbols, counts: 0),
-        )
+        monkeypatch.setattr(huffman, "_container_bytes_floors", no_floors)
         assert [backend.compress(data) for data in payloads] == gated
         for data, out in zip(payloads, gated):
             assert backend.decompress(out) == data
@@ -160,11 +163,7 @@ class TestEntropyGate:
         backend = LosslessBackend(name)
         gated = backend.compress(data)
         assert not built and gated == bytes([0]) + data
-        monkeypatch.setattr(
-            HuffmanEncoder,
-            "_container_bytes_floor",
-            classmethod(lambda cls, symbols, counts: 0),
-        )
+        monkeypatch.setattr(huffman, "_container_bytes_floors", no_floors)
         assert backend.compress(data) == gated
         assert built  # without the floor the code is built, then escaped
 

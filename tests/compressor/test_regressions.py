@@ -15,6 +15,7 @@ from repro.compressor import CompressionConfig, ErrorBoundMode
 from repro.compressor.encoders.huffman import HuffmanEncoder
 from repro.core.encoder_model import HuffmanAnchorModel
 from tests.conftest import roundtrip
+from tests.oracle import serialize, with_codes
 
 
 def test_rel_mode_constant_field_roundtrips():
@@ -70,14 +71,14 @@ class TestHuffmanTruncationErrors:
             # force the legacy scalar path via a sync-free serialization
             rng = np.random.default_rng(5)
             stream = rng.integers(-1000, 1000, size=2000)
-            code = HuffmanEncoder().plan(stream).code
+            code = with_codes(HuffmanEncoder().plan(stream).code)
             dense = np.searchsorted(code.symbols, stream)
             from repro.compressor.bitstream import pack_codes
 
             payload, total = pack_codes(
                 code.codes[dense], code.lengths[dense]
             )
-            blob = encoder._serialize(code, stream.size, payload, total)
+            blob = serialize(encoder, code, stream.size, payload, total)
         else:
             blob = self._overrun_blob(encoder, sync=True)
         for pos in range(len(blob) - 32, len(blob)):
@@ -118,11 +119,11 @@ class TestHuffmanTruncationErrors:
         # header claims more symbols than the payload can hold
         encoder = HuffmanEncoder()
         stream = np.arange(128)
-        code = HuffmanEncoder().plan(stream).code
+        code = with_codes(HuffmanEncoder().plan(stream).code)
         dense = np.searchsorted(code.symbols, stream)
         from repro.compressor.bitstream import pack_codes
 
         payload, total = pack_codes(code.codes[dense], code.lengths[dense])
-        blob = encoder._serialize(code, 10**9, payload, total)
+        blob = serialize(encoder, code, 10**9, payload, total)
         with pytest.raises(ValueError):
             encoder.decode(blob)

@@ -21,9 +21,11 @@ import numpy as np
 from repro.compressor import TemporalCompressor, TiledCompressor
 from repro.compressor.container import TiledReader
 from repro.compressor.encoders.huffman import (
+    _NO_SYNC,
     HuffmanCode,
     HuffmanEncoder,
     _canonical_codes,
+    _Stream,
 )
 from repro.compressor.executor import BACKENDS
 from repro.compressor.tiled import combine, decode_tile, decode_tiles
@@ -81,14 +83,33 @@ def assert_same_verdict(
 # -- Huffman streams ---------------------------------------------------------
 
 
-def deserialize(enc: HuffmanEncoder, blob: bytes):
-    """The one-blob header parse, its code completed with the canonical
-    codewords the references index (a parsed code carries lengths only)."""
-    stream = enc._parse([blob])[0]
-    symbols, lengths = stream.code.symbols, stream.code.lengths
-    return stream._replace(
-        code=HuffmanCode(symbols, lengths, _canonical_codes(lengths))
+def with_codes(code: HuffmanCode) -> HuffmanCode:
+    """*code* completed with the canonical codewords the references
+    index (a plan's code, and most parsed ones, carry lengths only)."""
+    return HuffmanCode(
+        code.symbols, code.lengths, _canonical_codes(code.lengths)
     )
+
+
+def deserialize(enc: HuffmanEncoder, blob: bytes):
+    """The one-blob header parse, its code :func:`with_codes`."""
+    stream = enc._parse([blob])[0]
+    return stream._replace(code=with_codes(stream.code))
+
+
+def serialize(
+    enc: HuffmanEncoder,
+    code: HuffmanCode,
+    n_data: int,
+    payload: bytes,
+    total_bits: int,
+    interval: int = 0,
+    sync: np.ndarray = _NO_SYNC,
+) -> bytes:
+    """One blob with any header a forger writes: a stack of one through
+    the encoder's header writer."""
+    stream = _Stream(code, n_data, payload, total_bits, interval, sync)
+    return enc._serialize([stream])[0]
 
 
 def reference_primary_tables(
