@@ -34,7 +34,8 @@ def comparison():
         row = [frac]
         for predictor in (LorenzoPredictor(), ClassicLorenzoPredictor()):
             out = predictor.decompose(data, eb, 32768)
-            bits = enc.encoded_size_bits(out.codes) / out.codes.size
+            plan = enc.plan(out.codes)
+            bits = (plan.total_bits if plan else 0) / out.codes.size
             p0 = float(np.mean(out.codes == 0))
             row.extend([bits, p0])
         rows.append(tuple(row))

@@ -7,7 +7,8 @@ lossless stage mops up residual redundancy (see §III-B of the paper).
 The implementation is written for NumPy throughput:
 
 * the tree is built once per stream by a stable sort of the histogram
-  and a two-queue merge (alphabet-sized, not data-sized);
+  and a two-queue merge (alphabet-sized, not data-sized), or by
+  package-merge where that code goes past 16 bits (Deflate caps at 15);
 * codes are *canonical*, so only the code lengths ship in the header;
   a write builds every codeword of a stack of streams in one ``lexsort``
   and every header's variable part — Elias-gamma symbol gaps, 6-bit
@@ -26,8 +27,8 @@ The implementation is written for NumPy throughput:
   rounds in all; shorter ones chain ``jump[p] = p + len[p]`` over a
   window's bit positions by pointer doubling, from its sync marks or
   the cursor;
-* codes longer than 16 bits take a per-bit canonical walk, which is rare
-  because long codes correspond to near-zero-probability symbols;
+* codes longer than 16 bits, which only older files hold for alphabets
+  of up to ``2**16`` symbols, take a per-bit canonical walk;
 * a read of many small tiles decodes their streams as one stack
   (:meth:`HuffmanEncoder.decode_stack`): headers read from Python
   integers, every sync-free stream one walk window holds chained in one
@@ -39,6 +40,7 @@ from __future__ import annotations
 
 import hashlib
 import threading
+from bisect import bisect_left, bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -165,6 +167,7 @@ class _DecodeTableLRU:
             table.nbytes
             for entry in self._entries.values()
             for table in entry
+            if isinstance(table, np.ndarray)
         )
 
     @property
@@ -190,7 +193,7 @@ class _DecodeTableLRU:
 _DECODE_TABLE_CACHE = _DecodeTableLRU()
 
 
-def huffman_code_lengths(counts: np.ndarray) -> np.ndarray:
+def huffman_code_lengths(counts: np.ndarray, limit=None) -> np.ndarray:
     """Return optimal prefix-code lengths for symbol *counts*.
 
     Standard Huffman construction.  Of equal counts a leaf merges
@@ -199,6 +202,8 @@ def huffman_code_lengths(counts: np.ndarray) -> np.ndarray:
     in a FIFO (merged counts never decrease) present their heads in
     exactly that order, so no heap is needed.  Symbols with zero count
     get length 0 (they never occur).  A singleton alphabet gets length 1.
+    With a *limit*, the optimal code of no length past it: Huffman's if
+    that fits, else :func:`_package_merge`'s.
     """
     counts = np.asarray(counts, dtype=np.int64)
     if counts.ndim != 1 or counts.size == 0:
@@ -219,47 +224,77 @@ def huffman_code_lengths(counts: np.ndarray) -> np.ndarray:
     sentinel = sum(leaf_w) + 1  # above every real weight
     leaf_w.append(sentinel)
     node_w = [sentinel] * n  # internal node k is created by merge k
-    # both queues are consumed front to back, so the parent of the i-th
-    # leaf / internal node is the i-th entry appended here
-    leaf_parent: list[int] = []
-    node_parent: list[int] = []
+    taken = []  # taken[k]: the leaves the merges before merge k took
     li = ni = 0
     leaf, node = leaf_w[0], sentinel  # the queue heads
     # the two picks of a merge are written out: an inner loop over them
     # costs a third of the speed at byte-sized alphabets
     for k in range(n - 1):
+        taken.append(li)
         if leaf <= node:
             merged = leaf
             li += 1
             leaf = leaf_w[li]
-            leaf_parent.append(k)
         else:
             merged = node
             ni += 1
             node = node_w[ni]
-            node_parent.append(k)
         if leaf <= node:
             merged += leaf
             li += 1
             leaf = leaf_w[li]
-            leaf_parent.append(k)
         else:
             merged += node
             ni += 1
             node = node_w[ni]
-            node_parent.append(k)
         node_w[k] = merged
         if ni == k:  # the head of the node queue is the node just made
             node = merged
 
-    depth = [0] * (n - 1)  # the root is node n - 2
-    for k in range(n - 3, -1, -1):
-        depth[k] = depth[node_parent[k]] + 1
-    leaf_depth = [depth[k] + 1 for k in leaf_parent]
-    if max(leaf_depth) > _MAX_CODE_LEN:
+    # Both queues are consumed in order, so the nodes and the leaves of
+    # a depth are the runs just before those of the depth above: merges
+    # before node k took taken[k] leaves and 2 * k - taken[k] nodes.
+    runs, top, node = [], n, n - 2  # the root alone is depth 0
+    while top:
+        runs.append(top - taken[node])
+        top, node = taken[node], 2 * node - taken[node]
+    if limit is not None and len(runs) > limit:
+        lengths[leaves] = _package_merge(counts[leaves], limit)
+    elif len(runs) > _MAX_CODE_LEN:
         raise ValueError("Huffman code length exceeds the supported maximum")
-    lengths[leaves] = leaf_depth
+    else:
+        lengths[leaves] = np.repeat(np.arange(len(runs), 0, -1), runs[::-1])
     return lengths
+
+
+def _package_merge(weights: np.ndarray, limit: int) -> np.ndarray:
+    """Optimal lengths of at most *limit* bits for ascending *weights*
+    by package-merge (Larmore & Hirschberg): each row merges the weights
+    with the pair sums of the row below, a weight ahead of an equal sum;
+    the top row's ``2n - 2`` smallest are spent, a spent sum spends its
+    pair, and a weight's length is the number of rows that spend it."""
+    n = weights.size
+    if n > 1 << limit:
+        raise ValueError(f"{n} symbols need codes longer than {limit} bits")
+    keep, rows = 2 * n - 2, [weights]  # no row spends more than keep
+    for _ in range(limit - 1):
+        below = rows[-1][: min(rows[-1].size, keep) & ~1]
+        row = np.concatenate((weights, below[0::2] + below[1::2]))
+        row.sort(kind="stable")
+        rows.append(row)
+    ranked, spent, k = weights.tolist(), [], keep
+    for row in reversed(rows):
+        if not k:
+            break
+        value = int(row[k - 1])  # the largest item spent
+        # the weights below it, then equal ones up to the row's count
+        leaves = min(
+            bisect_right(ranked, value),
+            k - int(row.searchsorted(value)) + bisect_left(ranked, value),
+        )
+        spent.append(leaves)
+        k = 2 * (k - leaves)
+    return len(spent) - np.searchsorted(np.sort(spent), np.arange(n), "right")
 
 
 def _histogram(stream: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -646,7 +681,9 @@ class HuffmanEncoder:
             raise ValueError("Huffman alphabet gap exceeds 2**63 - 1")
         if budget is not None and floor >= budget:
             return None
-        code = HuffmanCode(symbols, huffman_code_lengths(counts))
+        # codes fit the primary table if any 16-bit code holds the alphabet
+        limit = max(_PRIMARY_BITS, (symbols.size - 1).bit_length())
+        code = HuffmanCode(symbols, huffman_code_lengths(counts, limit=limit))
         dense = self._dense_indices(code.symbols, stream)
         lengths = code.lengths[dense]
         interval, sync, total_bits = self._sync_offsets(lengths)
@@ -721,15 +758,6 @@ class HuffmanEncoder:
                 dense = self._decode_payload(*streams[i])
             out[i] = streams[i].code.symbols[dense]
         return out
-
-    def encoded_size_bits(self, stream: np.ndarray) -> int:
-        """Exact payload size in bits without packing the bitstream.
-
-        Used by "size-only" measurement paths (the header is excluded, as
-        in the paper's bit-rate accounting).
-        """
-        plan = self.plan(stream)
-        return plan.total_bits if plan is not None else 0
 
     # -- encoding ----------------------------------------------------------
 
@@ -935,7 +963,7 @@ class HuffmanEncoder:
         chunks, spans, bases, shifts, masks = [], [], [], [], []
         size = 0
         for stream in streams:
-            sym_table, len_table = self._primary_tables(stream.code)
+            sym_table, len_table, _ = self._primary_tables(stream.code)
             base = table_at.get(id(len_table))
             if base is None:
                 base = table_at[id(len_table)] = size
@@ -1026,7 +1054,7 @@ class HuffmanEncoder:
         only the fallback for streams with long codes.
         """
         marks = self._block_starts(n_data, total_bits, interval, sync)
-        sym_table, len_table = self._primary_tables(code)
+        sym_table, len_table, _ = self._primary_tables(code)
         bits = _table_bits(len_table)
         window = build_bit_window(payload)
         if marks.size > 1:
@@ -1142,12 +1170,13 @@ class HuffmanEncoder:
         Symbol *r* of every block is column *r* of the ``(blocks,
         interval)`` output, and a round computes in per-block buffers
         allocated once per call: beyond them it allocates only its
-        gathers (and, when a code escapes, the escape's index).
+        gathers (and, when a code escapes, the escape's index); under a
+        complete table (:meth:`_primary_tables`) none tests for one.
         """
         starts = self._block_starts(n_data, total_bits, interval, sync)
         n_blocks = starts.size
         rem = n_data - (n_blocks - 1) * interval
-        sym_table, len_table = self._primary_tables(code)
+        sym_table, len_table, complete = self._primary_tables(code)
         bits = _table_bits(len_table)
         # the output outlives the window: allocated first, the window's
         # pages are the last taken and the first given back
@@ -1176,7 +1205,7 @@ class HuffmanEncoder:
             gather_window16(window, pos, out=prefix, bits=bits)
             ln = len_table[prefix]
             rows[:, r] = sym_table[prefix]
-            if not ln.all():
+            if not complete and not ln.all():
                 if slow is None:
                     slow = self._long_code_index(code)
                 for e in np.flatnonzero(ln == 0):
@@ -1196,15 +1225,17 @@ class HuffmanEncoder:
 
     def _primary_tables(
         self, code: HuffmanCode
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The primary decode tables for *code* (cached).
+    ) -> tuple[np.ndarray, np.ndarray, bool]:
+        """The primary decode tables for *code* (cached), and whether
+        they are complete: every entry holds a code.
 
         A table has ``2 ** bits`` entries, ``bits`` the longest code
         length capped at 16: ``len_table[prefix]`` is the code length
         when a full code of length <= ``bits`` matches the leading
         ``bits`` of a window (:func:`_table_bits`), else 0 (escape to
         the slow path).  A small alphabet's tables are a few hundred
-        bytes, not two 64 K arrays.
+        bytes, not two 64 K arrays.  A complete code of no length past
+        16 bits, as :meth:`plan` builds them, leaves no entry empty.
 
         The tables are content-addressed through a process-wide LRU:
         canonical codes are fully determined by the code lengths, so
@@ -1241,8 +1272,9 @@ class HuffmanEncoder:
         # code, so freeze them against accidental mutation
         sym_table.flags.writeable = False
         len_table.flags.writeable = False
-        _DECODE_TABLE_CACHE.put(key, (sym_table, len_table))
-        return sym_table, len_table
+        tables = (sym_table, len_table, int(spans.sum()) >= size)
+        _DECODE_TABLE_CACHE.put(key, tables)
+        return tables
 
     def _long_code_index(
         self, code: HuffmanCode
@@ -1250,7 +1282,8 @@ class HuffmanEncoder:
         """Map ``(length, codeword)`` to dense index for codes > 16 bits.
 
         The codewords are the ones :meth:`_parse` built: a parsed code
-        has them whenever a length passes 16 bits.
+        has them whenever a length passes 16 bits — read-only codes,
+        which writers emit only for alphabets past ``2**16`` symbols.
         """
         dense = np.flatnonzero(code.lengths > _PRIMARY_BITS)
         if not dense.size:  # an escape no code resolves
@@ -1265,9 +1298,9 @@ class HuffmanEncoder:
         total_bits: int,
         long_codes: dict[tuple[int, int], int],
     ) -> tuple[int, int]:
-        """Per-bit canonical walk for codes longer than 16 bits.
-
-        Reads bits from the
+        """Per-bit canonical walk for codes longer than 16 bits, which
+        only files written before codes were length-limited hold (and
+        alphabets past ``2**16`` symbols).  Reads bits from the
         :func:`repro.compressor.bitstream.build_bit_window` index both
         decoders already hold; bits at or past *total_bits* read as zero.
         """

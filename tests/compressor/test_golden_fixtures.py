@@ -12,8 +12,11 @@ and configs as the v4 / v5-clustered / v6 ones in the frame written
 today, and must decode to *their* expected arrays: the format moved
 framing, not values.  ``pr23_v7_uniform`` records the v4 twin's
 ``chunk_size``, which no config sets any more: it is frozen, and
-``pr26_v7_uniform`` is the same container without it.  ``tests/data/make_tiled_fixtures.py`` documents
-the regeneration policy (format-version bumps only).
+``pr26_v7_uniform`` is the same container without it.
+``v7_long_code`` holds a Huffman code longer than 16 bits, which only
+files written before codes were length-limited carry.
+``tests/data/make_tiled_fixtures.py`` documents the regeneration policy
+(format-version bumps only).
 """
 
 import hashlib
@@ -260,6 +263,23 @@ def test_every_route_decodes_every_golden_blob_to_its_array(
 def _chain_read(root, blob, ref, backend, region) -> np.ndarray:
     with _store_serving(str(root), blob, ref, backend) as store:
         return store.read_region("gold", region).data
+
+
+@pytest.mark.parametrize("part", [False, True], ids=["whole", "part"])
+def test_long_code_fixture_decodes_through_the_long_code_walk(
+    part, long_code_walks, tmp_path
+):
+    """``v7_long_code`` holds a 17-bit code, which writers no longer
+    emit: whole or in part, every route on every backend decodes it to
+    its pinned array, and the decode resolves the long code by the
+    per-bit walk past the 16-bit primary table."""
+    blob, expected = _load("v7_long_code")
+    region = (slice(1000, 5000),) if part else ()
+    routes = tile_routes(blob, region, None, tmp_path)
+    window = normalize_region(region, expected.shape)
+    routes["pinned"] = lambda: expected[window]
+    assert_same_verdict(routes)
+    assert long_code_walks
 
 
 def test_golden_v7_layout_is_pinned():

@@ -33,9 +33,12 @@ from tests.oracle import (
     assert_same_verdict,
     deserialize,
     huffman_routes,
+    payload_bits,
     reference_long_code_index,
     reference_primary_tables,
     serialize,
+    unlimited_blob,
+    unlimited_code,
     with_codes,
 )
 
@@ -238,6 +241,140 @@ class TestCodeLengthsMatchHeapOracle:
             _canonical_codes(np.array([1] * 5 + [63]))
 
 
+def brute_force_cost(counts: np.ndarray, limit: int) -> int:
+    """The least ``sum(count * length)`` over every length vector of the
+    present symbols that meets Kraft's inequality and *limit*."""
+    weights = counts[counts > 0]
+    grid = np.indices((limit,) * weights.size, dtype=np.int8)
+    grid = grid.reshape(weights.size, -1) + 1
+    kraft = np.sum(np.left_shift(1, limit - grid, dtype=np.int64), axis=0)
+    return int((weights @ grid)[kraft <= 1 << limit].min())
+
+
+def assert_limited_code(counts: np.ndarray, lengths: np.ndarray, limit: int):
+    """A complete code of present symbols only, none past *limit*, no
+    symbol longer than a rarer one."""
+    present = counts > 0
+    assert not lengths[~present].any()
+    assert 1 <= lengths[present].min() and lengths.max() <= limit
+    if present.sum() > 1:
+        kraft = np.left_shift(1, limit - lengths[present]).sum()
+        assert kraft == 1 << limit
+    order = np.argsort(-counts[present], kind="stable")
+    by_weight = counts[present][order], lengths[present][order]
+    # a lighter symbol never gets a shorter code
+    assert np.all(np.diff(by_weight[1])[np.diff(by_weight[0]) < 0] >= 0)
+
+
+def draw_small_histogram(seed: int) -> tuple[np.ndarray, int]:
+    """Counts of 2..8 present symbols (absent ones between) and a limit
+    from the least feasible up to the longest the brute force spans."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 9))
+    kind = seed % 4
+    if kind == 0:  # Fibonacci-like: the Huffman code is as deep as it gets
+        counts = np.cumsum(np.r_[1, 1, rng.integers(1, 3, n - 2)])
+        counts = np.maximum.accumulate(counts) ** 2
+    elif kind == 1:  # ties
+        counts = rng.integers(1, 4, n)
+    elif kind == 2:
+        counts = 2 ** rng.integers(0, 10, n)
+    else:
+        counts = rng.integers(1, 1000, n)
+    counts = np.insert(counts, rng.integers(0, n + 1, seed % 3), 0)
+    rng.shuffle(counts)
+    least = (n - 1).bit_length()
+    longest = {8: 5, 7: 6, 6: 7}.get(n, n - 1)
+    return counts, int(rng.integers(least, max(least, longest) + 1))
+
+
+class TestLengthLimit:
+    """``huffman_code_lengths(counts, limit)``: the optimal code of no
+    length past the limit (package-merge when Huffman's goes past it)."""
+
+    @pytest.mark.parametrize("seed", range(120))
+    def test_cost_is_the_brute_force_optimum(self, seed):
+        counts, limit = draw_small_histogram(seed)
+        lengths = huffman_code_lengths(counts, limit=limit)
+        assert_limited_code(counts, lengths, limit)
+        assert int(counts @ lengths) == brute_force_cost(counts, limit)
+
+    @pytest.mark.parametrize("seed", range(96))
+    def test_a_code_that_fits_is_huffmans(self, seed):
+        counts = draw_histogram(seed)
+        unlimited = huffman_code_lengths(counts)
+        longest = int(unlimited.max())
+        for limit in (longest, longest + 1, 57):
+            np.testing.assert_array_equal(
+                huffman_code_lengths(counts, limit=limit), unlimited
+            )
+        least = max(int(np.count_nonzero(counts) - 1).bit_length(), 1)
+        for limit in range(least, longest):  # Huffman's goes past these
+            lengths = huffman_code_lengths(counts, limit=limit)
+            assert_limited_code(counts, lengths, limit)
+            assert counts @ lengths >= counts @ unlimited
+
+    def test_deepest_supported_tree_under_a_16_bit_limit(self):
+        fib = [1, 1]
+        while len(fib) < 59:
+            fib.append(fib[-1] + fib[-2])
+        for counts in (np.array(fib[:58]), np.array(fib)):
+            lengths = huffman_code_lengths(counts, limit=16)
+            assert_limited_code(counts, lengths, 16)
+        # all 2**16 symbols of a flat alphabet, and one more than fits
+        flat = np.ones(1 << 16, dtype=np.int64)
+        assert set(huffman_code_lengths(flat, limit=16).tolist()) == {16}
+        with pytest.raises(ValueError, match="longer than 16 bits"):
+            huffman_code_lengths(np.r_[flat, 1], limit=16)
+
+    def test_plans_fit_the_primary_table(self, monkeypatch):
+        """No plan of the 72 property cases (``FLAT_SECTIONS_SHA256``)
+        or the six ledger workloads' fields has a code past 16 bits —
+        nor the full ``codec_bulk`` field, whose unlimited codes take
+        17."""
+        from dataclasses import replace
+
+        from repro.compressor import CompressionConfig, TiledCompressor
+        from tests.compressor.test_model_cost_guards import _ledger_fields
+        from tests.proptest import draw_case, resolved_config
+
+        longest = []
+        plan = HuffmanEncoder.plan
+
+        def spy(self, stream, *args, **kwargs):
+            out = plan(self, stream, *args, **kwargs)
+            if out is not None:
+                longest.append(int(out.code.lengths.max()))
+            return out
+
+        monkeypatch.setattr(HuffmanEncoder, "plan", spy)
+        for seed in range(72):  # as the flat-sections pin frames them
+            case = draw_case(seed)
+            config = replace(
+                resolved_config(case),
+                tile_shape=None,
+                adaptive=False,
+                temporal=False,
+            )
+            TiledCompressor().compress(case.data, config)
+        fields = _ledger_fields()
+        for kind, shape, bound, tile, adaptive in (
+            ("random_walk", (16, 16, 64), 1e-2, (16, 32, 256), False),
+            ("random_walk", (32, 32, 256), 1e-2, (16, 32, 256), False),
+            ("halo", (64, 64), 0.2, (32, 32), False),
+            ("halo", (64, 64), 0.2, (32, 32), True),
+            ("halo", (128, 128), 0.05, (128, 128), False),
+            ("halo", (128, 128), 0.05, (32, 32), False),
+            ("wave", (16, 16, 32), 2e-3, (16, 16, 32), False),
+        ):
+            field = fields.build(kind, shape, seed=3)[0]
+            config = CompressionConfig(
+                error_bound=bound, tile_shape=tile, adaptive=adaptive
+            )
+            TiledCompressor().compress(field, config)
+        assert len(longest) > 80 and max(longest) <= 16
+
+
 class TestHuffmanCodePrefixProperty:
     @given(st.lists(st.integers(1, 1000), min_size=2, max_size=64))
     @settings(max_examples=30)
@@ -328,7 +465,7 @@ class TestEncodedSize:
         rng = np.random.default_rng(2)
         stream = rng.integers(-5, 6, size=4000)
         enc = HuffmanEncoder()
-        bits = enc.encoded_size_bits(stream)
+        bits = payload_bits(enc, stream)
         # real payload is the container minus header; check consistency
         code = HuffmanEncoder().plan(stream).code
         dense = np.searchsorted(code.symbols, stream)
@@ -338,7 +475,7 @@ class TestEncodedSize:
         stream = np.zeros(10_000, dtype=np.int64)
         stream[::100] = 1
         enc = HuffmanEncoder()
-        bits = enc.encoded_size_bits(stream)
+        bits = payload_bits(enc, stream)
         assert bits < stream.size * 2  # far below 64-bit raw
 
     def test_size_near_entropy(self):
@@ -347,7 +484,7 @@ class TestEncodedSize:
         _, probs = normalized_histogram(stream)
         h = entropy_bits(probs)
         enc = HuffmanEncoder()
-        bits_per_symbol = enc.encoded_size_bits(stream) / stream.size
+        bits_per_symbol = payload_bits(enc, stream) / stream.size
         assert h <= bits_per_symbol <= h + 1.0
 
 
@@ -604,20 +741,23 @@ class TestSyncFreeWalk:
             with case(blob=k):
                 assert_same_verdict(huffman_routes(enc, damaged))
 
-    def test_multi_megabit_sync_free_blob_decodes_in_bounded_memory(self):
+    def test_multi_megabit_sync_free_blob_decodes_in_bounded_memory(
+        self, long_code_walks
+    ):
         """A legacy format-1 stream of any length walks fixed-size
         windows: beyond the output (and its symbol mapping) the decode
-        holds a few bytes per payload byte, never tables per bit."""
+        holds a few bytes per payload byte, never tables per bit.  Its
+        code has no length limit, so the walk escapes on the way."""
         rng = np.random.default_rng(11)
         stream = rng.geometric(0.5, 1_000_000) - 1
         enc = HuffmanEncoder()
-        plan = enc.plan(stream)
+        code, dense = unlimited_code(stream)
         payload, total_bits = pack_codes(
-            _canonical_codes(plan.code.lengths)[plan.dense], plan.lengths
+            code.codes[dense], code.lengths[dense]
         )
         assert total_bits > 1_500_000
-        blob = serialize(enc, plan.code, stream.size, payload, total_bits)
-        del plan, payload
+        blob = serialize(enc, code, stream.size, payload, total_bits)
+        del dense, payload
         tracemalloc.start()
         try:
             decoded = enc.decode(blob)
@@ -628,6 +768,7 @@ class TestSyncFreeWalk:
         # 16 MB of output and mapped symbols; one int64 table entry per
         # bit position alone would add another 16 MB
         assert peak < 2 * decoded.nbytes + (4 << 20)
+        assert long_code_walks
 
 
 # -- format-2 (sync-table) streams: one verdict whichever kernel runs ---------
@@ -654,7 +795,9 @@ _ROUTE_BASE: dict = {}
 
 def route_base(kind: str) -> tuple[HuffmanCode, np.ndarray]:
     """A code and 2**18 dense indices under it: ~2, ~5.5 and ~13 bits per
-    symbol, and a skewed code whose rare symbols take the > 16-bit walk."""
+    symbol, and a skewed code whose rare symbols take the > 16-bit walk.
+    The codes have no length limit: the rarest ``laplace`` symbols take
+    17 bits, as in v7 files written without the limit."""
     if kind not in _ROUTE_BASE:
         rng = np.random.default_rng(_ROUTE_KINDS.index(kind))
         n = 1 << 18
@@ -670,8 +813,7 @@ def route_base(kind: str) -> tuple[HuffmanCode, np.ndarray]:
                 stream = np.rint(rng.laplace(0, 8, n)).astype(np.int64)
             else:
                 stream = rng.integers(0, 8192, n)
-            code = with_codes(HuffmanEncoder().plan(stream).code)
-            dense = HuffmanEncoder._dense_indices(code.symbols, stream)
+            code, dense = unlimited_code(stream)
         _ROUTE_BASE[kind] = (code, dense)
     return _ROUTE_BASE[kind]
 
@@ -733,11 +875,13 @@ class TestSyncTableIsChecked:
             self.enc.decode(self.serialize(8192, 2**31, [77]))
 
     @pytest.mark.parametrize("kind", ("laplace", "escapes"))
-    def test_last_block_must_end_on_total_bits(self, kind):
+    def test_last_block_must_end_on_total_bits(self, kind, long_code_walks):
         # no mark follows the last block: only the end of the payload
-        # holds it, for the walk as for the batched rounds
+        # holds it, for the walk as for the batched rounds.  The stream
+        # opens on its code's longest symbol, so every route escapes
         code, dense = route_base(kind)
-        lengths = code.lengths[dense[:5000]]
+        dense = np.r_[code.lengths.argmax(), dense[:4999]]
+        lengths = code.lengths[dense]
         n = 4500 + int(np.flatnonzero(np.cumsum(lengths)[4500:] % 8 == 1)[0])
         dense = dense[: n + 1]
         payload, total_bits = pack_codes(
@@ -752,6 +896,7 @@ class TestSyncTableIsChecked:
             assert "_decode_payload_batched" in routes
             verdict = assert_same_verdict(routes)
             assert isinstance(verdict, ValueError) == (claimed != total_bits)
+        assert long_code_walks
 
     def test_a_mark_off_its_symbol_is_rejected_by_the_walk(self):
         sync = self.plan.sync.copy()
@@ -873,18 +1018,32 @@ class TestNoDecodeCliff:
         windows = -(-(total_bits + 1) // huffman_module._WALK_WINDOW_BITS)
         assert 1 <= len(calls) <= windows + 1
 
-    def test_large_streams_keep_the_batched_rounds(self, monkeypatch):
+    def test_large_streams_keep_the_batched_rounds(
+        self, monkeypatch, long_code_walks
+    ):
         code, dense = route_base("laplace")
         enc = HuffmanEncoder()
         stream = code.symbols[dense[: 1 << 18]]
-        blob = enc.encode(stream)
-        assert deserialize(enc, blob)[3] > 1 << 20
+        encoded = enc.encode(stream)
+        # the stream as a writer with no length limit framed it: its
+        # rarest symbols past the 16-bit primary table
+        unlimited = unlimited_blob(enc, stream)
+        longest = [
+            deserialize(enc, blob)[0].lengths.max()
+            for blob in (encoded, unlimited)
+        ]
+        assert longest[0] <= 16 < longest[1]
+        for blob in (encoded, unlimited):
+            assert deserialize(enc, blob)[3] > 1 << 20
 
         def unexpected(*args, **kwargs):
             raise AssertionError("not on the large-stream route")
 
         monkeypatch.setattr(HuffmanEncoder, "_decode_payload", unexpected)
-        np.testing.assert_array_equal(enc.decode(blob), stream)
+        np.testing.assert_array_equal(enc.decode(encoded), stream)
+        assert not long_code_walks
+        np.testing.assert_array_equal(enc.decode(unlimited), stream)
+        assert long_code_walks
 
 
 class TestCorruptSyncStreams:
@@ -1162,7 +1321,7 @@ class TestDecodeTableCache:
                 peak = max(peak, cache.nbytes)
         assert (cache.misses, cache.hits) == (40, 40)
         assert len(cache) == 40 and peak <= cache._max_bytes
-        for sym_table, len_table in cache._entries.values():
+        for sym_table, len_table, _ in cache._entries.values():
             assert sym_table.dtype.kind == "u" and sym_table.itemsize <= 2
             assert not sym_table.flags.writeable
             assert not len_table.flags.writeable
@@ -1178,9 +1337,10 @@ class TestDecodeTableCache:
         cache.put(bytes([8]), (table,))  # replaced, not counted twice
         assert cache.nbytes == 4 * table.nbytes
 
-    def test_wide_alphabets_get_wider_entries(self):
+    def test_wide_alphabets_get_wider_entries(self, long_code_walks):
         # sized by the largest dense index, n_symbols - 1: the boundaries
-        # of each entry type, on both sides
+        # of each entry type, on both sides.  No 16-bit code holds 65 537
+        # symbols: that alphabet's code still escapes the primary table
         enc = HuffmanEncoder()
         for n_symbols, dtype in (
             (200, np.uint8),
@@ -1196,6 +1356,7 @@ class TestDecodeTableCache:
             np.testing.assert_array_equal(
                 enc.decode(enc.encode(stream)), stream
             )
+        assert long_code_walks
 
 
 def draw_table_code(seed: int) -> HuffmanCode:
@@ -1227,8 +1388,9 @@ class TestDecodeTables:
         monkeypatch.setattr(huffman_module, "_DECODE_TABLE_CACHE", cache)
         code = draw_table_code(seed)
         enc = HuffmanEncoder()
-        sym_table, len_table = enc._primary_tables(code)
+        sym_table, len_table, complete = enc._primary_tables(code)
         expected_sym, expected_len = reference_primary_tables(code)
+        assert complete == expected_len.all()
         assert sym_table.dtype == np.min_scalar_type(code.lengths.size - 1)
         # 2 ** longest entries, capped at the 16-bit window
         bits = min(max(int(code.lengths.max()), 1), 16)

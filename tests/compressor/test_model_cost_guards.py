@@ -119,14 +119,17 @@ DELTA_SHA256 = (
 #: name -> (ledger builder, shape, config of the workload, sha256 of
 #: the input, of the container): the two workloads whose bytes
 #: ``pack_codes`` writes most of, taken at the revision before it went
-#: from one byte per bit to 64-bit words.
+#: from one byte per bit to 64-bit words.  ``codec_bulk``'s container
+#: was re-pinned when Huffman codes were limited to 16 bits (311 887 ->
+#: 311 908 B: its 17-bit codes became 16); :data:`UNLIMITED_SHA256` is
+#: the container that writer made before.
 ENCODE_SHA256 = {
     "codec_bulk": (
         "random_walk",
         (32, 32, 256),
         CompressionConfig(error_bound=1e-2, tile_shape=(16, 32, 256)),
         "06870226a871ee3201c42678acb70a1894b0918d1a4c3c66b4f40fa5ae7b44fe",
-        "77c385a51201bea78f268d1c068ac04ee8c87948474fd97dc8e1558ac9178b5f",
+        "0b50ec5d8e5698045509f2afd83d3ba4083b9f5f1d0b2033f9e7aa277d12e642",
     ),
     "serve_hot": (
         "halo",
@@ -173,6 +176,13 @@ def test_v6_delta_bytes_are_pinned():
     assert delta.stats.temporal_tiles == 8 and delta.stats.model_decisions == 8
 
 
+#: the ``codec_bulk`` container with unlimited Huffman codes (17 bits
+#: at most): the bytes the writer made before codes fit 16 bits
+UNLIMITED_SHA256 = (
+    "77c385a51201bea78f268d1c068ac04ee8c87948474fd97dc8e1558ac9178b5f"
+)
+
+
 @pytest.mark.parametrize("name", sorted(ENCODE_SHA256))
 def test_bulk_encode_bytes_are_pinned(name):
     kind, shape, config, input_sha, blob_sha = ENCODE_SHA256[name]
@@ -180,6 +190,19 @@ def test_bulk_encode_bytes_are_pinned(name):
     _skip_unless_input_matches([field], input_sha)
     blob = TiledCompressor(backend="serial").compress(field, config).blob
     assert _sha256(blob) == blob_sha
+
+
+def test_unlimited_codes_write_what_the_unlimited_writer_wrote(
+    unlimited_codes,
+):
+    """The ``unlimited_codes`` fixture, which the long-code decode tests
+    write with, makes the very container of the writer without a length
+    limit: those tests decode what such files hold."""
+    kind, shape, config, input_sha, _ = ENCODE_SHA256["codec_bulk"]
+    field = _ledger_fields().build(kind, shape, seed=5)[0]
+    _skip_unless_input_matches([field], input_sha)
+    blob = TiledCompressor(backend="serial").compress(field, config).blob
+    assert _sha256(blob) == UNLIMITED_SHA256
 
 
 # -- cost: rate-only paths never pay for quality --------------------------------

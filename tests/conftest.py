@@ -5,7 +5,10 @@ from __future__ import annotations
 import contextlib
 
 import numpy as np
+import pytest
 from hypothesis import settings
+
+from repro.compressor.encoders import huffman
 
 SEED = 1234
 
@@ -14,6 +17,35 @@ SEED = 1234
 #: ``max_examples`` and inherits the rest from here
 settings.register_profile("repro", derandomize=True, deadline=None)
 settings.load_profile("repro")
+
+
+@pytest.fixture
+def long_code_walks(monkeypatch) -> list:
+    """The bit position of every symbol the test's decodes resolve by
+    the per-bit walk for codes past the 16-bit primary table."""
+    walks = []
+    walk = huffman.HuffmanEncoder._decode_long_bytes
+
+    def counted(window, pos, total_bits, long_codes):
+        walks.append(pos)
+        return walk(window, pos, total_bits, long_codes)
+
+    monkeypatch.setattr(
+        huffman.HuffmanEncoder, "_decode_long_bytes", staticmethod(counted)
+    )
+    return walks
+
+
+@pytest.fixture
+def unlimited_codes(monkeypatch) -> None:
+    """Writers build Huffman codes with no length limit: the test's
+    compresses write what v7 writers wrote before codes fit 16 bits."""
+    lengths = huffman.huffman_code_lengths
+
+    def unlimited(counts, limit=None):
+        return lengths(counts)
+
+    monkeypatch.setattr(huffman, "huffman_code_lengths", unlimited)
 
 
 @contextlib.contextmanager

@@ -13,6 +13,7 @@ from repro.core.encoder_model import (
     rle_ratio,
 )
 from repro.core.histogram import build_code_histogram
+from tests.oracle import payload_bits
 
 
 def gaussian_errors(n=50_000, seed=0, sigma=1.0):
@@ -26,7 +27,7 @@ class TestEq1:
             hist = build_code_histogram(errors, eb, correction=False)
             est = huffman_bitrate(hist)
             codes = np.rint(errors / (2 * eb)).astype(np.int64)
-            real = HuffmanEncoder().encoded_size_bits(codes) / codes.size
+            real = payload_bits(HuffmanEncoder(), codes) / codes.size
             assert est == pytest.approx(real, abs=0.25)
 
     def test_one_bit_floor(self):
@@ -121,14 +122,14 @@ class TestRleModel:
             rng.random(n) < p0, 0, rng.integers(1, 5, n)
         ).astype(np.int64)
         enc = HuffmanEncoder()
-        bits_plain = enc.encoded_size_bits(codes)
+        bits_plain = payload_bits(enc, codes)
         from repro.compressor.encoders.rle import ZeroRunLengthEncoder
 
         tokens, stats = ZeroRunLengthEncoder().encode(codes)
-        bits_rle = enc.encoded_size_bits(tokens)
+        bits_rle = payload_bits(enc, tokens)
         real_ratio = bits_plain / max(bits_rle, 1)
         # calibrate C1: bits spent on run tokens divided by run count
-        bits_nonzero = enc.encoded_size_bits(codes[codes != 0])
+        bits_nonzero = payload_bits(enc, codes[codes != 0])
         c1_measured = (bits_rle - bits_nonzero) / stats.n_runs
         hist = build_code_histogram(
             codes.astype(float), 0.25, correction=False

@@ -16,10 +16,17 @@ Two kinds of fixture live here:
 
 * **frozen** (``FROZEN``) — containers no writer produces any more
   (v4 ``pr2_v4_tiled_zstd``, v5 ``pr3_v5_adaptive`` /
-  ``pr8_v5_clustered``, v6 ``pr9_v6_temporal``, and the v7
+  ``pr8_v5_clustered``, v6 ``pr9_v6_temporal``, the v7
   ``pr23_v7_uniform``, whose header records a ``chunk_size`` of 128
-  that no config can express any more), kept byte for byte as
-  released.  This script never writes them; ``--check`` only decodes
+  that no config can express any more, and the v7 ``v7_long_code``,
+  whose one quantization code takes 17 bits: writers cap codes at 16
+  bits now, and only files written before hold the longer codes the
+  decoder's per-bit walk reads), kept byte for byte as released.
+  ``v7_long_code`` is a 1-D ``float32`` walk of 6 764 integer steps
+  0, -1, 1, -2, 2, ... taken 4 181, 2 584, ..., 1, 1 times (Fibonacci
+  counts, largest first; shuffled by ``default_rng(17)``) under ABS
+  0.5, one tile: Lorenzo codes the steps exactly, and the two rarest
+  get 17-bit codes.  This script never writes them; ``--check`` only decodes
   them against the ``*_expected.npy`` they name.
 * **current** (:func:`build`) — ``pr26_v7_uniform`` /
   ``pr23_v7_adaptive`` / ``pr23_v7_temporal``, the v7 frame minted from
@@ -100,6 +107,7 @@ FROZEN = {
     for name in ["pr3_v5_adaptive"] + [twin for twin, _ in TWINS.values()]
 }
 FROZEN["pr23_v7_uniform"] = "pr2_v4_tiled_zstd"
+FROZEN["v7_long_code"] = "v7_long_code"
 
 
 def build():

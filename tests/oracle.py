@@ -19,6 +19,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from repro.compressor import TemporalCompressor, TiledCompressor
+from repro.compressor.bitstream import pack_codes
 from repro.compressor.container import TiledReader
 from repro.compressor.encoders.huffman import (
     _NO_SYNC,
@@ -26,6 +27,7 @@ from repro.compressor.encoders.huffman import (
     HuffmanEncoder,
     _canonical_codes,
     _Stream,
+    huffman_code_lengths,
 )
 from repro.compressor.executor import BACKENDS
 from repro.compressor.tiled import combine, decode_tile, decode_tiles
@@ -110,6 +112,38 @@ def serialize(
     the encoder's header writer."""
     stream = _Stream(code, n_data, payload, total_bits, interval, sync)
     return enc._serialize([stream])[0]
+
+
+def payload_bits(enc: HuffmanEncoder, stream: np.ndarray) -> int:
+    """The payload bits of *stream*'s plan, the header excluded as in
+    the paper's bit-rate accounting (0 for an empty stream)."""
+    plan = enc.plan(stream)
+    return plan.total_bits if plan is not None else 0
+
+
+def unlimited_code(stream: np.ndarray) -> tuple[HuffmanCode, np.ndarray]:
+    """The Huffman code of *stream* with no length limit, codewords
+    and all, and the stream's dense indices under it: the code of a v7
+    file whose writer let rare symbols take more than 16 bits."""
+    symbols, dense, counts = np.unique(
+        stream, return_inverse=True, return_counts=True
+    )
+    code = HuffmanCode(symbols, huffman_code_lengths(counts))
+    return with_codes(code), dense.ravel()
+
+
+def unlimited_blob(enc: HuffmanEncoder, stream: np.ndarray) -> bytes:
+    """*stream* under :func:`unlimited_code`, framed with the sync table
+    the encoder picks for its size: what such a writer's ``encode``
+    wrote."""
+    code, dense = unlimited_code(stream)
+    lengths = code.lengths[dense]
+    interval, sync, total_bits = enc._sync_offsets(lengths)
+    payload, packed_bits = pack_codes(code.codes[dense], lengths)
+    assert packed_bits == total_bits
+    return serialize(
+        enc, code, dense.size, payload, total_bits, interval, sync
+    )
 
 
 def reference_primary_tables(
