@@ -5,7 +5,8 @@ codes, (b) an outlier stream for unpredictable points, and (c) an
 optional side payload (anchors, regression coefficients).  The inverse
 direction reconstructs the array from those pieces while honouring the
 error bound.  A predictor encodes a stack of same-shaped arrays in one
-pass (:meth:`Predictor.decompose_stack`), one array as a stack of one.
+pass (:meth:`Predictor.decompose_stack`) and decodes one the same way
+(:meth:`Predictor.reconstruct_stack`), one array as a stack of one.
 Quantizing is what gives the encoder the decoder's values, so every
 predictor can hand them back with its output.
 Interpolation and regression quantize through
@@ -68,11 +69,12 @@ class PredictorOutput:
         """Number of unpredictable points."""
         return int(self.outlier_positions.size)
 
-    def meta_int(self, key: str, default: int | None = None) -> int:
-        """The small count the encoder recorded under *key* — a decoded
-        container may hold anything there: ``ValueError`` if it does."""
+    def meta_int(self, key: str, default=None, allowed=range(64)) -> int:
+        """The small count the encoder recorded under *key*, one of
+        *allowed* — a decoded container may hold anything there:
+        ``ValueError`` if it does."""
         value = self.meta.get(key, default)
-        if type(value) is not int or not 0 <= value < 64:
+        if type(value) is not int or value not in allowed:
             raise ValueError(f"corrupt predictor meta: {key} = {value!r}")
         return value
 
@@ -108,14 +110,26 @@ class Predictor(abc.ABC):
         with ``reconstruct`` each output also carries the decoder's
         reconstruction (``PredictorOutput.reconstruction``)."""
 
-    @abc.abstractmethod
     def reconstruct(
         self,
         output: PredictorOutput,
         shape: tuple[int, ...],
         error_bound: float,
     ) -> np.ndarray:
-        """Invert an output of :meth:`decompose_stack` (``float64``)."""
+        """The one-output case of :meth:`reconstruct_stack`."""
+        return self.reconstruct_stack([output], shape, [error_bound])[0]
+
+    @abc.abstractmethod
+    def reconstruct_stack(
+        self,
+        outputs: Sequence[PredictorOutput],
+        shape: tuple[int, ...],
+        error_bounds: Sequence[float],
+    ) -> np.ndarray:
+        """The ``(n, *shape)`` ``float64`` stack whose member *i* inverts
+        ``outputs[i]``, an output of :meth:`decompose_stack` under the
+        bound ``error_bounds[i]``, as a stack of it alone would.  The
+        outputs are of one stack: they share their ``meta``."""
 
     @abc.abstractmethod
     def prediction_errors(self, data: np.ndarray) -> np.ndarray:

@@ -10,10 +10,10 @@ quantizes the prediction error, and reconstructs — so later sweeps and
 levels predict from reconstructed values, exactly like SZ3.
 
 Every sweep is a pure slicing operation, so compression and decompression
-are vectorized — compression over a whole stack of same-shaped arrays,
-whose leading member axis every sweep index takes whole; the
-code/outlier streams follow the deterministic traversal order (level,
-axis, C-order within the sweep block).
+are vectorized, each over a whole stack of same-shaped arrays, whose
+leading member axis every sweep index takes whole; the code/outlier
+streams follow the deterministic traversal order (level, axis, C-order
+within the sweep block).
 """
 
 from __future__ import annotations
@@ -177,32 +177,31 @@ class InterpolationPredictor(Predictor):
 
     # -- decompression ---------------------------------------------------------
 
-    def reconstruct(
+    def reconstruct_stack(
         self,
-        output: PredictorOutput,
+        outputs: Sequence[PredictorOutput],
         shape: tuple[int, ...],
-        error_bound: float,
+        error_bounds: Sequence[float],
     ) -> np.ndarray:
-        levels = output.meta_int("levels")
-        stride0 = 1 << levels
-        anchor_shape = tuple(output.meta["anchor_shape"])
-        anchors = np.frombuffer(
-            output.side_payload, dtype=np.float64
-        ).reshape(anchor_shape)
-
-        recon = np.zeros(shape, dtype=np.float64)
-        anchor_slices = tuple(slice(None, None, stride0) for _ in shape)
-        recon[anchor_slices] = anchors
+        """Every sweep of every member at once, on the anchor grid that
+        *shape* and ``levels`` make: a meta recording another is refused."""
+        meta = outputs[0].meta
+        levels = outputs[0].meta_int("levels")
+        anchor_slices = (..., *(slice(None, None, 1 << levels) for _ in shape))
+        recon = np.zeros((len(outputs), *shape), dtype=np.float64)
+        anchors = recon[anchor_slices]
+        if meta.get("anchor_shape") != [*anchors.shape[1:]]:
+            raise ValueError(f"corrupt predictor meta: {meta!r} of {shape}")
+        anchors[...] = np.stack(
+            [np.frombuffer(o.side_payload, np.float64) for o in outputs]
+        ).reshape(anchors.shape)
         dequantizer = Dequantizer(
-            output.codes,
-            output.outlier_positions,
-            output.outlier_values,
-            error_bound,
+            [(o.codes, o.outlier_positions, o.outlier_values) for o in outputs],
+            error_bounds,
         )
         for sweep in _sweeps(tuple(shape), levels):
-            recon[sweep.grid] = dequantizer.dequantize(
-                sweep.predict(recon)
-            )
+            grid = (..., *sweep.grid)
+            recon[grid] = dequantizer.dequantize(sweep.predict(recon))
         return recon
 
     # -- model support ---------------------------------------------------------

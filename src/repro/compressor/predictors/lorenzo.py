@@ -56,16 +56,18 @@ def _forward_difference(
 
 
 def _inverse_difference(codes: np.ndarray, order: int) -> None:
-    """Invert :func:`_forward_difference` in place: per-axis running sums.
+    """Invert :func:`_forward_difference` in place on the stack *codes*
+    (a leading batch axis, which it skips): per-axis running sums.
 
     Along the last axis that is ``np.cumsum``.  Along another one whose
-    slices are long it is one add per index instead: NumPy accumulates
-    a non-last axis in strided inner loops, ~10x slower than adding
-    whole contiguous slices on a (16, 32, 256) tile's first axis.
+    slices are long in a member it is one add per index instead: NumPy
+    accumulates a non-last axis in strided inner loops, ~10x slower
+    than adding whole contiguous slices on a (16, 32, 256) tile's first
+    axis.
     """
     for _ in range(order):
-        for axis in range(codes.ndim - 1, -1, -1):
-            slice_size = codes.size // max(codes.shape[axis], 1)
+        for axis in range(codes.ndim - 1, 0, -1):
+            slice_size = codes[0].size // max(codes.shape[axis], 1)
             if axis == codes.ndim - 1 or slice_size < _MIN_SLICE:
                 np.cumsum(codes, axis=axis, out=codes)
                 continue
@@ -155,25 +157,29 @@ class LorenzoPredictor(Predictor):
             for i, (lo, hi) in enumerate(zip(cuts, cuts[1:]))
         ]
 
-    def reconstruct(
+    def reconstruct_stack(
         self,
-        output: PredictorOutput,
+        outputs: Sequence[PredictorOutput],
         shape: tuple[int, ...],
-        error_bound: float,
+        error_bounds: Sequence[float],
     ) -> np.ndarray:
-        codes = np.array(output.codes, dtype=np.int64)  # the one working copy
-        codes[output.outlier_positions] = output.outlier_values
-        _inverse_difference(
-            codes.reshape(shape), output.meta_int("order", self.order)
-        )
+        """One pass of the running sums over the stack's lattice, each
+        member's outliers patched in and its bound scaling it."""
+        order = outputs[0].meta_int("order", self.order, allowed=(1, 2))
+        # the one working copy
+        codes = np.stack([output.codes for output in outputs], dtype=np.int64)
+        for member, output in zip(codes, outputs):
+            member[output.outlier_positions] = output.outlier_values
+        _inverse_difference(codes.reshape(-1, *shape), order)
         # the float64 values overwrite the lattice they are scaled from,
         # a block at a time: NumPy copies each overlapping input block
         # before writing it, so no second tile-sized array is made
         values = codes.view(np.float64)
-        for lo in range(0, codes.size, _SCALE_BLOCK):
-            block = slice(lo, lo + _SCALE_BLOCK)
-            np.multiply(codes[block], 2.0 * error_bound, out=values[block])
-        return values.reshape(shape)
+        for member, out, bound in zip(codes, values, error_bounds):
+            for lo in range(0, member.size, _SCALE_BLOCK):
+                block = slice(lo, lo + _SCALE_BLOCK)
+                np.multiply(member[block], 2.0 * bound, out=out[block])
+        return values.reshape(-1, *shape)
 
     def prediction_errors(self, data: np.ndarray) -> np.ndarray:
         data = self._validate(data)
@@ -380,23 +386,24 @@ class ClassicLorenzoPredictor(Predictor):
             reconstruction=recon if reconstruct else None,
         )
 
-    def reconstruct(
+    def reconstruct_stack(
         self,
-        output: PredictorOutput,
+        outputs: Sequence[PredictorOutput],
         shape: tuple[int, ...],
-        error_bound: float,
+        error_bounds: Sequence[float],
     ) -> np.ndarray:
-        bin_width = 2.0 * error_bound
-        recon = np.zeros(shape, dtype=np.float64)
-        outliers = dict(
-            zip(output.outlier_positions.tolist(), output.outlier_values)
-        )
-        for flat, coords in enumerate(np.ndindex(*shape)):
-            if flat in outliers:
-                recon[coords] = outliers[flat]
-                continue
-            pred = _classic_prediction(recon, coords)
-            recon[coords] = pred + output.codes[flat] * bin_width
+        """The reference routine, a member at a time."""
+        recon = np.zeros((len(outputs), *shape), dtype=np.float64)
+        for member, output, bound in zip(recon, outputs, error_bounds):
+            outliers = dict(
+                zip(output.outlier_positions.tolist(), output.outlier_values)
+            )
+            for flat, coords in enumerate(np.ndindex(*shape)):
+                if flat in outliers:
+                    member[coords] = outliers[flat]
+                    continue
+                pred = _classic_prediction(member, coords)
+                member[coords] = pred + output.codes[flat] * (2.0 * bound)
         return recon
 
     def prediction_errors(self, data: np.ndarray) -> np.ndarray:

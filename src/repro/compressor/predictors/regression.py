@@ -19,6 +19,7 @@ so fitting all blocks is a handful of einsum reductions.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Sequence
 
 import numpy as np
@@ -197,41 +198,34 @@ class RegressionPredictor(Predictor):
 
     # -- decompression -------------------------------------------------------------
 
-    def reconstruct(
+    def reconstruct_stack(
         self,
-        output: PredictorOutput,
+        outputs: Sequence[PredictorOutput],
         shape: tuple[int, ...],
-        error_bound: float,
+        error_bounds: Sequence[float],
     ) -> np.ndarray:
-        block = output.meta.get("block", self.block)
-        if block != self.block:
+        """Every member's blocks of one group at once, as its encode
+        quantized them."""
+        if outputs[0].meta.get("block", self.block) != self.block:
             raise ValueError("block size mismatch between encode and decode")
-        coeffs_flat = np.frombuffer(output.side_payload, dtype=np.float32)
-        recon = np.zeros(shape, dtype=np.float64)
+        n, ndim = len(outputs), len(shape)
+        recon = np.zeros((n, *shape), dtype=np.float64)
         dequantizer = Dequantizer(
-            output.codes,
-            output.outlier_positions,
-            output.outlier_values,
-            error_bound,
+            [(o.codes, o.outlier_positions, o.outlier_values) for o in outputs],
+            error_bounds,
         )
-
-        ndim = len(shape)
-        coeff_offset = 0
+        coeffs = np.stack(
+            [np.frombuffer(o.side_payload, dtype=np.float32) for o in outputs]
+        )
+        offset = 0
         for slices, block_shape in self._iter_groups(shape):
-            region_shape = tuple(s.stop - s.start for s in slices)
-            nblocks = int(
-                np.prod(
-                    [region_shape[a] // block_shape[a] for a in range(ndim)]
-                )
-            )
-            ncoef = nblocks * (ndim + 1)
-            coeffs = coeffs_flat[
-                coeff_offset : coeff_offset + ncoef
-            ].reshape(nblocks, ndim + 1)
-            coeff_offset += ncoef
-            value = dequantizer.dequantize(self._evaluate(coeffs, block_shape))
-            recon[slices] = self._from_blocks(
-                value, region_shape, block_shape
+            region = recon[(slice(None), *slices)]
+            count = region[0].size // math.prod(block_shape) * (ndim + 1)
+            group = coeffs[:, offset : offset + count].reshape(-1, ndim + 1)
+            offset += count
+            preds = self._evaluate(group, block_shape).reshape(n, -1)
+            region[...] = self._from_blocks(
+                dequantizer.dequantize(preds), region.shape, (1,) + block_shape
             )
         return recon
 

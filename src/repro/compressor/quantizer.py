@@ -17,7 +17,8 @@ predictors, which own only their traversal: they hand it one stretch
 traversal order, of every member of a stack (a leading axis, a bound
 per member).  :class:`Quantizer` returns each stretch's reconstruction
 and gathers each member's code and outlier streams; :class:`Dequantizer`
-walks one member's stretches back.  Lorenzo's dual-quantization lattice
+is its mirror, which takes each member's streams and bound and walks
+the stack's stretches back.  Lorenzo's dual-quantization lattice
 (:mod:`repro.compressor.predictors.lorenzo`) quantizes values, not
 errors, and is its own.
 """
@@ -87,35 +88,42 @@ class Quantizer:
 
 
 class Dequantizer:
-    """The decoder's side: the stretches of one member's
-    :class:`Quantizer` streams, in the order it quantized them."""
+    """The decoder's side: the stretches of each member's
+    :class:`Quantizer` streams, in the order they were quantized."""
 
     def __init__(
         self,
-        codes: np.ndarray,
-        outlier_positions: np.ndarray,
-        outlier_values: np.ndarray,
-        error_bound: float,
+        streams: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]],
+        error_bounds: Sequence[float],
     ) -> None:
-        positions = np.asarray(outlier_positions, dtype=np.int64)
-        values = np.asarray(outlier_values, dtype=np.float64)
-        # sorted, so that each stretch's outliers are one slice
-        order = np.argsort(positions)
-        self._positions, self._values = positions[order], values[order]
-        self._codes = codes
-        self._bin_width = 2.0 * error_bound
+        codes, positions, values = zip(*streams)
+        # a stack of one is a view: no second copy of a large tile's codes
+        self._codes = (
+            np.stack(codes) if len(codes) > 1 else np.asarray(codes[0])[None]
+        )
+        # every member's outliers sorted by position, so that each
+        # stretch's are one slice, with the member each belongs to
+        counts = [len(member) for member in positions]
+        member = np.repeat(np.arange(len(counts)), counts)
+        positions = np.concatenate(positions).astype(np.int64, copy=False)
+        order = np.argsort(positions, kind="stable")
+        self._member, self._positions = member[order], positions[order]
+        self._values = np.concatenate(values).astype(np.float64)[order]
+        self._bin_width = 2.0 * np.asarray(error_bounds, dtype=np.float64)
         self._offset = 0
 
     def dequantize(self, pred: np.ndarray) -> np.ndarray:
-        """``pred + code * 2eb`` over the next ``pred.size`` codes, with
-        the stretch's outliers patched in."""
-        start, stop = self._offset, self._offset + pred.size
-        codes = self._codes[start:stop].reshape(pred.shape)
-        value = pred + codes.astype(np.float64) * self._bin_width
-        lo = np.searchsorted(self._positions, start)
-        hi = np.searchsorted(self._positions, stop)
+        """``pred + code * 2eb`` over the next stretch of codes of each
+        member of the ``(n, *stretch)`` *pred*, member *i* under bound
+        *i*, with the stretch's outliers patched in."""
+        n = len(pred)
+        start, stop = self._offset, self._offset + pred.size // n
+        codes = self._codes[:, start:stop].reshape(pred.shape)
+        bin_width = self._bin_width.reshape((-1,) + (1,) * (pred.ndim - 1))
+        value = pred + codes.astype(np.float64) * bin_width
+        lo, hi = np.searchsorted(self._positions, [start, stop])
         if hi > lo:
-            local = np.unravel_index(self._positions[lo:hi] - start, pred.shape)
-            value[local] = self._values[lo:hi]
+            member, at = self._member[lo:hi], self._positions[lo:hi] - start
+            value.reshape(n, -1)[member, at] = self._values[lo:hi]
         self._offset = stop
         return value

@@ -6,9 +6,9 @@ forward_transform`), then two stage objects:
 
 * :class:`PredictorStage` — turns a stack of (transformed) arrays into
   integer quantization codes plus outliers in one pass of the
-  configured predictor, and one array back: Lorenzo on its own
-  dual-quantization lattice, interpolation and regression through the
-  one linear quantizer of :mod:`repro.compressor.quantizer`;
+  configured predictor, and a stack of them back in another: Lorenzo
+  on its own dual-quantization lattice, interpolation and regression
+  through the one linear quantizer of :mod:`repro.compressor.quantizer`;
 * :class:`HuffmanEntropyStage` — losslessly encodes the code stream as
   one Huffman(+lossless) payload, and still reads the v3 codes sections
   of independently coded blocks that earlier revisions wrote.
@@ -50,8 +50,8 @@ class PredictorStage:
     pass whatever the predictor; with ``reconstruct`` each output also
     carries what :meth:`reconstruct` will return for it
     (``PredictorOutput.reconstruction``), which every predictor holds
-    once it has quantized.  :meth:`reconstruct` inverts one output
-    (``float64``).
+    once it has quantized.  :meth:`reconstruct` inverts a stack of
+    outputs in one ``Predictor.reconstruct_stack`` pass.
     """
 
     @staticmethod
@@ -78,13 +78,16 @@ class PredictorStage:
 
     def reconstruct(
         self,
-        output: PredictorOutput,
+        outputs: Sequence[PredictorOutput],
         shape: tuple[int, ...],
-        abs_eb: float,
+        abs_eb: Sequence[float],
         config: CompressionConfig,
     ) -> np.ndarray:
-        predictor = self.make_predictor(config)
-        return predictor.reconstruct(output, shape, abs_eb)
+        """The ``(n, *shape)`` ``float64`` stack whose member *i* inverts
+        ``outputs[i]`` under the absolute bound ``abs_eb[i]``."""
+        return self.make_predictor(config).reconstruct_stack(
+            outputs, shape, abs_eb
+        )
 
 
 # -- entropy-coding stage ------------------------------------------------------
@@ -125,26 +128,17 @@ class HuffmanEntropyStage:
             for payload, blob in zip(payloads, blobs)
         ]
 
-    def decode(
-        self, payload: bytes, config: CompressionConfig, chunked: bool
-    ) -> np.ndarray:
-        """Invert :meth:`encode` back to the flat ``int64`` code stream.
-
-        A *chunked* payload is a v3 codes section, whose blocks decode
-        one after another; the caller checks the total.  The
-        one-section case of :meth:`decode_stack`.
-        """
-        return self.decode_stack([(payload, config, chunked)])[0]
-
     def decode_stack(
         self, sections: Sequence[tuple[bytes, CompressionConfig, bool]]
     ) -> list[np.ndarray]:
-        """:meth:`decode` of every ``(payload, config, chunked)`` section.
+        """The flat ``int64`` code stream of every ``(payload, config,
+        chunked)`` section: what :meth:`encode_stack` coded.
 
         Each payload is unwrapped from its lossless stage, then every
         Huffman stream is decoded as one stack
-        (:meth:`HuffmanEncoder.decode_stack`) — but a chunked section's
-        blocks, which decode one after another as before.
+        (:meth:`HuffmanEncoder.decode_stack`) — but a *chunked* payload,
+        a v3 codes section, whose blocks decode one after another as
+        before; the caller checks the total.
         """
         out: list = [None] * len(sections)
         stacked, blobs = [], []

@@ -7,15 +7,15 @@
 
 The predict/quantize stage quantizes through
 :mod:`repro.compressor.quantizer` (Lorenzo on its own lattice).
-:meth:`SZCompressor.encode_stages` turns one array into its five stage
-sections plus the parameters that decode them, and
-:meth:`SZCompressor.decode_stages` inverts every stage — by
-construction within the configured error bound; ``encode_stack`` and
-``decode_stack`` do the same for many tiles at once.  None frames
-anything: :class:`repro.compressor.tiled.TiledCompressor` is the one
-front end, which drives this codec a stack of tiles at a time (a flat
-array is one tile) and writes the container of
-:mod:`repro.compressor.container`.
+:meth:`SZCompressor.encode_stack` turns a stack of tiles into their
+five stage sections each plus the parameters that decode them
+(:meth:`SZCompressor.encode_stages` one array), and
+:meth:`SZCompressor.decode_stack` inverts every stage of a stack of
+tiles — by construction within the configured error bound — each
+stage a stack at a time but the transform.  None frames anything:
+:class:`repro.compressor.tiled.TiledCompressor` is the one front end,
+which drives this codec a stack of tiles at a time (a flat array is
+one tile) and writes the container of :mod:`repro.compressor.container`.
 
 Degenerate inputs take no stage bytes: empty arrays round-trip to the
 correct shape/dtype, and constant fields under ``REL`` mode (whose
@@ -85,7 +85,7 @@ class SZCompressor:
         Returns ``(header, sections, reconstruction, measures)``: the
         fields a flat header would hold, the five stage sections in
         :data:`container.SECTION_NAMES` order, with ``reconstruct``
-        what :meth:`decode_stages` will return for them (else ``None``),
+        what :meth:`decode_stack` will return for them (else ``None``),
         and the counts :class:`~repro.compressor.tiled.TiledResult`
         totals over tiles.
         The per-tile contract of the tiled compressor, and the one-tile
@@ -153,7 +153,7 @@ class SZCompressor:
                     data.shape, extra.get("constant", 0), dtype=data.dtype
                 )
             elif reconstruct:
-                # the tail of decode_stages(), on the encoder's own values
+                # the tail of decode_stack(), on the encoder's own values
                 reconstruction = (
                     inverse_transform(
                         output.reconstruction,
@@ -201,29 +201,21 @@ class SZCompressor:
             out.append((header, sections, reconstruction, measures))
         return out
 
-    def decode_stages(
-        self, header: dict, sections: Sequence[bytes]
-    ) -> np.ndarray:
-        """The array :meth:`encode_stages` turned into *header*, *sections*.
-
-        *header* is a tile's resolved parameters + the grid's
-        ``shape``/``dtype``, which a payload cannot vouch for, so a
-        code stream that is not the one ``shape`` needs is refused.
-        ``chunked`` in it marks a v3 codes section.  The one-tile case
-        of :meth:`decode_stack`.
-        """
-        return self.decode_stack([(header, sections)])[0]
-
     def decode_stack(
         self, tiles: Sequence[tuple[dict, Sequence[bytes]]]
     ) -> list[np.ndarray]:
-        """:meth:`decode_stages` of every ``(header, sections)`` tile.
+        """The arrays :meth:`encode_stack` turned into these ``(header,
+        sections)`` tiles: a *header* is a tile's resolved parameters +
+        the grid's ``shape``/``dtype``, which a payload cannot vouch for,
+        so a code stream that is not the one ``shape`` needs is refused
+        (``chunked`` in it marks a v3 codes section).
 
-        Each tile's codes section is unwrapped from its lossless stage
-        and all of them are entropy-decoded as one stack
-        (:meth:`HuffmanEntropyStage.decode_stack`); then each tile is
-        reconstructed on its own.  What raises is some bad tile's
-        error — decode one tile at a time for the first one's.
+        All codes sections are entropy-decoded as one stack
+        (:meth:`HuffmanEntropyStage.decode_stack`), the tiles of one
+        shape and predictor reconstructed as one
+        (:meth:`PredictorStage.reconstruct`), and each tile inverse
+        transformed alone.  What raises is some bad tile's error —
+        decode one tile at a time for the first one's.
         """
         out: list = [None] * len(tiles)
         coded = []  # the tiles with a code stream
@@ -245,23 +237,39 @@ class SZCompressor:
                 for _, header, config, codes_payload, _ in coded
             ]
         )
-        # popped, so that each code stream is freed once its tile is built
+        # each code stream is popped into its group, which alone holds
+        # it: a group is the tiles one predictor pass reconstructs
         stack.reverse()
+        groups: dict = {}
         for i, header, config, _, sections in coded:
-            out[i] = self._reconstruct(header, config, sections, stack.pop())
+            key = (
+                tuple(header["shape"]) or (1,), repr(header["predictor_meta"]),
+                config.predictor, config.lorenzo_levels, config.regression_block,
+            )
+            _, indices, outputs = groups.setdefault(key, (config, [], []))
+            indices.append(i)
+            outputs.append(self._output(header, sections, stack.pop()))
+        for (shape, *_), (config, indices, outputs) in groups.items():
+            bounds = [tiles[i][0]["abs_eb"] for i in indices]
+            work = self._prediction.reconstruct(outputs, shape, bounds, config)
+            outputs.clear()  # spent: the group's code streams are freed here
+            for i, member in zip(indices, work):
+                header, sections = tiles[i]
+                data = inverse_transform(member, header, sections[4])
+                out[i] = data.reshape(header["shape"]).astype(
+                    header["dtype"], copy=False
+                )
         return out
 
-    def _reconstruct(
-        self,
-        header: dict,
-        config: CompressionConfig,
-        sections: Sequence[bytes],
-        codes: np.ndarray,
-    ) -> np.ndarray:
-        """The tile of *header* from its decoded *codes* and sections."""
+    @staticmethod
+    def _output(
+        header: dict, sections: Sequence[bytes], codes: np.ndarray
+    ) -> PredictorOutput:
+        """The predictor output of the tile of *header* from its decoded
+        *codes* and sections, once they prove to fit its shape."""
         shape = tuple(header["shape"])
         dtype = np.dtype(header["dtype"])
-        _, pos_b, val_b, side, signs = sections
+        _, pos_b, val_b, side, _ = sections
         # every point has a code but the interpolation predictor's anchors
         anchor_shape = header["predictor_meta"].get("anchor_shape", [0])
         if not isinstance(anchor_shape, list):
@@ -283,16 +291,9 @@ class SZCompressor:
             or np.any(positions[1:] <= positions[:-1])
         ):
             raise container.ContainerFormatError("corrupt outlier positions")
-        output = PredictorOutput(
+        return PredictorOutput(
             codes, positions, values, side, header["predictor_meta"]
         )
-        core_shape = shape if shape else (1,)
-        work = self._prediction.reconstruct(
-            output, core_shape, header["abs_eb"], config
-        )
-        del codes, output  # spent: the tile-sized code stream is freed here
-        data = inverse_transform(work, header, signs)
-        return data.reshape(shape).astype(dtype, copy=False)
 
     @staticmethod
     def _config_from_header(header: dict) -> CompressionConfig:

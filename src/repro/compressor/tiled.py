@@ -33,8 +33,8 @@ adaptive, and the temporal policy of
 (and through it the chunked storage layer), the serving store — turns
 tile payloads into samples through :func:`decode_records`, which cuts
 a read into stacks, one per worker, each decoded by
-:func:`decode_tiles` (one tile: :func:`decode_tile`), which
-entropy-decodes a stack of tiles at once.
+:func:`decode_tiles`, which entropy-decodes a stack of tiles at once
+and reconstructs it a predictor pass per shape.
 
 Error-bound semantics of the uniform path are the stage codec's on the
 whole array:
@@ -92,7 +92,6 @@ __all__ = [
     "TiledCompressor",
     "TiledResult",
     "TileJob",
-    "decode_tile",
     "decode_tiles",
     "decode_records",
     "decode_tile_task",
@@ -204,22 +203,6 @@ def combine(residual: np.ndarray, ref_tile: np.ndarray) -> np.ndarray:
     ).astype(residual.dtype)
 
 
-def decode_tile(
-    payload: bytes,
-    shape: Sequence[int],
-    dtype: np.dtype,
-    codec: SZCompressor | None = None,
-    *,
-    params: dict,
-) -> np.ndarray:
-    """The tile a TOC record of *shape* and *dtype* names, from *payload*.
-
-    The one way a tile payload becomes samples, for every reader: the
-    one-tile case of :func:`decode_tiles`.
-    """
-    return decode_tiles([payload], [shape], dtype, codec, params=[params])[0]
-
-
 def decode_tiles(
     payloads: Sequence[bytes],
     shapes: Sequence[Sequence[int]],
@@ -253,7 +236,7 @@ def decode_tiles(
         if len(payloads) <= 1:
             raise
         return [
-            decode_tile(payload, shape, dtype, codec, params=tile_params)
+            _decode_stack([payload], [shape], dtype, codec, [tile_params])[0]
             for payload, shape, tile_params in zip(payloads, shapes, params)
         ]
 

@@ -27,7 +27,6 @@ from repro.compressor.container import (
 )
 from repro.compressor.legacy import read_chunked_codes, read_flat, reframe
 from repro.compressor.stages import HuffmanEntropyStage
-from repro.compressor.tiled import decode_tile
 from tests.conftest import (
     assert_error_bounded,
     forge_chunked_v7,
@@ -37,7 +36,7 @@ from tests.conftest import (
     smooth_field,
     write_chunked_codes,
 )
-from tests.oracle import assert_same_verdict, tile_routes
+from tests.oracle import assert_same_verdict, decode_alone, tile_routes
 
 DATA_DIR = os.path.join(os.path.dirname(os.path.dirname(__file__)), "data")
 
@@ -61,7 +60,7 @@ def _assert_twins(sz, data, config, chunk):
     assert recon.dtype == data.dtype and recon.shape == data.shape
     np.testing.assert_array_equal(recon, sz.decompress(twin))
     np.testing.assert_array_equal(
-        decode_tile(
+        decode_alone(
             reframe(v3, data.shape, data.dtype), data.shape, data.dtype,
             params={},
         ),
@@ -141,7 +140,7 @@ class TestChunkedV7Tiles:
         parts = parts[:-1] if blocks == "dropped" else parts + parts[-1:]
         payload = pack_tile(meta, [write_chunked_codes(parts), *sections[1:]])
         with pytest.raises(ContainerFormatError, match="corrupt code stream"):
-            decode_tile(payload, record.shape, dtype, params=record.params)
+            decode_alone(payload, record.shape, dtype, params=record.params)
 
 
 class TestRatioParity:
@@ -243,8 +242,8 @@ class TestCorruptedBlobs:
         # inflate the first chunk's recorded length
         codes[4:12] = (2**40).to_bytes(8, "little")
         with pytest.raises(ValueError):
-            HuffmanEntropyStage().decode(
-                bytes(codes), SZCompressor._config_from_header(header), chunked=True
+            HuffmanEntropyStage().decode_stack(
+                [(bytes(codes), SZCompressor._config_from_header(header), True)]
             )
 
     def test_truncated_container_rejected(self, sz):

@@ -418,7 +418,7 @@ def _tiled_case(seed: int, kind: str):
 
 #: each tile decoded alone, and the whole container as the serial
 #: reader decodes it (for the whole, the stack routes are its own)
-WHOLE_READ = {"backends": ["serial"], "names": ("decode_tile", "decompress")}
+WHOLE_READ = {"backends": ["serial"], "names": ("decode_alone", "decompress")}
 
 
 #: proptest cases 0..23 that have a uniform, adaptive or temporal v7

@@ -110,8 +110,8 @@ class TestQuantize:
         values, codes, _, _ = quantize(true, pred, 0.5)
         np.testing.assert_array_equal(codes, [0, 0])
         assert not np.any(np.signbit(values))
-        decoded = Dequantizer(codes, [], [], 0.5).dequantize(pred)
-        assert decoded.tobytes() == values.tobytes()
+        decoded = Dequantizer([(codes, [], [])], [0.5]).dequantize(pred[None])
+        assert decoded.tobytes() == values[None].tobytes()
 
     @given(
         st.floats(1e-6, 1e3),
@@ -145,23 +145,54 @@ class TestDequantize:
             quantizer.quantize(np.stack([true, 2 * true]), np.stack([pred] * 2))
             for true, pred in stretches
         ]
-        for i, (streams, bound) in enumerate(zip(quantizer.streams(), bounds)):
-            # the radius makes outliers in every stretch
-            assert streams[1].size
-            dequantizer = Dequantizer(*streams, bound)
-            for (_, pred), want in zip(stretches, encoded):
-                got = dequantizer.dequantize(pred)
-                assert got.tobytes() == want[i].tobytes()
+        streams = quantizer.streams()
+        # the radius makes outliers in every member
+        assert all(positions.size for _, positions, _ in streams)
+        dequantizer = Dequantizer(streams, bounds)
+        for (_, pred), want in zip(stretches, encoded):
+            got = dequantizer.dequantize(np.stack([pred] * 2))
+            assert got.tobytes() == want.tobytes()
+
+    def test_each_member_dequantizes_as_alone(self):
+        # per-member bounds, outliers in some members only, stretches of
+        # several shapes: each member is what a stack of it alone gives
+        rng = np.random.default_rng(4)
+        bounds = [5e-2, 1e-3, 1e-2]
+        quantizer = Quantizer(bounds, 1 << 10)
+        stretches = []
+        for shape in [(4, 6), (9,), (2, 3, 5)]:
+            true = rng.standard_normal((3, *shape))
+            true[1] *= 1e3  # outliers in the middle member only
+            pred = rng.standard_normal((3, *shape))
+            quantizer.quantize(true, pred)
+            stretches.append(pred)
+        streams = quantizer.streams()
+        assert [positions.size > 0 for _, positions, _ in streams] == [
+            False,
+            True,
+            False,
+        ]
+        stacked = Dequantizer(streams, bounds)
+        alone = [Dequantizer([s], [b]) for s, b in zip(streams, bounds)]
+        for pred in stretches:
+            got = stacked.dequantize(pred)
+            for i, member in enumerate(alone):
+                want = member.dequantize(pred[i : i + 1])
+                assert got[i : i + 1].tobytes() == want.tobytes()
 
     def test_outlier_positions_in_any_order(self):
         true = np.array([0.0, 9.0, 0.1, -7.0, 0.0, 5.0])
         pred = np.zeros(6)
         values, codes, positions, outliers = quantize(true, pred, 0.05, 1)
         order = np.random.default_rng(2).permutation(positions.size)
-        shuffled = Dequantizer(codes, positions[order], outliers[order], 0.05)
-        first = shuffled.dequantize(pred[:3])
-        second = shuffled.dequantize(pred[3:])
-        np.testing.assert_array_equal(np.concatenate([first, second]), values)
+        shuffled = Dequantizer(
+            [(codes, positions[order], outliers[order])], [0.05]
+        )
+        first = shuffled.dequantize(pred[None, :3])
+        second = shuffled.dequantize(pred[None, 3:])
+        np.testing.assert_array_equal(
+            np.concatenate([first, second], axis=1), values[None]
+        )
 
 
 #: shapes of 1-D to 4-D, none a multiple of the regression block (6)

@@ -19,7 +19,6 @@ from repro.compressor.container import ContainerFormatError, TiledReader
 from repro.compressor.encoders import huffman
 from repro.compressor.encoders.huffman import HuffmanEncoder
 from repro.compressor.tiled import (
-    decode_tile,
     decode_tiles,
     intersect_extent,
     iter_tiles,
@@ -34,7 +33,7 @@ from tests.conftest import (
     forge_v2,
     smooth_field,
 )
-from tests.oracle import assert_same_verdict, tile_routes
+from tests.oracle import assert_same_verdict, decode_alone, tile_routes
 
 
 class TestGeometry:
@@ -457,7 +456,7 @@ def halo_field(shape=(192, 192), seed: int = 3) -> np.ndarray:
 
 class TestDecodeStacks:
     """A read decodes its tiles as stacks; what it returns is byte for
-    byte what :func:`decode_tile` makes of each tile alone."""
+    byte what :func:`tests.oracle.decode_alone` makes of each tile."""
 
     def test_fixture_reads_equal_their_tiles_decoded_alone(self):
         # the property-test corpus is held to the same in
@@ -501,7 +500,7 @@ class TestDecodeStacks:
     def test_mixed_stack_equals_its_tiles_alone(self):
         tiles = self.mixed()
         alone = [
-            decode_tile(payload, shape, np.float64, params=params)
+            decode_alone(payload, shape, np.float64, params=params)
             for payload, shape, params, _ in tiles
         ]
         keys = set()
@@ -528,7 +527,7 @@ class TestDecodeStacks:
                 damaged[int(rng.integers(0, len(damaged)))] ^= 0xFF
             stack = payloads[:at] + [bytes(damaged)] + payloads[at + 1 :]
             try:
-                own = decode_tile(
+                own = decode_alone(
                     bytes(damaged), shapes[at], np.float64, params=params[at]
                 )
             except ValueError as exc:
@@ -552,14 +551,14 @@ class TestDecodeStacks:
         payloads[2] = payloads[2][:2]
         assert_same_verdict(
             {
-                "decode_tile": lambda: decode_tile(
+                "decode_alone": lambda: decode_alone(
                     payloads[1], shapes[1], np.float64, params=params[1]
                 ),
                 "decode_tiles": lambda: decode_tiles(
                     payloads, shapes, np.float64, params=params
                 )[1],
             },
-            messages=("decode_tile", "decode_tiles"),
+            messages=("decode_alone", "decode_tiles"),
             match="payload truncated",
         )
 

@@ -13,8 +13,8 @@ import pytest
 
 from repro.compressor import CompressionConfig, SZCompressor, TiledCompressor
 from repro.compressor.container import TiledReader
-from repro.compressor.tiled import decode_tile
 from tests.conftest import smooth_field
+from tests.oracle import decode_alone
 
 N_THREADS = 8
 ROUNDS = 4
@@ -73,7 +73,7 @@ def test_shared_reader_hammered_from_threads(tiled_path):
         dtype = np.dtype(reader.header["dtype"])
 
         def decode(record):
-            return decode_tile(
+            return decode_alone(
                 reader.read_tile(record),
                 record.shape,
                 dtype,

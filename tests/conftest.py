@@ -374,7 +374,7 @@ def chunk_codes(params: dict, sections, chunk: int) -> tuple[dict, list]:
     from repro.compressor.sz import SZCompressor
 
     config = SZCompressor._config_from_header(params)
-    codes = HuffmanEntropyStage().decode(sections[0], config, chunked=False)
+    codes = HuffmanEntropyStage().decode_stack([(sections[0], config, False)])[0]
     blocks = []
     for lo in range(0, codes.size, chunk):
         block = HuffmanEncoder().encode(codes[lo : lo + chunk])

@@ -30,7 +30,7 @@ from repro.compressor.encoders.huffman import (
     huffman_code_lengths,
 )
 from repro.compressor.executor import BACKENDS
-from repro.compressor.tiled import combine, decode_tile, decode_tiles
+from repro.compressor.tiled import combine, decode_tiles
 from repro.compressor.tiled_geometry import extent_slices, normalize_region
 
 #: what a route may raise and still have reached a verdict
@@ -300,9 +300,15 @@ def _touched(reader: TiledReader, region) -> list:
     ]
 
 
+def decode_alone(payload, shape, dtype, codec=None, *, params) -> np.ndarray:
+    """The tile a record of *shape*, *dtype* and *params* names, from
+    *payload* decoded alone: ``decode_tiles`` of a stack of one."""
+    return decode_tiles([payload], [shape], dtype, codec, params=[params])[0]
+
+
 def _by_tile(blob, region, reference, stacked) -> np.ndarray:
-    """*region* of *blob* from the tiles it meets, decoded by
-    ``decode_tile`` one at a time or by one ``decode_tiles`` stack."""
+    """*region* of *blob* from the tiles it meets, decoded alone one at
+    a time (:func:`decode_alone`) or by one ``decode_tiles`` stack."""
     with TiledReader(blob) as reader:
         shape = tuple(reader.header["shape"])
         dtype = np.dtype(reader.header["dtype"])
@@ -317,7 +323,7 @@ def _by_tile(blob, region, reference, stacked) -> np.ndarray:
         tiles = decode_tiles(payloads, shapes, dtype, params=params)
     else:
         tiles = [
-            decode_tile(payload, shape, dtype, params=p)
+            decode_alone(payload, shape, dtype, params=p)
             for payload, shape, p in zip(payloads, shapes, params)
         ]
     out = np.zeros(shape, dtype=dtype)
@@ -392,7 +398,7 @@ def tile_routes(
     """The routes to *region* of the container *blob*, or of them those
     *names* (a backend's are ``{name}/{backend}``).
 
-    Of more than one tile, ``decode_tile`` per tile and one
+    Of more than one tile, ``decode_alone`` per tile and one
     ``decode_tiles`` stack over the tiles the region meets; then on
     each of *backends* (two workers) ``TiledCompressor.decompress``
     (cropped) and, for less than the whole array, ``decompress_region``,
@@ -413,8 +419,8 @@ def tile_routes(
         several = True
     assert reference is not None or not temporal, "temporal tiles need it"
     routes = {}
-    if several:  # else every reader decodes the one tile as decode_tile
-        routes["decode_tile"] = lambda: _by_tile(
+    if several:  # else every reader decodes the one tile alone
+        routes["decode_alone"] = lambda: _by_tile(
             blob, region, reference, False
         )
         routes["decode_tiles"] = lambda: _by_tile(

@@ -19,7 +19,7 @@ the invariants every case must satisfy:
   only the intersecting tiles;
 * a tiled container's reads decode its tiles as stacks: full and
   region decodes, on the serial, thread or process backend by seed,
-  are byte for byte what ``decode_tile`` makes of each tile alone;
+  are byte for byte what ``decode_alone`` makes of each tile alone;
 * temporal cases replay the case as a short snapshot chain: the bound
   holds on *every* snapshot (keyframe or delta), full decode and
   region decode of a temporal container are byte-identical, keyframes decode
@@ -299,7 +299,7 @@ def _check_tiled(case: Case, flat_recon: np.ndarray) -> None:
     # backend the seed picks, are what every tile decodes to alone
     backend = ("serial", "thread", "process")[case.seed % 3]
     routes = tile_routes(
-        result.blob, backends=[backend], names=("decode_tile", "decompress")
+        result.blob, backends=[backend], names=("decode_alone", "decompress")
     )
     assert_same_verdict({"the case's decode": lambda: recon, **routes})
     middle = tuple(slice(n // 4, n - n // 4) for n in data.shape)

@@ -288,10 +288,10 @@ class TestCorruptContainers:
     def test_inflight_reader_survives_delete(self, store, field):
         """A read that started before delete() finishes against the
         old file instead of crashing on a closed handle."""
-        from repro.compressor.tiled import decode_tile
+        from tests.oracle import decode_alone
 
         def decoded():
-            return decode_tile(
+            return decode_alone(
                 reader.read_tile(record),
                 record.shape,
                 field.dtype,

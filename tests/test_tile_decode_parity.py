@@ -31,6 +31,7 @@ from repro.compressor.container import (
     pack_tile,
     unpack_tile,
 )
+from repro.compressor.stages import HuffmanEntropyStage
 from repro.compressor.tiled_geometry import extent_slices, iter_tiles
 from repro.storage.hdf5sim import H5LikeFile
 from tests.conftest import (
@@ -96,7 +97,7 @@ READERS = {
 def refused_everywhere(blob, reader, backend, match, tmp) -> None:
     """*reader*'s routes to ``REGION`` of *blob* on *backend*, and the
     tile-by-tile decodes, all refuse it one way."""
-    names = ("decode_tile", "decode_tiles", *READERS[reader][1])
+    names = ("decode_alone", "decode_tiles", *READERS[reader][1])
     routes = tile_routes(blob, REGION, FIELD, tmp, [backend], names)
     assert len(routes) == len(names), list(routes)
     verdict = assert_same_verdict(routes, match=match)
@@ -212,6 +213,53 @@ def test_every_reader_refuses_outlier_positions_off_the_codes(
     blob = replace_tile(blob, 3, pack_tile(meta, sections))
     routes = tile_routes(blob, REGION, tmp=tmp_path, backends=["serial"])
     verdict = assert_same_verdict(routes, match="corrupt outlier positions")
+    assert isinstance(verdict, ContainerFormatError), verdict
+
+
+#: predictor meta that no encoder writes, filed in the last tile's meta:
+#: Lorenzo orders past the two that exist, and an interpolation anchor
+#: grid other than the one its shape and levels make
+META_DAMAGE = {
+    "lorenzo-order-0": ("lorenzo", {"order": 0}),
+    "lorenzo-order-3": ("lorenzo", {"order": 3}),
+    "lorenzo-order-7": ("lorenzo", {"order": 7}),
+    "anchor-grid": ("interpolation", {"levels": 5, "anchor_shape": [1]}),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(META_DAMAGE))
+def test_every_reader_refuses_predictor_meta_no_encoder_writes(
+    kind, tmp_path
+):
+    predictor, forged = META_DAMAGE[kind]
+    # 32x33 tiles: five levels, an anchor grid of [1, 2]
+    shape, tile = (64, 66), (32, 33)
+    field = 1e-2 * np.cumsum(
+        np.random.default_rng(1).standard_normal(shape), axis=-1
+    )
+    config = CompressionConfig(
+        predictor=predictor, error_bound=1e-2, tile_shape=tile
+    )
+    blob = without_checksums(TiledCompressor().compress(field, config).blob)
+    with TiledReader(blob) as reader:
+        record = reader.tiles[-1]
+        meta, sections = unpack_tile(reader.read_tile(record))
+    if "anchor_shape" in forged:
+        # one anchor fewer and one code more: the code count still adds
+        # up, and the one anchor would broadcast over the grid's two
+        entropy = HuffmanEntropyStage()
+        tile_config = SZCompressor._config_from_header(record.params)
+        codes = entropy.decode_stack([(sections[0], tile_config, False)])[0]
+        sections[0] = entropy.encode_stack(
+            [np.append(codes, 0)], tile_config
+        )[0].payload
+        sections[3] = sections[3][:8]
+    blob = replace_tile(
+        blob, 3, pack_tile(dict(meta, predictor_meta=forged), sections)
+    )
+    region = (slice(16, 48), slice(16, 50))  # all four tiles
+    routes = tile_routes(blob, region, tmp=tmp_path, backends=["serial"])
+    verdict = assert_same_verdict(routes, match="corrupt predictor meta")
     assert isinstance(verdict, ContainerFormatError), verdict
 
 
