@@ -65,6 +65,7 @@ __all__ = [
     "HuffmanCode",
     "HuffmanEncodePlan",
     "HuffmanEncoder",
+    "blob_bytes_bound",
     "huffman_code_lengths",
 ]
 
@@ -416,6 +417,19 @@ def _container_bytes_floors(
         if int(n[k]) * longest < 1 << 32:
             floors[k] += 8 + 4 * n_sync  # interval + count, then offsets
     return floors
+
+
+def blob_bytes_bound(n_symbols: int) -> int:
+    """Most bytes any writer's blob of *n_symbols* symbols takes.
+
+    The header-length word, the fixed fields (counts, first symbol,
+    sync interval: 288 bits) and a byte of rounding each for header and
+    payload; then per symbol a gamma alphabet gap (at most 125 bits: a
+    gap fits 63), a 6-bit code length, a 32-bit sync offset and a code
+    of at most :data:`_MAX_CODE_LEN` bits.  What a lossless stage that
+    wraps such a blob may decode to.
+    """
+    return 4 + (288 + 16 + (125 + 6 + 32 + _MAX_CODE_LEN) * n_symbols) // 8
 
 
 def _sync_layout(n: int) -> tuple[int, int]:

@@ -118,27 +118,54 @@ class LosslessBackend:
         ]
 
     def decompress(self, payload: bytes) -> bytes:
-        """Invert :meth:`compress` (the raw escape returns a view)."""
-        if not payload:
-            raise ValueError("empty lossless payload")
-        method, body = payload[0], memoryview(payload)[1:]
-        if method == _RAW:
-            return body
-        if method != _CODED:
-            raise ValueError(f"unknown lossless container method {method}")
-        return self._decompress_body(body)
+        """Invert :meth:`compress` (the raw escape returns a view).  The
+        one-payload case of :meth:`decompress_stack`."""
+        return self.decompress_stack([payload])[0]
 
-    # -- bodies -------------------------------------------------------------
+    def decompress_stack(
+        self, payloads: Sequence[bytes], limits: Sequence | None = None
+    ) -> list[bytes]:
+        """:meth:`decompress` of every payload — the bytes, and the error.
 
-    def _decompress_body(self, body: bytes) -> bytes:
-        decoded = self._huffman.decode(body)
-        if self._lz is not None:
-            tokens = decoded.astype(np.uint8).tobytes()
-            return self._lz.decode(tokens)
-        symbols = self._rle.decode(decoded, zero_symbol=0)
-        if symbols.size and (symbols.min() < 0 or symbols.max() > 255):
-            raise ValueError("corrupt RLE byte stream")
-        return symbols.astype(np.uint8).tobytes()
+        Every coded body's tokens are decoded in one
+        :meth:`HuffmanEncoder.decode_stack` call (none if no body is
+        coded), then inverted a payload at a time, payload *i* to at
+        most ``limits[i]`` bytes, or refused unallocated.  A stack that
+        raises is decoded again one payload at a time, so the error is
+        the first bad payload's own.
+        """
+        limits = [None] * len(payloads) if limits is None else limits
+        try:
+            out, coded = [], []
+            for i, payload in enumerate(payloads):
+                if not payload:
+                    raise ValueError("empty lossless payload")
+                if payload[0] == _CODED:
+                    coded.append(i)
+                elif payload[0] != _RAW:
+                    raise ValueError(
+                        f"unknown lossless container method {payload[0]}"
+                    )
+                out.append(memoryview(payload)[1:])
+            bodies = [out[i] for i in coded]
+            tokens_of = self._huffman.decode_stack(bodies) if coded else []
+            for i, tokens in zip(coded, tokens_of):
+                if self._lz is not None:
+                    tokens = tokens.astype(np.uint8).tobytes()
+                    out[i] = self._lz.decode(tokens, limits[i])
+                    continue
+                symbols = self._rle.decode(tokens, limit=limits[i])
+                if symbols.size and (symbols.min() < 0 or symbols.max() > 255):
+                    raise ValueError("corrupt RLE byte stream")
+                out[i] = symbols.astype(np.uint8).tobytes()
+            return out
+        except ValueError:
+            if len(payloads) <= 1:
+                raise
+            return [
+                self.decompress_stack([payload], [limit])[0]
+                for payload, limit in zip(payloads, limits)
+            ]
 
 
 LOSSLESS_BACKENDS = ("zstd_like", "gzip_like", "rle")

@@ -229,13 +229,19 @@ class Lz77Codec:
             return length + lo
         return length
 
-    def decode(self, payload: bytes) -> bytes:
+    def decode(self, payload: bytes, limit: int | None = None) -> bytes:
         """Invert :meth:`encode`.
 
-        No length may run past the size the stream declares, so a forged
-        ``match_len`` is refused before it is allocated.
+        No length may run past the size the stream declares, nor that
+        size past *limit* bytes, so a forged ``match_len`` or size is
+        refused before it is allocated.
         """
         expected, pos = read_varint(payload, 0)
+        if limit is not None and expected > limit:
+            raise ValueError(
+                f"LZ77 stream declares {expected} bytes, past its limit "
+                f"of {limit}"
+            )
         out = bytearray()
         while len(out) < expected:
             lit_len, pos = read_varint(payload, pos)

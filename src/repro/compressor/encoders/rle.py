@@ -111,31 +111,33 @@ class ZeroRunLengthEncoder:
         return out, stats
 
     def decode(
-        self, tokens: np.ndarray, zero_symbol: int = 0
+        self, tokens: np.ndarray, zero_symbol: int = 0, limit: int | None = None
     ) -> np.ndarray:
-        """Invert :meth:`encode`; ``tokens[0]`` carries the marker."""
+        """Invert :meth:`encode`; ``tokens[0]`` carries the marker.  A run
+        that takes the output past *limit* symbols is refused unallocated.
+        """
         tokens = np.asarray(tokens, dtype=np.int64).ravel()
         if tokens.size == 0:
             return tokens.copy()
         marker = int(tokens[0])
         tokens = tokens[1:]
-        is_marker = tokens == marker
-        if not is_marker.any():
-            return tokens.copy()
         pieces: list[np.ndarray] = []
-        cursor = 0
-        marker_positions = np.flatnonzero(is_marker)
-        for pos in marker_positions:
+        cursor = produced = 0
+        for pos in np.flatnonzero(tokens == marker).tolist():
             if pos < cursor:
                 # This position was consumed as a run length.
                 continue
-            pieces.append(tokens[cursor:pos])
             if pos + 1 >= tokens.size:
                 raise ValueError("dangling RLE marker at end of stream")
             run = int(tokens[pos + 1])
             if run < 0 or run > self.max_run:
                 raise ValueError(f"invalid run length {run}")
+            produced += pos - cursor + run
+            if limit is not None and produced > limit:
+                raise ValueError(f"RLE runs past the limit of {limit} symbols")
+            pieces.append(tokens[cursor:pos])
             pieces.append(np.full(run, zero_symbol, dtype=np.int64))
             cursor = pos + 2
         pieces.append(tokens[cursor:])
         return np.concatenate(pieces)
+

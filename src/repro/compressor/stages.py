@@ -9,9 +9,9 @@ forward_transform`), then two stage objects:
   configured predictor, and a stack of them back in another: Lorenzo
   on its own dual-quantization lattice, interpolation and regression
   through the one linear quantizer of :mod:`repro.compressor.quantizer`;
-* :class:`HuffmanEntropyStage` — losslessly encodes the code stream as
-  one Huffman(+lossless) payload, and still reads the v3 codes sections
-  of independently coded blocks that earlier revisions wrote.
+* :class:`HuffmanEntropyStage` — codes a stack of code streams as
+  Huffman(+lossless) payloads, and decodes one by one route over every
+  block: a payload, or each of an earlier revision's v3 codes section.
 
 Parallel work is a tile's, and framing the stage bytes the tiled
 compressor's (:mod:`repro.compressor.tiled`), never a stage's.
@@ -26,7 +26,7 @@ import numpy as np
 
 from repro import obs
 from repro.compressor.config import CompressionConfig
-from repro.compressor.encoders.huffman import HuffmanEncoder
+from repro.compressor.encoders.huffman import HuffmanEncoder, blob_bytes_bound
 from repro.compressor.encoders.lossless import get_lossless_backend
 from repro.compressor.predictors import make_predictor
 from repro.compressor.predictors.base import PredictorOutput
@@ -129,41 +129,45 @@ class HuffmanEntropyStage:
         ]
 
     def decode_stack(
-        self, sections: Sequence[tuple[bytes, CompressionConfig, bool]]
+        self,
+        sections: Sequence[tuple[bytes, CompressionConfig, bool]],
+        max_codes: Sequence[int],
     ) -> list[np.ndarray]:
         """The flat ``int64`` code stream of every ``(payload, config,
-        chunked)`` section: what :meth:`encode_stack` coded.
+        chunked)`` section, of at most ``max_codes[i]`` codes: what
+        :meth:`encode_stack` coded.
 
-        Each payload is unwrapped from its lossless stage, then every
-        Huffman stream is decoded as one stack
-        (:meth:`HuffmanEncoder.decode_stack`) — but a *chunked* payload,
-        a v3 codes section, whose blocks decode one after another as
-        before; the caller checks the total.
+        Every block — a payload, or one of a *chunked* (v3) section's —
+        is unwrapped by one :meth:`LosslessBackend.decompress_stack`
+        call per backend name, to at most its section's
+        :func:`~repro.compressor.encoders.huffman.blob_bytes_bound`,
+        then decoded by one :meth:`HuffmanEncoder.decode_stack` call; a
+        chunked section's blocks are joined, the total the caller's.
         """
-        out: list = [None] * len(sections)
-        stacked, blobs = [], []
-        for i, (payload, config, chunked) in enumerate(sections):
-            if not chunked:
-                stacked.append(i)
-                blobs.append(self._unwrap_lossless(payload, config))
-                continue
-            # only a legacy writer chunked
-            from repro.compressor import legacy
+        blocks, names, limits, counts = [], [], [], []  # block by block
+        for (payload, config, chunked), n_codes in zip(sections, max_codes):
+            parts = [payload]
+            if chunked:  # only a legacy writer chunked
+                from repro.compressor import legacy
 
-            out[i] = np.concatenate(
-                [
-                    self._huffman.decode(self._unwrap_lossless(block, config))
-                    for block in legacy.read_chunked_codes(payload)
-                ]
-            )
-        for i, codes in zip(stacked, self._huffman.decode_stack(blobs)):
-            out[i] = codes
-        return out
-
-    @staticmethod
-    def _unwrap_lossless(
-        payload: bytes, config: CompressionConfig
-    ) -> bytes:
-        if config.lossless is None:
-            return payload
-        return get_lossless_backend(config.lossless).decompress(payload)
+                parts = legacy.read_chunked_codes(payload)
+            blocks += parts
+            names += [config.lossless] * len(parts)
+            limits += [blob_bytes_bound(n_codes)] * len(parts)
+            counts.append(len(parts))
+        if any(names):
+            with obs.span("lossless"):
+                for name in dict.fromkeys(filter(None, names)):
+                    at = [k for k, named in enumerate(names) if named == name]
+                    unwrapped = get_lossless_backend(name).decompress_stack(
+                        [blocks[k] for k in at], [limits[k] for k in at]
+                    )
+                    for k, block in zip(at, unwrapped):
+                        blocks[k] = block
+        with obs.span("huffman"):
+            codes = iter(self._huffman.decode_stack(blocks))
+        return [
+            np.concatenate([next(codes) for _ in range(n)]) if chunked
+            else next(codes)
+            for n, (_, _, chunked) in zip(counts, sections)
+        ]

@@ -8,14 +8,15 @@
 The predict/quantize stage quantizes through
 :mod:`repro.compressor.quantizer` (Lorenzo on its own lattice).
 :meth:`SZCompressor.encode_stack` turns a stack of tiles into their
-five stage sections each plus the parameters that decode them
-(:meth:`SZCompressor.encode_stages` one array), and
+five stage sections each plus the parameters that decode them, and
 :meth:`SZCompressor.decode_stack` inverts every stage of a stack of
 tiles — by construction within the configured error bound — each
-stage a stack at a time but the transform.  None frames anything:
-:class:`repro.compressor.tiled.TiledCompressor` is the one front end,
-which drives this codec a stack of tiles at a time (a flat array is
-one tile) and writes the container of :mod:`repro.compressor.container`.
+stage a stack at a time but the transform (the entropy stage one
+stack, the predictor one per shape and predictor).  None frames
+anything: :class:`repro.compressor.tiled.TiledCompressor` is the one
+front end, which drives this codec a stack of tiles at a time (a flat
+array is one tile) and writes the container of
+:mod:`repro.compressor.container`.
 
 Degenerate inputs take no stage bytes: empty arrays round-trip to the
 correct shape/dtype, and constant fields under ``REL`` mode (whose
@@ -74,32 +75,21 @@ class SZCompressor:
 
     # -- public API ------------------------------------------------------------
 
-    def encode_stages(
-        self,
-        data: np.ndarray,
-        config: CompressionConfig,
-        reconstruct: bool = False,
-    ) -> tuple[dict, list[bytes], np.ndarray | None, dict[str, int]]:
-        """Encode *data* without a container around it.
-
-        Returns ``(header, sections, reconstruction, measures)``: the
-        fields a flat header would hold, the five stage sections in
-        :data:`container.SECTION_NAMES` order, with ``reconstruct``
-        what :meth:`decode_stack` will return for them (else ``None``),
-        and the counts :class:`~repro.compressor.tiled.TiledResult`
-        totals over tiles.
-        The per-tile contract of the tiled compressor, and the one-tile
-        case of :meth:`encode_stack`.
-        """
-        return self.encode_stack([data], config, reconstruct)[0]
-
     def encode_stack(
         self,
         tiles: Sequence[np.ndarray],
         config: CompressionConfig,
         reconstruct: bool = False,
     ) -> list[tuple[dict, list[bytes], np.ndarray | None, dict[str, int]]]:
-        """:meth:`encode_stages` of every tile, all of one shape.
+        """Encode every tile, all of one shape, without a container.
+
+        Returns per tile ``(header, sections, reconstruction,
+        measures)``: the fields a flat header would hold, the five stage
+        sections in :data:`container.SECTION_NAMES` order, with
+        ``reconstruct`` what :meth:`decode_stack` will return for them
+        (else ``None``), and the counts
+        :class:`~repro.compressor.tiled.TiledResult` totals over tiles —
+        the per-tile contract of the tiled compressor.
 
         Each tile is transformed alone; those with stage bytes are
         predicted and quantized as one ``(n, *shape)`` stack, each under
@@ -211,7 +201,8 @@ class SZCompressor:
         (``chunked`` in it marks a v3 codes section).
 
         All codes sections are entropy-decoded as one stack
-        (:meth:`HuffmanEntropyStage.decode_stack`), the tiles of one
+        (:meth:`HuffmanEntropyStage.decode_stack`), none unwrapping to
+        more than a Huffman blob of a code per point, the tiles of one
         shape and predictor reconstructed as one
         (:meth:`PredictorStage.reconstruct`), and each tile inverse
         transformed alone.  What raises is some bad tile's error —
@@ -235,7 +226,8 @@ class SZCompressor:
             [
                 (codes_payload, config, bool(header.get("chunked")))
                 for _, header, config, codes_payload, _ in coded
-            ]
+            ],
+            [math.prod(header["shape"]) for _, header, *_ in coded],
         )
         # each code stream is popped into its group, which alone holds
         # it: a group is the tiles one predictor pass reconstructs

@@ -504,7 +504,7 @@ class TiledCompressor:
         reconstruction = (
             np.empty(data.shape, dtype=data.dtype) if reconstruct else None
         )
-        totals: Counter = Counter()  # encode_stages' measures, over tiles
+        totals: Counter = Counter()  # encode_stack's measures, over tiles
         section_bytes = dict.fromkeys(container.SECTION_NAMES, 0)
         encoded = self._encode_jobs(jobs, data.dtype, executor, reconstruction)
         if callable(header_extra):

@@ -243,7 +243,8 @@ class TestCorruptedBlobs:
         codes[4:12] = (2**40).to_bytes(8, "little")
         with pytest.raises(ValueError):
             HuffmanEntropyStage().decode_stack(
-                [(bytes(codes), SZCompressor._config_from_header(header), True)]
+                [(bytes(codes), SZCompressor._config_from_header(header), True)],
+                [5000],
             )
 
     def test_truncated_container_rejected(self, sz):

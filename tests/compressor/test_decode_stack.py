@@ -22,6 +22,7 @@ from repro.compressor.predictors.lorenzo import ClassicLorenzoPredictor
 from repro.compressor.stages import PredictorStage
 from repro.compressor.sz import SZCompressor
 from tests.compressor.test_encode_stack import PREDICTORS, RAGGED, _walk
+from tests.oracle import encode_alone
 
 SHAPES = [(14, 12), *RAGGED]
 
@@ -30,7 +31,7 @@ def encoded(tiles, configs) -> list:
     """The ``(header, sections)`` of each tile under its config."""
     codec = SZCompressor()
     return [
-        codec.encode_stages(tile, config)[:2]
+        encode_alone(tile, config, codec=codec)[:2]
         for tile, config in zip(tiles, configs)
     ]
 

@@ -2,8 +2,8 @@
 
 ``SZCompressor.encode_stack`` predicts, quantizes and Huffman-codes a
 stack of same-shape tiles together; each tile's params, sections,
-measures and reconstruction must be bit for bit what ``encode_stages``
-(the one-tile stack) returns for it.
+measures and reconstruction must be bit for bit what the one-tile stack
+(``tests/oracle.py::encode_alone``) returns for it.
 """
 
 from collections import defaultdict
@@ -23,17 +23,18 @@ from repro.compressor.quantizer import Quantizer
 from repro.compressor.stages import PredictorStage
 from repro.compressor.sz import SZCompressor
 from repro.compressor.tiled_geometry import extent_slices, iter_tiles
+from tests.oracle import encode_alone
 from tests.proptest import draw_case, resolved_config
 
 
 def assert_stacks_as_alone(tiles, config, reconstruct, codec=None):
-    """``encode_stack(tiles)`` is each tile's own ``encode_stages``."""
+    """``encode_stack(tiles)`` is each tile's own ``encode_alone``."""
     codec = codec or SZCompressor()
     stacked = codec.encode_stack(tiles, config, reconstruct)
     assert len(stacked) == len(tiles)
     for tile, got in zip(tiles, stacked):
-        params, sections, recon, measures = codec.encode_stages(
-            tile, config, reconstruct
+        params, sections, recon, measures = encode_alone(
+            tile, config, reconstruct, codec
         )
         assert got[0] == params
         assert got[1] == sections

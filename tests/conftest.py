@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import math
 
 import numpy as np
 import pytest
@@ -255,9 +256,9 @@ def forge_flat(header: dict, sections, version: int = 2) -> bytes:
 def forge_v2(data, config) -> bytes:
     """The flat v2 container the retired writer made of *data* under
     *config* — the one-tile v7 container's sections, flat-framed."""
-    from repro.compressor.sz import SZCompressor
+    from tests.oracle import encode_alone
 
-    params, sections, _, _ = SZCompressor().encode_stages(data, config)
+    params, sections, _, _ = encode_alone(data, config)
     return forge_flat(params, sections)
 
 
@@ -362,7 +363,7 @@ def write_chunked_codes(payloads) -> bytes:
 
 
 def chunk_codes(params: dict, sections, chunk: int) -> tuple[dict, list]:
-    """An ``encode_stages`` output with its codes section in blocks.
+    """An ``encode_alone`` output with its codes section in blocks.
 
     *params* and *sections* come back as the chunked writer made them
     for ``chunk_size=chunk``: the code stream in blocks of *chunk*
@@ -374,7 +375,9 @@ def chunk_codes(params: dict, sections, chunk: int) -> tuple[dict, list]:
     from repro.compressor.sz import SZCompressor
 
     config = SZCompressor._config_from_header(params)
-    codes = HuffmanEntropyStage().decode_stack([(sections[0], config, False)])[0]
+    codes = HuffmanEntropyStage().decode_stack(
+        [(sections[0], config, False)], [math.prod(params["shape"])]
+    )[0]
     blocks = []
     for lo in range(0, codes.size, chunk):
         block = HuffmanEncoder().encode(codes[lo : lo + chunk])
@@ -391,9 +394,9 @@ def forge_v3(data, config, chunk: int) -> bytes:
     """The flat v3 container the chunked writer made of *data* under
     *config* with ``chunk_size=chunk`` (it wrote v3 for streams of more
     than *chunk* codes)."""
-    from repro.compressor.sz import SZCompressor
+    from tests.oracle import encode_alone
 
-    params, sections, _, _ = SZCompressor().encode_stages(data, config)
+    params, sections, _, _ = encode_alone(data, config)
     params, sections = chunk_codes(params, sections, chunk)
     del params["chunked"]  # the version byte says it
     return forge_flat(params, sections, 3)

@@ -30,6 +30,7 @@ from repro.compressor.encoders.huffman import (
     huffman_code_lengths,
 )
 from repro.compressor.executor import BACKENDS
+from repro.compressor.sz import SZCompressor
 from repro.compressor.tiled import combine, decode_tiles
 from repro.compressor.tiled_geometry import extent_slices, normalize_region
 
@@ -298,6 +299,13 @@ def _touched(reader: TiledReader, region) -> list:
             for a, b, r in zip(record.start, record.stop, region)
         )
     ]
+
+
+def encode_alone(data, config, reconstruct=False, codec=None) -> tuple:
+    """``(header, sections, reconstruction, measures)`` of *data* encoded
+    alone: ``SZCompressor.encode_stack`` of a stack of one."""
+    codec = codec if codec is not None else SZCompressor()
+    return codec.encode_stack([data], config, reconstruct)[0]
 
 
 def decode_alone(payload, shape, dtype, codec=None, *, params) -> np.ndarray:

@@ -92,6 +92,22 @@ def test_serial_compress_counts_each_stack_stage_once(monkeypatch):
         assert times[stage] == 1.0, stage
 
 
+def test_serial_decode_counts_each_entropy_stage_once(monkeypatch):
+    # the four tiles decode as one stack: one lossless unwrap, one
+    # Huffman decode
+    data = np.cumsum(np.random.default_rng(3).standard_normal((32, 32)), 1)
+    config = CompressionConfig(
+        error_bound=1e-3, lossless="zstd_like", tile_shape=(16, 16)
+    )
+    compressor = TiledCompressor(backend="serial")
+    blob = compressor.compress(data, config).blob
+    ticks = itertools.count()
+    monkeypatch.setattr(obs, "_clock", lambda: float(next(ticks)))
+    with obs.record() as times:
+        compressor.decompress(blob)
+    assert times == {"lossless": 1.0, "huffman": 1.0}
+
+
 @pytest.mark.parametrize("backend", ["thread", "process"])
 def test_parallel_compress_records_the_serial_stage_names(backend):
     times = _four_tiles(backend)

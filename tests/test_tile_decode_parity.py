@@ -8,13 +8,16 @@ is the only line of defence: every reader, on every executor backend
 NumPy's broadcast error.  A v7 tile has no shape of its own to disagree
 with, so the same verdict falls on what can: a code stream of another
 length than the extent takes, section lengths that do not add up, a
-``meta`` that names what a tile may not say.
+``meta`` that names what a tile may not say, a lossless payload that
+unwraps past what the tile can hold.
 """
 
 import functools
 import io
+import math
 import os
 import shutil
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,9 +34,11 @@ from repro.compressor.container import (
     pack_tile,
     unpack_tile,
 )
+from repro.compressor.encoders.rle import ZeroRunLengthEncoder
 from repro.compressor.stages import HuffmanEntropyStage
 from repro.compressor.tiled_geometry import extent_slices, iter_tiles
 from repro.storage.hdf5sim import H5LikeFile
+from tests.compressor.test_lossless_stack import coded_tokens, lz77_tokens
 from tests.conftest import (
     LegacyTiledWriter,
     forge_rqh5,
@@ -42,7 +47,7 @@ from tests.conftest import (
     smooth_field,
     without_checksums,
 )
-from tests.oracle import assert_same_verdict, tile_routes
+from tests.oracle import assert_same_verdict, encode_alone, tile_routes
 
 SHAPE, TILE, BAD_TILE = (32, 32), (16, 16), (16, 16)
 WRONG_SHAPE = {"larger": (24, 24), "smaller": (8, 8)}
@@ -116,7 +121,7 @@ def test_every_reader_refuses_a_tile_of_the_wrong_shape(
 
 
 def _other_tile(shape):
-    return SZCompressor().encode_stages(
+    return encode_alone(
         smooth_field(shape).astype(np.float64),
         CompressionConfig(error_bound=1e-3),
     )[1]
@@ -249,7 +254,9 @@ def test_every_reader_refuses_predictor_meta_no_encoder_writes(
         # up, and the one anchor would broadcast over the grid's two
         entropy = HuffmanEntropyStage()
         tile_config = SZCompressor._config_from_header(record.params)
-        codes = entropy.decode_stack([(sections[0], tile_config, False)])[0]
+        codes = entropy.decode_stack(
+            [(sections[0], tile_config, False)], [math.prod(record.shape)]
+        )[0]
         sections[0] = entropy.encode_stack(
             [np.append(codes, 0)], tile_config
         )[0].payload
@@ -261,6 +268,56 @@ def test_every_reader_refuses_predictor_meta_no_encoder_writes(
     routes = tile_routes(blob, region, tmp=tmp_path, backends=["serial"])
     verdict = assert_same_verdict(routes, match="corrupt predictor meta")
     assert isinstance(verdict, ContainerFormatError), verdict
+
+
+def forged_expansion(kind: str, size: int) -> bytes:
+    """A checksum-free container whose last tile's codes section is a
+    method-1 lossless payload that unwraps to *size* bytes: an LZ77
+    stream that declares them, or RLE runs of zeros that fill them."""
+    lossless = "rle" if kind == "rle" else "zstd_like"
+    config = CompressionConfig(
+        error_bound=1e-3, tile_shape=TILE, lossless=lossless
+    )
+    blob = without_checksums(TiledCompressor().compress(FIELD, config).blob)
+    max_run = ZeroRunLengthEncoder().max_run
+    if kind == "rle":
+        payload = coded_tokens([-1] + [-1, max_run] * (size // max_run))
+    else:
+        payload = coded_tokens(lz77_tokens(size))
+    with TiledReader(blob) as reader:
+        meta, sections = unpack_tile(reader.read_tile(reader.tiles[-1]))
+    return replace_tile(blob, 3, pack_tile(meta, [payload, *sections[1:]]))
+
+
+@pytest.mark.parametrize(
+    "kind, size", [("lz77", 2**40), ("rle", 2**20)], ids=["lz77", "rle"]
+)
+def test_every_route_refuses_a_lossless_payload_past_its_tile(
+    kind, size, tmp_path
+):
+    # 2**40 bytes are refused at once by malloc where nothing checks
+    # them: no route may see that MemoryError, nor the RLE zeros
+    blob = forged_expansion(kind, size)
+    routes = tile_routes(blob, REGION, tmp=tmp_path)
+    verdict = assert_same_verdict(routes, match="limit")
+    assert isinstance(verdict, ContainerFormatError), verdict
+
+
+@pytest.mark.parametrize(
+    "kind, size", [("lz77", 2**26), ("rle", 2**20)], ids=["lz77", "rle"]
+)
+def test_a_refused_expansion_allocates_nothing_near_it(kind, size):
+    blob = forged_expansion(kind, size)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ContainerFormatError, match="limit"):
+            TiledCompressor(backend="serial").decompress_region(
+                blob, extent_slices(BAD_TILE, SHAPE)
+            )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 def test_a_decode_of_another_shape_or_dtype_is_refused():
