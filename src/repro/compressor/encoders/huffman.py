@@ -432,6 +432,12 @@ def blob_bytes_bound(n_symbols: int) -> int:
     return 4 + (288 + 16 + (125 + 6 + 32 + _MAX_CODE_LEN) * n_symbols) // 8
 
 
+def _check_count(what: str, count: int, limit: int | None) -> None:
+    """Refuse a header that declares *count* *what* past *limit*."""
+    if limit is not None and count > limit:
+        raise ValueError(f"{count} Huffman {what} past the limit of {limit}")
+
+
 def _sync_layout(n: int) -> tuple[int, int]:
     """Sync interval and offset count of an *n*-symbol stream's table.
 
@@ -715,25 +721,32 @@ class HuffmanEncoder:
         """
         return self.decode_stack([blob])[0]
 
-    def decode_stack(self, blobs: Sequence[bytes]) -> list[np.ndarray]:
+    def decode_stack(
+        self, blobs: Sequence[bytes], limits: Sequence | None = None
+    ) -> list[np.ndarray]:
         """:meth:`decode` of every blob — the arrays, and the error.
 
-        The headers are read in one integer pass (:meth:`_parse`).
+        The headers are read in one integer pass (:meth:`_parse`), and
+        a count past ``limits[i]`` in blob *i*'s is refused unallocated.
         Every sync-free stream that one walk window holds is decoded in
         one pointer-doubling pass over all of them
         (:meth:`_walk_stack`); the others take the kernel their size
         picks, as alone.  A stack that raises is decoded again one blob
         at a time, so the error is the first bad blob's own.
         """
+        limits = limits or [None] * len(blobs)
         try:
-            return self._decode_stack(blobs)
+            return self._decode_stack(blobs, limits)
         except ValueError:
             if len(blobs) <= 1:
                 raise
-            return [self._decode_stack([blob])[0] for blob in blobs]
+            return [
+                self._decode_stack([blob], [limit])[0]
+                for blob, limit in zip(blobs, limits)
+            ]
 
-    def _decode_stack(self, blobs: Sequence[bytes]) -> list[np.ndarray]:
-        streams = self._parse(blobs)
+    def _decode_stack(self, blobs, limits) -> list[np.ndarray]:
+        streams = self._parse(blobs, limits)
         out: list = [None] * len(streams)
         walk: list[int] = []
         for i, stream in enumerate(streams):
@@ -851,7 +864,7 @@ class HuffmanEncoder:
             blobs.append(head + tail + payload)
         return blobs
 
-    def _parse(self, blobs: Sequence[bytes]) -> list[_Stream]:
+    def _parse(self, blobs: Sequence[bytes], limits=None) -> list[_Stream]:
         """Every blob's header, read from Python integers.
 
         Fixed fields are shifts of the header read as one integer
@@ -862,7 +875,8 @@ class HuffmanEncoder:
         bits: the long-code walk reads them, and building them refuses
         what :func:`_canonical_codes` refuses.
         """
-        heads = [self._parse_fields(blob) for blob in blobs]
+        limits = limits or [None] * len(blobs)
+        heads = list(map(self._parse_fields, blobs, limits))
         counts = [head[0] for head in heads]
         word = 0
         for n_symbols, field, *_ in heads:
@@ -888,7 +902,7 @@ class HuffmanEncoder:
         return streams
 
     @staticmethod
-    def _parse_fields(blob: bytes) -> tuple:
+    def _parse_fields(blob: bytes, limit: int | None = None) -> tuple:
         """``(n_symbols, lengths field, first symbol, deltas, n_data,
         payload, total_bits, interval, sync)`` of one blob's header."""
         if len(blob) < 4:
@@ -896,12 +910,15 @@ class HuffmanEncoder:
         flagged = int.from_bytes(blob[:4], "big")
         header_len = flagged & ~_SYNC_FLAG
         pos = 4 + header_len
+        if pos > len(blob):
+            raise ValueError("truncated Huffman header")
         word, nbits = bits_word(blob[4:pos])
         try:
             n_symbols = read_field(word, nbits, 0, 32)
             if 6 * n_symbols > 8 * header_len:
                 # the code-length section alone would not fit the header
                 raise ValueError("corrupt Huffman header")
+            _check_count("symbols", n_symbols, limit)
             if n_symbols == 0:
                 return 0, 0, 0, None
             zz_first = read_field(word, nbits, 32, 64)
@@ -910,6 +927,7 @@ class HuffmanEncoder:
             lengths_field = read_field(word, nbits, at, 6 * n_symbols)
             at += 6 * n_symbols
             n_data = read_field(word, nbits, at, 64)
+            _check_count("codes", n_data, limit)
             total_bits = read_field(word, nbits, at + 64, 64)
             interval, sync = 0, _NO_SYNC
             if flagged & _SYNC_FLAG:

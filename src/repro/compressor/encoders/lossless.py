@@ -130,7 +130,10 @@ class LosslessBackend:
         Every coded body's tokens are decoded in one
         :meth:`HuffmanEncoder.decode_stack` call (none if no body is
         coded), then inverted a payload at a time, payload *i* to at
-        most ``limits[i]`` bytes, or refused unallocated.  A stack that
+        most ``limits[i]`` bytes, or refused unallocated — and its
+        tokens past ``4 * limits[i] + 64``, twice the most such bytes
+        code to (5 LZ77 tokens per 4-byte match, 2 RLE tokens per zero,
+        and a header).  A stack that
         raises is decoded again one payload at a time, so the error is
         the first bad payload's own.
         """
@@ -148,7 +151,8 @@ class LosslessBackend:
                     )
                 out.append(memoryview(payload)[1:])
             bodies = [out[i] for i in coded]
-            tokens_of = self._huffman.decode_stack(bodies) if coded else []
+            bounds = [limits[i] and 4 * limits[i] + 64 for i in coded]
+            tokens_of = coded and self._huffman.decode_stack(bodies, bounds)
             for i, tokens in zip(coded, tokens_of):
                 if self._lz is not None:
                     tokens = tokens.astype(np.uint8).tobytes()

@@ -141,10 +141,11 @@ class HuffmanEntropyStage:
         is unwrapped by one :meth:`LosslessBackend.decompress_stack`
         call per backend name, to at most its section's
         :func:`~repro.compressor.encoders.huffman.blob_bytes_bound`,
-        then decoded by one :meth:`HuffmanEncoder.decode_stack` call; a
-        chunked section's blocks are joined, the total the caller's.
+        then decoded by one :meth:`HuffmanEncoder.decode_stack` call, no
+        block to more than its section's codes; a chunked section's
+        blocks are joined, the total the caller's.
         """
-        blocks, names, limits, counts = [], [], [], []  # block by block
+        blocks, names, block_codes, counts = [], [], [], []  # block by block
         for (payload, config, chunked), n_codes in zip(sections, max_codes):
             parts = [payload]
             if chunked:  # only a legacy writer chunked
@@ -153,21 +154,22 @@ class HuffmanEntropyStage:
                 parts = legacy.read_chunked_codes(payload)
             blocks += parts
             names += [config.lossless] * len(parts)
-            limits += [blob_bytes_bound(n_codes)] * len(parts)
+            block_codes += [n_codes] * len(parts)
             counts.append(len(parts))
         if any(names):
             with obs.span("lossless"):
                 for name in dict.fromkeys(filter(None, names)):
                     at = [k for k, named in enumerate(names) if named == name]
                     unwrapped = get_lossless_backend(name).decompress_stack(
-                        [blocks[k] for k in at], [limits[k] for k in at]
+                        [blocks[k] for k in at],
+                        [blob_bytes_bound(block_codes[k]) for k in at],
                     )
                     for k, block in zip(at, unwrapped):
                         blocks[k] = block
         with obs.span("huffman"):
-            codes = iter(self._huffman.decode_stack(blocks))
+            decoded = iter(self._huffman.decode_stack(blocks, block_codes))
         return [
-            np.concatenate([next(codes) for _ in range(n)]) if chunked
-            else next(codes)
+            np.concatenate([next(decoded) for _ in range(n)]) if chunked
+            else next(decoded)
             for n, (_, _, chunked) in zip(counts, sections)
         ]

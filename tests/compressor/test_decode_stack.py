@@ -3,9 +3,9 @@
 ``SZCompressor.decode_stack`` entropy-decodes a stack of tiles at once
 and reconstructs the tiles of one shape and predictor in one
 ``Predictor.reconstruct_stack`` pass; each tile must decode bit for bit
-to what ``decode_stack([tile])`` (the one-tile stack) returns for it.
-Each predictor's ``reconstruct_stack`` is held to the same against its
-outputs' stacks of one.
+to what ``decode_stack([tile])`` (the one-tile stack) returns for it,
+and each predictor's ``reconstruct_stack`` output to what its one-output
+``reconstruct`` gives (``tests/oracle.py::assert_stack_as_alone``).
 """
 
 import numpy as np
@@ -22,7 +22,7 @@ from repro.compressor.predictors.lorenzo import ClassicLorenzoPredictor
 from repro.compressor.stages import PredictorStage
 from repro.compressor.sz import SZCompressor
 from tests.compressor.test_encode_stack import PREDICTORS, RAGGED, _walk
-from tests.oracle import encode_alone
+from tests.oracle import assert_stack_as_alone, encode_alone
 
 SHAPES = [(14, 12), *RAGGED]
 
@@ -34,18 +34,6 @@ def encoded(tiles, configs) -> list:
         encode_alone(tile, config, codec=codec)[:2]
         for tile, config in zip(tiles, configs)
     ]
-
-
-def assert_decodes_as_alone(coded, codec=None) -> list:
-    """``decode_stack(coded)`` is each tile's own ``decode_stack([tile])``."""
-    codec = codec or SZCompressor()
-    stacked = codec.decode_stack(coded)
-    assert len(stacked) == len(coded)
-    for tile, got in zip(coded, stacked):
-        (alone,) = codec.decode_stack([tile])
-        assert (got.dtype, got.shape) == (alone.dtype, alone.shape)
-        assert got.tobytes() == alone.tobytes()
-    return stacked
 
 
 @pytest.mark.parametrize("predictor", PREDICTORS)
@@ -63,7 +51,7 @@ def test_each_member_under_its_own_bound(predictor, shape, mode):
     ]
     coded = encoded(tiles, configs)
     assert len({header["abs_eb"] for header, _ in coded}) == 3
-    assert_decodes_as_alone(coded)
+    assert_stack_as_alone(SZCompressor().decode_stack, coded)
 
 
 @pytest.mark.parametrize("predictor", PREDICTORS)
@@ -79,7 +67,7 @@ def test_outliers_in_some_members_only(predictor, shape):
     coded = encoded(tiles, [config] * len(tiles))
     outliers = [len(sections[1]) for _, sections in coded]
     assert outliers[1] and outliers[4] and not outliers[0]
-    assert_decodes_as_alone(coded)
+    assert_stack_as_alone(SZCompressor().decode_stack, coded)
 
 
 def test_order_two_lorenzo_and_pw_rel():
@@ -90,7 +78,7 @@ def test_order_two_lorenzo_and_pw_rel():
         CompressionConfig(mode=ErrorBoundMode.PW_REL, error_bound=1e-2),
     ]
     coded = encoded(tiles, configs * 2)
-    assert_decodes_as_alone(coded)
+    assert_stack_as_alone(SZCompressor().decode_stack, coded)
 
 
 def test_a_mixed_stack_of_two_shapes_and_two_predictors():
@@ -104,7 +92,8 @@ def test_a_mixed_stack_of_two_shapes_and_two_predictors():
         )
     coded = encoded(tiles, configs)
     order = np.random.default_rng(3).permutation(len(coded))
-    assert_decodes_as_alone([coded[i] for i in order])
+    coded = [coded[i] for i in order]
+    assert_stack_as_alone(SZCompressor().decode_stack, coded)
 
 
 @pytest.mark.parametrize("predictor", [*PREDICTORS, "lorenzo_classic"])
@@ -123,11 +112,14 @@ def test_reconstruct_stack_is_each_output_alone(predictor, shape):
         True,
         False,
     ]
-    got = model.reconstruct_stack(outputs, shape, bounds)
-    assert got.shape == (3, *shape) and got.dtype == np.float64
-    for member, output, bound in zip(got, outputs, bounds):
-        alone = model.reconstruct(output, shape, bound)
-        assert member.tobytes() == alone.tobytes()
+    got = assert_stack_as_alone(
+        lambda members: model.reconstruct_stack(
+            [output for output, _ in members], shape, [b for _, b in members]
+        ),
+        zip(outputs, bounds),
+        lambda member: model.reconstruct(member[0], shape, member[1]),
+    )
+    assert np.shape(got) == (3, *shape) and got[0].dtype == np.float64
 
 
 @pytest.mark.parametrize("predictor", PREDICTORS)

@@ -3,7 +3,7 @@
 ``SZCompressor.encode_stack`` predicts, quantizes and Huffman-codes a
 stack of same-shape tiles together; each tile's params, sections,
 measures and reconstruction must be bit for bit what the one-tile stack
-(``tests/oracle.py::encode_alone``) returns for it.
+returns for it (``tests/oracle.py::assert_stack_as_alone``).
 """
 
 from collections import defaultdict
@@ -23,28 +23,15 @@ from repro.compressor.quantizer import Quantizer
 from repro.compressor.stages import PredictorStage
 from repro.compressor.sz import SZCompressor
 from repro.compressor.tiled_geometry import extent_slices, iter_tiles
-from tests.oracle import encode_alone
+from tests.oracle import assert_stack_as_alone
 from tests.proptest import draw_case, resolved_config
 
 
-def assert_stacks_as_alone(tiles, config, reconstruct, codec=None):
-    """``encode_stack(tiles)`` is each tile's own ``encode_alone``."""
-    codec = codec or SZCompressor()
-    stacked = codec.encode_stack(tiles, config, reconstruct)
-    assert len(stacked) == len(tiles)
-    for tile, got in zip(tiles, stacked):
-        params, sections, recon, measures = encode_alone(
-            tile, config, reconstruct, codec
-        )
-        assert got[0] == params
-        assert got[1] == sections
-        assert got[3] == measures
-        if recon is None:
-            assert got[2] is None
-        else:
-            assert got[2].dtype == recon.dtype and got[2].shape == recon.shape
-            assert got[2].tobytes() == recon.tobytes()
-    return stacked
+def encodes(config, reconstruct):
+    """A tile stack's ``encode_stack`` under *config*: each tile must get
+    what it gets alone (:func:`tests.oracle.assert_stack_as_alone`)."""
+    codec = SZCompressor()
+    return lambda tiles: codec.encode_stack(tiles, config, reconstruct)
 
 
 def grid_stacks(data, tile_shape):
@@ -79,7 +66,7 @@ def test_every_proptest_case_stacks_as_alone(seed):
         max(1, n // 2) for n in case.data.shape
     )
     for stack in grid_stacks(case.data, tile_shape):
-        assert_stacks_as_alone(stack, config, reconstruct=seed % 2 == 0)
+        assert_stack_as_alone(encodes(config, seed % 2 == 0), stack)
 
 
 @pytest.mark.parametrize(
@@ -96,13 +83,14 @@ class TestStackCases:
         config = CompressionConfig(
             predictor=predictor, error_bound=1e-3, quant_radius=16
         )
-        stacked = assert_stacks_as_alone(tiles, config, reconstruct)
+        stacked = assert_stack_as_alone(encodes(config, reconstruct), tiles)
         outliers = [measures["n_outliers"] for *_, measures in stacked]
         assert outliers[1] and outliers[4] and not outliers[0]
 
     def test_order_two_lorenzo(self, reconstruct):
         config = CompressionConfig(error_bound=1e-2, lorenzo_levels=2)
-        assert_stacks_as_alone(list(_walk((5, 12, 9), 2)), config, reconstruct)
+        tiles = list(_walk((5, 12, 9), 2))
+        assert_stack_as_alone(encodes(config, reconstruct), tiles)
 
     @pytest.mark.parametrize(
         "dtype", [np.float32, np.float64, np.int16, np.int32, np.uint8]
@@ -112,7 +100,8 @@ class TestStackCases:
         if np.issubdtype(dtype, np.integer):
             data = np.abs(data)
         config = CompressionConfig(error_bound=0.5)
-        assert_stacks_as_alone(list(data.astype(dtype)), config, reconstruct)
+        tiles = list(data.astype(dtype))
+        assert_stack_as_alone(encodes(config, reconstruct), tiles)
 
     @pytest.mark.parametrize("mode", [ErrorBoundMode.ABS, ErrorBoundMode.REL])
     def test_constant_tiles_among_varying_ones(self, reconstruct, mode):
@@ -120,7 +109,7 @@ class TestStackCases:
         tiles[0][...] = 2.5
         tiles[3][...] = -1.0
         config = CompressionConfig(mode=mode, error_bound=1e-2)
-        stacked = assert_stacks_as_alone(tiles, config, reconstruct)
+        stacked = assert_stack_as_alone(encodes(config, reconstruct), tiles)
         if mode is ErrorBoundMode.REL:  # a tile's own range: zero here
             assert "constant" in stacked[0][0] and "constant" in stacked[3][0]
 
@@ -130,7 +119,7 @@ class TestStackCases:
         stacks = grid_stacks(data, (16, 16))
         assert len(stacks) == 4
         for stack in stacks:
-            assert_stacks_as_alone(stack, config, reconstruct)
+            assert_stack_as_alone(encodes(config, reconstruct), stack)
 
     def test_pw_rel(self, reconstruct):
         data = _walk((4, 9, 13), 6)
@@ -138,7 +127,7 @@ class TestStackCases:
         config = CompressionConfig(
             mode=ErrorBoundMode.PW_REL, error_bound=1e-2
         )
-        assert_stacks_as_alone(list(data), config, reconstruct)
+        assert_stack_as_alone(encodes(config, reconstruct), list(data))
 
     @pytest.mark.parametrize("predictor", PREDICTORS[1:])
     @pytest.mark.parametrize("shape", [(14, 12), *RAGGED], ids=str)
@@ -149,7 +138,7 @@ class TestStackCases:
         )
         walks = _walk((3, *shape), 7)
         tiles = [walk * scale for walk, scale in zip(walks, (2.0, 1.0, 0.5))]
-        stacked = assert_stacks_as_alone(tiles, config, reconstruct)
+        stacked = assert_stack_as_alone(encodes(config, reconstruct), tiles)
         bounds = {params["abs_eb"] for params, *_ in stacked}
         assert len(bounds) == (3 if mode is ErrorBoundMode.REL else 1)
 
@@ -177,7 +166,7 @@ class TestStackCases:
         assert max(len(tiles) for tiles, _, _ in seen) > 1
         monkeypatch.setattr(SZCompressor, "encode_stack", original)
         for tiles, config, surfaced in seen:
-            assert_stacks_as_alone(tiles, config, surfaced)
+            assert_stack_as_alone(encodes(config, surfaced), tiles)
 
 
 def test_a_36_tile_compress_predicts_once_per_stack(monkeypatch):

@@ -31,6 +31,7 @@ from tests.conftest import case
 from tests.oracle import (
     DECODE_MESSAGES,
     assert_same_verdict,
+    assert_stack_as_alone,
     deserialize,
     huffman_routes,
     payload_bits,
@@ -583,9 +584,10 @@ STACK_SHA256 = (
 
 
 def encode_drawn_stack(enc: HuffmanEncoder, seed: int) -> tuple:
+    """The drawn streams, and their stack's ``encode_stack``."""
     streams, planned = draw_stack(seed)
     plans = [enc.plan(s) if p else None for s, p in zip(streams, planned)]
-    return streams, enc.encode_stack(streams, plans)
+    return streams, lambda members: enc.encode_stack(members, plans)
 
 
 class TestEncodeStackMembers:
@@ -595,18 +597,18 @@ class TestEncodeStackMembers:
     @pytest.mark.parametrize("seed", range(40))
     def test_each_member_equals_its_stream_alone(self, seed):
         enc = HuffmanEncoder()
-        streams, stacked = encode_drawn_stack(enc, seed)
-        assert len(stacked) == len(streams)
-        for i, (stream, blob) in enumerate(zip(streams, stacked)):
-            with case(member=i):
-                assert blob == enc.encode(stream)
-                np.testing.assert_array_equal(enc.decode(blob), stream)
+        streams, encode_stack = encode_drawn_stack(enc, seed)
+        blobs = assert_stack_as_alone(encode_stack, streams, enc.encode)
+        decoded = assert_stack_as_alone(enc.decode_stack, blobs, enc.decode)
+        for array, stream in zip(decoded, streams):
+            np.testing.assert_array_equal(array, stream)
 
     def test_mixed_corpus_bytes_are_pinned(self):
         enc = HuffmanEncoder()
         digest = hashlib.sha256()
         for seed in range(40):
-            for blob in encode_drawn_stack(enc, seed)[1]:
+            streams, encode_stack = encode_drawn_stack(enc, seed)
+            for blob in encode_stack(streams):
                 digest.update(len(blob).to_bytes(8, "big") + blob)
         assert digest.hexdigest() == STACK_SHA256
 
@@ -657,12 +659,8 @@ class TestWideAlphabets:
     def test_a_span_past_int64_takes_the_sparse_count(self):
         enc = HuffmanEncoder()
         for wide in (np.array([0, 2**63 - 1]), np.array([-(2**63), -1])):
-            alone = enc.encode(wide)
-            np.testing.assert_array_equal(enc.decode(alone), wide)
-            assert enc.encode_stack([self.NORMAL, wide]) == [
-                enc.encode(self.NORMAL),
-                alone,
-            ]
+            got = assert_stack_as_alone(enc.encode_stack, [self.NORMAL, wide])
+            np.testing.assert_array_equal(enc.decode(got[1]), wide)
 
     def test_a_gap_past_int64_is_refused(self):
         enc = HuffmanEncoder()
@@ -1217,16 +1215,13 @@ class TestDecodeStack:
         monkeypatch.setattr(huffman_module, "_DECODE_TABLE_CACHE", cache)
         enc = HuffmanEncoder()
         blobs = self.mixed()
-        expected = [enc.decode(blob) for blob in blobs]
         rng = np.random.default_rng(5)
         for cold in (True, False, True, False):
             if cold:  # every alphabet built by the stack itself
                 cache.clear()
             order = rng.permutation(len(blobs))
-            got = enc.decode_stack([blobs[i] for i in order])
-            for i, array in zip(order, got):
-                assert array.dtype == expected[i].dtype
-                np.testing.assert_array_equal(array, expected[i])
+            stack = [blobs[i] for i in order]
+            assert_stack_as_alone(enc.decode_stack, stack, enc.decode)
         assert enc.decode_stack([]) == []
 
     def test_one_window_streams_take_one_pass(self, monkeypatch):
@@ -1282,11 +1277,11 @@ class TestDecodeStack:
             return real_group(streams)
 
         monkeypatch.setattr(enc, "_walk_group", group)
-        got = enc.decode_stack(blobs)
-        assert len(passes) > 1 and sum(passes) == len(blobs)
+        assert_stack_as_alone(enc.decode_stack, blobs, enc.decode)
+        # the stack's groups, then each blob's own pass
+        stacked, alone = passes[: -len(blobs)], passes[-len(blobs) :]
+        assert len(stacked) > 1 and sum(stacked) == len(blobs) == len(alone)
         assert all(one_pass(enc, blob) for blob in blobs)
-        for array, blob in zip(got, blobs):
-            np.testing.assert_array_equal(array, enc.decode(blob))
 
     @pytest.mark.parametrize("seed", range(120))
     def test_a_damaged_blob_among_intact_ones(self, seed):

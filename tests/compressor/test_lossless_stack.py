@@ -44,6 +44,7 @@ from tests.compressor.test_lz77 import (
     scan_corpus,
 )
 from tests.conftest import smooth_field
+from tests.oracle import assert_stack_as_alone
 from tests.proptest import draw_case, resolved_config
 
 #: the two LZ77 presets of the backends, and a window small enough that
@@ -58,27 +59,27 @@ LZ77_PARAMS = (
 DATA_DIR = os.path.join(os.path.dirname(os.path.dirname(__file__)), "data")
 
 
-def assert_stacks_as_alone(backend: LosslessBackend, payloads) -> list:
-    """``compress_stack(payloads)`` is each payload's own ``compress``,
-    and ``decompress_stack`` of it each one's own ``decompress``: the
+def assert_round_trip(backend: LosslessBackend, payloads) -> list:
+    """``compress_stack`` and ``decompress_stack`` give each payload what
+    it gets alone — ``compress`` and ``decompress`` are their stacks of
+    one — and ``decompress_stack`` of its ``compress_stack`` the
     payloads back."""
-    stacked = backend.compress_stack(payloads)
-    assert stacked == [backend.compress(data) for data in payloads]
-    for data, out in zip(payloads, stacked):
-        assert len(out) <= len(data) + 1
-    alone = [backend.decompress(out) for out in stacked]
-    assert backend.decompress_stack(stacked) == alone == list(payloads)
+    stacked = assert_stack_as_alone(backend.compress_stack, payloads)
+    assert all(len(o) <= len(d) + 1 for d, o in zip(payloads, stacked))
+    unwrap = backend.decompress_stack
+    assert assert_stack_as_alone(unwrap, stacked) == list(payloads)
     return stacked
 
 
-def assert_lz77_stacks_as_alone(payloads, params: Lz77Params) -> None:
-    """Each member of ``encode_stack`` is the scalar reference parse of
-    that payload alone."""
-    stacked = Lz77Codec(params).encode_stack(payloads)
-    assert len(stacked) == len(payloads)
-    for data, tokens in zip(payloads, stacked):
-        pairs = reference_pairs(data, params.window)
-        assert tokens == reference_encode(data, pairs, params.max_match)
+def lz77_parity(params: Lz77Params) -> dict:
+    """``Lz77Codec(params).encode_stack``, each member of which must be
+    the scalar reference parse of that payload alone."""
+    return {
+        "stack": Lz77Codec(params).encode_stack,
+        "alone": lambda data: reference_encode(
+            data, reference_pairs(data, params.window), params.max_match
+        ),
+    }
 
 
 def huffman_payloads(seed: int) -> list[bytes]:
@@ -101,7 +102,7 @@ def huffman_payloads(seed: int) -> list[bytes]:
 def test_every_proptest_cases_payloads_stack_as_alone(seed):
     payloads = huffman_payloads(seed)
     for name in LOSSLESS_BACKENDS:
-        assert_stacks_as_alone(LosslessBackend(name), payloads)
+        assert_round_trip(LosslessBackend(name), payloads)
 
 
 @pytest.mark.parametrize("name", LOSSLESS_BACKENDS)
@@ -109,9 +110,9 @@ def test_mixed_payloads_stack_as_alone(name):
     backend = LosslessBackend(name)
     payloads = [draw_payload(seed) for seed in range(60)]
     payloads.insert(7, b"")
-    stacked = assert_stacks_as_alone(backend, payloads)
+    stacked = assert_round_trip(backend, payloads)
     assert {out[0] for out in stacked} == {0, 1}  # both outcomes occur
-    assert assert_stacks_as_alone(backend, payloads[::-1]) == stacked[::-1]
+    assert assert_round_trip(backend, payloads[::-1]) == stacked[::-1]
 
 
 @pytest.mark.parametrize("params", LZ77_PARAMS, ids=["zstd", "gzip", "w8"])
@@ -121,10 +122,9 @@ class TestAdversarialStacks:
     def test_identical_members(self, params):
         block = np.random.default_rng(1).bytes(300)
         for payloads in ([block] * 4, [block, b"x" + block, block]):
-            assert_lz77_stacks_as_alone(payloads, params)
-        alone = Lz77Codec(params).encode(block)
+            assert_stack_as_alone(members=payloads, **lz77_parity(params))
         # a match into an earlier member would shrink the later ones
-        assert Lz77Codec(params).encode_stack([block] * 3) == [alone] * 3
+        assert_stack_as_alone(Lz77Codec(params).encode_stack, [block] * 3)
 
     def test_members_of_zero_to_three_bytes(self, params):
         tiny = [b"", b"a", b"ab", b"abc", b"abca", b"\0" * 3]
@@ -135,16 +135,16 @@ class TestAdversarialStacks:
             [b"abc", b"abcabcabc", b"", b"bca", b"abcabcabc"],
             [b"", b"abcd" * 20, b"", b"ab", b"cd" * 9, b"a"],
         ):
-            assert_lz77_stacks_as_alone(payloads, params)
+            assert_stack_as_alone(members=payloads, **lz77_parity(params))
 
     def test_a_straddling_quad_equal_to_a_later_one(self, params):
         # "abcd" straddles members 0 and 1, then occurs inside member 1
         # and inside member 2, where alone it has no earlier occurrence
         payloads = [b"xxab", b"cdyyyyabcdzzzzabcd", b"abcdqq", b"dabc"]
-        assert_lz77_stacks_as_alone(payloads, params)
+        assert_stack_as_alone(members=payloads, **lz77_parity(params))
         # and after a member whose own "abcd" pair precedes the straddle
         payloads = [b"qqabcd", b"abcdrrabcdab", b"cdab", b"cd", b"abcd"]
-        assert_lz77_stacks_as_alone(payloads, params)
+        assert_stack_as_alone(members=payloads, **lz77_parity(params))
 
     def test_a_match_exactly_at_the_window_edge(self, params):
         rng = np.random.default_rng(2)
@@ -162,8 +162,7 @@ class TestAdversarialStacks:
             [rng.bytes(7), past_edge, b"", at_edge, block],
         ):
             # the scalar reference is too slow for 2^20-byte payloads
-            stacked = codec.encode_stack(payloads)
-            assert stacked == [codec.encode(data) for data in payloads]
+            stacked = assert_stack_as_alone(codec.encode_stack, payloads)
             assert [codec.decode(tokens) for tokens in stacked] == payloads
 
 
@@ -175,17 +174,15 @@ def test_scan_corpus_shuffled_into_stacks(params):
         order = rng.permutation(len(corpus)).tolist()
         for cut in range(0, len(order), size):
             stack = [corpus[i] for i in order[cut : cut + size]]
-            assert_lz77_stacks_as_alone(stack, params)
+            assert_stack_as_alone(members=stack, **lz77_parity(params))
 
 
 @given(st.lists(st.binary(max_size=300), max_size=6))
 @settings(max_examples=60, deadline=None)
 def test_random_stacks_encode_as_alone(payloads):
     codec = Lz77Codec(Lz77Params(window_bits=8))
-    stacked = codec.encode_stack(payloads)
-    assert stacked == [codec.encode(data) for data in payloads]
-    for data, tokens in zip(payloads, stacked):
-        assert codec.decode(tokens) == data
+    stacked = assert_stack_as_alone(codec.encode_stack, payloads)
+    assert [codec.decode(tokens) for tokens in stacked] == payloads
 
 
 #: byte strings on both sides of the raw escape: random bytes, and runs
@@ -201,7 +198,7 @@ PAYLOADS = st.one_of(
 @given(st.lists(PAYLOADS, max_size=6), st.sampled_from(LOSSLESS_BACKENDS))
 @settings(max_examples=60, deadline=None)
 def test_random_stacks_decompress_as_alone(payloads, name):
-    assert_stacks_as_alone(LosslessBackend(name), payloads)
+    assert_round_trip(LosslessBackend(name), payloads)
 
 
 def coded_tokens(tokens) -> bytes:
@@ -257,7 +254,8 @@ def test_a_stack_raises_its_first_bad_payloads_error(name):
 
 
 class TestLimits:
-    """A payload may not unwrap past the Huffman blob its tile holds."""
+    """A payload may not unwrap past the Huffman blob its tile holds, nor
+    a Huffman blob declare more codes or tokens than that allows."""
 
     def test_lz77_refuses_a_declared_size_past_its_limit(self):
         codec = Lz77Codec()
@@ -298,19 +296,28 @@ class TestLimits:
                 )
 
     @staticmethod
-    def assert_far_below_the_limit(blob) -> None:
-        # checked against the blob's own code count, not the point
-        # count of a tile, which the decoder's limit allows
+    def assert_far_below_the_limits(blob, *payloads) -> int:
+        """Checked against *blob*'s own code count and size, not the
+        point count of a tile, which the decoder's limits allow: its
+        size, and the tokens of each of its lossless *payloads* that
+        codes them.  Returns its code count."""
         n_codes = HuffmanEncoder().decode(blob).size
         assert 2 * len(blob) <= blob_bytes_bound(n_codes), (len(blob), n_codes)
+        for payload in payloads:
+            if payload[0] == 1:  # the token bound of decompress_stack
+                n_tokens = HuffmanEncoder().decode(payload[1:]).size
+                assert 2 * n_tokens <= 4 * len(blob) + 64, n_tokens
+        return n_codes
 
     @pytest.mark.parametrize("limited", [True, False], ids=["16", "unlimited"])
     def test_no_proptest_case_comes_near_it(self, limited, request):
         if not limited:
             request.getfixturevalue("unlimited_codes")
+        backends = [LosslessBackend(name) for name in LOSSLESS_BACKENDS]
         for seed in range(72):
             for blob in filter(None, huffman_payloads(seed)):  # stage bytes
-                self.assert_far_below_the_limit(blob)
+                payloads = [backend.compress(blob) for backend in backends]
+                self.assert_far_below_the_limits(blob, *payloads)
 
     @pytest.mark.parametrize(
         "path",
@@ -327,14 +334,19 @@ class TestLimits:
                 blocks = [sections[0]]
                 if params.get("chunked"):
                     blocks = read_chunked_codes(sections[0])
+                points = math.prod(record.shape)
+                wrapped = [[]] * len(blocks)
                 if params["lossless"] is not None:
                     backend = get_lossless_backend(params["lossless"])
-                    limit = blob_bytes_bound(math.prod(record.shape))
-                    blocks = backend.decompress_stack(
-                        blocks, [limit] * len(blocks)
-                    )
-                for blob in blocks:
-                    self.assert_far_below_the_limit(blob)
+                    wrapped = [[block] for block in blocks]
+                    limits = [blob_bytes_bound(points)] * len(blocks)
+                    blocks = backend.decompress_stack(blocks, limits)
+                # the code limit is the count the tile's points take
+                n_codes = [
+                    self.assert_far_below_the_limits(blob, *payloads)
+                    for blob, payloads in zip(blocks, wrapped)
+                ]
+                assert sum(n_codes) <= points
 
 
 def count_calls(monkeypatch) -> dict:
@@ -390,9 +402,9 @@ def count_decode_stacks(monkeypatch, name: str) -> list:
     tokens = get_lossless_backend(name)._huffman
     decode_stack, calls = HuffmanEncoder.decode_stack, []
 
-    def counting(self, blobs):
+    def counting(self, blobs, limits=None):
         calls.append(("tokens" if self is tokens else "codes", len(blobs)))
-        return decode_stack(self, blobs)
+        return decode_stack(self, blobs, limits)
 
     monkeypatch.setattr(HuffmanEncoder, "decode_stack", counting)
     return calls

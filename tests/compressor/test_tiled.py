@@ -33,7 +33,9 @@ from tests.conftest import (
     forge_v2,
     smooth_field,
 )
-from tests.oracle import assert_same_verdict, decode_alone, tile_routes
+from tests.oracle import (
+    assert_same_verdict, assert_stack_as_alone, decode_alone, tile_routes
+)
 
 
 class TestGeometry:
@@ -499,21 +501,19 @@ class TestDecodeStacks:
 
     def test_mixed_stack_equals_its_tiles_alone(self):
         tiles = self.mixed()
-        alone = [
-            decode_alone(payload, shape, np.float64, params=params)
-            for payload, shape, params, _ in tiles
-        ]
         keys = set()
         for payload, _, params, _ in tiles:
             keys |= set(params) | set(container.unpack_tile(payload)[0])
         assert {"chunked", "constant"} <= keys
+
+        def stack(members):
+            payloads, shapes, params, _ = zip(*members)
+            return decode_tiles(payloads, shapes, np.float64, params=params)
+
         rng = np.random.default_rng(2)
-        for _ in range(3):
+        for _ in range(3):  # alone: decode_alone, a stack of one
             order = rng.permutation(len(tiles))
-            payloads, shapes, params, _ = zip(*(tiles[i] for i in order))
-            got = decode_tiles(payloads, shapes, np.float64, params=params)
-            for i, tile in zip(order, got):
-                assert_same_bytes(tile, alone[i])
+            assert_stack_as_alone(stack, [tiles[i] for i in order])
 
     def test_a_bad_tile_raises_its_own_error_in_a_stack(self):
         tiles = self.mixed()

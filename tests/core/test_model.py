@@ -8,6 +8,7 @@ from repro.compressor import CompressionConfig, ErrorBoundMode, TiledCompressor
 from repro.core.accuracy import estimation_accuracy
 from repro.core.model import RatioQualityModel
 from tests.conftest import roundtrip, smooth_field
+from tests.oracle import assert_stack_as_alone
 
 PREDICTORS = ["lorenzo", "interpolation", "regression"]
 
@@ -174,16 +175,19 @@ class TestFitStack:
         parameters = dict(
             predictor=predictor, mode=mode, sample_rate=0.05, seed=2
         )
-        models = RatioQualityModel.fit_stack(stack, **parameters)
         bounds = [1e-3, 1e-2]
-        for member, model in zip(stack, models):
-            single = RatioQualityModel(**parameters).fit(member)
-            for eb in bounds:
-                assert model.bitrate(eb) == single.bitrate(eb)
-                assert model.estimate(eb) == single.estimate(eb)
-            np.testing.assert_array_equal(
-                model.bitrate_curve(bounds), single.bitrate_curve(bounds)
-            )
+
+        def answers(model) -> tuple:
+            pairs = [(model.bitrate(eb), model.estimate(eb)) for eb in bounds]
+            return pairs, model.bitrate_curve(bounds)
+
+        assert_stack_as_alone(
+            lambda members: map(
+                answers, RatioQualityModel.fit_stack(members, **parameters)
+            ),
+            stack,
+            lambda data: answers(RatioQualityModel(**parameters).fit(data)),
+        )
 
     def test_empty_stack(self):
         assert RatioQualityModel.fit_stack(np.zeros((0, 8, 8))) == []

@@ -10,6 +10,7 @@ from repro.core.sampling import (
     sample_prediction_errors_stack,
 )
 from tests.conftest import smooth_field
+from tests.oracle import assert_stack_as_alone
 
 
 class TestSamplePredictionErrors:
@@ -104,16 +105,6 @@ def _loop_stencils(data, flat_idx):
     return values
 
 
-def _assert_same_sample(one: SampleResult, other: SampleResult):
-    for name in SampleResult.__dataclass_fields__:
-        a, b = getattr(one, name), getattr(other, name)
-        if isinstance(a, np.ndarray):
-            assert a.dtype == b.dtype and a.shape == b.shape, name
-            assert a.tobytes() == b.tobytes(), name
-        else:
-            assert a == b, name
-
-
 class TestStackedSampling:
     """A stack's pass equals its members' own passes, bit for bit."""
 
@@ -153,17 +144,15 @@ class TestStackedSampling:
                 rng.standard_normal(smooth.shape),
             ]
         ).astype(dtype)
-        batch = sample_prediction_errors_stack(
-            stack, predictor, rate=0.05, seed=6
+        assert_stack_as_alone(
+            lambda members: sample_prediction_errors_stack(
+                np.stack(members), predictor, rate=0.05, seed=6
+            ),
+            stack,
+            lambda member: sample_prediction_errors(
+                member, predictor, rate=0.05, seed=6
+            ),
         )
-        assert len(batch) == len(stack)
-        for member, sample in zip(stack, batch):
-            _assert_same_sample(
-                sample,
-                sample_prediction_errors(
-                    member, predictor, rate=0.05, seed=6
-                ),
-            )
 
     def test_one_draw_and_two_gathers_per_stack(self, monkeypatch):
         predictor_type = type(make_predictor("lorenzo"))

@@ -7,10 +7,15 @@ A route is a zero-argument callable; :func:`huffman_routes` and
 a container region.  A route that raises anything but a ``ValueError``
 (:class:`~repro.compressor.container.ContainerFormatError` is one)
 fails the test: no other exception is a verdict.
+
+The stacked coders are held to one parity check,
+:func:`assert_stack_as_alone`: a stack gives each member what that
+member gets alone.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import re
 import zlib
@@ -312,6 +317,32 @@ def decode_alone(payload, shape, dtype, codec=None, *, params) -> np.ndarray:
     """The tile a record of *shape*, *dtype* and *params* names, from
     *payload* decoded alone: ``decode_tiles`` of a stack of one."""
     return decode_tiles([payload], [shape], dtype, codec, params=[params])[0]
+
+
+def assert_stack_as_alone(
+    stack: Callable, members: Iterable, alone: Callable | None = None
+) -> list:
+    """``stack(members)`` gives each member what it gets alone — from
+    *alone*, by default ``stack([member])[0]``, called after the stack —
+    to the type, length, dtype, shape and byte.  Returns the stack's."""
+    members = list(members)
+    stacked = list(stack(members))
+    alone = alone or (lambda member: stack([member])[0])
+    assert _exact(stacked) == _exact([alone(m) for m in members])
+    return stacked
+
+
+def _exact(value):
+    """*value* as plain data: an array as its dtype, shape and bytes
+    (``-0.0`` is not ``0.0``), a tuple, list or dataclass item by item."""
+    if isinstance(value, np.ndarray):
+        return np.ndarray, value.dtype, value.shape, value.tobytes()
+    if dataclasses.is_dataclass(value):
+        fields = dataclasses.fields(value)
+        return type(value), [_exact(getattr(value, f.name)) for f in fields]
+    if isinstance(value, (tuple, list)):
+        return type(value), [_exact(item) for item in value]
+    return value
 
 
 def _by_tile(blob, region, reference, stacked) -> np.ndarray:

@@ -34,6 +34,7 @@ from repro.compressor.container import (
     pack_tile,
     unpack_tile,
 )
+from repro.compressor.encoders.huffman import HuffmanEncoder
 from repro.compressor.encoders.rle import ZeroRunLengthEncoder
 from repro.compressor.stages import HuffmanEntropyStage
 from repro.compressor.tiled_geometry import extent_slices, iter_tiles
@@ -318,6 +319,53 @@ def test_a_refused_expansion_allocates_nothing_near_it(kind, size):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20, peak
+
+
+def forged_header(claimed: bool, size: int = 1 << 16) -> bytes:
+    """*size* bytes of ``0x07`` — what a forged LZ77 stream once unwrapped
+    to — whose symbol count is as many 6-bit code lengths as its bits
+    hold; the header length claimed past the blob, or its true one."""
+    blob = bytearray(b"\x07" * size)
+    if not claimed:
+        blob[:4] = (size - 4).to_bytes(4, "big")
+    blob[4:8] = (8 * (size - 4) // 6).to_bytes(4, "big")
+    return bytes(blob)
+
+
+@pytest.mark.parametrize("claimed", [True, False], ids=["claimed", "true"])
+def test_a_forged_huffman_header_is_refused_unallocated(claimed):
+    # the counts of a 32x32 tile: a parse that trusted the header walked
+    # 87 376 gamma codes and peaked at 122x the blob before refusing it
+    blob = forged_header(claimed)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="Huffman"):
+            HuffmanEncoder().decode_stack([blob], [32 * 32])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * len(blob), peak
+
+
+@pytest.mark.parametrize("claimed", [True, False], ids=["claimed", "true"])
+@pytest.mark.parametrize("lossless", [None, "zstd_like"], ids=str)
+def test_every_route_refuses_a_forged_huffman_header(
+    lossless, claimed, tmp_path
+):
+    # the codes section of the last 32x32 tile, raw or in the lossless
+    # stage's raw escape
+    config = CompressionConfig(
+        error_bound=1e-3, tile_shape=(32, 32), lossless=lossless
+    )
+    field = smooth_field((64, 64)).astype(np.float64)
+    blob = without_checksums(TiledCompressor().compress(field, config).blob)
+    codes = b"\0" * bool(lossless) + forged_header(claimed)
+    with TiledReader(blob) as reader:
+        meta, sections = unpack_tile(reader.read_tile(reader.tiles[-1]))
+    payload = pack_tile(meta, [codes, *sections[1:]])
+    routes = tile_routes(replace_tile(blob, 3, payload), tmp=tmp_path)
+    verdict = assert_same_verdict(routes, match="Huffman")
+    assert isinstance(verdict, ContainerFormatError), verdict
 
 
 def test_a_decode_of_another_shape_or_dtype_is_refused():
