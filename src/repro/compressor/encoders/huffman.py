@@ -20,20 +20,19 @@ The implementation is written for NumPy throughput:
   table* (the bit offset of every K-th symbol): an index that makes the
   sync blocks independent, and an integrity check every decode kernel
   holds the payload to;
-* the decoder picks its kernel by cost, from what the blob says of
-  itself: long sync-table streams (payload above
-  ``_SYNC_WALK_MAX_BITS``) run *batched rounds* — one gather over the
-  16-bit window advances every sync block by one symbol, ``K`` Python
-  rounds in all; shorter ones chain ``jump[p] = p + len[p]`` over a
-  window's bit positions by pointer doubling, from its sync marks or
-  the cursor;
+* the decoder picks one of three kernels from what the blob says of
+  itself.  The *stack walk* decodes every stream of a stack that is
+  sync-free and one walk window long, or has a sync table and at most
+  ``_SYNC_WALK_MAX_BITS`` payload bits, in one pointer-doubling pass
+  (``jump[p] = p + len[p]`` from every stream's first bit and sync
+  mark at once) through cached tables laid end to end: small tiles pay
+  the per-stream fixed cost, not the bits.  The *batched rounds* take
+  the other sync-table streams and those the walk refuses: one gather
+  over the 16-bit window advances every sync block by one symbol,
+  ``K`` Python rounds in all.  The *cursor walk* doubles over the other
+  sync-free streams a window of bit positions at a time;
 * codes longer than 16 bits, which only older files hold for alphabets
-  of up to ``2**16`` symbols, take a per-bit canonical walk;
-* a read of many small tiles decodes their streams as one stack
-  (:meth:`HuffmanEncoder.decode_stack`): headers read from Python
-  integers, every sync-free stream one walk window holds chained in one
-  pointer-doubling pass through cached tables laid end to end — the
-  per-stream fixed cost, not the bits, is what small tiles pay.
+  of up to ``2**16`` symbols, take a per-bit canonical walk.
 """
 
 from __future__ import annotations
@@ -100,13 +99,17 @@ _WALK_WINDOW_BITS = 1 << 15
 #: Floor of the walk window while long-code escapes keep cutting it short.
 _WALK_MIN_WINDOW_BITS = 256
 
-#: Entries of the stack walk's arrays (bit positions, and streams times
-#: their longest symbol count) that bound one pass: a stack of more is
-#: walked a group at a time (:meth:`HuffmanEncoder._walk_stack`).
+#: Entries of the stack walk's arrays (bit positions, and seeds times
+#: their longest orbit) that bound one pass: a stack of more is walked
+#: a group at a time (:meth:`HuffmanEncoder._walk_stack`).
 _STACK_WALK_SIZE = 1 << 18
 
-#: offset of each bit of a byte, MSB first
-_BIT_IN_BYTE = np.arange(8, dtype=np.uint32)
+#: the seed of the cursor walk's orbit: a window's first position
+_CURSOR = np.zeros(1, dtype=np.int64)
+
+#: the shift of a 24-bit window word that puts the 16 bits starting at
+#: each bit of its first byte, MSB first, at the bottom
+_TO_WINDOW16 = np.uint32(8) - np.arange(8, dtype=np.uint32)
 
 #: zero codewords of one bit: a packed stack's fill up to the next word
 _ZERO_FILL, _ONE_FILL = np.zeros(63, dtype=np.uint64), np.ones(63, dtype=int)
@@ -114,12 +117,12 @@ _ZERO_FILL, _ONE_FILL = np.zeros(63, dtype=np.uint64), np.ones(63, dtype=int)
 #: the blob of a stream with no symbols: a header of one zero count
 _EMPTY_BLOB = b"\x00\x00\x00\x04" + bytes(4)
 
-#: Longest sync-table payload the window walk takes.  The batched
+#: Longest sync-table payload the stack walk takes.  The batched
 #: kernel runs one Python round per symbol of a sync block (``interval``
 #: rounds of ~10 us, however few blocks a round advances), the walk
 #: costs by the payload bit: below this many bits the walk is cheaper
 #: (measured crossover table in README "Mid-size tiles").
-_SYNC_WALK_MAX_BITS = 6 * _WALK_WINDOW_BITS
+_SYNC_WALK_MAX_BITS = 4 * _WALK_WINDOW_BITS
 
 
 class _DecodeTableLRU:
@@ -502,46 +505,22 @@ def _block_orbits(
 ) -> np.ndarray:
     """Row *i*: the first *count* points of the orbit of ``seeds[i]``.
 
-    Pointer doubling as in :func:`_chain_starts`, every seed at once:
-    ``log2(count)`` squarings of *jump* however many seeds there are.
+    A symbol starts where the one before it started plus its length, so
+    the starts from a seed are its orbit under ``jump[p] = p + len[p]``
+    (:func:`_jump_map`).  Pointer doubling (``jump <- jump[jump]``)
+    finds every seed's in ``log2(count)`` gathers, not a Python step
+    per symbol; ``np.take`` gathers them a sixth faster than indexing.
     """
     orbits = np.empty((seeds.size, count), dtype=np.int64)
     orbits[:, 0] = seeds
     have = 1
     while have < count:
         take = min(have, count - have)
-        orbits[:, have : have + take] = jump[orbits[:, :take]]
+        orbits[:, have : have + take] = np.take(jump, orbits[:, :take])
         have += take
         if have < count:
-            jump = jump[jump]
+            jump = np.take(jump, jump)
     return orbits
-
-
-def _chain_starts(lens: np.ndarray, limit: int) -> np.ndarray:
-    """Offsets of the symbols that start inside one window of positions.
-
-    ``lens[p]`` is the code length the primary table resolves at offset
-    *p* of the window, 0 for a long-code escape.  A symbol starts at
-    offset 0 and each next one ``lens`` bits on, so the starts are the
-    orbit of 0 under ``jump[p] = p + lens[p]``; pointer doubling
-    (``jump <- jump[jump]``) finds it in ``O(log n)`` gathers instead
-    of one Python step per symbol.  The orbit stops after *limit*
-    symbols, on leaving the window, or *at* the first escape — the
-    caller tells the last two apart by ``lens`` at the final start.
-    """
-    m = lens.size
-    limit = min(limit, m)
-    jump = _jump_map(lens)
-    starts = np.empty(limit, dtype=np.int64)
-    starts[0] = 0
-    have = 1
-    while have < limit and starts[have - 1] < m:
-        take = min(have, limit - have)
-        starts[have : have + take] = jump[starts[:take]]
-        have += take
-        if have < limit:
-            jump = jump[jump]
-    return starts[: np.searchsorted(starts[:have], m)]
 
 
 def _table_bits(len_table: np.ndarray) -> int:
@@ -609,10 +588,9 @@ class HuffmanEncoder:
         [sync offsets: u32 LE each][payload bits]
 
     Format 2 (flagged by the top bit of the header-length word) appends
-    the bit offset of every ``sync_interval``-th symbol.  The format
-    does not pick the decode kernel — :meth:`decode` does, by payload
-    size — but whichever runs verifies the table against the payload;
-    format-1 blobs (short streams, older writers) have none to verify.
+    the bit offset of every ``sync_interval``-th symbol.  Whichever
+    kernel :meth:`decode` picks for it verifies the table against the
+    payload; format-1 blobs (short streams, older writers) have none.
     """
 
     def encode(
@@ -722,31 +700,36 @@ class HuffmanEncoder:
         return self.decode_stack([blob])[0]
 
     def decode_stack(
-        self, blobs: Sequence[bytes], limits: Sequence | None = None
+        self,
+        blobs: Sequence[bytes],
+        limits: Sequence | None = None,
+        alphabets: Sequence | None = None,
     ) -> list[np.ndarray]:
         """:meth:`decode` of every blob — the arrays, and the error.
 
         The headers are read in one integer pass (:meth:`_parse`), and
-        a count past ``limits[i]`` in blob *i*'s is refused unallocated.
-        Every sync-free stream that one walk window holds is decoded in
-        one pointer-doubling pass over all of them
-        (:meth:`_walk_stack`); the others take the kernel their size
-        picks, as alone.  A stack that raises is decoded again one blob
-        at a time, so the error is the first bad blob's own.
+        blob *i*'s is refused unallocated if it counts codes or symbols
+        past ``limits[i]``, or symbols past ``alphabets[i]``.  Every
+        stream the stack walk takes is decoded in one pointer-doubling
+        pass over all of them (:meth:`_walk_stack`); the others take
+        the kernel of their kind, as alone.  A stack that raises is
+        decoded again one blob at a time, so the error is the first bad
+        blob's own.
         """
         limits = limits or [None] * len(blobs)
+        alphabets = alphabets or [None] * len(blobs)
         try:
-            return self._decode_stack(blobs, limits)
+            return self._decode_stack(blobs, limits, alphabets)
         except ValueError:
             if len(blobs) <= 1:
                 raise
             return [
-                self._decode_stack([blob], [limit])[0]
-                for blob, limit in zip(blobs, limits)
+                self._decode_stack([blob], [limit], [alphabet])[0]
+                for blob, limit, alphabet in zip(blobs, limits, alphabets)
             ]
 
-    def _decode_stack(self, blobs, limits) -> list[np.ndarray]:
-        streams = self._parse(blobs, limits)
+    def _decode_stack(self, blobs, limits, alphabets) -> list[np.ndarray]:
+        streams = self._parse(blobs, limits, alphabets)
         out: list = [None] * len(streams)
         walk: list[int] = []
         for i, stream in enumerate(streams):
@@ -761,30 +744,34 @@ class HuffmanEncoder:
                 # every symbol costs at least one bit; a larger count means
                 # a corrupt header (and would over-allocate the output)
                 raise ValueError("corrupt Huffman header")
-            elif (
-                interval
-                and n_data > interval
-                and total_bits > _SYNC_WALK_MAX_BITS
-            ):
-                out[i] = code.symbols[self._decode_payload_batched(*stream)]
-            elif (
-                not interval
-                and total_bits < _WALK_WINDOW_BITS
-                and code.lengths.max() <= _PRIMARY_BITS
+            elif code.lengths.max() <= _PRIMARY_BITS and (
+                0 < interval < n_data and total_bits <= _SYNC_WALK_MAX_BITS
+                or not interval and total_bits < _WALK_WINDOW_BITS
             ):
                 walk.append(i)
             else:
-                # sync-free streams past one window or with long codes,
-                # and sync-table ones too short to fill the batched
-                # rounds; the rule also bounds those rounds by the
-                # payload size, whatever interval a corrupt header names
-                out[i] = code.symbols[self._decode_payload(*stream)]
+                out[i] = code.symbols[self._decode_alone(stream)]
         walked = self._walk_stack([streams[i] for i in walk])
         for i, dense in zip(walk, walked):
-            if dense is None:  # the pass did not finish it: the walk says why
-                dense = self._decode_payload(*streams[i])
+            if dense is None:  # refused: its kind's kernel says why
+                dense = self._decode_alone(streams[i])
             out[i] = streams[i].code.symbols[dense]
         return out
+
+    def _decode_alone(self, stream: _Stream) -> np.ndarray:
+        """A stream's dense indices by the kernel of its kind: the
+        batched rounds for sync blocks, else the cursor walk — held, on
+        a sync table's one block (whatever interval a corrupt header
+        names), to end exactly on ``total_bits``."""
+        code, n_data, _, total_bits, interval, sync = stream
+        if 0 < interval < n_data:
+            return self._decode_payload_batched(*stream)
+        if interval:
+            self._block_starts(n_data, total_bits, interval, sync)
+        dense = self._decode_payload(*stream[:4])
+        if interval and code.lengths[dense].sum() != total_bits:
+            raise ValueError("corrupt Huffman payload")
+        return dense
 
     # -- encoding ----------------------------------------------------------
 
@@ -864,7 +851,9 @@ class HuffmanEncoder:
             blobs.append(head + tail + payload)
         return blobs
 
-    def _parse(self, blobs: Sequence[bytes], limits=None) -> list[_Stream]:
+    def _parse(
+        self, blobs: Sequence[bytes], limits=None, alphabets=None
+    ) -> list[_Stream]:
         """Every blob's header, read from Python integers.
 
         Fixed fields are shifts of the header read as one integer
@@ -876,7 +865,8 @@ class HuffmanEncoder:
         what :func:`_canonical_codes` refuses.
         """
         limits = limits or [None] * len(blobs)
-        heads = list(map(self._parse_fields, blobs, limits))
+        alphabets = alphabets or [None] * len(blobs)
+        heads = list(map(self._parse_fields, blobs, limits, alphabets))
         counts = [head[0] for head in heads]
         word = 0
         for n_symbols, field, *_ in heads:
@@ -902,7 +892,9 @@ class HuffmanEncoder:
         return streams
 
     @staticmethod
-    def _parse_fields(blob: bytes, limit: int | None = None) -> tuple:
+    def _parse_fields(
+        blob: bytes, limit: int | None = None, alphabet: int | None = None
+    ) -> tuple:
         """``(n_symbols, lengths field, first symbol, deltas, n_data,
         payload, total_bits, interval, sync)`` of one blob's header."""
         if len(blob) < 4:
@@ -919,6 +911,7 @@ class HuffmanEncoder:
                 # the code-length section alone would not fit the header
                 raise ValueError("corrupt Huffman header")
             _check_count("symbols", n_symbols, limit)
+            _check_count("symbols", n_symbols, alphabet)
             if n_symbols == 0:
                 return 0, 0, 0, None
             zz_first = read_field(word, nbits, 32, 64)
@@ -953,48 +946,53 @@ class HuffmanEncoder:
     def _walk_stack(
         self, streams: Sequence[_Stream]
     ) -> list[np.ndarray | None]:
-        """Dense indices of one-window sync-free streams, or ``None``.
+        """Dense indices of the streams the stack walk takes, or ``None``.
 
         One pointer-doubling pass per group of streams whose arrays —
-        bit positions, and streams times their longest symbol count —
-        stay within :data:`_STACK_WALK_SIZE` entries (one always goes).
+        bit positions, and seeds times their longest orbit — stay within
+        :data:`_STACK_WALK_SIZE` entries (one always goes).
         """
         out: list[np.ndarray | None] = []
         group: list[_Stream] = []
-        positions = widest = 0
+        positions = seeds = widest = 0
         for stream in streams:
             span = 8 * ((stream.total_bits >> 3) + 3)
-            wider = max(widest, stream.n_data)
+            more = stream.sync.size + 1
+            wider = max(widest, stream.interval or stream.n_data)
             if group and max(
-                positions + span, (len(group) + 1) * wider
+                positions + span, (seeds + more) * wider
             ) > _STACK_WALK_SIZE:
                 out += self._walk_group(group)
-                group, positions, wider = [], 0, stream.n_data
+                group, positions, seeds = [], 0, 0
+                wider = stream.interval or stream.n_data
             group.append(stream)
-            positions, widest = positions + span, wider
+            positions, seeds, widest = positions + span, seeds + more, wider
         return out + (self._walk_group(group) if group else [])
 
     def _walk_group(
         self, streams: Sequence[_Stream]
     ) -> list[np.ndarray | None]:
-        """One pointer-doubling pass over a group of one-window streams.
+        """One pointer-doubling pass over a group of streams.
 
         The payloads are laid end to end, each cut or zero-padded to the
-        bytes its positions ``0 .. total_bits`` read, so that every
-        position reads what it reads in the stream's own window; the
-        cached primary tables are laid end to end too, so each position
-        resolves through its own stream's table in one gather.  Chaining
-        ``jump[p] = p + len[p]`` from every stream's first bit at once
-        (:func:`_block_orbits`) yields the symbol starts.  A stream is
-        done when its last symbol ends within its ``total_bits``, the
-        window walk's own acceptance test; one that is not (an escape, a
-        prefix no code holds, a truncation) gets ``None``.
+        bytes its positions ``0 .. total_bits`` read, and so are the
+        cached primary tables: each position resolves through its own
+        stream's table in one gather.  Chaining ``jump[p] = p + len[p]``
+        from every stream's first bit and checked sync mark at once
+        (:func:`_block_orbits`) yields the symbol starts.  A block must
+        land on the next mark and a sync stream's last on its
+        ``total_bits``, as in the batched rounds; a sync-free stream's
+        within it, as in the cursor walk.  A stream one fails (an
+        escape, a prefix no code holds, a truncation) gets ``None``.
         """
         table_at: dict[int, int] = {}  # a table the group shares goes once
-        sym_parts, len_parts = [], []
-        chunks, spans, bases, shifts, masks = [], [], [], [], []
+        sym_parts, len_parts, marks = [], [], []
+        chunks, spans, bases, drops, blocks = [], [], [], [], []
         size = 0
         for stream in streams:
+            if stream.interval:  # the table is checked before it seeds
+                self._block_starts(stream.n_data, *stream[3:])
+                marks.append(stream.sync)
             sym_table, len_table, _ = self._primary_tables(stream.code)
             base = table_at.get(id(len_table))
             if base is None:
@@ -1002,15 +1000,14 @@ class HuffmanEncoder:
                 sym_parts.append(sym_table)
                 len_parts.append(len_table)
                 size += len_table.size
-            bits = _table_bits(len_table)
             span = (stream.total_bits >> 3) + 3  # bytes of its 24-bit words
             chunk = bytes(stream.payload[:span])
             chunks += [chunk, bytes(span - len(chunk))]
             spans.append(span)
             bases.append(base)
-            shifts.append(24 - bits)
-            masks.append((1 << bits) - 1)
-        spans = np.array(spans)
+            drops.append(_PRIMARY_BITS - _table_bits(len_table))
+            blocks.append(stream.sync.size + 1)
+        spans, blocks = np.array(spans), np.array(blocks)
 
         def per_byte(values: list[int]) -> np.ndarray:
             return np.repeat(np.array(values, np.uint32), spans)[:, None]
@@ -1018,22 +1015,40 @@ class HuffmanEncoder:
         # the table entry of every bit position, computed in the window's
         # uint32 and converted to an index once
         window = build_bit_window(b"".join(chunks))[: int(spans.sum()), None]
-        index = window >> (per_byte(shifts) - _BIT_IN_BYTE)
-        index &= per_byte(masks)
+        index = window >> _TO_WINDOW16
+        index &= np.uint32(0xFFFF)
+        index >>= per_byte(drops)  # its own table's leading bits
         index += per_byte(bases)
         index = index.ravel().astype(np.intp)
         jump = _jump_map(np.concatenate(len_parts)[index])
+        # a seed per block: a stream's first bit, then its marks
         starts = 8 * (np.cumsum(spans) - spans)
-        ends = starts + [stream.total_bits for stream in streams]
+        first, last = np.cumsum(blocks) - blocks, np.cumsum(blocks) - 1
+        seeds = np.repeat(starts, blocks)
+        later = np.ones(seeds.size, dtype=bool)
+        later[first] = False
+        seeds[later] += np.concatenate([_NO_SYNC, *marks])
+        # each block runs onto the next seed, a stream's last onto its end
+        ends = np.append(seeds[1:], 0)
+        ends[last] = starts + [stream.total_bits for stream in streams]
         counts = np.array([stream.n_data for stream in streams])
-        orbits = _block_orbits(jump, starts, int(counts.max()))
-        done = jump[orbits[np.arange(counts.size), counts - 1]] <= ends
+        widths = np.array([s.interval or s.n_data for s in streams])
+        lengths = np.repeat(widths, blocks)
+        lengths[last] = counts - (blocks - 1) * widths
+        orbits = _block_orbits(jump, seeds, int(widths.max()))
+        landed = jump[orbits[np.arange(seeds.size), lengths - 1]]
+        exact = np.repeat(blocks > 1, blocks)  # a walked sync table has 2+
+        ok = np.where(exact, landed == ends, landed <= ends)
+        done = np.logical_and.reduceat(ok, first)
         # a failed orbit ends on the exit, one past the last position
         np.minimum(orbits, index.size - 1, out=orbits)
         dense = np.concatenate(sym_parts)[index[orbits]]
         return [
-            row[:n] if ok else None
-            for row, n, ok in zip(dense, counts.tolist(), done.tolist())
+            dense[a : a + k, :w].ravel()[:n] if ok else None
+            for a, k, w, n, ok in zip(
+                first.tolist(), blocks.tolist(), widths.tolist(),
+                counts.tolist(), done.tolist(),
+            )
         ]
 
     @staticmethod
@@ -1044,11 +1059,10 @@ class HuffmanEncoder:
 
         The sync table must hold exactly the marks its interval implies,
         strictly increasing inside ``(0, total_bits)`` — it is an
-        integrity check as much as an index, so every decode kernel
-        starts here.  Sync-free streams (``interval == 0``) have the one
-        block starting at 0.
+        integrity check as much as an index, so every kernel that takes
+        one starts here.
         """
-        if sync.size != ((n_data - 1) // interval if interval else 0):
+        if sync.size != (n_data - 1) // interval:
             raise ValueError("corrupt Huffman sync table")
         starts = np.zeros(sync.size + 1, dtype=np.int64)
         starts[1:] = sync
@@ -1057,50 +1071,24 @@ class HuffmanEncoder:
         return starts
 
     def _decode_payload(
-        self,
-        code: HuffmanCode,
-        n_data: int,
-        payload: bytes,
-        total_bits: int,
-        interval: int = 0,
-        sync: np.ndarray = _NO_SYNC,
+        self, code: HuffmanCode, n_data: int, payload: bytes, total_bits: int
     ) -> np.ndarray:
-        """Window-walk decode: pointer doubling over windows of bit positions.
-
-        Every bit position of a window resolves through the primary
-        tables at once; chaining ``jump[p] = p + len_table[window16[p]]``
-        from the cursor recovers the symbol starts
-        (:func:`_chain_starts`), and one gather yields their symbols.
-        A code longer than 16 bits ends the chain: the canonical walk
-        resolves that one symbol and the next window starts behind it
-        (shrunk while escapes keep coming, so a stream dense in long
-        codes does not pay a full window per symbol).
-
-        A stream with a sync table (``interval > 0``) is held to it as
-        the batched kernel holds it: the table is validated, every
-        symbol ``k * interval`` must start on its mark, and the last
-        symbol must end on ``total_bits`` — so the two kernels accept
-        the same blobs and return the same arrays.  Its marks also let
-        the chains of all blocks run at once
-        (:meth:`_decode_from_marks`); the walk from the cursor is then
-        only the fallback for streams with long codes.
+        """Cursor walk of a sync-free stream, a window of bit positions at
+        a time: every position resolves through the primary tables at
+        once, the cursor's orbit under ``jump[p] = p +
+        len_table[window16[p]]`` (:func:`_block_orbits`) is the symbol
+        starts.  It leaves the window or stops *at* an escape, a code
+        past 16 bits that the canonical walk resolves; the next window
+        starts behind it, shrunk while escapes keep coming, so a stream
+        dense in long codes does not pay a full window per symbol.
         """
-        marks = self._block_starts(n_data, total_bits, interval, sync)
         sym_table, len_table, _ = self._primary_tables(code)
         bits = _table_bits(len_table)
         window = build_bit_window(payload)
-        if marks.size > 1:
-            out = self._decode_from_marks(
-                sym_table, len_table, window, n_data, total_bits, interval,
-                marks,
-            )
-            if out is not None:
-                return out
         long_codes: dict | None = None  # lazy long-code index
         out = np.empty(n_data, dtype=sym_table.dtype)
         span = _WALK_WINDOW_BITS
-        done = 0
-        pos = 0
+        done = pos = 0
         while done < n_data:
             if pos > total_bits:
                 raise ValueError("Huffman payload truncated")
@@ -1110,14 +1098,10 @@ class HuffmanEncoder:
                 window, pos, min(pos + span, total_bits + 1), bits
             ).astype(np.intp)  # a table gather converts any other index
             lens = len_table[prefix]
-            starts = _chain_starts(lens, n_data - done)
-            if interval:
-                on_mark = starts[-done % interval :: interval]
-                block = -(-done // interval)
-                if not np.array_equal(
-                    on_mark + pos, marks[block : block + on_mark.size]
-                ):
-                    raise ValueError("corrupt Huffman payload")
+            orbit = _block_orbits(
+                _jump_map(lens), _CURSOR, min(n_data - done, lens.size)
+            )[0]
+            starts = orbit[: np.searchsorted(orbit, lens.size)]
             out[done : done + starts.size] = sym_table[prefix[starts]]
             done += starts.size
             last = int(starts[-1])
@@ -1134,54 +1118,6 @@ class HuffmanEncoder:
             pos += last + step
         if pos > total_bits:
             raise ValueError("Huffman payload truncated")
-        if interval and pos != total_bits:
-            raise ValueError("corrupt Huffman payload")
-        return out
-
-    @staticmethod
-    def _decode_from_marks(
-        sym_table: np.ndarray,
-        len_table: np.ndarray,
-        window: np.ndarray,
-        n_data: int,
-        total_bits: int,
-        interval: int,
-        marks: np.ndarray,
-    ) -> np.ndarray | None:
-        """Decode block-parallel from the sync marks, a window at a time.
-
-        With every block start known the doubling runs all blocks of a
-        window at once and needs ``log2(interval)`` squarings of the
-        jump map, not ``log2`` of the symbols the window holds.  Each
-        block must run exactly onto the next mark, the last onto
-        ``total_bits`` — the batched kernel's acceptance test.  ``None``
-        when one does not: a long-code escape or corruption, and the
-        walk from the cursor resolves the one and reports the other.
-        """
-        edges = np.append(marks, total_bits)
-        out = np.empty(n_data, dtype=sym_table.dtype)
-        i = 0
-        while i < marks.size:
-            # the whole blocks one walk window holds, at least one
-            lo = int(edges[i])
-            j = int(np.searchsorted(edges, lo + _WALK_WINDOW_BITS, "right"))
-            j = max(j - 1, i + 1)
-            prefix = slice_window16(
-                window, lo, int(edges[j]) + 1, _table_bits(len_table)
-            ).astype(np.intp)
-            jump = _jump_map(len_table[prefix])
-            starts = _block_orbits(jump, edges[i:j] - lo, interval)
-            starts = starts.ravel()[: n_data - i * interval]
-            # the last symbol of each block; the final block is short
-            last = np.minimum(np.arange(1, j - i + 1) * interval, starts.size)
-            if not np.array_equal(
-                jump[starts[last - 1]], edges[i + 1 : j + 1] - lo
-            ):
-                return None
-            out[i * interval : i * interval + starts.size] = sym_table[
-                prefix[starts]
-            ]
-            i = j
         return out
 
     def _decode_payload_batched(

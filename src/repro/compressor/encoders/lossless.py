@@ -55,6 +55,9 @@ class LosslessBackend:
         else:  # rle
             self._lz = None
             self._rle = ZeroRunLengthEncoder()
+        # the distinct tokens a stream can hold: bytes, or the byte
+        # values, the marker and the run lengths of the RLE run field
+        self._alphabet = 257 + self._rle.max_run if self._lz is None else 256
 
     def compress(self, data: bytes) -> bytes:
         """Compress *data*; never larger than ``len(data) + 1``.  The
@@ -133,9 +136,9 @@ class LosslessBackend:
         most ``limits[i]`` bytes, or refused unallocated — and its
         tokens past ``4 * limits[i] + 64``, twice the most such bytes
         code to (5 LZ77 tokens per 4-byte match, 2 RLE tokens per zero,
-        and a header).  A stack that
-        raises is decoded again one payload at a time, so the error is
-        the first bad payload's own.
+        and a header), or an alphabet no token stream of its coder holds.
+        A stack that raises is decoded again one payload at a time, so
+        the error is the first bad payload's own.
         """
         limits = [None] * len(payloads) if limits is None else limits
         try:
@@ -152,7 +155,9 @@ class LosslessBackend:
                 out.append(memoryview(payload)[1:])
             bodies = [out[i] for i in coded]
             bounds = [limits[i] and 4 * limits[i] + 64 for i in coded]
-            tokens_of = coded and self._huffman.decode_stack(bodies, bounds)
+            tokens_of = coded and self._huffman.decode_stack(
+                bodies, bounds, [self._alphabet] * len(coded)
+            )
             for i, tokens in zip(coded, tokens_of):
                 if self._lz is not None:
                     tokens = tokens.astype(np.uint8).tobytes()

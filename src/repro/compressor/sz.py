@@ -205,8 +205,9 @@ class SZCompressor:
         more than a Huffman blob of a code per point, the tiles of one
         shape and predictor reconstructed as one
         (:meth:`PredictorStage.reconstruct`), and each tile inverse
-        transformed alone.  What raises is some bad tile's error —
-        decode one tile at a time for the first one's.
+        transformed alone; each stage in a :func:`repro.obs.span` of
+        its name.  What raises is some bad tile's error — decode one
+        tile at a time for the first one's.
         """
         out: list = [None] * len(tiles)
         coded = []  # the tiles with a code stream
@@ -243,14 +244,18 @@ class SZCompressor:
             outputs.append(self._output(header, sections, stack.pop()))
         for (shape, *_), (config, indices, outputs) in groups.items():
             bounds = [tiles[i][0]["abs_eb"] for i in indices]
-            work = self._prediction.reconstruct(outputs, shape, bounds, config)
-            outputs.clear()  # spent: the group's code streams are freed here
-            for i, member in zip(indices, work):
-                header, sections = tiles[i]
-                data = inverse_transform(member, header, sections[4])
-                out[i] = data.reshape(header["shape"]).astype(
-                    header["dtype"], copy=False
+            with obs.span("reconstruct"):
+                work = self._prediction.reconstruct(
+                    outputs, shape, bounds, config
                 )
+            outputs.clear()  # spent: the group's code streams are freed here
+            with obs.span("inverse_transform"):
+                for i, member in zip(indices, work):
+                    header, sections = tiles[i]
+                    data = inverse_transform(member, header, sections[4])
+                    out[i] = data.reshape(header["shape"]).astype(
+                        header["dtype"], copy=False
+                    )
         return out
 
     @staticmethod

@@ -831,8 +831,9 @@ def decode_records(
     the payloads are read here and each worker gets one stack, a
     :func:`decode_tile_task` item that decodes into a shared output
     buffer (shared memory under the process backend, so decoded
-    samples are never pickled); *take* then gets views into that
-    buffer, valid only during the call.  What raises is
+    samples are never pickled) and whose stage times are added to the
+    active record; *take* then gets views into that buffer, valid only
+    during the call.  What raises is
     :func:`decode_tiles`' error: a stack's first bad tile's own.
     """
     dtype = np.dtype(dtype)
@@ -868,7 +869,9 @@ def decode_records(
                     [record.params for record in stack],
                 )
             )
-        executor.run_batch(decode_tile_task, items, output=buffer)
+        decodes = executor.run_batch(decode_tile_task, items, output=buffer)
+        for times in decodes:
+            obs.add(times)
         for i, (record, offset) in enumerate(zip(records, offsets)):
             take(i, _slot(buffer.array, offset, record.shape, dtype))
     finally:
@@ -943,14 +946,17 @@ def decode_tile_task(item, inp, out):
     params)``, one entry per tile of the stack but the codec — ``None``
     for the worker's stock one — and the dtype.  The decoded samples
     of each tile are written at its ``offset`` of the preallocated
-    output region, so nothing array-sized is pickled back.
+    output region, so nothing array-sized is pickled back.  Returns
+    the :func:`repro.obs.record` the decode ran in, as
+    :func:`_compress_tile_task` does.
     """
     payloads, offsets, shapes, dtype_str, codec, params = item
     dtype = np.dtype(dtype_str)
-    tiles = decode_tiles(payloads, shapes, dtype, codec, params=params)
+    with obs.record() as times:
+        tiles = decode_tiles(payloads, shapes, dtype, codec, params=params)
     for offset, shape, tile in zip(offsets, shapes, tiles):
         _slot(out, offset, shape, dtype)[...] = tile
-    return None
+    return times
 
 
 def _slot(

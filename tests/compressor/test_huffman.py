@@ -866,7 +866,8 @@ class TestSyncTableIsChecked:
                 self.enc.decode(self.serialize(8192, 256, bad))
 
     def test_absurd_interval_neither_hangs_nor_passes_a_table(self):
-        # one block, whatever its claimed interval: the walk takes it
+        # one block, whatever its claimed interval: the cursor walk
+        # takes it, held to end on total_bits
         blob = self.serialize(8192, 2**31, [])
         np.testing.assert_array_equal(self.enc.decode(blob), self.stream)
         with pytest.raises(ValueError, match="sync table"):
@@ -886,14 +887,20 @@ class TestSyncTableIsChecked:
             code.codes[dense], code.lengths[dense]
         )
         sync = np.cumsum(code.lengths[dense])[255:-1:256].astype("<u4")
-        for claimed in (total_bits, total_bits + 1, total_bits + 7):
-            blob = serialize(
-                self.enc, code, dense.size, payload, claimed, 256, sync
-            )
-            routes = huffman_routes(self.enc, blob)
-            assert "_decode_payload_batched" in routes
-            verdict = assert_same_verdict(routes)
-            assert isinstance(verdict, ValueError) == (claimed != total_bits)
+        # and a table of one block, whatever interval it names
+        for interval, marks in ((256, sync), (2**31, sync[:0])):
+            for claimed in (total_bits, total_bits + 1, total_bits + 7):
+                blob = serialize(
+                    self.enc, code, dense.size, payload, claimed, interval,
+                    marks,
+                )
+                routes = huffman_routes(self.enc, blob)
+                assert ("_decode_payload_batched" if marks.size
+                        else "_decode_alone") in routes
+                verdict = assert_same_verdict(routes)
+                assert isinstance(verdict, ValueError) == (
+                    claimed != total_bits
+                )
         assert long_code_walks
 
     def test_a_mark_off_its_symbol_is_rejected_by_the_walk(self):
@@ -925,7 +932,10 @@ class TestKernelRoutes:
             enc._decode_payload(*parts[:4])
         ]
         routes["encoded"] = lambda: code.symbols[dense]
-        assert len(routes) == 5
+        kernels = {"_decode_payload_batched", "_decode_payload without marks"}
+        if code.lengths.max() <= 16:  # else the walk would escape
+            kernels.add("stack walk")
+        assert set(routes) == {"decode", "encoded", *kernels}
         assert_same_verdict(routes)
 
     @pytest.mark.parametrize("kind", _ROUTE_KINDS)
@@ -959,10 +969,15 @@ class TestKernelRoutes:
             patch.setattr(
                 HuffmanEncoder, "_decode_payload_batched", unexpected
             )
-            enc.decode(at)
+            if code.lengths.max() <= 16:
+                enc.decode(at)
+            else:  # the rounds resolve a long code; the walk escapes
+                with pytest.raises(AssertionError):
+                    enc.decode(at)
             with pytest.raises(AssertionError):
                 enc.decode(past)
         monkeypatch.setattr(HuffmanEncoder, "_decode_payload", unexpected)
+        monkeypatch.setattr(HuffmanEncoder, "_walk_group", unexpected)
         enc.decode(past)
 
     @pytest.mark.parametrize("interval", (1, 2, 7, 256, 5000))
@@ -1003,18 +1018,18 @@ class TestNoDecodeCliff:
         def unexpected(*args, **kwargs):
             raise AssertionError("not on the mid-size route")
 
-        counted("_chain_starts")
         counted("_block_orbits")
         monkeypatch.setattr(
             HuffmanEncoder, "_decode_payload_batched", unexpected
         )
+        monkeypatch.setattr(HuffmanEncoder, "_decode_payload", unexpected)
         # positions are a range on this route: no fancy-index gather
         monkeypatch.setattr(huffman_module, "gather_window16", unexpected)
         np.testing.assert_array_equal(
             enc.decode(blob), code.symbols[dense[:n]]
         )
-        windows = -(-(total_bits + 1) // huffman_module._WALK_WINDOW_BITS)
-        assert 1 <= len(calls) <= windows + 1
+        assert total_bits <= huffman_module._SYNC_WALK_MAX_BITS
+        assert calls == ["_block_orbits"]  # the stack walk's one pass
 
     def test_large_streams_keep_the_batched_rounds(
         self, monkeypatch, long_code_walks
@@ -1162,13 +1177,18 @@ def intact_blobs() -> list[tuple[bytes, np.ndarray]]:
 
 
 def one_pass(enc: HuffmanEncoder, blob: bytes) -> bool:
-    """Whether the stack walk takes *blob*: sync-free, not empty, one
-    walk window long and no code past the primary table."""
+    """Whether the stack walk takes *blob*: more symbols than its sync
+    interval (0 without a table), no code past the primary table, and
+    one walk window long — or, with a table, ``_SYNC_WALK_MAX_BITS``."""
     code, n_data, _, total_bits, interval, _ = enc._parse([blob])[0]
+    longest = (
+        huffman_module._SYNC_WALK_MAX_BITS + 1
+        if interval
+        else huffman_module._WALK_WINDOW_BITS
+    )
     return (
-        n_data > 0
-        and not interval
-        and total_bits < huffman_module._WALK_WINDOW_BITS
+        n_data > interval
+        and total_bits < longest
         and code.lengths.max() <= 16
     )
 
@@ -1225,8 +1245,9 @@ class TestDecodeStack:
         assert enc.decode_stack([]) == []
 
     def test_one_window_streams_take_one_pass(self, monkeypatch):
-        # counted: every one-window sync-free stream of a stack is walked
-        # by one pass, the per-stream walk sees the rest only
+        # counted: every one-window sync-free stream of a stack and its
+        # sync-table stream are walked by one pass, the cursor walk sees
+        # the rest only
         enc = HuffmanEncoder()
         blobs = self.mixed() + [blob for blob, _ in intact_blobs()]
         walked, passes = [], []
@@ -1243,9 +1264,9 @@ class TestDecodeStack:
         monkeypatch.setattr(enc, "_decode_payload", walk)
         monkeypatch.setattr(enc, "_walk_group", group)
         enc.decode_stack(blobs)
-        # the escape, the multi-window stream and the sync-table one
-        assert sorted(walked) == [900, 9000, 20_000]
-        assert passes == [len(blobs) - 4]  # all but those and the empty one
+        # the escape and the multi-window stream
+        assert sorted(walked) == [900, 20_000]
+        assert passes == [len(blobs) - 3]  # all but those and the empty one
         assert passes == [sum(one_pass(enc, blob) for blob in blobs)]
 
     def test_the_first_bad_blob_speaks_for_the_stack(self):
@@ -1269,6 +1290,7 @@ class TestDecodeStack:
         monkeypatch.setattr(huffman_module, "_STACK_WALK_SIZE", 1 << 12)
         enc = HuffmanEncoder()
         blobs = [blob for blob, _ in intact_blobs()]
+        blobs[9:9] = [self.mixed()[5]] * 2  # sync tables: a seed per mark
         passes = []
         real_group = enc._walk_group
 

@@ -296,17 +296,21 @@ class TestLimits:
                 )
 
     @staticmethod
-    def assert_far_below_the_limits(blob, *payloads) -> int:
+    def assert_far_below_the_limits(blob, *wrapped) -> int:
         """Checked against *blob*'s own code count and size, not the
         point count of a tile, which the decoder's limits allow: its
-        size, and the tokens of each of its lossless *payloads* that
-        codes them.  Returns its code count."""
+        size, and the tokens of each ``(backend, payload)`` of *wrapped*
+        whose lossless payload codes them — their alphabet within the
+        backend's.  Returns its code count."""
         n_codes = HuffmanEncoder().decode(blob).size
         assert 2 * len(blob) <= blob_bytes_bound(n_codes), (len(blob), n_codes)
-        for payload in payloads:
-            if payload[0] == 1:  # the token bound of decompress_stack
-                n_tokens = HuffmanEncoder().decode(payload[1:]).size
-                assert 2 * n_tokens <= 4 * len(blob) + 64, n_tokens
+        for backend, payload in wrapped:
+            if payload[0] == 1:  # the token bounds of decompress_stack
+                tokens = HuffmanEncoder().decode(payload[1:])
+                assert 2 * tokens.size <= 4 * len(blob) + 64, tokens.size
+                alphabet = HuffmanEncoder()._parse([payload[1:]])[0].code
+                assert alphabet.symbols.size <= backend._alphabet
+                assert np.unique(tokens).size == alphabet.symbols.size
         return n_codes
 
     @pytest.mark.parametrize("limited", [True, False], ids=["16", "unlimited"])
@@ -316,8 +320,8 @@ class TestLimits:
         backends = [LosslessBackend(name) for name in LOSSLESS_BACKENDS]
         for seed in range(72):
             for blob in filter(None, huffman_payloads(seed)):  # stage bytes
-                payloads = [backend.compress(blob) for backend in backends]
-                self.assert_far_below_the_limits(blob, *payloads)
+                wrapped = [(b, b.compress(blob)) for b in backends]
+                self.assert_far_below_the_limits(blob, *wrapped)
 
     @pytest.mark.parametrize(
         "path",
@@ -338,7 +342,7 @@ class TestLimits:
                 wrapped = [[]] * len(blocks)
                 if params["lossless"] is not None:
                     backend = get_lossless_backend(params["lossless"])
-                    wrapped = [[block] for block in blocks]
+                    wrapped = [[(backend, block)] for block in blocks]
                     limits = [blob_bytes_bound(points)] * len(blocks)
                     blocks = backend.decompress_stack(blocks, limits)
                 # the code limit is the count the tile's points take
@@ -402,9 +406,9 @@ def count_decode_stacks(monkeypatch, name: str) -> list:
     tokens = get_lossless_backend(name)._huffman
     decode_stack, calls = HuffmanEncoder.decode_stack, []
 
-    def counting(self, blobs, limits=None):
+    def counting(self, blobs, limits=None, alphabets=None):
         calls.append(("tokens" if self is tokens else "codes", len(blobs)))
-        return decode_stack(self, blobs, limits)
+        return decode_stack(self, blobs, limits, alphabets)
 
     monkeypatch.setattr(HuffmanEncoder, "decode_stack", counting)
     return calls

@@ -562,6 +562,29 @@ class TestDecodeStacks:
             match="payload truncated",
         )
 
+    def test_serve_hot_tiles_take_one_walk_pass(self, monkeypatch):
+        # four 128x128 tiles at the serve_hot bound, one read stack: four
+        # code streams of 16 384 symbols with a sync table each, all
+        # seeded at their marks in one stack-walk pass
+        config = CompressionConfig(error_bound=0.05, tile_shape=(128, 128))
+        blob = TiledCompressor().compress(halo_field((256, 256)), config).blob
+        passes = []
+        real = HuffmanEncoder._walk_group
+
+        def group(self, streams):
+            passes.append([(s.n_data, s.interval) for s in streams])
+            return real(self, streams)
+
+        def unexpected(*args, **kwargs):
+            raise AssertionError("a stream decoded alone")
+
+        monkeypatch.setattr(HuffmanEncoder, "_walk_group", group)
+        for kernel in ("_decode_payload", "_decode_payload_batched"):
+            monkeypatch.setattr(HuffmanEncoder, kernel, unexpected)
+        TiledCompressor(backend="serial").decompress(blob)
+        codes = [p for p in passes if (128 * 128, 256) in p]
+        assert codes == [[(128 * 128, 256)] * 4], passes
+
     def test_cold_tables_decode_as_warm_ones(self, monkeypatch):
         """Tables rebuilt by every read decode what cached ones do, and
         a small alphabet's tables hold ``2 ** longest`` entries."""

@@ -238,12 +238,16 @@ def huffman_routes(
     ``decode`` — ``decode_stack`` of the blob alone, which is what
     ``decode`` calls — and, given *intact* ``(blob, symbols)`` pairs,
     ``decode_stack`` among them at index *at* (each intact blob must
-    still give its own symbols), the window walk ``_decode_payload``,
-    the batched rounds where the sync table bounds them, and the scalar
-    walk for a stream of one block and no marks (or whose header does
-    not parse: the reference refuses it as ``decode`` must).  The kernels
-    run only on what ``decode`` hands them, a parsed header whose counts
-    fit the payload; for any other the header's counts are the verdict.
+    still give its own symbols); the cursor walk ``_decode_payload`` of
+    a sync-free stream (``_decode_alone``, which holds it to its end, of
+    a sync table's one block), or the stack walk seeded at the marks
+    (where no code passes the primary table) and the batched rounds of
+    sync blocks; and the scalar walk for a stream of one block and no
+    marks, held to end on ``total_bits`` if a sync table names it (or
+    whose header does not parse: the reference refuses it as ``decode``
+    must).  The kernels run only on what ``decode`` hands them, a parsed
+    header whose counts fit the payload; for any other the header's
+    counts are the verdict.
     """
     routes = {"decode": lambda: enc.decode(blob)}
     if intact:
@@ -263,8 +267,17 @@ def huffman_routes(
         routes["scalar walk"] = lambda: reference_decode(enc, blob)
         return routes
     code, n_data, payload, total_bits, interval, sync = parts
+
+    def scalar():
+        symbols = reference_decode(enc, blob)
+        # a sync table holds its one block to end on total_bits
+        ends = code.lengths[np.searchsorted(code.symbols, symbols)].sum()
+        if interval and symbols.size and ends != total_bits:
+            raise ValueError("the block does not end on total_bits")
+        return symbols
+
     if not sync.size and (not interval or n_data <= interval):
-        routes["scalar walk"] = lambda: reference_decode(enc, blob)
+        routes["scalar walk"] = scalar
     if not 0 < n_data <= total_bits <= 8 * len(payload):
         # decode() settles these before any kernel: no symbols is an
         # empty array (and a mark is a corrupt table), and counts the
@@ -276,13 +289,29 @@ def huffman_routes(
 
         routes["header counts"] = counts
         return routes
-    routes["_decode_payload"] = lambda: code.symbols[
-        enc._decode_payload(*parts)
-    ]
-    if n_data > interval > 0:  # else the rounds are not bounded by the data
-        routes["_decode_payload_batched"] = lambda: code.symbols[
-            enc._decode_payload_batched(*parts)
+    if not interval:
+        routes["_decode_payload"] = lambda: code.symbols[
+            enc._decode_payload(*parts[:4])
         ]
+        return routes
+
+    if n_data <= interval:  # one block: the cursor walk, held to its end
+        routes["_decode_alone"] = lambda: code.symbols[
+            enc._decode_alone(parts)
+        ]
+        return routes
+
+    def stack_walk():
+        dense = enc._walk_stack([parts])[0]
+        if dense is None:
+            raise ValueError("the stack walk refuses it")
+        return code.symbols[dense]
+
+    if code.lengths.max() <= 16:  # else the walk escapes, and refuses
+        routes["stack walk"] = stack_walk
+    routes["_decode_payload_batched"] = lambda: code.symbols[
+        enc._decode_payload_batched(*parts)
+    ]
     return routes
 
 

@@ -7,9 +7,12 @@ import pytest
 
 from repro import obs
 from repro.compressor import CompressionConfig, TiledCompressor
+from repro.compressor.executor import BACKENDS
 
 #: the codec stages every encode stack records once
 CODEC_STAGES = ("transform", "predict_quantize", "huffman", "lossless")
+#: the stages every decode stack of one shape and predictor records once
+DECODE_STAGES = ("lossless", "huffman", "reconstruct", "inverse_transform")
 
 
 def test_span_without_record_adds_nowhere_but_measures():
@@ -92,20 +95,35 @@ def test_serial_compress_counts_each_stack_stage_once(monkeypatch):
         assert times[stage] == 1.0, stage
 
 
-def test_serial_decode_counts_each_entropy_stage_once(monkeypatch):
-    # the four tiles decode as one stack: one lossless unwrap, one
-    # Huffman decode
+def _four_tile_blob() -> bytes:
     data = np.cumsum(np.random.default_rng(3).standard_normal((32, 32)), 1)
     config = CompressionConfig(
         error_bound=1e-3, lossless="zstd_like", tile_shape=(16, 16)
     )
-    compressor = TiledCompressor(backend="serial")
-    blob = compressor.compress(data, config).blob
+    return TiledCompressor(backend="serial").compress(data, config).blob
+
+
+def test_serial_decode_counts_each_stack_stage_once(monkeypatch):
+    # the four tiles decode as one stack: one lossless unwrap, one
+    # Huffman decode, one reconstruct pass and one inverse transform loop
+    blob = _four_tile_blob()
     ticks = itertools.count()
     monkeypatch.setattr(obs, "_clock", lambda: float(next(ticks)))
     with obs.record() as times:
-        compressor.decompress(blob)
-    assert times == {"lossless": 1.0, "huffman": 1.0}
+        TiledCompressor(backend="serial").decompress(blob)
+    assert times == dict.fromkeys(DECODE_STAGES, 1.0)
+
+
+def test_decode_records_the_same_stage_names_on_every_backend():
+    # a pool's stacks decode in its workers, each in a record of its own
+    # that the reader adds to the caller's
+    blob = _four_tile_blob()
+    names = {}
+    for backend in BACKENDS:
+        with obs.record() as times:
+            TiledCompressor(workers=2, backend=backend).decompress(blob)
+        names[backend] = set(times)
+    assert names == dict.fromkeys(BACKENDS, set(DECODE_STAGES))
 
 
 @pytest.mark.parametrize("backend", ["thread", "process"])

@@ -123,6 +123,16 @@ ROUTES = {
             f"{ENC}/huffman.py:HuffmanEncoder.plan: "
             "huffman_code_lengths(limit=)",), calls=True),
     ),
+    # one pointer-doubling primitive, _block_orbits, seeded at a stack's
+    # stream starts and sync marks or at the cursor of a sync-free stream
+    "one_doubling_walk": (
+        Forbid("", r"_decode_from_marks|_chain_starts"),
+        Forbid(f"{ENC}/huffman.py", r"\b(interval|sync)\b(?!-free)",
+               rf"^(?!{ENC}/huffman\.py:HuffmanEncoder\._decode_payload:)"),
+        Forbid("", r"\b_block_orbits\(", calls=True, need=tuple(
+            f"{ENC}/huffman.py:HuffmanEncoder.{kernel}: _block_orbits()"
+            for kernel in ("_walk_group", "_decode_payload"))),
+    ),
     # a store read decodes its cache misses by tiled.decode_records: no
     # tile decodes alone, and the service keeps no read pool
     "one_decode_route_for_stored_tiles": (

@@ -35,6 +35,7 @@ from repro.compressor.container import (
     unpack_tile,
 )
 from repro.compressor.encoders.huffman import HuffmanEncoder
+from repro.compressor.encoders.lossless import LOSSLESS_BACKENDS
 from repro.compressor.encoders.rle import ZeroRunLengthEncoder
 from repro.compressor.stages import HuffmanEntropyStage
 from repro.compressor.tiled_geometry import extent_slices, iter_tiles
@@ -347,6 +348,19 @@ def test_a_forged_huffman_header_is_refused_unallocated(claimed):
     assert peak <= 4 * len(blob), peak
 
 
+def with_last_codes(codes: bytes, lossless: str | None) -> bytes:
+    """A checksum-free 64x64 container in 32x32 tiles, the codes section
+    of its last tile *codes*."""
+    config = CompressionConfig(
+        error_bound=1e-3, tile_shape=(32, 32), lossless=lossless
+    )
+    field = smooth_field((64, 64)).astype(np.float64)
+    blob = without_checksums(TiledCompressor().compress(field, config).blob)
+    with TiledReader(blob) as reader:
+        meta, sections = unpack_tile(reader.read_tile(reader.tiles[-1]))
+    return replace_tile(blob, 3, pack_tile(meta, [codes, *sections[1:]]))
+
+
 @pytest.mark.parametrize("claimed", [True, False], ids=["claimed", "true"])
 @pytest.mark.parametrize("lossless", [None, "zstd_like"], ids=str)
 def test_every_route_refuses_a_forged_huffman_header(
@@ -354,18 +368,34 @@ def test_every_route_refuses_a_forged_huffman_header(
 ):
     # the codes section of the last 32x32 tile, raw or in the lossless
     # stage's raw escape
-    config = CompressionConfig(
-        error_bound=1e-3, tile_shape=(32, 32), lossless=lossless
-    )
-    field = smooth_field((64, 64)).astype(np.float64)
-    blob = without_checksums(TiledCompressor().compress(field, config).blob)
     codes = b"\0" * bool(lossless) + forged_header(claimed)
-    with TiledReader(blob) as reader:
-        meta, sections = unpack_tile(reader.read_tile(reader.tiles[-1]))
-    payload = pack_tile(meta, [codes, *sections[1:]])
-    routes = tile_routes(replace_tile(blob, 3, payload), tmp=tmp_path)
+    routes = tile_routes(with_last_codes(codes, lossless), tmp=tmp_path)
     verdict = assert_same_verdict(routes, match="Huffman")
     assert isinstance(verdict, ContainerFormatError), verdict
+
+
+@pytest.mark.parametrize("lossless", LOSSLESS_BACKENDS)
+def test_a_forged_token_alphabet_is_refused_unallocated(lossless, tmp_path):
+    # a coded lossless payload whose token header has its true length
+    # and counts 87 376 symbols: inside the token bound of a 32x32 tile
+    # (112 872), past any alphabet a token stream holds.  A parse held to
+    # the token bound alone walked the gamma codes to 369x the section
+    section = b"\1" + forged_header(False)
+    blob = with_last_codes(section, lossless)
+    verdict = assert_same_verdict(
+        tile_routes(blob, tmp=tmp_path), match="Huffman"
+    )
+    assert isinstance(verdict, ContainerFormatError), verdict
+    tracemalloc.start()
+    try:
+        with pytest.raises(ContainerFormatError, match="symbols past"):
+            TiledCompressor(backend="serial").decompress_region(
+                blob, extent_slices((32, 32), (64, 64))
+            )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * len(section), peak
 
 
 def test_a_decode_of_another_shape_or_dtype_is_refused():
